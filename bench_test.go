@@ -273,42 +273,6 @@ func BenchmarkRIBDecision(b *testing.B) {
 	}
 }
 
-// BenchmarkRIBDecisionSharded is BenchmarkRIBDecision's counterpart
-// under concurrent-grade table pressure: churn spread over 64 prefixes
-// across 8 shards, so the per-shard candidate index, the prefix-hash
-// router and the shard locks all sit on the measured path.
-func BenchmarkRIBDecisionSharded(b *testing.B) {
-	tbl := rib.NewTableShards(8)
-	prefixes := make([]netip.Prefix, 64)
-	for i := range prefixes {
-		prefixes[i] = netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 0, byte(i), 0}), 24)
-		for j := 0; j < 4; j++ {
-			tbl.SetAdjIn(&rib.Route{
-				Prefix:  prefixes[i],
-				Peer:    rib.PeerKey(string(rune('a' + j))),
-				PeerASN: idr.ASN(j + 2),
-				PeerID:  idr.RouterIDFromAddr(netip.AddrFrom4([4]byte{172, 16, 0, byte(j + 2)})),
-				Attrs: wire.PathAttrs{
-					ASPath:  wire.NewASPath(idr.ASN(j+2), 1),
-					NextHop: netip.AddrFrom4([4]byte{100, 64, 0, byte(j + 2)}),
-				},
-			})
-		}
-	}
-	updates := make([]*rib.Route, len(prefixes))
-	for i, prefix := range prefixes {
-		updates[i] = &rib.Route{
-			Prefix: prefix, Peer: "z", PeerASN: 99,
-			PeerID: idr.RouterIDFromAddr(netip.MustParseAddr("172.16.0.99")),
-			Attrs:  wire.PathAttrs{ASPath: wire.NewASPath(99, 1), NextHop: netip.MustParseAddr("100.64.0.99")},
-		}
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tbl.SetAdjIn(updates[i%len(updates)])
-	}
-}
-
 // BenchmarkRIBLookup measures longest-prefix match on a populated
 // Loc-RIB — the data-plane forwarding decision behind every probe and
 // reachability check. The by-length bucket index makes it O(#distinct

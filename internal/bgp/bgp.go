@@ -173,11 +173,6 @@ type Config struct {
 	// jittered (+-50%) ProcessingDelay, other messages are free. Zero
 	// disables the model.
 	ProcessingDelay time.Duration
-	// RIBShards overrides the RIB shard count (0 selects
-	// rib.DefaultShards; 1 collapses to the historical single-map
-	// table). Purely an execution knob: results are byte-identical at
-	// any count.
-	RIBShards int
 }
 
 // Router is one BGP speaker.
@@ -224,7 +219,7 @@ func New(cfg Config) (*Router, error) {
 	}
 	r := &Router{
 		cfg:        cfg,
-		table:      rib.NewTableShards(cfg.RIBShards),
+		table:      rib.NewTable(),
 		adjOut:     rib.NewAdjOut(),
 		peers:      make(map[rib.PeerKey]*Peer),
 		originated: make(map[netip.Prefix]wire.PathAttrs),

@@ -4,11 +4,10 @@
 package rib
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
-	"sort"
-	"sync"
-	"sync/atomic"
+	"slices"
 
 	"repro/internal/bgp/wire"
 	"repro/internal/idr"
@@ -122,36 +121,17 @@ func Better(a, b *Route) bool {
 }
 
 // Table is a router's complete RIB state: per-peer Adj-RIB-In, the
-// locally originated routes, and the Loc-RIB (best routes).
-//
-// The table is sharded by prefix hash (dpdk-style): every per-prefix
-// structure — Adj-RIB-In entries, local routes, Loc-RIB, the candidate
-// index, the by-length lookup buckets — lives entirely in the prefix's
-// shard, under that shard's lock. Exported methods lock exactly the
-// shards they touch, so shards can be mutated, enumerated and
-// snapshotted independently; cross-shard enumerators merge and sort
-// globally, which makes every enumeration (and therefore every
-// serialization built on it) byte-identical at any shard count.
+// locally originated routes, and the Loc-RIB (best routes). A table
+// belongs to one router and, like the rest of that router's state, is
+// not safe for concurrent use.
 //
 // Two indexes keep the hot paths off the maps: cands holds, per
 // prefix, every Adj-RIB-In candidate sorted by peer key (maintained
 // incrementally, so the decision process neither allocates nor sorts
-// per UPDATE), and byLen buckets the shard's Loc-RIB slice by prefix
-// length; the table-level lenCount counters let Lookup probe only
-// populated lengths — one masked prefix, in one shard — per step.
+// per UPDATE), and byLen buckets the Loc-RIB by prefix length so
+// Lookup probes one masked prefix per populated length instead of
+// scanning the whole Loc-RIB.
 type Table struct {
-	shards []tableShard
-	mask   uint32
-	// lenCount[bits] is the number of Loc-RIB entries of that prefix
-	// length across all shards. Atomic so concurrent mutators of
-	// different shards never race on the shared counters.
-	lenCount [maxPrefixBits + 1]atomic.Int32
-}
-
-// tableShard owns every per-prefix structure for the prefixes that
-// hash to it. All fields are guarded by mu.
-type tableShard struct {
-	mu    sync.Mutex
 	adjIn map[PeerKey]map[netip.Prefix]*Route
 	local map[netip.Prefix]*Route
 	best  map[netip.Prefix]*Route
@@ -162,55 +142,41 @@ type tableShard struct {
 // maxPrefixBits is the longest prefix length Table can index (IPv6).
 const maxPrefixBits = 128
 
-// DefaultShards is the shard count used by NewTable. Eight keeps shard
-// contention negligible for the parallel snapshot/distribution paths
-// while the per-shard maps stay dense.
-const DefaultShards = 8
-
-// NewTable returns an empty RIB with DefaultShards shards.
-func NewTable() *Table { return NewTableShards(0) }
-
-// NewTableShards returns an empty RIB sharded n ways, rounded up to a
-// power of two; n <= 0 selects DefaultShards and n == 1 collapses to
-// the historical single-map table. The shard count is an execution
-// knob only: enumeration order, decision results and serialized state
-// are byte-identical at any count (see FuzzRIBShardEquivalence).
-func NewTableShards(n int) *Table {
-	if n <= 0 {
-		n = DefaultShards
+// NewTable returns an empty RIB.
+func NewTable() *Table {
+	return &Table{
+		adjIn: make(map[PeerKey]map[netip.Prefix]*Route),
+		local: make(map[netip.Prefix]*Route),
+		best:  make(map[netip.Prefix]*Route),
+		cands: make(map[netip.Prefix][]*Route),
 	}
-	size := 1
-	for size < n {
-		size <<= 1
-	}
-	t := &Table{shards: make([]tableShard, size), mask: uint32(size - 1)}
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.adjIn = make(map[PeerKey]map[netip.Prefix]*Route)
-		sh.local = make(map[netip.Prefix]*Route)
-		sh.best = make(map[netip.Prefix]*Route)
-		sh.cands = make(map[netip.Prefix][]*Route)
-	}
-	return t
 }
 
-// Shards returns the table's shard count.
-func (t *Table) Shards() int { return len(t.shards) }
+// NewTableShards returns NewTable(); n is ignored.
+//
+// Deprecated: the table is no longer sharded. The only caller is the
+// rib.decide_spread kernel in cmd/labbench/kernels.go, which was frozen
+// when the shards were removed; the next benchmark PR switches it to
+// NewTable and deletes this shim.
+func NewTableShards(n int) *Table { return NewTable() }
 
-// shardOf returns the shard owning prefix: FNV-1a over the full
-// 16-byte address plus the prefix length, allocation-free so the
-// decision path stays 0 allocs/op.
-func (t *Table) shardOf(p netip.Prefix) *tableShard {
-	if t.mask == 0 {
-		return &t.shards[0]
+// sortedPrefixes returns m's keys in comparePrefix order.
+func sortedPrefixes[V any](m map[netip.Prefix]V) []netip.Prefix {
+	out := make([]netip.Prefix, 0, len(m))
+	for p := range m {
+		out = append(out, p)
 	}
-	a := p.Addr().As16()
-	h := uint32(2166136261)
-	for i := 0; i < len(a); i++ {
-		h = (h ^ uint32(a[i])) * 16777619
+	slices.SortFunc(out, comparePrefix)
+	return out
+}
+
+// comparePrefix orders prefixes as idr.PrefixLess does, in the
+// three-way form slices.SortFunc takes.
+func comparePrefix(a, b netip.Prefix) int {
+	if c := a.Addr().Compare(b.Addr()); c != 0 {
+		return c
 	}
-	h = (h ^ uint32(uint8(p.Bits()))) * 16777619
-	return &t.shards[h&t.mask]
+	return cmp.Compare(a.Bits(), b.Bits())
 }
 
 // searchCands returns the position of peer in the candidate slice
@@ -230,8 +196,8 @@ func searchCands(s []*Route, peer PeerKey) (int, bool) {
 }
 
 // indexCand inserts or replaces r in the prefix's candidate slice.
-func (sh *tableShard) indexCand(r *Route) {
-	s := sh.cands[r.Prefix]
+func (t *Table) indexCand(r *Route) {
+	s := t.cands[r.Prefix]
 	i, ok := searchCands(s, r.Peer)
 	if ok {
 		s[i] = r
@@ -240,12 +206,12 @@ func (sh *tableShard) indexCand(r *Route) {
 	s = append(s, nil)
 	copy(s[i+1:], s[i:])
 	s[i] = r
-	sh.cands[r.Prefix] = s
+	t.cands[r.Prefix] = s
 }
 
 // unindexCand removes the peer's route from the prefix's candidates.
-func (sh *tableShard) unindexCand(peer PeerKey, prefix netip.Prefix) {
-	s := sh.cands[prefix]
+func (t *Table) unindexCand(peer PeerKey, prefix netip.Prefix) {
+	s := t.cands[prefix]
 	i, ok := searchCands(s, peer)
 	if !ok {
 		return
@@ -254,34 +220,26 @@ func (sh *tableShard) unindexCand(peer PeerKey, prefix netip.Prefix) {
 	s[len(s)-1] = nil
 	// Keep the (possibly empty) slice so a withdraw/re-announce cycle
 	// reuses its capacity instead of reallocating.
-	sh.cands[prefix] = s[:len(s)-1]
+	t.cands[prefix] = s[:len(s)-1]
 }
 
-// setBest installs r as the shard's Loc-RIB entry for prefix,
-// maintaining the by-length lookup buckets and the table-level length
-// counters; nil r removes the entry.
-func (t *Table) setBest(sh *tableShard, prefix netip.Prefix, r *Route) {
+// setBest installs r as the Loc-RIB entry for prefix, maintaining the
+// by-length lookup buckets; nil r removes the entry.
+func (t *Table) setBest(prefix netip.Prefix, r *Route) {
 	bits := prefix.Bits()
 	if bits < 0 || bits > maxPrefixBits {
 		panic(fmt.Sprintf("rib: invalid prefix %v", prefix))
 	}
 	if r == nil {
-		if _, ok := sh.best[prefix]; !ok {
-			return
-		}
-		delete(sh.best, prefix)
-		delete(sh.byLen[bits], prefix)
-		t.lenCount[bits].Add(-1)
+		delete(t.best, prefix)
+		delete(t.byLen[bits], prefix)
 		return
 	}
-	if _, ok := sh.best[prefix]; !ok {
-		t.lenCount[bits].Add(1)
-	}
-	sh.best[prefix] = r
-	m := sh.byLen[bits]
+	t.best[prefix] = r
+	m := t.byLen[bits]
 	if m == nil {
 		m = make(map[netip.Prefix]*Route)
-		sh.byLen[bits] = m
+		t.byLen[bits] = m
 	}
 	m[prefix] = r
 }
@@ -313,107 +271,59 @@ func (t *Table) SetAdjIn(r *Route) Change {
 	if r.Peer == "" {
 		panic("rib: SetAdjIn with empty peer key")
 	}
-	sh := t.shardOf(r.Prefix)
-	sh.mu.Lock()
-	m := sh.adjIn[r.Peer]
+	m := t.adjIn[r.Peer]
 	if m == nil {
 		m = make(map[netip.Prefix]*Route)
-		sh.adjIn[r.Peer] = m
+		t.adjIn[r.Peer] = m
 	}
 	m[r.Prefix] = r
-	sh.indexCand(r)
-	c := t.decide(sh, r.Prefix)
-	sh.mu.Unlock()
-	return c
+	t.indexCand(r)
+	return t.decide(r.Prefix)
 }
 
 // WithdrawAdjIn removes the peer's route for prefix and re-decides.
 func (t *Table) WithdrawAdjIn(peer PeerKey, prefix netip.Prefix) Change {
-	sh := t.shardOf(prefix)
-	sh.mu.Lock()
-	if m := sh.adjIn[peer]; m != nil {
-		delete(m, prefix)
-	}
-	sh.unindexCand(peer, prefix)
-	c := t.decide(sh, prefix)
-	sh.mu.Unlock()
-	return c
+	delete(t.adjIn[peer], prefix)
+	t.unindexCand(peer, prefix)
+	return t.decide(prefix)
 }
 
 // AdjIn returns the peer's current route for prefix, if any.
 func (t *Table) AdjIn(peer PeerKey, prefix netip.Prefix) (*Route, bool) {
-	sh := t.shardOf(prefix)
-	sh.mu.Lock()
-	r, ok := sh.adjIn[peer][prefix]
-	sh.mu.Unlock()
+	r, ok := t.adjIn[peer][prefix]
 	return r, ok
 }
 
 // AdjInPeerKeys returns every peer with a non-empty Adj-RIB-In,
 // sorted — the deterministic enumeration order for dumps and
-// snapshots, independent of the shard count.
+// snapshots.
 func (t *Table) AdjInPeerKeys() []PeerKey {
-	seen := make(map[PeerKey]bool)
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for k, m := range sh.adjIn {
-			if len(m) > 0 {
-				seen[k] = true
-			}
+	out := make([]PeerKey, 0, len(t.adjIn))
+	for k, m := range t.adjIn {
+		if len(m) > 0 {
+			out = append(out, k)
 		}
-		sh.mu.Unlock()
 	}
-	out := make([]PeerKey, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
 // AdjInPrefixes returns all prefixes present in the peer's Adj-RIB-In,
 // sorted.
 func (t *Table) AdjInPrefixes(peer PeerKey) []netip.Prefix {
-	var out []netip.Prefix
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for p := range sh.adjIn[peer] {
-			out = append(out, p)
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return idr.PrefixLess(out[i], out[j]) })
-	return out
+	return sortedPrefixes(t.adjIn[peer])
 }
 
 // DropPeer removes the peer's entire Adj-RIB-In (session failure) and
-// re-decides every affected prefix in globally sorted order, returning
-// the material changes — the same change sequence at any shard count.
+// re-decides every affected prefix in sorted order, returning the
+// material changes.
 func (t *Table) DropPeer(peer PeerKey) []Change {
-	var prefixes []netip.Prefix
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for p := range sh.adjIn[peer] {
-			prefixes = append(prefixes, p)
-		}
-		delete(sh.adjIn, peer)
-		sh.mu.Unlock()
-	}
-	if len(prefixes) == 0 {
-		return nil
-	}
-	sort.Slice(prefixes, func(i, j int) bool { return idr.PrefixLess(prefixes[i], prefixes[j]) })
+	prefixes := sortedPrefixes(t.adjIn[peer])
+	delete(t.adjIn, peer)
 	var out []Change
 	for _, p := range prefixes {
-		sh := t.shardOf(p)
-		sh.mu.Lock()
-		sh.unindexCand(peer, p)
-		c := t.decide(sh, p)
-		sh.mu.Unlock()
-		if c.Changed() {
+		t.unindexCand(peer, p)
+		if c := t.decide(p); c.Changed() {
 			out = append(out, c)
 		}
 	}
@@ -422,92 +332,64 @@ func (t *Table) DropPeer(peer PeerKey) []Change {
 
 // Originate installs a locally-originated route and re-decides.
 func (t *Table) Originate(prefix netip.Prefix, attrs wire.PathAttrs) Change {
-	sh := t.shardOf(prefix)
-	sh.mu.Lock()
-	sh.local[prefix] = &Route{Prefix: prefix, Attrs: attrs, Local: true}
-	c := t.decide(sh, prefix)
-	sh.mu.Unlock()
-	return c
+	t.local[prefix] = &Route{Prefix: prefix, Attrs: attrs, Local: true}
+	return t.decide(prefix)
 }
 
 // WithdrawLocal removes a locally-originated route and re-decides.
 func (t *Table) WithdrawLocal(prefix netip.Prefix) Change {
-	sh := t.shardOf(prefix)
-	sh.mu.Lock()
-	delete(sh.local, prefix)
-	c := t.decide(sh, prefix)
-	sh.mu.Unlock()
-	return c
+	delete(t.local, prefix)
+	return t.decide(prefix)
 }
 
 // Best returns the Loc-RIB entry for prefix, if any.
 func (t *Table) Best(prefix netip.Prefix) (*Route, bool) {
-	sh := t.shardOf(prefix)
-	sh.mu.Lock()
-	r, ok := sh.best[prefix]
-	sh.mu.Unlock()
+	r, ok := t.best[prefix]
 	return r, ok
 }
 
 // BestRoutes returns the whole Loc-RIB, sorted by prefix.
 func (t *Table) BestRoutes() []*Route {
-	var out []*Route
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for _, r := range sh.best {
-			out = append(out, r)
-		}
-		sh.mu.Unlock()
+	out := make([]*Route, 0, len(t.best))
+	for _, r := range t.best {
+		out = append(out, r)
 	}
-	sort.Slice(out, func(i, j int) bool { return idr.PrefixLess(out[i].Prefix, out[j].Prefix) })
+	slices.SortFunc(out, func(a, b *Route) int { return comparePrefix(a.Prefix, b.Prefix) })
 	return out
 }
 
 // Prefixes returns every prefix known to any RIB, sorted.
 func (t *Table) Prefixes() []netip.Prefix {
-	set := make(map[netip.Prefix]bool)
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for p := range sh.local {
-			set[p] = true
-		}
-		for p, s := range sh.cands {
-			if len(s) > 0 {
-				set[p] = true
-			}
-		}
-		sh.mu.Unlock()
-	}
-	out := make([]netip.Prefix, 0, len(set))
-	for p := range set {
+	out := make([]netip.Prefix, 0, len(t.cands)+len(t.local))
+	for p := range t.local {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool { return idr.PrefixLess(out[i], out[j]) })
+	for p, s := range t.cands {
+		if _, isLocal := t.local[p]; len(s) > 0 && !isLocal {
+			out = append(out, p)
+		}
+	}
+	slices.SortFunc(out, comparePrefix)
 	return out
 }
 
 // Lookup returns the Loc-RIB route whose prefix contains addr,
 // preferring the longest match — the data-plane forwarding decision.
-// It walks lengths from most to least specific; the table-level
-// lenCount counters skip unpopulated lengths without touching any
-// shard, and a populated length costs one masked-prefix probe in the
-// single shard that could own it.
+// It walks the by-length buckets from most to least specific, probing
+// the single masked prefix that could contain addr at each populated
+// length, so cost scales with the number of distinct prefix lengths
+// rather than the Loc-RIB size.
 func (t *Table) Lookup(addr netip.Addr) (*Route, bool) {
 	for bits := addr.BitLen(); bits >= 0; bits-- {
-		if t.lenCount[bits].Load() == 0 {
+		m := t.byLen[bits]
+		if len(m) == 0 {
 			continue
 		}
 		p, err := addr.Prefix(bits)
 		if err != nil {
 			continue
 		}
-		sh := t.shardOf(p)
-		sh.mu.Lock()
-		r, ok := sh.byLen[bits][p]
-		sh.mu.Unlock()
-		if ok {
+		if r, ok := m[p]; ok {
 			return r, true
 		}
 	}
@@ -518,20 +400,19 @@ func (t *Table) Lookup(addr netip.Addr) (*Route, bool) {
 // prefix's candidate index — already sorted by peer key, so the
 // iteration order (and therefore every MED tie-break) is deterministic
 // and identical to the historical sorted-peers scan, without
-// allocating or sorting per UPDATE. The caller must hold sh's lock,
-// where sh is the prefix's shard.
-func (t *Table) decide(sh *tableShard, prefix netip.Prefix) Change {
-	old := sh.best[prefix]
+// allocating or sorting per UPDATE.
+func (t *Table) decide(prefix netip.Prefix) Change {
+	old := t.best[prefix]
 	var best *Route
-	if lr, ok := sh.local[prefix]; ok {
+	if lr, ok := t.local[prefix]; ok {
 		best = lr
 	}
-	for _, r := range sh.cands[prefix] {
+	for _, r := range t.cands[prefix] {
 		if Better(r, best) {
 			best = r
 		}
 	}
-	t.setBest(sh, prefix, best)
+	t.setBest(prefix, best)
 	return Change{Prefix: prefix, Old: old, New: best}
 }
 
@@ -576,13 +457,8 @@ func (a *AdjOut) Delete(peer PeerKey, prefix netip.Prefix) bool {
 // DropPeer forgets everything advertised to peer (session reset),
 // returning the previously advertised prefixes, sorted.
 func (a *AdjOut) DropPeer(peer PeerKey) []netip.Prefix {
-	m := a.routes[peer]
-	out := make([]netip.Prefix, 0, len(m))
-	for p := range m {
-		out = append(out, p)
-	}
+	out := sortedPrefixes(a.routes[peer])
 	delete(a.routes, peer)
-	sort.Slice(out, func(i, j int) bool { return idr.PrefixLess(out[i], out[j]) })
 	return out
 }
 
@@ -595,17 +471,11 @@ func (a *AdjOut) Peers() []PeerKey {
 			out = append(out, k)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
 // Prefixes returns the prefixes currently advertised to peer, sorted.
 func (a *AdjOut) Prefixes(peer PeerKey) []netip.Prefix {
-	m := a.routes[peer]
-	out := make([]netip.Prefix, 0, len(m))
-	for p := range m {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return idr.PrefixLess(out[i], out[j]) })
-	return out
+	return sortedPrefixes(a.routes[peer])
 }

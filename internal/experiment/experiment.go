@@ -87,30 +87,6 @@ type Config struct {
 	// Settle is the convergence quiescence window (default
 	// monitor.DefaultSettle).
 	Settle time.Duration
-	// Tuning selects hot-path execution strategies. Every combination
-	// produces byte-identical results — the knobs exist for performance
-	// work and for the equivalence suite that pins that property.
-	Tuning Tuning
-}
-
-// Tuning holds execution-only knobs for the data-plane hot paths. None
-// of them may change any observable result: traces, snapshots, metrics
-// and figure outputs are pinned byte-identical across every setting by
-// the hot-path equivalence tests. They are excluded from canonical spec
-// serialization (and hence from artifact cache keys) for the same
-// reason.
-type Tuning struct {
-	// RIBShards is the per-router RIB shard count (see
-	// bgp.Config.RIBShards): 0 = rib.DefaultShards, 1 = the historical
-	// single-map layout, n is rounded up to a power of two.
-	RIBShards int
-	// SerialDrain disables same-timestamp event batching in the
-	// kernel, draining one event per scheduler pass (see
-	// sim.Kernel.SerialDrain).
-	SerialDrain bool
-	// HeapTimers disables the hierarchical timer wheel, filing every
-	// timer straight into the binary heap (see sim.Kernel.NoWheel).
-	HeapTimers bool
 }
 
 // Experiment is one built emulation.
@@ -234,8 +210,6 @@ func New(cfg Config) (*Experiment, error) {
 		onLinkState:  make(map[[2]idr.ASN]func(up bool)),
 		kinds:        policy.FromTopology(cfg.Graph),
 	}
-	e.K.SerialDrain = cfg.Tuning.SerialDrain
-	e.K.NoWheel = cfg.Tuning.HeapTimers
 	e.Net = netem.NewNetwork(e.K, e.K.Rand())
 	// Every link draws loss and jitter from a private stream derived
 	// from the run seed, so lossy runs stay byte-reproducible no matter
@@ -361,7 +335,6 @@ func (e *Experiment) buildRouter(asn idr.ASN, node *netem.Node) error {
 		Trace:           e.trace,
 		ProcessingDelay: e.cfg.ProcessingDelay,
 		Damping:         e.cfg.Damping,
-		RIBShards:       e.cfg.Tuning.RIBShards,
 	})
 	if err != nil {
 		return err

@@ -136,11 +136,6 @@ type Trial struct {
 	LinkLoss float64
 	// Damping enables RFC 2439 route-flap damping on legacy routers.
 	Damping *bgp.DampingConfig
-	// Tuning selects hot-path execution strategies (RIB sharding,
-	// kernel batching, timer wheel). Execution-only: every setting
-	// yields byte-identical results, so it is excluded from spec
-	// canonicalization and artifact cache keys.
-	Tuning experiment.Tuning
 	// FlapCycles is the number of withdraw/announce cycles of the Flap
 	// event (default 6).
 	FlapCycles int
@@ -353,7 +348,6 @@ func (t Trial) prepare() (*prepared, error) {
 			LinkJitter:      t.LinkJitter,
 			LinkLoss:        t.LinkLoss,
 			Damping:         t.Damping,
-			Tuning:          t.Tuning,
 		},
 	}, nil
 }

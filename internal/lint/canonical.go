@@ -52,7 +52,6 @@ var CanonicalContract = CanonicalConfig{
 		// Execution guards and knobs: they can fail or reschedule a
 		// run but never change a successful result.
 		"Trial.WallLimit":    "wall-clock guard; can only turn a run into a failure",
-		"Trial.Tuning":       "hot-path execution knobs; every setting is pinned byte-identical by the equivalence suite",
 		"Sweep.Name":         "presentation label, echoed in output only",
 		"Sweep.Parallelism":  "execution knob; results are identical at any parallelism",
 		"Sweep.Progress":     "progress callback, observation only",
@@ -73,10 +72,6 @@ var CanonicalContract = CanonicalConfig{
 		// The axis serializes through Name() + Label() (and the
 		// duration disambiguation), which render every value kind.
 		"Axis": "serialized via Name()+Label(), which render every value kind",
-		// Execution-only hot-path knobs (RIB sharding, kernel batching,
-		// timer wheel); results are pinned byte-identical across every
-		// setting, so none of its fields may reach a cache key.
-		"Tuning": "hot-path execution knobs; every setting is pinned byte-identical by the equivalence suite",
 	},
 }
 
@@ -103,7 +98,6 @@ var SnapshotKeyContract = CanonicalConfig{
 		"Trial.FlapCycles": "flap storm shape, entirely after the fork point (the sugar always opens with the same withdrawal)",
 		"Trial.FlapPeriod": "flap storm shape, entirely after the fork point",
 		"Trial.WallLimit":  "wall-clock guard; can only turn a run into a failure and is re-applied after restore",
-		"Trial.Tuning":     "hot-path execution knobs; the warmed-up state is byte-identical at every setting",
 		"WorkloadEvent.At": "event offsets are relative to the fork point; only the opening event's kind and targets shape the warm-up",
 	},
 	ExcludeTypes: map[string]string{
@@ -111,8 +105,6 @@ var SnapshotKeyContract = CanonicalConfig{
 		"TopoSpec":   "serialized via String(); ParseTopo round-trip is pinned",
 		"Placement":  "serialized via String(); parse round-trip is pinned",
 		"PolicySpec": "serialized via String(); parse round-trip is pinned",
-		// See CanonicalContract: execution-only, byte-identical results.
-		"Tuning": "hot-path execution knobs; the warmed-up state is byte-identical at every setting",
 	},
 }
 

@@ -28,12 +28,10 @@ import (
 // "Type.method" (pointer receivers without the star).
 var HotFunctions = map[string][]string{
 	"repro/internal/bgp/rib": {
-		// The per-UPDATE decision path and its candidate index
-		// (per-shard since the table was sharded by prefix hash).
+		// The per-UPDATE decision path, its candidate index, and the
+		// longest-prefix-match lookup.
 		"Table.decide", "Table.setBest", "Table.SetAdjIn", "Table.WithdrawAdjIn",
-		"tableShard.indexCand", "tableShard.unindexCand", "searchCands", "Better",
-		// The shard router and the longest-prefix-match lookup.
-		"Table.shardOf", "Table.Lookup",
+		"Table.indexCand", "Table.unindexCand", "searchCands", "Better", "Table.Lookup",
 	},
 	"repro/internal/bgp": {
 		// The export hot path: AS-path prepends served from the
@@ -313,7 +311,7 @@ func funcKey(fd *ast.FuncDecl) string {
 // the alloc-sensitive microbenchmarks over the manifest's hot paths.
 var BenchAllocBaseline = []string{
 	"WireMarshalUpdate", "WireUnmarshalUpdate",
-	"RIBDecision", "RIBDecisionSharded", "RIBLookup",
+	"RIBDecision", "RIBLookup",
 	"TimerReset", "TimerWheel", "KernelBatchDrain",
 	"FlowTableLookup", "OFPFlowModRoundTrip",
 	"SingleRun",

@@ -22,11 +22,14 @@ var Epoch = time.Date(2014, 8, 18, 0, 0, 0, 0, time.UTC)
 // the executed (time, seq) order: a binary heap for short-range events,
 // a hierarchical timer wheel (wheel.go) that stages long-delay timers
 // in O(1) until their slot is released into the heap, and a drain batch
-// that pops all events sharing the earliest timestamp in one pass so
-// same-instant bursts (a router fanning UPDATEs to its peers) cost one
-// heap sift each instead of a full pop/push cycle. Both optimizations
-// are pinned byte-identical against the serial heap-only mode by the
-// equivalence tests in wheel_test.go and the hot-path suite.
+// that pops all events sharing the earliest timestamp in one pass. The
+// batch still costs one heap.Pop per event; what it buys is one wheel
+// sync and one cancelled-head sweep per instant instead of one per
+// event, and a heap already emptied of the instant's events while they
+// push their successors (a router fanning UPDATEs to its peers), so
+// those pushes sift through a smaller heap. Both are pinned
+// byte-identical against the serial heap-only reference by the
+// equivalence tests in wheel_test.go.
 type Kernel struct {
 	now   time.Time
 	seq   uint64
@@ -45,16 +48,12 @@ type Kernel struct {
 	seed   int64
 	events uint64 // total events executed
 
-	// SerialDrain disables same-timestamp batch draining: every event
-	// is popped from the heap individually. This is the reference mode
-	// the batch-equivalence tests compare against; results are
-	// byte-identical either way.
-	SerialDrain bool
-
-	// NoWheel files every timer in the heap, bypassing the timer wheel.
-	// This is the reference mode for the wheel property tests; results
-	// are byte-identical either way.
-	NoWheel bool
+	// serialDrain and noWheel select the reference implementations
+	// the equivalence tests in wheel_test.go compare against — one
+	// heap pop per scheduler pass, every timer filed in the heap. Only
+	// those tests set them.
+	serialDrain bool
+	noWheel     bool
 
 	// MaxEvents aborts Run with ErrEventBudget once this many events
 	// have executed, guarding against livelock (e.g. mutually
@@ -160,7 +159,7 @@ func (k *Kernel) AfterFunc(d time.Duration, fn func()) Timer {
 func (k *Kernel) schedule(ev *event, d time.Duration) {
 	k.seq++
 	ev.seq = k.seq
-	if !k.NoWheel && d >= wheelMinDelay && k.wheel.insert(ev) {
+	if !k.noWheel && d >= wheelMinDelay && k.wheel.insert(ev) {
 		ev.index = -1
 		return
 	}
@@ -206,8 +205,8 @@ func (k *Kernel) nextEvent() *event {
 }
 
 // refill pops the run of events sharing the earliest pending timestamp
-// from the heap into the drain batch (a single event in SerialDrain
-// mode). It reports whether anything is pending.
+// from the heap into the drain batch (a single event under
+// serialDrain). It reports whether anything is pending.
 func (k *Kernel) refill() bool {
 	ev := k.peekQueue()
 	if ev == nil {
@@ -215,7 +214,7 @@ func (k *Kernel) refill() bool {
 	}
 	heap.Pop(&k.queue)
 	k.batch = append(k.batch, batchEntry{ev, ev.seq})
-	if k.SerialDrain {
+	if k.serialDrain {
 		return true
 	}
 	at := ev.at

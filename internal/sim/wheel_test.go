@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -55,53 +56,33 @@ func traceKernel(k *Kernel, rng *rand.Rand, ops int) [][2]int64 {
 	return trace
 }
 
-// Property: the timer wheel is execution-invisible — any schedule of
+// checkReferenceEquivalence asserts that any schedule of
 // AfterFunc/Stop/Reset interleaved with partial runs fires in exactly
-// the same order, at the same instants, with the wheel on or off.
-func TestWheelHeapEquivalence(t *testing.T) {
+// the same order, at the same instants and with the same event and
+// sequence counters on the production kernel and on one switched to a
+// reference path by setRef.
+func checkReferenceEquivalence(t *testing.T, setRef func(*Kernel)) {
+	t.Helper()
 	f := func(seed int64) bool {
-		wheel := NewKernel(1)
-		heapOnly := NewKernel(1)
-		heapOnly.NoWheel = true
-		a := traceKernel(wheel, rand.New(rand.NewSource(seed)), 200)
-		b := traceKernel(heapOnly, rand.New(rand.NewSource(seed)), 200)
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return wheel.Events() == heapOnly.Events() && wheel.seq == heapOnly.seq
+		prod, ref := NewKernel(1), NewKernel(1)
+		setRef(ref)
+		a := traceKernel(prod, rand.New(rand.NewSource(seed)), 200)
+		b := traceKernel(ref, rand.New(rand.NewSource(seed)), 200)
+		return slices.Equal(a, b) && prod.Events() == ref.Events() && prod.seq == ref.seq
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: batch draining is execution-invisible — same trace, same
-// event and sequence counters, with SerialDrain on or off.
+// Property: the timer wheel is execution-invisible.
+func TestWheelHeapEquivalence(t *testing.T) {
+	checkReferenceEquivalence(t, func(k *Kernel) { k.noWheel = true })
+}
+
+// Property: batch draining is execution-invisible.
 func TestBatchSerialEquivalence(t *testing.T) {
-	f := func(seed int64) bool {
-		batched := NewKernel(1)
-		serial := NewKernel(1)
-		serial.SerialDrain = true
-		a := traceKernel(batched, rand.New(rand.NewSource(seed)), 200)
-		b := traceKernel(serial, rand.New(rand.NewSource(seed)), 200)
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return batched.Events() == serial.Events() && batched.seq == serial.seq
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
+	checkReferenceEquivalence(t, func(k *Kernel) { k.serialDrain = true })
 }
 
 // Same-instant events scheduled during a batch must run after the
