@@ -275,12 +275,6 @@ func (r *Router) AddPeer(pc PeerConfig) (*Peer, error) {
 	if _, dup := r.peers[pc.Key]; dup {
 		return nil, fmt.Errorf("bgp: duplicate peer %q", pc.Key)
 	}
-	if pc.RemoteASN == 0 {
-		return nil, fmt.Errorf("bgp: peer %q needs a remote ASN", pc.Key)
-	}
-	if pc.Send == nil {
-		return nil, fmt.Errorf("bgp: peer %q needs a send function", pc.Key)
-	}
 	if pc.Neighbor.Key == "" {
 		pc.Neighbor.Key = pc.Key
 	}
@@ -290,9 +284,22 @@ func (r *Router) AddPeer(pc PeerConfig) (*Peer, error) {
 	p := &Peer{
 		router:          r,
 		cfg:             pc,
-		state:           StateIdle,
 		pendingAnnounce: make(map[netip.Prefix]wire.PathAttrs),
 		pendingWithdraw: make(map[netip.Prefix]bool),
+	}
+	err := p.fsm.init(SessionConfig{
+		LocalASN:          r.cfg.ASN,
+		LocalID:           r.cfg.RouterID,
+		RemoteASN:         pc.RemoteASN,
+		HoldTime:          r.cfg.Timers.HoldTime,
+		ConnectRetry:      r.cfg.Timers.ConnectRetry,
+		KeepaliveFraction: r.cfg.Timers.KeepaliveFraction,
+		Clock:             r.cfg.Clock,
+		Send:              pc.Send,
+		Stats:             &r.stats,
+	}, (*peerSession)(p))
+	if err != nil {
+		return nil, fmt.Errorf("bgp: peer %q: %w", pc.Key, err)
 	}
 	r.peers[pc.Key] = p
 	r.peerList = append(r.peerList, p)
@@ -313,7 +320,7 @@ func (r *Router) Peers() map[rib.PeerKey]*Peer { return r.peers }
 func (r *Router) EstablishedCount() int {
 	n := 0
 	for _, p := range r.peers {
-		if p.state == StateEstablished {
+		if p.fsm.state == StateEstablished {
 			n++
 		}
 	}
@@ -415,7 +422,7 @@ func (r *Router) Deliver(key rib.PeerKey, frame []byte) {
 		return
 	}
 	if r.cfg.ProcessingDelay == 0 {
-		p.deliver(frame)
+		p.fsm.Deliver(frame)
 		return
 	}
 	now := r.cfg.Clock.Now()
@@ -432,5 +439,5 @@ func (r *Router) Deliver(key rib.PeerKey, frame []byte) {
 	}
 	finish := start.Add(cost)
 	r.busyUntil = finish
-	r.cfg.Clock.AfterFunc(finish.Sub(now), func() { p.deliver(frame) })
+	r.cfg.Clock.AfterFunc(finish.Sub(now), func() { p.fsm.Deliver(frame) })
 }

@@ -428,10 +428,10 @@ func TestHoldTimerExpiry(t *testing.T) {
 	epA, epB := link.Endpoints()
 	_ = epA
 	p2 := l.peers[epB]
-	p2.cfg.Send = func([]byte) error { return nil }
+	p2.fsm.cfg.Send = func([]byte) error { return nil }
 	// Also stop its keepalive timer from being re-armed; easiest is to
 	// force its state so the timer callback stops sending.
-	p2.keepaliveTimer.Stop()
+	p2.fsm.keepaliveTimer.Stop()
 	if err := l.k.RunFor(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -499,7 +499,7 @@ func TestWrongASNInOpenRejected(t *testing.T) {
 	link := l.connect(1, 2, topology.KindPeer)
 	// Misconfigure AS1's expectation.
 	epA, _ := link.Endpoints()
-	l.peers[epA].cfg.RemoteASN = 99
+	l.peers[epA].fsm.cfg.RemoteASN = 99
 	l.start()
 	if err := l.k.RunFor(4 * time.Second); err != nil {
 		t.Fatal(err)

@@ -1,0 +1,414 @@
+package bgp
+
+import (
+	"errors"
+	"fmt"
+	"time"
+
+	"repro/internal/bgp/wire"
+	"repro/internal/idr"
+	"repro/internal/sim"
+)
+
+// SessionConfig is what one session machine needs whoever owns it.
+type SessionConfig struct {
+	// LocalASN and LocalID go into the OPEN this side sends.
+	LocalASN idr.ASN
+	LocalID  idr.RouterID
+	// RemoteASN is the expected neighbor AS, verified against its OPEN.
+	RemoteASN idr.ASN
+	// HoldTime is proposed in OPEN; the negotiated value is
+	// min(local, remote).
+	HoldTime time.Duration
+	// ConnectRetry delays session re-establishment after a reset.
+	ConnectRetry time.Duration
+	// KeepaliveFraction divides the negotiated hold time to obtain the
+	// keepalive interval.
+	KeepaliveFraction int
+	Clock             sim.Clock
+	// Send transmits one wire frame to the neighbor. It must be
+	// reliable and in-order while the transport is up.
+	Send func([]byte) error
+	// Stats, when non-nil, is where OpensSent, KeepalivesSent,
+	// NotificationsSent and SessionResets are counted.
+	Stats *Stats
+}
+
+// Owner is what a session machine calls out to: what the session means
+// — RIBs, pacing, relaying — is its owner's business.
+type Owner interface {
+	// Established runs when the session reaches Established, with the
+	// hold and keepalive timers already armed.
+	Established()
+	// Update receives each UPDATE that arrives in Established, with the
+	// hold timer already re-armed.
+	Update(wire.Update)
+	// Reset runs on every teardown, once the machine is Idle with its
+	// timers stopped and before connect-retry is armed.
+	Reset(wasEstablished bool)
+	// Trace observes every state change and every message sent or
+	// received (Kind, State and Msg are set).
+	Trace(TraceEvent)
+}
+
+// FSM is the RFC 4271 §8 session machine over a message transport:
+// OPEN exchange, hold-time negotiation, keepalives, hold and
+// connect-retry timers, framing, and NOTIFICATION on decode and FSM
+// errors. Like the rest of the package it is single-threaded on its
+// clock's executor.
+type FSM struct {
+	cfg   SessionConfig
+	owner Owner
+	state State
+
+	transportUp bool
+	remoteID    idr.RouterID
+	holdTime    time.Duration // negotiated
+
+	holdTimer      sim.Timer
+	keepaliveTimer sim.Timer
+	retryTimer     sim.Timer
+	// holdIsGuard records which callback holdTimer was armed with —
+	// the OpenSent guard (openGuardExpire) or the negotiated hold
+	// timer (holdExpire) — so re-arms can Reset the existing timer in
+	// place when the callback matches instead of allocating a new one.
+	holdIsGuard bool
+}
+
+// NewFSM validates cfg and returns an Idle machine.
+func NewFSM(cfg SessionConfig, owner Owner) (*FSM, error) {
+	f := new(FSM)
+	return f, f.init(cfg, owner)
+}
+
+// init is NewFSM for a machine embedded in its owner.
+func (f *FSM) init(cfg SessionConfig, owner Owner) error {
+	switch {
+	case cfg.LocalASN == 0 || cfg.RemoteASN == 0:
+		return fmt.Errorf("session needs local and remote ASNs")
+	case cfg.Clock == nil:
+		return fmt.Errorf("session needs a clock")
+	case cfg.Send == nil:
+		return fmt.Errorf("session needs a send function")
+	case cfg.ConnectRetry == 0 || cfg.KeepaliveFraction == 0:
+		return fmt.Errorf("session needs a connect-retry interval and a keepalive fraction")
+	}
+	if cfg.Stats == nil {
+		cfg.Stats = new(Stats)
+	}
+	f.cfg, f.owner = cfg, owner
+	return nil
+}
+
+// State returns the session state.
+func (f *FSM) State() State { return f.state }
+
+func (f *FSM) setState(s State) {
+	if f.state == s {
+		return
+	}
+	f.state = s
+	f.owner.Trace(TraceEvent{Kind: TraceState, State: s})
+}
+
+// TransportUp signals that the underlying transport (link) is usable.
+// The session starts opening immediately.
+func (f *FSM) TransportUp() {
+	if f.transportUp {
+		return
+	}
+	f.transportUp = true
+	f.startOpen()
+}
+
+// TransportDown signals transport loss: the session resets and will
+// retry once the transport returns.
+func (f *FSM) TransportDown() {
+	if !f.transportUp {
+		return
+	}
+	f.transportUp = false
+	f.reset(false)
+}
+
+// startOpen begins session establishment (Idle -> OpenSent).
+func (f *FSM) startOpen() {
+	if !f.transportUp || f.state != StateIdle {
+		return
+	}
+	if err := f.sendOpen(); err != nil {
+		f.armRetry()
+		return
+	}
+	f.setState(StateOpenSent)
+	// RFC 4271 §8.2.2: in OpenSent the hold timer runs with a large
+	// value (4 minutes suggested) so a half-open session eventually
+	// resets and retries.
+	f.armHold(max(4*time.Minute, f.cfg.HoldTime), true)
+}
+
+// armHold runs the hold timer for d with the OpenSent guard callback or
+// the negotiated-hold one. A timer already running that callback is
+// re-keyed in place — the per-received-message fast path.
+func (f *FSM) armHold(d time.Duration, guard bool) {
+	if f.holdTimer != nil && f.holdIsGuard == guard {
+		f.holdTimer.Reset(d)
+		return
+	}
+	if f.holdTimer != nil {
+		f.holdTimer.Stop()
+	}
+	if guard {
+		f.holdTimer = f.cfg.Clock.AfterFunc(d, f.openGuardExpire)
+	} else {
+		f.holdTimer = f.cfg.Clock.AfterFunc(d, f.holdExpire)
+	}
+	f.holdIsGuard = guard
+}
+
+// openGuardExpire is the OpenSent hold-timer callback: a half-open
+// session resets and retries, without notifying.
+func (f *FSM) openGuardExpire() { f.reset(true) }
+
+func (f *FSM) armRetry() {
+	if f.retryTimer != nil {
+		f.retryTimer.Reset(f.cfg.ConnectRetry)
+		return
+	}
+	f.retryTimer = f.cfg.Clock.AfterFunc(f.cfg.ConnectRetry, f.startOpen)
+}
+
+func (f *FSM) sendOpen() error {
+	msg := wire.Open{
+		AS:           f.cfg.LocalASN,
+		HoldTimeSecs: uint16(f.cfg.HoldTime / time.Second),
+		ID:           f.cfg.LocalID,
+	}
+	if err := f.Send(msg); err != nil {
+		return err
+	}
+	f.cfg.Stats.OpensSent++
+	return nil
+}
+
+// Send frames one message and hands it to the transport.
+func (f *FSM) Send(m wire.Message) error {
+	frame, err := wire.Marshal(m)
+	if err != nil {
+		return err
+	}
+	if err := f.cfg.Send(frame); err != nil {
+		return err
+	}
+	f.owner.Trace(TraceEvent{Kind: TraceSend, Msg: m})
+	return nil
+}
+
+// notify tells the neighbor why the session is going down, then resets
+// it; the session retries after ConnectRetry.
+func (f *FSM) notify(code, subcode uint8) {
+	_ = f.Send(wire.Notification{Code: code, Subcode: subcode}) // the reset follows either way
+	f.cfg.Stats.NotificationsSent++
+	f.reset(true)
+}
+
+// Deliver processes one received frame. Frames that arrive while the
+// transport is down are dropped (the transport may race a reset).
+func (f *FSM) Deliver(frame []byte) {
+	if !f.transportUp {
+		return
+	}
+	msg, err := wire.Unmarshal(frame)
+	if err != nil {
+		var de *wire.DecodeError
+		if errors.As(err, &de) {
+			f.notify(de.Code, de.Subcode)
+		} else {
+			f.reset(true)
+		}
+		return
+	}
+	f.owner.Trace(TraceEvent{Kind: TraceRecv, Msg: msg})
+	switch m := msg.(type) {
+	case wire.Open:
+		f.handleOpen(m)
+	case wire.Keepalive:
+		f.handleKeepalive()
+	case wire.Update:
+		if f.state != StateEstablished {
+			f.notify(wire.NotifFSMError, 0)
+			return
+		}
+		f.armHoldTimer()
+		f.owner.Update(m)
+	case wire.Notification:
+		f.reset(true)
+	}
+}
+
+func (f *FSM) handleOpen(m wire.Open) {
+	if m.AS != f.cfg.RemoteASN {
+		f.notify(wire.NotifOpenMessageError, 2) // bad peer AS
+		return
+	}
+	switch f.state {
+	case StateIdle:
+		// The neighbor opened first; answer with our OPEN, then
+		// confirm.
+		if err := f.sendOpen(); err != nil {
+			f.armRetry()
+			return
+		}
+	case StateOpenSent:
+		// expected
+	default:
+		// OPEN in OpenConfirm/Established is an FSM error.
+		f.notify(wire.NotifFSMError, 0)
+		return
+	}
+	f.remoteID = m.ID
+	f.holdTime = f.cfg.HoldTime
+	if remote := time.Duration(m.HoldTimeSecs) * time.Second; remote < f.holdTime {
+		f.holdTime = remote
+	}
+	if err := f.Send(wire.Keepalive{}); err != nil {
+		f.reset(true)
+		return
+	}
+	f.cfg.Stats.KeepalivesSent++
+	f.setState(StateOpenConfirm)
+	f.armHoldTimer()
+}
+
+func (f *FSM) handleKeepalive() {
+	switch f.state {
+	case StateOpenConfirm:
+		f.setState(StateEstablished)
+		f.armHoldTimer()
+		f.armKeepalive()
+		f.owner.Established()
+	case StateEstablished:
+		f.armHoldTimer()
+	default:
+		// KEEPALIVE in OpenSent means the neighbor confirmed an OPEN
+		// we never managed to deliver (it started after we sent ours).
+		// RFC 4271 treats it as an FSM error; resetting both ends lets
+		// the retry establish cleanly.
+		f.notify(wire.NotifFSMError, 0)
+	}
+}
+
+func (f *FSM) armHoldTimer() {
+	if f.holdTime == 0 {
+		// Hold time 0 disables hold and keepalive timers entirely; that
+		// includes the OpenSent guard still running from startOpen.
+		if f.holdTimer != nil {
+			f.holdTimer.Stop()
+		}
+		return
+	}
+	f.armHold(f.holdTime, false)
+}
+
+// holdExpire is the negotiated hold-timer callback: notify the
+// neighbor and reset.
+func (f *FSM) holdExpire() { f.notify(wire.NotifHoldTimerExpired, 0) }
+
+func (f *FSM) armKeepalive() {
+	if f.holdTime == 0 {
+		return
+	}
+	interval := f.holdTime / time.Duration(f.cfg.KeepaliveFraction)
+	if interval <= 0 {
+		interval = time.Second
+	}
+	if f.keepaliveTimer != nil {
+		f.keepaliveTimer.Reset(interval)
+		return
+	}
+	f.keepaliveTimer = f.cfg.Clock.AfterFunc(interval, f.keepaliveFire)
+}
+
+// keepaliveFire is the keepalive-timer callback: send one keepalive
+// and re-arm for the next interval.
+func (f *FSM) keepaliveFire() {
+	if f.state != StateEstablished {
+		return
+	}
+	if err := f.Send(wire.Keepalive{}); err == nil {
+		f.cfg.Stats.KeepalivesSent++
+	}
+	f.armKeepalive()
+}
+
+// reset tears the session down. When reconnect is true and the
+// transport is still up, re-establishment is retried after
+// ConnectRetry.
+func (f *FSM) reset(reconnect bool) {
+	wasEstablished := f.state == StateEstablished
+	if f.state != StateIdle {
+		f.cfg.Stats.SessionResets++
+	}
+	f.setState(StateIdle)
+	for _, t := range []sim.Timer{f.holdTimer, f.keepaliveTimer, f.retryTimer} {
+		if t != nil {
+			t.Stop()
+		}
+	}
+	f.holdTimer, f.keepaliveTimer, f.retryTimer = nil, nil, nil
+	f.holdIsGuard = false
+	f.remoteID = idr.RouterID{}
+	f.owner.Reset(wasEstablished)
+	if reconnect && f.transportUp {
+		f.armRetry()
+	}
+}
+
+// FSMState is the in-memory capture of a session machine; the owners'
+// snapshot DTOs copy to and from it.
+type FSMState struct {
+	State       State
+	TransportUp bool
+	// RemoteID was learned from the neighbor's OPEN.
+	RemoteID idr.RouterID
+	// HoldTime is the negotiated hold time.
+	HoldTime time.Duration
+	// Hold, Keepalive and Retry reference the pending timers.
+	Hold, Keepalive, Retry *sim.TimerRef
+}
+
+// Capture returns the machine's serializable state.
+func (f *FSM) Capture() FSMState {
+	return FSMState{
+		State:       f.state,
+		TransportUp: f.transportUp,
+		RemoteID:    f.remoteID,
+		HoldTime:    f.holdTime,
+		Hold:        sim.RefOf(f.holdTimer),
+		Keepalive:   sim.RefOf(f.keepaliveTimer),
+		Retry:       sim.RefOf(f.retryTimer),
+	}
+}
+
+// Restore overlays a captured state onto a freshly built machine with
+// the identical configuration, returning the timer arms for the
+// experiment layer to execute in global order. The re-armed callbacks
+// are the same methods the live timers run, so a restored session
+// behaves identically from the first firing on.
+func (f *FSM) Restore(st FSMState) []sim.TimerArm {
+	f.state = st.State
+	f.transportUp = st.TransportUp
+	f.remoteID = st.RemoteID
+	f.holdTime = st.HoldTime
+	// In OpenSent the hold timer is the RFC 4271 §8.2.2 guard with a
+	// plain reset callback; everywhere else it is the negotiated hold
+	// timer that also notifies the neighbor.
+	f.holdIsGuard = st.State == StateOpenSent
+	holdFire := f.holdExpire
+	if f.holdIsGuard {
+		holdFire = f.openGuardExpire
+	}
+	arms := st.Hold.Rearm(nil, f.cfg.Clock, &f.holdTimer, holdFire)
+	arms = st.Keepalive.Rearm(arms, f.cfg.Clock, &f.keepaliveTimer, f.keepaliveFire)
+	return st.Retry.Rearm(arms, f.cfg.Clock, &f.retryTimer, f.startOpen)
+}

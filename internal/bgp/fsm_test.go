@@ -1,353 +1,411 @@
 package bgp
 
 import (
+	"errors"
+	"fmt"
 	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/bgp/wire"
 	"repro/internal/idr"
-	"repro/internal/policy"
 	"repro/internal/sim"
-	"repro/internal/topology"
 )
 
-// harness wires a router whose single peer's outbound frames are
-// captured, so tests can inject crafted frames and observe replies.
-type harness struct {
-	k      *sim.Kernel
-	r      *Router
-	p      *Peer
-	sent   [][]byte
-	events []TraceEvent
+// fsmRig is a bare session machine (AS 1 expecting AS 2) whose outbound
+// frames, hook calls and counters are recorded.
+type fsmRig struct {
+	k       *sim.Kernel
+	f       *FSM
+	frames  [][]byte
+	hooks   []string
+	stats   Stats
+	sendErr error
 }
 
-func newHarness(t *testing.T) *harness {
+func newFSMRig(t testing.TB) *fsmRig {
 	t.Helper()
-	h := &harness{k: sim.NewKernel(1)}
-	r, err := New(Config{
-		ASN:      1,
-		RouterID: idr.RouterIDFromAddr(netip.MustParseAddr("172.16.0.1")),
-		Clock:    h.k,
-		Rand:     h.k.Rand(),
-		Timers:   Timers{MRAI: time.Second, MRAIJitter: false},
-		Trace:    func(ev TraceEvent) { h.events = append(h.events, ev) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := r.AddPeer(PeerConfig{
-		Key:       "to-AS2",
-		RemoteASN: 2,
-		NextHop:   netip.MustParseAddr("100.64.0.1"),
+	r := &fsmRig{k: sim.NewKernel(1)}
+	f, err := NewFSM(SessionConfig{
+		LocalASN:          1,
+		LocalID:           idr.RouterIDFromAddr(netip.MustParseAddr("172.16.0.1")),
+		RemoteASN:         2,
+		HoldTime:          90 * time.Second,
+		ConnectRetry:      5 * time.Second,
+		KeepaliveFraction: 3,
+		Clock:             r.k,
 		Send: func(b []byte) error {
-			h.sent = append(h.sent, append([]byte(nil), b...))
+			if r.sendErr != nil {
+				return r.sendErr
+			}
+			r.frames = append(r.frames, append([]byte(nil), b...))
 			return nil
 		},
-	})
+		Stats: &r.stats,
+	}, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.r, h.p = r, p
-	return h
+	r.f = f
+	return r
 }
 
-func (h *harness) lastSentType(t *testing.T) wire.MsgType {
-	t.Helper()
-	if len(h.sent) == 0 {
-		t.Fatal("nothing sent")
-	}
-	m, err := wire.Unmarshal(h.sent[len(h.sent)-1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m.Type()
-}
+// The rig is its machine's Owner: it logs the three calls that mean
+// something to an owner and ignores the trace.
+func (r *fsmRig) Established()       { r.hooks = append(r.hooks, "established") }
+func (r *fsmRig) Update(wire.Update) { r.hooks = append(r.hooks, "update") }
+func (r *fsmRig) Reset(was bool)     { r.hooks = append(r.hooks, fmt.Sprintf("reset(%v)", was)) }
+func (r *fsmRig) Trace(TraceEvent)   {}
 
-func (h *harness) inject(t *testing.T, m wire.Message) {
+func mustFrame(t testing.TB, m wire.Message) []byte {
 	t.Helper()
 	frame, err := wire.Marshal(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.r.Deliver("to-AS2", frame)
+	return frame
 }
 
-// establish drives the session to Established by hand.
-func (h *harness) establish(t *testing.T) {
+// keepaliveWithBody is a well-framed message that fails to decode.
+func keepaliveWithBody(t testing.TB) []byte {
+	frame := append(mustFrame(t, wire.Keepalive{}), 0xFF)
+	frame[wire.MarkerLen+1] = byte(len(frame))
+	return frame
+}
+
+var peerOpen = wire.Open{AS: 2, HoldTimeSecs: 90, ID: idr.RouterIDFromAddr(netip.MustParseAddr("172.16.0.2"))}
+
+// enter drives a fresh machine into state s with the transport up —
+// Idle means "reset, connect-retry pending" — and forgets what was
+// recorded on the way.
+func (r *fsmRig) enter(t testing.TB, s State) {
 	t.Helper()
-	h.p.TransportUp()
-	h.inject(t, wire.Open{AS: 2, HoldTimeSecs: 90,
-		ID: idr.RouterIDFromAddr(netip.MustParseAddr("172.16.0.2"))})
-	h.inject(t, wire.Keepalive{})
-	if h.p.State() != StateEstablished {
-		t.Fatalf("state = %v, want Established", h.p.State())
-	}
-}
-
-func TestFSMHandshakeMessageOrder(t *testing.T) {
-	h := newHarness(t)
-	h.establish(t)
-	// Sent: OPEN, then KEEPALIVE (confirming the peer's OPEN).
-	if len(h.sent) < 2 {
-		t.Fatalf("sent %d messages", len(h.sent))
-	}
-	m0, _ := wire.Unmarshal(h.sent[0])
-	m1, _ := wire.Unmarshal(h.sent[1])
-	if m0.Type() != wire.MsgOpen || m1.Type() != wire.MsgKeepalive {
-		t.Fatalf("handshake order: %v then %v", m0.Type(), m1.Type())
-	}
-}
-
-func TestFSMGarbageFrameTriggersNotification(t *testing.T) {
-	h := newHarness(t)
-	h.establish(t)
-	h.r.Deliver("to-AS2", []byte{1, 2, 3})
-	if h.p.State() != StateIdle {
-		t.Fatalf("state = %v, want Idle after garbage", h.p.State())
-	}
-	// A decode error on a framed-but-bad message sends a NOTIFICATION.
-	h2 := newHarness(t)
-	h2.establish(t)
-	bad, _ := wire.Marshal(wire.Keepalive{})
-	bad = append(bad, 0xFF) // keepalive with body
-	bad[wire.MarkerLen+1] = byte(len(bad))
-	h2.r.Deliver("to-AS2", bad)
-	if h2.lastSentType(t) != wire.MsgNotification {
-		t.Fatal("decode error should elicit a NOTIFICATION")
-	}
-	if h2.r.Stats().NotificationsSent == 0 {
-		t.Fatal("notification not counted")
-	}
-}
-
-func TestFSMUpdateBeforeEstablishedIsError(t *testing.T) {
-	h := newHarness(t)
-	h.p.TransportUp() // OpenSent
-	h.inject(t, wire.Update{Withdrawn: []netip.Prefix{netip.MustParsePrefix("10.0.0.0/8")}})
-	if h.p.State() != StateIdle {
-		t.Fatalf("state = %v, want Idle", h.p.State())
-	}
-	if h.lastSentType(t) != wire.MsgNotification {
-		t.Fatal("want FSM-error NOTIFICATION")
-	}
-}
-
-func TestFSMSecondOpenIsError(t *testing.T) {
-	h := newHarness(t)
-	h.establish(t)
-	h.inject(t, wire.Open{AS: 2, HoldTimeSecs: 90})
-	if h.p.State() != StateIdle {
-		t.Fatalf("state = %v, want Idle after duplicate OPEN", h.p.State())
-	}
-}
-
-func TestFSMNotificationResets(t *testing.T) {
-	h := newHarness(t)
-	h.establish(t)
-	h.inject(t, wire.Notification{Code: wire.NotifCease})
-	if h.p.State() != StateIdle {
-		t.Fatalf("state = %v, want Idle", h.p.State())
-	}
-	// With the transport still up, the session retries and reopens.
-	if err := h.k.RunFor(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if h.p.State() != StateOpenSent {
-		t.Fatalf("state = %v, want OpenSent after retry", h.p.State())
-	}
-}
-
-func TestFSMHoldTimeNegotiation(t *testing.T) {
-	h := newHarness(t)
-	h.p.TransportUp()
-	// Remote proposes 30s (lower than our 90s default): negotiated
-	// hold is 30s; silence for >30s must reset.
-	h.inject(t, wire.Open{AS: 2, HoldTimeSecs: 30,
-		ID: idr.RouterIDFromAddr(netip.MustParseAddr("172.16.0.2"))})
-	h.inject(t, wire.Keepalive{})
-	if h.p.State() != StateEstablished {
-		t.Fatal("setup failed")
-	}
-	if h.p.holdTime != 30*time.Second {
-		t.Fatalf("negotiated hold = %v, want 30s", h.p.holdTime)
-	}
-	if err := h.k.RunFor(31 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if h.p.State() == StateEstablished {
-		t.Fatal("hold timer should have expired")
-	}
-}
-
-func TestFSMKeepalivesMaintainSession(t *testing.T) {
-	h := newHarness(t)
-	h.establish(t)
-	// Feed keepalives every 20s; session must stay up well past the
-	// 90s hold time.
-	for i := 0; i < 10; i++ {
-		if err := h.k.RunFor(20 * time.Second); err != nil {
-			t.Fatal(err)
+	r.f.TransportUp()
+	switch s {
+	case StateIdle:
+		r.f.Deliver(mustFrame(t, wire.Notification{Code: wire.NotifCease}))
+	case StateOpenConfirm, StateEstablished:
+		r.f.Deliver(mustFrame(t, peerOpen))
+		if s == StateEstablished {
+			r.f.Deliver(mustFrame(t, wire.Keepalive{}))
 		}
-		h.inject(t, wire.Keepalive{})
 	}
-	if h.p.State() != StateEstablished {
-		t.Fatalf("state = %v after 200s with keepalives", h.p.State())
+	if r.f.State() != s {
+		t.Fatalf("enter: state = %v, want %v", r.f.State(), s)
 	}
-	// Our side must have been sending keepalives too (hold/3 = 30s).
-	if h.r.Stats().KeepalivesSent < 6 {
-		t.Fatalf("keepalives sent = %d", h.r.Stats().KeepalivesSent)
+	r.frames, r.hooks, r.stats = nil, nil, Stats{}
+}
+
+// sent decodes and renders the recorded frames, e.g. "OPEN KEEPALIVE
+// NOTIFICATION 5/0"; every frame the machine emits must decode.
+func (r *fsmRig) sent(t testing.TB) string {
+	t.Helper()
+	var out []string
+	for _, frame := range r.frames {
+		m, err := wire.Unmarshal(frame)
+		if err != nil {
+			t.Fatalf("sent frame does not decode: %v", err)
+		}
+		s := m.Type().String()
+		if n, ok := m.(wire.Notification); ok {
+			s = fmt.Sprintf("%s %d/%d", s, n.Code, n.Subcode)
+		}
+		out = append(out, s)
+	}
+	return strings.Join(out, " ")
+}
+
+func (r *fsmRig) wait(t testing.TB, d time.Duration) {
+	t.Helper()
+	if err := r.k.RunFor(d); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestPolicyImportRejectionActsAsWithdraw(t *testing.T) {
-	// A policy that rejects a prefix must also flush a previously
-	// accepted route for it (treat-as-withdraw).
-	k := sim.NewKernel(1)
-	deny := netip.MustParsePrefix("10.0.9.0/24")
-	pol := policy.PrefixFilter{Inner: policy.PermitAll{}, DenyImport: map[netip.Prefix]bool{}}
-	r, err := New(Config{
-		ASN: 1, RouterID: idr.RouterIDFromAddr(netip.MustParseAddr("172.16.0.1")),
-		Clock: k, Rand: k.Rand(),
-		Timers: Timers{MRAI: time.Second, MRAIJitter: false},
-		Policy: pol,
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestFSM runs the RFC 4271 §8 cases against the shared machine — the
+// one copy bgp.Peer and speaker.Session both run.
+func TestFSM(t *testing.T) {
+	type step func(t *testing.T, r *fsmRig)
+	recv := func(m wire.Message) step {
+		return func(t *testing.T, r *fsmRig) { r.f.Deliver(mustFrame(t, m)) }
 	}
-	var sent [][]byte
-	p, err := r.AddPeer(PeerConfig{
-		Key: "to-AS2", RemoteASN: 2,
-		NextHop: netip.MustParseAddr("100.64.0.1"),
-		Send:    func(b []byte) error { sent = append(sent, b); return nil },
-	})
-	if err != nil {
-		t.Fatal(err)
+	raw := func(frame []byte) step {
+		return func(t *testing.T, r *fsmRig) { r.f.Deliver(frame) }
 	}
-	p.TransportUp()
-	open, _ := wire.Marshal(wire.Open{AS: 2, HoldTimeSecs: 90})
-	r.Deliver("to-AS2", open)
-	ka, _ := wire.Marshal(wire.Keepalive{})
-	r.Deliver("to-AS2", ka)
-	announce := func() {
-		u, _ := wire.Marshal(wire.Update{
-			Attrs: wire.PathAttrs{Origin: wire.OriginIGP, ASPath: wire.NewASPath(2),
-				NextHop: netip.MustParseAddr("100.64.0.2")},
-			NLRI: []netip.Prefix{deny},
+	wait := func(d time.Duration) step {
+		return func(t *testing.T, r *fsmRig) { r.wait(t, d) }
+	}
+	transport := func(up bool) step {
+		return func(t *testing.T, r *fsmRig) {
+			if up {
+				r.f.TransportUp()
+			} else {
+				r.f.TransportDown()
+			}
+		}
+	}
+	failSends := func(err error) step {
+		return func(t *testing.T, r *fsmRig) { r.sendErr = err }
+	}
+	repeat := func(n int, steps ...step) []step {
+		var out []step
+		for i := 0; i < n; i++ {
+			out = append(out, steps...)
+		}
+		return out
+	}
+	update := wire.Update{Withdrawn: []netip.Prefix{netip.MustParsePrefix("10.0.0.0/8")}}
+	const fresh = State(-1) // transport never signalled
+
+	cases := []struct {
+		name      string
+		start     State
+		steps     []step
+		want      State
+		wantSent  string
+		wantHooks string
+		wantStats Stats
+		check     func(t *testing.T, r *fsmRig)
+	}{
+		{
+			name: "active open", start: fresh,
+			steps: []step{transport(true), recv(peerOpen), recv(wire.Keepalive{})},
+			want:  StateEstablished, wantSent: "OPEN KEEPALIVE", wantHooks: "established",
+			wantStats: Stats{OpensSent: 1, KeepalivesSent: 1},
+			check: func(t *testing.T, r *fsmRig) {
+				if r.f.remoteID != peerOpen.ID {
+					t.Errorf("remote ID = %v", r.f.remoteID)
+				}
+			},
+		},
+		{
+			name: "passive open answers with OPEN then confirms", start: StateIdle,
+			steps: []step{recv(peerOpen)},
+			want:  StateOpenConfirm, wantSent: "OPEN KEEPALIVE",
+			wantStats: Stats{OpensSent: 1, KeepalivesSent: 1},
+		},
+		{
+			name: "unframed garbage", start: StateEstablished,
+			steps: []step{raw([]byte{1, 2, 3})},
+			want:  StateIdle, wantSent: "NOTIFICATION 1/2", wantHooks: "reset(true)",
+			wantStats: Stats{NotificationsSent: 1, SessionResets: 1},
+		},
+		{
+			name: "framed decode error", start: StateEstablished,
+			steps: []step{raw(keepaliveWithBody(t))},
+			want:  StateIdle, wantSent: "NOTIFICATION 1/2", wantHooks: "reset(true)",
+			wantStats: Stats{NotificationsSent: 1, SessionResets: 1},
+		},
+		{
+			name: "UPDATE before Established is an FSM error", start: StateOpenSent,
+			steps: []step{recv(update)},
+			want:  StateIdle, wantSent: "NOTIFICATION 5/0", wantHooks: "reset(false)",
+			wantStats: Stats{NotificationsSent: 1, SessionResets: 1},
+		},
+		{
+			name: "UPDATE in Established reaches the owner", start: StateEstablished,
+			steps: []step{recv(update)},
+			want:  StateEstablished, wantHooks: "update",
+		},
+		{
+			name: "second OPEN is an FSM error", start: StateEstablished,
+			steps: []step{recv(peerOpen)},
+			want:  StateIdle, wantSent: "NOTIFICATION 5/0", wantHooks: "reset(true)",
+			wantStats: Stats{NotificationsSent: 1, SessionResets: 1},
+		},
+		{
+			name: "OPEN in OpenConfirm is an FSM error", start: StateOpenConfirm,
+			steps: []step{recv(peerOpen)},
+			want:  StateIdle, wantSent: "NOTIFICATION 5/0", wantHooks: "reset(false)",
+			wantStats: Stats{NotificationsSent: 1, SessionResets: 1},
+		},
+		{
+			name: "KEEPALIVE in OpenSent is an FSM error", start: StateOpenSent,
+			steps: []step{recv(wire.Keepalive{})},
+			want:  StateIdle, wantSent: "NOTIFICATION 5/0", wantHooks: "reset(false)",
+			wantStats: Stats{NotificationsSent: 1, SessionResets: 1},
+		},
+		{
+			name: "OPEN from the wrong AS", start: StateOpenSent,
+			steps: []step{recv(wire.Open{AS: 99, HoldTimeSecs: 90})},
+			want:  StateIdle, wantSent: "NOTIFICATION 2/2", wantHooks: "reset(false)",
+			wantStats: Stats{NotificationsSent: 1, SessionResets: 1},
+		},
+		{
+			name: "NOTIFICATION resets then connect-retry reopens", start: StateEstablished,
+			steps: []step{recv(wire.Notification{Code: wire.NotifCease}), wait(10 * time.Second)},
+			want:  StateOpenSent, wantSent: "OPEN", wantHooks: "reset(true)",
+			wantStats: Stats{OpensSent: 1, SessionResets: 1},
+		},
+		{
+			// Negotiated hold is min(90s, 30s): keepalives go out every
+			// 10s and 30s of silence expire the session.
+			name: "hold time negotiation and expiry", start: StateOpenSent,
+			steps: []step{
+				recv(wire.Open{AS: 2, HoldTimeSecs: 30}), recv(wire.Keepalive{}),
+				func(t *testing.T, r *fsmRig) {
+					if r.f.holdTime != 30*time.Second {
+						t.Errorf("negotiated hold = %v, want 30s", r.f.holdTime)
+					}
+				},
+				wait(31 * time.Second),
+			},
+			want:      StateIdle,
+			wantSent:  "KEEPALIVE KEEPALIVE KEEPALIVE NOTIFICATION 4/0",
+			wantHooks: "established reset(true)",
+			wantStats: Stats{KeepalivesSent: 3, NotificationsSent: 1, SessionResets: 1},
+		},
+		{
+			// A keepalive every 20s holds the session well past the 90s
+			// hold time; ours go out every hold/3.
+			name: "keepalives maintain the session", start: StateEstablished,
+			steps: repeat(10, wait(20*time.Second), recv(wire.Keepalive{})),
+			want:  StateEstablished, wantSent: strings.TrimSpace(strings.Repeat("KEEPALIVE ", 6)),
+			wantStats: Stats{KeepalivesSent: 6},
+		},
+		{
+			name: "OpenSent guard resets silently then retries", start: StateOpenSent,
+			steps: []step{wait(4*time.Minute + 5*time.Second)},
+			want:  StateOpenSent, wantSent: "OPEN", wantHooks: "reset(false)",
+			wantStats: Stats{OpensSent: 1, SessionResets: 1},
+		},
+		{
+			name: "hold time zero runs no timers", start: StateOpenSent,
+			steps: []step{recv(wire.Open{AS: 2}), recv(wire.Keepalive{}), wait(10 * time.Minute)},
+			want:  StateEstablished, wantSent: "KEEPALIVE", wantHooks: "established",
+			wantStats: Stats{KeepalivesSent: 1},
+		},
+		{
+			name: "transport down resets without retry and drops frames", start: StateEstablished,
+			steps: []step{transport(false), recv(peerOpen), wait(time.Minute)},
+			want:  StateIdle, wantHooks: "reset(true)",
+			wantStats: Stats{SessionResets: 1},
+		},
+		{
+			name: "failed OPEN send arms connect-retry", start: fresh,
+			steps: []step{
+				failSends(errors.New("link down")), transport(true),
+				failSends(nil), wait(5 * time.Second),
+			},
+			want: StateOpenSent, wantSent: "OPEN",
+			wantStats: Stats{OpensSent: 1},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newFSMRig(t)
+			if tc.start != fresh {
+				r.enter(t, tc.start)
+			}
+			for _, s := range tc.steps {
+				s(t, r)
+			}
+			if r.f.State() != tc.want {
+				t.Errorf("state = %v, want %v", r.f.State(), tc.want)
+			}
+			if got := r.sent(t); got != tc.wantSent {
+				t.Errorf("sent %q, want %q", got, tc.wantSent)
+			}
+			if got := strings.Join(r.hooks, " "); got != tc.wantHooks {
+				t.Errorf("hooks %q, want %q", got, tc.wantHooks)
+			}
+			if r.stats != tc.wantStats {
+				t.Errorf("stats = %+v, want %+v", r.stats, tc.wantStats)
+			}
+			if tc.check != nil {
+				tc.check(t, r)
+			}
 		})
-		r.Deliver("to-AS2", u)
-	}
-	announce()
-	if _, ok := r.Table().Best(deny); !ok {
-		t.Fatal("route should be accepted before the filter turns on")
-	}
-	// Turn the filter on and re-announce: the route must vanish.
-	pol.DenyImport[deny] = true
-	announce()
-	if _, ok := r.Table().Best(deny); ok {
-		t.Fatal("rejected re-announcement should act as withdrawal")
 	}
 }
 
-func TestWriteRIBAndAdjIn(t *testing.T) {
-	h := newHarness(t)
-	h.establish(t)
-	if err := h.r.Announce(netip.MustParsePrefix("10.0.1.0/24")); err != nil {
-		t.Fatal(err)
-	}
-	h.inject(t, wire.Update{
-		Attrs: wire.PathAttrs{Origin: wire.OriginIGP, ASPath: wire.NewASPath(2),
-			NextHop: netip.MustParseAddr("100.64.0.2")},
-		NLRI: []netip.Prefix{netip.MustParsePrefix("10.0.2.0/24")},
-	})
-	var sb strings.Builder
-	if err := h.r.WriteRIB(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"AS1 RIB (2 routes", "10.0.1.0/24", "local", "10.0.2.0/24", "path=[2]"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("RIB dump missing %q:\n%s", want, out)
-		}
-	}
-	sb.Reset()
-	if err := h.r.WriteAdjIn(&sb, "to-AS2"); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "Adj-RIB-In from to-AS2 (1 routes)") {
-		t.Fatalf("AdjIn dump = %s", sb.String())
-	}
-}
-
-func TestProcessingDelaySerializesUpdates(t *testing.T) {
-	// With a processing delay, two updates delivered back to back are
-	// handled at least one delay apart.
-	k := sim.NewKernel(1)
-	r, err := New(Config{
-		ASN: 1, RouterID: idr.RouterIDFromAddr(netip.MustParseAddr("172.16.0.1")),
-		Clock: k, Rand: k.Rand(),
-		Timers:          Timers{MRAI: time.Second, MRAIJitter: false},
-		ProcessingDelay: 20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := r.AddPeer(PeerConfig{
-		Key: "to-AS2", RemoteASN: 2,
-		NextHop: netip.MustParseAddr("100.64.0.1"),
-		Send:    func([]byte) error { return nil },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.TransportUp()
-	for _, m := range []wire.Message{
-		wire.Open{AS: 2, HoldTimeSecs: 90},
-		wire.Keepalive{},
+func TestNewFSMValidation(t *testing.T) {
+	rig := newFSMRig(t)
+	for name, mutate := range map[string]func(*SessionConfig){
+		"local ASN":          func(c *SessionConfig) { c.LocalASN = 0 },
+		"remote ASN":         func(c *SessionConfig) { c.RemoteASN = 0 },
+		"clock":              func(c *SessionConfig) { c.Clock = nil },
+		"send":               func(c *SessionConfig) { c.Send = nil },
+		"connect-retry":      func(c *SessionConfig) { c.ConnectRetry = 0 },
+		"keepalive fraction": func(c *SessionConfig) { c.KeepaliveFraction = 0 },
 	} {
-		frame, _ := wire.Marshal(m)
-		r.Deliver("to-AS2", frame)
-	}
-	if err := k.RunFor(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if p.State() != StateEstablished {
-		t.Fatalf("state = %v (control messages must not be delayed)", p.State())
-	}
-	var times []time.Duration
-	trace := r.cfg
-	trace.Trace = func(ev TraceEvent) {
-		if ev.Kind == TraceRecv && ev.Msg.Type() == wire.MsgUpdate {
-			times = append(times, k.Elapsed())
+		cfg := rig.f.cfg
+		mutate(&cfg)
+		if _, err := NewFSM(cfg, rig); err == nil {
+			t.Errorf("missing %s should error", name)
 		}
 	}
-	r.cfg = trace
-	for i := 0; i < 2; i++ {
-		u, _ := wire.Marshal(wire.Update{
-			Attrs: wire.PathAttrs{Origin: wire.OriginIGP, ASPath: wire.NewASPath(2),
-				NextHop: netip.MustParseAddr("100.64.0.2")},
-			NLRI: []netip.Prefix{netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 0, byte(i), 0}), 24)},
-		})
-		r.Deliver("to-AS2", u)
-	}
-	if err := k.RunFor(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if len(times) != 2 {
-		t.Fatalf("updates processed = %d", len(times))
-	}
-	if gap := times[1] - times[0]; gap < 10*time.Millisecond {
-		t.Fatalf("updates processed only %v apart; want serialized", gap)
-	}
-	// Config validation for the delay model.
-	if _, err := New(Config{ASN: 1, Clock: k, ProcessingDelay: -time.Second}); err == nil {
-		t.Fatal("negative delay should error")
-	}
-	if _, err := New(Config{ASN: 1, Clock: k, Timers: Timers{MRAIJitter: false}, ProcessingDelay: time.Second}); err == nil {
-		t.Fatal("delay without rand should error")
+	cfg := rig.f.cfg
+	cfg.Stats = nil
+	if _, err := NewFSM(cfg, rig); err != nil {
+		t.Errorf("the counter sink is optional: %v", err)
 	}
 }
 
-// sanity: topology import used by the lab helper stays referenced.
-var _ = topology.KindPeer
+// fuzzFrames packs frames into FuzzFSMDeliver's input: a length byte
+// then that many frame bytes. (A zero length byte is followed by a
+// number of seconds to let pass instead.)
+func fuzzFrames(parts ...[]byte) []byte {
+	var out []byte
+	for _, p := range parts {
+		out = append(out, byte(len(p)))
+		out = append(out, p...)
+	}
+	return out
+}
+
+// FuzzFSMDeliver feeds arbitrary frame sequences into a machine in each
+// start state: the byte boundary both kinds of BGP endpoint own.
+func FuzzFSMDeliver(f *testing.F) {
+	open, ka := mustFrame(f, peerOpen), mustFrame(f, wire.Keepalive{})
+	upd := mustFrame(f, wire.Update{
+		Attrs: wire.PathAttrs{Origin: wire.OriginIGP, ASPath: wire.NewASPath(2), NextHop: netip.MustParseAddr("100.64.0.2")},
+		NLRI:  []netip.Prefix{netip.MustParsePrefix("10.0.2.0/24")},
+	})
+	notif := mustFrame(f, wire.Notification{Code: wire.NotifCease})
+	pass := []byte{0, 200} // let 200 s go by
+	for start := byte(0); start < 4; start++ {
+		f.Add(start, fuzzFrames(open, ka, upd, notif))
+		f.Add(start, slices.Concat(fuzzFrames(ka, upd), pass, fuzzFrames(open, ka)))
+		f.Add(start, fuzzFrames(open[:20], ka[:18], upd[:len(upd)-3], notif[:19]))
+		f.Add(start, slices.Concat(fuzzFrames(mustFrame(f, wire.Open{AS: 2}), ka), pass, pass))
+	}
+	f.Fuzz(func(t *testing.T, start byte, data []byte) {
+		r := newFSMRig(t)
+		r.enter(t, State(start%4))
+		for len(data) > 0 {
+			n := int(data[0])
+			data = data[1:]
+			switch {
+			case n == 0 && len(data) > 0:
+				r.wait(t, time.Duration(data[0])*time.Second)
+				data = data[1:]
+			default:
+				n = min(n, len(data))
+				r.f.Deliver(data[:n])
+				data = data[n:]
+			}
+			fs := r.f
+			armed := func(tm sim.Timer) bool { return tm != nil && tm.Active() }
+			switch fs.state {
+			case StateIdle:
+				if armed(fs.holdTimer) || armed(fs.keepaliveTimer) {
+					t.Fatal("Idle with the hold or keepalive timer armed")
+				}
+				if !armed(fs.retryTimer) {
+					t.Fatal("Idle on a live transport with no connect-retry pending")
+				}
+			case StateOpenSent, StateOpenConfirm:
+			case StateEstablished:
+				if fs.holdTime > 0 && !armed(fs.holdTimer) {
+					t.Fatal("Established with a hold time and no hold timer")
+				}
+			default:
+				t.Fatalf("state = %d", fs.state)
+			}
+		}
+		r.sent(t) // every reply re-decodes
+	})
+}

@@ -12,27 +12,15 @@ import (
 	"repro/internal/sim"
 )
 
-// Peer is one BGP session on a Router.
+// Peer is one BGP session on a Router: the shared session machine plus
+// what is a router's — Adj-RIB upkeep, MRAI pacing, damping teardown
+// and the initial table dump.
 type Peer struct {
 	router *Router
 	cfg    PeerConfig
-	state  State
+	fsm    FSM
 
-	transportUp bool
-	remoteID    idr.RouterID
-	remoteASN   idr.ASN
-	holdTime    time.Duration // negotiated
-
-	holdTimer      sim.Timer
-	keepaliveTimer sim.Timer
-	retryTimer     sim.Timer
-	mraiTimer      sim.Timer
-	// holdIsGuard records which callback holdTimer was armed with —
-	// the OpenSent guard (openGuardExpire) or the negotiated hold
-	// timer (holdExpire) — so re-arms can Reset the existing timer in
-	// place when the callback matches instead of allocating a new one.
-	holdIsGuard bool
-
+	mraiTimer sim.Timer
 	// Pending outbound route changes, flushed under MRAI pacing.
 	pendingAnnounce map[netip.Prefix]wire.PathAttrs
 	pendingWithdraw map[netip.Prefix]bool
@@ -41,7 +29,7 @@ type Peer struct {
 }
 
 // State returns the session state.
-func (p *Peer) State() State { return p.state }
+func (p *Peer) State() State { return p.fsm.state }
 
 // Key returns the session key.
 func (p *Peer) Key() rib.PeerKey { return p.cfg.Key }
@@ -51,185 +39,31 @@ func (p *Peer) RemoteASN() idr.ASN { return p.cfg.RemoteASN }
 
 func (p *Peer) clock() sim.Clock { return p.router.cfg.Clock }
 
-func (p *Peer) setState(s State) {
-	if p.state == s {
-		return
-	}
-	p.state = s
-	p.router.trace(TraceEvent{Kind: TraceState, Peer: p.cfg.Key, State: s})
-}
-
 // TransportUp signals that the underlying transport (link) is usable.
 // The session starts opening immediately.
-func (p *Peer) TransportUp() {
-	if p.transportUp {
-		return
-	}
-	p.transportUp = true
-	p.startOpen()
-}
+func (p *Peer) TransportUp() { p.fsm.TransportUp() }
 
 // TransportDown signals transport loss: the session resets and will
 // retry once the transport returns.
-func (p *Peer) TransportDown() {
-	if !p.transportUp {
-		return
-	}
-	p.transportUp = false
-	p.reset(false)
+func (p *Peer) TransportDown() { p.fsm.TransportDown() }
+
+// peerSession is a Peer as its session machine sees it: the Owner
+// methods, kept off Peer's exported API.
+type peerSession Peer
+
+func (s *peerSession) Established()         { (*Peer)(s).establish() }
+func (s *peerSession) Update(m wire.Update) { (*Peer)(s).handleUpdate(m) }
+func (s *peerSession) Reset(was bool)       { (*Peer)(s).reset(was) }
+
+// Trace stamps a session event with the peer key and hands it to the
+// router's trace.
+func (s *peerSession) Trace(ev TraceEvent) {
+	ev.Peer = s.cfg.Key
+	s.router.trace(ev)
 }
 
-// startOpen begins session establishment (Idle -> OpenSent).
-func (p *Peer) startOpen() {
-	if !p.transportUp || p.state != StateIdle {
-		return
-	}
-	if err := p.sendOpen(); err != nil {
-		p.armRetry()
-		return
-	}
-	p.setState(StateOpenSent)
-	// RFC 4271 §8.2.2: in OpenSent the hold timer runs with a large
-	// value (4 minutes suggested) so a half-open session eventually
-	// resets and retries.
-	guard := 4 * time.Minute
-	if p.router.cfg.Timers.HoldTime > guard {
-		guard = p.router.cfg.Timers.HoldTime
-	}
-	if p.holdTimer != nil && p.holdIsGuard {
-		p.holdTimer.Reset(guard)
-		return
-	}
-	if p.holdTimer != nil {
-		p.holdTimer.Stop()
-	}
-	p.holdTimer = p.clock().AfterFunc(guard, p.openGuardExpire)
-	p.holdIsGuard = true
-}
-
-// openGuardExpire is the OpenSent hold-timer callback: a half-open
-// session resets and retries.
-func (p *Peer) openGuardExpire() { p.reset(true) }
-
-func (p *Peer) armRetry() {
-	d := p.router.cfg.Timers.ConnectRetry
-	if p.retryTimer != nil {
-		p.retryTimer.Reset(d)
-		return
-	}
-	p.retryTimer = p.clock().AfterFunc(d, p.startOpen)
-}
-
-func (p *Peer) sendOpen() error {
-	r := p.router
-	holdSecs := uint16(r.cfg.Timers.HoldTime / time.Second)
-	msg := wire.Open{AS: r.cfg.ASN, HoldTimeSecs: holdSecs, ID: r.cfg.RouterID}
-	if err := p.send(msg); err != nil {
-		return err
-	}
-	r.stats.OpensSent++
-	return nil
-}
-
-func (p *Peer) send(m wire.Message) error {
-	frame, err := wire.Marshal(m)
-	if err != nil {
-		return err
-	}
-	if err := p.cfg.Send(frame); err != nil {
-		return err
-	}
-	p.router.trace(TraceEvent{Kind: TraceSend, Peer: p.cfg.Key, Msg: m})
-	return nil
-}
-
-// deliver processes one received frame.
-func (p *Peer) deliver(frame []byte) {
-	if !p.transportUp {
-		return
-	}
-	msg, err := wire.Unmarshal(frame)
-	if err != nil {
-		if de, ok := err.(*wire.DecodeError); ok {
-			_ = p.send(wire.Notification{Code: de.Code, Subcode: de.Subcode})
-			p.router.stats.NotificationsSent++
-		}
-		p.reset(true)
-		return
-	}
-	p.router.trace(TraceEvent{Kind: TraceRecv, Peer: p.cfg.Key, Msg: msg})
-	switch m := msg.(type) {
-	case wire.Open:
-		p.handleOpen(m)
-	case wire.Keepalive:
-		p.handleKeepalive()
-	case wire.Update:
-		p.handleUpdate(m)
-	case wire.Notification:
-		p.reset(true)
-	}
-}
-
-func (p *Peer) handleOpen(m wire.Open) {
-	if m.AS != p.cfg.RemoteASN {
-		_ = p.send(wire.Notification{Code: wire.NotifOpenMessageError, Subcode: 2}) // bad peer AS
-		p.router.stats.NotificationsSent++
-		p.reset(true)
-		return
-	}
-	switch p.state {
-	case StateIdle:
-		// The neighbor opened first; answer with our OPEN, then
-		// confirm.
-		if err := p.sendOpen(); err != nil {
-			p.armRetry()
-			return
-		}
-	case StateOpenSent:
-		// expected
-	default:
-		// OPEN in OpenConfirm/Established is an FSM error.
-		_ = p.send(wire.Notification{Code: wire.NotifFSMError})
-		p.router.stats.NotificationsSent++
-		p.reset(true)
-		return
-	}
-	p.remoteID = m.ID
-	p.remoteASN = m.AS
-	p.holdTime = p.router.cfg.Timers.HoldTime
-	if remote := time.Duration(m.HoldTimeSecs) * time.Second; remote < p.holdTime {
-		p.holdTime = remote
-	}
-	if err := p.send(wire.Keepalive{}); err != nil {
-		p.reset(true)
-		return
-	}
-	p.router.stats.KeepalivesSent++
-	p.setState(StateOpenConfirm)
-	p.armHoldTimer()
-}
-
-func (p *Peer) handleKeepalive() {
-	switch p.state {
-	case StateOpenConfirm:
-		p.establish()
-	case StateEstablished:
-		p.armHoldTimer()
-	default:
-		// KEEPALIVE in OpenSent means the neighbor confirmed an OPEN
-		// we never managed to deliver (it started after we sent ours).
-		// RFC 4271 treats it as an FSM error; resetting both ends lets
-		// the retry establish cleanly.
-		_ = p.send(wire.Notification{Code: wire.NotifFSMError})
-		p.router.stats.NotificationsSent++
-		p.reset(true)
-	}
-}
-
+// establish runs the initial table dump on a newly Established session.
 func (p *Peer) establish() {
-	p.setState(StateEstablished)
-	p.armHoldTimer()
-	p.armKeepalive()
 	// Initial routing table dump: schedule every Loc-RIB route.
 	for _, rt := range p.router.table.BestRoutes() {
 		p.scheduleRoute(rt.Prefix, rt, true, p.router.learnedFromNeighbor(rt))
@@ -239,67 +73,8 @@ func (p *Peer) establish() {
 	p.flushAnnouncements()
 }
 
-func (p *Peer) armHoldTimer() {
-	if p.holdTime == 0 {
-		return // hold time 0 disables keepalives entirely
-	}
-	// Re-key the existing timer in place when it already runs the
-	// negotiated-hold callback — the per-received-message fast path.
-	if p.holdTimer != nil && !p.holdIsGuard {
-		p.holdTimer.Reset(p.holdTime)
-		return
-	}
-	if p.holdTimer != nil {
-		p.holdTimer.Stop()
-	}
-	p.holdTimer = p.clock().AfterFunc(p.holdTime, p.holdExpire)
-	p.holdIsGuard = false
-}
-
-// holdExpire is the negotiated hold-timer callback: notify the peer
-// and reset.
-func (p *Peer) holdExpire() {
-	_ = p.send(wire.Notification{Code: wire.NotifHoldTimerExpired})
-	p.router.stats.NotificationsSent++
-	p.reset(true)
-}
-
-func (p *Peer) armKeepalive() {
-	if p.holdTime == 0 {
-		return
-	}
-	interval := p.holdTime / time.Duration(p.router.cfg.Timers.KeepaliveFraction)
-	if interval <= 0 {
-		interval = time.Second
-	}
-	if p.keepaliveTimer != nil {
-		p.keepaliveTimer.Reset(interval)
-		return
-	}
-	p.keepaliveTimer = p.clock().AfterFunc(interval, p.keepaliveFire)
-}
-
-// keepaliveFire is the keepalive-timer callback: send one keepalive
-// and re-arm for the next interval.
-func (p *Peer) keepaliveFire() {
-	if p.state != StateEstablished {
-		return
-	}
-	if err := p.send(wire.Keepalive{}); err == nil {
-		p.router.stats.KeepalivesSent++
-	}
-	p.armKeepalive()
-}
-
 // handleUpdate runs the inbound side of the decision process.
 func (p *Peer) handleUpdate(m wire.Update) {
-	if p.state != StateEstablished {
-		_ = p.send(wire.Notification{Code: wire.NotifFSMError})
-		p.router.stats.NotificationsSent++
-		p.reset(true)
-		return
-	}
-	p.armHoldTimer()
 	r := p.router
 	r.stats.UpdatesReceived++
 
@@ -341,7 +116,7 @@ func (p *Peer) handleUpdate(m wire.Update) {
 			Attrs:   attrs,
 			Peer:    p.cfg.Key,
 			PeerASN: p.cfg.RemoteASN,
-			PeerID:  p.remoteID,
+			PeerID:  p.fsm.remoteID,
 		}
 		// eBGP sessions must not import LOCAL_PREF from the wire.
 		rt.Attrs.LocalPref = nil
@@ -374,7 +149,7 @@ func (p *Peer) handleUpdate(m wire.Update) {
 // establishment; the caller resolves the best route (ok false = no
 // route) and its learned-from neighbor once for all peers.
 func (p *Peer) scheduleRoute(prefix netip.Prefix, best *rib.Route, ok bool, learnedFrom policy.Neighbor) {
-	if p.state != StateEstablished {
+	if p.fsm.state != StateEstablished {
 		return
 	}
 	r := p.router
@@ -420,20 +195,16 @@ func (p *Peer) scheduleRoute(prefix netip.Prefix, best *rib.Route, ok bool, lear
 // flushWithdrawals sends all pending withdrawals immediately
 // (withdrawals are not MRAI-limited).
 func (p *Peer) flushWithdrawals() {
-	if p.state != StateEstablished || len(p.pendingWithdraw) == 0 {
+	if p.fsm.state != StateEstablished || len(p.pendingWithdraw) == 0 {
 		return
 	}
 	r := p.router
-	prefixes := make([]netip.Prefix, 0, len(p.pendingWithdraw))
-	for prefix := range p.pendingWithdraw {
-		prefixes = append(prefixes, prefix)
-	}
-	sort.Slice(prefixes, func(i, j int) bool { return idr.PrefixLess(prefixes[i], prefixes[j]) })
+	prefixes := idr.SortedPrefixes(p.pendingWithdraw)
 	p.pendingWithdraw = make(map[netip.Prefix]bool)
 	for _, prefix := range prefixes {
 		r.adjOut.Delete(p.cfg.Key, prefix)
 	}
-	if err := p.send(wire.Update{Withdrawn: prefixes}); err != nil {
+	if err := p.fsm.Send(wire.Update{Withdrawn: prefixes}); err != nil {
 		return
 	}
 	r.stats.UpdatesSent++
@@ -478,7 +249,7 @@ func (p *Peer) scheduleFlush() {
 // withdrawals (unless already flushed immediately), then the
 // announcements grouped by identical attributes.
 func (p *Peer) flushAnnouncements() {
-	if p.state != StateEstablished {
+	if p.fsm.state != StateEstablished {
 		return
 	}
 	sentWithdrawals := len(p.pendingWithdraw) > 0
@@ -501,11 +272,7 @@ func (p *Peer) flushAnnouncements() {
 		key      string
 		prefixes []netip.Prefix
 	}
-	prefixes := make([]netip.Prefix, 0, len(p.pendingAnnounce))
-	for prefix := range p.pendingAnnounce {
-		prefixes = append(prefixes, prefix)
-	}
-	sort.Slice(prefixes, func(i, j int) bool { return idr.PrefixLess(prefixes[i], prefixes[j]) })
+	prefixes := idr.SortedPrefixes(p.pendingAnnounce)
 	var groups []*group
 	for _, prefix := range prefixes {
 		attrs := p.pendingAnnounce[prefix]
@@ -533,7 +300,7 @@ func (p *Peer) flushAnnouncements() {
 		for _, prefix := range g.prefixes {
 			r.adjOut.Set(p.cfg.Key, prefix, g.attrs)
 		}
-		if err := p.send(wire.Update{Attrs: g.attrs, NLRI: g.prefixes}); err != nil {
+		if err := p.fsm.Send(wire.Update{Attrs: g.attrs, NLRI: g.prefixes}); err != nil {
 			return
 		}
 		r.stats.UpdatesSent++
@@ -542,32 +309,20 @@ func (p *Peer) flushAnnouncements() {
 	p.nextAdvAllowed = p.clock().Now().Add(p.effectiveMRAI())
 }
 
-// reset tears the session down. When reconnect is true and the
-// transport is still up, re-establishment is retried after
-// ConnectRetry.
-func (p *Peer) reset(reconnect bool) {
+// reset flushes what the router queued, learned and advertised on a
+// torn-down session and propagates the fallout.
+func (p *Peer) reset(wasEstablished bool) {
 	r := p.router
-	wasEstablished := p.state == StateEstablished
-	if p.state != StateIdle {
-		r.stats.SessionResets++
+	if p.mraiTimer != nil {
+		p.mraiTimer.Stop()
+		p.mraiTimer = nil
 	}
-	p.setState(StateIdle)
-	for _, t := range []sim.Timer{p.holdTimer, p.keepaliveTimer, p.mraiTimer, p.retryTimer} {
-		if t != nil {
-			t.Stop()
-		}
-	}
-	p.holdTimer, p.keepaliveTimer, p.mraiTimer, p.retryTimer = nil, nil, nil, nil
-	p.holdIsGuard = false
 	p.pendingAnnounce = make(map[netip.Prefix]wire.PathAttrs)
 	p.pendingWithdraw = make(map[netip.Prefix]bool)
 	p.nextAdvAllowed = time.Time{}
-	p.remoteID = idr.RouterID{}
-	p.remoteASN = 0
 
-	// Flush learned and advertised state; propagate the fallout. Flap
-	// history does not survive a session reset (held-back routes would
-	// be stale).
+	// Flap history does not survive a session reset (held-back routes
+	// would be stale).
 	if r.damping != nil {
 		//lint:maporder Stop only deletes pending timer events; the surviving event set is the same in any order
 		for _, s := range r.damping.state[p.cfg.Key] {
@@ -582,8 +337,5 @@ func (p *Peer) reset(reconnect bool) {
 		for _, change := range r.table.DropPeer(p.cfg.Key) {
 			r.onChange(change)
 		}
-	}
-	if reconnect && p.transportUp {
-		p.armRetry()
 	}
 }

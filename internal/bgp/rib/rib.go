@@ -4,7 +4,6 @@
 package rib
 
 import (
-	"cmp"
 	"fmt"
 	"net/netip"
 	"slices"
@@ -160,25 +159,6 @@ func NewTable() *Table {
 // NewTable and deletes this shim.
 func NewTableShards(n int) *Table { return NewTable() }
 
-// sortedPrefixes returns m's keys in comparePrefix order.
-func sortedPrefixes[V any](m map[netip.Prefix]V) []netip.Prefix {
-	out := make([]netip.Prefix, 0, len(m))
-	for p := range m {
-		out = append(out, p)
-	}
-	slices.SortFunc(out, comparePrefix)
-	return out
-}
-
-// comparePrefix orders prefixes as idr.PrefixLess does, in the
-// three-way form slices.SortFunc takes.
-func comparePrefix(a, b netip.Prefix) int {
-	if c := a.Addr().Compare(b.Addr()); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Bits(), b.Bits())
-}
-
 // searchCands returns the position of peer in the candidate slice
 // (sorted by peer key) and whether it is present. Open-coded so the
 // steady-state decision path stays closure- and allocation-free.
@@ -311,14 +291,14 @@ func (t *Table) AdjInPeerKeys() []PeerKey {
 // AdjInPrefixes returns all prefixes present in the peer's Adj-RIB-In,
 // sorted.
 func (t *Table) AdjInPrefixes(peer PeerKey) []netip.Prefix {
-	return sortedPrefixes(t.adjIn[peer])
+	return idr.SortedPrefixes(t.adjIn[peer])
 }
 
 // DropPeer removes the peer's entire Adj-RIB-In (session failure) and
 // re-decides every affected prefix in sorted order, returning the
 // material changes.
 func (t *Table) DropPeer(peer PeerKey) []Change {
-	prefixes := sortedPrefixes(t.adjIn[peer])
+	prefixes := idr.SortedPrefixes(t.adjIn[peer])
 	delete(t.adjIn, peer)
 	var out []Change
 	for _, p := range prefixes {
@@ -354,7 +334,7 @@ func (t *Table) BestRoutes() []*Route {
 	for _, r := range t.best {
 		out = append(out, r)
 	}
-	slices.SortFunc(out, func(a, b *Route) int { return comparePrefix(a.Prefix, b.Prefix) })
+	slices.SortFunc(out, func(a, b *Route) int { return idr.ComparePrefix(a.Prefix, b.Prefix) })
 	return out
 }
 
@@ -369,7 +349,7 @@ func (t *Table) Prefixes() []netip.Prefix {
 			out = append(out, p)
 		}
 	}
-	slices.SortFunc(out, comparePrefix)
+	slices.SortFunc(out, idr.ComparePrefix)
 	return out
 }
 
@@ -457,7 +437,7 @@ func (a *AdjOut) Delete(peer PeerKey, prefix netip.Prefix) bool {
 // DropPeer forgets everything advertised to peer (session reset),
 // returning the previously advertised prefixes, sorted.
 func (a *AdjOut) DropPeer(peer PeerKey) []netip.Prefix {
-	out := sortedPrefixes(a.routes[peer])
+	out := idr.SortedPrefixes(a.routes[peer])
 	delete(a.routes, peer)
 	return out
 }
@@ -477,5 +457,5 @@ func (a *AdjOut) Peers() []PeerKey {
 
 // Prefixes returns the prefixes currently advertised to peer, sorted.
 func (a *AdjOut) Prefixes(peer PeerKey) []netip.Prefix {
-	return sortedPrefixes(a.routes[peer])
+	return idr.SortedPrefixes(a.routes[peer])
 }

@@ -3,7 +3,7 @@ package bgp
 import (
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/bgp/rib"
@@ -209,46 +209,43 @@ func (r *Router) RestoreState(st RouterState) ([]sim.TimerArm, error) {
 
 // snap captures the session's serializable state.
 func (p *Peer) snap() PeerSnap {
+	fs := p.fsm.Capture()
 	ps := PeerSnap{
-		Key:         p.cfg.Key,
-		State:       p.state,
-		TransportUp: p.transportUp,
-		RemoteID:    p.remoteID,
-		RemoteASN:   p.remoteASN,
-		HoldTimeNS:  int64(p.holdTime),
-		NextAdvNS:   sim.TimeToNS(p.nextAdvAllowed),
-		Hold:        sim.RefOf(p.holdTimer),
-		Keepalive:   sim.RefOf(p.keepaliveTimer),
-		Retry:       sim.RefOf(p.retryTimer),
-		Mrai:        sim.RefOf(p.mraiTimer),
+		Key:             p.cfg.Key,
+		State:           fs.State,
+		TransportUp:     fs.TransportUp,
+		RemoteID:        fs.RemoteID,
+		HoldTimeNS:      int64(fs.HoldTime),
+		NextAdvNS:       sim.TimeToNS(p.nextAdvAllowed),
+		PendingWithdraw: idr.SortedPrefixes(p.pendingWithdraw),
+		Hold:            fs.Hold,
+		Keepalive:       fs.Keepalive,
+		Retry:           fs.Retry,
+		Mrai:            sim.RefOf(p.mraiTimer),
 	}
-	annPrefixes := make([]netip.Prefix, 0, len(p.pendingAnnounce))
-	for prefix := range p.pendingAnnounce {
-		annPrefixes = append(annPrefixes, prefix)
+	// An OPEN is accepted only from the configured neighbor AS, so the
+	// learned ASN is that one from OpenConfirm on and unset before.
+	if fs.State == StateOpenConfirm || fs.State == StateEstablished {
+		ps.RemoteASN = p.cfg.RemoteASN
 	}
-	sort.Slice(annPrefixes, func(i, j int) bool { return idr.PrefixLess(annPrefixes[i], annPrefixes[j]) })
-	for _, prefix := range annPrefixes {
+	for _, prefix := range idr.SortedPrefixes(p.pendingAnnounce) {
 		ps.PendingAnnounce = append(ps.PendingAnnounce, PrefixAttrs{Prefix: prefix, Attrs: p.pendingAnnounce[prefix]})
 	}
-	wdPrefixes := make([]netip.Prefix, 0, len(p.pendingWithdraw))
-	for prefix := range p.pendingWithdraw {
-		wdPrefixes = append(wdPrefixes, prefix)
-	}
-	sort.Slice(wdPrefixes, func(i, j int) bool { return idr.PrefixLess(wdPrefixes[i], wdPrefixes[j]) })
-	ps.PendingWithdraw = wdPrefixes
 	return ps
 }
 
 // restore overlays a captured session state, returning the timer arms
-// for the experiment layer to execute in global order. The re-armed
-// callbacks are the same methods the live timers run, so a restored
-// session behaves identically from the first firing on.
+// for the experiment layer to execute in global order.
 func (p *Peer) restore(ps PeerSnap) []sim.TimerArm {
-	p.state = ps.State
-	p.transportUp = ps.TransportUp
-	p.remoteID = ps.RemoteID
-	p.remoteASN = ps.RemoteASN
-	p.holdTime = time.Duration(ps.HoldTimeNS)
+	arms := p.fsm.Restore(FSMState{
+		State:       ps.State,
+		TransportUp: ps.TransportUp,
+		RemoteID:    ps.RemoteID,
+		HoldTime:    time.Duration(ps.HoldTimeNS),
+		Hold:        ps.Hold,
+		Keepalive:   ps.Keepalive,
+		Retry:       ps.Retry,
+	})
 	p.nextAdvAllowed = sim.TimeFromNS(ps.NextAdvNS)
 	for _, pa := range ps.PendingAnnounce {
 		p.pendingAnnounce[pa.Prefix] = pa.Attrs
@@ -256,29 +253,7 @@ func (p *Peer) restore(ps PeerSnap) []sim.TimerArm {
 	for _, prefix := range ps.PendingWithdraw {
 		p.pendingWithdraw[prefix] = true
 	}
-	var arms []sim.TimerArm
-	arm := func(ref *sim.TimerRef, set func(sim.Timer), fire func()) {
-		if ref == nil {
-			return
-		}
-		at := ref.Deadline()
-		arms = append(arms, sim.TimerArm{At: at, Seq: ref.Seq, Arm: func() {
-			set(p.clock().AfterFunc(at.Sub(p.clock().Now()), fire))
-		}})
-	}
-	// In OpenSent the hold timer is the RFC 4271 §8.2.2 guard with a
-	// plain reset callback; everywhere else it is the negotiated hold
-	// timer that also notifies the neighbor.
-	holdFire := p.holdExpire
-	if ps.State == StateOpenSent {
-		holdFire = p.openGuardExpire
-	}
-	p.holdIsGuard = ps.State == StateOpenSent
-	arm(ps.Hold, func(t sim.Timer) { p.holdTimer = t }, holdFire)
-	arm(ps.Keepalive, func(t sim.Timer) { p.keepaliveTimer = t }, p.keepaliveFire)
-	arm(ps.Retry, func(t sim.Timer) { p.retryTimer = t }, p.startOpen)
-	arm(ps.Mrai, func(t sim.Timer) { p.mraiTimer = t }, p.flushAnnouncements)
-	return arms
+	return ps.Mrai.Rearm(arms, p.clock(), &p.mraiTimer, p.flushAnnouncements)
 }
 
 // snap captures the damping engine's flap histories, sorted by
@@ -290,16 +265,11 @@ func (d *damping) snap() []DampEntry {
 			peers = append(peers, k)
 		}
 	}
-	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
+	slices.Sort(peers)
 	var out []DampEntry
 	for _, peer := range peers {
 		m := d.state[peer]
-		prefixes := make([]netip.Prefix, 0, len(m))
-		for prefix := range m {
-			prefixes = append(prefixes, prefix)
-		}
-		sort.Slice(prefixes, func(i, j int) bool { return idr.PrefixLess(prefixes[i], prefixes[j]) })
-		for _, prefix := range prefixes {
+		for _, prefix := range idr.SortedPrefixes(m) {
 			s := m[prefix]
 			e := DampEntry{
 				Peer:       peer,
@@ -331,15 +301,7 @@ func (d *damping) restore(entries []DampEntry) []sim.TimerArm {
 		if e.Latest != nil {
 			s.latest = e.Latest.route()
 		}
-		if e.Reuse != nil {
-			at := e.Reuse.Deadline()
-			peer, prefix, st := e.Peer, e.Prefix, s
-			arms = append(arms, sim.TimerArm{At: at, Seq: e.Reuse.Seq, Arm: func() {
-				st.reuseTimer = d.router.cfg.Clock.AfterFunc(at.Sub(d.router.cfg.Clock.Now()), func() {
-					d.reuse(peer, prefix, st)
-				})
-			}})
-		}
+		arms = e.Reuse.Rearm(arms, d.router.cfg.Clock, &s.reuseTimer, func() { d.reuse(e.Peer, e.Prefix, s) })
 	}
 	return arms
 }

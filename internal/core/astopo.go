@@ -57,6 +57,7 @@ func (c *Controller) portToMember(asn, neighbor idr.ASN) (uint32, bool) {
 	m := c.members[asn]
 	best := uint32(0)
 	found := false
+	//lint:maporder min-reduction: the lowest matching port number wins whatever order the ports are visited in
 	for port, pi := range m.ports {
 		if pi.isMember && pi.up && pi.neighbor == neighbor {
 			if !found || port < best {
@@ -105,6 +106,7 @@ func (c *Controller) candidatesFor(prefix netip.Prefix, comp map[idr.ASN]int) []
 			continue
 		}
 		reenters := false
+		//lint:maporder existence test: any visiting order reaches the same verdict
 		for other := range c.members {
 			if comp[other] == comp[k.Border] && attrs.ASPath.Contains(other) {
 				reenters = true

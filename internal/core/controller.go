@@ -29,6 +29,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/bgp"
 	"repro/internal/bgp/wire"
 	"repro/internal/frames"
 	"repro/internal/idr"
@@ -186,6 +187,7 @@ func (c *Controller) RemoveMember(asn idr.ASN) error {
 		es.sess.TransportDown()
 		delete(c.sessions, key)
 	}
+	//lint:maporder every port gets the same independent store
 	for _, pi := range m.ports {
 		pi.sess = nil
 	}
@@ -294,15 +296,22 @@ func (c *Controller) AddExternalPeering(borderASN idr.ASN, port uint32, remoteAS
 	key := SessKey{Border: borderASN, Port: port}
 	es := &extSession{key: key, remote: remoteASN}
 	sess, err := speaker.New(speaker.Config{
-		LocalASN:  borderASN,
-		LocalID:   localID,
-		RemoteASN: remoteASN,
-		NextHop:   nextHop,
-		HoldTime:  c.cfg.HoldTime,
-		Clock:     c.cfg.Clock,
-		Send: func(bgpFrame []byte) error {
-			return c.sendPacketOut(m, port, bgpFrame)
+		SessionConfig: bgp.SessionConfig{
+			LocalASN:  borderASN,
+			LocalID:   localID,
+			RemoteASN: remoteASN,
+			HoldTime:  c.cfg.HoldTime,
+			// The framework defaults (bgp.DefaultTimers), whatever the
+			// legacy routers' Timers say: whether cluster sessions should
+			// follow the trial's values is open (ROADMAP item 2).
+			ConnectRetry:      5 * time.Second,
+			KeepaliveFraction: 3,
+			Clock:             c.cfg.Clock,
+			Send: func(bgpFrame []byte) error {
+				return c.sendPacketOut(m, port, bgpFrame)
+			},
 		},
+		NextHop: nextHop,
 		OnRoute: func(ev speaker.RouteEvent) { c.onRoute(key, ev) },
 		OnState: func(up bool) { c.onSessionState(es, up) },
 	})

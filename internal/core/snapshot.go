@@ -121,14 +121,10 @@ func (c *Controller) State() ControllerState {
 		}
 		st.ExtRoutes = append(st.ExtRoutes, e)
 	}
-	for p := range c.owned {
+	for _, p := range idr.SortedPrefixes(c.owned) {
 		st.Owned = append(st.Owned, OwnedEntry{Prefix: p, Owner: c.owned[p]})
 	}
-	sort.Slice(st.Owned, func(i, j int) bool { return idr.PrefixLess(st.Owned[i].Prefix, st.Owned[j].Prefix) })
-	for p := range c.dirty {
-		st.Dirty = append(st.Dirty, p)
-	}
-	sort.Slice(st.Dirty, func(i, j int) bool { return idr.PrefixLess(st.Dirty[i], st.Dirty[j]) })
+	st.Dirty = idr.SortedPrefixes(c.dirty)
 	for _, asn := range c.Members() {
 		m := c.members[asn]
 		ports := make([]uint32, 0, len(m.ports))
@@ -196,11 +192,5 @@ func (c *Controller) RestoreState(st ControllerState) ([]sim.TimerArm, error) {
 		es.established = ss.Established
 		arms = append(arms, es.sess.RestoreState(ss.Speaker)...)
 	}
-	if st.Debounce != nil {
-		at := st.Debounce.Deadline()
-		arms = append(arms, sim.TimerArm{At: at, Seq: st.Debounce.Seq, Arm: func() {
-			c.debounceTimer = c.cfg.Clock.AfterFunc(at.Sub(c.cfg.Clock.Now()), c.recompute)
-		}})
-	}
-	return arms, nil
+	return st.Debounce.Rearm(arms, c.cfg.Clock, &c.debounceTimer, c.recompute), nil
 }

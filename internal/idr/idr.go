@@ -5,9 +5,11 @@
 package idr
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"net/netip"
+	"slices"
 )
 
 // ASN is an Autonomous System number. The framework uses 4-byte AS
@@ -51,9 +53,23 @@ func MustPrefix(s string) netip.Prefix { return netip.MustParsePrefix(s) }
 
 // PrefixLess is a total order over prefixes (by address, then length),
 // used to keep RIB dumps and log output deterministic.
-func PrefixLess(a, b netip.Prefix) bool {
+func PrefixLess(a, b netip.Prefix) bool { return ComparePrefix(a, b) < 0 }
+
+// ComparePrefix is PrefixLess's order in the three-way form
+// slices.SortFunc takes.
+func ComparePrefix(a, b netip.Prefix) int {
 	if c := a.Addr().Compare(b.Addr()); c != 0 {
-		return c < 0
+		return c
 	}
-	return a.Bits() < b.Bits()
+	return cmp.Compare(a.Bits(), b.Bits())
+}
+
+// SortedPrefixes returns m's keys in ComparePrefix order.
+func SortedPrefixes[V any](m map[netip.Prefix]V) []netip.Prefix {
+	out := make([]netip.Prefix, 0, len(m))
+	for p := range m {
+		out = append(out, p)
+	}
+	slices.SortFunc(out, ComparePrefix)
+	return out
 }

@@ -189,6 +189,19 @@ func RefOf(t Timer) *TimerRef {
 // Deadline returns the timer's absolute deadline.
 func (r *TimerRef) Deadline() time.Time { return Epoch.Add(time.Duration(r.AtNS)) }
 
+// Rearm appends to arms the arm that re-creates the referenced timer in
+// *slot, running fire at the original deadline. A nil ref — no timer
+// was pending — appends nothing.
+func (r *TimerRef) Rearm(arms []TimerArm, clock Clock, slot *Timer, fire func()) []TimerArm {
+	if r == nil {
+		return arms
+	}
+	at := r.Deadline()
+	return append(arms, TimerArm{At: at, Seq: r.Seq, Arm: func() {
+		*slot = clock.AfterFunc(at.Sub(clock.Now()), fire)
+	}})
+}
+
 // TimerArm is one deferred timer re-arm collected during a restore:
 // the original (deadline, sequence) pair for ordering, and the Arm
 // callback that actually schedules the replacement timer. Components

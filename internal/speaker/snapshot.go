@@ -2,10 +2,9 @@ package speaker
 
 import (
 	"net/netip"
-	"sort"
 	"time"
 
-	"repro/internal/bgp/wire"
+	"repro/internal/bgp"
 	"repro/internal/idr"
 	"repro/internal/sim"
 )
@@ -13,30 +12,21 @@ import (
 // Snapshot support: SessionState captures one controller-driven eBGP
 // session — FSM state, negotiated hold time, what the controller has
 // announced on it, what was learned from the legacy neighbor, and the
-// pending timers as (deadline, original sequence) references. The
-// re-armed callbacks are the same named methods the live timers run.
-
-// AdvEntry is one controller-announced (prefix, attrs) record.
-type AdvEntry struct {
-	// Prefix and Attrs are the advertisement as sent (NEXT_HOP set,
-	// LOCAL_PREF stripped).
-	Prefix netip.Prefix   `json:"prefix"`
-	Attrs  wire.PathAttrs `json:"attrs"`
-}
+// pending timers as (deadline, original sequence) references.
 
 // SessionState is the serializable state of one Session.
 type SessionState struct {
 	// State is the FSM state.
-	State State `json:"state"`
+	State bgp.State `json:"state"`
 	// TransportUp mirrors the transport signal.
 	TransportUp bool `json:"transport_up"`
 	// HoldTimeNS is the negotiated hold time in nanoseconds.
 	HoldTimeNS int64 `json:"hold_time_ns"`
 	// RemoteID was learned from the neighbor's OPEN.
 	RemoteID idr.RouterID `json:"remote_id"`
-	// Advertised lists the controller's announcements, sorted by
-	// prefix.
-	Advertised []AdvEntry `json:"advertised,omitempty"`
+	// Advertised lists the controller's announcements as sent (NEXT_HOP
+	// set, LOCAL_PREF stripped), sorted by prefix.
+	Advertised []bgp.PrefixAttrs `json:"advertised,omitempty"`
 	// AdjIn lists the prefixes learned on the session, sorted.
 	AdjIn []netip.Prefix `json:"adj_in,omitempty"`
 	// Hold, Keepalive and Retry reference the pending timers.
@@ -47,22 +37,20 @@ type SessionState struct {
 
 // Snapshot captures the session's serializable state.
 func (s *Session) Snapshot() SessionState {
+	fs := s.fsm.Capture()
 	st := SessionState{
-		State:       s.state,
-		TransportUp: s.transportUp,
-		HoldTimeNS:  int64(s.holdTime),
-		RemoteID:    s.remoteID,
-		Hold:        sim.RefOf(s.holdTimer),
-		Keepalive:   sim.RefOf(s.keepaliveTimer),
-		Retry:       sim.RefOf(s.retryTimer),
+		State:       fs.State,
+		TransportUp: fs.TransportUp,
+		HoldTimeNS:  int64(fs.HoldTime),
+		RemoteID:    fs.RemoteID,
+		Hold:        fs.Hold,
+		Keepalive:   fs.Keepalive,
+		Retry:       fs.Retry,
+		AdjIn:       idr.SortedPrefixes(s.adjIn),
 	}
 	for _, p := range s.Advertised() {
-		st.Advertised = append(st.Advertised, AdvEntry{Prefix: p, Attrs: s.advertised[p]})
+		st.Advertised = append(st.Advertised, bgp.PrefixAttrs{Prefix: p, Attrs: s.advertised[p]})
 	}
-	for p := range s.adjIn {
-		st.AdjIn = append(st.AdjIn, p)
-	}
-	sort.Slice(st.AdjIn, func(i, j int) bool { return idr.PrefixLess(st.AdjIn[i], st.AdjIn[j]) })
 	return st
 }
 
@@ -70,35 +58,19 @@ func (s *Session) Snapshot() SessionState {
 // with the identical configuration, returning the timer arms for the
 // experiment layer to execute in global order.
 func (s *Session) RestoreState(st SessionState) []sim.TimerArm {
-	s.state = st.State
-	s.transportUp = st.TransportUp
-	s.holdTime = time.Duration(st.HoldTimeNS)
-	s.remoteID = st.RemoteID
 	for _, ae := range st.Advertised {
 		s.advertised[ae.Prefix] = ae.Attrs.Clone()
 	}
 	for _, p := range st.AdjIn {
 		s.adjIn[p] = true
 	}
-	var arms []sim.TimerArm
-	arm := func(ref *sim.TimerRef, set func(sim.Timer), fire func()) {
-		if ref == nil {
-			return
-		}
-		at := ref.Deadline()
-		arms = append(arms, sim.TimerArm{At: at, Seq: ref.Seq, Arm: func() {
-			set(s.cfg.Clock.AfterFunc(at.Sub(s.cfg.Clock.Now()), fire))
-		}})
-	}
-	// In OpenSent the hold timer is the OPEN guard with a plain reset
-	// callback; elsewhere it is the negotiated hold timer that also
-	// notifies the neighbor.
-	holdFire := s.holdExpire
-	if st.State == StateOpenSent {
-		holdFire = s.openGuardExpire
-	}
-	arm(st.Hold, func(t sim.Timer) { s.holdTimer = t }, holdFire)
-	arm(st.Keepalive, func(t sim.Timer) { s.keepaliveTimer = t }, s.keepaliveFire)
-	arm(st.Retry, func(t sim.Timer) { s.retryTimer = t }, s.startOpen)
-	return arms
+	return s.fsm.Restore(bgp.FSMState{
+		State:       st.State,
+		TransportUp: st.TransportUp,
+		RemoteID:    st.RemoteID,
+		HoldTime:    time.Duration(st.HoldTimeNS),
+		Hold:        st.Hold,
+		Keepalive:   st.Keepalive,
+		Retry:       st.Retry,
+	})
 }

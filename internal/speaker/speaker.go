@@ -14,12 +14,11 @@ package speaker
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 	"time"
 
+	"repro/internal/bgp"
 	"repro/internal/bgp/wire"
 	"repro/internal/idr"
-	"repro/internal/sim"
 )
 
 // RouteEvent is one piece of external routing information relayed to
@@ -32,68 +31,28 @@ type RouteEvent struct {
 
 // Config configures one speaker session.
 type Config struct {
-	// LocalASN and LocalID identify the border member AS the session
-	// speaks for (cluster transparency: members keep their identity).
-	LocalASN idr.ASN
-	LocalID  idr.RouterID
-	// RemoteASN is the expected legacy neighbor.
-	RemoteASN idr.ASN
+	// SessionConfig is the session machine's: LocalASN and LocalID
+	// identify the border member AS the session speaks for (cluster
+	// transparency: members keep their identity), RemoteASN is the
+	// expected legacy neighbor, HoldTime defaults to 90s, ConnectRetry
+	// and KeepaliveFraction are required, and Send transmits toward the
+	// neighbor (the controller wires it through PacketOut relays).
+	bgp.SessionConfig
 	// NextHop is advertised on announcements from this session.
 	NextHop netip.Addr
-	// HoldTime proposed in OPEN (default 90s).
-	HoldTime time.Duration
-	Clock    sim.Clock
-	// Send transmits one BGP wire frame toward the neighbor (the
-	// controller wires this through PacketOut relays).
-	Send func([]byte) error
-	// OnRoute receives learned/withdrawn external routes.
+	// OnRoute receives learned/withdrawn external routes (required).
 	OnRoute func(RouteEvent)
-	// OnState reports session up/down transitions.
+	// OnState reports session up/down transitions (required).
 	OnState func(established bool)
 }
 
-// State is the session state, reusing the BGP FSM shape.
-type State int
-
-// Session states.
-const (
-	StateIdle State = iota
-	StateOpenSent
-	StateOpenConfirm
-	StateEstablished
-)
-
-// String names the state.
-func (s State) String() string {
-	switch s {
-	case StateIdle:
-		return "Idle"
-	case StateOpenSent:
-		return "OpenSent"
-	case StateOpenConfirm:
-		return "OpenConfirm"
-	case StateEstablished:
-		return "Established"
-	default:
-		return fmt.Sprintf("State(%d)", int(s))
-	}
-}
-
 const defaultHoldTime = 90 * time.Second
-const connectRetry = 5 * time.Second
 
-// Session is one controller-driven eBGP session.
+// Session is one controller-driven eBGP session: the session machine
+// it shares with the legacy routers (bgp.FSM) plus the relay state.
 type Session struct {
-	cfg   Config
-	state State
-
-	transportUp bool
-	holdTime    time.Duration
-	remoteID    idr.RouterID
-
-	holdTimer      sim.Timer
-	keepaliveTimer sim.Timer
-	retryTimer     sim.Timer
+	cfg Config
+	fsm *bgp.FSM
 
 	// advertised tracks what the controller has announced on this
 	// session, so withdrawals and idempotent re-announcements work.
@@ -105,27 +64,27 @@ type Session struct {
 
 // New validates cfg and returns an Idle session.
 func New(cfg Config) (*Session, error) {
-	if cfg.LocalASN == 0 || cfg.RemoteASN == 0 {
-		return nil, fmt.Errorf("speaker: session needs local and remote ASNs")
-	}
-	if cfg.Clock == nil {
-		return nil, fmt.Errorf("speaker: session needs a clock")
-	}
-	if cfg.Send == nil {
-		return nil, fmt.Errorf("speaker: session needs a send function")
+	if cfg.OnRoute == nil || cfg.OnState == nil {
+		return nil, fmt.Errorf("speaker: session needs its route and state callbacks")
 	}
 	if cfg.HoldTime == 0 {
 		cfg.HoldTime = defaultHoldTime
 	}
-	return &Session{
+	s := &Session{
 		cfg:        cfg,
 		advertised: make(map[netip.Prefix]wire.PathAttrs),
 		adjIn:      make(map[netip.Prefix]bool),
-	}, nil
+	}
+	fsm, err := bgp.NewFSM(cfg.SessionConfig, (*owner)(s))
+	if err != nil {
+		return nil, fmt.Errorf("speaker: %w", err)
+	}
+	s.fsm = fsm
+	return s, nil
 }
 
 // State returns the session state.
-func (s *Session) State() State { return s.state }
+func (s *Session) State() bgp.State { return s.fsm.State() }
 
 // LocalASN returns the border member AS this session speaks for.
 func (s *Session) LocalASN() idr.ASN { return s.cfg.LocalASN }
@@ -134,170 +93,28 @@ func (s *Session) LocalASN() idr.ASN { return s.cfg.LocalASN }
 func (s *Session) RemoteASN() idr.ASN { return s.cfg.RemoteASN }
 
 // Advertised returns the prefixes currently announced, sorted.
-func (s *Session) Advertised() []netip.Prefix {
-	out := make([]netip.Prefix, 0, len(s.advertised))
-	for p := range s.advertised {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return idr.PrefixLess(out[i], out[j]) })
-	return out
-}
+func (s *Session) Advertised() []netip.Prefix { return idr.SortedPrefixes(s.advertised) }
 
 // TransportUp starts session establishment.
-func (s *Session) TransportUp() {
-	if s.transportUp {
-		return
-	}
-	s.transportUp = true
-	s.startOpen()
-}
+func (s *Session) TransportUp() { s.fsm.TransportUp() }
 
 // TransportDown resets the session until the transport returns.
-func (s *Session) TransportDown() {
-	if !s.transportUp {
-		return
-	}
-	s.transportUp = false
-	s.reset(false)
-}
-
-func (s *Session) startOpen() {
-	if !s.transportUp || s.state != StateIdle {
-		return
-	}
-	if err := s.sendOpen(); err != nil {
-		s.armRetry()
-		return
-	}
-	s.state = StateOpenSent
-	guard := 4 * time.Minute
-	if s.cfg.HoldTime > guard {
-		guard = s.cfg.HoldTime
-	}
-	s.stopTimer(&s.holdTimer)
-	s.holdTimer = s.cfg.Clock.AfterFunc(guard, s.openGuardExpire)
-}
-
-// openGuardExpire is the hold-timer callback while in OpenSent: the
-// RFC 4271 §8.2.2 large guard, which resets without notifying.
-func (s *Session) openGuardExpire() { s.reset(true) }
-
-func (s *Session) armRetry() {
-	s.stopTimer(&s.retryTimer)
-	s.retryTimer = s.cfg.Clock.AfterFunc(connectRetry, s.startOpen)
-}
-
-func (s *Session) stopTimer(t *sim.Timer) {
-	if *t != nil {
-		(*t).Stop()
-		*t = nil
-	}
-}
-
-func (s *Session) sendOpen() error {
-	msg := wire.Open{
-		AS:           s.cfg.LocalASN,
-		HoldTimeSecs: uint16(s.cfg.HoldTime / time.Second),
-		ID:           s.cfg.LocalID,
-	}
-	frame, err := wire.Marshal(msg)
-	if err != nil {
-		return err
-	}
-	return s.cfg.Send(frame)
-}
-
-func (s *Session) send(m wire.Message) error {
-	frame, err := wire.Marshal(m)
-	if err != nil {
-		return err
-	}
-	return s.cfg.Send(frame)
-}
+func (s *Session) TransportDown() { s.fsm.TransportDown() }
 
 // Deliver processes one BGP frame relayed from the border switch.
-func (s *Session) Deliver(frame []byte) {
-	if !s.transportUp {
-		return
-	}
-	msg, err := wire.Unmarshal(frame)
-	if err != nil {
-		if de, ok := err.(*wire.DecodeError); ok {
-			_ = s.send(wire.Notification{Code: de.Code, Subcode: de.Subcode})
-		}
-		s.reset(true)
-		return
-	}
-	switch m := msg.(type) {
-	case wire.Open:
-		s.handleOpen(m)
-	case wire.Keepalive:
-		s.handleKeepalive()
-	case wire.Update:
-		s.handleUpdate(m)
-	case wire.Notification:
-		s.reset(true)
-	}
-}
+func (s *Session) Deliver(frame []byte) { s.fsm.Deliver(frame) }
 
-func (s *Session) handleOpen(m wire.Open) {
-	if m.AS != s.cfg.RemoteASN {
-		_ = s.send(wire.Notification{Code: wire.NotifOpenMessageError, Subcode: 2})
-		s.reset(true)
-		return
-	}
-	switch s.state {
-	case StateIdle:
-		if err := s.sendOpen(); err != nil {
-			s.armRetry()
-			return
-		}
-	case StateOpenSent:
-	default:
-		_ = s.send(wire.Notification{Code: wire.NotifFSMError})
-		s.reset(true)
-		return
-	}
-	s.remoteID = m.ID
-	s.holdTime = s.cfg.HoldTime
-	if remote := time.Duration(m.HoldTimeSecs) * time.Second; remote < s.holdTime {
-		s.holdTime = remote
-	}
-	if err := s.send(wire.Keepalive{}); err != nil {
-		s.reset(true)
-		return
-	}
-	s.state = StateOpenConfirm
-	s.armHoldTimer()
-}
+// owner is a Session as its session machine sees it: the bgp.Owner
+// methods, kept off Session's exported API.
+type owner Session
 
-func (s *Session) handleKeepalive() {
-	switch s.state {
-	case StateOpenConfirm:
-		s.state = StateEstablished
-		s.armHoldTimer()
-		s.armKeepalive()
-		if s.cfg.OnState != nil {
-			s.cfg.OnState(true)
-		}
-	case StateEstablished:
-		s.armHoldTimer()
-	default:
-		_ = s.send(wire.Notification{Code: wire.NotifFSMError})
-		s.reset(true)
-	}
-}
+func (o *owner) Established()         { o.cfg.OnState(true) }
+func (o *owner) Update(m wire.Update) { (*Session)(o).handleUpdate(m) }
+func (o *owner) Reset(was bool)       { (*Session)(o).reset(was) }
+func (o *owner) Trace(bgp.TraceEvent) {} // nobody traces cluster sessions
 
+// handleUpdate relays one UPDATE's routes to the controller.
 func (s *Session) handleUpdate(m wire.Update) {
-	if s.state != StateEstablished {
-		_ = s.send(wire.Notification{Code: wire.NotifFSMError})
-		s.reset(true)
-		return
-	}
-	s.armHoldTimer()
-	if s.cfg.OnRoute == nil {
-		return
-	}
 	for _, p := range m.Withdrawn {
 		delete(s.adjIn, p)
 		s.cfg.OnRoute(RouteEvent{Prefix: p, Withdrawn: true})
@@ -315,49 +132,12 @@ func (s *Session) handleUpdate(m wire.Update) {
 	}
 }
 
-func (s *Session) armHoldTimer() {
-	if s.holdTime == 0 {
-		return
-	}
-	s.stopTimer(&s.holdTimer)
-	s.holdTimer = s.cfg.Clock.AfterFunc(s.holdTime, s.holdExpire)
-}
-
-// holdExpire is the negotiated hold-timer callback: notify the
-// neighbor, then reset.
-func (s *Session) holdExpire() {
-	_ = s.send(wire.Notification{Code: wire.NotifHoldTimerExpired})
-	s.reset(true)
-}
-
-func (s *Session) armKeepalive() {
-	if s.holdTime == 0 {
-		return
-	}
-	interval := s.holdTime / 3
-	if interval <= 0 {
-		interval = time.Second
-	}
-	s.stopTimer(&s.keepaliveTimer)
-	s.keepaliveTimer = s.cfg.Clock.AfterFunc(interval, s.keepaliveFire)
-}
-
-// keepaliveFire is the keepalive-timer callback: send one keepalive
-// and re-arm.
-func (s *Session) keepaliveFire() {
-	if s.state != StateEstablished {
-		return
-	}
-	_ = s.send(wire.Keepalive{})
-	s.armKeepalive()
-}
-
 // Announce advertises prefix with the controller-built attributes.
 // The speaker sets only NEXT_HOP; the AS path must already carry the
 // cluster-internal sequence. Re-announcing identical attributes is a
 // no-op.
 func (s *Session) Announce(prefix netip.Prefix, attrs wire.PathAttrs) error {
-	if s.state != StateEstablished {
+	if s.fsm.State() != bgp.StateEstablished {
 		return fmt.Errorf("speaker: session %v->%v not established", s.cfg.LocalASN, s.cfg.RemoteASN)
 	}
 	attrs = attrs.Clone()
@@ -366,7 +146,7 @@ func (s *Session) Announce(prefix netip.Prefix, attrs wire.PathAttrs) error {
 	if prev, ok := s.advertised[prefix]; ok && prev.Equal(attrs) {
 		return nil
 	}
-	if err := s.send(wire.Update{Attrs: attrs, NLRI: []netip.Prefix{prefix}}); err != nil {
+	if err := s.fsm.Send(wire.Update{Attrs: attrs, NLRI: []netip.Prefix{prefix}}); err != nil {
 		return err
 	}
 	s.advertised[prefix] = attrs
@@ -376,46 +156,30 @@ func (s *Session) Announce(prefix netip.Prefix, attrs wire.PathAttrs) error {
 // WithdrawPrefix retracts a previously announced prefix (no-op when it
 // was never advertised).
 func (s *Session) WithdrawPrefix(prefix netip.Prefix) error {
-	if s.state != StateEstablished {
+	if s.fsm.State() != bgp.StateEstablished {
 		return fmt.Errorf("speaker: session %v->%v not established", s.cfg.LocalASN, s.cfg.RemoteASN)
 	}
 	if _, ok := s.advertised[prefix]; !ok {
 		return nil
 	}
-	if err := s.send(wire.Update{Withdrawn: []netip.Prefix{prefix}}); err != nil {
+	if err := s.fsm.Send(wire.Update{Withdrawn: []netip.Prefix{prefix}}); err != nil {
 		return err
 	}
 	delete(s.advertised, prefix)
 	return nil
 }
 
-// reset tears the session down, emitting synthetic withdrawals to the
-// controller for everything learned on it.
-func (s *Session) reset(reconnect bool) {
-	wasEstablished := s.state == StateEstablished
-	s.state = StateIdle
-	s.stopTimer(&s.holdTimer)
-	s.stopTimer(&s.keepaliveTimer)
-	s.stopTimer(&s.retryTimer)
-	s.remoteID = idr.RouterID{}
+// reset forgets what was advertised on a torn-down session and emits
+// synthetic withdrawals to the controller for everything learned.
+func (s *Session) reset(wasEstablished bool) {
 	s.advertised = make(map[netip.Prefix]wire.PathAttrs)
-	learned := make([]netip.Prefix, 0, len(s.adjIn))
-	for p := range s.adjIn {
-		learned = append(learned, p)
-	}
-	sort.Slice(learned, func(i, j int) bool { return idr.PrefixLess(learned[i], learned[j]) })
+	learned := idr.SortedPrefixes(s.adjIn)
 	s.adjIn = make(map[netip.Prefix]bool)
-	if wasEstablished {
-		if s.cfg.OnRoute != nil {
-			for _, p := range learned {
-				s.cfg.OnRoute(RouteEvent{Prefix: p, Withdrawn: true})
-			}
-		}
-		if s.cfg.OnState != nil {
-			s.cfg.OnState(false)
-		}
+	if !wasEstablished {
+		return
 	}
-	if reconnect && s.transportUp {
-		s.armRetry()
+	for _, p := range learned {
+		s.cfg.OnRoute(RouteEvent{Prefix: p, Withdrawn: true})
 	}
+	s.cfg.OnState(false)
 }

@@ -18,9 +18,41 @@ type rig struct {
 	k      *sim.Kernel
 	sess   *Session
 	router *bgp.Router
+	peer   *bgp.Peer
 	link   *netem.Link
 	events []RouteEvent
 	states []bool
+	// mute names the side ("speaker" or "router") whose outbound frames
+	// are silently dropped — a hung process, not a broken link.
+	mute string
+	// notified records, per receiving side, each NOTIFICATION's code
+	// and whether both sessions were Idle once it was processed.
+	notified map[string][]notification
+}
+
+type notification struct {
+	code     uint8
+	bothIdle bool
+}
+
+// sendFrom wraps one side's transmit function with the mute switch.
+func (g *rig) sendFrom(side string, send func([]byte) error) func([]byte) error {
+	return func(b []byte) error {
+		if g.mute == side {
+			return nil
+		}
+		return send(b)
+	}
+}
+
+// noteNotification records a NOTIFICATION that side just processed.
+func (g *rig) noteNotification(side string, frame []byte) {
+	if m, err := wire.Unmarshal(frame); err == nil {
+		if n, ok := m.(wire.Notification); ok {
+			idle := g.sess.State() == bgp.StateIdle && g.peer.State() == bgp.StateIdle
+			g.notified[side] = append(g.notified[side], notification{n.Code, idle})
+		}
+	}
 }
 
 func newRig(t *testing.T) *rig {
@@ -41,7 +73,7 @@ func newRig(t *testing.T) *rig {
 	}
 	epSw, epR := link.Endpoints()
 
-	g := &rig{k: k, link: link}
+	g := &rig{k: k, link: link, notified: make(map[string][]notification)}
 
 	router, err := bgp.New(bgp.Config{
 		ASN:      2,
@@ -57,30 +89,37 @@ func newRig(t *testing.T) *rig {
 		Key:       "to-AS10",
 		RemoteASN: 10,
 		NextHop:   netip.MustParseAddr("100.64.0.2"),
-		Send:      epR.Send,
+		Send:      g.sendFrom("router", epR.Send),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rNode.OnMessage(func(from *netem.Endpoint, data []byte) {
 		router.Deliver("to-AS10", data)
+		g.noteNotification("router", data)
 	})
 
 	sess, err := New(Config{
-		LocalASN:  10,
-		LocalID:   idr.RouterIDFromAddr(netip.MustParseAddr("172.16.0.10")),
-		RemoteASN: 2,
-		NextHop:   netip.MustParseAddr("100.64.0.1"),
-		Clock:     k,
-		Send:      epSw.Send,
-		OnRoute:   func(ev RouteEvent) { g.events = append(g.events, ev) },
-		OnState:   func(up bool) { g.states = append(g.states, up) },
+		SessionConfig: bgp.SessionConfig{
+			LocalASN:  10,
+			LocalID:   idr.RouterIDFromAddr(netip.MustParseAddr("172.16.0.10")),
+			RemoteASN: 2,
+			// What core passes; also bgp.DefaultTimers, so both ends agree.
+			ConnectRetry:      5 * time.Second,
+			KeepaliveFraction: 3,
+			Clock:             k,
+			Send:              g.sendFrom("speaker", epSw.Send),
+		},
+		NextHop: netip.MustParseAddr("100.64.0.1"),
+		OnRoute: func(ev RouteEvent) { g.events = append(g.events, ev) },
+		OnState: func(up bool) { g.states = append(g.states, up) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	swNode.OnMessage(func(from *netem.Endpoint, data []byte) {
 		sess.Deliver(data)
+		g.noteNotification("speaker", data)
 	})
 	link.OnStateChange(func(up bool) {
 		if up {
@@ -91,8 +130,7 @@ func newRig(t *testing.T) *rig {
 			peer.TransportDown()
 		}
 	})
-	g.sess = sess
-	g.router = router
+	g.sess, g.router, g.peer = sess, router, peer
 	k.Go(func() {
 		sess.TransportUp()
 		peer.TransportUp()
@@ -105,7 +143,7 @@ func TestSessionEstablishes(t *testing.T) {
 	if err := g.k.RunFor(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if g.sess.State() != StateEstablished {
+	if g.sess.State() != bgp.StateEstablished {
 		t.Fatalf("speaker state = %v", g.sess.State())
 	}
 	if g.router.EstablishedCount() != 1 {
@@ -213,11 +251,7 @@ func TestAnnounceToLegacy(t *testing.T) {
 }
 
 func TestAnnounceRequiresEstablished(t *testing.T) {
-	k := sim.NewKernel(1)
-	sess, err := New(Config{
-		LocalASN: 10, RemoteASN: 2, Clock: k,
-		Send: func([]byte) error { return nil },
-	})
+	sess, err := New(validConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +288,7 @@ func TestResetEmitsSyntheticWithdrawals(t *testing.T) {
 	if err := g.k.RunFor(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if g.sess.State() != StateEstablished {
+	if g.sess.State() != bgp.StateEstablished {
 		t.Fatal("session should recover")
 	}
 	last := g.events[len(g.events)-1]
@@ -263,23 +297,39 @@ func TestResetEmitsSyntheticWithdrawals(t *testing.T) {
 	}
 }
 
+// validConfig is the least New accepts.
+func validConfig() Config {
+	return Config{
+		SessionConfig: bgp.SessionConfig{
+			LocalASN: 10, RemoteASN: 2,
+			ConnectRetry: 5 * time.Second, KeepaliveFraction: 3,
+			Clock: sim.NewKernel(1),
+			Send:  func([]byte) error { return nil },
+		},
+		OnRoute: func(RouteEvent) {},
+		OnState: func(bool) {},
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
-	k := sim.NewKernel(1)
-	send := func([]byte) error { return nil }
-	if _, err := New(Config{RemoteASN: 2, Clock: k, Send: send}); err == nil {
-		t.Fatal("missing local ASN should error")
+	if _, err := New(validConfig()); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := New(Config{LocalASN: 1, Clock: k, Send: send}); err == nil {
-		t.Fatal("missing remote ASN should error")
-	}
-	if _, err := New(Config{LocalASN: 1, RemoteASN: 2, Send: send}); err == nil {
-		t.Fatal("missing clock should error")
-	}
-	if _, err := New(Config{LocalASN: 1, RemoteASN: 2, Clock: k}); err == nil {
-		t.Fatal("missing send should error")
-	}
-	if StateIdle.String() != "Idle" || State(9).String() == "" {
-		t.Fatal("State.String wrong")
+	for name, mutate := range map[string]func(*Config){
+		"local ASN":          func(c *Config) { c.LocalASN = 0 },
+		"remote ASN":         func(c *Config) { c.RemoteASN = 0 },
+		"clock":              func(c *Config) { c.Clock = nil },
+		"send":               func(c *Config) { c.Send = nil },
+		"connect-retry":      func(c *Config) { c.ConnectRetry = 0 },
+		"keepalive fraction": func(c *Config) { c.KeepaliveFraction = 0 },
+		"route callback":     func(c *Config) { c.OnRoute = nil },
+		"state callback":     func(c *Config) { c.OnState = nil },
+	} {
+		cfg := validConfig()
+		mutate(&cfg)
+		if _, err := New(cfg); err == nil {
+			t.Errorf("missing %s should error", name)
+		}
 	}
 }
 
@@ -301,7 +351,7 @@ func TestWrongRemoteASNRejected(t *testing.T) {
 	if err := g.k.RunFor(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if g.sess.State() == StateEstablished {
+	if g.sess.State() == bgp.StateEstablished {
 		t.Fatal("spoofed OPEN should reset the session")
 	}
 }
