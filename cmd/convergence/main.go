@@ -140,23 +140,25 @@ func main() {
 		return
 	}
 
-	opts := figures.Options{
-		BaseSeed:    *seed,
-		Runs:        *runs,
-		Parallelism: *parallel,
-	}
-	if set["mrai"] {
-		opts.MRAI = *mrai
-	}
-	if set["debounce"] {
-		db := *debounce
-		if db == 0 {
-			// A zero-length window is no debounce at all; the config
-			// convention reserves 0 for "default", so map an explicit
-			// -debounce 0 to disabled.
-			db = -1
+	// The set flags map onto the same string overrides a labd preset
+	// submission carries, and resolve through the same function.
+	dur := func(name string, d time.Duration) string {
+		if !set[name] {
+			return ""
 		}
-		opts.Debounce = &db
+		return d.String()
+	}
+	ov := figures.Overrides{
+		Placement: *placement,
+		Policy:    *policyName,
+		Workload:  *workload,
+		Runs:      *runs,
+		Seed:      *seed,
+		MRAI:      dur("mrai", *mrai),
+		Debounce:  dur("debounce", *debounce),
+		Loss:      *loss,
+		Delay:     dur("delay", *delay),
+		Jitter:    dur("jitter", *jitter),
 	}
 	if set["topology"] {
 		// Accept both -topology "grid 4 4" and -topology grid 4 4 (the
@@ -172,34 +174,9 @@ func main() {
 		if len(rest) > 0 {
 			fatal(fmt.Errorf("arguments after the topology spec are not parsed as flags: %q — quote the spec (-topology %q) or put -topology last", rest, strings.Join(fields, " ")))
 		}
-		spec, err := lab.ParseTopo(fields)
-		if err != nil {
-			fatal(err)
-		}
-		opts.Topo = &spec
+		ov.Topology = strings.Join(fields, " ")
 	} else if flag.NArg() > 0 {
 		fatal(fmt.Errorf("unexpected arguments %q", flag.Args()))
-	}
-	if set["placement"] {
-		p, err := lab.ParsePlacementString(*placement)
-		if err != nil {
-			fatal(err)
-		}
-		opts.Placement = &p
-	}
-	if set["policy"] {
-		p, err := lab.ParsePolicy(*policyName)
-		if err != nil {
-			fatal(err)
-		}
-		opts.Policy = p
-	}
-	if set["workload"] {
-		w, err := lab.ParseWorkload(*workload)
-		if err != nil {
-			fatal(err)
-		}
-		opts.Workload = w
 	}
 	if set["sdn-counts"] {
 		for _, tok := range strings.Split(*sdnCounts, ",") {
@@ -211,39 +188,23 @@ func main() {
 			if err != nil {
 				fatal(fmt.Errorf("bad -sdn-counts entry %q", tok))
 			}
-			opts.SDNCounts = append(opts.SDNCounts, k)
+			ov.SDNCounts = append(ov.SDNCounts, k)
 		}
-		if len(opts.SDNCounts) == 0 {
+		if len(ov.SDNCounts) == 0 {
 			fatal(fmt.Errorf("-sdn-counts lists no cluster sizes"))
 		}
 	}
-	if *progress {
-		opts.Progress = func(done, total int) {
-			fmt.Fprintf(os.Stderr, "progress: %d/%d runs\n", done, total)
-		}
-	}
-
-	spec, ok := figures.Lookup(*exp)
-	if !ok {
-		fatal(fmt.Errorf("unknown experiment %q (see -list)", *exp))
-	}
-	sweep, err := spec.Build(opts)
+	sweep, err := figures.Resolve(*exp, ov)
 	if err != nil {
 		fatal(err)
 	}
-	// The chaos overlays mutate the built sweep: they are emulation-
-	// layer knobs that apply uniformly to every registry entry.
-	if set["loss"] {
-		if sweep.Axis.Kind == lab.AxisLoss {
-			fatal(fmt.Errorf("-loss does not apply to %s: the experiment sweeps the loss rate itself", *exp))
+
+	// Execution knobs: none of them reaches the canonical spec.
+	sweep.Parallelism = *parallel
+	if *progress {
+		sweep.Progress = func(done, total int) {
+			fmt.Fprintf(os.Stderr, "progress: %d/%d runs\n", done, total)
 		}
-		sweep.Base.LinkLoss = *loss
-	}
-	if set["delay"] {
-		sweep.Base.LinkDelay = *delay
-	}
-	if set["jitter"] {
-		sweep.Base.LinkJitter = *jitter
 	}
 	if set["wall-limit"] {
 		sweep.Base.WallLimit = *wallLimit
@@ -251,7 +212,6 @@ func main() {
 	if *tolerate {
 		sweep.Tolerate = true
 		sweep.Retries = *retries
-		sweep.RetryBackoff = 100 * time.Millisecond
 	} else if set["retries"] {
 		fatal(fmt.Errorf("-retries only applies with -tolerate (a non-tolerant sweep aborts on the first failure)"))
 	}

@@ -68,12 +68,9 @@ type Timers struct {
 	// path exploration). Like Quagga's advertisement-interval — the
 	// BGP implementation the paper's framework runs — it paces the
 	// peer's whole update emission: announcements and withdrawals
-	// leave in one batch per interval. Set WithdrawalsImmediate for
-	// the strict RFC 4271 reading that exempts explicit withdrawals.
+	// leave in one batch per interval (the strict RFC 4271 reading
+	// would exempt explicit withdrawals).
 	MRAI time.Duration
-	// WithdrawalsImmediate sends explicit withdrawals outside the
-	// MRAI batch (not Quagga's behaviour; kept for ablations).
-	WithdrawalsImmediate bool
 	// MRAIJitter, when true (the default via DefaultTimers), samples
 	// each interval uniformly from [0.75, 1.0) * MRAI as RFC 4271
 	// §9.2.2.3 recommends; this is what spreads convergence times

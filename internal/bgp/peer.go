@@ -184,16 +184,12 @@ func (p *Peer) scheduleRoute(prefix netip.Prefix, best *rib.Route, ok bool, lear
 	delete(p.pendingAnnounce, prefix)
 	if _, had := r.adjOut.Get(p.cfg.Key, prefix); had {
 		p.pendingWithdraw[prefix] = true
-		if r.cfg.Timers.WithdrawalsImmediate {
-			p.flushWithdrawals()
-		} else {
-			p.scheduleFlush()
-		}
+		p.scheduleFlush()
 	}
 }
 
-// flushWithdrawals sends all pending withdrawals immediately
-// (withdrawals are not MRAI-limited).
+// flushWithdrawals sends all pending withdrawals as one UPDATE (the
+// head of the MRAI batch).
 func (p *Peer) flushWithdrawals() {
 	if p.fsm.state != StateEstablished || len(p.pendingWithdraw) == 0 {
 		return
@@ -246,8 +242,7 @@ func (p *Peer) scheduleFlush() {
 }
 
 // flushAnnouncements sends the pending update batch: first the
-// withdrawals (unless already flushed immediately), then the
-// announcements grouped by identical attributes.
+// withdrawals, then the announcements grouped by identical attributes.
 func (p *Peer) flushAnnouncements() {
 	if p.fsm.state != StateEstablished {
 		return

@@ -3,7 +3,6 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"net/netip"
 
 	"repro/internal/idr"
@@ -317,24 +316,4 @@ func unmarshalASPath(b []byte) (ASPath, error) {
 		b = b[2+4*n:]
 	}
 	return path, nil
-}
-
-// ReadMessage reads exactly one BGP message from a byte stream (for
-// the wall-clock TCP mode). It returns the raw frame including the
-// header; pass it to Unmarshal.
-func ReadMessage(r io.Reader) ([]byte, error) {
-	hdr := make([]byte, HeaderLen)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, err
-	}
-	length := int(binary.BigEndian.Uint16(hdr[MarkerLen:]))
-	if length < HeaderLen || length > MaxMsgLen {
-		return nil, decodeErr(NotifMessageHeaderError, 2, "bad length %d in stream", length)
-	}
-	frame := make([]byte, length)
-	copy(frame, hdr)
-	if _, err := io.ReadFull(r, frame[HeaderLen:]); err != nil {
-		return nil, err
-	}
-	return frame, nil
 }

@@ -285,38 +285,6 @@ func TestMarshalRejectsIPv6(t *testing.T) {
 	}
 }
 
-func TestReadMessageStream(t *testing.T) {
-	var stream bytes.Buffer
-	msgs := []Message{
-		Keepalive{},
-		Open{AS: 5, HoldTimeSecs: 9, ID: idr.RouterIDFromAddr(netip.MustParseAddr("1.2.3.4"))},
-		Notification{Code: NotifCease, Subcode: 0},
-	}
-	for _, m := range msgs {
-		b, err := Marshal(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stream.Write(b)
-	}
-	for i, want := range msgs {
-		frame, err := ReadMessage(&stream)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		got, err := Unmarshal(frame)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if got.Type() != want.Type() {
-			t.Fatalf("frame %d type = %v, want %v", i, got.Type(), want.Type())
-		}
-	}
-	if _, err := ReadMessage(&stream); err == nil {
-		t.Fatal("EOF expected")
-	}
-}
-
 func randPrefix(rng *rand.Rand) netip.Prefix {
 	bits := rng.Intn(33)
 	var b4 [4]byte

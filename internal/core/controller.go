@@ -67,8 +67,10 @@ type Config struct {
 	// DefaultDebounce). Zero selects the default; negative disables
 	// debouncing entirely (recompute immediately — the ablation case).
 	Debounce time.Duration
-	// HoldTime proposed on external sessions (default speaker's 90s).
-	HoldTime time.Duration
+	// Timers are the protocol timers of the legacy routers; external
+	// sessions take their hold time, connect-retry and keepalive
+	// fraction from them (zero fields select bgp.DefaultTimers' values).
+	Timers bgp.Timers
 	// OnRecompute, when set, observes every recomputation batch.
 	OnRecompute func(dirty int)
 }
@@ -120,6 +122,7 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.Debounce == 0 {
 		cfg.Debounce = DefaultDebounce
 	}
+	cfg.Timers = cfg.Timers.Resolved()
 	return &Controller{
 		cfg:       cfg,
 		members:   make(map[idr.ASN]*member),
@@ -297,15 +300,12 @@ func (c *Controller) AddExternalPeering(borderASN idr.ASN, port uint32, remoteAS
 	es := &extSession{key: key, remote: remoteASN}
 	sess, err := speaker.New(speaker.Config{
 		SessionConfig: bgp.SessionConfig{
-			LocalASN:  borderASN,
-			LocalID:   localID,
-			RemoteASN: remoteASN,
-			HoldTime:  c.cfg.HoldTime,
-			// The framework defaults (bgp.DefaultTimers), whatever the
-			// legacy routers' Timers say: whether cluster sessions should
-			// follow the trial's values is open (ROADMAP item 2).
-			ConnectRetry:      5 * time.Second,
-			KeepaliveFraction: 3,
+			LocalASN:          borderASN,
+			LocalID:           localID,
+			RemoteASN:         remoteASN,
+			HoldTime:          c.cfg.Timers.HoldTime,
+			ConnectRetry:      c.cfg.Timers.ConnectRetry,
+			KeepaliveFraction: c.cfg.Timers.KeepaliveFraction,
 			Clock:             c.cfg.Clock,
 			Send: func(bgpFrame []byte) error {
 				return c.sendPacketOut(m, port, bgpFrame)

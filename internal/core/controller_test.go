@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bgp"
 	"repro/internal/bgp/wire"
+	"repro/internal/frames"
 	"repro/internal/idr"
 	"repro/internal/sdn/ofp"
 	"repro/internal/sim"
@@ -477,5 +479,116 @@ func TestConfigAndWiringValidation(t *testing.T) {
 	}
 	if (SessKey{Border: 1, Port: 2}).String() == "" {
 		t.Fatal("SessKey.String empty")
+	}
+}
+
+// TestExternalSessionFollowsConfiguredTimers pins that the cluster's
+// external sessions run on Config.Timers, like the legacy routers they
+// peer with: a border session and a bgp.Router share one kernel, the
+// router's side of the session drops with a NOTIFICATION, and the
+// controller re-OPENs after the configured connect-retry — not after
+// the 5s default the call site used to pass as a constant.
+func TestExternalSessionFollowsConfiguredTimers(t *testing.T) {
+	const retry = 11 * time.Second
+	k := sim.NewKernel(1)
+	c, err := New(Config{Clock: k, Debounce: -1, Timers: bgp.Timers{ConnectRetry: retry}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	router, err := bgp.New(bgp.Config{
+		ASN:      2,
+		RouterID: idr.RouterIDFromAddr(netip.MustParseAddr("172.16.0.2")),
+		Clock:    k,
+		Rand:     k.Rand(),
+		Timers:   bgp.Timers{ConnectRetry: retry},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The member switch, reduced to its relay role: PacketOut payloads
+	// go to the router, the router's frames come back as PacketIn.
+	var opens []time.Duration
+	toRouter := func(frame []byte) error {
+		msg, _, err := ofp.Unmarshal(frame)
+		if err != nil {
+			return err
+		}
+		po, ok := msg.(ofp.PacketOut)
+		if !ok {
+			return nil
+		}
+		_, bgpFrame, err := frames.Decode(po.Data)
+		if err != nil {
+			return err
+		}
+		if m, err := wire.Unmarshal(bgpFrame); err == nil && m.Type() == wire.MsgOpen {
+			opens = append(opens, k.Now().Sub(sim.Epoch))
+		}
+		k.Go(func() { router.Deliver("to-AS11", bgpFrame) })
+		return nil
+	}
+	toController := func(bgpFrame []byte) error {
+		pin, err := ofp.Marshal(ofp.PacketIn{InPort: 2, Data: bgpFrame}, 1)
+		if err != nil {
+			return err
+		}
+		k.Go(func() {
+			if err := c.HandleControl(11, pin); err != nil {
+				t.Error(err)
+			}
+		})
+		return nil
+	}
+	if err := c.AddMember(11, toRouter); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RegisterPort(11, 2, 2, false); err != nil {
+		t.Fatal(err)
+	}
+	localID := idr.RouterIDFromAddr(netip.MustParseAddr("172.16.0.11"))
+	if err := c.AddExternalPeering(11, 2, 2, localID, netip.MustParseAddr("100.64.0.1")); err != nil {
+		t.Fatal(err)
+	}
+	peer, err := router.AddPeer(bgp.PeerConfig{
+		Key: "to-AS11", RemoteASN: 11, NextHop: netip.MustParseAddr("100.64.0.2"), Send: toController,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := c.sessions[SessKey{Border: 11, Port: 2}].sess
+
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	peer.TransportUp()
+	if err := k.RunFor(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if sess.State() != bgp.StateEstablished || peer.State() != bgp.StateEstablished {
+		t.Fatalf("setup: speaker %v, router %v", sess.State(), peer.State())
+	}
+
+	// The router's transport bounces: its Cease takes the speaker down,
+	// which must wait out the configured connect-retry before its OPEN.
+	resetAt := k.Now().Sub(sim.Epoch)
+	opens = nil
+	cease, err := wire.Marshal(wire.Notification{Code: wire.NotifCease})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := toController(cease); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.RunFor(retry - time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if len(opens) != 0 {
+		t.Fatalf("speaker re-OPENed %v after the reset, before the configured %v connect-retry", opens[0]-resetAt, retry)
+	}
+	if err := k.RunFor(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if len(opens) == 0 || opens[0]-resetAt != retry {
+		t.Fatalf("speaker OPENs after the reset at %v, want exactly one connect-retry (%v) later", opens, retry)
 	}
 }

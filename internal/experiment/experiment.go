@@ -73,8 +73,6 @@ type Config struct {
 	// (probe) sends across every inter-AS topology link, uniform in
 	// [0, LinkJitter]. See netem.LinkConfig.Jitter.
 	LinkJitter time.Duration
-	// ControlDelay is the switch-controller channel delay (default 1ms).
-	ControlDelay time.Duration
 	// ProcessingDelay is each router's per-UPDATE processing cost
 	// (see bgp.Config.ProcessingDelay). Zero disables the model.
 	ProcessingDelay time.Duration
@@ -173,6 +171,10 @@ const ControllerNodeName = "controller"
 // CollectorNodeName is the netem node hosting the route collector.
 const CollectorNodeName = "collector"
 
+// controlDelay is the delay of the control channels (switch to
+// controller, router to collector).
+const controlDelay = time.Millisecond
+
 // New builds the experiment network. Nothing runs until Start.
 func New(cfg Config) (*Experiment, error) {
 	if cfg.Graph == nil || cfg.Graph.NumNodes() == 0 {
@@ -183,9 +185,6 @@ func New(cfg Config) (*Experiment, error) {
 	}
 	if cfg.Policy == nil {
 		cfg.Policy = policy.PermitAll{}
-	}
-	if cfg.ControlDelay == 0 {
-		cfg.ControlDelay = time.Millisecond
 	}
 	if cfg.LinkLoss < 0 || cfg.LinkLoss > 1 {
 		return nil, fmt.Errorf("experiment: link loss %v outside [0, 1]", cfg.LinkLoss)
@@ -279,7 +278,7 @@ func (e *Experiment) buildNodes() error {
 		e.Ctrl, err = core.New(core.Config{
 			Clock:       e.K,
 			Debounce:    e.cfg.Debounce,
-			HoldTime:    e.cfg.Timers.HoldTime,
+			Timers:      e.cfg.Timers,
 			OnRecompute: func(int) { e.Detector.Touch() },
 		})
 		if err != nil {
@@ -373,7 +372,7 @@ func (e *Experiment) routerNodeHandler(asn idr.ASN) func(from *netem.Endpoint, d
 
 func (e *Experiment) buildSwitch(asn idr.ASN, node, ctrlNode *netem.Node) error {
 	// Control channel: a dedicated link to the controller node.
-	link, err := e.Net.Connect(node, ctrlNode, netem.LinkConfig{Delay: e.cfg.ControlDelay})
+	link, err := e.Net.Connect(node, ctrlNode, netem.LinkConfig{Delay: controlDelay})
 	if err != nil {
 		return err
 	}

@@ -225,7 +225,7 @@ func (e *Experiment) buildCollector() error {
 			continue // cluster members do not run BGP themselves
 		}
 		node, _ := e.Net.Node(asn.String())
-		link, err := e.Net.Connect(node, collNode, netem.LinkConfig{Delay: e.cfg.ControlDelay})
+		link, err := e.Net.Connect(node, collNode, netem.LinkConfig{Delay: controlDelay})
 		if err != nil {
 			return err
 		}

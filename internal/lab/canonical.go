@@ -45,16 +45,19 @@ type canonicalDamping struct {
 // field that reaches the engine, with the documented defaults applied
 // so that spelling a default out loud addresses the same content.
 type canonicalTrial struct {
-	Topo                 string            `json:"topo"`
-	Placement            string            `json:"placement"`
-	Policy               string            `json:"policy"`
-	Event                string            `json:"event"`
-	Workload             []canonicalEvent  `json:"workload,omitempty"`
-	DrainNS              int64             `json:"drain_ns"`
-	HoldTimeNS           int64             `json:"hold_time_ns"`
-	KeepaliveFraction    int               `json:"keepalive_fraction"`
-	ConnectRetryNS       int64             `json:"connect_retry_ns"`
-	MRAINS               int64             `json:"mrai_ns"`
+	Topo              string           `json:"topo"`
+	Placement         string           `json:"placement"`
+	Policy            string           `json:"policy"`
+	Event             string           `json:"event"`
+	Workload          []canonicalEvent `json:"workload,omitempty"`
+	DrainNS           int64            `json:"drain_ns"`
+	HoldTimeNS        int64            `json:"hold_time_ns"`
+	KeepaliveFraction int              `json:"keepalive_fraction"`
+	ConnectRetryNS    int64            `json:"connect_retry_ns"`
+	MRAINS            int64            `json:"mrai_ns"`
+	// WithdrawalsImmediate mirrors a timer knob that is gone (explicit
+	// withdrawals always ride the MRAI batch); it stays to emit the
+	// constant false, so no address moves.
 	WithdrawalsImmediate bool              `json:"withdrawals_immediate"`
 	MRAIJitter           bool              `json:"mrai_jitter"`
 	DebounceNS           int64             `json:"debounce_ns"`
@@ -113,28 +116,27 @@ func (t Trial) canonical() canonicalTrial {
 		event = ""
 	}
 	c := canonicalTrial{
-		Topo:                 t.Topo.String(),
-		Placement:            t.Placement.String(),
-		Policy:               t.Policy.String(),
-		Event:                event,
-		DrainNS:              int64(t.Drain),
-		HoldTimeNS:           int64(t.Timers.HoldTime),
-		KeepaliveFraction:    t.Timers.KeepaliveFraction,
-		ConnectRetryNS:       int64(t.Timers.ConnectRetry),
-		MRAINS:               int64(t.Timers.MRAI),
-		WithdrawalsImmediate: t.Timers.WithdrawalsImmediate,
-		MRAIJitter:           t.Timers.MRAIJitter,
-		DebounceNS:           int64(t.Debounce),
-		SettleNS:             int64(t.Settle),
-		ProcessingDelayNS:    int64(t.ProcessingDelay),
-		LinkDelayNS:          int64(t.LinkDelay),
-		LinkJitterNS:         int64(t.LinkJitter),
-		LinkLoss:             t.LinkLoss,
-		FlapCycles:           t.FlapCycles,
-		FlapPeriodNS:         int64(t.FlapPeriod),
-		OriginOnly:           t.OriginOnly,
-		TimeoutNS:            int64(t.Timeout),
-		EstablishTimeoutNS:   int64(t.EstablishTimeout),
+		Topo:               t.Topo.String(),
+		Placement:          t.Placement.String(),
+		Policy:             t.Policy.String(),
+		Event:              event,
+		DrainNS:            int64(t.Drain),
+		HoldTimeNS:         int64(t.Timers.HoldTime),
+		KeepaliveFraction:  t.Timers.KeepaliveFraction,
+		ConnectRetryNS:     int64(t.Timers.ConnectRetry),
+		MRAINS:             int64(t.Timers.MRAI),
+		MRAIJitter:         t.Timers.MRAIJitter,
+		DebounceNS:         int64(t.Debounce),
+		SettleNS:           int64(t.Settle),
+		ProcessingDelayNS:  int64(t.ProcessingDelay),
+		LinkDelayNS:        int64(t.LinkDelay),
+		LinkJitterNS:       int64(t.LinkJitter),
+		LinkLoss:           t.LinkLoss,
+		FlapCycles:         t.FlapCycles,
+		FlapPeriodNS:       int64(t.FlapPeriod),
+		OriginOnly:         t.OriginOnly,
+		TimeoutNS:          int64(t.Timeout),
+		EstablishTimeoutNS: int64(t.EstablishTimeout),
 	}
 	for _, ev := range t.Workload {
 		c.Workload = append(c.Workload, canonicalEvent{

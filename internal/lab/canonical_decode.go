@@ -69,12 +69,11 @@ func trialFromCanonical(c canonicalTrial) (Trial, error) {
 	}
 	t.Drain = time.Duration(c.DrainNS)
 	t.Timers = bgp.Timers{
-		HoldTime:             time.Duration(c.HoldTimeNS),
-		KeepaliveFraction:    c.KeepaliveFraction,
-		ConnectRetry:         time.Duration(c.ConnectRetryNS),
-		MRAI:                 time.Duration(c.MRAINS),
-		WithdrawalsImmediate: c.WithdrawalsImmediate,
-		MRAIJitter:           c.MRAIJitter,
+		HoldTime:          time.Duration(c.HoldTimeNS),
+		KeepaliveFraction: c.KeepaliveFraction,
+		ConnectRetry:      time.Duration(c.ConnectRetryNS),
+		MRAI:              time.Duration(c.MRAINS),
+		MRAIJitter:        c.MRAIJitter,
 	}
 	t.Debounce = time.Duration(c.DebounceNS)
 	t.Settle = time.Duration(c.SettleNS)

@@ -162,6 +162,9 @@ func TestParseCanonicalRejects(t *testing.T) {
 		"zero runs":      strings.Replace(string(data), `"runs":2`, `"runs":0`, 1),
 		"no event":       strings.Replace(string(data), `"event":"announcement"`, `"event":""`, 1),
 		"bad seedpolicy": strings.Replace(string(data), `"seed_policy":"run"`, `"seed_policy":"dice"`, 1),
+		// The knob behind this field is gone: it re-encodes as false, so
+		// the round-trip gate refuses true by itself.
+		"withdrawals immediate": strings.Replace(string(data), `"withdrawals_immediate":false`, `"withdrawals_immediate":true`, 1),
 		// Whitespace is a different byte spelling of the same spec: it
 		// must be rejected, or one sweep would get two store addresses.
 		"non-canonical whitespace": strings.Replace(string(data), `"runs":2`, `"runs": 2`, 1),

@@ -77,7 +77,7 @@ func TestCanonicalIgnoresExecutionKnobs(t *testing.T) {
 		{"default timeout spelled out", func(s *Sweep) { s.Base.Timeout = 2 * time.Hour }},
 		{"wall limit", func(s *Sweep) { s.Base.WallLimit = time.Minute }},
 		{"tolerate", func(s *Sweep) { s.Tolerate = true }},
-		{"retries", func(s *Sweep) { s.Retries = 2; s.RetryBackoff = time.Second }},
+		{"retries", func(s *Sweep) { s.Retries = 2 }},
 		{"inject seam", func(s *Sweep) { s.Inject = func(int, int) error { return nil } }},
 	}
 	for _, tc := range same {
@@ -103,7 +103,6 @@ func TestCanonicalIgnoresExecutionKnobs(t *testing.T) {
 		{"workload", func(s *Sweep) { s.Base.Workload = Workload{{Kind: KindWithdrawal}} }},
 		{"mrai", func(s *Sweep) { s.Base.Timers = bgp.DefaultTimers(); s.Base.Timers.MRAI = 5 * time.Second }},
 		{"mrai jitter", func(s *Sweep) { s.Base.Timers = bgp.DefaultTimers(); s.Base.Timers.MRAIJitter = false }},
-		{"withdrawals immediate", func(s *Sweep) { s.Base.Timers = bgp.DefaultTimers(); s.Base.Timers.WithdrawalsImmediate = true }},
 		{"debounce", func(s *Sweep) { s.Base.Debounce = -1 }},
 		{"damping", func(s *Sweep) { s.Base.Damping = &bgp.DampingConfig{} }},
 		{"origin-only", func(s *Sweep) { s.Base.OriginOnly = true }},

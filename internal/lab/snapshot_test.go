@@ -1,6 +1,7 @@
 package lab
 
 import (
+	"encoding/json"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -275,5 +276,73 @@ func TestSweepSnapshotsForkSharing(t *testing.T) {
 	}
 	if cache.Hits() != 6 {
 		t.Fatalf("fork sharing hit %d warm-ups, want 6 (2 of 3 runs per cell)", cache.Hits())
+	}
+}
+
+// TestWarmupKeyCoversCanonicalTrial is the warm-up key's completeness
+// contract: the key embeds the canonical trial, so every canonical
+// field is either carried verbatim — changing it moves
+// WarmupKeyHash() and splits the warm-up — or is one of the five
+// post-fork fields the key blanks. A field added to canonicalTrial is
+// carried until someone blanks it, so it can cost sharing but never
+// share a stale warm-up.
+func TestWarmupKeyCoversCanonicalTrial(t *testing.T) {
+	postFork := map[string]bool{"Event": true, "Workload": true, "DrainNS": true, "FlapCycles": true, "FlapPeriodNS": true}
+	// Every canonical field non-zero, so that carried and blanked differ.
+	trials := []Trial{{
+		Topo:             TopoSpec{Kind: "clique", N: 5},
+		Placement:        Placement{Strategy: PlaceLast, K: 2},
+		Policy:           PolicySpec{Kind: PolicyGaoRexford},
+		Event:            Flap,
+		Drain:            time.Minute,
+		Timers:           snapTimers(true),
+		Debounce:         100 * time.Millisecond,
+		Settle:           time.Second,
+		ProcessingDelay:  25 * time.Millisecond,
+		LinkDelay:        time.Millisecond,
+		LinkJitter:       time.Millisecond,
+		LinkLoss:         0.01,
+		Damping:          &bgp.DampingConfig{},
+		OriginOnly:       true,
+		Timeout:          time.Hour,
+		EstablishTimeout: time.Minute,
+	}}
+	withSchedule := trials[0]
+	withSchedule.Workload = Workload{{Kind: KindWithdrawal}, {At: time.Minute, Kind: KindAnnouncement}}
+	trials = append(trials, withSchedule)
+
+	seen := map[string]bool{}
+	for _, tr := range trials {
+		raw, err := tr.WarmupKey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var key warmupKey
+		if err := json.Unmarshal(raw, &key); err != nil {
+			t.Fatal(err)
+		}
+		got, want := reflect.ValueOf(key.Trial), reflect.ValueOf(tr.canonical())
+		for i := 0; i < want.NumField(); i++ {
+			name := want.Type().Field(i).Name
+			if want.Field(i).IsZero() {
+				continue
+			}
+			seen[name] = true
+			switch {
+			case postFork[name] && !got.Field(i).IsZero():
+				t.Errorf("post-fork field %s reached the warm-up key: %v", name, got.Field(i))
+			case !postFork[name] && !reflect.DeepEqual(got.Field(i).Interface(), want.Field(i).Interface()):
+				t.Errorf("canonical field %s is not carried into the warm-up key: %v, want %v", name, got.Field(i), want.Field(i))
+			}
+		}
+	}
+	typ := reflect.TypeOf(canonicalTrial{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		// "withdrawals_immediate" is the constant false of a knob that
+		// is gone: no trial can set it.
+		if !seen[f.Name] && f.Tag.Get("json") != "withdrawals_immediate" {
+			t.Errorf("canonical field %s was zero in every test trial; give it a value so the check covers it", f.Name)
+		}
 	}
 }

@@ -7,53 +7,29 @@ import (
 	"sync"
 )
 
-// The warm-up snapshot key: a stable, fully-resolved byte encoding of
-// every trial field that shapes the warmed-up converged state — the
-// prefix of the canonical trial that Sweep.Run snapshots and restores.
-// Two trials with equal WarmupKey() bytes reach byte-identical
-// converged state, so they may share one cached snapshot; everything
-// after the fork point (the measurement schedule, drain, flap shape)
-// is deliberately excluded so different measurements reuse the same
-// warm-up.
-//
-// Like canonical.go, the encoding is JSON over an explicit mirror
-// struct with documented defaults resolved, durations as integer
-// nanoseconds. The snapshotkey lint contract (internal/lint) enforces
-// that every Trial field is either read here or listed in the
-// exclusion table with the reason it cannot change the warm-up.
+// The warm-up snapshot key: the canonical trial (canonical.go) with
+// everything after the fork point blanked, plus the few inputs the
+// sweep derives per run instead of serializing. Two trials with equal
+// WarmupKey() bytes reach byte-identical converged state, so they may
+// share one cached snapshot; blanking the measurement schedule, drain
+// and flap shape is what lets different measurements reuse the same
+// warm-up. Coverage is by construction: a new canonical field splits
+// warm-ups until someone blanks it here with a reason.
 
 // warmupKeyVersion bumps when warm-up semantics change in a way the
 // key fields cannot express (every cached snapshot is then stale). It
 // is independent of experiment.SnapshotVersion, which versions the
 // snapshot *encoding*; this versions what the warm-up *means*.
-const warmupKeyVersion = 1
+// Version 2: the key became a projection of the canonical trial.
+const warmupKeyVersion = 2
 
 // warmupKey is the canonical warm-up prefix of a trial. Field order is
 // the encoding order; renaming or reordering is a deliberate cache
 // invalidation.
 type warmupKey struct {
-	Version   int    `json:"version"`
-	Topo      string `json:"topo"`
-	TopoSeed  int64  `json:"topo_seed"`
-	Placement string `json:"placement"`
-	Policy    string `json:"policy"`
-	// Resolved protocol timers (bgp.Timers.Resolved order).
-	HoldTimeNS           int64 `json:"hold_time_ns"`
-	KeepaliveFraction    int   `json:"keepalive_fraction"`
-	ConnectRetryNS       int64 `json:"connect_retry_ns"`
-	MRAINS               int64 `json:"mrai_ns"`
-	WithdrawalsImmediate bool  `json:"withdrawals_immediate"`
-	MRAIJitter           bool  `json:"mrai_jitter"`
-	// Engine knobs that reach experiment.Config.
-	DebounceNS        int64             `json:"debounce_ns"`
-	SettleNS          int64             `json:"settle_ns"`
-	ProcessingDelayNS int64             `json:"processing_delay_ns"`
-	LinkDelayNS       int64             `json:"link_delay_ns"`
-	LinkJitterNS      int64             `json:"link_jitter_ns"`
-	LinkLoss          float64           `json:"link_loss"`
-	Damping           *canonicalDamping `json:"damping,omitempty"`
-	// Warm-up shape: which prefixes are announced before convergence.
-	OriginOnly bool `json:"origin_only"`
+	Version  int            `json:"version"`
+	Trial    canonicalTrial `json:"trial"`
+	TopoSeed int64          `json:"topo_seed"`
 	// The resolved schedule's opening event decides whether the origin
 	// prefix stays unannounced (the fresh-announcement measurement),
 	// and a trial-origin failover adds the dual-homed stub to the
@@ -69,10 +45,6 @@ type warmupKey struct {
 	// seed (the fork).
 	SeedShared bool  `json:"seed_shared"`
 	Seed       int64 `json:"seed"`
-	// Bounds: a cached warm-up must not outlive a bound that would
-	// have failed it fresh.
-	TimeoutNS          int64 `json:"timeout_ns"`
-	EstablishTimeoutNS int64 `json:"establish_timeout_ns"`
 }
 
 // WarmupKey returns the trial's canonical warm-up prefix encoding: a
@@ -80,62 +52,29 @@ type warmupKey struct {
 // converged state (and nothing after the fork point). Equal bytes mean
 // the trials can share one warm-up snapshot.
 func (t Trial) WarmupKey() ([]byte, error) {
-	t = t.withDefaults()
-	w, _, err := t.workload()
+	w, _, err := t.withDefaults().workload()
 	if err != nil {
 		return nil, err
 	}
-	tm := t.Timers.Resolved()
-	// Mirrors Workload.needsDualHomedOrigin, read here so the lint
-	// contract sees which WorkloadEvent fields shape the warm-up.
-	dual := false
-	for _, ev := range w {
-		if ev.Kind == KindFailover && ev.A == 0 && ev.B == 0 {
-			dual = true
-		}
-	}
-	shared := !tm.MRAIJitter && t.LinkLoss == 0
-	seed := t.Seed
-	if shared {
-		seed = 0
-	}
+	c := t.canonical()
+	// Everything after the fork point is blanked, so different
+	// measurements share one warm-up.
+	c.Event = ""       // the schedule is post-fork; its opening event is keyed below
+	c.Workload = nil   // likewise
+	c.DrainNS = 0      // post-measurement settle window
+	c.FlapCycles = 0   // flap storm shape; the sugar always opens with the same withdrawal
+	c.FlapPeriodNS = 0 // flap storm shape
 	k := warmupKey{
-		Version:              warmupKeyVersion,
-		Topo:                 t.Topo.String(),
-		TopoSeed:             t.TopoSeed,
-		Placement:            t.Placement.String(),
-		Policy:               t.Policy.String(),
-		HoldTimeNS:           int64(tm.HoldTime),
-		KeepaliveFraction:    tm.KeepaliveFraction,
-		ConnectRetryNS:       int64(tm.ConnectRetry),
-		MRAINS:               int64(tm.MRAI),
-		WithdrawalsImmediate: tm.WithdrawalsImmediate,
-		MRAIJitter:           tm.MRAIJitter,
-		DebounceNS:           int64(t.Debounce),
-		SettleNS:             int64(t.Settle),
-		ProcessingDelayNS:    int64(t.ProcessingDelay),
-		LinkDelayNS:          int64(t.LinkDelay),
-		LinkJitterNS:         int64(t.LinkJitter),
-		LinkLoss:             t.LinkLoss,
-		OriginOnly:           t.OriginOnly,
-		FirstKind:            w[0].Kind.String(),
-		FirstAS:              uint32(w[0].AS),
-		DualHomedOrigin:      dual,
-		SeedShared:           shared,
-		Seed:                 seed,
-		TimeoutNS:            int64(t.Timeout),
-		EstablishTimeoutNS:   int64(t.EstablishTimeout),
+		Version:         warmupKeyVersion,
+		Trial:           c,
+		TopoSeed:        t.TopoSeed,
+		FirstKind:       w[0].Kind.String(),
+		FirstAS:         uint32(w[0].AS),
+		DualHomedOrigin: w.needsDualHomedOrigin(),
+		SeedShared:      !c.MRAIJitter && c.LinkLoss == 0,
 	}
-	if t.Damping != nil {
-		d := t.Damping.Resolved()
-		k.Damping = &canonicalDamping{
-			WithdrawPenalty:   d.WithdrawPenalty,
-			UpdatePenalty:     d.UpdatePenalty,
-			SuppressThreshold: d.SuppressThreshold,
-			ReuseThreshold:    d.ReuseThreshold,
-			HalfLifeNS:        int64(d.HalfLife),
-			MaxSuppressNS:     int64(d.MaxSuppress),
-		}
+	if !k.SeedShared {
+		k.Seed = t.Seed
 	}
 	return json.Marshal(k)
 }

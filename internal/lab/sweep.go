@@ -339,9 +339,6 @@ type Sweep struct {
 	// makes retries useful mainly against wall-clock budgets, so the
 	// default is 0.
 	Retries int
-	// RetryBackoff is the real-time sleep before each retry, doubling
-	// per attempt (zero sleeps nothing).
-	RetryBackoff time.Duration
 	// Inject, when non-nil, runs before every trial execution; a
 	// non-nil error (or a panic) replaces that run. It is the chaos
 	// test seam for exercising the failure-tolerant machinery with
@@ -633,12 +630,16 @@ func isTimeout(err error) bool {
 		errors.Is(err, sim.ErrEventBudget)
 }
 
+// retryBackoff is the real-time sleep before the first retry of a
+// timed-out run; it doubles per attempt.
+const retryBackoff = 100 * time.Millisecond
+
 // attempt executes (cell, run), retrying timed-out runs up to Retries
 // times under Tolerate. It reports the result, the attempts spent, and
 // the terminal error.
 func (s Sweep) attempt(ci, run int) (Result, int, error) {
 	trial := s.trialFor(ci, run)
-	backoff := s.RetryBackoff
+	backoff := retryBackoff
 	attempts := 0
 	for {
 		attempts++
@@ -649,10 +650,8 @@ func (s Sweep) attempt(ci, run int) (Result, int, error) {
 		if !s.Tolerate || !isTimeout(err) || attempts > s.Retries {
 			return Result{}, attempts, err
 		}
-		if backoff > 0 {
-			time.Sleep(backoff)
-			backoff *= 2
-		}
+		time.Sleep(backoff)
+		backoff *= 2
 	}
 }
 

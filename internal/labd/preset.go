@@ -1,56 +1,16 @@
 package labd
 
-import (
-	"fmt"
-	"time"
-
-	"repro/internal/figures"
-	"repro/internal/lab"
-)
+import "repro/internal/figures"
 
 // The preset bridge: the figures registry exposed as named presets
-// over the API. A preset submission resolves exactly like the
-// `convergence` CLI resolves its flags — same option set-detection,
-// same Build call, same post-build overlays — so `labctl submit -exp
-// fig2 -mrai 5s` and `convergence -exp fig2 -mrai 5s` produce the
-// identical canonical spec, hence the identical content address,
-// manifest and outputs.
+// over the API. A preset submission resolves through figures.Resolve,
+// the same function the `convergence` CLI maps its flags onto, so
+// `labctl submit -exp fig2 -mrai 5s` and `convergence -exp fig2 -mrai
+// 5s` produce the identical canonical spec, hence the identical
+// content address, manifest and outputs.
 
-// PresetOptions are the wire overrides for a preset submission. A
-// field left at its zero value keeps the experiment default, exactly
-// like an unset CLI flag; strings parse through the same lab parsers
-// the CLI uses.
-type PresetOptions struct {
-	// Topology overrides the topology spec, e.g. "clique 16".
-	Topology string `json:"topology,omitempty"`
-	// Placement overrides the SDN placement, e.g. "degree".
-	Placement string `json:"placement,omitempty"`
-	// Policy overrides the routing-policy template.
-	Policy string `json:"policy,omitempty"`
-	// SDNCounts overrides the sdn-count axis values.
-	SDNCounts []int `json:"sdn_counts,omitempty"`
-	// Workload replaces the trigger with a schedule (the -workload
-	// DSL, e.g. "at 0s withdraw; at 10m announce").
-	Workload string `json:"workload,omitempty"`
-	// Runs overrides the per-point repetition count.
-	Runs int `json:"runs,omitempty"`
-	// Seed is the base seed (the CLI default is 1; zero here means 0,
-	// so clients should send their seed explicitly — labctl always
-	// does).
-	Seed int64 `json:"seed,omitempty"`
-	// MRAI overrides the BGP MinRouteAdvertisementInterval, as a
-	// duration string ("5s"); empty keeps the default.
-	MRAI string `json:"mrai,omitempty"`
-	// Debounce overrides the controller recomputation delay, as a
-	// duration string; "0" disables the delay (the CLI convention).
-	Debounce string `json:"debounce,omitempty"`
-	// Loss sets the per-message link-loss probability overlay.
-	Loss float64 `json:"loss,omitempty"`
-	// Delay sets the one-way link-delay overlay, as a duration string.
-	Delay string `json:"delay,omitempty"`
-	// Jitter sets the probe-jitter overlay, as a duration string.
-	Jitter string `json:"jitter,omitempty"`
-}
+// PresetOptions are the wire overrides for a preset submission.
+type PresetOptions = figures.Overrides
 
 // Preset is the wire listing of one registry entry.
 type Preset struct {
@@ -73,89 +33,11 @@ func Presets() []Preset {
 }
 
 // BuildPreset resolves a named preset and its overrides into the
-// sweep's canonical spec bytes, mirroring the CLI's flag handling
-// byte for byte.
+// sweep's canonical spec bytes.
 func BuildPreset(name string, opt PresetOptions) ([]byte, error) {
-	spec, ok := figures.Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("labd: unknown preset %q (have %v)", name, figures.Names())
-	}
-	o := figures.Options{
-		BaseSeed:  opt.Seed,
-		Runs:      opt.Runs,
-		SDNCounts: opt.SDNCounts,
-	}
-	if opt.Topology != "" {
-		t, err := lab.ParseTopoString(opt.Topology)
-		if err != nil {
-			return nil, err
-		}
-		o.Topo = &t
-	}
-	if opt.Placement != "" {
-		p, err := lab.ParsePlacementString(opt.Placement)
-		if err != nil {
-			return nil, err
-		}
-		o.Placement = &p
-	}
-	if opt.Policy != "" {
-		p, err := lab.ParsePolicy(opt.Policy)
-		if err != nil {
-			return nil, err
-		}
-		o.Policy = p
-	}
-	if opt.Workload != "" {
-		w, err := lab.ParseWorkload(opt.Workload)
-		if err != nil {
-			return nil, err
-		}
-		o.Workload = w
-	}
-	if opt.MRAI != "" {
-		d, err := time.ParseDuration(opt.MRAI)
-		if err != nil {
-			return nil, fmt.Errorf("labd: bad mrai %q: %w", opt.MRAI, err)
-		}
-		o.MRAI = d
-	}
-	if opt.Debounce != "" {
-		d, err := time.ParseDuration(opt.Debounce)
-		if err != nil {
-			return nil, fmt.Errorf("labd: bad debounce %q: %w", opt.Debounce, err)
-		}
-		if d == 0 {
-			// The CLI convention: an explicit zero window disables the
-			// delay entirely (the config reserves 0 for "default").
-			d = -1
-		}
-		o.Debounce = &d
-	}
-	sweep, err := spec.Build(o)
+	sweep, err := figures.Resolve(name, opt)
 	if err != nil {
 		return nil, err
-	}
-	// The chaos overlays mutate the built sweep, exactly like the CLI.
-	if opt.Loss != 0 {
-		if sweep.Axis.Kind == lab.AxisLoss {
-			return nil, fmt.Errorf("labd: loss does not apply to %s: the experiment sweeps the loss rate itself", name)
-		}
-		sweep.Base.LinkLoss = opt.Loss
-	}
-	if opt.Delay != "" {
-		d, err := time.ParseDuration(opt.Delay)
-		if err != nil {
-			return nil, fmt.Errorf("labd: bad delay %q: %w", opt.Delay, err)
-		}
-		sweep.Base.LinkDelay = d
-	}
-	if opt.Jitter != "" {
-		d, err := time.ParseDuration(opt.Jitter)
-		if err != nil {
-			return nil, fmt.Errorf("labd: bad jitter %q: %w", opt.Jitter, err)
-		}
-		sweep.Base.LinkJitter = d
 	}
 	return sweep.Canonical()
 }

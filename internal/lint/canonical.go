@@ -27,9 +27,6 @@ type CanonicalConfig struct {
 	// are covered wholesale (e.g. serialized via String()), stopping
 	// the per-field recursion there.
 	ExcludeTypes map[string]string
-	// Encoder names the encoding function in diagnostics (default
-	// "Canonical()").
-	Encoder string
 }
 
 // CanonicalContract is the repository's configuration: every
@@ -51,17 +48,16 @@ var CanonicalContract = CanonicalConfig{
 		"Trial.TopoSeed": "pinned to the serialized Sweep.BaseSeed by Sweep.trialFor",
 		// Execution guards and knobs: they can fail or reschedule a
 		// run but never change a successful result.
-		"Trial.WallLimit":    "wall-clock guard; can only turn a run into a failure",
-		"Sweep.Name":         "presentation label, echoed in output only",
-		"Sweep.Parallelism":  "execution knob; results are identical at any parallelism",
-		"Sweep.Progress":     "progress callback, observation only",
-		"Sweep.Cache":        "cache hook; a hit is bit-identical to the run it replaces",
-		"Sweep.Snapshots":    "warm-up cache hook; a restored warm-up is byte-identical to a fresh one",
-		"Sweep.Tolerate":     "failure-tolerance knob; cannot change a successful result",
-		"Sweep.Retries":      "failure-tolerance knob; retries re-run the identical trial",
-		"Sweep.RetryBackoff": "real-time sleep between retries, invisible to results",
-		"Sweep.Inject":       "chaos test seam; can only fail a run, never alter one",
-		"Sweep.Stop":         "graceful-drain signal; stops scheduling, never alters a completed run",
+		"Trial.WallLimit":   "wall-clock guard; can only turn a run into a failure",
+		"Sweep.Name":        "presentation label, echoed in output only",
+		"Sweep.Parallelism": "execution knob; results are identical at any parallelism",
+		"Sweep.Progress":    "progress callback, observation only",
+		"Sweep.Cache":       "cache hook; a hit is bit-identical to the run it replaces",
+		"Sweep.Snapshots":   "warm-up cache hook; a restored warm-up is byte-identical to a fresh one",
+		"Sweep.Tolerate":    "failure-tolerance knob; cannot change a successful result",
+		"Sweep.Retries":     "failure-tolerance knob; retries re-run the identical trial",
+		"Sweep.Inject":      "chaos test seam; can only fail a run, never alter one",
+		"Sweep.Stop":        "graceful-drain signal; stops scheduling, never alters a completed run",
 	},
 	ExcludeTypes: map[string]string{
 		// These are serialized wholesale through their String() form,
@@ -75,54 +71,10 @@ var CanonicalContract = CanonicalConfig{
 	},
 }
 
-// SnapshotKeyContract is the warm-up snapshot key's configuration:
-// every lab.Trial field that can shape the warmed-up converged state
-// must be read by WarmupKey() in snapshotkey.go or listed here with
-// the reason it cannot — the snapshot cache's invalidation contract
-// (a field the key ignores would silently share a stale warm-up
-// between trials that converge to different states).
-var SnapshotKeyContract = CanonicalConfig{
-	Package: "repro/internal/lab",
-	Roots:   []string{"Trial"},
-	File:    "snapshotkey.go",
-	Encoder: "WarmupKey()",
-	ExcludeFields: map[string]string{
-		// The measurement schedule runs entirely after the fork point;
-		// only its opening event shapes the warm-up (whether the origin
-		// prefix stays unannounced, and whether a dual-homed stub joins
-		// the graph), so WarmupKey reads those raw ingredients from the
-		// resolved workload instead of these fields.
-		"Trial.Event":      "compiled into the workload; the resolved schedule's opening event is read instead",
-		"Trial.Workload":   "post-fork measurement schedule; the opening event's ingredients are read via t.workload()",
-		"Trial.Drain":      "post-measurement settle window, entirely after the fork point",
-		"Trial.FlapCycles": "flap storm shape, entirely after the fork point (the sugar always opens with the same withdrawal)",
-		"Trial.FlapPeriod": "flap storm shape, entirely after the fork point",
-		"Trial.WallLimit":  "wall-clock guard; can only turn a run into a failure and is re-applied after restore",
-		"WorkloadEvent.At": "event offsets are relative to the fork point; only the opening event's kind and targets shape the warm-up",
-	},
-	ExcludeTypes: map[string]string{
-		// Serialized wholesale through String(), as in CanonicalContract.
-		"TopoSpec":   "serialized via String(); ParseTopo round-trip is pinned",
-		"Placement":  "serialized via String(); parse round-trip is pinned",
-		"PolicySpec": "serialized via String(); parse round-trip is pinned",
-	},
-}
-
 // CanonicalAnalyzer checks the Canonical() cache-invalidation
 // contract with the repository configuration (CanonicalContract).
 func CanonicalAnalyzer() *Analyzer {
 	return CanonicalAnalyzerWith(CanonicalContract)
-}
-
-// SnapshotKeyAnalyzer checks the WarmupKey() snapshot-sharing contract
-// with the repository configuration (SnapshotKeyContract): the same
-// completeness diff as the canonical analyzer, over the warm-up key
-// encoder and rooted at Trial alone.
-func SnapshotKeyAnalyzer() *Analyzer {
-	a := CanonicalAnalyzerWith(SnapshotKeyContract)
-	a.Name = "snapshotkey"
-	a.Doc = "every warm-up-shaping Trial field is read by WarmupKey() or explicitly excluded"
-	return a
 }
 
 // CanonicalAnalyzerWith builds the canonical-completeness analyzer
@@ -136,14 +88,6 @@ func CanonicalAnalyzerWith(cfg CanonicalConfig) *Analyzer {
 			return runCanonical(prog, cfg)
 		},
 	}
-}
-
-// encoderName names the contract's encoding function in diagnostics.
-func encoderName(cfg CanonicalConfig) string {
-	if cfg.Encoder != "" {
-		return cfg.Encoder
-	}
-	return "Canonical()"
 }
 
 // watchedField is one struct field under the contract.
@@ -273,8 +217,8 @@ func runCanonical(prog *Program, cfg CanonicalConfig) ([]Diagnostic, error) {
 			diags = append(diags, Diagnostic{
 				Pos:   prog.Position(obj.Pos()),
 				Check: CheckCanonical,
-				Message: fmt.Sprintf("field %s is neither serialized in %s nor in the canonical exclusion list — a new result-affecting field must join %s or the cached state it can change goes stale",
-					key, cfg.File, encoderName(cfg)),
+				Message: fmt.Sprintf("field %s is neither serialized in %s nor in the canonical exclusion list — a new result-affecting field must join Canonical() or the cached state it can change goes stale",
+					key, cfg.File),
 			})
 		case read[obj] && excluded:
 			diags = append(diags, Diagnostic{

@@ -28,26 +28,6 @@ var fixtureCanonical = CanonicalConfig{
 	},
 }
 
-// fixtureSnapshotKey is the second contract over the same fixture
-// root, standing in for the snapshot-key contract: a different encoder
-// file (snapkey.go), its own exclusions (Spec.Both is legitimately
-// excluded here while stale under fixtureCanonical), and its own
-// stale-exclusion finding (Spec.SnapGone).
-var fixtureSnapshotKey = CanonicalConfig{
-	Package: "fixture/internal/spec",
-	Roots:   []string{"Spec"},
-	File:    "snapkey.go",
-	Encoder: "SnapKey()",
-	ExcludeFields: map[string]string{
-		"Spec.Skipped":  "fixture: deliberately excluded",
-		"Spec.Both":     "fixture: excluded from the snapshot key only",
-		"Spec.SnapGone": "fixture: matches no field",
-	},
-	ExcludeTypes: map[string]string{
-		"Opaque": "fixture: serialized wholesale",
-	},
-}
-
 // markerRe matches a want marker; quoteRe pulls the expected
 // substrings out of its tail. `// want "x"` expects a diagnostic on
 // the same line, `// want-below "x"` on the next line, and
@@ -71,7 +51,6 @@ func TestFixtures(t *testing.T) {
 	analyzers := []*Analyzer{
 		DeterminismAnalyzer(),
 		CanonicalAnalyzerWith(fixtureCanonical),
-		CanonicalAnalyzerWith(fixtureSnapshotKey),
 		ErrcheckAnalyzer(),
 		DocAnalyzer(),
 	}

@@ -132,7 +132,6 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer(),
 		CanonicalAnalyzer(),
-		SnapshotKeyAnalyzer(),
 		ZeroAllocAnalyzer(),
 		ErrcheckAnalyzer(),
 		DocAnalyzer(),

@@ -7,8 +7,8 @@ package spec
 type Nested struct {
 	// Kept is serialized by the encoder (not flagged).
 	Kept int
-	// Dropped is neither serialized nor excluded — by either contract.
-	Dropped int // want "in canonical.go" "in snapkey.go"
+	// Dropped is neither serialized nor excluded.
+	Dropped int // want "in canonical.go"
 }
 
 // List is a named slice: the contract recurses through it, so Item
@@ -17,10 +17,10 @@ type List []Item
 
 // Item is reachable only through the named List slice.
 type Item struct {
-	// Val is serialized by both encoders (not flagged).
+	// Val is serialized by the encoder (not flagged).
 	Val int
-	// Lost is neither serialized nor excluded — by either contract.
-	Lost int // want "in canonical.go" "in snapkey.go"
+	// Lost is neither serialized nor excluded.
+	Lost int // want "in canonical.go"
 }
 
 // Opaque is excluded wholesale via the type-exclusion list; its
@@ -35,7 +35,7 @@ type Spec struct {
 	// A is serialized by the encoder (not flagged).
 	A int
 	// B is the dummy result-affecting field nobody serialized.
-	B int // want "in canonical.go" "in snapkey.go"
+	B int // want "in canonical.go"
 	// Skipped is deliberately excluded with a reason (not flagged).
 	Skipped int
 	// Both is serialized AND excluded — a stale exclusion entry.

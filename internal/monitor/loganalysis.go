@@ -92,13 +92,19 @@ type PathChange struct {
 	NewPath string // "" = none
 }
 
+// isBestChange reports whether ev is a best-route transition for
+// prefix.
+func isBestChange(ev bgp.TraceEvent, prefix netip.Prefix) bool {
+	return ev.Kind == bgp.TraceBest && ev.Change != nil && ev.Change.Prefix == prefix
+}
+
 // PathChanges extracts the best-route transitions for prefix in time
 // order — the raw material of the route-change visualization and the
 // path-exploration count of Oliveira et al. [13].
 func (l *EventLog) PathChanges(prefix netip.Prefix) []PathChange {
 	var out []PathChange
 	for _, ev := range l.events {
-		if ev.Kind != bgp.TraceBest || ev.Change == nil || ev.Change.Prefix != prefix {
+		if !isBestChange(ev, prefix) {
 			continue
 		}
 		pc := PathChange{Time: ev.Time, Router: ev.Router, Prefix: prefix}
@@ -132,14 +138,14 @@ func (l *EventLog) PathExplorationCount(prefix netip.Prefix, start time.Time) ma
 // exploration between its trigger and the next.
 func (l *EventLog) PathExplorationCountBetween(prefix netip.Prefix, start, end time.Time) map[idr.ASN]int {
 	out := make(map[idr.ASN]int)
-	for _, pc := range l.PathChanges(prefix) {
-		if pc.Time.Before(start) {
+	for _, ev := range l.events {
+		if !isBestChange(ev, prefix) || ev.Time.Before(start) {
 			continue
 		}
-		if !end.IsZero() && !pc.Time.Before(end) {
+		if !end.IsZero() && !ev.Time.Before(end) {
 			continue
 		}
-		out[pc.Router]++
+		out[ev.Router]++
 	}
 	return out
 }

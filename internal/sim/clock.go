@@ -1,9 +1,8 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // All protocol code in this repository is written against the Clock
-// interface so that the same BGP and SDN implementations run either in
-// virtual time (fast, reproducible sweeps; see Kernel) or in wall-clock
-// time (live demos over real connections; see WallClock).
+// interface and runs in virtual time (fast, reproducible sweeps; see
+// Kernel); tests substitute fakes.
 //
 // The virtual-time kernel is single-threaded and cooperative: events run
 // one at a time in timestamp order. This mirrors the cooperative
@@ -12,21 +11,17 @@
 // every experiment deterministic given a seed.
 package sim
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
-// Clock abstracts time for protocol code. Implementations: *Kernel
-// (virtual time) and *WallClock (real time).
+// Clock abstracts time for protocol code. *Kernel (virtual time) is
+// the implementation.
 type Clock interface {
 	// Now returns the current time on this clock.
 	Now() time.Time
 
 	// AfterFunc schedules fn to run once, d from now, and returns a
 	// Timer that can cancel or reschedule it. fn runs on the clock's
-	// executor: for Kernel that is the event loop goroutine; for
-	// WallClock it is a fresh goroutine (as with time.AfterFunc).
+	// executor: for Kernel that is the event loop goroutine.
 	AfterFunc(d time.Duration, fn func()) Timer
 
 	// Go schedules fn to run as soon as possible (a zero-delay event).
@@ -48,41 +43,3 @@ type Timer interface {
 	// Active reports whether the callback is still pending.
 	Active() bool
 }
-
-// WallClock implements Clock using the real time package. It is safe for
-// concurrent use.
-type WallClock struct{}
-
-// Now returns time.Now().
-//
-//lint:walltime WallClock is the explicit real-time implementation; simulations use the virtual clock
-func (WallClock) Now() time.Time { return time.Now() }
-
-// AfterFunc wraps time.AfterFunc.
-func (WallClock) AfterFunc(d time.Duration, fn func()) Timer {
-	t := &wallTimer{d: d, fn: fn}
-	t.t = time.AfterFunc(d, func() {
-		t.fired.Store(true)
-		fn()
-	})
-	return t
-}
-
-// Go runs fn on a new goroutine.
-func (WallClock) Go(fn func()) { go fn() }
-
-type wallTimer struct {
-	t     *time.Timer
-	d     time.Duration
-	fn    func()
-	fired atomic.Bool
-}
-
-func (w *wallTimer) Stop() bool { return w.t.Stop() }
-
-func (w *wallTimer) Reset(d time.Duration) bool {
-	w.fired.Store(false)
-	return w.t.Reset(d)
-}
-
-func (w *wallTimer) Active() bool { return !w.fired.Load() }

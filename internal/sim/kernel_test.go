@@ -313,31 +313,6 @@ func TestPropertyStopPreventsFiring(t *testing.T) {
 	}
 }
 
-func TestWallClock(t *testing.T) {
-	var c Clock = WallClock{}
-	if d := time.Since(c.Now()); d > time.Minute || d < -time.Minute {
-		t.Fatalf("WallClock.Now far from time.Now: %v", d)
-	}
-	done := make(chan struct{})
-	tm := c.AfterFunc(time.Millisecond, func() { close(done) })
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("WallClock timer did not fire")
-	}
-	if tm.Stop() {
-		t.Fatal("Stop after fire = true")
-	}
-	// Go runs the function.
-	ran := make(chan struct{})
-	c.Go(func() { close(ran) })
-	select {
-	case <-ran:
-	case <-time.After(5 * time.Second):
-		t.Fatal("WallClock.Go did not run")
-	}
-}
-
 func TestEvery(t *testing.T) {
 	k := NewKernel(1)
 	n := 0
