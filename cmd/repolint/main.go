@@ -1,5 +1,5 @@
 // Command repolint runs the repository's static-analysis suite
-// (internal/lint): five analyzers mechanizing the invariants the
+// (internal/lint): four analyzers mechanizing the invariants the
 // reproduction's results rest on. It is zero-dependency (stdlib
 // go/ast + go/types), runs as both this CLI and a tier-1 test
 // (internal/lint.TestRepoLintClean), and exits non-zero on any
@@ -18,7 +18,7 @@ import (
 // usage prints the full flag reference with the analyzer registry.
 func usage() {
 	w := flag.CommandLine.Output()
-	fmt.Fprintf(w, `repolint — static analysis for the repo's determinism, cache and alloc invariants
+	fmt.Fprintf(w, `repolint — static analysis for the repo's determinism and alloc invariants
 
 Usage:
 
@@ -41,7 +41,7 @@ annotation on the flagged line or the line above it, reason mandatory:
   //lint:<check> <reason>
 
 where <check> is the key printed with each finding (maporder,
-globalrand, walltime, canonical, escape, errcheck, doc).
+globalrand, walltime, escape, errcheck, doc).
 
 Flags:
 
@@ -51,13 +51,6 @@ Flags:
         run only these analyzers (comma-separated names)
   -skip string
         skip these analyzers (comma-separated names)
-  -bench
-        additionally run the allocs/op benchmark gate: the
-        alloc-sensitive benchmarks run once (-benchtime=1x) and any
-        allocs/op above the committed baseline fails
-  -bench-baseline string
-        baseline document for -bench (default "BENCH_SMOKE.json" at
-        the module root)
   -write-escape-baseline
         regenerate internal/lint/zeroalloc_baseline.json from the
         current compiler escape diagnostics and exit (commit the
@@ -71,7 +64,6 @@ Examples:
 
   repolint ./...
   repolint -only determinism,errcheck
-  repolint -bench -bench-baseline BENCH_SMOKE.json
   repolint -write-escape-baseline
 `)
 }
@@ -80,8 +72,6 @@ func main() {
 	list := flag.Bool("list", false, "print the analyzer names and exit")
 	only := flag.String("only", "", "run only these analyzers (comma-separated)")
 	skip := flag.String("skip", "", "skip these analyzers (comma-separated)")
-	bench := flag.Bool("bench", false, "run the allocs/op benchmark gate too")
-	benchBaseline := flag.String("bench-baseline", "", "baseline document for -bench (default BENCH_SMOKE.json at the module root)")
 	writeBaseline := flag.Bool("write-escape-baseline", false, "regenerate the zeroalloc escape baseline and exit")
 	verbose := flag.Bool("v", false, "verbose: print per-analyzer progress")
 	flag.Usage = usage
@@ -139,22 +129,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "repolint:", err)
 		os.Exit(2)
-	}
-
-	if *bench {
-		baseline := *benchBaseline
-		if baseline == "" {
-			baseline = prog.Root + "/BENCH_SMOKE.json"
-		}
-		if *verbose {
-			fmt.Fprintf(os.Stderr, "repolint: running bench gate against %s\n", baseline)
-		}
-		bd, err := lint.BenchGate(prog.Root, baseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "repolint:", err)
-			os.Exit(2)
-		}
-		diags = append(diags, bd...)
 	}
 
 	for _, d := range diags {

@@ -1,23 +1,16 @@
-// Package benchfmt parses `go test -bench` text output into the
-// stable JSON document shape archived as the repo's BENCH_*.json
-// trajectory files. cmd/benchjson is the CLI over it; the repolint
-// zeroalloc gate reads the same shape back to compare allocs/op
-// against the committed baseline.
+// Package benchfmt holds the host-stamp document shape cmd/labbench
+// embeds in every result set (Report, stamped by Stamp with the Go
+// version and parallelism a run was measured under). The parser of
+// `go test -bench` output that used to fill the rest of the shape is
+// gone with the -benchtime=1x record; the types stay because labbench
+// compiles against them.
 package benchfmt
 
-import (
-	"bufio"
-	"fmt"
-	"io"
-	"regexp"
-	"runtime"
-	"strconv"
-	"strings"
-)
+import "runtime"
 
-// Benchmark is one parsed result line. The three standard Go metrics
-// get named fields; every other `<value> <unit>` pair (b.ReportMetric
-// output) lands in Metrics keyed by unit.
+// Benchmark is one `go test -bench` result line. The three standard
+// Go metrics get named fields; every other `<value> <unit>` pair
+// (b.ReportMetric output) lands in Metrics keyed by unit.
 type Benchmark struct {
 	// Name is the benchmark name without the "Benchmark" prefix and
 	// without the -N GOMAXPROCS suffix.
@@ -39,7 +32,7 @@ type Benchmark struct {
 
 // Report is the full document: the `key: value` header lines go test
 // prints (goos, goarch, pkg, cpu), an optional caller-supplied label,
-// and every benchmark line in input order.
+// and every benchmark line.
 type Report struct {
 	// Label is the caller-supplied run label (e.g. smoke, ci-smoke).
 	Label string `json:"label,omitempty"`
@@ -64,98 +57,11 @@ type Report struct {
 }
 
 // Stamp records the running environment — Go version, GOMAXPROCS and
-// CPU count — into the report, so every archived BENCH_*.json
+// CPU count — into the report, so every archived result set
 // identifies the toolchain and parallelism it was measured under.
-// The cpu model string comes from go test's own header line (CPU);
-// Stamp never overwrites a parsed header.
+// Stamp leaves the cpu model string (CPU) to the caller.
 func (r *Report) Stamp() {
 	r.GoVersion = runtime.Version()
 	r.GoMaxProcs = runtime.GOMAXPROCS(0)
 	r.NumCPU = runtime.NumCPU()
-}
-
-// Find returns the named benchmark (repolint's baseline lookups).
-func (r Report) Find(name string) (Benchmark, bool) {
-	for _, b := range r.Benchmarks {
-		if b.Name == name {
-			return b, true
-		}
-	}
-	return Benchmark{}, false
-}
-
-// benchLine matches `BenchmarkName[-procs] <iterations> <rest>`.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+(.*)$`)
-
-// Parse reads `go test -bench` output and collects the header fields
-// and result lines. Unrecognized lines (PASS, ok, test logs) are
-// skipped; a malformed metric pair on a benchmark line is an error so
-// silent truncation cannot masquerade as a clean conversion.
-func Parse(r io.Reader) (Report, error) {
-	var rep Report
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if key, val, ok := strings.Cut(line, ": "); ok && !strings.Contains(key, " ") {
-			switch key {
-			case "goos":
-				rep.Goos = val
-			case "goarch":
-				rep.Goarch = val
-			case "pkg":
-				rep.Pkg = val
-			case "cpu":
-				rep.CPU = strings.TrimSpace(val)
-			}
-			continue
-		}
-		m := benchLine.FindStringSubmatch(line)
-		if m == nil {
-			continue
-		}
-		b := Benchmark{Name: strings.TrimPrefix(m[1], "Benchmark"), Procs: 1}
-		if m[2] != "" {
-			p, err := strconv.Atoi(m[2])
-			if err != nil {
-				return rep, fmt.Errorf("benchfmt: %q: bad procs suffix: %v", line, err)
-			}
-			b.Procs = p
-		}
-		iters, err := strconv.ParseInt(m[3], 10, 64)
-		if err != nil {
-			return rep, fmt.Errorf("benchfmt: %q: bad iteration count: %v", line, err)
-		}
-		b.Iterations = iters
-		fields := strings.Fields(m[4])
-		if len(fields)%2 != 0 {
-			return rep, fmt.Errorf("benchfmt: %q: odd metric fields %v", line, fields)
-		}
-		for i := 0; i < len(fields); i += 2 {
-			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				return rep, fmt.Errorf("benchfmt: %q: bad metric value %q: %v", line, fields[i], err)
-			}
-			switch unit := fields[i+1]; unit {
-			case "ns/op":
-				b.NsPerOp = v
-			case "B/op":
-				val := v
-				b.BytesPerOp = &val
-			case "allocs/op":
-				val := v
-				b.AllocsPerOp = &val
-			default:
-				if b.Metrics == nil {
-					b.Metrics = map[string]float64{}
-				}
-				b.Metrics[unit] = v
-			}
-		}
-		rep.Benchmarks = append(rep.Benchmarks, b)
-	}
-	if err := sc.Err(); err != nil {
-		return rep, err
-	}
-	return rep, nil
 }

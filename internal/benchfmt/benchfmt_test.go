@@ -2,68 +2,8 @@ package benchfmt
 
 import (
 	"runtime"
-	"strings"
 	"testing"
 )
-
-// TestParseBenchOutput pins the parser on a realistic transcript:
-// header fields, a procs-suffixed line with -benchmem columns, a
-// suffix-free line, a custom ReportMetric unit, and noise lines that
-// must be skipped.
-func TestParseBenchOutput(t *testing.T) {
-	input := `goos: linux
-goarch: amd64
-pkg: repro
-cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
-BenchmarkWireMarshalUpdate-8 	    1000	      9976 ns/op	     328 B/op	       5 allocs/op
-BenchmarkFig2Withdrawal 	       1	 123456789 ns/op	       35.4 s-converge
-PASS
-ok  	repro	0.003s
-`
-	rep, err := Parse(strings.NewReader(input))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Goos != "linux" || rep.Goarch != "amd64" || rep.Pkg != "repro" || !strings.Contains(rep.CPU, "Xeon") {
-		t.Fatalf("header = %+v", rep)
-	}
-	if len(rep.Benchmarks) != 2 {
-		t.Fatalf("benchmarks = %+v, want 2", rep.Benchmarks)
-	}
-	b := rep.Benchmarks[0]
-	if b.Name != "WireMarshalUpdate" || b.Procs != 8 || b.Iterations != 1000 || b.NsPerOp != 9976 {
-		t.Fatalf("first = %+v", b)
-	}
-	if b.BytesPerOp == nil || *b.BytesPerOp != 328 || b.AllocsPerOp == nil || *b.AllocsPerOp != 5 {
-		t.Fatalf("first memory columns = %+v", b)
-	}
-	b = rep.Benchmarks[1]
-	if b.Name != "Fig2Withdrawal" || b.Procs != 1 || b.Iterations != 1 {
-		t.Fatalf("second = %+v", b)
-	}
-	if b.Metrics["s-converge"] != 35.4 {
-		t.Fatalf("custom metric = %+v", b.Metrics)
-	}
-	if got, ok := rep.Find("Fig2Withdrawal"); !ok || got.Name != "Fig2Withdrawal" {
-		t.Fatalf("Find = %+v, %v", got, ok)
-	}
-	if _, ok := rep.Find("NoSuchBench"); ok {
-		t.Fatal("Find should miss on an unknown name")
-	}
-}
-
-// TestParseRejectsMalformedMetrics asserts a truncated metric pair is
-// an error, not a silently shorter record.
-func TestParseRejectsMalformedMetrics(t *testing.T) {
-	_, err := Parse(strings.NewReader("BenchmarkX-4 	 10 	 5 ns/op 	 extra\n"))
-	if err == nil {
-		t.Fatal("odd metric fields should error")
-	}
-	_, err = Parse(strings.NewReader("BenchmarkX 	 10 	 abc ns/op\n"))
-	if err == nil {
-		t.Fatal("non-numeric metric value should error")
-	}
-}
 
 // TestStamp asserts the environment stamp records the live toolchain
 // and parallelism without disturbing parsed headers.

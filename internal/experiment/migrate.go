@@ -87,70 +87,14 @@ func (e *Experiment) MigrateIn(asn idr.ASN) error {
 	if err := e.buildSwitch(asn, node, ctrlNode); err != nil {
 		return err
 	}
-	sw := e.Switches[asn]
 
-	// Rewire every incident link.
+	// Rewire every incident link: legacy neighbors reset their session
+	// and re-establish it with the controller's speaker on the same
+	// endpoint; a member neighbor's external peering toward the old
+	// router becomes an intra-cluster switch-graph edge.
 	for _, nb := range e.cfg.Graph.Neighbors(asn) {
-		epSelf := e.endpointOf[[2]idr.ASN{asn, nb}]
-		epNb := e.endpointOf[[2]idr.ASN{nb, asn}]
-		port, err := sw.AddPort(epSelf.Send)
-		if err != nil {
+		if err := e.wire(asn, nb); err != nil {
 			return err
-		}
-		e.portOf[epSelf] = port
-		key := linkKey(asn, nb)
-		if e.members[nb] {
-			// The neighbor's external peering toward the old router
-			// becomes an intra-cluster switch-graph edge.
-			nbPort := e.portOf[epNb]
-			if err := e.Ctrl.RemovePeering(nb, nbPort); err != nil {
-				return err
-			}
-			if err := e.Ctrl.SetPortMembership(nb, nbPort, true); err != nil {
-				return err
-			}
-			if err := e.Ctrl.RegisterPort(asn, port, nb, true); err != nil {
-				return err
-			}
-			nbSw := e.Switches[nb]
-			e.onLinkState[key] = func(up bool) {
-				_ = sw.NotifyPortState(port, up)
-				_ = nbSw.NotifyPortState(nbPort, up)
-			}
-			continue
-		}
-		// Legacy neighbor: reset its session so it re-establishes with
-		// the controller's speaker on the same endpoint.
-		nbPeer, ok := e.Routers[nb].Peer(peerKeyTo(asn))
-		if !ok {
-			return fmt.Errorf("experiment: router %v has no session toward %v", nb, asn)
-		}
-		nbPeer.TransportDown()
-		if err := e.Ctrl.RegisterPort(asn, port, nb, false); err != nil {
-			return err
-		}
-		id, err := e.Plan.RouterID(asn)
-		if err != nil {
-			return err
-		}
-		ln, ok := e.Plan.Link(asn, nb)
-		if !ok {
-			return fmt.Errorf("experiment: no transfer network for %v-%v", asn, nb)
-		}
-		addrSelf, _ := ln.Addr(asn)
-		if err := e.Ctrl.AddExternalPeering(asn, port, nb, id, addrSelf); err != nil {
-			return err
-		}
-		if link := e.links[key]; link.Up() {
-			nbPeer.TransportUp()
-		}
-		e.onLinkState[key] = func(up bool) {
-			_ = sw.NotifyPortState(port, up)
-			if up {
-				nbPeer.TransportUp()
-			} else {
-				nbPeer.TransportDown()
-			}
 		}
 	}
 	e.syncDownLinks(asn)
@@ -206,72 +150,18 @@ func (e *Experiment) MigrateOut(asn idr.ASN) error {
 		delete(e.portOf, e.endpointOf[[2]idr.ASN{asn, nb}])
 	}
 
-	// Raise the router on the node and re-peer with every neighbor.
+	// Raise the router on the node and re-peer with every neighbor: a
+	// member neighbor's intra-cluster port becomes an external peering
+	// terminated by the controller; a legacy neighbor's session pointed
+	// at the speaker and is reset so both router ends re-establish
+	// directly.
 	node, _ := e.Net.Node(asn.String())
 	if err := e.buildRouter(asn, node); err != nil {
 		return err
 	}
 	for _, nb := range e.cfg.Graph.Neighbors(asn) {
-		epSelf := e.endpointOf[[2]idr.ASN{asn, nb}]
-		epNb := e.endpointOf[[2]idr.ASN{nb, asn}]
-		ln, ok := e.Plan.Link(asn, nb)
-		if !ok {
-			return fmt.Errorf("experiment: no transfer network for %v-%v", asn, nb)
-		}
-		addrSelf, _ := ln.Addr(asn)
-		addrNb, _ := ln.Addr(nb)
-		key := linkKey(asn, nb)
-		selfPeer, err := e.addRouterPeer(asn, nb, epSelf, addrSelf)
-		if err != nil {
+		if err := e.wire(asn, nb); err != nil {
 			return err
-		}
-		if e.members[nb] {
-			// The neighbor's intra-cluster port becomes an external
-			// peering terminated by the controller.
-			nbPort := e.portOf[epNb]
-			if err := e.Ctrl.SetPortMembership(nb, nbPort, false); err != nil {
-				return err
-			}
-			id, err := e.Plan.RouterID(nb)
-			if err != nil {
-				return err
-			}
-			if err := e.Ctrl.AddExternalPeering(nb, nbPort, asn, id, addrNb); err != nil {
-				return err
-			}
-			nbSw := e.Switches[nb]
-			if link := e.links[key]; link.Up() {
-				selfPeer.TransportUp()
-			}
-			e.onLinkState[key] = func(up bool) {
-				_ = nbSw.NotifyPortState(nbPort, up)
-				if up {
-					selfPeer.TransportUp()
-				} else {
-					selfPeer.TransportDown()
-				}
-			}
-			continue
-		}
-		// Legacy neighbor: its session pointed at the speaker; reset it
-		// so both router ends re-establish directly.
-		nbPeer, ok := e.Routers[nb].Peer(peerKeyTo(asn))
-		if !ok {
-			return fmt.Errorf("experiment: router %v has no session toward %v", nb, asn)
-		}
-		nbPeer.TransportDown()
-		if link := e.links[key]; link.Up() {
-			selfPeer.TransportUp()
-			nbPeer.TransportUp()
-		}
-		e.onLinkState[key] = func(up bool) {
-			if up {
-				selfPeer.TransportUp()
-				nbPeer.TransportUp()
-			} else {
-				selfPeer.TransportDown()
-				nbPeer.TransportDown()
-			}
 		}
 	}
 	e.syncDownLinks(asn)

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/addressing"
 	"repro/internal/bgp"
 	"repro/internal/bgp/rib"
 	"repro/internal/collector"
@@ -15,6 +14,7 @@ import (
 	"repro/internal/monitor"
 	"repro/internal/netem"
 	"repro/internal/policy"
+	"repro/internal/sdn"
 	"repro/internal/topology"
 )
 
@@ -53,8 +53,7 @@ func (e *Experiment) buildLink(edge topology.Edge) error {
 	}
 	key := linkKey(a, b)
 	e.links[key] = link
-	ln, err := e.Plan.AddLink(a, b)
-	if err != nil {
+	if _, err := e.Plan.AddLink(a, b); err != nil {
 		return err
 	}
 	epA, epB := link.Endpoints()
@@ -68,18 +67,162 @@ func (e *Experiment) buildLink(edge topology.Edge) error {
 			h(up)
 		}
 	})
+	return e.wire(a, b)
+}
 
-	memberA, memberB := e.members[a], e.members[b]
+// linkEnd is the protocol object one AS holds on its end of the link
+// toward neighbor nb: a switch port (sw, port) for a cluster member, a
+// BGP session (peer) for a legacy router. fresh marks an end open just
+// created, as opposed to one standing from before a migration.
+type linkEnd struct {
+	asn, nb idr.ASN
+	peer    *bgp.Peer
+	sw      *sdn.Switch
+	port    uint32
+	fresh   bool
+}
+
+// notify tells the end its link went up or down.
+func (l linkEnd) notify(up bool) {
 	switch {
-	case !memberA && !memberB:
-		return e.wireRouterRouter(edge, epA, epB, ln)
-	case memberA && memberB:
-		return e.wireSwitchSwitch(edge, epA, epB)
-	case memberA && !memberB:
-		return e.wireSwitchRouter(a, b, epA, epB, ln)
+	case l.sw != nil:
+		_ = l.sw.NotifyPortState(l.port, up)
+	case up:
+		l.peer.TransportUp()
 	default:
-		return e.wireSwitchRouter(b, a, epB, epA, ln)
+		l.peer.TransportDown()
 	}
+}
+
+// linkAddr returns asn's address on the transfer network of its link
+// toward nb.
+func (e *Experiment) linkAddr(asn, nb idr.ASN) (netip.Addr, error) {
+	ln, ok := e.Plan.Link(asn, nb)
+	if !ok {
+		return netip.Addr{}, fmt.Errorf("experiment: no transfer network for %v-%v", asn, nb)
+	}
+	addr, _ := ln.Addr(asn)
+	return addr, nil
+}
+
+// open finds asn's end of the link toward nb in asn's current role,
+// creating the switch port or router session if asn has none yet.
+func (e *Experiment) open(asn, nb idr.ASN) (linkEnd, error) {
+	end := linkEnd{asn: asn, nb: nb}
+	ep := e.endpointOf[[2]idr.ASN{asn, nb}]
+	if sw, ok := e.Switches[asn]; ok {
+		end.sw = sw
+		if end.port, ok = e.portOf[ep]; ok {
+			return end, nil
+		}
+		port, err := sw.AddPort(ep.Send)
+		if err != nil {
+			return end, err
+		}
+		e.portOf[ep] = port
+		end.port, end.fresh = port, true
+		return end, nil
+	}
+	if key, ok := e.keyOf[ep]; ok {
+		if end.peer, ok = e.Routers[asn].Peer(key); !ok {
+			return end, fmt.Errorf("experiment: router %v has no session toward %v", asn, nb)
+		}
+		return end, nil
+	}
+	addr, err := e.linkAddr(asn, nb)
+	if err != nil {
+		return end, err
+	}
+	end.peer, err = e.addRouterPeer(asn, nb, ep, addr)
+	end.fresh = true
+	return end, err
+}
+
+// settle aligns an end with the current role of its neighbor. A fresh
+// switch port is registered with the controller, which terminates the
+// eBGP session toward a legacy neighbor through the speaker. A
+// standing switch port turns from external peering into intra-cluster
+// edge or back, following a neighbor that just migrated. A standing
+// router session is reset, so it re-establishes with whatever now
+// answers on the far end; a fresh one has nothing to undo.
+func (e *Experiment) settle(end linkEnd) error {
+	if end.sw == nil {
+		if !end.fresh {
+			end.peer.TransportDown()
+		}
+		return nil
+	}
+	nbMember := e.members[end.nb]
+	var err error
+	switch {
+	case end.fresh:
+		err = e.Ctrl.RegisterPort(end.asn, end.port, end.nb, nbMember)
+	case nbMember:
+		if err = e.Ctrl.RemovePeering(end.asn, end.port); err == nil {
+			err = e.Ctrl.SetPortMembership(end.asn, end.port, true)
+		}
+	default:
+		err = e.Ctrl.SetPortMembership(end.asn, end.port, false)
+	}
+	if err != nil || nbMember {
+		return err
+	}
+	id, err := e.Plan.RouterID(end.asn)
+	if err != nil {
+		return err
+	}
+	addr, err := e.linkAddr(end.asn, end.nb)
+	if err != nil {
+		return err
+	}
+	return e.Ctrl.AddExternalPeering(end.asn, end.port, end.nb, id, addr)
+}
+
+// wire puts the right protocol object on each end of the a–b link for
+// the two ASes' current roles and installs the link's state hook. It
+// is the only place that decides this, at build time (both ends fresh)
+// and for every link of a migrating AS (its end fresh, the neighbor's
+// standing). The order of the calls below is part of the determinism
+// contract: TransportDown, SetPortMembership (arms the debounce) and
+// AddExternalPeering (brings the speaker session up after Start) each
+// consume kernel sequence numbers.
+func (e *Experiment) wire(a, b idr.ASN) error {
+	ea, err := e.open(a, b)
+	if err != nil {
+		return err
+	}
+	eb, err := e.open(b, a)
+	if err != nil {
+		return err
+	}
+	ends := [2]linkEnd{ea, eb}
+	if ea.fresh && !eb.fresh {
+		ends = [2]linkEnd{eb, ea} // the standing end lets go before the fresh one takes over
+	}
+	for _, end := range ends {
+		if err := e.settle(end); err != nil {
+			return err
+		}
+	}
+	key := linkKey(a, b)
+	if e.started && e.links[key].Up() {
+		for _, end := range [2]linkEnd{ea, eb} {
+			if end.peer != nil {
+				end.peer.TransportUp()
+			}
+		}
+	}
+	// A port-status change reaches the controller before the router
+	// on the far end reacts; two ends of a kind keep the caller's order.
+	if ea.sw == nil && eb.sw != nil {
+		ea, eb = eb, ea
+	}
+	hook := [2]linkEnd{ea, eb}
+	e.onLinkState[key] = func(up bool) {
+		hook[0].notify(up)
+		hook[1].notify(up)
+	}
+	return nil
 }
 
 // neighborOf builds the policy neighbor descriptor for remote as seen
@@ -108,93 +251,6 @@ func (e *Experiment) addRouterPeer(local, remote idr.ASN, ep *netem.Endpoint, ad
 	e.keyOf[ep] = key
 	e.peerEndpoint[local][key] = ep
 	return p, nil
-}
-
-func (e *Experiment) wireRouterRouter(edge topology.Edge, epA, epB *netem.Endpoint, ln addressing.LinkNet) error {
-	a, b := edge.A, edge.B
-	addrA, _ := ln.Addr(a)
-	addrB, _ := ln.Addr(b)
-	pa, err := e.addRouterPeer(a, b, epA, addrA)
-	if err != nil {
-		return err
-	}
-	pb, err := e.addRouterPeer(b, a, epB, addrB)
-	if err != nil {
-		return err
-	}
-	e.onLinkState[linkKey(a, b)] = func(up bool) {
-		if up {
-			pa.TransportUp()
-			pb.TransportUp()
-		} else {
-			pa.TransportDown()
-			pb.TransportDown()
-		}
-	}
-	return nil
-}
-
-func (e *Experiment) wireSwitchSwitch(edge topology.Edge, epA, epB *netem.Endpoint) error {
-	a, b := edge.A, edge.B
-	swA, swB := e.Switches[a], e.Switches[b]
-	portA, err := swA.AddPort(epA.Send)
-	if err != nil {
-		return err
-	}
-	portB, err := swB.AddPort(epB.Send)
-	if err != nil {
-		return err
-	}
-	e.portOf[epA] = portA
-	e.portOf[epB] = portB
-	if err := e.Ctrl.RegisterPort(a, portA, b, true); err != nil {
-		return err
-	}
-	if err := e.Ctrl.RegisterPort(b, portB, a, true); err != nil {
-		return err
-	}
-	e.onLinkState[linkKey(a, b)] = func(up bool) {
-		_ = swA.NotifyPortState(portA, up)
-		_ = swB.NotifyPortState(portB, up)
-	}
-	return nil
-}
-
-// wireSwitchRouter wires an external peering: member m's switch port
-// faces legacy router l, and the controller terminates the eBGP
-// session through the speaker.
-func (e *Experiment) wireSwitchRouter(m, l idr.ASN, epM, epL *netem.Endpoint, ln addressing.LinkNet) error {
-	sw := e.Switches[m]
-	port, err := sw.AddPort(epM.Send)
-	if err != nil {
-		return err
-	}
-	e.portOf[epM] = port
-	if err := e.Ctrl.RegisterPort(m, port, l, false); err != nil {
-		return err
-	}
-	id, err := e.Plan.RouterID(m)
-	if err != nil {
-		return err
-	}
-	addrM, _ := ln.Addr(m)
-	addrL, _ := ln.Addr(l)
-	if err := e.Ctrl.AddExternalPeering(m, port, l, id, addrM); err != nil {
-		return err
-	}
-	pl, err := e.addRouterPeer(l, m, epL, addrL)
-	if err != nil {
-		return err
-	}
-	e.onLinkState[linkKey(m, l)] = func(up bool) {
-		_ = sw.NotifyPortState(port, up)
-		if up {
-			pl.TransportUp()
-		} else {
-			pl.TransportDown()
-		}
-	}
-	return nil
 }
 
 // buildCollector attaches the route collector to every legacy router.

@@ -16,7 +16,7 @@ import (
 	"repro/internal/labd"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/registry_canonical.golden from the current registry")
+var update = flag.Bool("update", false, "rewrite the testdata/*.golden files from the current code")
 
 // overrideCase is one column of the golden matrix: the same override
 // spelled as typed Options (the Spec.Build path) and as wire strings
@@ -99,9 +99,16 @@ func TestRegistryCanonicalGolden(t *testing.T) {
 			fmt.Fprintf(&got, "%s %s\n", cell, want)
 		}
 	}
-	path := filepath.Join("testdata", "registry_canonical.golden")
+	checkGolden(t, "registry_canonical.golden", got.Bytes(), "a deliberate cache invalidation")
+}
+
+// checkGolden compares got with testdata/<name>, or rewrites the file
+// under -update; when names the only legitimate reason to do that.
+func checkGolden(t *testing.T, name string, got []byte, when string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *update {
-		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -110,9 +117,8 @@ func TestRegistryCanonicalGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Errorf("registry resolution drifted from %s (rerun with -update only for a deliberate cache invalidation):\n%s",
-			path, lineDiff(want, got.Bytes()))
+	if !bytes.Equal(got, want) {
+		t.Errorf("drifted from %s (rerun with -update only for %s):\n%s", path, when, lineDiff(want, got))
 	}
 }
 

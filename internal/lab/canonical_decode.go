@@ -199,6 +199,9 @@ func ParseCanonical(data []byte) (Sweep, error) {
 	if err != nil {
 		return Sweep{}, err
 	}
+	if err := axis.checkSeeds(pol); err != nil {
+		return Sweep{}, err
+	}
 	s := Sweep{
 		Base:       base,
 		Axis:       axis,

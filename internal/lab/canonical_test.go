@@ -39,96 +39,6 @@ func TestCanonicalPinned(t *testing.T) {
 	}
 }
 
-// TestCanonicalIgnoresExecutionKnobs asserts that presentation and
-// execution fields do not move the content address, while every
-// result-determining field does.
-func TestCanonicalIgnoresExecutionKnobs(t *testing.T) {
-	base := func() Sweep {
-		return Sweep{
-			Base: Trial{
-				Topo:  TopoSpec{Kind: "clique", N: 4},
-				Event: Withdrawal,
-			},
-			Axis:     SDNCounts(0, 2),
-			Runs:     2,
-			BaseSeed: 5,
-		}
-	}
-	ref, err := base().Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	same := []struct {
-		name string
-		mut  func(*Sweep)
-	}{
-		{"name", func(s *Sweep) { s.Name = "renamed" }},
-		{"parallelism", func(s *Sweep) { s.Parallelism = 8 }},
-		{"progress", func(s *Sweep) { s.Progress = func(int, int) {} }},
-		{"cache", func(s *Sweep) { s.Cache = nopCache{} }},
-		{"default runs spelled out", func(s *Sweep) { s.Runs = 2 }},
-		{"default timers spelled out", func(s *Sweep) { s.Base.Timers = bgp.DefaultTimers() }},
-		{"partial timers resolved", func(s *Sweep) {
-			// A hand-built Timers whose unset fields the router
-			// defaults anyway; jitter spelled out to match.
-			s.Base.Timers = bgp.Timers{MRAI: 30 * time.Second, MRAIJitter: true}
-		}},
-		{"default timeout spelled out", func(s *Sweep) { s.Base.Timeout = 2 * time.Hour }},
-		{"wall limit", func(s *Sweep) { s.Base.WallLimit = time.Minute }},
-		{"tolerate", func(s *Sweep) { s.Tolerate = true }},
-		{"retries", func(s *Sweep) { s.Retries = 2 }},
-		{"inject seam", func(s *Sweep) { s.Inject = func(int, int) error { return nil } }},
-	}
-	for _, tc := range same {
-		s := base()
-		tc.mut(&s)
-		got, err := s.Canonical()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != string(ref) {
-			t.Errorf("%s changed the canonical bytes but cannot change results", tc.name)
-		}
-	}
-
-	differs := []struct {
-		name string
-		mut  func(*Sweep)
-	}{
-		{"topology", func(s *Sweep) { s.Base.Topo.N = 5 }},
-		{"placement", func(s *Sweep) { s.Base.Placement = Placement{Strategy: PlaceDegree} }},
-		{"policy", func(s *Sweep) { s.Base.Policy = PolicySpec{Kind: PolicyGaoRexford} }},
-		{"event", func(s *Sweep) { s.Base.Event = Announcement }},
-		{"workload", func(s *Sweep) { s.Base.Workload = Workload{{Kind: KindWithdrawal}} }},
-		{"mrai", func(s *Sweep) { s.Base.Timers = bgp.DefaultTimers(); s.Base.Timers.MRAI = 5 * time.Second }},
-		{"mrai jitter", func(s *Sweep) { s.Base.Timers = bgp.DefaultTimers(); s.Base.Timers.MRAIJitter = false }},
-		{"debounce", func(s *Sweep) { s.Base.Debounce = -1 }},
-		{"damping", func(s *Sweep) { s.Base.Damping = &bgp.DampingConfig{} }},
-		{"origin-only", func(s *Sweep) { s.Base.OriginOnly = true }},
-		{"link delay", func(s *Sweep) { s.Base.LinkDelay = 7 * time.Millisecond }},
-		{"link jitter", func(s *Sweep) { s.Base.LinkJitter = 2 * time.Millisecond }},
-		{"link loss", func(s *Sweep) { s.Base.LinkLoss = 0.05 }},
-		{"axis values", func(s *Sweep) { s.Axis = SDNCounts(0, 4) }},
-		{"loss axis", func(s *Sweep) { s.Axis = Losses(0, 0.02) }},
-		{"axis kind", func(s *Sweep) { s.Axis = TopoSizes(4, 6) }},
-		{"runs", func(s *Sweep) { s.Runs = 3 }},
-		{"base seed", func(s *Sweep) { s.BaseSeed = 6 }},
-		{"seed policy", func(s *Sweep) { s.SeedPolicy = SeedCellRun }},
-	}
-	for _, tc := range differs {
-		s := base()
-		tc.mut(&s)
-		got, err := s.Canonical()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) == string(ref) {
-			t.Errorf("%s did not change the canonical bytes but changes results", tc.name)
-		}
-	}
-}
-
 // TestCanonicalDampingDefaultsResolved asserts the zero DampingConfig
 // and its spelled-out defaults share one address.
 func TestCanonicalDampingDefaultsResolved(t *testing.T) {
@@ -200,7 +110,7 @@ func TestCanonicalDebounceAxisDisambiguated(t *testing.T) {
 	}
 }
 
-// nopCache is a CellCache that never hits (for the knob test).
+// nopCache is a CellCache that never hits (for the cover test).
 type nopCache struct{}
 
 func (nopCache) Load(int, int) (Result, bool, error) { return Result{}, false, nil }

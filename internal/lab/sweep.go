@@ -211,10 +211,32 @@ func (a Axis) Apply(t *Trial, i int) {
 	}
 }
 
-// validate rejects axis values that cannot run against the base trial.
-func (a Axis) validate(base Trial) error {
+// checkSeeds rejects SeedCellRun on a cell whose axis value does not
+// convert to an integer: the mode and policy axes (Value is NaN), a
+// NaN or infinite loss. Go leaves such float-to-int conversions
+// implementation-defined (amd64 and arm64 disagree on NaN), so one
+// accepted spec would run under platform-dependent seeds.
+func (a Axis) checkSeeds(p SeedPolicy) error {
+	if p != SeedCellRun {
+		return nil
+	}
+	for i := 0; i < a.Len(); i++ {
+		if v := a.Value(i); !(math.Abs(v) < 1<<62) {
+			return fmt.Errorf("lab: seed policy %s adds the cell's axis value to the seed; %s cell %q has no integer value",
+				seedPolicyNames[p], a.Name(), a.Label(i))
+		}
+	}
+	return nil
+}
+
+// validate rejects axis values that cannot run against the base trial
+// or seed under the sweep's policy.
+func (a Axis) validate(base Trial, seeds SeedPolicy) error {
 	if a.Len() == 0 {
 		return fmt.Errorf("lab: empty axis")
+	}
+	if err := a.checkSeeds(seeds); err != nil {
+		return err
 	}
 	switch a.Kind {
 	case AxisSDNCount:
@@ -664,7 +686,7 @@ func (s Sweep) Run() (*SweepResult, error) {
 	if s.Runs <= 0 {
 		s.Runs = 1
 	}
-	if err := s.Axis.validate(s.Base); err != nil {
+	if err := s.Axis.validate(s.Base, s.SeedPolicy); err != nil {
 		return nil, err
 	}
 	n := s.Axis.Len()

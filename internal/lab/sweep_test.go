@@ -2,6 +2,7 @@ package lab
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -205,6 +206,19 @@ func TestSeedPolicies(t *testing.T) {
 	sw.SeedPolicy = SeedRun
 	if got := sw.seed(1, 2); got != 12 {
 		t.Fatalf("SeedRun seed = %d", got)
+	}
+	// SeedCellRun adds the axis value to the seed, so an axis without
+	// integer values (NaN converts to int64 differently per platform)
+	// must fail before any run starts.
+	for name, axis := range map[string]Axis{
+		"mode":     Modes(ModeBGP, ModeSDN),
+		"policy":   Policies(PolicySpec{}, PolicySpec{Kind: PolicyGaoRexford}),
+		"NaN loss": Losses(0, math.NaN()),
+	} {
+		sw := Sweep{Base: Trial{Topo: TopoSpec{Kind: "clique", N: 4}, Event: Flap}, Axis: axis, SeedPolicy: SeedCellRun}
+		if _, err := sw.Run(); err == nil || !strings.Contains(err.Error(), "seed policy cell-run") {
+			t.Errorf("SeedCellRun over a %s axis: err = %v, want a seed-policy rejection", name, err)
+		}
 	}
 }
 

@@ -9,25 +9,6 @@ import (
 	"testing"
 )
 
-// fixtureCanonical parameterizes the canonical analyzer for the
-// fixture module under testdata/mod: Spec.B is the unlisted dummy
-// field that must be caught, Spec.Both and the Gone/Unknown entries
-// exercise the stale-exclusion findings.
-var fixtureCanonical = CanonicalConfig{
-	Package: "fixture/internal/spec",
-	Roots:   []string{"Spec"},
-	File:    "canonical.go",
-	ExcludeFields: map[string]string{
-		"Spec.Skipped": "fixture: deliberately excluded",
-		"Spec.Both":    "fixture: stale — the encoder also reads it",
-		"Spec.Gone":    "fixture: matches no field",
-	},
-	ExcludeTypes: map[string]string{
-		"Opaque":  "fixture: serialized wholesale",
-		"Unknown": "fixture: matches no struct",
-	},
-}
-
 // markerRe matches a want marker; quoteRe pulls the expected
 // substrings out of its tail. `// want "x"` expects a diagnostic on
 // the same line, `// want-below "x"` on the next line, and
@@ -50,7 +31,6 @@ func TestFixtures(t *testing.T) {
 	}
 	analyzers := []*Analyzer{
 		DeterminismAnalyzer(),
-		CanonicalAnalyzerWith(fixtureCanonical),
 		ErrcheckAnalyzer(),
 		DocAnalyzer(),
 	}

@@ -1,9 +1,9 @@
 // Package lint is the repository's zero-dependency static-analysis
 // suite (stdlib go/ast + go/types only), mechanizing the invariants
 // the reproduction's scientific claims rest on: seeded determinism,
-// the Canonical() cache-invalidation contract, zero-alloc hot paths,
-// handled errors, and a documented evaluation API. cmd/repolint is
-// the CLI; TestRepoLintClean runs the same suite as a tier-1 test.
+// zero-alloc hot paths, handled errors, and a documented evaluation
+// API. cmd/repolint is the CLI; TestRepoLintClean runs the same suite
+// as a tier-1 test.
 //
 // A finding at a genuinely-safe site is suppressed in the source with
 // an annotation naming the reason:
@@ -36,9 +36,6 @@ const (
 	// CheckWallTime flags wall-clock reads (time.Now / time.Since /
 	// time.Until) inside the simulation packages.
 	CheckWallTime = "walltime"
-	// CheckCanonical flags Trial/Sweep fields neither serialized by
-	// Canonical() nor excluded, and stale exclusion entries.
-	CheckCanonical = "canonical"
 	// CheckEscape flags new heap-escape diagnostics inside the
 	// declared zero-alloc hot functions.
 	CheckEscape = "escape"
@@ -57,7 +54,6 @@ var knownChecks = map[string]bool{
 	CheckMapOrder:   true,
 	CheckGlobalRand: true,
 	CheckWallTime:   true,
-	CheckCanonical:  true,
 	CheckEscape:     true,
 	CheckErrcheck:   true,
 	CheckDoc:        true,
@@ -131,7 +127,6 @@ type Analyzer struct {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer(),
-		CanonicalAnalyzer(),
 		ZeroAllocAnalyzer(),
 		ErrcheckAnalyzer(),
 		DocAnalyzer(),
@@ -218,7 +213,7 @@ func checkAnnotations(prog *Program) []Diagnostic {
 						out = append(out, Diagnostic{
 							Pos:     token.Position{Filename: f.Name, Line: a.Line, Column: 1},
 							Check:   CheckAnnotation,
-							Message: fmt.Sprintf("unknown lint check %q (known: maporder, globalrand, walltime, canonical, escape, errcheck, doc)", a.Check),
+							Message: fmt.Sprintf("unknown lint check %q (known: maporder, globalrand, walltime, escape, errcheck, doc)", a.Check),
 						})
 					case a.Reason == "":
 						out = append(out, Diagnostic{

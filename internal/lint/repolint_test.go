@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"maps"
 	"sync"
 	"testing"
 )
@@ -25,10 +24,10 @@ func repoProgram(t *testing.T) *Program {
 
 // TestRepoLintClean is the tier-1 gate: the full analyzer suite over
 // the repository itself must be clean. This is what turns the lint
-// invariants into build failures — deleting a field read from
-// Canonical(), adding an unserialized Trial field, a new heap escape
-// in a hot function, or an unsorted map iteration in the simulation
-// packages all land here.
+// invariants into build failures — a new heap escape in a hot
+// function, an unsorted map iteration in the simulation packages, a
+// dropped error or an undocumented evaluation-API symbol all land
+// here.
 func TestRepoLintClean(t *testing.T) {
 	prog := repoProgram(t)
 	diags, err := RunAnalyzers(prog, Analyzers())
@@ -37,31 +36,5 @@ func TestRepoLintClean(t *testing.T) {
 	}
 	for _, d := range diags {
 		t.Errorf("%s", d)
-	}
-}
-
-// TestCanonicalExclusionsAreLoadBearing removes one entry from the
-// contract's exclusion list and asserts the analyzer notices — i.e.
-// the committed list is exactly the set of fields Canonical() skips,
-// with nothing vestigial holding the diff closed.
-func TestCanonicalExclusionsAreLoadBearing(t *testing.T) {
-	prog := repoProgram(t)
-	for _, dropped := range []string{"Trial.WallLimit", "Sweep.Name"} {
-		cfg := CanonicalContract
-		cfg.ExcludeFields = maps.Clone(CanonicalContract.ExcludeFields)
-		delete(cfg.ExcludeFields, dropped)
-		diags, err := runCanonical(prog, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		found := false
-		for _, d := range diags {
-			if d.Check == CheckCanonical {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("dropping exclusion %q produced no canonical finding — the entry is vestigial", dropped)
-		}
 	}
 }

@@ -11,8 +11,6 @@ import (
 	"regexp"
 	"sort"
 	"strings"
-
-	"repro/internal/benchfmt"
 )
 
 // HotFunctions is the declared zero-alloc manifest: the functions on
@@ -304,97 +302,6 @@ func funcKey(fd *ast.FuncDecl) string {
 		return id.Name + "." + fd.Name.Name
 	}
 	return fd.Name.Name
-}
-
-// BenchAllocBaseline names the benchmarks whose allocs/op the bench
-// gate compares against the committed BENCH_*.json trajectory file —
-// the alloc-sensitive microbenchmarks over the manifest's hot paths.
-var BenchAllocBaseline = []string{
-	"WireMarshalUpdate", "WireUnmarshalUpdate",
-	"RIBDecision", "RIBLookup",
-	"TimerReset", "TimerWheel", "KernelBatchDrain",
-	"FlowTableLookup", "OFPFlowModRoundTrip",
-	"SingleRun",
-}
-
-// BenchGate runs the alloc-sensitive benchmarks (benchtime=1x) and
-// fails on any allocs/op regression against the baseline document
-// (BENCH_SMOKE.json by default). It is the slow half of the zeroalloc
-// analyzer, run on demand (repolint -bench and the CI lint job).
-func BenchGate(root, baselinePath string) ([]Diagnostic, error) {
-	data, err := os.ReadFile(baselinePath)
-	if err != nil {
-		return nil, err
-	}
-	var baseline benchfmt.Report
-	if err := json.Unmarshal(data, &baseline); err != nil {
-		return nil, fmt.Errorf("%s: %w", baselinePath, err)
-	}
-	var names []string
-	for _, name := range BenchAllocBaseline {
-		if b, ok := baseline.Find(name); ok && b.AllocsPerOp != nil {
-			names = append(names, name)
-		}
-	}
-	if len(names) == 0 {
-		return nil, fmt.Errorf("%s: no alloc-reporting baseline entries among %v", baselinePath, BenchAllocBaseline)
-	}
-	pattern := "^Benchmark(" + strings.Join(names, "|") + ")$"
-	cmd := exec.Command("go", "test", "-run", "^$", "-bench", pattern, "-benchtime", "1x", ".")
-	cmd.Dir = root
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		return nil, fmt.Errorf("go test -bench: %v\n%s", err, out)
-	}
-	rep, err := benchfmt.Parse(strings.NewReader(string(out)))
-	if err != nil {
-		return nil, err
-	}
-	return diffBenchAllocs(baseline, rep, filepath.Base(baselinePath)), nil
-}
-
-// benchAllocSlack is the relative headroom the gate grants over the
-// baseline allocs/op: 0.2% keeps the micro benchmarks exact to ±2
-// allocations while absorbing the single-digit runtime noise a
-// whole-simulation macro benchmark shows at -benchtime=1x.
-const benchAllocSlack = 0.002
-
-// diffBenchAllocs compares current allocs/op against the baseline.
-func diffBenchAllocs(baseline, current benchfmt.Report, baselineName string) []Diagnostic {
-	var diags []Diagnostic
-	for _, name := range BenchAllocBaseline {
-		base, ok := baseline.Find(name)
-		if !ok || base.AllocsPerOp == nil {
-			continue
-		}
-		cur, ok := current.Find(name)
-		if !ok {
-			diags = append(diags, Diagnostic{
-				Pos:     positionFrom(baselineName, 1, 1),
-				Check:   CheckEscape,
-				Message: fmt.Sprintf("benchmark %s is in the alloc baseline but did not run — was it renamed?", name),
-			})
-			continue
-		}
-		if cur.AllocsPerOp == nil {
-			diags = append(diags, Diagnostic{
-				Pos:     positionFrom(baselineName, 1, 1),
-				Check:   CheckEscape,
-				Message: fmt.Sprintf("benchmark %s no longer reports allocs/op (lost its ReportAllocs?)", name),
-			})
-			continue
-		}
-		allowed := *base.AllocsPerOp * (1 + benchAllocSlack)
-		if *cur.AllocsPerOp > allowed {
-			diags = append(diags, Diagnostic{
-				Pos:   positionFrom(baselineName, 1, 1),
-				Check: CheckEscape,
-				Message: fmt.Sprintf("allocs/op regression in Benchmark%s: %.0f now vs %.0f in %s",
-					name, *cur.AllocsPerOp, *base.AllocsPerOp, baselineName),
-			})
-		}
-	}
-	return diags
 }
 
 // positionFrom builds a root-relative position.

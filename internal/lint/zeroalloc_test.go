@@ -3,8 +3,6 @@ package lint
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/benchfmt"
 )
 
 // TestDiffEscapes drives the escape gate's diff logic with canned
@@ -44,56 +42,6 @@ func TestDiffEscapes(t *testing.T) {
 	diags = diffEscapes(nil, baseline, escapeBaseline{}, nil)
 	if len(diags) != 1 || !strings.Contains(diags[0].Message, "tighten the baseline") {
 		t.Errorf("improved path: want one tighten-the-baseline finding, got %v", diags)
-	}
-}
-
-// TestDiffBenchAllocs drives the bench gate's comparison: regressions
-// beyond the slack fire, noise within it passes, and a baseline
-// benchmark that vanished or stopped reporting allocs fires too.
-func TestDiffBenchAllocs(t *testing.T) {
-	f := func(v float64) *float64 { return &v }
-	baseline := benchfmt.Report{Benchmarks: []benchfmt.Benchmark{
-		{Name: "RIBDecision", AllocsPerOp: f(121)},
-		{Name: "SingleRun", AllocsPerOp: f(683374)},
-	}}
-
-	pass := benchfmt.Report{Benchmarks: []benchfmt.Benchmark{
-		{Name: "RIBDecision", AllocsPerOp: f(121)},
-		{Name: "SingleRun", AllocsPerOp: f(683377)}, // within the 0.2% slack
-	}}
-	if diags := diffBenchAllocs(baseline, pass, "B.json"); len(diags) != 0 {
-		t.Errorf("within slack: want clean, got %v", diags)
-	}
-
-	regress := benchfmt.Report{Benchmarks: []benchfmt.Benchmark{
-		{Name: "RIBDecision", AllocsPerOp: f(122)},
-		{Name: "SingleRun", AllocsPerOp: f(700000)},
-	}}
-	diags := diffBenchAllocs(baseline, regress, "B.json")
-	if len(diags) != 2 {
-		t.Fatalf("regressions: want 2 findings, got %v", diags)
-	}
-	for _, d := range diags {
-		if !strings.Contains(d.Message, "allocs/op regression") {
-			t.Errorf("unexpected message: %s", d)
-		}
-	}
-
-	missing := benchfmt.Report{Benchmarks: []benchfmt.Benchmark{
-		{Name: "RIBDecision", AllocsPerOp: f(121)},
-		{Name: "SingleRun"}, // lost its ReportAllocs
-	}}
-	diags = diffBenchAllocs(baseline, missing, "B.json")
-	if len(diags) != 1 || !strings.Contains(diags[0].Message, "no longer reports allocs/op") {
-		t.Errorf("lost allocs: want one finding, got %v", diags)
-	}
-
-	gone := benchfmt.Report{Benchmarks: []benchfmt.Benchmark{
-		{Name: "RIBDecision", AllocsPerOp: f(121)},
-	}}
-	diags = diffBenchAllocs(baseline, gone, "B.json")
-	if len(diags) != 1 || !strings.Contains(diags[0].Message, "did not run") {
-		t.Errorf("vanished benchmark: want one finding, got %v", diags)
 	}
 }
 

@@ -527,6 +527,9 @@ func (r *Runner) execMeasure(args []string) error {
 		trigger = func() error { return e.Announce(asn) }
 		rest = args[2:]
 	case "fail-link":
+		if len(args) < 3 {
+			return fmt.Errorf("want: measure fail-link <a> <b> [timeout]")
+		}
 		a, b, err := parseTwoASNs(args[1:3])
 		if err != nil {
 			return err

@@ -196,6 +196,7 @@ func TestRunErrors(t *testing.T) {
 		{"lifecycle before start", "topology line 2\nannounce 1\n"},
 		{"unknown command after start", header + "dance\n"},
 		{"bad measure trigger", header + "measure explode 1\n"},
+		{"measure fail-link with one AS", header + "measure fail-link 1\n"},
 		{"bad print", header + "print everything\n"},
 		{"withdraw before announce", header + "withdraw 1\n"},
 		{"probe unknown", header + "probe 1 9\n"},
@@ -257,8 +258,11 @@ print rib 2
 }
 
 func TestShippedScenarioFiles(t *testing.T) {
-	// The scenario files under examples/scenarios must stay runnable.
-	for _, name := range []string{"hybrid-tour.lab", "fig2-point.lab", "maintenance-window.lab"} {
+	// The scenario files under examples/scenarios must stay runnable,
+	// and print what they printed before experiment's link wiring
+	// became one wire(a, b) (testdata/*.out, generated at the commit
+	// before it).
+	for _, name := range []string{"hybrid-tour.lab", "fig2-point.lab", "maintenance-window.lab", "chaos-drill.lab"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			if testing.Short() && name == "fig2-point.lab" {
@@ -276,6 +280,13 @@ func TestShippedScenarioFiles(t *testing.T) {
 			var out strings.Builder
 			if err := NewRunner(&out).Run(s); err != nil {
 				t.Fatal(err)
+			}
+			want, err := os.ReadFile("testdata/" + strings.TrimSuffix(name, ".lab") + ".out")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.String() != string(want) {
+				t.Errorf("output drifted:\n got:\n%s\nwant:\n%s", out.String(), want)
 			}
 		})
 	}
