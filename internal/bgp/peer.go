@@ -1,8 +1,9 @@
 package bgp
 
 import (
+	"cmp"
 	"net/netip"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/bgp/rib"
@@ -21,9 +22,13 @@ type Peer struct {
 	fsm    FSM
 
 	mraiTimer sim.Timer
-	// Pending outbound route changes, flushed under MRAI pacing.
+	// Pending outbound route changes, flushed under MRAI pacing. The
+	// peaks are the most entries each map has held since it was made
+	// (see recycleBatch).
 	pendingAnnounce map[netip.Prefix]wire.PathAttrs
 	pendingWithdraw map[netip.Prefix]bool
+	announcePeak    int
+	withdrawPeak    int
 	// nextAdvAllowed is when the next announcement flush may happen.
 	nextAdvAllowed time.Time
 }
@@ -175,7 +180,7 @@ func (p *Peer) scheduleRoute(prefix netip.Prefix, best *rib.Route, ok bool, lear
 			delete(p.pendingWithdraw, prefix)
 			return
 		}
-		p.pendingAnnounce[prefix] = attrs
+		p.queueAnnounce(prefix, attrs)
 		delete(p.pendingWithdraw, prefix)
 		p.scheduleFlush()
 		return
@@ -183,20 +188,60 @@ func (p *Peer) scheduleRoute(prefix netip.Prefix, best *rib.Route, ok bool, lear
 	// Withdraw if the peer currently has (or is about to get) it.
 	delete(p.pendingAnnounce, prefix)
 	if _, had := r.adjOut.Get(p.cfg.Key, prefix); had {
-		p.pendingWithdraw[prefix] = true
+		p.queueWithdraw(prefix)
 		p.scheduleFlush()
 	}
+}
+
+// queueAnnounce and queueWithdraw are the only inserts into the
+// pending maps, so the peaks see every growth.
+func (p *Peer) queueAnnounce(prefix netip.Prefix, attrs wire.PathAttrs) {
+	p.pendingAnnounce[prefix] = attrs
+	p.announcePeak = max(p.announcePeak, len(p.pendingAnnounce))
+}
+
+func (p *Peer) queueWithdraw(prefix netip.Prefix) {
+	p.pendingWithdraw[prefix] = true
+	p.withdrawPeak = max(p.withdrawPeak, len(p.pendingWithdraw))
+}
+
+// mapGroupSlots is how many entries one group of a Go map holds: a map
+// that never held more owns exactly one group of backing store.
+const mapGroupSlots = 8
+
+// recycleBatch empties a pending map for the session's next MRAI
+// batch. A map that never held more than one group is cleared and
+// reused: a fresh one would allocate that same group again on its
+// first insert — 8 × (32 B prefix + 112 B attributes) ≈ 1.3 KB for
+// pendingAnnounce — to hold what is usually a single prefix. A map
+// that grew past one group is dropped instead, so a session's pending
+// maps never keep more than one group of capacity across flushes: a
+// full-table dump leaves no table-sized map behind, and no
+// O(capacity) clear on every later flush.
+func recycleBatch[V any](m map[netip.Prefix]V, peak *int) map[netip.Prefix]V {
+	grew := *peak > mapGroupSlots
+	*peak = 0
+	if grew {
+		return make(map[netip.Prefix]V)
+	}
+	clear(m)
+	return m
 }
 
 // flushWithdrawals sends all pending withdrawals as one UPDATE (the
 // head of the MRAI batch).
 func (p *Peer) flushWithdrawals() {
-	if p.fsm.state != StateEstablished || len(p.pendingWithdraw) == 0 {
+	if p.fsm.state != StateEstablished {
+		return
+	}
+	prefixes := idr.SortedPrefixes(p.pendingWithdraw)
+	// Recycled even when cancellations left nothing to send: the map
+	// may still hold the capacity of what was cancelled.
+	p.pendingWithdraw = recycleBatch(p.pendingWithdraw, &p.withdrawPeak)
+	if len(prefixes) == 0 {
 		return
 	}
 	r := p.router
-	prefixes := idr.SortedPrefixes(p.pendingWithdraw)
-	p.pendingWithdraw = make(map[netip.Prefix]bool)
 	for _, prefix := range prefixes {
 		r.adjOut.Delete(p.cfg.Key, prefix)
 	}
@@ -250,6 +295,7 @@ func (p *Peer) flushAnnouncements() {
 	sentWithdrawals := len(p.pendingWithdraw) > 0
 	p.flushWithdrawals()
 	if len(p.pendingAnnounce) == 0 {
+		p.pendingAnnounce = recycleBatch(p.pendingAnnounce, &p.announcePeak)
 		if sentWithdrawals {
 			p.nextAdvAllowed = p.clock().Now().Add(p.effectiveMRAI())
 		}
@@ -288,9 +334,9 @@ func (p *Peer) flushAnnouncements() {
 		for _, g := range groups {
 			g.key = g.attrs.String()
 		}
-		sort.SliceStable(groups, func(i, j int) bool { return groups[i].key < groups[j].key })
+		slices.SortStableFunc(groups, func(a, b *group) int { return cmp.Compare(a.key, b.key) })
 	}
-	p.pendingAnnounce = make(map[netip.Prefix]wire.PathAttrs)
+	p.pendingAnnounce = recycleBatch(p.pendingAnnounce, &p.announcePeak)
 	for _, g := range groups {
 		for _, prefix := range g.prefixes {
 			r.adjOut.Set(p.cfg.Key, prefix, g.attrs)
@@ -314,6 +360,7 @@ func (p *Peer) reset(wasEstablished bool) {
 	}
 	p.pendingAnnounce = make(map[netip.Prefix]wire.PathAttrs)
 	p.pendingWithdraw = make(map[netip.Prefix]bool)
+	p.announcePeak, p.withdrawPeak = 0, 0
 	p.nextAdvAllowed = time.Time{}
 
 	// Flap history does not survive a session reset (held-back routes

@@ -248,10 +248,10 @@ func (p *Peer) restore(ps PeerSnap) []sim.TimerArm {
 	})
 	p.nextAdvAllowed = sim.TimeFromNS(ps.NextAdvNS)
 	for _, pa := range ps.PendingAnnounce {
-		p.pendingAnnounce[pa.Prefix] = pa.Attrs
+		p.queueAnnounce(pa.Prefix, pa.Attrs)
 	}
 	for _, prefix := range ps.PendingWithdraw {
-		p.pendingWithdraw[prefix] = true
+		p.queueWithdraw(prefix)
 	}
 	return ps.Mrai.Rearm(arms, p.clock(), &p.mraiTimer, p.flushAnnouncements)
 }

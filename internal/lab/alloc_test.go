@@ -1,6 +1,7 @@
 package lab
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -9,36 +10,55 @@ import (
 // (race_test.go sets it).
 var raceEnabled bool
 
+// perRun is testing.AllocsPerRun with bytes: the objects and the bytes
+// f allocates per call, averaged over runs calls after one warm-up, on
+// one P.
+func perRun(runs int, f func()) (objects, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
 // TestTrialAllocCeiling bounds the heap allocations of one whole
 // emulation run — the paper's Figure 2 unit of work (clique-16
 // withdrawal; build, establish, warm up, trigger, measure) at 0% and
-// 50% SDN. It is the allocation gate on every layer at once: a new
-// per-UPDATE, per-frame or per-event allocation anywhere under
-// Trial.Run lands here. Speed and spread are labbench's to record
-// (workloads clique16-pure and clique16-half); this only holds a
-// ceiling, and a deterministic run makes the count exact to a few
-// objects of runtime noise.
+// 50% SDN — in objects and in bytes. It is the allocation gate on
+// every layer at once: a new per-UPDATE, per-frame or per-event
+// allocation anywhere under Trial.Run lands here. The bytes ceiling is
+// there because an object count cannot see size: a 1.3 KB map group
+// re-allocated on every MRAI flush was one object among many for 15
+// PRs and 40% of clique16-pure's bytes. Speed and spread are
+// labbench's to record (workloads clique16-pure and clique16-half);
+// this only holds ceilings, and a deterministic run makes the counts
+// exact to a few objects of runtime noise.
 //
 // To re-measure after a deliberate change, print the counts with
 //
 //	go test ./internal/lab -run TestTrialAllocCeiling -v
 //
-// and set each ceiling 0.2% above its count (215 732 and 674 308 on
-// go1.24 linux/amd64): tight enough that one extra allocation per
-// UPDATE in rib.Table.decide breaks both. The race detector's runtime
-// allocates on its own account (+5.0% and +0.8% here), so the test
-// skips under -race.
+// and set each object ceiling 0.2% above its count (166 285 and
+// 631 126 on go1.24 linux/amd64) — tight enough that one extra
+// allocation per UPDATE in rib.Table.decide breaks both — and each
+// bytes ceiling 2% above (16.34 and 29.86 MiB; size classes and
+// slice growth make bytes the looser number). The race detector's
+// runtime allocates on its own account, so the test skips under -race.
 func TestTrialAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's runtime adds allocations of its own")
 	}
 	for _, c := range []struct {
-		name    string
-		k       int
-		ceiling float64
+		name         string
+		k            int
+		objects, mib float64
 	}{
-		{"clique16-pure", 0, 216200},
-		{"clique16-half", 8, 675700},
+		{"clique16-pure", 0, 166620, 16.67},
+		{"clique16-half", 8, 632390, 30.46},
 	} {
 		trial := Trial{
 			Topo:            TopoSpec{Kind: "clique", N: 16},
@@ -48,14 +68,17 @@ func TestTrialAllocCeiling(t *testing.T) {
 			ProcessingDelay: 25 * time.Millisecond,
 			Seed:            1,
 		}
-		allocs := testing.AllocsPerRun(3, func() {
+		objects, bytes := perRun(3, func() {
 			if _, err := trial.Run(); err != nil {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("%s: %.0f allocs per run (ceiling %.0f)", c.name, allocs, c.ceiling)
-		if allocs > c.ceiling {
-			t.Errorf("%s: %.0f allocs per run, ceiling %.0f", c.name, allocs, c.ceiling)
+		t.Logf("%s: %.0f objects, %.2f MiB per run (ceilings %.0f, %.2f)", c.name, objects, bytes/(1<<20), c.objects, c.mib)
+		if objects > c.objects {
+			t.Errorf("%s: %.0f objects per run, ceiling %.0f", c.name, objects, c.objects)
+		}
+		if bytes > c.mib*(1<<20) {
+			t.Errorf("%s: %.2f MiB per run, ceiling %.2f", c.name, bytes/(1<<20), c.mib)
 		}
 	}
 }

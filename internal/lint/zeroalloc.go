@@ -44,7 +44,7 @@ var HotFunctions = map[string][]string{
 	"repro/internal/sim": {
 		// Timer re-arm: re-keyed in place (heap.Fix or wheel slot),
 		// no per-reset event.
-		"simTimer.Reset", "simTimer.Stop",
+		"event.Reset", "event.Stop",
 		// The timer wheel and the batched drain: scheduling, slot
 		// insert/flush and batch refill all run per event.
 		"Kernel.schedule", "timerWheel.insert", "Kernel.flushSlot",

@@ -1,10 +1,12 @@
 package monitor
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"maps"
 	"net/netip"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/bgp"
@@ -13,24 +15,73 @@ import (
 	"repro/internal/sim"
 )
 
-// EventLog accumulates router trace events for the framework's
-// "automatic log file analysis" and "route change visualization".
+// EventLog folds router trace events, as they happen, into what the
+// framework's "automatic log file analysis" and "route change
+// visualization" read back: per-router activity counters and one slim
+// record per best-route transition. It retains no event: an UPDATE's
+// decoded wire.Message, the *rib.Change and the routes it points at are
+// garbage as soon as Append returns, so the log's size follows the
+// number of best-path changes, not the number of messages.
 type EventLog struct {
-	events []bgp.TraceEvent
+	routers map[idr.ASN]*RouterSummary
+	// best holds the transitions in Append order. Append is driven by
+	// one kernel's clock, so that order is time order, which is what
+	// lets the windowed counts seek instead of scan.
+	best []bestChange
+}
+
+// bestChange is one TraceBest event reduced to what PathChanges
+// renders. The AS paths are the (immutable, shared) slices the routes
+// carried, copied out so that neither the rib.Route nor its attribute
+// set stays reachable.
+type bestChange struct {
+	at                 time.Time
+	router             idr.ASN
+	oldLocal, newLocal bool
+	prefix             netip.Prefix
+	oldPath, newPath   wire.ASPath
 }
 
 // NewEventLog returns an empty log.
-func NewEventLog() *EventLog { return &EventLog{} }
+func NewEventLog() *EventLog {
+	return &EventLog{routers: make(map[idr.ASN]*RouterSummary)}
+}
 
-// Append records one event (install as a bgp.Config.Trace hook,
-// fan-in from all routers).
-func (l *EventLog) Append(ev bgp.TraceEvent) { l.events = append(l.events, ev) }
-
-// Len returns the number of recorded events.
-func (l *EventLog) Len() int { return len(l.events) }
-
-// Events returns the raw event slice.
-func (l *EventLog) Events() []bgp.TraceEvent { return l.events }
+// Append folds one event in (install as a bgp.Config.Trace hook,
+// fan-in from all routers). Events must arrive in non-decreasing Time
+// order — the order a sim.Kernel produces them in.
+func (l *EventLog) Append(ev bgp.TraceEvent) {
+	s, ok := l.routers[ev.Router]
+	if !ok {
+		s = &RouterSummary{Router: ev.Router, FirstActivity: ev.Time}
+		l.routers[ev.Router] = s
+	}
+	s.LastActivity = ev.Time
+	switch ev.Kind {
+	case bgp.TraceSend:
+		if ev.Msg != nil && ev.Msg.Type() == wire.MsgUpdate {
+			s.UpdatesSent++
+		}
+	case bgp.TraceRecv:
+		if ev.Msg != nil && ev.Msg.Type() == wire.MsgUpdate {
+			s.UpdatesRecv++
+		}
+	case bgp.TraceBest:
+		s.BestChanges++
+		if c := ev.Change; c != nil {
+			bc := bestChange{at: ev.Time, router: ev.Router, prefix: c.Prefix}
+			if c.Old != nil {
+				bc.oldPath, bc.oldLocal = c.Old.Attrs.ASPath, c.Old.Local
+			}
+			if c.New != nil {
+				bc.newPath, bc.newLocal = c.New.Attrs.ASPath, c.New.Local
+			}
+			l.best = append(l.best, bc)
+		}
+	case bgp.TraceState:
+		s.StateChanges++
+	}
+}
 
 // RouterSummary aggregates per-router activity.
 type RouterSummary struct {
@@ -41,45 +92,13 @@ type RouterSummary struct {
 	FirstActivity, LastActivity time.Time
 }
 
-// Summarize computes per-router summaries, sorted by ASN.
+// Summarize returns the per-router summaries, sorted by ASN.
 func (l *EventLog) Summarize() []RouterSummary {
-	byRouter := make(map[idr.ASN]*RouterSummary)
-	get := func(asn idr.ASN) *RouterSummary {
-		s, ok := byRouter[asn]
-		if !ok {
-			s = &RouterSummary{Router: asn}
-			byRouter[asn] = s
-		}
-		return s
-	}
-	for _, ev := range l.events {
-		s := get(ev.Router)
-		if s.FirstActivity.IsZero() || ev.Time.Before(s.FirstActivity) {
-			s.FirstActivity = ev.Time
-		}
-		if ev.Time.After(s.LastActivity) {
-			s.LastActivity = ev.Time
-		}
-		switch ev.Kind {
-		case bgp.TraceSend:
-			if ev.Msg != nil && ev.Msg.Type() == wire.MsgUpdate {
-				s.UpdatesSent++
-			}
-		case bgp.TraceRecv:
-			if ev.Msg != nil && ev.Msg.Type() == wire.MsgUpdate {
-				s.UpdatesRecv++
-			}
-		case bgp.TraceBest:
-			s.BestChanges++
-		case bgp.TraceState:
-			s.StateChanges++
-		}
-	}
-	out := make([]RouterSummary, 0, len(byRouter))
-	for _, s := range byRouter {
+	out := make([]RouterSummary, 0, len(l.routers))
+	for _, s := range l.routers {
 		out = append(out, *s)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Router < out[j].Router })
+	slices.SortFunc(out, func(a, b RouterSummary) int { return cmp.Compare(a.Router, b.Router) })
 	return out
 }
 
@@ -92,10 +111,12 @@ type PathChange struct {
 	NewPath string // "" = none
 }
 
-// isBestChange reports whether ev is a best-route transition for
-// prefix.
-func isBestChange(ev bgp.TraceEvent, prefix netip.Prefix) bool {
-	return ev.Kind == bgp.TraceBest && ev.Change != nil && ev.Change.Prefix == prefix
+// renderPath is a PathChange's text for one side of a transition.
+func renderPath(path wire.ASPath, local bool) string {
+	if local {
+		return "local"
+	}
+	return path.String()
 }
 
 // PathChanges extracts the best-route transitions for prefix in time
@@ -103,30 +124,24 @@ func isBestChange(ev bgp.TraceEvent, prefix netip.Prefix) bool {
 // path-exploration count of Oliveira et al. [13].
 func (l *EventLog) PathChanges(prefix netip.Prefix) []PathChange {
 	var out []PathChange
-	for _, ev := range l.events {
-		if !isBestChange(ev, prefix) {
+	for i := range l.best {
+		bc := &l.best[i]
+		if bc.prefix != prefix {
 			continue
 		}
-		pc := PathChange{Time: ev.Time, Router: ev.Router, Prefix: prefix}
-		if ev.Change.Old != nil {
-			pc.OldPath = ev.Change.Old.Attrs.ASPath.String()
-			if ev.Change.Old.Local {
-				pc.OldPath = "local"
-			}
-		}
-		if ev.Change.New != nil {
-			pc.NewPath = ev.Change.New.Attrs.ASPath.String()
-			if ev.Change.New.Local {
-				pc.NewPath = "local"
-			}
-		}
-		out = append(out, pc)
+		out = append(out, PathChange{
+			Time: bc.at, Router: bc.router, Prefix: prefix,
+			OldPath: renderPath(bc.oldPath, bc.oldLocal),
+			NewPath: renderPath(bc.newPath, bc.newLocal),
+		})
 	}
 	return out
 }
 
-// PathExplorationCount returns, per router, how many distinct best
-// paths it tried for prefix after start (the path exploration metric).
+// PathExplorationCount returns, per router, how many best-path
+// transitions it went through for prefix at or after start (the path
+// exploration metric). A path a router returns to counts again: the
+// measure is transitions, not distinct paths.
 func (l *EventLog) PathExplorationCount(prefix netip.Prefix, start time.Time) map[idr.ASN]int {
 	return l.PathExplorationCountBetween(prefix, start, time.Time{})
 }
@@ -135,17 +150,20 @@ func (l *EventLog) PathExplorationCount(prefix netip.Prefix, start time.Time) ma
 // PathExplorationCount: it counts best-path transitions for prefix in
 // [start, end). A zero end leaves the window open-ended — the
 // per-epoch workload instrumentation windows each scheduled event's
-// exploration between its trigger and the next.
+// exploration between its trigger and the next. It seeks to start and
+// walks the window only.
 func (l *EventLog) PathExplorationCountBetween(prefix netip.Prefix, start, end time.Time) map[idr.ASN]int {
 	out := make(map[idr.ASN]int)
-	for _, ev := range l.events {
-		if !isBestChange(ev, prefix) || ev.Time.Before(start) {
-			continue
+	// The earliest record at or after start: equal timestamps are in.
+	first, _ := slices.BinarySearchFunc(l.best, start, func(bc bestChange, t time.Time) int { return bc.at.Compare(t) })
+	for i := first; i < len(l.best); i++ {
+		bc := &l.best[i]
+		if !end.IsZero() && !bc.at.Before(end) {
+			break
 		}
-		if !end.IsZero() && !ev.Time.Before(end) {
-			continue
+		if bc.prefix == prefix {
+			out[bc.router]++
 		}
-		out[ev.Router]++
 	}
 	return out
 }
@@ -178,24 +196,22 @@ type RouteProvider func(prefix netip.Prefix) (asPath wire.ASPath, ok bool)
 // as a DOT digraph: an edge from each AS to the first AS on its best
 // path. providers maps each AS to its route view.
 func WriteForwardingDOT(w io.Writer, prefix netip.Prefix, providers map[idr.ASN]RouteProvider) error {
-	asns := make([]idr.ASN, 0, len(providers))
-	for a := range providers {
-		asns = append(asns, a)
-	}
-	sort.Slice(asns, func(i, j int) bool { return asns[i] < asns[j] })
+	asns := slices.Sorted(maps.Keys(providers))
 	if _, err := fmt.Fprintf(w, "digraph %q {\n", "routes_"+prefix.String()); err != nil {
 		return err
 	}
 	for _, asn := range asns {
 		path, ok := providers[asn](prefix)
+		var err error
 		if !ok {
-			fmt.Fprintf(w, "  %q [style=dashed]; // no route\n", asn.String())
-			continue
-		}
-		if first, has := path.First(); has {
-			fmt.Fprintf(w, "  %q -> %q;\n", asn.String(), first.String())
+			_, err = fmt.Fprintf(w, "  %q [style=dashed]; // no route\n", asn.String())
+		} else if first, has := path.First(); has {
+			_, err = fmt.Fprintf(w, "  %q -> %q;\n", asn.String(), first.String())
 		} else {
-			fmt.Fprintf(w, "  %q [shape=doublecircle]; // origin\n", asn.String())
+			_, err = fmt.Fprintf(w, "  %q [shape=doublecircle]; // origin\n", asn.String())
+		}
+		if err != nil {
+			return err
 		}
 	}
 	_, err := fmt.Fprintln(w, "}")

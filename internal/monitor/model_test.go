@@ -1,0 +1,219 @@
+package monitor
+
+import (
+	"maps"
+	"math/rand"
+	"net/netip"
+	"reflect"
+	"runtime"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/bgp"
+	"repro/internal/bgp/rib"
+	"repro/internal/bgp/wire"
+	"repro/internal/idr"
+	"repro/internal/sim"
+)
+
+// retained is the oracle for the EventLog fold: the retain-everything
+// log the fold replaced, kept by the test instead of the product. Its
+// three views are naive scans over the slice.
+type retained []bgp.TraceEvent
+
+func (r retained) summarize() []RouterSummary {
+	byRouter := map[idr.ASN]*RouterSummary{}
+	for _, ev := range r {
+		s := byRouter[ev.Router]
+		if s == nil {
+			s = &RouterSummary{Router: ev.Router, FirstActivity: ev.Time}
+			byRouter[ev.Router] = s
+		}
+		if ev.Time.Before(s.FirstActivity) {
+			s.FirstActivity = ev.Time
+		}
+		if ev.Time.After(s.LastActivity) {
+			s.LastActivity = ev.Time
+		}
+		isUpdate := ev.Msg != nil && ev.Msg.Type() == wire.MsgUpdate
+		switch {
+		case ev.Kind == bgp.TraceSend && isUpdate:
+			s.UpdatesSent++
+		case ev.Kind == bgp.TraceRecv && isUpdate:
+			s.UpdatesRecv++
+		case ev.Kind == bgp.TraceBest:
+			s.BestChanges++
+		case ev.Kind == bgp.TraceState:
+			s.StateChanges++
+		}
+	}
+	out := []RouterSummary{}
+	for _, asn := range slices.Sorted(maps.Keys(byRouter)) {
+		out = append(out, *byRouter[asn])
+	}
+	return out
+}
+
+func (r retained) pathChanges(prefix netip.Prefix) []PathChange {
+	render := func(rt *rib.Route) string {
+		switch {
+		case rt == nil:
+			return ""
+		case rt.Local:
+			return "local"
+		}
+		return rt.Attrs.ASPath.String()
+	}
+	var out []PathChange
+	for _, ev := range r {
+		if ev.Kind == bgp.TraceBest && ev.Change != nil && ev.Change.Prefix == prefix {
+			out = append(out, PathChange{Time: ev.Time, Router: ev.Router, Prefix: prefix,
+				OldPath: render(ev.Change.Old), NewPath: render(ev.Change.New)})
+		}
+	}
+	return out
+}
+
+func (r retained) explorationBetween(prefix netip.Prefix, start, end time.Time) map[idr.ASN]int {
+	out := map[idr.ASN]int{}
+	for _, ev := range r {
+		if ev.Kind == bgp.TraceBest && ev.Change != nil && ev.Change.Prefix == prefix &&
+			!ev.Time.Before(start) && (end.IsZero() || ev.Time.Before(end)) {
+			out[ev.Router]++
+		}
+	}
+	return out
+}
+
+var modelPrefixes = []netip.Prefix{
+	netip.MustParsePrefix("10.0.1.0/24"),
+	netip.MustParsePrefix("10.0.2.0/24"),
+	netip.MustParsePrefix("10.0.0.0/16"),
+}
+
+// modelRoute decodes one side of a best-route transition: no route, a
+// local route, a learned route with an empty path, or one of a few
+// learned paths (multi-segment included).
+func modelRoute(prefix netip.Prefix, b byte) *rib.Route {
+	switch b % 6 {
+	case 0:
+		return nil
+	case 1:
+		return &rib.Route{Prefix: prefix, Local: true}
+	case 2:
+		return &rib.Route{Prefix: prefix, Peer: "p"}
+	case 3:
+		return &rib.Route{Prefix: prefix, Peer: "p", Attrs: wire.PathAttrs{ASPath: wire.ASPath{
+			{Type: wire.ASSequence, ASNs: []idr.ASN{7, idr.ASN(b)}}, {Type: wire.ASSet, ASNs: []idr.ASN{8, 9}}}}}
+	}
+	return &rib.Route{Prefix: prefix, Peer: "p", Attrs: wire.PathAttrs{ASPath: wire.NewASPath(idr.ASN(b%6), idr.ASN(b), 1)}}
+}
+
+// checkEventLogModel decodes ops four bytes at a time into a trace
+// event stream — all four kinds, four routers, three prefixes, nil
+// messages and nil changes, timestamps that repeat or advance — feeds
+// it to an EventLog and the retained oracle, and requires every view
+// to agree, the windowed count over every [start, end) pair of
+// boundaries on, between and around the event times, zero end
+// included. Streams are cut at 64 events.
+func checkEventLogModel(t *testing.T, ops []byte) {
+	ops = ops[:min(len(ops), 4*64)] // the window check is quadratic in events
+	l, at := NewEventLog(), sim.Epoch
+	var want retained
+	bounds := []time.Time{sim.Epoch.Add(-time.Second), sim.Epoch}
+	for i := 0; i+3 < len(ops); i += 4 {
+		kind, who, what, step := ops[i], ops[i+1], ops[i+2], ops[i+3]
+		if d := time.Duration(step%3) * time.Second; d > 0 {
+			at = at.Add(d)
+			bounds = append(bounds, at.Add(-time.Second/2), at)
+		}
+		prefix := modelPrefixes[int(what)%len(modelPrefixes)]
+		ev := bgp.TraceEvent{Time: at, Router: idr.ASN(1 + who%4), Kind: bgp.TraceKind(kind % 4), Peer: "p"}
+		switch ev.Kind {
+		case bgp.TraceSend, bgp.TraceRecv:
+			ev.Msg = []wire.Message{wire.Update{NLRI: []netip.Prefix{prefix}}, wire.Keepalive{}, nil}[what/4%3]
+		case bgp.TraceBest:
+			if who/4%8 != 0 { // one in eight carries no change
+				ev.Change = &rib.Change{Prefix: prefix, Old: modelRoute(prefix, what/4), New: modelRoute(prefix, kind/4)}
+			}
+		}
+		l.Append(ev)
+		want = append(want, ev)
+	}
+	bounds = append(bounds, at.Add(time.Second))
+
+	if got, want := l.Summarize(), want.summarize(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Summarize:\n got %+v\nwant %+v", got, want)
+	}
+	for _, prefix := range append(modelPrefixes, netip.MustParsePrefix("192.0.2.0/24")) {
+		if got, want := l.PathChanges(prefix), want.pathChanges(prefix); !reflect.DeepEqual(got, want) {
+			t.Fatalf("PathChanges(%v):\n got %+v\nwant %+v", prefix, got, want)
+		}
+		for _, start := range bounds {
+			for _, end := range append(bounds, time.Time{}) {
+				got, want := l.PathExplorationCountBetween(prefix, start, end), want.explorationBetween(prefix, start, end)
+				if !maps.Equal(got, want) {
+					t.Fatalf("PathExplorationCountBetween(%v, %v, %v) = %v, oracle %v",
+						prefix, start.Sub(sim.Epoch), end.Sub(sim.Epoch), got, want)
+				}
+			}
+			if got, want := l.PathExplorationCount(prefix, start), want.explorationBetween(prefix, start, time.Time{}); !maps.Equal(got, want) {
+				t.Fatalf("PathExplorationCount(%v, %v) = %v, oracle %v", prefix, start.Sub(sim.Epoch), got, want)
+			}
+		}
+	}
+}
+
+// FuzzEventLogModel holds the fold to the retained oracle on the seeds
+// in tier-1 and on anything the fuzzer finds beyond them.
+func FuzzEventLogModel(f *testing.F) {
+	f.Add([]byte{})
+	// One router explores three paths for one prefix at one instant.
+	f.Add([]byte{2 | 4<<2, 9, 0 | 0<<2, 1, 2 | 5<<2, 9, 0 | 4<<2, 0, 2 | 0<<2, 9, 0 | 5<<2, 0})
+	// Send, receive, state and best interleaved across routers and time.
+	f.Add([]byte{0, 0, 0, 0, 1, 1, 4, 1, 3, 2, 0, 2, 2, 7, 9, 0, 2, 3, 1, 1, 0, 1, 8, 2})
+	f.Fuzz(checkEventLogModel)
+}
+
+// TestEventLogModel runs the model check over random streams.
+func TestEventLogModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for i := 0; i < 200; i++ {
+		ops := make([]byte, 4*rng.Intn(48))
+		rng.Read(ops)
+		checkEventLogModel(t, ops)
+	}
+}
+
+// TestEventLogPinsNoMessages is the retention gate: 100 000 sends and
+// receives of a ~1 KB UPDATE (100 MB of messages) must leave the log
+// under 1 MB heavier once collected.
+func TestEventLogPinsNoMessages(t *testing.T) {
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	l := NewEventLog()
+	before := heap()
+	for i := 0; i < 100_000; i++ {
+		nlri := make([]netip.Prefix, 32) // 32 B each
+		for j := range nlri {
+			nlri[j] = netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), byte(j)}), 32)
+		}
+		l.Append(bgp.TraceEvent{
+			Time: sim.Epoch.Add(time.Duration(i) * time.Millisecond), Router: idr.ASN(1 + i%160),
+			Kind: []bgp.TraceKind{bgp.TraceSend, bgp.TraceRecv}[i%2], Peer: "p",
+			Msg: wire.Update{NLRI: nlri, Attrs: wire.PathAttrs{ASPath: wire.NewASPath(idr.ASN(i), 2, 1)}},
+		})
+	}
+	grew := int64(heap()) - int64(before)
+	if sums := l.Summarize(); len(sums) != 160 || sums[0].UpdatesSent+sums[0].UpdatesRecv != 625 {
+		t.Fatalf("fold lost events: %d routers, first %+v", len(sums), sums[0])
+	}
+	if grew > 1<<20 {
+		t.Fatalf("live heap grew %d bytes over 100k appended UPDATEs; the log must not retain messages", grew)
+	}
+}

@@ -6,11 +6,12 @@
 package monitor
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"net/netip"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/bgp"
@@ -132,6 +133,11 @@ type FlowKey struct {
 	Src, Dst idr.ASN
 }
 
+// compareFlow orders flows by (Src, Dst).
+func compareFlow(a, b FlowKey) int {
+	return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
+}
+
 // ProbeEngine injects probes on a schedule and matches deliveries,
 // yielding per-flow loss statistics — the framework's "loss
 // measurement" and "stable connectivity between all hosts" check.
@@ -221,12 +227,7 @@ func (e *ProbeEngine) WriteReport(w io.Writer) error {
 	for k := range e.stats {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Src != keys[j].Src {
-			return keys[i].Src < keys[j].Src
-		}
-		return keys[i].Dst < keys[j].Dst
-	})
+	slices.SortFunc(keys, compareFlow)
 	for _, k := range keys {
 		s := e.stats[k]
 		if _, err := fmt.Fprintf(w, "%v -> %v: sent=%d delivered=%d loss=%.1f%%\n",

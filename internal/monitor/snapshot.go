@@ -1,7 +1,8 @@
 package monitor
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/idr"
 	"repro/internal/sim"
@@ -70,15 +71,12 @@ func (e *ProbeEngine) State() ProbeState {
 	for id, key := range e.pending {
 		st.Pending = append(st.Pending, PendingProbe{ID: id, Src: key.Src, Dst: key.Dst})
 	}
-	sort.Slice(st.Pending, func(i, j int) bool { return st.Pending[i].ID < st.Pending[j].ID })
+	slices.SortFunc(st.Pending, func(a, b PendingProbe) int { return cmp.Compare(a.ID, b.ID) })
 	for key, s := range e.stats {
 		st.Stats = append(st.Stats, FlowStat{Src: key.Src, Dst: key.Dst, Sent: s.Sent, Delivered: s.Delivered})
 	}
-	sort.Slice(st.Stats, func(i, j int) bool {
-		if st.Stats[i].Src != st.Stats[j].Src {
-			return st.Stats[i].Src < st.Stats[j].Src
-		}
-		return st.Stats[i].Dst < st.Stats[j].Dst
+	slices.SortFunc(st.Stats, func(a, b FlowStat) int {
+		return compareFlow(FlowKey{a.Src, a.Dst}, FlowKey{b.Src, b.Dst})
 	})
 	return st
 }

@@ -145,10 +145,9 @@ func (k *Kernel) AfterFunc(d time.Duration, fn func()) Timer {
 	if d < 0 {
 		d = 0
 	}
-	ev := &event{at: k.now.Add(d), kernel: k, index: -1}
-	ev.fn = func() { ev.fired = true; fn() }
+	ev := &event{at: k.now.Add(d), fn: fn, kernel: k, index: -1}
 	k.schedule(ev, d)
-	return &simTimer{k: k, ev: ev, fn: fn}
+	return ev
 }
 
 // schedule assigns the next scheduling sequence number and files the
@@ -290,6 +289,7 @@ func (k *Kernel) Step() bool {
 		k.now = ev.at
 	}
 	k.events++
+	ev.fired = true
 	ev.fn()
 	return true
 }
@@ -341,18 +341,20 @@ func (k *Kernel) RunWhile(cond func() bool) error {
 	return nil
 }
 
-// event is a scheduled callback. index is the event's position in the
-// kernel's heap (-1 once popped or while wheel-resident), which lets
-// timers reschedule an event in place instead of allocating a
-// replacement per Reset. The w* fields locate the event's current
-// revision in the timer wheel while walive is set, enabling the same
-// in-place re-key for wheel-resident timers.
+// event is a scheduled callback and the Timer that AfterFunc returns
+// for it — one allocation per scheduled callback, most of which are
+// message deliveries whose Timer the caller drops. index is the
+// event's position in the kernel's heap (-1 once popped or while
+// wheel-resident), which lets Reset reschedule the event in place
+// instead of allocating a replacement. The w* fields locate the
+// event's current revision in the timer wheel while walive is set,
+// enabling the same in-place re-key for wheel-resident timers.
 type event struct {
 	at        time.Time
 	seq       uint64
 	fn        func()
 	cancelled bool
-	fired     bool
+	fired     bool // set by Step just before fn runs
 	kernel    *Kernel
 	index     int
 
@@ -362,18 +364,11 @@ type event struct {
 	windex int32
 }
 
-// simTimer implements Timer over a kernel event.
-type simTimer struct {
-	k  *Kernel
-	ev *event
-	fn func()
-}
-
-func (t *simTimer) Stop() bool {
-	if t.ev == nil || t.ev.cancelled || t.ev.fired {
+func (ev *event) Stop() bool {
+	if ev.cancelled || ev.fired {
 		return false
 	}
-	t.ev.cancelled = true
+	ev.cancelled = true
 	return true
 }
 
@@ -383,28 +378,26 @@ func (t *simTimer) Stop() bool {
 // slot it is re-keyed there; otherwise the same struct is reset and
 // filed again. Either way the MRAI-churn path allocates nothing, and
 // the sequence counter advances exactly once per Reset on every path.
-func (t *simTimer) Reset(d time.Duration) bool {
-	ev := t.ev
-	was := ev != nil && !ev.cancelled && !ev.fired
+func (ev *event) Reset(d time.Duration) bool {
+	k := ev.kernel
+	was := ev.Active()
 	if d < 0 {
 		d = 0
 	}
 	ev.cancelled = false
 	ev.fired = false
-	ev.at = t.k.now.Add(d)
+	ev.at = k.now.Add(d)
 	if ev.index >= 0 {
-		t.k.seq++
-		ev.seq = t.k.seq
-		heap.Fix(&t.k.queue, ev.index)
+		k.seq++
+		ev.seq = k.seq
+		heap.Fix(&k.queue, ev.index)
 	} else {
-		t.k.schedule(ev, d)
+		k.schedule(ev, d)
 	}
 	return was
 }
 
-func (t *simTimer) Active() bool {
-	return t.ev != nil && !t.ev.cancelled && !t.ev.fired
-}
+func (ev *event) Active() bool { return !ev.cancelled && !ev.fired }
 
 // eventHeap orders events by (time, seq).
 type eventHeap []*event

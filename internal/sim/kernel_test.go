@@ -359,3 +359,91 @@ func TestEveryPanicsOnBadInterval(t *testing.T) {
 	}()
 	Every(NewKernel(1), 0, func() {})
 }
+
+// TestAfterFuncAllocatesOnce pins the single-object timer: scheduling
+// and running a callback costs the event (which is also the returned
+// Timer) and nothing else — no wrapper closure, no separate timer
+// handle. The callback here captures nothing, so the caller's closure
+// adds no allocation of its own.
+func TestAfterFuncAllocatesOnce(t *testing.T) {
+	for _, d := range []time.Duration{0, time.Millisecond, 30 * time.Second} {
+		k := NewKernel(1)
+		fn := func() {}
+		run := func() {
+			k.AfterFunc(d, fn)
+			if !k.Step() {
+				t.Fatal("nothing to step")
+			}
+		}
+		run() // grow the heap, batch and wheel-slot backing arrays once
+		if got := testing.AllocsPerRun(200, run); got != 1 {
+			t.Errorf("AfterFunc(%v) + Step: %v allocs, want 1", d, got)
+		}
+	}
+}
+
+// TestTimerLifecycle walks one timer through every Stop / Reset /
+// Active / TimerState transition, before and after firing, for a
+// heap-resident (short) and a wheel-resident (long) delay.
+func TestTimerLifecycle(t *testing.T) {
+	type obs struct {
+		ret    bool // what the operation returned
+		active bool // Active() and TimerState's ok afterwards
+		fires  int  // callbacks run once the kernel drains
+	}
+	// How the timer gets into the state the operation finds it in.
+	pending := func(Timer, *Kernel) {}
+	fired := func(_ Timer, k *Kernel) { k.Run() }
+	stopped := func(tm Timer, _ *Kernel) { tm.Stop() }
+	stop := func(tm Timer, _ time.Duration) bool { return tm.Stop() }
+	reset := func(tm Timer, d time.Duration) bool { return tm.Reset(d) }
+	cases := []struct {
+		name  string
+		state func(Timer, *Kernel)
+		op    func(Timer, time.Duration) bool
+		want  obs
+	}{
+		{"stop pending", pending, stop, obs{ret: true, active: false, fires: 0}},
+		{"stop fired", fired, stop, obs{ret: false, active: false, fires: 1}},
+		{"stop stopped", stopped, stop, obs{ret: false, active: false, fires: 0}},
+		{"reset pending", pending, reset, obs{ret: true, active: true, fires: 1}},
+		{"reset fired", fired, reset, obs{ret: false, active: true, fires: 2}},
+		{"reset stopped", stopped, reset, obs{ret: false, active: true, fires: 1}},
+	}
+	for _, d := range []time.Duration{time.Millisecond, 30 * time.Second} {
+		for _, c := range cases {
+			k := NewKernel(1)
+			fires := 0
+			tm := k.AfterFunc(d, func() { fires++ })
+			if _, seq, ok := TimerState(tm); !ok || !tm.Active() || seq != 1 {
+				t.Fatalf("%s/%v: fresh timer: active=%v state ok=%v seq=%d", c.name, d, tm.Active(), ok, seq)
+			}
+			c.state(tm, k)
+			seqBefore, now := k.seq, k.Now()
+			got := obs{ret: c.op(tm, 2*d)}
+			at, seq, ok := TimerState(tm)
+			if ok != tm.Active() {
+				t.Errorf("%s/%v: TimerState ok=%v but Active=%v", c.name, d, ok, tm.Active())
+			}
+			got.active = ok
+			if ok && (!at.Equal(now.Add(2*d)) || seq != seqBefore+1 || k.seq != seq) {
+				// A Reset takes exactly one fresh sequence number and
+				// reports the new deadline.
+				t.Errorf("%s/%v: reset timer state at=%v seq=%d (kernel seq %d → %d)", c.name, d, at.Sub(Epoch), seq, seqBefore, k.seq)
+			}
+			if !ok && (!at.IsZero() || seq != 0 || k.seq != seqBefore) {
+				t.Errorf("%s/%v: inactive timer state at=%v seq=%d (kernel seq %d → %d)", c.name, d, at, seq, seqBefore, k.seq)
+			}
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			got.fires = fires
+			if got != c.want {
+				t.Errorf("%s/%v: got %+v, want %+v", c.name, d, got, c.want)
+			}
+			if tm.Active() {
+				t.Errorf("%s/%v: timer active after the kernel drained", c.name, d)
+			}
+		}
+	}
+}

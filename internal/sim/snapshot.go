@@ -160,11 +160,11 @@ func (k *Kernel) FinishRestore(st KernelState) {
 // (fired, stopped or nil) timer or a non-kernel timer — such timers
 // are simply absent from the snapshot.
 func TimerState(t Timer) (at time.Time, seq uint64, ok bool) {
-	st, isSim := t.(*simTimer)
-	if !isSim || st == nil || !st.Active() {
+	ev, isSim := t.(*event)
+	if !isSim || ev == nil || !ev.Active() {
 		return time.Time{}, 0, false
 	}
-	return st.ev.at, st.ev.seq, true
+	return ev.at, ev.seq, true
 }
 
 // TimerRef is the serialized identity of one pending timer: its
