@@ -39,14 +39,6 @@
 //	                                           # cached, so rerunning (or an
 //	                                           # interrupted sweep) resumes
 //	                                           # instead of recomputing
-//	convergence -exp fig2 -out results/ -snapshot-cache
-//	                                           # checkpoint warm-ups: every
-//	                                           # distinct warm-up converges
-//	                                           # once, is snapshotted under
-//	                                           # results/snapshots/, and
-//	                                           # later (cell, run)s restore
-//	                                           # and fork it — results are
-//	                                           # byte-identical either way
 //	convergence -exp ctrlfail|lossy            # the chaos figure family
 //	convergence -exp fig2 -loss 0.05           # drop 5% of messages on every
 //	                                           # inter-AS link (seeded per
@@ -102,7 +94,6 @@ func main() {
 	format := flag.String("format", "table", "output format: table|csv|json|markdown")
 	svg := flag.String("svg", "", "also render the sweep as an SVG boxplot to this file")
 	out := flag.String("out", "", "artifact store directory: file every (cell, run) result under the sweep's spec hash and skip cells already stored, so repeated or interrupted sweeps resume instead of recomputing")
-	snapCache := flag.Bool("snapshot-cache", false, "checkpoint each distinct warm-up (converged pre-trigger state) once and restore/fork it for every (cell, run) sharing it; with -out the snapshots persist under <out>/snapshots/ and accelerate future invocations, without -out they are shared in-memory within this run — results are byte-identical with or without the cache")
 	loss := flag.Float64("loss", 0, "per-message loss probability [0,1] on every inter-AS link; each link's loss stream is seeded from the trial seed, so lossy runs stay byte-reproducible")
 	delay := flag.Duration("delay", 0, "one-way delay of every inter-AS link (0 keeps the emulator default; per-edge topology delays win)")
 	jitter := flag.Duration("jitter", 0, "maximum extra seeded random delay on data-plane probe sends, uniform in [0, jitter]")
@@ -131,7 +122,7 @@ func main() {
 		// The split experiment is a scripted sequence, not a sweep:
 		// only -mrai and -seed apply, so reject the sweep flags
 		// instead of silently dropping them.
-		for _, name := range []string{"format", "topology", "placement", "policy", "sdn-counts", "workload", "progress", "runs", "debounce", "parallel", "svg", "out", "snapshot-cache", "loss", "delay", "jitter", "wall-limit", "tolerate", "retries"} {
+		for _, name := range []string{"format", "topology", "placement", "policy", "sdn-counts", "workload", "progress", "runs", "debounce", "parallel", "svg", "out", "loss", "delay", "jitter", "wall-limit", "tolerate", "retries"} {
 			if set[name] {
 				fatal(fmt.Errorf("-%s does not apply to the subcluster experiment (it is a scripted sequence, not a sweep)", name))
 			}
@@ -200,6 +191,14 @@ func main() {
 	}
 
 	// Execution knobs: none of them reaches the canonical spec.
+	switch {
+	case *parallel < 0:
+		fatal(fmt.Errorf("-parallel %d is negative (0 = GOMAXPROCS, 1 = sequential)", *parallel))
+	case *retries < 0:
+		fatal(fmt.Errorf("-retries %d is negative", *retries))
+	case *wallLimit < 0:
+		fatal(fmt.Errorf("-wall-limit %v is negative", *wallLimit))
+	}
 	sweep.Parallelism = *parallel
 	if *progress {
 		sweep.Progress = func(done, total int) {
@@ -233,21 +232,12 @@ func main() {
 	sweep.Stop = stop
 
 	var res *lab.SweepResult
-	var snapStats func() artifact.SnapshotStats
 	if *out != "" {
 		// Through the artifact store: completed cells load from disk,
 		// fresh ones are filed, and the sealed manifest is refreshed.
 		store, err := artifact.Open(*out)
 		if err != nil {
 			fatal(err)
-		}
-		if *snapCache {
-			snaps, err := store.Snapshots()
-			if err != nil {
-				fatal(err)
-			}
-			sweep.Snapshots = snaps
-			snapStats = snaps.Stats
 		}
 		var stats artifact.RunStats
 		res, stats, err = artifact.RunSweep(store, sweep)
@@ -262,9 +252,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "store: spec %.12s — %d/%d runs cached, %d executed, %d failed\n",
 			stats.SpecHash, stats.Hits, stats.Total, stats.Executed, stats.Failed)
 	} else {
-		if *snapCache {
-			sweep.Snapshots = lab.NewMemorySnapshotCache()
-		}
 		res, err = sweep.Run()
 		if errors.Is(err, lab.ErrStopped) {
 			fmt.Fprintln(os.Stderr, "convergence: interrupted; completed runs are discarded without -out (use -out to make interrupted sweeps resumable)")
@@ -273,10 +260,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-	}
-	if snapStats != nil {
-		st := snapStats()
-		fmt.Fprintf(os.Stderr, "snapshots: %d warm-up hits, %d cold, %d stored\n", st.Hits, st.Misses, st.Stored)
 	}
 	if n := len(res.Failures); n > 0 {
 		fmt.Fprintf(os.Stderr, "sweep: %d failed run(s) recorded; see the failure annotations in the output\n", n)

@@ -15,9 +15,6 @@
 //	labd -store results/ -addr 127.0.0.1:9999  # explicit listen address
 //	labd -store results/ -jobs 2 -parallel 4   # run 2 jobs concurrently,
 //	                                           # 4 emulation runs each
-//	labd -store results/ -snapshot-cache       # checkpoint warm-ups under
-//	                                           # <store>/snapshots/ and
-//	                                           # fork them across jobs
 //
 // The API (see internal/labd for the wire types):
 //
@@ -57,7 +54,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "HTTP listen address")
 	storeDir := flag.String("store", "", "artifact store directory (required): jobs are content-addressed by spec hash, completed runs are cached and interrupted jobs resume from their stored records")
-	snapCache := flag.Bool("snapshot-cache", false, "checkpoint each distinct warm-up once under <store>/snapshots/ and restore/fork it for every (cell, run) sharing it, across jobs and daemon restarts")
 	jobs := flag.Int("jobs", 1, "jobs executed concurrently (each job is one sweep; clients are served round-robin)")
 	parallel := flag.Int("parallel", 1, "concurrent emulation runs within one job (results are identical at any setting)")
 	flag.Parse()
@@ -69,15 +65,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cfg := labd.Config{Store: store, Workers: *jobs, Parallelism: *parallel}
-	if *snapCache {
-		snaps, err := store.Snapshots()
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Snapshots = snaps
-	}
-	srv, err := labd.New(cfg)
+	srv, err := labd.New(labd.Config{Store: store, Workers: *jobs, Parallelism: *parallel})
 	if err != nil {
 		fatal(err)
 	}

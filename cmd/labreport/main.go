@@ -44,7 +44,6 @@ func main() {
 	out := flag.String("out", "report", "output directory: REPORT.md, manifest.json, figures/*.svg and the store/ artifact cache")
 	profile := flag.String("profile", "full", "figure profile: full (every registry figure) or smoke (grid + internet-40 subset for CI)")
 	parallel := flag.Int("parallel", 0, "concurrent emulation runs (0 = GOMAXPROCS, 1 = sequential; results are identical)")
-	snapCache := flag.Bool("snapshot-cache", false, "checkpoint each distinct warm-up once under <out>/store/snapshots/ and restore/fork it for every run sharing it — results are byte-identical with or without the cache")
 	expMD := flag.Bool("experiments-md", false, "print the generated EXPERIMENTS.md registry block to stdout and exit")
 	check := flag.String("check", "", "validate an existing report directory (manifest schema, seal, store digests, emitted files) and exit")
 	flag.Parse()
@@ -71,7 +70,7 @@ func main() {
 		sort.Strings(names)
 		fatal(fmt.Errorf("unknown profile %q (have %s)", *profile, strings.Join(names, ", ")))
 	}
-	if err := generate(*out, *profile, jobs, *parallel, *snapCache, os.Stdout); err != nil {
+	if err := generate(*out, *profile, jobs, *parallel, os.Stdout); err != nil {
 		fatal(err)
 	}
 }
@@ -129,19 +128,11 @@ var profiles = map[string][]job{
 
 // generate runs (or cache-loads) every job of the profile and writes
 // REPORT.md, manifest.json and the SVGs into out. log receives one
-// progress line per figure plus the cache summary. With snapCache the
-// store's shared warm-up snapshot cache accelerates every figure —
-// two figures over the same warmed-up network converge it once.
-func generate(out, profileName string, jobs []job, parallel int, snapCache bool, log io.Writer) error {
+// progress line per figure plus the cache summary.
+func generate(out, profileName string, jobs []job, parallel int, log io.Writer) error {
 	store, err := artifact.Open(filepath.Join(out, "store"))
 	if err != nil {
 		return err
-	}
-	var snaps *artifact.SnapshotStore
-	if snapCache {
-		if snaps, err = store.Snapshots(); err != nil {
-			return err
-		}
 	}
 	figDir := filepath.Join(out, "figures")
 	if err := os.MkdirAll(figDir, 0o755); err != nil {
@@ -166,9 +157,6 @@ func generate(out, profileName string, jobs []job, parallel int, snapCache bool,
 		sweep, err := spec.Build(opts)
 		if err != nil {
 			return fmt.Errorf("labreport: %s: %w", j.name, err)
-		}
-		if snaps != nil {
-			sweep.Snapshots = snaps
 		}
 		res, stats, err := artifact.RunSweep(store, sweep)
 		if err != nil {
@@ -233,10 +221,6 @@ ARCHITECTURE.md for the package map.
 	}
 	fmt.Fprintf(log, "report: %d figures, %d runs, %d cached (%.0f%% cache hits)\n",
 		len(jobs), totalCells, totalHits, pct)
-	if snaps != nil {
-		st := snaps.Stats()
-		fmt.Fprintf(log, "snapshots: %d warm-up hits, %d cold, %d stored\n", st.Hits, st.Misses, st.Stored)
-	}
 	fmt.Fprintf(log, "wrote %s, %s and %s\n",
 		filepath.Join(out, "REPORT.md"), filepath.Join(out, "manifest.json"), figDir)
 	return nil

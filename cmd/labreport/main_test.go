@@ -38,7 +38,7 @@ func testJobs() []job {
 func TestReportGolden(t *testing.T) {
 	dir := t.TempDir()
 	var log bytes.Buffer
-	if err := generate(dir, "test", testJobs(), 1, false, &log); err != nil {
+	if err := generate(dir, "test", testJobs(), 1, &log); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(filepath.Join(dir, "REPORT.md"))
@@ -70,7 +70,7 @@ func TestReportGolden(t *testing.T) {
 func TestReportRegeneratesByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	var first bytes.Buffer
-	if err := generate(dir, "test", testJobs(), 1, false, &first); err != nil {
+	if err := generate(dir, "test", testJobs(), 1, &first); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(first.String(), "0 cached (0% cache hits)") {
@@ -99,7 +99,7 @@ func TestReportRegeneratesByteIdentical(t *testing.T) {
 	}
 
 	var second bytes.Buffer
-	if err := generate(dir, "test", testJobs(), 1, false, &second); err != nil {
+	if err := generate(dir, "test", testJobs(), 1, &second); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(second.String(), "(100% cache hits)") {
@@ -124,80 +124,11 @@ func TestReportRegeneratesByteIdentical(t *testing.T) {
 	}
 }
 
-// TestReportSnapshotCacheByteIdentical pins -snapshot-cache at report
-// scale: the same profile with the warm-up cache on is byte-identical
-// to the plain run (REPORT.md, manifest.json and every SVG), the cold
-// pass stores snapshots, and a rerun over the fresh store restores
-// warm-ups from them.
-func TestReportSnapshotCacheByteIdentical(t *testing.T) {
-	read := func(dir string) map[string][]byte {
-		out := map[string][]byte{}
-		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-			if err != nil || d.IsDir() {
-				return err
-			}
-			rel, _ := filepath.Rel(dir, path)
-			if rel == "REPORT.md" || rel == "manifest.json" || strings.HasSuffix(rel, ".svg") {
-				out[rel], err = os.ReadFile(path)
-			}
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	plainDir := t.TempDir()
-	if err := generate(plainDir, "test", testJobs(), 1, false, &bytes.Buffer{}); err != nil {
-		t.Fatal(err)
-	}
-	snapDir := t.TempDir()
-	var cold bytes.Buffer
-	if err := generate(snapDir, "test", testJobs(), 1, true, &cold); err != nil {
-		t.Fatal(err)
-	}
-	// 5 runs, but only 3 distinct warm-ups: maint's sdn-0 and sdn-4
-	// cells share fig2's converged states — the cache is cross-figure.
-	if !strings.Contains(cold.String(), "snapshots: 2 warm-up hits, 3 cold, 3 stored") {
-		t.Fatalf("cold run should warm up 3 states and share 2 across figures:\n%s", cold.String())
-	}
-	want := read(plainDir)
-	got := read(snapDir)
-	for name, data := range want {
-		if !bytes.Equal(data, got[name]) {
-			t.Errorf("%s differs with the snapshot cache on", name)
-		}
-	}
-
-	// A fresh store (no cached cells) over the now-warm snapshot cache
-	// must restore every warm-up and still reproduce the report.
-	rerunDir := t.TempDir()
-	if err := os.MkdirAll(filepath.Join(rerunDir, "store"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.CopyFS(filepath.Join(rerunDir, "store", "snapshots"), os.DirFS(filepath.Join(snapDir, "store", "snapshots"))); err != nil {
-		t.Fatal(err)
-	}
-	var warm bytes.Buffer
-	if err := generate(rerunDir, "test", testJobs(), 1, true, &warm); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(warm.String(), "snapshots: 0 warm-up hits") {
-		t.Fatalf("rerun over a warm snapshot cache restored nothing:\n%s", warm.String())
-	}
-	rerun := read(rerunDir)
-	for name, data := range want {
-		if !bytes.Equal(data, rerun[name]) {
-			t.Errorf("%s differs when regenerated from warm snapshots", name)
-		}
-	}
-}
-
 // TestCheckDetectsTampering asserts -check fails once a stored record
 // is altered after the fact.
 func TestCheckDetectsTampering(t *testing.T) {
 	dir := t.TempDir()
-	if err := generate(dir, "test", testJobs()[:1], 1, false, &bytes.Buffer{}); err != nil {
+	if err := generate(dir, "test", testJobs()[:1], 1, &bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := checkReport(dir); err != nil {
@@ -270,7 +201,7 @@ func TestProfilesResolve(t *testing.T) {
 // checks the emitted manifest against the shipped schema validator.
 func TestManifestValidatesAgainstSchema(t *testing.T) {
 	dir := t.TempDir()
-	if err := generate(dir, "test", testJobs()[:1], 1, false, &bytes.Buffer{}); err != nil {
+	if err := generate(dir, "test", testJobs()[:1], 1, &bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "manifest.json"))

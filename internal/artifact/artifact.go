@@ -38,6 +38,7 @@
 package artifact
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -46,7 +47,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/lab"
@@ -351,8 +352,9 @@ func (ss *SweepStore) Finish() error {
 			m.Records = append(m.Records, rd)
 		}
 	}
-	sort.Slice(m.Records, func(i, j int) bool { return m.Records[i].File < m.Records[j].File })
-	sort.Slice(m.Failures, func(i, j int) bool { return m.Failures[i].File < m.Failures[j].File })
+	byFile := func(a, b RecordDigest) int { return cmp.Compare(a.File, b.File) }
+	slices.SortFunc(m.Records, byFile)
+	slices.SortFunc(m.Failures, byFile)
 	m.Complete = len(m.Records) == ss.Total()
 	if m.SealSHA256, err = m.seal(); err != nil {
 		return err

@@ -3,7 +3,6 @@ package artifact
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -141,66 +140,5 @@ func TestConcurrentSweepStores(t *testing.T) {
 		if err := VerifySweepDir(filepath.Join(dir, h)); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-// TestConcurrentSnapshotStore races many goroutines over one shared
-// snapshot directory: concurrent stores of the same key, loads racing
-// stores, and distinct keys in flight together. The store's contract
-// is that readers only ever observe whole files.
-func TestConcurrentSnapshotStore(t *testing.T) {
-	store, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss, err := store.Snapshots()
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := make([]string, 4)
-	blobs := make([][]byte, 4)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("%064x", i+1)
-		blobs[i] = []byte(fmt.Sprintf(`{"snapshot":%d}`, i))
-	}
-	var wg sync.WaitGroup
-	var fail error
-	var mu sync.Mutex
-	report := func(err error) {
-		mu.Lock()
-		if fail == nil {
-			fail = err
-		}
-		mu.Unlock()
-	}
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for iter := 0; iter < 50; iter++ {
-				k := (w + iter) % len(keys)
-				if err := ss.Store(keys[k], blobs[k]); err != nil {
-					report(err)
-					return
-				}
-				data, ok, err := ss.Load(keys[k])
-				if err != nil {
-					report(err)
-					return
-				}
-				if ok && string(data) != string(blobs[k]) {
-					report(fmt.Errorf("key %s: read %q, want %q", keys[k], data, blobs[k]))
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if fail != nil {
-		t.Fatal(fail)
-	}
-	st := ss.Stats()
-	if st.Stored == 0 || st.Hits == 0 {
-		t.Fatalf("counters did not move: %+v", st)
 	}
 }

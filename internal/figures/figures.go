@@ -614,6 +614,9 @@ type Overrides struct {
 
 // options parses the overrides through the shared lab parsers.
 func (ov Overrides) options() (Options, error) {
+	if ov.Runs < 0 {
+		return Options{}, fmt.Errorf("figures: runs %d is negative (0 keeps the experiment default)", ov.Runs)
+	}
 	o := Options{BaseSeed: ov.Seed, Runs: ov.Runs, SDNCounts: ov.SDNCounts, LinkLoss: ov.Loss}
 	if ov.Topology != "" {
 		t, err := lab.ParseTopoString(ov.Topology)

@@ -669,3 +669,28 @@ func TestSpecsRejectInapplicableOverrides(t *testing.T) {
 		t.Fatal("size: grid topology should be rejected")
 	}
 }
+
+// TestOverridesRuns pins the runs override: zero keeps the spec
+// default, a positive count replaces it, and a negative one is an
+// error instead of silently running the default.
+func TestOverridesRuns(t *testing.T) {
+	for _, c := range []struct {
+		runs int
+		want int // 0 = error
+	}{
+		{runs: 0, want: 10},
+		{runs: 2, want: 2},
+		{runs: -1},
+		{runs: -3},
+	} {
+		sw, err := Resolve("fig2", Overrides{Runs: c.runs, Seed: 1})
+		switch {
+		case c.want == 0 && err == nil:
+			t.Errorf("runs %d: resolved to %d runs, want an error", c.runs, sw.Runs)
+		case c.want != 0 && err != nil:
+			t.Errorf("runs %d: %v", c.runs, err)
+		case c.want != 0 && sw.Runs != c.want:
+			t.Errorf("runs %d: resolved to %d runs, want %d", c.runs, sw.Runs, c.want)
+		}
+	}
+}

@@ -1,8 +1,7 @@
 package figures
 
 import (
-	"fmt"
-	"strings"
+	"reflect"
 	"testing"
 	"time"
 
@@ -10,13 +9,12 @@ import (
 )
 
 // snapshotSmokeSweep shrinks a registry spec to snapshot-test scale:
-// a 5-AS clique (16-AS internet graph for the policy family), one run
-// per point, two axis points where the axis allows it. The shrink
-// keeps every spec's workload, policy and placement semantics — only
-// the sizes change.
+// a 5-AS clique (16-AS internet graph for the policy family), two axis
+// points where the axis allows it. The shrink keeps every spec's
+// workload, policy and placement semantics — only the sizes change.
 func snapshotSmokeSweep(t *testing.T, spec Spec) lab.Sweep {
 	t.Helper()
-	o := Options{BaseSeed: 1, Runs: 1}
+	o := Options{BaseSeed: 1}
 	clique := lab.TopoSpec{Kind: "clique", N: 5}
 	inet := lab.TopoSpec{Kind: "internet", N: 16}
 	switch spec.Name {
@@ -48,55 +46,43 @@ func snapshotSmokeSweep(t *testing.T, spec Spec) lab.Sweep {
 	return sw
 }
 
-// TestRegistrySnapshotEquivalence is the tentpole acceptance check at
-// registry breadth: every experiment spec, shrunk to smoke scale, must
-// produce deep-equal results and byte-identical output in all four
-// encoders with the warm-up snapshot cache on versus off, sequentially
-// and at parallelism 8. The cache is shared across the subtests, so
-// cross-figure key collisions (two specs warming up the same converged
-// network) are exercised too — a hit from another figure's warm-up
-// must still reproduce this figure's plain result.
-func TestRegistrySnapshotEquivalence(t *testing.T) {
-	// encodeAll renders a result through all four encoders; comparing
-	// the renderings (rather than reflect.DeepEqual) sidesteps the NaN
-	// axis values of non-numeric axes, which never compare equal.
-	encodeAll := func(t *testing.T, res *lab.SweepResult) map[lab.Format]string {
-		t.Helper()
-		out := map[lab.Format]string{}
-		for _, f := range []lab.Format{lab.FormatTable, lab.FormatCSV, lab.FormatJSON, lab.FormatMarkdown} {
-			var sb strings.Builder
-			if err := lab.Write(&sb, f, res); err != nil {
-				t.Fatal(err)
-			}
-			out[f] = sb.String()
-		}
-		return out
+// runFromOwnSnapshot measures the trial from its own restored warm-up
+// snapshot: warm up, snapshot, encode, decode, restore, measure.
+func runFromOwnSnapshot(t *testing.T, tr lab.Trial) lab.Result {
+	t.Helper()
+	raw, err := tr.WarmupSnapshot()
+	if err != nil {
+		t.Fatal(err)
 	}
-	cache := lab.NewMemorySnapshotCache()
+	res, err := tr.RunFromSnapshot(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestRegistrySnapshotEquivalence is the checkpoint primitives'
+// acceptance check at registry breadth: for every experiment spec,
+// shrunk to smoke scale, and every point of its axis, the trial
+// measured from its own restored warm-up snapshot must equal the plain
+// Trial.Run — so every layer's State/RestoreState pair is held to
+// every workload, policy and placement the registry can express.
+func TestRegistrySnapshotEquivalence(t *testing.T) {
 	for _, spec := range Registry() {
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
-			plain := snapshotSmokeSweep(t, spec)
-			plain.Parallelism = 1
-			res, err := plain.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := encodeAll(t, res)
-
-			for _, parallelism := range []int{1, 8} {
-				snap := snapshotSmokeSweep(t, spec)
-				snap.Parallelism = parallelism
-				snap.Snapshots = cache
-				res, err := snap.Run()
+			sw := snapshotSmokeSweep(t, spec)
+			for ci := 0; ci < sw.Axis.Len(); ci++ {
+				tr := sw.Base
+				sw.Axis.Apply(&tr, ci)
+				tr.Seed, tr.TopoSeed = sw.BaseSeed, sw.BaseSeed
+				want, err := tr.Run()
 				if err != nil {
 					t.Fatal(err)
 				}
-				for f, enc := range encodeAll(t, res) {
-					if enc != want[f] {
-						t.Fatalf("%s output differs with snapshots on at parallelism %d:\n--- plain ---\n%s--- snapshots ---\n%s",
-							f, parallelism, want[f], enc)
-					}
+				if got := runFromOwnSnapshot(t, tr); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %s: run from the restored snapshot diverged:\nplain: %+v\nsnap:  %+v",
+						sw.Axis.Name(), sw.Axis.Label(ci), want, got)
 				}
 			}
 		})
@@ -104,35 +90,23 @@ func TestRegistrySnapshotEquivalence(t *testing.T) {
 }
 
 // TestFig2PaperConfigSnapshotEquivalence reruns the scientific-pin
-// configuration with the warm-up snapshot cache on: the EXPERIMENTS.md
-// metrics — s-pure-median 350.284, slope -369.785, r² 0.989 — must
-// come out exactly even though every cell's measurement starts from a
-// restored snapshot instead of the warm-up that produced it.
+// configuration's pure-BGP cell from restored snapshots: the three
+// pinned per-run durations behind EXPERIMENTS.md's s-pure-median
+// 350.284 must come out exactly even though each measurement starts
+// from a restored snapshot instead of the warm-up that produced it.
 func TestFig2PaperConfigSnapshotEquivalence(t *testing.T) {
-	cache := lab.NewMemorySnapshotCache()
-	res := build(t, "fig2", Options{SDNCounts: []int{0, 4, 8, 12, 16}, Runs: 3, BaseSeed: 1},
-		func(sw *lab.Sweep) { sw.Snapshots = cache })
-	if cache.Len() == 0 {
-		t.Fatal("snapshot cache stayed empty; the sweep did not take the snapshot path")
+	spec, _ := Lookup("fig2")
+	sw, err := spec.Build(Options{SDNCounts: []int{0, 4, 8, 12, 16}, Runs: 3, BaseSeed: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	pinDurations(t, res.Cells[0], []time.Duration{352108071933, 346901627464, 350283820015})
-	pinDurations(t, res.Cells[4], []time.Duration{100 * time.Millisecond, 100 * time.Millisecond, 100 * time.Millisecond})
-	a, b, r2, ok := res.Fit()
-	if !ok {
-		t.Fatal("fit unavailable")
-	}
-	for _, c := range []struct {
-		name string
-		got  float64
-		want string
-	}{
-		{"s-pure-median", res.Cells[0].Summary.Median, "350.284"},
-		{"intercept", a, "358.154"},
-		{"slope", b, "-369.785"},
-		{"r2", r2, "0.989"},
-	} {
-		if got := fmt.Sprintf("%.3f", c.got); got != c.want {
-			t.Fatalf("%s = %s with snapshots on, want the pinned %s", c.name, got, c.want)
+	for run, want := range []time.Duration{352108071933, 346901627464, 350283820015} {
+		tr := sw.Base
+		sw.Axis.Apply(&tr, 0)
+		// fig2 seeds per (cell, run); cell 0's axis value is 0.
+		tr.Seed, tr.TopoSeed = sw.BaseSeed+int64(run)*1000, sw.BaseSeed
+		if got := runFromOwnSnapshot(t, tr).Convergence; got != want {
+			t.Fatalf("run %d from a restored snapshot: %v, want the pinned %v", run, got, want)
 		}
 	}
 }

@@ -1,58 +1,32 @@
 package lab
 
 import (
-	"fmt"
-
 	"repro/internal/experiment"
 )
 
-// The snapshot-backed execution path: RunWithSnapshots sources the
-// trial's warmed-up converged state through a SnapshotCache keyed by
-// WarmupKeyHash. On a miss the warm-up runs once and its snapshot is
-// stored; hit or miss, the measurement ALWAYS starts from a restored
-// snapshot, so a cache hit is byte-identical to a cold run by
-// construction — the cold path exercises the exact restore the warm
-// path replays. When the warm-up key is seed-shared (no MRAI jitter,
-// no link loss), one snapshot serves every run seed: the restore
+// The checkpoint seam of a trial: WarmupSnapshot captures the
+// warmed-up converged state as encoded bytes, RestoreWarmup rebuilds a
+// runnable experiment from them, and RunFromSnapshot measures from
+// the restored state. No sweep takes this path — Sweep.Run always
+// calls Trial.Run — it exists for the fork benchmark and as the
+// reference the snapshot-equivalence tests hold Run against. When the
+// warm-up consumes no seeded draws (no MRAI jitter, no link loss) a
+// snapshot taken under one seed restores under any other: the restore
 // re-derives the run's random streams from its own seed (the fork).
 
-// RunWithSnapshots executes the trial like Run with its warm-up cached
-// in cache. It reports whether the warm-up came from the cache.
-func (t Trial) RunWithSnapshots(cache SnapshotCache) (Result, bool, error) {
+// RunFromSnapshot executes the trial like Run, with its warm-up
+// replaced by restoring raw — WarmupSnapshot bytes of a trial that
+// reaches the same converged state.
+func (t Trial) RunFromSnapshot(raw []byte) (Result, error) {
 	p, err := t.prepare()
 	if err != nil {
-		return Result{}, false, err
-	}
-	key, err := t.WarmupKeyHash()
-	if err != nil {
-		return Result{}, false, err
-	}
-	raw, hit, err := cache.Load(key)
-	if err != nil {
-		return Result{}, false, fmt.Errorf("lab: snapshot cache: %w", err)
-	}
-	if !hit {
-		e, err := p.warmup()
-		if err != nil {
-			return Result{}, false, err
-		}
-		snap, err := e.Snapshot()
-		if err != nil {
-			return Result{}, false, err
-		}
-		if raw, err = experiment.EncodeSnapshot(snap); err != nil {
-			return Result{}, false, err
-		}
-		if err := cache.Store(key, raw); err != nil {
-			return Result{}, false, fmt.Errorf("lab: snapshot cache: %w", err)
-		}
+		return Result{}, err
 	}
 	e, err := p.restore(raw)
 	if err != nil {
-		return Result{}, hit, fmt.Errorf("lab: warm-up snapshot %.12s: %w", key, err)
+		return Result{}, err
 	}
-	res, err := p.measure(e)
-	return res, hit, err
+	return p.measure(e)
 }
 
 // restore rebuilds a runnable warmed-up experiment from encoded
@@ -72,8 +46,8 @@ func (p *prepared) restore(raw []byte) (*experiment.Experiment, error) {
 }
 
 // WarmupSnapshot runs only the trial's warm-up phase and returns its
-// encoded snapshot — the bytes RunWithSnapshots caches. Exposed for
-// the benchmarks and the snapshot-equivalence harness.
+// encoded snapshot. Exposed for the benchmarks and the
+// snapshot-equivalence harness.
 func (t Trial) WarmupSnapshot() ([]byte, error) {
 	p, err := t.prepare()
 	if err != nil {
@@ -91,8 +65,9 @@ func (t Trial) WarmupSnapshot() ([]byte, error) {
 }
 
 // RestoreWarmup rebuilds the warmed-up experiment from WarmupSnapshot
-// bytes taken under the same warm-up key. The trial's Seed chooses the
-// continuation's random streams — a different seed forks the warm-up.
+// bytes of a trial that reaches the same converged state. The trial's
+// Seed chooses the continuation's random streams — a different seed
+// forks the warm-up.
 func (t Trial) RestoreWarmup(raw []byte) (*experiment.Experiment, error) {
 	p, err := t.prepare()
 	if err != nil {

@@ -367,15 +367,6 @@ type Sweep struct {
 	// deterministic per-(cell, run) faults, and — like the other
 	// execution knobs — does not participate in Canonical().
 	Inject func(cell, run int) error
-	// Snapshots, when non-nil, caches each trial's warmed-up converged
-	// state by its warm-up key (Trial.WarmupKey): every distinct
-	// warm-up in the grid runs once, is snapshotted, and every (cell,
-	// run) sharing its key restores and forks from the snapshot
-	// instead of re-converging. Measurements always start from a
-	// restored snapshot (even on the run that warmed up), so results
-	// are byte-identical with and without the cache; like Cache it
-	// does not participate in Canonical().
-	Snapshots SnapshotCache
 	// Stop, when non-nil, requests a graceful drain when closed:
 	// in-flight (cell, run) executions finish and store their results
 	// through Cache, no new grid positions start, and Run returns
@@ -636,10 +627,6 @@ func (s Sweep) runTrial(ci, run int, t Trial) (res Result, err error) {
 		if err := s.Inject(ci, run); err != nil {
 			return Result{}, err
 		}
-	}
-	if s.Snapshots != nil {
-		res, _, err := t.RunWithSnapshots(s.Snapshots)
-		return res, err
 	}
 	return t.Run()
 }

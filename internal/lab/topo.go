@@ -1,9 +1,10 @@
 package lab
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -277,15 +278,11 @@ func (p Placement) Select(g *topology.Graph) ([]idr.ASN, error) {
 	case PlaceFirst:
 		return nodes[:p.K], nil
 	case PlaceDegree:
-		sort.SliceStable(nodes, func(i, j int) bool {
-			di, dj := g.Degree(nodes[i]), g.Degree(nodes[j])
-			if di != dj {
-				return di > dj
-			}
-			return nodes[i] < nodes[j]
+		slices.SortStableFunc(nodes, func(a, b idr.ASN) int {
+			return cmp.Or(cmp.Compare(g.Degree(b), g.Degree(a)), cmp.Compare(a, b))
 		})
-		picked := append([]idr.ASN(nil), nodes[:p.K]...)
-		sort.Slice(picked, func(i, j int) bool { return picked[i] < picked[j] })
+		picked := slices.Clone(nodes[:p.K])
+		slices.Sort(picked)
 		return picked, nil
 	case PlaceLast, "":
 		return nodes[len(nodes)-p.K:], nil

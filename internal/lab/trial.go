@@ -353,8 +353,8 @@ func (t Trial) prepare() (*prepared, error) {
 }
 
 // warmup builds and starts the experiment, announces the warm-up
-// prefixes and waits for full convergence — the state the snapshot
-// cache captures and restores.
+// prefixes and waits for full convergence — the state
+// WarmupSnapshot captures.
 func (p *prepared) warmup() (*experiment.Experiment, error) {
 	e, err := experiment.New(p.cfg)
 	if err != nil {

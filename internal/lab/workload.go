@@ -1,10 +1,11 @@
 package lab
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"net/netip"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -211,7 +212,7 @@ func (w Workload) Validate() error {
 // sorted returns the schedule ordered by At, stably, leaving w intact.
 func (w Workload) sorted() Workload {
 	out := append(Workload(nil), w...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
+	slices.SortStableFunc(out, func(a, b WorkloadEvent) int { return cmp.Compare(a.At, b.At) })
 	return out
 }
 

@@ -1,10 +1,9 @@
 // Package labd is the lab-as-a-service layer: a resident daemon that
-// multiplexes many experimenters over one hot artifact store and
-// snapshot cache. Clients submit canonical sweep specs
-// (lab.Sweep.Canonical — the wire format and the dedup key), the
-// server schedules them on a shared worker pool through a
-// multi-tenant queue with per-client fair scheduling, and every
-// per-run completion streams to SSE subscribers as it lands.
+// multiplexes many experimenters over one hot artifact store. Clients
+// submit canonical sweep specs (lab.Sweep.Canonical — the wire format
+// and the dedup key), the server schedules them on a shared worker
+// pool through a multi-tenant queue with per-client fair scheduling,
+// and every per-run completion streams to SSE subscribers as it lands.
 //
 // The daemon adds no semantics of its own — that is the design
 // invariant. A job executes through exactly the code path of
@@ -35,9 +34,6 @@ type Config struct {
 	// Store is the shared content-addressed artifact store every job
 	// reads and writes. Required.
 	Store *artifact.Store
-	// Snapshots, when non-nil, is the shared warm-up snapshot cache
-	// wired into every job (byte-identical results, faster warm-ups).
-	Snapshots *artifact.SnapshotStore
 	// Workers bounds the number of concurrently executing jobs
 	// (default 1). Total emulation parallelism is Workers ×
 	// Parallelism.
@@ -51,7 +47,6 @@ type Config struct {
 // and the job index keyed by spec hash.
 type Server struct {
 	store       *artifact.Store
-	snapshots   *artifact.SnapshotStore
 	workers     int
 	parallelism int
 
@@ -80,7 +75,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	return &Server{
 		store:       cfg.Store,
-		snapshots:   cfg.Snapshots,
 		workers:     workers,
 		parallelism: cfg.Parallelism,
 		sched:       newScheduler(),
@@ -227,9 +221,6 @@ type Status struct {
 	Jobs map[string]int `json:"jobs"`
 	// Queued counts queued jobs per client, keys sorted.
 	Queued map[string]int `json:"queued"`
-	// Snapshots carries the shared warm-up cache counters, when the
-	// cache is enabled.
-	Snapshots *artifact.SnapshotStats `json:"snapshots,omitempty"`
 }
 
 // Status snapshots the daemon state.
@@ -246,10 +237,6 @@ func (s *Server) Status() Status {
 	}
 	s.mu.Unlock()
 	st.Queued = s.sched.depths()
-	if s.snapshots != nil {
-		snap := s.snapshots.Stats()
-		st.Snapshots = &snap
-	}
 	return st
 }
 
@@ -266,7 +253,7 @@ func (s *Server) worker() {
 }
 
 // runJob executes one job through the exact `convergence -out` path:
-// bind the sweep to its store directory, run with the shared caches,
+// bind the sweep to its store directory, run with the store as its cache,
 // seal the manifest. The only addition is telemetry — the cache
 // wrapper publishes every per-run completion to the job's event log.
 func (s *Server) runJob(j *Job) {
@@ -280,9 +267,6 @@ func (s *Server) runJob(j *Job) {
 	sw.Cache = &jobCache{inner: ss, job: j}
 	sw.Parallelism = s.parallelism
 	sw.Stop = s.stop
-	if s.snapshots != nil {
-		sw.Snapshots = s.snapshots
-	}
 	res, err := sw.Run()
 	stats := ss.Stats()
 	if err != nil {
