@@ -1,72 +1,55 @@
 package core
 
 import (
-	"container/heap"
+	"cmp"
+	"math"
 	"net/netip"
-	"sort"
+	"slices"
 
 	"repro/internal/bgp/wire"
 	"repro/internal/idr"
 	"repro/internal/sdn/ofp"
 )
 
-// subClusters computes the connected components of the switch graph
-// over links that are up — the paper's disjoint sub-clusters. The
-// result maps each member to a component id.
-func (c *Controller) subClusters() map[idr.ASN]int {
-	comp := make(map[idr.ASN]int, len(c.members))
-	id := 0
-	for _, start := range c.Members() {
-		if _, seen := comp[start]; seen {
-			continue
-		}
-		id++
-		queue := []idr.ASN{start}
-		comp[start] = id
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			for _, nb := range c.upMemberNeighbors(cur) {
-				if _, seen := comp[nb]; !seen {
-					comp[nb] = id
-					queue = append(queue, nb)
-				}
-			}
-		}
-	}
-	return comp
-}
+// view is the switch graph in the dense form the route computation
+// runs on: members by index (index order is ASN order), each member's
+// up intra-cluster neighbours, the sub-clusters, and the external
+// peerings in key order. It is derived from the controller's members,
+// ports and sessions and nothing else, so every method that changes
+// one of those drops it (invalidate) and the next recompute or
+// PathFrom rebuilds it (graph); it is never serialized. From owner on
+// it is the scratch of one prefix's computation, overwritten by each
+// route call.
+type view struct {
+	asns    []idr.ASN
+	members []*member
+	index   map[idr.ASN]int32
+	// nbrs[i] lists the members i has an up intra-cluster port to, in
+	// index order; ports[i][j] is i's lowest-numbered such port toward
+	// nbrs[i][j] (parallel links).
+	nbrs  [][]int32
+	ports [][]uint32
+	// comp is each member's sub-cluster: its connected component over
+	// up links — the paper's disjoint sub-clusters.
+	comp []int32
+	// sess lists the external peerings in key order. Their established
+	// flag is read live, so a session flapping does not drop the view.
+	sess []*extSession
 
-// upMemberNeighbors lists the members adjacent to asn over up
-// intra-cluster links, sorted for determinism.
-func (c *Controller) upMemberNeighbors(asn idr.ASN) []idr.ASN {
-	m := c.members[asn]
-	var out []idr.ASN
-	for _, pi := range m.ports {
-		if pi.isMember && pi.up {
-			out = append(out, pi.neighbor)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// portToMember returns member asn's up port leading to the neighbor
-// member, choosing the lowest-numbered when parallel links exist.
-func (c *Controller) portToMember(asn, neighbor idr.ASN) (uint32, bool) {
-	m := c.members[asn]
-	best := uint32(0)
-	found := false
-	//lint:maporder min-reduction: the lowest matching port number wins whatever order the ports are visited in
-	for port, pi := range m.ports {
-		if pi.isMember && pi.up && pi.neighbor == neighbor {
-			if !found || port < best {
-				best = port
-				found = true
-			}
-		}
-	}
-	return best, found
+	// owner is the member originating the prefix, -1 for an external
+	// prefix.
+	owner int32
+	// dist is each member's total cost to the destination (unreachable
+	// when it has no route); next the downstream member on its best
+	// path, -1 for the owner and for a border that exits directly —
+	// through best[i], the cheapest usable external route at border i
+	// (cost 0 when it has none).
+	dist, next []int32
+	best       []candidate
+	// ann caches the announcement each border makes for the prefix.
+	ann  []announcement
+	heap []uint64
+	path []idr.ASN
 }
 
 // candidate is one usable egress for a prefix after the per-prefix AS
@@ -74,200 +57,238 @@ func (c *Controller) portToMember(asn, neighbor idr.ASN) (uint32, bool) {
 type candidate struct {
 	key   SessKey
 	attrs wire.PathAttrs
-	cost  int
+	cost  int32
 }
 
-// candidatesFor applies the AS-topology-graph transformation for one
-// prefix: collect the external routes and drop every egress whose AS
-// path would re-enter the egress border's own sub-cluster — those
-// paths cross the legacy world back into this very component and would
-// loop. Paths through members of *other* sub-clusters remain usable
-// (that is how disjoint sub-clusters reach each other over the legacy
-// Internet).
-func (c *Controller) candidatesFor(prefix netip.Prefix, comp map[idr.ASN]int) []candidate {
-	routes := c.extRoutes[prefix]
-	if len(routes) == 0 {
-		return nil
+// announcement is what one border tells its external neighbours about
+// the prefix: the attributes (shared by the border's sessions — the
+// speaker clones what it sends) and the session the route exits
+// through (the zero key when it reaches the owner internally).
+type announcement struct {
+	built, ok bool
+	attrs     wire.PathAttrs
+	exit      SessKey
+}
+
+const unreachable = math.MaxInt32
+
+// compareSessKey orders peerings by border, then port.
+func compareSessKey(a, b SessKey) int {
+	return cmp.Or(cmp.Compare(a.Border, b.Border), cmp.Compare(a.Port, b.Port))
+}
+
+// invalidate drops the view after a change to the members, their
+// ports or port state, or the session set.
+func (c *Controller) invalidate() { c.view = nil }
+
+// graph returns the current view, rebuilding it when a change to the
+// switch graph dropped it.
+func (c *Controller) graph() *view {
+	if c.view != nil {
+		return c.view
 	}
-	keys := make([]SessKey, 0, len(routes))
-	for k := range routes {
-		keys = append(keys, k)
+	asns := c.Members()
+	n := len(asns)
+	v := &view{
+		asns:    asns,
+		members: make([]*member, n),
+		index:   make(map[idr.ASN]int32, n),
+		nbrs:    make([][]int32, n),
+		ports:   make([][]uint32, n),
+		comp:    make([]int32, n),
+		dist:    make([]int32, n),
+		next:    make([]int32, n),
+		best:    make([]candidate, n),
+		ann:     make([]announcement, n),
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Border != keys[j].Border {
-			return keys[i].Border < keys[j].Border
-		}
-		return keys[i].Port < keys[j].Port
-	})
-	var out []candidate
-	for _, k := range keys {
-		attrs := routes[k]
-		if !c.sessions[k].established {
-			continue
-		}
-		reenters := false
-		//lint:maporder existence test: any visiting order reaches the same verdict
-		for other := range c.members {
-			if comp[other] == comp[k.Border] && attrs.ASPath.Contains(other) {
-				reenters = true
-				break
+	for i, asn := range asns {
+		v.members[i] = c.members[asn]
+		v.index[asn] = int32(i)
+	}
+	var links []uint64 // neighbour index<<32 | port: sorts by neighbour, lowest port first
+	for i, m := range v.members {
+		links = links[:0]
+		for port, pi := range m.ports {
+			if nb, ok := v.index[pi.neighbor]; ok && pi.isMember && pi.up {
+				links = append(links, uint64(nb)<<32|uint64(port))
 			}
 		}
-		if reenters {
+		slices.Sort(links)
+		for _, l := range links {
+			nb, known := int32(l>>32), v.nbrs[i]
+			if len(known) == 0 || known[len(known)-1] != nb { // else a parallel link on a higher port
+				v.nbrs[i] = append(known, nb)
+				v.ports[i] = append(v.ports[i], uint32(l))
+			}
+		}
+	}
+	for start := range v.comp {
+		if v.comp[start] != 0 {
 			continue
 		}
-		out = append(out, candidate{key: k, attrs: attrs, cost: 1 + attrs.ASPath.Length()})
+		v.comp[start] = int32(start) + 1
+		for queue := []int32{int32(start)}; len(queue) > 0; queue = queue[1:] {
+			for _, nb := range v.nbrs[queue[0]] {
+				if v.comp[nb] == 0 {
+					v.comp[nb] = v.comp[start]
+					queue = append(queue, nb)
+				}
+			}
+		}
 	}
-	return out
-}
-
-// routingResult is the outcome of Dijkstra for one prefix.
-type routingResult struct {
-	// dist is each member's total cost to the destination (absent =
-	// unreachable).
-	dist map[idr.ASN]int
-	// next is the downstream member on the best path (absent for the
-	// egress border itself and for the owner member).
-	next map[idr.ASN]idr.ASN
-	// egress maps each border member that exits directly to its chosen
-	// candidate.
-	egress map[idr.ASN]candidate
-	// owner is the destination member for cluster-originated prefixes
-	// (zero otherwise).
-	owner idr.ASN
-}
-
-// pqItem is a Dijkstra frontier entry.
-type pqItem struct {
-	asn  idr.ASN
-	dist int
-}
-
-type pq []pqItem
-
-func (p pq) Len() int { return len(p) }
-func (p pq) Less(i, j int) bool {
-	if p[i].dist != p[j].dist {
-		return p[i].dist < p[j].dist
+	for _, key := range c.sessionKeys() {
+		es := c.sessions[key]
+		es.border = v.index[key.Border]
+		v.sess = append(v.sess, es)
 	}
-	return p[i].asn < p[j].asn
-}
-func (p pq) Swap(i, j int) { p[i], p[j] = p[j], p[i] }
-func (p *pq) Push(x any)   { *p = append(*p, x.(pqItem)) }
-func (p *pq) Pop() any {
-	old := *p
-	n := len(old)
-	it := old[n-1]
-	*p = old[:n-1]
-	return it
+	c.view = v
+	return v
 }
 
-// dijkstra computes every member's best path to the destination of
-// prefix on the AS topology graph: either toward the owner member
-// (cluster-originated) or toward the cheapest egress candidate.
-// Intra-cluster hops cost 1; an egress costs 1 + external path length,
-// making the total comparable to an AS-path length as BGP would see it.
-func (c *Controller) dijkstra(prefix netip.Prefix, comp map[idr.ASN]int) routingResult {
-	res := routingResult{
-		dist:   make(map[idr.ASN]int),
-		next:   make(map[idr.ASN]idr.ASN),
-		egress: make(map[idr.ASN]candidate),
+// reenters reports whether an external AS path crosses the legacy
+// world back into the sub-cluster of the border it was learned at.
+// Such an egress would loop; paths through members of *other*
+// sub-clusters remain usable (that is how disjoint sub-clusters reach
+// each other over the legacy Internet).
+func (v *view) reenters(path wire.ASPath, border int32) bool {
+	for _, seg := range path {
+		for _, asn := range seg.ASNs {
+			if i, ok := v.index[asn]; ok && v.comp[i] == v.comp[border] {
+				return true
+			}
+		}
 	}
-	var frontier pq
-	if owner, ok := c.owned[prefix]; ok {
+	return false
+}
+
+// push adds a Dijkstra frontier entry. Entries order by (dist, index);
+// a member is pushed only on a strict improvement, so no two entries
+// compare equal and the pop order does not depend on the heap's shape.
+func (v *view) push(dist, i int32) {
+	h := append(v.heap, uint64(dist)<<32|uint64(i))
+	for at := len(h) - 1; at > 0 && h[(at-1)/2] > h[at]; at = (at - 1) / 2 {
+		h[(at-1)/2], h[at] = h[at], h[(at-1)/2]
+	}
+	v.heap = h
+}
+
+// pop removes the frontier's least entry.
+func (v *view) pop() (dist, i int32) {
+	h := v.heap
+	top, n := h[0], len(h)-1
+	h[0] = h[n]
+	h = h[:n]
+	for at, child := 0, 1; child < n; child = 2*at + 1 {
+		if child+1 < n && h[child+1] < h[child] {
+			child++
+		}
+		if h[at] <= h[child] {
+			break
+		}
+		h[at], h[child] = h[child], h[at]
+		at = child
+	}
+	v.heap = h
+	return int32(top >> 32), int32(top)
+}
+
+// route computes every member's best path to prefix on its AS topology
+// graph: either toward the owner member (cluster-originated) or toward
+// the cheapest egress candidate. Intra-cluster hops cost 1; an egress
+// costs 1 + external path length, making the total comparable to an
+// AS-path length as BGP would see it.
+func (c *Controller) route(v *view, prefix netip.Prefix) {
+	for i := range v.dist {
+		v.dist[i], v.next[i] = unreachable, -1
+	}
+	clear(v.best)
+	clear(v.ann)
+	v.heap = v.heap[:0]
+	v.owner = -1
+	if owner, ok := v.index[c.owned[prefix]]; ok { // no member is AS 0, the unowned case
 		// Cluster-originated: the owner is the zero-cost destination.
-		res.owner = owner
-		res.dist[owner] = 0
-		heap.Push(&frontier, pqItem{asn: owner, dist: 0})
+		v.owner = owner
+		v.dist[owner] = 0
+		v.push(0, owner)
 	}
 	// External egresses are usable destinations too. For external
 	// prefixes they are the only ones; for owned prefixes they give
 	// members in *other* sub-clusters a way back to the owner over the
 	// legacy world (design goal §2: an intra-cluster link failure must
-	// not isolate the controlled ASes).
-	best := make(map[idr.ASN]candidate)
-	for _, cand := range c.candidatesFor(prefix, comp) {
-		cur, ok := best[cand.key.Border]
-		if !ok || cand.cost < cur.cost {
-			best[cand.key.Border] = cand
-		}
-	}
-	borders := make([]idr.ASN, 0, len(best))
-	for b := range best {
-		borders = append(borders, b)
-	}
-	sort.Slice(borders, func(i, j int) bool { return borders[i] < borders[j] })
-	for _, b := range borders {
-		cand := best[b]
-		if cur, seeded := res.dist[b]; seeded && cur <= cand.cost {
-			continue // the owner itself, or a better seed
-		}
-		res.dist[b] = cand.cost
-		res.egress[b] = cand
-		heap.Push(&frontier, pqItem{asn: b, dist: cand.cost})
-	}
-	settled := make(map[idr.ASN]bool)
-	for frontier.Len() > 0 {
-		it := heap.Pop(&frontier).(pqItem)
-		if settled[it.asn] || it.dist != res.dist[it.asn] {
+	// not isolate the controlled ASes). Each border keeps its cheapest
+	// usable route, the lowest port among equals.
+	//lint:maporder min-reduction: each border keeps its least (cost, port) route whatever order the routes are visited in
+	for k, attrs := range c.extRoutes[prefix] {
+		es, cost := c.sessions[k], int32(1+attrs.ASPath.Length())
+		cur := &v.best[es.border]
+		if cur.cost != 0 && (cost > cur.cost || cost == cur.cost && k.Port > cur.key.Port) {
 			continue
 		}
-		settled[it.asn] = true
-		for _, nb := range c.upMemberNeighbors(it.asn) {
-			nd := it.dist + 1
-			cur, ok := res.dist[nb]
-			if !ok || nd < cur {
-				res.dist[nb] = nd
-				res.next[nb] = it.asn
-				delete(res.egress, nb) // better path is via a neighbor now
-				heap.Push(&frontier, pqItem{asn: nb, dist: nd})
+		if es.established && !v.reenters(attrs.ASPath, es.border) {
+			*cur = candidate{key: k, attrs: attrs, cost: cost}
+		}
+	}
+	for b := range v.best {
+		if cost := v.best[b].cost; cost != 0 && int32(b) != v.owner {
+			v.dist[b] = cost
+			v.push(cost, int32(b))
+		}
+	}
+	for len(v.heap) > 0 {
+		d, i := v.pop()
+		if d != v.dist[i] {
+			continue // superseded by a better entry
+		}
+		for _, nb := range v.nbrs[i] {
+			if d+1 < v.dist[nb] {
+				v.dist[nb] = d + 1
+				v.next[nb] = i // a border seeded with its own exit goes via the neighbor now
+				v.push(d+1, nb)
 			}
 		}
 	}
-	return res
 }
 
-// forwardingPath returns the member sequence from m to its egress (or
-// owner), inclusive, following next pointers. ok is false when m has
-// no route.
-func (res *routingResult) forwardingPath(m idr.ASN) (path []idr.ASN, ok bool) {
-	if _, reachable := res.dist[m]; !reachable {
-		return nil, false
+// internalPath returns the member sequence from i to its egress or
+// owner, inclusive, and that last member's index, following next
+// pointers. ok is false when i has no route. The slice is scratch,
+// valid until the next call.
+func (v *view) internalPath(i int32) (path []idr.ASN, last int32, ok bool) {
+	if v.dist[i] == unreachable {
+		return nil, 0, false
 	}
-	cur := m
-	path = append(path, cur)
-	for {
-		nxt, more := res.next[cur]
-		if !more {
-			return path, true
-		}
-		cur = nxt
-		path = append(path, cur)
-		if len(path) > len(res.dist)+1 {
-			// Defensive: next pointers must not cycle.
-			return nil, false
-		}
+	path = append(v.path[:0], v.asns[i])
+	for v.next[i] >= 0 {
+		i = v.next[i]
+		path = append(path, v.asns[i])
 	}
+	v.path = path
+	return path, i, true
 }
 
-// prependSequence prepends the member sequence onto an external path,
-// merging into the leading AS_SEQUENCE segment when one exists so the
-// result looks exactly like hop-by-hop eBGP prepending.
-func prependSequence(members []idr.ASN, external wire.ASPath) wire.ASPath {
-	out := external.Clone()
-	for i := len(members) - 1; i >= 0; i-- {
-		out = out.Prepend(members[i])
+// prepend returns the external path with the member sequence in front,
+// merged into a leading AS_SEQUENCE segment when one exists, so the
+// result looks exactly like hop-by-hop eBGP prepending. The result
+// shares nothing with either argument.
+func prepend(members []idr.ASN, external wire.ASPath) wire.ASPath {
+	if len(members) == 0 {
+		return external.Clone()
 	}
-	return out
+	var lead []idr.ASN
+	if len(external) > 0 && external[0].Type == wire.ASSequence {
+		lead, external = external[0].ASNs, external[1:]
+	}
+	out := make(wire.ASPath, 1, 1+len(external))
+	out[0] = wire.Segment{Type: wire.ASSequence, ASNs: slices.Concat(members, lead)}
+	return append(out, external.Clone()...)
 }
 
 // recomputePrefix recompiles flow rules and external announcements for
 // one prefix — the per-prefix half of the paper's route selection.
-func (c *Controller) recomputePrefix(prefix netip.Prefix) {
-	comp := c.subClusters()
-	res := c.dijkstra(prefix, comp)
-	c.pushFlows(prefix, res)
-	c.updateAnnouncements(prefix, res)
+func (c *Controller) recomputePrefix(v *view, prefix netip.Prefix) {
+	c.route(v, prefix)
+	c.pushFlows(v, prefix)
+	c.announce(v, prefix)
 }
 
 // PathFrom returns the AS-level path member m currently uses toward
@@ -275,61 +296,52 @@ func (c *Controller) recomputePrefix(prefix netip.Prefix) {
 // the chosen external route's path. ok is false when m has no route.
 // (Monitoring helper — the data plane uses the compiled flow rules.)
 func (c *Controller) PathFrom(m idr.ASN, prefix netip.Prefix) (wire.ASPath, bool) {
-	if _, isMember := c.members[m]; !isMember {
+	v := c.graph()
+	i, isMember := v.index[m]
+	if !isMember {
 		return nil, false
 	}
-	comp := c.subClusters()
-	res := c.dijkstra(prefix, comp)
-	internal, ok := res.forwardingPath(m)
+	c.route(v, prefix)
+	internal, last, ok := v.internalPath(i)
 	if !ok {
 		return nil, false
 	}
-	egressMember := internal[len(internal)-1]
-	if res.owner != 0 && egressMember == res.owner {
-		// Path excludes the querying member itself, mirroring how a
-		// BGP router's Loc-RIB path excludes its own ASN.
+	// The path excludes the querying member itself, mirroring how a
+	// BGP router's Loc-RIB path excludes its own ASN.
+	if last == v.owner {
 		return wire.NewASPath(internal[1:]...), true
 	}
-	cand, isEgress := res.egress[egressMember]
-	if !isEgress {
-		return nil, false
-	}
-	return prependSequence(internal[1:], cand.attrs.ASPath), true
+	return prepend(internal[1:], v.best[last].attrs.ASPath), true
 }
 
 // flowPriority is the fixed priority used for IDR flow entries.
 const flowPriority = 100
 
-// pushFlows programs every member's flow entry for prefix.
-func (c *Controller) pushFlows(prefix netip.Prefix, res routingResult) {
-	for _, asn := range c.Members() {
-		m := c.members[asn]
-		var mod ofp.FlowMod
-		switch {
-		case asn == res.owner && res.owner != 0:
-			// The owner delivers locally; the switch's local-prefix
-			// set handles it. Remove any stale transit entry.
-			mod = ofp.FlowMod{Command: ofp.FlowDelete, Match: prefix}
-		case res.egress[asn].key != SessKey{}:
-			mod = ofp.FlowMod{
-				Command: ofp.FlowAdd, Priority: flowPriority,
-				Match: prefix, OutPort: res.egress[asn].key.Port,
-			}
-		default:
-			nxt, ok := res.next[asn]
-			if !ok {
-				mod = ofp.FlowMod{Command: ofp.FlowDelete, Match: prefix}
-				break
-			}
-			port, havePort := c.portToMember(asn, nxt)
-			if !havePort {
-				mod = ofp.FlowMod{Command: ofp.FlowDelete, Match: prefix}
-				break
-			}
-			mod = ofp.FlowMod{
-				Command: ofp.FlowAdd, Priority: flowPriority,
-				Match: prefix, OutPort: port,
-			}
+// outPort returns the port member i forwards the routed prefix on: its
+// egress port, or its lowest up port toward the next member. ok is
+// false for the owner (the switch's local-prefix set delivers) and for
+// a member with no route.
+func (v *view) outPort(i int32) (port uint32, ok bool) {
+	switch {
+	case i == v.owner || v.dist[i] == unreachable:
+	case v.next[i] < 0:
+		return v.best[i].key.Port, true
+	default:
+		if j, found := slices.BinarySearch(v.nbrs[i], v.next[i]); found {
+			return v.ports[i][j], true
+		}
+	}
+	return 0, false
+}
+
+// pushFlows programs every member's flow entry for the prefix; a
+// member with no out port gets a delete of any stale entry. Every
+// member gets its FlowMod on every recompute, changed or not.
+func (c *Controller) pushFlows(v *view, prefix netip.Prefix) {
+	for i, m := range v.members {
+		mod := ofp.FlowMod{Command: ofp.FlowDelete, Match: prefix}
+		if port, ok := v.outPort(int32(i)); ok {
+			mod = ofp.FlowMod{Command: ofp.FlowAdd, Priority: flowPriority, Match: prefix, OutPort: port}
 		}
 		frame, err := ofp.Marshal(mod, c.nextXid())
 		if err != nil {
@@ -341,74 +353,61 @@ func (c *Controller) pushFlows(prefix netip.Prefix, res routingResult) {
 	}
 }
 
-// updateAnnouncements drives every external session's view of prefix:
-// announce the border's best cluster path (with the full internal AS
-// sequence, keeping the cluster transparent to the legacy world) or
-// withdraw.
-func (c *Controller) updateAnnouncements(prefix netip.Prefix, res routingResult) {
-	keys := make([]SessKey, 0, len(c.sessions))
-	for k := range c.sessions {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Border != keys[j].Border {
-			return keys[i].Border < keys[j].Border
-		}
-		return keys[i].Port < keys[j].Port
-	})
-	for _, k := range keys {
-		es := c.sessions[k]
+// announce drives every external session's view of the prefix:
+// announce the border's best cluster path or withdraw. The path is
+// built once per border; what is left per session is the live
+// established flag, split horizon (never announce back over the
+// session the route exits through) and receiver-side loop prevention
+// (the neighbor would reject a path containing itself anyway; skip the
+// no-op announcement).
+func (c *Controller) announce(v *view, prefix netip.Prefix) {
+	for _, es := range v.sess {
 		if !es.established {
 			continue
 		}
-		attrs, ok := c.announcementFor(k, es, prefix, res)
-		if !ok {
-			if es.sess.WithdrawPrefix(prefix) == nil {
-				c.stats.WithdrawCommands++
+		if a := v.announcement(es.border); a.allowedOn(es) {
+			if es.sess.Announce(prefix, a.attrs) == nil {
+				c.stats.AnnounceCommands++
 			}
-			continue
-		}
-		if es.sess.Announce(prefix, attrs) == nil {
-			c.stats.AnnounceCommands++
+		} else if es.sess.WithdrawPrefix(prefix) == nil {
+			c.stats.WithdrawCommands++
 		}
 	}
 }
 
-// announcementFor builds the AS path announced for prefix on session k
-// (border b): the internal member sequence from b to the egress or
-// owner, then the external route's path. ok is false when nothing may
-// be announced (no route, split horizon, or receiver loop).
-func (c *Controller) announcementFor(k SessKey, es *extSession, prefix netip.Prefix, res routingResult) (wire.PathAttrs, bool) {
-	b := k.Border
-	internal, reachable := res.forwardingPath(b)
-	if !reachable {
-		return wire.PathAttrs{}, false
+// allowedOn reports whether the border's announcement may go out on
+// one of its sessions: there is a route, the session is not the one it
+// exits through, and the neighbour is not already on the path.
+func (a *announcement) allowedOn(es *extSession) bool {
+	return a.ok && a.exit != es.key && !a.attrs.ASPath.Contains(es.remote)
+}
+
+// announcement returns what border b announces for the routed prefix,
+// building it on first use: the internal member sequence from b to the
+// egress or owner, then the external route's path — the full internal
+// AS sequence, keeping the cluster transparent to the legacy world.
+func (v *view) announcement(b int32) *announcement {
+	a := &v.ann[b]
+	if a.built {
+		return a
 	}
-	egressMember := internal[len(internal)-1]
-	var attrs wire.PathAttrs
-	if res.owner != 0 && egressMember == res.owner {
+	a.built = true
+	internal, last, ok := v.internalPath(b)
+	if !ok {
+		return a
+	}
+	a.ok = true
+	if last == v.owner {
 		// Cluster-originated and internally reachable: the path is
 		// just the internal member sequence.
-		attrs = wire.PathAttrs{Origin: wire.OriginIGP, ASPath: wire.NewASPath(internal...)}
-	} else {
-		cand, isEgress := res.egress[egressMember]
-		if !isEgress {
-			return wire.PathAttrs{}, false
-		}
-		// Split horizon: never announce back over the session the
-		// route exits through.
-		if cand.key == k {
-			return wire.PathAttrs{}, false
-		}
-		attrs = cand.attrs.Clone()
-		attrs.ASPath = prependSequence(internal, attrs.ASPath)
-		attrs.MED = nil
-		attrs.LocalPref = nil
+		a.attrs = wire.PathAttrs{Origin: wire.OriginIGP, ASPath: wire.NewASPath(internal...)}
+		return a
 	}
-	// Receiver-side loop prevention: the neighbor would reject paths
-	// containing itself anyway; skip the no-op announcement.
-	if attrs.ASPath.Contains(es.remote) {
-		return wire.PathAttrs{}, false
-	}
-	return attrs, true
+	exit := &v.best[last]
+	a.exit = exit.key
+	a.attrs = exit.attrs
+	a.attrs.ASPath = prepend(internal, exit.attrs.ASPath)
+	a.attrs.MED = nil
+	a.attrs.LocalPref = nil
+	return a
 }

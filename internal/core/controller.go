@@ -26,7 +26,7 @@ package core
 import (
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/bgp"
@@ -92,6 +92,10 @@ type Controller struct {
 
 	xid   uint32
 	stats Stats
+
+	// view is the dense switch graph of astopo.go: derived state, nil
+	// until the next route computation rebuilds it.
+	view *view
 }
 
 type member struct {
@@ -112,6 +116,8 @@ type extSession struct {
 	remote      idr.ASN
 	sess        *speaker.Session
 	established bool
+	// border is the border member's index in the current view.
+	border int32
 }
 
 // New returns a controller on the given clock.
@@ -142,7 +148,7 @@ func (c *Controller) Members() []idr.ASN {
 	for a := range c.members {
 		out = append(out, a)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -167,6 +173,7 @@ func (c *Controller) AddMember(asn idr.ASN, send func([]byte) error) error {
 	}
 	m := &member{asn: asn, send: send, ports: make(map[uint32]*portInfo)}
 	c.members[asn] = m
+	c.invalidate()
 	if c.started {
 		return c.greet(m)
 	}
@@ -195,6 +202,7 @@ func (c *Controller) RemoveMember(asn idr.ASN) error {
 		pi.sess = nil
 	}
 	delete(c.members, asn)
+	c.invalidate()
 	c.markAllDirty()
 	return nil
 }
@@ -218,6 +226,7 @@ func (c *Controller) RemovePeering(memberASN idr.ASN, port uint32) error {
 	pi.sess.sess.TransportDown()
 	delete(c.sessions, pi.sess.key)
 	pi.sess = nil
+	c.invalidate()
 	return nil
 }
 
@@ -245,6 +254,7 @@ func (c *Controller) SetPortMembership(memberASN idr.ASN, port uint32, isMember 
 		}
 	}
 	pi.isMember = isMember
+	c.invalidate()
 	c.markAllDirty()
 	return nil
 }
@@ -274,6 +284,7 @@ func (c *Controller) RegisterPort(memberASN idr.ASN, port uint32, neighbor idr.A
 		}
 	}
 	m.ports[port] = &portInfo{neighbor: neighbor, isMember: isMember, up: true}
+	c.invalidate()
 	return nil
 }
 
@@ -321,6 +332,7 @@ func (c *Controller) AddExternalPeering(borderASN idr.ASN, port uint32, remoteAS
 	es.sess = sess
 	pi.sess = es
 	c.sessions[key] = es
+	c.invalidate()
 	// A peering added after Start (a mid-run migration) comes up
 	// immediately; at build time Start brings it up.
 	if c.started && pi.up {
@@ -385,12 +397,7 @@ func (c *Controller) sessionKeys() []SessKey {
 	for k := range c.sessions {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Border != keys[j].Border {
-			return keys[i].Border < keys[j].Border
-		}
-		return keys[i].Port < keys[j].Port
-	})
+	slices.SortFunc(keys, compareSessKey)
 	return keys
 }
 
@@ -461,6 +468,7 @@ func (c *Controller) handlePortStatus(m *member, ps ofp.PortStatus) {
 		return
 	}
 	pi.up = ps.Up
+	c.invalidate()
 	if pi.sess != nil {
 		if ps.Up {
 			pi.sess.sess.TransportUp()
@@ -531,47 +539,46 @@ func (c *Controller) armDebounce() {
 
 // knownPrefixes returns every prefix with state, sorted.
 func (c *Controller) knownPrefixes() []netip.Prefix {
-	set := make(map[netip.Prefix]bool, len(c.extRoutes)+len(c.owned))
+	out := make([]netip.Prefix, 0, len(c.extRoutes)+len(c.owned))
 	for p := range c.extRoutes {
-		set[p] = true
-	}
-	for p := range c.owned {
-		set[p] = true
-	}
-	out := make([]netip.Prefix, 0, len(set))
-	for p := range set {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool { return idr.PrefixLess(out[i], out[j]) })
+	for p := range c.owned {
+		if _, dup := c.extRoutes[p]; !dup {
+			out = append(out, p)
+		}
+	}
+	slices.SortFunc(out, idr.ComparePrefix)
 	return out
+}
+
+// takeBatch empties the dirty set and returns the prefixes to
+// recompute, in order: the dirty ones, or after markAllDirty every
+// known prefix followed by the dirty ones that lost all state (their
+// flows and announcements still need cleaning up).
+func (c *Controller) takeBatch() []netip.Prefix {
+	var known []netip.Prefix
+	if c.allDirty {
+		known = c.knownPrefixes()
+	}
+	var rest []netip.Prefix
+	for p := range c.dirty {
+		_, ext := c.extRoutes[p]
+		_, own := c.owned[p]
+		if !c.allDirty || !ext && !own {
+			rest = append(rest, p)
+		}
+	}
+	slices.SortFunc(rest, idr.ComparePrefix)
+	c.allDirty = false
+	clear(c.dirty)
+	return append(known, rest...)
 }
 
 // recompute runs the delayed best-path recomputation for all dirty
 // prefixes.
 func (c *Controller) recompute() {
-	var prefixes []netip.Prefix
-	if c.allDirty {
-		prefixes = c.knownPrefixes()
-		// Previously-known prefixes that lost all state still need
-		// their flows/announcements cleaned up.
-		for p := range c.dirty {
-			if _, known := c.extRoutes[p]; known {
-				continue
-			}
-			if _, own := c.owned[p]; own {
-				continue
-			}
-			prefixes = append(prefixes, p)
-		}
-	} else {
-		prefixes = make([]netip.Prefix, 0, len(c.dirty))
-		for p := range c.dirty {
-			prefixes = append(prefixes, p)
-		}
-		sort.Slice(prefixes, func(i, j int) bool { return idr.PrefixLess(prefixes[i], prefixes[j]) })
-	}
-	c.allDirty = false
-	c.dirty = make(map[netip.Prefix]bool)
+	prefixes := c.takeBatch()
 	if len(prefixes) == 0 {
 		return
 	}
@@ -579,7 +586,8 @@ func (c *Controller) recompute() {
 	if c.cfg.OnRecompute != nil {
 		c.cfg.OnRecompute(len(prefixes))
 	}
+	v := c.graph()
 	for _, p := range prefixes {
-		c.recomputePrefix(p)
+		c.recomputePrefix(v, p)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -97,20 +98,36 @@ func extAttrs(path ...idr.ASN) wire.PathAttrs {
 	}
 }
 
-func TestSubClusters(t *testing.T) {
-	c, _, _ := testCluster(t)
-	comp := c.subClusters()
-	if comp[11] != comp[12] || comp[12] != comp[13] {
-		t.Fatalf("connected cluster should be one component: %v", comp)
-	}
-	// Fail 12<->13: splits into {11,12} and {13}.
+// routed computes prefix's routes on the current view and returns the
+// view with each member's index.
+func routed(c *Controller, prefix netip.Prefix) (*view, map[idr.ASN]int32) {
+	v := c.graph()
+	c.route(v, prefix)
+	return v, v.index
+}
+
+// failLink1213 takes the 12<->13 link down on both ends, as the two
+// PortStatus messages would.
+func failLink1213(c *Controller) {
 	c.members[12].ports[2].up = false
 	c.members[13].ports[1].up = false
-	comp = c.subClusters()
-	if comp[11] != comp[12] {
+	c.invalidate()
+}
+
+func TestSubClusters(t *testing.T) {
+	c, _, _ := testCluster(t)
+	v := c.graph()
+	at := v.index
+	if v.comp[at[11]] != v.comp[at[12]] || v.comp[at[12]] != v.comp[at[13]] {
+		t.Fatalf("connected cluster should be one component: %v", v.comp)
+	}
+	// Fail 12<->13: splits into {11,12} and {13}.
+	failLink1213(c)
+	v = c.graph()
+	if v.comp[at[11]] != v.comp[at[12]] {
 		t.Fatal("11 and 12 should stay together")
 	}
-	if comp[13] == comp[11] {
+	if v.comp[at[13]] == v.comp[at[11]] {
 		t.Fatal("13 should be isolated")
 	}
 }
@@ -121,23 +138,23 @@ func TestDijkstraExternalPrefix(t *testing.T) {
 	c.onRoute(SessKey{Border: 11, Port: 2}, speaker.RouteEvent{
 		Prefix: testPrefix, Attrs: extAttrs(2),
 	})
-	res := c.dijkstra(testPrefix, c.subClusters())
+	v, at := routed(c, testPrefix)
 	// 11 exits directly: cost 1 + len([2]) = 2.
-	if res.dist[11] != 2 {
-		t.Fatalf("dist[11] = %d, want 2", res.dist[11])
+	if v.dist[at[11]] != 2 {
+		t.Fatalf("dist[11] = %d, want 2", v.dist[at[11]])
 	}
-	if res.dist[12] != 3 || res.dist[13] != 4 {
-		t.Fatalf("dist = %v", res.dist)
+	if v.dist[at[12]] != 3 || v.dist[at[13]] != 4 {
+		t.Fatalf("dist = %v", v.dist)
 	}
-	if res.next[12] != 11 || res.next[13] != 12 {
-		t.Fatalf("next = %v", res.next)
+	if v.next[at[12]] != at[11] || v.next[at[13]] != at[12] {
+		t.Fatalf("next = %v", v.next)
 	}
-	if res.egress[11].key != (SessKey{Border: 11, Port: 2}) {
-		t.Fatalf("egress = %v", res.egress)
+	if v.next[at[11]] >= 0 || v.best[at[11]].key != (SessKey{Border: 11, Port: 2}) {
+		t.Fatalf("11 should exit directly: next = %v, best = %v", v.next, v.best)
 	}
-	path, ok := res.forwardingPath(13)
-	if !ok || len(path) != 3 || path[0] != 13 || path[2] != 11 {
-		t.Fatalf("forwardingPath(13) = %v", path)
+	path, last, ok := v.internalPath(at[13])
+	if !ok || len(path) != 3 || path[0] != 13 || path[2] != 11 || last != at[11] {
+		t.Fatalf("internalPath(13) = %v ending at %d", path, last)
 	}
 }
 
@@ -150,17 +167,17 @@ func TestDijkstraPrefersShorterExternalPath(t *testing.T) {
 	c.onRoute(SessKey{Border: 13, Port: 2}, speaker.RouteEvent{
 		Prefix: testPrefix, Attrs: extAttrs(3),
 	})
-	res := c.dijkstra(testPrefix, c.subClusters())
+	v, at := routed(c, testPrefix)
 	// 12 should prefer egress via 13 (cost 2+1=3) over 11 (cost 5+1).
-	if res.next[12] != 13 {
-		t.Fatalf("next[12] = %v, want 13", res.next[12])
+	if v.next[at[12]] != at[13] {
+		t.Fatalf("next[12] = %v, want 13", v.next[at[12]])
 	}
 	// 11 itself: direct exit costs 5; via 12,13 costs 2+2=4 -> transit.
-	if res.next[11] != 12 {
-		t.Fatalf("next[11] = %v, want 12 (transit beats long exit)", res.next[11])
+	if v.next[at[11]] != at[12] {
+		t.Fatalf("next[11] = %v, want 12 (transit beats long exit)", v.next[at[11]])
 	}
-	if _, isEgress := res.egress[11]; isEgress {
-		t.Fatal("11 should not be an egress")
+	if port, _ := v.outPort(at[11]); port != 1 {
+		t.Fatalf("11 should forward on port 1 toward 12, not exit: port %d", port)
 	}
 }
 
@@ -171,21 +188,27 @@ func TestCandidateLoopAvoidance(t *testing.T) {
 	c.onRoute(SessKey{Border: 11, Port: 2}, speaker.RouteEvent{
 		Prefix: testPrefix, Attrs: extAttrs(2, 12, 5),
 	})
-	cands := c.candidatesFor(testPrefix, c.subClusters())
-	if len(cands) != 0 {
-		t.Fatalf("re-entering path must be filtered, got %v", cands)
+	usable := func() (n int) {
+		v, _ := routed(c, testPrefix)
+		for _, cand := range v.best {
+			if cand.cost != 0 {
+				n++
+			}
+		}
+		return n
+	}
+	if usable() != 0 {
+		t.Fatalf("re-entering path must be filtered, got %v", c.view.best)
 	}
 	// After a partition isolating 13, a path through 13 is usable
 	// from component {11,12} (sub-clusters reach each other over the
 	// legacy world).
-	c.members[12].ports[2].up = false
-	c.members[13].ports[1].up = false
+	failLink1213(c)
 	c.onRoute(SessKey{Border: 11, Port: 2}, speaker.RouteEvent{
 		Prefix: testPrefix, Attrs: extAttrs(2, 13, 5),
 	})
-	cands = c.candidatesFor(testPrefix, c.subClusters())
-	if len(cands) != 1 {
-		t.Fatalf("cross-sub-cluster path should be usable, got %v", cands)
+	if usable() != 1 {
+		t.Fatalf("cross-sub-cluster path should be usable, got %v", c.view.best)
 	}
 }
 
@@ -195,12 +218,12 @@ func TestDijkstraOwnedPrefix(t *testing.T) {
 	if err := c.OriginatePrefix(13, owned); err != nil {
 		t.Fatal(err)
 	}
-	res := c.dijkstra(owned, c.subClusters())
-	if res.owner != 13 || res.dist[13] != 0 {
-		t.Fatalf("owner routing wrong: %+v", res)
+	v, at := routed(c, owned)
+	if v.owner != at[13] || v.dist[at[13]] != 0 {
+		t.Fatalf("owner routing wrong: owner=%d dist=%v", v.owner, v.dist)
 	}
-	if res.dist[11] != 2 || res.next[11] != 12 {
-		t.Fatalf("11's path to owner wrong: dist=%v next=%v", res.dist, res.next)
+	if v.dist[at[11]] != 2 || v.next[at[11]] != at[12] {
+		t.Fatalf("11's path to owner wrong: dist=%v next=%v", v.dist, v.next)
 	}
 }
 
@@ -307,19 +330,17 @@ func TestAnnouncementForTransparency(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	res := c.dijkstra(testPrefix, c.subClusters())
-	k13 := SessKey{Border: 13, Port: 2}
-	attrs, ok := c.announcementFor(k13, c.sessions[k13], testPrefix, res)
-	if !ok {
+	v, at := routed(c, testPrefix)
+	a := v.announcement(at[13])
+	if !a.allowedOn(c.sessions[SessKey{Border: 13, Port: 2}]) {
 		t.Fatal("13 should announce to AS3")
 	}
 	want := wire.NewASPath(13, 12, 11, 2, 9)
-	if !attrs.ASPath.Equal(want) {
-		t.Fatalf("announced path = %v, want %v", attrs.ASPath, want)
+	if !a.attrs.ASPath.Equal(want) {
+		t.Fatalf("announced path = %v, want %v", a.attrs.ASPath, want)
 	}
 	// Border 11 must NOT announce back to AS2 (split horizon).
-	k11 := SessKey{Border: 11, Port: 2}
-	if _, ok := c.announcementFor(k11, c.sessions[k11], testPrefix, res); ok {
+	if v.announcement(at[11]).allowedOn(c.sessions[SessKey{Border: 11, Port: 2}]) {
 		t.Fatal("split horizon violated")
 	}
 }
@@ -333,9 +354,8 @@ func TestAnnouncementSkipsReceiverLoop(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	res := c.dijkstra(testPrefix, c.subClusters())
-	k13 := SessKey{Border: 13, Port: 2}
-	if _, ok := c.announcementFor(k13, c.sessions[k13], testPrefix, res); ok {
+	v, at := routed(c, testPrefix)
+	if v.announcement(at[13]).allowedOn(c.sessions[SessKey{Border: 13, Port: 2}]) {
 		t.Fatal("announcement containing the receiver must be skipped")
 	}
 }
@@ -349,14 +369,14 @@ func TestOwnedPrefixAnnouncement(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	res := c.dijkstra(owned, c.subClusters())
-	k11 := SessKey{Border: 11, Port: 2}
-	attrs, ok := c.announcementFor(k11, c.sessions[k11], owned, res)
-	if !ok {
+	s11 := c.sessions[SessKey{Border: 11, Port: 2}]
+	v, at := routed(c, owned)
+	a := v.announcement(at[11])
+	if !a.allowedOn(s11) {
 		t.Fatal("owned prefix should be announced at border 11")
 	}
-	if want := wire.NewASPath(11, 12, 13); !attrs.ASPath.Equal(want) {
-		t.Fatalf("owned path = %v, want %v", attrs.ASPath, want)
+	if want := wire.NewASPath(11, 12, 13); !a.attrs.ASPath.Equal(want) {
+		t.Fatalf("owned path = %v, want %v", a.attrs.ASPath, want)
 	}
 	// Withdrawing removes it.
 	if err := c.WithdrawOriginated(owned); err != nil {
@@ -365,8 +385,8 @@ func TestOwnedPrefixAnnouncement(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	res = c.dijkstra(owned, c.subClusters())
-	if _, ok := c.announcementFor(k11, c.sessions[k11], owned, res); ok {
+	v, at = routed(c, owned)
+	if v.announcement(at[11]).allowedOn(s11) {
 		t.Fatal("withdrawn prefix still announced")
 	}
 	if err := c.WithdrawOriginated(owned); err == nil {
@@ -590,5 +610,43 @@ func TestExternalSessionFollowsConfiguredTimers(t *testing.T) {
 	}
 	if len(opens) == 0 || opens[0]-resetAt != retry {
 		t.Fatalf("speaker OPENs after the reset at %v, want exactly one connect-retry (%v) later", opens, retry)
+	}
+}
+
+// TestRecomputeAllDirtyLeftoverOrder pins the order of a full
+// recomputation's tail: prefixes that lost all state inside the window
+// that also marked everything dirty (RemoveMember tears sessions down,
+// then marks all dirty) are cleaned up after the known prefixes, in
+// prefix order — not in the dirty map's iteration order, which gave 6
+// FlowMod orders in 40 identical runs.
+func TestRecomputeAllDirtyLeftoverOrder(t *testing.T) {
+	key := SessKey{Border: 11, Port: 2}
+	var prefixes []netip.Prefix
+	for i := 0; i < 6; i++ {
+		prefixes = append(prefixes, netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 0, byte(i), 0}), 24))
+	}
+	for run := 0; run < 40; run++ {
+		c, k, caps := testCluster(t)
+		for _, p := range prefixes {
+			c.onRoute(key, speaker.RouteEvent{Prefix: p, Attrs: extAttrs(2)})
+		}
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		learned := len(caps[12].flowMods(t))
+		for _, p := range prefixes {
+			c.onRoute(key, speaker.RouteEvent{Prefix: p, Withdrawn: true})
+		}
+		c.markAllDirty()
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		var got []netip.Prefix
+		for _, fm := range caps[12].flowMods(t)[learned:] {
+			got = append(got, fm.Match)
+		}
+		if !slices.Equal(got, prefixes) {
+			t.Fatalf("run %d: cleanup FlowMods for %v, want prefix order %v", run, got, prefixes)
+		}
 	}
 }

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 
 	"repro/internal/bgp/wire"
 	"repro/internal/idr"
@@ -98,23 +98,13 @@ func (c *Controller) State() ControllerState {
 		Xid:      c.xid,
 		Stats:    c.stats,
 	}
-	extPrefixes := make([]netip.Prefix, 0, len(c.extRoutes))
-	for p := range c.extRoutes {
-		extPrefixes = append(extPrefixes, p)
-	}
-	sort.Slice(extPrefixes, func(i, j int) bool { return idr.PrefixLess(extPrefixes[i], extPrefixes[j]) })
-	for _, p := range extPrefixes {
+	for _, p := range idr.SortedPrefixes(c.extRoutes) {
 		bySess := c.extRoutes[p]
 		keys := make([]SessKey, 0, len(bySess))
 		for k := range bySess {
 			keys = append(keys, k)
 		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].Border != keys[j].Border {
-				return keys[i].Border < keys[j].Border
-			}
-			return keys[i].Port < keys[j].Port
-		})
+		slices.SortFunc(keys, compareSessKey)
 		e := ExtRouteEntry{Prefix: p}
 		for _, k := range keys {
 			e.Routes = append(e.Routes, ExtRoute{Border: k.Border, Port: k.Port, Attrs: bySess[k]})
@@ -131,7 +121,7 @@ func (c *Controller) State() ControllerState {
 		for port := range m.ports {
 			ports = append(ports, port)
 		}
-		sort.Slice(ports, func(i, j int) bool { return ports[i] < ports[j] })
+		slices.Sort(ports)
 		for _, port := range ports {
 			st.Ports = append(st.Ports, PortFlag{Member: asn, Port: port, Up: m.ports[port].up})
 		}
@@ -183,6 +173,7 @@ func (c *Controller) RestoreState(st ControllerState) ([]sim.TimerArm, error) {
 		}
 		pi.up = pf.Up
 	}
+	c.invalidate()
 	var arms []sim.TimerArm
 	for _, ss := range st.Sessions {
 		es, ok := c.sessions[SessKey{Border: ss.Border, Port: ss.Port}]

@@ -1,12 +1,15 @@
 package experiment
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/bgp"
 	"repro/internal/idr"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -302,4 +305,107 @@ func TestSnapshotRefusals(t *testing.T) {
 	if _, err := DecodeSnapshot(raw); err == nil {
 		t.Fatal("decode accepted a future snapshot version")
 	}
+}
+
+// updateTimes steps e to quiescence (or the deadline) one event at a
+// time and returns, for each event that sent UPDATEs, its virtual time
+// and the routers' running sent total. each, when set, runs after
+// every event.
+func updateTimes(e *Experiment, deadline time.Time, each func()) []string {
+	var out []string
+	sent, _ := e.UpdateTotals()
+	for e.K.Now().Before(deadline) && e.K.Step() {
+		if now, _ := e.UpdateTotals(); now != sent {
+			sent = now
+			out = append(out, fmt.Sprintf("%v %d", e.K.Now().Sub(sim.Epoch), sent))
+		}
+		if each != nil {
+			each()
+		}
+	}
+	return out
+}
+
+// TestSnapshotMidExplorationPendingMRAI takes the snapshots no other
+// test takes: in the middle of path exploration, with MRAI timers
+// armed and announcements queued behind them, or with a session idle
+// but still inside its advertisement interval (every warmed-up
+// snapshot is quiescent, so nothing else notices when bgp.Peer.restore
+// skips the re-arm or loses nextAdvAllowed). Each restored run must
+// send its remaining UPDATEs at exactly the uninterrupted run's times.
+// A snapshot is taken at every instant after the withdrawal at which
+// every UPDATE sent has been received — in-flight frames are not
+// captured (a dropped KEEPALIVE is invisible; a dropped UPDATE would
+// not be).
+func TestSnapshotMidExplorationPendingMRAI(t *testing.T) {
+	cfg := Config{Seed: 3, Graph: mustGraph(topology.Clique(6)), Timers: jitterTimers()}
+	e1 := warmedUp(t, cfg)
+	if err := e1.Withdraw(1); err != nil {
+		t.Fatal(err)
+	}
+	deadline := e1.K.Now().Add(10 * time.Minute)
+	type point struct {
+		raw           []byte
+		sent          uint64
+		armed, queued int
+	}
+	var points []point
+	want := updateTimes(e1, deadline, func() {
+		sent, recv := e1.UpdateTotals()
+		if sent != recv {
+			return
+		}
+		snap, err := e1.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pt := point{sent: sent}
+		for _, r := range snap.Routers {
+			for _, p := range r.State.Peers {
+				if p.Mrai != nil {
+					pt.armed++
+					pt.queued += len(p.PendingAnnounce)
+				}
+			}
+		}
+		if n := len(points); n > 0 && points[n-1].sent == sent && points[n-1].armed == pt.armed {
+			return // the same state as the last point
+		}
+		if pt.raw, err = EncodeSnapshot(snap); err != nil {
+			t.Fatal(err)
+		}
+		points = append(points, pt)
+	})
+	if len(want) == 0 || len(points) == 0 {
+		t.Fatalf("exploration gave %d UPDATE-sending events and %d snapshot points", len(want), len(points))
+	}
+	queued := 0
+	for _, pt := range points {
+		queued += pt.queued
+		decoded, err := DecodeSnapshot(pt.raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e2, err := Restore(cfg, decoded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := e2.K.Now().Sub(sim.Epoch)
+		got := updateTimes(e2, deadline, nil)
+		if len(got) > len(want) || !slices.Equal(got, want[len(want)-len(got):]) {
+			t.Fatalf("snapshot at %v (%d MRAI timers armed, %d announcements queued): remaining UPDATE times diverged:\n uninterrupted %v\n restored      %v", at, pt.armed, pt.queued, want, got)
+		}
+		if s1, r1 := e1.UpdateTotals(); s1 != r1 {
+			t.Fatalf("uninterrupted run ended with %d UPDATEs sent, %d received", s1, r1)
+		} else if s2, r2 := e2.UpdateTotals(); s2 != s1 || r2 != r1 {
+			t.Fatalf("snapshot at %v: update totals (%d, %d), uninterrupted (%d, %d)", at, s2, r2, s1, r1)
+		}
+		if got, want := ribDump(t, e2), ribDump(t, e1); got != want {
+			t.Fatalf("snapshot at %v: final RIBs differ:\n--- uninterrupted ---\n%s\n--- restored ---\n%s", at, want, got)
+		}
+	}
+	if queued == 0 {
+		t.Fatal("no snapshot point had an announcement queued behind an MRAI timer")
+	}
+	t.Logf("%d snapshot points, %d UPDATE-sending events", len(points), len(want))
 }

@@ -360,8 +360,11 @@ func (o orderInsensitivity) pureExpr(e ast.Expr) bool {
 
 // isCollectThenSort recognizes the sorted-extraction idiom: the loop
 // body only appends to one slice (appends may sit behind pure if/else
-// filters, continues and per-iteration locals) and that slice is later
-// passed to a sort/slices sorting call in the same function.
+// filters, continues and per-iteration locals) and a statement that
+// follows the loop — in the loop's own block or in one enclosing it —
+// passes that slice to a sort/slices sorting call. A sort anywhere
+// else in the function (the other arm of the if the loop sits in, say)
+// does not run after the loop and does not count.
 func isCollectThenSort(pkg *Package, funcs []ast.Node, rng *ast.RangeStmt) bool {
 	targetObj := collectTarget(pkg, rng.Body)
 	if targetObj == nil {
@@ -373,29 +376,60 @@ func isCollectThenSort(pkg *Package, funcs []ast.Node, rng *ast.RangeStmt) bool 
 	}
 	sorted := false
 	ast.Inspect(fn, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || call.Pos() <= rng.End() {
-			return true
-		}
-		callee := calleeFunc(pkg, call)
-		if callee == nil || callee.Pkg() == nil {
-			return true
-		}
-		p := callee.Pkg().Path()
-		if p != "sort" && p != "slices" {
-			return true
-		}
-		if !strings.HasPrefix(callee.Name(), "Sort") && !isSortHelper(p, callee.Name()) {
-			return true
-		}
-		for _, arg := range call.Args {
-			if id, ok := ast.Unparen(arg).(*ast.Ident); ok && objectOf(pkg, id) == targetObj {
-				sorted = true
-				return false
+		stmts := stmtList(n)
+		for i, stmt := range stmts {
+			if stmt.Pos() <= rng.Pos() && rng.End() <= stmt.End() {
+				sorted = sorted || sortsTarget(pkg, stmts[i+1:], targetObj)
 			}
 		}
-		return true
+		return !sorted
 	})
+	return sorted
+}
+
+// stmtList returns the statements a node runs in sequence, nil when it
+// is not a statement list.
+func stmtList(n ast.Node) []ast.Stmt {
+	switch n := n.(type) {
+	case *ast.BlockStmt:
+		return n.List
+	case *ast.CaseClause:
+		return n.Body
+	case *ast.CommClause:
+		return n.Body
+	}
+	return nil
+}
+
+// sortsTarget reports whether any of the statements passes the target
+// slice to a sort/slices sorting call.
+func sortsTarget(pkg *Package, stmts []ast.Stmt, targetObj types.Object) bool {
+	sorted := false
+	for _, stmt := range stmts {
+		ast.Inspect(stmt, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return !sorted
+			}
+			callee := calleeFunc(pkg, call)
+			if callee == nil || callee.Pkg() == nil {
+				return true
+			}
+			p := callee.Pkg().Path()
+			if p != "sort" && p != "slices" {
+				return true
+			}
+			if !strings.HasPrefix(callee.Name(), "Sort") && !isSortHelper(p, callee.Name()) {
+				return true
+			}
+			for _, arg := range call.Args {
+				if id, ok := ast.Unparen(arg).(*ast.Ident); ok && objectOf(pkg, id) == targetObj {
+					sorted = true
+				}
+			}
+			return !sorted
+		})
+	}
 	return sorted
 }
 

@@ -37,6 +37,35 @@ func FilteredKeys(m map[string]int) []string {
 	return out
 }
 
+// BranchSorted collects in one arm of an if and sorts only in the
+// other: the sort never runs after the loop (flagged — the shape that
+// hid an unsorted recomputation batch in core.Controller.recompute).
+func BranchSorted(m map[string]int, all bool) []string {
+	var out []string
+	if all {
+		for k := range m { // want "maporder"
+			out = append(out, k)
+		}
+	} else {
+		out = append(out, "none")
+		sort.Strings(out)
+	}
+	return out
+}
+
+// NestedThenSorted collects inside a branch and sorts after it, in an
+// enclosing block (not flagged).
+func NestedThenSorted(m map[string]int, all bool) []string {
+	var out []string
+	if all {
+		for k := range m {
+			out = append(out, k)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
 // Sum accumulates integers commutatively (not flagged).
 func Sum(m map[string]int) int {
 	n := 0

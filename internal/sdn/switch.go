@@ -8,7 +8,7 @@ package sdn
 import (
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 
 	"repro/internal/frames"
 	"repro/internal/idr"
@@ -85,7 +85,7 @@ func (t *FlowTable) Entries() []FlowEntry {
 	for _, e := range t.entries {
 		out = append(out, e)
 	}
-	sort.Slice(out, func(i, j int) bool { return idr.PrefixLess(out[i].Match, out[j].Match) })
+	slices.SortFunc(out, func(a, b FlowEntry) int { return idr.ComparePrefix(a.Match, b.Match) })
 	return out
 }
 

@@ -135,17 +135,18 @@ func (s *Session) handleUpdate(m wire.Update) {
 // Announce advertises prefix with the controller-built attributes.
 // The speaker sets only NEXT_HOP; the AS path must already carry the
 // cluster-internal sequence. Re-announcing identical attributes is a
-// no-op.
+// no-op that allocates nothing; what is sent is a deep copy, so the
+// caller keeps ownership of attrs.
 func (s *Session) Announce(prefix netip.Prefix, attrs wire.PathAttrs) error {
 	if s.fsm.State() != bgp.StateEstablished {
 		return fmt.Errorf("speaker: session %v->%v not established", s.cfg.LocalASN, s.cfg.RemoteASN)
 	}
-	attrs = attrs.Clone()
 	attrs.NextHop = s.cfg.NextHop
 	attrs.LocalPref = nil
 	if prev, ok := s.advertised[prefix]; ok && prev.Equal(attrs) {
 		return nil
 	}
+	attrs = attrs.Clone()
 	if err := s.fsm.Send(wire.Update{Attrs: attrs, NLRI: []netip.Prefix{prefix}}); err != nil {
 		return err
 	}

@@ -28,6 +28,8 @@ type rig struct {
 	// notified records, per receiving side, each NOTIFICATION's code
 	// and whether both sessions were Idle once it was processed.
 	notified map[string][]notification
+	// sent counts the frames each side handed to its transport.
+	sent map[string]int
 }
 
 type notification struct {
@@ -38,6 +40,7 @@ type notification struct {
 // sendFrom wraps one side's transmit function with the mute switch.
 func (g *rig) sendFrom(side string, send func([]byte) error) func([]byte) error {
 	return func(b []byte) error {
+		g.sent[side]++
 		if g.mute == side {
 			return nil
 		}
@@ -73,7 +76,7 @@ func newRig(t *testing.T) *rig {
 	}
 	epSw, epR := link.Endpoints()
 
-	g := &rig{k: k, link: link, notified: make(map[string][]notification)}
+	g := &rig{k: k, link: link, notified: make(map[string][]notification), sent: make(map[string]int)}
 
 	router, err := bgp.New(bgp.Config{
 		ASN:      2,
@@ -353,5 +356,82 @@ func TestWrongRemoteASNRejected(t *testing.T) {
 	}
 	if g.sess.State() == bgp.StateEstablished {
 		t.Fatal("spoofed OPEN should reset the session")
+	}
+}
+
+// announcedAttrs is a controller-built attribute set with every part
+// Announce could alias: path segments, communities, aggregator, MED.
+func announcedAttrs() wire.PathAttrs {
+	med := uint32(7)
+	return wire.PathAttrs{
+		Origin:      wire.OriginIGP,
+		ASPath:      wire.ASPath{{Type: wire.ASSequence, ASNs: []idr.ASN{10, 11}}, {Type: wire.ASSet, ASNs: []idr.ASN{5, 6}}},
+		MED:         &med,
+		Aggregator:  &wire.Aggregator{AS: 5, ID: netip.MustParseAddr("10.0.0.5")},
+		Communities: []wire.Community{wire.NewCommunity(65000, 1)},
+	}
+}
+
+// TestAnnounceNoopAllocatesNothing pins the compare-before-clone
+// order: the controller re-announces every prefix on every session on
+// every recompute, nearly always unchanged, and that path must not
+// allocate.
+func TestAnnounceNoopAllocatesNothing(t *testing.T) {
+	g := newRig(t)
+	if err := g.k.RunFor(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	pfx, attrs := netip.MustParsePrefix("10.0.10.0/24"), announcedAttrs()
+	if err := g.sess.Announce(pfx, attrs); err != nil {
+		t.Fatal(err)
+	}
+	sent := g.sent["speaker"]
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := g.sess.Announce(pfx, attrs); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a repeated identical Announce allocates %v objects, want 0", allocs)
+	}
+	if got := g.sent["speaker"]; got != sent {
+		t.Fatalf("repeated identical Announce sent %d more frames", got-sent)
+	}
+}
+
+// TestAnnounceDoesNotAlias pins the other half: what a sending
+// Announce keeps is a deep copy, so the caller may reuse or mutate its
+// attributes afterwards without changing what was advertised or the
+// verdict on a later identical announcement.
+func TestAnnounceDoesNotAlias(t *testing.T) {
+	g := newRig(t)
+	if err := g.k.RunFor(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	pfx, attrs := netip.MustParsePrefix("10.0.10.0/24"), announcedAttrs()
+	if err := g.sess.Announce(pfx, attrs); err != nil {
+		t.Fatal(err)
+	}
+	attrs.ASPath[0].ASNs[1] = 99
+	attrs.ASPath[1].ASNs[0] = 99
+	attrs.Communities[0] = wire.CommunityNoExport
+	*attrs.MED = 99
+	attrs.Aggregator.AS = 99
+	want := announcedAttrs()
+	want.NextHop = netip.MustParseAddr("100.64.0.1")
+	if got := g.sess.advertised[pfx]; !got.Equal(want) {
+		t.Fatalf("advertised changed with the caller's attributes:\n got  %v\n want %v", got, want)
+	}
+	sent := g.sent["speaker"]
+	if err := g.sess.Announce(pfx, announcedAttrs()); err != nil {
+		t.Fatal(err)
+	}
+	if got := g.sent["speaker"]; got != sent {
+		t.Fatal("re-announcing the original attributes was not a no-op")
+	}
+	if err := g.sess.Announce(pfx, attrs); err != nil {
+		t.Fatal(err)
+	}
+	if got := g.sent["speaker"]; got != sent+1 {
+		t.Fatalf("announcing the mutated attributes sent %d frames, want 1", got-sent)
 	}
 }
