@@ -10,9 +10,11 @@
 package bgp
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 
@@ -299,8 +301,12 @@ func (r *Router) AddPeer(pc PeerConfig) (*Peer, error) {
 		return nil, fmt.Errorf("bgp: peer %q: %w", pc.Key, err)
 	}
 	r.peers[pc.Key] = p
-	r.peerList = append(r.peerList, p)
-	sort.Slice(r.peerList, func(i, j int) bool { return r.peerList[i].cfg.Key < r.peerList[j].cfg.Key })
+	// peerList stays sorted by key; keys are unique, so the insertion
+	// point is the order a full sort would give.
+	at, _ := slices.BinarySearchFunc(r.peerList, pc.Key, func(q *Peer, key rib.PeerKey) int {
+		return cmp.Compare(q.cfg.Key, key)
+	})
+	r.peerList = slices.Insert(r.peerList, at, p)
 	return p, nil
 }
 

@@ -1,11 +1,13 @@
 package experiment
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/bgp"
 	"repro/internal/idr"
+	"repro/internal/policy"
 	"repro/internal/topology"
 )
 
@@ -343,5 +345,37 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, exists := e.Link(1, 9); exists {
 		t.Fatal("unknown link should not exist")
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race
+// (race_test.go sets it).
+var raceEnabled bool
+
+// TestNewBytesPerLink bounds what standing up an experiment allocates
+// per inter-AS link on a lossless internet-like graph — nodes, links,
+// addressing, sessions, everything New does before the first event.
+// It is the gate against per-link state nobody uses: an eagerly seeded
+// random stream per link (4.9 KB, drawn from only under loss or jitter)
+// once made this 8.8 KB per link; without it New measures 3.4 KB.
+func TestNewBytesPerLink(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's runtime adds allocations of its own")
+	}
+	g, err := topology.SynthesizeInternetLike(topology.InternetLikeConfig{ASes: 300}, newSeededRand(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Seed: 1, Graph: g, Policy: policy.GaoRexford{}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	perLink := (after.TotalAlloc - before.TotalAlloc) / uint64(g.NumEdges())
+	t.Logf("experiment.New: %d bytes per link over %d links", perLink, g.NumEdges())
+	if perLink >= 4096 {
+		t.Fatalf("experiment.New allocated %d bytes per link on a lossless graph, want < 4096", perLink)
 	}
 }

@@ -2,7 +2,7 @@ package experiment
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/bgp"
 	"repro/internal/bgp/rib"
@@ -199,7 +199,7 @@ func sortedPeerKeys(r *bgp.Router) []rib.PeerKey {
 	for k := range r.Peers() {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	return keys
 }
 

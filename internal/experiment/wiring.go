@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 	"time"
 
 	"repro/internal/bgp"
@@ -331,14 +330,8 @@ func (e *Experiment) Start() error {
 		}
 	}
 	startRouter := func(r *bgp.Router) {
-		keys := make([]rib.PeerKey, 0, len(r.Peers()))
-		for k := range r.Peers() {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for _, k := range keys {
-			p := r.Peers()[k]
-			e.K.Go(p.TransportUp)
+		for _, k := range sortedPeerKeys(r) {
+			e.K.Go(r.Peers()[k].TransportUp)
 		}
 	}
 	for _, asn := range e.ASNs() {

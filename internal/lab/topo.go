@@ -55,6 +55,11 @@ func ParseTopo(fields []string) (TopoSpec, error) {
 		if err != nil {
 			return 0, fmt.Errorf("lab: topology %s: bad integer %q", kind, fields[i])
 		}
+		if v < 1 {
+			// Caught here so the size is what gets blamed, not whatever
+			// is validated against Nodes() first (the SDN-count axis).
+			return 0, fmt.Errorf("lab: topology %s: size %d < 1", kind, v)
+		}
 		return v, nil
 	}
 	spec := TopoSpec{Kind: kind}

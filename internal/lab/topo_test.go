@@ -85,6 +85,21 @@ func TestTopoSpecParseErrors(t *testing.T) {
 			t.Fatalf("%q: want parse error", in)
 		}
 	}
+	// A non-positive size is blamed on the size, by name, before any
+	// axis is validated against Nodes().
+	for in, want := range map[string]string{
+		"clique -3":  "lab: topology clique: size -3 < 1",
+		"internet 0": "lab: topology internet: size 0 < 1",
+		"er 0 0.5":   "lab: topology er: size 0 < 1",
+		"tree 7 0":   "lab: topology tree: size 0 < 1",
+		"grid 4 -1":  "lab: topology grid: size -1 < 1",
+		"grid 0 4":   "lab: topology grid: size 0 < 1",
+		"ba 12 0":    "lab: topology ba: size 0 < 1",
+	} {
+		if _, err := ParseTopoString(in); err == nil || err.Error() != want {
+			t.Errorf("%q: error %v, want %q", in, err, want)
+		}
+	}
 	if _, err := (TopoSpec{Kind: "internet", N: 8}).Build(nil); err == nil {
 		t.Fatal("random topology without rng should error")
 	}
@@ -135,6 +150,39 @@ func TestPlacementSelect(t *testing.T) {
 	got, err := zero.Select(g)
 	if err != nil || !reflect.DeepEqual(got, []idr.ASN{4, 5}) {
 		t.Fatalf("zero-value placement = %v (%v), want last 2", got, err)
+	}
+}
+
+// TestDegreePlacementThenFailoverOrigin runs the one production order
+// in which a graph is queried and then mutated before it is wired:
+// Trial.prepare's degree placement builds the adjacency index, then the
+// fail-over workload attaches its dual-homed origin with two AddEdges.
+// The wiring that follows must see the new origin and its attachments.
+func TestDegreePlacementThenFailoverOrigin(t *testing.T) {
+	p, err := Trial{
+		Topo:      TopoSpec{Kind: "star", N: 6},
+		Placement: Placement{Strategy: PlaceDegree, K: 1},
+		Event:     Failover,
+	}.prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, origin := p.cfg.Graph, p.origin
+	if want := []idr.ASN{topology.BaseASN}; !reflect.DeepEqual(p.cfg.SDNMembers, want) {
+		t.Fatalf("degree placement picked %v, want the hub %v", p.cfg.SDNMembers, want)
+	}
+	primary, backup := topology.BaseASN+1, topology.BaseASN+2
+	if got, want := g.Neighbors(origin), []idr.ASN{primary, backup}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Neighbors(origin %v) = %v, want %v", origin, got, want)
+	}
+	if got, want := g.Providers(origin), []idr.ASN{primary, backup}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Providers(origin %v) = %v, want %v", origin, got, want)
+	}
+	if got, want := g.Customers(primary), []idr.ASN{origin}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Customers(%v) = %v, want %v", primary, got, want)
+	}
+	if got := g.Degree(backup); got != 2 {
+		t.Fatalf("Degree(%v) = %d, want 2 (hub and origin)", backup, got)
 	}
 }
 

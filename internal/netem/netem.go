@@ -141,7 +141,9 @@ func (n *Network) Connect(a, b *Node, cfg LinkConfig) (*Link, error) {
 		// Mix the creation index into the seed (splitmix64-style odd
 		// constant) so adjacent links get well-separated streams. The
 		// source is draw-counted so snapshots can record the stream
-		// position and restores re-derive it from the seed.
+		// position and restores re-derive it from the seed, and it
+		// builds its generator on the first draw: a link that never
+		// loses or jitters a frame holds only (seed, draws).
 		l.src = sim.NewCountingSource(n.linkSeed ^ int64(len(n.links)+1)*-0x61c8864680b583eb)
 		l.rng = rand.New(l.src)
 	}

@@ -17,7 +17,10 @@ import (
 // idempotent and the captured deadlines outlive the next re-arm).
 // Per-link random streams are never serialized as generator state;
 // they are re-derived from the link seed and fast-forwarded to the
-// captured draw count, which is what lets a fork re-seed them.
+// captured draw count, which is what lets a fork re-seed them. A
+// stream that was never drawn from (Draws == 0: any link without loss
+// or jittered unreliable sends) has no generator on either side of a
+// snapshot.
 
 // tsNS and nsTS serialize timestamps as nanoseconds since sim.Epoch,
 // preserving the zero value (sim.TimeNone).

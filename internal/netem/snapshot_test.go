@@ -1,0 +1,158 @@
+package netem
+
+import (
+	"reflect"
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/sim"
+)
+
+// TestLosslessLinkBuildsNoStream pins what a link costs when nothing
+// on it is ever lost or jittered — every link of a default experiment.
+// Its private stream exists as (seed, draws) only: Connect plus traffic
+// stays far under the 4.9 KB a seeded stdlib generator takes, and the
+// captured stream position is still 0.
+func TestLosslessLinkBuildsNoStream(t *testing.T) {
+	const links = 1000
+	k, n := newNet(t)
+	n.SeedLinks(7)
+	a, b := twoNodes(t, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < links; i++ {
+		if _, err := n.Connect(a, b, LinkConfig{Delay: time.Millisecond}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, l := range n.Links() {
+		ep, _ := l.Endpoints()
+		if err := ep.Send([]byte("keepalive")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	perLink := (after.TotalAlloc - before.TotalAlloc) / links
+	t.Logf("%d bytes per link, Connect and one reliable send", perLink)
+	if perLink >= 1024 {
+		t.Fatalf("a lossless link cost %d bytes to connect and send on, want < 1024", perLink)
+	}
+	if n.Delivered != links {
+		t.Fatalf("delivered %d of %d frames", n.Delivered, links)
+	}
+	for i, ls := range n.State().Links {
+		if ls.Draws != 0 {
+			t.Fatalf("link %d: lossless traffic drew %d values from its stream", i, ls.Draws)
+		}
+	}
+}
+
+// lossyRig is a three-link lossy, jittered network whose receiver logs
+// every delivery as (virtual time, frame number).
+type lossyRig struct {
+	k     *sim.Kernel
+	n     *Network
+	links []*Link
+	got   [][2]int64
+}
+
+func newLossyRig(t *testing.T, linkSeed int64) *lossyRig {
+	t.Helper()
+	r := &lossyRig{}
+	r.k, r.n = newNet(t)
+	r.n.SeedLinks(linkSeed)
+	a, b := twoNodes(t, r.n)
+	b.OnMessage(func(_ *Endpoint, data []byte) {
+		r.got = append(r.got, [2]int64{int64(r.k.Elapsed()), int64(data[0])})
+	})
+	for i := 0; i < 3; i++ {
+		l, err := r.n.Connect(a, b, LinkConfig{Delay: time.Millisecond, Loss: 0.3, Jitter: 5 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.links = append(r.links, l)
+	}
+	return r
+}
+
+// offer schedules frames [from, to): frame i enters link i%3 at
+// start + i*10ms, once reliably and once unreliably.
+func (r *lossyRig) offer(start time.Duration, from, to int) {
+	for i := from; i < to; i++ {
+		ep, _ := r.links[i%len(r.links)].Endpoints()
+		frame := []byte{byte(i)}
+		r.k.AfterFunc(start+time.Duration(i)*10*time.Millisecond-r.k.Elapsed(), func() {
+			_ = ep.Send(frame) // the links stay up
+			ep.SendUnreliable(frame)
+		})
+	}
+}
+
+// TestLossyLinkStateRoundTrip pins that (seed, draws) still locates a
+// drawn stream: a lossy, jittered network captured between two bursts
+// and restored onto a fresh network delivers the second burst at the
+// uninterrupted run's instants, and under a different link seed it
+// does not.
+func TestLossyLinkStateRoundTrip(t *testing.T) {
+	const (
+		burst = 100
+		// gap outlasts the worst retransmission back-off of the first
+		// burst, so the capture sees no frame in flight.
+		gap = time.Minute
+	)
+	whole := newLossyRig(t, 42)
+	whole.offer(0, 0, burst)
+	whole.offer(gap, burst, 2*burst)
+	if err := whole.k.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	first := newLossyRig(t, 42)
+	first.offer(0, 0, burst)
+	if err := first.k.RunUntil(sim.Epoch.Add(gap)); err != nil {
+		t.Fatal(err)
+	}
+	if first.k.Pending() != 0 {
+		t.Fatalf("%d events in flight at the capture", first.k.Pending())
+	}
+	kst, nst := first.k.State(), first.n.State()
+	var drawn uint64
+	for _, ls := range nst.Links {
+		drawn += ls.Draws
+	}
+	if drawn == 0 {
+		t.Fatal("the first burst drew nothing: the capture would not exercise a stream position")
+	}
+
+	// resume restores the capture under linkSeed and runs the second burst.
+	resume := func(linkSeed int64) [][2]int64 {
+		r := newLossyRig(t, linkSeed)
+		r.k.BeginRestore(kst, kst.Seed)
+		if err := r.n.RestoreState(nst); err != nil {
+			t.Fatal(err)
+		}
+		r.k.FinishRestore(kst)
+		r.offer(gap, burst, 2*burst)
+		if err := r.k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return r.got
+	}
+	if !reflect.DeepEqual(whole.got[:len(first.got)], first.got) {
+		t.Fatal("the first burst alone is not a prefix of the uninterrupted run")
+	}
+	want := whole.got[len(first.got):]
+	if len(want) < burst {
+		t.Fatalf("second burst delivered only %d frames", len(want))
+	}
+	if got := resume(42); !reflect.DeepEqual(got, want) {
+		t.Fatalf("second burst after restore delivered %d frames at other instants than the uninterrupted run's %d", len(got), len(want))
+	}
+	if got := resume(43); reflect.DeepEqual(got, want) {
+		t.Fatal("a different link seed replayed the same loss and jitter")
+	}
+}

@@ -238,16 +238,6 @@ type ConeFilter struct {
 // on a cycle the affected cones are truncated rather than recursed
 // into forever.
 func NewConeFilter(inner Policy, g *topology.Graph, origins map[netip.Prefix]idr.ASN) ConeFilter {
-	// One pass over the edges builds the customer adjacency, so cone
-	// construction is linear in the graph instead of re-scanning (and
-	// re-sorting) the full edge list per AS — this runs once per
-	// trial, inside internet-scale sweeps.
-	customers := make(map[idr.ASN][]idr.ASN)
-	for _, e := range g.Edges() {
-		if e.Rel == topology.P2C {
-			customers[e.A] = append(customers[e.A], e.B)
-		}
-	}
 	cones := make(map[idr.ASN]map[idr.ASN]bool, g.NumNodes())
 	visiting := make(map[idr.ASN]bool)
 	var cone func(asn idr.ASN) map[idr.ASN]bool
@@ -262,7 +252,7 @@ func NewConeFilter(inner Policy, g *topology.Graph, origins map[netip.Prefix]idr
 		}
 		visiting[asn] = true
 		c := map[idr.ASN]bool{asn: true}
-		for _, customer := range customers[asn] {
+		for _, customer := range g.Customers(asn) {
 			for member := range cone(customer) {
 				c[member] = true
 			}

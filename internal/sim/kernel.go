@@ -44,9 +44,8 @@ type Kernel struct {
 	batchPos int
 
 	rng    *rand.Rand
-	src    *CountingSource
-	seed   int64
-	events uint64 // total events executed
+	src    *CountingSource // holds the seed the stream was created with
+	events uint64          // total events executed
 
 	// serialDrain and noWheel select the reference implementations
 	// the equivalence tests in wheel_test.go compare against — one
@@ -105,10 +104,9 @@ func (k *Kernel) overBudget() error {
 func NewKernel(seed int64) *Kernel {
 	src := NewCountingSource(seed)
 	return &Kernel{
-		now:  Epoch,
-		rng:  rand.New(src),
-		src:  src,
-		seed: seed,
+		now: Epoch,
+		rng: rand.New(src),
+		src: src,
 	}
 }
 

@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -23,35 +24,44 @@ import (
 // rand.NewSource while every consumed value is counted. That makes
 // (seed, draws) a complete, replayable serialization of the stream
 // position: restore re-seeds and discards the first `draws` steps.
+//
+// (seed, draws) is also all an undrawn source holds: the stdlib
+// generator (607 words of state, ~13µs to seed) is built by the first
+// draw, so a stream nobody draws from — every link of a lossless run —
+// costs three words.
 type CountingSource struct {
-	src rand.Source64
-	n   uint64
+	seed int64
+	n    uint64
+	src  rand.Source64 // nil until the first draw since the last seed
 }
 
 // NewCountingSource returns a counting source seeded with seed.
 func NewCountingSource(seed int64) *CountingSource {
-	// rand.NewSource's concrete source implements Source64.
-	return &CountingSource{src: rand.NewSource(seed).(rand.Source64)}
+	return &CountingSource{seed: seed}
+}
+
+// step counts one generator step and returns the generator to take it
+// from, building it from the seed if this is the first.
+func (c *CountingSource) step() rand.Source64 {
+	if c.src == nil {
+		// rand.NewSource's concrete source implements Source64.
+		c.src = rand.NewSource(c.seed).(rand.Source64)
+	}
+	c.n++
+	return c.src
 }
 
 // Int63 returns the next value from the underlying source, counting
 // one generator step.
-func (c *CountingSource) Int63() int64 {
-	c.n++
-	return c.src.Int63()
-}
+func (c *CountingSource) Int63() int64 { return c.step().Int63() }
 
 // Uint64 returns the next raw 64-bit value from the underlying
 // source, counting one generator step.
-func (c *CountingSource) Uint64() uint64 {
-	c.n++
-	return c.src.Uint64()
-}
+func (c *CountingSource) Uint64() uint64 { return c.step().Uint64() }
 
-// Seed re-seeds the underlying source and resets the draw count.
+// Seed re-seeds the stream and resets the draw count.
 func (c *CountingSource) Seed(seed int64) {
-	c.src.Seed(seed)
-	c.n = 0
+	*c = CountingSource{seed: seed}
 }
 
 // Draws returns how many generator steps have been served since the
@@ -66,8 +76,7 @@ func (c *CountingSource) FastForward(draws uint64) {
 		panic("sim: CountingSource.FastForward target already passed")
 	}
 	for c.n < draws {
-		c.n++
-		c.src.Int63()
+		c.step().Int63()
 	}
 }
 
@@ -117,13 +126,13 @@ func (k *Kernel) State() KernelState {
 		NowNS:  k.now.Sub(Epoch).Nanoseconds(),
 		Seq:    k.seq,
 		Events: k.events,
-		Seed:   k.seed,
+		Seed:   k.src.seed,
 		Draws:  k.src.Draws(),
 	}
 }
 
 // Seed returns the seed the kernel was created with.
-func (k *Kernel) Seed() int64 { return k.seed }
+func (k *Kernel) Seed() int64 { return k.src.seed }
 
 // BeginRestore starts restoring st onto a freshly built kernel: it
 // sets the virtual clock and replays the RNG stream to the captured
@@ -136,7 +145,6 @@ func (k *Kernel) Seed() int64 { return k.seed }
 // diverge exactly where randomness enters and nowhere else.
 func (k *Kernel) BeginRestore(st KernelState, seed int64) {
 	k.now = Epoch.Add(time.Duration(st.NowNS))
-	k.seed = seed
 	k.src.Seed(seed)
 	k.src.FastForward(st.Draws)
 }
@@ -218,11 +226,8 @@ type TimerArm struct {
 // ArmAll sorts the collected arms by (deadline, original sequence)
 // and executes them in that order.
 func ArmAll(arms []TimerArm) {
-	sort.Slice(arms, func(i, j int) bool {
-		if !arms[i].At.Equal(arms[j].At) {
-			return arms[i].At.Before(arms[j].At)
-		}
-		return arms[i].Seq < arms[j].Seq
+	slices.SortFunc(arms, func(a, b TimerArm) int {
+		return cmp.Or(a.At.Compare(b.At), cmp.Compare(a.Seq, b.Seq))
 	})
 	for _, a := range arms {
 		a.Arm()

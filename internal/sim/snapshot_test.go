@@ -71,6 +71,69 @@ func TestCountingSourceFastForward(t *testing.T) {
 	}
 }
 
+// TestCountingSourceLazy pins what an undrawn stream costs: creating
+// one, wrapping it in a rand.Rand, re-seeding it, reading its position
+// and fast-forwarding to position 0 build no generator (the stdlib one
+// is 607 words, 4.9 KB); the first draw does. And laziness changes no
+// value: any interleaving of draws, Seed and FastForward emits what a
+// plain rand.NewSource at the same (seed, position) emits.
+func TestCountingSourceLazy(t *testing.T) {
+	const rounds = 100
+	var positions uint64
+	bytes := allocatedBytes(func() {
+		for i := 0; i < rounds; i++ {
+			c := NewCountingSource(int64(i))
+			_ = rand.New(c)
+			c.Seed(int64(i) + 1)
+			c.FastForward(0)
+			positions += c.Draws()
+		}
+	})
+	if perSource := bytes / rounds; perSource > 256 || positions != 0 {
+		t.Fatalf("an undrawn source cost %d bytes (position sum %d), want <= 256 and 0", perSource, positions)
+	}
+	c := NewCountingSource(3)
+	if c.src != nil {
+		t.Fatal("generator built before the first draw")
+	}
+	c.Int63()
+	if c.src == nil || c.Draws() != 1 {
+		t.Fatalf("after one draw: generator built %v, Draws %d", c.src != nil, c.Draws())
+	}
+	c.Seed(4)
+	if c.src != nil || c.Draws() != 0 {
+		t.Fatalf("after Seed: generator kept %v, Draws %d", c.src != nil, c.Draws())
+	}
+
+	// Interleavings against a plain source kept at the same position.
+	ops := rand.New(rand.NewSource(19))
+	seed := int64(11)
+	c = NewCountingSource(seed)
+	ref := rand.NewSource(seed).(rand.Source64)
+	for i := 0; i < 5000; i++ {
+		switch ops.Intn(10) {
+		case 0:
+			seed = ops.Int63()
+			c.Seed(seed)
+			ref = rand.NewSource(seed).(rand.Source64)
+		case 1:
+			skip := uint64(ops.Intn(40)) // 0 is a legal target: stay put
+			c.FastForward(c.Draws() + skip)
+			for ; skip > 0; skip-- {
+				ref.Int63()
+			}
+		case 2, 3, 4:
+			if got, want := c.Uint64(), ref.Uint64(); got != want {
+				t.Fatalf("op %d: Uint64 = %d, plain source %d", i, got, want)
+			}
+		default:
+			if got, want := c.Int63(), ref.Int63(); got != want {
+				t.Fatalf("op %d: Int63 = %d, plain source %d", i, got, want)
+			}
+		}
+	}
+}
+
 // TestKernelStateRoundTrip pins the kernel restore protocol: capture
 // state mid-run, rebuild a fresh kernel, re-arm the pending timer,
 // finish the restore, and the continuation matches the original.

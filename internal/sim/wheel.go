@@ -70,6 +70,17 @@ type timerWheel struct {
 	// the replacement is filed, mirroring the heap's lazy-cancel
 	// accounting in Pending).
 	count int
+	// free[l] holds the backing arrays of drained level-l slots. A
+	// coarse slot's physical array is not revisited for 64 slot spans
+	// (~550s at level 2), so parking a grown array in its slot strands
+	// it for the rest of most runs; handing it to the next slot of its
+	// level that needs room makes the wheel's footprint follow the
+	// resident timer population, not the number of slots time has passed
+	// through. One list per level, because a slot's population goes with
+	// its level: an array grown for a level-2 slot is wasted on a level-0
+	// one, and the level-2 slot that then draws a small array grows it
+	// all over again.
+	free [wheelLevels][][]wheelEntry
 }
 
 // tickOf converts an absolute instant to an absolute wheel tick.
@@ -110,6 +121,12 @@ func (w *timerWheel) insert(ev *event) bool {
 	ev.walive = true
 	ev.wlevel = uint8(l)
 	ev.wslot = s
+	if cap(*slot) == 0 {
+		if free := w.free[l]; len(free) > 0 {
+			*slot = free[len(free)-1]
+			w.free[l] = free[:len(free)-1]
+		}
+	}
 	ev.windex = int32(len(*slot))
 	*slot = append(*slot, wheelEntry{ev, ev.seq})
 	w.count++
@@ -150,17 +167,19 @@ func (k *Kernel) wheelRelease(tick int64) int {
 	return moved
 }
 
-// flushSlot drains one physical slot. Re-filed entries always land in a
-// strictly lower level (an entry in a flushable level-l slot is at most
-// 64^l ticks ahead of the flush point), so the slot being drained is
-// never appended to mid-iteration and its backing array can be reused.
+// flushSlot drains one physical slot and hands its backing array to its
+// level's free list. Re-filed entries always land in a strictly lower
+// level (an entry in a flushable level-l slot is at most 64^l ticks
+// ahead of the flush point), so the array being iterated is never
+// appended to: it is out of its slot during the loop and on the free
+// list only after it.
 func (k *Kernel) flushSlot(l, s int) int {
 	w := &k.wheel
 	entries := w.slots[l][s]
 	if len(entries) == 0 {
 		return 0
 	}
-	w.slots[l][s] = entries[:0]
+	w.slots[l][s] = nil
 	moved := 0
 	for _, e := range entries {
 		ev := e.ev
@@ -180,6 +199,7 @@ func (k *Kernel) flushSlot(l, s int) int {
 		moved++
 	}
 	clear(entries)
+	w.free[l] = append(w.free[l], entries[:0])
 	return moved
 }
 

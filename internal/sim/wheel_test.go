@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -204,5 +205,58 @@ func TestWheelCascadeAcrossLevels(t *testing.T) {
 		if at != d {
 			t.Fatalf("timer at %v fired at %v", d, at)
 		}
+	}
+}
+
+// allocatedBytes reports the bytes fn allocates (this package's tests
+// run one at a time, so nothing else allocates meanwhile).
+func allocatedBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// A drained slot's array must go back to the wheel, not stay parked in
+// a physical slot that will not be revisited for 64 slot spans. The
+// session pattern — a keepalive timer firing every 30s and pushing a
+// 90s hold timer out each time — files every timer into a new level-2
+// slot (span ~8.6s) on each round; without recycling each of those
+// slots grows an array of its own, so the bytes allocated follow the
+// number of slots time passes through. With it they follow the
+// resident population: the ~90s of slots that hold entries at once.
+func TestWheelSlotArraysRecycled(t *testing.T) {
+	const (
+		sessions  = 2000
+		keepalive = 30 * time.Second
+		hold      = 90 * time.Second
+		span      = time.Duration(1) << (wheelTickShift + 2*wheelSlotBits) // one level-2 slot
+		spans     = 45
+	)
+	k := NewKernel(1)
+	for i := 0; i < sessions; i++ {
+		holdTimer := k.AfterFunc(hold, func() { t.Error("hold timer expired") })
+		var ka Timer
+		ka = k.AfterFunc(keepalive*time.Duration(i+1)/sessions, func() {
+			holdTimer.Reset(hold)
+			ka.Reset(keepalive)
+		})
+	}
+	// Let every slot the resident population occupies fill once.
+	if err := k.RunFor(hold + keepalive); err != nil {
+		t.Fatal(err)
+	}
+	bytes := allocatedBytes(func() {
+		if err := k.RunFor(spans * span); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Measured: 2.6 MB with arrays parked in their slots (one grown
+	// array per slot visited), 147 KB with per-level recycling.
+	const entry = 16 // unsafe.Sizeof(wheelEntry{})
+	t.Logf("%d timers over %d level-2 spans allocated %d bytes", 2*sessions, spans, bytes)
+	if limit := uint64(8 * 2 * sessions * entry); bytes > limit {
+		t.Fatalf("allocated %d bytes, want <= %d (8x the resident entries): drained slot arrays are not being reused", bytes, limit)
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -175,7 +175,7 @@ func SynthesizeInternetLike(cfg InternetLikeConfig, rng *rand.Rand) (*Graph, err
 		for p := range chosen {
 			providers = append(providers, p)
 		}
-		sort.Slice(providers, func(a, b int) bool { return providers[a] < providers[b] })
+		slices.Sort(providers)
 		maxDepth := 0
 		for _, p := range providers {
 			if err := g.AddEdge(Edge{A: p, B: newcomer, Rel: P2C}); err != nil {

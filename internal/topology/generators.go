@@ -3,7 +3,7 @@ package topology
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/idr"
 )
@@ -227,7 +227,7 @@ func BarabasiAlbert(n, m int, rng *rand.Rand) (*Graph, error) {
 		for t := range chosen {
 			picked = append(picked, t)
 		}
-		sort.Slice(picked, func(a, b int) bool { return picked[a] < picked[b] })
+		slices.Sort(picked)
 		for _, t := range picked {
 			if err := g.AddEdge(Edge{A: t, B: newcomer, Rel: P2C}); err != nil {
 				return nil, err

@@ -7,8 +7,9 @@
 package topology
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/idr"
@@ -70,9 +71,25 @@ func (e Edge) Canonical() Edge {
 
 // Graph is an AS-level topology: a set of AS numbers plus annotated
 // edges. The zero value is an empty graph ready to use.
+//
+// A Graph is not safe for concurrent use, queries included: the
+// adjacency accessors (Neighbors, Degree, Providers, Customers, Peers
+// and everything built on them) fill a derived index on first use.
 type Graph struct {
 	nodes map[idr.ASN]bool
 	edges map[[2]idr.ASN]Edge // keyed by canonical endpoints
+	// adj is the adjacency index derived from edges: per node, its
+	// incident half-edges in ascending neighbour order. It is built by
+	// the first adjacency query and dropped (nil) by every edge
+	// mutation; a Clone starts without one.
+	adj map[idr.ASN][]halfEdge
+}
+
+// halfEdge is one end of an edge as its owning node sees it: the far
+// endpoint and what that endpoint is to the owner.
+type halfEdge struct {
+	nb   idr.ASN
+	kind NeighborKind
 }
 
 // New returns an empty graph.
@@ -104,6 +121,7 @@ func (g *Graph) AddEdge(e Edge) error {
 	g.AddNode(e.A)
 	g.AddNode(e.B)
 	g.edges[edgeKey(e.A, e.B)] = e.Canonical()
+	g.adj = nil
 	return nil
 }
 
@@ -115,6 +133,7 @@ func (g *Graph) RemoveEdge(a, b idr.ASN) bool {
 		return false
 	}
 	delete(g.edges, k)
+	g.adj = nil
 	return true
 }
 
@@ -145,7 +164,7 @@ func (g *Graph) Nodes() []idr.ASN {
 	for n := range g.nodes {
 		out = append(out, n)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -155,82 +174,64 @@ func (g *Graph) Edges() []Edge {
 	for _, e := range g.edges {
 		out = append(out, e)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		ki, kj := edgeKey(out[i].A, out[i].B), edgeKey(out[j].A, out[j].B)
-		if ki[0] != kj[0] {
-			return ki[0] < kj[0]
-		}
-		return ki[1] < kj[1]
+	slices.SortFunc(out, func(x, y Edge) int {
+		kx, ky := edgeKey(x.A, x.B), edgeKey(y.A, y.B)
+		return cmp.Or(cmp.Compare(kx[0], ky[0]), cmp.Compare(kx[1], ky[1]))
 	})
 	return out
 }
 
-// Neighbors returns the ASes adjacent to asn in ascending order.
-func (g *Graph) Neighbors(asn idr.ASN) []idr.ASN {
-	var out []idr.ASN
-	for _, e := range g.edges {
-		if e.A == asn {
-			out = append(out, e.B)
-		} else if e.B == asn {
-			out = append(out, e.A)
+// incident returns asn's half-edges in ascending neighbour order,
+// building the index if an edge mutation (or nothing yet) left the
+// graph without one. Edges() is sorted by (low, high) endpoint, so a
+// node's lower neighbours arrive first, in order, and its higher ones
+// after them, in order: every list comes out ascending with no sort of
+// its own.
+func (g *Graph) incident(asn idr.ASN) []halfEdge {
+	if g.adj == nil {
+		g.adj = make(map[idr.ASN][]halfEdge, len(g.nodes))
+		for _, e := range g.Edges() {
+			ka, kb := KindNone, KindNone // an unknown Rel: a neighbour of no kind
+			switch e.Rel {
+			case P2P:
+				ka, kb = KindPeer, KindPeer
+			case P2C: // A is the provider, so B is A's customer
+				ka, kb = KindCustomer, KindProvider
+			}
+			g.adj[e.A] = append(g.adj[e.A], halfEdge{e.B, ka})
+			g.adj[e.B] = append(g.adj[e.B], halfEdge{e.A, kb})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return g.adj[asn]
+}
+
+// neighborsOfKind returns asn's neighbours of the given kind (every
+// neighbour for KindNone), ascending; nil when there are none.
+func (g *Graph) neighborsOfKind(asn idr.ASN, kind NeighborKind) []idr.ASN {
+	var out []idr.ASN
+	for _, h := range g.incident(asn) {
+		if kind == KindNone || h.kind == kind {
+			out = append(out, h.nb)
+		}
+	}
 	return out
 }
 
+// Neighbors returns the ASes adjacent to asn in ascending order.
+func (g *Graph) Neighbors(asn idr.ASN) []idr.ASN { return g.neighborsOfKind(asn, KindNone) }
+
 // Degree returns the number of links attached to asn.
-func (g *Graph) Degree(asn idr.ASN) int {
-	n := 0
-	for _, e := range g.edges {
-		if e.A == asn || e.B == asn {
-			n++
-		}
-	}
-	return n
-}
+func (g *Graph) Degree(asn idr.ASN) int { return len(g.incident(asn)) }
 
 // Providers returns the providers of asn (ASes on the provider side of
 // a P2C edge whose customer side is asn), ascending.
-func (g *Graph) Providers(asn idr.ASN) []idr.ASN {
-	var out []idr.ASN
-	for _, e := range g.edges {
-		if e.Rel == P2C && e.B == asn {
-			out = append(out, e.A)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (g *Graph) Providers(asn idr.ASN) []idr.ASN { return g.neighborsOfKind(asn, KindProvider) }
 
 // Customers returns the customers of asn, ascending.
-func (g *Graph) Customers(asn idr.ASN) []idr.ASN {
-	var out []idr.ASN
-	for _, e := range g.edges {
-		if e.Rel == P2C && e.A == asn {
-			out = append(out, e.B)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (g *Graph) Customers(asn idr.ASN) []idr.ASN { return g.neighborsOfKind(asn, KindCustomer) }
 
 // Peers returns the settlement-free peers of asn, ascending.
-func (g *Graph) Peers(asn idr.ASN) []idr.ASN {
-	var out []idr.ASN
-	for _, e := range g.edges {
-		if e.Rel != P2P {
-			continue
-		}
-		if e.A == asn {
-			out = append(out, e.B)
-		} else if e.B == asn {
-			out = append(out, e.A)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (g *Graph) Peers(asn idr.ASN) []idr.ASN { return g.neighborsOfKind(asn, KindPeer) }
 
 // RelationshipOf returns the relationship of neighbor as seen from asn:
 // what the neighbor is *to* asn.

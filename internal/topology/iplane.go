@@ -2,10 +2,11 @@ package topology
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -192,17 +193,13 @@ func SynthesizeIPlane(g *Graph, maxPoPs int, rng *rand.Rand) ([]PoPLink, error) 
 			RTT:  rtt,
 		})
 	}
-	sort.Slice(links, func(i, j int) bool {
-		if links[i].From.ASN != links[j].From.ASN {
-			return links[i].From.ASN < links[j].From.ASN
-		}
-		if links[i].From.Index != links[j].From.Index {
-			return links[i].From.Index < links[j].From.Index
-		}
-		if links[i].To.ASN != links[j].To.ASN {
-			return links[i].To.ASN < links[j].To.ASN
-		}
-		return links[i].To.Index < links[j].To.Index
+	slices.SortFunc(links, func(a, b PoPLink) int {
+		return cmp.Or(
+			cmp.Compare(a.From.ASN, b.From.ASN),
+			cmp.Compare(a.From.Index, b.From.Index),
+			cmp.Compare(a.To.ASN, b.To.ASN),
+			cmp.Compare(a.To.Index, b.To.Index),
+		)
 	})
 	return links, nil
 }
