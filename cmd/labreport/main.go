@@ -28,9 +28,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -63,11 +64,7 @@ func main() {
 	}
 	jobs, ok := profiles[*profile]
 	if !ok {
-		names := make([]string, 0, len(profiles))
-		for n := range profiles {
-			names = append(names, n)
-		}
-		sort.Strings(names)
+		names := slices.Sorted(maps.Keys(profiles))
 		fatal(fmt.Errorf("unknown profile %q (have %s)", *profile, strings.Join(names, ", ")))
 	}
 	if err := generate(*out, *profile, jobs, *parallel, os.Stdout); err != nil {

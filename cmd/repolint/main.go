@@ -1,5 +1,5 @@
 // Command repolint runs the repository's static-analysis suite
-// (internal/lint): four analyzers mechanizing the invariants the
+// (internal/lint): three analyzers mechanizing the invariants the
 // reproduction's results rest on. It is zero-dependency (stdlib
 // go/ast + go/types), runs as both this CLI and a tier-1 test
 // (internal/lint.TestRepoLintClean), and exits non-zero on any
@@ -18,7 +18,7 @@ import (
 // usage prints the full flag reference with the analyzer registry.
 func usage() {
 	w := flag.CommandLine.Output()
-	fmt.Fprintf(w, `repolint — static analysis for the repo's determinism and alloc invariants
+	fmt.Fprintf(w, `repolint — static analysis for the repo's determinism, error-handling and doc invariants
 
 Usage:
 
@@ -41,7 +41,7 @@ annotation on the flagged line or the line above it, reason mandatory:
   //lint:<check> <reason>
 
 where <check> is the key printed with each finding (maporder,
-globalrand, walltime, escape, errcheck, doc).
+globalrand, walltime, errcheck, doc).
 
 Flags:
 
@@ -51,11 +51,6 @@ Flags:
         run only these analyzers (comma-separated names)
   -skip string
         skip these analyzers (comma-separated names)
-  -write-escape-baseline
-        regenerate internal/lint/zeroalloc_baseline.json from the
-        current compiler escape diagnostics and exit (commit the
-        diff deliberately — it widens or tightens the zero-alloc
-        contract)
   -v    verbose: print per-analyzer progress
 
 Exit status: 0 clean, 1 findings, 2 usage or load error.
@@ -64,7 +59,7 @@ Examples:
 
   repolint ./...
   repolint -only determinism,errcheck
-  repolint -write-escape-baseline
+  repolint -skip doc -v
 `)
 }
 
@@ -72,7 +67,6 @@ func main() {
 	list := flag.Bool("list", false, "print the analyzer names and exit")
 	only := flag.String("only", "", "run only these analyzers (comma-separated)")
 	skip := flag.String("skip", "", "skip these analyzers (comma-separated)")
-	writeBaseline := flag.Bool("write-escape-baseline", false, "regenerate the zeroalloc escape baseline and exit")
 	verbose := flag.Bool("v", false, "verbose: print per-analyzer progress")
 	flag.Usage = usage
 	flag.Parse()
@@ -106,15 +100,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "repolint: loaded %d packages from %s\n", len(prog.Packages), prog.Root)
 	}
 
-	if *writeBaseline {
-		if err := lint.WriteEscapeBaseline(prog); err != nil {
-			fmt.Fprintln(os.Stderr, "repolint:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintln(os.Stderr, "repolint: wrote internal/lint/zeroalloc_baseline.json")
-		return
-	}
-
 	analyzers, err := selectAnalyzers(*only, *skip)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "repolint:", err)
@@ -125,12 +110,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "repolint: running %s\n", a.Name)
 		}
 	}
-	diags, err := lint.RunAnalyzers(prog, analyzers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "repolint:", err)
-		os.Exit(2)
-	}
-
+	diags := lint.RunAnalyzers(prog, analyzers)
 	for _, d := range diags {
 		fmt.Println(d)
 	}

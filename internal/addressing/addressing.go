@@ -14,7 +14,7 @@ package addressing
 import (
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 
 	"repro/internal/idr"
 )
@@ -55,7 +55,7 @@ func NewPlan(asns []idr.ASN) (*Plan, error) {
 		links:    make(map[[2]idr.ASN]LinkNet),
 	}
 	sorted := append([]idr.ASN(nil), asns...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.Sort(sorted)
 	for i, a := range sorted {
 		if i > 0 && sorted[i-1] == a {
 			return nil, fmt.Errorf("addressing: duplicate ASN %v", a)
@@ -94,7 +94,7 @@ func (p *Plan) ASNs() []idr.ASN {
 	for a := range p.origin {
 		out = append(out, a)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -15,7 +15,6 @@ import (
 	"math/rand"
 	"net/netip"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/bgp/rib"
@@ -355,12 +354,7 @@ func (r *Router) Withdraw(prefix netip.Prefix) error {
 
 // Originated returns the locally-announced prefixes.
 func (r *Router) Originated() []netip.Prefix {
-	out := make([]netip.Prefix, 0, len(r.originated))
-	for p := range r.originated {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return idr.PrefixLess(out[i], out[j]) })
-	return out
+	return idr.SortedPrefixes(r.originated)
 }
 
 // onChange reacts to one Loc-RIB transition: trace it and schedule

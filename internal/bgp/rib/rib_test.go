@@ -436,6 +436,35 @@ func TestPropertyLookupMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestLookupZeroAlloc pins the probe path: every data-plane probe a
+// router forwards is one longest-prefix match, and neither a hit (at
+// the longest or a shorter mask) nor a miss that walks all 33 lengths
+// may allocate.
+func TestLookupZeroAlloc(t *testing.T) {
+	tbl := NewTable()
+	for i, p := range []string{"10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24"} {
+		tbl.SetAdjIn(route(PeerKey(string(rune('a'+i))), idr.ASN(i+2), netip.MustParsePrefix(p), idr.ASN(i+2)))
+	}
+	for _, c := range []struct {
+		addr string
+		hit  bool
+	}{
+		{"10.1.2.3", true},
+		{"10.9.9.9", true},
+		{"192.168.1.1", false},
+	} {
+		addr := netip.MustParseAddr(c.addr)
+		allocs := testing.AllocsPerRun(1000, func() {
+			if _, ok := tbl.Lookup(addr); ok != c.hit {
+				t.Fatalf("Lookup(%s) ok=%v, want %v", c.addr, ok, c.hit)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("Lookup(%s) allocates %.1f times per call, want 0", c.addr, allocs)
+		}
+	}
+}
+
 // TestDecideZeroAllocSteadyState pins the decision-path optimisation:
 // re-announcing a route from an already-known peer (the steady-state
 // UPDATE path during convergence) must not allocate — the candidate

@@ -3,7 +3,7 @@ package wire
 import (
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/idr"
@@ -320,7 +320,7 @@ func (a PathAttrs) AddCommunity(c Community) PathAttrs {
 	}
 	out := a.Clone()
 	out.Communities = append(out.Communities, c)
-	sort.Slice(out.Communities, func(i, j int) bool { return out.Communities[i] < out.Communities[j] })
+	slices.Sort(out.Communities)
 	return out
 }
 

@@ -173,7 +173,9 @@ func axisFromCanonical(c canonicalAxis) (Axis, error) {
 // match exactly. This makes the function safe to use as a network
 // admission check — an accepted spec's SHA-256 is its one true
 // artifact-store address, so two clients submitting equal specs
-// always coalesce onto the same records.
+// always coalesce onto the same records — and its axis has passed the
+// validation Sweep.Run starts with, so an admitted sweep cannot be
+// refused on its axis later.
 func ParseCanonical(data []byte) (Sweep, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -199,7 +201,7 @@ func ParseCanonical(data []byte) (Sweep, error) {
 	if err != nil {
 		return Sweep{}, err
 	}
-	if err := axis.checkSeeds(pol); err != nil {
+	if err := axis.validate(base, pol); err != nil {
 		return Sweep{}, err
 	}
 	s := Sweep{

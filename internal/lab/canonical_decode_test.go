@@ -84,7 +84,10 @@ func decodeSweeps() map[string]Sweep {
 				},
 				Placement: Placement{Strategy: PlaceExplicit, ASNs: []idr.ASN{2, 3}},
 			},
-			Axis: SDNCounts(2),
+			// Not sdn-count: that axis drives Placement.K, which an
+			// explicit member list ignores, so Run and ParseCanonical
+			// both refuse the pair.
+			Axis: MRAIs(5 * time.Second),
 		},
 	}
 }
@@ -157,7 +160,15 @@ func TestParseCanonicalRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	counts, err := decodeSweeps()["sdn-count"].Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := map[string]string{
+		// Sweep.Run refuses this axis (a clique 6 has no 7th AS to
+		// place); admitting it would queue a job that cannot start.
+		"axis that cannot run": strings.Replace(string(counts), `"values":["0","3","6"]`, `"values":["0","3","7"]`, 1),
+
 		// int64(NaN) is implementation-defined: this spec would seed
 		// its runs differently on amd64 and arm64 under one address.
 		"cell-run seeds on a mode axis": strings.Replace(string(modes), `"seed_policy":"run"`, `"seed_policy":"cell-run"`, 1),

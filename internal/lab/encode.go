@@ -52,83 +52,128 @@ func Write(w io.Writer, f Format, res *SweepResult) error {
 	}
 }
 
-func writeTable(w io.Writer, res *SweepResult) error {
-	if _, err := fmt.Fprintf(w, "# %s: %s convergence on %s vs %s (policy %s, %d runs/point, seed %d)\n",
-		res.Name, res.EventLabel(), res.TopoLabel(), res.Axis.Name(), res.PolicyLabel(), res.Runs, res.BaseSeed); err != nil {
-		return err
-	}
-	sdn := res.Axis.Kind == AxisSDNCount
-	hijack := res.hasHijack()
-	header := fmt.Sprintf("%-12s ", res.Axis.Name())
+// tabRow is one row of the two tabular framings: a cell, or (epoch)
+// one scheduled event of the cell's workload with the statistic
+// columns windowed to the epoch.
+type tabRow struct {
+	epoch  bool
+	fields []string // one formatted value per column of the header
+}
+
+// tabulate builds what the table and markdown framings both print:
+// the column names and every row's values, formatted once. lead is the
+// number of key columns before the statistics (the axis label, plus
+// the fraction on the sdn-count axis). An epoch row is labelled
+// "@<at> <verb>", repeats its cell's fraction and leaves the
+// reachable column empty.
+func tabulate(res *SweepResult) (cols []string, lead int, rows []tabRow) {
+	sdn, hijack := res.Axis.Kind == AxisSDNCount, res.hasHijack()
+	cols = []string{res.Axis.Name()}
 	if sdn {
-		header += fmt.Sprintf("%-9s ", "fraction")
+		cols = append(cols, "fraction")
 	}
-	header += fmt.Sprintf("%4s %8s %8s %8s %8s %8s %8s %9s %9s %10s",
-		"n", "min_s", "q1_s", "med_s", "q3_s", "max_s", "mean_s",
+	lead = len(cols)
+	cols = append(cols, "n", "min_s", "q1_s", "med_s", "q3_s", "max_s", "mean_s",
 		"updates", "best_chg", "recomputes")
 	if hijack {
-		header += fmt.Sprintf(" %9s", "hijacked")
+		cols = append(cols, "hijacked")
 	}
-	header += fmt.Sprintf(" %9s", "reachable")
-	if _, err := fmt.Fprintln(w, header); err != nil {
-		return err
+	cols = append(cols, "reachable")
+	row := func(epoch bool, label, frac string, s stats.Summary, updates, bestChg, recomputes, hijacked float64, reachable string) {
+		fields := []string{label}
+		if sdn {
+			fields = append(fields, frac)
+		}
+		fields = append(fields, strconv.Itoa(s.N))
+		for _, v := range []float64{s.Min, s.Q1, s.Median, s.Q3, s.Max, s.Mean} {
+			fields = append(fields, fmt.Sprintf("%.3f", v))
+		}
+		for _, v := range []float64{updates, bestChg, recomputes} {
+			fields = append(fields, fmt.Sprintf("%.1f", v))
+		}
+		if hijack {
+			fields = append(fields, fmt.Sprintf("%.1f", hijacked))
+		}
+		rows = append(rows, tabRow{epoch: epoch, fields: append(fields, reachable)})
 	}
 	for _, c := range res.Cells {
-		row := fmt.Sprintf("%-12s ", c.Label)
-		if sdn {
-			row += fmt.Sprintf("%-9.3f ", c.Fraction)
-		}
-		s := c.Summary
-		row += fmt.Sprintf("%4d %8.3f %8.3f %8.3f %8.3f %8.3f %8.3f %9.1f %9.1f %10.1f",
-			s.N, s.Min, s.Q1, s.Median, s.Q3, s.Max, s.Mean,
-			c.MeanUpdatesSent(), c.MeanBestPathChanges(), c.MeanRecomputes())
-		if hijack {
-			row += fmt.Sprintf(" %9.1f", c.MeanHijacked())
-		}
-		row += fmt.Sprintf(" %9v", c.AllReachable())
-		if _, err := fmt.Fprintln(w, row); err != nil {
-			return err
-		}
-		// Multi-event workloads: one indented sub-row per scheduled
-		// event, same statistic columns windowed to the epoch. The
-		// label pads to the cell rows' full prefix (axis column plus
-		// the sdn-count fraction column) so the columns line up.
-		labelWidth := 12
-		if sdn {
-			labelWidth += 10
-		}
+		frac := fmt.Sprintf("%.3f", c.Fraction)
+		row(false, c.Label, frac, c.Summary,
+			c.MeanUpdatesSent(), c.MeanBestPathChanges(), c.MeanRecomputes(), c.MeanHijacked(),
+			strconv.FormatBool(c.AllReachable()))
 		for _, ep := range c.Epochs {
-			label := fmt.Sprintf("  @%s %s", ep.At, ep.Kind.Verb())
-			s := ep.Summary
-			erow := fmt.Sprintf("%-*s %4d %8.3f %8.3f %8.3f %8.3f %8.3f %8.3f %9.1f %9.1f %10.1f",
-				labelWidth, label, s.N, s.Min, s.Q1, s.Median, s.Q3, s.Max, s.Mean,
-				ep.MeanUpdatesSent, ep.MeanBestPathChanges, ep.MeanRecomputes)
-			if hijack {
-				erow += fmt.Sprintf(" %9.1f", ep.MeanHijacked)
-			}
-			if _, err := fmt.Fprintln(w, erow); err != nil {
-				return err
-			}
+			row(true, fmt.Sprintf("@%s %s", ep.At, ep.Kind.Verb()), frac, ep.Summary,
+				ep.MeanUpdatesSent, ep.MeanBestPathChanges, ep.MeanRecomputes, ep.MeanHijacked, "")
 		}
 	}
-	if a, b, r2, ok := res.Fit(); ok {
-		x := res.Axis.Name()
-		if sdn {
-			x = "fraction"
-		}
-		if _, err := fmt.Fprintf(w, "# linear fit: t = %.1fs %+.1fs*%s (r2=%.3f)\n", a, b, x, r2); err != nil {
-			return err
-		}
+	return cols, lead, rows
+}
+
+// fitLine renders the sweep's linear fit with the given verbs
+// (intercept, slope, x name, r²), or "" when there is no fit.
+func fitLine(res *SweepResult, format string) string {
+	a, b, r2, ok := res.Fit()
+	if !ok {
+		return ""
 	}
-	// Tolerant sweeps: one trailer line per failed (cell, run), so a
-	// partial sweep is never mistaken for a complete one.
+	x := res.Axis.Name()
+	if res.Axis.Kind == AxisSDNCount {
+		x = "fraction"
+	}
+	return fmt.Sprintf(format, a, b, x, r2)
+}
+
+// failureLines renders one line per failed (cell, run) of a tolerant
+// sweep, so a partial sweep is never mistaken for a complete one.
+func failureLines(res *SweepResult, prefix string) string {
+	var sb strings.Builder
 	for _, f := range res.Failures {
-		if _, err := fmt.Fprintf(w, "# failed: %s=%s run %d (%s, attempts %d): %s\n",
-			res.Axis.Name(), f.Label, f.Run, f.class(), f.Attempts, f.Err); err != nil {
-			return err
+		fmt.Fprintf(&sb, "%s%s=%s run %d (%s, attempts %d): %s\n",
+			prefix, res.Axis.Name(), f.Label, f.Run, f.class(), f.Attempts, f.Err)
+	}
+	return sb.String()
+}
+
+// writeTable renders the sweep as fixed-width columns under a
+// '#'-prefixed configuration line, with the fit and the failures as
+// '#' trailers.
+func writeTable(w io.Writer, res *SweepResult) error {
+	cols, lead, rows := tabulate(res)
+	// Key columns are left-aligned, statistics right-aligned; the two
+	// trailing 9s are hijacked (when the sweep has it) and reachable.
+	widths := []int{-12}
+	if lead == 2 {
+		widths = append(widths, -9)
+	}
+	widths = append(widths, 4, 8, 8, 8, 8, 8, 8, 9, 9, 10, 9, 9)[:len(cols)]
+	var sb strings.Builder
+	line := func(fields []string, pad []int) {
+		for i, f := range fields {
+			if i > 0 {
+				sb.WriteByte(' ')
+			}
+			fmt.Fprintf(&sb, "%*s", pad[i], f)
+		}
+		sb.WriteByte('\n')
+	}
+	fmt.Fprintf(&sb, "# %s: %s convergence on %s vs %s (policy %s, %d runs/point, seed %d)\n",
+		res.Name, res.EventLabel(), res.TopoLabel(), res.Axis.Name(), res.PolicyLabel(), res.Runs, res.BaseSeed)
+	line(cols, widths)
+	// An epoch's indented label spans the key columns (12, or 12+1+9
+	// with the fraction) and its row ends before the reachable column.
+	last := len(cols) - 1
+	epochWidths := append([]int{-(12 + 10*(lead-1))}, widths[lead:last]...)
+	for _, r := range rows {
+		if r.epoch {
+			line(append([]string{"  " + r.fields[0]}, r.fields[lead:last]...), epochWidths)
+		} else {
+			line(r.fields, widths)
 		}
 	}
-	return nil
+	sb.WriteString(fitLine(res, "# linear fit: t = %.1fs %+.1fs*%s (r2=%.3f)\n"))
+	sb.WriteString(failureLines(res, "# failed: "))
+	_, err := io.WriteString(w, sb.String())
+	return err
 }
 
 // writeMarkdown renders the sweep as a GitHub-flavored-markdown
@@ -138,89 +183,26 @@ func writeTable(w io.Writer, res *SweepResult) error {
 // also available on the CLI as -format markdown. The output carries
 // the same record set as the plain table; only the framing differs.
 func writeMarkdown(w io.Writer, res *SweepResult) error {
-	if _, err := fmt.Fprintf(w, "**%s** — %s on %s vs %s (policy %s, %d runs/point, seed %d)\n\n",
-		res.Name, res.EventLabel(), res.TopoLabel(), res.Axis.Name(), res.PolicyLabel(), res.Runs, res.BaseSeed); err != nil {
-		return err
-	}
-	sdn := res.Axis.Kind == AxisSDNCount
-	hijack := res.hasHijack()
-	cols := []string{res.Axis.Name()}
-	if sdn {
-		cols = append(cols, "fraction")
-	}
-	cols = append(cols, "n", "min_s", "q1_s", "med_s", "q3_s", "max_s", "mean_s",
-		"updates", "best_chg", "recomputes")
-	if hijack {
-		cols = append(cols, "hijacked")
-	}
-	cols = append(cols, "reachable")
-	if _, err := fmt.Fprintf(w, "| %s |\n", strings.Join(cols, " | ")); err != nil {
-		return err
-	}
-	rules := make([]string, len(cols))
-	rules[0] = ":--"
-	for i := 1; i < len(cols); i++ {
-		rules[i] = "--:"
-	}
-	if _, err := fmt.Fprintf(w, "|%s|\n", strings.Join(rules, "|")); err != nil {
-		return err
-	}
-	row := func(label string, frac string, s stats.Summary, updates, bestChg, recomputes, hijacked float64, reachable string) error {
-		fields := []string{label}
-		if sdn {
-			fields = append(fields, frac)
+	cols, _, rows := tabulate(res)
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "**%s** — %s on %s vs %s (policy %s, %d runs/point, seed %d)\n\n",
+		res.Name, res.EventLabel(), res.TopoLabel(), res.Axis.Name(), res.PolicyLabel(), res.Runs, res.BaseSeed)
+	fmt.Fprintf(&sb, "| %s |\n", strings.Join(cols, " | "))
+	fmt.Fprintf(&sb, "|:--%s|\n", strings.Repeat("|--:", len(cols)-1))
+	for _, r := range rows {
+		indent := ""
+		if r.epoch {
+			indent = "&nbsp;&nbsp;"
 		}
-		fields = append(fields,
-			strconv.Itoa(s.N),
-			fmt.Sprintf("%.3f", s.Min), fmt.Sprintf("%.3f", s.Q1), fmt.Sprintf("%.3f", s.Median),
-			fmt.Sprintf("%.3f", s.Q3), fmt.Sprintf("%.3f", s.Max), fmt.Sprintf("%.3f", s.Mean),
-			fmt.Sprintf("%.1f", updates), fmt.Sprintf("%.1f", bestChg), fmt.Sprintf("%.1f", recomputes))
-		if hijack {
-			fields = append(fields, fmt.Sprintf("%.1f", hijacked))
-		}
-		fields = append(fields, reachable)
-		_, err := fmt.Fprintf(w, "| %s |\n", strings.Join(fields, " | "))
-		return err
+		fmt.Fprintf(&sb, "| %s%s |\n", indent, strings.Join(r.fields, " | "))
 	}
-	for _, c := range res.Cells {
-		frac := ""
-		if sdn {
-			frac = fmt.Sprintf("%.3f", c.Fraction)
-		}
-		if err := row(c.Label, frac, c.Summary,
-			c.MeanUpdatesSent(), c.MeanBestPathChanges(), c.MeanRecomputes(), c.MeanHijacked(),
-			fmt.Sprintf("%v", c.AllReachable())); err != nil {
-			return err
-		}
-		for _, ep := range c.Epochs {
-			label := fmt.Sprintf("&nbsp;&nbsp;@%s %s", ep.At, ep.Kind.Verb())
-			if err := row(label, frac, ep.Summary,
-				ep.MeanUpdatesSent, ep.MeanBestPathChanges, ep.MeanRecomputes, ep.MeanHijacked, ""); err != nil {
-				return err
-			}
-		}
-	}
-	if a, b, r2, ok := res.Fit(); ok {
-		x := res.Axis.Name()
-		if sdn {
-			x = "fraction"
-		}
-		if _, err := fmt.Fprintf(w, "\nLinear fit: t = %.3f s %+.3f s × %s (r² = %.3f).\n", a, b, x, r2); err != nil {
-			return err
-		}
-	}
+	sb.WriteString(fitLine(res, "\nLinear fit: t = %.3f s %+.3f s × %s (r² = %.3f).\n"))
 	if len(res.Failures) > 0 {
-		if _, err := fmt.Fprintf(w, "\n**Failed runs (%d):**\n\n", len(res.Failures)); err != nil {
-			return err
-		}
-		for _, f := range res.Failures {
-			if _, err := fmt.Fprintf(w, "- %s=%s run %d (%s, attempts %d): %s\n",
-				res.Axis.Name(), f.Label, f.Run, f.class(), f.Attempts, f.Err); err != nil {
-				return err
-			}
-		}
+		fmt.Fprintf(&sb, "\n**Failed runs (%d):**\n\n", len(res.Failures))
+		sb.WriteString(failureLines(res, "- "))
 	}
-	return nil
+	_, err := io.WriteString(w, sb.String())
+	return err
 }
 
 // fstr formats a float compactly for CSV ("" for NaN).

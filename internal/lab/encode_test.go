@@ -2,6 +2,7 @@ package lab
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -150,6 +151,85 @@ func TestWriteJSONGolden(t *testing.T) {
 	var parsed map[string]any
 	if err := json.Unmarshal([]byte(got), &parsed); err != nil {
 		t.Fatalf("output is not valid JSON: %v", err)
+	}
+}
+
+// TestFitDegenerateSweeps covers, in every format, the sweeps whose fit
+// has fewer points than cells or no line at all: duplicate axis values
+// with no variance in x (fit left out, never NaN — JSON would refuse to
+// encode it), duplicates beside a distinct value (legal, and fitted),
+// and tolerant sweeps whose failed cell has no median and must not
+// enter the fit as 0 s.
+func TestFitDegenerateSweeps(t *testing.T) {
+	cases := []struct {
+		name    string
+		ks      []int
+		medians []float64 // per cell, seconds; negative: no run survived
+		table   string    // fit line of the table, "" for none
+		md      string    // fit line of the markdown
+		fit     *jsonFit
+	}{
+		{name: "no x variance", ks: []int{2, 2}, medians: []float64{15, 25}},
+		{name: "duplicates beside a distinct value", ks: []int{0, 2, 2}, medians: []float64{45, 10, 20},
+			table: "# linear fit: t = 45.0s -60.0s*fraction (r2=0.923)\n",
+			md:    "\nLinear fit: t = 45.000 s -60.000 s × fraction (r² = 0.923).\n",
+			fit:   &jsonFit{InterceptS: 45, SlopeS: -60, R2: 0.923}},
+		{name: "failed K=0 cell, two survivors", ks: []int{0, 2, 4}, medians: []float64{-1, 30, 10},
+			table: "# linear fit: t = 50.0s -40.0s*fraction (r2=1.000)\n",
+			md:    "\nLinear fit: t = 50.000 s -40.000 s × fraction (r² = 1.000).\n",
+			fit:   &jsonFit{InterceptS: 50, SlopeS: -40, R2: 1}},
+		{name: "failed cell, one survivor", ks: []int{0, 4}, medians: []float64{-1, 10}},
+	}
+	for _, c := range cases {
+		res := fixedResult()
+		res.Axis = SDNCounts(c.ks...)
+		res.Runs = 1
+		res.Cells = nil
+		for i, med := range c.medians {
+			cell := Cell{Label: res.Axis.Label(i), Value: res.Axis.Value(i)}
+			cell.Fraction = cell.Value / float64(res.Topo.Nodes())
+			if med < 0 {
+				res.Failures = append(res.Failures, CellFailure{Cell: i, Label: cell.Label, Err: "wall-clock budget exhausted", TimedOut: true, Attempts: 1})
+			} else {
+				durs := []time.Duration{time.Duration(med * float64(time.Second))}
+				cell.Results = []Result{{Convergence: durs[0]}}
+				cell.Summary = stats.SummarizeDurations(durs)
+			}
+			res.Cells = append(res.Cells, cell)
+		}
+		out := map[Format]string{}
+		for _, f := range []Format{FormatTable, FormatMarkdown, FormatCSV, FormatJSON} {
+			out[f] = encode(t, f, res) // fails the test on an encoder error
+			if strings.Contains(out[f], "NaN") {
+				t.Errorf("%s: %s output carries NaN:\n%s", c.name, f, out[f])
+			}
+		}
+		for _, fl := range []struct {
+			f          Format
+			mark, want string
+		}{{FormatTable, "linear fit", c.table}, {FormatMarkdown, "Linear fit", c.md}} {
+			if fl.want == "" && strings.Contains(out[fl.f], fl.mark) {
+				t.Errorf("%s: %s reports a fit where there is none:\n%s", c.name, fl.f, out[fl.f])
+			}
+			if !strings.Contains(out[fl.f], fl.want) {
+				t.Errorf("%s: %s lacks %q:\n%s", c.name, fl.f, fl.want, out[fl.f])
+			}
+		}
+		if rows := strings.Count(out[FormatCSV], "\n"); rows != 1+len(c.ks) {
+			t.Errorf("%s: csv has %d lines, want a header and %d cells:\n%s", c.name, rows, len(c.ks), out[FormatCSV])
+		}
+		var parsed struct {
+			Fit *jsonFit `json:"fit"`
+		}
+		if err := json.Unmarshal([]byte(out[FormatJSON]), &parsed); err != nil {
+			t.Fatalf("%s: invalid json: %v", c.name, err)
+		}
+		if got, want := parsed.Fit, c.fit; (got == nil) != (want == nil) {
+			t.Errorf("%s: json fit = %+v, want %+v", c.name, got, want)
+		} else if got != nil && (math.Abs(got.InterceptS-want.InterceptS) > 5e-4 ||
+			math.Abs(got.SlopeS-want.SlopeS) > 5e-4 || math.Abs(got.R2-want.R2) > 5e-4) {
+			t.Errorf("%s: json fit = %+v, want %+v", c.name, *got, *want)
+		}
 	}
 }
 

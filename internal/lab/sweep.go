@@ -812,23 +812,30 @@ func (r *SweepResult) PolicyLabel() string {
 // Fit fits median convergence time against the axis (the SDN fraction
 // for the sdn-count axis, the numeric value otherwise) and returns
 // intercept, slope and r² — the check behind the paper's "convergence
-// time can be linearly reduced" claim. ok is false for the
-// non-numeric mode and policy axes.
+// time can be linearly reduced" claim. Cells in which no run survived
+// (a tolerant sweep) have no median and stay out of the fit. ok is
+// false when there is no line to report: the non-numeric mode and
+// policy axes, fewer than two cells left, or no variance in x.
 func (r *SweepResult) Fit() (a, b, r2 float64, ok bool) {
-	if r.Axis.Kind == AxisMode || r.Axis.Kind == AxisPolicy || len(r.Cells) < 2 {
+	if r.Axis.Kind == AxisMode || r.Axis.Kind == AxisPolicy {
 		return 0, 0, 0, false
 	}
-	xs := make([]float64, len(r.Cells))
-	ys := make([]float64, len(r.Cells))
-	for i, c := range r.Cells {
+	var xs, ys []float64
+	for _, c := range r.Cells {
+		if c.Summary.N == 0 {
+			continue
+		}
 		x := c.Value
 		if r.Axis.Kind == AxisSDNCount {
 			x = c.Fraction
 		}
-		xs[i] = x
-		ys[i] = c.Summary.Median
+		xs = append(xs, x)
+		ys = append(ys, c.Summary.Median)
 	}
 	a, b, r2 = stats.LinearFit(xs, ys)
+	if math.IsNaN(a) || math.IsNaN(b) || math.IsNaN(r2) {
+		return 0, 0, 0, false
+	}
 	return a, b, r2, true
 }
 

@@ -1,7 +1,7 @@
 package labd
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/artifact"
@@ -283,13 +283,9 @@ func (j *Job) requeue() {
 func (j *Job) addClient(client string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	i := sort.SearchStrings(j.clients, client)
-	if i < len(j.clients) && j.clients[i] == client {
-		return
+	if i, found := slices.BinarySearch(j.clients, client); !found {
+		j.clients = slices.Insert(j.clients, i, client)
 	}
-	j.clients = append(j.clients, "")
-	copy(j.clients[i+1:], j.clients[i:])
-	j.clients[i] = client
 }
 
 // Subscribe replays the job's event log from sequence after+1 onward

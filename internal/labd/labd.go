@@ -22,7 +22,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/artifact"
@@ -333,7 +333,7 @@ func (s *scheduler) depths() map[string]int {
 	defer s.mu.Unlock()
 	out := map[string]int{}
 	clients := append([]string(nil), s.order...)
-	sort.Strings(clients)
+	slices.Sort(clients)
 	for _, c := range clients {
 		if n := len(s.queues[c]); n > 0 {
 			out[c] = n

@@ -19,25 +19,17 @@ var (
 	quoteRe  = regexp.MustCompile(`"([^"]*)"`)
 )
 
-// TestFixtures runs the source-level analyzers over the fixture
-// module and checks every finding against the want markers: each
-// marker must match a diagnostic on its line, and no diagnostic may
-// be unaccounted for (which is what proves the //lint: suppressions
-// in the fixtures actually suppress).
+// TestFixtures runs the analyzers over the fixture module and checks
+// every finding against the want markers: each marker must match a
+// diagnostic on its line, and no diagnostic may be unaccounted for
+// (which is what proves the //lint: suppressions in the fixtures
+// actually suppress).
 func TestFixtures(t *testing.T) {
 	prog, err := Load(filepath.Join("testdata", "mod"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	analyzers := []*Analyzer{
-		DeterminismAnalyzer(),
-		ErrcheckAnalyzer(),
-		DocAnalyzer(),
-	}
-	diags, err := RunAnalyzers(prog, analyzers)
-	if err != nil {
-		t.Fatal(err)
-	}
+	diags := RunAnalyzers(prog, Analyzers())
 	if len(diags) == 0 {
 		t.Fatal("fixture run produced no diagnostics at all")
 	}

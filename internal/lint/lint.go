@@ -1,9 +1,8 @@
 // Package lint is the repository's zero-dependency static-analysis
 // suite (stdlib go/ast + go/types only), mechanizing the invariants
 // the reproduction's scientific claims rest on: seeded determinism,
-// zero-alloc hot paths, handled errors, and a documented evaluation
-// API. cmd/repolint is the CLI; TestRepoLintClean runs the same suite
-// as a tier-1 test.
+// handled errors, and a documented evaluation API. cmd/repolint is
+// the CLI; TestRepoLintClean runs the same suite as a tier-1 test.
 //
 // A finding at a genuinely-safe site is suppressed in the source with
 // an annotation naming the reason:
@@ -16,11 +15,12 @@
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"regexp"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -36,9 +36,6 @@ const (
 	// CheckWallTime flags wall-clock reads (time.Now / time.Since /
 	// time.Until) inside the simulation packages.
 	CheckWallTime = "walltime"
-	// CheckEscape flags new heap-escape diagnostics inside the
-	// declared zero-alloc hot functions.
-	CheckEscape = "escape"
 	// CheckErrcheck flags dropped error returns.
 	CheckErrcheck = "errcheck"
 	// CheckDoc flags undocumented exported symbols in the
@@ -54,7 +51,6 @@ var knownChecks = map[string]bool{
 	CheckMapOrder:   true,
 	CheckGlobalRand: true,
 	CheckWallTime:   true,
-	CheckEscape:     true,
 	CheckErrcheck:   true,
 	CheckDoc:        true,
 }
@@ -109,9 +105,8 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Check, d.Message)
 }
 
-// Analyzer is one named invariant checker. Exactly one of Run and
-// RunProgram is set: Run is invoked once per loaded package,
-// RunProgram once for the whole module (the cross-package checks).
+// Analyzer is one named invariant checker, run once per loaded
+// package.
 type Analyzer struct {
 	// Name is the analyzer's registry name (repolint -only/-skip).
 	Name string
@@ -119,15 +114,12 @@ type Analyzer struct {
 	Doc string
 	// Run analyzes one package.
 	Run func(prog *Program, pkg *Package) []Diagnostic
-	// RunProgram analyzes the whole module.
-	RunProgram func(prog *Program) ([]Diagnostic, error)
 }
 
 // Analyzers returns the full suite in execution order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer(),
-		ZeroAllocAnalyzer(),
 		ErrcheckAnalyzer(),
 		DocAnalyzer(),
 	}
@@ -136,37 +128,24 @@ func Analyzers() []*Analyzer {
 // RunAnalyzers executes the given analyzers over the program and
 // returns the surviving (unsuppressed) diagnostics, sorted by
 // position, plus one diagnostic per malformed annotation.
-func RunAnalyzers(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
+func RunAnalyzers(prog *Program, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	for _, a := range analyzers {
-		if a.RunProgram != nil {
-			ds, err := a.RunProgram(prog)
-			if err != nil {
-				return nil, fmt.Errorf("lint: %s: %w", a.Name, err)
-			}
-			diags = append(diags, ds...)
-			continue
-		}
 		for _, pkg := range prog.Packages {
 			diags = append(diags, a.Run(prog, pkg)...)
 		}
 	}
 	diags = suppress(prog, diags)
 	diags = append(diags, checkAnnotations(prog)...)
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Check < b.Check
+	slices.SortFunc(diags, func(a, b Diagnostic) int {
+		return cmp.Or(
+			cmp.Compare(a.Pos.Filename, b.Pos.Filename),
+			cmp.Compare(a.Pos.Line, b.Pos.Line),
+			cmp.Compare(a.Pos.Column, b.Pos.Column),
+			cmp.Compare(a.Check, b.Check),
+		)
 	})
-	return diags, nil
+	return diags
 }
 
 // suppress drops diagnostics covered by a matching, well-formed
@@ -213,7 +192,7 @@ func checkAnnotations(prog *Program) []Diagnostic {
 						out = append(out, Diagnostic{
 							Pos:     token.Position{Filename: f.Name, Line: a.Line, Column: 1},
 							Check:   CheckAnnotation,
-							Message: fmt.Sprintf("unknown lint check %q (known: maporder, globalrand, walltime, escape, errcheck, doc)", a.Check),
+							Message: fmt.Sprintf("unknown lint check %q (known: maporder, globalrand, walltime, errcheck, doc)", a.Check),
 						})
 					case a.Reason == "":
 						out = append(out, Diagnostic{

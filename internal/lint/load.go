@@ -9,7 +9,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -42,22 +42,10 @@ type Package struct {
 type Program struct {
 	// Root is the absolute module root directory.
 	Root string
-	// ModulePath is the module path from go.mod.
-	ModulePath string
 	// Fset positions every loaded file.
 	Fset *token.FileSet
 	// Packages holds all module packages, sorted by import path.
 	Packages []*Package
-}
-
-// Lookup returns the loaded package with the given import path.
-func (p *Program) Lookup(path string) *Package {
-	for _, pkg := range p.Packages {
-		if pkg.Path == path {
-			return pkg
-		}
-	}
-	return nil
 }
 
 // Position renders pos relative to the module root (stable output
@@ -121,7 +109,7 @@ func Load(dir string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog := &Program{Root: root, ModulePath: mod, Fset: token.NewFileSet()}
+	prog := &Program{Root: root, Fset: token.NewFileSet()}
 
 	// Collect every directory holding at least one non-test .go file.
 	var dirs []string
@@ -143,8 +131,8 @@ func Load(dir string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	sort.Strings(dirs)
-	dirs = dedupe(dirs)
+	slices.Sort(dirs)
+	dirs = slices.Compact(dirs)
 
 	// Parse each directory into a pre-typecheck package shell.
 	type shell struct {
@@ -198,7 +186,7 @@ func Load(dir string) (*Program, error) {
 	for path := range shells {
 		order = append(order, path)
 	}
-	sort.Strings(order)
+	slices.Sort(order)
 	done := map[string]bool{}
 	var visit func(path string, stack []string) error
 	visit = func(path string, stack []string) error {
@@ -246,7 +234,7 @@ func Load(dir string) (*Program, error) {
 			return nil, err
 		}
 	}
-	sort.Slice(prog.Packages, func(i, j int) bool { return prog.Packages[i].Path < prog.Packages[j].Path })
+	slices.SortFunc(prog.Packages, func(a, b *Package) int { return strings.Compare(a.Path, b.Path) })
 	return prog, nil
 }
 
@@ -263,15 +251,4 @@ func (i *programImporter) Import(path string) (*types.Package, error) {
 		return pkg, nil
 	}
 	return i.src.Import(path)
-}
-
-// dedupe removes adjacent duplicates from a sorted slice.
-func dedupe(s []string) []string {
-	out := s[:0]
-	for i, v := range s {
-		if i == 0 || s[i-1] != v {
-			out = append(out, v)
-		}
-	}
-	return out
 }

@@ -51,6 +51,66 @@ func TestLosslessLinkBuildsNoStream(t *testing.T) {
 	}
 }
 
+// countingClock is a sim.Clock that runs nothing: AfterFunc counts the
+// frames put on the wire and allocates nothing of its own, so what a
+// send allocates besides the kernel's event is visible exactly.
+type countingClock struct{ scheduled int }
+
+func (c *countingClock) Now() time.Time { return sim.Epoch }
+func (c *countingClock) Go(func())      {}
+func (c *countingClock) AfterFunc(time.Duration, func()) sim.Timer {
+	c.scheduled++
+	return nil
+}
+
+// TestLossyLinkAllocatesNothingPerDraw is the other half of the claim
+// above, on the path no lossless figure runs: once a link's stream has
+// made its first draw (which builds the generator), the loss model and
+// the jitter draw add no allocation to a send. A frame put on the wire
+// costs its delivery closure whether or not the link loses and jitters,
+// and a frame the loss model drops at the sender costs nothing.
+func TestLossyLinkAllocatesNothingPerDraw(t *testing.T) {
+	const frames = 2000
+	clock := &countingClock{}
+	n := NewNetwork(clock, nil)
+	n.SeedLinks(7)
+	a, b := twoNodes(t, n)
+	frame := []byte("update")
+	for _, cfg := range []LinkConfig{{}, {Loss: 0.3, Jitter: 5 * time.Millisecond}} {
+		l, err := n.Connect(a, b, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep, _ := l.Endpoints()
+		for _, send := range []struct {
+			name string
+			fn   func()
+		}{
+			{"Send", func() { _ = ep.Send(frame) }}, // the link stays up
+			{"SendUnreliable", func() { ep.SendUnreliable(frame) }},
+		} {
+			var start int
+			// AllocsPerRun's warm-up batch makes the stream's first draw.
+			allocs := testing.AllocsPerRun(1, func() {
+				start = clock.scheduled
+				for i := 0; i < frames; i++ {
+					send.fn()
+				}
+			})
+			onWire := clock.scheduled - start
+			if allocs != float64(onWire) {
+				t.Errorf("%s, loss %v: %v allocations for %d frames on the wire, want one each", send.name, cfg.Loss, allocs, onWire)
+			}
+			if cfg.Loss > 0 && send.name == "SendUnreliable" && onWire == frames {
+				t.Errorf("%s: no frame of %d lost at loss %v", send.name, frames, cfg.Loss)
+			}
+		}
+		if cfg.Loss > 0 && l.Retransmits == 0 {
+			t.Errorf("no retransmission in %d reliable sends at loss %v", 2*frames, cfg.Loss)
+		}
+	}
+}
+
 // lossyRig is a three-link lossy, jittered network whose receiver logs
 // every delivery as (virtual time, frame number).
 type lossyRig struct {

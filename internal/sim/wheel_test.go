@@ -179,6 +179,30 @@ func TestWheelResetInPlaceZeroAlloc(t *testing.T) {
 	}
 }
 
+// Stop flips a flag and Reset re-files the same event, so cancelling a
+// timer and re-arming it — what a session does with its hold and
+// connect-retry timers on every flap — allocates nothing, whether the
+// event sits in the heap (short delay) or in a wheel slot (long).
+func TestTimerStopResetZeroAlloc(t *testing.T) {
+	for _, d := range []time.Duration{time.Millisecond, 90 * time.Second} {
+		k := NewKernel(1)
+		tm := k.AfterFunc(d, func() {})
+		if allocs := testing.AllocsPerRun(1000, func() { tm.Stop() }); allocs != 0 {
+			t.Errorf("Stop (%v timer) allocs/op = %v, want 0", d, allocs)
+		}
+		allocs := testing.AllocsPerRun(1000, func() {
+			tm.Stop()
+			tm.Reset(d)
+		})
+		if allocs != 0 {
+			t.Errorf("Stop+Reset (%v timer) allocs/op = %v, want 0", d, allocs)
+		}
+		if !tm.Active() || k.Pending() != 1 {
+			t.Errorf("after churn (%v timer): active=%v pending=%d, want one live timer", d, tm.Active(), k.Pending())
+		}
+	}
+}
+
 // A long jump of virtual time must cascade wheel entries down the
 // levels and fire them at their exact deadlines.
 func TestWheelCascadeAcrossLevels(t *testing.T) {

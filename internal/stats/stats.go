@@ -6,7 +6,7 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -61,7 +61,7 @@ func Quantile(xs []float64, q float64) float64 {
 		q = 1
 	}
 	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
+	slices.Sort(s)
 	if len(s) == 1 {
 		return s[0]
 	}
@@ -85,7 +85,7 @@ func Summarize(xs []float64) Summary {
 		return Summary{N: 0, Min: nan, Q1: nan, Median: nan, Q3: nan, Max: nan, Mean: nan}
 	}
 	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
+	slices.Sort(s)
 	return Summary{
 		N:      len(s),
 		Min:    s[0],
