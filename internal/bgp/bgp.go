@@ -186,8 +186,10 @@ type Router struct {
 	// originated remembers locally-announced prefixes.
 	originated map[netip.Prefix]wire.PathAttrs
 	stats      Stats
-	// busyUntil serialises the processing-delay work queue.
+	// busyUntil serialises the processing-delay work queue; idleWork
+	// chains its finished entries for reuse.
 	busyUntil time.Time
+	idleWork  *queuedFrame
 	// damping is nil unless Config.Damping is set.
 	damping *damping
 	// arena interns exported AS paths (see attrArena).
@@ -259,8 +261,8 @@ type PeerConfig struct {
 	// NextHop is the local address announced as NEXT_HOP on this
 	// session.
 	NextHop netip.Addr
-	// Send transmits one wire message to the neighbor. It must be
-	// reliable and in-order while the transport is up.
+	// Send transmits one link frame to the neighbor; see
+	// SessionConfig.Send, which it becomes.
 	Send func([]byte) error
 }
 
@@ -409,10 +411,11 @@ func (r *Router) exportAttrs(p *Peer, rt *rib.Route) wire.PathAttrs {
 	return attrs
 }
 
-// Deliver hands one received wire frame to the session it arrived on.
-// Unknown peers and frames on Idle sessions are dropped (the transport
-// may race a session reset). With ProcessingDelay set, frames pass
-// through the router's serialised work queue first.
+// Deliver hands one received BGP message (link header stripped) to the
+// session it arrived on. Unknown peers and frames on Idle sessions are
+// dropped (the transport may race a session reset). With
+// ProcessingDelay set, frames pass through the router's serialised work
+// queue first. frame is only read, and may be kept until its turn.
 func (r *Router) Deliver(key rib.PeerKey, frame []byte) {
 	p, ok := r.peers[key]
 	if !ok {
@@ -436,5 +439,28 @@ func (r *Router) Deliver(key rib.PeerKey, frame []byte) {
 	}
 	finish := start.Add(cost)
 	r.busyUntil = finish
-	r.cfg.Clock.AfterFunc(finish.Sub(now), func() { p.fsm.Deliver(frame) })
+	q := r.idleWork
+	if q != nil {
+		r.idleWork = q.next
+	} else {
+		q = new(queuedFrame)
+	}
+	*q = queuedFrame{peer: p, frame: frame}
+	r.cfg.Clock.Post(finish.Sub(now), q)
+}
+
+// queuedFrame is one entry of the processing-delay work queue: a frame
+// waiting for the router to get to it.
+type queuedFrame struct {
+	peer  *Peer
+	frame []byte
+	next  *queuedFrame // while idle
+}
+
+// Fire hands the frame to its session, the entry back to the router.
+func (q *queuedFrame) Fire() {
+	p, frame := q.peer, q.frame
+	*q = queuedFrame{next: p.router.idleWork}
+	p.router.idleWork = q
+	p.fsm.Deliver(frame)
 }

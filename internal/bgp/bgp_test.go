@@ -67,7 +67,7 @@ func (l *lab) addRouter(asn idr.ASN) *Router {
 		l.t.Fatal(err)
 	}
 	node.OnMessage(func(from *netem.Endpoint, data []byte) {
-		r.Deliver(l.keys[from], data)
+		r.Deliver(l.keys[from], message(l.t, data))
 	})
 	l.routers[asn] = r
 	l.nodes[asn] = node

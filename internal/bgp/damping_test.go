@@ -30,7 +30,7 @@ func dampHarness(t *testing.T, cfg DampingConfig) *harness {
 		RemoteASN: 2,
 		NextHop:   netip.MustParseAddr("100.64.0.1"),
 		Send: func(b []byte) error {
-			h.sent = append(h.sent, append([]byte(nil), b...))
+			h.sent = append(h.sent, message(t, b))
 			return nil
 		},
 	})

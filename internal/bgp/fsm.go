@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/bgp/wire"
+	"repro/internal/frames"
 	"repro/internal/idr"
 	"repro/internal/sim"
 )
@@ -26,8 +27,13 @@ type SessionConfig struct {
 	// keepalive interval.
 	KeepaliveFraction int
 	Clock             sim.Clock
-	// Send transmits one wire frame to the neighbor. It must be
-	// reliable and in-order while the transport is up.
+	// Send transmits one link frame to the neighbor: the frames.KindBGP
+	// byte and then the RFC 4271 message, in one buffer, so a transport
+	// that speaks package frames (a netem endpoint's Send) takes it as
+	// it is. It must be reliable and in-order while the transport is up.
+	// A frame is immutable once handed over: Send and everything behind
+	// it may keep the slice and must never write to it — every
+	// KEEPALIVE any session sends is the same slice.
 	Send func([]byte) error
 	// Stats, when non-nil, is where OpensSent, KeepalivesSent,
 	// NotificationsSent and SessionResets are counted.
@@ -191,11 +197,31 @@ func (f *FSM) sendOpen() error {
 	return nil
 }
 
-// Send frames one message and hands it to the transport.
-func (f *FSM) Send(m wire.Message) error {
-	frame, err := wire.Marshal(m)
+// linkHeader is what package frames puts in front of a BGP message.
+// Full to capacity, so appending to it always moves to a new buffer.
+var linkHeader = []byte{byte(frames.KindBGP)}
+
+// keepaliveFrame is every KEEPALIVE this package sends: the message has
+// no fields, frames are immutable once sent, so one suffices.
+var keepaliveFrame = func() []byte {
+	frame, err := wire.Append(linkHeader, wire.Keepalive{})
 	if err != nil {
-		return err
+		panic(err) // a KEEPALIVE has nothing to reject
+	}
+	return frame
+}()
+
+// Send frames one message and hands it to the transport. The link
+// header and the message are encoded into one buffer, which is the only
+// thing a send allocates besides the caller's boxing of m; a KEEPALIVE
+// allocates nothing.
+func (f *FSM) Send(m wire.Message) error {
+	frame := keepaliveFrame
+	if m.Type() != wire.MsgKeepalive {
+		var err error
+		if frame, err = wire.Append(linkHeader, m); err != nil {
+			return err
+		}
 	}
 	if err := f.cfg.Send(frame); err != nil {
 		return err
@@ -212,8 +238,10 @@ func (f *FSM) notify(code, subcode uint8) {
 	f.reset(true)
 }
 
-// Deliver processes one received frame. Frames that arrive while the
-// transport is down are dropped (the transport may race a reset).
+// Deliver processes one received BGP message, the link header already
+// stripped by whoever told it from the link's other traffic. Messages
+// that arrive while the transport is down are dropped (the transport
+// may race a reset). frame is only read.
 func (f *FSM) Deliver(frame []byte) {
 	if !f.transportUp {
 		return

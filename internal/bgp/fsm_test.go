@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net/netip"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/bgp/wire"
+	"repro/internal/frames"
 	"repro/internal/idr"
 	"repro/internal/sim"
 )
@@ -40,7 +42,7 @@ func newFSMRig(t testing.TB) *fsmRig {
 			if r.sendErr != nil {
 				return r.sendErr
 			}
-			r.frames = append(r.frames, append([]byte(nil), b...))
+			r.frames = append(r.frames, message(t, b))
 			return nil
 		},
 		Stats: &r.stats,
@@ -58,6 +60,17 @@ func (r *fsmRig) Established()       { r.hooks = append(r.hooks, "established") 
 func (r *fsmRig) Update(wire.Update) { r.hooks = append(r.hooks, "update") }
 func (r *fsmRig) Reset(was bool)     { r.hooks = append(r.hooks, fmt.Sprintf("reset(%v)", was)) }
 func (r *fsmRig) Trace(TraceEvent)   {}
+
+// message is the BGP message inside a link frame a session sent: what
+// the receiving node's demultiplexer hands to Deliver.
+func message(t testing.TB, frame []byte) []byte {
+	t.Helper()
+	kind, payload, err := frames.Decode(frame)
+	if err != nil || kind != frames.KindBGP {
+		t.Fatalf("a session sent %x: kind %v, %v", frame, kind, err)
+	}
+	return payload
+}
 
 func mustFrame(t testing.TB, m wire.Message) []byte {
 	t.Helper()
@@ -318,6 +331,44 @@ func TestFSM(t *testing.T) {
 				tc.check(t, r)
 			}
 		})
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race
+// (race_test.go sets it).
+var raceEnabled bool
+
+// TestSendAllocatesOnlyItsFrame pins what a message costs to put on the
+// wire: a KEEPALIVE nothing at all — every one is the same slice — and
+// an UPDATE its frame (link header and message in one buffer), on top
+// of the caller's boxing of the message, which the trace receives.
+// Race instrumentation turns off the compiler's in-place slice growth,
+// which costs the encoder a second allocation, so the test skips there.
+func TestSendAllocatesOnlyItsFrame(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's build allocates in slices.Grow")
+	}
+	r := newFSMRig(t)
+	var last []byte
+	r.f.cfg.Send = func(b []byte) error { last = b; return nil }
+	if got := testing.AllocsPerRun(100, func() { _ = r.f.Send(wire.Keepalive{}) }); got != 0 {
+		t.Errorf("KEEPALIVE send: %v allocs, want 0", got)
+	}
+	if &last[0] != &keepaliveFrame[0] {
+		t.Error("a KEEPALIVE went out in a buffer of its own")
+	}
+	if got, want := message(t, last), mustFrame(t, wire.Keepalive{}); !bytes.Equal(got, want) {
+		t.Errorf("the shared KEEPALIVE carries %x, want %x", got, want)
+	}
+	var update wire.Message = wire.Update{
+		Attrs: wire.PathAttrs{ASPath: wire.NewASPath(1, 2, 3), NextHop: netip.MustParseAddr("100.64.0.1")},
+		NLRI:  []netip.Prefix{netip.MustParsePrefix("10.0.1.0/24")},
+	}
+	if got := testing.AllocsPerRun(100, func() { _ = r.f.Send(update) }); got != 1 {
+		t.Errorf("UPDATE send: %v allocs, want 1, the frame", got)
+	}
+	if got, want := message(t, last), mustFrame(t, update); !bytes.Equal(got, want) {
+		t.Errorf("the UPDATE went out as %x, want %x", got, want)
 	}
 }
 

@@ -301,53 +301,85 @@ func (p *Peer) flushAnnouncements() {
 		}
 		return
 	}
-	r := p.router
-	// Group prefixes by identical attributes for honest UPDATE packing.
-	// Scanning the pending prefixes in address order and comparing
-	// attribute sets structurally keeps the grouping deterministic
-	// without rendering attrs.String() once per prefix; the final
-	// emission order (sorted by the attribute rendering) matches the
-	// historical encoder exactly, with address order breaking ties.
-	type group struct {
-		attrs    wire.PathAttrs
-		key      string
-		prefixes []netip.Prefix
-	}
 	prefixes := idr.SortedPrefixes(p.pendingAnnounce)
-	var groups []*group
-	for _, prefix := range prefixes {
-		attrs := p.pendingAnnounce[prefix]
-		var g *group
-		for _, have := range groups {
-			if have.attrs.Equal(attrs) {
-				g = have
-				break
-			}
-		}
-		if g == nil {
-			g = &group{attrs: attrs}
-			groups = append(groups, g)
-		}
-		g.prefixes = append(g.prefixes, prefix)
-	}
-	if len(groups) > 1 {
-		for _, g := range groups {
-			g.key = g.attrs.String()
-		}
-		slices.SortStableFunc(groups, func(a, b *group) int { return cmp.Compare(a.key, b.key) })
-	}
-	p.pendingAnnounce = recycleBatch(p.pendingAnnounce, &p.announcePeak)
-	for _, g := range groups {
-		for _, prefix := range g.prefixes {
-			r.adjOut.Set(p.cfg.Key, prefix, g.attrs)
-		}
-		if err := p.fsm.Send(wire.Update{Attrs: g.attrs, NLRI: g.prefixes}); err != nil {
+	if len(prefixes) == 1 {
+		// One prefix is one group, and the sorted slice is its NLRI:
+		// every batch of a run whose ASes originate one prefix each.
+		attrs := p.pendingAnnounce[prefixes[0]]
+		p.pendingAnnounce = recycleBatch(p.pendingAnnounce, &p.announcePeak)
+		if !p.announce(attrs, prefixes) {
 			return
 		}
-		r.stats.UpdatesSent++
-		r.stats.PrefixesAnnounced += uint64(len(g.prefixes))
+	} else if !p.announceGroups(prefixes) {
+		return
 	}
 	p.nextAdvAllowed = p.clock().Now().Add(p.effectiveMRAI())
+}
+
+// announceGroups sends the pending announcements for prefixes (all of
+// them, in address order) as one UPDATE per distinct attribute set, for
+// honest UPDATE packing, and empties the batch. Comparing attribute
+// sets structurally keeps the grouping deterministic without rendering
+// attrs.String() once per prefix; the emission order (groups sorted by
+// the attribute rendering, first appearance breaking ties, address
+// order within a group) matches the historical encoder exactly. Groups
+// are values in one slice and their NLRI runs of one array, so a batch
+// costs three allocations however many groups it has. It reports
+// whether every UPDATE went out.
+func (p *Peer) announceGroups(prefixes []netip.Prefix) bool {
+	type group struct {
+		attrs wire.PathAttrs
+		key   string
+		id    int // order of first appearance
+	}
+	var groups []group
+	of := make([]int, len(prefixes)) // prefix index -> group id
+	for i, prefix := range prefixes {
+		attrs := p.pendingAnnounce[prefix]
+		g := 0
+		for g < len(groups) && !groups[g].attrs.Equal(attrs) {
+			g++
+		}
+		if g == len(groups) {
+			groups = append(groups, group{attrs: attrs, id: g})
+		}
+		of[i] = g
+	}
+	p.pendingAnnounce = recycleBatch(p.pendingAnnounce, &p.announcePeak)
+	if len(groups) > 1 {
+		for g := range groups {
+			groups[g].key = groups[g].attrs.String()
+		}
+		slices.SortStableFunc(groups, func(a, b group) int { return cmp.Compare(a.key, b.key) })
+	}
+	nlri := make([]netip.Prefix, 0, len(prefixes))
+	for _, g := range groups {
+		start := len(nlri)
+		for i, prefix := range prefixes {
+			if of[i] == g.id {
+				nlri = append(nlri, prefix)
+			}
+		}
+		if !p.announce(g.attrs, nlri[start:len(nlri):len(nlri)]) {
+			return false
+		}
+	}
+	return true
+}
+
+// announce records one attribute group in the Adj-RIB-Out and sends its
+// UPDATE, reporting whether it went out.
+func (p *Peer) announce(attrs wire.PathAttrs, nlri []netip.Prefix) bool {
+	r := p.router
+	for _, prefix := range nlri {
+		r.adjOut.Set(p.cfg.Key, prefix, attrs)
+	}
+	if err := p.fsm.Send(wire.Update{Attrs: attrs, NLRI: nlri}); err != nil {
+		return false
+	}
+	r.stats.UpdatesSent++
+	r.stats.PrefixesAnnounced += uint64(len(nlri))
+	return true
 }
 
 // reset flushes what the router queued, learned and advertised on a

@@ -1,7 +1,10 @@
 package bgp
 
 import (
+	"cmp"
+	"math/rand"
 	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -42,7 +45,7 @@ func newHarness(t *testing.T) *harness {
 		RemoteASN: 2,
 		NextHop:   netip.MustParseAddr("100.64.0.1"),
 		Send: func(b []byte) error {
-			h.sent = append(h.sent, append([]byte(nil), b...))
+			h.sent = append(h.sent, message(t, b))
 			return nil
 		},
 	})
@@ -352,3 +355,106 @@ func TestProcessingDelaySerializesUpdates(t *testing.T) {
 
 // sanity: topology import used by the lab helper stays referenced.
 var _ = topology.KindPeer
+
+// packedUpdate is one UPDATE of an announcement batch.
+type packedUpdate struct {
+	attrs wire.PathAttrs
+	nlri  []netip.Prefix
+}
+
+// groupByPointer is the batch packing flushAnnouncements used before it
+// stopped building a heap object per attribute group, kept verbatim as
+// the oracle: groups found in address order by structural equality,
+// sorted stably by their rendering.
+func groupByPointer(pending map[netip.Prefix]wire.PathAttrs) []packedUpdate {
+	type group struct {
+		attrs    wire.PathAttrs
+		key      string
+		prefixes []netip.Prefix
+	}
+	var groups []*group
+	for _, prefix := range idr.SortedPrefixes(pending) {
+		attrs := pending[prefix]
+		var g *group
+		for _, have := range groups {
+			if have.attrs.Equal(attrs) {
+				g = have
+				break
+			}
+		}
+		if g == nil {
+			g = &group{attrs: attrs}
+			groups = append(groups, g)
+		}
+		g.prefixes = append(g.prefixes, prefix)
+	}
+	if len(groups) > 1 {
+		for _, g := range groups {
+			g.key = g.attrs.String()
+		}
+		slices.SortStableFunc(groups, func(a, b *group) int { return cmp.Compare(a.key, b.key) })
+	}
+	var out []packedUpdate
+	for _, g := range groups {
+		out = append(out, packedUpdate{g.attrs, g.prefixes})
+	}
+	return out
+}
+
+// TestAnnounceBatchPackingModel flushes random announcement batches —
+// one prefix, one group, many groups, groups that render alike without
+// being equal — and requires the UPDATEs sent to be the oracle's, in
+// its order, each with an NLRI slice appending to which cannot reach
+// the next one's.
+func TestAnnounceBatchPackingModel(t *testing.T) {
+	h := newHarness(t)
+	h.establish(t)
+	nh := netip.MustParseAddr("100.64.0.1")
+	med := uint32(5)
+	pool := []wire.PathAttrs{
+		{ASPath: wire.NewASPath(1, 7), NextHop: nh},
+		{ASPath: wire.NewASPath(1, 7), NextHop: nh, AtomicAggregate: true}, // renders like the first
+		{ASPath: wire.NewASPath(1, 3, 9), NextHop: nh},
+		{ASPath: wire.NewASPath(1, 3, 9), NextHop: nh, MED: &med},
+		{ASPath: wire.NewASPath(1), NextHop: nh, Communities: []wire.Community{wire.NewCommunity(1, 2)}},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 200; round++ {
+		pending := make(map[netip.Prefix]wire.PathAttrs)
+		for n := 1 + rng.Intn(12); n > 0; n-- {
+			prefix := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(rng.Intn(4)), byte(rng.Intn(8)), 0}), 24)
+			pending[prefix] = pool[rng.Intn(1+rng.Intn(len(pool)))]
+		}
+		want := groupByPointer(pending)
+		for _, prefix := range idr.SortedPrefixes(pending) {
+			h.p.queueAnnounce(prefix, pending[prefix])
+		}
+		h.events = nil
+		h.p.flushAnnouncements()
+		var got []packedUpdate
+		for _, ev := range h.events {
+			if u, ok := ev.Msg.(wire.Update); ok && ev.Kind == TraceSend {
+				got = append(got, packedUpdate{u.Attrs, u.NLRI})
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("round %d: %d UPDATEs for %d prefixes, want %d", round, len(got), len(pending), len(want))
+		}
+		for i := range want {
+			if !got[i].attrs.Equal(want[i].attrs) || !slices.Equal(got[i].nlri, want[i].nlri) {
+				t.Fatalf("round %d, UPDATE %d: %v %v, want %v %v", round, i, got[i].attrs, got[i].nlri, want[i].attrs, want[i].nlri)
+			}
+			if cap(got[i].nlri) != len(got[i].nlri) {
+				t.Fatalf("round %d, UPDATE %d: NLRI has room for %d more prefixes of its batch", round, i, cap(got[i].nlri)-len(got[i].nlri))
+			}
+			for _, prefix := range got[i].nlri {
+				if out, ok := h.r.adjOut.Get("to-AS2", prefix); !ok || !out.Equal(got[i].attrs) {
+					t.Fatalf("round %d: Adj-RIB-Out for %v is %v (%v), sent %v", round, prefix, out, ok, got[i].attrs)
+				}
+			}
+		}
+		if len(h.p.pendingAnnounce) != 0 {
+			t.Fatalf("round %d: %d announcements still pending after the flush", round, len(h.p.pendingAnnounce))
+		}
+	}
+}

@@ -1,0 +1,166 @@
+package wire
+
+import (
+	"bytes"
+	"net/netip"
+	"slices"
+	"testing"
+
+	"repro/internal/idr"
+)
+
+// longPath is an AS_PATH of n ASNs in as few sequences as the 255-ASN
+// segment limit allows.
+func longPath(n int) ASPath {
+	var path ASPath
+	for asn := 1; asn <= n; {
+		seg := Segment{Type: ASSequence}
+		for ; asn <= n && len(seg.ASNs) < 255; asn++ {
+			seg.ASNs = append(seg.ASNs, idr.ASN(asn))
+		}
+		path = append(path, seg)
+	}
+	return path
+}
+
+// corpus is one message of every kind and shape the tests in
+// wire_test.go round-trip, plus two UPDATEs that outgrow the encoder's
+// size estimate: many short segments with every optional attribute set,
+// and a large AS_SET (which the estimate counts as one AS).
+func corpus() []Message {
+	nh := netip.MustParseAddr("100.64.0.1")
+	var shortSegments ASPath
+	for asn := idr.ASN(1); asn <= 40; asn++ {
+		shortSegments = append(shortSegments, Segment{Type: ASSequence, ASNs: []idr.ASN{asn}})
+	}
+	var set Segment
+	set.Type = ASSet
+	for asn := idr.ASN(1); asn <= 60; asn++ {
+		set.ASNs = append(set.ASNs, asn)
+	}
+	return []Message{
+		Keepalive{},
+		Open{AS: 64500, HoldTimeSecs: 90, ID: idr.RouterIDFromAddr(netip.MustParseAddr("172.16.0.1"))},
+		Open{AS: 400000, HoldTimeSecs: 180, ID: idr.RouterIDFromAddr(netip.MustParseAddr("10.9.8.7"))},
+		Open{AS: 1, HoldTimeSecs: 30, Capabilities: []Capability{{Code: CapRouteRefresh}, {Code: 70, Value: []byte{1, 2}}}},
+		Notification{Code: NotifCease, Subcode: 2, Data: []byte{1, 2, 3}},
+		Notification{Code: NotifHoldTimerExpired},
+		fullUpdate,
+		Update{Withdrawn: []netip.Prefix{netip.MustParsePrefix("10.0.0.0/8")}},
+		Update{Attrs: PathAttrs{NextHop: nh}, NLRI: []netip.Prefix{netip.MustParsePrefix("10.0.1.0/24")}},
+		asSetUpdate,
+		aggregatorUpdate,
+		Update{Attrs: PathAttrs{ASPath: longPath(300), NextHop: nh}, NLRI: []netip.Prefix{netip.MustParsePrefix("10.0.0.0/8")}},
+		Update{
+			Attrs: PathAttrs{
+				ASPath: shortSegments, NextHop: nh, MED: med(1), LocalPref: med(2), AtomicAggregate: true,
+				Aggregator: &Aggregator{AS: 7, ID: nh},
+			},
+			NLRI: []netip.Prefix{netip.MustParsePrefix("10.0.0.0/8")},
+		},
+		Update{Attrs: PathAttrs{ASPath: ASPath{set}, NextHop: nh}, NLRI: []netip.Prefix{netip.MustParsePrefix("10.0.0.0/8")}},
+	}
+}
+
+// TestCorpusOutgrowsEstimate keeps the corpus honest about what it is
+// for: it must hold UPDATEs whose encoding regrows the buffer Append
+// sized up front, or the length fix-up after a regrowth goes untested.
+func TestCorpusOutgrowsEstimate(t *testing.T) {
+	outgrown := 0
+	for _, m := range corpus() {
+		b, err := Marshal(m)
+		if err != nil {
+			t.Fatalf("Marshal(%v): %v", m, err)
+		}
+		if len(b) > HeaderLen+estimateBody(m) {
+			outgrown++
+		}
+	}
+	if outgrown < 2 {
+		t.Fatalf("%d corpus messages outgrow their estimate, want the short-segment and the AS_SET UPDATE at least", outgrown)
+	}
+}
+
+// sameMessage reports whether two decoded messages mean the same: field
+// by field, except that an UPDATE's attributes count only when it
+// announces something (they are not encoded otherwise).
+func sameMessage(a, b Message) bool {
+	switch a := a.(type) {
+	case Keepalive:
+		_, ok := b.(Keepalive)
+		return ok
+	case Open:
+		b, ok := b.(Open)
+		return ok && a.AS == b.AS && a.HoldTimeSecs == b.HoldTimeSecs && a.ID == b.ID &&
+			slices.EqualFunc(a.Capabilities, b.Capabilities, func(x, y Capability) bool {
+				return x.Code == y.Code && bytes.Equal(x.Value, y.Value)
+			})
+	case Notification:
+		b, ok := b.(Notification)
+		return ok && a.Code == b.Code && a.Subcode == b.Subcode && bytes.Equal(a.Data, b.Data)
+	case Update:
+		b, ok := b.(Update)
+		return ok && slices.Equal(a.Withdrawn, b.Withdrawn) && slices.Equal(a.NLRI, b.NLRI) &&
+			(len(a.NLRI) == 0 || a.Attrs.Equal(b.Attrs))
+	}
+	return false
+}
+
+// FuzzWireRoundTrip is the guard on the encoder: whatever Unmarshal
+// accepts, Marshal turns into bytes that decode to the same message and
+// re-encode to themselves (a fixed point after one normalising pass),
+// and Append onto bytes already in a buffer yields those bytes followed
+// by exactly Marshal's — both into a buffer with no room, which must be
+// left alone, and into one with room to spare.
+func FuzzWireRoundTrip(f *testing.F) {
+	for _, m := range corpus() {
+		b, err := Marshal(m)
+		if err != nil {
+			f.Fatalf("Marshal(%v): %v", m, err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Unmarshal(data)
+		if err != nil {
+			return
+		}
+		b, err := Marshal(m)
+		if err != nil {
+			if _, open := m.(Open); open {
+				// Capabilities that arrived packed into one parameter
+				// leave one parameter each, which can pass 255 bytes.
+				return
+			}
+			t.Fatalf("accepted %x as %+v, which does not encode: %v", data, m, err)
+		}
+		m2, err := Unmarshal(b)
+		if err != nil {
+			t.Fatalf("%+v encodes to %x, which does not decode: %v", m, b, err)
+		}
+		if !sameMessage(m, m2) {
+			t.Fatalf("%x decodes to %+v, re-encodes to %x, decodes to %+v", data, m, b, m2)
+		}
+		if b2, err := Marshal(m2); err != nil || !bytes.Equal(b, b2) {
+			t.Fatalf("not a fixed point: %x re-encodes to %x (%v)", b, b2, err)
+		}
+
+		header := []byte{1, 2, 3}
+		want := append(slices.Clone(header), b...)
+		full := header[:3:3]
+		if got, err := Append(full, m); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("Append onto %x: %x (%v), want %x", header, got, err, want)
+		}
+		if !bytes.Equal(full, []byte{1, 2, 3}) {
+			t.Fatalf("Append onto a full buffer wrote into it: %x", full)
+		}
+		roomy := append(make([]byte, 0, 2*MaxMsgLen), header...) // room for any estimate
+		got, err := Append(roomy, m)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("Append into spare room: %x (%v), want %x", got, err, want)
+		}
+		if &got[0] != &roomy[0] {
+			t.Fatal("Append moved out of a buffer that had room for its estimate")
+		}
+	})
+}

@@ -4,17 +4,28 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net/netip"
+	"slices"
 
 	"repro/internal/idr"
 )
 
-// Marshal encodes one BGP message, header included. The body is
-// appended directly after a reserved header and the length fixed up
-// afterwards, so the hot UPDATE path performs a single allocation
-// instead of building intermediate withdrawn/attribute/NLRI slices.
-func Marshal(m Message) ([]byte, error) {
-	out := make([]byte, HeaderLen, HeaderLen+estimateBody(m))
-	for i := 0; i < MarkerLen; i++ {
+// Marshal encodes one BGP message, header included, into a buffer of
+// its own.
+func Marshal(m Message) ([]byte, error) { return Append(nil, m) }
+
+// Append encodes one BGP message, header included, onto dst and
+// returns the extended slice, as append does: the bytes already in dst
+// are kept in front (a link header, say) and the message's length field
+// counts from where the message starts. dst is grown once, up front, to
+// an estimate of the encoding, so a message costs one allocation when
+// dst has no room for the estimate and none when it has; the body goes
+// in directly after the header and the length is fixed up afterwards,
+// with no intermediate withdrawn/attribute/NLRI slices. On error dst
+// is returned as it came.
+func Append(dst []byte, m Message) ([]byte, error) {
+	start := len(dst)
+	out := slices.Grow(dst, HeaderLen+estimateBody(m))[:start+HeaderLen]
+	for i := start; i < start+MarkerLen; i++ {
 		out[i] = 0xFF
 	}
 	var err error
@@ -33,16 +44,16 @@ func Marshal(m Message) ([]byte, error) {
 	case *Notification:
 		out, err = appendNotification(out, *v)
 	default:
-		return nil, fmt.Errorf("wire: unknown message type %T", m)
+		return dst, fmt.Errorf("wire: unknown message type %T", m)
 	}
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	if len(out) > MaxMsgLen {
-		return nil, fmt.Errorf("wire: message length %d exceeds %d", len(out), MaxMsgLen)
+	if len(out)-start > MaxMsgLen {
+		return dst, fmt.Errorf("wire: message length %d exceeds %d", len(out)-start, MaxMsgLen)
 	}
-	binary.BigEndian.PutUint16(out[MarkerLen:], uint16(len(out)))
-	out[MarkerLen+2] = byte(m.Type())
+	binary.BigEndian.PutUint16(out[start+MarkerLen:], uint16(len(out)-start))
+	out[start+MarkerLen+2] = byte(m.Type())
 	return out, nil
 }
 

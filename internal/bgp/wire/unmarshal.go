@@ -144,23 +144,19 @@ func unmarshalUpdate(body []byte) (Message, error) {
 	if err != nil {
 		return nil, decodeErr(NotifUpdateMessageError, 10, "nlri: %v", err)
 	}
-	u := Update{Withdrawn: withdrawn, NLRI: nlri}
-	if attrs != nil {
-		u.Attrs = attrs.PathAttrs
-	}
 	if len(nlri) > 0 {
 		// Mandatory attribute checks (RFC 4271 §6.3).
-		if attrs == nil || !attrs.seenOrigin {
+		if !attrs.seen.has(AttrOrigin) {
 			return nil, decodeErr(NotifUpdateMessageError, 3, "missing ORIGIN")
 		}
-		if !attrs.seenASPath {
+		if !attrs.seen.has(AttrASPath) {
 			return nil, decodeErr(NotifUpdateMessageError, 3, "missing AS_PATH")
 		}
-		if !attrs.seenNextHop {
+		if !attrs.seen.has(AttrNextHop) {
 			return nil, decodeErr(NotifUpdateMessageError, 3, "missing NEXT_HOP")
 		}
 	}
-	return u, nil
+	return Update{Withdrawn: withdrawn, Attrs: attrs.PathAttrs, NLRI: nlri}, nil
 }
 
 func unmarshalPrefixes(b []byte) ([]netip.Prefix, error) {
@@ -188,26 +184,30 @@ func unmarshalPrefixes(b []byte) ([]netip.Prefix, error) {
 	return out, nil
 }
 
+// attrSet is a set of attribute type codes, one bit each.
+type attrSet [4]uint64
+
+func (s *attrSet) has(typ uint8) bool { return s[typ>>6]&(1<<(typ&63)) != 0 }
+func (s *attrSet) add(typ uint8)      { s[typ>>6] |= 1 << (typ & 63) }
+
+// decodedAttrs is a decoded attribute block and the type codes that
+// occurred in it, recognized or not (an empty block has none).
 type decodedAttrs struct {
 	PathAttrs
-	seenOrigin, seenASPath, seenNextHop bool
+	seen attrSet
 }
 
-func unmarshalAttrs(b []byte) (*decodedAttrs, error) {
-	if len(b) == 0 {
-		return nil, nil
-	}
+func unmarshalAttrs(b []byte) (decodedAttrs, error) {
 	var a decodedAttrs
-	seen := map[uint8]bool{}
 	for len(b) > 0 {
 		if len(b) < 3 {
-			return nil, decodeErr(NotifUpdateMessageError, 1, "truncated attribute header")
+			return a, decodeErr(NotifUpdateMessageError, 1, "truncated attribute header")
 		}
 		flags, typ := b[0], b[1]
 		var vlen, hdr int
 		if flags&flagExtLen != 0 {
 			if len(b) < 4 {
-				return nil, decodeErr(NotifUpdateMessageError, 1, "truncated extended attribute header")
+				return a, decodeErr(NotifUpdateMessageError, 1, "truncated extended attribute header")
 			}
 			vlen = int(binary.BigEndian.Uint16(b[2:]))
 			hdr = 4
@@ -216,56 +216,53 @@ func unmarshalAttrs(b []byte) (*decodedAttrs, error) {
 			hdr = 3
 		}
 		if len(b) < hdr+vlen {
-			return nil, decodeErr(NotifUpdateMessageError, 5, "attribute %d overruns message", typ)
+			return a, decodeErr(NotifUpdateMessageError, 5, "attribute %d overruns message", typ)
 		}
 		val := b[hdr : hdr+vlen]
 		b = b[hdr+vlen:]
-		if seen[typ] {
-			return nil, decodeErr(NotifUpdateMessageError, 1, "duplicate attribute %d", typ)
+		if a.seen.has(typ) {
+			return a, decodeErr(NotifUpdateMessageError, 1, "duplicate attribute %d", typ)
 		}
-		seen[typ] = true
+		a.seen.add(typ)
 		switch typ {
 		case AttrOrigin:
 			if vlen != 1 || val[0] > uint8(OriginIncomplete) {
-				return nil, decodeErr(NotifUpdateMessageError, 6, "bad ORIGIN")
+				return a, decodeErr(NotifUpdateMessageError, 6, "bad ORIGIN")
 			}
 			a.Origin = Origin(val[0])
-			a.seenOrigin = true
 		case AttrASPath:
 			path, err := unmarshalASPath(val)
 			if err != nil {
-				return nil, decodeErr(NotifUpdateMessageError, 11, "AS_PATH: %v", err)
+				return a, decodeErr(NotifUpdateMessageError, 11, "AS_PATH: %v", err)
 			}
 			a.ASPath = path
-			a.seenASPath = true
 		case AttrNextHop:
 			if vlen != 4 {
-				return nil, decodeErr(NotifUpdateMessageError, 8, "NEXT_HOP length %d", vlen)
+				return a, decodeErr(NotifUpdateMessageError, 8, "NEXT_HOP length %d", vlen)
 			}
 			var b4 [4]byte
 			copy(b4[:], val)
 			a.NextHop = netip.AddrFrom4(b4)
-			a.seenNextHop = true
 		case AttrMED:
 			if vlen != 4 {
-				return nil, decodeErr(NotifUpdateMessageError, 5, "MED length %d", vlen)
+				return a, decodeErr(NotifUpdateMessageError, 5, "MED length %d", vlen)
 			}
 			v := binary.BigEndian.Uint32(val)
 			a.MED = &v
 		case AttrLocalPref:
 			if vlen != 4 {
-				return nil, decodeErr(NotifUpdateMessageError, 5, "LOCAL_PREF length %d", vlen)
+				return a, decodeErr(NotifUpdateMessageError, 5, "LOCAL_PREF length %d", vlen)
 			}
 			v := binary.BigEndian.Uint32(val)
 			a.LocalPref = &v
 		case AttrAtomicAggregate:
 			if vlen != 0 {
-				return nil, decodeErr(NotifUpdateMessageError, 5, "ATOMIC_AGGREGATE length %d", vlen)
+				return a, decodeErr(NotifUpdateMessageError, 5, "ATOMIC_AGGREGATE length %d", vlen)
 			}
 			a.AtomicAggregate = true
 		case AttrAggregator:
 			if vlen != 8 {
-				return nil, decodeErr(NotifUpdateMessageError, 5, "AGGREGATOR length %d", vlen)
+				return a, decodeErr(NotifUpdateMessageError, 5, "AGGREGATOR length %d", vlen)
 			}
 			var b4 [4]byte
 			copy(b4[:], val[4:8])
@@ -275,7 +272,7 @@ func unmarshalAttrs(b []byte) (*decodedAttrs, error) {
 			}
 		case AttrCommunities:
 			if vlen%4 != 0 {
-				return nil, decodeErr(NotifUpdateMessageError, 5, "COMMUNITIES length %d", vlen)
+				return a, decodeErr(NotifUpdateMessageError, 5, "COMMUNITIES length %d", vlen)
 			}
 			for i := 0; i < vlen; i += 4 {
 				a.Communities = append(a.Communities, Community(binary.BigEndian.Uint32(val[i:])))
@@ -285,11 +282,11 @@ func unmarshalAttrs(b []byte) (*decodedAttrs, error) {
 			// (transit behaviour is out of scope); unrecognized
 			// well-known attributes are an error.
 			if flags&flagOptional == 0 {
-				return nil, decodeErr(NotifUpdateMessageError, 2, "unrecognized well-known attribute %d", typ)
+				return a, decodeErr(NotifUpdateMessageError, 2, "unrecognized well-known attribute %d", typ)
 			}
 		}
 	}
-	return &a, nil
+	return a, nil
 }
 
 func unmarshalASPath(b []byte) (ASPath, error) {

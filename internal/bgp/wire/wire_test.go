@@ -107,23 +107,27 @@ func TestNotificationRoundTrip(t *testing.T) {
 
 func med(v uint32) *uint32 { return &v }
 
+// fullUpdate, asSetUpdate and aggregatorUpdate are also seeds of
+// FuzzWireRoundTrip (see corpus).
+var fullUpdate = Update{
+	Withdrawn: []netip.Prefix{
+		netip.MustParsePrefix("10.1.0.0/16"),
+		netip.MustParsePrefix("192.168.4.0/30"),
+	},
+	Attrs: PathAttrs{
+		Origin:          OriginEGP,
+		ASPath:          NewASPath(65001, 65002, 400000),
+		NextHop:         netip.MustParseAddr("100.64.0.1"),
+		MED:             med(77),
+		LocalPref:       med(200),
+		AtomicAggregate: true,
+		Communities:     []Community{NewCommunity(65001, 7), CommunityNoExport},
+	},
+	NLRI: []netip.Prefix{netip.MustParsePrefix("10.2.3.0/24")},
+}
+
 func TestUpdateRoundTripFull(t *testing.T) {
-	in := Update{
-		Withdrawn: []netip.Prefix{
-			netip.MustParsePrefix("10.1.0.0/16"),
-			netip.MustParsePrefix("192.168.4.0/30"),
-		},
-		Attrs: PathAttrs{
-			Origin:          OriginEGP,
-			ASPath:          NewASPath(65001, 65002, 400000),
-			NextHop:         netip.MustParseAddr("100.64.0.1"),
-			MED:             med(77),
-			LocalPref:       med(200),
-			AtomicAggregate: true,
-			Communities:     []Community{NewCommunity(65001, 7), CommunityNoExport},
-		},
-		NLRI: []netip.Prefix{netip.MustParsePrefix("10.2.3.0/24")},
-	}
+	in := fullUpdate
 	out := roundTrip(t, in).(Update)
 	if len(out.Withdrawn) != 2 || out.Withdrawn[0] != in.Withdrawn[0] || out.Withdrawn[1] != in.Withdrawn[1] {
 		t.Fatalf("withdrawn = %v", out.Withdrawn)
@@ -160,18 +164,20 @@ func TestUpdateEmptyPathOriginated(t *testing.T) {
 	}
 }
 
-func TestUpdateASSetRoundTrip(t *testing.T) {
-	in := Update{
-		Attrs: PathAttrs{
-			Origin: OriginIncomplete,
-			ASPath: ASPath{
-				{Type: ASSequence, ASNs: []idr.ASN{1, 2}},
-				{Type: ASSet, ASNs: []idr.ASN{7, 8, 9}},
-			},
-			NextHop: netip.MustParseAddr("1.2.3.4"),
+var asSetUpdate = Update{
+	Attrs: PathAttrs{
+		Origin: OriginIncomplete,
+		ASPath: ASPath{
+			{Type: ASSequence, ASNs: []idr.ASN{1, 2}},
+			{Type: ASSet, ASNs: []idr.ASN{7, 8, 9}},
 		},
-		NLRI: []netip.Prefix{netip.MustParsePrefix("10.0.0.0/8")},
-	}
+		NextHop: netip.MustParseAddr("1.2.3.4"),
+	},
+	NLRI: []netip.Prefix{netip.MustParsePrefix("10.0.0.0/8")},
+}
+
+func TestUpdateASSetRoundTrip(t *testing.T) {
+	in := asSetUpdate
 	out := roundTrip(t, in).(Update)
 	if !out.Attrs.ASPath.Equal(in.Attrs.ASPath) {
 		t.Fatalf("as path = %v", out.Attrs.ASPath)
@@ -463,19 +469,21 @@ func TestTypeStrings(t *testing.T) {
 	}
 }
 
-func TestAggregatorRoundTrip(t *testing.T) {
-	in := Update{
-		Attrs: PathAttrs{
-			Origin:  OriginIGP,
-			ASPath:  NewASPath(1),
-			NextHop: netip.MustParseAddr("1.2.3.4"),
-			Aggregator: &Aggregator{
-				AS: 400000,
-				ID: netip.MustParseAddr("172.16.0.9"),
-			},
+var aggregatorUpdate = Update{
+	Attrs: PathAttrs{
+		Origin:  OriginIGP,
+		ASPath:  NewASPath(1),
+		NextHop: netip.MustParseAddr("1.2.3.4"),
+		Aggregator: &Aggregator{
+			AS: 400000,
+			ID: netip.MustParseAddr("172.16.0.9"),
 		},
-		NLRI: []netip.Prefix{netip.MustParsePrefix("10.0.0.0/8")},
-	}
+	},
+	NLRI: []netip.Prefix{netip.MustParsePrefix("10.0.0.0/8")},
+}
+
+func TestAggregatorRoundTrip(t *testing.T) {
+	in := aggregatorUpdate
 	out := roundTrip(t, in).(Update)
 	if out.Attrs.Aggregator == nil || *out.Attrs.Aggregator != *in.Attrs.Aggregator {
 		t.Fatalf("aggregator = %+v", out.Attrs.Aggregator)

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"repro/internal/bgp"
+	"repro/internal/bgp/rib"
+	"repro/internal/frames"
 	"repro/internal/idr"
 	"repro/internal/netem"
 	"repro/internal/policy"
@@ -55,8 +57,17 @@ func rig(t *testing.T) (*sim.Kernel, *Collector, *bgp.Router) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rNode.OnMessage(func(from *netem.Endpoint, data []byte) { r.Deliver("to-coll", data) })
-	cNode.OnMessage(func(from *netem.Endpoint, data []byte) { coll.Router().Deliver(PeerKeyFor(7), data) })
+	// Both ends send link frames; the nodes strip the header, as the
+	// experiment's do.
+	deliverTo := func(r *bgp.Router, key rib.PeerKey) netem.Handler {
+		return func(_ *netem.Endpoint, data []byte) {
+			if kind, msg, err := frames.Decode(data); err == nil && kind == frames.KindBGP {
+				r.Deliver(key, msg)
+			}
+		}
+	}
+	rNode.OnMessage(deliverTo(r, "to-coll"))
+	cNode.OnMessage(deliverTo(coll.Router(), PeerKeyFor(7)))
 	k.Go(func() {
 		pr.TransportUp()
 		pc.TransportUp()

@@ -31,7 +31,6 @@ import (
 
 	"repro/internal/bgp"
 	"repro/internal/bgp/wire"
-	"repro/internal/frames"
 	"repro/internal/idr"
 	"repro/internal/sdn/ofp"
 	"repro/internal/sim"
@@ -318,8 +317,8 @@ func (c *Controller) AddExternalPeering(borderASN idr.ASN, port uint32, remoteAS
 			ConnectRetry:      c.cfg.Timers.ConnectRetry,
 			KeepaliveFraction: c.cfg.Timers.KeepaliveFraction,
 			Clock:             c.cfg.Clock,
-			Send: func(bgpFrame []byte) error {
-				return c.sendPacketOut(m, port, bgpFrame)
+			Send: func(frame []byte) error {
+				return c.sendPacketOut(m, port, frame)
 			},
 		},
 		NextHop: nextHop,
@@ -346,8 +345,10 @@ func (c *Controller) nextXid() uint32 {
 	return c.xid
 }
 
-func (c *Controller) sendPacketOut(m *member, port uint32, bgpFrame []byte) error {
-	po := ofp.PacketOut{OutPort: port, Data: frames.Encode(frames.KindBGP, bgpFrame)}
+// sendPacketOut has member m put a speaker session's link frame on the
+// wire of its port.
+func (c *Controller) sendPacketOut(m *member, port uint32, data []byte) error {
+	po := ofp.PacketOut{OutPort: port, Data: data}
 	frame, err := ofp.Marshal(po, c.nextXid())
 	if err != nil {
 		return err

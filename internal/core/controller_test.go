@@ -547,7 +547,11 @@ func TestExternalSessionFollowsConfiguredTimers(t *testing.T) {
 		k.Go(func() { router.Deliver("to-AS11", bgpFrame) })
 		return nil
 	}
-	toController := func(bgpFrame []byte) error {
+	toController := func(frame []byte) error {
+		_, bgpFrame, err := frames.Decode(frame)
+		if err != nil {
+			return err
+		}
 		pin, err := ofp.Marshal(ofp.PacketIn{InPort: 2, Data: bgpFrame}, 1)
 		if err != nil {
 			return err
@@ -596,7 +600,7 @@ func TestExternalSessionFollowsConfiguredTimers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := toController(cease); err != nil {
+	if err := toController(frames.Encode(frames.KindBGP, cease)); err != nil {
 		t.Fatal(err)
 	}
 	if err := k.RunFor(retry - time.Second); err != nil {

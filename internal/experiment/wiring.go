@@ -240,9 +240,7 @@ func (e *Experiment) addRouterPeer(local, remote idr.ASN, ep *netem.Endpoint, ad
 		RemoteASN: remote,
 		Neighbor:  e.neighborOf(local, remote),
 		NextHop:   addr,
-		Send: func(b []byte) error {
-			return ep.Send(frames.Encode(frames.KindBGP, b))
-		},
+		Send:      ep.Send, // a session's frames are link frames already
 	})
 	if err != nil {
 		return nil, err
@@ -296,9 +294,7 @@ func (e *Experiment) buildCollector() error {
 			Key:       key,
 			RemoteASN: asn,
 			NextHop:   netip.AddrFrom4([4]byte{172, 31, 255, 1}),
-			Send: func(b []byte) error {
-				return epC.Send(frames.Encode(frames.KindBGP, b))
-			},
+			Send:      epC.Send,
 		})
 		if err != nil {
 			return err

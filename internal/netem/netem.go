@@ -15,6 +15,13 @@
 // establish). SendUnreliable applies jitter and plain random loss, for
 // probe traffic.
 //
+// A frame is immutable from the moment it is sent: the network hands
+// the sender's own slice to the receiving handler without copying, a
+// sender may put one slice on many links (every KEEPALIVE of a run is
+// the same 20 bytes), and a receiver may keep what it was handed. No
+// one — sender, handler, or anything the handler passes the bytes to —
+// writes to a frame after Send.
+//
 // All timing runs on a sim.Clock, so the emulator works both in virtual
 // and in wall-clock time.
 package netem
@@ -42,6 +49,12 @@ type Network struct {
 	// linkSeed derives a private random stream per link (SeedLinks).
 	linkSeed int64
 	seeded   bool
+
+	// idle chains the deliveries that have fired, for the next send to
+	// reuse; with the clock recycling its side too (sim.Clock.Post), a
+	// frame in flight allocates nothing. The chain peaks at the most
+	// frames in flight at once.
+	idle *delivery
 
 	// Delivered and Dropped count messages network-wide.
 	Delivered, Dropped uint64
@@ -162,8 +175,14 @@ type Node struct {
 	name      string
 	net       *Network
 	endpoints []*Endpoint
-	handler   func(from *Endpoint, data []byte)
+	handler   Handler
 }
+
+// Handler receives the frames that arrive at a node: data is what the
+// peer of from passed to Send, the very slice. It must not be written
+// to, here or by whatever the handler hands it on to (see the package
+// comment); it may be kept.
+type Handler func(from *Endpoint, data []byte)
 
 // Name returns the node's unique name.
 func (nd *Node) Name() string { return nd.name }
@@ -173,7 +192,7 @@ func (nd *Node) Endpoints() []*Endpoint { return nd.endpoints }
 
 // OnMessage installs the node's receive handler. Handlers run on the
 // clock's executor; installing a handler replaces the previous one.
-func (nd *Node) OnMessage(h func(from *Endpoint, data []byte)) { nd.handler = h }
+func (nd *Node) OnMessage(h Handler) { nd.handler = h }
 
 // EndpointTo returns this node's endpoint on a link to the named peer
 // node, if one exists (the first match when parallel links exist).
@@ -326,6 +345,52 @@ func (l *Link) lossPenalty() (time.Duration, bool) {
 	return penalty, false
 }
 
+// delivery is one frame in flight: what its send fixed when the frame
+// left, and the posted work that completes it at the far end. Both
+// kinds of send use it and nothing else schedules a delivery.
+type delivery struct {
+	dst   *Endpoint
+	epoch uint64 // of the link when the frame left
+	data  []byte
+	next  *delivery // while idle
+}
+
+// deliverAfter puts data in flight toward e's peer, to arrive after
+// delay.
+func (e *Endpoint) deliverAfter(delay time.Duration, data []byte) {
+	n := e.link.net
+	d := n.idle
+	if d != nil {
+		n.idle = d.next
+	} else {
+		d = new(delivery)
+	}
+	*d = delivery{dst: e.peer, epoch: e.link.epoch, data: data}
+	n.clock.Post(delay, d)
+}
+
+// Fire lands the frame: dropped if the link went down at any point
+// since it left, otherwise counted and handed to the receiving node.
+// The delivery goes back to the network first, so a handler that
+// answers on the spot reuses it.
+func (d *delivery) Fire() {
+	dst, epoch, data := d.dst, d.epoch, d.data
+	l := dst.link
+	*d = delivery{next: l.net.idle}
+	l.net.idle = d
+	if !l.up || l.epoch != epoch {
+		l.Dropped++
+		l.net.Dropped++
+		return
+	}
+	l.Delivered++
+	l.net.Delivered++
+	l.net.BytesDelivered += uint64(len(data))
+	if dst.node.handler != nil {
+		dst.node.handler(dst, data)
+	}
+}
+
 // Send transmits data reliably and in order to the peer node, which
 // receives it via its OnMessage handler after the link delay. It fails
 // immediately if the link is down. If the link goes down while the
@@ -334,6 +399,10 @@ func (l *Link) lossPenalty() (time.Duration, bool) {
 // retransmission model (lossPenalty) — and abandoned entirely once the
 // emulated transport gives up, so sessions across a fully lossy link
 // can never establish.
+//
+// data is not copied: the receiving handler gets this slice, so the
+// caller must not write to it after Send returns, whether or not the
+// frame has arrived yet. Sending one slice many times is fine.
 func (e *Endpoint) Send(data []byte) error {
 	l := e.link
 	if !l.up {
@@ -345,33 +414,20 @@ func (e *Endpoint) Send(data []byte) error {
 		l.net.Dropped++
 		return nil
 	}
-	clock := l.net.clock
-	arrival := e.departAt(clock.Now(), len(data)).Add(l.cfg.Delay + penalty)
+	now := l.net.clock.Now()
+	arrival := e.departAt(now, len(data)).Add(l.cfg.Delay + penalty)
 	if arrival.Before(e.lastArrival) {
 		arrival = e.lastArrival
 	}
 	e.lastArrival = arrival
-	epoch := l.epoch
-	dst := e.peer
-	clock.AfterFunc(arrival.Sub(clock.Now()), func() {
-		if !l.up || l.epoch != epoch {
-			l.Dropped++
-			l.net.Dropped++
-			return
-		}
-		l.Delivered++
-		l.net.Delivered++
-		l.net.BytesDelivered += uint64(len(data))
-		if dst.node.handler != nil {
-			dst.node.handler(dst, data)
-		}
-	})
+	e.deliverAfter(arrival.Sub(now), data)
 	return nil
 }
 
 // SendUnreliable transmits data with the link's loss probability and
 // jitter and no ordering guarantee. It reports whether the message was
-// put on the wire (false only when the link is down).
+// put on the wire (false only when the link is down). Like Send it
+// does not copy data.
 func (e *Endpoint) SendUnreliable(data []byte) bool {
 	l := e.link
 	if !l.up {
@@ -387,21 +443,7 @@ func (e *Endpoint) SendUnreliable(data []byte) bool {
 	if l.cfg.Jitter > 0 {
 		delay += time.Duration(l.rand().Int63n(int64(l.cfg.Jitter) + 1))
 	}
-	epoch := l.epoch
-	dst := e.peer
-	l.net.clock.AfterFunc(delay, func() {
-		if !l.up || l.epoch != epoch {
-			l.Dropped++
-			l.net.Dropped++
-			return
-		}
-		l.Delivered++
-		l.net.Delivered++
-		l.net.BytesDelivered += uint64(len(data))
-		if dst.node.handler != nil {
-			dst.node.handler(dst, data)
-		}
-	})
+	e.deliverAfter(delay, data)
 	return true
 }
 

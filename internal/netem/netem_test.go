@@ -611,3 +611,51 @@ func TestUnseededLinksFallBackToSharedRand(t *testing.T) {
 		t.Fatalf("50%% loss should deliver some and drop some: delivered=%d dropped=%d", l.Delivered, l.Dropped)
 	}
 }
+
+// TestFrameInFlightAllocatesNothing pins the one-buffer path end to end
+// on the real kernel: a frame crossing a link rides a recycled delivery
+// on a recycled event, including when the receiver answers from inside
+// its handler and when the link drops the frame mid-flight.
+func TestFrameInFlightAllocatesNothing(t *testing.T) {
+	k, n := newNet(t)
+	a, b := twoNodes(t, n)
+	l, err := n.Connect(a, b, LinkConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	epA, epB := l.Endpoints()
+	frame := []byte("ping")
+	echoed := 0
+	b.OnMessage(func(*Endpoint, []byte) { _ = epB.Send(frame) })
+	a.OnMessage(func(*Endpoint, []byte) { echoed++ })
+	roundTrip := func() {
+		if err := epA.Send(frame); err != nil {
+			t.Fatal(err)
+		}
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	roundTrip() // the one delivery and the one event
+	if got := testing.AllocsPerRun(100, roundTrip); got != 0 {
+		t.Errorf("send, echo and both deliveries: %v allocs, want 0", got)
+	}
+	if echoed != 102 {
+		t.Errorf("%d echoes arrived, want 102", echoed)
+	}
+	dropped := l.Dropped
+	cut := func() {
+		_ = epA.Send(frame)
+		l.SetUp(false) // no subscribers, so nothing else is scheduled
+		l.SetUp(true)
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(100, cut); got != 0 {
+		t.Errorf("send and mid-flight drop: %v allocs, want 0", got)
+	}
+	if l.Dropped-dropped != 101 || echoed != 102 {
+		t.Errorf("%d frames dropped and %d echoed after the cuts, want 101 and 102", l.Dropped-dropped, echoed)
+	}
+}

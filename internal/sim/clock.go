@@ -24,9 +24,25 @@ type Clock interface {
 	// executor: for Kernel that is the event loop goroutine.
 	AfterFunc(d time.Duration, fn func()) Timer
 
+	// Post schedules f.Fire to run once, d from now, and returns no
+	// handle: the event cannot be stopped or rescheduled, which lets
+	// the clock reuse its bookkeeping once Fire has run. It is ordered
+	// with AfterFunc events exactly as if it had been one. This is the
+	// call for work that is never cancelled — a frame in flight, a
+	// queued job; anything that needs Stop or Reset uses AfterFunc.
+	Post(d time.Duration, f Firer)
+
 	// Go schedules fn to run as soon as possible (a zero-delay event).
 	// It is the clock's analogue of the go statement.
 	Go(fn func())
+}
+
+// Firer is a unit of posted work (see Clock.Post). A caller that posts
+// the same kind of work over and over makes it a method on a struct it
+// recycles, so scheduling allocates nothing; Fire may post its own
+// receiver again.
+type Firer interface {
+	Fire()
 }
 
 // Timer is a cancellable scheduled callback, analogous to *time.Timer

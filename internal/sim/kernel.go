@@ -43,6 +43,16 @@ type Kernel struct {
 	batch    []batchEntry
 	batchPos int
 
+	// free holds the events of fired Post calls, for the next Post to
+	// reuse. Nothing else references a posted event once it has been
+	// consumed from the drain batch (it has no Timer handle and a
+	// single revision), so it is recycled the moment it fires. The
+	// list is unbounded: it peaks at the most posted events pending at
+	// once, which the heap's own backing array has held already. It is
+	// a slice because an event fills its 80-byte size class exactly,
+	// with no word left for a chain.
+	free []*event
+
 	rng    *rand.Rand
 	src    *CountingSource // holds the seed the stream was created with
 	events uint64          // total events executed
@@ -143,9 +153,36 @@ func (k *Kernel) AfterFunc(d time.Duration, fn func()) Timer {
 	if d < 0 {
 		d = 0
 	}
-	ev := &event{at: k.now.Add(d), fn: fn, kernel: k, index: -1}
+	ev := &event{at: k.now.Add(d), do: funcFirer(fn), kernel: k, index: -1}
 	k.schedule(ev, d)
 	return ev
+}
+
+// funcFirer adapts an AfterFunc callback to the one way events run. A
+// func value is pointer-shaped, so the conversion allocates nothing.
+type funcFirer func()
+
+func (fn funcFirer) Fire() { fn() }
+
+// Post schedules f.Fire to run d from now on a recycled event. Negative
+// d is treated as 0. The event takes its (time, seq) key from the same
+// schedule call AfterFunc uses, so replacing an AfterFunc whose Timer
+// was dropped by a Post moves nothing in the executed trace.
+func (k *Kernel) Post(d time.Duration, f Firer) {
+	if f == nil {
+		panic("sim: Post with nil Firer")
+	}
+	if d < 0 {
+		d = 0
+	}
+	var ev *event
+	if last := len(k.free) - 1; last >= 0 {
+		ev, k.free = k.free[last], k.free[:last]
+	} else {
+		ev = new(event)
+	}
+	*ev = event{at: k.now.Add(d), do: f, posted: true, kernel: k, index: -1}
+	k.schedule(ev, d)
 }
 
 // schedule assigns the next scheduling sequence number and files the
@@ -288,7 +325,14 @@ func (k *Kernel) Step() bool {
 	}
 	k.events++
 	ev.fired = true
-	ev.fn()
+	do := ev.do
+	if ev.posted {
+		// Recycled before Fire runs, so a Fire that posts again (a
+		// handler answering a frame) reuses this very event.
+		ev.do = nil
+		k.free = append(k.free, ev)
+	}
+	do.Fire()
 	return true
 }
 
@@ -339,10 +383,10 @@ func (k *Kernel) RunWhile(cond func() bool) error {
 	return nil
 }
 
-// event is a scheduled callback and the Timer that AfterFunc returns
-// for it — one allocation per scheduled callback, most of which are
-// message deliveries whose Timer the caller drops. index is the
-// event's position in the kernel's heap (-1 once popped or while
+// event is a scheduled callback. For AfterFunc it is also the Timer
+// returned — one allocation per timer; for Post (posted set) it has no
+// handle and returns to the kernel's free list when it fires. index is
+// the event's position in the kernel's heap (-1 once popped or while
 // wheel-resident), which lets Reset reschedule the event in place
 // instead of allocating a replacement. The w* fields locate the
 // event's current revision in the timer wheel while walive is set,
@@ -350,9 +394,10 @@ func (k *Kernel) RunWhile(cond func() bool) error {
 type event struct {
 	at        time.Time
 	seq       uint64
-	fn        func()
+	do        Firer
 	cancelled bool
-	fired     bool // set by Step just before fn runs
+	fired     bool // set by Step just before do.Fire runs
+	posted    bool // scheduled by Post: no Timer handle, recycled on firing
 	kernel    *Kernel
 	index     int
 

@@ -382,6 +382,34 @@ func TestAfterFuncAllocatesOnce(t *testing.T) {
 	}
 }
 
+// nopFirer is posted work that does nothing.
+type nopFirer struct{}
+
+func (*nopFirer) Fire() {}
+
+// TestPostAllocatesNothing pins the recycled event: once the free list
+// holds one, posting and running work costs no allocation, whether the
+// event waits in the heap or in the wheel.
+func TestPostAllocatesNothing(t *testing.T) {
+	for _, d := range []time.Duration{0, time.Millisecond, 30 * time.Second} {
+		k := NewKernel(1)
+		f := &nopFirer{}
+		run := func() {
+			k.Post(d, f)
+			if !k.Step() {
+				t.Fatal("nothing to step")
+			}
+		}
+		run() // the one event, and the backing arrays it passes through
+		if got := testing.AllocsPerRun(200, run); got != 0 {
+			t.Errorf("Post(%v) + Step: %v allocs, want 0", d, got)
+		}
+		if len(k.free) != 1 || k.Pending() != 0 {
+			t.Errorf("Post(%v): %d events on the free list, %d pending, want 1 and 0", d, len(k.free), k.Pending())
+		}
+	}
+}
+
 // TestTimerLifecycle walks one timer through every Stop / Reset /
 // Active / TimerState transition, before and after firing, for a
 // heap-resident (short) and a wheel-resident (long) delay.

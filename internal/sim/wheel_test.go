@@ -9,33 +9,100 @@ import (
 	"time"
 )
 
-// traceKernel runs a randomized timer schedule on k and returns the
-// (elapsed, id) trace of every firing. The schedule derives entirely
-// from rng, so two kernels driven by equally-seeded generators execute
-// the identical logical workload.
-func traceKernel(k *Kernel, rng *rand.Rand, ops int) [][2]int64 {
-	var trace [][2]int64
+// tapeRun is what one run of the random tape leaves behind: every
+// firing as (elapsed, id, the kernel's sequence counter at that
+// moment), and Pending() after every tape step.
+type tapeRun struct {
+	trace   [][3]int64
+	pending []int
+}
+
+// tapeHop is the tape's fire-and-forget work: posted as itself, or run
+// from an AfterFunc closure whose Timer is dropped.
+type tapeHop struct {
+	id  int
+	run func(*tapeHop)
+}
+
+func (h *tapeHop) Fire() { h.run(h) }
+
+// checkFreeList fails if a recycled event is still referenced by the
+// heap, a wheel slot or the drain batch, or is on the free list twice.
+func checkFreeList(t *testing.T, k *Kernel) {
+	t.Helper()
+	free := make(map[*event]bool, len(k.free))
+	for _, ev := range k.free {
+		if free[ev] {
+			t.Fatalf("event %p is on the free list twice", ev)
+		}
+		free[ev] = true
+	}
+	for _, ev := range k.queue {
+		if free[ev] {
+			t.Fatalf("event %p is on the free list and in the heap", ev)
+		}
+	}
+	for l := range k.wheel.slots {
+		for s := range k.wheel.slots[l] {
+			for _, e := range k.wheel.slots[l][s] {
+				if free[e.ev] {
+					t.Fatalf("event %p is on the free list and in wheel slot %d/%d", e.ev, l, s)
+				}
+			}
+		}
+	}
+	for _, e := range k.batch {
+		if free[e.ev] {
+			t.Fatalf("event %p is on the free list and in the drain batch", e.ev)
+		}
+	}
+}
+
+// traceKernel runs a randomized schedule on k: timers that are stopped
+// and reset, and fire-and-forget events that re-schedule themselves
+// from inside their own firing — recycled Post events when post is set,
+// AfterFunc closures otherwise. The schedule derives entirely from rng,
+// so two kernels driven by equally-seeded generators execute the
+// identical logical workload as long as they fire it in the same order.
+func traceKernel(t *testing.T, k *Kernel, rng *rand.Rand, ops int, post bool) tapeRun {
+	var run tapeRun
 	var timers []Timer
 	id := 0
-	schedule := func() {
-		// Mix short heap-bound delays with long wheel-bound ones.
-		var d time.Duration
+	// Mix short heap-bound delays with long wheel-bound ones, on both
+	// sides of wheelMinDelay.
+	delay := func() time.Duration {
 		if rng.Intn(2) == 0 {
-			d = time.Duration(rng.Intn(2000)) * time.Millisecond
-		} else {
-			d = time.Duration(rng.Intn(120)) * time.Second
+			return time.Duration(rng.Intn(2000)) * time.Millisecond
 		}
+		return time.Duration(rng.Intn(120)) * time.Second
+	}
+	fired := func(n int) {
+		run.trace = append(run.trace, [3]int64{int64(k.Elapsed()), int64(n), int64(k.seq)})
+	}
+	schedule := func() {
 		n := id
 		id++
-		timers = append(timers, k.AfterFunc(d, func() {
-			trace = append(trace, [2]int64{int64(k.Elapsed()), int64(n)})
-		}))
+		timers = append(timers, k.AfterFunc(delay(), func() { fired(n) }))
+	}
+	forget := func(h *tapeHop) {
+		if post {
+			k.Post(delay(), h)
+		} else {
+			k.AfterFunc(delay(), func() { h.run(h) })
+		}
+	}
+	hop := func(h *tapeHop) {
+		fired(h.id)
+		checkFreeList(t, k) // the event that is firing was recycled a moment ago
+		if rng.Intn(3) > 0 {
+			forget(h)
+		}
 	}
 	for i := 0; i < 8; i++ {
 		schedule()
 	}
 	for i := 0; i < ops; i++ {
-		switch rng.Intn(4) {
+		switch rng.Intn(5) {
 		case 0:
 			schedule()
 		case 1:
@@ -49,27 +116,49 @@ func traceKernel(k *Kernel, rng *rand.Rand, ops int) [][2]int64 {
 			}
 		case 3:
 			k.RunFor(time.Duration(rng.Intn(5000)) * time.Millisecond)
+		case 4:
+			forget(&tapeHop{id: id, run: hop})
+			id++
 		}
+		run.pending = append(run.pending, k.Pending())
+		checkFreeList(t, k)
 	}
 	if err := k.Run(); err != nil {
 		panic(err)
 	}
-	return trace
+	if k.Pending() != 0 {
+		t.Fatalf("%d events pending after Run", k.Pending())
+	}
+	return run
 }
 
-// checkReferenceEquivalence asserts that any schedule of
-// AfterFunc/Stop/Reset interleaved with partial runs fires in exactly
+// checkReferenceEquivalence asserts that any schedule of AfterFunc /
+// Stop / Reset / Post interleaved with partial runs fires in exactly
 // the same order, at the same instants and with the same event and
 // sequence counters on the production kernel and on one switched to a
-// reference path by setRef.
+// reference path by setRef — and, on each of the two, whether the
+// fire-and-forget events are recycled Post events or AfterFunc
+// closures, which must also agree on Pending() at every step.
 func checkReferenceEquivalence(t *testing.T, setRef func(*Kernel)) {
 	t.Helper()
 	f := func(seed int64) bool {
-		prod, ref := NewKernel(1), NewKernel(1)
-		setRef(ref)
-		a := traceKernel(prod, rand.New(rand.NewSource(seed)), 200)
-		b := traceKernel(ref, rand.New(rand.NewSource(seed)), 200)
-		return slices.Equal(a, b) && prod.Events() == ref.Events() && prod.seq == ref.seq
+		var runs [4]tapeRun
+		var kernels [4]*Kernel
+		for i := range runs {
+			k := NewKernel(1)
+			if i >= 2 {
+				setRef(k)
+			}
+			kernels[i] = k
+			runs[i] = traceKernel(t, k, rand.New(rand.NewSource(seed)), 200, i%2 == 0)
+		}
+		for i := 1; i < len(runs); i++ {
+			if !slices.Equal(runs[0].trace, runs[i].trace) ||
+				kernels[0].Events() != kernels[i].Events() || kernels[0].seq != kernels[i].seq {
+				return false
+			}
+		}
+		return slices.Equal(runs[0].pending, runs[1].pending) && slices.Equal(runs[2].pending, runs[3].pending)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -69,7 +69,7 @@ type endpoint struct {
 }
 
 func (e *endpoint) send(frame []byte) error {
-	m, err := wire.Unmarshal(frame)
+	m, err := wire.Unmarshal(message(frame))
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bgp"
 	"repro/internal/bgp/wire"
+	"repro/internal/frames"
 	"repro/internal/idr"
 	"repro/internal/netem"
 	"repro/internal/sim"
@@ -48,9 +49,16 @@ func (g *rig) sendFrom(side string, send func([]byte) error) func([]byte) error 
 	}
 }
 
+// message is the BGP message inside a link frame, as a node's
+// demultiplexer hands it to Deliver.
+func message(frame []byte) []byte {
+	_, msg, _ := frames.Decode(frame)
+	return msg
+}
+
 // noteNotification records a NOTIFICATION that side just processed.
 func (g *rig) noteNotification(side string, frame []byte) {
-	if m, err := wire.Unmarshal(frame); err == nil {
+	if m, err := wire.Unmarshal(message(frame)); err == nil {
 		if n, ok := m.(wire.Notification); ok {
 			idle := g.sess.State() == bgp.StateIdle && g.peer.State() == bgp.StateIdle
 			g.notified[side] = append(g.notified[side], notification{n.Code, idle})
@@ -98,7 +106,7 @@ func newRig(t *testing.T) *rig {
 		t.Fatal(err)
 	}
 	rNode.OnMessage(func(from *netem.Endpoint, data []byte) {
-		router.Deliver("to-AS10", data)
+		router.Deliver("to-AS10", message(data))
 		g.noteNotification("router", data)
 	})
 
@@ -121,7 +129,7 @@ func newRig(t *testing.T) *rig {
 		t.Fatal(err)
 	}
 	swNode.OnMessage(func(from *netem.Endpoint, data []byte) {
-		sess.Deliver(data)
+		sess.Deliver(message(data))
 		g.noteNotification("speaker", data)
 	})
 	link.OnStateChange(func(up bool) {
