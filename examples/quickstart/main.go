@@ -43,6 +43,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The timeline printed at the end needs the AS paths of every
+	// best-route change, which the log keeps only when asked.
+	e.Log.RecordPaths()
 	if err := e.Start(); err != nil {
 		log.Fatal(err)
 	}

@@ -131,15 +131,29 @@ const (
 
 // TraceEvent is one observable router event, consumed by the
 // framework's log-analysis and convergence tools.
+//
+// Update and Change are borrowed: they point into storage the session
+// or the router reuses for its next message, so they are valid only
+// until the hook returns, and a hook copies what it keeps. The
+// attribute slices behind them (AS path, communities) are the
+// exception: they are decoded afresh per message, never written again,
+// and may be kept.
 type TraceEvent struct {
-	Time   time.Time
-	Router idr.ASN
-	Kind   TraceKind
-	Peer   rib.PeerKey
-	State  State        // TraceState
-	Msg    wire.Message // TraceSend/TraceRecv
-	Change *rib.Change  // TraceBest
+	Time    time.Time
+	Router  idr.ASN
+	Kind    TraceKind
+	Peer    rib.PeerKey
+	State   State        // TraceState
+	MsgType wire.MsgType // TraceSend/TraceRecv
+	Update  *wire.Update // TraceSend/TraceRecv of an UPDATE, else nil
+	Change  *rib.Change  // TraceBest
 }
+
+// lendEnded is nil outside tests. A test sets it (export_test.go) to be
+// told each time a *wire.Update or *rib.Change comes back from the
+// owner and trace hooks it was lent to, and scribbles over the storage:
+// nothing may read it past that point.
+var lendEnded func(*wire.Update, *rib.Change)
 
 // Stats counts router activity for the analysis tools.
 type Stats struct {
@@ -159,7 +173,8 @@ type Config struct {
 	Rand   *rand.Rand
 	Policy policy.Policy // default policy.PermitAll{}
 	Timers Timers
-	// Trace, when non-nil, receives every TraceEvent.
+	// Trace, when non-nil, receives every TraceEvent. What an event
+	// points at is valid only until Trace returns (see TraceEvent).
 	Trace func(TraceEvent)
 	// Damping, when non-nil, enables RFC 2439 route-flap damping on
 	// received routes.
@@ -192,8 +207,15 @@ type Router struct {
 	idleWork  *queuedFrame
 	// damping is nil unless Config.Damping is set.
 	damping *damping
-	// arena interns exported AS paths (see attrArena).
-	arena attrArena
+	// rx is the UPDATE being received (every session's FSM decodes into
+	// it), tx the one being sent, onePrefix the prefix list of a
+	// one-prefix batch, traced the Loc-RIB change being traced: each is
+	// filled, lent by pointer and finished with before the next one
+	// starts, so one of each serves every session and a message leaves
+	// no box or one-shot slice behind.
+	rx, tx    wire.Update
+	onePrefix [1]netip.Prefix
+	traced    rib.Change
 }
 
 // New validates cfg and returns a Router.
@@ -301,6 +323,7 @@ func (r *Router) AddPeer(pc PeerConfig) (*Peer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bgp: peer %q: %w", pc.Key, err)
 	}
+	p.fsm.rx = &r.rx
 	r.peers[pc.Key] = p
 	// peerList stays sorted by key; keys are unique, so the insertion
 	// point is the order a full sort would give.
@@ -369,8 +392,11 @@ func (r *Router) onChange(change rib.Change) {
 	if !change.Changed() {
 		return
 	}
-	c := change
-	r.trace(TraceEvent{Kind: TraceBest, Change: &c})
+	r.traced = change
+	r.trace(TraceEvent{Kind: TraceBest, Change: &r.traced})
+	if lendEnded != nil {
+		lendEnded(nil, &r.traced)
+	}
 	best, ok := r.table.Best(change.Prefix)
 	var learnedFrom policy.Neighbor
 	if ok {
@@ -396,13 +422,13 @@ func (r *Router) learnedFromNeighbor(rt *rib.Route) policy.Neighbor {
 // exportAttrs builds the eBGP attributes for advertising rt to p:
 // prepend the local ASN, set NEXT_HOP to the session address, strip
 // LOCAL_PREF (eBGP), and strip MED on re-advertisement of learned
-// routes. The prepended path comes from the router's attr arena, so
-// the steady-state export path shares one interned copy per distinct
-// source path instead of allocating per advertisement; the export
-// side treats attribute sets as immutable (see Policy).
+// routes. The prepended path is the route's own (rib.Route.ExportPath):
+// built once, shared by every peer and every re-advertisement, and
+// dropped with the Adj-RIB-In entry; the export side treats attribute
+// sets as immutable (see Policy).
 func (r *Router) exportAttrs(p *Peer, rt *rib.Route) wire.PathAttrs {
 	attrs := rt.Attrs
-	attrs.ASPath = r.arena.prepend(attrs.ASPath, r.cfg.ASN)
+	attrs.ASPath = rt.ExportPath(r.cfg.ASN)
 	attrs.NextHop = p.cfg.NextHop
 	attrs.LocalPref = nil
 	if !rt.Local {
@@ -431,7 +457,7 @@ func (r *Router) Deliver(key rib.PeerKey, frame []byte) {
 		start = r.busyUntil
 	}
 	var cost time.Duration
-	if len(frame) > wire.MarkerLen+2 && wire.MsgType(frame[wire.MarkerLen+2]) == wire.MsgUpdate {
+	if wire.PeekType(frame) == wire.MsgUpdate {
 		// Jitter +-50% so runs with different seeds interleave
 		// processing differently, as real schedulers do.
 		f := 0.5 + r.cfg.Rand.Float64()

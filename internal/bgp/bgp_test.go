@@ -318,7 +318,7 @@ func TestMRAIPacing(t *testing.T) {
 	r2cfg := r2.cfg
 	r2cfg.Trace = func(ev TraceEvent) {
 		if ev.Kind == TraceSend && ev.Peer == "to-AS1" {
-			if u, ok := ev.Msg.(wire.Update); ok && len(u.NLRI) > 0 {
+			if u := ev.Update; u != nil && len(u.NLRI) > 0 {
 				announceTimes = append(announceTimes, ev.Time)
 			}
 		}

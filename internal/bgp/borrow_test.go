@@ -1,0 +1,132 @@
+package bgp_test
+
+import (
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/bgp"
+	"repro/internal/collector"
+	"repro/internal/experiment"
+	"repro/internal/idr"
+	"repro/internal/lab"
+	"repro/internal/monitor"
+	"repro/internal/topology"
+)
+
+// borrowedRun is everything one clique-8, K=4 run shows its consumers:
+// a trial's metrics, and from the same configuration driven by hand
+// with the collector attached, the collector's records, the event
+// log's summaries and its recorded timeline.
+type borrowedRun struct {
+	result   lab.Result
+	records  []collector.Record
+	sums     []monitor.RouterSummary
+	timeline string
+}
+
+func runBorrowed(t *testing.T) borrowedRun {
+	t.Helper()
+	timers := bgp.Timers{MRAI: 5 * time.Second, MRAIJitter: true}
+	const processing = 5 * time.Millisecond
+	var out borrowedRun
+
+	res, err := lab.Trial{
+		Topo:            lab.TopoSpec{Kind: "clique", N: 8},
+		Placement:       lab.Placement{Strategy: lab.PlaceLast, K: 4},
+		Timers:          timers,
+		ProcessingDelay: processing,
+		Seed:            7,
+	}.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.result = res
+
+	g, err := topology.Clique(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := experiment.New(experiment.Config{
+		Seed:            7,
+		Graph:           g,
+		SDNMembers:      []idr.ASN{5, 6, 7, 8},
+		Timers:          timers,
+		ProcessingDelay: processing,
+		WithCollector:   true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Log.RecordPaths()
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.WaitEstablished(5 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	for _, asn := range e.ASNs() {
+		if err := e.Announce(asn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.WaitConverged(time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.MeasureConvergence(func() error { return e.Withdraw(1) }, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	out.records = e.Coll.Records()
+	out.sums = e.Log.Summarize()
+	pfx, err := e.OriginPrefix(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := e.Log.WriteTimeline(&sb, pfx); err != nil {
+		t.Fatal(err)
+	}
+	out.timeline = sb.String()
+	return out
+}
+
+// TestBorrowedMeansBorrowed pins the lending contract of Owner.Update,
+// Config.Trace and the speaker's handler: a *wire.Update or *rib.Change
+// handed to them is theirs until they return and not a moment longer.
+// The run is made twice, the second time with every lent message and
+// change overwritten with garbage as soon as its callbacks are back —
+// legacy routers behind a ProcessingDelay queue, cluster speaker
+// sessions, the collector and the event log all receive them — and
+// nothing anybody computed may differ.
+func TestBorrowedMeansBorrowed(t *testing.T) {
+	clean := runBorrowed(t)
+	bgp.PoisonLent(t)
+	poisoned := runBorrowed(t)
+
+	if len(clean.records) == 0 || len(clean.sums) == 0 || !strings.Contains(clean.timeline, " -> [") {
+		t.Fatalf("the run showed nothing to compare: %d records, %d summaries, timeline %q",
+			len(clean.records), len(clean.sums), clean.timeline)
+	}
+	if clean.result.UpdatesSent == 0 || clean.result.BestPathChanges == 0 {
+		t.Fatalf("the trial measured nothing: %+v", clean.result)
+	}
+	if !reflect.DeepEqual(clean.result, poisoned.result) {
+		t.Errorf("lab.Result differs:\n clean    %+v\n poisoned %+v", clean.result, poisoned.result)
+	}
+	if !reflect.DeepEqual(clean.records, poisoned.records) {
+		t.Errorf("collector records differ: %d clean, %d poisoned", len(clean.records), len(poisoned.records))
+		for i := range min(len(clean.records), len(poisoned.records)) {
+			if !reflect.DeepEqual(clean.records[i], poisoned.records[i]) {
+				t.Errorf("first at %d:\n clean    %+v\n poisoned %+v", i, clean.records[i], poisoned.records[i])
+				break
+			}
+		}
+	}
+	if !reflect.DeepEqual(clean.sums, poisoned.sums) {
+		t.Errorf("Summarize differs:\n clean    %+v\n poisoned %+v", clean.sums, poisoned.sums)
+	}
+	if clean.timeline != poisoned.timeline {
+		t.Errorf("timeline differs:\n clean:\n%s poisoned:\n%s", clean.timeline, poisoned.timeline)
+	}
+}

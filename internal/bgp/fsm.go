@@ -47,13 +47,19 @@ type Owner interface {
 	// hold and keepalive timers already armed.
 	Established()
 	// Update receives each UPDATE that arrives in Established, with the
-	// hold timer already re-armed.
-	Update(wire.Update)
+	// hold timer already re-armed. The message is borrowed: the session
+	// decodes the next one into the same storage, so *u — its NLRI and
+	// Withdrawn slices included — is valid only until Update returns
+	// and the owner copies what it keeps. The attribute slices (AS
+	// path, communities) are decoded afresh per message and never
+	// written again; those may be kept as they are.
+	Update(u *wire.Update)
 	// Reset runs on every teardown, once the machine is Idle with its
 	// timers stopped and before connect-retry is armed.
 	Reset(wasEstablished bool)
 	// Trace observes every state change and every message sent or
-	// received (Kind, State and Msg are set).
+	// received (Kind, State, MsgType and Update are set; Update is
+	// borrowed, see TraceEvent).
 	Trace(TraceEvent)
 }
 
@@ -68,17 +74,21 @@ type FSM struct {
 	state State
 
 	transportUp bool
-	remoteID    idr.RouterID
-	holdTime    time.Duration // negotiated
-
-	holdTimer      sim.Timer
-	keepaliveTimer sim.Timer
-	retryTimer     sim.Timer
 	// holdIsGuard records which callback holdTimer was armed with —
 	// the OpenSent guard (openGuardExpire) or the negotiated hold
 	// timer (holdExpire) — so re-arms can Reset the existing timer in
 	// place when the callback matches instead of allocating a new one.
 	holdIsGuard bool
+	remoteID    idr.RouterID
+	holdTime    time.Duration // negotiated
+	// rx is where every received UPDATE is decoded: storage the owner
+	// shares among its sessions (a Router's), or made on the first
+	// UPDATE, so a session that never hears one costs one word.
+	rx *wire.Update
+
+	holdTimer      sim.Timer
+	keepaliveTimer sim.Timer
+	retryTimer     sim.Timer
 }
 
 // NewFSM validates cfg and returns an Idle machine.
@@ -214,8 +224,16 @@ var keepaliveFrame = func() []byte {
 // Send frames one message and hands it to the transport. The link
 // header and the message are encoded into one buffer, which is the only
 // thing a send allocates besides the caller's boxing of m; a KEEPALIVE
-// allocates nothing.
+// allocates nothing. An UPDATE is passed on to SendUpdate, which is
+// where to send one from without boxing it first.
 func (f *FSM) Send(m wire.Message) error {
+	switch v := m.(type) {
+	case *wire.Update:
+		return f.SendUpdate(v)
+	case wire.Update:
+		u := v // boxed a second time, here only
+		return f.SendUpdate(&u)
+	}
 	frame := keepaliveFrame
 	if m.Type() != wire.MsgKeepalive {
 		var err error
@@ -226,7 +244,26 @@ func (f *FSM) Send(m wire.Message) error {
 	if err := f.cfg.Send(frame); err != nil {
 		return err
 	}
-	f.owner.Trace(TraceEvent{Kind: TraceSend, Msg: m})
+	f.owner.Trace(TraceEvent{Kind: TraceSend, MsgType: m.Type()})
+	return nil
+}
+
+// SendUpdate is Send for an UPDATE, which it only borrows: u is read
+// while the frame is encoded and shown to the trace, and is the
+// caller's to overwrite once SendUpdate returns. The frame is the one
+// thing it allocates.
+func (f *FSM) SendUpdate(u *wire.Update) error {
+	frame, err := wire.AppendUpdate(linkHeader, u)
+	if err != nil {
+		return err
+	}
+	if err := f.cfg.Send(frame); err != nil {
+		return err
+	}
+	f.owner.Trace(TraceEvent{Kind: TraceSend, MsgType: wire.MsgUpdate, Update: u})
+	if lendEnded != nil {
+		lendEnded(u, nil)
+	}
 	return nil
 }
 
@@ -246,30 +283,56 @@ func (f *FSM) Deliver(frame []byte) {
 	if !f.transportUp {
 		return
 	}
-	msg, err := wire.Unmarshal(frame)
-	if err != nil {
-		var de *wire.DecodeError
-		if errors.As(err, &de) {
-			f.notify(de.Code, de.Subcode)
-		} else {
-			f.reset(true)
-		}
+	if wire.PeekType(frame) == wire.MsgUpdate {
+		f.deliverUpdate(frame)
 		return
 	}
-	f.owner.Trace(TraceEvent{Kind: TraceRecv, Msg: msg})
+	msg, err := wire.Unmarshal(frame)
+	if err != nil {
+		f.decodeFailed(err)
+		return
+	}
+	f.owner.Trace(TraceEvent{Kind: TraceRecv, MsgType: msg.Type()})
 	switch m := msg.(type) {
 	case wire.Open:
 		f.handleOpen(m)
 	case wire.Keepalive:
 		f.handleKeepalive()
-	case wire.Update:
-		if f.state != StateEstablished {
-			f.notify(wire.NotifFSMError, 0)
-			return
-		}
-		f.armHoldTimer()
-		f.owner.Update(m)
 	case wire.Notification:
+		f.reset(true)
+	}
+}
+
+// deliverUpdate is Deliver for a frame whose type octet says UPDATE: it
+// is decoded into the session's own storage and lent to the trace and
+// the owner, so receiving one boxes nothing.
+func (f *FSM) deliverUpdate(frame []byte) {
+	if f.rx == nil {
+		f.rx = new(wire.Update)
+	}
+	if err := wire.UnmarshalUpdate(frame, f.rx); err != nil {
+		f.decodeFailed(err)
+		return
+	}
+	f.owner.Trace(TraceEvent{Kind: TraceRecv, MsgType: wire.MsgUpdate, Update: f.rx})
+	if f.state != StateEstablished {
+		f.notify(wire.NotifFSMError, 0)
+		return
+	}
+	f.armHoldTimer()
+	f.owner.Update(f.rx)
+	if lendEnded != nil {
+		lendEnded(f.rx, nil)
+	}
+}
+
+// decodeFailed answers a frame that did not decode: the NOTIFICATION
+// the error names, then a reset.
+func (f *FSM) decodeFailed(err error) {
+	var de *wire.DecodeError
+	if errors.As(err, &de) {
+		f.notify(de.Code, de.Subcode)
+	} else {
 		f.reset(true)
 	}
 }

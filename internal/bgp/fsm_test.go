@@ -56,10 +56,10 @@ func newFSMRig(t testing.TB) *fsmRig {
 
 // The rig is its machine's Owner: it logs the three calls that mean
 // something to an owner and ignores the trace.
-func (r *fsmRig) Established()       { r.hooks = append(r.hooks, "established") }
-func (r *fsmRig) Update(wire.Update) { r.hooks = append(r.hooks, "update") }
-func (r *fsmRig) Reset(was bool)     { r.hooks = append(r.hooks, fmt.Sprintf("reset(%v)", was)) }
-func (r *fsmRig) Trace(TraceEvent)   {}
+func (r *fsmRig) Established()        { r.hooks = append(r.hooks, "established") }
+func (r *fsmRig) Update(*wire.Update) { r.hooks = append(r.hooks, "update") }
+func (r *fsmRig) Reset(was bool)      { r.hooks = append(r.hooks, fmt.Sprintf("reset(%v)", was)) }
+func (r *fsmRig) Trace(TraceEvent)    {}
 
 // message is the BGP message inside a link frame a session sent: what
 // the receiving node's demultiplexer hands to Deliver.
@@ -340,8 +340,8 @@ var raceEnabled bool
 
 // TestSendAllocatesOnlyItsFrame pins what a message costs to put on the
 // wire: a KEEPALIVE nothing at all — every one is the same slice — and
-// an UPDATE its frame (link header and message in one buffer), on top
-// of the caller's boxing of the message, which the trace receives.
+// an UPDATE exactly its frame (link header and message in one buffer):
+// the message is lent to the session and its trace, not boxed for them.
 // Race instrumentation turns off the compiler's in-place slice growth,
 // which costs the encoder a second allocation, so the test skips there.
 func TestSendAllocatesOnlyItsFrame(t *testing.T) {
@@ -360,12 +360,12 @@ func TestSendAllocatesOnlyItsFrame(t *testing.T) {
 	if got, want := message(t, last), mustFrame(t, wire.Keepalive{}); !bytes.Equal(got, want) {
 		t.Errorf("the shared KEEPALIVE carries %x, want %x", got, want)
 	}
-	var update wire.Message = wire.Update{
+	update := &wire.Update{
 		Attrs: wire.PathAttrs{ASPath: wire.NewASPath(1, 2, 3), NextHop: netip.MustParseAddr("100.64.0.1")},
 		NLRI:  []netip.Prefix{netip.MustParsePrefix("10.0.1.0/24")},
 	}
-	if got := testing.AllocsPerRun(100, func() { _ = r.f.Send(update) }); got != 1 {
-		t.Errorf("UPDATE send: %v allocs, want 1, the frame", got)
+	if got := testing.AllocsPerRun(100, func() { _ = r.f.SendUpdate(update) }); got != 1 {
+		t.Errorf("UPDATE send: %v allocs, want exactly 1, the frame", got)
 	}
 	if got, want := message(t, last), mustFrame(t, update); !bytes.Equal(got, want) {
 		t.Errorf("the UPDATE went out as %x, want %x", got, want)

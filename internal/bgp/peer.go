@@ -56,9 +56,9 @@ func (p *Peer) TransportDown() { p.fsm.TransportDown() }
 // methods, kept off Peer's exported API.
 type peerSession Peer
 
-func (s *peerSession) Established()         { (*Peer)(s).establish() }
-func (s *peerSession) Update(m wire.Update) { (*Peer)(s).handleUpdate(m) }
-func (s *peerSession) Reset(was bool)       { (*Peer)(s).reset(was) }
+func (s *peerSession) Established()          { (*Peer)(s).establish() }
+func (s *peerSession) Update(m *wire.Update) { (*Peer)(s).handleUpdate(m) }
+func (s *peerSession) Reset(was bool)        { (*Peer)(s).reset(was) }
 
 // Trace stamps a session event with the peer key and hands it to the
 // router's trace.
@@ -78,8 +78,11 @@ func (p *Peer) establish() {
 	p.flushAnnouncements()
 }
 
-// handleUpdate runs the inbound side of the decision process.
-func (p *Peer) handleUpdate(m wire.Update) {
+// handleUpdate runs the inbound side of the decision process. m is the
+// session's to reuse afterwards: what outlives the call is the routes
+// built here, which take the prefixes by value and the attribute set's
+// freshly decoded slices.
+func (p *Peer) handleUpdate(m *wire.Update) {
 	r := p.router
 	r.stats.UpdatesReceived++
 
@@ -228,24 +231,50 @@ func recycleBatch[V any](m map[netip.Prefix]V, peak *int) map[netip.Prefix]V {
 	return m
 }
 
+// batchPrefixes returns a pending map's prefixes in address order. A
+// map with one entry — every batch of a run whose ASes originate one
+// prefix each — yields it in one, the router's buffer for exactly that:
+// nothing is sorted and nothing allocated, and the result is good until
+// the router's next batch.
+func batchPrefixes[V any](one *[1]netip.Prefix, m map[netip.Prefix]V) []netip.Prefix {
+	if len(m) != 1 {
+		return idr.SortedPrefixes(m)
+	}
+	//lint:maporder a single entry has a single order
+	for prefix := range m {
+		one[0] = prefix
+	}
+	return one[:]
+}
+
+// sendUpdate sends one UPDATE from the router's tx storage, so that what
+// the session and the trace are lent is not boxed per message.
+func (p *Peer) sendUpdate(u wire.Update) error {
+	r := p.router
+	r.tx = u
+	err := p.fsm.SendUpdate(&r.tx)
+	r.tx = wire.Update{} // lent, not kept: no path outlives its send here
+	return err
+}
+
 // flushWithdrawals sends all pending withdrawals as one UPDATE (the
 // head of the MRAI batch).
 func (p *Peer) flushWithdrawals() {
 	if p.fsm.state != StateEstablished {
 		return
 	}
-	prefixes := idr.SortedPrefixes(p.pendingWithdraw)
+	r := p.router
+	prefixes := batchPrefixes(&r.onePrefix, p.pendingWithdraw)
 	// Recycled even when cancellations left nothing to send: the map
 	// may still hold the capacity of what was cancelled.
 	p.pendingWithdraw = recycleBatch(p.pendingWithdraw, &p.withdrawPeak)
 	if len(prefixes) == 0 {
 		return
 	}
-	r := p.router
 	for _, prefix := range prefixes {
 		r.adjOut.Delete(p.cfg.Key, prefix)
 	}
-	if err := p.fsm.Send(wire.Update{Withdrawn: prefixes}); err != nil {
+	if err := p.sendUpdate(wire.Update{Withdrawn: prefixes}); err != nil {
 		return
 	}
 	r.stats.UpdatesSent++
@@ -301,10 +330,9 @@ func (p *Peer) flushAnnouncements() {
 		}
 		return
 	}
-	prefixes := idr.SortedPrefixes(p.pendingAnnounce)
+	prefixes := batchPrefixes(&p.router.onePrefix, p.pendingAnnounce)
 	if len(prefixes) == 1 {
-		// One prefix is one group, and the sorted slice is its NLRI:
-		// every batch of a run whose ASes originate one prefix each.
+		// One prefix is one group, and the batch is its NLRI.
 		attrs := p.pendingAnnounce[prefixes[0]]
 		p.pendingAnnounce = recycleBatch(p.pendingAnnounce, &p.announcePeak)
 		if !p.announce(attrs, prefixes) {
@@ -374,7 +402,7 @@ func (p *Peer) announce(attrs wire.PathAttrs, nlri []netip.Prefix) bool {
 	for _, prefix := range nlri {
 		r.adjOut.Set(p.cfg.Key, prefix, attrs)
 	}
-	if err := p.fsm.Send(wire.Update{Attrs: attrs, NLRI: nlri}); err != nil {
+	if err := p.sendUpdate(wire.Update{Attrs: attrs, NLRI: nlri}); err != nil {
 		return false
 	}
 	r.stats.UpdatesSent++

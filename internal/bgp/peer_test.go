@@ -35,7 +35,7 @@ func newHarness(t *testing.T) *harness {
 		Clock:    h.k,
 		Rand:     h.k.Rand(),
 		Timers:   Timers{MRAI: time.Second, MRAIJitter: false},
-		Trace:    func(ev TraceEvent) { h.events = append(h.events, ev) },
+		Trace:    func(ev TraceEvent) { h.events = append(h.events, keepEvent(ev)) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -54,6 +54,21 @@ func newHarness(t *testing.T) *harness {
 	}
 	h.r, h.p = r, p
 	return h
+}
+
+// keepEvent copies what a trace event only borrows (see TraceEvent), so
+// that a test may hold on to it.
+func keepEvent(ev TraceEvent) TraceEvent {
+	if ev.Update != nil {
+		u := *ev.Update
+		u.NLRI, u.Withdrawn = slices.Clone(u.NLRI), slices.Clone(u.Withdrawn)
+		ev.Update = &u
+	}
+	if ev.Change != nil {
+		c := *ev.Change
+		ev.Change = &c
+	}
+	return ev
 }
 
 func (h *harness) lastSentType(t *testing.T) wire.MsgType {
@@ -126,9 +141,9 @@ func TestFSMHandshakeMessageOrder(t *testing.T) {
 		case TraceState:
 			trace = append(trace, ev.State.String())
 		case TraceSend:
-			trace = append(trace, "send-"+ev.Msg.Type().String())
+			trace = append(trace, "send-"+ev.MsgType.String())
 		case TraceRecv:
-			trace = append(trace, "recv-"+ev.Msg.Type().String())
+			trace = append(trace, "recv-"+ev.MsgType.String())
 		}
 	}
 	want := "send-OPEN OpenSent recv-OPEN send-KEEPALIVE OpenConfirm recv-KEEPALIVE Established send-UPDATE"
@@ -322,7 +337,7 @@ func TestProcessingDelaySerializesUpdates(t *testing.T) {
 	var times []time.Duration
 	trace := r.cfg
 	trace.Trace = func(ev TraceEvent) {
-		if ev.Kind == TraceRecv && ev.Msg.Type() == wire.MsgUpdate {
+		if ev.Kind == TraceRecv && ev.MsgType == wire.MsgUpdate {
 			times = append(times, k.Elapsed())
 		}
 	}
@@ -355,6 +370,51 @@ func TestProcessingDelaySerializesUpdates(t *testing.T) {
 
 // sanity: topology import used by the lab helper stays referenced.
 var _ = topology.KindPeer
+
+// TestReceiveAllocatesOnlyItsRoute pins what a received UPDATE leaves
+// behind: on an established session, traced, a single-prefix
+// announcement allocates the route it installs and the two slices of
+// that route's AS path — what BGP says an UPDATE leaves in an
+// Adj-RIB-In — and nothing else: no boxed message, no prefix list, no
+// copy of the Loc-RIB change for the trace. A withdrawal allocates
+// nothing at all.
+func TestReceiveAllocatesOnlyItsRoute(t *testing.T) {
+	h := newHarness(t)
+	traced := 0
+	h.r.cfg.Trace = func(ev TraceEvent) { traced++ }
+	h.establish(t)
+	pfx := netip.MustParsePrefix("10.0.2.0/24")
+	var announce [2][]byte
+	for i := range announce {
+		announce[i] = mustFrame(t, wire.Update{
+			Attrs: wire.PathAttrs{Origin: wire.OriginIGP, ASPath: wire.NewASPath(2, idr.ASN(3+i)),
+				NextHop: netip.MustParseAddr("100.64.0.2")},
+			NLRI: []netip.Prefix{pfx},
+		})
+	}
+	withdraw := mustFrame(t, wire.Update{Withdrawn: []netip.Prefix{pfx}})
+	h.r.Deliver("to-AS2", announce[0]) // the session's decode storage and the RIB's map entries exist from here on
+	h.r.Deliver("to-AS2", withdraw)
+
+	i := 0
+	if got := testing.AllocsPerRun(100, func() {
+		i++
+		h.r.Deliver("to-AS2", announce[i%2]) // a different path every time: the best route changes
+	}); got != 3 {
+		t.Errorf("a received announcement allocates %v times, want 3: the route, its path's segments, their ASNs", got)
+	}
+	if best, ok := h.r.Table().Best(pfx); !ok || !best.Attrs.ASPath.Equal(wire.NewASPath(2, idr.ASN(3+i%2))) {
+		t.Fatalf("the last announcement did not install: %v, %v", best, ok)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		h.r.Deliver("to-AS2", withdraw)
+	}); got != 0 {
+		t.Errorf("a received withdrawal allocates %v times, want 0", got)
+	}
+	if traced < 300 {
+		t.Fatalf("the trace saw %d events; receives and best-route changes must all reach it", traced)
+	}
+}
 
 // packedUpdate is one UPDATE of an announcement batch.
 type packedUpdate struct {
@@ -429,23 +489,22 @@ func TestAnnounceBatchPackingModel(t *testing.T) {
 		for _, prefix := range idr.SortedPrefixes(pending) {
 			h.p.queueAnnounce(prefix, pending[prefix])
 		}
-		h.events = nil
-		h.p.flushAnnouncements()
 		var got []packedUpdate
-		for _, ev := range h.events {
-			if u, ok := ev.Msg.(wire.Update); ok && ev.Kind == TraceSend {
-				got = append(got, packedUpdate{u.Attrs, u.NLRI})
+		h.r.cfg.Trace = func(ev TraceEvent) {
+			if u := ev.Update; u != nil && ev.Kind == TraceSend {
+				if cap(u.NLRI) != len(u.NLRI) {
+					t.Errorf("round %d, UPDATE %d: NLRI has room for %d more prefixes of its batch", round, len(got), cap(u.NLRI)-len(u.NLRI))
+				}
+				got = append(got, packedUpdate{u.Attrs, slices.Clone(u.NLRI)})
 			}
 		}
+		h.p.flushAnnouncements()
 		if len(got) != len(want) {
 			t.Fatalf("round %d: %d UPDATEs for %d prefixes, want %d", round, len(got), len(pending), len(want))
 		}
 		for i := range want {
 			if !got[i].attrs.Equal(want[i].attrs) || !slices.Equal(got[i].nlri, want[i].nlri) {
 				t.Fatalf("round %d, UPDATE %d: %v %v, want %v %v", round, i, got[i].attrs, got[i].nlri, want[i].attrs, want[i].nlri)
-			}
-			if cap(got[i].nlri) != len(got[i].nlri) {
-				t.Fatalf("round %d, UPDATE %d: NLRI has room for %d more prefixes of its batch", round, i, cap(got[i].nlri)-len(got[i].nlri))
 			}
 			for _, prefix := range got[i].nlri {
 				if out, ok := h.r.adjOut.Get("to-AS2", prefix); !ok || !out.Equal(got[i].attrs) {

@@ -33,6 +33,26 @@ type Route struct {
 	// Local marks locally-originated routes, which always win the
 	// decision process.
 	Local bool
+
+	// exported memoises ExportPath(exportASN). It is derived from
+	// Attrs.ASPath, lives exactly as long as the route does, and is
+	// never serialised or cloned.
+	exportASN idr.ASN
+	exported  wire.ASPath
+}
+
+// ExportPath returns the route's AS path with asn prepended: the path a
+// speaker in AS asn advertises the route with. It is built on the first
+// call and kept on the route, so every peer and every re-advertisement
+// shares one immutable copy, and the copy is garbage when the route is
+// — when its RIB entry is replaced or withdrawn. Attrs.ASPath must not
+// change once a route has been exported (a RIB's attribute sets are
+// immutable, see policy.Policy).
+func (r *Route) ExportPath(asn idr.ASN) wire.ASPath {
+	if r.exported == nil || r.exportASN != asn {
+		r.exported, r.exportASN = r.Attrs.ASPath.Prepend(asn), asn
+	}
+	return r.exported
 }
 
 // LocalPref returns the route's effective LOCAL_PREF.
@@ -59,6 +79,7 @@ func (r *Route) Clone() *Route {
 	}
 	out := *r
 	out.Attrs = r.Attrs.Clone()
+	out.exported = nil // the clone's attributes are its own to change
 	return &out
 }
 

@@ -277,6 +277,46 @@ func TestRouteCloneAndString(t *testing.T) {
 	}
 }
 
+// TestExportPath pins the export memo's contract at the route: the path
+// is the route's own with the asking AS in front, the same slice on
+// every call, rebuilt from the route's own path when another AS asks
+// (never from what was built before), dropped by Clone and gone when a
+// table replaces the route.
+func TestExportPath(t *testing.T) {
+	multi := wire.ASPath{{Type: wire.ASSequence, ASNs: []idr.ASN{2, 3}}, {Type: wire.ASSet, ASNs: []idr.ASN{4, 5}}}
+	for _, path := range []wire.ASPath{wire.NewASPath(2, 3), multi, nil} {
+		r := &Route{Prefix: pfxA, Peer: "p1", Attrs: wire.PathAttrs{ASPath: path}}
+		for _, asn := range []idr.ASN{1, 9, 1} {
+			got, want := r.ExportPath(asn), path.Prepend(asn)
+			if !got.Equal(want) {
+				t.Fatalf("ExportPath(%d) of [%v] = [%v], want [%v]", asn, path, got, want)
+			}
+			if again := r.ExportPath(asn); &again[0] != &got[0] {
+				t.Fatalf("ExportPath(%d) of [%v] was built twice", asn, path)
+			}
+		}
+		if !r.Attrs.ASPath.Equal(path) {
+			t.Fatalf("exporting changed the route's own path to [%v]", r.Attrs.ASPath)
+		}
+		c := r.Clone()
+		if len(path) > 0 {
+			c.Attrs.ASPath[0].ASNs[0] = 77
+		}
+		if got, want := c.ExportPath(1), c.Attrs.ASPath.Prepend(1); !got.Equal(want) {
+			t.Fatalf("a clone exports [%v], its own path gives [%v]", got, want)
+		}
+	}
+	tbl := NewTable()
+	old := route("p1", 2, pfxA, 2, 3)
+	tbl.SetAdjIn(old)
+	old.ExportPath(1)
+	tbl.SetAdjIn(route("p1", 2, pfxA, 4))
+	best, _ := tbl.Best(pfxA)
+	if got, want := best.ExportPath(1), wire.NewASPath(1, 4); !got.Equal(want) {
+		t.Fatalf("the replacing route exports [%v], want [%v]", got, want)
+	}
+}
+
 func TestAdjOut(t *testing.T) {
 	ao := NewAdjOut()
 	attrs := wire.PathAttrs{Origin: wire.OriginIGP, ASPath: wire.NewASPath(1)}

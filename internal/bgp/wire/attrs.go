@@ -111,14 +111,23 @@ func (p ASPath) Contains(asn idr.ASN) bool {
 }
 
 // Prepend returns a new path with asn prepended, merging into a
-// leading AS_SEQUENCE when one exists (creating it otherwise).
+// leading AS_SEQUENCE when one exists (creating it otherwise). The
+// result shares nothing with p and is built without a throw-away copy:
+// one segment slice and one ASN slice per segment.
 func (p ASPath) Prepend(asn idr.ASN) ASPath {
-	out := p.Clone()
-	if len(out) > 0 && out[0].Type == ASSequence {
-		out[0].ASNs = append([]idr.ASN{asn}, out[0].ASNs...)
-		return out
+	head, rest := []idr.ASN(nil), p
+	if len(p) > 0 && p[0].Type == ASSequence {
+		head, rest = p[0].ASNs, p[1:]
 	}
-	return append(ASPath{{Type: ASSequence, ASNs: []idr.ASN{asn}}}, out...)
+	first := make([]idr.ASN, 1+len(head))
+	first[0] = asn
+	copy(first[1:], head)
+	out := make(ASPath, 1+len(rest))
+	out[0] = Segment{Type: ASSequence, ASNs: first}
+	for i, s := range rest {
+		out[1+i] = Segment{Type: s.Type, ASNs: append([]idr.ASN(nil), s.ASNs...)}
+	}
+	return out
 }
 
 // First returns the leftmost AS on the path (the neighbor that sent

@@ -23,21 +23,19 @@ func Marshal(m Message) ([]byte, error) { return Append(nil, m) }
 // with no intermediate withdrawn/attribute/NLRI slices. On error dst
 // is returned as it came.
 func Append(dst []byte, m Message) ([]byte, error) {
-	start := len(dst)
-	out := slices.Grow(dst, HeaderLen+estimateBody(m))[:start+HeaderLen]
-	for i := start; i < start+MarkerLen; i++ {
-		out[i] = 0xFF
+	switch v := m.(type) {
+	case Update:
+		return AppendUpdate(dst, &v)
+	case *Update:
+		return AppendUpdate(dst, v)
 	}
+	out := appendHeader(dst, estimateBody(m))
 	var err error
 	switch v := m.(type) {
 	case Open:
 		out, err = appendOpen(out, v)
 	case *Open:
 		out, err = appendOpen(out, *v)
-	case Update:
-		out, err = appendUpdate(out, v)
-	case *Update:
-		out, err = appendUpdate(out, *v)
 	case Keepalive, *Keepalive:
 	case Notification:
 		out, err = appendNotification(out, v)
@@ -49,22 +47,48 @@ func Append(dst []byte, m Message) ([]byte, error) {
 	if err != nil {
 		return dst, err
 	}
+	return finishMessage(dst, out, m.Type())
+}
+
+// AppendUpdate is Append for an UPDATE the caller holds by pointer: it
+// only reads u, so the message need not be boxed into a Message (or
+// copied) to be sent.
+func AppendUpdate(dst []byte, u *Update) ([]byte, error) {
+	out, err := appendUpdate(appendHeader(dst, estimateUpdate(u)), u)
+	if err != nil {
+		return dst, err
+	}
+	return finishMessage(dst, out, MsgUpdate)
+}
+
+// appendHeader grows dst by a header and room for a body of about the
+// given size — an undershoot only costs an append reallocation — and
+// returns it extended by the header, marker filled in.
+func appendHeader(dst []byte, body int) []byte {
+	start := len(dst)
+	out := slices.Grow(dst, HeaderLen+body)[:start+HeaderLen]
+	for i := start; i < start+MarkerLen; i++ {
+		out[i] = 0xFF
+	}
+	return out
+}
+
+// finishMessage fills in the length and type of the message that out
+// carries after dst's bytes.
+func finishMessage(dst, out []byte, typ MsgType) ([]byte, error) {
+	start := len(dst)
 	if len(out)-start > MaxMsgLen {
 		return dst, fmt.Errorf("wire: message length %d exceeds %d", len(out)-start, MaxMsgLen)
 	}
 	binary.BigEndian.PutUint16(out[start+MarkerLen:], uint16(len(out)-start))
-	out[start+MarkerLen+2] = byte(m.Type())
+	out[start+MarkerLen+2] = byte(typ)
 	return out, nil
 }
 
-// estimateBody sizes the initial buffer so typical messages marshal
-// without regrowth; an undershoot only costs an append reallocation.
+// estimateBody and estimateUpdate size the initial buffer so typical
+// messages marshal without regrowth.
 func estimateBody(m Message) int {
-	switch v := m.(type) {
-	case Update:
-		return estimateUpdate(v)
-	case *Update:
-		return estimateUpdate(*v)
+	switch m.(type) {
 	case Open, *Open:
 		return 64
 	default:
@@ -72,7 +96,7 @@ func estimateBody(m Message) int {
 	}
 }
 
-func estimateUpdate(u Update) int {
+func estimateUpdate(u *Update) int {
 	n := 4 + 5*(len(u.Withdrawn)+len(u.NLRI))
 	if len(u.NLRI) > 0 {
 		n += 32 + 4*u.Attrs.ASPath.Length() + 4*len(u.Attrs.Communities)
@@ -137,7 +161,7 @@ func appendNotification(out []byte, n Notification) ([]byte, error) {
 	return append(out, n.Data...), nil
 }
 
-func appendUpdate(out []byte, u Update) ([]byte, error) {
+func appendUpdate(out []byte, u *Update) ([]byte, error) {
 	wlenAt := len(out)
 	out = append(out, 0, 0)
 	out, err := appendPrefixes(out, u.Withdrawn)
@@ -148,7 +172,7 @@ func appendUpdate(out []byte, u Update) ([]byte, error) {
 	alenAt := len(out)
 	out = append(out, 0, 0)
 	if len(u.NLRI) > 0 {
-		out, err = appendAttrs(out, u.Attrs)
+		out, err = appendAttrs(out, &u.Attrs)
 		if err != nil {
 			return nil, err
 		}
@@ -190,7 +214,7 @@ func appendAttrHeader(out []byte, flags, typ uint8, vlen int) ([]byte, error) {
 	return append(out, flags, typ, byte(vlen)), nil
 }
 
-func appendAttrs(out []byte, a PathAttrs) ([]byte, error) {
+func appendAttrs(out []byte, a *PathAttrs) ([]byte, error) {
 	var err error
 
 	// ORIGIN: well-known mandatory.

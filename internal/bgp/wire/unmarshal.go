@@ -28,25 +28,19 @@ func decodeErr(code, subcode uint8, format string, args ...any) *DecodeError {
 
 // Unmarshal decodes one complete BGP message (header included).
 func Unmarshal(b []byte) (Message, error) {
-	if len(b) < HeaderLen {
-		return nil, decodeErr(NotifMessageHeaderError, 2, "short message: %d bytes", len(b))
+	typ, body, err := splitHeader(b)
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i < MarkerLen; i++ {
-		if b[i] != 0xFF {
-			return nil, decodeErr(NotifMessageHeaderError, 1, "marker byte %d is %#x", i, b[i])
-		}
-	}
-	length := int(binary.BigEndian.Uint16(b[MarkerLen:]))
-	if length < HeaderLen || length > MaxMsgLen || length != len(b) {
-		return nil, decodeErr(NotifMessageHeaderError, 2, "bad length %d for %d-byte buffer", length, len(b))
-	}
-	typ := MsgType(b[MarkerLen+2])
-	body := b[HeaderLen:]
 	switch typ {
 	case MsgOpen:
 		return unmarshalOpen(body)
 	case MsgUpdate:
-		return unmarshalUpdate(body)
+		var u Update
+		if err := unmarshalUpdate(body, &u); err != nil {
+			return nil, err
+		}
+		return u, nil
 	case MsgKeepalive:
 		if len(body) != 0 {
 			return nil, decodeErr(NotifMessageHeaderError, 2, "keepalive with %d-byte body", len(body))
@@ -60,6 +54,51 @@ func Unmarshal(b []byte) (Message, error) {
 	default:
 		return nil, decodeErr(NotifMessageHeaderError, 3, "unknown message type %d", typ)
 	}
+}
+
+// UnmarshalUpdate is Unmarshal for a message whose type octet says
+// UPDATE (see PeekType) and a caller that has somewhere to put one: it
+// decodes into *u, so nothing is boxed into a Message. The Withdrawn
+// and NLRI slices u came with are overwritten and reused where they
+// have the capacity — a receiver that decodes every UPDATE into the
+// same Update allocates for prefixes once — while the attribute set is
+// built afresh each time and is never written again, so it may be kept.
+// On error *u holds nothing meaningful.
+func UnmarshalUpdate(b []byte, u *Update) error {
+	typ, body, err := splitHeader(b)
+	if err != nil {
+		return err
+	}
+	if typ != MsgUpdate {
+		return fmt.Errorf("wire: UnmarshalUpdate of a %v", typ)
+	}
+	return unmarshalUpdate(body, u)
+}
+
+// PeekType returns the type octet of a framed message, 0 when b is too
+// short to have one. Nothing else about b is checked.
+func PeekType(b []byte) MsgType {
+	if len(b) < HeaderLen {
+		return 0
+	}
+	return MsgType(b[MarkerLen+2])
+}
+
+// splitHeader checks a message's header and returns its type and body.
+func splitHeader(b []byte) (MsgType, []byte, error) {
+	if len(b) < HeaderLen {
+		return 0, nil, decodeErr(NotifMessageHeaderError, 2, "short message: %d bytes", len(b))
+	}
+	for i := 0; i < MarkerLen; i++ {
+		if b[i] != 0xFF {
+			return 0, nil, decodeErr(NotifMessageHeaderError, 1, "marker byte %d is %#x", i, b[i])
+		}
+	}
+	length := int(binary.BigEndian.Uint16(b[MarkerLen:]))
+	if length < HeaderLen || length > MaxMsgLen || length != len(b) {
+		return 0, nil, decodeErr(NotifMessageHeaderError, 2, "bad length %d for %d-byte buffer", length, len(b))
+	}
+	return MsgType(b[MarkerLen+2]), b[HeaderLen:], nil
 }
 
 func unmarshalOpen(body []byte) (Message, error) {
@@ -119,48 +158,51 @@ func unmarshalOpen(body []byte) (Message, error) {
 	return o, nil
 }
 
-func unmarshalUpdate(body []byte) (Message, error) {
+func unmarshalUpdate(body []byte, u *Update) error {
 	if len(body) < 4 {
-		return nil, decodeErr(NotifUpdateMessageError, 1, "update body %d bytes", len(body))
+		return decodeErr(NotifUpdateMessageError, 1, "update body %d bytes", len(body))
 	}
 	wlen := int(binary.BigEndian.Uint16(body))
 	if len(body) < 2+wlen+2 {
-		return nil, decodeErr(NotifUpdateMessageError, 1, "withdrawn length %d overruns message", wlen)
+		return decodeErr(NotifUpdateMessageError, 1, "withdrawn length %d overruns message", wlen)
 	}
-	withdrawn, err := unmarshalPrefixes(body[2 : 2+wlen])
+	var err error
+	u.Withdrawn, err = unmarshalPrefixes(u.Withdrawn[:0], body[2:2+wlen])
 	if err != nil {
-		return nil, decodeErr(NotifUpdateMessageError, 10, "withdrawn routes: %v", err)
+		return decodeErr(NotifUpdateMessageError, 10, "withdrawn routes: %v", err)
 	}
 	rest := body[2+wlen:]
 	alen := int(binary.BigEndian.Uint16(rest))
 	if len(rest) < 2+alen {
-		return nil, decodeErr(NotifUpdateMessageError, 1, "attribute length %d overruns message", alen)
+		return decodeErr(NotifUpdateMessageError, 1, "attribute length %d overruns message", alen)
 	}
 	attrs, err := unmarshalAttrs(rest[2 : 2+alen])
 	if err != nil {
-		return nil, err
+		return err
 	}
-	nlri, err := unmarshalPrefixes(rest[2+alen:])
+	u.Attrs = attrs.PathAttrs
+	u.NLRI, err = unmarshalPrefixes(u.NLRI[:0], rest[2+alen:])
 	if err != nil {
-		return nil, decodeErr(NotifUpdateMessageError, 10, "nlri: %v", err)
+		return decodeErr(NotifUpdateMessageError, 10, "nlri: %v", err)
 	}
-	if len(nlri) > 0 {
+	if len(u.NLRI) > 0 {
 		// Mandatory attribute checks (RFC 4271 §6.3).
 		if !attrs.seen.has(AttrOrigin) {
-			return nil, decodeErr(NotifUpdateMessageError, 3, "missing ORIGIN")
+			return decodeErr(NotifUpdateMessageError, 3, "missing ORIGIN")
 		}
 		if !attrs.seen.has(AttrASPath) {
-			return nil, decodeErr(NotifUpdateMessageError, 3, "missing AS_PATH")
+			return decodeErr(NotifUpdateMessageError, 3, "missing AS_PATH")
 		}
 		if !attrs.seen.has(AttrNextHop) {
-			return nil, decodeErr(NotifUpdateMessageError, 3, "missing NEXT_HOP")
+			return decodeErr(NotifUpdateMessageError, 3, "missing NEXT_HOP")
 		}
 	}
-	return Update{Withdrawn: withdrawn, Attrs: attrs.PathAttrs, NLRI: nlri}, nil
+	return nil
 }
 
-func unmarshalPrefixes(b []byte) ([]netip.Prefix, error) {
-	var out []netip.Prefix
+// unmarshalPrefixes appends the prefixes encoded in b to out. A field
+// with no prefix in it leaves out as it came, nil included.
+func unmarshalPrefixes(out []netip.Prefix, b []byte) ([]netip.Prefix, error) {
 	for len(b) > 0 {
 		bits := int(b[0])
 		if bits > 32 {

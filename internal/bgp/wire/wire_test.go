@@ -5,11 +5,21 @@ import (
 	"errors"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/idr"
 )
+
+func mustMarshal(t *testing.T, m Message) []byte {
+	t.Helper()
+	b, err := Marshal(m)
+	if err != nil {
+		t.Fatalf("Marshal(%v): %v", m, err)
+	}
+	return b
+}
 
 func roundTrip(t *testing.T, m Message) Message {
 	t.Helper()
@@ -184,6 +194,51 @@ func TestUpdateASSetRoundTrip(t *testing.T) {
 	}
 	if out.Attrs.ASPath.Length() != 3 { // 2 + 1 for the set
 		t.Fatalf("path length = %d", out.Attrs.ASPath.Length())
+	}
+}
+
+// TestUnmarshalUpdateReusesPrefixesNotAttrs pins what a receiver that
+// decodes every UPDATE into one Update may rely on: the prefix lists
+// are overwritten in the storage they had (one allocation for a
+// session's lifetime), the attribute slices are new every time (the
+// last message's stay intact for whoever installed them), and an
+// announcement-free UPDATE after an announcing one leaves no NLRI
+// behind.
+func TestUnmarshalUpdateReusesPrefixesNotAttrs(t *testing.T) {
+	first, second := mustMarshal(t, fullUpdate), mustMarshal(t, asSetUpdate)
+	var u Update
+	if err := UnmarshalUpdate(first, &u); err != nil {
+		t.Fatal(err)
+	}
+	if !sameMessage(u, fullUpdate) {
+		t.Fatalf("decoded %+v, want %+v", u, fullUpdate)
+	}
+	nlri, kept := &u.NLRI[0], u.Attrs
+	if err := UnmarshalUpdate(second, &u); err != nil {
+		t.Fatal(err)
+	}
+	if !sameMessage(u, asSetUpdate) || len(u.Withdrawn) != 0 {
+		t.Fatalf("decoded %+v into a used Update, want %+v", u, asSetUpdate)
+	}
+	if &u.NLRI[0] != nlri {
+		t.Error("the second decode did not reuse the NLRI storage of the first")
+	}
+	if !kept.Equal(fullUpdate.Attrs) {
+		t.Errorf("the second decode changed the first's attributes to %v", kept)
+	}
+	plain := mustMarshal(t, Update{Attrs: PathAttrs{ASPath: NewASPath(1, 2, 3), NextHop: fullUpdate.Attrs.NextHop}, NLRI: asSetUpdate.NLRI})
+	if got := testing.AllocsPerRun(100, func() { _ = UnmarshalUpdate(plain, &u) }); got != 2 {
+		t.Errorf("a decode into a used Update allocates %v times, want 2: the AS path's segment and its ASNs", got)
+	}
+	withdraw := mustMarshal(t, Update{Withdrawn: fullUpdate.Withdrawn})
+	if err := UnmarshalUpdate(withdraw, &u); err != nil || len(u.NLRI) != 0 || !slices.Equal(u.Withdrawn, fullUpdate.Withdrawn) {
+		t.Fatalf("withdrawal decoded into a used Update as %+v (%v)", u, err)
+	}
+	if err := UnmarshalUpdate(mustMarshal(t, Keepalive{}), &u); err == nil {
+		t.Error("UnmarshalUpdate accepted a KEEPALIVE")
+	}
+	if PeekType(first) != MsgUpdate || PeekType(first[:HeaderLen-1]) != 0 {
+		t.Errorf("PeekType = %v on an UPDATE, %v on a truncated header", PeekType(first), PeekType(first[:HeaderLen-1]))
 	}
 }
 

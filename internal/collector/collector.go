@@ -39,7 +39,6 @@ import (
 
 	"repro/internal/bgp"
 	"repro/internal/bgp/rib"
-	"repro/internal/bgp/wire"
 	"repro/internal/idr"
 	"repro/internal/policy"
 	"repro/internal/sim"
@@ -119,12 +118,12 @@ func (c *Collector) Router() *bgp.Router { return c.router }
 // ASN returns the collector's AS number.
 func (c *Collector) ASN() idr.ASN { return c.router.ASN() }
 
+// onTrace records each received UPDATE. The message is the session's
+// to reuse once onTrace returns, so a record holds renderings, not
+// slices of it.
 func (c *Collector) onTrace(ev bgp.TraceEvent) {
-	if ev.Kind != bgp.TraceRecv {
-		return
-	}
-	u, ok := ev.Msg.(wire.Update)
-	if !ok {
+	u := ev.Update
+	if ev.Kind != bgp.TraceRecv || u == nil {
 		return
 	}
 	rec := Record{Time: ev.Time, From: peerASNFromKey(ev.Peer)}

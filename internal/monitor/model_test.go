@@ -1,6 +1,8 @@
 package monitor
 
 import (
+	"errors"
+	"io"
 	"maps"
 	"math/rand"
 	"net/netip"
@@ -9,6 +11,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/bgp"
 	"repro/internal/bgp/rib"
@@ -36,7 +39,7 @@ func (r retained) summarize() []RouterSummary {
 		if ev.Time.After(s.LastActivity) {
 			s.LastActivity = ev.Time
 		}
-		isUpdate := ev.Msg != nil && ev.Msg.Type() == wire.MsgUpdate
+		isUpdate := ev.MsgType == wire.MsgUpdate
 		switch {
 		case ev.Kind == bgp.TraceSend && isUpdate:
 			s.UpdatesSent++
@@ -116,10 +119,13 @@ func modelRoute(prefix netip.Prefix, b byte) *rib.Route {
 // it to an EventLog and the retained oracle, and requires every view
 // to agree, the windowed count over every [start, end) pair of
 // boundaries on, between and around the event times, zero end
-// included. Streams are cut at 64 events.
+// included. A second log that was not asked for paths is fed the same
+// stream: its counts must be the same and its path views ErrNoPaths.
+// Streams are cut at 64 events.
 func checkEventLogModel(t *testing.T, ops []byte) {
 	ops = ops[:min(len(ops), 4*64)] // the window check is quadratic in events
-	l, at := NewEventLog(), sim.Epoch
+	l, bare, at := NewEventLog(), NewEventLog(), sim.Epoch
+	l.RecordPaths()
 	var want retained
 	bounds := []time.Time{sim.Epoch.Add(-time.Second), sim.Epoch}
 	for i := 0; i+3 < len(ops); i += 4 {
@@ -132,29 +138,55 @@ func checkEventLogModel(t *testing.T, ops []byte) {
 		ev := bgp.TraceEvent{Time: at, Router: idr.ASN(1 + who%4), Kind: bgp.TraceKind(kind % 4), Peer: "p"}
 		switch ev.Kind {
 		case bgp.TraceSend, bgp.TraceRecv:
-			ev.Msg = []wire.Message{wire.Update{NLRI: []netip.Prefix{prefix}}, wire.Keepalive{}, nil}[what/4%3]
+			ev.MsgType = []wire.MsgType{wire.MsgUpdate, wire.MsgKeepalive, 0}[what/4%3]
+			if ev.MsgType == wire.MsgUpdate {
+				ev.Update = &wire.Update{NLRI: []netip.Prefix{prefix}}
+			}
 		case bgp.TraceBest:
 			if who/4%8 != 0 { // one in eight carries no change
 				ev.Change = &rib.Change{Prefix: prefix, Old: modelRoute(prefix, what/4), New: modelRoute(prefix, kind/4)}
 			}
 		}
 		l.Append(ev)
+		bare.Append(ev)
 		want = append(want, ev)
 	}
 	bounds = append(bounds, at.Add(time.Second))
+	checkEventLogViews(t, l, bare, want, bounds)
+}
 
+// checkEventLogViews holds every view of l, which records paths, to the
+// oracle over every pair of bounds, and bare, fed the same events
+// without having been asked for paths, to the same counts and
+// ErrNoPaths.
+func checkEventLogViews(t *testing.T, l, bare *EventLog, want retained, bounds []time.Time) {
+	t.Helper()
 	if got, want := l.Summarize(), want.summarize(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Summarize:\n got %+v\nwant %+v", got, want)
 	}
+	if got, want := bare.Summarize(), l.Summarize(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Summarize without paths:\n got %+v\nwant %+v", got, want)
+	}
 	for _, prefix := range append(modelPrefixes, netip.MustParsePrefix("192.0.2.0/24")) {
-		if got, want := l.PathChanges(prefix), want.pathChanges(prefix); !reflect.DeepEqual(got, want) {
-			t.Fatalf("PathChanges(%v):\n got %+v\nwant %+v", prefix, got, want)
+		got, err := l.PathChanges(prefix)
+		if want := want.pathChanges(prefix); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("PathChanges(%v):\n got %+v, %v\nwant %+v", prefix, got, err, want)
+		}
+		if got, err := bare.PathChanges(prefix); got != nil || !errors.Is(err, ErrNoPaths) {
+			t.Fatalf("PathChanges(%v) without paths = %+v, %v; want ErrNoPaths", prefix, got, err)
+		}
+		if err := bare.WriteTimeline(io.Discard, prefix); !errors.Is(err, ErrNoPaths) {
+			t.Fatalf("WriteTimeline(%v) without paths: %v; want ErrNoPaths", prefix, err)
 		}
 		for _, start := range bounds {
 			for _, end := range append(bounds, time.Time{}) {
 				got, want := l.PathExplorationCountBetween(prefix, start, end), want.explorationBetween(prefix, start, end)
 				if !maps.Equal(got, want) {
 					t.Fatalf("PathExplorationCountBetween(%v, %v, %v) = %v, oracle %v",
+						prefix, start.Sub(sim.Epoch), end.Sub(sim.Epoch), got, want)
+				}
+				if got := bare.PathExplorationCountBetween(prefix, start, end); !maps.Equal(got, want) {
+					t.Fatalf("PathExplorationCountBetween(%v, %v, %v) without paths = %v, oracle %v",
 						prefix, start.Sub(sim.Epoch), end.Sub(sim.Epoch), got, want)
 				}
 			}
@@ -186,6 +218,55 @@ func TestEventLogModel(t *testing.T) {
 	}
 }
 
+// TestEventLogBlockEdges takes the model across the log's storage
+// blocks: three and a bit of them, timestamps that repeat in runs of
+// five (so runs straddle every block edge), windows bounded on, just
+// before and just after the records either side of each edge.
+func TestEventLogBlockEdges(t *testing.T) {
+	l, bare, at := NewEventLog(), NewEventLog(), sim.Epoch
+	l.RecordPaths()
+	var want retained
+	var times []time.Time
+	for i := 0; i < 3*bestBlock+7; i++ {
+		if i%5 == 0 {
+			at = at.Add(time.Second)
+		}
+		prefix := modelPrefixes[i%2]
+		ev := bgp.TraceEvent{Time: at, Router: idr.ASN(1 + i%3), Kind: bgp.TraceBest,
+			Change: &rib.Change{Prefix: prefix, Old: modelRoute(prefix, byte(i)), New: modelRoute(prefix, byte(i/6))}}
+		l.Append(ev)
+		bare.Append(ev)
+		want = append(want, ev)
+		times = append(times, at)
+	}
+	bounds := []time.Time{sim.Epoch, at.Add(time.Second)}
+	for edge := bestBlock; edge < len(times); edge += bestBlock {
+		for _, i := range []int{edge - 6, edge - 1, edge, edge + 5} {
+			bounds = append(bounds, times[i].Add(-time.Second/2), times[i])
+		}
+	}
+	checkEventLogViews(t, l, bare, want, bounds)
+}
+
+// TestBestChangeIsSlim pins the cost of one best-path change in a log
+// that was not asked for paths: 48 pointer-free bytes (lab's
+// TestLiveHeapFollowsState budgets with that figure), in blocks, so a
+// long log is neither scanned by the collector nor copied to grow.
+func TestBestChangeIsSlim(t *testing.T) {
+	if size := unsafe.Sizeof(bestChange{}); size != 48 {
+		t.Fatalf("a bestChange is %d bytes, want 48", size)
+	}
+	l := NewEventLog()
+	pfx := modelPrefixes[0]
+	for i := 0; i < 4*bestBlock; i++ {
+		l.Append(bgp.TraceEvent{Time: sim.Epoch, Router: 1, Kind: bgp.TraceBest,
+			Change: &rib.Change{Prefix: pfx, New: modelRoute(pfx, 4)}})
+	}
+	if len(l.best) != 4 || cap(l.best[0]) != bestBlock || l.paths != nil {
+		t.Fatalf("%d transitions sit in %d blocks, the first of %d, with paths %v", l.transitions(), len(l.best), cap(l.best[0]), l.paths != nil)
+	}
+}
+
 // TestEventLogPinsNoMessages is the retention gate: 100 000 sends and
 // receives of a ~1 KB UPDATE (100 MB of messages) must leave the log
 // under 1 MB heavier once collected.
@@ -206,7 +287,8 @@ func TestEventLogPinsNoMessages(t *testing.T) {
 		l.Append(bgp.TraceEvent{
 			Time: sim.Epoch.Add(time.Duration(i) * time.Millisecond), Router: idr.ASN(1 + i%160),
 			Kind: []bgp.TraceKind{bgp.TraceSend, bgp.TraceRecv}[i%2], Peer: "p",
-			Msg: wire.Update{NLRI: nlri, Attrs: wire.PathAttrs{ASPath: wire.NewASPath(idr.ASN(i), 2, 1)}},
+			MsgType: wire.MsgUpdate,
+			Update:  &wire.Update{NLRI: nlri, Attrs: wire.PathAttrs{ASPath: wire.NewASPath(idr.ASN(i), 2, 1)}},
 		})
 	}
 	grew := int64(heap()) - int64(before)

@@ -81,7 +81,7 @@ func (d *Detector) BGPActivityTrace(ev bgp.TraceEvent) {
 	if ev.Kind != bgp.TraceSend && ev.Kind != bgp.TraceRecv {
 		return
 	}
-	if ev.Msg != nil && ev.Msg.Type() == wire.MsgUpdate {
+	if ev.MsgType == wire.MsgUpdate {
 		d.Touch()
 	}
 }

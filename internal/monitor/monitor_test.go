@@ -1,7 +1,10 @@
 package monitor
 
 import (
+	"errors"
+	"maps"
 	"net/netip"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -76,16 +79,16 @@ func TestDetectorBGPActivityTrace(t *testing.T) {
 	k := sim.NewKernel(1)
 	d := NewDetector(k, time.Second)
 	// Updates count.
-	d.BGPActivityTrace(bgp.TraceEvent{Kind: bgp.TraceSend, Msg: wire.Update{}})
+	d.BGPActivityTrace(bgp.TraceEvent{Kind: bgp.TraceSend, MsgType: wire.MsgUpdate, Update: &wire.Update{}})
 	if d.Events() != 1 {
 		t.Fatal("update send should touch")
 	}
-	d.BGPActivityTrace(bgp.TraceEvent{Kind: bgp.TraceRecv, Msg: wire.Update{}})
+	d.BGPActivityTrace(bgp.TraceEvent{Kind: bgp.TraceRecv, MsgType: wire.MsgUpdate, Update: &wire.Update{}})
 	if d.Events() != 2 {
 		t.Fatal("update recv should touch")
 	}
 	// Keepalives and state changes do not.
-	d.BGPActivityTrace(bgp.TraceEvent{Kind: bgp.TraceSend, Msg: wire.Keepalive{}})
+	d.BGPActivityTrace(bgp.TraceEvent{Kind: bgp.TraceSend, MsgType: wire.MsgKeepalive})
 	d.BGPActivityTrace(bgp.TraceEvent{Kind: bgp.TraceState})
 	d.BGPActivityTrace(bgp.TraceEvent{Kind: bgp.TraceBest})
 	if d.Events() != 2 {
@@ -145,13 +148,22 @@ func TestProbeEngine(t *testing.T) {
 	}
 }
 
-func fabricatedLog() *EventLog {
+// fabricatedLog is a small hand-made log, asked for paths or not.
+func fabricatedLog(paths bool) *EventLog {
 	l := NewEventLog()
+	if paths {
+		l.RecordPaths()
+	}
 	pfx := netip.MustParsePrefix("10.0.1.0/24")
 	mk := func(at time.Duration, router idr.ASN, kind bgp.TraceKind, msg wire.Message, ch *rib.Change) bgp.TraceEvent {
-		return bgp.TraceEvent{
-			Time: sim.Epoch.Add(at), Router: router, Kind: kind, Msg: msg, Change: ch,
+		ev := bgp.TraceEvent{Time: sim.Epoch.Add(at), Router: router, Kind: kind, Change: ch}
+		if msg != nil {
+			ev.MsgType = msg.Type()
 		}
+		if u, ok := msg.(wire.Update); ok {
+			ev.Update = &u
+		}
+		return ev
 	}
 	routeVia := func(path ...idr.ASN) *rib.Route {
 		return &rib.Route{Prefix: pfx, Peer: "p", Attrs: wire.PathAttrs{ASPath: wire.NewASPath(path...)}}
@@ -167,7 +179,7 @@ func fabricatedLog() *EventLog {
 }
 
 func TestEventLogSummarize(t *testing.T) {
-	sums := fabricatedLog().Summarize()
+	sums := fabricatedLog(false).Summarize()
 	if len(sums) != 2 {
 		t.Fatalf("summaries = %d", len(sums))
 	}
@@ -185,11 +197,11 @@ func TestEventLogSummarize(t *testing.T) {
 }
 
 func TestEventLogPathChanges(t *testing.T) {
-	l := fabricatedLog()
+	l, bare := fabricatedLog(true), fabricatedLog(false)
 	pfx := netip.MustParsePrefix("10.0.1.0/24")
-	changes := l.PathChanges(pfx)
-	if len(changes) != 3 {
-		t.Fatalf("changes = %d", len(changes))
+	changes, err := l.PathChanges(pfx)
+	if err != nil || len(changes) != 3 {
+		t.Fatalf("changes = %d, %v", len(changes), err)
 	}
 	if changes[0].OldPath != "" || changes[0].NewPath != "1" {
 		t.Fatalf("first change = %+v", changes[0])
@@ -202,16 +214,36 @@ func TestEventLogPathChanges(t *testing.T) {
 		t.Fatalf("exploration count = %v", counts)
 	}
 	// Nothing for an unknown prefix.
-	if got := l.PathChanges(netip.MustParsePrefix("10.9.9.0/24")); len(got) != 0 {
-		t.Fatal("unknown prefix should have no changes")
+	if got, err := l.PathChanges(netip.MustParsePrefix("10.9.9.0/24")); err != nil || len(got) != 0 {
+		t.Fatalf("unknown prefix should have no changes: %v, %v", got, err)
 	}
+	// A log that was not asked for paths says so instead of rendering
+	// every side as "(none)", and counts exactly the same.
+	if got, err := bare.PathChanges(pfx); got != nil || !errors.Is(err, ErrNoPaths) {
+		t.Fatalf("PathChanges without paths = %v, %v; want ErrNoPaths", got, err)
+	}
+	if got := bare.PathExplorationCount(pfx, sim.Epoch.Add(2*time.Second)); !maps.Equal(got, counts) {
+		t.Fatalf("exploration count without paths = %v, with %v", got, counts)
+	}
+	if got, want := bare.Summarize(), l.Summarize(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("summaries without paths = %+v, with %+v", got, want)
+	}
+	// Asking twice is harmless; asking once transitions went by
+	// unrecorded is a bug in the caller.
+	l.RecordPaths()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RecordPaths on a log that already holds transitions should panic")
+		}
+	}()
+	bare.RecordPaths()
 }
 
 // TestPathExplorationCountBetween pins the windowed form backing the
 // per-epoch workload instrumentation: [start, end) half-open windows
 // partition the log, and a zero end leaves the window open.
 func TestPathExplorationCountBetween(t *testing.T) {
-	l := fabricatedLog()
+	l := fabricatedLog(false)
 	pfx := netip.MustParsePrefix("10.0.1.0/24")
 	// Changes sit at 1s, 3s and 4s. A window [1s, 4s) takes the first
 	// two; [4s, zero) takes the last.
@@ -235,14 +267,18 @@ func TestPathExplorationCountBetween(t *testing.T) {
 }
 
 func TestEventLogTimeline(t *testing.T) {
-	l := fabricatedLog()
+	pfx := netip.MustParsePrefix("10.0.1.0/24")
 	var sb strings.Builder
-	if err := l.WriteTimeline(&sb, netip.MustParsePrefix("10.0.1.0/24")); err != nil {
+	if err := fabricatedLog(true).WriteTimeline(&sb, pfx); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
 	if !strings.Contains(out, "[1] -> [3 1]") || !strings.Contains(out, "(none)") {
 		t.Fatalf("timeline = %q", out)
+	}
+	sb.Reset()
+	if err := fabricatedLog(false).WriteTimeline(&sb, pfx); !errors.Is(err, ErrNoPaths) || sb.Len() != 0 {
+		t.Fatalf("timeline without paths: %v, wrote %q; want ErrNoPaths and nothing", err, sb.String())
 	}
 }
 

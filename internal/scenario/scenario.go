@@ -334,6 +334,9 @@ func (r *Runner) execStart() error {
 	if err != nil {
 		return err
 	}
+	// A script may end in `print timeline`; scenario-sized runs can
+	// afford the paths that renders.
+	exp.Log.RecordPaths()
 	if err := exp.Start(); err != nil {
 		return err
 	}

@@ -60,6 +60,9 @@ type Session struct {
 	// adjIn remembers learned prefixes so a session reset can emit
 	// synthetic withdrawals to the controller.
 	adjIn map[netip.Prefix]bool
+	// tx is made on the first send: a session that has sent nothing,
+	// a restored one included, costs one word.
+	tx *txBuffer
 }
 
 // New validates cfg and returns an Idle session.
@@ -108,13 +111,17 @@ func (s *Session) Deliver(frame []byte) { s.fsm.Deliver(frame) }
 // methods, kept off Session's exported API.
 type owner Session
 
-func (o *owner) Established()         { o.cfg.OnState(true) }
-func (o *owner) Update(m wire.Update) { (*Session)(o).handleUpdate(m) }
-func (o *owner) Reset(was bool)       { (*Session)(o).reset(was) }
-func (o *owner) Trace(bgp.TraceEvent) {} // nobody traces cluster sessions
+func (o *owner) Established()          { o.cfg.OnState(true) }
+func (o *owner) Update(m *wire.Update) { (*Session)(o).handleUpdate(m) }
+func (o *owner) Reset(was bool)        { (*Session)(o).reset(was) }
+func (o *owner) Trace(bgp.TraceEvent)  {} // nobody traces cluster sessions
 
-// handleUpdate relays one UPDATE's routes to the controller.
-func (s *Session) handleUpdate(m wire.Update) {
+// handleUpdate relays one UPDATE's routes to the controller. m is
+// borrowed from the session machine and valid only until handleUpdate
+// returns (see bgp.Owner): every RouteEvent takes its prefix by value
+// and a deep copy of the attributes, so the controller may keep what it
+// is handed.
+func (s *Session) handleUpdate(m *wire.Update) {
 	for _, p := range m.Withdrawn {
 		delete(s.adjIn, p)
 		s.cfg.OnRoute(RouteEvent{Prefix: p, Withdrawn: true})
@@ -147,7 +154,7 @@ func (s *Session) Announce(prefix netip.Prefix, attrs wire.PathAttrs) error {
 		return nil
 	}
 	attrs = attrs.Clone()
-	if err := s.fsm.Send(wire.Update{Attrs: attrs, NLRI: []netip.Prefix{prefix}}); err != nil {
+	if err := s.send(prefix, &attrs); err != nil {
 		return err
 	}
 	s.advertised[prefix] = attrs
@@ -163,11 +170,38 @@ func (s *Session) WithdrawPrefix(prefix netip.Prefix) error {
 	if _, ok := s.advertised[prefix]; !ok {
 		return nil
 	}
-	if err := s.fsm.Send(wire.Update{Withdrawn: []netip.Prefix{prefix}}); err != nil {
+	if err := s.send(prefix, nil); err != nil {
 		return err
 	}
 	delete(s.advertised, prefix)
 	return nil
+}
+
+// txBuffer is the UPDATE a session is sending and its one-entry prefix
+// list, lent to the session machine for the duration of the send.
+type txBuffer struct {
+	update wire.Update
+	prefix [1]netip.Prefix
+}
+
+// send sends a one-prefix UPDATE — an announcement with attrs, a
+// withdrawal when attrs is nil — from the session's tx buffer: the
+// session machine only borrows the message, so after a session's first
+// send nothing but the frame is allocated per message.
+func (s *Session) send(prefix netip.Prefix, attrs *wire.PathAttrs) error {
+	if s.tx == nil {
+		s.tx = new(txBuffer)
+	}
+	tx := s.tx
+	tx.prefix[0] = prefix
+	if attrs != nil {
+		tx.update = wire.Update{Attrs: *attrs, NLRI: tx.prefix[:]}
+	} else {
+		tx.update = wire.Update{Withdrawn: tx.prefix[:]}
+	}
+	err := s.fsm.SendUpdate(&tx.update)
+	tx.update = wire.Update{}
+	return err
 }
 
 // reset forgets what was advertised on a torn-down session and emits
