@@ -157,9 +157,6 @@ func (p *Plan) Link(a, b idr.ASN) (LinkNet, bool) {
 	return ln, ok
 }
 
-// NumLinks returns how many transfer networks have been allocated.
-func (p *Plan) NumLinks() int { return len(p.links) }
-
 // HostAddr returns the i-th host address (1-based) inside an AS's
 // origin prefix, used when attaching monitoring hosts (paper §3: "it is
 // also possible to add hosts with IP addresses within a particular

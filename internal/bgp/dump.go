@@ -3,8 +3,6 @@ package bgp
 import (
 	"fmt"
 	"io"
-
-	"repro/internal/bgp/rib"
 )
 
 // WriteRIB renders the router's Loc-RIB in a `show ip bgp`-like form,
@@ -28,22 +26,6 @@ func (r *Router) WriteRIB(w io.Writer) error {
 		}
 		if _, err := fmt.Fprintf(w, "  %-18s %-8s nh=%-15s lp=%-4d path=[%s]\n",
 			rt.Prefix, origin, nh, rt.LocalPref(), path); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteAdjIn renders one session's Adj-RIB-In.
-func (r *Router) WriteAdjIn(w io.Writer, peer rib.PeerKey) error {
-	prefixes := r.table.AdjInPrefixes(peer)
-	if _, err := fmt.Fprintf(w, "%s Adj-RIB-In from %s (%d routes)\n",
-		r.cfg.ASN, peer, len(prefixes)); err != nil {
-		return err
-	}
-	for _, p := range prefixes {
-		rt, _ := r.table.AdjIn(peer, p)
-		if _, err := fmt.Fprintf(w, "  %-18s path=[%s]\n", p, rt.Attrs.ASPath); err != nil {
 			return err
 		}
 	}

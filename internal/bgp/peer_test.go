@@ -290,13 +290,6 @@ func TestWriteRIBAndAdjIn(t *testing.T) {
 			t.Fatalf("RIB dump missing %q:\n%s", want, out)
 		}
 	}
-	sb.Reset()
-	if err := h.r.WriteAdjIn(&sb, "to-AS2"); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "Adj-RIB-In from to-AS2 (1 routes)") {
-		t.Fatalf("AdjIn dump = %s", sb.String())
-	}
 }
 
 func TestProcessingDelaySerializesUpdates(t *testing.T) {

@@ -168,33 +168,6 @@ func (c *Collector) LastUpdate() (time.Time, bool) {
 	return c.last, true
 }
 
-// CountSince counts updates at or after t.
-func (c *Collector) CountSince(t time.Time) int {
-	n := 0
-	for _, r := range c.records {
-		if !r.Time.Before(t) {
-			n++
-		}
-	}
-	return n
-}
-
-// Buckets histograms update arrivals into fixed-width buckets starting
-// at start; useful for plotting update bursts during convergence.
-func (c *Collector) Buckets(start time.Time, width time.Duration, n int) []int {
-	out := make([]int, n)
-	for _, r := range c.records {
-		if r.Time.Before(start) {
-			continue
-		}
-		idx := int(r.Time.Sub(start) / width)
-		if idx >= 0 && idx < n {
-			out[idx]++
-		}
-	}
-	return out
-}
-
 // WriteJSONL streams the collected records as JSON lines in the
 // package doc's dump schema, one record per line, in arrival order.
 func (c *Collector) WriteJSONL(w io.Writer) error {

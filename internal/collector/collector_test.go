@@ -104,9 +104,6 @@ func TestCollectorRecordsAnnounceAndWithdraw(t *testing.T) {
 	if !ok || !last.Equal(recs[1].Time) {
 		t.Fatal("LastUpdate wrong")
 	}
-	if coll.CountSince(recs[1].Time) != 1 {
-		t.Fatal("CountSince wrong")
-	}
 }
 
 func TestCollectorNeverAdvertises(t *testing.T) {
@@ -124,25 +121,6 @@ func TestCollectorNeverAdvertises(t *testing.T) {
 	// The monitored router never received an UPDATE from the collector.
 	if got := r.Stats().UpdatesReceived; got != 0 {
 		t.Fatalf("router received %d updates from collector", got)
-	}
-}
-
-func TestCollectorBuckets(t *testing.T) {
-	k, coll, r := rig(t)
-	pfx1 := netip.MustParsePrefix("10.0.7.0/24")
-	pfx2 := netip.MustParsePrefix("10.1.7.0/24")
-	k.AfterFunc(time.Second, func() { _ = r.Announce(pfx1) })
-	k.AfterFunc(11*time.Second, func() { _ = r.Announce(pfx2) })
-	if err := k.RunFor(30 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	buckets := coll.Buckets(sim.Epoch, 5*time.Second, 4)
-	if buckets[0] != 1 || buckets[2] != 1 {
-		t.Fatalf("buckets = %v", buckets)
-	}
-	// Out-of-range records are ignored.
-	if coll.Buckets(sim.Epoch.Add(time.Hour), time.Second, 2)[0] != 0 {
-		t.Fatal("future start should see nothing")
 	}
 }
 

@@ -186,7 +186,7 @@ func New(cfg Config) (*Experiment, error) {
 	if cfg.Policy == nil {
 		cfg.Policy = policy.PermitAll{}
 	}
-	if cfg.LinkLoss < 0 || cfg.LinkLoss > 1 {
+	if !(cfg.LinkLoss >= 0 && cfg.LinkLoss <= 1) {
 		return nil, fmt.Errorf("experiment: link loss %v outside [0, 1]", cfg.LinkLoss)
 	}
 	if cfg.LinkJitter < 0 {

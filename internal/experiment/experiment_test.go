@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -326,6 +327,11 @@ func TestConfigValidation(t *testing.T) {
 	line := mustGraph(topology.Line(2))
 	if _, err := New(Config{Graph: line, SDNMembers: []idr.ASN{9}}); err == nil {
 		t.Fatal("unknown SDN member should error")
+	}
+	for _, loss := range []float64{-0.1, 1.5, math.NaN()} {
+		if _, err := New(Config{Graph: line, LinkLoss: loss}); err == nil {
+			t.Fatalf("link loss %v should error", loss)
+		}
 	}
 	e, err := New(Config{Graph: line, Timers: fastTimers()})
 	if err != nil {

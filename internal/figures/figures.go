@@ -617,6 +617,9 @@ func (ov Overrides) options() (Options, error) {
 	if ov.Runs < 0 {
 		return Options{}, fmt.Errorf("figures: runs %d is negative (0 keeps the experiment default)", ov.Runs)
 	}
+	if !(ov.Loss >= 0 && ov.Loss <= 1) {
+		return Options{}, fmt.Errorf("figures: loss %v outside [0, 1]", ov.Loss)
+	}
 	o := Options{BaseSeed: ov.Seed, Runs: ov.Runs, SDNCounts: ov.SDNCounts, LinkLoss: ov.Loss}
 	if ov.Topology != "" {
 		t, err := lab.ParseTopoString(ov.Topology)

@@ -2,6 +2,7 @@ package figures
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -691,6 +692,29 @@ func TestOverridesRuns(t *testing.T) {
 			t.Errorf("runs %d: %v", c.runs, err)
 		case c.want != 0 && sw.Runs != c.want:
 			t.Errorf("runs %d: resolved to %d runs, want %d", c.runs, sw.Runs, c.want)
+		}
+	}
+}
+
+// TestOverridesLoss pins that the loss override is checked before a
+// sweep runs: NaN compares false against both bounds and once ran a
+// silently lossless sweep.
+func TestOverridesLoss(t *testing.T) {
+	for _, c := range []struct {
+		loss float64
+		ok   bool
+	}{
+		{0, true},
+		{0.05, true},
+		{1, true},
+		{-0.1, false},
+		{1.5, false},
+		{math.NaN(), false},
+		{math.Inf(1), false},
+	} {
+		_, err := Resolve("fig2", Overrides{Loss: c.loss, Seed: 1})
+		if (err == nil) != c.ok {
+			t.Errorf("loss %v: err = %v, want ok=%v", c.loss, err, c.ok)
 		}
 	}
 }

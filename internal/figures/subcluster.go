@@ -4,9 +4,8 @@ import (
 	"time"
 
 	"repro/internal/bgp"
-	"repro/internal/experiment"
 	"repro/internal/idr"
-	"repro/internal/topology"
+	"repro/internal/lab"
 )
 
 // SubClusterResult reports the sub-cluster split experiment (design
@@ -25,46 +24,32 @@ type SubClusterResult struct {
 // opposite sides, fails the only intra-cluster link, and verifies the
 // islands still reach each other over the legacy world. It is the one
 // experiment that is a scripted sequence rather than a sweep, so it
-// lives beside the registry instead of in it.
+// lives beside the registry instead of in it: lab warms the trial up,
+// and the split is measured on the warmed-up experiment.
 func SubClusterExperiment(timers bgp.Timers, seed int64) (SubClusterResult, error) {
 	var res SubClusterResult
 	// Topology: 1 - m2 - m3 - 4 ring, members {m2, m3} adjacent.
 	// After failing m2-m3, the path between them runs over legacy
 	// ASes 1 and 4.
-	g, err := topology.Ring(4)
+	e, err := lab.Trial{
+		Topo:      lab.TopoSpec{Kind: "ring", N: 4},
+		Placement: lab.Placement{Strategy: lab.PlaceExplicit, ASNs: []idr.ASN{2, 3}},
+		Timers:    timers,
+		Seed:      seed,
+		Timeout:   time.Hour,
+	}.Warmup()
 	if err != nil {
-		return res, err
-	}
-	membersList := []idr.ASN{2, 3}
-	e, err := experiment.New(experiment.Config{
-		Seed:       seed,
-		Graph:      g,
-		SDNMembers: membersList,
-		Timers:     timers,
-	})
-	if err != nil {
-		return res, err
-	}
-	if err := e.Start(); err != nil {
-		return res, err
-	}
-	if err := e.WaitEstablished(5 * time.Minute); err != nil {
-		return res, err
-	}
-	for _, asn := range e.ASNs() {
-		if err := e.Announce(asn); err != nil {
-			return res, err
-		}
-	}
-	if _, err := e.WaitConverged(time.Hour); err != nil {
 		return res, err
 	}
 	res.ReachableBeforeSplit = e.Reachable(2, 3) && e.Reachable(3, 2)
-	d, err := e.MeasureConvergence(func() error { return e.FailLink(2, 3) }, time.Hour)
+	split := lab.WorkloadEvent{Kind: lab.KindLinkDown, A: 2, B: 3}
+	res.ReconvergenceTime, err = e.MeasureConvergence(func() error {
+		_, err := split.Apply(e)
+		return err
+	}, time.Hour)
 	if err != nil {
 		return res, err
 	}
-	res.ReconvergenceTime = d
 	res.ReachableAfterSplit = e.Reachable(2, 3) && e.Reachable(3, 2)
 	return res, nil
 }

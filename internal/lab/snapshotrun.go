@@ -49,11 +49,7 @@ func (p *prepared) restore(raw []byte) (*experiment.Experiment, error) {
 // encoded snapshot. Exposed for the benchmarks and the
 // snapshot-equivalence harness.
 func (t Trial) WarmupSnapshot() ([]byte, error) {
-	p, err := t.prepare()
-	if err != nil {
-		return nil, err
-	}
-	e, err := p.warmup()
+	e, err := t.Warmup()
 	if err != nil {
 		return nil, err
 	}

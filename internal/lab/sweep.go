@@ -274,7 +274,7 @@ func (a Axis) validate(base Trial, seeds SeedPolicy) error {
 		}
 	case AxisLoss:
 		for _, p := range a.Floats {
-			if p < 0 || p > 1 {
+			if !(p >= 0 && p <= 1) {
 				return fmt.Errorf("lab: loss probability %v outside [0, 1]", p)
 			}
 		}

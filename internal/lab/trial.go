@@ -273,6 +273,30 @@ func (t Trial) Run() (Result, error) {
 	return p.measure(e)
 }
 
+// Config resolves the trial to the experiment.Config Run builds — the
+// topology from TopoSeed, the selected cluster, the policy resolved
+// against the graph and every link, timer and controller setting —
+// without running anything. The scenario DSL starts its experiments
+// from it.
+func (t Trial) Config() (experiment.Config, error) {
+	p, err := t.prepare()
+	if err != nil {
+		return experiment.Config{}, err
+	}
+	return p.cfg, nil
+}
+
+// Warmup runs Run's first phase and returns the experiment Run goes on
+// to measure: built, started, every session established, the warm-up
+// prefixes announced and converged.
+func (t Trial) Warmup() (*experiment.Experiment, error) {
+	p, err := t.prepare()
+	if err != nil {
+		return nil, err
+	}
+	return p.warmup()
+}
+
 // prepared is one trial resolved to its execution plan: defaults
 // applied, the workload compiled and resolved against the origin, the
 // topology built, the cluster selected and the experiment config
@@ -353,8 +377,8 @@ func (t Trial) prepare() (*prepared, error) {
 }
 
 // warmup builds and starts the experiment, announces the warm-up
-// prefixes and waits for full convergence — the state
-// WarmupSnapshot captures.
+// prefixes and waits for full convergence — the state Warmup returns
+// and WarmupSnapshot captures.
 func (p *prepared) warmup() (*experiment.Experiment, error) {
 	e, err := experiment.New(p.cfg)
 	if err != nil {

@@ -446,36 +446,39 @@ func executeWorkload(e *experiment.Experiment, w Workload, cfg workloadRun) ([]E
 		}
 		sentB, recvB := e.UpdateTotals()
 		recompB := recomputes(e)
-		e.Detector.Reset()
-		t0 := e.K.Now()
-		triggers[i] = t0
-		attacker, err := applyWorkloadEvent(e, ev)
-		if err != nil {
-			return nil, -1, fmt.Errorf("lab: workload event %d (%s): %w", i, ev, err)
+		triggers[i] = e.K.Now()
+		var attacker idr.ASN
+		trigger := func() error {
+			var err error
+			if attacker, err = ev.Apply(e); err != nil {
+				return fmt.Errorf("lab: workload event %d (%s): %w", i, ev, err)
+			}
+			return nil
 		}
-		var convEnd time.Time
+		var conv time.Duration
 		if i == len(w)-1 {
-			instant, err := e.Detector.WaitConverged(e.K, cfg.timeout)
-			if err != nil {
+			// The final epoch runs to quiescence, then drains.
+			var err error
+			if conv, err = e.MeasureConvergence(trigger, cfg.timeout); err != nil {
 				return nil, -1, err
 			}
-			convEnd = instant
 			if cfg.drain > 0 {
 				if err := e.RunFor(cfg.drain); err != nil {
 					return nil, -1, err
 				}
 			}
 		} else {
+			// An earlier epoch is cut short by the next event's trigger.
+			e.Detector.Reset()
+			if err := trigger(); err != nil {
+				return nil, -1, err
+			}
 			if d := base.Add(w[i+1].At).Sub(e.K.Now()); d > 0 {
 				if err := e.RunFor(d); err != nil {
 					return nil, -1, err
 				}
 			}
-			convEnd = e.Detector.LastActivity()
-		}
-		conv := convEnd.Sub(t0)
-		if conv < 0 {
-			conv = 0
+			conv = max(e.Detector.LastActivity().Sub(triggers[i]), 0)
 		}
 		sentA, recvA := e.UpdateTotals()
 		epochs[i] = Epoch{
@@ -508,9 +511,12 @@ func executeWorkload(e *experiment.Experiment, w Workload, cfg workloadRun) ([]E
 	return epochs, hijacked, nil
 }
 
-// applyWorkloadEvent fires one resolved event. For a hijack it also
+// Apply fires the event on a running experiment now, ignoring At: the
+// one dispatcher behind Trial.Run's schedule, RunWorkload and the
+// scenario DSL's lifecycle verbs. Targets must be resolved — AS 0 is
+// no AS here, and a failover names its link. For a hijack it also
 // returns the chosen attacker.
-func applyWorkloadEvent(e *experiment.Experiment, ev WorkloadEvent) (idr.ASN, error) {
+func (ev WorkloadEvent) Apply(e *experiment.Experiment) (idr.ASN, error) {
 	switch ev.Kind {
 	case KindWithdrawal:
 		return 0, e.Withdraw(ev.AS)

@@ -141,7 +141,7 @@ func (n *Network) Connect(a, b *Node, cfg LinkConfig) (*Link, error) {
 	if cfg.Delay == 0 {
 		cfg.Delay = DefaultDelay
 	}
-	if cfg.Delay < 0 || cfg.Jitter < 0 || cfg.Loss < 0 || cfg.Loss > 1 || cfg.BandwidthBps < 0 {
+	if cfg.Delay < 0 || cfg.Jitter < 0 || !(cfg.Loss >= 0 && cfg.Loss <= 1) || cfg.BandwidthBps < 0 {
 		return nil, fmt.Errorf("netem: invalid link config %+v", cfg)
 	}
 	if cfg.Loss > 0 || cfg.Jitter > 0 {
@@ -308,9 +308,6 @@ func (e *Endpoint) Link() *Link { return e.link }
 
 // Peer returns the endpoint on the other side.
 func (e *Endpoint) Peer() *Endpoint { return e.peer }
-
-// PeerNode returns the node on the other side.
-func (e *Endpoint) PeerNode() *Node { return e.peer.node }
 
 // initialRTO is the first retransmission timeout of the reliable-send
 // loss model (the classic TCP minimum RTO), doubling per lost attempt.

@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -238,6 +239,9 @@ func TestConnectValidation(t *testing.T) {
 	if _, err := n.Connect(a, b, LinkConfig{Loss: 2}); err == nil {
 		t.Fatal("loss > 1 should error")
 	}
+	if _, err := n.Connect(a, b, LinkConfig{Loss: math.NaN()}); err == nil {
+		t.Fatal("NaN loss should error")
+	}
 	if _, err := n.Connect(a, b, LinkConfig{Delay: -time.Second}); err == nil {
 		t.Fatal("negative delay should error")
 	}
@@ -273,7 +277,7 @@ func TestEndpointNavigation(t *testing.T) {
 		t.Fatal(err)
 	}
 	epA, epB := l.Endpoints()
-	if epA.Node() != a || epA.PeerNode() != b || epA.Peer() != epB {
+	if epA.Node() != a || epA.Peer().Node() != b || epA.Peer() != epB {
 		t.Fatal("endpoint navigation broken")
 	}
 	if epA.Link() != l {

@@ -142,108 +142,6 @@ func WriteBoxplot(w io.Writer, cfg BoxplotConfig, boxes []Box) error {
 	return err
 }
 
-// Series is one line in a timeseries chart.
-type Series struct {
-	Label string
-	Color string // SVG color; default assigned by index
-	X, Y  []float64
-}
-
-// LineConfig styles a line chart.
-type LineConfig struct {
-	Title         string
-	XLabel        string
-	YLabel        string
-	Width, Height int
-}
-
-var defaultColors = []string{"#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e"}
-
-// WriteLines renders one or more X/Y series as an SVG line chart (used
-// for update-rate and loss timelines).
-func WriteLines(w io.Writer, cfg LineConfig, series []Series) error {
-	bc := BoxplotConfig{Width: cfg.Width, Height: cfg.Height}
-	bc.setDefaults()
-	cfg.Width, cfg.Height = bc.Width, bc.Height
-	if len(series) == 0 {
-		return fmt.Errorf("plot: no series to draw")
-	}
-	maxX, maxY := 0.0, 0.0
-	for _, s := range series {
-		if len(s.X) != len(s.Y) {
-			return fmt.Errorf("plot: series %q has %d x values and %d y values", s.Label, len(s.X), len(s.Y))
-		}
-		for i := range s.X {
-			if s.X[i] > maxX {
-				maxX = s.X[i]
-			}
-			if s.Y[i] > maxY {
-				maxY = s.Y[i]
-			}
-		}
-	}
-	if maxX == 0 {
-		maxX = 1
-	}
-	if maxY == 0 {
-		maxY = 1
-	}
-	maxY *= 1.08
-
-	plotW := float64(cfg.Width - marginLeft - marginRight)
-	plotH := float64(cfg.Height - marginTop - marginBottom)
-	xOf := func(v float64) float64 { return float64(marginLeft) + plotW*v/maxX }
-	yOf := func(v float64) float64 { return float64(marginTop) + plotH*(1-v/maxY) }
-
-	var sb strings.Builder
-	fmt.Fprintf(&sb, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" font-family="sans-serif" font-size="11">`+"\n",
-		cfg.Width, cfg.Height)
-	sb.WriteString(`<rect width="100%" height="100%" fill="white"/>` + "\n")
-	if cfg.Title != "" {
-		fmt.Fprintf(&sb, `<text x="%d" y="20" text-anchor="middle" font-size="14">%s</text>`+"\n",
-			cfg.Width/2, escape(cfg.Title))
-	}
-	fmt.Fprintf(&sb, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="black"/>`+"\n",
-		marginLeft, marginTop, marginLeft, cfg.Height-marginBottom)
-	fmt.Fprintf(&sb, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="black"/>`+"\n",
-		marginLeft, cfg.Height-marginBottom, cfg.Width-marginRight, cfg.Height-marginBottom)
-	for i := 0; i <= 5; i++ {
-		v := maxY * float64(i) / 5
-		fmt.Fprintf(&sb, `<text x="%d" y="%.1f" text-anchor="end">%s</text>`+"\n",
-			marginLeft-6, yOf(v)+4, formatTick(v))
-		xv := maxX * float64(i) / 5
-		fmt.Fprintf(&sb, `<text x="%.1f" y="%d" text-anchor="middle">%s</text>`+"\n",
-			xOf(xv), cfg.Height-marginBottom+16, formatTick(xv))
-	}
-	if cfg.YLabel != "" {
-		fmt.Fprintf(&sb, `<text x="14" y="%d" transform="rotate(-90 14 %d)" text-anchor="middle">%s</text>`+"\n",
-			cfg.Height/2, cfg.Height/2, escape(cfg.YLabel))
-	}
-	if cfg.XLabel != "" {
-		fmt.Fprintf(&sb, `<text x="%d" y="%d" text-anchor="middle">%s</text>`+"\n",
-			marginLeft+int(plotW/2), cfg.Height-12, escape(cfg.XLabel))
-	}
-	for si, s := range series {
-		color := s.Color
-		if color == "" {
-			color = defaultColors[si%len(defaultColors)]
-		}
-		var pts []string
-		for i := range s.X {
-			pts = append(pts, fmt.Sprintf("%.1f,%.1f", xOf(s.X[i]), yOf(s.Y[i])))
-		}
-		fmt.Fprintf(&sb, `<polyline points="%s" fill="none" stroke="%s" stroke-width="1.5"/>`+"\n",
-			strings.Join(pts, " "), color)
-		if s.Label != "" {
-			fmt.Fprintf(&sb, `<text x="%d" y="%d" fill="%s">%s</text>`+"\n",
-				cfg.Width-marginRight-120, marginTop+14*(si+1), color, escape(s.Label))
-		}
-	}
-	sb.WriteString("</svg>\n")
-	_, err := io.WriteString(w, sb.String())
-	return err
-}
-
 func formatTick(v float64) string {
 	switch {
 	case v == 0:

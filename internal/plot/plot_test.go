@@ -61,38 +61,6 @@ func TestWriteBoxplotEscapes(t *testing.T) {
 	}
 }
 
-func TestWriteLines(t *testing.T) {
-	var sb strings.Builder
-	cfg := LineConfig{Title: "updates", XLabel: "t (s)", YLabel: "msgs"}
-	series := []Series{
-		{Label: "pure", X: []float64{0, 1, 2, 3}, Y: []float64{0, 10, 5, 0}},
-		{Label: "sdn", Color: "#000", X: []float64{0, 1, 2}, Y: []float64{0, 2, 0}},
-	}
-	if err := WriteLines(&sb, cfg, series); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"<polyline", "pure", "sdn", "#000", "updates"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("SVG missing %q", want)
-		}
-	}
-	if got := strings.Count(out, "<polyline"); got != 2 {
-		t.Fatalf("polyline count = %d, want 2", got)
-	}
-}
-
-func TestWriteLinesErrors(t *testing.T) {
-	var sb strings.Builder
-	if err := WriteLines(&sb, LineConfig{}, nil); err == nil {
-		t.Fatal("empty input should error")
-	}
-	bad := []Series{{X: []float64{1}, Y: []float64{1, 2}}}
-	if err := WriteLines(&sb, LineConfig{}, bad); err == nil {
-		t.Fatal("mismatched lengths should error")
-	}
-}
-
 func TestFormatTick(t *testing.T) {
 	cases := map[float64]string{0: "0", 350: "350", 5.25: "5.2", 0.5: "0.50"}
 	for v, want := range cases {

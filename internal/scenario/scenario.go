@@ -4,70 +4,53 @@
 // BGP has converged, etc.".
 //
 // A scenario is a line-oriented script. Configuration directives come
-// first, then "start", then lifecycle commands:
+// first. Each sets one lab.Trial field from exactly its arguments, and
+// "start" builds the experiment from the config lab.Trial.Run builds —
+// the DSL is a front end to lab, like the convergence CLI:
 //
-//	# configuration
-//	topology clique 16        (also: line/ring/star N, tree N F,
-//	                           grid W H, internet N, er N P, ba N M —
-//	                           the shared lab.TopoSpec syntax, identical
-//	                           to the convergence CLI's -topology flag)
-//	sdn last 8                (also: first K / degree K / sdn 9 10 11 12
-//	                           / sdn none — the shared lab.Placement
-//	                           strategies)
-//	seed 42
-//	mrai 30s
-//	no-mrai-jitter
-//	debounce 1s
-//	processing-delay 25ms
-//	policy gao-rexford        (also: permit-all, prefix-filter — the
-//	                           shared lab.PolicySpec templates, identical
-//	                           to the convergence CLI's -policy flag)
-//	loss 0.05                 (per-message loss probability on every
-//	                           inter-AS link, seeded per link from the
-//	                           script seed — reruns are reproducible)
-//	jitter 5ms                (max extra seeded random delay on
-//	                           data-plane probe sends)
-//	collector on
+//	topology clique 16      Topo: the lab.TopoSpec syntax of -topology;
+//	                        random generators draw from the seed in
+//	                        force at this line (TopoSeed)
+//	sdn last 8              Placement: first|last|degree K, none, or
+//	                        member ASNs (sdn 9 10 11 12)
+//	seed 42                 Seed
+//	mrai 30s                Timers; also no-mrai-jitter, hold-time 90s
+//	debounce 1s             Debounce (negative disables the delay)
+//	processing-delay 25ms   ProcessingDelay; likewise link-delay,
+//	                        jitter (probe sends) and settle
+//	loss 0.05               LinkLoss, in [0, 1], seeded per link
+//	damping on              Damping
+//	policy gao-rexford      Policy: permit-all|gao-rexford|prefix-filter
+//	collector on            the route collector (the runner's own flag:
+//	                        a Trial has no collector)
 //
-//	# lifecycle
-//	start
+// Lifecycle commands follow "start". Every event verb of the workload
+// schedule language fires at once through lab's dispatcher
+// (lab.WorkloadEvent.Apply), with the link events spelled fail-link
+// and restore-link; "announce all" fires once per AS:
+//
+//	announce 3, withdraw 3, hijack 3, migrate 3
+//	fail-link 1 2, restore-link 1 2, session-reset 1 2, failover 1 2
+//	ctrl-down, ctrl-up, partition, heal
+//
+// The DSL's own commands:
+//
 //	wait-established 5m
-//	announce all              (or: announce 3)
 //	wait-converged 2h
-//	measure withdraw 1 2h     (reset, trigger, wait; prints the time)
-//	measure announce 1 2h
-//	measure fail-link 1 2 2h
-//	fail-link 1 2
-//	restore-link 1 2
-//	migrate 3                 (toggle an AS between legacy BGP and the
-//	                           SDN cluster mid-run)
-//	ctrl-down                 (crash the controller: members fall back
-//	                           to legacy BGP; ctrl-up recovers them)
-//	ctrl-up
-//	session-reset 1 2         (bounce the BGP session on a live link)
-//	partition                 (fail every link across a seeded AS cut;
-//	                           heal restores them)
-//	heal
+//	measure <event> [timeout]  any event above: reset, trigger, wait
+//	                           for quiescence; prints the time
 //	run-for 30s
 //	probe 1 4
-//	print summary|timeline <as>|loss|paths <as>|rib <as>
-//
-//	# scheduled workloads (shared lab.Workload parser, identical to
-//	# the convergence CLI's -workload flag)
-//	at 0s withdraw 1          (also: announce, hijack, migrate <as>;
-//	                           linkdown/linkup <a> <b>; failover <a> <b>;
-//	                           ctrl-down; ctrl-up; session-reset <a> <b>;
-//	                           partition; heal)
-//	at 10m announce 1
-//	run-workload 1 2h         (execute the accumulated schedule against
-//	                           origin AS 1; prints one line per epoch)
+//	print summary|stats|loss|timeline <as>|paths <as>|rib <as>
+//	at 10m announce 1          schedule an event (the -workload syntax)
+//	run-workload 1 2h          run the schedule against origin AS 1;
+//	                           prints one line per epoch
 package scenario
 
 import (
 	"bufio"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/netip"
 	"strconv"
 	"strings"
@@ -79,7 +62,6 @@ import (
 	"repro/internal/idr"
 	"repro/internal/lab"
 	"repro/internal/monitor"
-	"repro/internal/topology"
 )
 
 // Script is a parsed scenario.
@@ -127,14 +109,11 @@ func Parse(r io.Reader) (*Script, error) {
 type Runner struct {
 	out io.Writer
 
-	// configuration being accumulated before "start"
-	graph    *topology.Graph
-	sdn      []idr.ASN
-	cfg      experiment.Config
-	pol      lab.PolicySpec
-	started  bool
-	exp      *experiment.Experiment
-	topoRand *rand.Rand
+	// trial accumulates the configuration directives before "start";
+	// collector is the one directive lab.Trial has no field for.
+	trial     lab.Trial
+	collector bool
+	exp       *experiment.Experiment
 	// pending accumulates "at" directives until "run-workload".
 	pending lab.Workload
 }
@@ -158,139 +137,108 @@ func (r *Runner) Run(s *Script) error {
 }
 
 func (r *Runner) exec(st statement) error {
-	if r.started {
+	if r.exp != nil {
 		return r.execLifecycle(st)
 	}
-	switch st.verb {
-	case "topology":
-		return r.execTopology(st.args)
-	case "sdn":
-		return r.execSDN(st.args)
-	case "seed":
-		v, err := parseInt(st.args, 0)
-		if err != nil {
-			return err
-		}
-		r.cfg.Seed = int64(v)
-		r.topoRand = rand.New(rand.NewSource(int64(v)))
-		return nil
-	case "mrai":
-		d, err := parseDuration(st.args, 0)
-		if err != nil {
-			return err
-		}
-		r.ensureTimers()
-		r.cfg.Timers.MRAI = d
-		return nil
-	case "no-mrai-jitter":
-		r.ensureTimers()
-		r.cfg.Timers.MRAIJitter = false
-		return nil
-	case "hold-time":
-		d, err := parseDuration(st.args, 0)
-		if err != nil {
-			return err
-		}
-		r.ensureTimers()
-		r.cfg.Timers.HoldTime = d
-		return nil
-	case "debounce":
-		d, err := parseDuration(st.args, 0)
-		if err != nil {
-			return err
-		}
-		r.cfg.Debounce = d
-		return nil
-	case "processing-delay":
-		d, err := parseDuration(st.args, 0)
-		if err != nil {
-			return err
-		}
-		r.cfg.ProcessingDelay = d
-		return nil
-	case "link-delay":
-		d, err := parseDuration(st.args, 0)
-		if err != nil {
-			return err
-		}
-		r.cfg.LinkDelay = d
-		return nil
-	case "loss":
-		if len(st.args) != 1 {
-			return fmt.Errorf("want: loss <probability>")
-		}
-		p, err := strconv.ParseFloat(st.args[0], 64)
-		if err != nil || p < 0 || p > 1 {
-			return fmt.Errorf("bad loss probability %q (want 0..1)", st.args[0])
-		}
-		r.cfg.LinkLoss = p
-		return nil
-	case "jitter":
-		d, err := parseDuration(st.args, 0)
-		if err != nil {
-			return err
-		}
-		r.cfg.LinkJitter = d
-		return nil
-	case "settle":
-		d, err := parseDuration(st.args, 0)
-		if err != nil {
-			return err
-		}
-		r.cfg.Settle = d
-		return nil
-	case "damping":
-		if len(st.args) != 1 || (st.args[0] != "on" && st.args[0] != "off") {
-			return fmt.Errorf("want: damping on|off")
-		}
-		if st.args[0] == "on" {
-			r.cfg.Damping = &bgp.DampingConfig{}
-		} else {
-			r.cfg.Damping = nil
-		}
-		return nil
-	case "policy":
-		if len(st.args) != 1 {
-			return fmt.Errorf("want one policy name")
-		}
-		spec, err := lab.ParsePolicy(st.args[0])
-		if err != nil {
-			return err
-		}
-		r.pol = spec
-		return nil
-	case "collector":
-		if len(st.args) != 1 || (st.args[0] != "on" && st.args[0] != "off") {
-			return fmt.Errorf("want: collector on|off")
-		}
-		r.cfg.WithCollector = st.args[0] == "on"
-		return nil
-	case "start":
-		return r.execStart()
-	default:
+	d, ok := directives[st.verb]
+	if !ok {
 		return fmt.Errorf("unknown or out-of-order directive")
 	}
+	if d.args >= 0 && len(st.args) != d.args {
+		return fmt.Errorf("%s takes %d argument(s), got %d", st.verb, d.args, len(st.args))
+	}
+	return d.set(r, st.args)
 }
 
-func (r *Runner) ensureTimers() {
-	if r.cfg.Timers == (bgp.Timers{}) {
-		r.cfg.Timers = bgp.DefaultTimers()
+// A directive sets one lab.Trial field (collector: the runner's flag)
+// from exactly args arguments; -1 accepts a spec of any length.
+type directive struct {
+	args int
+	set  func(r *Runner, args []string) error
+}
+
+var directives = map[string]directive{
+	"topology": {-1, (*Runner).execTopology},
+	"sdn":      {-1, (*Runner).execSDN},
+	"seed": {1, func(r *Runner, args []string) (err error) {
+		r.trial.Seed, err = strconv.ParseInt(args[0], 10, 64)
+		return err
+	}},
+	"mrai":           duration(func(t *lab.Trial) *time.Duration { return &timers(t).MRAI }),
+	"hold-time":      duration(func(t *lab.Trial) *time.Duration { return &timers(t).HoldTime }),
+	"no-mrai-jitter": {0, func(r *Runner, _ []string) error { timers(&r.trial).MRAIJitter = false; return nil }},
+	// A negative debounce disables the controller delay (lab.Trial's
+	// convention), so it is the one duration that may be negative.
+	"debounce": {1, func(r *Runner, args []string) (err error) {
+		r.trial.Debounce, err = time.ParseDuration(args[0])
+		return err
+	}},
+	"processing-delay": duration(func(t *lab.Trial) *time.Duration { return &t.ProcessingDelay }),
+	"link-delay":       duration(func(t *lab.Trial) *time.Duration { return &t.LinkDelay }),
+	"jitter":           duration(func(t *lab.Trial) *time.Duration { return &t.LinkJitter }),
+	"settle":           duration(func(t *lab.Trial) *time.Duration { return &t.Settle }),
+	"loss": {1, func(r *Runner, args []string) error {
+		p, err := strconv.ParseFloat(args[0], 64)
+		if err != nil || !(p >= 0 && p <= 1) {
+			return fmt.Errorf("bad loss probability %q (want 0..1)", args[0])
+		}
+		r.trial.LinkLoss = p
+		return nil
+	}},
+	"damping": {1, func(r *Runner, args []string) error {
+		on, err := onOff(args[0])
+		if r.trial.Damping = nil; on {
+			r.trial.Damping = &bgp.DampingConfig{}
+		}
+		return err
+	}},
+	"policy": {1, func(r *Runner, args []string) (err error) {
+		r.trial.Policy, err = lab.ParsePolicy(args[0])
+		return err
+	}},
+	"collector": {1, func(r *Runner, args []string) (err error) {
+		r.collector, err = onOff(args[0])
+		return err
+	}},
+	"start": {0, func(r *Runner, _ []string) error { return r.execStart() }},
+}
+
+// duration is a directive setting one non-negative duration field.
+func duration(field func(*lab.Trial) *time.Duration) directive {
+	return directive{1, func(r *Runner, args []string) error {
+		d, err := parseDuration(args, 0)
+		*field(&r.trial) = d
+		return err
+	}}
+}
+
+// timers returns the trial's timers for a timer directive to edit; the
+// first one starts from bgp.DefaultTimers.
+func timers(t *lab.Trial) *bgp.Timers {
+	if t.Timers == (bgp.Timers{}) {
+		t.Timers = bgp.DefaultTimers()
 	}
+	return &t.Timers
+}
+
+func onOff(arg string) (bool, error) {
+	if arg != "on" && arg != "off" {
+		return false, fmt.Errorf("want on or off, got %q", arg)
+	}
+	return arg == "on", nil
 }
 
 // execTopology parses the spec with the shared lab parser (the same
-// one behind the convergence CLI's -topology flag) and builds the
-// graph; random generators draw from the script's seed.
+// one behind the convergence CLI's -topology flag); random generators
+// draw from the seed in force at this line. Resolving the trial here
+// makes a bad spec fail on its own line.
 func (r *Runner) execTopology(args []string) error {
 	spec, err := lab.ParseTopo(args)
 	if err != nil {
 		return err
 	}
-	rng := r.topoRand
-	if rng == nil {
-		rng = rand.New(rand.NewSource(r.cfg.Seed))
-	}
-	r.graph, err = spec.Build(rng)
+	r.trial.Topo, r.trial.TopoSeed = spec, r.trial.Seed
+	_, err = r.trial.Config()
 	return err
 }
 
@@ -299,7 +247,7 @@ func (r *Runner) execTopology(args []string) error {
 // and explicit member lists mean the same thing as the CLI's
 // -placement flag.
 func (r *Runner) execSDN(args []string) error {
-	if r.graph == nil {
+	if r.trial.Topo == (lab.TopoSpec{}) {
 		return fmt.Errorf("set a topology before sdn")
 	}
 	p, err := lab.ParsePlacement(args)
@@ -312,24 +260,29 @@ func (r *Runner) execSDN(args []string) error {
 			return fmt.Errorf("want: sdn %s K", p.Strategy)
 		}
 	}
-	r.sdn, err = p.Select(r.graph)
+	r.trial.Placement = p
+	_, err = r.trial.Config()
 	return err
 }
 
+// execStart builds the experiment from the configuration lab.Trial.Run
+// would build and starts it.
 func (r *Runner) execStart() error {
-	if r.graph == nil {
+	if r.trial.Topo == (lab.TopoSpec{}) {
 		return fmt.Errorf("no topology configured")
 	}
-	// The policy template resolves against the final graph (the
-	// prefix-filter derives cones and origin prefixes from it).
-	pol, err := r.pol.Build(r.graph)
+	t := r.trial
+	if t.Timers == (bgp.Timers{}) {
+		// A script that sets no timer runs the routers' zero-value
+		// timers (no MRAI jitter), where Trial would default to
+		// bgp.DefaultTimers.
+		t.Timers = t.Timers.Resolved()
+	}
+	cfg, err := t.Config()
 	if err != nil {
 		return err
 	}
-	cfg := r.cfg
-	cfg.Graph = r.graph
-	cfg.SDNMembers = r.sdn
-	cfg.Policy = pol
+	cfg.WithCollector = r.collector
 	exp, err := experiment.New(cfg)
 	if err != nil {
 		return err
@@ -341,9 +294,8 @@ func (r *Runner) execStart() error {
 		return err
 	}
 	r.exp = exp
-	r.started = true
 	fmt.Fprintf(r.out, "started: %d ASes (%d SDN), %d links\n",
-		r.graph.NumNodes(), len(r.sdn), r.graph.NumEdges())
+		cfg.Graph.NumNodes(), len(cfg.SDNMembers), cfg.Graph.NumEdges())
 	return nil
 }
 
@@ -360,20 +312,6 @@ func (r *Runner) execLifecycle(st statement) error {
 		}
 		fmt.Fprintln(r.out, "all sessions established")
 		return nil
-	case "announce", "withdraw":
-		if len(st.args) == 1 && st.args[0] == "all" {
-			for _, asn := range e.ASNs() {
-				if err := r.announceOrWithdraw(st.verb, asn); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		asn, err := parseASN(st.args, 0)
-		if err != nil {
-			return err
-		}
-		return r.announceOrWithdraw(st.verb, asn)
 	case "wait-converged":
 		d, err := parseDuration(st.args, 2*time.Hour)
 		if err != nil {
@@ -387,58 +325,6 @@ func (r *Runner) execLifecycle(st statement) error {
 		return nil
 	case "measure":
 		return r.execMeasure(st.args)
-	case "fail-link":
-		a, b, err := parseTwoASNs(st.args)
-		if err != nil {
-			return err
-		}
-		return e.FailLink(a, b)
-	case "restore-link":
-		a, b, err := parseTwoASNs(st.args)
-		if err != nil {
-			return err
-		}
-		return e.RestoreLink(a, b)
-	case "migrate":
-		asn, err := parseASN(st.args, 0)
-		if err != nil {
-			return err
-		}
-		if err := e.Migrate(asn); err != nil {
-			return err
-		}
-		side := "into the SDN cluster"
-		if !e.IsSDNMember(asn) {
-			side = "back to legacy BGP"
-		}
-		fmt.Fprintf(r.out, "migrated %v %s\n", asn, side)
-		return nil
-	case "ctrl-down":
-		if err := e.ControllerDown(); err != nil {
-			return err
-		}
-		fmt.Fprintln(r.out, "controller down: members fell back to legacy BGP")
-		return nil
-	case "ctrl-up":
-		if err := e.ControllerUp(); err != nil {
-			return err
-		}
-		fmt.Fprintln(r.out, "controller up: members re-joined the cluster")
-		return nil
-	case "session-reset":
-		a, b, err := parseTwoASNs(st.args)
-		if err != nil {
-			return err
-		}
-		return e.SessionReset(a, b)
-	case "partition":
-		if err := e.Partition(); err != nil {
-			return err
-		}
-		fmt.Fprintf(r.out, "partitioned: %d links cut\n", len(e.PartitionCut()))
-		return nil
-	case "heal":
-		return e.Heal()
 	case "at":
 		ev, err := lab.ParseWorkloadEvent(st.args)
 		if err != nil {
@@ -466,8 +352,75 @@ func (r *Runner) execLifecycle(st statement) error {
 	case "print":
 		return r.execPrint(st.args)
 	default:
+		return r.execEvent(st.verb, st.args)
+	}
+}
+
+// execEvent fires a workload event named by its verb; "<verb> all"
+// fires it once per AS, each as its target.
+func (r *Runner) execEvent(verb string, args []string) error {
+	if _, err := lab.ParseEventKind(eventVerb(verb)); err != nil {
 		return fmt.Errorf("unknown command after start")
 	}
+	targets := [][]string{args}
+	if len(args) == 1 && args[0] == "all" {
+		targets = targets[:0]
+		for _, asn := range r.exp.ASNs() {
+			targets = append(targets, []string{strconv.FormatUint(uint64(asn), 10)})
+		}
+	}
+	for _, args := range targets {
+		ev, err := parseEvent(verb, args)
+		if err != nil {
+			return err
+		}
+		if err := r.apply(ev); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// eventVerb maps the DSL's link-verb spellings onto the workload
+// verbs; every other workload verb is spelled the same in both.
+func eventVerb(verb string) string {
+	switch verb {
+	case "fail-link":
+		return lab.KindLinkDown.Verb()
+	case "restore-link":
+		return lab.KindLinkUp.Verb()
+	}
+	return verb
+}
+
+// parseEvent parses a lifecycle verb and its targets with the shared
+// workload parser, as an event due now.
+func parseEvent(verb string, args []string) (lab.WorkloadEvent, error) {
+	return lab.ParseWorkloadEvent(append([]string{"0s", eventVerb(verb)}, args...))
+}
+
+// apply fires one event through lab's dispatcher and prints what the
+// DSL reports about it.
+func (r *Runner) apply(ev lab.WorkloadEvent) error {
+	e := r.exp
+	if _, err := ev.Apply(e); err != nil {
+		return err
+	}
+	switch ev.Kind {
+	case lab.KindMigrate:
+		side := "into the SDN cluster"
+		if !e.IsSDNMember(ev.AS) {
+			side = "back to legacy BGP"
+		}
+		fmt.Fprintf(r.out, "migrated %v %s\n", ev.AS, side)
+	case lab.KindCtrlDown:
+		fmt.Fprintln(r.out, "controller down: members fell back to legacy BGP")
+	case lab.KindCtrlUp:
+		fmt.Fprintln(r.out, "controller up: members re-joined the cluster")
+	case lab.KindPartition:
+		fmt.Fprintf(r.out, "partitioned: %d links cut\n", len(e.PartitionCut()))
+	}
+	return nil
 }
 
 // execRunWorkload executes the accumulated "at" schedule through the
@@ -480,12 +433,9 @@ func (r *Runner) execRunWorkload(args []string) error {
 	if err != nil {
 		return fmt.Errorf("want: run-workload <origin-as> [timeout]: %w", err)
 	}
-	timeout := 2 * time.Hour
-	if len(args) > 1 {
-		timeout, err = time.ParseDuration(args[1])
-		if err != nil {
-			return fmt.Errorf("bad timeout %q", args[1])
-		}
+	timeout, err := parseDuration(args[1:], 2*time.Hour)
+	if err != nil {
+		return err
 	}
 	w := r.pending
 	r.pending = nil
@@ -500,57 +450,23 @@ func (r *Runner) execRunWorkload(args []string) error {
 	return nil
 }
 
-func (r *Runner) announceOrWithdraw(verb string, asn idr.ASN) error {
-	if verb == "announce" {
-		return r.exp.Announce(asn)
-	}
-	return r.exp.Withdraw(asn)
-}
-
+// execMeasure runs "measure <event> [target…] [timeout]": any
+// lifecycle event, measured from its trigger to quiescence.
 func (r *Runner) execMeasure(args []string) error {
-	if len(args) < 2 {
-		return fmt.Errorf("want: measure withdraw|announce <as> [timeout] | measure fail-link <a> <b> [timeout]")
-	}
-	e := r.exp
-	var trigger func() error
-	var rest []string
-	switch args[0] {
-	case "withdraw":
-		asn, err := parseASN(args, 1)
-		if err != nil {
-			return err
-		}
-		trigger = func() error { return e.Withdraw(asn) }
-		rest = args[2:]
-	case "announce":
-		asn, err := parseASN(args, 1)
-		if err != nil {
-			return err
-		}
-		trigger = func() error { return e.Announce(asn) }
-		rest = args[2:]
-	case "fail-link":
-		if len(args) < 3 {
-			return fmt.Errorf("want: measure fail-link <a> <b> [timeout]")
-		}
-		a, b, err := parseTwoASNs(args[1:3])
-		if err != nil {
-			return err
-		}
-		trigger = func() error { return e.FailLink(a, b) }
-		rest = args[3:]
-	default:
-		return fmt.Errorf("unknown measure trigger %q", args[0])
+	if len(args) == 0 {
+		return fmt.Errorf("want: measure <event> [target…] [timeout]")
 	}
 	timeout := 2 * time.Hour
-	if len(rest) > 0 {
-		var err error
-		timeout, err = time.ParseDuration(rest[0])
-		if err != nil {
-			return fmt.Errorf("bad timeout %q", rest[0])
+	if n := len(args) - 1; n > 0 {
+		if d, err := time.ParseDuration(args[n]); err == nil && d > 0 {
+			timeout, args = d, args[:n]
 		}
 	}
-	d, err := e.MeasureConvergence(trigger, timeout)
+	ev, err := parseEvent(args[0], args[1:])
+	if err != nil {
+		return err
+	}
+	d, err := r.exp.MeasureConvergence(func() error { return r.apply(ev) }, timeout)
 	if err != nil {
 		return err
 	}
@@ -615,7 +531,6 @@ func (r *Runner) execPrint(args []string) error {
 		}
 		providers := make(map[idr.ASN]monitor.RouteProvider)
 		for _, a := range e.ASNs() {
-			a := a
 			providers[a] = func(netip.Prefix) (wire.ASPath, bool) {
 				return e.BestPath(a, asn)
 			}
@@ -626,21 +541,22 @@ func (r *Runner) execPrint(args []string) error {
 	}
 }
 
-func parseInt(args []string, i int) (int, error) {
-	if len(args) <= i {
-		return 0, fmt.Errorf("missing integer argument")
-	}
-	return strconv.Atoi(args[i])
-}
-
+// parseDuration parses an optional single non-negative duration
+// argument; def stands in for a missing one (zero: it is required).
 func parseDuration(args []string, def time.Duration) (time.Duration, error) {
-	if len(args) == 0 {
-		if def > 0 {
-			return def, nil
-		}
+	switch {
+	case len(args) > 1:
+		return 0, fmt.Errorf("want one duration, got %d arguments", len(args))
+	case len(args) == 0 && def > 0:
+		return def, nil
+	case len(args) == 0:
 		return 0, fmt.Errorf("missing duration argument")
 	}
-	return time.ParseDuration(args[0])
+	d, err := time.ParseDuration(args[0])
+	if err == nil && d < 0 {
+		err = fmt.Errorf("negative duration %s", args[0])
+	}
+	return d, err
 }
 
 func parseASN(args []string, i int) (idr.ASN, error) {

@@ -202,6 +202,12 @@ func TestRunErrors(t *testing.T) {
 		{"probe unknown", header + "probe 1 9\n"},
 		{"bad duration", header + "run-for xyz\n"},
 		{"fail unknown link", header + "fail-link 1 3\n"},
+		{"loss NaN", "topology line 2\nloss NaN\n"},
+		{"mrai surplus argument", "topology line 2\nmrai 5s 10s\n"},
+		{"seed surplus argument", "seed 1 2\n"},
+		{"negative settle", "topology line 2\nsettle -1s\nstart\n"},
+		{"negative run-for", header + "run-for -5s\n"},
+		{"wait-converged surplus argument", header + "wait-converged 1m 2m\n"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -264,7 +270,7 @@ func TestShippedScenarioFiles(t *testing.T) {
 	// before it). path-exploration.lab ends in `print timeline`: its
 	// golden, generated at the last commit whose event log kept every
 	// path unasked, is the byte pin on the runner asking for them.
-	for _, name := range []string{"hybrid-tour.lab", "fig2-point.lab", "maintenance-window.lab", "chaos-drill.lab", "path-exploration.lab"} {
+	for _, name := range []string{"hybrid-tour.lab", "fig2-point.lab", "maintenance-window.lab", "chaos-drill.lab", "path-exploration.lab", "directive-tour.lab"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			if testing.Short() && name == "fig2-point.lab" {
@@ -517,6 +523,42 @@ run-workload 1 1h
 		t.Fatal(err)
 	}
 	for _, want := range []string{"epoch 0 @0s ctrl-down", "epoch 1 @10s withdraw", "epoch 2 @10m0s ctrl-up"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestMeasureAnyEvent pins that measure takes every workload verb, with
+// or without a timeout, and that an event's banner prints before the
+// convergence it caused.
+func TestMeasureAnyEvent(t *testing.T) {
+	out, err := run(t, `
+topology clique 4
+sdn last 2
+seed 1
+mrai 2s
+no-mrai-jitter
+start
+wait-established 2m
+announce all
+wait-converged 30m
+measure session-reset 1 2 30m
+measure ctrl-down
+measure ctrl-up 30m
+measure migrate 1 30m
+measure hijack 3
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"measure session-reset: convergence ",
+		"controller down: members fell back to legacy BGP\nmeasure ctrl-down: convergence ",
+		"measure ctrl-up: convergence ",
+		"migrated AS1 into the SDN cluster\nmeasure migrate: convergence ",
+		"measure hijack: convergence ",
+	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}
