@@ -65,38 +65,25 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"repro/internal/artifact"
 	"repro/internal/bgp"
 	"repro/internal/figures"
 	"repro/internal/lab"
-	"repro/internal/plot"
 )
 
 func main() {
+	var ov figures.Overrides
+	ov.Bind(flag.CommandLine)
 	exp := flag.String("exp", "fig2", "experiment name (see -list)")
 	list := flag.Bool("list", false, "list the experiment registry and exit")
-	topo := flag.String("topology", "", `topology spec, e.g. "clique 16" or "grid 4 4" (default per experiment; trailing args join the spec)`)
-	placement := flag.String("placement", "", "SDN placement strategy: last|first|degree for sdn-count sweeps (default last, the paper's deployment); none or as 2,3,... only where the experiment fixes the cluster (e.g. debounce)")
-	policyName := flag.String("policy", "", "routing policy template: permit-all|gao-rexford|prefix-filter (default per experiment: permit-all for the classic figures, gao-rexford for vf/hijack)")
-	sdnCounts := flag.String("sdn-counts", "", "comma-separated SDN cluster sizes for sdn-count sweeps, e.g. 0,8,16 (default per experiment)")
-	workload := flag.String("workload", "", `replace the trigger with a schedule of "at <offset> <event> [target]" clauses separated by ';' (Figure 2 family only; maint/cascade/churn fix their own schedules)`)
 	progress := flag.Bool("progress", false, "stream per-run completion to stderr while the sweep runs")
-	runs := flag.Int("runs", 0, "runs per point (0 = experiment default; the paper's boxplots use 10)")
-	seed := flag.Int64("seed", 1, "base seed")
-	mrai := flag.Duration("mrai", 30*time.Second, "BGP MinRouteAdvertisementInterval")
-	debounce := flag.Duration("debounce", 100*time.Millisecond, "controller recomputation delay (an explicit 0 disables the delay entirely)")
 	parallel := flag.Int("parallel", 0, "concurrent emulation runs (0 = GOMAXPROCS, 1 = sequential; results are identical)")
 	format := flag.String("format", "table", "output format: table|csv|json|markdown")
-	svg := flag.String("svg", "", "also render the sweep as an SVG boxplot to this file")
+	svg := flag.String("svg", "", "also render the sweep as an SVG boxplot to this file (multi-event workloads add one <name>-e<N>.svg per epoch)")
 	out := flag.String("out", "", "artifact store directory: file every (cell, run) result under the sweep's spec hash and skip cells already stored, so repeated or interrupted sweeps resume instead of recomputing")
-	loss := flag.Float64("loss", 0, "per-message loss probability [0,1] on every inter-AS link; each link's loss stream is seeded from the trial seed, so lossy runs stay byte-reproducible")
-	delay := flag.Duration("delay", 0, "one-way delay of every inter-AS link (0 keeps the emulator default; per-edge topology delays win)")
-	jitter := flag.Duration("jitter", 0, "maximum extra seeded random delay on data-plane probe sends, uniform in [0, jitter]")
 	wallLimit := flag.Duration("wall-limit", 0, "wall-clock budget per emulation run: a run over budget fails (with -tolerate, as a recorded cell failure) instead of hanging the sweep")
 	tolerate := flag.Bool("tolerate", false, "record per-run failures (panic, timeout, error) and keep sweeping instead of aborting on the first broken run")
 	retries := flag.Int("retries", 0, "with -tolerate, retry timed-out runs up to this many times before recording the failure")
@@ -113,50 +100,29 @@ func main() {
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
-	f, err := lab.ParseFormat(*format)
-	if err != nil {
-		fatal(err)
-	}
-
 	if *exp == "subcluster" {
 		// The split experiment is a scripted sequence, not a sweep:
 		// only -mrai and -seed apply, so reject the sweep flags
 		// instead of silently dropping them.
-		for _, name := range []string{"format", "topology", "placement", "policy", "sdn-counts", "workload", "progress", "runs", "debounce", "parallel", "svg", "out", "loss", "delay", "jitter", "wall-limit", "tolerate", "retries"} {
-			if set[name] {
-				fatal(fmt.Errorf("-%s does not apply to the subcluster experiment (it is a scripted sequence, not a sweep)", name))
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name != "exp" && f.Name != "mrai" && f.Name != "seed" {
+				fatal(fmt.Errorf("-%s does not apply to the subcluster experiment (it is a scripted sequence, not a sweep)", f.Name))
 			}
-		}
-		runSubCluster(*mrai, *seed)
+		})
+		runSubCluster(ov)
 		return
 	}
 
-	// The set flags map onto the same string overrides a labd preset
-	// submission carries, and resolve through the same function.
-	dur := func(name string, d time.Duration) string {
-		if !set[name] {
-			return ""
-		}
-		return d.String()
-	}
-	ov := figures.Overrides{
-		Placement: *placement,
-		Policy:    *policyName,
-		Workload:  *workload,
-		Runs:      *runs,
-		Seed:      *seed,
-		MRAI:      dur("mrai", *mrai),
-		Debounce:  dur("debounce", *debounce),
-		Loss:      *loss,
-		Delay:     dur("delay", *delay),
-		Jitter:    dur("jitter", *jitter),
+	f, err := lab.ParseFormat(*format)
+	if err != nil {
+		fatal(err)
 	}
 	if set["topology"] {
 		// Accept both -topology "grid 4 4" and -topology grid 4 4 (the
 		// spec's trailing integers arrive as positional arguments, so
 		// an unquoted spec must be the last flag: flag parsing stops at
 		// the first positional argument).
-		fields := strings.Fields(*topo)
+		fields := strings.Fields(ov.Topology)
 		rest := flag.Args()
 		for len(rest) > 0 && !strings.HasPrefix(rest[0], "-") {
 			fields = append(fields, rest[0])
@@ -169,22 +135,8 @@ func main() {
 	} else if flag.NArg() > 0 {
 		fatal(fmt.Errorf("unexpected arguments %q", flag.Args()))
 	}
-	if set["sdn-counts"] {
-		for _, tok := range strings.Split(*sdnCounts, ",") {
-			tok = strings.TrimSpace(tok)
-			if tok == "" {
-				continue
-			}
-			k, err := strconv.Atoi(tok)
-			if err != nil {
-				fatal(fmt.Errorf("bad -sdn-counts entry %q", tok))
-			}
-			ov.SDNCounts = append(ov.SDNCounts, k)
-		}
-		if len(ov.SDNCounts) == 0 {
-			fatal(fmt.Errorf("-sdn-counts lists no cluster sizes"))
-		}
-	}
+	// The same overrides a labd preset submission carries, resolved
+	// through the same function.
 	sweep, err := figures.Resolve(*exp, ov)
 	if err != nil {
 		fatal(err)
@@ -205,9 +157,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "progress: %d/%d runs\n", done, total)
 		}
 	}
-	if set["wall-limit"] {
-		sweep.Base.WallLimit = *wallLimit
-	}
+	sweep.Base.WallLimit = *wallLimit
 	if *tolerate {
 		sweep.Tolerate = true
 		sweep.Retries = *retries
@@ -268,53 +218,35 @@ func main() {
 		fatal(err)
 	}
 	if *svg != "" {
-		out, err := os.Create(*svg)
+		// Multi-event workloads add one boxplot per scheduled event (the
+		// per-epoch view of the same sweep) beside the main one.
+		svgs, err := res.Boxplots("")
 		if err != nil {
 			fatal(err)
 		}
-		cfg := plot.BoxplotConfig{
-			Title:  fmt.Sprintf("%s convergence on %s", res.EventLabel(), res.TopoLabel()),
-			XLabel: res.Axis.Name(),
-			YLabel: "convergence time (s)",
-		}
-		if res.Axis.Kind == lab.AxisSDNCount {
-			cfg.XLabel = "fraction of ASes with centralized route control"
-		}
-		if err := plot.WriteBoxplot(out, cfg, res.Boxes()); err != nil {
-			fatal(err)
-		}
-		if err := out.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("# boxplot written to %s\n", *svg)
-		// Multi-event workloads: one additional boxplot per scheduled
-		// event (the per-epoch view of the same sweep).
-		if len(res.Cells) > 0 && len(res.Cells[0].Epochs) > 0 {
-			base := strings.TrimSuffix(*svg, ".svg")
-			for i, ep := range res.Cells[0].Epochs {
-				name := fmt.Sprintf("%s-e%d.svg", base, i)
-				out, err := os.Create(name)
-				if err != nil {
-					fatal(err)
-				}
-				ecfg := cfg
-				ecfg.Title = fmt.Sprintf("epoch %d (@%s %s) convergence on %s", i, ep.At, ep.Kind.Verb(), res.TopoLabel())
-				if err := plot.WriteBoxplot(out, ecfg, res.EpochBoxes(i)); err != nil {
-					fatal(err)
-				}
-				if err := out.Close(); err != nil {
-					fatal(err)
-				}
-				fmt.Printf("# epoch boxplot written to %s\n", name)
+		for _, s := range svgs {
+			name, what := *svg, "boxplot"
+			if s.Suffix != "" {
+				name, what = strings.TrimSuffix(*svg, ".svg")+s.Suffix+".svg", "epoch boxplot"
 			}
+			if err := os.WriteFile(name, s.Data, 0o666); err != nil {
+				fatal(err)
+			}
+			fmt.Printf("# %s written to %s\n", what, name)
 		}
 	}
 }
 
-func runSubCluster(mrai time.Duration, seed int64) {
+func runSubCluster(ov figures.Overrides) {
+	o, err := ov.Options()
+	if err != nil {
+		fatal(err)
+	}
 	timers := bgp.DefaultTimers()
-	timers.MRAI = mrai
-	res, err := figures.SubClusterExperiment(timers, seed)
+	if o.MRAI != 0 {
+		timers.MRAI = o.MRAI
+	}
+	res, err := figures.SubClusterExperiment(timers, o.BaseSeed)
 	if err != nil {
 		fatal(err)
 	}

@@ -11,12 +11,9 @@
 //
 //	labctl presets                             # the experiment registry
 //	labctl submit -exp fig2                    # submit a preset
-//	labctl submit -exp fig2 -mrai 5s -runs 3   # with convergence-style
-//	                                           # overrides (-topology,
-//	                                           # -placement, -policy,
-//	                                           # -sdn-counts, -workload,
-//	                                           # -seed, -debounce, -loss,
-//	                                           # -delay, -jitter)
+//	labctl submit -exp fig2 -mrai 5s -runs 3   # with the override flags
+//	                                           # convergence takes
+//	                                           # (figures.Overrides.Bind)
 //	labctl submit -spec sweep.json             # submit canonical spec bytes
 //	labctl submit -exp fig2 -client alice      # tenant for fair queueing
 //	labctl submit -exp fig2 -wait -format csv  # block until done, then
@@ -40,7 +37,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"strconv"
 	"strings"
 
 	"repro/internal/labd"
@@ -106,18 +102,8 @@ func runSubmit(base string, args []string) {
 	name := fs.String("name", "", "sweep name for outputs (default: preset name or spec hash)")
 	exp := fs.String("exp", "", "experiment preset to build server-side (see labctl presets)")
 	specFile := fs.String("spec", "", "canonical spec file to submit verbatim (- for stdin)")
-	topo := fs.String("topology", "", `topology override, e.g. "clique 16" or "grid 4 4"`)
-	placement := fs.String("placement", "", "SDN placement override: last|first|degree|none|as 2,3,...")
-	policy := fs.String("policy", "", "routing-policy override: permit-all|gao-rexford|prefix-filter")
-	sdnCounts := fs.String("sdn-counts", "", "comma-separated SDN cluster sizes, e.g. 0,8,16")
-	workload := fs.String("workload", "", `schedule override: "at <offset> <event> [target]; ..."`)
-	runs := fs.Int("runs", 0, "runs per point (0 = experiment default)")
-	seed := fs.Int64("seed", 1, "base seed")
-	mrai := fs.String("mrai", "", "BGP MinRouteAdvertisementInterval override, e.g. 5s")
-	debounce := fs.String("debounce", "", "controller recomputation delay override (0 disables)")
-	loss := fs.Float64("loss", 0, "per-message link-loss probability overlay")
-	delay := fs.String("delay", "", "one-way link-delay overlay, e.g. 20ms")
-	jitter := fs.String("jitter", "", "probe-jitter overlay, e.g. 5ms")
+	var opt labd.PresetOptions
+	opt.Bind(fs)
 	wait := fs.Bool("wait", false, "follow the job to completion, then write the result to stdout")
 	format := fs.String("format", "table", "result format with -wait: table|csv|json|markdown")
 	//lint:errcheck ExitOnError flag sets never return an error
@@ -132,32 +118,6 @@ func runSubmit(base string, args []string) {
 		fatal(fmt.Errorf("use -exp or -spec, not both"))
 	case *exp != "":
 		req.Preset = *exp
-		opt := labd.PresetOptions{
-			Topology:  *topo,
-			Placement: *placement,
-			Policy:    *policy,
-			Workload:  *workload,
-			Runs:      *runs,
-			Seed:      *seed,
-			MRAI:      *mrai,
-			Debounce:  *debounce,
-			Loss:      *loss,
-			Delay:     *delay,
-			Jitter:    *jitter,
-		}
-		if *sdnCounts != "" {
-			for _, tok := range strings.Split(*sdnCounts, ",") {
-				tok = strings.TrimSpace(tok)
-				if tok == "" {
-					continue
-				}
-				k, err := strconv.Atoi(tok)
-				if err != nil {
-					fatal(fmt.Errorf("bad -sdn-counts entry %q", tok))
-				}
-				opt.SDNCounts = append(opt.SDNCounts, k)
-			}
-		}
 		req.Options = &opt
 	case *specFile != "":
 		var data []byte

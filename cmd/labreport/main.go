@@ -38,7 +38,6 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/figures"
 	"repro/internal/lab"
-	"repro/internal/plot"
 )
 
 func main() {
@@ -257,38 +256,17 @@ func writeSection(w *strings.Builder, spec figures.Spec, note string, stats arti
 // boxplot per scheduled event of a multi-event workload) into dir and
 // returns the emitted paths relative to the report root.
 func writeFigureSVGs(dir, name, specHash string, res *lab.SweepResult) ([]string, error) {
-	cfg := plot.BoxplotConfig{
-		Title:    fmt.Sprintf("%s convergence on %s", res.EventLabel(), res.TopoLabel()),
-		Subtitle: fmt.Sprintf("spec sha256:%.12s", specHash),
-		XLabel:   res.Axis.Name(),
-		YLabel:   "convergence time (s)",
-	}
-	if res.Axis.Kind == lab.AxisSDNCount {
-		cfg.XLabel = "fraction of ASes with centralized route control"
-	}
-	var rels []string
-	write := func(file string, c plot.BoxplotConfig, boxes []plot.Box) error {
-		var sb strings.Builder
-		if err := plot.WriteBoxplot(&sb, c, boxes); err != nil {
-			return err
-		}
-		if err := artifact.WriteFileAtomic(filepath.Join(dir, file), []byte(sb.String())); err != nil {
-			return err
-		}
-		rels = append(rels, filepath.Join("figures", file))
-		return nil
-	}
-	if err := write(name+".svg", cfg, res.Boxes()); err != nil {
+	svgs, err := res.Boxplots(fmt.Sprintf("spec sha256:%.12s", specHash))
+	if err != nil {
 		return nil, err
 	}
-	if len(res.Cells) > 0 {
-		for i, ep := range res.Cells[0].Epochs {
-			ecfg := cfg
-			ecfg.Title = fmt.Sprintf("epoch %d (@%s %s) on %s", i, ep.At, ep.Kind.Verb(), res.TopoLabel())
-			if err := write(fmt.Sprintf("%s-e%d.svg", name, i), ecfg, res.EpochBoxes(i)); err != nil {
-				return nil, err
-			}
+	rels := make([]string, len(svgs))
+	for i, s := range svgs {
+		file := name + s.Suffix + ".svg"
+		if err := artifact.WriteFileAtomic(filepath.Join(dir, file), s.Data); err != nil {
+			return nil, err
 		}
+		rels[i] = filepath.Join("figures", file)
 	}
 	return rels, nil
 }

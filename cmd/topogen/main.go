@@ -4,17 +4,19 @@
 //
 // Usage:
 //
-//	topogen -kind clique -n 16 -format dot
-//	topogen -kind internet -n 200 -seed 7 -format caida > as-rel.txt
-//	topogen -kind internet -n 50 -format iplane -pops 3 > pops.txt
+//	topogen -topology "clique 16" -format dot
+//	topogen -topology "internet 200" -seed 7 -format caida > as-rel.txt
+//	topogen -topology "internet 50" -format iplane -pops 3 > pops.txt
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 
+	"repro/internal/lab"
 	"repro/internal/topology"
 )
 
@@ -24,94 +26,69 @@ func usage() {
 	fmt.Fprintf(flag.CommandLine.Output(), `topogen generates an AS-level topology (with CAIDA-style business
 relationships) and writes it in one of the framework's dataset
 formats: Graphviz DOT for inspection, CAIDA AS-relationships for the
-topology readers, or synthesized iPlane inter-PoP links. The random
-generators (er, ba, internet) are seeded and deterministic: the same
--seed always emits the same graph.
+topology readers, or synthesized iPlane inter-PoP links. The topology
+is a spec in the syntax of convergence -topology and the scenario DSL.
+The random generators (er, ba, internet) are seeded and deterministic:
+the same -seed always emits the same graph.
 
 Flags:
 `)
 	flag.PrintDefaults()
 	fmt.Fprintf(flag.CommandLine.Output(), `
 Examples:
-  topogen -kind clique -n 16 -format dot                   # the paper's Figure 2 mesh, DOT
-  topogen -kind tree -n 15 -fanout 2 -labels               # provider hierarchy with P2C/P2P edge labels
-  topogen -kind grid -n 4 -height 4 -format dot            # 4x4 peer lattice
-  topogen -kind internet -n 200 -seed 7 -format caida > as-rel.txt   # CAIDA-format internet-like graph
-  topogen -kind er -n 32 -p 0.2 -seed 3 -format dot        # seeded Erdős–Rényi peer graph
-  topogen -kind ba -n 64 -m 2 -format dot                  # Barabási–Albert preferential attachment
-  topogen -kind internet -n 50 -format iplane -pops 3 > pops.txt     # synthesized iPlane PoP links
+  topogen -topology "clique 16" -format dot                 # the paper's Figure 2 mesh, DOT
+  topogen -topology "tree 15 2" -labels                     # provider hierarchy with P2C/P2P edge labels
+  topogen -topology "grid 4 4" -format dot                  # 4x4 peer lattice
+  topogen -topology "internet 200" -seed 7 -format caida > as-rel.txt   # CAIDA-format internet-like graph
+  topogen -topology "er 32 0.2" -seed 3 -format dot         # seeded Erdős–Rényi peer graph
+  topogen -topology "ba 64 2" -format dot                   # Barabási–Albert preferential attachment
+  topogen -topology "internet 50" -format iplane -pops 3 > pops.txt     # synthesized iPlane PoP links
 `)
 }
 
 func main() {
 	flag.Usage = usage
-	kind := flag.String("kind", "clique", "topology generator: clique|line|ring|star|tree|grid|er|ba|internet")
-	n := flag.Int("n", 16, "number of ASes (for -kind grid: the grid width)")
-	h := flag.Int("height", 4, "grid height (grid only; was -h, which now prints this help)")
-	fanout := flag.Int("fanout", 2, "tree fanout (tree only)")
-	p := flag.Float64("p", 0.3, "edge probability (er only)")
-	m := flag.Int("m", 2, "attachment count per new AS (ba only)")
+	topo := flag.String("topology", "clique 16", `topology spec: clique|line|ring|star|internet N, tree N F, grid W H, er N P, ba N M`)
 	seed := flag.Int64("seed", 1, "seed for the random generators (er, ba, internet); same seed, same graph")
 	format := flag.String("format", "dot", "output format: dot (Graphviz), caida (AS relationships), iplane (inter-PoP links)")
 	pops := flag.Int("pops", 3, "max PoPs synthesized per AS (-format iplane only)")
 	labels := flag.Bool("labels", false, "annotate DOT edges with their business relationship (p2p/p2c)")
 	flag.Parse()
 	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "topogen: unexpected arguments %q\n\n", flag.Args())
+		fmt.Fprintf(os.Stderr, "topogen: unexpected arguments %q (quote the -topology spec)\n\n", flag.Args())
 		flag.Usage()
 		os.Exit(2)
 	}
-
-	rng := rand.New(rand.NewSource(*seed))
-	g, err := generate(*kind, *n, *h, *fanout, *p, *m, rng)
-	if err != nil {
-		fatal(err)
+	if err := write(os.Stdout, *topo, *seed, *format, *pops, *labels); err != nil {
+		fmt.Fprintln(os.Stderr, "topogen:", err)
+		os.Exit(1)
 	}
-	switch *format {
+}
+
+// write builds the topology spec on the seed's random stream and
+// renders it to w in the named format.
+func write(w io.Writer, spec string, seed int64, format string, pops int, labels bool) error {
+	t, err := lab.ParseTopoString(spec)
+	if err != nil {
+		return err
+	}
+	rng := rand.New(rand.NewSource(seed))
+	g, err := t.Build(rng)
+	if err != nil {
+		return err
+	}
+	switch format {
 	case "dot":
-		err = topology.WriteDOT(os.Stdout, g, topology.DOTOptions{EdgeLabels: *labels})
+		return topology.WriteDOT(w, g, topology.DOTOptions{EdgeLabels: labels})
 	case "caida":
-		err = topology.WriteCAIDA(os.Stdout, g)
+		return topology.WriteCAIDA(w, g)
 	case "iplane":
-		var links []topology.PoPLink
-		links, err = topology.SynthesizeIPlane(g, *pops, rng)
-		if err == nil {
-			err = topology.WriteIPlane(os.Stdout, links)
+		links, err := topology.SynthesizeIPlane(g, pops, rng)
+		if err != nil {
+			return err
 		}
+		return topology.WriteIPlane(w, links)
 	default:
-		err = fmt.Errorf("unknown format %q", *format)
+		return fmt.Errorf("unknown format %q", format)
 	}
-	if err != nil {
-		fatal(err)
-	}
-}
-
-func generate(kind string, n, h, fanout int, p float64, m int, rng *rand.Rand) (*topology.Graph, error) {
-	switch kind {
-	case "clique":
-		return topology.Clique(n)
-	case "line":
-		return topology.Line(n)
-	case "ring":
-		return topology.Ring(n)
-	case "star":
-		return topology.Star(n)
-	case "tree":
-		return topology.Tree(n, fanout)
-	case "grid":
-		return topology.Grid(n, h)
-	case "er":
-		return topology.ErdosRenyi(n, p, rng)
-	case "ba":
-		return topology.BarabasiAlbert(n, m, rng)
-	case "internet":
-		return topology.SynthesizeInternetLike(topology.InternetLikeConfig{ASes: n}, rng)
-	default:
-		return nil, fmt.Errorf("unknown topology kind %q", kind)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "topogen:", err)
-	os.Exit(1)
 }

@@ -5,39 +5,48 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/topology"
+	"repro/internal/lab"
 )
 
+// TestGenerateAllKinds runs one spec of every generator kind through
+// every output format, and checks that each graph is connected.
 func TestGenerateAllKinds(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	kinds := []string{"clique", "line", "ring", "star", "tree", "grid", "er", "ba", "internet"}
-	for _, kind := range kinds {
-		g, err := generate(kind, 12, 3, 2, 0.5, 2, rng)
+	for _, spec := range []string{"clique 12", "line 12", "ring 12", "star 12", "tree 12 2",
+		"grid 4 3", "er 12 0.5", "ba 12 2", "internet 12"} {
+		ts, err := lab.ParseTopoString(spec)
 		if err != nil {
-			t.Fatalf("generate(%s): %v", kind, err)
+			t.Fatalf("%s: %v", spec, err)
 		}
-		if g.NumNodes() == 0 {
-			t.Fatalf("generate(%s): empty graph", kind)
+		g, err := ts.Build(rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
 		}
-		if !g.Connected() {
-			t.Fatalf("generate(%s): disconnected", kind)
+		if g.NumNodes() == 0 || !g.Connected() {
+			t.Fatalf("%s: %d nodes, connected %v", spec, g.NumNodes(), g.Connected())
+		}
+		for _, format := range []string{"dot", "caida", "iplane"} {
+			var sb strings.Builder
+			if err := write(&sb, spec, 1, format, 3, false); err != nil || sb.Len() == 0 {
+				t.Fatalf("%s -format %s: %d bytes, %v", spec, format, sb.Len(), err)
+			}
 		}
 	}
-	if _, err := generate("mobius", 10, 1, 1, 0.5, 2, rng); err == nil {
-		t.Fatal("unknown kind should error")
+	for _, bad := range []struct{ spec, format string }{
+		{"mobius 10", "dot"},
+		{"tree 7", "dot"},
+		{"clique 4", "png"},
+	} {
+		if err := write(&strings.Builder{}, bad.spec, 1, bad.format, 3, false); err == nil {
+			t.Fatalf("%q -format %s: want an error", bad.spec, bad.format)
+		}
 	}
 }
 
-// dot renders a generated topology exactly as the -format dot path
-// does.
-func dot(t *testing.T, kind string, n, h, fanout int, p float64, m int, seed int64, labels bool) string {
+// dot renders a topology spec exactly as the -format dot path does.
+func dot(t *testing.T, spec string, seed int64, labels bool) string {
 	t.Helper()
-	g, err := generate(kind, n, h, fanout, p, m, rand.New(rand.NewSource(seed)))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var sb strings.Builder
-	if err := topology.WriteDOT(&sb, g, topology.DOTOptions{EdgeLabels: labels}); err != nil {
+	if err := write(&sb, spec, seed, "dot", 3, labels); err != nil {
 		t.Fatal(err)
 	}
 	return sb.String()
@@ -48,7 +57,7 @@ func dot(t *testing.T, kind string, n, h, fanout int, p float64, m int, seed int
 // labels) and seeded random peer graphs as undirected edges — so the
 // workload figures can rely on stable topology rendering.
 func TestDOTGolden(t *testing.T) {
-	if got, want := dot(t, "tree", 7, 4, 2, 0.3, 2, 1, false), `digraph "astopo" {
+	if got, want := dot(t, "tree 7 2", 1, false), `digraph "astopo" {
   node [shape=circle];
   "AS1";
   "AS2";
@@ -67,7 +76,7 @@ func TestDOTGolden(t *testing.T) {
 `; got != want {
 		t.Fatalf("tree DOT golden mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
-	if got, want := dot(t, "tree", 7, 4, 2, 0.3, 2, 1, true), `digraph "astopo" {
+	if got, want := dot(t, "tree 7 2", 1, true), `digraph "astopo" {
   node [shape=circle];
   "AS1";
   "AS2";
@@ -88,7 +97,7 @@ func TestDOTGolden(t *testing.T) {
 	}
 	// Seeded random generation must render identically across runs —
 	// the determinism the golden really guards.
-	if got, want := dot(t, "er", 6, 4, 2, 0.8, 2, 3, false), `digraph "astopo" {
+	if got, want := dot(t, "er 6 0.8", 3, false), `digraph "astopo" {
   node [shape=circle];
   "AS1";
   "AS2";

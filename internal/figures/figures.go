@@ -14,7 +14,10 @@
 package figures
 
 import (
+	"flag"
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/bgp"
@@ -612,8 +615,62 @@ type Overrides struct {
 	Jitter string `json:"jitter,omitempty"`
 }
 
-// options parses the overrides through the shared lab parsers.
-func (ov Overrides) options() (Options, error) {
+// Bind registers the twelve override flags on fs, writing into ov: the
+// one flag set `convergence` and `labctl submit` share. An unset flag
+// leaves its field at the zero value (the experiment default), except
+// -seed, which defaults to 1.
+func (ov *Overrides) Bind(fs *flag.FlagSet) {
+	fs.StringVar(&ov.Topology, "topology", "", `topology spec, e.g. "clique 16" or "grid 4 4" (default per experiment)`)
+	fs.StringVar(&ov.Placement, "placement", "", "SDN placement strategy: last|first|degree for sdn-count sweeps (default last, the paper's deployment); none or as 2,3,... only where the experiment fixes the cluster (e.g. debounce)")
+	fs.StringVar(&ov.Policy, "policy", "", "routing policy template: permit-all|gao-rexford|prefix-filter (default per experiment: permit-all for the classic figures, gao-rexford for vf/hijack)")
+	fs.Var((*intList)(&ov.SDNCounts), "sdn-counts", "comma-separated SDN cluster sizes for sdn-count sweeps, e.g. 0,8,16 (default per experiment)")
+	fs.StringVar(&ov.Workload, "workload", "", `replace the trigger with a schedule of "at <offset> <event> [target]" clauses separated by ';' (Figure 2 family only; maint/cascade/churn fix their own schedules)`)
+	fs.IntVar(&ov.Runs, "runs", 0, "runs per point (0 = experiment default; the paper's boxplots use 10)")
+	fs.Int64Var(&ov.Seed, "seed", 1, "base seed")
+	fs.StringVar(&ov.MRAI, "mrai", "", "BGP MinRouteAdvertisementInterval, e.g. 5s (default 30s; must be positive)")
+	fs.StringVar(&ov.Debounce, "debounce", "", "controller recomputation delay (default 100ms on the paper sweeps; an explicit 0 disables the delay entirely)")
+	fs.Float64Var(&ov.Loss, "loss", 0, "per-message loss probability [0,1] on every inter-AS link; each link's loss stream is seeded from the trial seed, so lossy runs stay byte-reproducible")
+	fs.StringVar(&ov.Delay, "delay", "", "one-way delay of every inter-AS link, e.g. 20ms (unset keeps the emulator default; per-edge topology delays win)")
+	fs.StringVar(&ov.Jitter, "jitter", "", "maximum extra seeded random delay on data-plane probe sends, uniform in [0, jitter]")
+}
+
+// intList is the -sdn-counts flag: comma-separated integers, at least
+// one of them.
+type intList []int
+
+// String renders the list as the flag accepts it.
+func (l *intList) String() string {
+	if l == nil {
+		return ""
+	}
+	toks := make([]string, len(*l))
+	for i, k := range *l {
+		toks[i] = strconv.Itoa(k)
+	}
+	return strings.Join(toks, ",")
+}
+
+// Set parses a comma-separated list, refusing one that names no size.
+func (l *intList) Set(s string) error {
+	*l = nil
+	for _, tok := range strings.Split(s, ",") {
+		if tok = strings.TrimSpace(tok); tok == "" {
+			continue
+		}
+		k, err := strconv.Atoi(tok)
+		if err != nil {
+			return fmt.Errorf("bad entry %q", tok)
+		}
+		*l = append(*l, k)
+	}
+	if len(*l) == 0 {
+		return fmt.Errorf("no cluster sizes listed")
+	}
+	return nil
+}
+
+// Options parses the overrides through the shared lab parsers.
+func (ov Overrides) Options() (Options, error) {
 	if ov.Runs < 0 {
 		return Options{}, fmt.Errorf("figures: runs %d is negative (0 keeps the experiment default)", ov.Runs)
 	}
@@ -655,6 +712,16 @@ func (ov Overrides) options() (Options, error) {
 	if o.LinkJitter, err = parseDuration("jitter", ov.Jitter); err != nil {
 		return Options{}, err
 	}
+	// Zero is each field's "unset", so an explicit 0 would silently run
+	// the default instead of what was asked.
+	switch {
+	case ov.MRAI != "" && o.MRAI <= 0:
+		return Options{}, fmt.Errorf("figures: mrai %s is not positive (0 would mean the default %v)", ov.MRAI, bgp.DefaultTimers().MRAI)
+	case o.LinkDelay < 0:
+		return Options{}, fmt.Errorf("figures: delay %s is negative (0 would mean the emulator default)", ov.Delay)
+	case o.LinkJitter < 0:
+		return Options{}, fmt.Errorf("figures: jitter %s is negative", ov.Jitter)
+	}
 	if ov.Debounce != "" {
 		d, err := parseDuration("debounce", ov.Debounce)
 		if err != nil {
@@ -692,7 +759,7 @@ func Resolve(name string, ov Overrides) (lab.Sweep, error) {
 	if !ok {
 		return lab.Sweep{}, fmt.Errorf("figures: unknown experiment %q (have %v)", name, Names())
 	}
-	o, err := ov.options()
+	o, err := ov.Options()
 	if err != nil {
 		return lab.Sweep{}, err
 	}

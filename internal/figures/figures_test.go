@@ -1,8 +1,13 @@
 package figures
 
 import (
+	"bytes"
+	"flag"
 	"fmt"
+	"io"
 	"math"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -715,6 +720,67 @@ func TestOverridesLoss(t *testing.T) {
 		_, err := Resolve("fig2", Overrides{Loss: c.loss, Seed: 1})
 		if (err == nil) != c.ok {
 			t.Errorf("loss %v: err = %v, want ok=%v", c.loss, err, c.ok)
+		}
+	}
+}
+
+// TestBindOverrides pins the one override flag set: a flag line parsed
+// through Bind resolves to the same canonical spec as the equivalent
+// hand-built Overrides, unset flags keep the defaults, and values that
+// would silently run something else are refused before anything runs.
+func TestBindOverrides(t *testing.T) {
+	parse := func(args ...string) (Overrides, error) {
+		var ov Overrides
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		ov.Bind(fs)
+		return ov, fs.Parse(args)
+	}
+	canonical := func(ov Overrides) []byte {
+		t.Helper()
+		sw, err := Resolve("fig2", ov)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := sw.Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	got, err := parse("-topology", "clique 6", "-placement", "degree", "-policy", "gao-rexford",
+		"-sdn-counts", "0, 3,6", "-workload", "at 0s withdraw; at 3m announce", "-runs", "2", "-seed", "7",
+		"-mrai", "5s", "-debounce", "0", "-loss", "0.05", "-delay", "20ms", "-jitter", "2ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Overrides{Topology: "clique 6", Placement: "degree", Policy: "gao-rexford",
+		SDNCounts: []int{0, 3, 6}, Workload: "at 0s withdraw; at 3m announce", Runs: 2, Seed: 7,
+		MRAI: "5s", Debounce: "0", Loss: 0.05, Delay: "20ms", Jitter: "2ms"}
+	if a, b := canonical(got), canonical(want); !bytes.Equal(a, b) {
+		t.Fatalf("flag line resolves to\n%s\nhand-built overrides to\n%s", a, b)
+	}
+	if unset, err := parse(); err != nil || !reflect.DeepEqual(unset, Overrides{Seed: 1}) {
+		t.Fatalf("no flags: %+v, %v; want only the default seed 1", unset, err)
+	}
+
+	for _, c := range []struct {
+		args []string
+		want string // a substring of the error
+	}{
+		{[]string{"-sdn-counts", ","}, "no cluster sizes"},
+		{[]string{"-sdn-counts", "0,x"}, `bad entry "x"`},
+		{[]string{"-mrai", "0"}, "0 would mean the default 30s"},
+		{[]string{"-mrai", "-5s"}, "not positive"},
+		{[]string{"-delay", "-1ms"}, "negative"},
+		{[]string{"-jitter", "-2ms"}, "negative"},
+	} {
+		ov, err := parse(c.args...)
+		if err == nil {
+			_, err = Resolve("fig2", ov)
+		}
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%q: error %v, want one containing %q", c.args, err, c.want)
 		}
 	}
 }

@@ -173,6 +173,11 @@ func TestParseCanonicalRejects(t *testing.T) {
 		// its runs differently on amd64 and arm64 under one address.
 		"cell-run seeds on a mode axis": strings.Replace(string(modes), `"seed_policy":"run"`, `"seed_policy":"cell-run"`, 1),
 
+		// An MRAI of 0 is the unset value: the cell would run the 30s
+		// default under a label claiming 0s.
+		"zero mrai on the axis":     strings.Replace(string(data), `"values":["1s"`, `"values":["0s"`, 1),
+		"negative mrai on the axis": strings.Replace(string(data), `"values":["1s"`, `"values":["-5s"`, 1),
+
 		"junk":           "not json",
 		"version skew":   strings.Replace(string(data), `"version":2`, `"version":1`, 1),
 		"unknown field":  strings.Replace(string(data), `"version":2`, `"version":2,"extra":true`, 1),

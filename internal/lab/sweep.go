@@ -1,6 +1,7 @@
 package lab
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -251,6 +252,12 @@ func (a Axis) validate(base Trial, seeds SeedPolicy) error {
 		for _, k := range a.Ints {
 			if k < 0 || k > max {
 				return fmt.Errorf("lab: SDN count %d outside 0..%d", k, max)
+			}
+		}
+	case AxisMRAI:
+		for _, d := range a.Durations {
+			if d <= 0 {
+				return fmt.Errorf("lab: MRAI %v is not positive (0 would mean the default %v)", d, bgp.DefaultTimers().MRAI)
 			}
 		}
 	case AxisTopoSize:
@@ -839,35 +846,69 @@ func (r *SweepResult) Fit() (a, b, r2 float64, ok bool) {
 	return a, b, r2, true
 }
 
-// Boxes adapts the sweep to the SVG boxplot renderer, one box per
-// cell (percent labels on the sdn-count axis, Figure 2 style).
-func (r *SweepResult) Boxes() []plot.Box {
-	boxes := make([]plot.Box, len(r.Cells))
-	for i, c := range r.Cells {
-		label := c.Label
-		if r.Axis.Kind == AxisSDNCount && !math.IsNaN(c.Fraction) {
-			label = fmt.Sprintf("%.0f%%", 100*c.Fraction)
-		}
-		boxes[i] = plot.Box{Label: label, Summary: c.Summary}
-	}
-	return boxes
+// SVG is one rendered boxplot of a sweep.
+type SVG struct {
+	// Suffix tells the plots of one sweep apart in file names: "" for
+	// the main boxplot, "-e0", "-e1", … for the per-epoch ones.
+	Suffix string
+	// Data is the SVG document.
+	Data []byte
 }
 
-// EpochBoxes adapts one scheduled event's epoch to the SVG boxplot
-// renderer: one box per cell of the per-run epoch convergence times.
-// It returns nil when the sweep carries no per-epoch aggregates (a
-// single-event trigger) or the index is out of range.
-func (r *SweepResult) EpochBoxes(epoch int) []plot.Box {
-	if len(r.Cells) == 0 || epoch < 0 || epoch >= len(r.Cells[0].Epochs) {
+// Boxplots renders the sweep as SVG boxplots (the paper's Figure 2
+// presentation): the per-run convergence times, then, for a
+// multi-event workload, one plot per scheduled event's epoch. A
+// non-empty subtitle is printed under every title.
+func (r *SweepResult) Boxplots(subtitle string) ([]SVG, error) {
+	cfg := plot.BoxplotConfig{
+		Title:    fmt.Sprintf("%s convergence on %s", r.EventLabel(), r.TopoLabel()),
+		Subtitle: subtitle,
+		XLabel:   r.Axis.Name(),
+		YLabel:   "convergence time (s)",
+	}
+	if r.Axis.Kind == AxisSDNCount {
+		cfg.XLabel = "fraction of ASes with centralized route control"
+	}
+	var svgs []SVG
+	render := func(suffix string, epoch int) error {
+		var buf bytes.Buffer
+		if err := plot.WriteBoxplot(&buf, cfg, r.boxes(epoch)); err != nil {
+			return err
+		}
+		svgs = append(svgs, SVG{Suffix: suffix, Data: buf.Bytes()})
 		return nil
 	}
+	if err := render("", -1); err != nil {
+		return nil, err
+	}
+	if len(r.Cells) > 0 {
+		for i, ep := range r.Cells[0].Epochs {
+			cfg.Title = fmt.Sprintf("epoch %d (@%s %s) on %s", i, ep.At, ep.Kind.Verb(), r.TopoLabel())
+			if err := render(fmt.Sprintf("-e%d", i), i); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return svgs, nil
+}
+
+// boxes adapts the sweep to the boxplot renderer, one box per cell
+// (percent labels on the sdn-count axis, Figure 2 style): the per-run
+// convergence times, or for epoch >= 0 that scheduled event's. A cell
+// whose runs all failed has no epochs and draws an empty box.
+func (r *SweepResult) boxes(epoch int) []plot.Box {
 	boxes := make([]plot.Box, len(r.Cells))
 	for i, c := range r.Cells {
-		label := c.Label
+		boxes[i].Label = c.Label
 		if r.Axis.Kind == AxisSDNCount && !math.IsNaN(c.Fraction) {
-			label = fmt.Sprintf("%.0f%%", 100*c.Fraction)
+			boxes[i].Label = fmt.Sprintf("%.0f%%", 100*c.Fraction)
 		}
-		boxes[i] = plot.Box{Label: label, Summary: c.Epochs[epoch].Summary}
+		switch {
+		case epoch < 0:
+			boxes[i].Summary = c.Summary
+		case epoch < len(c.Epochs):
+			boxes[i].Summary = c.Epochs[epoch].Summary
+		}
 	}
 	return boxes
 }

@@ -1,7 +1,9 @@
 package lab
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -9,6 +11,8 @@ import (
 	"time"
 
 	"repro/internal/bgp"
+	"repro/internal/plot"
+	"repro/internal/stats"
 )
 
 // baseSweep is the shared small-but-real sweep the engine tests run.
@@ -250,5 +254,69 @@ func TestEventParse(t *testing.T) {
 	}
 	if Event(9).String() == "" {
 		t.Fatal("unknown Event.String empty")
+	}
+}
+
+// TestBoxplots pins the one sweep renderer: the main plot, then one per
+// scheduled epoch under its file suffix, each byte-equal to what
+// plot.WriteBoxplot draws for the configuration the CLI and the report
+// wrote by hand before the renderer existed. The last cell lost every
+// run (a tolerant sweep), so it has no epochs and draws an empty box.
+func TestBoxplots(t *testing.T) {
+	sum := func(s float64) stats.Summary {
+		return stats.Summary{N: 1, Min: s, Q1: s, Median: s, Q3: s, Max: s, Mean: s}
+	}
+	epochs := func(w, a float64) []EpochStats {
+		return []EpochStats{{Kind: KindWithdrawal, Summary: sum(w)}, {Kind: KindAnnouncement, At: 3 * time.Minute, Summary: sum(a)}}
+	}
+	res := &SweepResult{
+		Workload: Workload{{Kind: KindWithdrawal}, {At: 3 * time.Minute, Kind: KindAnnouncement}},
+		Topo:     TopoSpec{Kind: "clique", N: 4},
+		Axis:     SDNCounts(0, 2, 4),
+		Cells: []Cell{
+			{Label: "0", Fraction: 0, Summary: sum(50), Epochs: epochs(50, 5)},
+			{Label: "2", Value: 2, Fraction: 0.5, Summary: sum(20), Epochs: epochs(20, 4)},
+			{Label: "4", Value: 4, Fraction: 1},
+		},
+	}
+	const subtitle = "spec sha256:0123456789ab"
+	svgs, err := res.Boxplots(subtitle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := plot.BoxplotConfig{
+		Title:    fmt.Sprintf("%s convergence on clique 4", res.Workload),
+		Subtitle: subtitle,
+		XLabel:   "fraction of ASes with centralized route control",
+		YLabel:   "convergence time (s)",
+	}
+	want := []struct {
+		suffix, title string
+		medians       [2]float64
+	}{
+		{"", cfg.Title, [2]float64{50, 20}},
+		{"-e0", "epoch 0 (@0s withdraw) on clique 4", [2]float64{50, 20}},
+		{"-e1", "epoch 1 (@3m0s announce) on clique 4", [2]float64{5, 4}},
+	}
+	if len(svgs) != len(want) {
+		t.Fatalf("%d plots, want %d", len(svgs), len(want))
+	}
+	for i, w := range want {
+		cfg.Title = w.title
+		var boxes []plot.Box
+		for j, label := range []string{"0%", "50%", "100%"} {
+			b := plot.Box{Label: label}
+			if j < 2 {
+				b.Summary = sum(w.medians[j])
+			}
+			boxes = append(boxes, b)
+		}
+		var buf bytes.Buffer
+		if err := plot.WriteBoxplot(&buf, cfg, boxes); err != nil {
+			t.Fatal(err)
+		}
+		if svgs[i].Suffix != w.suffix || !bytes.Equal(svgs[i].Data, buf.Bytes()) {
+			t.Errorf("plot %d: suffix %q, %d bytes; want %q and the %d bytes of %q", i, svgs[i].Suffix, len(svgs[i].Data), w.suffix, buf.Len(), w.title)
+		}
 	}
 }

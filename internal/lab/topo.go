@@ -189,19 +189,26 @@ type Placement struct {
 // ParsePlacement parses a placement given as whitespace-split fields:
 // "none", "last [K]", "first [K]", "degree [K]", or "as 2,3,5" /
 // "2,3,5" for explicit members. A strategy without K leaves K to the
-// sweep axis (the sdn-count axis sets it per cell).
+// sweep axis (the sdn-count axis sets it per cell); K must not be
+// negative, and a strategy takes no field beyond it.
 func ParsePlacement(fields []string) (Placement, error) {
 	if len(fields) == 0 {
 		return Placement{}, fmt.Errorf("lab: empty placement")
 	}
-	switch strings.ToLower(fields[0]) {
-	case PlaceNone:
-		return Placement{Strategy: PlaceNone}, nil
-	case PlaceLast, PlaceFirst, PlaceDegree:
-		p := Placement{Strategy: strings.ToLower(fields[0])}
+	strategy := strings.ToLower(fields[0])
+	switch strategy {
+	case PlaceNone, PlaceLast, PlaceFirst, PlaceDegree:
+		arity := 2
+		if strategy == PlaceNone {
+			arity = 1
+		}
+		if len(fields) > arity {
+			return Placement{}, fmt.Errorf("lab: placement %s takes %d argument(s), got extra %q", strategy, arity-1, fields[arity:])
+		}
+		p := Placement{Strategy: strategy}
 		if len(fields) > 1 {
 			k, err := strconv.Atoi(fields[1])
-			if err != nil {
+			if err != nil || k < 0 {
 				return Placement{}, fmt.Errorf("lab: placement %s: bad count %q", p.Strategy, fields[1])
 			}
 			p.K = k

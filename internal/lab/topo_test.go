@@ -191,7 +191,10 @@ func TestPlacementErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, in := range []string{"", "as", "as x", "last x"} {
+	for _, in := range []string{"", "as", "as x", "last x",
+		// Surplus fields were once dropped, and a negative K passed until
+		// Select.
+		"degree 4 5", "last 3 junk", "none extra", "first -2"} {
 		if _, err := ParsePlacementString(in); err == nil {
 			t.Fatalf("%q: want parse error", in)
 		}

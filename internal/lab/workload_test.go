@@ -319,14 +319,18 @@ func TestWorkloadSweepDeterministicAcrossParallelism(t *testing.T) {
 			t.Fatalf("cell %s: epoch aggregates = %d, want 3", c.Label, len(c.Epochs))
 		}
 	}
-	// The SVG adapter exposes the same epochs, one box per cell.
+	// The boxplot renderer draws the same epochs, one box per cell.
 	for i := 0; i < 3; i++ {
-		if boxes := seqRes.EpochBoxes(i); len(boxes) != len(seqRes.Cells) {
-			t.Fatalf("EpochBoxes(%d) = %d boxes, want %d", i, len(boxes), len(seqRes.Cells))
+		if boxes := seqRes.boxes(i); len(boxes) != len(seqRes.Cells) {
+			t.Fatalf("boxes(%d) = %d boxes, want %d", i, len(boxes), len(seqRes.Cells))
 		}
 	}
-	if seqRes.EpochBoxes(3) != nil || seqRes.EpochBoxes(-1) != nil {
-		t.Fatal("out-of-range EpochBoxes must be nil")
+	svgs, err := seqRes.Boxplots("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(svgs) != 4 {
+		t.Fatalf("Boxplots = %d plots, want the main one and 3 epochs", len(svgs))
 	}
 }
 

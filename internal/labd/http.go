@@ -3,6 +3,7 @@ package labd
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -90,13 +91,23 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxSubmitBytes bounds a submit body. A canonical spec is a few
+// kilobytes, so a megabyte admits any real one while a hostile body
+// cannot grow the daemon's heap without limit.
+const maxSubmitBytes = 1 << 20
+
 // handleSubmit accepts a spec or preset submission.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	var req SubmitRequest
 	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("labd: bad submit body: %w", err))
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, code, fmt.Errorf("labd: bad submit body: %w", err))
 		return
 	}
 	var spec []byte

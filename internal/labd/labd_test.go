@@ -390,11 +390,25 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		"both payloads":  {Client: "x", Preset: "fig2", Spec: json.RawMessage(`{}`)},
 		"junk spec":      {Client: "x", Spec: json.RawMessage(`{"version":99}`)},
 		"unknown preset": {Client: "x", Preset: "fig999"},
+		// Admitted once, then every run failed (or ran the 30s default).
+		"zero mrai":      {Client: "x", Preset: "fig2", Options: &PresetOptions{MRAI: "0"}},
+		"negative delay": {Client: "x", Preset: "fig2", Options: &PresetOptions{Delay: "-20ms"}},
 	}
 	for name, req := range cases {
 		if _, code := postJSON(t, url, req); code != http.StatusBadRequest {
 			t.Fatalf("%s: code %d, want 400", name, code)
 		}
+	}
+
+	// A body over the bound is refused before it is decoded in full.
+	body := `{"client":"` + strings.Repeat("x", maxSubmitBytes) + `"}`
+	resp, err := http.Post(url+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: code %d, want 413", resp.StatusCode)
 	}
 }
 

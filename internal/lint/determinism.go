@@ -49,11 +49,7 @@ func inDeterminismScope(pkg *Package) bool {
 // math/rand functions; and virtual-time code must not read the wall
 // clock. Checks: maporder, globalrand, walltime.
 func DeterminismAnalyzer() *Analyzer {
-	return &Analyzer{
-		Name: "determinism",
-		Doc:  "map-iteration order, global math/rand and wall-clock reads in the simulation packages",
-		Run:  runDeterminism,
-	}
+	return &Analyzer{Run: runDeterminism}
 }
 
 // runDeterminism applies the three determinism checks to one package.

@@ -28,11 +28,7 @@ var docScope = []string{
 // packages carries a doc comment — the container-local stand-in for a
 // `revive exported` step (no third-party linters in the image).
 func DocAnalyzer() *Analyzer {
-	return &Analyzer{
-		Name: "doc",
-		Doc:  "exported symbols in the evaluation-layer packages carry doc comments",
-		Run:  runDoc,
-	}
+	return &Analyzer{Run: runDoc}
 }
 
 // runDoc scans one package for undocumented exported symbols.

@@ -21,11 +21,7 @@ import (
 // best-effort rendering, and a genuinely lossy sink still surfaces at
 // the Close/Flush/Write call the analyzer does flag.
 func ErrcheckAnalyzer() *Analyzer {
-	return &Analyzer{
-		Name: "errcheck",
-		Doc:  "dropped error returns in non-test code",
-		Run:  runErrcheck,
-	}
+	return &Analyzer{Run: runErrcheck}
 }
 
 // runErrcheck scans one package for discarded error results.

@@ -1,8 +1,10 @@
 // Package lint is the repository's zero-dependency static-analysis
 // suite (stdlib go/ast + go/types only), mechanizing the invariants
 // the reproduction's scientific claims rest on: seeded determinism,
-// handled errors, and a documented evaluation API. cmd/repolint is
-// the CLI; TestRepoLintClean runs the same suite as a tier-1 test.
+// handled errors, and a documented evaluation API. It runs as tests:
+// `go test ./internal/lint` is the gate — TestRepoLintClean runs every
+// analyzer over the whole module, TestFixtures pins each check against
+// the want markers under testdata/mod.
 //
 // A finding at a genuinely-safe site is suppressed in the source with
 // an annotation naming the reason:
@@ -105,13 +107,8 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Check, d.Message)
 }
 
-// Analyzer is one named invariant checker, run once per loaded
-// package.
+// Analyzer is one invariant checker, run once per loaded package.
 type Analyzer struct {
-	// Name is the analyzer's registry name (repolint -only/-skip).
-	Name string
-	// Doc is the one-line description shown by repolint -list.
-	Doc string
 	// Run analyzes one package.
 	Run func(prog *Program, pkg *Package) []Diagnostic
 }

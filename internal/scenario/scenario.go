@@ -164,7 +164,14 @@ var directives = map[string]directive{
 		r.trial.Seed, err = strconv.ParseInt(args[0], 10, 64)
 		return err
 	}},
-	"mrai":           duration(func(t *lab.Trial) *time.Duration { return &timers(t).MRAI }),
+	"mrai": {1, func(r *Runner, args []string) error {
+		d, err := parseDuration(args, 0)
+		if err == nil && d == 0 {
+			err = fmt.Errorf("mrai must be positive (0 would mean the default %v)", bgp.DefaultTimers().MRAI)
+		}
+		timers(&r.trial).MRAI = d
+		return err
+	}},
 	"hold-time":      duration(func(t *lab.Trial) *time.Duration { return &timers(t).HoldTime }),
 	"no-mrai-jitter": {0, func(r *Runner, _ []string) error { timers(&r.trial).MRAIJitter = false; return nil }},
 	// A negative debounce disables the controller delay (lab.Trial's

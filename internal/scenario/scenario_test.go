@@ -204,6 +204,8 @@ func TestRunErrors(t *testing.T) {
 		{"fail unknown link", header + "fail-link 1 3\n"},
 		{"loss NaN", "topology line 2\nloss NaN\n"},
 		{"mrai surplus argument", "topology line 2\nmrai 5s 10s\n"},
+		{"zero mrai", "topology line 2\nmrai 0s\n"},
+		{"sdn surplus field", "topology line 3\nsdn last 2 junk\n"},
 		{"seed surplus argument", "seed 1 2\n"},
 		{"negative settle", "topology line 2\nsettle -1s\nstart\n"},
 		{"negative run-for", header + "run-for -5s\n"},
