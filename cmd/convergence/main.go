@@ -50,13 +50,15 @@
 //	                                           # their records, seals a
 //	                                           # partial manifest and exits
 //	                                           # cleanly; rerun to resume
-//	convergence -exp fig2 -tolerate -retries 1 -wall-limit 2m
+//	convergence -exp fig2 -tolerate -wall-limit 2m -out results/
 //	                                           # failure-tolerant sweep: a
 //	                                           # panicking, timed-out or
 //	                                           # broken run is recorded as a
 //	                                           # cell failure (annotated in
 //	                                           # every output format) and
-//	                                           # the rest of the grid runs
+//	                                           # the rest of the grid runs;
+//	                                           # rerun with -out to retry
+//	                                           # exactly the failed runs
 package main
 
 import (
@@ -86,7 +88,6 @@ func main() {
 	out := flag.String("out", "", "artifact store directory: file every (cell, run) result under the sweep's spec hash and skip cells already stored, so repeated or interrupted sweeps resume instead of recomputing")
 	wallLimit := flag.Duration("wall-limit", 0, "wall-clock budget per emulation run: a run over budget fails (with -tolerate, as a recorded cell failure) instead of hanging the sweep")
 	tolerate := flag.Bool("tolerate", false, "record per-run failures (panic, timeout, error) and keep sweeping instead of aborting on the first broken run")
-	retries := flag.Int("retries", 0, "with -tolerate, retry timed-out runs up to this many times before recording the failure")
 	flag.Parse()
 
 	if *list {
@@ -143,27 +144,17 @@ func main() {
 	}
 
 	// Execution knobs: none of them reaches the canonical spec.
-	switch {
-	case *parallel < 0:
-		fatal(fmt.Errorf("-parallel %d is negative (0 = GOMAXPROCS, 1 = sequential)", *parallel))
-	case *retries < 0:
-		fatal(fmt.Errorf("-retries %d is negative", *retries))
-	case *wallLimit < 0:
+	if *wallLimit < 0 {
 		fatal(fmt.Errorf("-wall-limit %v is negative", *wallLimit))
 	}
 	sweep.Parallelism = *parallel
 	if *progress {
-		sweep.Progress = func(done, total int) {
-			fmt.Fprintf(os.Stderr, "progress: %d/%d runs\n", done, total)
+		sweep.Progress = func(d lab.RunDone) {
+			fmt.Fprintf(os.Stderr, "progress: %d/%d runs\n", d.Done, d.Total)
 		}
 	}
 	sweep.Base.WallLimit = *wallLimit
-	if *tolerate {
-		sweep.Tolerate = true
-		sweep.Retries = *retries
-	} else if set["retries"] {
-		fatal(fmt.Errorf("-retries only applies with -tolerate (a non-tolerant sweep aborts on the first failure)"))
-	}
+	sweep.Tolerate = *tolerate
 
 	// Graceful drain: the first SIGINT/SIGTERM stops scheduling new
 	// runs and lets in-flight ones finish (with -out their records are

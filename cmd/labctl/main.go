@@ -295,10 +295,6 @@ func follow(base, id string, from int) string {
 			}
 			fmt.Fprintf(os.Stderr, "labctl: %s run %d — %.3fs (%s)\n",
 				ev.Run.Label, ev.Run.Run, ev.Run.Result.Convergence.Seconds(), src)
-		case "failure":
-			if ev.Failure != nil {
-				fmt.Fprintf(os.Stderr, "labctl: FAILED %s run %d: %s\n", ev.Failure.Label, ev.Failure.Run, ev.Failure.Err)
-			}
 		}
 	}
 	if err := sc.Err(); err != nil {

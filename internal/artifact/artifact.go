@@ -243,7 +243,7 @@ func (ss *SweepStore) Store(cell, run int, r lab.Result) error {
 	return nil
 }
 
-// StoreFailure implements lab.FailureCache: it files a tolerant
+// StoreFailure implements lab.CellCache: it files a tolerant
 // sweep's given-up (cell, run) atomically under the spec directory.
 // Failure files never serve as cache hits, so the next run against
 // this store retries exactly these positions.
@@ -418,19 +418,19 @@ func VerifySweepDir(dir string) error {
 
 // RunStats reports how one stored sweep execution went. The unit is
 // one (cell, run) record — a sweep of C cells × R seeded runs has
-// Total = C*R.
+// Total = C*R. labd sends it as a job's stats.
 type RunStats struct {
 	// SpecHash is the sweep's content address.
-	SpecHash string
+	SpecHash string `json:"spec"`
 	// Hits is the number of (cell, run) records served from the store.
-	Hits int
+	Hits int `json:"hits"`
 	// Executed is the number of (cell, run) records emulated fresh.
-	Executed int
+	Executed int `json:"executed"`
 	// Failed is the number of (cell, run) failures filed (tolerant
 	// sweeps only; zero otherwise).
-	Failed int
+	Failed int `json:"failed"`
 	// Total is the sweep's (cell, run) grid size.
-	Total int
+	Total int `json:"total"`
 }
 
 // Stats snapshots the store's counters for this execution.

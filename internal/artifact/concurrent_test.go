@@ -40,8 +40,8 @@ func TestRunSweepStopped(t *testing.T) {
 	sw.Parallelism = 1
 	stop := make(chan struct{})
 	var once sync.Once
-	sw.Progress = func(done, total int) {
-		if done >= 2 {
+	sw.Progress = func(d lab.RunDone) {
+		if d.Done >= 2 {
 			once.Do(func() { close(stop) })
 		}
 	}
@@ -68,12 +68,21 @@ func TestRunSweepStopped(t *testing.T) {
 	if len(m.Records) != 2 {
 		t.Fatalf("partial manifest lists %d records, want 2", len(m.Records))
 	}
-	// Resume: no stop channel this time. The two stored runs are hits.
+	// Resume: no stop channel this time. The two stored runs are hits,
+	// and Progress marks exactly those two Cached.
 	sw.Stop = nil
-	sw.Progress = nil
+	var cached []int
+	sw.Progress = func(d lab.RunDone) {
+		if d.Cached {
+			cached = append(cached, d.Cell*sw.Runs+d.Run)
+		}
+	}
 	res, stats, err = RunSweep(store, sw)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(cached) != 2 || cached[0] != 0 || cached[1] != 1 {
+		t.Fatalf("resume reported grid positions %v as cached, want the stored [0 1]", cached)
 	}
 	if res == nil {
 		t.Fatal("resumed RunSweep returned no result")

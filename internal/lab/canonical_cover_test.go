@@ -26,7 +26,6 @@ var executionOnly = map[string]string{
 	"Progress":       "completion callback; observes only",
 	"Cache":          "a hit is bit-identical to the run it replaces",
 	"Tolerate":       "decides what happens to a failed run, not what a successful one returns",
-	"Retries":        "re-attempts of a deterministic run return the same result",
 	"Inject":         "chaos-test seam that replaces a run with an error",
 	"Stop":           "drain request; completed runs are unaffected",
 }

@@ -113,5 +113,6 @@ func TestCanonicalDebounceAxisDisambiguated(t *testing.T) {
 // nopCache is a CellCache that never hits (for the cover test).
 type nopCache struct{}
 
-func (nopCache) Load(int, int) (Result, bool, error) { return Result{}, false, nil }
-func (nopCache) Store(int, int, Result) error        { return nil }
+func (nopCache) Load(int, int) (Result, bool, error)      { return Result{}, false, nil }
+func (nopCache) Store(int, int, Result) error             { return nil }
+func (nopCache) StoreFailure(int, int, CellFailure) error { return nil }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -107,15 +106,13 @@ func TestTotalLossIsDefinedNonConvergence(t *testing.T) {
 }
 
 // TestTolerantSweepRecordsInjectedFailures drives the failure-tolerant
-// runner through the Inject seam: one run panics, one times out after
-// a retry, the rest survive — and every output format annotates the
-// failures.
+// sweep through the Inject seam: one run panics, one times out, the
+// rest survive — and every output format annotates the failures.
 func TestTolerantSweepRecordsInjectedFailures(t *testing.T) {
 	for _, parallelism := range []int{1, 8} {
 		s := baseSweep()
 		s.Parallelism = parallelism
 		s.Tolerate = true
-		s.Retries = 1
 		s.Inject = func(cell, run int) error {
 			switch {
 			case cell == 1 && run == 0:
@@ -133,14 +130,14 @@ func TestTolerantSweepRecordsInjectedFailures(t *testing.T) {
 			t.Fatalf("parallelism %d: failures = %+v, want 2", parallelism, res.Failures)
 		}
 		crash, deadline := res.Failures[0], res.Failures[1]
-		if crash.Cell != 1 || crash.Run != 0 || !crash.Panicked || crash.Attempts != 1 {
+		if crash.Cell != 1 || crash.Run != 0 || !crash.Panicked {
 			t.Fatalf("crash failure = %+v", crash)
 		}
 		if !strings.Contains(crash.Err, "chaos: injected crash") {
 			t.Fatalf("crash error text = %q", crash.Err)
 		}
-		if deadline.Cell != 2 || deadline.Run != 1 || !deadline.TimedOut || deadline.Attempts != 2 {
-			t.Fatalf("deadline failure = %+v (want 2 attempts: 1 + 1 retry)", deadline)
+		if deadline.Cell != 2 || deadline.Run != 1 || !deadline.TimedOut {
+			t.Fatalf("deadline failure = %+v", deadline)
 		}
 		// Surviving runs still summarize: the crashed cell keeps its
 		// other two runs.
@@ -161,8 +158,8 @@ func TestTolerantSweepRecordsInjectedFailures(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if !strings.Contains(table.String(), "# failed: sdn_k=3 run 0 (panic, attempts 1)") ||
-			!strings.Contains(table.String(), "# failed: sdn_k=6 run 1 (timeout, attempts 2)") {
+		if !strings.Contains(table.String(), "# failed: sdn_k=3 run 0 (panic): ") ||
+			!strings.Contains(table.String(), "# failed: sdn_k=6 run 1 (timeout): ") {
 			t.Fatalf("table missing failure trailer:\n%s", table.String())
 		}
 		if !strings.Contains(md.String(), "**Failed runs (2):**") {
@@ -173,9 +170,8 @@ func TestTolerantSweepRecordsInjectedFailures(t *testing.T) {
 		}
 		var decoded struct {
 			Failures []struct {
-				Cell     int    `json:"cell"`
-				Class    string `json:"class"`
-				Attempts int    `json:"attempts"`
+				Cell  int    `json:"cell"`
+				Class string `json:"class"`
 			} `json:"failures"`
 		}
 		if err := json.Unmarshal([]byte(js.String()), &decoded); err != nil {
@@ -184,41 +180,6 @@ func TestTolerantSweepRecordsInjectedFailures(t *testing.T) {
 		if len(decoded.Failures) != 2 || decoded.Failures[0].Class != "panic" || decoded.Failures[1].Class != "timeout" {
 			t.Fatalf("json failures = %+v", decoded.Failures)
 		}
-	}
-}
-
-// TestRetryRecoversFlakyTimeout pins that a retry actually re-executes
-// the run: a deadline that fails only on the first attempt leaves no
-// failure behind.
-func TestRetryRecoversFlakyTimeout(t *testing.T) {
-	var mu sync.Mutex
-	attempts := map[[2]int]int{}
-	s := baseSweep()
-	s.Axis = SDNCounts(0)
-	s.Runs = 1
-	s.Tolerate = true
-	s.Retries = 1
-	s.Inject = func(cell, run int) error {
-		mu.Lock()
-		defer mu.Unlock()
-		attempts[[2]int{cell, run}]++
-		if attempts[[2]int{cell, run}] == 1 {
-			return fmt.Errorf("flaky: %w", monitor.ErrTimeout)
-		}
-		return nil
-	}
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Failures) != 0 {
-		t.Fatalf("failures = %+v, want none (the retry should recover)", res.Failures)
-	}
-	if got := attempts[[2]int{0, 0}]; got != 2 {
-		t.Fatalf("attempts = %d, want 2", got)
-	}
-	if res.Cells[0].Summary.N != 1 {
-		t.Fatal("recovered run missing from the summary")
 	}
 }
 
@@ -249,25 +210,30 @@ func TestNonTolerantPanicAborts(t *testing.T) {
 }
 
 // TestRunnerPanicDoesNotKillSiblings is the mid-sweep crash drill for
-// the bare Runner (run with -race in CI): one task panics while 8
-// workers chew through 40 tasks. The panic must be recovered into
-// Do's error — not kill the process or deadlock the WaitGroup — and
-// the siblings already in flight must complete (the runner then stops
-// claiming new work, its documented fail-fast contract).
+// the worker pool itself (run with -race in CI): a panic outside the
+// trial — here in the Progress hook of run 7 — while 8 workers chew
+// through 40 runs must be recovered into Run's error, not kill the
+// process or deadlock the pool, and the siblings already in flight
+// must complete (no new run is claimed after it, the fail-fast
+// contract).
 func TestRunnerPanicDoesNotKillSiblings(t *testing.T) {
 	var completed atomic.Int32
-	err := Runner{Parallelism: 8}.Do(40, func(i int) error {
-		if i == 7 {
-			panic(fmt.Sprintf("task %d crashed", i))
-		}
+	sw := gridSweep(40, 8, func(int) error {
 		completed.Add(1)
-		return nil
+		return errSkip
 	})
+	sw.Tolerate = true
+	sw.Progress = func(d RunDone) {
+		if d.Run == 7 {
+			panic(fmt.Sprintf("run %d crashed", d.Run))
+		}
+	}
+	_, err := sw.Run()
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want a *PanicError", err)
 	}
-	if got := completed.Load(); got < 7 {
-		t.Fatalf("completed siblings = %d, want at least the 7 in flight", got)
+	if got := completed.Load(); got < 8 {
+		t.Fatalf("completed runs = %d, want at least the 8 up to the crash", got)
 	}
 }

@@ -128,8 +128,8 @@ func fitLine(res *SweepResult, format string) string {
 func failureLines(res *SweepResult, prefix string) string {
 	var sb strings.Builder
 	for _, f := range res.Failures {
-		fmt.Fprintf(&sb, "%s%s=%s run %d (%s, attempts %d): %s\n",
-			prefix, res.Axis.Name(), f.Label, f.Run, f.class(), f.Attempts, f.Err)
+		fmt.Fprintf(&sb, "%s%s=%s run %d (%s): %s\n",
+			prefix, res.Axis.Name(), f.Label, f.Run, f.class(), f.Err)
 	}
 	return sb.String()
 }
@@ -294,12 +294,11 @@ type jsonCell struct {
 }
 
 type jsonFailure struct {
-	Cell     int    `json:"cell"`
-	Run      int    `json:"run"`
-	Label    string `json:"label"`
-	Err      string `json:"err"`
-	Class    string `json:"class"`
-	Attempts int    `json:"attempts"`
+	Cell  int    `json:"cell"`
+	Run   int    `json:"run"`
+	Label string `json:"label"`
+	Err   string `json:"err"`
+	Class string `json:"class"`
 }
 
 type jsonWorkloadEvent struct {
@@ -407,12 +406,11 @@ func writeJSON(w io.Writer, res *SweepResult) error {
 	}
 	for _, f := range res.Failures {
 		out.Failures = append(out.Failures, jsonFailure{
-			Cell:     f.Cell,
-			Run:      f.Run,
-			Label:    f.Label,
-			Err:      f.Err,
-			Class:    f.class(),
-			Attempts: f.Attempts,
+			Cell:  f.Cell,
+			Run:   f.Run,
+			Label: f.Label,
+			Err:   f.Err,
+			Class: f.class(),
 		})
 	}
 	if a, b, r2, ok := res.Fit(); ok {

@@ -189,7 +189,7 @@ func TestFitDegenerateSweeps(t *testing.T) {
 			cell := Cell{Label: res.Axis.Label(i), Value: res.Axis.Value(i)}
 			cell.Fraction = cell.Value / float64(res.Topo.Nodes())
 			if med < 0 {
-				res.Failures = append(res.Failures, CellFailure{Cell: i, Label: cell.Label, Err: "wall-clock budget exhausted", TimedOut: true, Attempts: 1})
+				res.Failures = append(res.Failures, CellFailure{Cell: i, Label: cell.Label, Err: "wall-clock budget exhausted", TimedOut: true})
 			} else {
 				durs := []time.Duration{time.Duration(med * float64(time.Second))}
 				cell.Results = []Result{{Convergence: durs[0]}}

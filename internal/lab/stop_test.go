@@ -3,24 +3,26 @@ package lab
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
 // TestRunnerStopSequential pins the sequential drain: once Stop
-// closes, no further task starts, the tasks already run keep their
-// results, and Do reports ErrStopped.
+// closes, no further run starts, the runs already finished keep their
+// results, and Run reports ErrStopped.
 func TestRunnerStopSequential(t *testing.T) {
 	stop := make(chan struct{})
 	var ran []int
-	err := Runner{Parallelism: 1, Stop: stop}.Do(5, func(i int) error {
+	sw := gridSweep(5, 1, func(i int) error {
 		ran = append(ran, i)
 		if i == 1 {
 			close(stop)
 		}
-		return nil
+		return errSkip
 	})
-	if !errors.Is(err, ErrStopped) {
-		t.Fatalf("Do returned %v, want ErrStopped", err)
+	sw.Tolerate, sw.Stop = true, stop
+	if _, err := sw.Run(); !errors.Is(err, ErrStopped) {
+		t.Fatalf("Run returned %v, want ErrStopped", err)
 	}
 	if len(ran) != 2 || ran[0] != 0 || ran[1] != 1 {
 		t.Fatalf("ran %v, want [0 1]", ran)
@@ -28,27 +30,28 @@ func TestRunnerStopSequential(t *testing.T) {
 }
 
 // TestRunnerStopParallel pins the parallel drain: workers finish their
-// in-flight tasks (every claimed index completes) but claim nothing
+// in-flight runs (every claimed index completes) but claim nothing
 // new, and the skipped remainder surfaces as ErrStopped.
 func TestRunnerStopParallel(t *testing.T) {
 	stop := make(chan struct{})
 	var mu sync.Mutex
 	done := map[int]bool{}
 	var once sync.Once
-	err := Runner{Parallelism: 4, Stop: stop}.Do(64, func(i int) error {
+	sw := gridSweep(64, 4, func(i int) error {
 		once.Do(func() { close(stop) })
 		mu.Lock()
 		done[i] = true
 		mu.Unlock()
-		return nil
+		return errSkip
 	})
-	if !errors.Is(err, ErrStopped) {
-		t.Fatalf("Do returned %v, want ErrStopped", err)
+	sw.Tolerate, sw.Stop = true, stop
+	if _, err := sw.Run(); !errors.Is(err, ErrStopped) {
+		t.Fatalf("Run returned %v, want ErrStopped", err)
 	}
 	mu.Lock()
 	defer mu.Unlock()
 	if len(done) == 0 || len(done) >= 64 {
-		t.Fatalf("completed %d of 64 tasks, want a strict partial drain", len(done))
+		t.Fatalf("completed %d of 64 runs, want a strict partial drain", len(done))
 	}
 }
 
@@ -57,25 +60,28 @@ func TestRunnerStopBeforeStart(t *testing.T) {
 	stop := make(chan struct{})
 	close(stop)
 	for _, par := range []int{1, 4} {
-		ran := 0
-		err := Runner{Parallelism: par, Stop: stop}.Do(8, func(i int) error {
-			ran++
-			return nil
+		var ran atomic.Int32
+		sw := gridSweep(8, par, func(int) error {
+			ran.Add(1)
+			return errSkip
 		})
-		if !errors.Is(err, ErrStopped) {
-			t.Fatalf("parallelism %d: Do returned %v, want ErrStopped", par, err)
+		sw.Tolerate, sw.Stop = true, stop
+		if _, err := sw.Run(); !errors.Is(err, ErrStopped) {
+			t.Fatalf("parallelism %d: Run returned %v, want ErrStopped", par, err)
 		}
-		if ran != 0 {
-			t.Fatalf("parallelism %d: ran %d tasks after pre-closed stop", par, ran)
+		if ran.Load() != 0 {
+			t.Fatalf("parallelism %d: ran %d runs after pre-closed stop", par, ran.Load())
 		}
 	}
 }
 
-// TestRunnerNilStopCompletes pins that the zero-value Runner (no Stop
-// channel) is unaffected: all tasks run, no error.
+// TestRunnerNilStopCompletes pins that a sweep without a Stop channel
+// is unaffected: every run happens, no error.
 func TestRunnerNilStopCompletes(t *testing.T) {
 	ran := 0
-	if err := (Runner{Parallelism: 1}).Do(5, func(i int) error { ran++; return nil }); err != nil {
+	sw := gridSweep(5, 1, func(int) error { ran++; return errSkip })
+	sw.Tolerate = true
+	if _, err := sw.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if ran != 5 {
@@ -95,8 +101,8 @@ func TestSweepStopStoresPartial(t *testing.T) {
 	sw.Cache = cache
 	sw.Stop = stop
 	var once sync.Once
-	sw.Progress = func(done, total int) {
-		if done >= 2 {
+	sw.Progress = func(d RunDone) {
+		if d.Done >= 2 {
 			once.Do(func() { close(stop) })
 		}
 	}
@@ -148,3 +154,5 @@ func (c *mapCache) Store(cell, run int, r Result) error {
 	c.results[[2]int{cell, run}] = r
 	return nil
 }
+
+func (c *mapCache) StoreFailure(int, int, CellFailure) error { return nil }

@@ -5,8 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"runtime/debug"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bgp"
@@ -321,11 +324,33 @@ type CellCache interface {
 	Load(cell, run int) (Result, bool, error)
 	// Store records a freshly computed result for (cell, run).
 	Store(cell, run int, r Result) error
+	// StoreFailure records the failure a tolerant sweep gave up on for
+	// (cell, run). Load never serves it, so a re-run against the cache
+	// retries exactly the failed positions.
+	StoreFailure(cell, run int, f CellFailure) error
+}
+
+// RunDone is what Sweep.Progress hears about one finished (cell, run).
+type RunDone struct {
+	// Done counts the runs finished so far, this one included; Total is
+	// the sweep's (cell, run) grid size.
+	Done, Total int
+	// Cell and Run locate the run in the sweep grid.
+	Cell, Run int
+	// Cached marks a result served by the sweep's Cache: no emulation
+	// ran.
+	Cached bool
+	// Result is the run's record (zero when Failure is set).
+	Result Result
+	// Failure is the failure a tolerant sweep filed for the run, nil
+	// otherwise.
+	Failure *CellFailure
 }
 
 // Sweep varies one Axis of a base Trial over Runs seeded repetitions
-// per cell, fanned across the parallel Runner. Results are placed by
-// (cell, run) index, so the output is identical at any parallelism.
+// per cell, fanned across a bounded pool of worker goroutines. Results
+// are placed by (cell, run) index, so the output is identical at any
+// parallelism.
 type Sweep struct {
 	// Name labels the sweep in encoded output (the registry name).
 	Name string
@@ -342,12 +367,14 @@ type Sweep struct {
 	// Parallelism bounds concurrent runs (0 = GOMAXPROCS, 1 =
 	// sequential; results are identical either way).
 	Parallelism int
-	// Progress, when non-nil, receives (done, total) after every
-	// completed run so long sweeps can stream completion. It is
-	// forwarded to the Runner verbatim and shares its contract: with
-	// Parallelism > 1 it is called concurrently from worker
-	// goroutines. Cache hits count as completed runs.
-	Progress func(done, total int)
+	// Progress, when non-nil, hears about every (cell, run) that
+	// finishes as a cache hit, a fresh result or, under Tolerate, a
+	// filed failure; a run that aborts the sweep is not reported. With
+	// Parallelism > 1 it is called concurrently from worker goroutines
+	// and must be safe for concurrent use: each Done value arrives
+	// once, but possibly out of order, so a forward-only consumer (a
+	// progress bar) should keep the maximum seen.
+	Progress func(RunDone)
 	// Cache, when non-nil, is consulted before every (cell, run)
 	// execution and fed every fresh result — the artifact store's
 	// hook. Like Parallelism and Progress it cannot change the sweep's
@@ -362,12 +389,6 @@ type Sweep struct {
 	// result) and does not participate in Canonical(). Cache
 	// infrastructure errors still abort either way.
 	Tolerate bool
-	// Retries bounds additional attempts for a timed-out run (wall or
-	// virtual budget, establishment or convergence deadline) before it
-	// is recorded as failed. Only meaningful with Tolerate; determinism
-	// makes retries useful mainly against wall-clock budgets, so the
-	// default is 0.
-	Retries int
 	// Inject, when non-nil, runs before every trial execution; a
 	// non-nil error (or a panic) replaces that run. It is the chaos
 	// test seam for exercising the failure-tolerant machinery with
@@ -377,16 +398,44 @@ type Sweep struct {
 	// Stop, when non-nil, requests a graceful drain when closed:
 	// in-flight (cell, run) executions finish and store their results
 	// through Cache, no new grid positions start, and Run returns
-	// ErrStopped. It is forwarded to the Runner verbatim; like the
-	// other execution knobs it cannot change a completed run's result
-	// and does not participate in Canonical(). This is how SIGINT on
-	// the CLI and daemon drain leave the artifact store resumable.
+	// ErrStopped. Like the other execution knobs it cannot change a
+	// completed run's result and does not participate in Canonical().
+	// This is how SIGINT on the CLI and daemon drain leave the artifact
+	// store resumable.
 	Stop <-chan struct{}
 }
 
+// ErrStopped reports that a sweep drained instead of finishing: its
+// Stop channel closed while grid positions were still unclaimed, so
+// the in-flight runs completed (and were stored through Cache) but at
+// least one never ran. Callers distinguish it from real failures with
+// errors.Is — a stopped sweep is resumable, not broken.
+var ErrStopped = errors.New("lab: stopped before completion")
+
+// PanicError wraps a panic recovered from one grid position, so a
+// crashing run surfaces as an ordinary error instead of killing its
+// worker goroutine or the whole process.
+type PanicError struct {
+	// Value is the value the run panicked with.
+	Value any
+	// Stack is the formatted goroutine stack at the panic site.
+	Stack string
+}
+
+// Error renders the recovered panic value.
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("lab: task panicked: %v", e.Value)
+}
+
+// catch, deferred, turns a panic into a *PanicError in *err.
+func catch(err *error) {
+	if v := recover(); v != nil {
+		*err = &PanicError{Value: v, Stack: string(debug.Stack())}
+	}
+}
+
 // CellFailure records one (cell, run) that a tolerant sweep gave up
-// on: the terminal error, its classification, and how many attempts
-// were spent.
+// on: the terminal error and its classification.
 type CellFailure struct {
 	// Cell and Run locate the failed run in the sweep grid.
 	Cell, Run int
@@ -400,8 +449,6 @@ type CellFailure struct {
 	// TimedOut marks a timeout-class failure: a wall or virtual budget
 	// exhausted, or an establishment/convergence deadline missed.
 	TimedOut bool
-	// Attempts is the number of executions spent (1 + retries).
-	Attempts int
 }
 
 // class names the failure's classification for output.
@@ -414,15 +461,6 @@ func (f CellFailure) class() string {
 	default:
 		return "error"
 	}
-}
-
-// FailureCache is the optional CellCache extension a tolerant sweep
-// feeds its failures to, so a resumable store can file what failed
-// alongside what succeeded (the artifact store implements it).
-type FailureCache interface {
-	CellCache
-	// StoreFailure records a terminal failure for (cell, run).
-	StoreFailure(cell, run int, f CellFailure) error
 }
 
 // Cell is one sweep point: an axis value with its per-run results.
@@ -621,21 +659,16 @@ func (s Sweep) trialFor(ci, run int) Trial {
 	return trial
 }
 
-// runTrial executes the trial with panic recovery, so a crashing run
-// can be filed as a CellFailure instead of unwinding the sweep (the
-// Runner's own recovery stays as the backstop for non-trial panics).
-func (s Sweep) runTrial(ci, run int, t Trial) (res Result, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = &PanicError{Value: v, Stack: string(debug.Stack())}
-		}
-	}()
+// runTrial executes (ci, run) with panic recovery, so a crashing run
+// can be filed as a CellFailure instead of unwinding the sweep.
+func (s Sweep) runTrial(ci, run int) (res Result, err error) {
+	defer catch(&err)
 	if s.Inject != nil {
 		if err := s.Inject(ci, run); err != nil {
 			return Result{}, err
 		}
 	}
-	return t.Run()
+	return s.trialFor(ci, run).Run()
 }
 
 // isTimeout classifies timeout-class failures: an exhausted wall or
@@ -646,29 +679,110 @@ func isTimeout(err error) bool {
 		errors.Is(err, sim.ErrEventBudget)
 }
 
-// retryBackoff is the real-time sleep before the first retry of a
-// timed-out run; it doubles per attempt.
-const retryBackoff = 100 * time.Millisecond
+// runError locates err at grid position (ci, run).
+func (s Sweep) runError(ci, run int, err error) error {
+	return fmt.Errorf("lab: %s %s=%s run %d: %w", s.Name, s.Axis.Name(), s.Axis.Label(ci), run, err)
+}
 
-// attempt executes (cell, run), retrying timed-out runs up to Retries
-// times under Tolerate. It reports the result, the attempts spent, and
-// the terminal error.
-func (s Sweep) attempt(ci, run int) (Result, int, error) {
-	trial := s.trialFor(ci, run)
-	backoff := retryBackoff
-	attempts := 0
-	for {
-		attempts++
-		r, err := s.runTrial(ci, run, trial)
-		if err == nil {
-			return r, attempts, nil
+// settle finishes grid position (d.Cell, d.Run) as a cache hit, a
+// fresh result stored through Cache or, under Tolerate, a failure filed
+// through Cache. An error aborts the sweep.
+func (s Sweep) settle(d *RunDone) error {
+	if s.Cache != nil {
+		r, ok, err := s.Cache.Load(d.Cell, d.Run)
+		if err != nil {
+			return s.runError(d.Cell, d.Run, fmt.Errorf("cache: %w", err))
 		}
-		if !s.Tolerate || !isTimeout(err) || attempts > s.Retries {
-			return Result{}, attempts, err
+		if ok {
+			d.Cached, d.Result = true, r
+			return nil
 		}
-		time.Sleep(backoff)
-		backoff *= 2
 	}
+	r, err := s.runTrial(d.Cell, d.Run)
+	var cerr error
+	switch {
+	case err == nil:
+		d.Result = r
+		if s.Cache != nil {
+			cerr = s.Cache.Store(d.Cell, d.Run, r)
+		}
+	case s.Tolerate:
+		var pe *PanicError
+		d.Failure = &CellFailure{
+			Cell:     d.Cell,
+			Run:      d.Run,
+			Label:    s.Axis.Label(d.Cell),
+			Err:      err.Error(),
+			Panicked: errors.As(err, &pe),
+			TimedOut: isTimeout(err),
+		}
+		if s.Cache != nil {
+			cerr = s.Cache.StoreFailure(d.Cell, d.Run, *d.Failure)
+		}
+	default:
+		return s.runError(d.Cell, d.Run, err)
+	}
+	if cerr != nil {
+		return s.runError(d.Cell, d.Run, fmt.Errorf("cache: %w", cerr))
+	}
+	return nil
+}
+
+// each calls task(i) for every grid index i in [0, n) on up to
+// Parallelism worker goroutines (0 = GOMAXPROCS). Every run owns its
+// own sim.Kernel, so the only coordination is the index counter.
+// Indices are claimed in increasing order and no worker claims one
+// after a task has failed; the lowest-index error is returned, so the
+// reported failure is the same at any parallelism. A panicking task
+// becomes a *PanicError for its index without killing its worker. Once
+// Stop closes, workers finish the tasks they hold and claim no more;
+// if an index was left unclaimed the result is ErrStopped.
+func (s Sweep) each(n int, task func(i int) error) error {
+	p := s.Parallelism
+	if p == 0 {
+		p = runtime.GOMAXPROCS(0)
+	}
+	errs := make([]error, n)
+	var next atomic.Int64
+	var failed, drained atomic.Bool
+	var wg sync.WaitGroup
+	for range min(p, n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				select {
+				case <-s.Stop:
+					drained.Store(true)
+					return
+				default:
+				}
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				if errs[i] = runTask(task, i); errs[i] != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	if drained.Load() && int(next.Load()) < n {
+		return ErrStopped
+	}
+	return nil
+}
+
+// runTask calls task(i), turning a panic into a *PanicError.
+func runTask(task func(i int) error, i int) (err error) {
+	defer catch(&err)
+	return task(i)
 }
 
 // Run executes the sweep. The (cell, run) grid fans out across the
@@ -680,58 +794,25 @@ func (s Sweep) Run() (*SweepResult, error) {
 	if s.Runs <= 0 {
 		s.Runs = 1
 	}
+	if s.Parallelism < 0 {
+		return nil, fmt.Errorf("lab: parallelism %d is negative (0 = GOMAXPROCS, 1 = sequential)", s.Parallelism)
+	}
 	if err := s.Axis.validate(s.Base, s.SeedPolicy); err != nil {
 		return nil, err
 	}
 	n := s.Axis.Len()
-	results := make([][]Result, n)
-	okRun := make([][]bool, n)
-	for i := range results {
-		results[i] = make([]Result, s.Runs)
-		okRun[i] = make([]bool, s.Runs)
-	}
-	fails := make([]*CellFailure, n*s.Runs)
-	err := Runner{Parallelism: s.Parallelism, Progress: s.Progress, Stop: s.Stop}.Do(n*s.Runs, func(i int) error {
-		ci, run := i/s.Runs, i%s.Runs
-		if s.Cache != nil {
-			if r, ok, err := s.Cache.Load(ci, run); err != nil {
-				return fmt.Errorf("lab: %s %s=%s run %d: cache: %w", s.Name, s.Axis.Name(), s.Axis.Label(ci), run, err)
-			} else if ok {
-				results[ci][run] = r
-				okRun[ci][run] = true
-				return nil
-			}
+	runs := make([]RunDone, n*s.Runs)
+	var finished atomic.Int64
+	err := s.each(len(runs), func(i int) error {
+		d := RunDone{Total: len(runs), Cell: i / s.Runs, Run: i % s.Runs}
+		if err := s.settle(&d); err != nil {
+			return err
 		}
-		r, attempts, err := s.attempt(ci, run)
-		if err != nil {
-			if !s.Tolerate {
-				return fmt.Errorf("lab: %s %s=%s run %d: %w", s.Name, s.Axis.Name(), s.Axis.Label(ci), run, err)
-			}
-			var pe *PanicError
-			f := CellFailure{
-				Cell:     ci,
-				Run:      run,
-				Label:    s.Axis.Label(ci),
-				Err:      err.Error(),
-				Panicked: errors.As(err, &pe),
-				TimedOut: isTimeout(err),
-				Attempts: attempts,
-			}
-			fails[i] = &f
-			if fc, ok := s.Cache.(FailureCache); ok {
-				if err := fc.StoreFailure(ci, run, f); err != nil {
-					return fmt.Errorf("lab: %s %s=%s run %d: cache: %w", s.Name, s.Axis.Name(), s.Axis.Label(ci), run, err)
-				}
-			}
-			return nil
+		d.Done = int(finished.Add(1))
+		runs[i] = d
+		if s.Progress != nil {
+			s.Progress(d)
 		}
-		if s.Cache != nil {
-			if err := s.Cache.Store(ci, run, r); err != nil {
-				return fmt.Errorf("lab: %s %s=%s run %d: cache: %w", s.Name, s.Axis.Name(), s.Axis.Label(ci), run, err)
-			}
-		}
-		results[ci][run] = r
-		okRun[ci][run] = true
 		return nil
 	})
 	if err != nil {
@@ -748,16 +829,13 @@ func (s Sweep) Run() (*SweepResult, error) {
 		BaseSeed: s.BaseSeed,
 		Cells:    make([]Cell, n),
 	}
-	for _, f := range fails {
-		if f != nil {
-			res.Failures = append(res.Failures, *f)
-		}
-	}
 	for ci := 0; ci < n; ci++ {
 		surviving := make([]Result, 0, s.Runs)
-		for run := 0; run < s.Runs; run++ {
-			if okRun[ci][run] {
-				surviving = append(surviving, results[ci][run])
+		for _, d := range runs[ci*s.Runs : (ci+1)*s.Runs] {
+			if d.Failure != nil {
+				res.Failures = append(res.Failures, *d.Failure)
+			} else {
+				surviving = append(surviving, d.Result)
 			}
 		}
 		cell := Cell{

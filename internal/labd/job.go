@@ -31,25 +31,6 @@ func terminal(state string) bool {
 	return state == StateDone || state == StateFailed || state == StateInterrupted
 }
 
-// RunStats mirrors artifact.RunStats for the wire.
-type RunStats struct {
-	// Spec is the sweep's content address (the job ID).
-	Spec string `json:"spec"`
-	// Hits counts (cell, run) records served from the store.
-	Hits int `json:"hits"`
-	// Executed counts records emulated fresh.
-	Executed int `json:"executed"`
-	// Failed counts failures filed (tolerant sweeps only).
-	Failed int `json:"failed"`
-	// Total is the sweep's (cell, run) grid size.
-	Total int `json:"total"`
-}
-
-// wireStats converts store stats to the wire mirror.
-func wireStats(st artifact.RunStats) *RunStats {
-	return &RunStats{Spec: st.SpecHash, Hits: st.Hits, Executed: st.Executed, Failed: st.Failed, Total: st.Total}
-}
-
 // RunEvent is one per-run completion: grid position, axis label,
 // whether the store served it, and the full result record.
 type RunEvent struct {
@@ -71,7 +52,7 @@ type RunEvent struct {
 type Event struct {
 	// Seq is the event's position in the job's log, from 1.
 	Seq int `json:"seq"`
-	// Type discriminates the payload: "state", "run" or "failure".
+	// Type discriminates the payload: "state" or "run".
 	Type string `json:"type"`
 	// Job is the owning job's ID (spec hash).
 	Job string `json:"job"`
@@ -81,10 +62,8 @@ type Event struct {
 	Error string `json:"error,omitempty"`
 	// Run carries the per-run completion for "run" events.
 	Run *RunEvent `json:"run,omitempty"`
-	// Failure carries the filed cell failure for "failure" events.
-	Failure *lab.CellFailure `json:"failure,omitempty"`
 	// Stats carries the execution stats on a terminal "state" event.
-	Stats *RunStats `json:"stats,omitempty"`
+	Stats *artifact.RunStats `json:"stats,omitempty"`
 }
 
 // JobStatus is the wire snapshot of one job.
@@ -99,17 +78,16 @@ type JobStatus struct {
 	Clients []string `json:"clients"`
 	// Total is the sweep's (cell, run) grid size.
 	Total int `json:"total"`
-	// Completed counts per-run completions so far (hits + fresh).
+	// Completed counts the current attempt's per-run completions so
+	// far (hits + fresh).
 	Completed int `json:"completed"`
-	// FailedRuns counts cell failures filed so far.
-	FailedRuns int `json:"failed_runs"`
 	// Events is the current length of the job's event log.
 	Events int `json:"events"`
 	// Error is the terminal error text, when failed/interrupted.
 	Error string `json:"error,omitempty"`
 	// Stats reports the last execution's store traffic, when the job
 	// has reached a terminal state.
-	Stats *RunStats `json:"stats,omitempty"`
+	Stats *artifact.RunStats `json:"stats,omitempty"`
 }
 
 // Job is one accepted spec: its identity, its sweep, its subscriber
@@ -122,16 +100,15 @@ type Job struct {
 	spec  []byte
 	sweep lab.Sweep
 
-	mu         sync.Mutex
-	changed    chan struct{} // closed and replaced on every append
-	state      string
-	errText    string
-	clients    []string
-	events     []Event
-	completed  int
-	failedRuns int
-	res        *lab.SweepResult
-	stats      *RunStats
+	mu        sync.Mutex
+	changed   chan struct{} // closed and replaced on every append
+	state     string
+	errText   string
+	clients   []string
+	events    []Event
+	completed int
+	res       *lab.SweepResult
+	stats     *artifact.RunStats
 }
 
 // newJob builds a queued job and seeds its event log with the queued
@@ -173,19 +150,17 @@ func (j *Job) Result() *lab.SweepResult {
 func (j *Job) Status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := JobStatus{
-		ID:         j.hash,
-		Name:       j.name,
-		State:      j.state,
-		Clients:    append([]string(nil), j.clients...),
-		Total:      j.sweep.Axis.Len() * j.sweep.Runs,
-		Completed:  j.completed,
-		FailedRuns: j.failedRuns,
-		Events:     len(j.events),
-		Error:      j.errText,
-		Stats:      j.stats,
+	return JobStatus{
+		ID:        j.hash,
+		Name:      j.name,
+		State:     j.state,
+		Clients:   append([]string(nil), j.clients...),
+		Total:     j.sweep.Axis.Len() * j.sweep.Runs,
+		Completed: j.completed,
+		Events:    len(j.events),
+		Error:     j.errText,
+		Stats:     j.stats,
 	}
-	return st
 }
 
 // publish appends one event to the log and wakes subscribers. Callers
@@ -205,25 +180,18 @@ func (j *Job) appendLocked(ev Event) {
 	j.changed = make(chan struct{})
 }
 
-// publishRun records one per-run completion.
-func (j *Job) publishRun(cell, run int, cached bool, r lab.Result) {
+// publishRun records one per-run completion; it is the job sweep's
+// Progress hook.
+func (j *Job) publishRun(d lab.RunDone) {
 	j.mu.Lock()
 	j.completed++
 	j.appendLocked(Event{Type: "run", Run: &RunEvent{
-		Cell:   cell,
-		Run:    run,
-		Label:  j.sweep.Axis.Label(cell),
-		Cached: cached,
-		Result: r,
+		Cell:   d.Cell,
+		Run:    d.Run,
+		Label:  j.sweep.Axis.Label(d.Cell),
+		Cached: d.Cached,
+		Result: d.Result,
 	}})
-	j.mu.Unlock()
-}
-
-// publishFailure records one filed cell failure.
-func (j *Job) publishFailure(f lab.CellFailure) {
-	j.mu.Lock()
-	j.failedRuns++
-	j.appendLocked(Event{Type: "failure", Failure: &f})
 	j.mu.Unlock()
 }
 
@@ -241,7 +209,7 @@ func (j *Job) complete(res *lab.SweepResult, stats artifact.RunStats) {
 	j.state = StateDone
 	j.res = res
 	j.errText = ""
-	j.stats = wireStats(stats)
+	j.stats = &stats
 	j.appendLocked(Event{Type: "state", State: StateDone, Stats: j.stats})
 	j.mu.Unlock()
 }
@@ -262,18 +230,20 @@ func (j *Job) interrupt(stats *artifact.RunStats, why string) {
 	j.state = StateInterrupted
 	j.errText = why
 	if stats != nil {
-		j.stats = wireStats(*stats)
+		j.stats = stats
 	}
 	j.appendLocked(Event{Type: "state", State: StateInterrupted, Error: why, Stats: j.stats})
 	j.mu.Unlock()
 }
 
 // requeue returns a failed/interrupted job to the queue (the caller
-// enqueues it on the scheduler).
+// enqueues it on the scheduler). The new attempt counts its
+// completions from zero: it reports its store hits again.
 func (j *Job) requeue() {
 	j.mu.Lock()
 	j.state = StateQueued
 	j.errText = ""
+	j.completed = 0
 	j.appendLocked(Event{Type: "state", State: StateQueued})
 	j.mu.Unlock()
 }

@@ -6,15 +6,15 @@
 // and every per-run completion streams to SSE subscribers as it lands.
 //
 // The daemon adds no semantics of its own — that is the design
-// invariant. A job executes through exactly the code path of
-// `convergence -out` (artifact.Store → lab.Sweep.Run → sealed
-// manifest), so a sweep run through the daemon produces byte-identical
-// records, manifests and encoder outputs to the same spec run from
-// the CLI. What the daemon adds is residency: the spec hash is the
-// job identity, so a resubmitted spec is served from the store with
-// zero emulation, identical concurrent submissions coalesce into one
-// execution with fanned-out subscribers, and an interrupted job
-// resumes from its partial records on the next submission.
+// invariant. A job is one artifact.RunSweep call, the code path of
+// `convergence -out`, so a sweep run through the daemon produces
+// byte-identical records, manifests and encoder outputs to the same
+// spec run from the CLI. What the daemon adds is residency: the spec
+// hash is the job identity, so a resubmitted spec is served from the
+// store with zero emulation, identical concurrent submissions
+// coalesce into one execution with fanned-out subscribers, and an
+// interrupted job resumes from its partial records on the next
+// submission.
 package labd
 
 import (
@@ -39,7 +39,8 @@ type Config struct {
 	// Parallelism.
 	Workers int
 	// Parallelism bounds concurrent emulation runs within one job
-	// (lab.Sweep.Parallelism; 0 = GOMAXPROCS).
+	// (lab.Sweep.Parallelism; 0 = GOMAXPROCS; New refuses a negative
+	// value).
 	Parallelism int
 }
 
@@ -68,6 +69,10 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	if cfg.Store == nil {
 		return nil, errors.New("labd: config needs a store")
+	}
+	if cfg.Parallelism < 0 {
+		// Sweep.Run would refuse every job; refuse the daemon instead.
+		return nil, fmt.Errorf("labd: parallelism %d is negative (0 = GOMAXPROCS)", cfg.Parallelism)
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -252,79 +257,26 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob executes one job through the exact `convergence -out` path:
-// bind the sweep to its store directory, run with the store as its cache,
-// seal the manifest. The only addition is telemetry — the cache
-// wrapper publishes every per-run completion to the job's event log.
+// runJob executes one job as `convergence -out` does, through
+// artifact.RunSweep; the only addition is telemetry — every finished
+// run is published to the job's event log.
 func (s *Server) runJob(j *Job) {
 	j.setState(StateRunning)
-	ss, err := s.store.Sweep(j.sweep)
-	if err != nil {
-		j.fail(err)
-		return
-	}
 	sw := j.sweep
-	sw.Cache = &jobCache{inner: ss, job: j}
 	sw.Parallelism = s.parallelism
 	sw.Stop = s.stop
-	res, err := sw.Run()
-	stats := ss.Stats()
-	if err != nil {
-		if errors.Is(err, lab.ErrStopped) {
-			// Graceful drain: seal the partial manifest so the store
-			// stays auditable; the stored records resume the job later.
-			if ferr := ss.Finish(); ferr != nil {
-				j.fail(ferr)
-				return
-			}
-			j.interrupt(&stats, "drained mid-run; resubmit to resume")
-			return
-		}
+	sw.Progress = j.publishRun
+	res, stats, err := artifact.RunSweep(s.store, sw)
+	switch {
+	case err == nil:
+		j.complete(res, stats)
+	case errors.Is(err, lab.ErrStopped):
+		// Graceful drain: RunSweep sealed the partial manifest, and the
+		// stored records resume the job later.
+		j.interrupt(&stats, "drained mid-run; resubmit to resume")
+	default:
 		j.fail(err)
-		return
 	}
-	if err := ss.Finish(); err != nil {
-		j.fail(err)
-		return
-	}
-	j.complete(res, stats)
-}
-
-// jobCache wraps the job's SweepStore, forwarding every cache call
-// verbatim and publishing the per-run telemetry the SSE stream fans
-// out. It cannot change results: a wrapped hit or store returns
-// exactly what the store returned.
-type jobCache struct {
-	inner *artifact.SweepStore
-	job   *Job
-}
-
-// Load consults the store; a hit is published as a cached per-run
-// completion.
-func (c *jobCache) Load(cell, run int) (lab.Result, bool, error) {
-	r, ok, err := c.inner.Load(cell, run)
-	if err == nil && ok {
-		c.job.publishRun(cell, run, true, r)
-	}
-	return r, ok, err
-}
-
-// Store files the fresh result and publishes the completion.
-func (c *jobCache) Store(cell, run int, r lab.Result) error {
-	if err := c.inner.Store(cell, run, r); err != nil {
-		return err
-	}
-	c.job.publishRun(cell, run, false, r)
-	return nil
-}
-
-// StoreFailure files the failure and publishes it.
-func (c *jobCache) StoreFailure(cell, run int, f lab.CellFailure) error {
-	if err := c.inner.StoreFailure(cell, run, f); err != nil {
-		return err
-	}
-	c.job.publishFailure(f)
-	return nil
 }
 
 // depths snapshots the per-client queue depths with sorted keys.

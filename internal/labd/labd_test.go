@@ -478,3 +478,56 @@ func TestResubmitAfterInterrupt(t *testing.T) {
 		t.Fatalf("resubmitted job is %s, want queued", st)
 	}
 }
+
+// TestResubmitCountsFromZero pins the per-attempt completion counter:
+// a job whose second run fails is resubmitted twice, every attempt
+// serves the first run from the store again, and Completed restarts
+// from zero instead of counting that hit once per attempt.
+func TestResubmitCountsFromZero(t *testing.T) {
+	srv, _ := newTestServer(t)
+	srv.Start()
+	defer srv.Drain()
+	// K=4 puts every AS of the 4-clique in the cluster and leaves no
+	// legacy AS to hijack from, so the second cell fails every time
+	// (the registry refuses such a preset; a raw spec gets through).
+	sw := testLabSweep()
+	sw.Base.Event = lab.Hijack
+	sw.Axis = lab.SDNCounts(0, 4)
+	spec, err := sw.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for attempt := 1; attempt <= 3; attempt++ {
+		j, _, err := srv.Submit("alice", "hijack", spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitDone(t, srv, j.ID()); st != StateFailed {
+			t.Fatalf("attempt %d finished %s, want failed", attempt, st)
+		}
+		if st := j.Status(); st.Completed != 1 || st.Total != 2 {
+			t.Fatalf("attempt %d: completed %d of %d, want 1 of 2", attempt, st.Completed, st.Total)
+		}
+	}
+}
+
+// TestNewRejectsBadConfig pins the daemon's own admission checks: a
+// missing store, and a negative per-job parallelism that Sweep.Run
+// would refuse for every job.
+func TestNewRejectsBadConfig(t *testing.T) {
+	store, err := artifact.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"no store", Config{Workers: 1}},
+		{"negative parallelism", Config{Store: store, Workers: 1, Parallelism: -1}},
+	} {
+		if _, err := New(c.cfg); err == nil {
+			t.Errorf("%s: New accepted %+v", c.name, c.cfg)
+		}
+	}
+}
