@@ -5,8 +5,9 @@
 //
 // The library lives under internal/: a deterministic discrete-event
 // network emulator (sim, netem), a BGP-4 implementation (bgp,
-// bgp/wire, bgp/rib, policy), the SDN cluster substrate (sdn, sdn/ofp,
-// speaker) and the paper's IDR controller (core), plus topology
+// bgp/wire, bgp/rib, policy), the SDN cluster substrate (sdn, sdn/ofp)
+// and the paper's IDR controller, which terminates the cluster's eBGP
+// sessions itself (core), plus topology
 // generation and dataset formats (topology, addressing), measurement
 // tooling (monitor, collector, stats) and experiment orchestration
 // (experiment, scenario).
@@ -21,8 +22,8 @@
 // of the SDN cluster mid-run), with the classic single-event
 // lab.Event enum kept as sugar — and returns a uniform lab.Result
 // with one measured epoch per scheduled event; a lab.Sweep varies
-// one declared axis (SDN count, MRAI, topology size, debounce, flap
-// period, regime or policy) across seeded parallel runs; and one
+// one declared axis (SDN count, MRAI, topology size, debounce, regime,
+// policy or link loss) across seeded parallel runs; and one
 // encoder layer renders every sweep — including the per-epoch rows —
 // as a table, CSV, JSON, GitHub-flavored markdown or an SVG boxplot.
 // The paper's figures, the policy family on internet-like AS graphs,

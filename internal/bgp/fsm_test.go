@@ -138,7 +138,7 @@ func (r *fsmRig) wait(t testing.TB, d time.Duration) {
 }
 
 // TestFSM runs the RFC 4271 §8 cases against the shared machine — the
-// one copy bgp.Peer and speaker.Session both run.
+// one copy bgp.Peer and the controller's external sessions both run.
 func TestFSM(t *testing.T) {
 	type step func(t *testing.T, r *fsmRig)
 	recv := func(m wire.Message) step {

@@ -61,8 +61,8 @@ type candidate struct {
 }
 
 // announcement is what one border tells its external neighbours about
-// the prefix: the attributes (shared by the border's sessions — the
-// speaker clones what it sends) and the session the route exits
+// the prefix: the attributes (shared by the border's sessions — each
+// session clones what it sends) and the session the route exits
 // through (the zero key when it reaches the owner internally).
 type announcement struct {
 	built, ok bool
@@ -366,10 +366,10 @@ func (c *Controller) announce(v *view, prefix netip.Prefix) {
 			continue
 		}
 		if a := v.announcement(es.border); a.allowedOn(es) {
-			if es.sess.Announce(prefix, a.attrs) == nil {
+			if es.announce(prefix, a.attrs) == nil {
 				c.stats.AnnounceCommands++
 			}
-		} else if es.sess.WithdrawPrefix(prefix) == nil {
+		} else if es.withdraw(prefix) == nil {
 			c.stats.WithdrawCommands++
 		}
 	}

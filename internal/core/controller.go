@@ -2,7 +2,8 @@
 // proof-of-concept IDR SDN controller that exploits centralization to
 // improve inter-domain routing convergence (§3).
 //
-// The controller sits over the cluster BGP speaker and the cluster's
+// The controller terminates the cluster's eBGP sessions itself — it is
+// the cluster BGP speaker too (session.go) — and drives the cluster's
 // switches. It maintains two graphs, exactly as the paper describes:
 //
 //   - the Switch graph — the physical topology of the cluster's
@@ -34,7 +35,6 @@ import (
 	"repro/internal/idr"
 	"repro/internal/sdn/ofp"
 	"repro/internal/sim"
-	"repro/internal/speaker"
 )
 
 // DefaultDebounce is the default delayed-recomputation window.
@@ -95,6 +95,14 @@ type Controller struct {
 	// view is the dense switch graph of astopo.go: derived state, nil
 	// until the next route computation rebuilds it.
 	view *view
+
+	// tx is the UPDATE a session is sending and onePrefix its prefix
+	// list, lent to the session machine for one send: sends never
+	// re-enter (a frame reaches the member over the control channel as a
+	// later event), so one buffer serves every session, as bgp.Router's
+	// does its peers.
+	tx        wire.Update
+	onePrefix [1]netip.Prefix
 }
 
 type member struct {
@@ -108,15 +116,6 @@ type portInfo struct {
 	isMember bool
 	up       bool
 	sess     *extSession
-}
-
-type extSession struct {
-	key         SessKey
-	remote      idr.ASN
-	sess        *speaker.Session
-	established bool
-	// border is the border member's index in the current view.
-	border int32
 }
 
 // New returns a controller on the given clock.
@@ -192,8 +191,7 @@ func (c *Controller) RemoveMember(asn idr.ASN) error {
 		if key.Border != asn {
 			continue
 		}
-		es := c.sessions[key]
-		es.sess.TransportDown()
+		c.sessions[key].fsm.TransportDown()
 		delete(c.sessions, key)
 	}
 	//lint:maporder every port gets the same independent store
@@ -222,7 +220,7 @@ func (c *Controller) RemovePeering(memberASN idr.ASN, port uint32) error {
 	if pi.sess == nil {
 		return fmt.Errorf("core: member %v port %d has no peering", memberASN, port)
 	}
-	pi.sess.sess.TransportDown()
+	pi.sess.fsm.TransportDown()
 	delete(c.sessions, pi.sess.key)
 	pi.sess = nil
 	c.invalidate()
@@ -287,7 +285,7 @@ func (c *Controller) RegisterPort(memberASN idr.ASN, port uint32, neighbor idr.A
 	return nil
 }
 
-// AddExternalPeering creates the speaker session for the eBGP peering
+// AddExternalPeering creates the controller's session for the eBGP peering
 // with remoteASN on the given border port. localID is the border
 // member's BGP identifier (members keep their AS identity); nextHop is
 // the member's address on the external link.
@@ -306,36 +304,37 @@ func (c *Controller) AddExternalPeering(borderASN idr.ASN, port uint32, remoteAS
 	if pi.sess != nil {
 		return fmt.Errorf("core: member %v port %d already has a peering", borderASN, port)
 	}
-	key := SessKey{Border: borderASN, Port: port}
-	es := &extSession{key: key, remote: remoteASN}
-	sess, err := speaker.New(speaker.Config{
-		SessionConfig: bgp.SessionConfig{
-			LocalASN:          borderASN,
-			LocalID:           localID,
-			RemoteASN:         remoteASN,
-			HoldTime:          c.cfg.Timers.HoldTime,
-			ConnectRetry:      c.cfg.Timers.ConnectRetry,
-			KeepaliveFraction: c.cfg.Timers.KeepaliveFraction,
-			Clock:             c.cfg.Clock,
-			Send: func(frame []byte) error {
-				return c.sendPacketOut(m, port, frame)
-			},
-		},
-		NextHop: nextHop,
-		OnRoute: func(ev speaker.RouteEvent) { c.onRoute(key, ev) },
-		OnState: func(up bool) { c.onSessionState(es, up) },
-	})
-	if err != nil {
-		return err
+	es := &extSession{
+		c:          c,
+		key:        SessKey{Border: borderASN, Port: port},
+		remote:     remoteASN,
+		nextHop:    nextHop,
+		advertised: make(map[netip.Prefix]wire.PathAttrs),
+		adjIn:      make(map[netip.Prefix]bool),
 	}
-	es.sess = sess
+	fsm, err := bgp.NewFSM(bgp.SessionConfig{
+		LocalASN:          borderASN,
+		LocalID:           localID,
+		RemoteASN:         remoteASN,
+		HoldTime:          c.cfg.Timers.HoldTime,
+		ConnectRetry:      c.cfg.Timers.ConnectRetry,
+		KeepaliveFraction: c.cfg.Timers.KeepaliveFraction,
+		Clock:             c.cfg.Clock,
+		Send: func(frame []byte) error {
+			return c.sendPacketOut(m, port, frame)
+		},
+	}, (*sessionOwner)(es))
+	if err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	es.fsm = fsm
 	pi.sess = es
-	c.sessions[key] = es
+	c.sessions[es.key] = es
 	c.invalidate()
 	// A peering added after Start (a mid-run migration) comes up
 	// immediately; at build time Start brings it up.
 	if c.started && pi.up {
-		sess.TransportUp()
+		fsm.TransportUp()
 	}
 	return nil
 }
@@ -345,7 +344,7 @@ func (c *Controller) nextXid() uint32 {
 	return c.xid
 }
 
-// sendPacketOut has member m put a speaker session's link frame on the
+// sendPacketOut has member m put an external session's link frame on the
 // wire of its port.
 func (c *Controller) sendPacketOut(m *member, port uint32, data []byte) error {
 	po := ofp.PacketOut{OutPort: port, Data: data}
@@ -386,7 +385,7 @@ func (c *Controller) Start() error {
 		es := c.sessions[key]
 		pi := c.members[es.key.Border].ports[es.key.Port]
 		if pi.up {
-			es.sess.TransportUp()
+			es.fsm.TransportUp()
 		}
 	}
 	return nil
@@ -459,7 +458,7 @@ func (c *Controller) handlePacketIn(m *member, pin ofp.PacketIn) error {
 		// BGP traffic on a port with no configured peering: drop.
 		return nil
 	}
-	pi.sess.sess.Deliver(pin.Data)
+	pi.sess.fsm.Deliver(pin.Data)
 	return nil
 }
 
@@ -472,9 +471,9 @@ func (c *Controller) handlePortStatus(m *member, ps ofp.PortStatus) {
 	c.invalidate()
 	if pi.sess != nil {
 		if ps.Up {
-			pi.sess.sess.TransportUp()
+			pi.sess.fsm.TransportUp()
 		} else {
-			pi.sess.sess.TransportDown()
+			pi.sess.fsm.TransportDown()
 		}
 		return
 	}
@@ -484,34 +483,27 @@ func (c *Controller) handlePortStatus(m *member, ps ofp.PortStatus) {
 	}
 }
 
-// onRoute records an external route event and schedules recomputation.
-func (c *Controller) onRoute(key SessKey, ev speaker.RouteEvent) {
+// learn records one external route learned on a session — a withdrawal
+// when attrs is nil — and schedules recomputation of its prefix. The
+// candidate keeps *attrs as it is, so the caller hands over its slices.
+func (c *Controller) learn(key SessKey, prefix netip.Prefix, attrs *wire.PathAttrs) {
 	c.stats.RouteEvents++
-	if ev.Withdrawn {
-		if m := c.extRoutes[ev.Prefix]; m != nil {
+	if attrs == nil {
+		if m := c.extRoutes[prefix]; m != nil {
 			delete(m, key)
 			if len(m) == 0 {
-				delete(c.extRoutes, ev.Prefix)
+				delete(c.extRoutes, prefix)
 			}
 		}
 	} else {
-		m := c.extRoutes[ev.Prefix]
+		m := c.extRoutes[prefix]
 		if m == nil {
 			m = make(map[SessKey]wire.PathAttrs)
-			c.extRoutes[ev.Prefix] = m
+			c.extRoutes[prefix] = m
 		}
-		m[key] = ev.Attrs
+		m[key] = *attrs
 	}
-	c.markDirty(ev.Prefix)
-}
-
-func (c *Controller) onSessionState(es *extSession, up bool) {
-	es.established = up
-	if up {
-		// Re-advertise current state on the fresh session.
-		c.markAllDirty()
-	}
-	// Session loss already produced synthetic withdrawals via OnRoute.
+	c.markDirty(prefix)
 }
 
 // markDirty schedules a delayed recomputation for one prefix.

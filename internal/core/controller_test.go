@@ -12,7 +12,6 @@ import (
 	"repro/internal/idr"
 	"repro/internal/sdn/ofp"
 	"repro/internal/sim"
-	"repro/internal/speaker"
 )
 
 // capture collects control frames sent to one member switch.
@@ -81,7 +80,7 @@ func testCluster(t *testing.T) (*Controller, *sim.Kernel, map[idr.ASN]*capture) 
 		t.Fatal(err)
 	}
 	// Mark the sessions established without running the FSM: these
-	// white-box tests exercise the graph logic, not the speaker.
+	// white-box tests exercise the graph logic, not the sessions.
 	for _, es := range c.sessions {
 		es.established = true
 	}
@@ -90,8 +89,8 @@ func testCluster(t *testing.T) (*Controller, *sim.Kernel, map[idr.ASN]*capture) 
 
 var testPrefix = netip.MustParsePrefix("10.0.2.0/24")
 
-func extAttrs(path ...idr.ASN) wire.PathAttrs {
-	return wire.PathAttrs{
+func extAttrs(path ...idr.ASN) *wire.PathAttrs {
+	return &wire.PathAttrs{
 		Origin:  wire.OriginIGP,
 		ASPath:  wire.NewASPath(path...),
 		NextHop: netip.MustParseAddr("100.64.0.2"),
@@ -135,9 +134,7 @@ func TestSubClusters(t *testing.T) {
 func TestDijkstraExternalPrefix(t *testing.T) {
 	c, _, _ := testCluster(t)
 	// Route learned only at border 11 from AS 2 with path [2].
-	c.onRoute(SessKey{Border: 11, Port: 2}, speaker.RouteEvent{
-		Prefix: testPrefix, Attrs: extAttrs(2),
-	})
+	c.learn(SessKey{Border: 11, Port: 2}, testPrefix, extAttrs(2))
 	v, at := routed(c, testPrefix)
 	// 11 exits directly: cost 1 + len([2]) = 2.
 	if v.dist[at[11]] != 2 {
@@ -161,12 +158,8 @@ func TestDijkstraExternalPrefix(t *testing.T) {
 func TestDijkstraPrefersShorterExternalPath(t *testing.T) {
 	c, _, _ := testCluster(t)
 	// Border 11 hears a long path, border 13 a short one.
-	c.onRoute(SessKey{Border: 11, Port: 2}, speaker.RouteEvent{
-		Prefix: testPrefix, Attrs: extAttrs(2, 7, 8, 9),
-	})
-	c.onRoute(SessKey{Border: 13, Port: 2}, speaker.RouteEvent{
-		Prefix: testPrefix, Attrs: extAttrs(3),
-	})
+	c.learn(SessKey{Border: 11, Port: 2}, testPrefix, extAttrs(2, 7, 8, 9))
+	c.learn(SessKey{Border: 13, Port: 2}, testPrefix, extAttrs(3))
 	v, at := routed(c, testPrefix)
 	// 12 should prefer egress via 13 (cost 2+1=3) over 11 (cost 5+1).
 	if v.next[at[12]] != at[13] {
@@ -185,9 +178,7 @@ func TestCandidateLoopAvoidance(t *testing.T) {
 	c, _, _ := testCluster(t)
 	// External path re-entering the cluster (contains member 12):
 	// unusable from any border in the same component.
-	c.onRoute(SessKey{Border: 11, Port: 2}, speaker.RouteEvent{
-		Prefix: testPrefix, Attrs: extAttrs(2, 12, 5),
-	})
+	c.learn(SessKey{Border: 11, Port: 2}, testPrefix, extAttrs(2, 12, 5))
 	usable := func() (n int) {
 		v, _ := routed(c, testPrefix)
 		for _, cand := range v.best {
@@ -204,9 +195,7 @@ func TestCandidateLoopAvoidance(t *testing.T) {
 	// from component {11,12} (sub-clusters reach each other over the
 	// legacy world).
 	failLink1213(c)
-	c.onRoute(SessKey{Border: 11, Port: 2}, speaker.RouteEvent{
-		Prefix: testPrefix, Attrs: extAttrs(2, 13, 5),
-	})
+	c.learn(SessKey{Border: 11, Port: 2}, testPrefix, extAttrs(2, 13, 5))
 	if usable() != 1 {
 		t.Fatalf("cross-sub-cluster path should be usable, got %v", c.view.best)
 	}
@@ -229,9 +218,7 @@ func TestDijkstraOwnedPrefix(t *testing.T) {
 
 func TestPushFlowsProgramsSwitches(t *testing.T) {
 	c, k, caps := testCluster(t)
-	c.onRoute(SessKey{Border: 11, Port: 2}, speaker.RouteEvent{
-		Prefix: testPrefix, Attrs: extAttrs(2),
-	})
+	c.learn(SessKey{Border: 11, Port: 2}, testPrefix, extAttrs(2))
 	if err := k.Run(); err != nil { // debounce fires, recompute runs
 		t.Fatal(err)
 	}
@@ -258,11 +245,11 @@ func TestPushFlowsProgramsSwitches(t *testing.T) {
 func TestWithdrawalRemovesFlows(t *testing.T) {
 	c, k, caps := testCluster(t)
 	key := SessKey{Border: 11, Port: 2}
-	c.onRoute(key, speaker.RouteEvent{Prefix: testPrefix, Attrs: extAttrs(2)})
+	c.learn(key, testPrefix, extAttrs(2))
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	c.onRoute(key, speaker.RouteEvent{Prefix: testPrefix, Withdrawn: true})
+	c.learn(key, testPrefix, nil)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +267,7 @@ func TestDebounceBatchesRecomputes(t *testing.T) {
 	// recomputation (the paper's rate-limiting insight).
 	for i := 0; i < 10; i++ {
 		pfx := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 0, byte(i), 0}), 24)
-		c.onRoute(key, speaker.RouteEvent{Prefix: pfx, Attrs: extAttrs(2)})
+		c.learn(key, pfx, extAttrs(2))
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -313,7 +300,7 @@ func TestNoDebounceAblation(t *testing.T) {
 	key := SessKey{Border: 11, Port: 1}
 	for i := 0; i < 5; i++ {
 		pfx := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 0, byte(i), 0}), 24)
-		c.onRoute(key, speaker.RouteEvent{Prefix: pfx, Attrs: extAttrs(2)})
+		c.learn(key, pfx, extAttrs(2))
 	}
 	if got := c.Stats().Recomputes; got != 5 {
 		t.Fatalf("recomputes = %d, want 5 (no debounce)", got)
@@ -324,9 +311,7 @@ func TestAnnouncementForTransparency(t *testing.T) {
 	c, k, _ := testCluster(t)
 	// Route at border 11 from AS2 path [2 9]. Border 13's announcement
 	// to AS3 must carry the full internal path [13 12 11] + [2 9].
-	c.onRoute(SessKey{Border: 11, Port: 2}, speaker.RouteEvent{
-		Prefix: testPrefix, Attrs: extAttrs(2, 9),
-	})
+	c.learn(SessKey{Border: 11, Port: 2}, testPrefix, extAttrs(2, 9))
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -348,9 +333,7 @@ func TestAnnouncementForTransparency(t *testing.T) {
 func TestAnnouncementSkipsReceiverLoop(t *testing.T) {
 	c, k, _ := testCluster(t)
 	// Path already contains AS3 — announcing to AS3 would loop.
-	c.onRoute(SessKey{Border: 11, Port: 2}, speaker.RouteEvent{
-		Prefix: testPrefix, Attrs: extAttrs(2, 3),
-	})
+	c.learn(SessKey{Border: 11, Port: 2}, testPrefix, extAttrs(2, 3))
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -396,9 +379,7 @@ func TestOwnedPrefixAnnouncement(t *testing.T) {
 
 func TestPartitionIsolatesRouting(t *testing.T) {
 	c, k, caps := testCluster(t)
-	c.onRoute(SessKey{Border: 11, Port: 2}, speaker.RouteEvent{
-		Prefix: testPrefix, Attrs: extAttrs(2),
-	})
+	c.learn(SessKey{Border: 11, Port: 2}, testPrefix, extAttrs(2))
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -528,16 +509,8 @@ func TestExternalSessionFollowsConfiguredTimers(t *testing.T) {
 	// The member switch, reduced to its relay role: PacketOut payloads
 	// go to the router, the router's frames come back as PacketIn.
 	var opens []time.Duration
-	toRouter := func(frame []byte) error {
-		msg, _, err := ofp.Unmarshal(frame)
-		if err != nil {
-			return err
-		}
-		po, ok := msg.(ofp.PacketOut)
-		if !ok {
-			return nil
-		}
-		_, bgpFrame, err := frames.Decode(po.Data)
+	toRouter := relay(func(frame []byte) error {
+		_, bgpFrame, err := frames.Decode(frame)
 		if err != nil {
 			return err
 		}
@@ -546,7 +519,7 @@ func TestExternalSessionFollowsConfiguredTimers(t *testing.T) {
 		}
 		k.Go(func() { router.Deliver("to-AS11", bgpFrame) })
 		return nil
-	}
+	})
 	toController := func(frame []byte) error {
 		_, bgpFrame, err := frames.Decode(frame)
 		if err != nil {
@@ -579,7 +552,7 @@ func TestExternalSessionFollowsConfiguredTimers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := c.sessions[SessKey{Border: 11, Port: 2}].sess
+	sess := c.sessions[SessKey{Border: 11, Port: 2}].fsm
 
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
@@ -589,10 +562,10 @@ func TestExternalSessionFollowsConfiguredTimers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sess.State() != bgp.StateEstablished || peer.State() != bgp.StateEstablished {
-		t.Fatalf("setup: speaker %v, router %v", sess.State(), peer.State())
+		t.Fatalf("setup: controller %v, router %v", sess.State(), peer.State())
 	}
 
-	// The router's transport bounces: its Cease takes the speaker down,
+	// The router's transport bounces: its Cease takes the session down,
 	// which must wait out the configured connect-retry before its OPEN.
 	resetAt := k.Now().Sub(sim.Epoch)
 	opens = nil
@@ -607,13 +580,13 @@ func TestExternalSessionFollowsConfiguredTimers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(opens) != 0 {
-		t.Fatalf("speaker re-OPENed %v after the reset, before the configured %v connect-retry", opens[0]-resetAt, retry)
+		t.Fatalf("controller re-OPENed %v after the reset, before the configured %v connect-retry", opens[0]-resetAt, retry)
 	}
 	if err := k.RunFor(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if len(opens) == 0 || opens[0]-resetAt != retry {
-		t.Fatalf("speaker OPENs after the reset at %v, want exactly one connect-retry (%v) later", opens, retry)
+		t.Fatalf("controller OPENs after the reset at %v, want exactly one connect-retry (%v) later", opens, retry)
 	}
 }
 
@@ -632,14 +605,14 @@ func TestRecomputeAllDirtyLeftoverOrder(t *testing.T) {
 	for run := 0; run < 40; run++ {
 		c, k, caps := testCluster(t)
 		for _, p := range prefixes {
-			c.onRoute(key, speaker.RouteEvent{Prefix: p, Attrs: extAttrs(2)})
+			c.learn(key, p, extAttrs(2))
 		}
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
 		learned := len(caps[12].flowMods(t))
 		for _, p := range prefixes {
-			c.onRoute(key, speaker.RouteEvent{Prefix: p, Withdrawn: true})
+			c.learn(key, p, nil)
 		}
 		c.markAllDirty()
 		if err := k.Run(); err != nil {

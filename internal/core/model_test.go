@@ -16,7 +16,6 @@ import (
 	"repro/internal/idr"
 	"repro/internal/sdn/ofp"
 	"repro/internal/sim"
-	"repro/internal/speaker"
 )
 
 // The oracle: the map-and-sort route computation the dense view in
@@ -377,12 +376,12 @@ func (c *Controller) updateAnnouncements(prefix netip.Prefix, res routingResult)
 		}
 		attrs, ok := c.announcementFor(k, es, prefix, res)
 		if !ok {
-			if es.sess.WithdrawPrefix(prefix) == nil {
+			if es.withdraw(prefix) == nil {
 				c.stats.WithdrawCommands++
 			}
 			continue
 		}
-		if es.sess.Announce(prefix, attrs) == nil {
+		if es.announce(prefix, attrs) == nil {
 			c.stats.AnnounceCommands++
 		}
 	}
@@ -539,7 +538,7 @@ func (w *modelWorld) unpeer(key SessKey) {
 func (w *modelWorld) forget(key SessKey) {
 	for _, p := range idr.SortedPrefixes(w.injected[key]) {
 		w.both(func(s *modelSide) error {
-			s.c.onRoute(key, speaker.RouteEvent{Prefix: p, Withdrawn: true})
+			s.c.learn(key, p, nil)
 			return nil
 		})
 	}
@@ -743,8 +742,8 @@ func (w *modelWorld) step() {
 	case 0, 1, 2, 3: // an external route arrives
 		if key, ok := pick(w.tape, c.sessionKeys()); ok {
 			p, _ := pick(w.tape, modelPrefixes)
-			ev := speaker.RouteEvent{Prefix: p, Attrs: w.attrs()}
-			w.both(func(s *modelSide) error { s.c.onRoute(key, ev); return nil })
+			attrs := w.attrs()
+			w.both(func(s *modelSide) error { s.c.learn(key, p, &attrs); return nil })
 			if w.injected[key] == nil {
 				w.injected[key] = make(map[netip.Prefix]bool)
 			}
@@ -759,7 +758,7 @@ func (w *modelWorld) step() {
 		if key, ok := pick(w.tape, keys); ok {
 			p, _ := pick(w.tape, idr.SortedPrefixes(w.injected[key]))
 			w.both(func(s *modelSide) error {
-				s.c.onRoute(key, speaker.RouteEvent{Prefix: p, Withdrawn: true})
+				s.c.learn(key, p, nil)
 				return nil
 			})
 			if delete(w.injected[key], p); len(w.injected[key]) == 0 {
@@ -772,7 +771,7 @@ func (w *modelWorld) step() {
 			w.control(m, ofp.PortStatus{Port: e.pa, Up: !c.members[m].ports[e.pa].up})
 		}
 	case 8, 9: // the legacy end of a peering opens
-		if key, ok := pick(w.tape, c.sessionKeys()); ok && c.sessions[key].sess.State() != bgp.StateEstablished {
+		if key, ok := pick(w.tape, c.sessionKeys()); ok && c.sessions[key].fsm.State() != bgp.StateEstablished {
 			w.establish(key)
 		}
 	case 10: // or closes

@@ -4,17 +4,18 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
+	"time"
 
+	"repro/internal/bgp"
 	"repro/internal/bgp/wire"
 	"repro/internal/idr"
 	"repro/internal/sim"
-	"repro/internal/speaker"
 )
 
 // Snapshot support: ControllerState captures the controller's mutable
 // state — the external route candidates, cluster originations, dirty
-// set and debounce timer, port operational flags, the per-peering
-// speaker sessions, and the counters. The switch graph itself (members,
+// set and debounce timer, port operational flags, the external
+// sessions, and the counters. The switch graph itself (members,
 // ports, peering wiring) is configuration, rebuilt identically by
 // construction; only what changed since Start is serialized.
 
@@ -52,16 +53,40 @@ type PortFlag struct {
 	Up     bool    `json:"up"`
 }
 
-// SessionSnap is one external peering's state: the controller-side
-// established flag plus the speaker session itself.
+// SessionSnap is one external peering's state: the route computation's
+// established flag plus the session itself.
 type SessionSnap struct {
 	// Border and Port identify the peering (SessKey).
 	Border idr.ASN `json:"border"`
 	Port   uint32  `json:"port"`
 	// Established is the controller's view of the session.
 	Established bool `json:"established"`
-	// Speaker is the underlying session state.
-	Speaker speaker.SessionState `json:"speaker"`
+	// Speaker is the session state.
+	Speaker SessionState `json:"speaker"`
+}
+
+// SessionState is the serializable state of one external session: FSM
+// state, negotiated hold time, what the controller has announced on it,
+// what was learned from the legacy neighbor, and the pending timers as
+// (deadline, original sequence) references.
+type SessionState struct {
+	// State is the FSM state.
+	State bgp.State `json:"state"`
+	// TransportUp mirrors the transport signal.
+	TransportUp bool `json:"transport_up"`
+	// HoldTimeNS is the negotiated hold time in nanoseconds.
+	HoldTimeNS int64 `json:"hold_time_ns"`
+	// RemoteID was learned from the neighbor's OPEN.
+	RemoteID idr.RouterID `json:"remote_id"`
+	// Advertised lists the controller's announcements as sent (NEXT_HOP
+	// set, LOCAL_PREF stripped), sorted by prefix.
+	Advertised []bgp.PrefixAttrs `json:"advertised,omitempty"`
+	// AdjIn lists the prefixes learned on the session, sorted.
+	AdjIn []netip.Prefix `json:"adj_in,omitempty"`
+	// Hold, Keepalive and Retry reference the pending timers.
+	Hold      *sim.TimerRef `json:"hold,omitempty"`
+	Keepalive *sim.TimerRef `json:"keepalive,omitempty"`
+	Retry     *sim.TimerRef `json:"retry,omitempty"`
 }
 
 // ControllerState is the serializable state of a Controller.
@@ -132,8 +157,27 @@ func (c *Controller) State() ControllerState {
 			Border:      key.Border,
 			Port:        key.Port,
 			Established: es.established,
-			Speaker:     es.sess.Snapshot(),
+			Speaker:     es.snapshot(),
 		})
+	}
+	return st
+}
+
+// snapshot captures one session's serializable state.
+func (es *extSession) snapshot() SessionState {
+	fs := es.fsm.Capture()
+	st := SessionState{
+		State:       fs.State,
+		TransportUp: fs.TransportUp,
+		HoldTimeNS:  int64(fs.HoldTime),
+		RemoteID:    fs.RemoteID,
+		Hold:        fs.Hold,
+		Keepalive:   fs.Keepalive,
+		Retry:       fs.Retry,
+		AdjIn:       idr.SortedPrefixes(es.adjIn),
+	}
+	for _, p := range idr.SortedPrefixes(es.advertised) {
+		st.Advertised = append(st.Advertised, bgp.PrefixAttrs{Prefix: p, Attrs: es.advertised[p]})
 	}
 	return st
 }
@@ -181,7 +225,27 @@ func (c *Controller) RestoreState(st ControllerState) ([]sim.TimerArm, error) {
 			return nil, fmt.Errorf("core: restore: no peering %v#%d", ss.Border, ss.Port)
 		}
 		es.established = ss.Established
-		arms = append(arms, es.sess.RestoreState(ss.Speaker)...)
+		arms = append(arms, es.restore(ss.Speaker)...)
 	}
 	return st.Debounce.Rearm(arms, c.cfg.Clock, &c.debounceTimer, c.recompute), nil
+}
+
+// restore overlays a captured state onto a freshly built session,
+// returning its timer arms.
+func (es *extSession) restore(st SessionState) []sim.TimerArm {
+	for _, ae := range st.Advertised {
+		es.advertised[ae.Prefix] = ae.Attrs.Clone()
+	}
+	for _, p := range st.AdjIn {
+		es.adjIn[p] = true
+	}
+	return es.fsm.Restore(bgp.FSMState{
+		State:       st.State,
+		TransportUp: st.TransportUp,
+		RemoteID:    st.RemoteID,
+		HoldTime:    time.Duration(st.HoldTimeNS),
+		Hold:        st.Hold,
+		Keepalive:   st.Keepalive,
+		Retry:       st.Retry,
+	})
 }

@@ -5,9 +5,9 @@
 // members and a policy template, it builds the whole emulated network:
 //
 //   - one BGP router per legacy AS (internal/bgp),
-//   - one OpenFlow switch per cluster member plus the IDR controller
-//     and its cluster BGP speaker sessions (internal/sdn,
-//     internal/core, internal/speaker),
+//   - one OpenFlow switch per cluster member plus the IDR controller,
+//     which terminates the cluster's eBGP sessions itself
+//     (internal/sdn, internal/core),
 //   - automatic address/prefix assignment (internal/addressing),
 //   - a route collector peering with every legacy router
 //     (internal/collector),

@@ -139,7 +139,7 @@ func (e *Experiment) open(asn, nb idr.ASN) (linkEnd, error) {
 
 // settle aligns an end with the current role of its neighbor. A fresh
 // switch port is registered with the controller, which terminates the
-// eBGP session toward a legacy neighbor through the speaker. A
+// eBGP session toward a legacy neighbor itself. A
 // standing switch port turns from external peering into intra-cluster
 // edge or back, following a neighbor that just migrated. A standing
 // router session is reset, so it re-establishes with whatever now
@@ -183,7 +183,7 @@ func (e *Experiment) settle(end linkEnd) error {
 // and for every link of a migrating AS (its end fresh, the neighbor's
 // standing). The order of the calls below is part of the determinism
 // contract: TransportDown, SetPortMembership (arms the debounce) and
-// AddExternalPeering (brings the speaker session up after Start) each
+// AddExternalPeering (brings the session up after Start) each
 // consume kernel sequence numbers.
 func (e *Experiment) wire(a, b idr.ASN) error {
 	ea, err := e.open(a, b)

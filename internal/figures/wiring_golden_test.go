@@ -16,7 +16,7 @@ import (
 // before experiment's three link-wiring sites became one wire(a, b),
 // so they are the proof that the order of every call that consumes a
 // kernel sequence number (TransportDown, the debounce arm behind
-// SetPortMembership, the speaker TransportUp behind AddExternalPeering)
+// SetPortMembership, the session TransportUp behind AddExternalPeering)
 // is unchanged.
 func TestWiringGolden(t *testing.T) {
 	for _, c := range []struct {

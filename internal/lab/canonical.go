@@ -194,7 +194,7 @@ func (s Sweep) Canonical() ([]byte, error) {
 	// Duration axes label "-1ns" as "off"; disambiguate by value so
 	// distinct debounce settings never share an address.
 	switch s.Axis.Kind {
-	case AxisMRAI, AxisDebounce, AxisFlapPeriod:
+	case AxisMRAI, AxisDebounce:
 		for i, d := range s.Axis.Durations {
 			axis.Values[i] = d.String()
 		}

@@ -119,14 +119,11 @@ func axisFromCanonical(c canonicalAxis) (Axis, error) {
 			}
 			a.Ints = append(a.Ints, n)
 		}
-	case "mrai_s", "debounce_s", "period_s":
-		switch c.Name {
-		case "mrai_s":
+	case "mrai_s", "debounce_s":
+		if c.Name == "mrai_s" {
 			a.Kind = AxisMRAI
-		case "debounce_s":
+		} else {
 			a.Kind = AxisDebounce
-		default:
-			a.Kind = AxisFlapPeriod
 		}
 		for _, v := range c.Values {
 			d, err := time.ParseDuration(v)

@@ -41,7 +41,7 @@ func decodeSweeps() map[string]Sweep {
 			// The negative "disabled" debounce labels as "off" but must
 			// serialize as a value ("-1ns") to keep distinct settings at
 			// distinct addresses — the decode must parse it back.
-			Axis: Debounces(-time.Nanosecond, 0, time.Second),
+			Axis: Debounces(-time.Nanosecond, time.Second),
 		},
 		"flap-modes": {
 			Base: Trial{
@@ -55,8 +55,9 @@ func decodeSweeps() map[string]Sweep {
 			Axis: Modes(ModeBGP, ModeDamping, ModeSDN),
 		},
 		"flap-period": {
-			Base: Trial{Topo: TopoSpec{Kind: "clique", N: 4}, Event: Flap},
-			Axis: FlapPeriods(5*time.Second, 20*time.Second),
+			// No axis sweeps the flap period; the base trial carries it.
+			Base: Trial{Topo: TopoSpec{Kind: "clique", N: 4}, Event: Flap, FlapCycles: 3, FlapPeriod: 20 * time.Second},
+			Axis: MRAIs(5*time.Second, 20*time.Second),
 		},
 		"policy": {
 			Base: Trial{Topo: TopoSpec{Kind: "tree", N: 7, M: 2}, Event: Hijack},
@@ -164,6 +165,10 @@ func TestParseCanonicalRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	debounces, err := decodeSweeps()["debounce-off"].Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := map[string]string{
 		// Sweep.Run refuses this axis (a clique 6 has no 7th AS to
 		// place); admitting it would queue a job that cannot start.
@@ -177,6 +182,9 @@ func TestParseCanonicalRejects(t *testing.T) {
 		// default under a label claiming 0s.
 		"zero mrai on the axis":     strings.Replace(string(data), `"values":["1s"`, `"values":["0s"`, 1),
 		"negative mrai on the axis": strings.Replace(string(data), `"values":["1s"`, `"values":["-5s"`, 1),
+		// Likewise a debounce of 0 would run the 1s controller default
+		// under a "0s" label; disabled is a negative value.
+		"zero debounce on the axis": strings.Replace(string(debounces), `"values":["-1ns"`, `"values":["0s"`, 1),
 
 		"junk":           "not json",
 		"version skew":   strings.Replace(string(data), `"version":2`, `"version":1`, 1),

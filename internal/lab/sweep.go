@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/bgp"
+	"repro/internal/core"
 	"repro/internal/monitor"
 	"repro/internal/plot"
 	"repro/internal/sim"
@@ -33,8 +34,6 @@ const (
 	// AxisDebounce varies the controller's delayed-recomputation
 	// window (negative disables the delay — the ablation case).
 	AxisDebounce
-	// AxisFlapPeriod varies the flap storm's cycle period.
-	AxisFlapPeriod
 	// AxisMode varies the flap-containment regime: ModeBGP (plain),
 	// ModeDamping (RFC 2439) or ModeSDN (half the ASes clustered with
 	// a 1s debounce).
@@ -56,15 +55,13 @@ const (
 )
 
 // Axis declares the swept parameter and its values. Construct with
-// SDNCounts, MRAIs, TopoSizes, Debounces, FlapPeriods, Modes,
-// Policies or Losses.
+// SDNCounts, MRAIs, TopoSizes, Debounces, Modes, Policies or Losses.
 type Axis struct {
 	// Kind selects which trial parameter the axis varies.
 	Kind AxisKind
 	// Ints holds the values for AxisSDNCount and AxisTopoSize.
 	Ints []int
-	// Durations holds the values for AxisMRAI, AxisDebounce and
-	// AxisFlapPeriod.
+	// Durations holds the values for AxisMRAI and AxisDebounce.
 	Durations []time.Duration
 	// Modes holds the values for AxisMode.
 	Modes []string
@@ -85,9 +82,6 @@ func TopoSizes(ns ...int) Axis { return Axis{Kind: AxisTopoSize, Ints: ns} }
 
 // Debounces declares a controller-debounce axis (negative disables).
 func Debounces(ds ...time.Duration) Axis { return Axis{Kind: AxisDebounce, Durations: ds} }
-
-// FlapPeriods declares a flap-period axis.
-func FlapPeriods(ds ...time.Duration) Axis { return Axis{Kind: AxisFlapPeriod, Durations: ds} }
 
 // Modes declares a flap-containment regime axis.
 func Modes(ms ...string) Axis { return Axis{Kind: AxisMode, Modes: ms} }
@@ -125,8 +119,6 @@ func (a Axis) Name() string {
 		return "size"
 	case AxisDebounce:
 		return "debounce_s"
-	case AxisFlapPeriod:
-		return "period_s"
 	case AxisMode:
 		return "mode"
 	case AxisPolicy:
@@ -193,8 +185,6 @@ func (a Axis) Apply(t *Trial, i int) {
 		t.Topo.N = a.Ints[i]
 	case AxisDebounce:
 		t.Debounce = a.Durations[i]
-	case AxisFlapPeriod:
-		t.FlapPeriod = a.Durations[i]
 	case AxisMode:
 		switch a.Modes[i] {
 		case ModeBGP:
@@ -261,6 +251,12 @@ func (a Axis) validate(base Trial, seeds SeedPolicy) error {
 		for _, d := range a.Durations {
 			if d <= 0 {
 				return fmt.Errorf("lab: MRAI %v is not positive (0 would mean the default %v)", d, bgp.DefaultTimers().MRAI)
+			}
+		}
+	case AxisDebounce:
+		for _, d := range a.Durations {
+			if d == 0 {
+				return fmt.Errorf("lab: debounce 0s is not a window (0 would mean the default %v; a negative value disables the delay)", core.DefaultDebounce)
 			}
 		}
 	case AxisTopoSize:

@@ -22,9 +22,8 @@ var determinismScope = []string{
 	"internal/netem",
 	"internal/figures",
 	"internal/policy",
-	// The cluster side of a hybrid run: the BGP speaker and the
-	// controller react to kernel events inside the seeded simulation.
-	"internal/speaker",
+	// The cluster side of a hybrid run: the controller and its eBGP
+	// sessions react to kernel events inside the seeded simulation.
 	"internal/core",
 	// The service layer executes the same sweeps: a wall-clock read or
 	// order-sensitive map walk in the daemon would break its

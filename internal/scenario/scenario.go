@@ -15,7 +15,7 @@
 //	                        member ASNs (sdn 9 10 11 12)
 //	seed 42                 Seed
 //	mrai 30s                Timers; also no-mrai-jitter, hold-time 90s
-//	debounce 1s             Debounce (negative disables the delay)
+//	debounce 1s             Debounce (0 or negative disables the delay)
 //	processing-delay 25ms   ProcessingDelay; likewise link-delay,
 //	                        jitter (probe sends) and settle
 //	loss 0.05               LinkLoss, in [0, 1], seeded per link
@@ -175,9 +175,15 @@ var directives = map[string]directive{
 	"hold-time":      duration(func(t *lab.Trial) *time.Duration { return &timers(t).HoldTime }),
 	"no-mrai-jitter": {0, func(r *Runner, _ []string) error { timers(&r.trial).MRAIJitter = false; return nil }},
 	// A negative debounce disables the controller delay (lab.Trial's
-	// convention), so it is the one duration that may be negative.
-	"debounce": {1, func(r *Runner, args []string) (err error) {
-		r.trial.Debounce, err = time.ParseDuration(args[0])
+	// convention), so it is the one duration that may be negative; an
+	// explicit 0 disables it too, as -debounce 0 does, instead of
+	// meaning the default.
+	"debounce": {1, func(r *Runner, args []string) error {
+		d, err := time.ParseDuration(args[0])
+		if d == 0 {
+			d = -1
+		}
+		r.trial.Debounce = d
 		return err
 	}},
 	"processing-delay": duration(func(t *lab.Trial) *time.Duration { return &t.ProcessingDelay }),

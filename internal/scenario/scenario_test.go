@@ -1,9 +1,11 @@
 package scenario
 
 import (
+	"io"
 	"os"
 	"strings"
 	"testing"
+	"time"
 )
 
 func run(t *testing.T, script string) (string, error) {
@@ -217,6 +219,33 @@ func TestRunErrors(t *testing.T) {
 				t.Fatalf("script should fail:\n%s", c.script)
 			}
 		})
+	}
+}
+
+// TestDebounceDirective pins the DSL's debounce values to the CLI's
+// -debounce: an explicit 0 disables the delay, as a negative value
+// does, instead of running the controller default.
+func TestDebounceDirective(t *testing.T) {
+	for _, c := range []struct {
+		arg  string
+		want time.Duration
+	}{
+		{"0", -1},
+		{"0s", -1},
+		{"-1s", -time.Second},
+		{"250ms", 250 * time.Millisecond},
+	} {
+		s, err := Parse(strings.NewReader("debounce " + c.arg + "\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := NewRunner(io.Discard)
+		if err := r.Run(s); err != nil {
+			t.Fatal(err)
+		}
+		if r.trial.Debounce != c.want {
+			t.Errorf("debounce %s: Trial.Debounce = %v, want %v", c.arg, r.trial.Debounce, c.want)
+		}
 	}
 }
 
