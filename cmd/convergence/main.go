@@ -43,7 +43,7 @@
 //	convergence -exp fig2 -loss 0.05           # drop 5% of messages on every
 //	                                           # inter-AS link (seeded per
 //	                                           # link: still reproducible)
-//	convergence -exp fig2 -delay 20ms -jitter 5ms
+//	convergence -exp fig2 -delay 20ms
 //	                                           # a SIGINT/SIGTERM while a
 //	                                           # -out sweep runs drains the
 //	                                           # in-flight runs, flushes

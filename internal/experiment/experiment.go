@@ -63,16 +63,12 @@ type Config struct {
 	// LinkDelay is the default inter-AS link delay (default
 	// netem.DefaultDelay); per-edge delays from the topology override.
 	LinkDelay time.Duration
-	// LinkLoss is the per-message loss probability in [0, 1] applied to
-	// every inter-AS topology link (control links to the controller and
-	// the collector stay clean). Reliable BGP transport recovers lost
-	// attempts with retransmission delays; probe traffic is simply
-	// dropped. See netem.LinkConfig.Loss.
+	// LinkLoss is the per-transmission loss probability in [0, 1]
+	// applied to every inter-AS topology link (control links to the
+	// controller and the collector stay clean). Every frame, BGP or
+	// probe, recovers lost attempts with retransmission delays. See
+	// netem.LinkConfig.Loss.
 	LinkLoss float64
-	// LinkJitter is the maximum extra random delay on unreliable
-	// (probe) sends across every inter-AS topology link, uniform in
-	// [0, LinkJitter]. See netem.LinkConfig.Jitter.
-	LinkJitter time.Duration
 	// ProcessingDelay is each router's per-UPDATE processing cost
 	// (see bgp.Config.ProcessingDelay). Zero disables the model.
 	ProcessingDelay time.Duration
@@ -188,9 +184,6 @@ func New(cfg Config) (*Experiment, error) {
 	}
 	if !(cfg.LinkLoss >= 0 && cfg.LinkLoss <= 1) {
 		return nil, fmt.Errorf("experiment: link loss %v outside [0, 1]", cfg.LinkLoss)
-	}
-	if cfg.LinkJitter < 0 {
-		return nil, fmt.Errorf("experiment: negative link jitter %v", cfg.LinkJitter)
 	}
 
 	e := &Experiment{

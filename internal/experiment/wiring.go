@@ -42,11 +42,7 @@ func (e *Experiment) buildLink(edge topology.Edge) error {
 	if delay == 0 {
 		delay = e.cfg.LinkDelay
 	}
-	link, err := e.Net.Connect(nodeA, nodeB, netem.LinkConfig{
-		Delay:  delay,
-		Jitter: e.cfg.LinkJitter,
-		Loss:   e.cfg.LinkLoss,
-	})
+	link, err := e.Net.Connect(nodeA, nodeB, netem.LinkConfig{Delay: delay, Loss: e.cfg.LinkLoss})
 	if err != nil {
 		return err
 	}

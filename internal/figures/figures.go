@@ -64,9 +64,6 @@ type Options struct {
 	// LinkDelay overlays the one-way delay of every inter-AS link
 	// (lab.Trial.LinkDelay; zero keeps the emulator default).
 	LinkDelay time.Duration
-	// LinkJitter overlays the probe-send jitter bound
-	// (lab.Trial.LinkJitter).
-	LinkJitter time.Duration
 	// Parallelism bounds concurrent emulation runs (0 = GOMAXPROCS).
 	Parallelism int
 }
@@ -199,7 +196,6 @@ func (s Spec) Build(o Options) (lab.Sweep, error) {
 			Debounce:        s.Debounce,
 			ProcessingDelay: s.ProcessingDelay,
 			LinkDelay:       o.LinkDelay,
-			LinkJitter:      o.LinkJitter,
 			LinkLoss:        o.LinkLoss,
 		},
 		Axis:        s.Axis,
@@ -611,11 +607,9 @@ type Overrides struct {
 	Loss float64 `json:"loss,omitempty"`
 	// Delay sets the one-way link-delay overlay, as a duration string.
 	Delay string `json:"delay,omitempty"`
-	// Jitter sets the probe-jitter overlay, as a duration string.
-	Jitter string `json:"jitter,omitempty"`
 }
 
-// Bind registers the twelve override flags on fs, writing into ov: the
+// Bind registers the eleven override flags on fs, writing into ov: the
 // one flag set `convergence` and `labctl submit` share. An unset flag
 // leaves its field at the zero value (the experiment default), except
 // -seed, which defaults to 1.
@@ -631,7 +625,6 @@ func (ov *Overrides) Bind(fs *flag.FlagSet) {
 	fs.StringVar(&ov.Debounce, "debounce", "", "controller recomputation delay (default 100ms on the paper sweeps; an explicit 0 disables the delay entirely)")
 	fs.Float64Var(&ov.Loss, "loss", 0, "per-message loss probability [0,1] on every inter-AS link; each link's loss stream is seeded from the trial seed, so lossy runs stay byte-reproducible")
 	fs.StringVar(&ov.Delay, "delay", "", "one-way delay of every inter-AS link, e.g. 20ms (unset keeps the emulator default; per-edge topology delays win)")
-	fs.StringVar(&ov.Jitter, "jitter", "", "maximum extra seeded random delay on data-plane probe sends, uniform in [0, jitter]")
 }
 
 // intList is the -sdn-counts flag: comma-separated integers, at least
@@ -709,9 +702,6 @@ func (ov Overrides) Options() (Options, error) {
 	if o.LinkDelay, err = parseDuration("delay", ov.Delay); err != nil {
 		return Options{}, err
 	}
-	if o.LinkJitter, err = parseDuration("jitter", ov.Jitter); err != nil {
-		return Options{}, err
-	}
 	// Zero is each field's "unset", so an explicit 0 would silently run
 	// the default instead of what was asked.
 	switch {
@@ -719,8 +709,6 @@ func (ov Overrides) Options() (Options, error) {
 		return Options{}, fmt.Errorf("figures: mrai %s is not positive (0 would mean the default %v)", ov.MRAI, bgp.DefaultTimers().MRAI)
 	case o.LinkDelay < 0:
 		return Options{}, fmt.Errorf("figures: delay %s is negative (0 would mean the emulator default)", ov.Delay)
-	case o.LinkJitter < 0:
-		return Options{}, fmt.Errorf("figures: jitter %s is negative", ov.Jitter)
 	}
 	if ov.Debounce != "" {
 		d, err := parseDuration("debounce", ov.Debounce)

@@ -750,13 +750,13 @@ func TestBindOverrides(t *testing.T) {
 	}
 	got, err := parse("-topology", "clique 6", "-placement", "degree", "-policy", "gao-rexford",
 		"-sdn-counts", "0, 3,6", "-workload", "at 0s withdraw; at 3m announce", "-runs", "2", "-seed", "7",
-		"-mrai", "5s", "-debounce", "0", "-loss", "0.05", "-delay", "20ms", "-jitter", "2ms")
+		"-mrai", "5s", "-debounce", "0", "-loss", "0.05", "-delay", "20ms")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := Overrides{Topology: "clique 6", Placement: "degree", Policy: "gao-rexford",
 		SDNCounts: []int{0, 3, 6}, Workload: "at 0s withdraw; at 3m announce", Runs: 2, Seed: 7,
-		MRAI: "5s", Debounce: "0", Loss: 0.05, Delay: "20ms", Jitter: "2ms"}
+		MRAI: "5s", Debounce: "0", Loss: 0.05, Delay: "20ms"}
 	if a, b := canonical(got), canonical(want); !bytes.Equal(a, b) {
 		t.Fatalf("flag line resolves to\n%s\nhand-built overrides to\n%s", a, b)
 	}
@@ -773,7 +773,7 @@ func TestBindOverrides(t *testing.T) {
 		{[]string{"-mrai", "0"}, "0 would mean the default 30s"},
 		{[]string{"-mrai", "-5s"}, "not positive"},
 		{[]string{"-delay", "-1ms"}, "negative"},
-		{[]string{"-jitter", "-2ms"}, "negative"},
+		{[]string{"-jitter", "2ms"}, "flag provided but not defined: -jitter"},
 	} {
 		ov, err := parse(c.args...)
 		if err == nil {

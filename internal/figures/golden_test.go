@@ -53,9 +53,9 @@ func overrideMatrix() []overrideCase {
 		{"workload-2-events",
 			figures.Options{Workload: lab.Workload{{Kind: lab.KindWithdrawal}, {At: 3 * time.Minute, Kind: lab.KindAnnouncement}}},
 			figures.Overrides{Workload: "at 0s withdraw; at 3m announce"}},
-		{"links-loss-delay-jitter",
-			figures.Options{LinkLoss: 0.05, LinkDelay: 20 * time.Millisecond, LinkJitter: 2 * time.Millisecond},
-			figures.Overrides{Loss: 0.05, Delay: "20ms", Jitter: "2ms"}},
+		{"links-loss-delay",
+			figures.Options{LinkLoss: 0.05, LinkDelay: 20 * time.Millisecond},
+			figures.Overrides{Loss: 0.05, Delay: "20ms"}},
 	}
 }
 

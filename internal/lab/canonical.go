@@ -55,9 +55,10 @@ type canonicalTrial struct {
 	KeepaliveFraction int              `json:"keepalive_fraction"`
 	ConnectRetryNS    int64            `json:"connect_retry_ns"`
 	MRAINS            int64            `json:"mrai_ns"`
-	// WithdrawalsImmediate mirrors a timer knob that is gone (explicit
-	// withdrawals always ride the MRAI batch); it stays to emit the
-	// constant false, so no address moves.
+	// WithdrawalsImmediate and LinkJitterNS mirror knobs that are gone
+	// (explicit withdrawals always ride the MRAI batch; link jitter
+	// delayed only a send nothing called); they stay to emit the
+	// constants false and 0, so no address moves.
 	WithdrawalsImmediate bool              `json:"withdrawals_immediate"`
 	MRAIJitter           bool              `json:"mrai_jitter"`
 	DebounceNS           int64             `json:"debounce_ns"`
@@ -130,7 +131,6 @@ func (t Trial) canonical() canonicalTrial {
 		SettleNS:           int64(t.Settle),
 		ProcessingDelayNS:  int64(t.ProcessingDelay),
 		LinkDelayNS:        int64(t.LinkDelay),
-		LinkJitterNS:       int64(t.LinkJitter),
 		LinkLoss:           t.LinkLoss,
 		FlapCycles:         t.FlapCycles,
 		FlapPeriodNS:       int64(t.FlapPeriod),

@@ -79,7 +79,6 @@ func trialFromCanonical(c canonicalTrial) (Trial, error) {
 	t.Settle = time.Duration(c.SettleNS)
 	t.ProcessingDelay = time.Duration(c.ProcessingDelayNS)
 	t.LinkDelay = time.Duration(c.LinkDelayNS)
-	t.LinkJitter = time.Duration(c.LinkJitterNS)
 	t.LinkLoss = c.LinkLoss
 	if c.Damping != nil {
 		t.Damping = &bgp.DampingConfig{

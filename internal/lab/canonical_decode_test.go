@@ -65,10 +65,9 @@ func decodeSweeps() map[string]Sweep {
 		},
 		"loss": {
 			Base: Trial{
-				Topo:       TopoSpec{Kind: "line", N: 5},
-				Event:      Withdrawal,
-				LinkDelay:  2 * time.Millisecond,
-				LinkJitter: time.Millisecond,
+				Topo:      TopoSpec{Kind: "line", N: 5},
+				Event:     Withdrawal,
+				LinkDelay: 2 * time.Millisecond,
 			},
 			Axis: Losses(0, 0.05, 0.2),
 		},
@@ -194,9 +193,11 @@ func TestParseCanonicalRejects(t *testing.T) {
 		"zero runs":      strings.Replace(string(data), `"runs":2`, `"runs":0`, 1),
 		"no event":       strings.Replace(string(data), `"event":"announcement"`, `"event":""`, 1),
 		"bad seedpolicy": strings.Replace(string(data), `"seed_policy":"run"`, `"seed_policy":"dice"`, 1),
-		// The knob behind this field is gone: it re-encodes as false, so
-		// the round-trip gate refuses true by itself.
+		// The knobs behind these two fields are gone: they re-encode as
+		// false and 0, so the round-trip gate refuses anything else by
+		// itself.
 		"withdrawals immediate": strings.Replace(string(data), `"withdrawals_immediate":false`, `"withdrawals_immediate":true`, 1),
+		"link jitter":           strings.Replace(string(data), `"link_jitter_ns":0`, `"link_jitter_ns":2000000`, 1),
 		// Whitespace is a different byte spelling of the same spec: it
 		// must be rejected, or one sweep would get two store addresses.
 		"non-canonical whitespace": strings.Replace(string(data), `"runs":2`, `"runs": 2`, 1),

@@ -13,18 +13,16 @@ import (
 	"repro/internal/monitor"
 )
 
-// lossySweep is baseSweep with the chaos link knobs turned on: 5%
-// seeded per-link loss and a millisecond of probe jitter.
+// lossySweep is baseSweep with 5% seeded per-link loss.
 func lossySweep() Sweep {
 	s := baseSweep()
 	s.Base.LinkLoss = 0.05
-	s.Base.LinkJitter = time.Millisecond
 	return s
 }
 
 // TestLossySweepDeterministicAcrossParallelism pins the chaos
-// reproducibility contract: because every link draws loss and jitter
-// from its own stream seeded by the trial seed, a lossy sweep is
+// reproducibility contract: because every link draws its losses from
+// its own stream seeded by the trial seed, a lossy sweep is
 // byte-identical whether the runs execute sequentially or across 8
 // workers.
 func TestLossySweepDeterministicAcrossParallelism(t *testing.T) {

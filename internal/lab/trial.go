@@ -123,16 +123,12 @@ type Trial struct {
 	// (zero selects netem.DefaultDelay; per-edge delays from the
 	// topology override it).
 	LinkDelay time.Duration
-	// LinkJitter is the maximum extra seeded random delay on unreliable
-	// (probe) sends across every inter-AS link, uniform in
-	// [0, LinkJitter].
-	LinkJitter time.Duration
-	// LinkLoss is the per-message loss probability in [0, 1] on every
-	// inter-AS link, drawn from a per-link stream derived from Seed so
-	// lossy runs stay byte-reproducible at any parallelism. Reliable
-	// BGP transport recovers losses with retransmission delays (and
-	// gives up entirely at Loss 1.0 — sessions never establish); probe
-	// traffic is simply dropped.
+	// LinkLoss is the per-transmission loss probability in [0, 1] on
+	// every inter-AS link, drawn from a per-link stream derived from
+	// Seed so lossy runs stay byte-reproducible at any parallelism.
+	// Every frame, BGP or probe, recovers losses with retransmission
+	// delays (and the transport gives up entirely at Loss 1.0 —
+	// sessions never establish).
 	LinkLoss float64
 	// Damping enables RFC 2439 route-flap damping on legacy routers.
 	Damping *bgp.DampingConfig
@@ -369,7 +365,6 @@ func (t Trial) prepare() (*prepared, error) {
 			Settle:          t.Settle,
 			ProcessingDelay: t.ProcessingDelay,
 			LinkDelay:       t.LinkDelay,
-			LinkJitter:      t.LinkJitter,
 			LinkLoss:        t.LinkLoss,
 			Damping:         t.Damping,
 		},

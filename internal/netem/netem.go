@@ -1,19 +1,19 @@
 // Package netem is the framework's network emulator: the stand-in for
-// Mininet in the paper's stack (see DESIGN.md). It moves opaque
+// Mininet in the paper's stack (see ARCHITECTURE.md). It moves opaque
 // control-plane messages between nodes over point-to-point links with
-// configurable latency, jitter and loss, supports dynamic link
-// failure/restore ("dynamically changing the topology", paper §2), and
-// counts traffic for the analysis tools.
+// configurable latency and loss, supports dynamic link failure/restore
+// ("dynamically changing the topology", paper §2), and counts traffic
+// for the analysis tools.
 //
-// Delivery semantics: Send is reliable and in-order per direction, like
-// the TCP connections BGP rides on — messages are never reordered and
-// are lost only when the link goes down while they are in flight. On a
-// lossy link, Send models TCP recovery: each lost transmission attempt
-// delays delivery by a doubling retransmission timeout, and after
-// maxRetransmits consecutive losses the transport gives up and the
-// message is dropped (so Loss 1.0 delivers nothing and sessions never
-// establish). SendUnreliable applies jitter and plain random loss, for
-// probe traffic.
+// Delivery semantics: Send is the one way onto a link, and it is
+// reliable and in-order per direction, like the TCP connections BGP
+// rides on — messages are never reordered and are lost only when the
+// link goes down while they are in flight. Every frame kind takes it:
+// BGP, OpenFlow and data-plane probes. On a lossy link, Send models TCP
+// recovery: each lost transmission attempt delays delivery by a
+// doubling retransmission timeout, and after maxRetransmits consecutive
+// losses the transport gives up and the message is dropped (so Loss 1.0
+// delivers nothing and sessions never establish).
 //
 // A frame is immutable from the moment it is sent: the network hands
 // the sender's own slice to the receiving handler without copying, a
@@ -63,7 +63,8 @@ type Network struct {
 }
 
 // NewNetwork returns an empty network on the given clock. rng is used
-// for jitter and loss decisions; it may be nil if no link uses them.
+// for loss decisions; it may be nil if no link is lossy or the network
+// is seeded (SeedLinks).
 func NewNetwork(clock sim.Clock, rng *rand.Rand) *Network {
 	return &Network{
 		clock: clock,
@@ -74,8 +75,8 @@ func NewNetwork(clock sim.Clock, rng *rand.Rand) *Network {
 
 // SeedLinks gives every link created after this call a private random
 // source derived from seed and the link's creation index, instead of
-// the shared network source. Per-link streams keep loss and jitter
-// draws on one link independent of activity on every other link (and
+// the shared network source. Per-link streams keep the loss draws on
+// one link independent of activity on every other link (and
 // of protocol randomness like MRAI jitter), so a lossy run is
 // byte-reproducible from the seed no matter how the experiment layers
 // interleave their own draws.
@@ -108,20 +109,11 @@ func (n *Network) Links() []*Link { return n.links }
 
 // LinkConfig sets the transmission characteristics of one link.
 type LinkConfig struct {
-	// Delay is the one-way propagation delay (default 1ms if zero and
-	// DefaultDelay not overridden by the caller).
+	// Delay is the one-way propagation delay (DefaultDelay if zero).
 	Delay time.Duration
-	// Jitter is the maximum extra random delay applied to unreliable
-	// sends (uniform in [0, Jitter]).
-	Jitter time.Duration
-	// Loss is the probability in [0, 1] that an unreliable send is
-	// dropped.
+	// Loss is the probability in [0, 1] that one transmission attempt
+	// of a Send is lost (see Send for the retransmission model).
 	Loss float64
-	// BandwidthBps, when non-zero, models link capacity in bits per
-	// second: each frame occupies the link for its serialization time
-	// and frames queue behind each other per direction (an infinite
-	// FIFO; the control-plane loads here never need a drop-tail).
-	BandwidthBps int64
 }
 
 // DefaultDelay is applied when LinkConfig.Delay is zero.
@@ -141,13 +133,11 @@ func (n *Network) Connect(a, b *Node, cfg LinkConfig) (*Link, error) {
 	if cfg.Delay == 0 {
 		cfg.Delay = DefaultDelay
 	}
-	if cfg.Delay < 0 || cfg.Jitter < 0 || !(cfg.Loss >= 0 && cfg.Loss <= 1) || cfg.BandwidthBps < 0 {
+	if cfg.Delay < 0 || !(cfg.Loss >= 0 && cfg.Loss <= 1) {
 		return nil, fmt.Errorf("netem: invalid link config %+v", cfg)
 	}
-	if cfg.Loss > 0 || cfg.Jitter > 0 {
-		if n.rng == nil && !n.seeded {
-			return nil, errors.New("netem: loss/jitter need a network random source")
-		}
+	if cfg.Loss > 0 && n.rng == nil && !n.seeded {
+		return nil, errors.New("netem: loss needs a network random source")
 	}
 	l := &Link{net: n, cfg: cfg, up: true}
 	if n.seeded {
@@ -155,8 +145,8 @@ func (n *Network) Connect(a, b *Node, cfg LinkConfig) (*Link, error) {
 		// constant) so adjacent links get well-separated streams. The
 		// source is draw-counted so snapshots can record the stream
 		// position and restores re-derive it from the seed, and it
-		// builds its generator on the first draw: a link that never
-		// loses or jitters a frame holds only (seed, draws).
+		// builds its generator on the first draw: a lossless link
+		// holds only (seed, draws).
 		l.src = sim.NewCountingSource(n.linkSeed ^ int64(len(n.links)+1)*-0x61c8864680b583eb)
 		l.rng = rand.New(l.src)
 	}
@@ -272,32 +262,9 @@ type Endpoint struct {
 	node *Node
 	link *Link
 	peer *Endpoint
-	// lastArrival enforces in-order delivery for reliable sends.
+	// lastArrival keeps delivery in order: a frame never lands before
+	// the one sent ahead of it in this direction.
 	lastArrival time.Time
-	// lastDeparture tracks when the link frees up in this direction
-	// (bandwidth queueing).
-	lastDeparture time.Time
-}
-
-// serializationDelay is how long a frame of n bytes occupies the link.
-func (e *Endpoint) serializationDelay(n int) time.Duration {
-	bps := e.link.cfg.BandwidthBps
-	if bps <= 0 {
-		return 0
-	}
-	return time.Duration(float64(n*8) / float64(bps) * float64(time.Second))
-}
-
-// departAt reserves the transmitter: the frame starts when the link is
-// free and holds it for its serialization time.
-func (e *Endpoint) departAt(now time.Time, n int) time.Time {
-	start := now
-	if e.lastDeparture.After(start) {
-		start = e.lastDeparture
-	}
-	dep := start.Add(e.serializationDelay(n))
-	e.lastDeparture = dep
-	return dep
 }
 
 // Node returns the owning node.
@@ -343,27 +310,13 @@ func (l *Link) lossPenalty() (time.Duration, bool) {
 }
 
 // delivery is one frame in flight: what its send fixed when the frame
-// left, and the posted work that completes it at the far end. Both
-// kinds of send use it and nothing else schedules a delivery.
+// left, and the posted work that completes it at the far end. Nothing
+// but Send schedules a delivery.
 type delivery struct {
 	dst   *Endpoint
 	epoch uint64 // of the link when the frame left
 	data  []byte
 	next  *delivery // while idle
-}
-
-// deliverAfter puts data in flight toward e's peer, to arrive after
-// delay.
-func (e *Endpoint) deliverAfter(delay time.Duration, data []byte) {
-	n := e.link.net
-	d := n.idle
-	if d != nil {
-		n.idle = d.next
-	} else {
-		d = new(delivery)
-	}
-	*d = delivery{dst: e.peer, epoch: e.link.epoch, data: data}
-	n.clock.Post(delay, d)
 }
 
 // Fire lands the frame: dropped if the link went down at any point
@@ -401,47 +354,32 @@ func (d *delivery) Fire() {
 // caller must not write to it after Send returns, whether or not the
 // frame has arrived yet. Sending one slice many times is fine.
 func (e *Endpoint) Send(data []byte) error {
-	l := e.link
+	l, n := e.link, e.link.net
 	if !l.up {
 		return ErrLinkDown
 	}
 	penalty, gaveUp := l.lossPenalty()
 	if gaveUp {
 		l.Dropped++
-		l.net.Dropped++
+		n.Dropped++
 		return nil
 	}
-	now := l.net.clock.Now()
-	arrival := e.departAt(now, len(data)).Add(l.cfg.Delay + penalty)
+	now := n.clock.Now()
+	arrival := now.Add(l.cfg.Delay + penalty)
 	if arrival.Before(e.lastArrival) {
 		arrival = e.lastArrival
 	}
 	e.lastArrival = arrival
-	e.deliverAfter(arrival.Sub(now), data)
+	// The frame rides the delivery an earlier one handed back, if any.
+	d := n.idle
+	if d != nil {
+		n.idle = d.next
+	} else {
+		d = new(delivery)
+	}
+	*d = delivery{dst: e.peer, epoch: l.epoch, data: data}
+	n.clock.Post(arrival.Sub(now), d)
 	return nil
-}
-
-// SendUnreliable transmits data with the link's loss probability and
-// jitter and no ordering guarantee. It reports whether the message was
-// put on the wire (false only when the link is down). Like Send it
-// does not copy data.
-func (e *Endpoint) SendUnreliable(data []byte) bool {
-	l := e.link
-	if !l.up {
-		return false
-	}
-	if l.cfg.Loss > 0 && l.rand().Float64() < l.cfg.Loss {
-		l.Dropped++
-		l.net.Dropped++
-		return true
-	}
-	now := l.net.clock.Now()
-	delay := e.departAt(now, len(data)).Sub(now) + l.cfg.Delay
-	if l.cfg.Jitter > 0 {
-		delay += time.Duration(l.rand().Int63n(int64(l.cfg.Jitter) + 1))
-	}
-	e.deliverAfter(delay, data)
-	return true
 }
 
 // String names the endpoint by its node and peer.

@@ -121,9 +121,6 @@ func TestSendOnDownLink(t *testing.T) {
 	if err := epA.Send([]byte("x")); err != ErrLinkDown {
 		t.Fatalf("Send on down link = %v, want ErrLinkDown", err)
 	}
-	if epA.SendUnreliable([]byte("x")) {
-		t.Fatal("SendUnreliable on down link should report false")
-	}
 	_ = k
 }
 
@@ -175,55 +172,6 @@ func TestLinkStateCallbacks(t *testing.T) {
 	}
 	if !l.Up() {
 		t.Fatal("link should be up")
-	}
-}
-
-func TestUnreliableLoss(t *testing.T) {
-	k, n := newNet(t)
-	a, b := twoNodes(t, n)
-	l, err := n.Connect(a, b, LinkConfig{Loss: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recv := 0
-	b.OnMessage(func(from *Endpoint, data []byte) { recv++ })
-	epA, _ := l.Endpoints()
-	const total = 1000
-	for i := 0; i < total; i++ {
-		epA.SendUnreliable([]byte{1})
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if recv < 350 || recv > 650 {
-		t.Fatalf("received %d of %d with 50%% loss", recv, total)
-	}
-	if l.Delivered+l.Dropped != total {
-		t.Fatalf("delivered+dropped = %d, want %d", l.Delivered+l.Dropped, total)
-	}
-}
-
-func TestUnreliableJitterBounds(t *testing.T) {
-	k, n := newNet(t)
-	a, b := twoNodes(t, n)
-	base, jitter := 5*time.Millisecond, 10*time.Millisecond
-	l, err := n.Connect(a, b, LinkConfig{Delay: base, Jitter: jitter})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var arrivals []time.Duration
-	b.OnMessage(func(from *Endpoint, data []byte) { arrivals = append(arrivals, k.Elapsed()) })
-	epA, _ := l.Endpoints()
-	for i := 0; i < 100; i++ {
-		epA.SendUnreliable([]byte{1})
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for _, at := range arrivals {
-		if at < base || at > base+jitter {
-			t.Fatalf("arrival %v outside [%v, %v]", at, base, base+jitter)
-		}
 	}
 }
 
@@ -361,40 +309,10 @@ func TestManyNodesStress(t *testing.T) {
 	}
 }
 
-func TestBandwidthSerialization(t *testing.T) {
-	k, n := newNet(t)
-	a, b := twoNodes(t, n)
-	// 8000 bps: a 100-byte frame takes 100ms to serialize.
-	l, err := n.Connect(a, b, LinkConfig{Delay: 10 * time.Millisecond, BandwidthBps: 8000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var arrivals []time.Duration
-	b.OnMessage(func(from *Endpoint, data []byte) { arrivals = append(arrivals, k.Elapsed()) })
-	epA, _ := l.Endpoints()
-	frame := make([]byte, 100)
-	for i := 0; i < 3; i++ {
-		if err := epA.Send(frame); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(arrivals) != 3 {
-		t.Fatalf("arrivals = %d", len(arrivals))
-	}
-	// First frame: 100ms serialization + 10ms propagation; the rest
-	// queue 100ms apart.
-	want := []time.Duration{110 * time.Millisecond, 210 * time.Millisecond, 310 * time.Millisecond}
-	for i := range want {
-		if arrivals[i] != want[i] {
-			t.Fatalf("arrival %d = %v, want %v (all: %v)", i, arrivals[i], want[i], arrivals)
-		}
-	}
-}
-
-func TestBandwidthZeroIsInfinite(t *testing.T) {
+// TestBackToBackSendsArriveTogether pins that a link has no capacity
+// model: frames sent at one instant all land one delay later, whatever
+// their size.
+func TestBackToBackSendsArriveTogether(t *testing.T) {
 	k, n := newNet(t)
 	a, b := twoNodes(t, n)
 	l, err := n.Connect(a, b, LinkConfig{Delay: 5 * time.Millisecond})
@@ -414,42 +332,11 @@ func TestBandwidthZeroIsInfinite(t *testing.T) {
 	}
 	for _, at := range arrivals {
 		if at != 5*time.Millisecond {
-			t.Fatalf("infinite bandwidth should deliver all at 5ms: %v", arrivals)
+			t.Fatalf("back-to-back frames should all land at 5ms: %v", arrivals)
 		}
 	}
-}
-
-func TestBandwidthValidation(t *testing.T) {
-	_, n := newNet(t)
-	a, b := twoNodes(t, n)
-	if _, err := n.Connect(a, b, LinkConfig{BandwidthBps: -1}); err == nil {
-		t.Fatal("negative bandwidth should error")
-	}
-}
-
-func TestBandwidthAppliesToUnreliable(t *testing.T) {
-	k, n := newNet(t)
-	a, b := twoNodes(t, n)
-	l, err := n.Connect(a, b, LinkConfig{Delay: time.Millisecond, BandwidthBps: 8000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var arrivals []time.Duration
-	b.OnMessage(func(from *Endpoint, data []byte) { arrivals = append(arrivals, k.Elapsed()) })
-	epA, _ := l.Endpoints()
-	for i := 0; i < 2; i++ {
-		if !epA.SendUnreliable(make([]byte, 100)) {
-			t.Fatal("send failed")
-		}
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(arrivals) != 2 {
-		t.Fatalf("arrivals = %v", arrivals)
-	}
-	if gap := arrivals[1] - arrivals[0]; gap < 100*time.Millisecond {
-		t.Fatalf("unreliable frames not queued: gap %v", gap)
+	if len(arrivals) != 3 {
+		t.Fatalf("%d of 3 frames arrived", len(arrivals))
 	}
 }
 
@@ -491,10 +378,9 @@ func TestReliableLossPenalty(t *testing.T) {
 	}
 }
 
-// TestTotalLossDeliversNothing pins the Loss=1.0 edge for both
-// transports: the reliable sender gives up after its retransmission
-// budget, the unreliable sender drops immediately, and nothing is ever
-// delivered — a session across such a link can never establish.
+// TestTotalLossDeliversNothing pins the Loss=1.0 edge: the sender gives
+// up after its retransmission budget and nothing is ever delivered — a
+// session across such a link can never establish.
 func TestTotalLossDeliversNothing(t *testing.T) {
 	k, n := newNet(t)
 	n.SeedLinks(1)
@@ -509,9 +395,6 @@ func TestTotalLossDeliversNothing(t *testing.T) {
 		if err := epA.Send([]byte("reliable")); err != nil {
 			t.Fatal(err)
 		}
-		if !epA.SendUnreliable([]byte("probe")) {
-			t.Fatal("SendUnreliable reported a down link")
-		}
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -519,14 +402,14 @@ func TestTotalLossDeliversNothing(t *testing.T) {
 	if n.Delivered != 0 || l.Delivered != 0 {
 		t.Fatalf("delivered = %d, want 0", n.Delivered)
 	}
-	if l.Dropped != 20 || n.Dropped != 20 {
-		t.Fatalf("dropped = %d, want all 20 sends", l.Dropped)
+	if l.Dropped != 10 || n.Dropped != 10 {
+		t.Fatalf("dropped = %d, want all 10 sends", l.Dropped)
 	}
 }
 
 // TestSeededLossDeterministic pins the reproducibility contract: two
-// networks built with the same SeedLinks seed draw identical loss and
-// jitter streams per link, so the same send sequence produces
+// networks built with the same SeedLinks seed draw identical loss
+// streams per link, so the same send sequence produces
 // identical counters and delivery times — independent of the kernel's
 // shared rand, which other goroutines may consume concurrently.
 func TestSeededLossDeterministic(t *testing.T) {
@@ -534,7 +417,7 @@ func TestSeededLossDeterministic(t *testing.T) {
 		k, n := newNet(t)
 		n.SeedLinks(42)
 		a, b := twoNodes(t, n)
-		l, err := n.Connect(a, b, LinkConfig{Delay: time.Millisecond, Loss: 0.3, Jitter: 5 * time.Millisecond})
+		l, err := n.Connect(a, b, LinkConfig{Delay: time.Millisecond, Loss: 0.3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -547,7 +430,6 @@ func TestSeededLossDeterministic(t *testing.T) {
 			if err := epA.Send([]byte("r")); err != nil {
 				t.Fatal(err)
 			}
-			epA.SendUnreliable([]byte("u"))
 		}
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
@@ -567,7 +449,7 @@ func TestSeededLossDeterministic(t *testing.T) {
 	k, n := newNet(t)
 	n.SeedLinks(43)
 	a, b := twoNodes(t, n)
-	l, err := n.Connect(a, b, LinkConfig{Delay: time.Millisecond, Loss: 0.3, Jitter: 5 * time.Millisecond})
+	l, err := n.Connect(a, b, LinkConfig{Delay: time.Millisecond, Loss: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -576,7 +458,6 @@ func TestSeededLossDeterministic(t *testing.T) {
 		if err := epA.Send([]byte("r")); err != nil {
 			t.Fatal(err)
 		}
-		epA.SendUnreliable([]byte("u"))
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -606,13 +487,15 @@ func TestUnseededLinksFallBackToSharedRand(t *testing.T) {
 	}
 	epA, _ := l.Endpoints()
 	for i := 0; i < 20; i++ {
-		epA.SendUnreliable([]byte("u"))
+		if err := epA.Send([]byte("u")); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if l.Delivered == 0 || l.Dropped == 0 {
-		t.Fatalf("50%% loss should deliver some and drop some: delivered=%d dropped=%d", l.Delivered, l.Dropped)
+	if l.Delivered == 0 || l.Retransmits == 0 {
+		t.Fatalf("50%% loss should deliver some and retransmit some: delivered=%d retransmits=%d", l.Delivered, l.Retransmits)
 	}
 }
 

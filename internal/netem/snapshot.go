@@ -9,8 +9,8 @@ import (
 
 // Snapshot support: NetworkState captures everything a restored
 // network needs to continue byte-identically — per-link operational
-// state, counters and random-stream position, per-endpoint FIFO/
-// bandwidth clamps, and the network-wide counters. In-flight frames
+// state, counters and random-stream position, per-endpoint in-order
+// clamps, and the network-wide counters. In-flight frames
 // are deliberately NOT captured: snapshots are taken at protocol
 // quiescence, where the only traffic on the wire is keepalives, and
 // dropping those is behaviorally invisible (hold-timer re-arms are
@@ -18,9 +18,8 @@ import (
 // Per-link random streams are never serialized as generator state;
 // they are re-derived from the link seed and fast-forwarded to the
 // captured draw count, which is what lets a fork re-seed them. A
-// stream that was never drawn from (Draws == 0: any link without loss
-// or jittered unreliable sends) has no generator on either side of a
-// snapshot.
+// stream that was never drawn from (Draws == 0: any lossless link) has
+// no generator on either side of a snapshot.
 
 // tsNS and nsTS serialize timestamps as nanoseconds since sim.Epoch,
 // preserving the zero value (sim.TimeNone).
@@ -42,12 +41,10 @@ type LinkState struct {
 	// Draws is the position of the link's private random stream
 	// (seeded networks only; zero otherwise).
 	Draws uint64 `json:"draws"`
-	// AArrivalNS/ADepartureNS and the B pair are endpoint a's and b's
-	// in-order-delivery and bandwidth-queue clamps, as tsNS values.
-	AArrivalNS   int64 `json:"a_arrival_ns"`
-	ADepartureNS int64 `json:"a_departure_ns"`
-	BArrivalNS   int64 `json:"b_arrival_ns"`
-	BDepartureNS int64 `json:"b_departure_ns"`
+	// AArrivalNS and BArrivalNS are endpoint a's and b's in-order
+	// delivery clamps, as tsNS values.
+	AArrivalNS int64 `json:"a_arrival_ns"`
+	BArrivalNS int64 `json:"b_arrival_ns"`
 }
 
 // NetworkState is the serializable state of a Network.
@@ -71,15 +68,13 @@ func (n *Network) State() NetworkState {
 	}
 	for i, l := range n.links {
 		ls := LinkState{
-			Up:           l.up,
-			Epoch:        l.epoch,
-			Delivered:    l.Delivered,
-			Dropped:      l.Dropped,
-			Retransmits:  l.Retransmits,
-			AArrivalNS:   tsNS(l.a.lastArrival),
-			ADepartureNS: tsNS(l.a.lastDeparture),
-			BArrivalNS:   tsNS(l.b.lastArrival),
-			BDepartureNS: tsNS(l.b.lastDeparture),
+			Up:          l.up,
+			Epoch:       l.epoch,
+			Delivered:   l.Delivered,
+			Dropped:     l.Dropped,
+			Retransmits: l.Retransmits,
+			AArrivalNS:  tsNS(l.a.lastArrival),
+			BArrivalNS:  tsNS(l.b.lastArrival),
 		}
 		if l.src != nil {
 			ls.Draws = l.src.Draws()
@@ -111,9 +106,7 @@ func (n *Network) RestoreState(st NetworkState) error {
 		l.Dropped = ls.Dropped
 		l.Retransmits = ls.Retransmits
 		l.a.lastArrival = nsTS(ls.AArrivalNS)
-		l.a.lastDeparture = nsTS(ls.ADepartureNS)
 		l.b.lastArrival = nsTS(ls.BArrivalNS)
-		l.b.lastDeparture = nsTS(ls.BDepartureNS)
 		if l.src != nil {
 			l.src.FastForward(ls.Draws)
 		} else if ls.Draws > 0 {

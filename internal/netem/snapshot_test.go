@@ -10,7 +10,7 @@ import (
 )
 
 // TestLosslessLinkBuildsNoStream pins what a link costs when nothing
-// on it is ever lost or jittered — every link of a default experiment.
+// on it is ever lost — every link of a default experiment.
 // Its private stream exists as (seed, draws) only: Connect plus traffic
 // stays far under the 4.9 KB a seeded stdlib generator takes, and the
 // captured stream position is still 0.
@@ -69,10 +69,10 @@ func (c *countingClock) Post(_ time.Duration, f sim.Firer) {
 
 // TestLossyLinkAllocatesNothingPerDraw is the other half of the claim
 // above, on the path no lossless figure runs: once a link's stream has
-// made its first draw (which builds the generator), the loss model and
-// the jitter draw add no allocation to a send — and nor does anything
-// else: a frame put on the wire rides a delivery an earlier frame has
-// handed back, whether or not the link loses and jitters.
+// made its first draw (which builds the generator), the loss model adds
+// no allocation to a send — and nor does anything else: a frame put on
+// the wire rides a delivery an earlier frame has handed back, whether
+// or not the link loses it.
 func TestLossyLinkAllocatesNothingPerDraw(t *testing.T) {
 	const frames = 2000
 	clock := &countingClock{}
@@ -80,43 +80,31 @@ func TestLossyLinkAllocatesNothingPerDraw(t *testing.T) {
 	n.SeedLinks(7)
 	a, b := twoNodes(t, n)
 	frame := []byte("update")
-	for _, cfg := range []LinkConfig{{}, {Loss: 0.3, Jitter: 5 * time.Millisecond}} {
+	for _, cfg := range []LinkConfig{{}, {Loss: 0.3}} {
 		l, err := n.Connect(a, b, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ep, _ := l.Endpoints()
-		for _, send := range []struct {
-			name string
-			fn   func()
-		}{
-			{"Send", func() { _ = ep.Send(frame) }}, // the link stays up
-			{"SendUnreliable", func() { ep.SendUnreliable(frame) }},
-		} {
-			var start int
-			// AllocsPerRun's warm-up batch makes the stream's first draw
-			// and the network's first delivery.
-			allocs := testing.AllocsPerRun(1, func() {
-				start = clock.posted
-				for i := 0; i < frames; i++ {
-					send.fn()
-				}
-			})
-			onWire := clock.posted - start
-			if allocs != 0 {
-				t.Errorf("%s, loss %v: %v allocations for %d frames on the wire, want none", send.name, cfg.Loss, allocs, onWire)
+		var start int
+		// AllocsPerRun's warm-up batch makes the stream's first draw and
+		// the network's first delivery.
+		allocs := testing.AllocsPerRun(1, func() {
+			start = clock.posted
+			for i := 0; i < frames; i++ {
+				_ = ep.Send(frame) // the link stays up
 			}
-			if cfg.Loss > 0 && send.name == "SendUnreliable" && onWire == frames {
-				t.Errorf("%s: no frame of %d lost at loss %v", send.name, frames, cfg.Loss)
-			}
+		})
+		if onWire := clock.posted - start; allocs != 0 {
+			t.Errorf("loss %v: %v allocations for %d frames on the wire, want none", cfg.Loss, allocs, onWire)
 		}
 		if cfg.Loss > 0 && l.Retransmits == 0 {
-			t.Errorf("no retransmission in %d reliable sends at loss %v", 2*frames, cfg.Loss)
+			t.Errorf("no retransmission in %d sends at loss %v", 2*frames, cfg.Loss)
 		}
 	}
 }
 
-// lossyRig is a three-link lossy, jittered network whose receiver logs
+// lossyRig is a three-link lossy network whose receiver logs
 // every delivery as (virtual time, frame number).
 type lossyRig struct {
 	k     *sim.Kernel
@@ -135,7 +123,7 @@ func newLossyRig(t *testing.T, linkSeed int64) *lossyRig {
 		r.got = append(r.got, [2]int64{int64(r.k.Elapsed()), int64(data[0])})
 	})
 	for i := 0; i < 3; i++ {
-		l, err := r.n.Connect(a, b, LinkConfig{Delay: time.Millisecond, Loss: 0.3, Jitter: 5 * time.Millisecond})
+		l, err := r.n.Connect(a, b, LinkConfig{Delay: time.Millisecond, Loss: 0.3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,20 +133,19 @@ func newLossyRig(t *testing.T, linkSeed int64) *lossyRig {
 }
 
 // offer schedules frames [from, to): frame i enters link i%3 at
-// start + i*10ms, once reliably and once unreliably.
+// start + i*10ms.
 func (r *lossyRig) offer(start time.Duration, from, to int) {
 	for i := from; i < to; i++ {
 		ep, _ := r.links[i%len(r.links)].Endpoints()
 		frame := []byte{byte(i)}
 		r.k.AfterFunc(start+time.Duration(i)*10*time.Millisecond-r.k.Elapsed(), func() {
 			_ = ep.Send(frame) // the links stay up
-			ep.SendUnreliable(frame)
 		})
 	}
 }
 
 // TestLossyLinkStateRoundTrip pins that (seed, draws) still locates a
-// drawn stream: a lossy, jittered network captured between two bursts
+// drawn stream: a lossy network captured between two bursts
 // and restored onto a fresh network delivers the second burst at the
 // uninterrupted run's instants, and under a different link seed it
 // does not.
@@ -218,6 +205,6 @@ func TestLossyLinkStateRoundTrip(t *testing.T) {
 		t.Fatalf("second burst after restore delivered %d frames at other instants than the uninterrupted run's %d", len(got), len(want))
 	}
 	if got := resume(43); reflect.DeepEqual(got, want) {
-		t.Fatal("a different link seed replayed the same loss and jitter")
+		t.Fatal("a different link seed replayed the same losses")
 	}
 }

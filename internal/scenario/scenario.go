@@ -16,8 +16,8 @@
 //	seed 42                 Seed
 //	mrai 30s                Timers; also no-mrai-jitter, hold-time 90s
 //	debounce 1s             Debounce (0 or negative disables the delay)
-//	processing-delay 25ms   ProcessingDelay; likewise link-delay,
-//	                        jitter (probe sends) and settle
+//	processing-delay 25ms   ProcessingDelay; likewise link-delay and
+//	                        settle
 //	loss 0.05               LinkLoss, in [0, 1], seeded per link
 //	damping on              Damping
 //	policy gao-rexford      Policy: permit-all|gao-rexford|prefix-filter
@@ -188,7 +188,6 @@ var directives = map[string]directive{
 	}},
 	"processing-delay": duration(func(t *lab.Trial) *time.Duration { return &t.ProcessingDelay }),
 	"link-delay":       duration(func(t *lab.Trial) *time.Duration { return &t.LinkDelay }),
-	"jitter":           duration(func(t *lab.Trial) *time.Duration { return &t.LinkJitter }),
 	"settle":           duration(func(t *lab.Trial) *time.Duration { return &t.Settle }),
 	"loss": {1, func(r *Runner, args []string) error {
 		p, err := strconv.ParseFloat(args[0], 64)

@@ -483,7 +483,7 @@ func TestPlacementStrategies(t *testing.T) {
 }
 
 // TestChaosDirectives pins the fault-injection surface of the DSL: the
-// loss/jitter configuration knobs and the immediate fault verbs
+// loss configuration knob and the immediate fault verbs
 // (controller crash/recovery, session reset, partition/heal), plus the
 // fault event kinds in "at" schedules.
 func TestChaosDirectives(t *testing.T) {
@@ -494,7 +494,6 @@ seed 1
 mrai 2s
 no-mrai-jitter
 loss 0.01
-jitter 2ms
 start
 wait-established 2m
 announce all
@@ -529,6 +528,9 @@ print loss
 	}
 	if _, err := run(t, "topology line 2\nloss\n"); err == nil {
 		t.Fatal("missing loss argument should error")
+	}
+	if _, err := run(t, "topology line 2\njitter 2ms\n"); err == nil {
+		t.Fatal("the jitter directive is gone and should error")
 	}
 }
 
