@@ -13,12 +13,16 @@
 package repro
 
 import (
+	"bytes"
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/bgp"
 	"repro/internal/figures"
 	"repro/internal/lab"
+	"repro/internal/scenario"
 )
 
 // buildSweep resolves a registry spec with the benchmark's overrides.
@@ -166,20 +170,33 @@ func BenchmarkWorkloadCascade(b *testing.B) {
 	}
 }
 
-// BenchmarkSubCluster exercises the disjoint sub-cluster design goal.
+// BenchmarkSubCluster runs the disjoint sub-cluster script,
+// examples/scenarios/subcluster.lab: the members must still reach each
+// other after their only intra-cluster link fails.
 func BenchmarkSubCluster(b *testing.B) {
-	timers := bgp.DefaultTimers()
-	timers.MRAI = 5 * time.Second
+	raw, err := os.ReadFile("examples/scenarios/subcluster.lab")
+	if err != nil {
+		b.Fatal(err)
+	}
 	for i := 0; i < b.N; i++ {
-		res, err := figures.SubClusterExperiment(timers, 1)
+		script, err := scenario.Parse(bytes.NewReader(raw))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !res.ReachableAfterSplit {
-			b.Fatal("sub-clusters isolated")
+		var out strings.Builder
+		if err := scenario.NewRunner(&out).Run(script); err != nil {
+			b.Fatal(err)
+		}
+		if strings.Count(out.String(), "delivered=2 loss=0.0%") != 2 {
+			b.Fatalf("sub-clusters isolated:\n%s", out.String())
 		}
 		if i == 0 {
-			b.ReportMetric(res.ReconvergenceTime.Seconds(), "s-reconvergence")
+			var s float64
+			_, rest, _ := strings.Cut(out.String(), "measure fail-link: convergence ")
+			if _, err := fmt.Sscanf(rest, "%gs", &s); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(s, "s-reconvergence")
 		}
 	}
 }

@@ -32,10 +32,15 @@ Flags:
 	flag.PrintDefaults()
 	fmt.Fprintf(flag.CommandLine.Output(), `
 Examples:
+  bgpsdnlab -f examples/scenarios/quickstart.lab           # the smallest hybrid network: announce, probe, withdraw
   bgpsdnlab -f examples/scenarios/hybrid-tour.lab          # scripted tour of the paper's experiment
   bgpsdnlab -f examples/scenarios/fig2-point.lab           # one Figure 2 measurement point
+  bgpsdnlab -f examples/scenarios/subcluster.lab           # a split cluster reconnects over legacy ASes (paper §2)
   bgpsdnlab -f examples/scenarios/maintenance-window.lab   # scheduled multi-event workload
-  bgpsdnlab < examples/scenarios/fig2-point.lab            # same, reading the script from stdin
+  bgpsdnlab -f examples/scenarios/path-exploration.lab     # a withdrawal's route-change timeline, path by path
+  bgpsdnlab -f examples/scenarios/directive-tour.lab       # policy, damping, collector, link knobs on an internet graph
+  bgpsdnlab -f examples/scenarios/chaos-drill.lab          # loss, session reset, controller crash, partition
+  bgpsdnlab < examples/scenarios/fig2-point.lab            # the Figure 2 point again, read from stdin
 `)
 }
 

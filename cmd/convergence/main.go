@@ -1,7 +1,7 @@
 // Command convergence regenerates the paper's evaluation series (see
 // EXPERIMENTS.md) through the experiment registry in internal/figures:
-// Figure 2's withdrawal sweep, the §4 announcement, fail-over and
-// sub-cluster experiments, and the repository's ablations (MRAI,
+// Figure 2's withdrawal sweep, the §4 announcement and fail-over
+// experiments, and the repository's ablations (MRAI,
 // topology size, controller debounce, path exploration, flap
 // stability), on any topology the generators produce and in any of
 // the structured output formats.
@@ -30,7 +30,6 @@
 //	                                           # hijack, linkdown/linkup a b,
 //	                                           # failover [a b], migrate as)
 //	convergence -exp mrai|size|debounce|exploration|flap
-//	convergence -exp subcluster                # scripted split experiment
 //	convergence -exp fig2 -sdn-counts 0,8,16 -runs 3
 //	convergence -exp fig2 -progress            # stream per-run completion
 //	convergence -exp fig2 -format csv|json|table|markdown [-svg fig2.svg]
@@ -71,7 +70,6 @@ import (
 	"syscall"
 
 	"repro/internal/artifact"
-	"repro/internal/bgp"
 	"repro/internal/figures"
 	"repro/internal/lab"
 )
@@ -94,25 +92,11 @@ func main() {
 		for _, s := range figures.Registry() {
 			fmt.Printf("%-12s %s\n", s.Name, s.Title)
 		}
-		fmt.Printf("%-12s %s\n", "subcluster", "§2 design goal: intra-cluster split survives over legacy paths")
 		return
 	}
 
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-
-	if *exp == "subcluster" {
-		// The split experiment is a scripted sequence, not a sweep:
-		// only -mrai and -seed apply, so reject the sweep flags
-		// instead of silently dropping them.
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name != "exp" && f.Name != "mrai" && f.Name != "seed" {
-				fatal(fmt.Errorf("-%s does not apply to the subcluster experiment (it is a scripted sequence, not a sweep)", f.Name))
-			}
-		})
-		runSubCluster(ov)
-		return
-	}
 
 	f, err := lab.ParseFormat(*format)
 	if err != nil {
@@ -226,24 +210,6 @@ func main() {
 			fmt.Printf("# %s written to %s\n", what, name)
 		}
 	}
-}
-
-func runSubCluster(ov figures.Overrides) {
-	o, err := ov.Options()
-	if err != nil {
-		fatal(err)
-	}
-	timers := bgp.DefaultTimers()
-	if o.MRAI != 0 {
-		timers.MRAI = o.MRAI
-	}
-	res, err := figures.SubClusterExperiment(timers, o.BaseSeed)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("reachable before split: %v\n", res.ReachableBeforeSplit)
-	fmt.Printf("reachable after split:  %v (over legacy paths)\n", res.ReachableAfterSplit)
-	fmt.Printf("re-convergence:         %.3fs\n", res.ReconvergenceTime.Seconds())
 }
 
 func fatal(err error) {

@@ -364,7 +364,6 @@ func writeExperimentsMD(w io.Writer) error {
 			fmt.Fprintf(w, "  %s\n", spec.Desc)
 		}
 	}
-	fmt.Fprintf(w, "\n- **`subcluster`** — §2 design goal: an intra-cluster link failure must\n  not isolate sub-clusters; connectivity survives over legacy paths.\n  A scripted sequence, not a sweep: only `-mrai` and `-seed` apply.\n")
 	fmt.Fprintln(w, experimentsMDEnd)
 	return nil
 }

@@ -67,7 +67,7 @@ func main() {
 		Seed:       2014,
 		Graph:      g,
 		SDNMembers: members,
-		Policy:     policy.GaoRexford{TagCommunities: true},
+		Policy:     policy.GaoRexford{},
 		Timers:     timers,
 		Debounce:   500 * time.Millisecond,
 	})

@@ -33,8 +33,8 @@
 // interrupted internet-scale sweep leaves only whole records behind
 // and the next run against the same store resumes where it left off.
 // The manifest lists every record with its SHA-256 and carries a seal
-// over its own canonical bytes; Verify detects any post-hoc record
-// tampering or corruption.
+// over its own canonical bytes; VerifySweepDir detects any post-hoc
+// record tampering or corruption.
 package artifact
 
 import (
@@ -273,10 +273,10 @@ type RecordDigest struct {
 }
 
 // SweepManifest is the sealed index of one sweep's records, written by
-// Finish and checked by Verify. It is deterministic for a given record
-// set — records sort by file name and the seal covers the canonical
-// manifest bytes — so re-running a fully cached sweep rewrites an
-// identical manifest.
+// Finish and checked by VerifySweepDir. It is deterministic for a
+// given record set — records sort by file name and the seal covers the
+// canonical manifest bytes — so re-running a fully cached sweep
+// rewrites an identical manifest.
 type SweepManifest struct {
 	// Version is the manifest schema version.
 	Version int `json:"version"`
@@ -364,13 +364,6 @@ func (ss *SweepStore) Finish() error {
 		return fmt.Errorf("artifact: %w", err)
 	}
 	return writeFileAtomic(filepath.Join(ss.dir, "manifest.json"), append(data, '\n'))
-}
-
-// Verify re-checks a sealed sweep directory: the manifest's seal, the
-// spec bytes against the directory's content address, and every
-// listed record against its digest. It reports the first discrepancy.
-func (ss *SweepStore) Verify() error {
-	return VerifySweepDir(ss.dir)
 }
 
 // VerifySweepDir verifies one <store>/<spec-hash> directory: manifest

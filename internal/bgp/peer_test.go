@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bgp/rib"
 	"repro/internal/bgp/wire"
 	"repro/internal/idr"
 	"repro/internal/policy"
@@ -220,12 +221,19 @@ func TestFSMKeepalivesMaintainSession(t *testing.T) {
 	}
 }
 
+// denyImport is PermitAll that rejects the imports of listed prefixes.
+type denyImport map[netip.Prefix]bool
+
+func (d denyImport) Import(_ policy.Neighbor, r *rib.Route) bool { return !d[r.Prefix] }
+
+func (denyImport) Export(policy.Neighbor, policy.Neighbor, *rib.Route) bool { return true }
+
 func TestPolicyImportRejectionActsAsWithdraw(t *testing.T) {
 	// A policy that rejects a prefix must also flush a previously
 	// accepted route for it (treat-as-withdraw).
 	k := sim.NewKernel(1)
 	deny := netip.MustParsePrefix("10.0.9.0/24")
-	pol := policy.PrefixFilter{Inner: policy.PermitAll{}, DenyImport: map[netip.Prefix]bool{}}
+	pol := denyImport{}
 	r, err := New(Config{
 		ASN: 1, RouterID: idr.RouterIDFromAddr(netip.MustParseAddr("172.16.0.1")),
 		Clock: k, Rand: k.Rand(),
@@ -262,7 +270,7 @@ func TestPolicyImportRejectionActsAsWithdraw(t *testing.T) {
 		t.Fatal("route should be accepted before the filter turns on")
 	}
 	// Turn the filter on and re-announce: the route must vanish.
-	pol.DenyImport[deny] = true
+	pol[deny] = true
 	announce()
 	if _, ok := r.Table().Best(deny); ok {
 		t.Fatal("rejected re-announcement should act as withdrawal")

@@ -203,9 +203,9 @@ func New(cfg Config) (*Experiment, error) {
 		kinds:        policy.FromTopology(cfg.Graph),
 	}
 	e.Net = netem.NewNetwork(e.K, e.K.Rand())
-	// Every link draws loss and jitter from a private stream derived
-	// from the run seed, so lossy runs stay byte-reproducible no matter
-	// how protocol randomness interleaves.
+	// Every link draws its loss from a private stream derived from the
+	// run seed, so lossy runs stay byte-reproducible no matter how
+	// protocol randomness interleaves.
 	e.Net.SeedLinks(cfg.Seed)
 	// The quiescence window must exceed the largest legitimate gap
 	// between routing-update batches, which is the (jittered) MRAI —

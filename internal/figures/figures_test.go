@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bgp"
 	"repro/internal/lab"
 )
 
@@ -332,23 +331,6 @@ func TestFlapStabilityAblation(t *testing.T) {
 		if !c.AllReachable() {
 			t.Fatalf("%s: prefix unreachable after the storm", mode)
 		}
-	}
-}
-
-func TestSubClusterSurvivesSplit(t *testing.T) {
-	timers := bgp.DefaultTimers()
-	timers.MRAI = 2 * time.Second
-	res, err := SubClusterExperiment(timers, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.ReachableBeforeSplit {
-		t.Fatal("cluster prefixes unreachable before split")
-	}
-	// The paper's design goal: the intra-cluster link failure must
-	// not isolate the sub-clusters — legacy paths reconnect them.
-	if !res.ReachableAfterSplit {
-		t.Fatal("sub-clusters isolated after split; legacy reconnection failed")
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bgp"
 	"repro/internal/figures"
 	"repro/internal/lab"
 	"repro/internal/labd"
@@ -140,32 +139,4 @@ func lineDiff(want, got []byte) string {
 		}
 	}
 	return out.String()
-}
-
-// TestSubClusterGolden pins the stdout of `convergence -exp
-// subcluster` at its default flags and at `-mrai 2s -seed 9`: the
-// result lines are printed in the CLI's format, each run under the
-// command line that produces it.
-func TestSubClusterGolden(t *testing.T) {
-	var got bytes.Buffer
-	for _, c := range []struct {
-		args string
-		mrai time.Duration
-		seed int64
-	}{
-		{"", 30 * time.Second, 1},
-		{" -mrai 2s -seed 9", 2 * time.Second, 9},
-	} {
-		timers := bgp.DefaultTimers()
-		timers.MRAI = c.mrai
-		res, err := figures.SubClusterExperiment(timers, c.seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprintf(&got, "$ convergence -exp subcluster%s\n", c.args)
-		fmt.Fprintf(&got, "reachable before split: %v\n", res.ReachableBeforeSplit)
-		fmt.Fprintf(&got, "reachable after split:  %v (over legacy paths)\n", res.ReachableAfterSplit)
-		fmt.Fprintf(&got, "re-convergence:         %.3fs\n", res.ReconvergenceTime.Seconds())
-	}
-	checkGolden(t, "subcluster.golden", got.Bytes(), "a deliberate change to the sub-cluster experiment")
 }

@@ -168,6 +168,10 @@ func TestParseCanonicalRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sizes, err := decodeSweeps()["size"].Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := map[string]string{
 		// Sweep.Run refuses this axis (a clique 6 has no 7th AS to
 		// place); admitting it would queue a job that cannot start.
@@ -184,6 +188,11 @@ func TestParseCanonicalRejects(t *testing.T) {
 		// Likewise a debounce of 0 would run the 1s controller default
 		// under a "0s" label; disabled is a negative value.
 		"zero debounce on the axis": strings.Replace(string(debounces), `"values":["-1ns"`, `"values":["0s"`, 1),
+		// A size the generator refuses, in the base topology or as one
+		// value of a size axis, would fail every run of its cells.
+		"ring below its minimum": strings.Replace(string(data), `"topo":"ring 8"`, `"topo":"ring 2"`, 1),
+		"size axis below the minimum": strings.Replace(strings.Replace(string(sizes),
+			`"topo":"er 16 0.25"`, `"topo":"ring 16"`, 1), `"values":["8"`, `"values":["2"`, 1),
 
 		"junk":           "not json",
 		"version skew":   strings.Replace(string(data), `"version":2`, `"version":1`, 1),

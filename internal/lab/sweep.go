@@ -266,6 +266,13 @@ func (a Axis) validate(base Trial, seeds SeedPolicy) error {
 		if base.Topo.Kind == "grid" {
 			return fmt.Errorf("lab: the size axis sweeps the AS count; grid has two dimensions — use a single-parameter topology")
 		}
+		for _, n := range a.Ints {
+			spec := base.Topo
+			spec.N = n
+			if err := spec.check(); err != nil {
+				return err
+			}
+		}
 	case AxisMode:
 		for _, m := range a.Modes {
 			if m != ModeBGP && m != ModeDamping && m != ModeSDN {

@@ -95,7 +95,35 @@ func ParseTopo(fields []string) (TopoSpec, error) {
 	if len(fields) > arity {
 		return TopoSpec{}, fmt.Errorf("lab: topology %s takes %d argument(s), got extra %q", kind, arity-1, fields[arity:])
 	}
+	if err := spec.check(); err != nil {
+		return TopoSpec{}, err
+	}
 	return spec, nil
+}
+
+// check refuses a size or probability the spec's generator would
+// refuse, so the spec fails where it is written instead of in every
+// run. The minimum sizes are the generators' own.
+func (s TopoSpec) check() error {
+	least := 1
+	switch s.Kind {
+	case "ring":
+		least = topology.MinRing
+	case "star":
+		least = topology.MinStar
+	case "internet":
+		least = topology.MinInternetLike
+	case "ba":
+		least = s.M + 1 // the seed clique of m+1 ASes
+	case "er":
+		if !(s.P >= 0 && s.P <= 1) {
+			return fmt.Errorf("lab: topology er: probability %v outside [0, 1]", s.P)
+		}
+	}
+	if s.N < least {
+		return fmt.Errorf("lab: topology %s: size %d < %d", s.Kind, s.N, least)
+	}
+	return nil
 }
 
 // ParseTopoString parses a topology spec given as one string, e.g.

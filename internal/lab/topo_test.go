@@ -86,7 +86,8 @@ func TestTopoSpecParseErrors(t *testing.T) {
 		}
 	}
 	// A non-positive size is blamed on the size, by name, before any
-	// axis is validated against Nodes().
+	// axis is validated against Nodes(); so is a size or probability
+	// the generator would refuse, instead of failing every run.
 	for in, want := range map[string]string{
 		"clique -3":  "lab: topology clique: size -3 < 1",
 		"internet 0": "lab: topology internet: size 0 < 1",
@@ -95,9 +96,25 @@ func TestTopoSpecParseErrors(t *testing.T) {
 		"grid 4 -1":  "lab: topology grid: size -1 < 1",
 		"grid 0 4":   "lab: topology grid: size 0 < 1",
 		"ba 12 0":    "lab: topology ba: size 0 < 1",
+		"ring 2":     "lab: topology ring: size 2 < 3",
+		"star 1":     "lab: topology star: size 1 < 2",
+		"internet 3": "lab: topology internet: size 3 < 4",
+		"ba 2 2":     "lab: topology ba: size 2 < 3",
+		"er 5 2":     "lab: topology er: probability 2 outside [0, 1]",
+		"er 5 NaN":   "lab: topology er: probability NaN outside [0, 1]",
 	} {
 		if _, err := ParseTopoString(in); err == nil || err.Error() != want {
 			t.Errorf("%q: error %v, want %q", in, err, want)
+		}
+	}
+	// The smallest size each kind accepts builds.
+	for _, in := range []string{"clique 1", "line 1", "ring 3", "star 2", "tree 1 1", "grid 1 1", "internet 4", "er 1 0", "er 5 1", "ba 3 2"} {
+		spec, err := ParseTopoString(in)
+		if err != nil {
+			t.Fatalf("%q: %v", in, err)
+		}
+		if _, err := spec.Build(rand.New(rand.NewSource(1))); err != nil {
+			t.Errorf("%q parses but does not build: %v", in, err)
 		}
 	}
 	if _, err := (TopoSpec{Kind: "internet", N: 8}).Build(nil); err == nil {

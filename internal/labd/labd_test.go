@@ -382,6 +382,13 @@ func TestPresetSubmission(t *testing.T) {
 
 // TestSubmitRejectsBadSpecs pins the admission errors.
 func TestSubmitRejectsBadSpecs(t *testing.T) {
+	smallRingSweep, err := lab.Sweep{
+		Base: lab.Trial{Topo: lab.TopoSpec{Kind: "ring", N: 4}},
+		Axis: lab.TopoSizes(2, 4),
+	}.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv, _ := newTestServer(t)
 	url, shutdown := serve(t, srv)
 	defer shutdown()
@@ -391,8 +398,11 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		"junk spec":      {Client: "x", Spec: json.RawMessage(`{"version":99}`)},
 		"unknown preset": {Client: "x", Preset: "fig999"},
 		// Admitted once, then every run failed (or ran the 30s default).
-		"zero mrai":      {Client: "x", Preset: "fig2", Options: &PresetOptions{MRAI: "0"}},
-		"negative delay": {Client: "x", Preset: "fig2", Options: &PresetOptions{Delay: "-20ms"}},
+		"zero mrai":                 {Client: "x", Preset: "fig2", Options: &PresetOptions{MRAI: "0"}},
+		"negative delay":            {Client: "x", Preset: "fig2", Options: &PresetOptions{Delay: "-20ms"}},
+		"ring too small":            {Client: "x", Preset: "fig2", Options: &PresetOptions{Topology: "ring 2"}},
+		"er probability":            {Client: "x", Preset: "fig2", Options: &PresetOptions{Topology: "er 5 NaN"}},
+		"size axis value too small": {Client: "x", Spec: smallRingSweep},
 	}
 	for name, req := range cases {
 		if _, code := postJSON(t, url, req); code != http.StatusBadRequest {

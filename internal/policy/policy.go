@@ -26,7 +26,6 @@ import (
 	"net/netip"
 
 	"repro/internal/bgp/rib"
-	"repro/internal/bgp/wire"
 	"repro/internal/idr"
 	"repro/internal/topology"
 )
@@ -71,127 +70,42 @@ func (PermitAll) Import(Neighbor, *rib.Route) bool { return true }
 // Export implements Policy.
 func (PermitAll) Export(Neighbor, Neighbor, *rib.Route) bool { return true }
 
-// Default LOCAL_PREF values assigned by GaoRexford on import.
+// LOCAL_PREF values GaoRexford assigns on import.
 const (
 	CustomerPref uint32 = 200
 	PeerPref     uint32 = 100
 	ProviderPref uint32 = 50
 )
 
-// Community values GaoRexford attaches on import to record the
-// learned-from relationship (asn half = 65535 reserved test range).
-var (
-	CommunityFromCustomer = wire.NewCommunity(65535, 1)
-	CommunityFromPeer     = wire.NewCommunity(65535, 2)
-	CommunityFromProvider = wire.NewCommunity(65535, 3)
-)
-
-// GaoRexford implements valley-free routing. The zero value uses the
-// package default preference values.
-type GaoRexford struct {
-	// Prefs overrides the LOCAL_PREF per neighbor kind when non-zero.
-	CustomerPref, PeerPref, ProviderPref uint32
-	// TagCommunities attaches the CommunityFrom* marker on import.
-	TagCommunities bool
-}
-
-func (g GaoRexford) pref(kind topology.NeighborKind) uint32 {
-	switch kind {
-	case topology.KindCustomer:
-		if g.CustomerPref != 0 {
-			return g.CustomerPref
-		}
-		return CustomerPref
-	case topology.KindPeer:
-		if g.PeerPref != 0 {
-			return g.PeerPref
-		}
-		return PeerPref
-	default:
-		if g.ProviderPref != 0 {
-			return g.ProviderPref
-		}
-		return ProviderPref
-	}
-}
+// GaoRexford implements valley-free routing.
+type GaoRexford struct{}
 
 // Import implements Policy: it assigns LOCAL_PREF from the business
-// relationship (customer > peer > provider) and optionally tags the
-// route with a relationship community.
-func (g GaoRexford) Import(from Neighbor, r *rib.Route) bool {
-	p := g.pref(from.Kind)
-	r.Attrs.LocalPref = &p
-	if g.TagCommunities {
-		switch from.Kind {
-		case topology.KindCustomer:
-			r.Attrs = r.Attrs.AddCommunity(CommunityFromCustomer)
-		case topology.KindPeer:
-			r.Attrs = r.Attrs.AddCommunity(CommunityFromPeer)
-		case topology.KindProvider:
-			r.Attrs = r.Attrs.AddCommunity(CommunityFromProvider)
-		}
+// relationship (customer > peer > provider).
+func (GaoRexford) Import(from Neighbor, r *rib.Route) bool {
+	var p uint32
+	switch from.Kind {
+	case topology.KindCustomer:
+		p = CustomerPref
+	case topology.KindPeer:
+		p = PeerPref
+	default:
+		p = ProviderPref
 	}
+	r.Attrs.LocalPref = &p
 	return true
 }
 
 // Export implements Policy: originated and customer-learned routes go
 // to everyone; peer- and provider-learned routes go only to customers
 // (no valleys, no peer-to-peer transit).
-func (g GaoRexford) Export(to, learnedFrom Neighbor, r *rib.Route) bool {
+func (GaoRexford) Export(to, learnedFrom Neighbor, r *rib.Route) bool {
 	switch learnedFrom.Kind {
 	case topology.KindNone, topology.KindCustomer:
 		return true
 	default:
 		return to.Kind == topology.KindCustomer
 	}
-}
-
-// PrefixFilter wraps a Policy, additionally rejecting imports and
-// exports of listed prefixes (the framework's prefix-filter template).
-type PrefixFilter struct {
-	// Inner is the wrapped policy (required).
-	Inner Policy
-	// DenyImport lists exact prefixes to reject on import.
-	DenyImport map[netip.Prefix]bool
-	// DenyExport lists exact prefixes to suppress on export.
-	DenyExport map[netip.Prefix]bool
-}
-
-// Import implements Policy.
-func (f PrefixFilter) Import(from Neighbor, r *rib.Route) bool {
-	if f.DenyImport[r.Prefix] {
-		return false
-	}
-	return f.Inner.Import(from, r)
-}
-
-// Export implements Policy.
-func (f PrefixFilter) Export(to, learnedFrom Neighbor, r *rib.Route) bool {
-	if f.DenyExport[r.Prefix] {
-		return false
-	}
-	return f.Inner.Export(to, learnedFrom, r)
-}
-
-// HonorNoExport wraps a Policy and additionally suppresses export of
-// routes carrying the well-known NO_EXPORT or NO_ADVERTISE
-// communities (RFC 1997).
-type HonorNoExport struct {
-	// Inner is the wrapped policy (required).
-	Inner Policy
-}
-
-// Import implements Policy.
-func (h HonorNoExport) Import(from Neighbor, r *rib.Route) bool {
-	return h.Inner.Import(from, r)
-}
-
-// Export implements Policy.
-func (h HonorNoExport) Export(to, learnedFrom Neighbor, r *rib.Route) bool {
-	if r.Attrs.HasCommunity(wire.CommunityNoExport) || r.Attrs.HasCommunity(wire.CommunityNoAdvertise) {
-		return false
-	}
-	return h.Inner.Export(to, learnedFrom, r)
 }
 
 // FromTopology builds the per-AS neighbor kinds for a topology graph,

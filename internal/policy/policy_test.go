@@ -62,41 +62,6 @@ func TestGaoRexfordImportPrefs(t *testing.T) {
 	}
 }
 
-func TestGaoRexfordCustomPrefs(t *testing.T) {
-	g := GaoRexford{CustomerPref: 500}
-	r := testRoute()
-	g.Import(neighbor(topology.KindCustomer), r)
-	if *r.Attrs.LocalPref != 500 {
-		t.Fatalf("LOCAL_PREF = %d", *r.Attrs.LocalPref)
-	}
-	// Unset kinds keep defaults.
-	r2 := testRoute()
-	g.Import(neighbor(topology.KindPeer), r2)
-	if *r2.Attrs.LocalPref != PeerPref {
-		t.Fatalf("peer LOCAL_PREF = %d", *r2.Attrs.LocalPref)
-	}
-}
-
-func TestGaoRexfordCommunities(t *testing.T) {
-	g := GaoRexford{TagCommunities: true}
-	r := testRoute()
-	g.Import(neighbor(topology.KindCustomer), r)
-	if !r.Attrs.HasCommunity(CommunityFromCustomer) {
-		t.Fatal("customer community missing")
-	}
-	r2 := testRoute()
-	g.Import(neighbor(topology.KindProvider), r2)
-	if !r2.Attrs.HasCommunity(CommunityFromProvider) {
-		t.Fatal("provider community missing")
-	}
-	// Without the flag, no tags.
-	r3 := testRoute()
-	GaoRexford{}.Import(neighbor(topology.KindPeer), r3)
-	if len(r3.Attrs.Communities) != 0 {
-		t.Fatal("untagged policy attached communities")
-	}
-}
-
 func TestGaoRexfordExportValleyFree(t *testing.T) {
 	g := GaoRexford{}
 	r := testRoute()
@@ -129,49 +94,6 @@ func TestGaoRexfordExportValleyFree(t *testing.T) {
 	}
 	if g.Export(peer, provider, r) || g.Export(provider, provider, r) {
 		t.Fatal("provider route must not export to peer/provider")
-	}
-}
-
-func TestPrefixFilter(t *testing.T) {
-	f := PrefixFilter{
-		Inner:      PermitAll{},
-		DenyImport: map[netip.Prefix]bool{pfx: true},
-	}
-	r := testRoute()
-	if f.Import(neighbor(topology.KindPeer), r) {
-		t.Fatal("denied import accepted")
-	}
-	other := *r
-	other.Prefix = netip.MustParsePrefix("10.0.2.0/24")
-	if !f.Import(neighbor(topology.KindPeer), &other) {
-		t.Fatal("unlisted prefix rejected")
-	}
-	f2 := PrefixFilter{Inner: PermitAll{}, DenyExport: map[netip.Prefix]bool{pfx: true}}
-	if f2.Export(neighbor(topology.KindPeer), Local, r) {
-		t.Fatal("denied export accepted")
-	}
-	if !f2.Import(neighbor(topology.KindPeer), r) {
-		t.Fatal("import should pass through")
-	}
-}
-
-func TestHonorNoExport(t *testing.T) {
-	h := HonorNoExport{Inner: PermitAll{}}
-	r := testRoute()
-	if !h.Export(neighbor(topology.KindPeer), Local, r) {
-		t.Fatal("plain route should export")
-	}
-	r.Attrs = r.Attrs.AddCommunity(wire.CommunityNoExport)
-	if h.Export(neighbor(topology.KindPeer), Local, r) {
-		t.Fatal("NO_EXPORT route must not export")
-	}
-	r2 := testRoute()
-	r2.Attrs = r2.Attrs.AddCommunity(wire.CommunityNoAdvertise)
-	if h.Export(neighbor(topology.KindPeer), Local, r2) {
-		t.Fatal("NO_ADVERTISE route must not export")
-	}
-	if !h.Import(neighbor(topology.KindPeer), r2) {
-		t.Fatal("import should pass through")
 	}
 }
 

@@ -3,6 +3,7 @@ package scenario
 import (
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -295,19 +296,32 @@ print rib 2
 }
 
 func TestShippedScenarioFiles(t *testing.T) {
-	// The scenario files under examples/scenarios must stay runnable,
-	// and print what they printed before experiment's link wiring
-	// became one wire(a, b) (testdata/*.out, generated at the commit
-	// before it). path-exploration.lab ends in `print timeline`: its
-	// golden, generated at the last commit whose event log kept every
-	// path unasked, is the byte pin on the runner asking for them.
-	for _, name := range []string{"hybrid-tour.lab", "fig2-point.lab", "maintenance-window.lab", "chaos-drill.lab", "path-exploration.lab", "directive-tour.lab"} {
-		name := name
+	// Every script under examples/scenarios must stay runnable and
+	// print exactly its golden, testdata/<name>.out; a script without
+	// a golden and a golden without a script both fail.
+	// path-exploration.lab ends in `print timeline`: its golden,
+	// generated at the last commit whose event log kept every path
+	// unasked, is the byte pin on the runner asking for them.
+	scripts, err := filepath.Glob("../../examples/scenarios/*.lab")
+	if err != nil {
+		t.Fatal(err)
+	}
+	goldens, err := filepath.Glob("testdata/*.out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	unmatched := map[string]bool{}
+	for _, g := range goldens {
+		unmatched[strings.TrimSuffix(filepath.Base(g), ".out")] = true
+	}
+	for _, path := range scripts {
+		name := filepath.Base(path)
+		delete(unmatched, strings.TrimSuffix(name, ".lab"))
 		t.Run(name, func(t *testing.T) {
 			if testing.Short() && name == "fig2-point.lab" {
 				t.Skip("full Figure 2 point is slow")
 			}
-			f, err := os.Open("../../examples/scenarios/" + name)
+			f, err := os.Open(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -328,6 +342,9 @@ func TestShippedScenarioFiles(t *testing.T) {
 				t.Errorf("output drifted:\n got:\n%s\nwant:\n%s", out.String(), want)
 			}
 		})
+	}
+	for name := range unmatched {
+		t.Errorf("testdata/%s.out has no script examples/scenarios/%s.lab", name, name)
 	}
 }
 

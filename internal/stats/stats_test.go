@@ -18,15 +18,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestStdDev(t *testing.T) {
-	if got := StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9}); !almost(got, math.Sqrt(32.0/7.0)) {
-		t.Fatalf("StdDev = %v", got)
-	}
-	if !math.IsNaN(StdDev([]float64{1})) {
-		t.Fatal("StdDev of single value should be NaN")
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	cases := []struct{ q, want float64 }{

@@ -97,9 +97,10 @@ func WriteCAIDA(w io.Writer, g *Graph) error {
 
 // InternetLikeConfig parameterises SynthesizeInternetLike.
 type InternetLikeConfig struct {
-	// ASes is the total number of ASes (>= 4).
+	// ASes is the total number of ASes (more than Tier1s).
 	ASes int
-	// Tier1s is the size of the fully-meshed top clique (default 3).
+	// Tier1s is the size of the fully-meshed top clique (default
+	// DefaultTier1s).
 	Tier1s int
 	// AvgProviders is the mean number of providers per non-tier-1 AS
 	// (default 1.8, after measured multihoming rates).
@@ -109,9 +110,16 @@ type InternetLikeConfig struct {
 	PeerProb float64
 }
 
+// DefaultTier1s is the default tier-1 clique size, so the default
+// configuration needs at least MinInternetLike ASes.
+const (
+	DefaultTier1s   = 3
+	MinInternetLike = DefaultTier1s + 1
+)
+
 func (c *InternetLikeConfig) setDefaults() {
 	if c.Tier1s == 0 {
-		c.Tier1s = 3
+		c.Tier1s = DefaultTier1s
 	}
 	if c.AvgProviders == 0 {
 		c.AvgProviders = 1.8

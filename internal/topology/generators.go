@@ -13,6 +13,14 @@ import (
 // to them positionally.
 const BaseASN idr.ASN = 1
 
+// The smallest sizes the ring and star generators accept (every other
+// fixed generator accepts a single AS). lab's topology spec refuses a
+// smaller size when it is parsed, from these same values.
+const (
+	MinRing = 3
+	MinStar = 2
+)
+
 // asnRange returns n consecutive AS numbers starting at BaseASN.
 func asnRange(n int) []idr.ASN {
 	out := make([]idr.ASN, n)
@@ -64,8 +72,8 @@ func Line(n int) (*Graph, error) {
 
 // Ring returns a cycle on n >= 3 ASes with peer links.
 func Ring(n int) (*Graph, error) {
-	if n < 3 {
-		return nil, fmt.Errorf("topology: ring size %d < 3", n)
+	if n < MinRing {
+		return nil, fmt.Errorf("topology: ring size %d < %d", n, MinRing)
 	}
 	g, err := Line(n)
 	if err != nil {
@@ -81,8 +89,8 @@ func Ring(n int) (*Graph, error) {
 // Star returns a hub-and-spoke graph: AS1 is the provider of
 // AS2..ASn. This models a transit provider with n-1 customers.
 func Star(n int) (*Graph, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("topology: star size %d < 2", n)
+	if n < MinStar {
+		return nil, fmt.Errorf("topology: star size %d < %d", n, MinStar)
 	}
 	g := New()
 	asns := asnRange(n)
@@ -152,7 +160,7 @@ func ErdosRenyi(n int, p float64, rng *rand.Rand) (*Graph, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("topology: ER size %d < 1", n)
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		return nil, fmt.Errorf("topology: ER probability %v out of [0,1]", p)
 	}
 	if rng == nil {
