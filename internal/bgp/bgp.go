@@ -334,12 +334,6 @@ func (r *Router) AddPeer(pc PeerConfig) (*Peer, error) {
 	return p, nil
 }
 
-// Peer returns the session with the given key.
-func (r *Router) Peer(key rib.PeerKey) (*Peer, bool) {
-	p, ok := r.peers[key]
-	return p, ok
-}
-
 // Peers returns all sessions keyed by peer key.
 func (r *Router) Peers() map[rib.PeerKey]*Peer { return r.peers }
 
@@ -438,15 +432,12 @@ func (r *Router) exportAttrs(p *Peer, rt *rib.Route) wire.PathAttrs {
 }
 
 // Deliver hands one received BGP message (link header stripped) to the
-// session it arrived on. Unknown peers and frames on Idle sessions are
-// dropped (the transport may race a session reset). With
-// ProcessingDelay set, frames pass through the router's serialised work
-// queue first. frame is only read, and may be kept until its turn.
-func (r *Router) Deliver(key rib.PeerKey, frame []byte) {
-	p, ok := r.peers[key]
-	if !ok {
-		return
-	}
+// session. Frames on Idle sessions are dropped (the transport may race
+// a session reset). With the router's ProcessingDelay set, frames pass
+// through its serialised work queue first. frame is only read, and may
+// be kept until its turn.
+func (p *Peer) Deliver(frame []byte) {
+	r := p.router
 	if r.cfg.ProcessingDelay == 0 {
 		p.fsm.Deliver(frame)
 		return

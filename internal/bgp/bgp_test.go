@@ -25,7 +25,6 @@ type lab struct {
 	net     *netem.Network
 	routers map[idr.ASN]*Router
 	nodes   map[idr.ASN]*netem.Node
-	keys    map[*netem.Endpoint]rib.PeerKey
 	peers   map[*netem.Endpoint]*Peer
 	timers  Timers
 	pol     policy.Policy
@@ -40,7 +39,6 @@ func newLab(t *testing.T, timers Timers, pol policy.Policy) *lab {
 		net:     netem.NewNetwork(k, k.Rand()),
 		routers: make(map[idr.ASN]*Router),
 		nodes:   make(map[idr.ASN]*netem.Node),
-		keys:    make(map[*netem.Endpoint]rib.PeerKey),
 		peers:   make(map[*netem.Endpoint]*Peer),
 		timers:  timers,
 		pol:     pol,
@@ -67,7 +65,7 @@ func (l *lab) addRouter(asn idr.ASN) *Router {
 		l.t.Fatal(err)
 	}
 	node.OnMessage(func(from *netem.Endpoint, data []byte) {
-		r.Deliver(l.keys[from], message(l.t, data))
+		l.peers[from].Deliver(message(l.t, data))
 	})
 	l.routers[asn] = r
 	l.nodes[asn] = node
@@ -121,7 +119,6 @@ func (l *lab) addPeer(local, remote idr.ASN, ep *netem.Endpoint, kind topology.N
 	if err != nil {
 		l.t.Fatal(err)
 	}
-	l.keys[ep] = key
 	l.peers[ep] = p
 }
 
@@ -145,7 +142,7 @@ func TestSessionEstablishment(t *testing.T) {
 	if r1.EstablishedCount() != 1 || r2.EstablishedCount() != 1 {
 		t.Fatalf("established: r1=%d r2=%d", r1.EstablishedCount(), r2.EstablishedCount())
 	}
-	p, _ := r1.Peer("to-AS2")
+	p := r1.Peers()["to-AS2"]
 	if p.State() != StateEstablished {
 		t.Fatalf("state = %v", p.State())
 	}
@@ -436,7 +433,7 @@ func TestHoldTimerExpiry(t *testing.T) {
 	if err := l.k.RunFor(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	p1, _ := r1.Peer("to-AS2")
+	p1 := r1.Peers()["to-AS2"]
 	if p1.State() == StateEstablished {
 		t.Fatal("hold timer should have reset the silent session")
 	}
@@ -484,9 +481,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if len(r.Peers()) != 1 {
 		t.Fatal("Peers accessor wrong")
-	}
-	if _, found := r.Peer("nope"); found {
-		t.Fatal("unknown peer lookup should miss")
 	}
 	if StateIdle.String() != "Idle" || State(9).String() == "" {
 		t.Fatal("State.String wrong")

@@ -90,7 +90,7 @@ func (h *harness) inject(t *testing.T, m wire.Message) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.r.Deliver("to-AS2", frame)
+	h.p.Deliver(frame)
 }
 
 // establish drives the session to Established by hand.
@@ -159,7 +159,7 @@ func TestFSMHandshakeMessageOrder(t *testing.T) {
 func TestFSMGarbageFrameTriggersNotification(t *testing.T) {
 	h := newHarness(t)
 	h.establish(t)
-	h.r.Deliver("to-AS2", keepaliveWithBody(t))
+	h.p.Deliver(keepaliveWithBody(t))
 	if h.lastSentType(t) != wire.MsgNotification {
 		t.Fatal("decode error should elicit a NOTIFICATION")
 	}
@@ -254,16 +254,16 @@ func TestPolicyImportRejectionActsAsWithdraw(t *testing.T) {
 	}
 	p.TransportUp()
 	open, _ := wire.Marshal(wire.Open{AS: 2, HoldTimeSecs: 90})
-	r.Deliver("to-AS2", open)
+	p.Deliver(open)
 	ka, _ := wire.Marshal(wire.Keepalive{})
-	r.Deliver("to-AS2", ka)
+	p.Deliver(ka)
 	announce := func() {
 		u, _ := wire.Marshal(wire.Update{
 			Attrs: wire.PathAttrs{Origin: wire.OriginIGP, ASPath: wire.NewASPath(2),
 				NextHop: netip.MustParseAddr("100.64.0.2")},
 			NLRI: []netip.Prefix{deny},
 		})
-		r.Deliver("to-AS2", u)
+		p.Deliver(u)
 	}
 	announce()
 	if _, ok := r.Table().Best(deny); !ok {
@@ -327,7 +327,7 @@ func TestProcessingDelaySerializesUpdates(t *testing.T) {
 		wire.Keepalive{},
 	} {
 		frame, _ := wire.Marshal(m)
-		r.Deliver("to-AS2", frame)
+		p.Deliver(frame)
 	}
 	if err := k.RunFor(time.Second); err != nil {
 		t.Fatal(err)
@@ -349,7 +349,7 @@ func TestProcessingDelaySerializesUpdates(t *testing.T) {
 				NextHop: netip.MustParseAddr("100.64.0.2")},
 			NLRI: []netip.Prefix{netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 0, byte(i), 0}), 24)},
 		})
-		r.Deliver("to-AS2", u)
+		p.Deliver(u)
 	}
 	if err := k.RunFor(time.Second); err != nil {
 		t.Fatal(err)
@@ -394,13 +394,13 @@ func TestReceiveAllocatesOnlyItsRoute(t *testing.T) {
 		})
 	}
 	withdraw := mustFrame(t, wire.Update{Withdrawn: []netip.Prefix{pfx}})
-	h.r.Deliver("to-AS2", announce[0]) // the session's decode storage and the RIB's map entries exist from here on
-	h.r.Deliver("to-AS2", withdraw)
+	h.p.Deliver(announce[0]) // the session's decode storage and the RIB's map entries exist from here on
+	h.p.Deliver(withdraw)
 
 	i := 0
 	if got := testing.AllocsPerRun(100, func() {
 		i++
-		h.r.Deliver("to-AS2", announce[i%2]) // a different path every time: the best route changes
+		h.p.Deliver(announce[i%2]) // a different path every time: the best route changes
 	}); got != 3 {
 		t.Errorf("a received announcement allocates %v times, want 3: the route, its path's segments, their ASNs", got)
 	}
@@ -408,7 +408,7 @@ func TestReceiveAllocatesOnlyItsRoute(t *testing.T) {
 		t.Fatalf("the last announcement did not install: %v, %v", best, ok)
 	}
 	if got := testing.AllocsPerRun(100, func() {
-		h.r.Deliver("to-AS2", withdraw)
+		h.p.Deliver(withdraw)
 	}); got != 0 {
 		t.Errorf("a received withdrawal allocates %v times, want 0", got)
 	}

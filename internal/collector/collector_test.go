@@ -62,7 +62,7 @@ func rig(t *testing.T) (*sim.Kernel, *Collector, *bgp.Router) {
 	deliverTo := func(r *bgp.Router, key rib.PeerKey) netem.Handler {
 		return func(_ *netem.Endpoint, data []byte) {
 			if kind, msg, err := frames.Decode(data); err == nil && kind == frames.KindBGP {
-				r.Deliver(key, msg)
+				r.Peers()[key].Deliver(msg)
 			}
 		}
 	}

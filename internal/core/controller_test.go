@@ -517,7 +517,7 @@ func TestExternalSessionFollowsConfiguredTimers(t *testing.T) {
 		if m, err := wire.Unmarshal(bgpFrame); err == nil && m.Type() == wire.MsgOpen {
 			opens = append(opens, k.Now().Sub(sim.Epoch))
 		}
-		k.Go(func() { router.Deliver("to-AS11", bgpFrame) })
+		k.Go(func() { router.Peers()["to-AS11"].Deliver(bgpFrame) })
 		return nil
 	})
 	toController := func(frame []byte) error {

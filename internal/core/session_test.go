@@ -186,7 +186,7 @@ func newRig(t *testing.T, cfg Config) *rig {
 		t.Fatal(err)
 	}
 	rNode.OnMessage(func(from *netem.Endpoint, data []byte) {
-		router.Deliver("to-AS10", message(data))
+		peer.Deliver(message(data))
 		g.noteNotification("router", data)
 	})
 
@@ -598,7 +598,7 @@ func newPeerEndpoint(t *testing.T) *endpoint {
 		t.Fatal(err)
 	}
 	e.up, e.state = peer.TransportUp, peer.State
-	e.deliver = func(frame []byte) { router.Deliver("to-AS2", frame) }
+	e.deliver = peer.Deliver
 	e.snapshot = func(t *testing.T) []byte { return mustJSON(t, router.State()) }
 	e.restore = func(t *testing.T, raw []byte) []sim.TimerArm {
 		var st bgp.RouterState

@@ -120,8 +120,11 @@ type Experiment struct {
 	// peerEndpoint maps a legacy router's session key to the endpoint
 	// it rides on (probe forwarding).
 	peerEndpoint map[idr.ASN]map[rib.PeerKey]*netem.Endpoint
-	// keyOf maps a legacy node's endpoint to its session key.
-	keyOf map[*netem.Endpoint]rib.PeerKey
+	// peerOf maps the endpoint a BGP session rides on — a legacy
+	// router's or the collector's — to that session, the one lookup a
+	// received frame costs. A retiring router's entries leave it, so
+	// open() builds fresh sessions when the AS leaves the cluster again.
+	peerOf map[*netem.Endpoint]*bgp.Peer
 	// portOf maps a switch node's endpoint to its port number.
 	portOf map[*netem.Endpoint]uint32
 	// ctrlPeers maps controller-node endpoints to the member served.
@@ -194,7 +197,7 @@ func New(cfg Config) (*Experiment, error) {
 		members:      make(map[idr.ASN]bool),
 		links:        make(map[[2]idr.ASN]*netem.Link),
 		peerEndpoint: make(map[idr.ASN]map[rib.PeerKey]*netem.Endpoint),
-		keyOf:        make(map[*netem.Endpoint]rib.PeerKey),
+		peerOf:       make(map[*netem.Endpoint]*bgp.Peer),
 		portOf:       make(map[*netem.Endpoint]uint32),
 		ctrlEPOf:     make(map[idr.ASN]*netem.Endpoint),
 		ctrlLinkOf:   make(map[idr.ASN]*netem.Link),
@@ -337,22 +340,21 @@ func (e *Experiment) buildRouter(asn idr.ASN, node *netem.Node) error {
 	return nil
 }
 
-// routerNodeHandler is the receive handler of a legacy-router node. It
-// resolves the router at dispatch time, so frames in flight across a
-// migration are dropped instead of reaching a torn-down router.
+// routerNodeHandler is the receive handler of a legacy-router node. A
+// BGP frame goes to the session its endpoint maps to in peerOf. A
+// migration into the cluster replaces this handler with the switch's,
+// so frames in flight across it never reach the torn-down router.
 func (e *Experiment) routerNodeHandler(asn idr.ASN) func(from *netem.Endpoint, data []byte) {
 	return func(from *netem.Endpoint, data []byte) {
-		r, ok := e.Routers[asn]
-		if !ok {
-			return
-		}
 		kind, payload, err := frames.Decode(data)
 		if err != nil {
 			return
 		}
 		switch kind {
 		case frames.KindBGP:
-			r.Deliver(e.keyOf[from], payload)
+			if p, ok := e.peerOf[from]; ok {
+				p.Deliver(payload)
+			}
 		case frames.KindProbe:
 			p, err := frames.DecodeProbe(payload)
 			if err != nil {

@@ -73,7 +73,7 @@ func (e *Experiment) MigrateIn(asn idr.ASN) error {
 	e.retiredRecv += st.UpdatesReceived
 	delete(e.Routers, asn)
 	for _, ep := range e.peerEndpoint[asn] {
-		delete(e.keyOf, ep)
+		delete(e.peerOf, ep)
 	}
 	delete(e.peerEndpoint, asn)
 

@@ -1,10 +1,13 @@
 package experiment
 
 import (
+	"net/netip"
 	"testing"
 	"time"
 
 	"repro/internal/bgp"
+	"repro/internal/bgp/wire"
+	"repro/internal/frames"
 	"repro/internal/idr"
 	"repro/internal/topology"
 )
@@ -117,6 +120,76 @@ func TestUpdateTotalsMonotonicAcrossMigration(t *testing.T) {
 		t.Fatalf("totals went backwards across migration: sent %d->%d recv %d->%d",
 			sentBefore, sentAfter, recvBefore, recvAfter)
 	}
+}
+
+// TestMigrationStrandsFramesInFlight pins what routerNodeHandler
+// promises: BGP frames on the wire toward an AS when it joins the
+// cluster never reach its retired router, because the switch's handler
+// has replaced the router's on the node by the time they land. Once
+// the AS leaves again every frame goes to the fresh router's sessions.
+// That half holds only while MigrateIn takes the retired sessions out
+// of peerOf: a stale entry would make open() hand the fresh router's
+// links back to the retired sessions.
+func TestMigrationStrandsFramesInFlight(t *testing.T) {
+	e := migrateExperiment(t, 1)
+	asns := e.ASNs()
+	target, legacy := asns[1], []idr.ASN{asns[0], asns[2]}
+	retired := e.Routers[target]
+	for _, nb := range legacy {
+		prefix, err := e.OriginPrefix(nb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, err := wire.Marshal(wire.Update{Withdrawn: []netip.Prefix{prefix}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.endpointOf[[2]idr.ASN{nb, target}].Send(frames.Encode(frames.KindBGP, msg)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.MigrateIn(target); err != nil {
+		t.Fatal(err)
+	}
+	frozen := retired.Stats()
+	delivered := func() (n uint64) {
+		for _, nb := range legacy {
+			n += e.links[linkKey(nb, target)].Delivered
+		}
+		return n
+	}
+	before := delivered()
+	if err := e.K.RunFor(e.links[linkKey(legacy[0], target)].Config().Delay); err != nil {
+		t.Fatal(err)
+	}
+	if delivered()-before < uint64(len(legacy)) {
+		t.Fatalf("%d frames landed on the migrated AS's links one link delay after the migration, want at least the %d in flight", delivered()-before, len(legacy))
+	}
+	if _, err := e.WaitConverged(30 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	requireAllReachable(t, e, "after migrate-in")
+	if got := retired.Stats(); got != frozen {
+		t.Fatalf("the retired router's counters moved after migrate-in: %+v -> %+v", frozen, got)
+	}
+
+	if err := e.MigrateOut(target); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.WaitConverged(30 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if got := retired.Stats(); got != frozen {
+		t.Fatalf("the retired router's counters moved after migrate-out: %+v -> %+v", frozen, got)
+	}
+	fresh := e.Routers[target]
+	if fresh == retired || len(fresh.Peers()) != len(asns)-1 || fresh.EstablishedCount() != len(asns)-1 {
+		t.Fatalf("fresh router: %d sessions, %d established; want %d of each", len(fresh.Peers()), fresh.EstablishedCount(), len(asns)-1)
+	}
+	if fresh.Stats().UpdatesReceived == 0 {
+		t.Fatal("the fresh router received no UPDATE")
+	}
+	requireAllReachable(t, e, "after migrate-out")
 }
 
 // TestMigrateAcrossDownLink pins the link-state sync: migrating an AS

@@ -118,10 +118,8 @@ func (e *Experiment) open(asn, nb idr.ASN) (linkEnd, error) {
 		end.port, end.fresh = port, true
 		return end, nil
 	}
-	if key, ok := e.keyOf[ep]; ok {
-		if end.peer, ok = e.Routers[asn].Peer(key); !ok {
-			return end, fmt.Errorf("experiment: router %v has no session toward %v", asn, nb)
-		}
+	if p, ok := e.peerOf[ep]; ok {
+		end.peer = p
 		return end, nil
 	}
 	addr, err := e.linkAddr(asn, nb)
@@ -241,7 +239,7 @@ func (e *Experiment) addRouterPeer(local, remote idr.ASN, ep *netem.Endpoint, ad
 	if err != nil {
 		return nil, err
 	}
-	e.keyOf[ep] = key
+	e.peerOf[ep] = p
 	e.peerEndpoint[local][key] = ep
 	return p, nil
 }
@@ -261,13 +259,14 @@ func (e *Experiment) buildCollector() error {
 	if err != nil {
 		return err
 	}
-	collKeys := make(map[*netem.Endpoint]rib.PeerKey)
 	collNode.OnMessage(func(from *netem.Endpoint, data []byte) {
 		kind, payload, err := frames.Decode(data)
 		if err != nil || kind != frames.KindBGP {
 			return
 		}
-		coll.Router().Deliver(collKeys[from], payload)
+		if p, ok := e.peerOf[from]; ok {
+			p.Deliver(payload)
+		}
 	})
 	for _, asn := range e.cfg.Graph.Nodes() {
 		if e.members[asn] {
@@ -285,9 +284,8 @@ func (e *Experiment) buildCollector() error {
 			return err
 		}
 		// Collector side.
-		key := collector.PeerKeyFor(asn)
 		pc, err := coll.Router().AddPeer(bgp.PeerConfig{
-			Key:       key,
+			Key:       collector.PeerKeyFor(asn),
 			RemoteASN: asn,
 			NextHop:   netip.AddrFrom4([4]byte{172, 31, 255, 1}),
 			Send:      epC.Send,
@@ -295,7 +293,7 @@ func (e *Experiment) buildCollector() error {
 		if err != nil {
 			return err
 		}
-		collKeys[epC] = key
+		e.peerOf[epC] = pc
 		link.OnStateChange(func(up bool) {
 			if up {
 				pr.TransportUp()

@@ -1,8 +1,8 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 )
@@ -20,18 +20,22 @@ var Epoch = time.Date(2014, 8, 18, 0, 0, 0, 0, time.UTC)
 //
 // Internally the kernel keeps three structures, none of which changes
 // the executed (time, seq) order: a binary heap for short-range events,
-// a hierarchical timer wheel (wheel.go) that stages long-delay timers
-// in O(1) until their slot is released into the heap, and a drain batch
-// that pops all events sharing the earliest timestamp in one pass. The
-// batch still costs one heap.Pop per event; what it buys is one wheel
-// sync and one cancelled-head sweep per instant instead of one per
-// event, and a heap already emptied of the instant's events while they
-// push their successors (a router fanning UPDATEs to its peers), so
-// those pushes sift through a smaller heap. Both are pinned
-// byte-identical against the serial heap-only reference by the
-// equivalence tests in wheel_test.go.
+// keyed by (nanoseconds since Epoch, seq) held inline in its entries
+// (heap.go), a hierarchical timer wheel (wheel.go) that stages
+// long-delay timers in O(1) until their slot is released into the
+// heap, and a drain batch that pops all events sharing the earliest
+// timestamp in one pass. The batch still costs one heap pop per event;
+// what it buys is one wheel sync and one cancelled-head sweep per
+// instant instead of one per event, and a heap already emptied of the
+// instant's events while they push their successors (a router fanning
+// UPDATEs to its peers), so those pushes sift through a smaller heap.
+// Wheel and batch are pinned byte-identical against the serial
+// heap-only reference by the equivalence tests in wheel_test.go; the
+// heap itself against a sorted-slice oracle by TestKernelModel.
 type Kernel struct {
-	now   time.Time
+	// nowNS is the virtual clock in nanoseconds since Epoch, the unit
+	// every deadline is kept in.
+	nowNS int64
 	seq   uint64
 	queue eventHeap
 	wheel timerWheel
@@ -49,7 +53,7 @@ type Kernel struct {
 	// single revision), so it is recycled the moment it fires. The
 	// list is unbounded: it peaks at the most posted events pending at
 	// once, which the heap's own backing array has held already. It is
-	// a slice because an event fills its 80-byte size class exactly,
+	// a slice because an event fills its 64-byte size class exactly,
 	// with no word left for a chain.
 	free []*event
 
@@ -114,14 +118,13 @@ func (k *Kernel) overBudget() error {
 func NewKernel(seed int64) *Kernel {
 	src := NewCountingSource(seed)
 	return &Kernel{
-		now: Epoch,
 		rng: rand.New(src),
 		src: src,
 	}
 }
 
 // Now returns the current virtual time.
-func (k *Kernel) Now() time.Time { return k.now }
+func (k *Kernel) Now() time.Time { return Epoch.Add(time.Duration(k.nowNS)) }
 
 // Rand returns the kernel's deterministic random source. All randomness
 // in an experiment (jitter, loss, tie-breaks) must come from here so a
@@ -129,7 +132,7 @@ func (k *Kernel) Now() time.Time { return k.now }
 func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
 // Elapsed returns how much virtual time has passed since Epoch.
-func (k *Kernel) Elapsed() time.Duration { return k.now.Sub(Epoch) }
+func (k *Kernel) Elapsed() time.Duration { return time.Duration(k.nowNS) }
 
 // Events returns the number of events executed so far.
 func (k *Kernel) Events() uint64 { return k.events }
@@ -139,7 +142,19 @@ func (k *Kernel) Events() uint64 { return k.events }
 // heap's lazy cancellation, events stopped but not yet discarded are
 // still counted.
 func (k *Kernel) Pending() int {
-	return k.queue.Len() + k.wheel.count + (len(k.batch) - k.batchPos)
+	return len(k.queue) + k.wheel.count + (len(k.batch) - k.batchPos)
+}
+
+// deadline returns the instant d from now, in nanoseconds since Epoch;
+// negative d counts as 0 and a sum past the int64 range saturates.
+func (k *Kernel) deadline(d time.Duration) int64 {
+	if d <= 0 {
+		return k.nowNS
+	}
+	if int64(d) > math.MaxInt64-k.nowNS {
+		return math.MaxInt64
+	}
+	return k.nowNS + int64(d)
 }
 
 // Go schedules fn as a zero-delay event.
@@ -150,10 +165,7 @@ func (k *Kernel) AfterFunc(d time.Duration, fn func()) Timer {
 	if fn == nil {
 		panic("sim: AfterFunc with nil function")
 	}
-	if d < 0 {
-		d = 0
-	}
-	ev := &event{at: k.now.Add(d), do: funcFirer(fn), kernel: k, index: -1}
+	ev := &event{at: k.deadline(d), do: funcFirer(fn), kernel: k, index: -1}
 	k.schedule(ev, d)
 	return ev
 }
@@ -172,16 +184,13 @@ func (k *Kernel) Post(d time.Duration, f Firer) {
 	if f == nil {
 		panic("sim: Post with nil Firer")
 	}
-	if d < 0 {
-		d = 0
-	}
 	var ev *event
 	if last := len(k.free) - 1; last >= 0 {
 		ev, k.free = k.free[last], k.free[:last]
 	} else {
 		ev = new(event)
 	}
-	*ev = event{at: k.now.Add(d), do: f, posted: true, kernel: k, index: -1}
+	*ev = event{at: k.deadline(d), do: f, posted: true, kernel: k, index: -1}
 	k.schedule(ev, d)
 }
 
@@ -203,7 +212,7 @@ func (k *Kernel) schedule(ev *event, d time.Duration) {
 		k.wheel.count--
 		ev.walive = false
 	}
-	heap.Push(&k.queue, ev)
+	k.queue.push(ev)
 }
 
 // batchEntry pins one event revision in the drain batch.
@@ -246,23 +255,22 @@ func (k *Kernel) refill() bool {
 	if ev == nil {
 		return false
 	}
-	heap.Pop(&k.queue)
+	k.queue.pop()
 	k.batch = append(k.batch, batchEntry{ev, ev.seq})
 	if k.serialDrain {
 		return true
 	}
-	at := ev.at
-	for k.queue.Len() > 0 {
+	for len(k.queue) > 0 {
 		top := k.queue[0]
-		if top.cancelled {
-			heap.Pop(&k.queue)
+		if top.ev.cancelled {
+			k.queue.pop()
 			continue
 		}
-		if !top.at.Equal(at) {
+		if top.at != ev.at {
 			break
 		}
-		heap.Pop(&k.queue)
-		k.batch = append(k.batch, batchEntry{top, top.seq})
+		k.queue.pop()
+		k.batch = append(k.batch, batchEntry{top.ev, top.seq})
 	}
 	return true
 }
@@ -288,12 +296,12 @@ func (k *Kernel) peekNext() *event {
 func (k *Kernel) peekQueue() *event {
 	for {
 		var top *event
-		for k.queue.Len() > 0 {
-			if k.queue[0].cancelled {
-				heap.Pop(&k.queue)
+		for len(k.queue) > 0 {
+			if k.queue[0].ev.cancelled {
+				k.queue.pop()
 				continue
 			}
-			top = k.queue[0]
+			top = k.queue[0].ev
 			break
 		}
 		if k.wheel.count == 0 {
@@ -320,8 +328,8 @@ func (k *Kernel) Step() bool {
 	if ev == nil {
 		return false
 	}
-	if ev.at.After(k.now) {
-		k.now = ev.at
+	if ev.at > k.nowNS {
+		k.nowNS = ev.at
 	}
 	k.events++
 	ev.fired = true
@@ -349,10 +357,13 @@ func (k *Kernel) Run() error {
 
 // RunUntil executes events with timestamps <= t, then advances the clock
 // to t. Events scheduled beyond t remain pending.
-func (k *Kernel) RunUntil(t time.Time) error {
+func (k *Kernel) RunUntil(t time.Time) error { return k.runUntil(int64(t.Sub(Epoch))) }
+
+// runUntil is RunUntil with t in nanoseconds since Epoch.
+func (k *Kernel) runUntil(t int64) error {
 	for {
 		ev := k.peekNext()
-		if ev == nil || ev.at.After(t) {
+		if ev == nil || ev.at > t {
 			break
 		}
 		k.Step()
@@ -360,14 +371,20 @@ func (k *Kernel) RunUntil(t time.Time) error {
 			return err
 		}
 	}
-	if t.After(k.now) {
-		k.now = t
+	if t > k.nowNS {
+		k.nowNS = t
 	}
 	return nil
 }
 
-// RunFor executes events for the next d of virtual time.
-func (k *Kernel) RunFor(d time.Duration) error { return k.RunUntil(k.now.Add(d)) }
+// RunFor executes events for the next d of virtual time. A negative d
+// runs nothing.
+func (k *Kernel) RunFor(d time.Duration) error {
+	if d < 0 {
+		return nil
+	}
+	return k.runUntil(k.deadline(d))
+}
 
 // RunWhile executes events as long as cond returns true and events
 // remain. It evaluates cond after every event.
@@ -385,14 +402,15 @@ func (k *Kernel) RunWhile(cond func() bool) error {
 
 // event is a scheduled callback. For AfterFunc it is also the Timer
 // returned — one allocation per timer; for Post (posted set) it has no
-// handle and returns to the kernel's free list when it fires. index is
-// the event's position in the kernel's heap (-1 once popped or while
-// wheel-resident), which lets Reset reschedule the event in place
-// instead of allocating a replacement. The w* fields locate the
-// event's current revision in the timer wheel while walive is set,
-// enabling the same in-place re-key for wheel-resident timers.
+// handle and returns to the kernel's free list when it fires. at is the
+// deadline in nanoseconds since Epoch. index is the event's position in
+// the kernel's heap (-1 once popped or while wheel-resident), which
+// lets Reset reschedule the event in place instead of allocating a
+// replacement. The w* fields locate the event's current revision in the
+// timer wheel while walive is set, enabling the same in-place re-key
+// for wheel-resident timers.
 type event struct {
-	at        time.Time
+	at        int64
 	seq       uint64
 	do        Firer
 	cancelled bool
@@ -417,23 +435,20 @@ func (ev *event) Stop() bool {
 
 // Reset reschedules the timer, reusing its event: if the event is
 // still in the heap (pending or lazily cancelled) it is re-keyed in
-// place with heap.Fix; if it is wheel-resident and stays in the same
+// place with fix; if it is wheel-resident and stays in the same
 // slot it is re-keyed there; otherwise the same struct is reset and
 // filed again. Either way the MRAI-churn path allocates nothing, and
 // the sequence counter advances exactly once per Reset on every path.
 func (ev *event) Reset(d time.Duration) bool {
 	k := ev.kernel
 	was := ev.Active()
-	if d < 0 {
-		d = 0
-	}
 	ev.cancelled = false
 	ev.fired = false
-	ev.at = k.now.Add(d)
+	ev.at = k.deadline(d)
 	if ev.index >= 0 {
 		k.seq++
 		ev.seq = k.seq
-		heap.Fix(&k.queue, ev.index)
+		k.queue.fix(ev)
 	} else {
 		k.schedule(ev, d)
 	}
@@ -441,37 +456,3 @@ func (ev *event) Reset(d time.Duration) bool {
 }
 
 func (ev *event) Active() bool { return !ev.cancelled && !ev.fired }
-
-// eventHeap orders events by (time, seq).
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if !h[i].at.Equal(h[j].at) {
-		return h[i].at.Before(h[j].at)
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
-}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -473,5 +474,41 @@ func TestTimerLifecycle(t *testing.T) {
 				t.Errorf("%s/%v: timer active after the kernel drained", c.name, d)
 			}
 		}
+	}
+}
+
+// drainHop is one of a fixed population of posted events: each firing
+// posts itself again a pseudo-random 0-1023 µs ahead, so the number
+// pending stays the population, spread over about a thousand instants.
+type drainHop struct {
+	k *Kernel
+	x uint64
+}
+
+func (h *drainHop) Fire() {
+	h.x = h.x*6364136223846793005 + 1442695040888963407
+	h.k.Post(time.Duration(h.x>>54)*time.Microsecond, h)
+}
+
+// BenchmarkKernelDrain times one event of a steady population posted
+// through the heap: 1 k pending is a clique unit's establish phase, 32
+// k an internet-1000 one's. It is the number the heap's arity was
+// chosen on (DECISIONS.md, "A frame costs no hash and no pointer
+// chase").
+func BenchmarkKernelDrain(b *testing.B) {
+	for _, n := range []int{1 << 10, 1 << 15} {
+		b.Run(fmt.Sprintf("pending=%d", n), func(b *testing.B) {
+			k := NewKernel(1)
+			hops := make([]drainHop, n)
+			for i := range hops {
+				hops[i] = drainHop{k: k, x: uint64(i)}
+				hops[i].Fire()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k.Step()
+			}
+		})
 	}
 }

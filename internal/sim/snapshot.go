@@ -123,7 +123,7 @@ type KernelState struct {
 // State captures the kernel's execution state for a snapshot.
 func (k *Kernel) State() KernelState {
 	return KernelState{
-		NowNS:  k.now.Sub(Epoch).Nanoseconds(),
+		NowNS:  k.nowNS,
 		Seq:    k.seq,
 		Events: k.events,
 		Seed:   k.src.seed,
@@ -144,7 +144,7 @@ func (k *Kernel) Seed() int64 { return k.src.seed }
 // re-derived from the new seed at the same position, so fork runs
 // diverge exactly where randomness enters and nowhere else.
 func (k *Kernel) BeginRestore(st KernelState, seed int64) {
-	k.now = Epoch.Add(time.Duration(st.NowNS))
+	k.nowNS = st.NowNS
 	k.src.Seed(seed)
 	k.src.FastForward(st.Draws)
 }
@@ -172,7 +172,7 @@ func TimerState(t Timer) (at time.Time, seq uint64, ok bool) {
 	if !isSim || ev == nil || !ev.Active() {
 		return time.Time{}, 0, false
 	}
-	return ev.at, ev.seq, true
+	return Epoch.Add(time.Duration(ev.at)), ev.seq, true
 }
 
 // TimerRef is the serialized identity of one pending timer: its

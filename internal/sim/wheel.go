@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"math/bits"
 	"time"
 )
@@ -83,9 +82,10 @@ type timerWheel struct {
 	free [wheelLevels][][]wheelEntry
 }
 
-// tickOf converts an absolute instant to an absolute wheel tick.
-func tickOf(at time.Time) int64 {
-	return at.Sub(Epoch).Nanoseconds() >> wheelTickShift
+// tickOf converts a deadline in nanoseconds since Epoch to an absolute
+// wheel tick.
+func tickOf(at int64) int64 {
+	return at >> wheelTickShift
 }
 
 // insert files ev under its current (at, seq) revision, reporting false
@@ -195,7 +195,7 @@ func (k *Kernel) flushSlot(l, s int) int {
 		if w.insert(ev) {
 			continue
 		}
-		heap.Push(&k.queue, ev)
+		k.queue.push(ev)
 		moved++
 	}
 	clear(entries)

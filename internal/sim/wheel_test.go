@@ -37,7 +37,8 @@ func checkFreeList(t *testing.T, k *Kernel) {
 		}
 		free[ev] = true
 	}
-	for _, ev := range k.queue {
+	for _, e := range k.queue {
+		ev := e.ev
 		if free[ev] {
 			t.Fatalf("event %p is on the free list and in the heap", ev)
 		}
