@@ -12,6 +12,7 @@ package bgp
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/netip"
 	"slices"
@@ -116,6 +117,15 @@ func (t *Timers) setDefaults() {
 	if t.MRAI == 0 {
 		t.MRAI = d.MRAI
 	}
+}
+
+// CheckHoldTime refuses a hold time an OPEN cannot carry: RFC 4271
+// §4.2 allows 0 (no hold or keepalive timers) or 3 s up to 65 535 s.
+func CheckHoldTime(d time.Duration) error {
+	if d != 0 && (d < 3*time.Second || d > math.MaxUint16*time.Second) {
+		return fmt.Errorf("hold time %v outside RFC 4271's range: 0, or 3s to %ds", d, math.MaxUint16)
+	}
+	return nil
 }
 
 // TraceKind classifies trace events.

@@ -74,11 +74,6 @@ type FSM struct {
 	state State
 
 	transportUp bool
-	// holdIsGuard records which callback holdTimer was armed with —
-	// the OpenSent guard (openGuardExpire) or the negotiated hold
-	// timer (holdExpire) — so re-arms can Reset the existing timer in
-	// place when the callback matches instead of allocating a new one.
-	holdIsGuard bool
 	remoteID    idr.RouterID
 	holdTime    time.Duration // negotiated
 	// rx is where every received UPDATE is decoded: storage the owner
@@ -160,31 +155,30 @@ func (f *FSM) startOpen() {
 	// RFC 4271 §8.2.2: in OpenSent the hold timer runs with a large
 	// value (4 minutes suggested) so a half-open session eventually
 	// resets and retries.
-	f.armHold(max(4*time.Minute, f.cfg.HoldTime), true)
+	f.armHold(max(4*time.Minute, f.cfg.HoldTime))
 }
 
-// armHold runs the hold timer for d with the OpenSent guard callback or
-// the negotiated-hold one. A timer already running that callback is
-// re-keyed in place — the per-received-message fast path.
-func (f *FSM) armHold(d time.Duration, guard bool) {
-	if f.holdTimer != nil && f.holdIsGuard == guard {
+// armHold runs the hold timer for d, re-keying the running one in place
+// — the per-received-message fast path. One timer serves the OpenSent
+// guard and the negotiated hold time; holdFire tells them apart.
+func (f *FSM) armHold(d time.Duration) {
+	if f.holdTimer != nil {
 		f.holdTimer.Reset(d)
 		return
 	}
-	if f.holdTimer != nil {
-		f.holdTimer.Stop()
-	}
-	if guard {
-		f.holdTimer = f.cfg.Clock.AfterFunc(d, f.openGuardExpire)
-	} else {
-		f.holdTimer = f.cfg.Clock.AfterFunc(d, f.holdExpire)
-	}
-	f.holdIsGuard = guard
+	f.holdTimer = f.cfg.Clock.AfterFunc(d, f.holdFire)
 }
 
-// openGuardExpire is the OpenSent hold-timer callback: a half-open
-// session resets and retries, without notifying.
-func (f *FSM) openGuardExpire() { f.reset(true) }
+// holdFire is the hold-timer callback. In OpenSent it is the guard: a
+// half-open session resets and retries without notifying. Anywhere
+// else the negotiated hold time expired: notify the neighbor and reset.
+func (f *FSM) holdFire() {
+	if f.state == StateOpenSent {
+		f.reset(true)
+		return
+	}
+	f.notify(wire.NotifHoldTimerExpired, 0)
+}
 
 func (f *FSM) armRetry() {
 	if f.retryTimer != nil {
@@ -398,12 +392,8 @@ func (f *FSM) armHoldTimer() {
 		}
 		return
 	}
-	f.armHold(f.holdTime, false)
+	f.armHold(f.holdTime)
 }
-
-// holdExpire is the negotiated hold-timer callback: notify the
-// neighbor and reset.
-func (f *FSM) holdExpire() { f.notify(wire.NotifHoldTimerExpired, 0) }
 
 func (f *FSM) armKeepalive() {
 	if f.holdTime == 0 {
@@ -447,7 +437,6 @@ func (f *FSM) reset(reconnect bool) {
 		}
 	}
 	f.holdTimer, f.keepaliveTimer, f.retryTimer = nil, nil, nil
-	f.holdIsGuard = false
 	f.remoteID = idr.RouterID{}
 	f.owner.Reset(wasEstablished)
 	if reconnect && f.transportUp {
@@ -491,15 +480,7 @@ func (f *FSM) Restore(st FSMState) []sim.TimerArm {
 	f.transportUp = st.TransportUp
 	f.remoteID = st.RemoteID
 	f.holdTime = st.HoldTime
-	// In OpenSent the hold timer is the RFC 4271 §8.2.2 guard with a
-	// plain reset callback; everywhere else it is the negotiated hold
-	// timer that also notifies the neighbor.
-	f.holdIsGuard = st.State == StateOpenSent
-	holdFire := f.holdExpire
-	if f.holdIsGuard {
-		holdFire = f.openGuardExpire
-	}
-	arms := st.Hold.Rearm(nil, f.cfg.Clock, &f.holdTimer, holdFire)
+	arms := st.Hold.Rearm(nil, f.cfg.Clock, &f.holdTimer, f.holdFire)
 	arms = st.Keepalive.Rearm(arms, f.cfg.Clock, &f.keepaliveTimer, f.keepaliveFire)
 	return st.Retry.Rearm(arms, f.cfg.Clock, &f.retryTimer, f.startOpen)
 }

@@ -372,6 +372,41 @@ func TestSendAllocatesOnlyItsFrame(t *testing.T) {
 	}
 }
 
+// armCounter is a kernel that counts the timers armed through it: each
+// AfterFunc is one event and one callback allocated.
+type armCounter struct {
+	*sim.Kernel
+	armed int
+}
+
+func (c *armCounter) AfterFunc(d time.Duration, fn func()) sim.Timer {
+	c.armed++
+	return c.Kernel.AfterFunc(d, fn)
+}
+
+// TestHandshakeArmsOneHoldTimer pins the merged hold timer: the OpenSent
+// guard is re-keyed into the negotiated hold timer at OpenConfirm, not
+// stopped and replaced, so OpenSent -> Established arms two timers (hold
+// and keepalive), one event each.
+func TestHandshakeArmsOneHoldTimer(t *testing.T) {
+	r := newFSMRig(t)
+	clock := &armCounter{Kernel: r.k}
+	r.f.cfg.Clock = clock
+	r.f.TransportUp()
+	guard := r.f.holdTimer
+	r.f.Deliver(mustFrame(t, peerOpen))
+	r.f.Deliver(mustFrame(t, wire.Keepalive{}))
+	if r.f.State() != StateEstablished {
+		t.Fatalf("state = %v, want Established", r.f.State())
+	}
+	if r.f.holdTimer != guard {
+		t.Error("the negotiated hold timer is a new event, not the OpenSent guard re-keyed")
+	}
+	if clock.armed != 2 {
+		t.Errorf("the handshake armed %d timers, want 2 (hold, keepalive)", clock.armed)
+	}
+}
+
 func TestNewFSMValidation(t *testing.T) {
 	rig := newFSMRig(t)
 	for name, mutate := range map[string]func(*SessionConfig){

@@ -385,3 +385,40 @@ func TestNewBytesPerLink(t *testing.T) {
 		t.Fatalf("experiment.New allocated %d bytes per link on a lossless graph, want < 4096", perLink)
 	}
 }
+
+// TestEstablishBytesPerSession bounds what bringing the sessions up
+// allocates — Start through WaitEstablished, OPEN, KEEPALIVE and the
+// timers each session end arms — per session end on a gao-rexford
+// internet-like graph. It is the gate on per-session timer state: the
+// slot arrays of a timer wheel growing from empty in every new kernel,
+// and a second hold-timer event per session end at OpenConfirm, made
+// this 1 201 bytes; with the wheel's lists threaded through the events
+// and one hold timer it is 809.
+func TestEstablishBytesPerSession(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's runtime adds allocations of its own")
+	}
+	g, err := topology.SynthesizeInternetLike(topology.InternetLikeConfig{ASes: 300}, newSeededRand(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(Config{Seed: 1, Graph: g, Policy: policy.GaoRexford{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.WaitEstablished(2 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	ends := uint64(e.expectedSessions())
+	perEnd := (after.TotalAlloc - before.TotalAlloc) / ends
+	t.Logf("Start through WaitEstablished: %d bytes per session end over %d ends", perEnd, ends)
+	if perEnd >= 1000 {
+		t.Fatalf("establishing allocated %d bytes per session end, want < 1000", perEnd)
+	}
+}

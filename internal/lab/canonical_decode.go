@@ -75,6 +75,9 @@ func trialFromCanonical(c canonicalTrial) (Trial, error) {
 		MRAI:              time.Duration(c.MRAINS),
 		MRAIJitter:        c.MRAIJitter,
 	}
+	if err := bgp.CheckHoldTime(t.Timers.HoldTime); err != nil {
+		return Trial{}, fmt.Errorf("lab: %w", err)
+	}
 	t.Debounce = time.Duration(c.DebounceNS)
 	t.Settle = time.Duration(c.SettleNS)
 	t.ProcessingDelay = time.Duration(c.ProcessingDelayNS)

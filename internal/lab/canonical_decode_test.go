@@ -194,6 +194,12 @@ func TestParseCanonicalRejects(t *testing.T) {
 		"size axis below the minimum": strings.Replace(strings.Replace(string(sizes),
 			`"topo":"er 16 0.25"`, `"topo":"ring 16"`, 1), `"values":["8"`, `"values":["2"`, 1),
 
+		// An OPEN cannot carry these hold times: under 3s every
+		// session fails to open, a negative one flaps.
+		"hold time under 3s":    strings.Replace(string(data), `"hold_time_ns":90000000000`, `"hold_time_ns":2000000000`, 1),
+		"negative hold time":    strings.Replace(string(data), `"hold_time_ns":90000000000`, `"hold_time_ns":-90000000000`, 1),
+		"hold time over 65535s": strings.Replace(string(data), `"hold_time_ns":90000000000`, `"hold_time_ns":65536000000000`, 1),
+
 		"junk":           "not json",
 		"version skew":   strings.Replace(string(data), `"version":2`, `"version":1`, 1),
 		"unknown field":  strings.Replace(string(data), `"version":2`, `"version":2,"extra":true`, 1),

@@ -389,6 +389,12 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	shortHold := testLabSweep()
+	shortHold.Base.Timers.HoldTime = 2 * time.Second
+	shortHoldSweep, err := shortHold.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv, _ := newTestServer(t)
 	url, shutdown := serve(t, srv)
 	defer shutdown()
@@ -403,6 +409,8 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		"ring too small":            {Client: "x", Preset: "fig2", Options: &PresetOptions{Topology: "ring 2"}},
 		"er probability":            {Client: "x", Preset: "fig2", Options: &PresetOptions{Topology: "er 5 NaN"}},
 		"size axis value too small": {Client: "x", Spec: smallRingSweep},
+		// Admitted once, then no session ever opened.
+		"hold time under 3s": {Client: "x", Spec: shortHoldSweep},
 	}
 	for name, req := range cases {
 		if _, code := postJSON(t, url, req); code != http.StatusBadRequest {

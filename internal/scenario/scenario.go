@@ -172,7 +172,14 @@ var directives = map[string]directive{
 		timers(&r.trial).MRAI = d
 		return err
 	}},
-	"hold-time":      duration(func(t *lab.Trial) *time.Duration { return &timers(t).HoldTime }),
+	"hold-time": {1, func(r *Runner, args []string) error {
+		d, err := parseDuration(args, 0)
+		if err == nil {
+			err = bgp.CheckHoldTime(d)
+		}
+		timers(&r.trial).HoldTime = d
+		return err
+	}},
 	"no-mrai-jitter": {0, func(r *Runner, _ []string) error { timers(&r.trial).MRAIJitter = false; return nil }},
 	// A negative debounce disables the controller delay (lab.Trial's
 	// convention), so it is the one duration that may be negative; an

@@ -208,6 +208,9 @@ func TestRunErrors(t *testing.T) {
 		{"loss NaN", "topology line 2\nloss NaN\n"},
 		{"mrai surplus argument", "topology line 2\nmrai 5s 10s\n"},
 		{"zero mrai", "topology line 2\nmrai 0s\n"},
+		// An OPEN cannot carry these: every session would fail to open.
+		{"hold time under 3s", "topology line 2\nhold-time 2s\n"},
+		{"hold time over 65535s", "topology line 2\nhold-time 18h13m\n"},
 		{"sdn surplus field", "topology line 3\nsdn last 2 junk\n"},
 		{"seed surplus argument", "seed 1 2\n"},
 		{"negative settle", "topology line 2\nsettle -1s\nstart\n"},

@@ -40,7 +40,7 @@ func (h *eventHeap) pop() {
 
 // fix restores the order after ev, which is resident, took a new key.
 func (h *eventHeap) fix(ev *event) {
-	i := ev.index
+	i := int(ev.index)
 	e := heapEntry{ev.at, ev.seq, ev}
 	if i > 0 && e.before(&(*h)[(i-1)/2]) {
 		h.up(i, e)
@@ -59,11 +59,11 @@ func (h *eventHeap) up(i int, e heapEntry) {
 			break
 		}
 		q[i] = q[p]
-		q[i].ev.index = i
+		q[i].ev.index = int32(i)
 		i = p
 	}
 	q[i] = e
-	e.ev.index = i
+	e.ev.index = int32(i)
 }
 
 // down fills the hole at i with e, first moving up the earlier child
@@ -83,9 +83,9 @@ func (h *eventHeap) down(i int, e heapEntry) {
 			break
 		}
 		q[i] = q[c]
-		q[i].ev.index = i
+		q[i].ev.index = int32(i)
 		i = c
 	}
 	q[i] = e
-	e.ev.index = i
+	e.ev.index = int32(i)
 }

@@ -22,13 +22,15 @@ var Epoch = time.Date(2014, 8, 18, 0, 0, 0, 0, time.UTC)
 // the executed (time, seq) order: a binary heap for short-range events,
 // keyed by (nanoseconds since Epoch, seq) held inline in its entries
 // (heap.go), a hierarchical timer wheel (wheel.go) that stages
-// long-delay timers in O(1) until their slot is released into the
-// heap, and a drain batch that pops all events sharing the earliest
-// timestamp in one pass. The batch still costs one heap pop per event;
-// what it buys is one wheel sync and one cancelled-head sweep per
-// instant instead of one per event, and a heap already emptied of the
-// instant's events while they push their successors (a router fanning
-// UPDATEs to its peers), so those pushes sift through a smaller heap.
+// long-delay timers in O(1) on lists threaded through the events
+// themselves, so that filing, re-filing and releasing a slot into the
+// heap allocate nothing, and a drain batch that pops all events
+// sharing the earliest timestamp in one pass. The batch still costs
+// one heap pop per event; what it buys is one wheel sync and one
+// cancelled-head sweep per instant instead of one per event, and a
+// heap already emptied of the instant's events while they push their
+// successors (a router fanning UPDATEs to its peers), so those pushes
+// sift through a smaller heap.
 // Wheel and batch are pinned byte-identical against the serial
 // heap-only reference by the equivalence tests in wheel_test.go; the
 // heap itself against a sorted-slice oracle by TestKernelModel.
@@ -47,15 +49,13 @@ type Kernel struct {
 	batch    []batchEntry
 	batchPos int
 
-	// free holds the events of fired Post calls, for the next Post to
-	// reuse. Nothing else references a posted event once it has been
-	// consumed from the drain batch (it has no Timer handle and a
-	// single revision), so it is recycled the moment it fires. The
-	// list is unbounded: it peaks at the most posted events pending at
-	// once, which the heap's own backing array has held already. It is
-	// a slice because an event fills its 64-byte size class exactly,
-	// with no word left for a chain.
-	free []*event
+	// free chains the events of fired Post calls through wnext, for the
+	// next Post to reuse. Nothing else references a posted event once
+	// it has been consumed from the drain batch (it has no Timer handle
+	// and a single revision, and is in no wheel slot), so it is
+	// recycled the moment it fires. The chain is unbounded: it peaks at
+	// the most posted events pending at once.
+	free *event
 
 	rng    *rand.Rand
 	src    *CountingSource // holds the seed the stream was created with
@@ -184,9 +184,9 @@ func (k *Kernel) Post(d time.Duration, f Firer) {
 	if f == nil {
 		panic("sim: Post with nil Firer")
 	}
-	var ev *event
-	if last := len(k.free) - 1; last >= 0 {
-		ev, k.free = k.free[last], k.free[:last]
+	ev := k.free
+	if ev != nil {
+		k.free = ev.wnext
 	} else {
 		ev = new(event)
 	}
@@ -202,15 +202,12 @@ func (k *Kernel) Post(d time.Duration, f Firer) {
 func (k *Kernel) schedule(ev *event, d time.Duration) {
 	k.seq++
 	ev.seq = k.seq
-	if !k.noWheel && d >= wheelMinDelay && k.wheel.insert(ev) {
-		ev.index = -1
-		return
+	if ev.wpprev != nil {
+		// Reset of a wheel-resident timer: it leaves its old slot.
+		k.wheel.unlink(ev)
 	}
-	if ev.walive {
-		// A previous revision of this event still sits in the wheel;
-		// that entry is now stale and pre-deducted from the count.
-		k.wheel.count--
-		ev.walive = false
+	if !k.noWheel && d >= wheelMinDelay && k.wheel.insert(ev) {
+		return
 	}
 	k.queue.push(ev)
 }
@@ -338,7 +335,7 @@ func (k *Kernel) Step() bool {
 		// Recycled before Fire runs, so a Fire that posts again (a
 		// handler answering a frame) reuses this very event.
 		ev.do = nil
-		k.free = append(k.free, ev)
+		ev.wnext, k.free = k.free, ev
 	}
 	do.Fire()
 	return true
@@ -406,23 +403,23 @@ func (k *Kernel) RunWhile(cond func() bool) error {
 // deadline in nanoseconds since Epoch. index is the event's position in
 // the kernel's heap (-1 once popped or while wheel-resident), which
 // lets Reset reschedule the event in place instead of allocating a
-// replacement. The w* fields locate the event's current revision in the
-// timer wheel while walive is set, enabling the same in-place re-key
-// for wheel-resident timers.
+// replacement. wnext and wpprev link the event into its timer-wheel
+// slot while it is wheel-resident (wpprev is nil otherwise), so Reset
+// moves it between slots without allocating either; a fired posted
+// event's wnext chains the kernel's free list. The struct fills its
+// 64-byte size class exactly.
 type event struct {
-	at        int64
-	seq       uint64
-	do        Firer
+	at     int64
+	seq    uint64
+	do     Firer
+	kernel *Kernel
+	wnext  *event
+	wpprev **event
+	index  int32
+
 	cancelled bool
 	fired     bool // set by Step just before do.Fire runs
 	posted    bool // scheduled by Post: no Timer handle, recycled on firing
-	kernel    *Kernel
-	index     int
-
-	walive bool
-	wlevel uint8
-	wslot  uint8
-	windex int32
 }
 
 func (ev *event) Stop() bool {
@@ -435,10 +432,11 @@ func (ev *event) Stop() bool {
 
 // Reset reschedules the timer, reusing its event: if the event is
 // still in the heap (pending or lazily cancelled) it is re-keyed in
-// place with fix; if it is wheel-resident and stays in the same
-// slot it is re-keyed there; otherwise the same struct is reset and
-// filed again. Either way the MRAI-churn path allocates nothing, and
-// the sequence counter advances exactly once per Reset on every path.
+// place with fix; otherwise it is unlinked from its wheel slot, if it
+// has one, and filed again. Either way the MRAI-churn path allocates
+// nothing, and the sequence counter advances exactly once per Reset on
+// every path. Stop takes no number, so re-arming a timer with Reset
+// takes the one that Stop and a fresh AfterFunc would.
 func (ev *event) Reset(d time.Duration) bool {
 	k := ev.kernel
 	was := ev.Active()

@@ -239,13 +239,15 @@ func (m *kernelModel) passed(until int64) {
 }
 
 // check compares what the kernel reports with the oracle after a
-// tape step. Pending counts an event from its scheduling until it
+// tape step, and checks that the wheel's slot lists are intact
+// (checkWheelLists). Pending counts an event from its scheduling until it
 // fires or is discarded, and a stopped one is discarded lazily — when
 // the kernel passes it, or early when its wheel slot is released — so
 // it must lie between the live events and those plus the stopped
 // events not yet passed.
 func (m *kernelModel) check() {
 	m.t.Helper()
+	checkWheelLists(m.t, m.k)
 	if m.k.seq != m.seq {
 		m.t.Fatalf("kernel sequence counter %d, oracle %d", m.k.seq, m.seq)
 	}

@@ -14,14 +14,14 @@ import (
 // The wheel is a pure staging area in front of the event heap, never a
 // second execution path: before the kernel pops or peeks an event, it
 // flushes every wheel slot whose span starts at or before the heap
-// head's tick, moving those entries into the heap with their ORIGINAL
+// head's tick, moving those events into the heap with their ORIGINAL
 // (deadline, sequence) keys. Sequence numbers are assigned by the same
 // counter whether an event is filed in the wheel or the heap, so the
 // executed (time, seq) trace — and therefore every byte-equality pin —
 // is identical with the wheel on or off (see TestWheelHeapEquivalence).
 //
 // Timing coarseness never leaks: a slot may be flushed up to one slot
-// span before its entries are due, but the heap then orders them by
+// span before its events are due, but the heap then orders them by
 // exact deadline. Early flushing costs a little heap residency, not
 // correctness.
 
@@ -46,40 +46,26 @@ const (
 // wheel path.
 const wheelMinDelay = time.Second
 
-// wheelEntry pins one scheduled revision of an event in a slot. seq is
-// the revision the entry was filed under: if the event has been
-// rescheduled since (ev.seq differs), the entry is stale and is dropped
-// at flush time.
-type wheelEntry struct {
-	ev  *event
-	seq uint64
-}
-
 // timerWheel is the kernel's hierarchical wheel. flushed[l] is the last
 // absolute slot index at level l whose contents have been released;
-// every resident entry at level l lives in an absolute slot in
+// every resident event at level l lives in an absolute slot in
 // (flushed[l], flushed[l]+wheelSlots], so absolute slots map injectively
 // onto the wheelSlots physical slots and a physical slot never mixes
-// entries from two different absolute slots.
+// events from two different absolute slots.
+//
+// Each slot is the head of an intrusive doubly linked list threaded
+// through its events (wnext, and wpprev pointing at whichever word
+// points at the event), so filing, unlinking and flushing touch only
+// the events themselves: the wheel allocates nothing, in a fresh
+// kernel as in a warm one. Order within a slot is irrelevant, because
+// a flush hands its events to the heap under their own (at, seq) keys.
 type timerWheel struct {
-	slots   [wheelLevels][wheelSlots][]wheelEntry
+	slots   [wheelLevels][wheelSlots]*event
 	flushed [wheelLevels]int64
-	// count is the number of current-revision entries resident in the
-	// wheel (stale revisions left behind by Reset are pre-deducted when
-	// the replacement is filed, mirroring the heap's lazy-cancel
+	// count is the number of events linked into the wheel, stopped ones
+	// included until their slot is flushed (the heap's lazy-cancel
 	// accounting in Pending).
 	count int
-	// free[l] holds the backing arrays of drained level-l slots. A
-	// coarse slot's physical array is not revisited for 64 slot spans
-	// (~550s at level 2), so parking a grown array in its slot strands
-	// it for the rest of most runs; handing it to the next slot of its
-	// level that needs room makes the wheel's footprint follow the
-	// resident timer population, not the number of slots time has passed
-	// through. One list per level, because a slot's population goes with
-	// its level: an array grown for a level-2 slot is wasted on a level-0
-	// one, and the level-2 slot that then draws a small array grows it
-	// all over again.
-	free [wheelLevels][][]wheelEntry
 }
 
 // tickOf converts a deadline in nanoseconds since Epoch to an absolute
@@ -88,13 +74,10 @@ func tickOf(at int64) int64 {
 	return at >> wheelTickShift
 }
 
-// insert files ev under its current (at, seq) revision, reporting false
-// when the deadline is too near (its tick is not strictly ahead of the
-// wheel) or too far (beyond the top level) for the wheel, in which case
-// the caller must use the heap. When the event's previous revision
-// already sits in the target slot, the entry is re-keyed in place, so
-// repeated Reset of a long-range timer — the MRAI/hold churn pattern —
-// neither allocates nor grows the slot.
+// insert links ev, which must not be linked, into the slot of its
+// deadline, reporting false when the deadline is too near (its tick is
+// not strictly ahead of the wheel) or too far (beyond the top level)
+// for the wheel, in which case the caller must use the heap.
 func (w *timerWheel) insert(ev *event) bool {
 	tick := tickOf(ev.at)
 	delta := tick - w.flushed[0]
@@ -105,38 +88,31 @@ func (w *timerWheel) insert(ev *event) bool {
 	if l >= wheelLevels {
 		return false
 	}
-	s := uint8((tick >> (uint(l) * wheelSlotBits)) & (wheelSlots - 1))
-	slot := &w.slots[l][s]
-	if ev.walive && ev.wlevel == uint8(l) && ev.wslot == s {
-		if i := int(ev.windex); i < len(*slot) && (*slot)[i].ev == ev {
-			(*slot)[i].seq = ev.seq
-			return true
-		}
+	head := &w.slots[l][(tick>>(uint(l)*wheelSlotBits))&(wheelSlots-1)]
+	ev.wnext = *head
+	if ev.wnext != nil {
+		ev.wnext.wpprev = &ev.wnext
 	}
-	if ev.walive {
-		// The previous revision's entry elsewhere in the wheel becomes
-		// stale; pre-deduct it so count tracks current revisions only.
-		w.count--
-	}
-	ev.walive = true
-	ev.wlevel = uint8(l)
-	ev.wslot = s
-	if cap(*slot) == 0 {
-		if free := w.free[l]; len(free) > 0 {
-			*slot = free[len(free)-1]
-			w.free[l] = free[:len(free)-1]
-		}
-	}
-	ev.windex = int32(len(*slot))
-	*slot = append(*slot, wheelEntry{ev, ev.seq})
+	ev.wpprev = head
+	*head = ev
 	w.count++
 	return true
 }
 
+// unlink takes ev, which must be linked, out of its slot.
+func (w *timerWheel) unlink(ev *event) {
+	*ev.wpprev = ev.wnext
+	if ev.wnext != nil {
+		ev.wnext.wpprev = ev.wpprev
+	}
+	ev.wnext, ev.wpprev = nil, nil
+	w.count--
+}
+
 // release advances the wheel through tick, flushing every slot whose
-// span starts at or before it. Flushed entries that are due (or within
+// span starts at or before it. Flushed events that are due (or within
 // one tick of due) move to the heap under their original (at, seq)
-// keys; entries still ahead re-file into a finer level. Returns how
+// keys; events still ahead re-file into a finer level. Returns how
 // many live events moved to the heap.
 func (k *Kernel) wheelRelease(tick int64) int {
 	w := &k.wheel
@@ -161,45 +137,32 @@ func (k *Kernel) wheelRelease(tick int64) int {
 			lo = hi - wheelSlots
 		}
 		for s := lo + 1; s <= hi; s++ {
-			moved += k.flushSlot(l, int(s&(wheelSlots-1)))
+			moved += k.flushSlot(&w.slots[l][s&(wheelSlots-1)])
 		}
 	}
 	return moved
 }
 
-// flushSlot drains one physical slot and hands its backing array to its
-// level's free list. Re-filed entries always land in a strictly lower
-// level (an entry in a flushable level-l slot is at most 64^l ticks
-// ahead of the flush point), so the array being iterated is never
-// appended to: it is out of its slot during the loop and on the free
-// list only after it.
-func (k *Kernel) flushSlot(l, s int) int {
+// flushSlot detaches one slot's list and drains it: stopped events are
+// dropped, the rest re-file into the wheel or move to the heap. A
+// re-filed event always lands in a strictly lower level (an event in a
+// flushable level-l slot is at most 64^l ticks ahead of the flush
+// point), never back into the list being drained.
+func (k *Kernel) flushSlot(head **event) int {
 	w := &k.wheel
-	entries := w.slots[l][s]
-	if len(entries) == 0 {
-		return 0
-	}
-	w.slots[l][s] = nil
+	ev := *head
+	*head = nil
 	moved := 0
-	for _, e := range entries {
-		ev := e.ev
-		if ev.seq != e.seq {
-			// Stale revision: its replacement was counted when filed.
-			continue
-		}
+	for ev != nil {
+		next := ev.wnext
+		ev.wnext, ev.wpprev = nil, nil
 		w.count--
-		ev.walive = false
-		if ev.cancelled {
-			continue
+		if !ev.cancelled && !w.insert(ev) {
+			k.queue.push(ev)
+			moved++
 		}
-		if w.insert(ev) {
-			continue
-		}
-		k.queue.push(ev)
-		moved++
+		ev = next
 	}
-	clear(entries)
-	w.free[l] = append(w.free[l], entries[:0])
 	return moved
 }
 
@@ -212,7 +175,7 @@ func (w *timerWheel) next() (int64, bool) {
 	found := false
 	for l := 0; l < wheelLevels; l++ {
 		for s := w.flushed[l] + 1; s <= w.flushed[l]+wheelSlots; s++ {
-			if len(w.slots[l][int(s&(wheelSlots-1))]) > 0 {
+			if w.slots[l][s&(wheelSlots-1)] != nil {
 				if start := s << (uint(l) * wheelSlotBits); !found || start < best {
 					best = start
 					found = true

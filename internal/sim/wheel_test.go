@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 // tapeRun is what one run of the random tape leaves behind: every
@@ -26,30 +27,69 @@ type tapeHop struct {
 
 func (h *tapeHop) Fire() { h.run(h) }
 
+// checkWheelLists fails unless every wheel slot is an intact list:
+// each linked event is reachable exactly once, its wpprev points at the
+// word that points at it, and the number linked is wheel.count. An
+// event in the heap or the drain batch must be linked nowhere. It
+// returns the linked events.
+func checkWheelLists(t *testing.T, k *Kernel) map[*event]bool {
+	t.Helper()
+	linked := make(map[*event]bool, k.wheel.count)
+	for l := range k.wheel.slots {
+		for s := range k.wheel.slots[l] {
+			for at := &k.wheel.slots[l][s]; *at != nil; at = &(*at).wnext {
+				ev := *at
+				if linked[ev] {
+					t.Fatalf("event %p is linked into the wheel twice (again in slot %d/%d)", ev, l, s)
+				}
+				linked[ev] = true
+				if ev.wpprev != at {
+					t.Fatalf("event %p in wheel slot %d/%d: wpprev does not point at the word that links it", ev, l, s)
+				}
+				if ev.index >= 0 {
+					t.Fatalf("event %p is in wheel slot %d/%d and at heap index %d", ev, l, s, ev.index)
+				}
+			}
+		}
+	}
+	if len(linked) != k.wheel.count {
+		t.Fatalf("%d events linked into the wheel, wheel.count %d", len(linked), k.wheel.count)
+	}
+	unlinked := func(ev *event, where string) {
+		if ev.wnext != nil || ev.wpprev != nil {
+			t.Fatalf("event %p in the %s still carries a wheel link", ev, where)
+		}
+	}
+	for _, e := range k.queue {
+		unlinked(e.ev, "heap")
+	}
+	for _, e := range k.batch[k.batchPos:] {
+		if e.ev.seq == e.seq {
+			unlinked(e.ev, "drain batch")
+		}
+	}
+	return linked
+}
+
 // checkFreeList fails if a recycled event is still referenced by the
 // heap, a wheel slot or the drain batch, or is on the free list twice.
 func checkFreeList(t *testing.T, k *Kernel) {
 	t.Helper()
-	free := make(map[*event]bool, len(k.free))
-	for _, ev := range k.free {
+	linked := checkWheelLists(t, k)
+	free := make(map[*event]bool)
+	for ev := k.free; ev != nil; ev = ev.wnext {
 		if free[ev] {
 			t.Fatalf("event %p is on the free list twice", ev)
 		}
 		free[ev] = true
+		if linked[ev] || ev.wpprev != nil {
+			t.Fatalf("event %p is on the free list and in the wheel", ev)
+		}
 	}
 	for _, e := range k.queue {
 		ev := e.ev
 		if free[ev] {
 			t.Fatalf("event %p is on the free list and in the heap", ev)
-		}
-	}
-	for l := range k.wheel.slots {
-		for s := range k.wheel.slots[l] {
-			for _, e := range k.wheel.slots[l][s] {
-				if free[e.ev] {
-					t.Fatalf("event %p is on the free list and in wheel slot %d/%d", e.ev, l, s)
-				}
-			}
 		}
 	}
 	for _, e := range k.batch {
@@ -332,45 +372,49 @@ func allocatedBytes(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// A drained slot's array must go back to the wheel, not stay parked in
-// a physical slot that will not be revisited for 64 slot spans. The
+// A fresh kernel's wheel allocates nothing: every trial builds a new
+// kernel, so what the first fill costs is what every run pays. The
 // session pattern — a keepalive timer firing every 30s and pushing a
 // 90s hold timer out each time — files every timer into a new level-2
-// slot (span ~8.6s) on each round; without recycling each of those
-// slots grows an array of its own, so the bytes allocated follow the
-// number of slots time passes through. With it they follow the
-// resident population: the ~90s of slots that hold entries at once.
-func TestWheelSlotArraysRecycled(t *testing.T) {
+// slot (span ~8.6s) on each round. Run from t = 0 through several hold
+// periods, it may allocate the AfterFunc events and nothing else; the
+// heap and batch arrays, which are not the wheel's, are sized up front.
+func TestWheelFirstFillAllocatesNothing(t *testing.T) {
 	const (
 		sessions  = 2000
 		keepalive = 30 * time.Second
 		hold      = 90 * time.Second
-		span      = time.Duration(1) << (wheelTickShift + 2*wheelSlotBits) // one level-2 slot
-		spans     = 45
 	)
 	k := NewKernel(1)
-	for i := 0; i < sessions; i++ {
-		holdTimer := k.AfterFunc(hold, func() { t.Error("hold timer expired") })
-		var ka Timer
-		ka = k.AfterFunc(keepalive*time.Duration(i+1)/sessions, func() {
-			holdTimer.Reset(hold)
-			ka.Reset(keepalive)
-		})
-	}
-	// Let every slot the resident population occupies fill once.
-	if err := k.RunFor(hold + keepalive); err != nil {
-		t.Fatal(err)
+	k.queue = make(eventHeap, 0, 2*sessions)
+	k.batch = make([]batchEntry, 0, 2*sessions)
+	holdTimers := make([]Timer, sessions)
+	kaTimers := make([]Timer, sessions)
+	expire := func() { t.Error("hold timer expired") }
+	fires := make([]func(), sessions)
+	for i := range fires {
+		fires[i] = func() {
+			holdTimers[i].Reset(hold)
+			kaTimers[i].Reset(keepalive)
+		}
 	}
 	bytes := allocatedBytes(func() {
-		if err := k.RunFor(spans * span); err != nil {
+		for i := range fires {
+			holdTimers[i] = k.AfterFunc(hold, expire)
+			kaTimers[i] = k.AfterFunc(keepalive*time.Duration(i+1)/sessions, fires[i])
+		}
+		if err := k.RunFor(4 * hold); err != nil {
 			t.Fatal(err)
 		}
 	})
-	// Measured: 2.6 MB with arrays parked in their slots (one grown
-	// array per slot visited), 147 KB with per-level recycling.
-	const entry = 16 // unsafe.Sizeof(wheelEntry{})
-	t.Logf("%d timers over %d level-2 spans allocated %d bytes", 2*sessions, spans, bytes)
-	if limit := uint64(8 * 2 * sessions * entry); bytes > limit {
-		t.Fatalf("allocated %d bytes, want <= %d (8x the resident entries): drained slot arrays are not being reused", bytes, limit)
+	// Measured with the slot arrays this replaced: 1 047 256 bytes, so
+	// 791 KB beyond the events.
+	events := uint64(2 * sessions * unsafe.Sizeof(event{}))
+	t.Logf("%d timers over %v allocated %d bytes, %d of them events", 2*sessions, 4*hold, bytes, events)
+	if bytes > events {
+		t.Fatalf("allocated %d bytes, want <= %d (the events themselves): the wheel allocates", bytes, events)
+	}
+	if k.Pending() != 2*sessions {
+		t.Fatalf("%d timers pending, want %d", k.Pending(), 2*sessions)
 	}
 }
