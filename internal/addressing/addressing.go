@@ -6,7 +6,7 @@
 //   - one origin /24 per AS (the prefix the AS may announce),
 //   - one router ID per AS,
 //   - one /30 transfer network per inter-AS link with one address per
-//     endpoint.
+//     endpoint, computed from the link's number rather than stored.
 //
 // The plan is pure data: the emulator and BGP layers consume it.
 package addressing
@@ -19,40 +19,46 @@ import (
 	"repro/internal/idr"
 )
 
-// Plan is a complete address assignment for one experiment.
+// Plan is a complete address assignment for one experiment. It keeps
+// per-AS state only: a link's transfer network is a function of the
+// link's number (TransferNet), so the plan holds no link table.
 type Plan struct {
 	origin   map[idr.ASN]netip.Prefix
 	routerID map[idr.ASN]idr.RouterID
-	links    map[[2]idr.ASN]LinkNet
-	nextLink uint32
 }
 
-// LinkNet is the /30 transfer network of one inter-AS link.
+// LinkNet is the /30 transfer network of one inter-AS link. The
+// lower-numbered AS holds its first usable address, the other AS the
+// second.
 type LinkNet struct {
 	Prefix netip.Prefix
-	// AddrOf maps each endpoint AS to its interface address.
-	addrs map[idr.ASN]netip.Addr
+	lo, hi idr.ASN
 }
 
 // Addr returns the interface address of asn on this link.
 func (l LinkNet) Addr(asn idr.ASN) (netip.Addr, bool) {
-	a, ok := l.addrs[asn]
-	return a, ok
+	switch asn {
+	case l.lo:
+		return l.Prefix.Addr().Next(), true
+	case l.hi:
+		return l.Prefix.Addr().Next().Next(), true
+	}
+	return netip.Addr{}, false
 }
 
 const (
-	maxASN   = 0xFFFF // the 10.x.y.0/24 scheme addresses 16-bit ASNs
-	maxLinks = 1 << 20
+	maxASN       = 0xFFFF // the 10.x.y.0/24 scheme addresses 16-bit ASNs
+	maxLinks     = 1 << 20
+	transferBase = uint32(100)<<24 | uint32(64)<<16 // 100.64.0.0
 )
 
-// NewPlan allocates addresses for the given ASes. Links are added with
-// AddLink. ASNs above 65535 are rejected: the deterministic scheme
-// packs the ASN into the second and third octets.
+// NewPlan allocates addresses for the given ASes. ASNs above 65535 are
+// rejected: the deterministic scheme packs the ASN into the second and
+// third octets.
 func NewPlan(asns []idr.ASN) (*Plan, error) {
 	p := &Plan{
 		origin:   make(map[idr.ASN]netip.Prefix, len(asns)),
 		routerID: make(map[idr.ASN]idr.RouterID, len(asns)),
-		links:    make(map[[2]idr.ASN]LinkNet),
 	}
 	sorted := append([]idr.ASN(nil), asns...)
 	slices.Sort(sorted)
@@ -88,73 +94,29 @@ func (p *Plan) RouterID(asn idr.ASN) (idr.RouterID, error) {
 	return id, nil
 }
 
-// ASNs returns all planned ASes in ascending order.
-func (p *Plan) ASNs() []idr.ASN {
-	out := make([]idr.ASN, 0, len(p.origin))
-	for a := range p.origin {
-		out = append(out, a)
-	}
-	slices.Sort(out)
-	return out
-}
-
-func linkKey(a, b idr.ASN) [2]idr.ASN {
-	if b < a {
-		a, b = b, a
-	}
-	return [2]idr.ASN{a, b}
-}
-
-// AddLink allocates the next /30 transfer network from 100.64.0.0/10
-// (the shared-address space) for the link a-b. The lower-numbered AS
-// gets the first usable address. Adding the same link twice returns
-// the existing allocation.
-func (p *Plan) AddLink(a, b idr.ASN) (LinkNet, error) {
+// TransferNet returns the /30 transfer network of link i, the i-th
+// /30 of 100.64.0.0/10 (the shared-address space), between ASes a and
+// b. It is a pure function of its arguments: the same link number
+// always yields the same network, whichever way round a and b are
+// given.
+func (p *Plan) TransferNet(i int, a, b idr.ASN) (LinkNet, error) {
 	if a == b {
 		return LinkNet{}, fmt.Errorf("addressing: link endpoints equal (%v)", a)
 	}
-	if _, ok := p.origin[a]; !ok {
-		return LinkNet{}, fmt.Errorf("addressing: unknown ASN %v", a)
+	for _, asn := range [2]idr.ASN{a, b} {
+		if _, ok := p.origin[asn]; !ok {
+			return LinkNet{}, fmt.Errorf("addressing: unknown ASN %v", asn)
+		}
 	}
-	if _, ok := p.origin[b]; !ok {
-		return LinkNet{}, fmt.Errorf("addressing: unknown ASN %v", b)
+	if i < 0 || i >= maxLinks {
+		return LinkNet{}, fmt.Errorf("addressing: link number %d outside 0..%d", i, maxLinks-1)
 	}
-	key := linkKey(a, b)
-	if ln, ok := p.links[key]; ok {
-		return ln, nil
+	net := transferBase + uint32(i)*4
+	prefix := netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(net >> 24), byte(net >> 16), byte(net >> 8), byte(net)}), 30)
+	if b < a {
+		a, b = b, a
 	}
-	if p.nextLink >= maxLinks {
-		return LinkNet{}, fmt.Errorf("addressing: out of /30 transfer networks")
-	}
-	base := uint32(100)<<24 | uint32(64)<<16 // 100.64.0.0
-	net := base + p.nextLink*4
-	p.nextLink++
-	var b4 [4]byte
-	b4[0] = byte(net >> 24)
-	b4[1] = byte(net >> 16)
-	b4[2] = byte(net >> 8)
-	b4[3] = byte(net)
-	prefix := netip.PrefixFrom(netip.AddrFrom4(b4), 30)
-	lo, hi := key[0], key[1]
-	addr1 := addrPlus(b4, 1)
-	addr2 := addrPlus(b4, 2)
-	ln := LinkNet{
-		Prefix: prefix,
-		addrs:  map[idr.ASN]netip.Addr{lo: addr1, hi: addr2},
-	}
-	p.links[key] = ln
-	return ln, nil
-}
-
-func addrPlus(base [4]byte, n byte) netip.Addr {
-	base[3] += n
-	return netip.AddrFrom4(base)
-}
-
-// Link returns the allocation for link a-b, if present.
-func (p *Plan) Link(a, b idr.ASN) (LinkNet, bool) {
-	ln, ok := p.links[linkKey(a, b)]
-	return ln, ok
+	return LinkNet{Prefix: prefix, lo: a, hi: b}, nil
 }
 
 // HostAddr returns the i-th host address (1-based) inside an AS's

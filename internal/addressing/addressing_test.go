@@ -61,14 +61,14 @@ func TestNewPlanRejectsBadASNs(t *testing.T) {
 	}
 }
 
-func TestAddLink(t *testing.T) {
+func TestTransferNet(t *testing.T) {
 	p := mustPlan(t, 1, 2, 3)
-	ln, err := p.AddLink(2, 1)
+	ln, err := p.TransferNet(0, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ln.Prefix != netip.MustParsePrefix("100.64.0.0/30") {
-		t.Fatalf("first link prefix = %v", ln.Prefix)
+		t.Fatalf("link 0 prefix = %v", ln.Prefix)
 	}
 	a1, ok := ln.Addr(1)
 	if !ok || a1 != netip.MustParseAddr("100.64.0.1") {
@@ -82,45 +82,55 @@ func TestAddLink(t *testing.T) {
 		t.Fatal("AS3 has no address on this link")
 	}
 
-	// Second distinct link gets the next /30.
-	ln2, err := p.AddLink(1, 3)
+	// The next link number gets the next /30.
+	ln2, err := p.TransferNet(1, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ln2.Prefix != netip.MustParsePrefix("100.64.0.4/30") {
-		t.Fatalf("second link prefix = %v", ln2.Prefix)
+		t.Fatalf("link 1 prefix = %v", ln2.Prefix)
 	}
-
-	// Re-adding returns the same allocation, in either order.
-	again, err := p.AddLink(1, 2)
+	// The last /30 of the /10.
+	last, err := p.TransferNet(maxLinks-1, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.Prefix != ln.Prefix {
-		t.Fatal("re-add allocated a new network")
+	if last.Prefix != netip.MustParsePrefix("100.127.255.252/30") {
+		t.Fatalf("last link prefix = %v", last.Prefix)
 	}
 }
 
-func TestAddLinkErrors(t *testing.T) {
+func TestTransferNetErrors(t *testing.T) {
 	p := mustPlan(t, 1, 2)
-	if _, err := p.AddLink(1, 1); err == nil {
+	if _, err := p.TransferNet(0, 1, 1); err == nil {
 		t.Fatal("self link should error")
 	}
-	if _, err := p.AddLink(1, 9); err == nil {
+	if _, err := p.TransferNet(0, 1, 9); err == nil {
 		t.Fatal("unknown endpoint should error")
+	}
+	if _, err := p.TransferNet(-1, 1, 2); err == nil {
+		t.Fatal("negative link number should error")
+	}
+	if _, err := p.TransferNet(maxLinks, 1, 2); err == nil {
+		t.Fatal("link number past the /10 should error")
 	}
 }
 
-func TestLinkLookup(t *testing.T) {
+// TestTransferNetIsPure pins that the plan keeps no link state: asking
+// for the same link twice, either way round, gives the same network,
+// and asking changes nothing a later answer depends on.
+func TestTransferNetIsPure(t *testing.T) {
 	p := mustPlan(t, 1, 2)
-	if _, ok := p.Link(1, 2); ok {
-		t.Fatal("link not yet allocated")
-	}
-	if _, err := p.AddLink(1, 2); err != nil {
+	first, err := p.TransferNet(7, 1, 2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := p.Link(2, 1); !ok {
-		t.Fatal("lookup should be order-independent")
+	again, err := p.TransferNet(7, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != again {
+		t.Fatalf("link 7 as 1-2 = %+v, as 2-1 = %+v", first, again)
 	}
 }
 
@@ -141,17 +151,6 @@ func TestHostAddr(t *testing.T) {
 	}
 	if _, err := p.HostAddr(2, 1); err == nil {
 		t.Fatal("unknown AS should error")
-	}
-}
-
-func TestASNsSorted(t *testing.T) {
-	p := mustPlan(t, 9, 3, 7)
-	got := p.ASNs()
-	want := []idr.ASN{3, 7, 9}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ASNs() = %v", got)
-		}
 	}
 }
 
@@ -196,9 +195,11 @@ func TestPropertyNoAddressCollisions(t *testing.T) {
 				return false
 			}
 		}
+		n := 0
 		for i := 0; i < len(asns); i++ {
 			for j := i + 1; j < len(asns); j++ {
-				ln, err := p.AddLink(asns[i], asns[j])
+				ln, err := p.TransferNet(n, asns[i], asns[j])
+				n++
 				if err != nil {
 					return false
 				}

@@ -154,7 +154,7 @@ func (e *Experiment) forwardFromRouter(asn idr.ASN, p frames.Probe) error {
 	if !ok || route.Local {
 		return nil // blackhole: no route
 	}
-	ep, ok := e.peerEndpoint[asn][route.Peer]
+	l, ok := e.links[linkKey(asn, route.PeerASN)]
 	if !ok {
 		return nil
 	}
@@ -163,7 +163,7 @@ func (e *Experiment) forwardFromRouter(asn idr.ASN, p frames.Probe) error {
 	if err != nil {
 		return err
 	}
-	return ep.Send(frames.Encode(frames.KindProbe, payload))
+	return l.end(asn, route.PeerASN).ep.Send(frames.Encode(frames.KindProbe, payload))
 }
 
 // InjectProbe sends one probe from src's host to dst's host address

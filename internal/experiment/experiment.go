@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/addressing"
 	"repro/internal/bgp"
-	"repro/internal/bgp/rib"
 	"repro/internal/collector"
 	"repro/internal/core"
 	"repro/internal/frames"
@@ -93,7 +92,7 @@ type Experiment struct {
 	// Net is the emulated link substrate the frames cross.
 	Net *netem.Network
 	// Plan is the deterministic address plan: one origin /24 and
-	// router ID per AS, one /30 per link.
+	// router ID per AS, and the /30 of every link by its number.
 	Plan *addressing.Plan
 	// Routers holds the legacy BGP daemons by AS (cluster members have
 	// no entry; a migrated-out AS regains one).
@@ -112,35 +111,17 @@ type Experiment struct {
 	Probes *monitor.ProbeEngine
 
 	members map[idr.ASN]bool
-	links   map[[2]idr.ASN]*netem.Link
-	// kinds is the per-speaker neighbor-kind table, computed once from
-	// the topology at build time (policy.FromTopology) so session
-	// setup and policy evaluation never probe the graph again.
-	kinds map[[2]idr.ASN]topology.NeighborKind
-	// peerEndpoint maps a legacy router's session key to the endpoint
-	// it rides on (probe forwarding).
-	peerEndpoint map[idr.ASN]map[rib.PeerKey]*netem.Endpoint
-	// peerOf maps the endpoint a BGP session rides on — a legacy
-	// router's or the collector's — to that session, the one lookup a
-	// received frame costs. A retiring router's entries leave it, so
-	// open() builds fresh sessions when the AS leaves the cluster again.
-	peerOf map[*netem.Endpoint]*bgp.Peer
-	// portOf maps a switch node's endpoint to its port number.
-	portOf map[*netem.Endpoint]uint32
-	// ctrlPeers maps controller-node endpoints to the member served.
-	ctrlPeers map[*netem.Endpoint]idr.ASN
-	// ctrlEPOf maps a member to its controller-side control endpoint;
-	// ctrlLinkOf to the control link itself (torn down on migration).
-	ctrlEPOf   map[idr.ASN]*netem.Endpoint
+	// links holds one record per topology edge, keyed by linkKey.
+	links map[[2]idr.ASN]*link
+	// endOf maps every endpoint a router session or a switch data port
+	// rides on — the collector's links' included — to its link end,
+	// the one lookup a received frame costs.
+	endOf map[*netem.Endpoint]*end
+	// ctrlPeers maps controller-node endpoints to the member served;
+	// ctrlLinkOf maps a member to its control link (torn down on
+	// migration).
+	ctrlPeers  map[*netem.Endpoint]idr.ASN
 	ctrlLinkOf map[idr.ASN]*netem.Link
-	// endpointOf maps (owner, neighbor) to the owner's endpoint on the
-	// topology link between them, so migration can rewire in place.
-	endpointOf map[[2]idr.ASN]*netem.Endpoint
-	// onLinkState is the mutable per-link state-change dispatch: each
-	// topology link subscribes once and forwards through this map, so
-	// migration can swap a link's protocol hook without leaking stale
-	// subscriptions to torn-down routers or switches.
-	onLinkState map[[2]idr.ASN]func(up bool)
 	// retiredSent/retiredRecv accumulate the UPDATE counters of
 	// routers torn down by migration, so UpdateTotals stays monotonic.
 	retiredSent, retiredRecv uint64
@@ -190,20 +171,14 @@ func New(cfg Config) (*Experiment, error) {
 	}
 
 	e := &Experiment{
-		cfg:          cfg,
-		K:            sim.NewKernel(cfg.Seed),
-		Routers:      make(map[idr.ASN]*bgp.Router),
-		Switches:     make(map[idr.ASN]*sdn.Switch),
-		members:      make(map[idr.ASN]bool),
-		links:        make(map[[2]idr.ASN]*netem.Link),
-		peerEndpoint: make(map[idr.ASN]map[rib.PeerKey]*netem.Endpoint),
-		peerOf:       make(map[*netem.Endpoint]*bgp.Peer),
-		portOf:       make(map[*netem.Endpoint]uint32),
-		ctrlEPOf:     make(map[idr.ASN]*netem.Endpoint),
-		ctrlLinkOf:   make(map[idr.ASN]*netem.Link),
-		endpointOf:   make(map[[2]idr.ASN]*netem.Endpoint),
-		onLinkState:  make(map[[2]idr.ASN]func(up bool)),
-		kinds:        policy.FromTopology(cfg.Graph),
+		cfg:        cfg,
+		K:          sim.NewKernel(cfg.Seed),
+		Routers:    make(map[idr.ASN]*bgp.Router),
+		Switches:   make(map[idr.ASN]*sdn.Switch),
+		members:    make(map[idr.ASN]bool),
+		links:      make(map[[2]idr.ASN]*link, cfg.Graph.NumEdges()),
+		endOf:      make(map[*netem.Endpoint]*end, 2*cfg.Graph.NumEdges()),
+		ctrlLinkOf: make(map[idr.ASN]*netem.Link),
 	}
 	e.Net = netem.NewNetwork(e.K, e.K.Rand())
 	// Every link draws its loss from a private stream derived from the
@@ -335,13 +310,12 @@ func (e *Experiment) buildRouter(asn idr.ASN, node *netem.Node) error {
 		return err
 	}
 	e.Routers[asn] = r
-	e.peerEndpoint[asn] = make(map[rib.PeerKey]*netem.Endpoint)
 	node.OnMessage(e.routerNodeHandler(asn))
 	return nil
 }
 
 // routerNodeHandler is the receive handler of a legacy-router node. A
-// BGP frame goes to the session its endpoint maps to in peerOf. A
+// BGP frame goes to the session on its endpoint's link end. A
 // migration into the cluster replaces this handler with the switch's,
 // so frames in flight across it never reach the torn-down router.
 func (e *Experiment) routerNodeHandler(asn idr.ASN) func(from *netem.Endpoint, data []byte) {
@@ -352,9 +326,7 @@ func (e *Experiment) routerNodeHandler(asn idr.ASN) func(from *netem.Endpoint, d
 		}
 		switch kind {
 		case frames.KindBGP:
-			if p, ok := e.peerOf[from]; ok {
-				p.Deliver(payload)
-			}
+			e.deliver(from, payload)
 		case frames.KindProbe:
 			p, err := frames.DecodeProbe(payload)
 			if err != nil {
@@ -394,11 +366,18 @@ func (e *Experiment) buildSwitch(asn idr.ASN, node, ctrlNode *netem.Node) error 
 		e.ctrlPeers = make(map[*netem.Endpoint]idr.ASN)
 	}
 	e.ctrlPeers[ctrlEP] = asn
-	e.ctrlEPOf[asn] = ctrlEP
 	e.ctrlLinkOf[asn] = link
 
 	node.OnMessage(e.switchNodeHandler(asn, swEP))
 	return nil
+}
+
+// deliver hands a BGP message to the session riding endpoint ep, if
+// one does.
+func (e *Experiment) deliver(ep *netem.Endpoint, msg []byte) {
+	if en := e.endOf[ep]; en != nil && en.peer != nil {
+		en.peer.Deliver(msg)
+	}
 }
 
 // switchNodeHandler is the receive handler of a cluster-member node:
@@ -420,10 +399,8 @@ func (e *Experiment) switchNodeHandler(asn idr.ASN, swEP *netem.Endpoint) func(f
 			_ = sw.HandleControl(payload)
 			return
 		}
-		port, ok := e.portOf[from]
-		if !ok {
-			return
+		if en := e.endOf[from]; en != nil && en.port != 0 {
+			_ = sw.HandlePort(en.port, data)
 		}
-		_ = sw.HandlePort(port, data)
 	}
 }

@@ -20,21 +20,16 @@ import (
 // speaker session resets through the port-status path; for an
 // intra-cluster link both switch ports flap.
 func (e *Experiment) SessionReset(a, b idr.ASN) error {
-	key := linkKey(a, b)
-	l, ok := e.links[key]
+	l, ok := e.links[linkKey(a, b)]
 	if !ok {
 		return fmt.Errorf("experiment: no link %v-%v", a, b)
 	}
 	if !l.Up() {
 		return fmt.Errorf("experiment: cannot reset session %v-%v: link is down", a, b)
 	}
-	h := e.onLinkState[key]
-	if h == nil {
-		return fmt.Errorf("experiment: no session state hook for %v-%v", a, b)
-	}
 	e.Detector.Touch()
-	h(false)
-	h(true)
+	l.notify(false)
+	l.notify(true)
 	return nil
 }
 

@@ -18,6 +18,7 @@ func TestSessionReset(t *testing.T) {
 	if err := e.SessionReset(1, 2); err != nil {
 		t.Fatal(err)
 	}
+	checkLinkEnds(t, e)
 	if _, err := e.WaitConverged(30 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
@@ -59,6 +60,7 @@ func TestControllerCrashRecovery(t *testing.T) {
 	if err := e.ControllerDown(); err != nil {
 		t.Fatal(err)
 	}
+	checkLinkEnds(t, e)
 	if !e.ControllerCrashed() {
 		t.Fatal("ControllerCrashed() false after ControllerDown")
 	}
@@ -84,6 +86,7 @@ func TestControllerCrashRecovery(t *testing.T) {
 	if err := e.ControllerUp(); err != nil {
 		t.Fatal(err)
 	}
+	checkLinkEnds(t, e)
 	if e.ControllerCrashed() {
 		t.Fatal("still crashed after recovery")
 	}
@@ -133,6 +136,7 @@ func TestPartitionHeal(t *testing.T) {
 	if err := e.Partition(); err != nil {
 		t.Fatal(err)
 	}
+	checkLinkEnds(t, e)
 	cut := e.PartitionCut()
 	if len(cut) == 0 {
 		t.Fatal("partition cut no links")
@@ -174,6 +178,7 @@ func TestPartitionHeal(t *testing.T) {
 	if err := e.Heal(); err != nil {
 		t.Fatal(err)
 	}
+	checkLinkEnds(t, e)
 	if err := e.Heal(); err == nil {
 		t.Fatal("double heal should error")
 	}

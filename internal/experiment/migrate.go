@@ -72,10 +72,9 @@ func (e *Experiment) MigrateIn(asn idr.ASN) error {
 	e.retiredSent += st.UpdatesSent
 	e.retiredRecv += st.UpdatesReceived
 	delete(e.Routers, asn)
-	for _, ep := range e.peerEndpoint[asn] {
-		delete(e.peerOf, ep)
+	for _, nb := range e.cfg.Graph.Neighbors(asn) {
+		e.links[linkKey(asn, nb)].end(asn, nb).peer = nil
 	}
-	delete(e.peerEndpoint, asn)
 
 	// Raise the switch on the same node with a fresh control channel.
 	node, _ := e.Net.Node(asn.String())
@@ -137,17 +136,17 @@ func (e *Experiment) MigrateOut(asn idr.ASN) error {
 		return err
 	}
 	// Tear the switch down: kill the control channel (dropping
-	// in-flight OpenFlow frames) and forget the port mappings.
-	if link := e.ctrlLinkOf[asn]; link != nil {
-		link.SetUp(false)
-	}
-	delete(e.ctrlPeers, e.ctrlEPOf[asn])
-	delete(e.ctrlEPOf, asn)
+	// in-flight OpenFlow frames) and take the ports off its link ends.
+	ctrl := e.ctrlLinkOf[asn]
+	ctrl.SetUp(false)
+	_, ctrlEP := ctrl.Endpoints()
+	delete(e.ctrlPeers, ctrlEP)
 	delete(e.ctrlLinkOf, asn)
 	delete(e.Switches, asn)
 	delete(e.members, asn)
 	for _, nb := range e.cfg.Graph.Neighbors(asn) {
-		delete(e.portOf, e.endpointOf[[2]idr.ASN{asn, nb}])
+		en := e.links[linkKey(asn, nb)].end(asn, nb)
+		en.sw, en.port = nil, 0
 	}
 
 	// Raise the router on the node and re-peer with every neighbor: a
@@ -176,18 +175,15 @@ func (e *Experiment) MigrateOut(asn idr.ASN) error {
 	return nil
 }
 
-// syncDownLinks replays a "down" transition through the freshly
-// installed state hooks of asn's incident links that are currently
-// down. Controller ports default to up when registered, so without
-// this a migration across a failed link would leave the controller
-// routing over it until the link's next real transition.
+// syncDownLinks replays a "down" transition through the freshly wired
+// state hooks of asn's incident links that are currently down.
+// Controller ports default to up when registered, so without this a
+// migration across a failed link would leave the controller routing
+// over it until the link's next real transition.
 func (e *Experiment) syncDownLinks(asn idr.ASN) {
 	for _, nb := range e.cfg.Graph.Neighbors(asn) {
-		key := linkKey(asn, nb)
-		if link := e.links[key]; link != nil && !link.Up() {
-			if h := e.onLinkState[key]; h != nil {
-				h(false)
-			}
+		if l := e.links[linkKey(asn, nb)]; !l.Up() {
+			l.notify(false)
 		}
 	}
 }

@@ -42,7 +42,41 @@ func migrateExperiment(t *testing.T, k int) *Experiment {
 	if _, err := e.WaitConverged(30 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
+	checkLinkEnds(t, e)
 	return e
+}
+
+// checkLinkEnds pins the link-end invariant every migration and fault
+// must keep: each end of each link is registered under its endpoint, a
+// member's end holds the member's switch and a port and no session, and
+// a router's end holds the router's session toward the neighbor and no
+// switch or port.
+func checkLinkEnds(t *testing.T, e *Experiment) {
+	t.Helper()
+	for key, l := range e.links {
+		for i, asn := range key {
+			nb := key[1-i]
+			en := l.end(asn, nb)
+			if e.endOf[en.ep] != en {
+				t.Fatalf("%v's end toward %v is not the end its endpoint maps to", asn, nb)
+			}
+			if e.members[asn] {
+				if sw := e.Switches[asn]; sw == nil || en.sw != sw || en.port == 0 || en.peer != nil {
+					t.Fatalf("member %v's end toward %v: switch %p (member's %p), port %d, peer %p; want the member's switch, a port, no peer",
+						asn, nb, en.sw, sw, en.port, en.peer)
+				}
+				continue
+			}
+			r := e.Routers[asn]
+			if r == nil {
+				t.Fatalf("%v is neither a member nor a router", asn)
+			}
+			if p := r.Peers()[peerKeyTo(nb)]; p == nil || en.peer != p || en.sw != nil || en.port != 0 {
+				t.Fatalf("router %v's end toward %v: peer %p (router's %p), switch %p, port %d; want the router's session, no switch or port",
+					asn, nb, en.peer, p, en.sw, en.port)
+			}
+		}
+	}
 }
 
 func requireAllReachable(t *testing.T, e *Experiment, when string) {
@@ -66,6 +100,7 @@ func TestMigrateRoundTrip(t *testing.T) {
 	if err := e.Migrate(target); err != nil {
 		t.Fatal(err)
 	}
+	checkLinkEnds(t, e)
 	if !e.IsSDNMember(target) {
 		t.Fatalf("%v not a member after migrate-in", target)
 	}
@@ -77,6 +112,7 @@ func TestMigrateRoundTrip(t *testing.T) {
 	if err := e.Migrate(target); err != nil {
 		t.Fatal(err)
 	}
+	checkLinkEnds(t, e)
 	if e.IsSDNMember(target) {
 		t.Fatalf("%v still a member after migrate-out", target)
 	}
@@ -94,6 +130,7 @@ func TestMigrateOutEmptiesCluster(t *testing.T) {
 	if err := e.Migrate(last); err != nil {
 		t.Fatal(err)
 	}
+	checkLinkEnds(t, e)
 	if _, err := e.WaitConverged(30 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
@@ -112,6 +149,7 @@ func TestUpdateTotalsMonotonicAcrossMigration(t *testing.T) {
 	if err := e.Migrate(e.ASNs()[1]); err != nil {
 		t.Fatal(err)
 	}
+	checkLinkEnds(t, e)
 	if _, err := e.WaitConverged(30 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
@@ -127,9 +165,9 @@ func TestUpdateTotalsMonotonicAcrossMigration(t *testing.T) {
 // cluster never reach its retired router, because the switch's handler
 // has replaced the router's on the node by the time they land. Once
 // the AS leaves again every frame goes to the fresh router's sessions.
-// That half holds only while MigrateIn takes the retired sessions out
-// of peerOf: a stale entry would make open() hand the fresh router's
-// links back to the retired sessions.
+// That half holds only while MigrateIn takes the retired sessions off
+// their link ends: a stale one would make open() hand the fresh
+// router's links back to the retired sessions.
 func TestMigrationStrandsFramesInFlight(t *testing.T) {
 	e := migrateExperiment(t, 1)
 	asns := e.ASNs()
@@ -144,13 +182,14 @@ func TestMigrationStrandsFramesInFlight(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.endpointOf[[2]idr.ASN{nb, target}].Send(frames.Encode(frames.KindBGP, msg)); err != nil {
+		if err := e.links[linkKey(nb, target)].end(nb, target).ep.Send(frames.Encode(frames.KindBGP, msg)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := e.MigrateIn(target); err != nil {
 		t.Fatal(err)
 	}
+	checkLinkEnds(t, e)
 	frozen := retired.Stats()
 	delivered := func() (n uint64) {
 		for _, nb := range legacy {
@@ -176,6 +215,7 @@ func TestMigrationStrandsFramesInFlight(t *testing.T) {
 	if err := e.MigrateOut(target); err != nil {
 		t.Fatal(err)
 	}
+	checkLinkEnds(t, e)
 	if _, err := e.WaitConverged(30 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
@@ -211,6 +251,7 @@ func TestMigrateAcrossDownLink(t *testing.T) {
 	if err := e.Migrate(asns[1]); err != nil {
 		t.Fatal(err)
 	}
+	checkLinkEnds(t, e)
 	if _, err := e.WaitConverged(30 * time.Minute); err != nil {
 		t.Fatal(err)
 	}

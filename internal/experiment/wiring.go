@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"time"
 
+	"repro/internal/addressing"
 	"repro/internal/bgp"
 	"repro/internal/bgp/rib"
 	"repro/internal/collector"
@@ -23,18 +24,72 @@ func peerKeyTo(remote idr.ASN) rib.PeerKey {
 	return rib.PeerKey(fmt.Sprintf("to-%s", remote))
 }
 
+// link is one topology edge: its netem link, its /30 transfer network,
+// and each AS's end of it. ends[0] belongs to the lower-numbered AS.
+type link struct {
+	*netem.Link
+	net  addressing.LinkNet
+	ends [2]end
+	// first indexes the end notify tells first: the order wire last saw
+	// the ends in, except that a switch end goes before a router end.
+	first uint8
+}
+
+// end is one AS's side of a link: the endpoint it sends on, the
+// neighbor's relationship as seen from the AS, and the protocol object
+// of the AS's current role — a BGP session (peer) for a legacy router,
+// a switch port (sw, port) for a cluster member. Migration clears the
+// object of the role the AS leaves; wire fills in the one it takes.
+type end struct {
+	ep   *netem.Endpoint
+	peer *bgp.Peer
+	sw   *sdn.Switch
+	port uint32
+	kind topology.NeighborKind
+}
+
+// side is the index of asn's end on its link toward nb.
+func side(asn, nb idr.ASN) uint8 {
+	if asn < nb {
+		return 0
+	}
+	return 1
+}
+
+// end returns asn's end of the link toward nb.
+func (l *link) end(asn, nb idr.ASN) *end { return &l.ends[side(asn, nb)] }
+
+// notify is the link's state hook: it tells both ends the link went up
+// or down, in the order wire recorded.
+func (l *link) notify(up bool) {
+	l.ends[l.first].notify(up)
+	l.ends[1-l.first].notify(up)
+}
+
+func (en *end) notify(up bool) {
+	switch {
+	case en.sw != nil:
+		_ = en.sw.NotifyPortState(en.port, up)
+	case up:
+		en.peer.TransportUp()
+	default:
+		en.peer.TransportDown()
+	}
+}
+
 // buildLinks wires every topology edge: router-router peerings,
 // router-switch external peerings, and switch-switch cluster links.
+// An edge's index in Edges is its link number in the address plan.
 func (e *Experiment) buildLinks() error {
-	for _, edge := range e.cfg.Graph.Edges() {
-		if err := e.buildLink(edge); err != nil {
+	for i, edge := range e.cfg.Graph.Edges() {
+		if err := e.buildLink(i, edge); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (e *Experiment) buildLink(edge topology.Edge) error {
+func (e *Experiment) buildLink(i int, edge topology.Edge) error {
 	a, b := edge.A, edge.B
 	nodeA, _ := e.Net.Node(a.String())
 	nodeB, _ := e.Net.Node(b.String())
@@ -42,206 +97,146 @@ func (e *Experiment) buildLink(edge topology.Edge) error {
 	if delay == 0 {
 		delay = e.cfg.LinkDelay
 	}
-	link, err := e.Net.Connect(nodeA, nodeB, netem.LinkConfig{Delay: delay, Loss: e.cfg.LinkLoss})
+	nl, err := e.Net.Connect(nodeA, nodeB, netem.LinkConfig{Delay: delay, Loss: e.cfg.LinkLoss})
 	if err != nil {
 		return err
 	}
-	key := linkKey(a, b)
-	e.links[key] = link
-	if _, err := e.Plan.AddLink(a, b); err != nil {
+	net, err := e.Plan.TransferNet(i, a, b)
+	if err != nil {
 		return err
 	}
-	epA, epB := link.Endpoints()
-	e.endpointOf[[2]idr.ASN{a, b}] = epA
-	e.endpointOf[[2]idr.ASN{b, a}] = epB
-	// One state-change subscription per link, dispatched through the
-	// mutable onLinkState table so migration can swap the protocol
-	// hook without leaking subscriptions to torn-down devices.
-	link.OnStateChange(func(up bool) {
-		if h := e.onLinkState[key]; h != nil {
-			h(up)
-		}
-	})
+	l := &link{Link: nl, net: net}
+	epA, epB := nl.Endpoints()
+	kindA, _ := e.cfg.Graph.RelationshipOf(a, b)
+	kindB, _ := e.cfg.Graph.RelationshipOf(b, a)
+	endA, endB := l.end(a, b), l.end(b, a)
+	*endA = end{ep: epA, kind: kindA}
+	*endB = end{ep: epB, kind: kindB}
+	e.endOf[epA], e.endOf[epB] = endA, endB
+	e.links[linkKey(a, b)] = l
+	nl.OnStateChange(l.notify)
 	return e.wire(a, b)
 }
 
-// linkEnd is the protocol object one AS holds on its end of the link
-// toward neighbor nb: a switch port (sw, port) for a cluster member, a
-// BGP session (peer) for a legacy router. fresh marks an end open just
-// created, as opposed to one standing from before a migration.
-type linkEnd struct {
-	asn, nb idr.ASN
-	peer    *bgp.Peer
-	sw      *sdn.Switch
-	port    uint32
-	fresh   bool
-}
-
-// notify tells the end its link went up or down.
-func (l linkEnd) notify(up bool) {
-	switch {
-	case l.sw != nil:
-		_ = l.sw.NotifyPortState(l.port, up)
-	case up:
-		l.peer.TransportUp()
-	default:
-		l.peer.TransportDown()
-	}
-}
-
-// linkAddr returns asn's address on the transfer network of its link
-// toward nb.
-func (e *Experiment) linkAddr(asn, nb idr.ASN) (netip.Addr, error) {
-	ln, ok := e.Plan.Link(asn, nb)
-	if !ok {
-		return netip.Addr{}, fmt.Errorf("experiment: no transfer network for %v-%v", asn, nb)
-	}
-	addr, _ := ln.Addr(asn)
-	return addr, nil
-}
-
-// open finds asn's end of the link toward nb in asn's current role,
-// creating the switch port or router session if asn has none yet.
-func (e *Experiment) open(asn, nb idr.ASN) (linkEnd, error) {
-	end := linkEnd{asn: asn, nb: nb}
-	ep := e.endpointOf[[2]idr.ASN{asn, nb}]
+// open gives asn's end of l the protocol object of asn's current role,
+// creating the switch port or router session toward nb if the end has
+// none yet. fresh reports a creation, as opposed to an object standing
+// from before a migration.
+func (e *Experiment) open(l *link, asn, nb idr.ASN) (fresh bool, err error) {
+	en := l.end(asn, nb)
 	if sw, ok := e.Switches[asn]; ok {
-		end.sw = sw
-		if end.port, ok = e.portOf[ep]; ok {
-			return end, nil
+		if en.port != 0 {
+			return false, nil
 		}
-		port, err := sw.AddPort(ep.Send)
+		port, err := sw.AddPort(en.ep.Send)
 		if err != nil {
-			return end, err
+			return false, err
 		}
-		e.portOf[ep] = port
-		end.port, end.fresh = port, true
-		return end, nil
+		en.sw, en.port = sw, port
+		return true, nil
 	}
-	if p, ok := e.peerOf[ep]; ok {
-		end.peer = p
-		return end, nil
+	if en.peer != nil {
+		return false, nil
 	}
-	addr, err := e.linkAddr(asn, nb)
-	if err != nil {
-		return end, err
-	}
-	end.peer, err = e.addRouterPeer(asn, nb, ep, addr)
-	end.fresh = true
-	return end, err
+	addr, _ := l.net.Addr(asn)
+	en.peer, err = e.addRouterPeer(asn, nb, en.kind, en.ep, addr)
+	return true, err
 }
 
-// settle aligns an end with the current role of its neighbor. A fresh
-// switch port is registered with the controller, which terminates the
-// eBGP session toward a legacy neighbor itself. A
+// settle aligns asn's end of l with the current role of its neighbor
+// nb. A fresh switch port is registered with the controller, which
+// terminates the eBGP session toward a legacy neighbor itself. A
 // standing switch port turns from external peering into intra-cluster
 // edge or back, following a neighbor that just migrated. A standing
 // router session is reset, so it re-establishes with whatever now
 // answers on the far end; a fresh one has nothing to undo.
-func (e *Experiment) settle(end linkEnd) error {
-	if end.sw == nil {
-		if !end.fresh {
-			end.peer.TransportDown()
+func (e *Experiment) settle(l *link, asn, nb idr.ASN, fresh bool) error {
+	en := l.end(asn, nb)
+	if en.sw == nil {
+		if !fresh {
+			en.peer.TransportDown()
 		}
 		return nil
 	}
-	nbMember := e.members[end.nb]
+	nbMember := e.members[nb]
 	var err error
 	switch {
-	case end.fresh:
-		err = e.Ctrl.RegisterPort(end.asn, end.port, end.nb, nbMember)
+	case fresh:
+		err = e.Ctrl.RegisterPort(asn, en.port, nb, nbMember)
 	case nbMember:
-		if err = e.Ctrl.RemovePeering(end.asn, end.port); err == nil {
-			err = e.Ctrl.SetPortMembership(end.asn, end.port, true)
+		if err = e.Ctrl.RemovePeering(asn, en.port); err == nil {
+			err = e.Ctrl.SetPortMembership(asn, en.port, true)
 		}
 	default:
-		err = e.Ctrl.SetPortMembership(end.asn, end.port, false)
+		err = e.Ctrl.SetPortMembership(asn, en.port, false)
 	}
 	if err != nil || nbMember {
 		return err
 	}
-	id, err := e.Plan.RouterID(end.asn)
+	id, err := e.Plan.RouterID(asn)
 	if err != nil {
 		return err
 	}
-	addr, err := e.linkAddr(end.asn, end.nb)
-	if err != nil {
-		return err
-	}
-	return e.Ctrl.AddExternalPeering(end.asn, end.port, end.nb, id, addr)
+	addr, _ := l.net.Addr(asn)
+	return e.Ctrl.AddExternalPeering(asn, en.port, nb, id, addr)
 }
 
 // wire puts the right protocol object on each end of the a–b link for
-// the two ASes' current roles and installs the link's state hook. It
-// is the only place that decides this, at build time (both ends fresh)
-// and for every link of a migrating AS (its end fresh, the neighbor's
-// standing). The order of the calls below is part of the determinism
-// contract: TransportDown, SetPortMembership (arms the debounce) and
-// AddExternalPeering (brings the session up after Start) each
-// consume kernel sequence numbers.
+// the two ASes' current roles and records the order its state hook
+// tells them in. It is the only place that decides this, at build time
+// (both ends fresh) and for every link of a migrating AS (its end
+// fresh, the neighbor's standing). The order of the calls below is
+// part of the determinism contract: TransportDown, SetPortMembership
+// (arms the debounce) and AddExternalPeering (brings the session up
+// after Start) each consume kernel sequence numbers.
 func (e *Experiment) wire(a, b idr.ASN) error {
-	ea, err := e.open(a, b)
+	l := e.links[linkKey(a, b)]
+	freshA, err := e.open(l, a, b)
 	if err != nil {
 		return err
 	}
-	eb, err := e.open(b, a)
+	freshB, err := e.open(l, b, a)
 	if err != nil {
 		return err
 	}
-	ends := [2]linkEnd{ea, eb}
-	if ea.fresh && !eb.fresh {
-		ends = [2]linkEnd{eb, ea} // the standing end lets go before the fresh one takes over
+	x, y, freshX, freshY := a, b, freshA, freshB
+	if freshA && !freshB { // the standing end lets go before the fresh one takes over
+		x, y, freshX, freshY = b, a, freshB, freshA
 	}
-	for _, end := range ends {
-		if err := e.settle(end); err != nil {
-			return err
-		}
+	if err := e.settle(l, x, y, freshX); err != nil {
+		return err
 	}
-	key := linkKey(a, b)
-	if e.started && e.links[key].Up() {
-		for _, end := range [2]linkEnd{ea, eb} {
-			if end.peer != nil {
-				end.peer.TransportUp()
+	if err := e.settle(l, y, x, freshY); err != nil {
+		return err
+	}
+	ea, eb := l.end(a, b), l.end(b, a)
+	if e.started && l.Up() {
+		for _, en := range [2]*end{ea, eb} {
+			if en.peer != nil {
+				en.peer.TransportUp()
 			}
 		}
 	}
 	// A port-status change reaches the controller before the router
 	// on the far end reacts; two ends of a kind keep the caller's order.
+	l.first = side(a, b)
 	if ea.sw == nil && eb.sw != nil {
-		ea, eb = eb, ea
-	}
-	hook := [2]linkEnd{ea, eb}
-	e.onLinkState[key] = func(up bool) {
-		hook[0].notify(up)
-		hook[1].notify(up)
+		l.first = side(b, a)
 	}
 	return nil
 }
 
-// neighborOf builds the policy neighbor descriptor for remote as seen
-// from local, using the neighbor-kind table precomputed at build time
-// (pairs without a topology edge — e.g. the collector — resolve to
-// KindNone).
-func (e *Experiment) neighborOf(local, remote idr.ASN) policy.Neighbor {
-	return policy.Neighbor{Key: peerKeyTo(remote), ASN: remote, Kind: e.kinds[[2]idr.ASN{local, remote}]}
-}
-
-func (e *Experiment) addRouterPeer(local, remote idr.ASN, ep *netem.Endpoint, addr netip.Addr) (*bgp.Peer, error) {
-	r := e.Routers[local]
+// addRouterPeer opens local's session toward remote on endpoint ep,
+// with kind the neighbor's relationship as seen from local.
+func (e *Experiment) addRouterPeer(local, remote idr.ASN, kind topology.NeighborKind, ep *netem.Endpoint, addr netip.Addr) (*bgp.Peer, error) {
 	key := peerKeyTo(remote)
-	p, err := r.AddPeer(bgp.PeerConfig{
+	return e.Routers[local].AddPeer(bgp.PeerConfig{
 		Key:       key,
 		RemoteASN: remote,
-		Neighbor:  e.neighborOf(local, remote),
+		Neighbor:  policy.Neighbor{Key: key, ASN: remote, Kind: kind},
 		NextHop:   addr,
 		Send:      ep.Send, // a session's frames are link frames already
 	})
-	if err != nil {
-		return nil, err
-	}
-	e.peerOf[ep] = p
-	e.peerEndpoint[local][key] = ep
-	return p, nil
 }
 
 // buildCollector attaches the route collector to every legacy router.
@@ -264,22 +259,20 @@ func (e *Experiment) buildCollector() error {
 		if err != nil || kind != frames.KindBGP {
 			return
 		}
-		if p, ok := e.peerOf[from]; ok {
-			p.Deliver(payload)
-		}
+		e.deliver(from, payload)
 	})
 	for _, asn := range e.cfg.Graph.Nodes() {
 		if e.members[asn] {
 			continue // cluster members do not run BGP themselves
 		}
 		node, _ := e.Net.Node(asn.String())
-		link, err := e.Net.Connect(node, collNode, netem.LinkConfig{Delay: controlDelay})
+		nl, err := e.Net.Connect(node, collNode, netem.LinkConfig{Delay: controlDelay})
 		if err != nil {
 			return err
 		}
-		epR, epC := link.Endpoints()
+		epR, epC := nl.Endpoints()
 		// Router side: a normal peering toward the collector AS.
-		pr, err := e.addRouterPeer(asn, coll.ASN(), epR, netip.AddrFrom4([4]byte{172, 31, 0, byte(asn)}))
+		pr, err := e.addRouterPeer(asn, coll.ASN(), topology.KindNone, epR, netip.AddrFrom4([4]byte{172, 31, 0, byte(asn)}))
 		if err != nil {
 			return err
 		}
@@ -293,16 +286,11 @@ func (e *Experiment) buildCollector() error {
 		if err != nil {
 			return err
 		}
-		e.peerOf[epC] = pc
-		link.OnStateChange(func(up bool) {
-			if up {
-				pr.TransportUp()
-				pc.TransportUp()
-			} else {
-				pr.TransportDown()
-				pc.TransportDown()
-			}
-		})
+		// No topology edge, so no entry in links: the record only
+		// routes frames and state changes, the router's end first.
+		l := &link{Link: nl, ends: [2]end{{ep: epR, peer: pr}, {ep: epC, peer: pc}}}
+		e.endOf[epR], e.endOf[epC] = &l.ends[0], &l.ends[1]
+		nl.OnStateChange(l.notify)
 	}
 	return nil
 }

@@ -75,9 +75,6 @@ func trialFromCanonical(c canonicalTrial) (Trial, error) {
 		MRAI:              time.Duration(c.MRAINS),
 		MRAIJitter:        c.MRAIJitter,
 	}
-	if err := bgp.CheckHoldTime(t.Timers.HoldTime); err != nil {
-		return Trial{}, fmt.Errorf("lab: %w", err)
-	}
 	t.Debounce = time.Duration(c.DebounceNS)
 	t.Settle = time.Duration(c.SettleNS)
 	t.ProcessingDelay = time.Duration(c.ProcessingDelayNS)
@@ -172,9 +169,9 @@ func axisFromCanonical(c canonicalAxis) (Axis, error) {
 // match exactly. This makes the function safe to use as a network
 // admission check — an accepted spec's SHA-256 is its one true
 // artifact-store address, so two clients submitting equal specs
-// always coalesce onto the same records — and its axis has passed the
-// validation Sweep.Run starts with, so an admitted sweep cannot be
-// refused on its axis later.
+// always coalesce onto the same records — and its base trial and axis
+// have passed the validation Sweep.Run starts with, so an admitted
+// sweep cannot be refused on either later.
 func ParseCanonical(data []byte) (Sweep, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -198,6 +195,9 @@ func ParseCanonical(data []byte) (Sweep, error) {
 	}
 	axis, err := axisFromCanonical(c.Axis)
 	if err != nil {
+		return Sweep{}, err
+	}
+	if err := base.validate(); err != nil {
 		return Sweep{}, err
 	}
 	if err := axis.validate(base, pol); err != nil {

@@ -200,6 +200,22 @@ func TestParseCanonicalRejects(t *testing.T) {
 		"negative hold time":    strings.Replace(string(data), `"hold_time_ns":90000000000`, `"hold_time_ns":-90000000000`, 1),
 		"hold time over 65535s": strings.Replace(string(data), `"hold_time_ns":90000000000`, `"hold_time_ns":65536000000000`, 1),
 
+		// Every other front door refuses these base values; admitted,
+		// a negative flap count panics in every run, a negative flap
+		// period reports the storm converged at 0s, a negative MRAI
+		// runs with no MRAI at all, a negative delay or timeout fails
+		// every run, and a negative settle or drain is a second
+		// address for the run at 0.
+		"negative flap cycles":       strings.Replace(string(counts), `"flap_cycles":6`, `"flap_cycles":-1`, 1),
+		"negative flap period":       strings.Replace(string(counts), `"flap_period_ns":20000000000`, `"flap_period_ns":-20000000000`, 1),
+		"negative base mrai":         strings.Replace(string(counts), `"mrai_ns":30000000000`, `"mrai_ns":-1000000000`, 1),
+		"negative link delay":        strings.Replace(string(counts), `"link_delay_ns":0`, `"link_delay_ns":-1000000`, 1),
+		"negative processing delay":  strings.Replace(string(counts), `"processing_delay_ns":25000000`, `"processing_delay_ns":-25000000`, 1),
+		"negative timeout":           strings.Replace(string(counts), `"timeout_ns":7200000000000`, `"timeout_ns":-7200000000000`, 1),
+		"negative establish timeout": strings.Replace(string(counts), `"establish_timeout_ns":300000000000`, `"establish_timeout_ns":-300000000000`, 1),
+		"negative settle":            strings.Replace(string(counts), `"settle_ns":0`, `"settle_ns":-1`, 1),
+		"negative drain":             strings.Replace(string(counts), `"drain_ns":0`, `"drain_ns":-1`, 1),
+
 		"junk":           "not json",
 		"version skew":   strings.Replace(string(data), `"version":2`, `"version":1`, 1),
 		"unknown field":  strings.Replace(string(data), `"version":2`, `"version":2,"extra":true`, 1),
@@ -223,5 +239,9 @@ func TestParseCanonicalRejects(t *testing.T) {
 				t.Fatalf("ParseCanonical accepted %s", name)
 			}
 		})
+	} // A negative debounce is the disabled window, not a bad value.
+	disabled := strings.Replace(string(counts), `"debounce_ns":100000000`, `"debounce_ns":-1`, 1)
+	if _, err := ParseCanonical([]byte(disabled)); err != nil {
+		t.Fatalf("ParseCanonical refused a negative (disabled) debounce: %v", err)
 	}
 }

@@ -800,6 +800,9 @@ func (s Sweep) Run() (*SweepResult, error) {
 	if s.Parallelism < 0 {
 		return nil, fmt.Errorf("lab: parallelism %d is negative (0 = GOMAXPROCS, 1 = sequential)", s.Parallelism)
 	}
+	if err := s.Base.validate(); err != nil {
+		return nil, err
+	}
 	if err := s.Axis.validate(s.Base, s.SeedPolicy); err != nil {
 		return nil, err
 	}

@@ -225,6 +225,41 @@ func (t Trial) withDefaults() Trial {
 	return t
 }
 
+// validate refuses base-trial values no run can honour, the checks
+// every other front door (the DSL, the override flags, the axes)
+// already makes: a hold time an OPEN cannot carry, a negative flap
+// count (it panics), and a negative MRAI, delay, window or timeout (no
+// MRAI at all, a storm scheduled before its trigger, runs that fail
+// after admission, or a second spelling of the zero-drain run). Zero
+// stays "unset" everywhere; Debounce is free to be negative, which
+// disables the controller delay.
+func (t Trial) validate() error {
+	if err := bgp.CheckHoldTime(t.Timers.HoldTime); err != nil {
+		return fmt.Errorf("lab: %w", err)
+	}
+	if t.FlapCycles < 0 {
+		return fmt.Errorf("lab: flap cycles %d is negative", t.FlapCycles)
+	}
+	for _, d := range []struct {
+		name string
+		v    time.Duration
+	}{
+		{"MRAI", t.Timers.MRAI},
+		{"flap period", t.FlapPeriod},
+		{"link delay", t.LinkDelay},
+		{"processing delay", t.ProcessingDelay},
+		{"timeout", t.Timeout},
+		{"establish timeout", t.EstablishTimeout},
+		{"settle window", t.Settle},
+		{"drain", t.Drain},
+	} {
+		if d.v < 0 {
+			return fmt.Errorf("lab: %s %v is negative", d.name, d.v)
+		}
+	}
+	return nil
+}
+
 // flapDrain is the settling time the Flap sugar appends after the
 // storm's final quiescence (damping penalties need decay time).
 const flapDrain = 10 * time.Minute

@@ -389,11 +389,14 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shortHold := testLabSweep()
-	shortHold.Base.Timers.HoldTime = 2 * time.Second
-	shortHoldSweep, err := shortHold.Canonical()
-	if err != nil {
-		t.Fatal(err)
+	badBase := func(mutate func(*lab.Trial)) json.RawMessage {
+		sw := testLabSweep()
+		mutate(&sw.Base)
+		spec, err := sw.Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return spec
 	}
 	srv, _ := newTestServer(t)
 	url, shutdown := serve(t, srv)
@@ -410,7 +413,12 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		"er probability":            {Client: "x", Preset: "fig2", Options: &PresetOptions{Topology: "er 5 NaN"}},
 		"size axis value too small": {Client: "x", Spec: smallRingSweep},
 		// Admitted once, then no session ever opened.
-		"hold time under 3s": {Client: "x", Spec: shortHoldSweep},
+		"hold time under 3s": {Client: "x", Spec: badBase(func(tr *lab.Trial) { tr.Timers.HoldTime = 2 * time.Second })},
+		// Admitted once, then every run panicked, failed or ran with
+		// no MRAI at all.
+		"negative flap cycles": {Client: "x", Spec: badBase(func(tr *lab.Trial) { tr.FlapCycles = -1 })},
+		"negative base mrai":   {Client: "x", Spec: badBase(func(tr *lab.Trial) { tr.Timers.MRAI = -time.Second })},
+		"negative link delay":  {Client: "x", Spec: badBase(func(tr *lab.Trial) { tr.LinkDelay = -time.Millisecond })},
 	}
 	for name, req := range cases {
 		if _, code := postJSON(t, url, req); code != http.StatusBadRequest {

@@ -108,21 +108,6 @@ func (GaoRexford) Export(to, learnedFrom Neighbor, r *rib.Route) bool {
 	}
 }
 
-// FromTopology builds the per-AS neighbor kinds for a topology graph,
-// keyed by (local, neighbor). The experiment layer computes this table
-// once at trial setup and resolves every session's policy.Neighbor
-// from it, so no per-UPDATE path ever probes the graph again.
-func FromTopology(g *topology.Graph) map[[2]idr.ASN]topology.NeighborKind {
-	out := make(map[[2]idr.ASN]topology.NeighborKind, 2*g.NumEdges())
-	for _, e := range g.Edges() {
-		ka, _ := g.RelationshipOf(e.A, e.B)
-		kb, _ := g.RelationshipOf(e.B, e.A)
-		out[[2]idr.ASN{e.A, e.B}] = ka
-		out[[2]idr.ASN{e.B, e.A}] = kb
-	}
-	return out
-}
-
 // ConeFilter layers IRR-style prefix-list filtering over an inner
 // policy: a route learned from a customer or from a peer is accepted
 // only when the prefix's legitimate origin AS lies inside that

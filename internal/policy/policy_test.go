@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/bgp/rib"
 	"repro/internal/bgp/wire"
-	"repro/internal/idr"
 	"repro/internal/topology"
 )
 
@@ -94,28 +93,5 @@ func TestGaoRexfordExportValleyFree(t *testing.T) {
 	}
 	if g.Export(peer, provider, r) || g.Export(provider, provider, r) {
 		t.Fatal("provider route must not export to peer/provider")
-	}
-}
-
-func TestFromTopology(t *testing.T) {
-	g := topology.New()
-	if err := g.AddEdge(topology.Edge{A: 1, B: 2, Rel: topology.P2C}); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddEdge(topology.Edge{A: 2, B: 3, Rel: topology.P2P}); err != nil {
-		t.Fatal(err)
-	}
-	kinds := FromTopology(g)
-	if kinds[[2]idr.ASN{1, 2}] != topology.KindCustomer {
-		t.Fatal("AS2 should be AS1's customer")
-	}
-	if kinds[[2]idr.ASN{2, 1}] != topology.KindProvider {
-		t.Fatal("AS1 should be AS2's provider")
-	}
-	if kinds[[2]idr.ASN{2, 3}] != topology.KindPeer || kinds[[2]idr.ASN{3, 2}] != topology.KindPeer {
-		t.Fatal("AS2-AS3 should be peers")
-	}
-	if _, ok := kinds[[2]idr.ASN{1, 3}]; ok {
-		t.Fatal("no relationship between AS1 and AS3")
 	}
 }
