@@ -38,7 +38,7 @@ Examples:
   bgpsdnlab -f examples/scenarios/subcluster.lab           # a split cluster reconnects over legacy ASes (paper §2)
   bgpsdnlab -f examples/scenarios/maintenance-window.lab   # scheduled multi-event workload
   bgpsdnlab -f examples/scenarios/path-exploration.lab     # a withdrawal's route-change timeline, path by path
-  bgpsdnlab -f examples/scenarios/directive-tour.lab       # policy, damping, collector, link knobs on an internet graph
+  bgpsdnlab -f examples/scenarios/directive-tour.lab       # policy, damping and link knobs on an internet graph
   bgpsdnlab -f examples/scenarios/chaos-drill.lab          # loss, session reset, controller crash, partition
   bgpsdnlab < examples/scenarios/fig2-point.lab            # the Figure 2 point again, read from stdin
 `)

@@ -9,8 +9,8 @@
 // and the paper's IDR controller, which terminates the cluster's eBGP
 // sessions itself (core), plus topology
 // generation and dataset formats (topology, addressing), measurement
-// tooling (monitor, collector, stats) and experiment orchestration
-// (experiment, scenario).
+// tooling (monitor, fed by every router's trace hook; stats) and
+// experiment orchestration (experiment, scenario).
 //
 // Evaluation runs through internal/lab, the unified entry point: a
 // lab.Trial names any topology generator (lab.TopoSpec), an SDN

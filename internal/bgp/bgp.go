@@ -134,8 +134,8 @@ type TraceKind int
 // Trace event kinds.
 const (
 	TraceState TraceKind = iota // session state change
-	TraceSend                   // message sent
-	TraceRecv                   // message received
+	TraceSend                   // UPDATE sent
+	TraceRecv                   // UPDATE received
 	TraceBest                   // Loc-RIB change
 )
 
@@ -149,14 +149,13 @@ const (
 // exception: they are decoded afresh per message, never written again,
 // and may be kept.
 type TraceEvent struct {
-	Time    time.Time
-	Router  idr.ASN
-	Kind    TraceKind
-	Peer    rib.PeerKey
-	State   State        // TraceState
-	MsgType wire.MsgType // TraceSend/TraceRecv
-	Update  *wire.Update // TraceSend/TraceRecv of an UPDATE, else nil
-	Change  *rib.Change  // TraceBest
+	Time   time.Time
+	Router idr.ASN
+	Kind   TraceKind
+	Peer   rib.PeerKey
+	State  State        // TraceState
+	Update *wire.Update // TraceSend/TraceRecv, else nil
+	Change *rib.Change  // TraceBest
 }
 
 // lendEnded is nil outside tests. A test sets it (export_test.go) to be

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/bgp"
-	"repro/internal/collector"
 	"repro/internal/experiment"
 	"repro/internal/idr"
 	"repro/internal/lab"
@@ -16,12 +15,10 @@ import (
 )
 
 // borrowedRun is everything one clique-8, K=4 run shows its consumers:
-// a trial's metrics, and from the same configuration driven by hand
-// with the collector attached, the collector's records, the event
-// log's summaries and its recorded timeline.
+// a trial's metrics, and from the same configuration driven by hand,
+// the event log's summaries and its recorded timeline.
 type borrowedRun struct {
 	result   lab.Result
-	records  []collector.Record
 	sums     []monitor.RouterSummary
 	timeline string
 }
@@ -54,7 +51,6 @@ func runBorrowed(t *testing.T) borrowedRun {
 		SDNMembers:      []idr.ASN{5, 6, 7, 8},
 		Timers:          timers,
 		ProcessingDelay: processing,
-		WithCollector:   true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +73,6 @@ func runBorrowed(t *testing.T) borrowedRun {
 	if _, err := e.MeasureConvergence(func() error { return e.Withdraw(1) }, time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	out.records = e.Coll.Records()
 	out.sums = e.Log.Summarize()
 	pfx, err := e.OriginPrefix(1)
 	if err != nil {
@@ -97,31 +92,22 @@ func runBorrowed(t *testing.T) borrowedRun {
 // The run is made twice, the second time with every lent message and
 // change overwritten with garbage as soon as its callbacks are back —
 // legacy routers behind a ProcessingDelay queue, cluster speaker
-// sessions, the collector and the event log all receive them — and
+// sessions and the event log all receive them — and
 // nothing anybody computed may differ.
 func TestBorrowedMeansBorrowed(t *testing.T) {
 	clean := runBorrowed(t)
 	bgp.PoisonLent(t)
 	poisoned := runBorrowed(t)
 
-	if len(clean.records) == 0 || len(clean.sums) == 0 || !strings.Contains(clean.timeline, " -> [") {
-		t.Fatalf("the run showed nothing to compare: %d records, %d summaries, timeline %q",
-			len(clean.records), len(clean.sums), clean.timeline)
+	if len(clean.sums) == 0 || !strings.Contains(clean.timeline, " -> [") {
+		t.Fatalf("the run showed nothing to compare: %d summaries, timeline %q",
+			len(clean.sums), clean.timeline)
 	}
 	if clean.result.UpdatesSent == 0 || clean.result.BestPathChanges == 0 {
 		t.Fatalf("the trial measured nothing: %+v", clean.result)
 	}
 	if !reflect.DeepEqual(clean.result, poisoned.result) {
 		t.Errorf("lab.Result differs:\n clean    %+v\n poisoned %+v", clean.result, poisoned.result)
-	}
-	if !reflect.DeepEqual(clean.records, poisoned.records) {
-		t.Errorf("collector records differ: %d clean, %d poisoned", len(clean.records), len(poisoned.records))
-		for i := range min(len(clean.records), len(poisoned.records)) {
-			if !reflect.DeepEqual(clean.records[i], poisoned.records[i]) {
-				t.Errorf("first at %d:\n clean    %+v\n poisoned %+v", i, clean.records[i], poisoned.records[i])
-				break
-			}
-		}
 	}
 	if !reflect.DeepEqual(clean.sums, poisoned.sums) {
 		t.Errorf("Summarize differs:\n clean    %+v\n poisoned %+v", clean.sums, poisoned.sums)

@@ -57,9 +57,10 @@ type Owner interface {
 	// Reset runs on every teardown, once the machine is Idle with its
 	// timers stopped and before connect-retry is armed.
 	Reset(wasEstablished bool)
-	// Trace observes every state change and every message sent or
-	// received (Kind, State, MsgType and Update are set; Update is
-	// borrowed, see TraceEvent).
+	// Trace observes every state change and every UPDATE sent or
+	// received (Kind and State or Update are set; Update is borrowed,
+	// see TraceEvent). OPENs, KEEPALIVEs and NOTIFICATIONs are not
+	// traced: no reader counts them.
 	Trace(TraceEvent)
 }
 
@@ -235,11 +236,7 @@ func (f *FSM) Send(m wire.Message) error {
 			return err
 		}
 	}
-	if err := f.cfg.Send(frame); err != nil {
-		return err
-	}
-	f.owner.Trace(TraceEvent{Kind: TraceSend, MsgType: m.Type()})
-	return nil
+	return f.cfg.Send(frame)
 }
 
 // SendUpdate is Send for an UPDATE, which it only borrows: u is read
@@ -254,7 +251,7 @@ func (f *FSM) SendUpdate(u *wire.Update) error {
 	if err := f.cfg.Send(frame); err != nil {
 		return err
 	}
-	f.owner.Trace(TraceEvent{Kind: TraceSend, MsgType: wire.MsgUpdate, Update: u})
+	f.owner.Trace(TraceEvent{Kind: TraceSend, Update: u})
 	if lendEnded != nil {
 		lendEnded(u, nil)
 	}
@@ -286,7 +283,6 @@ func (f *FSM) Deliver(frame []byte) {
 		f.decodeFailed(err)
 		return
 	}
-	f.owner.Trace(TraceEvent{Kind: TraceRecv, MsgType: msg.Type()})
 	switch m := msg.(type) {
 	case wire.Open:
 		f.handleOpen(m)
@@ -308,7 +304,7 @@ func (f *FSM) deliverUpdate(frame []byte) {
 		f.decodeFailed(err)
 		return
 	}
-	f.owner.Trace(TraceEvent{Kind: TraceRecv, MsgType: wire.MsgUpdate, Update: f.rx})
+	f.owner.Trace(TraceEvent{Kind: TraceRecv, Update: f.rx})
 	if f.state != StateEstablished {
 		f.notify(wire.NotifFSMError, 0)
 		return

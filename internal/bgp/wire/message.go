@@ -1,9 +1,9 @@
 // Package wire implements BGP-4 message encoding and decoding per
 // RFC 4271, with the 4-octet AS number extension (RFC 6793) always
-// negotiated and COMMUNITIES (RFC 1997). The framework's routers, the
-// cluster BGP speaker and the route collector all exchange byte-exact
-// wire messages produced by this package, standing in for the Quagga
-// and ExaBGP processes of the paper's stack.
+// negotiated and COMMUNITIES (RFC 1997). The framework's routers and
+// the controller's eBGP sessions exchange byte-exact wire messages
+// produced by this package, standing in for the Quagga and ExaBGP
+// processes of the paper's stack.
 package wire
 
 import (

@@ -9,10 +9,8 @@
 //     which terminates the cluster's eBGP sessions itself
 //     (internal/sdn, internal/core),
 //   - automatic address/prefix assignment (internal/addressing),
-//   - a route collector peering with every legacy router
-//     (internal/collector),
 //   - convergence detection, probe-based loss measurement and event
-//     logging (internal/monitor).
+//     logging (internal/monitor), fed by every router's trace hook.
 //
 // Experiment lifecycle commands mirror the paper's Mininet-BGP
 // commands: Announce, Withdraw, FailLink, RestoreLink, WaitConverged.
@@ -24,7 +22,6 @@ import (
 
 	"repro/internal/addressing"
 	"repro/internal/bgp"
-	"repro/internal/collector"
 	"repro/internal/core"
 	"repro/internal/frames"
 	"repro/internal/idr"
@@ -63,9 +60,9 @@ type Config struct {
 	// netem.DefaultDelay); per-edge delays from the topology override.
 	LinkDelay time.Duration
 	// LinkLoss is the per-transmission loss probability in [0, 1]
-	// applied to every inter-AS topology link (control links to the
-	// controller and the collector stay clean). Every frame, BGP or
-	// probe, recovers lost attempts with retransmission delays. See
+	// applied to every inter-AS topology link (the control links to
+	// the controller stay clean). Every frame, BGP or probe, recovers
+	// lost attempts with retransmission delays. See
 	// netem.LinkConfig.Loss.
 	LinkLoss float64
 	// ProcessingDelay is each router's per-UPDATE processing cost
@@ -74,9 +71,6 @@ type Config struct {
 	// Damping enables RFC 2439 route-flap damping on every legacy
 	// router (nil = off).
 	Damping *bgp.DampingConfig
-	// WithCollector attaches the route collector to every legacy
-	// router (default off; it adds one session per router).
-	WithCollector bool
 	// Settle is the convergence quiescence window (default
 	// monitor.DefaultSettle).
 	Settle time.Duration
@@ -101,8 +95,6 @@ type Experiment struct {
 	Switches map[idr.ASN]*sdn.Switch
 	// Ctrl is the IDR controller (nil in pure-BGP experiments).
 	Ctrl *core.Controller
-	// Coll is the route collector (nil unless WithCollector).
-	Coll *collector.Collector
 	// Detector is the quiescence-based convergence detector.
 	Detector *monitor.Detector
 	// Log is the event log behind path-exploration analysis.
@@ -114,8 +106,7 @@ type Experiment struct {
 	// links holds one record per topology edge, keyed by linkKey.
 	links map[[2]idr.ASN]*link
 	// endOf maps every endpoint a router session or a switch data port
-	// rides on — the collector's links' included — to its link end,
-	// the one lookup a received frame costs.
+	// rides on to its link end, the one lookup a received frame costs.
 	endOf map[*netem.Endpoint]*end
 	// ctrlPeers maps controller-node endpoints to the member served;
 	// ctrlLinkOf maps a member to its control link (torn down on
@@ -148,11 +139,8 @@ func linkKey(a, b idr.ASN) [2]idr.ASN {
 // cluster BGP speaker.
 const ControllerNodeName = "controller"
 
-// CollectorNodeName is the netem node hosting the route collector.
-const CollectorNodeName = "collector"
-
-// controlDelay is the delay of the control channels (switch to
-// controller, router to collector).
+// controlDelay is the delay of the control channel from each switch
+// to the controller.
 const controlDelay = time.Millisecond
 
 // New builds the experiment network. Nothing runs until Start.
@@ -222,11 +210,6 @@ func New(cfg Config) (*Experiment, error) {
 	}
 	if err := e.buildLinks(); err != nil {
 		return nil, err
-	}
-	if cfg.WithCollector {
-		if err := e.buildCollector(); err != nil {
-			return nil, err
-		}
 	}
 	return e, nil
 }
@@ -326,7 +309,9 @@ func (e *Experiment) routerNodeHandler(asn idr.ASN) func(from *netem.Endpoint, d
 		}
 		switch kind {
 		case frames.KindBGP:
-			e.deliver(from, payload)
+			if en := e.endOf[from]; en != nil && en.peer != nil {
+				en.peer.Deliver(payload)
+			}
 		case frames.KindProbe:
 			p, err := frames.DecodeProbe(payload)
 			if err != nil {
@@ -370,14 +355,6 @@ func (e *Experiment) buildSwitch(asn idr.ASN, node, ctrlNode *netem.Node) error 
 
 	node.OnMessage(e.switchNodeHandler(asn, swEP))
 	return nil
-}
-
-// deliver hands a BGP message to the session riding endpoint ep, if
-// one does.
-func (e *Experiment) deliver(ep *netem.Endpoint, msg []byte) {
-	if en := e.endOf[ep]; en != nil && en.peer != nil {
-		en.peer.Deliver(msg)
-	}
 }
 
 // switchNodeHandler is the receive handler of a cluster-member node:

@@ -242,32 +242,6 @@ func TestLinkFailureFailover(t *testing.T) {
 	}
 }
 
-func TestCollectorRecords(t *testing.T) {
-	g := mustGraph(topology.Line(3))
-	e := build(t, Config{Seed: 7, Graph: g, Timers: fastTimers(), WithCollector: true})
-	announceAllAndSettle(t, e)
-	if e.Coll == nil {
-		t.Fatal("collector missing")
-	}
-	recs := e.Coll.Records()
-	if len(recs) == 0 {
-		t.Fatal("collector saw no updates")
-	}
-	// Every legacy router should have reported something.
-	seen := map[idr.ASN]bool{}
-	for _, r := range recs {
-		seen[r.From] = true
-	}
-	for _, asn := range e.ASNs() {
-		if !seen[asn] {
-			t.Fatalf("no updates from %v at collector", asn)
-		}
-	}
-	if _, ok := e.Coll.LastUpdate(); !ok {
-		t.Fatal("LastUpdate missing")
-	}
-}
-
 func TestDeterministicRuns(t *testing.T) {
 	run := func() time.Duration {
 		g := mustGraph(topology.Clique(5))

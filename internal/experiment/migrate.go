@@ -32,9 +32,6 @@ func (e *Experiment) migratable(asn idr.ASN) error {
 	if e.Ctrl == nil {
 		return fmt.Errorf("experiment: migration needs a controller; build the experiment with at least one SDN member")
 	}
-	if e.cfg.WithCollector {
-		return fmt.Errorf("experiment: migration with an attached route collector is not supported")
-	}
 	return nil
 }
 

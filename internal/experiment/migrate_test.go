@@ -303,9 +303,9 @@ func TestMigrateErrors(t *testing.T) {
 		t.Fatal("migrate without a controller should error")
 	}
 
-	// Unknown AS and collector-attached experiments are rejected.
+	// An unknown AS is rejected.
 	g2, _ := topology.Line(3)
-	e2, err := New(Config{Seed: 1, Graph: g2, SDNMembers: []idr.ASN{g2.Nodes()[2]}, Timers: timers, WithCollector: true})
+	e2, err := New(Config{Seed: 1, Graph: g2, SDNMembers: []idr.ASN{g2.Nodes()[2]}, Timers: timers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,8 +314,5 @@ func TestMigrateErrors(t *testing.T) {
 	}
 	if err := e2.Migrate(idr.ASN(99)); err == nil {
 		t.Fatal("migrating an unknown AS should error")
-	}
-	if err := e2.Migrate(g2.Nodes()[0]); err == nil {
-		t.Fatal("migration with a collector should error")
 	}
 }

@@ -59,9 +59,6 @@ type Snapshot struct {
 	Net netem.NetworkState `json:"net"`
 	// Routers holds the legacy routers, sorted by ASN.
 	Routers []RouterEntry `json:"routers,omitempty"`
-	// Collector is the route collector's router state (only when the
-	// experiment runs one).
-	Collector *bgp.RouterState `json:"collector,omitempty"`
 	// Controller is the IDR controller state (nil in pure BGP).
 	Controller *core.ControllerState `json:"controller,omitempty"`
 	// Switches holds the cluster members' switches, sorted by ASN.
@@ -116,10 +113,6 @@ func (e *Experiment) Snapshot() (*Snapshot, error) {
 			snap.Switches = append(snap.Switches, SwitchEntry{ASN: asn, State: sw.State()})
 		}
 	}
-	if e.Coll != nil {
-		st := e.Coll.Router().State()
-		snap.Collector = &st
-	}
 	if e.Ctrl != nil {
 		st := e.Ctrl.State()
 		snap.Controller = &st
@@ -161,16 +154,6 @@ func Restore(cfg Config, snap *Snapshot) (*Experiment, error) {
 			return nil, fmt.Errorf("experiment: restore: no router %v", re.ASN)
 		}
 		a, err := r.RestoreState(re.State)
-		if err != nil {
-			return nil, err
-		}
-		arms = append(arms, a...)
-	}
-	if (snap.Collector != nil) != (e.Coll != nil) {
-		return nil, fmt.Errorf("experiment: restore: collector presence mismatch")
-	}
-	if snap.Collector != nil {
-		a, err := e.Coll.Router().RestoreState(*snap.Collector)
 		if err != nil {
 			return nil, err
 		}

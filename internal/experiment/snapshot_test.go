@@ -13,8 +13,8 @@ import (
 	"repro/internal/topology"
 )
 
-// ribDump renders every legacy router's Loc-RIB (and the collector's,
-// when present) as one string, in ASN order.
+// ribDump renders every legacy router's Loc-RIB as one string, in ASN
+// order.
 func ribDump(t *testing.T, e *Experiment) string {
 	t.Helper()
 	var b strings.Builder
@@ -25,12 +25,6 @@ func ribDump(t *testing.T, e *Experiment) string {
 		}
 		b.WriteString("== " + asn.String() + " ==\n")
 		if err := r.WriteRIB(&b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if e.Coll != nil {
-		b.WriteString("== collector ==\n")
-		if err := e.Coll.Router().WriteRIB(&b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -85,8 +79,8 @@ func TestSnapshotRoundTripIdentical(t *testing.T) {
 		{"pure-bgp-ring", Config{Seed: 7, Graph: mustGraph(topology.Ring(5)), Timers: jitterTimers()}},
 		{"hybrid-clique", Config{Seed: 11, Graph: mustGraph(topology.Clique(5)), Timers: jitterTimers(),
 			SDNMembers: []idr.ASN{2, 3}}},
-		{"lossy-collector", Config{Seed: 23, Graph: mustGraph(topology.Line(4)), Timers: jitterTimers(),
-			LinkLoss: 0.05, WithCollector: true}},
+		{"lossy-line", Config{Seed: 23, Graph: mustGraph(topology.Line(4)), Timers: jitterTimers(),
+			LinkLoss: 0.05}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e1 := warmedUp(t, tc.cfg)

@@ -2,14 +2,11 @@ package experiment
 
 import (
 	"fmt"
-	"net/netip"
 	"time"
 
 	"repro/internal/addressing"
 	"repro/internal/bgp"
 	"repro/internal/bgp/rib"
-	"repro/internal/collector"
-	"repro/internal/frames"
 	"repro/internal/idr"
 	"repro/internal/monitor"
 	"repro/internal/netem"
@@ -139,7 +136,14 @@ func (e *Experiment) open(l *link, asn, nb idr.ASN) (fresh bool, err error) {
 		return false, nil
 	}
 	addr, _ := l.net.Addr(asn)
-	en.peer, err = e.addRouterPeer(asn, nb, en.kind, en.ep, addr)
+	key := peerKeyTo(nb)
+	en.peer, err = e.Routers[asn].AddPeer(bgp.PeerConfig{
+		Key:       key,
+		RemoteASN: nb,
+		Neighbor:  policy.Neighbor{Key: key, ASN: nb, Kind: en.kind},
+		NextHop:   addr,
+		Send:      en.ep.Send, // a session's frames are link frames already
+	})
 	return true, err
 }
 
@@ -226,75 +230,6 @@ func (e *Experiment) wire(a, b idr.ASN) error {
 	return nil
 }
 
-// addRouterPeer opens local's session toward remote on endpoint ep,
-// with kind the neighbor's relationship as seen from local.
-func (e *Experiment) addRouterPeer(local, remote idr.ASN, kind topology.NeighborKind, ep *netem.Endpoint, addr netip.Addr) (*bgp.Peer, error) {
-	key := peerKeyTo(remote)
-	return e.Routers[local].AddPeer(bgp.PeerConfig{
-		Key:       key,
-		RemoteASN: remote,
-		Neighbor:  policy.Neighbor{Key: key, ASN: remote, Kind: kind},
-		NextHop:   addr,
-		Send:      ep.Send, // a session's frames are link frames already
-	})
-}
-
-// buildCollector attaches the route collector to every legacy router.
-func (e *Experiment) buildCollector() error {
-	coll, err := collector.New(collector.Config{
-		Clock:  e.K,
-		Rand:   e.K.Rand(),
-		Timers: e.cfg.Timers,
-	})
-	if err != nil {
-		return err
-	}
-	e.Coll = coll
-	collNode, err := e.Net.AddNode(CollectorNodeName)
-	if err != nil {
-		return err
-	}
-	collNode.OnMessage(func(from *netem.Endpoint, data []byte) {
-		kind, payload, err := frames.Decode(data)
-		if err != nil || kind != frames.KindBGP {
-			return
-		}
-		e.deliver(from, payload)
-	})
-	for _, asn := range e.cfg.Graph.Nodes() {
-		if e.members[asn] {
-			continue // cluster members do not run BGP themselves
-		}
-		node, _ := e.Net.Node(asn.String())
-		nl, err := e.Net.Connect(node, collNode, netem.LinkConfig{Delay: controlDelay})
-		if err != nil {
-			return err
-		}
-		epR, epC := nl.Endpoints()
-		// Router side: a normal peering toward the collector AS.
-		pr, err := e.addRouterPeer(asn, coll.ASN(), topology.KindNone, epR, netip.AddrFrom4([4]byte{172, 31, 0, byte(asn)}))
-		if err != nil {
-			return err
-		}
-		// Collector side.
-		pc, err := coll.Router().AddPeer(bgp.PeerConfig{
-			Key:       collector.PeerKeyFor(asn),
-			RemoteASN: asn,
-			NextHop:   netip.AddrFrom4([4]byte{172, 31, 255, 1}),
-			Send:      epC.Send,
-		})
-		if err != nil {
-			return err
-		}
-		// No topology edge, so no entry in links: the record only
-		// routes frames and state changes, the router's end first.
-		l := &link{Link: nl, ends: [2]end{{ep: epR, peer: pr}, {ep: epC, peer: pc}}}
-		e.endOf[epR], e.endOf[epC] = &l.ends[0], &l.ends[1]
-		nl.OnStateChange(l.notify)
-	}
-	return nil
-}
-
 // Start brings every transport up and starts the controller. It does
 // not advance the clock; call WaitEstablished or RunFor next.
 func (e *Experiment) Start() error {
@@ -307,18 +242,12 @@ func (e *Experiment) Start() error {
 			return err
 		}
 	}
-	startRouter := func(r *bgp.Router) {
-		for _, k := range sortedPeerKeys(r) {
-			e.K.Go(r.Peers()[k].TransportUp)
-		}
-	}
 	for _, asn := range e.ASNs() {
 		if r, ok := e.Routers[asn]; ok {
-			startRouter(r)
+			for _, k := range sortedPeerKeys(r) {
+				e.K.Go(r.Peers()[k].TransportUp)
+			}
 		}
-	}
-	if e.Coll != nil {
-		startRouter(e.Coll.Router())
 	}
 	// Cluster speaker sessions come up via the controller's Start.
 	return nil
@@ -329,9 +258,6 @@ func (e *Experiment) expectedSessions() (routerSessions int) {
 	//lint:maporder integer sums of per-router session counts commute; Peers only reads
 	for _, r := range e.Routers {
 		routerSessions += len(r.Peers())
-	}
-	if e.Coll != nil {
-		routerSessions += len(e.Coll.Router().Peers())
 	}
 	return routerSessions
 }
@@ -345,9 +271,6 @@ func (e *Experiment) WaitEstablished(timeout time.Duration) error {
 		//lint:maporder integer sums of per-router session counts commute; EstablishedCount only reads
 		for _, r := range e.Routers {
 			established += r.EstablishedCount()
-		}
-		if e.Coll != nil {
-			established += e.Coll.Router().EstablishedCount()
 		}
 		if established == e.expectedSessions() {
 			return nil

@@ -82,9 +82,9 @@ type Trial struct {
 	// Placement decides the SDN cluster membership.
 	Placement Placement
 	// Policy selects the routing-policy template applied at every
-	// legacy router (and the collector, when attached). The zero value
-	// is permit-all — free transit — so existing policy-free trials
-	// are unchanged; see PolicySpec for gao-rexford and prefix-filter.
+	// legacy router. The zero value is permit-all — free transit — so
+	// existing policy-free trials are unchanged; see PolicySpec for
+	// gao-rexford and prefix-filter.
 	Policy PolicySpec
 	// Event is the triggering routing event to measure — sugar that
 	// compiles to a one-entry Workload (see Event). Ignored when

@@ -114,19 +114,14 @@ func (l *EventLog) seek(ns int64) int {
 func (l *EventLog) Append(ev bgp.TraceEvent) {
 	s, ok := l.routers[ev.Router]
 	if !ok {
-		s = &RouterSummary{Router: ev.Router, FirstActivity: ev.Time}
+		s = &RouterSummary{Router: ev.Router}
 		l.routers[ev.Router] = s
 	}
-	s.LastActivity = ev.Time
 	switch ev.Kind {
 	case bgp.TraceSend:
-		if ev.MsgType == wire.MsgUpdate {
-			s.UpdatesSent++
-		}
+		s.UpdatesSent++
 	case bgp.TraceRecv:
-		if ev.MsgType == wire.MsgUpdate {
-			s.UpdatesRecv++
-		}
+		s.UpdatesRecv++
 	case bgp.TraceBest:
 		s.BestChanges++
 		if c := ev.Change; c != nil {
@@ -154,11 +149,10 @@ func (l *EventLog) Append(ev bgp.TraceEvent) {
 
 // RouterSummary aggregates per-router activity.
 type RouterSummary struct {
-	Router                      idr.ASN
-	UpdatesSent, UpdatesRecv    int
-	BestChanges                 int
-	StateChanges                int
-	FirstActivity, LastActivity time.Time
+	Router                   idr.ASN
+	UpdatesSent, UpdatesRecv int
+	BestChanges              int
+	StateChanges             int
 }
 
 // Summarize returns the per-router summaries, sorted by ASN.

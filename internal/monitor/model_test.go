@@ -30,24 +30,17 @@ func (r retained) summarize() []RouterSummary {
 	for _, ev := range r {
 		s := byRouter[ev.Router]
 		if s == nil {
-			s = &RouterSummary{Router: ev.Router, FirstActivity: ev.Time}
+			s = &RouterSummary{Router: ev.Router}
 			byRouter[ev.Router] = s
 		}
-		if ev.Time.Before(s.FirstActivity) {
-			s.FirstActivity = ev.Time
-		}
-		if ev.Time.After(s.LastActivity) {
-			s.LastActivity = ev.Time
-		}
-		isUpdate := ev.MsgType == wire.MsgUpdate
-		switch {
-		case ev.Kind == bgp.TraceSend && isUpdate:
+		switch ev.Kind {
+		case bgp.TraceSend:
 			s.UpdatesSent++
-		case ev.Kind == bgp.TraceRecv && isUpdate:
+		case bgp.TraceRecv:
 			s.UpdatesRecv++
-		case ev.Kind == bgp.TraceBest:
+		case bgp.TraceBest:
 			s.BestChanges++
-		case ev.Kind == bgp.TraceState:
+		case bgp.TraceState:
 			s.StateChanges++
 		}
 	}
@@ -114,12 +107,12 @@ func modelRoute(prefix netip.Prefix, b byte) *rib.Route {
 }
 
 // checkEventLogModel decodes ops four bytes at a time into a trace
-// event stream — all four kinds, four routers, three prefixes, nil
-// messages and nil changes, timestamps that repeat or advance — feeds
-// it to an EventLog and the retained oracle, and requires every view
-// to agree, the windowed count over every [start, end) pair of
-// boundaries on, between and around the event times, zero end
-// included. A second log that was not asked for paths is fed the same
+// event stream — all four kinds, four routers, three prefixes, UPDATEs
+// that announce or withdraw, nil changes, timestamps that repeat or
+// advance — feeds it to an EventLog and the retained oracle, and
+// requires every view to agree, the windowed count over every
+// [start, end) pair of boundaries on, between and around the event
+// times, zero end included. A second log that was not asked for paths is fed the same
 // stream: its counts must be the same and its path views ErrNoPaths.
 // Streams are cut at 64 events.
 func checkEventLogModel(t *testing.T, ops []byte) {
@@ -138,9 +131,9 @@ func checkEventLogModel(t *testing.T, ops []byte) {
 		ev := bgp.TraceEvent{Time: at, Router: idr.ASN(1 + who%4), Kind: bgp.TraceKind(kind % 4), Peer: "p"}
 		switch ev.Kind {
 		case bgp.TraceSend, bgp.TraceRecv:
-			ev.MsgType = []wire.MsgType{wire.MsgUpdate, wire.MsgKeepalive, 0}[what/4%3]
-			if ev.MsgType == wire.MsgUpdate {
-				ev.Update = &wire.Update{NLRI: []netip.Prefix{prefix}}
+			ev.Update = &wire.Update{NLRI: []netip.Prefix{prefix}}
+			if what/4%2 != 0 {
+				ev.Update = &wire.Update{Withdrawn: []netip.Prefix{prefix}}
 			}
 		case bgp.TraceBest:
 			if who/4%8 != 0 { // one in eight carries no change
@@ -251,7 +244,7 @@ func TestEventLogBlockEdges(t *testing.T) {
 // TestBestChangeIsSlim pins the cost of one best-path change in a log
 // that was not asked for paths: 48 pointer-free bytes (lab's
 // TestLiveHeapFollowsState budgets with that figure), in blocks, so a
-// long log is neither scanned by the collector nor copied to grow.
+// long log is neither scanned by the garbage collector nor copied to grow.
 func TestBestChangeIsSlim(t *testing.T) {
 	if size := unsafe.Sizeof(bestChange{}); size != 48 {
 		t.Fatalf("a bestChange is %d bytes, want 48", size)
@@ -287,8 +280,7 @@ func TestEventLogPinsNoMessages(t *testing.T) {
 		l.Append(bgp.TraceEvent{
 			Time: sim.Epoch.Add(time.Duration(i) * time.Millisecond), Router: idr.ASN(1 + i%160),
 			Kind: []bgp.TraceKind{bgp.TraceSend, bgp.TraceRecv}[i%2], Peer: "p",
-			MsgType: wire.MsgUpdate,
-			Update:  &wire.Update{NLRI: nlri, Attrs: wire.PathAttrs{ASPath: wire.NewASPath(idr.ASN(i), 2, 1)}},
+			Update: &wire.Update{NLRI: nlri, Attrs: wire.PathAttrs{ASPath: wire.NewASPath(idr.ASN(i), 2, 1)}},
 		})
 	}
 	grew := int64(heap()) - int64(before)

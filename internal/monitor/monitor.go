@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/bgp"
-	"repro/internal/bgp/wire"
 	"repro/internal/frames"
 	"repro/internal/idr"
 	"repro/internal/sim"
@@ -75,13 +74,10 @@ func (d *Detector) Converged() bool {
 }
 
 // BGPActivityTrace adapts the detector to a bgp.Router trace hook:
-// UPDATE traffic counts as activity (keepalives and state changes do
+// UPDATE traffic counts as activity (state and best-path changes do
 // not).
 func (d *Detector) BGPActivityTrace(ev bgp.TraceEvent) {
-	if ev.Kind != bgp.TraceSend && ev.Kind != bgp.TraceRecv {
-		return
-	}
-	if ev.MsgType == wire.MsgUpdate {
+	if ev.Update != nil {
 		d.Touch()
 	}
 }

@@ -59,9 +59,9 @@ func (wf *watchedFrame) check(when string) {
 }
 
 // TestFramesAreImmutableOnceSent runs the paper's unit at half SDN —
-// clique 8, K=4, with the route collector and the routers' processing
-// queue on, so legacy routers, member switches, the controller's
-// PacketIn → speaker path and the collector all receive — and requires
+// clique 8, K=4, with the routers' processing queue on, so legacy
+// routers, member switches and the controller's PacketIn → speaker
+// path all receive — and requires
 // every frame to hash the same when it is sent, when its handler
 // returns, and when the run is over. Sessions share one KEEPALIVE
 // frame, so a receiver that decoded in place or a sender that reused
@@ -75,7 +75,6 @@ func TestFramesAreImmutableOnceSent(t *testing.T) {
 		Seed:            1,
 		Graph:           g,
 		SDNMembers:      []idr.ASN{5, 6, 7, 8},
-		WithCollector:   true,
 		ProcessingDelay: time.Millisecond,
 	})
 	if err != nil {
@@ -106,7 +105,7 @@ func TestFramesAreImmutableOnceSent(t *testing.T) {
 		arrivals[wf.to]++
 		sends[&wf.data[0]]++
 	}
-	for _, node := range []string{"AS1", "AS5", experiment.ControllerNodeName, experiment.CollectorNodeName} {
+	for _, node := range []string{"AS1", "AS5", experiment.ControllerNodeName} {
 		if arrivals[node] == 0 {
 			t.Errorf("no frame was sent to %s: the run does not cover that receiver (%v)", node, arrivals)
 		}

@@ -21,8 +21,6 @@
 //	loss 0.05               LinkLoss, in [0, 1], seeded per link
 //	damping on              Damping
 //	policy gao-rexford      Policy: permit-all|gao-rexford|prefix-filter
-//	collector on            the route collector (the runner's own flag:
-//	                        a Trial has no collector)
 //
 // Lifecycle commands follow "start". Every event verb of the workload
 // schedule language fires at once through lab's dispatcher
@@ -109,11 +107,9 @@ func Parse(r io.Reader) (*Script, error) {
 type Runner struct {
 	out io.Writer
 
-	// trial accumulates the configuration directives before "start";
-	// collector is the one directive lab.Trial has no field for.
-	trial     lab.Trial
-	collector bool
-	exp       *experiment.Experiment
+	// trial accumulates the configuration directives before "start".
+	trial lab.Trial
+	exp   *experiment.Experiment
 	// pending accumulates "at" directives until "run-workload".
 	pending lab.Workload
 }
@@ -150,8 +146,8 @@ func (r *Runner) exec(st statement) error {
 	return d.set(r, st.args)
 }
 
-// A directive sets one lab.Trial field (collector: the runner's flag)
-// from exactly args arguments; -1 accepts a spec of any length.
+// A directive sets one lab.Trial field from exactly args arguments; -1
+// accepts a spec of any length.
 type directive struct {
 	args int
 	set  func(r *Runner, args []string) error
@@ -213,10 +209,6 @@ var directives = map[string]directive{
 	}},
 	"policy": {1, func(r *Runner, args []string) (err error) {
 		r.trial.Policy, err = lab.ParsePolicy(args[0])
-		return err
-	}},
-	"collector": {1, func(r *Runner, args []string) (err error) {
-		r.collector, err = onOff(args[0])
 		return err
 	}},
 	"start": {0, func(r *Runner, _ []string) error { return r.execStart() }},
@@ -301,7 +293,6 @@ func (r *Runner) execStart() error {
 	if err != nil {
 		return err
 	}
-	cfg.WithCollector = r.collector
 	exp, err := experiment.New(cfg)
 	if err != nil {
 		return err

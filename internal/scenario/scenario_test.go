@@ -114,7 +114,6 @@ func TestExplicitSDNMembersAndPolicies(t *testing.T) {
 topology star 4
 sdn 2 3
 policy gao-rexford
-collector on
 seed 1
 mrai 2s
 no-mrai-jitter
@@ -193,7 +192,7 @@ func TestRunErrors(t *testing.T) {
 		{"bad topology kind", "topology mobius 4\n"},
 		{"bad topology size", "topology clique x\n"},
 		{"bad policy", "topology line 2\npolicy anarchy\n"},
-		{"bad collector", "topology line 2\ncollector maybe\n"},
+		{"bad collector", "topology line 2\ncollector on\n"},
 		{"sdn bad asn", "topology line 2\nsdn x\n"},
 		{"sdn last out of range", "topology line 2\nsdn last 5\n"},
 		{"lifecycle before start", "topology line 2\nannounce 1\n"},
@@ -217,10 +216,19 @@ func TestRunErrors(t *testing.T) {
 		{"negative run-for", header + "run-for -5s\n"},
 		{"wait-converged surplus argument", header + "wait-converged 1m 2m\n"},
 	}
+	// A script written for a directive that no longer exists must fail
+	// on its line, not run without it.
+	exact := map[string]string{
+		"bad collector": "scenario: line 2 (collector): unknown or out-of-order directive",
+	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := run(t, c.script); err == nil {
+			_, err := run(t, c.script)
+			if err == nil {
 				t.Fatalf("script should fail:\n%s", c.script)
+			}
+			if want, ok := exact[c.name]; ok && err.Error() != want {
+				t.Fatalf("error %q, want %q", err, want)
 			}
 		})
 	}
