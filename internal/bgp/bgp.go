@@ -145,7 +145,7 @@ const (
 // Update and Change are borrowed: they point into storage the session
 // or the router reuses for its next message, so they are valid only
 // until the hook returns, and a hook copies what it keeps. The
-// attribute slices behind them (AS path, communities) are the
+// attribute slices behind them (the AS path's) are the
 // exception: they are decoded afresh per message, never written again,
 // and may be kept.
 type TraceEvent struct {

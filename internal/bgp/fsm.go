@@ -50,9 +50,9 @@ type Owner interface {
 	// hold timer already re-armed. The message is borrowed: the session
 	// decodes the next one into the same storage, so *u — its NLRI and
 	// Withdrawn slices included — is valid only until Update returns
-	// and the owner copies what it keeps. The attribute slices (AS
-	// path, communities) are decoded afresh per message and never
-	// written again; those may be kept as they are.
+	// and the owner copies what it keeps. The attribute slices (the
+	// AS path's) are decoded afresh per message and never written
+	// again; those may be kept as they are.
 	Update(u *wire.Update)
 	// Reset runs on every teardown, once the machine is Idle with its
 	// timers stopped and before connect-retry is armed.

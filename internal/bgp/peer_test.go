@@ -477,10 +477,10 @@ func TestAnnounceBatchPackingModel(t *testing.T) {
 	med := uint32(5)
 	pool := []wire.PathAttrs{
 		{ASPath: wire.NewASPath(1, 7), NextHop: nh},
-		{ASPath: wire.NewASPath(1, 7), NextHop: nh, AtomicAggregate: true}, // renders like the first
+		{ASPath: wire.ASPath{{Type: wire.ASSequence, ASNs: []idr.ASN{1}}, {Type: wire.ASSequence, ASNs: []idr.ASN{7}}}, NextHop: nh}, // renders like the first
 		{ASPath: wire.NewASPath(1, 3, 9), NextHop: nh},
 		{ASPath: wire.NewASPath(1, 3, 9), NextHop: nh, MED: &med},
-		{ASPath: wire.NewASPath(1), NextHop: nh, Communities: []wire.Community{wire.NewCommunity(1, 2)}},
+		{ASPath: wire.NewASPath(1), NextHop: nh},
 	}
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < 200; round++ {

@@ -3,13 +3,12 @@ package wire
 import (
 	"fmt"
 	"net/netip"
-	"slices"
 	"strings"
 
 	"repro/internal/idr"
 )
 
-// Attribute type codes (RFC 4271 §5.1, RFC 1997).
+// Attribute type codes (RFC 4271 §5.1).
 const (
 	AttrOrigin          uint8 = 1
 	AttrASPath          uint8 = 2
@@ -17,8 +16,6 @@ const (
 	AttrMED             uint8 = 4
 	AttrLocalPref       uint8 = 5
 	AttrAtomicAggregate uint8 = 6
-	AttrAggregator      uint8 = 7
-	AttrCommunities     uint8 = 8
 )
 
 // Attribute flag bits.
@@ -207,32 +204,6 @@ func (p ASPath) String() string {
 	return b.String()
 }
 
-// Community is an RFC 1997 community value, conventionally written
-// "<asn>:<value>".
-type Community uint32
-
-// NewCommunity builds a community from its AS and value halves.
-func NewCommunity(asn uint16, value uint16) Community {
-	return Community(uint32(asn)<<16 | uint32(value))
-}
-
-// Halves splits the community into its conventional parts.
-func (c Community) Halves() (asn uint16, value uint16) {
-	return uint16(c >> 16), uint16(c)
-}
-
-// String renders the community as "asn:value".
-func (c Community) String() string {
-	a, v := c.Halves()
-	return fmt.Sprintf("%d:%d", a, v)
-}
-
-// Well-known communities (RFC 1997).
-const (
-	CommunityNoExport    Community = 0xFFFFFF01
-	CommunityNoAdvertise Community = 0xFFFFFF02
-)
-
 // PathAttrs is the decoded attribute set of one UPDATE.
 type PathAttrs struct {
 	// Origin is the mandatory ORIGIN attribute.
@@ -247,19 +218,6 @@ type PathAttrs struct {
 	// LocalPref is the LOCAL_PREF attribute (iBGP/internal only; not
 	// emitted on eBGP sessions).
 	LocalPref *uint32
-	// AtomicAggregate marks the ATOMIC_AGGREGATE flag attribute.
-	AtomicAggregate bool
-	// Aggregator is the optional AGGREGATOR attribute (RFC 4271
-	// §5.1.7, 4-octet form per RFC 6793).
-	Aggregator *Aggregator
-	// Communities is the optional COMMUNITIES attribute.
-	Communities []Community
-}
-
-// Aggregator identifies the speaker that formed an aggregate route.
-type Aggregator struct {
-	AS idr.ASN
-	ID netip.Addr
 }
 
 // Clone deep-copies the attribute set.
@@ -274,19 +232,12 @@ func (a PathAttrs) Clone() PathAttrs {
 		v := *a.LocalPref
 		out.LocalPref = &v
 	}
-	if a.Aggregator != nil {
-		v := *a.Aggregator
-		out.Aggregator = &v
-	}
-	if a.Communities != nil {
-		out.Communities = append([]Community(nil), a.Communities...)
-	}
 	return out
 }
 
 // Equal reports semantic equality of two attribute sets.
 func (a PathAttrs) Equal(b PathAttrs) bool {
-	if a.Origin != b.Origin || a.NextHop != b.NextHop || a.AtomicAggregate != b.AtomicAggregate {
+	if a.Origin != b.Origin || a.NextHop != b.NextHop {
 		return false
 	}
 	if !a.ASPath.Equal(b.ASPath) {
@@ -298,39 +249,7 @@ func (a PathAttrs) Equal(b PathAttrs) bool {
 	if (a.LocalPref == nil) != (b.LocalPref == nil) || (a.LocalPref != nil && *a.LocalPref != *b.LocalPref) {
 		return false
 	}
-	if (a.Aggregator == nil) != (b.Aggregator == nil) || (a.Aggregator != nil && *a.Aggregator != *b.Aggregator) {
-		return false
-	}
-	if len(a.Communities) != len(b.Communities) {
-		return false
-	}
-	for i := range a.Communities {
-		if a.Communities[i] != b.Communities[i] {
-			return false
-		}
-	}
 	return true
-}
-
-// HasCommunity reports whether c is attached.
-func (a PathAttrs) HasCommunity(c Community) bool {
-	for _, have := range a.Communities {
-		if have == c {
-			return true
-		}
-	}
-	return false
-}
-
-// AddCommunity returns a copy with c attached (kept sorted, no dups).
-func (a PathAttrs) AddCommunity(c Community) PathAttrs {
-	if a.HasCommunity(c) {
-		return a
-	}
-	out := a.Clone()
-	out.Communities = append(out.Communities, c)
-	slices.Sort(out.Communities)
-	return out
 }
 
 // String renders the attributes for logs.
@@ -342,13 +261,6 @@ func (a PathAttrs) String() string {
 	}
 	if a.LocalPref != nil {
 		fmt.Fprintf(&b, " lp=%d", *a.LocalPref)
-	}
-	if len(a.Communities) > 0 {
-		parts := make([]string, len(a.Communities))
-		for i, c := range a.Communities {
-			parts[i] = c.String()
-		}
-		fmt.Fprintf(&b, " comm=%s", strings.Join(parts, ","))
 	}
 	return b.String()
 }

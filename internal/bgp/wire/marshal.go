@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
-
-	"repro/internal/idr"
 )
 
 // Marshal encodes one BGP message, header included, into a buffer of
@@ -90,7 +88,7 @@ func finishMessage(dst, out []byte, typ MsgType) ([]byte, error) {
 func estimateBody(m Message) int {
 	switch m.(type) {
 	case Open, *Open:
-		return 64
+		return openLen
 	default:
 		return 16
 	}
@@ -99,61 +97,33 @@ func estimateBody(m Message) int {
 func estimateUpdate(u *Update) int {
 	n := 4 + 5*(len(u.Withdrawn)+len(u.NLRI))
 	if len(u.NLRI) > 0 {
-		n += 32 + 4*u.Attrs.ASPath.Length() + 4*len(u.Attrs.Communities)
+		n += 32 + 4*u.Attrs.ASPath.Length()
 	}
 	return n
 }
 
-func appendOpen(out []byte, o Open) ([]byte, error) {
-	body, err := marshalOpen(o)
-	if err != nil {
-		return nil, err
-	}
-	return append(out, body...), nil
-}
+// openLen is the length of every OPEN body this package writes: the
+// fixed fields, then one optional parameter holding the Four-Octet-AS
+// capability.
+const openLen = 10 + 8
 
-func marshalOpen(o Open) ([]byte, error) {
+func appendOpen(out []byte, o Open) ([]byte, error) {
 	if o.HoldTimeSecs != 0 && o.HoldTimeSecs < 3 {
 		return nil, fmt.Errorf("wire: open hold time %d (must be 0 or >= 3)", o.HoldTimeSecs)
 	}
-	// Capabilities: always advertise Four-Octet-AS with the real ASN
-	// (RFC 6793), plus any caller-provided capabilities.
-	caps := make([]Capability, 0, len(o.Capabilities)+1)
-	four := make([]byte, 4)
-	binary.BigEndian.PutUint32(four, uint32(o.AS))
-	caps = append(caps, Capability{Code: CapFourOctetAS, Value: four})
-	for _, c := range o.Capabilities {
-		if c.Code == CapFourOctetAS {
-			continue // implicit, never duplicated
-		}
-		caps = append(caps, c)
-	}
-	var opt []byte
-	for _, c := range caps {
-		if len(c.Value) > 255-2 {
-			return nil, fmt.Errorf("wire: capability %d value too long", c.Code)
-		}
-		// Optional parameter type 2 (capabilities), one per parameter.
-		param := make([]byte, 0, 4+len(c.Value))
-		param = append(param, 2, byte(2+len(c.Value)), c.Code, byte(len(c.Value)))
-		param = append(param, c.Value...)
-		opt = append(opt, param...)
-	}
-	if len(opt) > 255 {
-		return nil, fmt.Errorf("wire: optional parameters length %d > 255", len(opt))
-	}
-	body := make([]byte, 0, 10+len(opt))
-	body = append(body, Version)
-	myAS := uint16(ASTrans)
+	myAS := ASTrans
 	if o.AS <= 0xFFFF {
 		myAS = uint16(o.AS)
 	}
-	body = binary.BigEndian.AppendUint16(body, myAS)
-	body = binary.BigEndian.AppendUint16(body, o.HoldTimeSecs)
-	body = append(body, o.ID[:]...)
-	body = append(body, byte(len(opt)))
-	body = append(body, opt...)
-	return body, nil
+	out = append(out, Version)
+	out = binary.BigEndian.AppendUint16(out, myAS)
+	out = binary.BigEndian.AppendUint16(out, o.HoldTimeSecs)
+	out = append(out, o.ID[:]...)
+	// 8 bytes of optional parameters: one of type 2 (capabilities), 6
+	// long, holding the Four-Octet-AS capability, 4 long: the real ASN
+	// (RFC 6793).
+	out = append(out, 8, 2, 6, CapFourOctetAS, 4)
+	return binary.BigEndian.AppendUint32(out, uint32(o.AS)), nil
 }
 
 func appendNotification(out []byte, n Notification) ([]byte, error) {
@@ -275,35 +245,5 @@ func appendAttrs(out []byte, a *PathAttrs) ([]byte, error) {
 		}
 		out = binary.BigEndian.AppendUint32(out, *a.LocalPref)
 	}
-	if a.AtomicAggregate {
-		out, err = appendAttrHeader(out, flagTransitive, AttrAtomicAggregate, 0)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if a.Aggregator != nil {
-		if !a.Aggregator.ID.Is4() {
-			return nil, fmt.Errorf("wire: aggregator ID %v is not IPv4", a.Aggregator.ID)
-		}
-		out, err = appendAttrHeader(out, flagOptional|flagTransitive, AttrAggregator, 8)
-		if err != nil {
-			return nil, err
-		}
-		out = binary.BigEndian.AppendUint32(out, uint32(a.Aggregator.AS))
-		id := a.Aggregator.ID.As4()
-		out = append(out, id[:]...)
-	}
-	if len(a.Communities) > 0 {
-		out, err = appendAttrHeader(out, flagOptional|flagTransitive, AttrCommunities, 4*len(a.Communities))
-		if err != nil {
-			return nil, err
-		}
-		for _, c := range a.Communities {
-			out = binary.BigEndian.AppendUint32(out, uint32(c))
-		}
-	}
 	return out, nil
 }
-
-// sanity check that idr.ASN fits the wire encoding
-var _ = idr.ASN(0)

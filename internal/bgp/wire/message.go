@@ -1,9 +1,12 @@
 // Package wire implements BGP-4 message encoding and decoding per
 // RFC 4271, with the 4-octet AS number extension (RFC 6793) always
-// negotiated and COMMUNITIES (RFC 1997). The framework's routers and
-// the controller's eBGP sessions exchange byte-exact wire messages
-// produced by this package, standing in for the Quagga and ExaBGP
-// processes of the paper's stack.
+// negotiated. The framework's routers and the controller's eBGP
+// sessions exchange byte-exact wire messages produced by this package,
+// standing in for the Quagga and ExaBGP processes of the paper's stack.
+// It encodes what those speakers send — ORIGIN, AS_PATH, NEXT_HOP, MED
+// and LOCAL_PREF, and an OPEN whose only capability is Four-Octet-AS —
+// and decodes what a conforming speaker may send besides, skipping the
+// rest.
 package wire
 
 import (
@@ -42,10 +45,9 @@ func (t MsgType) String() string {
 
 // Wire size constants (RFC 4271 §4.1).
 const (
-	MarkerLen  = 16
-	HeaderLen  = 19
-	MaxMsgLen  = 4096
-	minOpenLen = HeaderLen + 10
+	MarkerLen = 16
+	HeaderLen = 19
+	MaxMsgLen = 4096
 )
 
 // Version is the only supported BGP version.
@@ -65,33 +67,23 @@ type Message interface {
 // Open is the BGP OPEN message (RFC 4271 §4.2).
 type Open struct {
 	// AS is the sender's real (4-octet) AS number. On the wire the
-	// 2-octet field carries the number directly when it fits, or
-	// ASTrans plus a Four-Octet-AS capability otherwise; decoding
-	// folds the capability back into this field.
+	// 2-octet field carries the number directly when it fits and
+	// ASTrans otherwise, and the Four-Octet-AS capability always
+	// carries it in full; decoding folds the capability back into
+	// this field and skips any other.
 	AS idr.ASN
 	// HoldTimeSecs is the proposed hold time in seconds (0 or >= 3).
 	HoldTimeSecs uint16
 	// ID is the sender's BGP identifier.
 	ID idr.RouterID
-	// Capabilities carries the decoded capabilities advertisement
-	// (RFC 5492) other than Four-Octet-AS, which is implicit.
-	Capabilities []Capability
 }
 
 // Type implements Message.
 func (Open) Type() MsgType { return MsgOpen }
 
-// Capability is one RFC 5492 capability TLV.
-type Capability struct {
-	Code  uint8
-	Value []byte
-}
-
-// Capability codes used by this implementation.
-const (
-	CapFourOctetAS  uint8 = 65
-	CapRouteRefresh uint8 = 2
-)
+// CapFourOctetAS is the Four-Octet-AS capability code (RFC 6793), the
+// one capability an OPEN carries.
+const CapFourOctetAS uint8 = 65
 
 // Update is the BGP UPDATE message (RFC 4271 §4.3).
 type Update struct {

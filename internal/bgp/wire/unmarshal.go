@@ -143,16 +143,15 @@ func unmarshalOpen(body []byte) (Message, error) {
 			if len(pval) < 2+clen {
 				return nil, decodeErr(NotifOpenMessageError, 0, "capability overruns parameter")
 			}
-			val := append([]byte(nil), pval[2:2+clen]...)
+			val := pval[2 : 2+clen]
 			pval = pval[2+clen:]
-			if code == CapFourOctetAS {
-				if clen != 4 {
-					return nil, decodeErr(NotifOpenMessageError, 0, "four-octet-AS capability length %d", clen)
-				}
-				o.AS = idr.ASN(binary.BigEndian.Uint32(val))
-				continue
+			if code != CapFourOctetAS {
+				continue // other capabilities are skipped
 			}
-			o.Capabilities = append(o.Capabilities, Capability{Code: code, Value: val})
+			if clen != 4 {
+				return nil, decodeErr(NotifOpenMessageError, 0, "four-octet-AS capability length %d", clen)
+			}
+			o.AS = idr.ASN(binary.BigEndian.Uint32(val))
 		}
 	}
 	return o, nil
@@ -298,26 +297,10 @@ func unmarshalAttrs(b []byte) (decodedAttrs, error) {
 			v := binary.BigEndian.Uint32(val)
 			a.LocalPref = &v
 		case AttrAtomicAggregate:
+			// Well-known, so recognized and length-checked, but
+			// nothing here reads it and it is not kept.
 			if vlen != 0 {
 				return a, decodeErr(NotifUpdateMessageError, 5, "ATOMIC_AGGREGATE length %d", vlen)
-			}
-			a.AtomicAggregate = true
-		case AttrAggregator:
-			if vlen != 8 {
-				return a, decodeErr(NotifUpdateMessageError, 5, "AGGREGATOR length %d", vlen)
-			}
-			var b4 [4]byte
-			copy(b4[:], val[4:8])
-			a.Aggregator = &Aggregator{
-				AS: idr.ASN(binary.BigEndian.Uint32(val)),
-				ID: netip.AddrFrom4(b4),
-			}
-		case AttrCommunities:
-			if vlen%4 != 0 {
-				return a, decodeErr(NotifUpdateMessageError, 5, "COMMUNITIES length %d", vlen)
-			}
-			for i := 0; i < vlen; i += 4 {
-				a.Communities = append(a.Communities, Community(binary.BigEndian.Uint32(val[i:])))
 			}
 		default:
 			// Unrecognized optional attributes are tolerated

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"net/netip"
@@ -11,6 +12,10 @@ import (
 
 	"repro/internal/idr"
 )
+
+// raceEnabled reports whether the test binary was built with -race
+// (race_test.go sets it).
+var raceEnabled bool
 
 func mustMarshal(t *testing.T, m Message) []byte {
 	t.Helper()
@@ -80,21 +85,82 @@ func TestOpenRoundTrip4Byte(t *testing.T) {
 	}
 }
 
+// openBytes is the wire OPEN a speaker of AS 64500 sends when it
+// advertises more than this package does: an unknown optional
+// parameter type, then one capabilities parameter packing
+// Route-Refresh, Four-Octet-AS and an unknown code together.
+var openBytes = func() []byte {
+	params := []byte{
+		9, 2, 0xAB, 0xCD, // unknown parameter type 9
+		2, 12, 2, 0, CapFourOctetAS, 4, 0, 0, 0xFB, 0xF4, 70, 2, 1, 2,
+	}
+	body := append([]byte{Version, 0xFB, 0xF4, 0, 90, 172, 16, 0, 1, byte(len(params))}, params...)
+	return frame(MsgOpen, body)
+}()
+
+// frame puts a header in front of body.
+func frame(typ MsgType, body []byte) []byte {
+	b := bytes.Repeat([]byte{0xFF}, MarkerLen)
+	b = append(b, byte((HeaderLen+len(body))>>8), byte(HeaderLen+len(body)), byte(typ))
+	return append(b, body...)
+}
+
+// TestOpenExtraCapabilities decodes an OPEN from a speaker that
+// advertises capabilities this package does not: they are skipped, the
+// Four-Octet-AS one among them is read, and the OPEN re-encodes to the
+// one body this package writes.
 func TestOpenExtraCapabilities(t *testing.T) {
-	in := Open{
-		AS:           1,
-		HoldTimeSecs: 30,
-		Capabilities: []Capability{
-			{Code: CapRouteRefresh, Value: nil},
-			{Code: CapFourOctetAS, Value: []byte{9, 9, 9, 9}}, // dropped: implicit
-		},
+	m, err := Unmarshal(openBytes)
+	if err != nil {
+		t.Fatal(err)
 	}
-	out := roundTrip(t, in).(Open)
-	if len(out.Capabilities) != 1 || out.Capabilities[0].Code != CapRouteRefresh {
-		t.Fatalf("capabilities = %+v", out.Capabilities)
+	want := Open{AS: 64500, HoldTimeSecs: 90, ID: idr.RouterIDFromAddr(netip.MustParseAddr("172.16.0.1"))}
+	if m != want {
+		t.Fatalf("decoded %+v, want %+v", m, want)
 	}
-	if out.AS != 1 {
-		t.Fatalf("AS = %v (user-provided four-octet cap must not override)", out.AS)
+	if b := mustMarshal(t, m); bytes.Equal(b, openBytes) || !bytes.Equal(b, mustMarshal(t, want)) {
+		t.Fatalf("re-encoded as %x", b)
+	}
+	bad := slices.Clone(openBytes)
+	bad[HeaderLen+10+4+5] = 3 // the Four-Octet-AS capability's length
+	if _, err := Unmarshal(bad); err == nil {
+		t.Fatal("a Four-Octet-AS capability of 3 bytes decoded")
+	}
+}
+
+// TestOpenBytes pins what an OPEN looks like on the wire, for an ASN
+// that fits the 2-octet field and one that needs AS_TRANS.
+func TestOpenBytes(t *testing.T) {
+	id := idr.RouterIDFromAddr(netip.MustParseAddr("10.9.8.7"))
+	marker := bytes.Repeat([]byte{0xFF}, MarkerLen)
+	for _, tc := range []struct {
+		as   idr.ASN
+		body []byte
+	}{
+		{64500, []byte{4, 0xFB, 0xF4, 0, 180, 10, 9, 8, 7, 8, 2, 6, 65, 4, 0, 0, 0xFB, 0xF4}},
+		{400000, []byte{4, 0x5B, 0xA0, 0, 180, 10, 9, 8, 7, 8, 2, 6, 65, 4, 0, 0x06, 0x1A, 0x80}},
+	} {
+		want := append(append(slices.Clone(marker), 0, 37, 1), tc.body...)
+		if got := mustMarshal(t, Open{AS: tc.as, HoldTimeSecs: 180, ID: id}); !bytes.Equal(got, want) {
+			t.Errorf("AS %v: OPEN is %x, want %x", tc.as, got, want)
+		}
+	}
+}
+
+// TestOpenAppendAllocatesNothing pins the OPEN path: into a buffer with
+// room an OPEN is written in place, and into one without it costs the
+// frame and nothing else.
+func TestOpenAppendAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's build allocates in slices.Grow")
+	}
+	var m Message = Open{AS: 400000, HoldTimeSecs: 90, ID: idr.RouterIDFromAddr(netip.MustParseAddr("10.9.8.7"))}
+	buf := make([]byte, 1, 64)
+	if got := testing.AllocsPerRun(100, func() { _, _ = Append(buf, m) }); got != 0 {
+		t.Errorf("Append of an OPEN into a buffer with room allocates %v times, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { _, _ = Marshal(m) }); got != 1 {
+		t.Errorf("Marshal of an OPEN allocates %v times, want 1", got)
 	}
 }
 
@@ -117,21 +183,19 @@ func TestNotificationRoundTrip(t *testing.T) {
 
 func med(v uint32) *uint32 { return &v }
 
-// fullUpdate, asSetUpdate and aggregatorUpdate are also seeds of
-// FuzzWireRoundTrip (see corpus).
+// fullUpdate and asSetUpdate are also seeds of FuzzWireRoundTrip (see
+// corpus).
 var fullUpdate = Update{
 	Withdrawn: []netip.Prefix{
 		netip.MustParsePrefix("10.1.0.0/16"),
 		netip.MustParsePrefix("192.168.4.0/30"),
 	},
 	Attrs: PathAttrs{
-		Origin:          OriginEGP,
-		ASPath:          NewASPath(65001, 65002, 400000),
-		NextHop:         netip.MustParseAddr("100.64.0.1"),
-		MED:             med(77),
-		LocalPref:       med(200),
-		AtomicAggregate: true,
-		Communities:     []Community{NewCommunity(65001, 7), CommunityNoExport},
+		Origin:    OriginEGP,
+		ASPath:    NewASPath(65001, 65002, 400000),
+		NextHop:   netip.MustParseAddr("100.64.0.1"),
+		MED:       med(77),
+		LocalPref: med(200),
 	},
 	NLRI: []netip.Prefix{netip.MustParsePrefix("10.2.3.0/24")},
 }
@@ -390,9 +454,6 @@ func TestPropertyUpdateRoundTrip(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				u.Attrs.LocalPref = med(rng.Uint32())
 			}
-			for c := rng.Intn(3); c > 0; c-- {
-				u.Attrs.Communities = append(u.Attrs.Communities, Community(rng.Uint32()))
-			}
 		}
 		b, err := Marshal(u)
 		if err != nil {
@@ -484,33 +545,14 @@ func TestASPathHelpers(t *testing.T) {
 	}
 }
 
-func TestCommunityHelpers(t *testing.T) {
-	c := NewCommunity(65001, 40)
-	a, v := c.Halves()
-	if a != 65001 || v != 40 {
-		t.Fatalf("halves = %d:%d", a, v)
-	}
-	if c.String() != "65001:40" {
-		t.Fatalf("String = %q", c.String())
-	}
-	attrs := PathAttrs{}
-	attrs2 := attrs.AddCommunity(c)
-	if !attrs2.HasCommunity(c) || attrs.HasCommunity(c) {
-		t.Fatal("AddCommunity must copy")
-	}
-	if attrs3 := attrs2.AddCommunity(c); len(attrs3.Communities) != 1 {
-		t.Fatal("duplicate community added")
-	}
-}
-
 func TestAttrsCloneIndependence(t *testing.T) {
 	v := uint32(5)
-	a := PathAttrs{ASPath: NewASPath(1, 2), MED: &v, Communities: []Community{1}}
+	a := PathAttrs{ASPath: NewASPath(1, 2), MED: &v, LocalPref: med(6)}
 	c := a.Clone()
 	*c.MED = 9
-	c.Communities[0] = 2
+	*c.LocalPref = 9
 	c.ASPath[0].ASNs[0] = 99
-	if *a.MED != 5 || a.Communities[0] != 1 || a.ASPath[0].ASNs[0] != 1 {
+	if *a.MED != 5 || *a.LocalPref != 6 || a.ASPath[0].ASNs[0] != 1 {
 		t.Fatal("Clone shares memory with original")
 	}
 }
@@ -524,45 +566,52 @@ func TestTypeStrings(t *testing.T) {
 	}
 }
 
-var aggregatorUpdate = Update{
-	Attrs: PathAttrs{
-		Origin:  OriginIGP,
-		ASPath:  NewASPath(1),
-		NextHop: netip.MustParseAddr("1.2.3.4"),
-		Aggregator: &Aggregator{
-			AS: 400000,
-			ID: netip.MustParseAddr("172.16.0.9"),
-		},
-	},
-	NLRI: []netip.Prefix{netip.MustParsePrefix("10.0.0.0/8")},
+// withAttrs returns u's encoding with extra appended to its attribute
+// block, lengths fixed up.
+func withAttrs(u Update, extra ...byte) []byte {
+	b, err := Marshal(u)
+	if err != nil {
+		panic(err)
+	}
+	at := HeaderLen + 2 + int(binary.BigEndian.Uint16(b[HeaderLen:]))
+	alen := int(binary.BigEndian.Uint16(b[at:]))
+	end := at + 2 + alen
+	alen += len(extra)
+	return frame(MsgUpdate, slices.Concat(b[HeaderLen:at], []byte{byte(alen >> 8), byte(alen)}, b[at+2:end], extra, b[end:]))
 }
 
-func TestAggregatorRoundTrip(t *testing.T) {
-	in := aggregatorUpdate
-	out := roundTrip(t, in).(Update)
-	if out.Attrs.Aggregator == nil || *out.Attrs.Aggregator != *in.Attrs.Aggregator {
-		t.Fatalf("aggregator = %+v", out.Attrs.Aggregator)
+// unstoredAttrs are the attributes a conforming speaker may send and
+// this package decodes without keeping: ATOMIC_AGGREGATE (well-known),
+// AGGREGATOR and COMMUNITIES (optional transitive).
+var unstoredAttrs = []byte{
+	flagTransitive, AttrAtomicAggregate, 0,
+	flagOptional | flagTransitive, 7, 8, 0, 6, 0x1A, 0x80, 172, 16, 0, 9,
+	flagOptional | flagTransitive, 8, 8, 0xFD, 0xE9, 0, 7, 0xFF, 0xFF, 0xFF, 0x01,
+}
+
+// TestUnstoredAttributesSkipped decodes an UPDATE carrying attributes
+// this package does not keep: it means what the same UPDATE without
+// them means, and re-encodes without them; ATOMIC_AGGREGATE stays
+// well-known, so its length and uniqueness are still checked.
+func TestUnstoredAttributesSkipped(t *testing.T) {
+	m, err := Unmarshal(withAttrs(asSetUpdate, unstoredAttrs...))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !out.Attrs.Equal(in.Attrs) {
-		t.Fatal("Equal should cover Aggregator")
+	if !sameMessage(m, asSetUpdate) {
+		t.Fatalf("decoded %+v, want %+v", m, asSetUpdate)
 	}
-	// Clone independence.
-	c := in.Attrs.Clone()
-	c.Aggregator.AS = 1
-	if in.Attrs.Aggregator.AS != 400000 {
-		t.Fatal("Clone shares Aggregator")
+	if b := mustMarshal(t, m); !bytes.Equal(b, mustMarshal(t, asSetUpdate)) {
+		t.Fatalf("re-encoded as %x", b)
 	}
-	// Equal detects differences.
-	other := in.Attrs.Clone()
-	other.Aggregator.AS = 5
-	if other.Equal(in.Attrs) {
-		t.Fatal("Equal missed Aggregator difference")
-	}
-	// IPv6 aggregator ID rejected.
-	bad := in
-	bad.Attrs = in.Attrs.Clone()
-	bad.Attrs.Aggregator.ID = netip.MustParseAddr("::1")
-	if _, err := Marshal(bad); err == nil {
-		t.Fatal("IPv6 aggregator should fail")
+	for name, extra := range map[string][]byte{
+		"long ATOMIC_AGGREGATE":      {flagTransitive, AttrAtomicAggregate, 1, 0},
+		"duplicate ATOMIC_AGGREGATE": {flagTransitive, AttrAtomicAggregate, 0, flagTransitive, AttrAtomicAggregate, 0},
+		"well-known COMMUNITIES":     {flagTransitive, 8, 4, 0, 0, 0, 1},
+		"truncated AGGREGATOR":       {flagOptional | flagTransitive, 7, 8, 0, 6},
+	} {
+		if _, err := Unmarshal(withAttrs(asSetUpdate, extra...)); err == nil {
+			t.Errorf("%s decoded", name)
+		}
 	}
 }

@@ -429,19 +429,13 @@ func (c *Controller) HandleControl(memberASN idr.ASN, frame []byte) error {
 	if !ok {
 		return fmt.Errorf("core: control frame from unknown member %v", memberASN)
 	}
-	msg, xid, err := ofp.Unmarshal(frame)
+	msg, _, err := ofp.Unmarshal(frame)
 	if err != nil {
 		return fmt.Errorf("core: from member %v: %w", memberASN, err)
 	}
 	switch v := msg.(type) {
-	case ofp.Hello, ofp.FeaturesReply, ofp.EchoReply:
+	case ofp.Hello, ofp.FeaturesReply:
 		return nil
-	case ofp.EchoRequest:
-		reply, err := ofp.Marshal(ofp.EchoReply{Data: v.Data}, xid)
-		if err != nil {
-			return err
-		}
-		return m.send(reply)
 	case ofp.PacketIn:
 		return c.handlePacketIn(m, v)
 	case ofp.PortStatus:

@@ -656,13 +656,6 @@ func (w *modelWorld) attrs() wire.PathAttrs {
 		lp := uint32(100 + opt)
 		a.LocalPref = &lp
 	}
-	if opt&4 != 0 {
-		a.Communities = []wire.Community{wire.NewCommunity(65000, uint16(opt)), wire.CommunityNoExport}[:1+opt>>3&1]
-	}
-	if opt&16 != 0 {
-		a.AtomicAggregate = true
-		a.Aggregator = &wire.Aggregator{AS: 200, ID: netip.AddrFrom4([4]byte{10, 0, 0, byte(opt)})}
-	}
 	return a
 }
 

@@ -411,15 +411,13 @@ func TestWrongRemoteASNRejected(t *testing.T) {
 }
 
 // announcedAttrs is a controller-built attribute set with every part
-// announce could alias: path segments, communities, aggregator, MED.
+// announce could alias: path segments and MED.
 func announcedAttrs() wire.PathAttrs {
 	med := uint32(7)
 	return wire.PathAttrs{
-		Origin:      wire.OriginIGP,
-		ASPath:      wire.ASPath{{Type: wire.ASSequence, ASNs: []idr.ASN{10, 11}}, {Type: wire.ASSet, ASNs: []idr.ASN{5, 6}}},
-		MED:         &med,
-		Aggregator:  &wire.Aggregator{AS: 5, ID: netip.MustParseAddr("10.0.0.5")},
-		Communities: []wire.Community{wire.NewCommunity(65000, 1)},
+		Origin: wire.OriginIGP,
+		ASPath: wire.ASPath{{Type: wire.ASSequence, ASNs: []idr.ASN{10, 11}}, {Type: wire.ASSet, ASNs: []idr.ASN{5, 6}}},
+		MED:    &med,
 	}
 }
 
@@ -460,9 +458,7 @@ func TestAnnounceDoesNotAlias(t *testing.T) {
 	}
 	attrs.ASPath[0].ASNs[1] = 99
 	attrs.ASPath[1].ASNs[0] = 99
-	attrs.Communities[0] = wire.CommunityNoExport
 	*attrs.MED = 99
-	attrs.Aggregator.AS = 99
 	want := announcedAttrs()
 	want.NextHop = netip.MustParseAddr("100.64.0.1")
 	if got := g.sess.advertised[pfx]; !got.Equal(want) {

@@ -196,7 +196,9 @@ const (
 	// PlaceDegree selects the K highest-degree ASes (ties broken by
 	// lower ASN) — centralize the best-connected networks first.
 	PlaceDegree = "degree"
-	// PlaceExplicit uses the listed ASNs verbatim.
+	// PlaceExplicit uses the listed ASNs as a set: order and
+	// repetition do not matter, and every spelling of one set renders
+	// as the sorted, duplicate-free list.
 	PlaceExplicit = "explicit"
 	// PlaceNone runs pure BGP regardless of K.
 	PlaceNone = "none"
@@ -272,7 +274,14 @@ func parseExplicit(fields []string) (Placement, error) {
 	if len(p.ASNs) == 0 {
 		return Placement{}, fmt.Errorf("lab: placement: no ASNs listed")
 	}
+	p.ASNs = p.members()
 	return p, nil
+}
+
+// members is the explicit member set in its one form: sorted, without
+// duplicates, in a slice of its own.
+func (p Placement) members() []idr.ASN {
+	return slices.Compact(slices.Sorted(slices.Values(p.ASNs)))
 }
 
 // String renders the placement in the form ParsePlacement accepts.
@@ -281,8 +290,9 @@ func (p Placement) String() string {
 	case PlaceNone:
 		return PlaceNone
 	case PlaceExplicit:
-		toks := make([]string, len(p.ASNs))
-		for i, a := range p.ASNs {
+		asns := p.members()
+		toks := make([]string, len(asns))
+		for i, a := range asns {
 			toks[i] = strconv.FormatUint(uint64(a), 10)
 		}
 		return "as " + strings.Join(toks, ",")
@@ -305,7 +315,7 @@ func (p Placement) Select(g *topology.Graph) ([]idr.ASN, error) {
 				return nil, fmt.Errorf("lab: placement member %v not in topology", a)
 			}
 		}
-		return append([]idr.ASN(nil), p.ASNs...), nil
+		return p.members(), nil
 	}
 	nodes := g.Nodes()
 	if p.K < 0 || p.K > len(nodes) {

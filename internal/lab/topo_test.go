@@ -1,9 +1,12 @@
 package lab
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/idr"
 	"repro/internal/topology"
@@ -200,6 +203,66 @@ func TestDegreePlacementThenFailoverOrigin(t *testing.T) {
 	}
 	if got := g.Degree(backup); got != 2 {
 		t.Fatalf("Degree(%v) = %d, want 2 (hub and origin)", backup, got)
+	}
+}
+
+// TestExplicitPlacementHasOneSpelling pins that an explicit member
+// list is a set, as the experiment uses it: every spelling of one set
+// parses, renders and selects alike, has one canonical address, and
+// snapshots like any other placement; ParseCanonical refuses the other
+// spellings, which would alias that address.
+func TestExplicitPlacementHasOneSpelling(t *testing.T) {
+	for _, in := range []string{"as 3,2,2", "3 2", "as 2,3,3", "2,,3"} {
+		p, err := ParsePlacementString(in)
+		if err != nil {
+			t.Fatalf("%q: %v", in, err)
+		}
+		if !reflect.DeepEqual(p.ASNs, []idr.ASN{2, 3}) || p.String() != "as 2,3" {
+			t.Errorf("%q parses to %v, renders as %q", in, p.ASNs, p.String())
+		}
+	}
+	sweep := func(asns ...idr.ASN) Sweep {
+		return Sweep{
+			Base: Trial{
+				Topo:      TopoSpec{Kind: "clique", N: 5},
+				Event:     Withdrawal,
+				Timers:    snapTimers(false),
+				Placement: Placement{Strategy: PlaceExplicit, ASNs: asns},
+			},
+			Axis: MRAIs(2 * time.Second),
+		}
+	}
+	want, err := sweep(2, 3).Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := sweep(3, 2, 2).Canonical(); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("[3 2 2] canonicalizes to %s (%v), [2 3] to %s", got, err, want)
+	}
+	if _, err := ParseCanonical(want); err != nil {
+		t.Fatal(err)
+	}
+	for _, other := range []string{"as 3,2", "as 2,3,3"} {
+		respelled := bytes.Replace(want, []byte(`"as 2,3"`), []byte(`"`+other+`"`), 1)
+		if bytes.Equal(respelled, want) {
+			t.Fatal("the canonical spec does not carry the placement as \"as 2,3\"")
+		}
+		if _, err := ParseCanonical(respelled); err == nil || !strings.Contains(err.Error(), "not in canonical form") {
+			t.Errorf("ParseCanonical accepted %q as canonical (%v)", other, err)
+		}
+	}
+
+	tr := sweep(2, 3, 3).Base
+	raw, err := tr.WarmupSnapshot()
+	if err != nil {
+		t.Fatalf("WarmupSnapshot of members [2 3 3]: %v", err)
+	}
+	got, err := tr.RunFromSnapshot(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain, err := tr.Run(); err != nil || !reflect.DeepEqual(got, plain) {
+		t.Fatalf("snapshot run %+v, plain run %+v (%v)", got, plain, err)
 	}
 }
 

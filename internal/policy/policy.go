@@ -47,10 +47,10 @@ var Local = Neighbor{Kind: topology.KindNone}
 
 // Policy decides route admission and propagation. Import may modify
 // the route in place by replacing attribute fields (set LOCAL_PREF,
-// attach communities via PathAttrs.AddCommunity, assign a fresh
-// ASPath); it must not mutate slice contents or pointed-to values,
-// because attribute sets are shared structurally across the import
-// and export paths. Export must not modify the route at all.
+// assign a fresh ASPath); it must not mutate slice contents or
+// pointed-to values, because attribute sets are shared structurally
+// across the import and export paths. Export must not modify the route
+// at all.
 type Policy interface {
 	// Import filters a route learned from 'from'; returning false
 	// rejects it before it reaches the Adj-RIB-In.

@@ -1,9 +1,10 @@
 // Package ofp implements the switch-controller control protocol of the
 // framework's SDN cluster: a compact OpenFlow-1.0-inspired binary
 // protocol with exactly the subset of messages the IDR controller
-// needs — session hello/echo, datapath features, flow programming
-// (prefix match -> output port), packet-in/out relay for the cluster
-// BGP speaker's control traffic, and port status notifications.
+// sends and hears — the hello and features handshake, flow programming
+// (add or delete a prefix match -> output port entry), packet-in/out
+// relay for the cluster BGP speaker's control traffic, and port status
+// notifications.
 package ofp
 
 import (
@@ -18,17 +19,16 @@ const Version uint8 = 1
 // Type is the message type octet.
 type Type uint8
 
-// Message types.
+// Message types. The octets are wire values and are never renumbered;
+// 2 and 3 are unassigned.
 const (
-	TypeHello Type = iota + 1
-	TypeEchoRequest
-	TypeEchoReply
-	TypeFeaturesRequest
-	TypeFeaturesReply
-	TypeFlowMod
-	TypePacketIn
-	TypePacketOut
-	TypePortStatus
+	TypeHello           Type = 1
+	TypeFeaturesRequest Type = 4
+	TypeFeaturesReply   Type = 5
+	TypeFlowMod         Type = 6
+	TypePacketIn        Type = 7
+	TypePacketOut       Type = 8
+	TypePortStatus      Type = 9
 )
 
 // String names the message type.
@@ -36,10 +36,6 @@ func (t Type) String() string {
 	switch t {
 	case TypeHello:
 		return "HELLO"
-	case TypeEchoRequest:
-		return "ECHO_REQUEST"
-	case TypeEchoReply:
-		return "ECHO_REPLY"
 	case TypeFeaturesRequest:
 		return "FEATURES_REQUEST"
 	case TypeFeaturesReply:
@@ -70,18 +66,6 @@ type Hello struct{}
 // Type implements Message.
 func (Hello) Type() Type { return TypeHello }
 
-// EchoRequest is a liveness probe from either side.
-type EchoRequest struct{ Data []byte }
-
-// Type implements Message.
-func (EchoRequest) Type() Type { return TypeEchoRequest }
-
-// EchoReply answers an EchoRequest with the same data.
-type EchoReply struct{ Data []byte }
-
-// Type implements Message.
-func (EchoReply) Type() Type { return TypeEchoReply }
-
 // FeaturesRequest asks the switch for its identity.
 type FeaturesRequest struct{}
 
@@ -105,11 +89,10 @@ type FlowCommand uint8
 const (
 	FlowAdd FlowCommand = iota + 1
 	FlowDelete
-	FlowDeleteAll
 )
 
 // FlowMod programs one flow entry: match IPv4 destination prefix,
-// action output on a port (PortDrop blackholes).
+// action output on a port.
 type FlowMod struct {
 	Command  FlowCommand
 	Priority uint16
@@ -119,13 +102,6 @@ type FlowMod struct {
 
 // Type implements Message.
 func (FlowMod) Type() Type { return TypeFlowMod }
-
-// PortDrop as an OutPort blackholes matching packets explicitly.
-const PortDrop uint32 = 0xFFFFFFFF
-
-// PortController as an OutPort punts matching packets to the
-// controller as PacketIn.
-const PortController uint32 = 0xFFFFFFFE
 
 // PacketIn relays a packet received on a switch port to the
 // controller (the cluster speaker's inbound path).
@@ -162,10 +138,6 @@ func Marshal(msg Message, xid uint32) ([]byte, error) {
 	switch m := msg.(type) {
 	case Hello, FeaturesRequest:
 		// empty body
-	case EchoRequest:
-		body = m.Data
-	case EchoReply:
-		body = m.Data
 	case FeaturesReply:
 		body = make([]byte, 10)
 		binary.BigEndian.PutUint64(body, m.DatapathID)
@@ -174,7 +146,7 @@ func Marshal(msg Message, xid uint32) ([]byte, error) {
 		if !m.Match.Addr().Is4() {
 			return nil, fmt.Errorf("ofp: flow match %v is not IPv4", m.Match)
 		}
-		if m.Command < FlowAdd || m.Command > FlowDeleteAll {
+		if m.Command < FlowAdd || m.Command > FlowDelete {
 			return nil, fmt.Errorf("ofp: bad flow command %d", m.Command)
 		}
 		body = make([]byte, 12)
@@ -232,10 +204,6 @@ func Unmarshal(b []byte) (Message, uint32, error) {
 	switch Type(b[1]) {
 	case TypeHello:
 		return Hello{}, xid, nil
-	case TypeEchoRequest:
-		return EchoRequest{Data: append([]byte(nil), body...)}, xid, nil
-	case TypeEchoReply:
-		return EchoReply{Data: append([]byte(nil), body...)}, xid, nil
 	case TypeFeaturesRequest:
 		return FeaturesRequest{}, xid, nil
 	case TypeFeaturesReply:
@@ -251,7 +219,7 @@ func Unmarshal(b []byte) (Message, uint32, error) {
 			return nil, 0, fmt.Errorf("ofp: flow mod body %d bytes", len(body))
 		}
 		cmd := FlowCommand(body[0])
-		if cmd < FlowAdd || cmd > FlowDeleteAll {
+		if cmd < FlowAdd || cmd > FlowDelete {
 			return nil, 0, fmt.Errorf("ofp: bad flow command %d", cmd)
 		}
 		bits := int(body[7])

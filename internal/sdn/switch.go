@@ -46,9 +46,6 @@ func (t *FlowTable) Delete(match netip.Prefix) bool {
 	return true
 }
 
-// Clear removes all entries.
-func (t *FlowTable) Clear() { t.entries = make(map[netip.Prefix]FlowEntry) }
-
 // Len returns the number of entries.
 func (t *FlowTable) Len() int { return len(t.entries) }
 
@@ -182,12 +179,6 @@ func (s *Switch) HandleControl(frame []byte) error {
 			return err
 		}
 		return s.sendControl(reply)
-	case ofp.EchoRequest:
-		reply, err := ofp.Marshal(ofp.EchoReply{Data: m.Data}, xid)
-		if err != nil {
-			return err
-		}
-		return s.sendControl(reply)
 	case ofp.FeaturesRequest:
 		reply, err := ofp.Marshal(ofp.FeaturesReply{
 			DatapathID: uint64(s.asn),
@@ -218,8 +209,6 @@ func (s *Switch) applyFlowMod(m ofp.FlowMod) {
 		s.table.Upsert(FlowEntry{Priority: m.Priority, Match: m.Match, OutPort: m.OutPort})
 	case ofp.FlowDelete:
 		s.table.Delete(m.Match)
-	case ofp.FlowDeleteAll:
-		s.table.Clear()
 	}
 }
 
@@ -242,7 +231,7 @@ func (s *Switch) HandlePort(port uint32, frame []byte) error {
 		}
 		return s.sendControl(pin)
 	case frames.KindProbe:
-		return s.forwardProbe(frame, payload)
+		return s.forwardProbe(payload)
 	default:
 		s.stats.Dropped++
 		return fmt.Errorf("sdn: switch %v: unexpected %v frame on data port %d", s.asn, kind, port)
@@ -256,10 +245,10 @@ func (s *Switch) InjectProbe(p frames.Probe) error {
 	if err != nil {
 		return err
 	}
-	return s.forwardProbe(frames.Encode(frames.KindProbe, payload), payload)
+	return s.forwardProbe(payload)
 }
 
-func (s *Switch) forwardProbe(frame, payload []byte) error {
+func (s *Switch) forwardProbe(payload []byte) error {
 	probe, err := frames.DecodeProbe(payload)
 	if err != nil {
 		s.stats.Dropped++
@@ -280,17 +269,9 @@ func (s *Switch) forwardProbe(frame, payload []byte) error {
 		return nil
 	}
 	entry, ok := s.table.Lookup(probe.Dst)
-	if !ok || entry.OutPort == ofp.PortDrop {
+	if !ok {
 		s.stats.Dropped++
 		return nil
-	}
-	if entry.OutPort == ofp.PortController {
-		s.stats.PuntedToController++
-		pin, err := ofp.Marshal(ofp.PacketIn{InPort: 0, Data: payload}, s.xid())
-		if err != nil {
-			return err
-		}
-		return s.sendControl(pin)
 	}
 	send, ok := s.sendPort[entry.OutPort]
 	if !ok {
