@@ -27,7 +27,7 @@ func main() {
 
 	// 1. Synthesize a CAIDA-style AS relationship graph and round-trip
 	//    it through the on-disk format, as if it had been downloaded.
-	rel, err := topology.SynthesizeInternetLike(topology.InternetLikeConfig{ASes: 30}, rng)
+	rel, err := topology.SynthesizeInternetLike(30, rng)
 	if err != nil {
 		log.Fatal(err)
 	}

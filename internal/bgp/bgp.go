@@ -59,12 +59,6 @@ type Timers struct {
 	// HoldTime proposed in OPEN (default 90s). The negotiated value is
 	// min(local, remote).
 	HoldTime time.Duration
-	// KeepaliveFraction divides the negotiated hold time to obtain the
-	// keepalive interval (default 3, i.e. hold/3).
-	KeepaliveFraction int
-	// ConnectRetry delays session re-establishment after a reset
-	// (default 5s).
-	ConnectRetry time.Duration
 	// MRAI is the MinRouteAdvertisementInterval on a per-peer basis
 	// (default 30s, the classic eBGP default that drives BGP's slow
 	// path exploration). Like Quagga's advertisement-interval — the
@@ -83,11 +77,9 @@ type Timers struct {
 // DefaultTimers returns the framework defaults (Quagga-like).
 func DefaultTimers() Timers {
 	return Timers{
-		HoldTime:          90 * time.Second,
-		KeepaliveFraction: 3,
-		ConnectRetry:      5 * time.Second,
-		MRAI:              30 * time.Second,
-		MRAIJitter:        true,
+		HoldTime:   90 * time.Second,
+		MRAI:       30 * time.Second,
+		MRAIJitter: true,
 	}
 }
 
@@ -107,12 +99,6 @@ func (t *Timers) setDefaults() {
 	d := DefaultTimers()
 	if t.HoldTime == 0 {
 		t.HoldTime = d.HoldTime
-	}
-	if t.KeepaliveFraction == 0 {
-		t.KeepaliveFraction = d.KeepaliveFraction
-	}
-	if t.ConnectRetry == 0 {
-		t.ConnectRetry = d.ConnectRetry
 	}
 	if t.MRAI == 0 {
 		t.MRAI = d.MRAI
@@ -319,15 +305,13 @@ func (r *Router) AddPeer(pc PeerConfig) (*Peer, error) {
 		pendingWithdraw: make(map[netip.Prefix]bool),
 	}
 	err := p.fsm.init(SessionConfig{
-		LocalASN:          r.cfg.ASN,
-		LocalID:           r.cfg.RouterID,
-		RemoteASN:         pc.RemoteASN,
-		HoldTime:          r.cfg.Timers.HoldTime,
-		ConnectRetry:      r.cfg.Timers.ConnectRetry,
-		KeepaliveFraction: r.cfg.Timers.KeepaliveFraction,
-		Clock:             r.cfg.Clock,
-		Send:              pc.Send,
-		Stats:             &r.stats,
+		LocalASN:  r.cfg.ASN,
+		LocalID:   r.cfg.RouterID,
+		RemoteASN: pc.RemoteASN,
+		HoldTime:  r.cfg.Timers.HoldTime,
+		Clock:     r.cfg.Clock,
+		Send:      pc.Send,
+		Stats:     &r.stats,
 	}, (*peerSession)(p))
 	if err != nil {
 		return nil, fmt.Errorf("bgp: peer %q: %w", pc.Key, err)

@@ -14,63 +14,43 @@ import (
 // distributed counterpart to the paper's centralized delayed
 // recomputation: both rate-limit flaps, but damping punishes
 // individual routes at every router while the controller batches its
-// own decisions. The zero value of each field selects the listed
-// default.
+// own decisions. Penalties and thresholds are the usual vendor
+// defaults (the constants below); only the decay half-life is set per
+// run.
 type DampingConfig struct {
-	// WithdrawPenalty is added on each withdrawal flap (default 1000).
-	WithdrawPenalty float64
-	// UpdatePenalty is added on each re-advertisement with changed
-	// attributes (default 500).
-	UpdatePenalty float64
-	// SuppressThreshold starts suppressing the route (default 2000).
-	SuppressThreshold float64
-	// ReuseThreshold reinstates a suppressed route once the decayed
-	// penalty falls below it (default 750).
-	ReuseThreshold float64
 	// HalfLife is the exponential decay half-life (default 15 min).
 	HalfLife time.Duration
-	// MaxSuppress caps the suppression time (default 60 min); the
-	// penalty is clipped so a route is never suppressed longer.
-	MaxSuppress time.Duration
 }
 
-// Resolved returns the configuration with every zero field replaced
-// by its documented default — the exact values a router configured
-// with c runs with. Callers that need a stable, fully-specified echo
-// of the damping parameters (the canonical spec serialization behind
-// the artifact store) use this instead of duplicating the defaults.
+// The damping parameters every router runs with: the penalty each
+// withdrawal or changed re-advertisement adds, the penalty at which a
+// route is suppressed and the decayed one at which it is reused, and
+// the longest a route stays suppressed.
+const (
+	withdrawPenalty   = 1000
+	updatePenalty     = 500
+	suppressThreshold = 2000
+	reuseThreshold    = 750
+	maxSuppress       = time.Hour
+)
+
+// Resolved returns the configuration with a zero HalfLife replaced by
+// its documented default — the exact value a router configured with c
+// runs with. The canonical spec serialization behind the artifact
+// store uses this instead of duplicating the default.
 func (c DampingConfig) Resolved() DampingConfig {
-	c.setDefaults()
-	return c
-}
-
-func (c *DampingConfig) setDefaults() {
-	if c.WithdrawPenalty == 0 {
-		c.WithdrawPenalty = 1000
-	}
-	if c.UpdatePenalty == 0 {
-		c.UpdatePenalty = 500
-	}
-	if c.SuppressThreshold == 0 {
-		c.SuppressThreshold = 2000
-	}
-	if c.ReuseThreshold == 0 {
-		c.ReuseThreshold = 750
-	}
 	if c.HalfLife == 0 {
 		c.HalfLife = 15 * time.Minute
 	}
-	if c.MaxSuppress == 0 {
-		c.MaxSuppress = time.Hour
-	}
+	return c
 }
 
-// maxPenalty is the ceiling implied by MaxSuppress: a penalty that
-// would take longer than MaxSuppress to decay to the reuse threshold
+// maxPenalty is the ceiling implied by maxSuppress: a penalty that
+// would take longer than maxSuppress to decay to the reuse threshold
 // is clipped.
 func (c *DampingConfig) maxPenalty() float64 {
-	halfLives := float64(c.MaxSuppress) / float64(c.HalfLife)
-	return c.ReuseThreshold * math.Pow(2, halfLives)
+	halfLives := float64(maxSuppress) / float64(c.HalfLife)
+	return reuseThreshold * math.Pow(2, halfLives)
 }
 
 // dampState tracks one (session, prefix) flap history.
@@ -102,9 +82,8 @@ type damping struct {
 }
 
 func newDamping(cfg DampingConfig, r *Router) *damping {
-	cfg.setDefaults()
 	return &damping{
-		cfg:    cfg,
+		cfg:    cfg.Resolved(),
 		router: r,
 		state:  make(map[rib.PeerKey]map[netip.Prefix]*dampState),
 	}
@@ -140,7 +119,7 @@ func (d *damping) penalize(peer rib.PeerKey, prefix netip.Prefix, penalty float6
 // onWithdraw records a withdrawal flap. A withdrawal of a suppressed
 // route simply clears the stored reinstate candidate.
 func (d *damping) onWithdraw(peer rib.PeerKey, prefix netip.Prefix) {
-	s := d.penalize(peer, prefix, d.cfg.WithdrawPenalty)
+	s := d.penalize(peer, prefix, withdrawPenalty)
 	s.latest = nil
 }
 
@@ -151,10 +130,10 @@ func (d *damping) onUpdate(peer rib.PeerKey, prefix netip.Prefix, rt *rib.Route,
 	now := d.router.cfg.Clock.Now()
 	s := d.get(peer, prefix)
 	if changed {
-		s = d.penalize(peer, prefix, d.cfg.UpdatePenalty)
+		s = d.penalize(peer, prefix, updatePenalty)
 	}
 	p := s.decayedPenalty(&d.cfg, now)
-	if s.suppressed || p >= d.cfg.SuppressThreshold {
+	if s.suppressed || p >= suppressThreshold {
 		d.suppress(peer, prefix, s, rt, p)
 		return false
 	}
@@ -166,13 +145,13 @@ func (d *damping) suppress(peer rib.PeerKey, prefix netip.Prefix, s *dampState, 
 	s.suppressed = true
 	s.latest = rt
 	// Time until penalty decays to the reuse threshold.
-	ratio := penalty / d.cfg.ReuseThreshold
+	ratio := penalty / reuseThreshold
 	if ratio < 1 {
 		ratio = 1
 	}
 	wait := time.Duration(float64(d.cfg.HalfLife) * math.Log2(ratio))
-	if wait > d.cfg.MaxSuppress {
-		wait = d.cfg.MaxSuppress
+	if wait > maxSuppress {
+		wait = maxSuppress
 	}
 	if wait < time.Second {
 		wait = time.Second

@@ -21,12 +21,7 @@ type SessionConfig struct {
 	// HoldTime is proposed in OPEN; the negotiated value is
 	// min(local, remote).
 	HoldTime time.Duration
-	// ConnectRetry delays session re-establishment after a reset.
-	ConnectRetry time.Duration
-	// KeepaliveFraction divides the negotiated hold time to obtain the
-	// keepalive interval.
-	KeepaliveFraction int
-	Clock             sim.Clock
+	Clock    sim.Clock
 	// Send transmits one link frame to the neighbor: the frames.KindBGP
 	// byte and then the RFC 4271 message, in one buffer, so a transport
 	// that speaks package frames (a netem endpoint's Send) takes it as
@@ -63,6 +58,14 @@ type Owner interface {
 	// traced: no reader counts them.
 	Trace(TraceEvent)
 }
+
+// Every session sends keepalives at a third of the negotiated hold
+// time (RFC 4271 §10's suggestion), and a reset session retries after
+// connectRetry.
+const (
+	keepaliveFraction = 3
+	connectRetry      = 5 * time.Second
+)
 
 // FSM is the RFC 4271 §8 session machine over a message transport:
 // OPEN exchange, hold-time negotiation, keepalives, hold and
@@ -102,8 +105,6 @@ func (f *FSM) init(cfg SessionConfig, owner Owner) error {
 		return fmt.Errorf("session needs a clock")
 	case cfg.Send == nil:
 		return fmt.Errorf("session needs a send function")
-	case cfg.ConnectRetry == 0 || cfg.KeepaliveFraction == 0:
-		return fmt.Errorf("session needs a connect-retry interval and a keepalive fraction")
 	}
 	if cfg.Stats == nil {
 		cfg.Stats = new(Stats)
@@ -183,10 +184,10 @@ func (f *FSM) holdFire() {
 
 func (f *FSM) armRetry() {
 	if f.retryTimer != nil {
-		f.retryTimer.Reset(f.cfg.ConnectRetry)
+		f.retryTimer.Reset(connectRetry)
 		return
 	}
-	f.retryTimer = f.cfg.Clock.AfterFunc(f.cfg.ConnectRetry, f.startOpen)
+	f.retryTimer = f.cfg.Clock.AfterFunc(connectRetry, f.startOpen)
 }
 
 func (f *FSM) sendOpen() error {
@@ -259,7 +260,7 @@ func (f *FSM) SendUpdate(u *wire.Update) error {
 }
 
 // notify tells the neighbor why the session is going down, then resets
-// it; the session retries after ConnectRetry.
+// it; the session retries after connectRetry.
 func (f *FSM) notify(code, subcode uint8) {
 	_ = f.Send(wire.Notification{Code: code, Subcode: subcode}) // the reset follows either way
 	f.cfg.Stats.NotificationsSent++
@@ -395,10 +396,7 @@ func (f *FSM) armKeepalive() {
 	if f.holdTime == 0 {
 		return
 	}
-	interval := f.holdTime / time.Duration(f.cfg.KeepaliveFraction)
-	if interval <= 0 {
-		interval = time.Second
-	}
+	interval := f.holdTime / keepaliveFraction
 	if f.keepaliveTimer != nil {
 		f.keepaliveTimer.Reset(interval)
 		return
@@ -420,7 +418,7 @@ func (f *FSM) keepaliveFire() {
 
 // reset tears the session down. When reconnect is true and the
 // transport is still up, re-establishment is retried after
-// ConnectRetry.
+// connectRetry.
 func (f *FSM) reset(reconnect bool) {
 	wasEstablished := f.state == StateEstablished
 	if f.state != StateIdle {

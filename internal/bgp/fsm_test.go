@@ -31,13 +31,11 @@ func newFSMRig(t testing.TB) *fsmRig {
 	t.Helper()
 	r := &fsmRig{k: sim.NewKernel(1)}
 	f, err := NewFSM(SessionConfig{
-		LocalASN:          1,
-		LocalID:           idr.RouterIDFromAddr(netip.MustParseAddr("172.16.0.1")),
-		RemoteASN:         2,
-		HoldTime:          90 * time.Second,
-		ConnectRetry:      5 * time.Second,
-		KeepaliveFraction: 3,
-		Clock:             r.k,
+		LocalASN:  1,
+		LocalID:   idr.RouterIDFromAddr(netip.MustParseAddr("172.16.0.1")),
+		RemoteASN: 2,
+		HoldTime:  90 * time.Second,
+		Clock:     r.k,
 		Send: func(b []byte) error {
 			if r.sendErr != nil {
 				return r.sendErr
@@ -410,12 +408,10 @@ func TestHandshakeArmsOneHoldTimer(t *testing.T) {
 func TestNewFSMValidation(t *testing.T) {
 	rig := newFSMRig(t)
 	for name, mutate := range map[string]func(*SessionConfig){
-		"local ASN":          func(c *SessionConfig) { c.LocalASN = 0 },
-		"remote ASN":         func(c *SessionConfig) { c.RemoteASN = 0 },
-		"clock":              func(c *SessionConfig) { c.Clock = nil },
-		"send":               func(c *SessionConfig) { c.Send = nil },
-		"connect-retry":      func(c *SessionConfig) { c.ConnectRetry = 0 },
-		"keepalive fraction": func(c *SessionConfig) { c.KeepaliveFraction = 0 },
+		"local ASN":  func(c *SessionConfig) { c.LocalASN = 0 },
+		"remote ASN": func(c *SessionConfig) { c.RemoteASN = 0 },
+		"clock":      func(c *SessionConfig) { c.Clock = nil },
+		"send":       func(c *SessionConfig) { c.Send = nil },
 	} {
 		cfg := rig.f.cfg
 		mutate(&cfg)

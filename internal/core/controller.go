@@ -67,8 +67,8 @@ type Config struct {
 	// debouncing entirely (recompute immediately — the ablation case).
 	Debounce time.Duration
 	// Timers are the protocol timers of the legacy routers; external
-	// sessions take their hold time, connect-retry and keepalive
-	// fraction from them (zero fields select bgp.DefaultTimers' values).
+	// sessions take their hold time from them (zero selects
+	// bgp.DefaultTimers' value).
 	Timers bgp.Timers
 	// OnRecompute, when set, observes every recomputation batch.
 	OnRecompute func(dirty int)
@@ -313,13 +313,11 @@ func (c *Controller) AddExternalPeering(borderASN idr.ASN, port uint32, remoteAS
 		adjIn:      make(map[netip.Prefix]bool),
 	}
 	fsm, err := bgp.NewFSM(bgp.SessionConfig{
-		LocalASN:          borderASN,
-		LocalID:           localID,
-		RemoteASN:         remoteASN,
-		HoldTime:          c.cfg.Timers.HoldTime,
-		ConnectRetry:      c.cfg.Timers.ConnectRetry,
-		KeepaliveFraction: c.cfg.Timers.KeepaliveFraction,
-		Clock:             c.cfg.Clock,
+		LocalASN:  borderASN,
+		LocalID:   localID,
+		RemoteASN: remoteASN,
+		HoldTime:  c.cfg.Timers.HoldTime,
+		Clock:     c.cfg.Clock,
 		Send: func(frame []byte) error {
 			return c.sendPacketOut(m, port, frame)
 		},

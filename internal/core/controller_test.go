@@ -486,13 +486,13 @@ func TestConfigAndWiringValidation(t *testing.T) {
 // TestExternalSessionFollowsConfiguredTimers pins that the cluster's
 // external sessions run on Config.Timers, like the legacy routers they
 // peer with: a border session and a bgp.Router share one kernel, the
-// router's side of the session drops with a NOTIFICATION, and the
-// controller re-OPENs after the configured connect-retry — not after
-// the 5s default the call site used to pass as a constant.
+// controller's OPEN proposes the configured hold time, and the
+// negotiated session keeps alive every third of it — not on the 90s
+// default the router proposes.
 func TestExternalSessionFollowsConfiguredTimers(t *testing.T) {
-	const retry = 11 * time.Second
+	const hold = 9 * time.Second
 	k := sim.NewKernel(1)
-	c, err := New(Config{Clock: k, Debounce: -1, Timers: bgp.Timers{ConnectRetry: retry}})
+	c, err := New(Config{Clock: k, Debounce: -1, Timers: bgp.Timers{HoldTime: hold}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,21 +501,24 @@ func TestExternalSessionFollowsConfiguredTimers(t *testing.T) {
 		RouterID: idr.RouterIDFromAddr(netip.MustParseAddr("172.16.0.2")),
 		Clock:    k,
 		Rand:     k.Rand(),
-		Timers:   bgp.Timers{ConnectRetry: retry},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The member switch, reduced to its relay role: PacketOut payloads
 	// go to the router, the router's frames come back as PacketIn.
-	var opens []time.Duration
+	var opens []wire.Open
+	var keepalives []time.Duration
 	toRouter := relay(func(frame []byte) error {
 		_, bgpFrame, err := frames.Decode(frame)
 		if err != nil {
 			return err
 		}
-		if m, err := wire.Unmarshal(bgpFrame); err == nil && m.Type() == wire.MsgOpen {
-			opens = append(opens, k.Now().Sub(sim.Epoch))
+		switch m, _ := wire.Unmarshal(bgpFrame); m := m.(type) {
+		case wire.Open:
+			opens = append(opens, m)
+		case wire.Keepalive:
+			keepalives = append(keepalives, k.Now().Sub(sim.Epoch))
 		}
 		k.Go(func() { router.Peers()["to-AS11"].Deliver(bgpFrame) })
 		return nil
@@ -565,28 +568,26 @@ func TestExternalSessionFollowsConfiguredTimers(t *testing.T) {
 		t.Fatalf("setup: controller %v, router %v", sess.State(), peer.State())
 	}
 
-	// The router's transport bounces: its Cease takes the session down,
-	// which must wait out the configured connect-retry before its OPEN.
-	resetAt := k.Now().Sub(sim.Epoch)
-	opens = nil
-	cease, err := wire.Marshal(wire.Notification{Code: wire.NotifCease})
-	if err != nil {
+	if len(opens) != 1 || opens[0].HoldTimeSecs != uint16(hold/time.Second) {
+		t.Fatalf("controller OPENs %+v, want one proposing the configured %v hold time", opens, hold)
+	}
+
+	// Past the router's 90s proposal the session still stands, kept
+	// alive every hold/3 of the negotiated 9s.
+	keepalives = nil
+	if err := k.RunFor(4 * hold); err != nil {
 		t.Fatal(err)
 	}
-	if err := toController(frames.Encode(frames.KindBGP, cease)); err != nil {
-		t.Fatal(err)
+	if sess.State() != bgp.StateEstablished || peer.State() != bgp.StateEstablished {
+		t.Fatalf("after %v: controller %v, router %v", 4*hold, sess.State(), peer.State())
 	}
-	if err := k.RunFor(retry - time.Second); err != nil {
-		t.Fatal(err)
+	if len(keepalives) < 2 {
+		t.Fatalf("controller sent %d keepalives in %v, want one every %v", len(keepalives), 4*hold, hold/3)
 	}
-	if len(opens) != 0 {
-		t.Fatalf("controller re-OPENed %v after the reset, before the configured %v connect-retry", opens[0]-resetAt, retry)
-	}
-	if err := k.RunFor(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if len(opens) == 0 || opens[0]-resetAt != retry {
-		t.Fatalf("controller OPENs after the reset at %v, want exactly one connect-retry (%v) later", opens, retry)
+	for i := 1; i < len(keepalives); i++ {
+		if d := keepalives[i] - keepalives[i-1]; d != hold/3 {
+			t.Fatalf("keepalives %v apart, want hold/3 = %v", d, hold/3)
+		}
 	}
 }
 

@@ -16,11 +16,9 @@ import (
 // explore quickly.
 func fastTimers() bgp.Timers {
 	return bgp.Timers{
-		HoldTime:          90 * time.Second,
-		KeepaliveFraction: 3,
-		ConnectRetry:      time.Second,
-		MRAI:              2 * time.Second,
-		MRAIJitter:        false,
+		HoldTime:   90 * time.Second,
+		MRAI:       2 * time.Second,
+		MRAIJitter: false,
 	}
 }
 
@@ -344,7 +342,7 @@ func TestNewBytesPerLink(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's runtime adds allocations of its own")
 	}
-	g, err := topology.SynthesizeInternetLike(topology.InternetLikeConfig{ASes: 300}, newSeededRand(1))
+	g, err := topology.SynthesizeInternetLike(300, newSeededRand(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +372,7 @@ func TestEstablishBytesPerSession(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's runtime adds allocations of its own")
 	}
-	g, err := topology.SynthesizeInternetLike(topology.InternetLikeConfig{ASes: 300}, newSeededRand(1))
+	g, err := topology.SynthesizeInternetLike(300, newSeededRand(1))
 	if err != nil {
 		t.Fatal(err)
 	}

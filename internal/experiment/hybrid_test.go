@@ -105,7 +105,7 @@ func TestInternetLikeHybridReachability(t *testing.T) {
 func buildInternetLike(t *testing.T, n int, members []idr.ASN) *Experiment {
 	t.Helper()
 	k := newSeededRand(77)
-	g, err := topology.SynthesizeInternetLike(topology.InternetLikeConfig{ASes: n}, k)
+	g, err := topology.SynthesizeInternetLike(n, k)
 	if err != nil {
 		t.Fatal(err)
 	}

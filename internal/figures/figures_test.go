@@ -304,8 +304,8 @@ func TestFlapStabilityAblation(t *testing.T) {
 	topo := lab.TopoSpec{Kind: "clique", N: 6}
 	res := build(t, "flap", Options{Topo: &topo, BaseSeed: 13, MRAI: 5 * time.Second},
 		func(sw *lab.Sweep) {
-			sw.Base.FlapCycles = 4
-			sw.Base.FlapPeriod = 10 * time.Second
+			sw.Base.Workload = lab.FlapWorkload(4, 10*time.Second)
+			sw.Base.Drain = 10 * time.Minute
 		})
 	if len(res.Cells) != 3 {
 		t.Fatalf("cells = %d", len(res.Cells))

@@ -3,6 +3,7 @@ package lab
 import (
 	"encoding/json"
 	"fmt"
+	"time"
 )
 
 // The canonical spec serialization: a stable, fully-resolved byte
@@ -31,7 +32,9 @@ type canonicalEvent struct {
 }
 
 // canonicalDamping mirrors bgp.DampingConfig (nil when damping is
-// off), with the documented defaults resolved.
+// off), with the default half-life resolved. Only the half-life is
+// still a setting: the other fields emit the constants every router
+// damps with, so no address moves.
 type canonicalDamping struct {
 	WithdrawPenalty   float64 `json:"withdraw_penalty"`
 	UpdatePenalty     float64 `json:"update_penalty"`
@@ -55,10 +58,13 @@ type canonicalTrial struct {
 	KeepaliveFraction int              `json:"keepalive_fraction"`
 	ConnectRetryNS    int64            `json:"connect_retry_ns"`
 	MRAINS            int64            `json:"mrai_ns"`
-	// WithdrawalsImmediate and LinkJitterNS mirror knobs that are gone
-	// (explicit withdrawals always ride the MRAI batch; link jitter
-	// delayed only a send nothing called); they stay to emit the
-	// constants false and 0, so no address moves.
+	// KeepaliveFraction, ConnectRetryNS, WithdrawalsImmediate,
+	// LinkJitterNS, FlapCycles, FlapPeriodNS, TimeoutNS and
+	// EstablishTimeoutNS mirror knobs that are gone (each had one value
+	// in use; explicit withdrawals always ride the MRAI batch; link
+	// jitter delayed only a send nothing called). They stay to emit
+	// the constants the engine runs with, so no address moves; changing
+	// one of those constants is a canonicalVersion bump.
 	WithdrawalsImmediate bool              `json:"withdrawals_immediate"`
 	MRAIJitter           bool              `json:"mrai_jitter"`
 	DebounceNS           int64             `json:"debounce_ns"`
@@ -123,8 +129,8 @@ func (t Trial) canonical() canonicalTrial {
 		Event:              event,
 		DrainNS:            int64(t.Drain),
 		HoldTimeNS:         int64(t.Timers.HoldTime),
-		KeepaliveFraction:  t.Timers.KeepaliveFraction,
-		ConnectRetryNS:     int64(t.Timers.ConnectRetry),
+		KeepaliveFraction:  3,
+		ConnectRetryNS:     int64(5 * time.Second),
 		MRAINS:             int64(t.Timers.MRAI),
 		MRAIJitter:         t.Timers.MRAIJitter,
 		DebounceNS:         int64(t.Debounce),
@@ -132,11 +138,11 @@ func (t Trial) canonical() canonicalTrial {
 		ProcessingDelayNS:  int64(t.ProcessingDelay),
 		LinkDelayNS:        int64(t.LinkDelay),
 		LinkLoss:           t.LinkLoss,
-		FlapCycles:         t.FlapCycles,
-		FlapPeriodNS:       int64(t.FlapPeriod),
+		FlapCycles:         flapCycles,
+		FlapPeriodNS:       int64(flapPeriod),
 		OriginOnly:         t.OriginOnly,
-		TimeoutNS:          int64(t.Timeout),
-		EstablishTimeoutNS: int64(t.EstablishTimeout),
+		TimeoutNS:          int64(convergeTimeout),
+		EstablishTimeoutNS: int64(establishTimeout),
 	}
 	for _, ev := range t.Workload {
 		c.Workload = append(c.Workload, canonicalEvent{
@@ -148,17 +154,16 @@ func (t Trial) canonical() canonicalTrial {
 		})
 	}
 	if t.Damping != nil {
-		// Resolve the damping defaults through the same path the
-		// router uses, so DampingConfig{} and the spelled-out defaults
+		// Resolve the half-life default through the same path the
+		// router uses, so DampingConfig{} and the spelled-out default
 		// share an address.
-		d := t.Damping.Resolved()
 		c.Damping = &canonicalDamping{
-			WithdrawPenalty:   d.WithdrawPenalty,
-			UpdatePenalty:     d.UpdatePenalty,
-			SuppressThreshold: d.SuppressThreshold,
-			ReuseThreshold:    d.ReuseThreshold,
-			HalfLifeNS:        int64(d.HalfLife),
-			MaxSuppressNS:     int64(d.MaxSuppress),
+			WithdrawPenalty:   1000,
+			UpdatePenalty:     500,
+			SuppressThreshold: 2000,
+			ReuseThreshold:    750,
+			HalfLifeNS:        int64(t.Damping.Resolved().HalfLife),
+			MaxSuppressNS:     int64(time.Hour),
 		}
 	}
 	return c

@@ -256,9 +256,8 @@ func TestCanonicalDefaultsSpelledOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, mut := range map[string]func(*Sweep){
-		"runs":    func(s *Sweep) { s.Runs = 1 },
-		"timers":  func(s *Sweep) { s.Base.Timers = bgp.DefaultTimers() },
-		"timeout": func(s *Sweep) { s.Base.Timeout = 2 * time.Hour },
+		"runs":   func(s *Sweep) { s.Runs = 1 },
+		"timers": func(s *Sweep) { s.Base.Timers = bgp.DefaultTimers() },
 		// A hand-built Timers whose unset fields the router defaults
 		// anyway; jitter spelled out to match.
 		"partial timers": func(s *Sweep) { s.Base.Timers = bgp.Timers{MRAI: 30 * time.Second, MRAIJitter: true} },

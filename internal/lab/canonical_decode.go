@@ -30,7 +30,9 @@ var seedPolicyValues = map[string]SeedPolicy{
 // trialFromCanonical reconstructs the base trial from its canonical
 // mirror. Every canonical field is fully resolved, so the
 // reconstruction round-trips: re-resolving resolved values is the
-// identity.
+// identity. The fields that mirror retired knobs are not read: they
+// re-encode as their constants, so the round-trip gate in
+// ParseCanonical refuses any other value.
 func trialFromCanonical(c canonicalTrial) (Trial, error) {
 	var t Trial
 	var err error
@@ -69,11 +71,9 @@ func trialFromCanonical(c canonicalTrial) (Trial, error) {
 	}
 	t.Drain = time.Duration(c.DrainNS)
 	t.Timers = bgp.Timers{
-		HoldTime:          time.Duration(c.HoldTimeNS),
-		KeepaliveFraction: c.KeepaliveFraction,
-		ConnectRetry:      time.Duration(c.ConnectRetryNS),
-		MRAI:              time.Duration(c.MRAINS),
-		MRAIJitter:        c.MRAIJitter,
+		HoldTime:   time.Duration(c.HoldTimeNS),
+		MRAI:       time.Duration(c.MRAINS),
+		MRAIJitter: c.MRAIJitter,
 	}
 	t.Debounce = time.Duration(c.DebounceNS)
 	t.Settle = time.Duration(c.SettleNS)
@@ -81,20 +81,9 @@ func trialFromCanonical(c canonicalTrial) (Trial, error) {
 	t.LinkDelay = time.Duration(c.LinkDelayNS)
 	t.LinkLoss = c.LinkLoss
 	if c.Damping != nil {
-		t.Damping = &bgp.DampingConfig{
-			WithdrawPenalty:   c.Damping.WithdrawPenalty,
-			UpdatePenalty:     c.Damping.UpdatePenalty,
-			SuppressThreshold: c.Damping.SuppressThreshold,
-			ReuseThreshold:    c.Damping.ReuseThreshold,
-			HalfLife:          time.Duration(c.Damping.HalfLifeNS),
-			MaxSuppress:       time.Duration(c.Damping.MaxSuppressNS),
-		}
+		t.Damping = &bgp.DampingConfig{HalfLife: time.Duration(c.Damping.HalfLifeNS)}
 	}
-	t.FlapCycles = c.FlapCycles
-	t.FlapPeriod = time.Duration(c.FlapPeriodNS)
 	t.OriginOnly = c.OriginOnly
-	t.Timeout = time.Duration(c.TimeoutNS)
-	t.EstablishTimeout = time.Duration(c.EstablishTimeoutNS)
 	return t, nil
 }
 

@@ -45,18 +45,16 @@ func decodeSweeps() map[string]Sweep {
 		},
 		"flap-modes": {
 			Base: Trial{
-				Topo:       TopoSpec{Kind: "grid", N: 3, M: 3},
-				Event:      Flap,
-				FlapCycles: 4,
-				FlapPeriod: 10 * time.Second,
-				Damping:    &bgp.DampingConfig{HalfLife: 2 * time.Minute},
-				Drain:      10 * time.Minute,
+				Topo:    TopoSpec{Kind: "grid", N: 3, M: 3},
+				Event:   Flap,
+				Damping: &bgp.DampingConfig{HalfLife: 2 * time.Minute},
+				Drain:   10 * time.Minute,
 			},
 			Axis: Modes(ModeBGP, ModeDamping, ModeSDN),
 		},
 		"flap-period": {
-			// No axis sweeps the flap period; the base trial carries it.
-			Base: Trial{Topo: TopoSpec{Kind: "clique", N: 4}, Event: Flap, FlapCycles: 3, FlapPeriod: 20 * time.Second},
+			// A storm of another shape is spelled out as its schedule.
+			Base: Trial{Topo: TopoSpec{Kind: "clique", N: 4}, Workload: FlapWorkload(3, 20*time.Second), Drain: flapDrain},
 			Axis: MRAIs(5*time.Second, 20*time.Second),
 		},
 		"policy": {
@@ -215,6 +213,24 @@ func TestParseCanonicalRejects(t *testing.T) {
 		"negative establish timeout": strings.Replace(string(counts), `"establish_timeout_ns":300000000000`, `"establish_timeout_ns":-300000000000`, 1),
 		"negative settle":            strings.Replace(string(counts), `"settle_ns":0`, `"settle_ns":-1`, 1),
 		"negative drain":             strings.Replace(string(counts), `"drain_ns":0`, `"drain_ns":-1`, 1),
+		// Outside [0, 1] every run fails in experiment.New.
+		"link loss over 1":   strings.Replace(string(counts), `"link_loss":0,`, `"link_loss":1.5,`, 1),
+		"negative link loss": strings.Replace(string(counts), `"link_loss":0,`, `"link_loss":-0.25,`, 1),
+
+		// The knobs behind these fields are gone: each re-encodes as the
+		// constant the engine runs with, so the round-trip gate refuses
+		// any other value by itself.
+		"flap cycles 4":           strings.Replace(string(counts), `"flap_cycles":6`, `"flap_cycles":4`, 1),
+		"flap period 10s":         strings.Replace(string(counts), `"flap_period_ns":20000000000`, `"flap_period_ns":10000000000`, 1),
+		"timeout 1h":              strings.Replace(string(counts), `"timeout_ns":7200000000000`, `"timeout_ns":3600000000000`, 1),
+		"establish timeout 1m":    strings.Replace(string(counts), `"establish_timeout_ns":300000000000`, `"establish_timeout_ns":60000000000`, 1),
+		"keepalive fraction 4":    strings.Replace(string(counts), `"keepalive_fraction":3`, `"keepalive_fraction":4`, 1),
+		"connect retry 1s":        strings.Replace(string(counts), `"connect_retry_ns":5000000000`, `"connect_retry_ns":1000000000`, 1),
+		"withdraw penalty 900":    strings.Replace(string(modes), `"withdraw_penalty":1000`, `"withdraw_penalty":900`, 1),
+		"update penalty 400":      strings.Replace(string(modes), `"update_penalty":500`, `"update_penalty":400`, 1),
+		"suppress threshold 3000": strings.Replace(string(modes), `"suppress_threshold":2000`, `"suppress_threshold":3000`, 1),
+		"reuse threshold 800":     strings.Replace(string(modes), `"reuse_threshold":750`, `"reuse_threshold":800`, 1),
+		"max suppress 30m":        strings.Replace(string(modes), `"max_suppress_ns":3600000000000`, `"max_suppress_ns":1800000000000`, 1),
 
 		"junk":           "not json",
 		"version skew":   strings.Replace(string(data), `"version":2`, `"version":1`, 1),

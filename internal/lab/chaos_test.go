@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/monitor"
 )
@@ -74,7 +73,6 @@ func TestLossySweepDeterministicAcrossParallelism(t *testing.T) {
 func TestTotalLossIsDefinedNonConvergence(t *testing.T) {
 	s := baseSweep()
 	s.Base.LinkLoss = 1.0
-	s.Base.EstablishTimeout = time.Minute // virtual time: fails fast
 	s.Axis = SDNCounts(0)
 	s.Runs = 1
 

@@ -13,11 +13,9 @@ import (
 // stream position (and so the per-run seed) matter.
 func snapTimers(jitter bool) bgp.Timers {
 	return bgp.Timers{
-		HoldTime:          90 * time.Second,
-		KeepaliveFraction: 3,
-		ConnectRetry:      time.Second,
-		MRAI:              2 * time.Second,
-		MRAIJitter:        jitter,
+		HoldTime:   90 * time.Second,
+		MRAI:       2 * time.Second,
+		MRAIJitter: jitter,
 	}
 }
 

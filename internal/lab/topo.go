@@ -174,7 +174,7 @@ func (s TopoSpec) Build(rng *rand.Rand) (*topology.Graph, error) {
 		if rng == nil {
 			return nil, fmt.Errorf("lab: topology internet needs a random source")
 		}
-		return topology.SynthesizeInternetLike(topology.InternetLikeConfig{ASes: s.N}, rng)
+		return topology.SynthesizeInternetLike(s.N, rng)
 	case "er":
 		return topology.ErdosRenyi(s.N, s.P, rng)
 	case "ba":

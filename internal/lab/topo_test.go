@@ -2,12 +2,14 @@ package lab
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/bgp"
 	"repro/internal/idr"
 	"repro/internal/topology"
 )
@@ -287,5 +289,40 @@ func TestPlacementErrors(t *testing.T) {
 	}
 	if _, err := (Placement{Strategy: "random", K: 1}).Select(g); err == nil {
 		t.Fatal("unknown strategy should error")
+	}
+}
+
+// TestEmptyClusterIgnoresPlacement is a metamorphic check, one that
+// needs no oracle: a cluster of K = 0 members is pure BGP whichever
+// strategy would have chosen them, so the trial's JSON Result is
+// byte-identical under every placement.
+func TestEmptyClusterIgnoresPlacement(t *testing.T) {
+	timers := bgp.DefaultTimers()
+	timers.MRAI = 5 * time.Second
+	for _, topo := range []TopoSpec{{Kind: "clique", N: 8}, {Kind: "internet", N: 40}} {
+		var want []byte
+		for _, strategy := range []string{PlaceNone, PlaceLast, PlaceFirst, PlaceDegree} {
+			tr := Trial{
+				Topo:            topo,
+				Placement:       Placement{Strategy: strategy},
+				Timers:          timers,
+				ProcessingDelay: 25 * time.Millisecond,
+				Seed:            5,
+				TopoSeed:        9,
+			}
+			res, err := tr.Run()
+			if err != nil {
+				t.Fatalf("%s, placement %s: %v", topo, strategy, err)
+			}
+			got, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = got
+			} else if !bytes.Equal(got, want) {
+				t.Fatalf("%s: placement %s 0 gives\n%s\nwant (placement none)\n%s", topo, strategy, got, want)
+			}
+		}
 	}
 }

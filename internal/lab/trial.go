@@ -50,7 +50,7 @@ const (
 	// while the prefix stays reachable over the backup (§4).
 	Failover Event = Event(KindFailover)
 	// Flap: the origin withdraws and re-announces its prefix for
-	// FlapCycles periods of FlapPeriod — the stability-ablation storm.
+	// flapCycles periods of flapPeriod — the stability-ablation storm.
 	Flap Event = Event(KindFlap)
 	// Hijack: the highest-numbered AS still running legacy BGP
 	// announces the origin's prefix (a bogus origination). The result
@@ -132,11 +132,6 @@ type Trial struct {
 	LinkLoss float64
 	// Damping enables RFC 2439 route-flap damping on legacy routers.
 	Damping *bgp.DampingConfig
-	// FlapCycles is the number of withdraw/announce cycles of the Flap
-	// event (default 6).
-	FlapCycles int
-	// FlapPeriod is the duration of one flap cycle (default 20s).
-	FlapPeriod time.Duration
 	// OriginOnly restricts the warm-up to announcing only the trial
 	// origin's prefix instead of every AS's. At internet-like scale a
 	// full-table warm-up costs O(N²) RIB entries (every router holds a
@@ -155,10 +150,6 @@ type Trial struct {
 	// run instead of confounding the swept axis with topology
 	// variation — Sweep.Run pins it to the sweep's BaseSeed.
 	TopoSeed int64
-	// Timeout bounds each convergence wait (default 2h virtual).
-	Timeout time.Duration
-	// EstablishTimeout bounds session establishment (default 5m).
-	EstablishTimeout time.Duration
 	// WallLimit bounds the trial's real (wall-clock) execution time;
 	// when exceeded the kernel aborts with sim.ErrWallBudget. It is an
 	// execution guard, not part of the trial's canonical identity: it
@@ -210,46 +201,40 @@ func (t Trial) withDefaults() Trial {
 	if t.Timers == (bgp.Timers{}) {
 		t.Timers = bgp.DefaultTimers()
 	}
-	if t.Timeout == 0 {
-		t.Timeout = 2 * time.Hour
-	}
-	if t.EstablishTimeout == 0 {
-		t.EstablishTimeout = 5 * time.Minute
-	}
-	if t.FlapCycles == 0 {
-		t.FlapCycles = 6
-	}
-	if t.FlapPeriod == 0 {
-		t.FlapPeriod = 20 * time.Second
-	}
 	return t
 }
 
+// The fixed shape of every trial: the Flap storm's cycle count and
+// period, and the virtual-time bounds on each convergence wait and on
+// session establishment.
+const (
+	flapCycles       = 6
+	flapPeriod       = 20 * time.Second
+	convergeTimeout  = 2 * time.Hour
+	establishTimeout = 5 * time.Minute
+)
+
 // validate refuses base-trial values no run can honour, the checks
 // every other front door (the DSL, the override flags, the axes)
-// already makes: a hold time an OPEN cannot carry, a negative flap
-// count (it panics), and a negative MRAI, delay, window or timeout (no
-// MRAI at all, a storm scheduled before its trigger, runs that fail
-// after admission, or a second spelling of the zero-drain run). Zero
-// stays "unset" everywhere; Debounce is free to be negative, which
-// disables the controller delay.
+// already makes: a hold time an OPEN cannot carry, a link loss outside
+// [0, 1], and a negative MRAI, delay or window (no MRAI at all, runs
+// that fail after admission, or a second spelling of the zero-drain
+// run). Zero stays "unset" everywhere; Debounce is free to be
+// negative, which disables the controller delay.
 func (t Trial) validate() error {
 	if err := bgp.CheckHoldTime(t.Timers.HoldTime); err != nil {
 		return fmt.Errorf("lab: %w", err)
 	}
-	if t.FlapCycles < 0 {
-		return fmt.Errorf("lab: flap cycles %d is negative", t.FlapCycles)
+	if !(t.LinkLoss >= 0 && t.LinkLoss <= 1) {
+		return fmt.Errorf("lab: link loss %v outside [0, 1]", t.LinkLoss)
 	}
 	for _, d := range []struct {
 		name string
 		v    time.Duration
 	}{
 		{"MRAI", t.Timers.MRAI},
-		{"flap period", t.FlapPeriod},
 		{"link delay", t.LinkDelay},
 		{"processing delay", t.ProcessingDelay},
-		{"timeout", t.Timeout},
-		{"establish timeout", t.EstablishTimeout},
 		{"settle window", t.Settle},
 		{"drain", t.Drain},
 	} {
@@ -282,7 +267,7 @@ func (t Trial) workload() (Workload, time.Duration, error) {
 		if drain == 0 {
 			drain = flapDrain
 		}
-		return FlapWorkload(t.FlapCycles, t.FlapPeriod), drain, nil
+		return FlapWorkload(flapCycles, flapPeriod), drain, nil
 	default:
 		return nil, 0, fmt.Errorf("lab: unknown event %v", t.Event)
 	}
@@ -418,7 +403,7 @@ func (p *prepared) warmup() (*experiment.Experiment, error) {
 	if err := e.Start(); err != nil {
 		return nil, err
 	}
-	if err := e.WaitEstablished(p.trial.EstablishTimeout); err != nil {
+	if err := e.WaitEstablished(establishTimeout); err != nil {
 		return nil, err
 	}
 
@@ -438,7 +423,7 @@ func (p *prepared) warmup() (*experiment.Experiment, error) {
 			return nil, err
 		}
 	}
-	if _, err := e.WaitConverged(p.trial.Timeout); err != nil {
+	if _, err := e.WaitConverged(convergeTimeout); err != nil {
 		return nil, err
 	}
 	return e, nil
@@ -458,7 +443,7 @@ func (p *prepared) measure(e *experiment.Experiment) (Result, error) {
 	epochs, hijacked, err := executeWorkload(e, p.w, workloadRun{
 		origin:  p.origin,
 		prefix:  prefix,
-		timeout: p.trial.Timeout,
+		timeout: convergeTimeout,
 		drain:   p.drain,
 	})
 	if err != nil {

@@ -579,7 +579,7 @@ func RunWorkload(e *experiment.Experiment, w Workload, origin idr.ASN, timeout, 
 		return nil, err
 	}
 	if timeout <= 0 {
-		timeout = 2 * time.Hour
+		timeout = convergeTimeout
 	}
 	epochs, _, err := executeWorkload(e, w, workloadRun{
 		origin:  origin,

@@ -50,8 +50,25 @@ func TestEventNameRoundTrip(t *testing.T) {
 	}
 }
 
+// parseWorkloadGood and parseWorkloadBad are TestParseWorkload's
+// inputs, which also seed FuzzParseWorkload.
+var (
+	parseWorkloadGood = "at 0s withdraw; at 10m announce 3;\nat 15m linkdown 1 2; at 16m linkup 1 2; at 20m migrate 4; at 21m failover 5 6; at 22m hijack"
+	parseWorkloadBad  = []string{
+		"",                      // empty schedule
+		"at x withdraw",         // bad offset
+		"at 0s explode",         // unknown verb
+		"at 0s linkdown 1",      // missing endpoint
+		"at 0s withdraw 1 2",    // too many targets
+		"at 0s flap",            // trial sugar, not schedulable
+		"at -5s withdraw",       // negative offset
+		"at 0s failover 1",      // failover takes 0 or 2 targets
+		"at 0s announce twelve", // bad AS
+	}
+)
+
 func TestParseWorkload(t *testing.T) {
-	w, err := ParseWorkload("at 0s withdraw; at 10m announce 3;\nat 15m linkdown 1 2; at 16m linkup 1 2; at 20m migrate 4; at 21m failover 5 6; at 22m hijack")
+	w, err := ParseWorkload(parseWorkloadGood)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,17 +87,7 @@ func TestParseWorkload(t *testing.T) {
 	if got := w.String(); !strings.Contains(got, "withdraw@0s") || !strings.Contains(got, "linkdown(1-2)@15m0s") {
 		t.Fatalf("Workload.String = %q", got)
 	}
-	for _, bad := range []string{
-		"",                      // empty schedule
-		"at x withdraw",         // bad offset
-		"at 0s explode",         // unknown verb
-		"at 0s linkdown 1",      // missing endpoint
-		"at 0s withdraw 1 2",    // too many targets
-		"at 0s flap",            // trial sugar, not schedulable
-		"at -5s withdraw",       // negative offset
-		"at 0s failover 1",      // failover takes 0 or 2 targets
-		"at 0s announce twelve", // bad AS
-	} {
+	for _, bad := range parseWorkloadBad {
 		if _, err := ParseWorkload(bad); err == nil {
 			t.Fatalf("ParseWorkload(%q) should error", bad)
 		}
@@ -149,12 +156,11 @@ func TestFlapConvergenceDefined(t *testing.T) {
 	timers := bgp.DefaultTimers()
 	timers.MRAI = 5 * time.Second
 	trial := Trial{
-		Topo:       TopoSpec{Kind: "clique", N: 6},
-		Event:      Flap,
-		FlapCycles: 4,
-		FlapPeriod: 10 * time.Second,
-		Timers:     timers,
-		Seed:       13,
+		Topo:     TopoSpec{Kind: "clique", N: 6},
+		Workload: FlapWorkload(4, 10*time.Second),
+		Drain:    flapDrain,
+		Timers:   timers,
+		Seed:     13,
 	}
 	res, err := trial.Run()
 	if err != nil {

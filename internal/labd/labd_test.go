@@ -414,11 +414,11 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		"size axis value too small": {Client: "x", Spec: smallRingSweep},
 		// Admitted once, then no session ever opened.
 		"hold time under 3s": {Client: "x", Spec: badBase(func(tr *lab.Trial) { tr.Timers.HoldTime = 2 * time.Second })},
-		// Admitted once, then every run panicked, failed or ran with
-		// no MRAI at all.
-		"negative flap cycles": {Client: "x", Spec: badBase(func(tr *lab.Trial) { tr.FlapCycles = -1 })},
-		"negative base mrai":   {Client: "x", Spec: badBase(func(tr *lab.Trial) { tr.Timers.MRAI = -time.Second })},
-		"negative link delay":  {Client: "x", Spec: badBase(func(tr *lab.Trial) { tr.LinkDelay = -time.Millisecond })},
+		// Admitted once, then every run failed or ran with no MRAI at
+		// all.
+		"link loss over 1":    {Client: "x", Spec: badBase(func(tr *lab.Trial) { tr.LinkLoss = 1.5 })},
+		"negative base mrai":  {Client: "x", Spec: badBase(func(tr *lab.Trial) { tr.Timers.MRAI = -time.Second })},
+		"negative link delay": {Client: "x", Spec: badBase(func(tr *lab.Trial) { tr.LinkDelay = -time.Millisecond })},
 	}
 	for name, req := range cases {
 		if _, code := postJSON(t, url, req); code != http.StatusBadRequest {

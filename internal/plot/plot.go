@@ -1,6 +1,6 @@
-// Package plot renders the framework's measurement results as SVG:
-// boxplot series (the paper's Figure 2 presentation) and route-change
-// timelines. Pure stdlib; output is a standalone SVG document.
+// Package plot renders the framework's measurement results as SVG
+// boxplot series (the paper's Figure 2 presentation). Pure stdlib;
+// output is a standalone SVG document.
 package plot
 
 import (
@@ -28,30 +28,21 @@ type BoxplotConfig struct {
 	// chart stays traceable to the archived configuration that
 	// produced it even after it is copied out of the report.
 	Subtitle string
-	// Width and Height of the SVG canvas (defaults 640x420).
-	Width, Height int
 }
 
+// The boxplot canvas and its margins.
 const (
+	width        = 640
+	height       = 420
 	marginLeft   = 70
 	marginRight  = 20
 	marginTop    = 40
 	marginBottom = 55
 )
 
-func (c *BoxplotConfig) setDefaults() {
-	if c.Width == 0 {
-		c.Width = 640
-	}
-	if c.Height == 0 {
-		c.Height = 420
-	}
-}
-
 // WriteBoxplot renders the series as an SVG boxplot chart, one box per
 // entry in order — the shape of the paper's Figure 2.
 func WriteBoxplot(w io.Writer, cfg BoxplotConfig, boxes []Box) error {
-	cfg.setDefaults()
 	if len(boxes) == 0 {
 		return fmt.Errorf("plot: no boxes to draw")
 	}
@@ -66,8 +57,8 @@ func WriteBoxplot(w io.Writer, cfg BoxplotConfig, boxes []Box) error {
 	}
 	maxY *= 1.08 // headroom
 
-	plotW := float64(cfg.Width - marginLeft - marginRight)
-	plotH := float64(cfg.Height - marginTop - marginBottom)
+	plotW := float64(width - marginLeft - marginRight)
+	plotH := float64(height - marginTop - marginBottom)
 	yOf := func(v float64) float64 {
 		return float64(marginTop) + plotH*(1-v/maxY)
 	}
@@ -76,39 +67,39 @@ func WriteBoxplot(w io.Writer, cfg BoxplotConfig, boxes []Box) error {
 
 	var sb strings.Builder
 	fmt.Fprintf(&sb, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" font-family="sans-serif" font-size="11">`+"\n",
-		cfg.Width, cfg.Height)
+		width, height)
 	sb.WriteString(`<rect width="100%" height="100%" fill="white"/>` + "\n")
 	if cfg.Title != "" {
 		fmt.Fprintf(&sb, `<text x="%d" y="20" text-anchor="middle" font-size="14">%s</text>`+"\n",
-			cfg.Width/2, escape(cfg.Title))
+			width/2, escape(cfg.Title))
 	}
 	if cfg.Subtitle != "" {
 		fmt.Fprintf(&sb, `<text x="%d" y="34" text-anchor="middle" font-size="9" fill="#666">%s</text>`+"\n",
-			cfg.Width/2, escape(cfg.Subtitle))
+			width/2, escape(cfg.Subtitle))
 	}
 
 	// Axes.
 	fmt.Fprintf(&sb, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="black"/>`+"\n",
-		marginLeft, marginTop, marginLeft, cfg.Height-marginBottom)
+		marginLeft, marginTop, marginLeft, height-marginBottom)
 	fmt.Fprintf(&sb, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="black"/>`+"\n",
-		marginLeft, cfg.Height-marginBottom, cfg.Width-marginRight, cfg.Height-marginBottom)
+		marginLeft, height-marginBottom, width-marginRight, height-marginBottom)
 
 	// Y ticks and gridlines.
 	for i := 0; i <= 5; i++ {
 		v := maxY * float64(i) / 5
 		y := yOf(v)
 		fmt.Fprintf(&sb, `<line x1="%d" y1="%.1f" x2="%d" y2="%.1f" stroke="#ddd"/>`+"\n",
-			marginLeft, y, cfg.Width-marginRight, y)
+			marginLeft, y, width-marginRight, y)
 		fmt.Fprintf(&sb, `<text x="%d" y="%.1f" text-anchor="end">%s</text>`+"\n",
 			marginLeft-6, y+4, formatTick(v))
 	}
 	if cfg.YLabel != "" {
 		fmt.Fprintf(&sb, `<text x="14" y="%d" transform="rotate(-90 14 %d)" text-anchor="middle">%s</text>`+"\n",
-			cfg.Height/2, cfg.Height/2, escape(cfg.YLabel))
+			height/2, height/2, escape(cfg.YLabel))
 	}
 	if cfg.XLabel != "" {
 		fmt.Fprintf(&sb, `<text x="%d" y="%d" text-anchor="middle">%s</text>`+"\n",
-			marginLeft+int(plotW/2), cfg.Height-12, escape(cfg.XLabel))
+			marginLeft+int(plotW/2), height-12, escape(cfg.XLabel))
 	}
 
 	// Boxes.
@@ -135,7 +126,7 @@ func WriteBoxplot(w io.Writer, cfg BoxplotConfig, boxes []Box) error {
 				left, yOf(s.Median), right, yOf(s.Median))
 		}
 		fmt.Fprintf(&sb, `<text x="%.1f" y="%d" text-anchor="middle">%s</text>`+"\n",
-			cx, cfg.Height-marginBottom+16, escape(b.Label))
+			cx, height-marginBottom+16, escape(b.Label))
 	}
 	sb.WriteString("</svg>\n")
 	_, err := io.WriteString(w, sb.String())

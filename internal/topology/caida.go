@@ -95,39 +95,18 @@ func WriteCAIDA(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// InternetLikeConfig parameterises SynthesizeInternetLike.
-type InternetLikeConfig struct {
-	// ASes is the total number of ASes (more than Tier1s).
-	ASes int
-	// Tier1s is the size of the fully-meshed top clique (default
-	// DefaultTier1s).
-	Tier1s int
-	// AvgProviders is the mean number of providers per non-tier-1 AS
-	// (default 1.8, after measured multihoming rates).
-	AvgProviders float64
-	// PeerProb is the probability that two ASes at similar hierarchy
-	// depth peer (default 0.05).
-	PeerProb float64
-}
-
-// DefaultTier1s is the default tier-1 clique size, so the default
-// configuration needs at least MinInternetLike ASes.
+// The shape of every internet-like graph: the size of the
+// fully-meshed tier-1 clique, the mean number of providers per
+// non-tier-1 AS (after measured multihoming rates), and the
+// probability that two ASes at similar hierarchy depth peer.
 const (
-	DefaultTier1s   = 3
-	MinInternetLike = DefaultTier1s + 1
+	tier1s       = 3
+	avgProviders = 1.8
+	peerProb     = 0.05
 )
 
-func (c *InternetLikeConfig) setDefaults() {
-	if c.Tier1s == 0 {
-		c.Tier1s = DefaultTier1s
-	}
-	if c.AvgProviders == 0 {
-		c.AvgProviders = 1.8
-	}
-	if c.PeerProb == 0 {
-		c.PeerProb = 0.05
-	}
-}
+// MinInternetLike is the fewest ASes SynthesizeInternetLike accepts.
+const MinInternetLike = tier1s + 1
 
 // SynthesizeInternetLike generates a CAIDA-style AS graph: a tier-1
 // clique of peers, a provider hierarchy grown by degree-preferential
@@ -135,20 +114,19 @@ func (c *InternetLikeConfig) setDefaults() {
 // real CAIDA dataset is no longer redistributable with this repo, so
 // experiments use this generator (see DESIGN.md substitutions); the
 // output round-trips through WriteCAIDA/ReadCAIDA.
-func SynthesizeInternetLike(cfg InternetLikeConfig, rng *rand.Rand) (*Graph, error) {
-	cfg.setDefaults()
-	if cfg.ASes < cfg.Tier1s+1 {
-		return nil, fmt.Errorf("topology: need more than %d ASes, got %d", cfg.Tier1s, cfg.ASes)
+func SynthesizeInternetLike(ases int, rng *rand.Rand) (*Graph, error) {
+	if ases < MinInternetLike {
+		return nil, fmt.Errorf("topology: need more than %d ASes, got %d", tier1s, ases)
 	}
 	if rng == nil {
 		return nil, fmt.Errorf("topology: SynthesizeInternetLike needs a random source")
 	}
 	g := New()
-	asns := asnRange(cfg.ASes)
-	depth := make(map[idr.ASN]int, cfg.ASes)
+	asns := asnRange(ases)
+	depth := make(map[idr.ASN]int, ases)
 
 	// Tier-1 clique.
-	for i := 0; i < cfg.Tier1s; i++ {
+	for i := 0; i < tier1s; i++ {
 		g.AddNode(asns[i])
 		depth[asns[i]] = 0
 		for j := 0; j < i; j++ {
@@ -160,12 +138,12 @@ func SynthesizeInternetLike(cfg InternetLikeConfig, rng *rand.Rand) (*Graph, err
 
 	// Degree-weighted provider pool (each provider appears once per
 	// customer it already has, plus once so everyone is reachable).
-	pool := append([]idr.ASN(nil), asns[:cfg.Tier1s]...)
-	for i := cfg.Tier1s; i < cfg.ASes; i++ {
+	pool := append([]idr.ASN(nil), asns[:tier1s]...)
+	for i := tier1s; i < ases; i++ {
 		newcomer := asns[i]
-		// 1 + Poisson-ish extra providers around AvgProviders.
+		// 1 + Poisson-ish extra providers around avgProviders.
 		n := 1
-		for float64(n) < cfg.AvgProviders && rng.Float64() < cfg.AvgProviders-1 {
+		for float64(n) < avgProviders && rng.Float64() < avgProviders-1 {
 			n++
 		}
 		chosen := make(map[idr.ASN]bool)
@@ -199,8 +177,8 @@ func SynthesizeInternetLike(cfg InternetLikeConfig, rng *rand.Rand) (*Graph, err
 	}
 
 	// Lateral peering between similar-depth ASes.
-	for i := cfg.Tier1s; i < cfg.ASes; i++ {
-		for j := i + 1; j < cfg.ASes; j++ {
+	for i := tier1s; i < ases; i++ {
+		for j := i + 1; j < ases; j++ {
 			a, b := asns[i], asns[j]
 			if g.HasEdge(a, b) {
 				continue
@@ -209,7 +187,7 @@ func SynthesizeInternetLike(cfg InternetLikeConfig, rng *rand.Rand) (*Graph, err
 			if dd < 0 {
 				dd = -dd
 			}
-			if dd <= 1 && rng.Float64() < cfg.PeerProb {
+			if dd <= 1 && rng.Float64() < peerProb {
 				if err := g.AddEdge(Edge{A: a, B: b, Rel: P2P}); err != nil {
 					return nil, err
 				}

@@ -62,7 +62,7 @@ func TestReadCAIDADuplicateKeepsFirst(t *testing.T) {
 }
 
 func TestCAIDARoundTrip(t *testing.T) {
-	g, err := SynthesizeInternetLike(InternetLikeConfig{ASes: 40}, rand.New(rand.NewSource(11)))
+	g, err := SynthesizeInternetLike(40, rand.New(rand.NewSource(11)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestCAIDARoundTrip(t *testing.T) {
 
 func TestSynthesizeInternetLike(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	g, err := SynthesizeInternetLike(InternetLikeConfig{ASes: 100}, rng)
+	g, err := SynthesizeInternetLike(100, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,10 +113,10 @@ func TestSynthesizeInternetLike(t *testing.T) {
 			t.Fatalf("%v has no provider", n)
 		}
 	}
-	if _, err := SynthesizeInternetLike(InternetLikeConfig{ASes: 2}, rng); err == nil {
+	if _, err := SynthesizeInternetLike(2, rng); err == nil {
 		t.Fatal("too-small config should error")
 	}
-	if _, err := SynthesizeInternetLike(InternetLikeConfig{ASes: 50}, nil); err == nil {
+	if _, err := SynthesizeInternetLike(50, nil); err == nil {
 		t.Fatal("nil rng should error")
 	}
 }
