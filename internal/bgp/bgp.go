@@ -211,6 +211,9 @@ type Router struct {
 	rx, tx    wire.Update
 	onePrefix [1]netip.Prefix
 	traced    rib.Change
+	// groupKeys holds the attribute renderings an MRAI flush sorts its
+	// UPDATE groups by, rewritten by each flush.
+	groupKeys []byte
 }
 
 // New validates cfg and returns a Router.

@@ -1,7 +1,7 @@
 package bgp
 
 import (
-	"cmp"
+	"bytes"
 	"net/netip"
 	"slices"
 	"time"
@@ -348,17 +348,18 @@ func (p *Peer) flushAnnouncements() {
 // them, in address order) as one UPDATE per distinct attribute set, for
 // honest UPDATE packing, and empties the batch. Comparing attribute
 // sets structurally keeps the grouping deterministic without rendering
-// attrs.String() once per prefix; the emission order (groups sorted by
+// the attributes once per prefix; the emission order (groups sorted by
 // the attribute rendering, first appearance breaking ties, address
-// order within a group) matches the historical encoder exactly. Groups
-// are values in one slice and their NLRI runs of one array, so a batch
-// costs three allocations however many groups it has. It reports
-// whether every UPDATE went out.
+// order within a group) matches the historical encoder exactly. The
+// renderings go into the router's groupKeys buffer, groups are values
+// in one slice and their NLRI runs of one array, so a batch costs three
+// allocations however many groups it has. It reports whether every
+// UPDATE went out.
 func (p *Peer) announceGroups(prefixes []netip.Prefix) bool {
 	type group struct {
-		attrs wire.PathAttrs
-		key   string
-		id    int // order of first appearance
+		attrs      wire.PathAttrs
+		start, end int // its rendering is groupKeys[start:end]
+		id         int // order of first appearance
 	}
 	var groups []group
 	of := make([]int, len(prefixes)) // prefix index -> group id
@@ -375,10 +376,16 @@ func (p *Peer) announceGroups(prefixes []netip.Prefix) bool {
 	}
 	p.pendingAnnounce = recycleBatch(p.pendingAnnounce, &p.announcePeak)
 	if len(groups) > 1 {
+		keys := p.router.groupKeys[:0]
 		for g := range groups {
-			groups[g].key = groups[g].attrs.String()
+			groups[g].start = len(keys)
+			keys = groups[g].attrs.AppendText(keys)
+			groups[g].end = len(keys)
 		}
-		slices.SortStableFunc(groups, func(a, b group) int { return cmp.Compare(a.key, b.key) })
+		p.router.groupKeys = keys
+		slices.SortStableFunc(groups, func(a, b group) int {
+			return bytes.Compare(keys[a.start:a.end], keys[b.start:b.end])
+		})
 	}
 	nlri := make([]netip.Prefix, 0, len(prefixes))
 	for _, g := range groups {

@@ -3,7 +3,7 @@ package wire
 import (
 	"fmt"
 	"net/netip"
-	"strings"
+	"strconv"
 
 	"repro/internal/idr"
 )
@@ -180,28 +180,29 @@ func (p ASPath) Equal(o ASPath) bool {
 }
 
 // String renders the path in the conventional "1 2 {3,4}" form.
-func (p ASPath) String() string {
-	var b strings.Builder
+func (p ASPath) String() string { return string(p.AppendText(nil)) }
+
+// AppendText appends the String form of the path to b.
+func (p ASPath) AppendText(b []byte) []byte {
 	for i, s := range p {
 		if i > 0 {
-			b.WriteByte(' ')
+			b = append(b, ' ')
 		}
+		sep := byte(' ')
 		if s.Type == ASSet {
-			parts := make([]string, len(s.ASNs))
-			for j, a := range s.ASNs {
-				parts[j] = fmt.Sprint(uint32(a))
-			}
-			b.WriteString("{" + strings.Join(parts, ",") + "}")
-			continue
+			b, sep = append(b, '{'), ','
 		}
 		for j, a := range s.ASNs {
 			if j > 0 {
-				b.WriteByte(' ')
+				b = append(b, sep)
 			}
-			fmt.Fprint(&b, uint32(a))
+			b = strconv.AppendUint(b, uint64(a), 10)
+		}
+		if s.Type == ASSet {
+			b = append(b, '}')
 		}
 	}
-	return b.String()
+	return b
 }
 
 // PathAttrs is the decoded attribute set of one UPDATE.
@@ -253,14 +254,24 @@ func (a PathAttrs) Equal(b PathAttrs) bool {
 }
 
 // String renders the attributes for logs.
-func (a PathAttrs) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "origin=%s path=[%s] nh=%s", a.Origin, a.ASPath, a.NextHop)
+func (a PathAttrs) String() string { return string(a.AppendText(nil)) }
+
+// AppendText appends the String form of the attributes to b; it
+// allocates only when b has no room (or the origin is out of range).
+func (a PathAttrs) AppendText(b []byte) []byte {
+	b = append(append(b, "origin="...), a.Origin.String()...)
+	b = a.ASPath.AppendText(append(b, " path=["...))
+	b = append(b, "] nh="...)
+	if a.NextHop.IsValid() {
+		b = a.NextHop.AppendTo(b)
+	} else {
+		b = append(b, "invalid IP"...) // what netip.Addr's String says
+	}
 	if a.MED != nil {
-		fmt.Fprintf(&b, " med=%d", *a.MED)
+		b = strconv.AppendUint(append(b, " med="...), uint64(*a.MED), 10)
 	}
 	if a.LocalPref != nil {
-		fmt.Fprintf(&b, " lp=%d", *a.LocalPref)
+		b = strconv.AppendUint(append(b, " lp="...), uint64(*a.LocalPref), 10)
 	}
-	return b.String()
+	return b
 }

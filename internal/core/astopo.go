@@ -46,7 +46,8 @@ type view struct {
 	// (cost 0 when it has none).
 	dist, next []int32
 	best       []candidate
-	// ann caches the announcement each border makes for the prefix.
+	// ann caches the announcement each border makes for the prefix; its
+	// path storage outlives the prefix, reused by every build.
 	ann  []announcement
 	heap []uint64
 	path []idr.ASN
@@ -62,12 +63,18 @@ type candidate struct {
 
 // announcement is what one border tells its external neighbours about
 // the prefix: the attributes (shared by the border's sessions — each
-// session clones what it sends) and the session the route exits
-// through (the zero key when it reaches the owner internally).
+// session compares before it clones what it sends) and the session the
+// route exits through (the zero key when it reaches the owner
+// internally). The AS path lives in segs and lead, the border's own
+// storage, so an unchanged announcement costs no allocation; it is
+// valid until the border's next build, and past the leading sequence
+// it shares the exit route's segments, which nothing writes.
 type announcement struct {
 	built, ok bool
 	attrs     wire.PathAttrs
 	exit      SessKey
+	segs      wire.ASPath
+	lead      []idr.ASN
 }
 
 const unreachable = math.MaxInt32
@@ -202,7 +209,9 @@ func (c *Controller) route(v *view, prefix netip.Prefix) {
 		v.dist[i], v.next[i] = unreachable, -1
 	}
 	clear(v.best)
-	clear(v.ann)
+	for i := range v.ann {
+		v.ann[i].built = false
+	}
 	v.heap = v.heap[:0]
 	v.owner = -1
 	if owner, ok := v.index[c.owned[prefix]]; ok { // no member is AS 0, the unowned case
@@ -343,11 +352,7 @@ func (c *Controller) pushFlows(v *view, prefix netip.Prefix) {
 		if port, ok := v.outPort(int32(i)); ok {
 			mod = ofp.FlowMod{Command: ofp.FlowAdd, Priority: flowPriority, Match: prefix, OutPort: port}
 		}
-		frame, err := ofp.Marshal(mod, c.nextXid())
-		if err != nil {
-			continue
-		}
-		if m.send(frame) == nil {
+		if c.sendControl(m, mod) == nil {
 			c.stats.FlowModsSent++
 		}
 	}
@@ -385,28 +390,36 @@ func (a *announcement) allowedOn(es *extSession) bool {
 // announcement returns what border b announces for the routed prefix,
 // building it on first use: the internal member sequence from b to the
 // egress or owner, then the external route's path — the full internal
-// AS sequence, keeping the cluster transparent to the legacy world.
+// AS sequence, keeping the cluster transparent to the legacy world. The
+// path is the one prepend would return, built in the border's storage.
 func (v *view) announcement(b int32) *announcement {
 	a := &v.ann[b]
 	if a.built {
 		return a
 	}
-	a.built = true
+	a.built, a.ok, a.exit, a.attrs = true, false, SessKey{}, wire.PathAttrs{}
 	internal, last, ok := v.internalPath(b)
 	if !ok {
 		return a
 	}
 	a.ok = true
+	a.lead = append(a.lead[:0], internal...)
 	if last == v.owner {
 		// Cluster-originated and internally reachable: the path is
 		// just the internal member sequence.
-		a.attrs = wire.PathAttrs{Origin: wire.OriginIGP, ASPath: wire.NewASPath(internal...)}
+		a.segs = append(a.segs[:0], wire.Segment{Type: wire.ASSequence, ASNs: a.lead})
+		a.attrs = wire.PathAttrs{Origin: wire.OriginIGP, ASPath: a.segs}
 		return a
 	}
 	exit := &v.best[last]
+	external := exit.attrs.ASPath
+	if len(external) > 0 && external[0].Type == wire.ASSequence {
+		a.lead, external = append(a.lead, external[0].ASNs...), external[1:]
+	}
+	a.segs = append(append(a.segs[:0], wire.Segment{Type: wire.ASSequence, ASNs: a.lead}), external...)
 	a.exit = exit.key
 	a.attrs = exit.attrs
-	a.attrs.ASPath = prepend(internal, exit.attrs.ASPath)
+	a.attrs.ASPath = a.segs
 	a.attrs.MED = nil
 	a.attrs.LocalPref = nil
 	return a

@@ -32,6 +32,7 @@ import (
 
 	"repro/internal/bgp"
 	"repro/internal/bgp/wire"
+	"repro/internal/frames"
 	"repro/internal/idr"
 	"repro/internal/sdn/ofp"
 	"repro/internal/sim"
@@ -157,8 +158,12 @@ func (c *Controller) IsMember(asn idr.ASN) bool {
 }
 
 // AddMember registers a cluster member switch with its control-channel
-// transmit function. On a started controller (a mid-run migration) the
-// new member is greeted immediately.
+// transmit function. send carries link frames: the frames.KindOpenFlow
+// byte and then the OpenFlow message, in one buffer, so a transport
+// that speaks package frames (a netem endpoint's Send) takes it as it
+// is; a frame is immutable once handed over, as bgp.SessionConfig.Send's
+// are. On a started controller (a mid-run migration) the new member is
+// greeted immediately.
 func (c *Controller) AddMember(asn idr.ASN, send func([]byte) error) error {
 	if asn == 0 {
 		return fmt.Errorf("core: member needs an ASN")
@@ -342,29 +347,33 @@ func (c *Controller) nextXid() uint32 {
 	return c.xid
 }
 
-// sendPacketOut has member m put an external session's link frame on the
-// wire of its port.
-func (c *Controller) sendPacketOut(m *member, port uint32, data []byte) error {
-	po := ofp.PacketOut{OutPort: port, Data: data}
-	frame, err := ofp.Marshal(po, c.nextXid())
+// linkHeader is what package frames puts in front of an OpenFlow
+// message. Full to capacity, so appending to it always moves to a new
+// buffer.
+var linkHeader = []byte{byte(frames.KindOpenFlow)}
+
+// sendControl frames one message for member m and sends it; the frame
+// is the one thing it allocates.
+func (c *Controller) sendControl(m *member, msg ofp.Message) error {
+	frame, err := ofp.Append(linkHeader, msg, c.nextXid())
 	if err != nil {
 		return err
 	}
 	return m.send(frame)
 }
 
+// sendPacketOut has member m put an external session's link frame on the
+// wire of its port.
+func (c *Controller) sendPacketOut(m *member, port uint32, data []byte) error {
+	return c.sendControl(m, ofp.PacketOut{OutPort: port, Data: data})
+}
+
 // greet performs the OpenFlow handshake toward one member switch.
 func (c *Controller) greet(m *member) error {
-	for _, msg := range []ofp.Message{ofp.Hello{}, ofp.FeaturesRequest{}} {
-		frame, err := ofp.Marshal(msg, c.nextXid())
-		if err != nil {
-			return err
-		}
-		if err := m.send(frame); err != nil {
-			return err
-		}
+	if err := c.sendControl(m, ofp.Hello{}); err != nil {
+		return err
 	}
-	return nil
+	return c.sendControl(m, ofp.FeaturesRequest{})
 }
 
 // Start greets every switch and brings up the external sessions whose
@@ -420,12 +429,22 @@ func (c *Controller) WithdrawOriginated(prefix netip.Prefix) error {
 	return nil
 }
 
-// HandleControl processes one OpenFlow frame arriving from a member
-// switch.
+// HandleControl processes one OpenFlow message arriving from a member
+// switch, the link header already stripped. A PacketIn — the relayed
+// BGP traffic, nearly every message a switch sends — is decoded without
+// a Message box and its BGP frame delivered as the slice of frame it
+// is.
 func (c *Controller) HandleControl(memberASN idr.ASN, frame []byte) error {
 	m, ok := c.members[memberASN]
 	if !ok {
 		return fmt.Errorf("core: control frame from unknown member %v", memberASN)
+	}
+	if ofp.PeekType(frame) == ofp.TypePacketIn {
+		pin, _, err := ofp.DecodePacketIn(frame)
+		if err != nil {
+			return fmt.Errorf("core: from member %v: %w", memberASN, err)
+		}
+		return c.handlePacketIn(m, pin)
 	}
 	msg, _, err := ofp.Unmarshal(frame)
 	if err != nil {
@@ -434,8 +453,6 @@ func (c *Controller) HandleControl(memberASN idr.ASN, frame []byte) error {
 	switch v := msg.(type) {
 	case ofp.Hello, ofp.FeaturesReply:
 		return nil
-	case ofp.PacketIn:
-		return c.handlePacketIn(m, v)
 	case ofp.PortStatus:
 		c.handlePortStatus(m, v)
 		return nil

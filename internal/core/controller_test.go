@@ -14,14 +14,25 @@ import (
 	"repro/internal/sim"
 )
 
-// capture collects control frames sent to one member switch.
+// capture collects the OpenFlow messages sent to one member switch.
 type capture struct {
 	frames [][]byte
 }
 
 func (c *capture) send(b []byte) error {
-	c.frames = append(c.frames, b)
+	c.frames = append(c.frames, openflow(b))
 	return nil
+}
+
+// openflow is the OpenFlow message inside a control link frame, as the
+// member node's demultiplexer hands it on; nil, which no decoder
+// accepts, when the frame is not one.
+func openflow(frame []byte) []byte {
+	kind, msg, err := frames.Decode(frame)
+	if err != nil || kind != frames.KindOpenFlow {
+		return nil
+	}
+	return msg
 }
 
 // flowMods decodes the captured FlowMod messages.
@@ -625,6 +636,107 @@ func TestRecomputeAllDirtyLeftoverOrder(t *testing.T) {
 		}
 		if !slices.Equal(got, prefixes) {
 			t.Fatalf("run %d: cleanup FlowMods for %v, want prefix order %v", run, got, prefixes)
+		}
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race
+// (race_test.go sets it).
+var raceEnabled bool
+
+// TestRecomputeAllocatesOnlyFlowMods pins the cost of the controller's
+// steady state: recomputing a prefix whose announcements are all
+// unchanged allocates one frame per member's FlowMod and nothing per
+// session — each border's path is built in the view's storage and each
+// session compares before it copies.
+func TestRecomputeAllocatesOnlyFlowMods(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's runtime adds allocations of its own")
+	}
+	k := sim.NewKernel(1)
+	c, err := New(Config{Clock: k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sent int
+	send := func([]byte) error { sent++; return nil }
+	for _, asn := range []idr.ASN{11, 12, 13} {
+		if err := c.AddMember(asn, send); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// 11 - 12 - 13 in a line, and an external peering on port 2 of
+	// each: 11 with AS 2, 12 with AS 3, 13 with AS 4.
+	for _, p := range []struct {
+		m    idr.ASN
+		port uint32
+		nb   idr.ASN
+	}{{11, 1, 12}, {12, 1, 11}, {12, 3, 13}, {13, 1, 12}} {
+		if err := c.RegisterPort(p.m, p.port, p.nb, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, m := range []idr.ASN{11, 12, 13} {
+		remote := idr.ASN(2 + i)
+		if err := c.RegisterPort(m, 2, remote, false); err != nil {
+			t.Fatal(err)
+		}
+		id := idr.RouterIDFromAddr(netip.AddrFrom4([4]byte{172, 16, 0, byte(m)}))
+		if err := c.AddExternalPeering(m, 2, remote, id, netip.AddrFrom4([4]byte{100, 64, 0, byte(m)})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range c.sessionKeys() {
+		remote := c.sessions[key].remote
+		for _, msg := range []wire.Message{
+			wire.Open{AS: remote, HoldTimeSecs: 90, ID: idr.RouterIDFromAddr(netip.AddrFrom4([4]byte{172, 16, 1, byte(remote)}))},
+			wire.Keepalive{},
+		} {
+			frame, err := wire.Marshal(msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pin, err := ofp.Marshal(ofp.PacketIn{InPort: key.Port, Data: frame}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.HandleControl(key.Border, pin); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !c.sessions[key].established {
+			t.Fatalf("session %v not established", key)
+		}
+	}
+	// An external route learned at 13 and a prefix 12 originates: every
+	// member forwards, 11 and 12 announce across the cluster on their
+	// own sessions, 13's announcement of the external route is split
+	// horizon's to withhold.
+	external, owned := netip.MustParsePrefix("10.0.4.0/24"), netip.MustParsePrefix("10.0.12.0/24")
+	c.learn(SessKey{Border: 13, Port: 2}, external, extAttrs(4, 7))
+	if err := c.OriginatePrefix(12, owned); err != nil {
+		t.Fatal(err)
+	}
+	c.recompute()
+	for _, p := range []netip.Prefix{external, owned} {
+		sessions := 0
+		for _, es := range c.sessions {
+			if _, ok := es.advertised[p]; ok {
+				sessions++
+			}
+		}
+		if sessions < 2 {
+			t.Fatalf("%v announced on %d sessions, want at least 2", p, sessions)
+		}
+		sent = 0
+		if n := testing.AllocsPerRun(100, func() { c.recomputePrefix(c.graph(), p) }); n != 3 {
+			t.Errorf("%v: an unchanged recompute allocates %v objects, want 3 (one FlowMod per member)", p, n)
+		}
+		if sent != 3*101 {
+			t.Errorf("%v: %d control frames in 101 recomputes, want only the FlowMods", p, sent)
 		}
 	}
 }

@@ -344,7 +344,7 @@ func (c *Controller) modelPushFlows(prefix netip.Prefix, res routingResult) {
 				Match: prefix, OutPort: port,
 			}
 		}
-		frame, err := ofp.Marshal(mod, c.nextXid())
+		frame, err := ofp.Append(linkHeader, mod, c.nextXid())
 		if err != nil {
 			continue
 		}

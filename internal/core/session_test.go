@@ -52,7 +52,7 @@ func newBorder(t *testing.T, cfg Config, toSwitch func([]byte) error) (*Controll
 // dropped.
 func relay(send func([]byte) error) func([]byte) error {
 	return func(frame []byte) error {
-		msg, _, err := ofp.Unmarshal(frame)
+		msg, _, err := ofp.Unmarshal(openflow(frame))
 		if err != nil {
 			return err
 		}

@@ -329,9 +329,7 @@ func (e *Experiment) buildSwitch(asn idr.ASN, node, ctrlNode *netem.Node) error 
 		return err
 	}
 	swEP, ctrlEP := link.Endpoints()
-	sw, err := sdn.NewSwitch(asn, func(b []byte) error {
-		return swEP.Send(frames.Encode(frames.KindOpenFlow, b))
-	})
+	sw, err := sdn.NewSwitch(asn, swEP.Send)
 	if err != nil {
 		return err
 	}
@@ -342,9 +340,7 @@ func (e *Experiment) buildSwitch(asn idr.ASN, node, ctrlNode *netem.Node) error 
 	sw.AddLocalPrefix(origin)
 	sw.OnLocalDeliver = e.Probes.OnDelivered
 	e.Switches[asn] = sw
-	if err := e.Ctrl.AddMember(asn, func(b []byte) error {
-		return ctrlEP.Send(frames.Encode(frames.KindOpenFlow, b))
-	}); err != nil {
+	if err := e.Ctrl.AddMember(asn, ctrlEP.Send); err != nil {
 		return err
 	}
 	if e.ctrlPeers == nil {

@@ -42,11 +42,11 @@ func perRun(runs int, f func()) (objects, bytes float64) {
 //
 //	go test ./internal/lab -run TestTrialAllocCeiling -v
 //
-// and set each object ceiling 0.2% above its count (66 302 and
-// 107 205 on go1.24 linux/amd64) — tight enough that one extra
+// and set each object ceiling 0.2% above its count (40 557 and
+// 43 447 on go1.24 linux/amd64) — tight enough that one extra
 // allocation per UPDATE in rib.Table.decide, or per session per
 // recompute in the controller, breaks it — and each bytes ceiling 2%
-// above (8.58 and 8.22 MiB; size classes and slice growth make
+// above (6.36 and 4.96 MiB; size classes and slice growth make
 // bytes the looser number). The race detector's
 // runtime allocates on its own account, so the test skips under -race.
 func TestTrialAllocCeiling(t *testing.T) {
@@ -58,8 +58,8 @@ func TestTrialAllocCeiling(t *testing.T) {
 		k            int
 		objects, mib float64
 	}{
-		{"clique16-pure", 0, 66435, 8.75},
-		{"clique16-half", 8, 107420, 8.38},
+		{"clique16-pure", 0, 40638, 6.49},
+		{"clique16-half", 8, 43534, 5.06},
 	} {
 		trial := Trial{
 			Topo:            TopoSpec{Kind: "clique", N: 16},

@@ -9,6 +9,10 @@ import (
 	"testing"
 )
 
+// raceEnabled reports whether the test binary was built with -race
+// (race_test.go sets it).
+var raceEnabled bool
+
 func roundTrip(t *testing.T, m Message, xid uint32) Message {
 	t.Helper()
 	b, err := Marshal(m, xid)
@@ -62,6 +66,18 @@ func TestFlowModValidation(t *testing.T) {
 	for _, cmd := range []FlowCommand{0, FlowDelete + 1} {
 		if _, err := Marshal(FlowMod{Command: cmd, Match: netip.MustParsePrefix("10.0.0.0/8")}, 0); err == nil {
 			t.Fatalf("command %d should fail", cmd)
+		}
+	}
+	// The decoder refuses host bits and invalid prefixes, so the
+	// encoder must not produce them: a controller would count a FlowMod
+	// sent that every switch drops.
+	for _, match := range []netip.Prefix{
+		netip.PrefixFrom(netip.MustParseAddr("10.0.1.1"), 24),
+		netip.PrefixFrom(netip.MustParseAddr("10.0.1.0"), 33),
+		{},
+	} {
+		if b, err := Append([]byte{2}, FlowMod{Command: FlowAdd, Match: match}, 0); err == nil || !bytes.Equal(b, []byte{2}) {
+			t.Fatalf("match %v appends %x (%v)", match, b, err)
 		}
 	}
 }
@@ -121,6 +137,15 @@ func TestUnmarshalErrors(t *testing.T) {
 	if _, _, err := Unmarshal(trunc); err == nil {
 		t.Fatal("truncated flow mod should fail")
 	}
+	// Frames that would not re-encode to themselves: a HELLO or
+	// FEATURES_REQUEST with a body, a port status octet other than 0
+	// or 1.
+	for _, h := range []string{"0101000b00000009010203", "0104000900000009ff", "0109000d0000000b0000000407"} {
+		b, _ := hex.DecodeString(h)
+		if m, _, err := Unmarshal(b); err == nil {
+			t.Errorf("%s decodes to %+v", h, m)
+		}
+	}
 }
 
 func TestTypeString(t *testing.T) {
@@ -150,7 +175,7 @@ var typeFrames = []struct {
 }
 
 // TestFrameBytes pins every message type's encoding, type octets
-// included.
+// included, alone and appended behind a link header.
 func TestFrameBytes(t *testing.T) {
 	for _, f := range typeFrames {
 		b, err := Marshal(f.msg, f.xid)
@@ -160,12 +185,20 @@ func TestFrameBytes(t *testing.T) {
 		if got := hex.EncodeToString(b); got != f.hex {
 			t.Errorf("%T: %s, want %s", f.msg, got, f.hex)
 		}
+		b, err = Append([]byte{2}, f.msg, f.xid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(b); got != "02"+f.hex {
+			t.Errorf("%T appended: %s, want 02%s", f.msg, got, f.hex)
+		}
 	}
 }
 
 // FuzzOFPRoundTrip is the guard on the codec: whatever Unmarshal
-// accepts, Marshal turns back into bytes that decode to the same
-// message and transaction id and re-encode to themselves.
+// accepts, Marshal turns back into exactly the bytes it came from, and
+// each per-type decoder accepts exactly the frames of its type that
+// Unmarshal accepts, with the same message and transaction id.
 func FuzzOFPRoundTrip(f *testing.F) {
 	for _, fr := range typeFrames {
 		b, err := Marshal(fr.msg, fr.xid)
@@ -174,26 +207,89 @@ func FuzzOFPRoundTrip(f *testing.F) {
 		}
 		f.Add(b)
 	}
+	for _, h := range []string{"0101000b00000009010203", "0109000d0000000b0000000407"} {
+		b, _ := hex.DecodeString(h)
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, xid, err := Unmarshal(data)
-		if err != nil {
-			return
+		if err == nil {
+			if PeekType(data) != m.Type() {
+				t.Fatalf("%x decodes to a %v, PeekType says %v", data, m.Type(), PeekType(data))
+			}
+			b, err := Marshal(m, xid)
+			if err != nil {
+				t.Fatalf("accepted %x as %+v, which does not encode: %v", data, m, err)
+			}
+			if !bytes.Equal(b, data) {
+				t.Fatalf("accepted %x as %+v (xid %d), which re-encodes to %x", data, m, xid, b)
+			}
 		}
-		b, err := Marshal(m, xid)
-		if err != nil {
-			t.Fatalf("accepted %x as %+v, which does not encode: %v", data, m, err)
-		}
-		m2, xid2, err := Unmarshal(b)
-		if err != nil {
-			t.Fatalf("%+v encodes to %x, which does not decode: %v", m, b, err)
-		}
-		if xid2 != xid || !reflect.DeepEqual(m, m2) {
-			t.Fatalf("%x decodes to %+v (xid %d), re-encodes to %x, decodes to %+v (xid %d)", data, m, xid, b, m2, xid2)
-		}
-		if b2, err := Marshal(m2, xid2); err != nil || !bytes.Equal(b, b2) {
-			t.Fatalf("not a fixed point: %x re-encodes to %x (%v)", b, b2, err)
+		for typ, decode := range map[Type]func([]byte) (Message, uint32, error){
+			TypeFlowMod:   func(b []byte) (Message, uint32, error) { return DecodeFlowMod(b) },
+			TypePacketIn:  func(b []byte) (Message, uint32, error) { return DecodePacketIn(b) },
+			TypePacketOut: func(b []byte) (Message, uint32, error) { return DecodePacketOut(b) },
+		} {
+			want := err == nil && m.Type() == typ
+			got, gotXid, gotErr := decode(data)
+			if (gotErr == nil) != want {
+				t.Fatalf("%v decoder on %x: error %v; Unmarshal: %+v, %v", typ, data, gotErr, m, err)
+			}
+			if want && (gotXid != xid || !reflect.DeepEqual(got, m)) {
+				t.Fatalf("%v decoder on %x: %+v (xid %d); Unmarshal: %+v (xid %d)", typ, data, got, gotXid, m, xid)
+			}
 		}
 	})
+}
+
+// TestAppendAllocatesOnlyItsFrame pins the hot messages' cost: appended
+// behind a full one-byte link header a FlowMod, PacketIn or PacketOut
+// is one allocation, the frame; into a buffer with room it is none, and
+// decoding one allocates nothing.
+func TestAppendAllocatesOnlyItsFrame(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's runtime adds allocations of its own")
+	}
+	data := []byte{0xff, 0xff, 0, 19, 4}
+	fm := FlowMod{Command: FlowAdd, Priority: 100, Match: netip.MustParsePrefix("10.0.3.0/24"), OutPort: 5}
+	for _, c := range []struct {
+		name   string
+		append func(dst []byte) ([]byte, error)
+		decode func(b []byte) error
+	}{
+		{"FlowMod", func(dst []byte) ([]byte, error) { return Append(dst, fm, 7) },
+			func(b []byte) error { _, _, err := DecodeFlowMod(b); return err }},
+		{"PacketIn", func(dst []byte) ([]byte, error) { return Append(dst, PacketIn{InPort: 2, Data: data}, 8) },
+			func(b []byte) error { _, _, err := DecodePacketIn(b); return err }},
+		{"PacketOut", func(dst []byte) ([]byte, error) { return Append(dst, PacketOut{OutPort: 3, Data: data}, 9) },
+			func(b []byte) error { _, _, err := DecodePacketOut(b); return err }},
+	} {
+		header := []byte{2}
+		var frame []byte
+		if n := testing.AllocsPerRun(100, func() {
+			var err error
+			if frame, err = c.append(header); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 1 {
+			t.Errorf("%s: Append behind a link header allocates %v objects, want 1", c.name, n)
+		}
+		room := make([]byte, 1, 64)
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := c.append(room); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: Append into a buffer with room allocates %v objects, want 0", c.name, n)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if err := c.decode(frame[1:]); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: decoding allocates %v objects, want 0", c.name, n)
+		}
+	}
 }
 
 // Property: FlowMod round-trips for arbitrary valid prefixes.

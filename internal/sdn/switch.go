@@ -100,7 +100,7 @@ type Switch struct {
 
 	// sendPort transmits a raw link frame on a numbered port.
 	sendPort map[uint32]func([]byte) error
-	// sendControl transmits an OpenFlow frame to the controller.
+	// sendControl transmits a control link frame to the controller.
 	sendControl func([]byte) error
 
 	// localPrefixes are delivered locally (the member AS's own
@@ -114,7 +114,11 @@ type Switch struct {
 }
 
 // NewSwitch creates the switch for member asn. sendControl carries
-// OpenFlow frames to the controller; it is required.
+// link frames to the controller: the frames.KindOpenFlow byte and then
+// the OpenFlow message, in one buffer, so a transport that speaks
+// package frames (a netem endpoint's Send) takes it as it is. It is
+// required, and a frame is immutable once handed to it, as
+// bgp.SessionConfig.Send's are.
 func NewSwitch(asn idr.ASN, sendControl func([]byte) error) (*Switch, error) {
 	if sendControl == nil {
 		return nil, fmt.Errorf("sdn: switch %v needs a control channel", asn)
@@ -157,49 +161,71 @@ func (s *Switch) xid() uint32 {
 	return s.nextXid
 }
 
-// NotifyPortState reports a port up/down transition to the controller.
-func (s *Switch) NotifyPortState(port uint32, up bool) error {
-	frame, err := ofp.Marshal(ofp.PortStatus{Port: port, Up: up}, s.xid())
+// linkHeader is what package frames puts in front of an OpenFlow
+// message. Full to capacity, so appending to it always moves to a new
+// buffer.
+var linkHeader = []byte{byte(frames.KindOpenFlow)}
+
+// sendMessage frames one message for the controller and sends it; the
+// frame is the one thing it allocates.
+func (s *Switch) sendMessage(msg ofp.Message, xid uint32) error {
+	frame, err := ofp.Append(linkHeader, msg, xid)
 	if err != nil {
 		return err
 	}
 	return s.sendControl(frame)
 }
 
-// HandleControl processes one OpenFlow frame from the controller.
+// NotifyPortState reports a port up/down transition to the controller.
+func (s *Switch) NotifyPortState(port uint32, up bool) error {
+	return s.sendMessage(ofp.PortStatus{Port: port, Up: up}, s.xid())
+}
+
+// HandleControl processes one OpenFlow message from the controller, the
+// link header already stripped. A FlowMod or PacketOut — every message
+// after the handshake — is decoded without a Message box, and the
+// PacketOut's data goes out as the slice of frame it is, so neither
+// allocates.
 func (s *Switch) HandleControl(frame []byte) error {
-	msg, xid, err := ofp.Unmarshal(frame)
-	if err != nil {
-		return fmt.Errorf("sdn: switch %v: %w", s.asn, err)
-	}
-	switch m := msg.(type) {
-	case ofp.Hello:
-		reply, err := ofp.Marshal(ofp.Hello{}, xid)
+	switch ofp.PeekType(frame) {
+	case ofp.TypeFlowMod:
+		m, _, err := ofp.DecodeFlowMod(frame)
 		if err != nil {
-			return err
+			return s.controlErr(err)
 		}
-		return s.sendControl(reply)
-	case ofp.FeaturesRequest:
-		reply, err := ofp.Marshal(ofp.FeaturesReply{
-			DatapathID: uint64(s.asn),
-			NumPorts:   uint16(len(s.sendPort)),
-		}, xid)
-		if err != nil {
-			return err
-		}
-		return s.sendControl(reply)
-	case ofp.FlowMod:
 		s.applyFlowMod(m)
 		return nil
-	case ofp.PacketOut:
+	case ofp.TypePacketOut:
+		m, _, err := ofp.DecodePacketOut(frame)
+		if err != nil {
+			return s.controlErr(err)
+		}
 		send, ok := s.sendPort[m.OutPort]
 		if !ok {
 			return fmt.Errorf("sdn: switch %v: packet-out on unknown port %d", s.asn, m.OutPort)
 		}
 		return send(m.Data)
+	}
+	msg, xid, err := ofp.Unmarshal(frame)
+	if err != nil {
+		return s.controlErr(err)
+	}
+	switch msg.(type) {
+	case ofp.Hello:
+		return s.sendMessage(ofp.Hello{}, xid)
+	case ofp.FeaturesRequest:
+		return s.sendMessage(ofp.FeaturesReply{
+			DatapathID: uint64(s.asn),
+			NumPorts:   uint16(len(s.sendPort)),
+		}, xid)
 	default:
 		return fmt.Errorf("sdn: switch %v: unexpected control message %v", s.asn, msg.Type())
 	}
+}
+
+// controlErr attributes a control frame the switch could not decode.
+func (s *Switch) controlErr(err error) error {
+	return fmt.Errorf("sdn: switch %v: %w", s.asn, err)
 }
 
 func (s *Switch) applyFlowMod(m ofp.FlowMod) {
@@ -214,8 +240,8 @@ func (s *Switch) applyFlowMod(m ofp.FlowMod) {
 
 // HandlePort processes one link frame arriving on a data port.
 // BGP control traffic is punted to the controller as PacketIn (the
-// cluster BGP speaker's inbound relay); probes are forwarded by the
-// flow table.
+// cluster BGP speaker's inbound relay), whose frame is the one thing a
+// punt allocates; probes are forwarded by the flow table.
 func (s *Switch) HandlePort(port uint32, frame []byte) error {
 	kind, payload, err := frames.Decode(frame)
 	if err != nil {
@@ -225,11 +251,7 @@ func (s *Switch) HandlePort(port uint32, frame []byte) error {
 	switch kind {
 	case frames.KindBGP:
 		s.stats.PuntedToController++
-		pin, err := ofp.Marshal(ofp.PacketIn{InPort: port, Data: payload}, s.xid())
-		if err != nil {
-			return err
-		}
-		return s.sendControl(pin)
+		return s.sendMessage(ofp.PacketIn{InPort: port, Data: payload}, s.xid())
 	case frames.KindProbe:
 		return s.forwardProbe(payload)
 	default:

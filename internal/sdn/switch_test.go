@@ -1,6 +1,7 @@
 package sdn
 
 import (
+	"bytes"
 	"net/netip"
 	"testing"
 
@@ -60,7 +61,7 @@ func testSwitch(t *testing.T) (*Switch, *[][]byte, map[uint32]*[][]byte) {
 	t.Helper()
 	var control [][]byte
 	sw, err := NewSwitch(7, func(b []byte) error {
-		control = append(control, b)
+		control = append(control, openflow(b))
 		return nil
 	})
 	if err != nil {
@@ -79,6 +80,17 @@ func testSwitch(t *testing.T) (*Switch, *[][]byte, map[uint32]*[][]byte) {
 		ports[p] = &sent
 	}
 	return sw, &control, ports
+}
+
+// openflow is the OpenFlow message inside a control link frame, as the
+// controller node's demultiplexer hands it on; nil, which no decoder
+// accepts, when the frame is not one.
+func openflow(frame []byte) []byte {
+	kind, msg, err := frames.Decode(frame)
+	if err != nil || kind != frames.KindOpenFlow {
+		return nil
+	}
+	return msg
 }
 
 func mustOFP(t *testing.T, m ofp.Message) []byte {
@@ -278,5 +290,56 @@ func TestSwitchValidation(t *testing.T) {
 	}
 	if err := sw.NotifyPortState(2, false); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race
+// (race_test.go sets it).
+var raceEnabled bool
+
+// TestRelayAllocatesOnlyItsFrame pins the switch's share of the
+// cluster speaker's relay and of flow programming: punting a BGP frame
+// allocates the PacketIn frame and nothing else, and applying a
+// FlowMod or relaying a PacketOut allocates nothing — the PacketOut's
+// data goes out as the slice of the control frame it is.
+func TestRelayAllocatesOnlyItsFrame(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's runtime adds allocations of its own")
+	}
+	var toController, onPort []byte
+	sw, err := NewSwitch(7, func(b []byte) error { toController = b; return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	port, err := sw.AddPort(func(b []byte) error { onPort = b; return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	bgpFrame := frames.Encode(frames.KindBGP, []byte{0xff, 0xff, 0, 19, 4})
+	if n := testing.AllocsPerRun(100, func() {
+		if err := sw.HandlePort(port, bgpFrame); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("punting a BGP frame allocates %v objects, want 1", n)
+	}
+	pin, _, err := ofp.DecodePacketIn(openflow(toController))
+	if err != nil || pin.InPort != port || !bytes.Equal(pin.Data, bgpFrame[1:]) {
+		t.Fatalf("punted %+v, %v", pin, err)
+	}
+
+	flowMod := mustOFP(t, ofp.FlowMod{Command: ofp.FlowAdd, Priority: 100, Match: netip.MustParsePrefix("10.0.2.0/24"), OutPort: port})
+	packetOut := mustOFP(t, ofp.PacketOut{OutPort: port, Data: bgpFrame})
+	for name, frame := range map[string][]byte{"FlowMod": flowMod, "PacketOut": packetOut} {
+		if n := testing.AllocsPerRun(100, func() {
+			if err := sw.HandleControl(frame); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("handling a %s allocates %v objects, want 0", name, n)
+		}
+	}
+	if sw.Table().Len() != 1 || !bytes.Equal(onPort, bgpFrame) {
+		t.Fatalf("flow table %v, relayed %x", sw.Table().Entries(), onPort)
 	}
 }
