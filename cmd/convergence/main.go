@@ -58,6 +58,10 @@
 //	                                           # the rest of the grid runs;
 //	                                           # rerun with -out to retry
 //	                                           # exactly the failed runs
+//	convergence -exp fig2 -cpuprofile cpu.pprof -memprofile mem.pprof
+//	                                           # CPU and allocation profiles
+//	                                           # for go tool pprof; the
+//	                                           # output is unchanged
 package main
 
 import (
@@ -86,6 +90,8 @@ func main() {
 	out := flag.String("out", "", "artifact store directory: file every (cell, run) result under the sweep's spec hash and skip cells already stored, so repeated or interrupted sweeps resume instead of recomputing")
 	wallLimit := flag.Duration("wall-limit", 0, "wall-clock budget per emulation run: a run over budget fails (with -tolerate, as a recorded cell failure) instead of hanging the sweep")
 	tolerate := flag.Bool("tolerate", false, "record per-run failures (panic, timeout, error) and keep sweeping instead of aborting on the first broken run")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the command to this file (for go tool pprof; not written if the command fails)")
+	memprofile := flag.String("memprofile", "", "write an allocation profile of the command to this file when it completes (for go tool pprof)")
 	flag.Parse()
 
 	if *list {
@@ -94,6 +100,15 @@ func main() {
 		}
 		return
 	}
+	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		fatal(err)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fatal(err)
+		}
+	}()
 
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -321,7 +322,11 @@ func TestRecordRejectsWrongSpec(t *testing.T) {
 // TestReportManifestValidate covers the schema validator: a well-
 // formed sealed manifest passes; structural violations and a broken
 // seal are rejected; the shipped JSON Schema document parses.
-func TestReportManifestValidate(t *testing.T) {
+// reportManifestCases returns a valid sealed report manifest and
+// broken variants of it, each of which ValidateReportManifest must
+// refuse.
+func reportManifestCases(t testing.TB) (valid []byte, broken map[string][]byte) {
+	t.Helper()
 	m := &ReportManifest{
 		Version:   1,
 		Generator: "labreport",
@@ -345,21 +350,32 @@ func TestReportManifestValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	text := string(data)
+	return data, map[string][]byte{
+		"empty profile": []byte(strings.Replace(text, `"profile": "smoke"`, `"profile": ""`, 1)),
+		// Altered content under a stale seal.
+		"stale seal": []byte(strings.Replace(text, "350.284", "351.000", 1)),
+		// The schema forbids additional properties.
+		"unknown field": []byte(strings.Replace(text, `"version": 1`, `"version": 1, "timestamp": "2026-07-29"`, 1)),
+		// A sealed manifest is one JSON value: nothing may follow it.
+		"trailing garbage": append(slices.Clone(data), "garbage"...),
+		"trailing bracket": append(slices.Clone(data), ']'),
+		"second manifest":  append(slices.Clone(data), `{"version":2}`...),
+	}
+}
+
+func TestReportManifestValidate(t *testing.T) {
+	data, broken := reportManifestCases(t)
 	if err := ValidateReportManifest(data); err != nil {
 		t.Fatalf("valid manifest rejected: %v", err)
 	}
-
-	broken := strings.Replace(string(data), `"profile": "smoke"`, `"profile": ""`, 1)
-	if err := ValidateReportManifest([]byte(broken)); err == nil {
-		t.Fatal("manifest with empty profile accepted")
+	if err := ValidateReportManifest(append(slices.Clone(data), " \t\r\n"...)); err != nil {
+		t.Fatalf("valid manifest with trailing white space rejected: %v", err)
 	}
-	resealed := strings.Replace(string(data), "350.284", "351.000", 1)
-	if err := ValidateReportManifest([]byte(resealed)); err == nil {
-		t.Fatal("manifest with altered content but stale seal accepted")
-	}
-	unknown := strings.Replace(string(data), `"version": 1`, `"version": 1, "timestamp": "2026-07-29"`, 1)
-	if err := ValidateReportManifest([]byte(unknown)); err == nil {
-		t.Fatal("manifest with unknown field accepted (schema forbids additional properties)")
+	for name, b := range broken {
+		if err := ValidateReportManifest(b); err == nil {
+			t.Errorf("%s: manifest accepted", name)
+		}
 	}
 
 	var schema map[string]any

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"regexp"
 )
 
@@ -120,15 +121,19 @@ func (m *ReportManifest) Encode() ([]byte, error) {
 var hexHash = regexp.MustCompile(`^[0-9a-f]{64}$`)
 
 // ValidateReportManifest checks manifest bytes against the report
-// manifest schema: required fields, types (unknown fields rejected),
-// hash formats, and the seal. It is the check behind labreport -check
-// and the CI report-smoke job.
+// manifest schema: one JSON object and nothing after it but white
+// space, required fields, types (unknown fields rejected), hash
+// formats, and the seal. It is the check behind labreport -check and
+// the CI report-smoke job.
 func ValidateReportManifest(data []byte) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var m ReportManifest
 	if err := dec.Decode(&m); err != nil {
 		return fmt.Errorf("artifact: report manifest: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("artifact: report manifest: trailing data after the manifest")
 	}
 	if m.Version != 1 {
 		return fmt.Errorf("artifact: report manifest: unsupported version %d", m.Version)

@@ -214,6 +214,8 @@ type Router struct {
 	// groupKeys holds the attribute renderings an MRAI flush sorts its
 	// UPDATE groups by, rewritten by each flush.
 	groupKeys []byte
+	// open is the router's OPEN frame, which every session sends.
+	open []byte
 }
 
 // New validates cfg and returns a Router.
@@ -237,7 +239,12 @@ func New(cfg Config) (*Router, error) {
 	if cfg.Policy == nil {
 		cfg.Policy = policy.PermitAll{}
 	}
+	open, err := OpenFrame(cfg.ASN, cfg.RouterID, cfg.Timers.HoldTime)
+	if err != nil {
+		return nil, err
+	}
 	r := &Router{
+		open:       open,
 		cfg:        cfg,
 		table:      rib.NewTable(),
 		adjOut:     rib.NewAdjOut(),
@@ -301,15 +308,9 @@ func (r *Router) AddPeer(pc PeerConfig) (*Peer, error) {
 	if pc.Neighbor.ASN == 0 {
 		pc.Neighbor.ASN = pc.RemoteASN
 	}
-	p := &Peer{
-		router:          r,
-		cfg:             pc,
-		pendingAnnounce: make(map[netip.Prefix]wire.PathAttrs),
-		pendingWithdraw: make(map[netip.Prefix]bool),
-	}
+	p := &Peer{router: r, cfg: pc}
 	err := p.fsm.init(SessionConfig{
-		LocalASN:  r.cfg.ASN,
-		LocalID:   r.cfg.RouterID,
+		Open:      r.open,
 		RemoteASN: pc.RemoteASN,
 		HoldTime:  r.cfg.Timers.HoldTime,
 		Clock:     r.cfg.Clock,

@@ -504,11 +504,12 @@ func TestWrongASNInOpenRejected(t *testing.T) {
 	}
 }
 
-// TestMRAIBatchMapReuse pins the pending-map recycling rule: a batch
-// that fit in one map group is cleared and reused by the next flush, a
-// batch that ever held more is dropped — at the flush that sends it or,
-// when cancellations emptied it first, at the flush that finds it
-// empty — so no session carries table-sized capacity between flushes.
+// TestMRAIBatchMapReuse pins the pending-map lifecycle: no map until
+// the first queue into it; a batch that fit in one map group is cleared
+// and its map reused by the next flush; a batch that ever held more is
+// released to nil — at the flush that sends it or, when cancellations
+// emptied it first, at the flush that finds it empty — so no session
+// carries table-sized capacity between flushes.
 func TestMRAIBatchMapReuse(t *testing.T) {
 	const mrai = 10 * time.Second
 	l := newLab(t, Timers{MRAI: mrai}, policy.PermitAll{})
@@ -526,7 +527,7 @@ func TestMRAIBatchMapReuse(t *testing.T) {
 		if err := l.k.RunFor(d); err != nil {
 			t.Fatal(err)
 		}
-		if len(p.pendingAnnounce)+len(p.pendingWithdraw)+p.announcePeak+p.withdrawPeak != 0 {
+		if len(p.pendingAnnounce)+len(p.pendingWithdraw)+int(p.announcePeak+p.withdrawPeak) != 0 {
 			t.Fatalf("batch not flushed: %d announce (peak %d), %d withdraw (peak %d)",
 				len(p.pendingAnnounce), p.announcePeak, len(p.pendingWithdraw), p.withdrawPeak)
 		}
@@ -543,27 +544,36 @@ func TestMRAIBatchMapReuse(t *testing.T) {
 
 	// The initial dump of a 20-prefix table outgrows one group.
 	eachPrefix(20, r2.Announce)()
-	initial := identity()
+	if got := identity(); got != [2]uintptr{} {
+		t.Fatalf("maps %v before anything was queued, want none", got)
+	}
 	l.start()
 	step(time.Minute, func() {})
 	if got := len(l.routers[1].Table().BestRoutes()); got != 20 {
 		t.Fatalf("AS1 learned %d routes, want 20", got)
 	}
-	afterDump := identity()
-	if afterDump[0] == initial[0] {
-		t.Fatal("announce map survived a 20-prefix batch")
+	if got := identity(); got != [2]uintptr{} {
+		t.Fatalf("maps %v after a 20-prefix dump, want the announce map released and no withdraw map", got)
 	}
-	// Small batches in both directions reuse their maps.
-	step(time.Minute, eachPrefix(mapGroupSlots, r2.Withdraw))
-	step(time.Minute, eachPrefix(mapGroupSlots, r2.Announce))
-	if got := identity(); got != afterDump {
-		t.Fatalf("one-group batches replaced their maps: %v → %v", afterDump, got)
+	// Small batches in both directions make their maps once and reuse
+	// them.
+	oneGroup := func() {
+		step(time.Minute, eachPrefix(mapGroupSlots, r2.Withdraw))
+		step(time.Minute, eachPrefix(mapGroupSlots, r2.Announce))
 	}
-	// One entry more and the map is dropped.
+	oneGroup()
+	small := identity()
+	if small[0] == 0 || small[1] == 0 {
+		t.Fatalf("maps %v after one-group batches, want both kept", small)
+	}
+	oneGroup()
+	if got := identity(); got != small {
+		t.Fatalf("one-group batches replaced their maps: %v → %v", small, got)
+	}
+	// One entry more and the map is released.
 	step(time.Minute, eachPrefix(mapGroupSlots+1, r2.Withdraw))
-	afterBig := identity()
-	if afterBig[1] == afterDump[1] || afterBig[0] != afterDump[0] {
-		t.Fatalf("9-prefix withdrawal batch: maps %v → %v, want only the withdraw map replaced", afterDump, afterBig)
+	if got := identity(); got != [2]uintptr{small[0], 0} {
+		t.Fatalf("9-prefix withdrawal batch: maps %v → %v, want only the withdraw map released", small, got)
 	}
 	// Nine announcements queued inside a closed MRAI window and then
 	// cancelled leave an empty map with two groups of capacity: the
@@ -584,7 +594,7 @@ func TestMRAIBatchMapReuse(t *testing.T) {
 			}
 		}
 	})
-	if got := identity(); got[0] == afterBig[0] {
+	if got := identity(); got[0] != 0 {
 		t.Fatal("announce map that grew to 9 and was cancelled to 0 was kept")
 	}
 }

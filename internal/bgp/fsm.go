@@ -13,9 +13,10 @@ import (
 
 // SessionConfig is what one session machine needs whoever owns it.
 type SessionConfig struct {
-	// LocalASN and LocalID go into the OPEN this side sends.
-	LocalASN idr.ASN
-	LocalID  idr.RouterID
+	// Open is the OPEN link frame this side sends (OpenFrame), proposing
+	// HoldTime. Frames are immutable once sent, so a speaker encodes its
+	// OPEN once and every one of its sessions sends that slice.
+	Open []byte
 	// RemoteASN is the expected neighbor AS, verified against its OPEN.
 	RemoteASN idr.ASN
 	// HoldTime is proposed in OPEN; the negotiated value is
@@ -99,8 +100,10 @@ func NewFSM(cfg SessionConfig, owner Owner) (*FSM, error) {
 // init is NewFSM for a machine embedded in its owner.
 func (f *FSM) init(cfg SessionConfig, owner Owner) error {
 	switch {
-	case cfg.LocalASN == 0 || cfg.RemoteASN == 0:
-		return fmt.Errorf("session needs local and remote ASNs")
+	case len(cfg.Open) == 0:
+		return fmt.Errorf("session needs an OPEN frame")
+	case cfg.RemoteASN == 0:
+		return fmt.Errorf("session needs a remote ASN")
 	case cfg.Clock == nil:
 		return fmt.Errorf("session needs a clock")
 	case cfg.Send == nil:
@@ -191,12 +194,7 @@ func (f *FSM) armRetry() {
 }
 
 func (f *FSM) sendOpen() error {
-	msg := wire.Open{
-		AS:           f.cfg.LocalASN,
-		HoldTimeSecs: uint16(f.cfg.HoldTime / time.Second),
-		ID:           f.cfg.LocalID,
-	}
-	if err := f.Send(msg); err != nil {
+	if err := f.cfg.Send(f.cfg.Open); err != nil {
 		return err
 	}
 	f.cfg.Stats.OpensSent++
@@ -206,6 +204,19 @@ func (f *FSM) sendOpen() error {
 // linkHeader is what package frames puts in front of a BGP message.
 // Full to capacity, so appending to it always moves to a new buffer.
 var linkHeader = []byte{byte(frames.KindBGP)}
+
+// OpenFrame encodes the OPEN link frame of a speaker: its AS, its BGP
+// identifier and the hold time it proposes, which CheckHoldTime must
+// accept. It is SessionConfig.Open for every session of that speaker.
+func OpenFrame(asn idr.ASN, id idr.RouterID, hold time.Duration) ([]byte, error) {
+	if asn == 0 {
+		return nil, fmt.Errorf("bgp: OPEN needs a local ASN")
+	}
+	if err := CheckHoldTime(hold); err != nil {
+		return nil, fmt.Errorf("bgp: %w", err)
+	}
+	return wire.Append(linkHeader, wire.Open{AS: asn, HoldTimeSecs: uint16(hold / time.Second), ID: id})
+}
 
 // keepaliveFrame is every KEEPALIVE this package sends: the message has
 // no fields, frames are immutable once sent, so one suffices.
@@ -270,13 +281,22 @@ func (f *FSM) notify(code, subcode uint8) {
 // Deliver processes one received BGP message, the link header already
 // stripped by whoever told it from the link's other traffic. Messages
 // that arrive while the transport is down are dropped (the transport
-// may race a reset). frame is only read.
+// may race a reset). frame is only read. An UPDATE and an OPEN are
+// decoded as values, so receiving either boxes nothing.
 func (f *FSM) Deliver(frame []byte) {
 	if !f.transportUp {
 		return
 	}
-	if wire.PeekType(frame) == wire.MsgUpdate {
+	switch wire.PeekType(frame) {
+	case wire.MsgUpdate:
 		f.deliverUpdate(frame)
+		return
+	case wire.MsgOpen:
+		if m, err := wire.DecodeOpen(frame); err != nil {
+			f.decodeFailed(err)
+		} else {
+			f.handleOpen(m)
+		}
 		return
 	}
 	msg, err := wire.Unmarshal(frame)
@@ -284,9 +304,7 @@ func (f *FSM) Deliver(frame []byte) {
 		f.decodeFailed(err)
 		return
 	}
-	switch m := msg.(type) {
-	case wire.Open:
-		f.handleOpen(m)
+	switch msg.(type) {
 	case wire.Keepalive:
 		f.handleKeepalive()
 	case wire.Notification:

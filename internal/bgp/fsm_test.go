@@ -30,9 +30,12 @@ type fsmRig struct {
 func newFSMRig(t testing.TB) *fsmRig {
 	t.Helper()
 	r := &fsmRig{k: sim.NewKernel(1)}
+	open, err := OpenFrame(1, idr.RouterIDFromAddr(netip.MustParseAddr("172.16.0.1")), 90*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
 	f, err := NewFSM(SessionConfig{
-		LocalASN:  1,
-		LocalID:   idr.RouterIDFromAddr(netip.MustParseAddr("172.16.0.1")),
+		Open:      open,
 		RemoteASN: 2,
 		HoldTime:  90 * time.Second,
 		Clock:     r.k,
@@ -370,6 +373,36 @@ func TestSendAllocatesOnlyItsFrame(t *testing.T) {
 	}
 }
 
+// TestReceiveOpenAllocatesNothing pins the OPEN exchange's share of a
+// session end: the OPEN a session sends is its speaker's one frame
+// (SessionConfig.Open), and a received OPEN is decoded as a value, so
+// answering one in OpenSent — decode, KEEPALIVE, hold timer re-keyed —
+// allocates nothing.
+func TestReceiveOpenAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's runtime adds allocations of its own")
+	}
+	r := newFSMRig(t)
+	r.enter(t, StateOpenSent)
+	var last []byte
+	r.f.cfg.Send = func(b []byte) error { last = b; return nil }
+	open := mustFrame(t, peerOpen)
+	if got := testing.AllocsPerRun(100, func() {
+		r.f.state = StateOpenSent
+		r.f.Deliver(open)
+	}); got != 0 {
+		t.Errorf("OPEN received in OpenSent: %v allocs, want 0", got)
+	}
+	if r.f.state != StateOpenConfirm || &last[0] != &keepaliveFrame[0] {
+		t.Fatalf("after the OPEN: state %v, last frame %x; want OpenConfirm and the shared KEEPALIVE", r.f.state, last)
+	}
+	r.f.reset(false)
+	r.f.startOpen()
+	if &last[0] != &r.f.cfg.Open[0] {
+		t.Error("the session sent an OPEN of its own, not its speaker's frame")
+	}
+}
+
 // armCounter is a kernel that counts the timers armed through it: each
 // AfterFunc is one event and one callback allocated.
 type armCounter struct {
@@ -408,7 +441,7 @@ func TestHandshakeArmsOneHoldTimer(t *testing.T) {
 func TestNewFSMValidation(t *testing.T) {
 	rig := newFSMRig(t)
 	for name, mutate := range map[string]func(*SessionConfig){
-		"local ASN":  func(c *SessionConfig) { c.LocalASN = 0 },
+		"OPEN frame": func(c *SessionConfig) { c.Open = nil },
 		"remote ASN": func(c *SessionConfig) { c.RemoteASN = 0 },
 		"clock":      func(c *SessionConfig) { c.Clock = nil },
 		"send":       func(c *SessionConfig) { c.Send = nil },

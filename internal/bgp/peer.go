@@ -22,13 +22,16 @@ type Peer struct {
 	fsm    FSM
 
 	mraiTimer sim.Timer
-	// Pending outbound route changes, flushed under MRAI pacing. The
-	// peaks are the most entries each map has held since it was made
-	// (see recycleBatch).
+	// Pending outbound route changes, flushed under MRAI pacing. Each
+	// map is made by the first queue into it, so a session that never
+	// sends holds two nil words. The peaks are the most entries each
+	// map has held since it was made (see recycleBatch); they share one
+	// word, which keeps Peer, and so every session end, in the 320-byte
+	// size class.
 	pendingAnnounce map[netip.Prefix]wire.PathAttrs
 	pendingWithdraw map[netip.Prefix]bool
-	announcePeak    int
-	withdrawPeak    int
+	announcePeak    int32
+	withdrawPeak    int32
 	// nextAdvAllowed is when the next announcement flush may happen.
 	nextAdvAllowed time.Time
 }
@@ -199,13 +202,19 @@ func (p *Peer) scheduleRoute(prefix netip.Prefix, best *rib.Route, ok bool, lear
 // queueAnnounce and queueWithdraw are the only inserts into the
 // pending maps, so the peaks see every growth.
 func (p *Peer) queueAnnounce(prefix netip.Prefix, attrs wire.PathAttrs) {
+	if p.pendingAnnounce == nil {
+		p.pendingAnnounce = make(map[netip.Prefix]wire.PathAttrs)
+	}
 	p.pendingAnnounce[prefix] = attrs
-	p.announcePeak = max(p.announcePeak, len(p.pendingAnnounce))
+	p.announcePeak = max(p.announcePeak, int32(len(p.pendingAnnounce)))
 }
 
 func (p *Peer) queueWithdraw(prefix netip.Prefix) {
+	if p.pendingWithdraw == nil {
+		p.pendingWithdraw = make(map[netip.Prefix]bool)
+	}
 	p.pendingWithdraw[prefix] = true
-	p.withdrawPeak = max(p.withdrawPeak, len(p.pendingWithdraw))
+	p.withdrawPeak = max(p.withdrawPeak, int32(len(p.pendingWithdraw)))
 }
 
 // mapGroupSlots is how many entries one group of a Go map holds: a map
@@ -217,15 +226,16 @@ const mapGroupSlots = 8
 // reused: a fresh one would allocate that same group again on its
 // first insert — 8 × (32 B prefix + 112 B attributes) ≈ 1.3 KB for
 // pendingAnnounce — to hold what is usually a single prefix. A map
-// that grew past one group is dropped instead, so a session's pending
-// maps never keep more than one group of capacity across flushes: a
-// full-table dump leaves no table-sized map behind, and no
-// O(capacity) clear on every later flush.
-func recycleBatch[V any](m map[netip.Prefix]V, peak *int) map[netip.Prefix]V {
+// that grew past one group is dropped to nil instead, for the next
+// queue to make afresh, so a session's pending maps never keep more
+// than one group of capacity across flushes: a full-table dump leaves
+// no table-sized map behind, and no O(capacity) clear on every later
+// flush.
+func recycleBatch[V any](m map[netip.Prefix]V, peak *int32) map[netip.Prefix]V {
 	grew := *peak > mapGroupSlots
 	*peak = 0
 	if grew {
-		return make(map[netip.Prefix]V)
+		return nil
 	}
 	clear(m)
 	return m
@@ -425,8 +435,7 @@ func (p *Peer) reset(wasEstablished bool) {
 		p.mraiTimer.Stop()
 		p.mraiTimer = nil
 	}
-	p.pendingAnnounce = make(map[netip.Prefix]wire.PathAttrs)
-	p.pendingWithdraw = make(map[netip.Prefix]bool)
+	p.pendingAnnounce, p.pendingWithdraw = nil, nil
 	p.announcePeak, p.withdrawPeak = 0, 0
 	p.nextAdvAllowed = time.Time{}
 

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"net/netip"
 	"slices"
 	"testing"
@@ -106,8 +107,9 @@ func sameMessage(a, b Message) bool {
 // left alone, and into one with room to spare. The entry points that
 // Marshal and Unmarshal wrap are held to them on the way: UnmarshalUpdate
 // into an Update full of another message's leftovers accepts, rejects
-// and decodes exactly as Unmarshal does, and AppendUpdate writes
-// Marshal's bytes.
+// and decodes exactly as Unmarshal does, DecodeOpen returns the OPEN
+// Unmarshal boxes or fails with the same NOTIFICATION code and
+// subcode, and AppendUpdate writes Marshal's bytes.
 func FuzzWireRoundTrip(f *testing.F) {
 	for _, m := range corpus() {
 		b, err := Marshal(m)
@@ -137,6 +139,21 @@ func FuzzWireRoundTrip(f *testing.F) {
 			direct, err := AppendUpdate(nil, &reused)
 			if boxed, err2 := Marshal(m); (err == nil) != (err2 == nil) || !bytes.Equal(direct, boxed) {
 				t.Fatalf("%+v: AppendUpdate gives %x (%v), Marshal %x (%v)", reused, direct, err, boxed, err2)
+			}
+		}
+		switch o, err3 := DecodeOpen(data); {
+		case PeekType(data) != MsgOpen:
+			if err3 == nil {
+				t.Fatalf("DecodeOpen accepted %x, a %v", data, PeekType(data))
+			}
+		case err == nil:
+			if err3 != nil || m != Message(o) {
+				t.Fatalf("%x: Unmarshal gives %+v, DecodeOpen %+v (%v)", data, m, o, err3)
+			}
+		default:
+			var de, de3 *DecodeError
+			if !errors.As(err, &de) || !errors.As(err3, &de3) || de.Code != de3.Code || de.Subcode != de3.Subcode {
+				t.Fatalf("%x: Unmarshal says %v, DecodeOpen %v", data, err, err3)
 			}
 		}
 		if err != nil {

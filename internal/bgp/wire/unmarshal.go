@@ -34,7 +34,11 @@ func Unmarshal(b []byte) (Message, error) {
 	}
 	switch typ {
 	case MsgOpen:
-		return unmarshalOpen(body)
+		o, err := unmarshalOpen(body)
+		if err != nil {
+			return nil, err
+		}
+		return o, nil
 	case MsgUpdate:
 		var u Update
 		if err := unmarshalUpdate(body, &u); err != nil {
@@ -75,6 +79,20 @@ func UnmarshalUpdate(b []byte, u *Update) error {
 	return unmarshalUpdate(body, u)
 }
 
+// DecodeOpen is Unmarshal for a message whose type octet says OPEN
+// (see PeekType): the same checks and the same errors, with the OPEN
+// returned as a value instead of boxed into a Message.
+func DecodeOpen(b []byte) (Open, error) {
+	typ, body, err := splitHeader(b)
+	if err != nil {
+		return Open{}, err
+	}
+	if typ != MsgOpen {
+		return Open{}, fmt.Errorf("wire: DecodeOpen of a %v", typ)
+	}
+	return unmarshalOpen(body)
+}
+
 // PeekType returns the type octet of a framed message, 0 when b is too
 // short to have one. Nothing else about b is checked.
 func PeekType(b []byte) MsgType {
@@ -101,33 +119,33 @@ func splitHeader(b []byte) (MsgType, []byte, error) {
 	return MsgType(b[MarkerLen+2]), b[HeaderLen:], nil
 }
 
-func unmarshalOpen(body []byte) (Message, error) {
+func unmarshalOpen(body []byte) (Open, error) {
 	if len(body) < 10 {
-		return nil, decodeErr(NotifOpenMessageError, 0, "open body %d bytes", len(body))
+		return Open{}, decodeErr(NotifOpenMessageError, 0, "open body %d bytes", len(body))
 	}
 	if body[0] != Version {
-		return nil, decodeErr(NotifOpenMessageError, 1, "unsupported version %d", body[0])
+		return Open{}, decodeErr(NotifOpenMessageError, 1, "unsupported version %d", body[0])
 	}
 	o := Open{
 		AS:           idr.ASN(binary.BigEndian.Uint16(body[1:])),
 		HoldTimeSecs: binary.BigEndian.Uint16(body[3:]),
 	}
 	if o.HoldTimeSecs != 0 && o.HoldTimeSecs < 3 {
-		return nil, decodeErr(NotifOpenMessageError, 6, "hold time %d", o.HoldTimeSecs)
+		return Open{}, decodeErr(NotifOpenMessageError, 6, "hold time %d", o.HoldTimeSecs)
 	}
 	copy(o.ID[:], body[5:9])
 	optLen := int(body[9])
 	opt := body[10:]
 	if len(opt) != optLen {
-		return nil, decodeErr(NotifOpenMessageError, 0, "optional parameters: have %d bytes, header says %d", len(opt), optLen)
+		return Open{}, decodeErr(NotifOpenMessageError, 0, "optional parameters: have %d bytes, header says %d", len(opt), optLen)
 	}
 	for len(opt) > 0 {
 		if len(opt) < 2 {
-			return nil, decodeErr(NotifOpenMessageError, 0, "truncated optional parameter")
+			return Open{}, decodeErr(NotifOpenMessageError, 0, "truncated optional parameter")
 		}
 		ptype, plen := opt[0], int(opt[1])
 		if len(opt) < 2+plen {
-			return nil, decodeErr(NotifOpenMessageError, 0, "optional parameter overruns message")
+			return Open{}, decodeErr(NotifOpenMessageError, 0, "optional parameter overruns message")
 		}
 		pval := opt[2 : 2+plen]
 		opt = opt[2+plen:]
@@ -137,11 +155,11 @@ func unmarshalOpen(body []byte) (Message, error) {
 		// Capabilities parameter: a sequence of TLVs.
 		for len(pval) > 0 {
 			if len(pval) < 2 {
-				return nil, decodeErr(NotifOpenMessageError, 0, "truncated capability")
+				return Open{}, decodeErr(NotifOpenMessageError, 0, "truncated capability")
 			}
 			code, clen := pval[0], int(pval[1])
 			if len(pval) < 2+clen {
-				return nil, decodeErr(NotifOpenMessageError, 0, "capability overruns parameter")
+				return Open{}, decodeErr(NotifOpenMessageError, 0, "capability overruns parameter")
 			}
 			val := pval[2 : 2+clen]
 			pval = pval[2+clen:]
@@ -149,7 +167,7 @@ func unmarshalOpen(body []byte) (Message, error) {
 				continue // other capabilities are skipped
 			}
 			if clen != 4 {
-				return nil, decodeErr(NotifOpenMessageError, 0, "four-octet-AS capability length %d", clen)
+				return Open{}, decodeErr(NotifOpenMessageError, 0, "four-octet-AS capability length %d", clen)
 			}
 			o.AS = idr.ASN(binary.BigEndian.Uint32(val))
 		}

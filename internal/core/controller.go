@@ -317,9 +317,12 @@ func (c *Controller) AddExternalPeering(borderASN idr.ASN, port uint32, remoteAS
 		advertised: make(map[netip.Prefix]wire.PathAttrs),
 		adjIn:      make(map[netip.Prefix]bool),
 	}
+	open, err := bgp.OpenFrame(borderASN, localID, c.cfg.Timers.HoldTime)
+	if err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
 	fsm, err := bgp.NewFSM(bgp.SessionConfig{
-		LocalASN:  borderASN,
-		LocalID:   localID,
+		Open:      open,
 		RemoteASN: remoteASN,
 		HoldTime:  c.cfg.Timers.HoldTime,
 		Clock:     c.cfg.Clock,

@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/addressing"
 	"repro/internal/bgp"
+	"repro/internal/bgp/rib"
 	"repro/internal/core"
 	"repro/internal/frames"
 	"repro/internal/idr"
@@ -103,6 +104,8 @@ type Experiment struct {
 	Probes *monitor.ProbeEngine
 
 	members map[idr.ASN]bool
+	// peerKeys holds the session key toward each AS (peerKey).
+	peerKeys map[idr.ASN]rib.PeerKey
 	// links holds one record per topology edge, keyed by linkKey.
 	links map[[2]idr.ASN]*link
 	// endOf maps every endpoint a router session or a switch data port
@@ -164,6 +167,7 @@ func New(cfg Config) (*Experiment, error) {
 		Routers:    make(map[idr.ASN]*bgp.Router),
 		Switches:   make(map[idr.ASN]*sdn.Switch),
 		members:    make(map[idr.ASN]bool),
+		peerKeys:   make(map[idr.ASN]rib.PeerKey, cfg.Graph.NumNodes()),
 		links:      make(map[[2]idr.ASN]*link, cfg.Graph.NumEdges()),
 		endOf:      make(map[*netem.Endpoint]*end, 2*cfg.Graph.NumEdges()),
 		ctrlLinkOf: make(map[idr.ASN]*netem.Link),

@@ -396,3 +396,53 @@ func TestEstablishBytesPerSession(t *testing.T) {
 		t.Fatalf("establishing allocated %d bytes per session end, want < 1000", perEnd)
 	}
 }
+
+// TestEstablishAllocsPerSessionEnd bounds everything a session end
+// costs from nothing to Established — New, Start and WaitEstablished on
+// a gao-rexford internet-like graph — in objects and in bytes per end.
+// A per-session key made with fmt, a closure per transport-up event, an
+// OPEN encoded per send or boxed per receive, pending-batch maps made
+// before the first queue and three objects per link besides the link
+// once made this 26.01 objects and 1 759 bytes per end.
+//
+// To re-measure after a deliberate change, print the counts with
+//
+//	go test ./internal/experiment -run TestEstablishAllocsPerSessionEnd -v
+//
+// and set the objects ceiling 0.2% above its count and the bytes
+// ceiling 2% above, TestTrialAllocCeiling's rule (15.41 objects and
+// 1 470 bytes per end on go1.24 linux/amd64).
+func TestEstablishAllocsPerSessionEnd(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's runtime adds allocations of its own")
+	}
+	const maxObjects, maxBytes = 15.45, 1500
+	g, err := topology.SynthesizeInternetLike(200, newSeededRand(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends := 0
+	establish := func() {
+		e := build(t, Config{Seed: 1, Graph: g, Policy: policy.GaoRexford{}})
+		ends = e.expectedSessions()
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	establish() // the graph builds its adjacency index once
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		establish()
+	}
+	runtime.ReadMemStats(&after)
+	per := float64(runs * ends)
+	objects := float64(after.Mallocs-before.Mallocs) / per
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / per
+	t.Logf("New through WaitEstablished: %.2f objects, %.0f bytes per session end over %d ends (ceilings %.2f, %d)", objects, bytes, ends, maxObjects, maxBytes)
+	if objects > maxObjects {
+		t.Errorf("%.2f objects per session end, ceiling %.2f", objects, maxObjects)
+	}
+	if bytes > maxBytes {
+		t.Errorf("%.0f bytes per session end, ceiling %d", bytes, maxBytes)
+	}
+}

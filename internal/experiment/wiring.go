@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/addressing"
@@ -16,9 +17,21 @@ import (
 )
 
 // peerKeyTo is the conventional session key a router uses for its
-// session toward a neighbor AS.
+// session toward a neighbor AS: "to-" and the AS's String.
 func peerKeyTo(remote idr.ASN) rib.PeerKey {
-	return rib.PeerKey(fmt.Sprintf("to-%s", remote))
+	var buf [16]byte
+	return rib.PeerKey(strconv.AppendUint(append(buf[:0], "to-AS"...), uint64(remote), 10))
+}
+
+// peerKey is peerKeyTo made once per remote AS: every session toward
+// it shares the one string.
+func (e *Experiment) peerKey(remote idr.ASN) rib.PeerKey {
+	key, ok := e.peerKeys[remote]
+	if !ok {
+		key = peerKeyTo(remote)
+		e.peerKeys[remote] = key
+	}
+	return key
 }
 
 // link is one topology edge: its netem link, its /30 transfer network,
@@ -136,7 +149,7 @@ func (e *Experiment) open(l *link, asn, nb idr.ASN) (fresh bool, err error) {
 		return false, nil
 	}
 	addr, _ := l.net.Addr(asn)
-	key := peerKeyTo(nb)
+	key := e.peerKey(nb)
 	en.peer, err = e.Routers[asn].AddPeer(bgp.PeerConfig{
 		Key:       key,
 		RemoteASN: nb,
@@ -245,13 +258,21 @@ func (e *Experiment) Start() error {
 	for _, asn := range e.ASNs() {
 		if r, ok := e.Routers[asn]; ok {
 			for _, k := range sortedPeerKeys(r) {
-				e.K.Go(r.Peers()[k].TransportUp)
+				e.K.Post(0, (*transportUp)(r.Peers()[k]))
 			}
 		}
 	}
 	// Cluster speaker sessions come up via the controller's Start.
 	return nil
 }
+
+// transportUp is a session's first TransportUp as posted work: a
+// pointer, so posting it boxes nothing, where a method value would be
+// a closure per session end.
+type transportUp bgp.Peer
+
+// Fire brings the session's transport up.
+func (t *transportUp) Fire() { (*bgp.Peer)(t).TransportUp() }
 
 // expectedSessions counts the sessions that should establish.
 func (e *Experiment) expectedSessions() (routerSessions int) {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -96,12 +97,23 @@ func (s *Server) Handler() http.Handler {
 // cannot grow the daemon's heap without limit.
 const maxSubmitBytes = 1 << 20
 
-// handleSubmit accepts a spec or preset submission.
+// handleSubmit accepts a spec or preset submission: one JSON object,
+// with nothing after it but white space.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	var req SubmitRequest
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	if err == nil {
+		switch _, tail := dec.Token(); tail {
+		case io.EOF:
+		case nil:
+			err = errors.New("data after the request")
+		default:
+			err = tail
+		}
+	}
+	if err != nil {
 		code := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {

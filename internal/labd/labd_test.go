@@ -425,6 +425,22 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 			t.Fatalf("%s: code %d, want 400", name, code)
 		}
 	}
+	// A body is one request: anything after it but white space is
+	// refused, however well-formed the request before it.
+	for name, body := range map[string]string{
+		"trailing garbage": `{"client":"x","preset":"fig2"} junk`,
+		"trailing bracket": `{"client":"x","preset":"fig2"}]`,
+		"second request":   `{"client":"x","preset":"fig2"}{"client":"y","preset":"fig2"}`,
+	} {
+		resp, err := http.Post(url+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: code %d, want 400", name, resp.StatusCode)
+		}
+	}
 
 	// A body over the bound is refused before it is decoded in full.
 	body := `{"client":"` + strings.Repeat("x", maxSubmitBytes) + `"}`

@@ -139,7 +139,7 @@ func (n *Network) Connect(a, b *Node, cfg LinkConfig) (*Link, error) {
 	if cfg.Loss > 0 && n.rng == nil && !n.seeded {
 		return nil, errors.New("netem: loss needs a network random source")
 	}
-	l := &Link{net: n, cfg: cfg, up: true}
+	l := &Link{net: n, cfg: cfg, up: true, seeded: n.seeded}
 	if n.seeded {
 		// Mix the creation index into the seed (splitmix64-style odd
 		// constant) so adjacent links get well-separated streams. The
@@ -147,14 +147,12 @@ func (n *Network) Connect(a, b *Node, cfg LinkConfig) (*Link, error) {
 		// position and restores re-derive it from the seed, and it
 		// builds its generator on the first draw: a lossless link
 		// holds only (seed, draws).
-		l.src = sim.NewCountingSource(n.linkSeed ^ int64(len(n.links)+1)*-0x61c8864680b583eb)
-		l.rng = rand.New(l.src)
+		l.src.Seed(n.linkSeed ^ int64(len(n.links)+1)*-0x61c8864680b583eb)
 	}
-	l.a = &Endpoint{node: a, link: l}
-	l.b = &Endpoint{node: b, link: l}
-	l.a.peer, l.b.peer = l.b, l.a
-	a.endpoints = append(a.endpoints, l.a)
-	b.endpoints = append(b.endpoints, l.b)
+	l.a = Endpoint{node: a, link: l, peer: &l.b}
+	l.b = Endpoint{node: b, link: l, peer: &l.a}
+	a.endpoints = append(a.endpoints, &l.a)
+	b.endpoints = append(b.endpoints, &l.b)
 	n.links = append(n.links, l)
 	return l, nil
 }
@@ -195,16 +193,22 @@ func (nd *Node) EndpointTo(peer string) (*Endpoint, bool) {
 	return nil, false
 }
 
-// Link is a bidirectional point-to-point connection.
+// Link is a bidirectional point-to-point connection. It holds its two
+// endpoints and its random stream's position, so a link is one object
+// until its first loss draw builds the *rand.Rand over the stream.
 type Link struct {
-	net   *Network
-	a, b  *Endpoint
-	cfg   LinkConfig
-	rng   *rand.Rand // private stream when the network is seeded
-	src   *sim.CountingSource
-	up    bool
-	epoch uint64 // incremented on every down transition; kills in-flight traffic
-	subs  []func(up bool)
+	net  *Network
+	a, b Endpoint
+	cfg  LinkConfig
+	// seeded links draw from their private stream src, through rng once
+	// the first draw has built it; others (created before SeedLinks)
+	// draw from the network's shared source.
+	seeded bool
+	src    sim.CountingSource
+	rng    *rand.Rand
+	up     bool
+	epoch  uint64 // incremented on every down transition; kills in-flight traffic
+	subs   []func(up bool)
 
 	// Stats, per link.
 	Delivered, Dropped uint64
@@ -216,14 +220,17 @@ type Link struct {
 // rand returns the link's random source: its private per-link stream
 // when the network was seeded, the shared network source otherwise.
 func (l *Link) rand() *rand.Rand {
-	if l.rng != nil {
-		return l.rng
+	if !l.seeded {
+		return l.net.rng
 	}
-	return l.net.rng
+	if l.rng == nil {
+		l.rng = rand.New(&l.src)
+	}
+	return l.rng
 }
 
 // Endpoints returns the two endpoints of the link.
-func (l *Link) Endpoints() (*Endpoint, *Endpoint) { return l.a, l.b }
+func (l *Link) Endpoints() (*Endpoint, *Endpoint) { return &l.a, &l.b }
 
 // Config returns the link's configuration.
 func (l *Link) Config() LinkConfig { return l.cfg }

@@ -67,19 +67,16 @@ func (n *Network) State() NetworkState {
 		Links:          make([]LinkState, len(n.links)),
 	}
 	for i, l := range n.links {
-		ls := LinkState{
+		st.Links[i] = LinkState{
 			Up:          l.up,
 			Epoch:       l.epoch,
 			Delivered:   l.Delivered,
 			Dropped:     l.Dropped,
 			Retransmits: l.Retransmits,
+			Draws:       l.src.Draws(), // 0 on a link that draws from the shared source
 			AArrivalNS:  tsNS(l.a.lastArrival),
 			BArrivalNS:  tsNS(l.b.lastArrival),
 		}
-		if l.src != nil {
-			ls.Draws = l.src.Draws()
-		}
-		st.Links[i] = ls
 	}
 	return st
 }
@@ -107,7 +104,7 @@ func (n *Network) RestoreState(st NetworkState) error {
 		l.Retransmits = ls.Retransmits
 		l.a.lastArrival = nsTS(ls.AArrivalNS)
 		l.b.lastArrival = nsTS(ls.BArrivalNS)
-		if l.src != nil {
+		if l.seeded {
 			l.src.FastForward(ls.Draws)
 		} else if ls.Draws > 0 {
 			return fmt.Errorf("netem: restore: link %d has %d recorded draws but no private stream", i, ls.Draws)

@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
@@ -48,6 +49,78 @@ func TestLosslessLinkBuildsNoStream(t *testing.T) {
 		if ls.Draws != 0 {
 			t.Fatalf("link %d: lossless traffic drew %d values from its stream", i, ls.Draws)
 		}
+	}
+}
+
+// TestLinkOwnsItsStream pins where a link's loss draws come from now
+// that the link holds its stream by value and builds the generator on
+// the first draw: a link created before SeedLinks draws from the
+// network's shared source and records no draws of its own, one
+// created after draws from its own stream and leaves the shared one
+// alone; a lossless seeded link is one object with no generator; and a
+// lossy link's draw count survives State and RestoreState, so the
+// restored link draws the original's next losses.
+func TestLinkOwnsItsStream(t *testing.T) {
+	shared := sim.NewCountingSource(9)
+	build := func() (*Network, *Link, *Link) {
+		n := NewNetwork(&countingClock{}, rand.New(shared))
+		a, b := twoNodes(t, n)
+		before, err := n.Connect(a, b, LinkConfig{Loss: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.SeedLinks(7)
+		after, err := n.Connect(a, b, LinkConfig{Loss: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n, before, after
+	}
+	send := func(l *Link, frames int) {
+		ep, _ := l.Endpoints()
+		for i := 0; i < frames; i++ {
+			_ = ep.Send([]byte("u")) // the link stays up
+		}
+	}
+
+	n, before, after := build()
+	send(before, 50)
+	if shared.Draws() == 0 || n.State().Links[0].Draws != 0 {
+		t.Fatalf("a link from before SeedLinks: %d shared draws, %d of its own; want some and none", shared.Draws(), n.State().Links[0].Draws)
+	}
+	sharedDraws := shared.Draws()
+	send(after, 50)
+	if shared.Draws() != sharedDraws || n.State().Links[1].Draws == 0 {
+		t.Fatalf("a link from after SeedLinks: %d more shared draws, %d of its own; want none and some", shared.Draws()-sharedDraws, n.State().Links[1].Draws)
+	}
+
+	a, b := twoNodes(t, NewNetwork(&countingClock{}, nil))
+	a.net.SeedLinks(7)
+	var lossless *Link
+	allocs := testing.AllocsPerRun(100, func() {
+		var err error
+		if lossless, err = a.net.Connect(a, b, LinkConfig{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	send(lossless, 10)
+	if allocs > 1 || lossless.rng != nil {
+		t.Errorf("a lossless seeded link: %v allocations per Connect, generator built %v; want 1 and false", allocs, lossless.rng != nil)
+	}
+
+	st := n.State()
+	restored, _, again := build()
+	if err := restored.RestoreState(st); err != nil {
+		t.Fatal(err)
+	}
+	if got := restored.State().Links[1].Draws; got != st.Links[1].Draws {
+		t.Fatalf("restored link at draw %d, captured at %d", got, st.Links[1].Draws)
+	}
+	retransmits := after.Retransmits
+	send(after, 50)
+	send(again, 50)
+	if after.Retransmits-retransmits != again.Retransmits-retransmits || restored.State().Links[1] != n.State().Links[1] {
+		t.Fatalf("after the restore the two links drew different losses: %d and %d retransmits", after.Retransmits-retransmits, again.Retransmits-retransmits)
 	}
 }
 
