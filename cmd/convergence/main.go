@@ -76,6 +76,7 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/figures"
 	"repro/internal/lab"
+	"repro/internal/profiling"
 )
 
 func main() {
@@ -90,8 +91,7 @@ func main() {
 	out := flag.String("out", "", "artifact store directory: file every (cell, run) result under the sweep's spec hash and skip cells already stored, so repeated or interrupted sweeps resume instead of recomputing")
 	wallLimit := flag.Duration("wall-limit", 0, "wall-clock budget per emulation run: a run over budget fails (with -tolerate, as a recorded cell failure) instead of hanging the sweep")
 	tolerate := flag.Bool("tolerate", false, "record per-run failures (panic, timeout, error) and keep sweeping instead of aborting on the first broken run")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the command to this file (for go tool pprof; not written if the command fails)")
-	memprofile := flag.String("memprofile", "", "write an allocation profile of the command to this file when it completes (for go tool pprof)")
+	prof := profiling.Bind(flag.CommandLine)
 	flag.Parse()
 
 	if *list {
@@ -100,7 +100,7 @@ func main() {
 		}
 		return
 	}
-	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
+	stopProfiles, err := prof.Start()
 	if err != nil {
 		fatal(err)
 	}

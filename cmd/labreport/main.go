@@ -19,6 +19,8 @@
 //	labreport -out report -profile smoke  # small CI profile (grid + internet-40)
 //	labreport -out report -parallel 4     # bound concurrent emulation runs
 //	labreport -check report               # validate manifest + store seals
+//	labreport -out report -profile smoke -cpuprofile cpu.pprof -memprofile mem.pprof
+//	                                      # CPU and allocation profiles
 //	labreport -experiments-md             # print the generated EXPERIMENTS.md
 //	                                      # registry block and exit
 package main
@@ -38,6 +40,7 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/figures"
 	"repro/internal/lab"
+	"repro/internal/profiling"
 )
 
 func main() {
@@ -46,7 +49,17 @@ func main() {
 	parallel := flag.Int("parallel", 0, "concurrent emulation runs (0 = GOMAXPROCS, 1 = sequential; results are identical)")
 	expMD := flag.Bool("experiments-md", false, "print the generated EXPERIMENTS.md registry block to stdout and exit")
 	check := flag.String("check", "", "validate an existing report directory (manifest schema, seal, store digests, emitted files) and exit")
+	prof := profiling.Bind(flag.CommandLine)
 	flag.Parse()
+	stopProfiles, err := prof.Start()
+	if err != nil {
+		fatal(err)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fatal(err)
+		}
+	}()
 
 	if *expMD {
 		if err := writeExperimentsMD(os.Stdout); err != nil {

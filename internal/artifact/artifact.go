@@ -207,21 +207,30 @@ func (ss *SweepStore) Load(cell, run int) (lab.Result, bool, error) {
 	if err != nil {
 		return lab.Result{}, false, fmt.Errorf("artifact: %w", err)
 	}
-	var rec record
-	if err := json.Unmarshal(data, &rec); err != nil {
+	res, err := ss.decodeRecord(data, cell, run)
+	if err != nil {
 		return lab.Result{}, false, fmt.Errorf("artifact: %s: %w", ss.recordPath(cell, run), err)
 	}
-	if rec.SpecSHA256 != ss.hash || rec.Cell != cell || rec.Run != run {
-		return lab.Result{}, false, fmt.Errorf("artifact: %s: record claims (spec %.12s, cell %d, run %d), expected (spec %.12s, cell %d, run %d)",
-			ss.recordPath(cell, run), rec.SpecSHA256, rec.Cell, rec.Run, ss.hash, cell, run)
-	}
 	ss.hits.Add(1)
-	return rec.Result, true, nil
+	return res, true, nil
 }
 
-// Store implements lab.CellCache: it files a freshly computed result
-// atomically under the spec directory.
-func (ss *SweepStore) Store(cell, run int, r lab.Result) error {
+// decodeRecord is Load's check of a record file's bytes: one record,
+// filed under this spec hash at (cell, run).
+func (ss *SweepStore) decodeRecord(data []byte, cell, run int) (lab.Result, error) {
+	var rec record
+	if err := json.Unmarshal(data, &rec); err != nil {
+		return lab.Result{}, err
+	}
+	if rec.SpecSHA256 != ss.hash || rec.Cell != cell || rec.Run != run {
+		return lab.Result{}, fmt.Errorf("record claims (spec %.12s, cell %d, run %d), expected (spec %.12s, cell %d, run %d)",
+			rec.SpecSHA256, rec.Cell, rec.Run, ss.hash, cell, run)
+	}
+	return rec.Result, nil
+}
+
+// encodeRecord is the record file Store writes for (cell, run).
+func (ss *SweepStore) encodeRecord(cell, run int, r lab.Result) ([]byte, error) {
 	data, err := json.MarshalIndent(record{
 		SpecSHA256: ss.hash,
 		Cell:       cell,
@@ -229,9 +238,19 @@ func (ss *SweepStore) Store(cell, run int, r lab.Result) error {
 		Result:     r,
 	}, "", "  ")
 	if err != nil {
-		return fmt.Errorf("artifact: %w", err)
+		return nil, fmt.Errorf("artifact: %w", err)
 	}
-	if err := writeFileAtomic(ss.recordPath(cell, run), append(data, '\n')); err != nil {
+	return append(data, '\n'), nil
+}
+
+// Store implements lab.CellCache: it files a freshly computed result
+// atomically under the spec directory.
+func (ss *SweepStore) Store(cell, run int, r lab.Result) error {
+	data, err := ss.encodeRecord(cell, run, r)
+	if err != nil {
+		return err
+	}
+	if err := writeFileAtomic(ss.recordPath(cell, run), data); err != nil {
 		return err
 	}
 	// A success supersedes any failure a previous tolerant run filed
@@ -359,30 +378,63 @@ func (ss *SweepStore) Finish() error {
 	if m.SealSHA256, err = m.seal(); err != nil {
 		return err
 	}
+	data, err := m.encode()
+	if err != nil {
+		return err
+	}
+	return writeFileAtomic(filepath.Join(ss.dir, "manifest.json"), data)
+}
+
+// encode is the manifest file's bytes.
+func (m SweepManifest) encode() ([]byte, error) {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
-		return fmt.Errorf("artifact: %w", err)
+		return nil, fmt.Errorf("artifact: %w", err)
 	}
-	return writeFileAtomic(filepath.Join(ss.dir, "manifest.json"), append(data, '\n'))
+	return append(data, '\n'), nil
+}
+
+// decodeSweepManifest is VerifySweepDir's check of manifest bytes: a
+// manifest whose seal holds and whose entries name only files the
+// store writes — records c<cell>-r<run>.json and failures
+// c<cell>-r<run>.failed.json — so that no entry reads or hashes a file
+// outside the sweep's directory.
+func decodeSweepManifest(data []byte) (SweepManifest, error) {
+	var m SweepManifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		return m, err
+	}
+	want, err := m.seal()
+	if err != nil {
+		return m, err
+	}
+	if m.SealSHA256 != want {
+		return m, fmt.Errorf("manifest seal mismatch (recorded %.12s, computed %.12s)", m.SealSHA256, want)
+	}
+	for _, rd := range m.Records {
+		if !recordName.MatchString(rd.File) {
+			return m, fmt.Errorf("manifest lists %q, which is not a record file", rd.File)
+		}
+	}
+	for _, rd := range m.Failures {
+		if !failureName.MatchString(rd.File) {
+			return m, fmt.Errorf("manifest lists %q, which is not a failure file", rd.File)
+		}
+	}
+	return m, nil
 }
 
 // VerifySweepDir verifies one <store>/<spec-hash> directory: manifest
-// seal, spec hash, and record digests.
+// seal, entry names (decodeSweepManifest), spec hash, and record
+// digests.
 func VerifySweepDir(dir string) error {
 	data, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
 	if err != nil {
 		return fmt.Errorf("artifact: %w", err)
 	}
-	var m SweepManifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return fmt.Errorf("artifact: %s: %w", dir, err)
-	}
-	want, err := m.seal()
+	m, err := decodeSweepManifest(data)
 	if err != nil {
-		return err
-	}
-	if m.SealSHA256 != want {
-		return fmt.Errorf("artifact: %s: manifest seal mismatch (recorded %.12s, computed %.12s)", dir, m.SealSHA256, want)
+		return fmt.Errorf("artifact: %s: %w", dir, err)
 	}
 	spec, err := os.ReadFile(filepath.Join(dir, "spec.json"))
 	if err != nil {

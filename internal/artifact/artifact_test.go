@@ -1,6 +1,8 @@
 package artifact
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -245,6 +247,75 @@ func TestManifestVerify(t *testing.T) {
 	}
 }
 
+// TestVerifySweepDirRefusesForeignNames pins that a sealed manifest may
+// name only files the store writes in its own directory: an entry that
+// climbs out of it, or names spec.json or a record as a failure, is
+// refused before anything is read, even when it carries the digest of
+// the file it reaches.
+func TestVerifySweepDirRefusesForeignNames(t *testing.T) {
+	dir := t.TempDir()
+	store, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, stats, err := RunSweep(store, testSweep())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweepDir := filepath.Join(dir, stats.SpecHash)
+	path := filepath.Join(sweepDir, "manifest.json")
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := decodeSweepManifest(orig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, file string
+		failure    bool
+	}{
+		{"parent directory", "../" + stats.SpecHash + "/c0-r0.json", false},
+		{"dot step", "./c0-r0.json", false},
+		{"spec as a record", "spec.json", false},
+		{"record as a failure", "c0-r0.json", true},
+		{"spec as a failure", "../" + stats.SpecHash + "/spec.json", true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			target, err := os.ReadFile(filepath.Join(sweepDir, c.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(target)
+			entry := RecordDigest{File: c.file, SHA256: hex.EncodeToString(sum[:])}
+			bad := m
+			if c.failure {
+				bad.Failures = []RecordDigest{entry}
+			} else {
+				bad.Records = append([]RecordDigest{entry}, m.Records[1:]...)
+			}
+			if bad.SealSHA256, err = bad.seal(); err != nil {
+				t.Fatal(err)
+			}
+			data, err := bad.encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			defer os.WriteFile(path, orig, 0o644)
+			if err := VerifySweepDir(sweepDir); err == nil {
+				t.Fatalf("manifest naming %q verified", c.file)
+			}
+		})
+	}
+	if err := VerifySweepDir(sweepDir); err != nil {
+		t.Fatalf("restored manifest does not verify: %v", err)
+	}
+}
+
 // TestFinishIgnoresStrandedTempFiles simulates a run killed between
 // CreateTemp and Rename: the stranded temp file must not be indexed
 // as a record, so the resumed sweep's manifest stays complete and
@@ -351,8 +422,23 @@ func reportManifestCases(t testing.TB) (valid []byte, broken map[string][]byte) 
 		t.Fatal(err)
 	}
 	text := string(data)
+	// Sealed manifests whose figures point outside the report
+	// directory, where labreport -check would stat them.
+	outside := func(svg string, epochs ...string) []byte {
+		bad := *m
+		bad.Figures = slices.Clone(m.Figures)
+		bad.Figures[0].SVG, bad.Figures[0].EpochSVGs = svg, epochs
+		data, err := bad.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
 	return data, map[string][]byte{
-		"empty profile": []byte(strings.Replace(text, `"profile": "smoke"`, `"profile": ""`, 1)),
+		"svg outside the report":       outside("../fig2.svg"),
+		"absolute svg":                 outside("/tmp/fig2.svg"),
+		"epoch svg outside the report": outside("figures/fig2.svg", "figures/fig2-e0.svg", "figures/../../fig2-e1.svg"),
+		"empty profile":                []byte(strings.Replace(text, `"profile": "smoke"`, `"profile": ""`, 1)),
 		// Altered content under a stale seal.
 		"stale seal": []byte(strings.Replace(text, "350.284", "351.000", 1)),
 		// The schema forbids additional properties.

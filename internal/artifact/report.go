@@ -8,7 +8,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"path"
 	"regexp"
+	"slices"
+	"strings"
 )
 
 // ReportManifest is the machine-readable index of one generated lab
@@ -56,7 +59,8 @@ type ReportFigure struct {
 	Runs int `json:"runs"`
 	// BaseSeed is the seed offset the runs derived from.
 	BaseSeed int64 `json:"base_seed"`
-	// SVG is the figure's boxplot file, relative to the report dir.
+	// SVG is the figure's boxplot file, a slash-separated path inside
+	// the report dir: not absolute, and no step of it is "..".
 	SVG string `json:"svg"`
 	// EpochSVGs lists the per-epoch boxplots of multi-event sweeps.
 	EpochSVGs []string `json:"epoch_svgs,omitempty"`
@@ -165,6 +169,11 @@ func ValidateReportManifest(data []byte) error {
 		}
 		if f.SVG == "" {
 			return fmt.Errorf("artifact: report manifest: figure %q: missing svg", f.Name)
+		}
+		for _, svg := range append([]string{f.SVG}, f.EpochSVGs...) {
+			if path.IsAbs(svg) || slices.Contains(strings.Split(svg, "/"), "..") {
+				return fmt.Errorf("artifact: report manifest: figure %q: svg %q is not a path inside the report directory", f.Name, svg)
+			}
 		}
 		if len(f.Cells) == 0 {
 			return fmt.Errorf("artifact: report manifest: figure %q: no cells", f.Name)

@@ -197,9 +197,14 @@ type Router struct {
 	originated map[netip.Prefix]wire.PathAttrs
 	stats      Stats
 	// busyUntil serialises the processing-delay work queue; idleWork
-	// chains its finished entries for reuse.
+	// chains its finished entries for reuse. marks[markHead:] is when
+	// each UPDATE of the last two keepalive intervals joined the queue
+	// and when the queue was done with it: what a quiet session reads
+	// its mate's KEEPALIVEs' turns from (processedAt).
 	busyUntil time.Time
 	idleWork  *queuedFrame
+	marks     []busyMark
+	markHead  int
 	// damping is nil unless Config.Damping is set.
 	damping *damping
 	// rx is the UPDATE being received (every session's FSM decodes into
@@ -266,8 +271,16 @@ func (r *Router) RouterID() idr.RouterID { return r.cfg.RouterID }
 // Table exposes the RIBs (read-only use by monitors).
 func (r *Router) Table() *rib.Table { return r.table }
 
-// Stats returns a snapshot of the router's counters.
-func (r *Router) Stats() Stats { return r.stats }
+// Stats returns a snapshot of the router's counters, the KEEPALIVEs
+// its quiet sessions have sent by arithmetic included (see Mating).
+func (r *Router) Stats() Stats {
+	s := r.stats
+	now := sim.TimeToNS(r.cfg.Clock.Now())
+	for _, p := range r.peerList {
+		s.KeepalivesSent += p.fsm.quietKeepalives(now)
+	}
+	return s
+}
 
 func (r *Router) trace(ev TraceEvent) {
 	if r.cfg.Trace != nil {
@@ -308,7 +321,7 @@ func (r *Router) AddPeer(pc PeerConfig) (*Peer, error) {
 	if pc.Neighbor.ASN == 0 {
 		pc.Neighbor.ASN = pc.RemoteASN
 	}
-	p := &Peer{router: r, cfg: pc}
+	p := &Peer{router: r, cfg: pc, nextAdv: sim.TimeNone}
 	err := p.fsm.init(SessionConfig{
 		Open:      r.open,
 		RemoteASN: pc.RemoteASN,
@@ -452,7 +465,16 @@ func (p *Peer) Deliver(frame []byte) {
 		cost = time.Duration(float64(r.cfg.ProcessingDelay) * f)
 	}
 	finish := start.Add(cost)
+	if cost > 0 {
+		r.mark(sim.TimeToNS(now), sim.TimeToNS(finish))
+	}
 	r.busyUntil = finish
+	r.enqueue(p, frame, finish.Sub(now))
+}
+
+// enqueue posts frame to its session's turn in the work queue, d from
+// now.
+func (r *Router) enqueue(p *Peer, frame []byte, d time.Duration) {
 	q := r.idleWork
 	if q != nil {
 		r.idleWork = q.next
@@ -460,7 +482,57 @@ func (p *Peer) Deliver(frame []byte) {
 		q = new(queuedFrame)
 	}
 	*q = queuedFrame{peer: p, frame: frame}
-	r.cfg.Clock.Post(finish.Sub(now), q)
+	r.cfg.Clock.Post(d, q)
+}
+
+// busyMark is one UPDATE's stay in the work queue: it joined at at and
+// was done at until, in nanoseconds since sim.Epoch.
+type busyMark struct{ at, until int64 }
+
+// mark records an UPDATE that joined the work queue at at and leaves it
+// at until. A quiet session's mate's KEEPALIVEs wait behind such
+// UPDATEs, and one that waited a whole keepalive interval could let the
+// hold time run out in the modelled run; so before the queue grows
+// that long, every quiet pair of the router wakes (Mating).
+func (r *Router) mark(at, until int64) {
+	every := int64(r.cfg.Timers.HoldTime / keepaliveFraction)
+	if every == 0 {
+		return
+	}
+	if until-at >= every {
+		for _, p := range r.peerList {
+			if m := p.fsm.mating; m != nil && m.quiet {
+				m.wake(nil)
+			}
+		}
+	}
+	// Marks older than two intervals decide no KEEPALIVE a wake can
+	// still ask about, but the latest of them. Their room is reused
+	// once it is half the slice, so a busy router does not grow it.
+	for r.markHead+1 < len(r.marks) && r.marks[r.markHead+1].at < at-2*every {
+		r.markHead++
+	}
+	if len(r.marks) == cap(r.marks) && 2*r.markHead >= len(r.marks) {
+		r.marks = r.marks[:copy(r.marks, r.marks[r.markHead:])]
+		r.markHead = 0
+	}
+	r.marks = append(r.marks, busyMark{at, until})
+}
+
+// processedAt is when the work queue takes up a frame that costs
+// nothing and arrived at a, no later than now, in nanoseconds since
+// sim.Epoch: at once, or once the UPDATEs that arrived before it are
+// done.
+func (r *Router) processedAt(a int64) int64 {
+	if r.cfg.ProcessingDelay == 0 {
+		return a
+	}
+	marks := r.marks[r.markHead:]
+	i, _ := slices.BinarySearchFunc(marks, a, func(m busyMark, a int64) int { return cmp.Compare(m.at, a) })
+	if i == 0 {
+		return a
+	}
+	return max(a, marks[i-1].until)
 }
 
 // queuedFrame is one entry of the processing-delay work queue: a frame

@@ -39,16 +39,18 @@ type SessionConfig struct {
 // Owner is what a session machine calls out to: what the session means
 // — RIBs, pacing, relaying — is its owner's business.
 type Owner interface {
-	// Established runs when the session reaches Established, with the
-	// hold and keepalive timers already armed.
+	// Established runs when the session reaches Established, with its
+	// liveness already in place: the hold and keepalive timers armed, or
+	// the session quiet with its mate (see Mating).
 	Established()
 	// Update receives each UPDATE that arrives in Established, with the
-	// hold timer already re-armed. The message is borrowed: the session
-	// decodes the next one into the same storage, so *u — its NLRI and
-	// Withdrawn slices included — is valid only until Update returns
-	// and the owner copies what it keeps. The attribute slices (the
-	// AS path's) are decoded afresh per message and never written
-	// again; those may be kept as they are.
+	// hold timer already re-armed (a quiet session's hearing noted). The
+	// message is borrowed: the session decodes the next one into the
+	// same storage, so *u — its NLRI and Withdrawn slices included —
+	// is valid only until Update returns and the owner copies what it
+	// keeps. The attribute slices (the AS path's) are decoded afresh
+	// per message and never written again; those may be kept as they
+	// are.
 	Update(u *wire.Update)
 	// Reset runs on every teardown, once the machine is Idle with its
 	// timers stopped and before connect-retry is armed.
@@ -79,12 +81,17 @@ type FSM struct {
 	state State
 
 	transportUp bool
-	remoteID    idr.RouterID
-	holdTime    time.Duration // negotiated
+	// side is the machine's side of its mating, when mating is set.
+	side     uint8
+	remoteID idr.RouterID
+	holdTime time.Duration // negotiated
 	// rx is where every received UPDATE is decoded: storage the owner
 	// shares among its sessions (a Router's), or made on the first
 	// UPDATE, so a session that never hears one costs one word.
 	rx *wire.Update
+	// mating is the liveness this machine shares with the one across
+	// its link, when the wiring paired them (Mate).
+	mating *Mating
 
 	holdTimer      sim.Timer
 	keepaliveTimer sim.Timer
@@ -273,6 +280,7 @@ func (f *FSM) SendUpdate(u *wire.Update) error {
 // notify tells the neighbor why the session is going down, then resets
 // it; the session retries after connectRetry.
 func (f *FSM) notify(code, subcode uint8) {
+	f.mating.wake(f)
 	_ = f.Send(wire.Notification{Code: code, Subcode: subcode}) // the reset follows either way
 	f.cfg.Stats.NotificationsSent++
 	f.reset(true)
@@ -384,8 +392,10 @@ func (f *FSM) handleKeepalive() {
 	switch f.state {
 	case StateOpenConfirm:
 		f.setState(StateEstablished)
-		f.armHoldTimer()
-		f.armKeepalive()
+		if !f.mating.join(f) {
+			f.armHoldTimer()
+			f.armKeepalive()
+		}
 		f.owner.Established()
 	case StateEstablished:
 		f.armHoldTimer()
@@ -399,6 +409,11 @@ func (f *FSM) handleKeepalive() {
 }
 
 func (f *FSM) armHoldTimer() {
+	if m := f.mating; m != nil && m.quiet {
+		// A quiet session has no hold timer: it only notes the hearing.
+		m.heard[f.side] = sim.TimeToNS(f.cfg.Clock.Now())
+		return
+	}
 	if f.holdTime == 0 {
 		// Hold time 0 disables hold and keepalive timers entirely; that
 		// includes the OpenSent guard still running from startOpen.
@@ -438,6 +453,7 @@ func (f *FSM) keepaliveFire() {
 // transport is still up, re-establishment is retried after
 // connectRetry.
 func (f *FSM) reset(reconnect bool) {
+	f.mating.wake(f)
 	wasEstablished := f.state == StateEstablished
 	if f.state != StateIdle {
 		f.cfg.Stats.SessionResets++

@@ -32,8 +32,9 @@ type Peer struct {
 	pendingWithdraw map[netip.Prefix]bool
 	announcePeak    int32
 	withdrawPeak    int32
-	// nextAdvAllowed is when the next announcement flush may happen.
-	nextAdvAllowed time.Time
+	// nextAdv is when the next announcement flush may happen, in
+	// nanoseconds since sim.Epoch (sim.TimeNone: at once).
+	nextAdv int64
 }
 
 // State returns the session state.
@@ -77,7 +78,7 @@ func (p *Peer) establish() {
 		p.scheduleRoute(rt.Prefix, rt, true, p.router.learnedFromNeighbor(rt))
 	}
 	// First advertisement batch may go immediately.
-	p.nextAdvAllowed = time.Time{}
+	p.nextAdv = sim.TimeNone
 	p.flushAnnouncements()
 }
 
@@ -313,10 +314,9 @@ func (p *Peer) scheduleFlush() {
 	if p.mraiTimer != nil && p.mraiTimer.Active() {
 		return
 	}
-	now := p.clock().Now()
 	delay := time.Duration(0)
-	if p.nextAdvAllowed.After(now) {
-		delay = p.nextAdvAllowed.Sub(now)
+	if now := sim.TimeToNS(p.clock().Now()); p.nextAdv > now {
+		delay = time.Duration(p.nextAdv - now)
 	}
 	if p.mraiTimer != nil {
 		p.mraiTimer.Reset(delay)
@@ -336,7 +336,7 @@ func (p *Peer) flushAnnouncements() {
 	if len(p.pendingAnnounce) == 0 {
 		p.pendingAnnounce = recycleBatch(p.pendingAnnounce, &p.announcePeak)
 		if sentWithdrawals {
-			p.nextAdvAllowed = p.clock().Now().Add(p.effectiveMRAI())
+			p.nextAdv = sim.TimeToNS(p.clock().Now().Add(p.effectiveMRAI()))
 		}
 		return
 	}
@@ -351,7 +351,7 @@ func (p *Peer) flushAnnouncements() {
 	} else if !p.announceGroups(prefixes) {
 		return
 	}
-	p.nextAdvAllowed = p.clock().Now().Add(p.effectiveMRAI())
+	p.nextAdv = sim.TimeToNS(p.clock().Now().Add(p.effectiveMRAI()))
 }
 
 // announceGroups sends the pending announcements for prefixes (all of
@@ -437,7 +437,7 @@ func (p *Peer) reset(wasEstablished bool) {
 	}
 	p.pendingAnnounce, p.pendingWithdraw = nil, nil
 	p.announcePeak, p.withdrawPeak = 0, 0
-	p.nextAdvAllowed = time.Time{}
+	p.nextAdv = sim.TimeNone
 
 	// Flap history does not survive a session reset (held-back routes
 	// would be stale).

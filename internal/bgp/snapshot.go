@@ -99,6 +99,9 @@ type PeerSnap struct {
 	Keepalive *sim.TimerRef `json:"keepalive,omitempty"`
 	Retry     *sim.TimerRef `json:"retry,omitempty"`
 	Mrai      *sim.TimerRef `json:"mrai,omitempty"`
+	// Quiet is the liveness of a session quiet with its mate, which
+	// has no hold or keepalive timer (see Mating).
+	Quiet *QuietState `json:"quiet,omitempty"`
 }
 
 // DampEntry is one (session, prefix) flap history.
@@ -128,7 +131,8 @@ type RouterState struct {
 	AdjIn []RouteState `json:"adj_in,omitempty"`
 	// AdjOut lists every advertised route, sorted by (peer, prefix).
 	AdjOut []AdjOutEntry `json:"adj_out,omitempty"`
-	// Stats are the activity counters, verbatim.
+	// Stats are the activity counters as Stats reads them: with every
+	// KEEPALIVE a quiet session has sent so far.
 	Stats Stats `json:"stats"`
 	// BusyUntilNS is the processing-delay work-queue horizon
 	// (sim.TimeNone when idle since the epoch).
@@ -143,7 +147,7 @@ type RouterState struct {
 // State captures the router's serializable state.
 func (r *Router) State() RouterState {
 	st := RouterState{
-		Stats:       r.stats,
+		Stats:       r.Stats(),
 		BusyUntilNS: sim.TimeToNS(r.busyUntil),
 	}
 	for _, prefix := range r.Originated() {
@@ -190,13 +194,20 @@ func (r *Router) RestoreState(st RouterState) ([]sim.TimerArm, error) {
 	}
 	r.stats = st.Stats
 	r.busyUntil = sim.TimeFromNS(st.BusyUntilNS)
+	// What the queue held is lost, as every frame in flight is; what it
+	// still owes its new arrivals is the one mark.
+	r.marks, r.markHead = []busyMark{{at: sim.TimeToNS(r.cfg.Clock.Now()), until: st.BusyUntilNS}}, 0
 	var arms []sim.TimerArm
 	for _, ps := range st.Peers {
 		p, ok := r.peers[ps.Key]
 		if !ok {
 			return nil, fmt.Errorf("bgp: restore: router %v has no peer %q", r.cfg.ASN, ps.Key)
 		}
-		arms = append(arms, p.restore(ps)...)
+		a, ok := p.restore(ps)
+		if !ok {
+			return nil, fmt.Errorf("bgp: restore: router %v: session %q is quiet but not an Established mated session", r.cfg.ASN, ps.Key)
+		}
+		arms = append(arms, a...)
 	}
 	if len(st.Damping) > 0 {
 		if r.damping == nil {
@@ -216,12 +227,13 @@ func (p *Peer) snap() PeerSnap {
 		TransportUp:     fs.TransportUp,
 		RemoteID:        fs.RemoteID,
 		HoldTimeNS:      int64(fs.HoldTime),
-		NextAdvNS:       sim.TimeToNS(p.nextAdvAllowed),
+		NextAdvNS:       p.nextAdv,
 		PendingWithdraw: idr.SortedPrefixes(p.pendingWithdraw),
 		Hold:            fs.Hold,
 		Keepalive:       fs.Keepalive,
 		Retry:           fs.Retry,
 		Mrai:            sim.RefOf(p.mraiTimer),
+		Quiet:           p.fsm.captureQuiet(),
 	}
 	// An OPEN is accepted only from the configured neighbor AS, so the
 	// learned ASN is that one from OpenConfirm on and unset before.
@@ -235,8 +247,9 @@ func (p *Peer) snap() PeerSnap {
 }
 
 // restore overlays a captured session state, returning the timer arms
-// for the experiment layer to execute in global order.
-func (p *Peer) restore(ps PeerSnap) []sim.TimerArm {
+// for the experiment layer to execute in global order. It reports false
+// for a quiet state the session cannot take.
+func (p *Peer) restore(ps PeerSnap) ([]sim.TimerArm, bool) {
 	arms := p.fsm.Restore(FSMState{
 		State:       ps.State,
 		TransportUp: ps.TransportUp,
@@ -246,14 +259,21 @@ func (p *Peer) restore(ps PeerSnap) []sim.TimerArm {
 		Keepalive:   ps.Keepalive,
 		Retry:       ps.Retry,
 	})
-	p.nextAdvAllowed = sim.TimeFromNS(ps.NextAdvNS)
+	p.nextAdv = ps.NextAdvNS
+	if ps.Quiet != nil {
+		quiet, ok := p.fsm.restoreQuiet(ps.Quiet)
+		if !ok {
+			return nil, false
+		}
+		arms = append(arms, quiet...)
+	}
 	for _, pa := range ps.PendingAnnounce {
 		p.queueAnnounce(pa.Prefix, pa.Attrs)
 	}
 	for _, prefix := range ps.PendingWithdraw {
 		p.queueWithdraw(prefix)
 	}
-	return ps.Mrai.Rearm(arms, p.clock(), &p.mraiTimer, p.flushAnnouncements)
+	return ps.Mrai.Rearm(arms, p.clock(), &p.mraiTimer, p.flushAnnouncements), true
 }
 
 // snap captures the damping engine's flap histories, sorted by

@@ -410,13 +410,14 @@ func TestEstablishBytesPerSession(t *testing.T) {
 //	go test ./internal/experiment -run TestEstablishAllocsPerSessionEnd -v
 //
 // and set the objects ceiling 0.2% above its count and the bytes
-// ceiling 2% above, TestTrialAllocCeiling's rule (15.41 objects and
-// 1 470 bytes per end on go1.24 linux/amd64).
+// ceiling 2% above, TestTrialAllocCeiling's rule (14.41 objects and
+// 1 470 bytes per end on go1.24 linux/amd64; 15.41 objects before a
+// quiet pair's second session stopped arming a keepalive timer).
 func TestEstablishAllocsPerSessionEnd(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's runtime adds allocations of its own")
 	}
-	const maxObjects, maxBytes = 15.45, 1500
+	const maxObjects, maxBytes = 14.44, 1500
 	g, err := topology.SynthesizeInternetLike(200, newSeededRand(1))
 	if err != nil {
 		t.Fatal(err)

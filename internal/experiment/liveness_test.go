@@ -1,0 +1,421 @@
+package experiment
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/bgp"
+	"repro/internal/policy"
+	"repro/internal/sim"
+	"repro/internal/topology"
+)
+
+// TestQuietLivenessModel holds the arithmetic liveness of mated
+// sessions (bgp.Mating) to the modelled one: random lossless graphs of
+// up to 32 ASes, some with a cluster, some with routers that queue
+// their work, run one seeded script of faults
+// twice — sessions mated, and every session sending and hearing its
+// KEEPALIVEs as frames (modelledKeepalives) — and after every step the
+// two runs must read the same clock, the same Stats from every router,
+// the same Traffic totals and the same session counts, and end with
+// the same event log and routes. Steps run to random instants, to the
+// very nanosecond of a KEEPALIVE's send or landing on some link, and
+// apply SessionReset, link flaps, migrations both ways, controller
+// crashes, partitions, announcements and Snapshot/Restore round trips
+// — each of them at whatever instant the previous steps left.
+func TestQuietLivenessModel(t *testing.T) {
+	seeds := int64(32)
+	if testing.Short() || raceEnabled {
+		seeds = 6
+	}
+	for seed := int64(1); seed <= seeds; seed++ {
+		c := newLivenessCase(t, seed)
+		quiet := c.play(t, false)
+		modelled := c.play(t, true)
+		for i := range max(len(quiet), len(modelled)) {
+			var q, m string
+			if i < len(quiet) {
+				q = quiet[i]
+			}
+			if i < len(modelled) {
+				m = modelled[i]
+			}
+			if q != m {
+				t.Fatalf("seed %d (%d ASes, hold %v, delay %v), step %d:\nquiet:    %s\nmodelled: %s",
+					seed, c.cfg.Graph.NumNodes(), c.cfg.Timers.HoldTime, c.cfg.LinkDelay, i, q, m)
+			}
+		}
+	}
+}
+
+// livenessCase is one random experiment and the script both runs of it
+// play.
+type livenessCase struct {
+	cfg   Config
+	edges []topology.Edge
+	ops   []livenessOp
+}
+
+type livenessOp struct {
+	kind int
+	// pick chooses the link or AS the step acts on, n and d its
+	// count and duration.
+	pick int
+	n    int64
+	d    time.Duration
+}
+
+const (
+	opRun = iota
+	opKeepalive
+	opReset
+	opFlap
+	opMigrate
+	opCtrl
+	opPartition
+	opAnnounce
+	opConverge
+	opSnapshot
+	opKinds
+)
+
+func newLivenessCase(t *testing.T, seed int64) *livenessCase {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	n := 4 + rng.Intn(29)
+	var g *topology.Graph
+	var err error
+	switch {
+	case n > topology.MinInternetLike && rng.Intn(2) == 0:
+		g, err = topology.SynthesizeInternetLike(n, rng)
+	case rng.Intn(2) == 0:
+		g, err = topology.BarabasiAlbert(n, 2, rng)
+	default:
+		g, err = topology.Ring(n)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Some links run at a delay of their own, up to a whole keepalive
+	// interval, and beyond it, where sessions are not mated.
+	holds := []time.Duration{3 * time.Second, 9 * time.Second, 30 * time.Second, 90 * time.Second}
+	hold := holds[rng.Intn(len(holds))]
+	delays := []time.Duration{0, 0, 3 * time.Millisecond, 250 * time.Millisecond, hold/3 - 1, hold / 3, hold / 2}
+	wired := topology.New()
+	for _, asn := range g.Nodes() {
+		wired.AddNode(asn)
+	}
+	for _, edge := range g.Edges() {
+		edge.Delay = delays[rng.Intn(len(delays))]
+		if err := wired.AddEdge(edge); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := &livenessCase{edges: wired.Edges(), cfg: Config{
+		Seed:     seed,
+		Graph:    wired,
+		Timers:   bgp.Timers{HoldTime: hold, MRAI: time.Duration(1+rng.Intn(5)) * time.Second, MRAIJitter: rng.Intn(2) == 0},
+		Debounce: 100 * time.Millisecond,
+	}}
+	// Routers that queue their work, with hold times that keep the
+	// queue short of holding a KEEPALIVE back for two intervals, where
+	// the modelled run would expire it; TestQuietQueueWake takes the
+	// queue past one.
+	if hold >= 30*time.Second && rng.Intn(2) == 0 {
+		c.cfg.ProcessingDelay = 25 * time.Millisecond
+	}
+	if rng.Intn(2) == 0 {
+		c.cfg.Policy = policy.GaoRexford{}
+	}
+	if rng.Intn(2) == 0 {
+		nodes := wired.Nodes()
+		for _, i := range rng.Perm(len(nodes))[:1+rng.Intn(3)] {
+			c.cfg.SDNMembers = append(c.cfg.SDNMembers, nodes[i])
+		}
+	}
+	for range 12 + rng.Intn(14) {
+		c.ops = append(c.ops, livenessOp{
+			kind: rng.Intn(opKinds),
+			pick: rng.Intn(1 << 20),
+			n:    rng.Int63(),
+			d:    time.Duration(rng.Int63n(int64(3 * hold / 2))),
+		})
+	}
+	return c
+}
+
+// play runs the script once and returns what every step read.
+func (c *livenessCase) play(t *testing.T, modelled bool) []string {
+	t.Helper()
+	modelledKeepalives = modelled
+	defer func() { modelledKeepalives = false }()
+	e, err := New(c.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	step := func(what string, err error) {
+		if err != nil {
+			what += " error: " + err.Error()
+		}
+		out = append(out, readLiveness(e, what))
+	}
+	step("established", e.WaitEstablished(5*time.Minute))
+	for _, asn := range e.ASNs() {
+		if _, ok := e.Routers[asn]; ok {
+			step(fmt.Sprintf("announce %v", asn), e.Announce(asn))
+		}
+	}
+	_, err = e.WaitConverged(time.Hour)
+	step("converged", err)
+	// up is when each link's sessions last came up from nothing: a
+	// KEEPALIVE of a pair Established then is due every interval after
+	// two link delays.
+	up := make(map[int]time.Time)
+	interval := c.cfg.Timers.HoldTime / 3
+	for i, op := range c.ops {
+		edge := c.edges[op.pick%len(c.edges)]
+		delay := edge.Delay
+		if delay == 0 {
+			delay = time.Millisecond
+		}
+		asns := e.ASNs()
+		asn := asns[op.pick%len(asns)]
+		switch op.kind {
+		case opRun:
+			step(fmt.Sprintf("%d run %v", i, op.d), e.RunFor(op.d))
+		case opKeepalive:
+			// The instant a KEEPALIVE leaves or lands on the link, give
+			// or take a nanosecond.
+			anchor, ok := up[op.pick%len(c.edges)]
+			if !ok {
+				anchor = sim.Epoch
+			}
+			anchor = anchor.Add(2 * delay)
+			if anchor.Before(e.K.Now()) {
+				anchor = anchor.Add((e.K.Now().Sub(anchor)/interval + 1) * interval)
+			}
+			at := anchor.Add([]time.Duration{0, 0, delay, -1, 1, delay - 1}[op.n%6])
+			step(fmt.Sprintf("%d run to %v", i, at.Sub(e.K.Now())), e.K.RunUntil(at))
+		case opReset:
+			err := e.SessionReset(edge.A, edge.B)
+			if err == nil {
+				up[op.pick%len(c.edges)] = e.K.Now()
+			}
+			step(fmt.Sprintf("%d session-reset %v-%v", i, edge.A, edge.B), err)
+		case opFlap:
+			step(fmt.Sprintf("%d fail-link %v-%v", i, edge.A, edge.B), e.FailLink(edge.A, edge.B))
+			step(fmt.Sprintf("%d down for %v", i, op.d/4), e.RunFor(op.d/4))
+			err := e.RestoreLink(edge.A, edge.B)
+			up[op.pick%len(c.edges)] = e.K.Now()
+			step(fmt.Sprintf("%d restore-link %v-%v", i, edge.A, edge.B), err)
+		case opMigrate:
+			step(fmt.Sprintf("%d migrate %v", i, asn), e.Migrate(asn))
+		case opCtrl:
+			if e.ControllerCrashed() {
+				step(fmt.Sprintf("%d ctrl-up", i), e.ControllerUp())
+			} else {
+				step(fmt.Sprintf("%d ctrl-down", i), e.ControllerDown())
+			}
+		case opPartition:
+			if e.PartitionCut() == nil {
+				step(fmt.Sprintf("%d partition", i), e.Partition())
+			} else {
+				step(fmt.Sprintf("%d heal", i), e.Heal())
+			}
+		case opAnnounce:
+			if err := e.Withdraw(asn); err != nil {
+				step(fmt.Sprintf("%d announce %v", i, asn), e.Announce(asn))
+			} else {
+				step(fmt.Sprintf("%d withdraw %v", i, asn), nil)
+			}
+		case opConverge:
+			d, err := e.WaitConverged(time.Hour)
+			step(fmt.Sprintf("%d converged in %v", i, d), err)
+		case opSnapshot:
+			restored, err := roundTrip(c.cfg, e)
+			if err == nil {
+				e = restored
+			}
+			step(fmt.Sprintf("%d snapshot and restore", i), err)
+		}
+	}
+	_, err = e.WaitConverged(time.Hour)
+	step("final convergence", err)
+	var routes strings.Builder
+	for _, from := range e.ASNs() {
+		for _, to := range e.ASNs() {
+			path, ok := e.BestPath(from, to)
+			fmt.Fprintf(&routes, "%v>%v:%v/%v ", from, to, path, ok)
+		}
+	}
+	out = append(out, routes.String(), fmt.Sprintf("log %+v", e.Log.Summarize()))
+	return out
+}
+
+// roundTrip restores a snapshot of e from its encoding.
+func roundTrip(cfg Config, e *Experiment) (*Experiment, error) {
+	snap, err := e.Snapshot()
+	if err != nil {
+		return nil, err
+	}
+	raw, err := EncodeSnapshot(snap)
+	if err != nil {
+		return nil, err
+	}
+	if snap, err = DecodeSnapshot(raw); err != nil {
+		return nil, err
+	}
+	return Restore(cfg, snap)
+}
+
+// readLiveness is one step's reading: the clock, the traffic totals
+// and every router's counters and Established sessions.
+func readLiveness(e *Experiment, what string) string {
+	var b strings.Builder
+	delivered, dropped, bytes := e.Traffic()
+	fmt.Fprintf(&b, "%s @%v traffic %d/%d/%d", what, e.K.Elapsed(), delivered, dropped, bytes)
+	for _, asn := range e.ASNs() {
+		if r, ok := e.Routers[asn]; ok {
+			fmt.Fprintf(&b, " %v%+v/%d", asn, r.Stats(), r.EstablishedCount())
+		}
+	}
+	return b.String()
+}
+
+// TestMatingFollowsTheLink pins which sessions keep liveness by
+// arithmetic: the two router sessions of a lossless link, whether or
+// not their routers queue their work; never a session of a lossy link.
+func TestMatingFollowsTheLink(t *testing.T) {
+	g := mustGraph(topology.Line(3))
+	for _, c := range []struct {
+		name  string
+		cfg   Config
+		quiet bool
+	}{
+		{"lossless", Config{Seed: 1, Graph: g}, true},
+		{"lossy", Config{Seed: 1, Graph: g, LinkLoss: 0.01}, false},
+		{"processing delay", Config{Seed: 1, Graph: g, ProcessingDelay: 25 * time.Millisecond}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := build(t, c.cfg)
+			if err := e.RunFor(time.Minute); err != nil {
+				t.Fatal(err)
+			}
+			frames, _ := e.links[linkKey(1, 2)].mating.Landed()
+			if quiet := frames > 0; quiet != c.quiet {
+				t.Fatalf("KEEPALIVEs landed by arithmetic: %d, want some: %v", frames, c.quiet)
+			}
+			if delivered, _, _ := e.Traffic(); c.quiet && delivered == e.Net.Delivered {
+				t.Fatalf("Traffic counts no arithmetic KEEPALIVE over %d frames", delivered)
+			}
+		})
+	}
+}
+
+// TestQuietRestoreAfterLostKeepalives restores a quiet pair twice, each
+// time with a KEEPALIVE in flight, in two intervals running: a restore
+// loses what is in flight, so the pair hears nothing for a whole hold
+// time, and the modelled run expires it on the very instant the next
+// KEEPALIVE lands. The quiet pair must wake at the second restore and
+// expire the same way.
+func TestQuietRestoreAfterLostKeepalives(t *testing.T) {
+	cfg := Config{Seed: 1, Graph: mustGraph(topology.Line(2)), Timers: bgp.Timers{HoldTime: 9 * time.Second, MRAI: time.Second}}
+	established := sim.Epoch.Add(2 * time.Millisecond)
+	play := func(modelled bool) []string {
+		modelledKeepalives = modelled
+		defer func() { modelledKeepalives = false }()
+		e := build(t, cfg)
+		var out []string
+		for _, k := range []time.Duration{1, 2} {
+			at := established.Add(k*3*time.Second + time.Millisecond/2)
+			if err := e.K.RunUntil(at); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			if e, err = roundTrip(cfg, e); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, readLiveness(e, fmt.Sprintf("restored at %v", at.Sub(sim.Epoch))))
+		}
+		for range 8 {
+			if err := e.RunFor(time.Second); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, readLiveness(e, "run"))
+		}
+		return out
+	}
+	quiet, modelled := play(false), play(true)
+	if !strings.Contains(strings.Join(modelled, "\n"), "NotificationsSent:1") {
+		t.Fatalf("the modelled pair never expired:\n%s", strings.Join(modelled, "\n"))
+	}
+	for i := range modelled {
+		if quiet[i] != modelled[i] {
+			t.Fatalf("step %d:\nquiet:    %s\nmodelled: %s", i, quiet[i], modelled[i])
+		}
+	}
+}
+
+// TestQuietQueueWake takes a router's work queue past one keepalive
+// interval: the hub of a star with a processing delay of about a
+// second, whose four leaves announce at once, queues four UPDATEs
+// behind each other — a KEEPALIVE landing behind them would wait longer
+// than an interval, so the hub's quiet pairs wake and run on modelled
+// timers. The quiet run must read what the modelled run reads, before,
+// during and after the backlog.
+func TestQuietQueueWake(t *testing.T) {
+	cfg := Config{
+		Seed:            1,
+		Graph:           mustGraph(topology.Star(5)),
+		Timers:          bgp.Timers{HoldTime: 9 * time.Second, MRAI: time.Second},
+		ProcessingDelay: 1100 * time.Millisecond,
+	}
+	play := func(modelled bool) ([]string, int) {
+		modelledKeepalives = modelled
+		defer func() { modelledKeepalives = false }()
+		e := build(t, cfg)
+		out := []string{readLiveness(e, "established")}
+		if err := e.RunFor(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, readLiveness(e, "idle"))
+		for _, asn := range e.ASNs()[1:] {
+			if err := e.Announce(asn); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range 12 {
+			if err := e.RunFor(1500 * time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, readLiveness(e, "announced"))
+		}
+		awake := 0
+		for _, l := range e.links {
+			if frames, _ := l.mating.Landed(); frames == 0 {
+				awake++
+			}
+		}
+		return out, awake
+	}
+	quiet, awake := play(false)
+	modelled, _ := play(true)
+	if awake == 0 {
+		t.Fatal("no pair of the hub woke for its queue")
+	}
+	for i := range modelled {
+		if quiet[i] != modelled[i] {
+			t.Fatalf("step %d:\nquiet:    %s\nmodelled: %s", i, quiet[i], modelled[i])
+		}
+	}
+	if strings.Contains(strings.Join(modelled, "\n"), "NotificationsSent:1") {
+		t.Fatalf("the queue expired a hold time; the test wants it under two intervals:\n%s", strings.Join(modelled, "\n"))
+	}
+}

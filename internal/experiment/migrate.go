@@ -209,3 +209,18 @@ func (e *Experiment) UpdateTotals() (sent, recv uint64) {
 	}
 	return sent, recv
 }
+
+// Traffic returns the network-wide frame counters: the network's
+// delivered, dropped and delivered-byte totals, with the KEEPALIVEs
+// that quiet sessions have landed by arithmetic (bgp.Mating) counted as
+// delivered, as if each had crossed its link.
+func (e *Experiment) Traffic() (delivered, dropped, bytes uint64) {
+	delivered, dropped, bytes = e.Net.Delivered, e.Net.Dropped, e.Net.BytesDelivered
+	//lint:maporder integer sums of per-link counters commute; Landed only reads
+	for _, l := range e.links {
+		n, b := l.mating.Landed()
+		delivered += n
+		bytes += b
+	}
+	return delivered, dropped, bytes
+}

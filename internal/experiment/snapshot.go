@@ -96,6 +96,12 @@ func (e *Experiment) Snapshot() (*Snapshot, error) {
 			return nil, fmt.Errorf("experiment: snapshot after migration changed the cluster")
 		}
 	}
+	// The network's counters take every KEEPALIVE landed so far, so
+	// the state below is whole without the quiet sessions' arithmetic.
+	//lint:maporder Settle credits counters, and sums commute
+	for _, l := range e.links {
+		l.mating.Settle()
+	}
 	snap := &Snapshot{
 		Version:     SnapshotVersion,
 		Kernel:      e.K.State(),

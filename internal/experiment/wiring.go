@@ -43,6 +43,39 @@ type link struct {
 	// first indexes the end notify tells first: the order wire last saw
 	// the ends in, except that a switch end goes before a router end.
 	first uint8
+	// mating is the liveness of the two router sessions on a lossless
+	// link, which keep it by arithmetic while both are Established
+	// (bgp.Mating); it is unmated while either end is a switch.
+	mating bgp.Mating
+}
+
+// modelledKeepalives, set by tests only, leaves every session unmated,
+// so each sends and hears its KEEPALIVEs as frames: the reference the
+// arithmetic is held to.
+var modelledKeepalives bool
+
+// Delay is the link's one-way delay (bgp.Wire).
+func (l *link) Delay() time.Duration { return l.Config().Delay }
+
+// SendAt puts a frame that end side's session sent at sent on the link
+// (bgp.Wire).
+func (l *link) SendAt(side int, frame []byte, sent time.Time) {
+	_ = l.ends[side].ep.SendAt(frame, sent) // a mated link is lossless and the instant in flight
+}
+
+// Credit counts frames from end side that landed by arithmetic
+// (bgp.Wire).
+func (l *link) Credit(side int, frames, bytes uint64) { l.ends[side].ep.Credit(frames, bytes) }
+
+// mate pairs the link's two router sessions if the link is lossless,
+// and unpairs whatever else stands on it.
+func (l *link) mate() {
+	a, b := l.ends[0].peer, l.ends[1].peer
+	if a == nil || b == nil || l.Config().Loss != 0 || modelledKeepalives {
+		l.mating.Unmate()
+		return
+	}
+	bgp.Mate(&l.mating, a, b, l)
 }
 
 // end is one AS's side of a link: the endpoint it sends on, the
@@ -226,6 +259,7 @@ func (e *Experiment) wire(a, b idr.ASN) error {
 	if err := e.settle(l, y, x, freshY); err != nil {
 		return err
 	}
+	l.mate()
 	ea, eb := l.end(a, b), l.end(b, a)
 	if e.started && l.Up() {
 		for _, en := range [2]*end{ea, eb} {

@@ -18,6 +18,7 @@ var docScope = []string{
 	"internal/artifact",
 	"internal/lint",
 	"internal/benchfmt",
+	"internal/profiling",
 	"internal/labd",
 	"cmd/labd",
 	"cmd/labctl",

@@ -139,7 +139,7 @@ func (n *Network) Connect(a, b *Node, cfg LinkConfig) (*Link, error) {
 	if cfg.Loss > 0 && n.rng == nil && !n.seeded {
 		return nil, errors.New("netem: loss needs a network random source")
 	}
-	l := &Link{net: n, cfg: cfg, up: true, seeded: n.seeded}
+	l := &Link{net: n, cfg: cfg, up: true, seeded: n.seeded, downNS: sim.TimeNone}
 	if n.seeded {
 		// Mix the creation index into the seed (splitmix64-style odd
 		// constant) so adjacent links get well-separated streams. The
@@ -208,6 +208,10 @@ type Link struct {
 	rng    *rand.Rand
 	up     bool
 	epoch  uint64 // incremented on every down transition; kills in-flight traffic
+	// downNS is when the link last went down, in nanoseconds since
+	// sim.Epoch: a frame SendAt backdates to then or earlier was on the
+	// wire when it happened.
+	downNS int64
 	subs   []func(up bool)
 
 	// Stats, per link.
@@ -249,6 +253,7 @@ func (l *Link) SetUp(up bool) {
 	l.up = up
 	if !up {
 		l.epoch++
+		l.downNS = sim.TimeToNS(l.net.clock.Now())
 	}
 	for _, s := range l.subs {
 		s := s
@@ -377,16 +382,65 @@ func (e *Endpoint) Send(data []byte) error {
 		arrival = e.lastArrival
 	}
 	e.lastArrival = arrival
-	// The frame rides the delivery an earlier one handed back, if any.
-	d := n.idle
-	if d != nil {
-		n.idle = d.next
-	} else {
-		d = new(delivery)
-	}
-	*d = delivery{dst: e.peer, epoch: l.epoch, data: data}
-	n.clock.Post(arrival.Sub(now), d)
+	e.post(data, l.epoch, arrival.Sub(now))
 	return nil
+}
+
+// post puts data in flight to the peer, landing d from now unless the
+// link's epoch has moved past epoch by then. The frame rides the
+// delivery an earlier one handed back, if any.
+func (e *Endpoint) post(data []byte, epoch uint64, d time.Duration) {
+	n := e.link.net
+	dl := n.idle
+	if dl != nil {
+		n.idle = dl.next
+	} else {
+		dl = new(delivery)
+	}
+	*dl = delivery{dst: e.peer, epoch: epoch, data: data}
+	n.clock.Post(d, dl)
+}
+
+// SendAt puts data on a lossless link as a frame that left this
+// endpoint at sent, an instant no later than now and less than one
+// link delay ago: it lands at sent plus the delay, in order with the
+// frames sent around it, or is dropped then if the link went down at
+// or after sent, as a frame sent at that instant would have been. It
+// is how a sender that kept a periodic frame off the wire by
+// arithmetic (see Credit) materializes the copies that were still in
+// flight when the schedule ended. No loss is drawn; a lossy link
+// refuses.
+func (e *Endpoint) SendAt(data []byte, sent time.Time) error {
+	l, n := e.link, e.link.net
+	if l.cfg.Loss > 0 {
+		return errors.New("netem: SendAt on a lossy link")
+	}
+	now := n.clock.Now()
+	arrival := sent.Add(l.cfg.Delay)
+	if sent.After(now) || !arrival.After(now) {
+		return fmt.Errorf("netem: SendAt %v is not in flight at %v", sent, now)
+	}
+	epoch := l.epoch
+	if !l.up || l.downNS >= sim.TimeToNS(sent) {
+		epoch-- // any stale epoch drops it on arrival
+	}
+	if arrival.After(e.lastArrival) {
+		e.lastArrival = arrival
+	}
+	e.post(data, epoch, arrival.Sub(now))
+	return nil
+}
+
+// Credit counts frames that left this endpoint and landed at its peer
+// without passing through Send — frames of bytes bytes in all — as
+// delivered, on the link and network-wide. A sender that keeps a
+// periodic frame off a lossless link by arithmetic credits the copies
+// that landed once their schedule ends, so the counters read as if
+// each had been sent.
+func (e *Endpoint) Credit(frames, bytes uint64) {
+	e.link.Delivered += frames
+	e.link.net.Delivered += frames
+	e.link.net.BytesDelivered += bytes
 }
 
 // String names the endpoint by its node and peer.

@@ -10,11 +10,14 @@ import (
 // Snapshot support: NetworkState captures everything a restored
 // network needs to continue byte-identically — per-link operational
 // state, counters and random-stream position, per-endpoint in-order
-// clamps, and the network-wide counters. In-flight frames
-// are deliberately NOT captured: snapshots are taken at protocol
-// quiescence, where the only traffic on the wire is keepalives, and
-// dropping those is behaviorally invisible (hold-timer re-arms are
-// idempotent and the captured deadlines outlive the next re-arm).
+// clamps, and the network-wide counters. In-flight frames are
+// deliberately NOT captured: snapshots are taken at protocol
+// quiescence, where what is on the wire is liveness — the KEEPALIVEs of
+// sessions that send them as frames, and those a quiet pair accounts
+// for by arithmetic (bgp.Mating), which its own snapshot loses alike.
+// A lost KEEPALIVE only leaves a hold timer running from the one
+// before, which the next one re-arms; only a pair that loses two in a
+// row, to two snapshots, runs out of hold time.
 // Per-link random streams are never serialized as generator state;
 // they are re-derived from the link seed and fast-forwarded to the
 // captured draw count, which is what lets a fork re-seed them. A

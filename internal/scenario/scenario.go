@@ -519,8 +519,8 @@ func (r *Runner) execPrint(args []string) error {
 		}
 		return router.WriteRIB(r.out)
 	case "stats":
-		fmt.Fprintf(r.out, "network: delivered=%d dropped=%d bytes=%d\n",
-			e.Net.Delivered, e.Net.Dropped, e.Net.BytesDelivered)
+		delivered, dropped, bytes := e.Traffic()
+		fmt.Fprintf(r.out, "network: delivered=%d dropped=%d bytes=%d\n", delivered, dropped, bytes)
 		// UpdateTotals keeps counting routers retired by migration.
 		sent, recv := e.UpdateTotals()
 		fmt.Fprintf(r.out, "bgp: updates sent=%d received=%d\n", sent, recv)

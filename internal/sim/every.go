@@ -3,7 +3,7 @@ package sim
 import "time"
 
 // Every schedules fn to run repeatedly at the given interval, starting
-// one interval from now — the recurring-probe/keepalive idiom. The
+// one interval from now — the recurring-probe idiom. The
 // returned stop function cancels the series; it is safe to call more
 // than once.
 func Every(clock Clock, interval time.Duration, fn func()) (stop func()) {

@@ -6,8 +6,9 @@ import (
 )
 
 // This file implements the hierarchical timer wheel that backs the
-// kernel's long-delay timers (MRAI, hold, keepalive, retry, damping
-// reuse). The design follows the ndn-dpdk minute-wheel idiom: O(1)
+// kernel's long-delay timers (MRAI, retry, damping reuse, and the hold
+// and keepalive timers of BGP sessions that are not quiet: a quiet
+// pair, bgp.Mating, arms neither). The design follows the ndn-dpdk minute-wheel idiom: O(1)
 // insert and O(1) amortized advance, against O(log n) per heap
 // operation with n pending timers.
 //
@@ -41,9 +42,9 @@ const (
 // wheelMinDelay is the shortest delay filed in the wheel. Short-range
 // events (packet deliveries, processing completions, debounce) go
 // straight to the heap — they are about to execute anyway — while the
-// protocol timers that dominate pending-event population (hold 90s,
-// keepalive 30s, MRAI ≤30s, retry 5s, damping reuse ≥1s) take the O(1)
-// wheel path.
+// protocol timers that dominate pending-event population (MRAI ≤30s,
+// retry 5s, damping reuse ≥1s, and the hold 90s and keepalive 30s of
+// sessions that are not quiet) take the O(1) wheel path.
 const wheelMinDelay = time.Second
 
 // timerWheel is the kernel's hierarchical wheel. flushed[l] is the last
