@@ -108,13 +108,8 @@ type Experiment struct {
 	peerKeys map[idr.ASN]rib.PeerKey
 	// links holds one record per topology edge, keyed by linkKey.
 	links map[[2]idr.ASN]*link
-	// endOf maps every endpoint a router session or a switch data port
-	// rides on to its link end, the one lookup a received frame costs.
-	endOf map[*netem.Endpoint]*end
-	// ctrlPeers maps controller-node endpoints to the member served;
 	// ctrlLinkOf maps a member to its control link (torn down on
 	// migration).
-	ctrlPeers  map[*netem.Endpoint]idr.ASN
 	ctrlLinkOf map[idr.ASN]*netem.Link
 	// retiredSent/retiredRecv accumulate the UPDATE counters of
 	// routers torn down by migration, so UpdateTotals stays monotonic.
@@ -169,7 +164,6 @@ func New(cfg Config) (*Experiment, error) {
 		members:    make(map[idr.ASN]bool),
 		peerKeys:   make(map[idr.ASN]rib.PeerKey, cfg.Graph.NumNodes()),
 		links:      make(map[[2]idr.ASN]*link, cfg.Graph.NumEdges()),
-		endOf:      make(map[*netem.Endpoint]*end, 2*cfg.Graph.NumEdges()),
 		ctrlLinkOf: make(map[idr.ASN]*netem.Link),
 	}
 	e.Net = netem.NewNetwork(e.K, e.K.Rand())
@@ -269,7 +263,7 @@ func (e *Experiment) buildNodes() error {
 			if err != nil || kind != frames.KindOpenFlow {
 				return
 			}
-			if asn, ok := e.ctrlPeers[from]; ok {
+			if asn, ok := from.Link().Tag().(idr.ASN); ok {
 				_ = e.Ctrl.HandleControl(asn, payload)
 			}
 		})
@@ -302,7 +296,7 @@ func (e *Experiment) buildRouter(asn idr.ASN, node *netem.Node) error {
 }
 
 // routerNodeHandler is the receive handler of a legacy-router node. A
-// BGP frame goes to the session on its endpoint's link end. A
+// BGP frame goes to the session on its endpoint's link end (endAt). A
 // migration into the cluster replaces this handler with the switch's,
 // so frames in flight across it never reach the torn-down router.
 func (e *Experiment) routerNodeHandler(asn idr.ASN) func(from *netem.Endpoint, data []byte) {
@@ -313,7 +307,7 @@ func (e *Experiment) routerNodeHandler(asn idr.ASN) func(from *netem.Endpoint, d
 		}
 		switch kind {
 		case frames.KindBGP:
-			if en := e.endOf[from]; en != nil && en.peer != nil {
+			if en := endAt(from); en != nil && en.peer != nil {
 				en.peer.Deliver(payload)
 			}
 		case frames.KindProbe:
@@ -347,10 +341,7 @@ func (e *Experiment) buildSwitch(asn idr.ASN, node, ctrlNode *netem.Node) error 
 	if err := e.Ctrl.AddMember(asn, ctrlEP.Send); err != nil {
 		return err
 	}
-	if e.ctrlPeers == nil {
-		e.ctrlPeers = make(map[*netem.Endpoint]idr.ASN)
-	}
-	e.ctrlPeers[ctrlEP] = asn
+	link.SetTag(asn) // the member a control frame at the controller is from
 	e.ctrlLinkOf[asn] = link
 
 	node.OnMessage(e.switchNodeHandler(asn, swEP))
@@ -376,7 +367,7 @@ func (e *Experiment) switchNodeHandler(asn idr.ASN, swEP *netem.Endpoint) func(f
 			_ = sw.HandleControl(payload)
 			return
 		}
-		if en := e.endOf[from]; en != nil && en.port != 0 {
+		if en := endAt(from); en != nil && en.port != 0 {
 			_ = sw.HandlePort(en.port, data)
 		}
 	}

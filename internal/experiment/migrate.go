@@ -136,8 +136,7 @@ func (e *Experiment) MigrateOut(asn idr.ASN) error {
 	// in-flight OpenFlow frames) and take the ports off its link ends.
 	ctrl := e.ctrlLinkOf[asn]
 	ctrl.SetUp(false)
-	_, ctrlEP := ctrl.Endpoints()
-	delete(e.ctrlPeers, ctrlEP)
+	ctrl.SetTag(nil)
 	delete(e.ctrlLinkOf, asn)
 	delete(e.Switches, asn)
 	delete(e.members, asn)

@@ -47,7 +47,7 @@ func migrateExperiment(t *testing.T, k int) *Experiment {
 }
 
 // checkLinkEnds pins the link-end invariant every migration and fault
-// must keep: each end of each link is registered under its endpoint, a
+// must keep: each end of each link is the one its endpoint leads to, a
 // member's end holds the member's switch and a port and no session, and
 // a router's end holds the router's session toward the neighbor and no
 // switch or port.
@@ -57,7 +57,7 @@ func checkLinkEnds(t *testing.T, e *Experiment) {
 		for i, asn := range key {
 			nb := key[1-i]
 			en := l.end(asn, nb)
-			if e.endOf[en.ep] != en {
+			if endAt(en.ep) != en {
 				t.Fatalf("%v's end toward %v is not the end its endpoint maps to", asn, nb)
 			}
 			if e.members[asn] {

@@ -91,6 +91,19 @@ type end struct {
 	kind topology.NeighborKind
 }
 
+// endAt returns the link end that ep, a topology link's endpoint,
+// belongs to; nil for an endpoint of any other link.
+func endAt(ep *netem.Endpoint) *end {
+	l, ok := ep.Link().Tag().(*link)
+	if !ok {
+		return nil
+	}
+	if en := &l.ends[0]; en.ep == ep {
+		return en
+	}
+	return &l.ends[1]
+}
+
 // side is the index of asn's end on its link toward nb.
 func side(asn, nb idr.ASN) uint8 {
 	if asn < nb {
@@ -155,7 +168,7 @@ func (e *Experiment) buildLink(i int, edge topology.Edge) error {
 	endA, endB := l.end(a, b), l.end(b, a)
 	*endA = end{ep: epA, kind: kindA}
 	*endB = end{ep: epB, kind: kindB}
-	e.endOf[epA], e.endOf[epB] = endA, endB
+	nl.SetTag(l)
 	e.links[linkKey(a, b)] = l
 	nl.OnStateChange(l.notify)
 	return e.wire(a, b)

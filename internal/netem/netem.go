@@ -213,6 +213,7 @@ type Link struct {
 	// wire when it happened.
 	downNS int64
 	subs   []func(up bool)
+	tag    any
 
 	// Stats, per link.
 	Delivered, Dropped uint64
@@ -263,6 +264,14 @@ func (l *Link) SetUp(up bool) {
 
 // OnStateChange subscribes to link up/down transitions.
 func (l *Link) OnStateChange(f func(up bool)) { l.subs = append(l.subs, f) }
+
+// SetTag attaches v to the link: whatever its user keeps per link, so
+// a handler reaches it from the receiving endpoint (Endpoint.Link) with
+// no lookup of its own. Nothing in this package reads it.
+func (l *Link) SetTag(v any) { l.tag = v }
+
+// Tag returns the value SetTag attached, nil if none.
+func (l *Link) Tag() any { return l.tag }
 
 // String names the link after its endpoints.
 func (l *Link) String() string {

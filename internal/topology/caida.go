@@ -20,6 +20,8 @@ import (
 //
 // Later serialisations add a fourth source field (e.g. "|bgp"), which
 // is accepted and ignored. Duplicate links keep the first occurrence.
+// AS 0 is refused, and so is a graph Validate refuses (a cycle of
+// provider–customer links).
 func ReadCAIDA(r io.Reader) (*Graph, error) {
 	g := New()
 	sc := bufio.NewScanner(r)
@@ -65,13 +67,21 @@ func ReadCAIDA(r io.Reader) (*Graph, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("topology: reading caida data: %w", err)
 	}
+	if err := g.Validate(); err != nil {
+		return nil, fmt.Errorf("topology: caida data: %w", err)
+	}
 	return g, nil
 }
 
+// parseASN parses a decimal AS number. AS 0 is refused: it is reserved
+// (RFC 7607), and a BGP speaker reads it as no AS at all.
 func parseASN(s string) (idr.ASN, error) {
 	v, err := strconv.ParseUint(strings.TrimSpace(s), 10, 32)
 	if err != nil {
 		return 0, fmt.Errorf("bad AS number %q", s)
+	}
+	if v == 0 {
+		return 0, fmt.Errorf("AS 0 is reserved")
 	}
 	return idr.ASN(v), nil
 }
@@ -123,12 +133,15 @@ func SynthesizeInternetLike(ases int, rng *rand.Rand) (*Graph, error) {
 	}
 	g := New()
 	asns := asnRange(ases)
-	depth := make(map[idr.ASN]int, ases)
+	// The generator works on indices into asns, which ascend with them:
+	// depth[i] is AS i's hierarchy depth, and customers[p] lists p's
+	// customers in the order they attached, which is ascending.
+	depth := make([]int, ases)
+	customers := make([][]int32, ases)
 
 	// Tier-1 clique.
 	for i := 0; i < tier1s; i++ {
 		g.AddNode(asns[i])
-		depth[asns[i]] = 0
 		for j := 0; j < i; j++ {
 			if err := g.AddEdge(Edge{A: asns[j], B: asns[i], Rel: P2P}); err != nil {
 				return nil, err
@@ -138,57 +151,53 @@ func SynthesizeInternetLike(ases int, rng *rand.Rand) (*Graph, error) {
 
 	// Degree-weighted provider pool (each provider appears once per
 	// customer it already has, plus once so everyone is reachable).
-	pool := append([]idr.ASN(nil), asns[:tier1s]...)
+	pool := make([]int32, tier1s, 3*ases) // a newcomer adds itself and at most two providers
+	for i := range pool {
+		pool[i] = int32(i)
+	}
+	var chosen []int32
 	for i := tier1s; i < ases; i++ {
-		newcomer := asns[i]
 		// 1 + Poisson-ish extra providers around avgProviders.
 		n := 1
 		for float64(n) < avgProviders && rng.Float64() < avgProviders-1 {
 			n++
 		}
-		chosen := make(map[idr.ASN]bool)
+		chosen = chosen[:0]
 		for len(chosen) < n && len(chosen) < i {
 			p := pool[rng.Intn(len(pool))]
-			if p == newcomer {
-				continue
+			if !slices.Contains(chosen, p) {
+				chosen = append(chosen, p)
 			}
-			chosen[p] = true
 		}
-		// Iterate the chosen set in sorted order: map iteration order
-		// would otherwise leak into the provider pool and make the
-		// same seed draw different graphs across runs.
-		providers := make([]idr.ASN, 0, len(chosen))
-		for p := range chosen {
-			providers = append(providers, p)
-		}
-		slices.Sort(providers)
+		// Attach in ascending order, so the pool's growth does not
+		// depend on the order the draws came in.
+		slices.Sort(chosen)
 		maxDepth := 0
-		for _, p := range providers {
-			if err := g.AddEdge(Edge{A: p, B: newcomer, Rel: P2C}); err != nil {
+		for _, p := range chosen {
+			if err := g.AddEdge(Edge{A: asns[p], B: asns[i], Rel: P2C}); err != nil {
 				return nil, err
 			}
+			customers[p] = append(customers[p], int32(i))
 			pool = append(pool, p)
-			if d := depth[p] + 1; d > maxDepth {
-				maxDepth = d
-			}
+			maxDepth = max(maxDepth, depth[p]+1)
 		}
-		depth[newcomer] = maxDepth
-		pool = append(pool, newcomer)
+		depth[i] = maxDepth
+		pool = append(pool, int32(i))
 	}
 
-	// Lateral peering between similar-depth ASes.
+	// Lateral peering between similar-depth ASes. Each pair is visited
+	// once and only here, so the one link it can already have is a
+	// provider–customer link from above: i's customers, which ascend
+	// as j does and are skipped in step.
 	for i := tier1s; i < ases; i++ {
+		skip := customers[i]
 		for j := i + 1; j < ases; j++ {
-			a, b := asns[i], asns[j]
-			if g.HasEdge(a, b) {
+			if len(skip) > 0 && int(skip[0]) == j {
+				skip = skip[1:]
 				continue
 			}
-			dd := depth[a] - depth[b]
-			if dd < 0 {
-				dd = -dd
-			}
-			if dd <= 1 && rng.Float64() < peerProb {
-				if err := g.AddEdge(Edge{A: a, B: b, Rel: P2P}); err != nil {
+			if dd := depth[i] - depth[j]; dd >= -1 && dd <= 1 && rng.Float64() < peerProb {
+				if err := g.AddEdge(Edge{A: asns[i], B: asns[j], Rel: P2P}); err != nil {
 					return nil, err
 				}
 			}

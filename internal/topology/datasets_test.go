@@ -2,7 +2,9 @@ package topology
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -33,12 +35,15 @@ func TestReadCAIDA(t *testing.T) {
 
 func TestReadCAIDAErrors(t *testing.T) {
 	cases := []string{
-		"1|2",        // too few fields
-		"x|2|-1",     // bad ASN
-		"1|y|0",      // bad ASN
-		"1|2|banana", // bad relationship
-		"1|2|7",      // unknown code
-		"5|5|0",      // self-loop
+		"1|2",                    // too few fields
+		"x|2|-1",                 // bad ASN
+		"1|y|0",                  // bad ASN
+		"1|2|banana",             // bad relationship
+		"1|2|7",                  // unknown code
+		"5|5|0",                  // self-loop
+		"0|5|-1",                 // AS 0 (reserved)
+		"5|0|0",                  // AS 0 (reserved)
+		"1|2|-1\n2|3|-1\n3|1|-1", // provider-customer cycle
 	}
 	for _, c := range cases {
 		if _, err := ReadCAIDA(strings.NewReader(c)); err == nil {
@@ -150,10 +155,39 @@ func TestReadIPlaneErrors(t *testing.T) {
 		"1:z 2:0 5",   // bad index
 		"1:0 2:0 -3",  // negative latency
 		"1:0 2:0 abc", // non-numeric latency
+		"1:0 2:0 NaN",
+		"1:0 2:0 Inf",
+		"1:0 2:0 -Inf",
+		"1:0 2:0 1e300",
+		"1:0 2:0 9223372036855",        // ms past time.Duration's range
+		"1:0 2:0 9223372036854.775808", // one nanosecond past it
+		"0:0 2:0 5",                    // AS 0 (reserved)
 	}
 	for _, c := range cases {
 		if _, err := ReadIPlane(strings.NewReader(c)); err == nil {
 			t.Errorf("ReadIPlane(%q) should error", c)
+		}
+	}
+}
+
+// TestReadIPlaneLatencyIsExact pins the latency column's parse: exact
+// to the nanosecond (no float rounding on the way), finer digits
+// dropped, time.Duration's largest value accepted.
+func TestReadIPlaneLatencyIsExact(t *testing.T) {
+	for text, want := range map[string]time.Duration{
+		"12.345":               12345 * time.Microsecond,
+		"0.1":                  100 * time.Microsecond,
+		".5":                   500 * time.Microsecond,
+		"7.":                   7 * time.Millisecond,
+		"0.0000019":            time.Nanosecond,
+		"9223372036854.775807": math.MaxInt64,
+	} {
+		links, err := ReadIPlane(strings.NewReader("1:0 2:0 " + text))
+		if err != nil {
+			t.Fatalf("ReadIPlane(%q): %v", text, err)
+		}
+		if got := links[0].RTT; got != want {
+			t.Errorf("latency %q = %v, want %v", text, got, want)
 		}
 	}
 }
@@ -267,4 +301,73 @@ func TestWriteDOT(t *testing.T) {
 	if !strings.Contains(buf.String(), "dir=none") {
 		t.Error("P2P edge should carry dir=none")
 	}
+}
+
+// FuzzReadCAIDA holds ReadCAIDA to two properties on any input: it
+// never panics, and a graph it accepts writes (WriteCAIDA) and reads
+// back as the same graph.
+func FuzzReadCAIDA(f *testing.F) {
+	g, err := SynthesizeInternetLike(40, rand.New(rand.NewSource(1)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteCAIDA(&buf, g); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte("# serial 20140801\n1|2|-1\n2|3|0\n1|3|-1|bgp\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := ReadCAIDA(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteCAIDA(&out, g); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadCAIDA(&out)
+		if err != nil {
+			t.Fatalf("WriteCAIDA's output does not read back: %v\n%s", err, out.Bytes())
+		}
+		if !reflect.DeepEqual(back.Nodes(), g.Nodes()) || !reflect.DeepEqual(back.Edges(), g.Edges()) {
+			t.Fatalf("round trip changed the graph: %v %v -> %v %v", g.Nodes(), g.Edges(), back.Nodes(), back.Edges())
+		}
+	})
+}
+
+// FuzzReadIPlane holds ReadIPlane to the same two properties through
+// WriteIPlane: no panic, and accepted links read back as themselves.
+func FuzzReadIPlane(f *testing.F) {
+	g, err := SynthesizeInternetLike(40, rand.New(rand.NewSource(1)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	links, err := SynthesizeIPlane(g, 3, rand.New(rand.NewSource(1)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteIPlane(&buf, links); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte("# synthetic\n1:0 2:0 10.5\n2:1 3:0 20\n1:0 1:1 2\n1:2 3:4 0.0000019\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		links, err := ReadIPlane(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteIPlane(&out, links); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadIPlane(&out)
+		if err != nil {
+			t.Fatalf("WriteIPlane's output does not read back: %v\n%s", err, out.Bytes())
+		}
+		if !reflect.DeepEqual(back, links) {
+			t.Fatalf("round trip changed the links: %v -> %v", links, back)
+		}
+	})
 }

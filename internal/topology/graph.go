@@ -72,17 +72,20 @@ func (e Edge) Canonical() Edge {
 // Graph is an AS-level topology: a set of AS numbers plus annotated
 // edges. The zero value is an empty graph ready to use.
 //
-// A Graph is not safe for concurrent use, queries included: the
-// adjacency accessors (Neighbors, Degree, Providers, Customers, Peers
-// and everything built on them) fill a derived index on first use.
+// A Graph is not safe for concurrent use, queries included: Edges,
+// Validate and the adjacency accessors (Neighbors, Degree, Providers,
+// Customers, Peers and everything built on them) fill derived caches
+// on first use.
 type Graph struct {
 	nodes map[idr.ASN]bool
 	edges map[[2]idr.ASN]Edge // keyed by canonical endpoints
-	// adj is the adjacency index derived from edges: per node, its
-	// incident half-edges in ascending neighbour order. It is built by
-	// the first adjacency query and dropped (nil) by every edge
-	// mutation; a Clone starts without one.
-	adj map[idr.ASN][]halfEdge
+	// order and adj are derived from edges: order is every edge in
+	// Edges order, and adj per node its incident half-edges in
+	// ascending neighbour order. Each is built by the first query that
+	// needs it and dropped (nil) by every edge mutation; a Clone starts
+	// without them.
+	order []Edge
+	adj   map[idr.ASN][]halfEdge
 }
 
 // halfEdge is one end of an edge as its owning node sees it: the far
@@ -98,6 +101,13 @@ func New() *Graph {
 		nodes: make(map[idr.ASN]bool),
 		edges: make(map[[2]idr.ASN]Edge),
 	}
+}
+
+// key packs the edge's endpoints into one word, the lower one in the
+// high half: keys order edges as Edges does.
+func (e Edge) key() uint64 {
+	k := edgeKey(e.A, e.B)
+	return uint64(k[0])<<32 | uint64(k[1])
 }
 
 func edgeKey(a, b idr.ASN) [2]idr.ASN {
@@ -121,7 +131,7 @@ func (g *Graph) AddEdge(e Edge) error {
 	g.AddNode(e.A)
 	g.AddNode(e.B)
 	g.edges[edgeKey(e.A, e.B)] = e.Canonical()
-	g.adj = nil
+	g.order, g.adj = nil, nil
 	return nil
 }
 
@@ -133,7 +143,7 @@ func (g *Graph) RemoveEdge(a, b idr.ASN) bool {
 		return false
 	}
 	delete(g.edges, k)
-	g.adj = nil
+	g.order, g.adj = nil, nil
 	return true
 }
 
@@ -168,29 +178,35 @@ func (g *Graph) Nodes() []idr.ASN {
 	return out
 }
 
-// Edges returns all edges, ordered deterministically.
-func (g *Graph) Edges() []Edge {
-	out := make([]Edge, 0, len(g.edges))
-	for _, e := range g.edges {
-		out = append(out, e)
+// Edges returns all edges ordered by (lower, higher) endpoint, in a
+// slice of the caller's own.
+func (g *Graph) Edges() []Edge { return slices.Clone(g.sorted()) }
+
+// sorted returns the edges in Edges order, sorting them if an edge
+// mutation (or nothing yet) left the graph without the order. The
+// slice is the graph's: callers only read it.
+func (g *Graph) sorted() []Edge {
+	if g.order == nil {
+		g.order = make([]Edge, 0, len(g.edges))
+		//lint:maporder the order is sorted right below
+		for _, e := range g.edges {
+			g.order = append(g.order, e)
+		}
+		slices.SortFunc(g.order, func(x, y Edge) int { return cmp.Compare(x.key(), y.key()) })
 	}
-	slices.SortFunc(out, func(x, y Edge) int {
-		kx, ky := edgeKey(x.A, x.B), edgeKey(y.A, y.B)
-		return cmp.Or(cmp.Compare(kx[0], ky[0]), cmp.Compare(kx[1], ky[1]))
-	})
-	return out
+	return g.order
 }
 
 // incident returns asn's half-edges in ascending neighbour order,
 // building the index if an edge mutation (or nothing yet) left the
-// graph without one. Edges() is sorted by (low, high) endpoint, so a
+// graph without one. The edge order is by (low, high) endpoint, so a
 // node's lower neighbours arrive first, in order, and its higher ones
 // after them, in order: every list comes out ascending with no sort of
 // its own.
 func (g *Graph) incident(asn idr.ASN) []halfEdge {
 	if g.adj == nil {
 		g.adj = make(map[idr.ASN][]halfEdge, len(g.nodes))
-		for _, e := range g.Edges() {
+		for _, e := range g.sorted() {
 			ka, kb := KindNone, KindNone // an unknown Rel: a neighbour of no kind
 			switch e.Rel {
 			case P2P:
@@ -295,10 +311,10 @@ func (g *Graph) Connected() bool {
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, nb := range g.Neighbors(cur) {
-			if !seen[nb] {
-				seen[nb] = true
-				queue = append(queue, nb)
+		for _, h := range g.incident(cur) {
+			if !seen[h.nb] {
+				seen[h.nb] = true
+				queue = append(queue, h.nb)
 			}
 		}
 	}
@@ -321,8 +337,8 @@ func (g *Graph) Clone() *Graph {
 // and the provider hierarchy (P2C edges) is acyclic, the standard
 // sanity condition for Gao-Rexford topologies.
 func (g *Graph) Validate() error {
-	// Sorted accessors keep the reported violation deterministic.
-	for _, e := range g.Edges() {
+	// Sorted edges and nodes keep the reported violation deterministic.
+	for _, e := range g.sorted() {
 		if !g.nodes[e.A] || !g.nodes[e.B] {
 			return fmt.Errorf("topology: edge %v-%v references unknown node", e.A, e.B)
 		}
@@ -337,12 +353,15 @@ func (g *Graph) Validate() error {
 	var visit func(idr.ASN) error
 	visit = func(n idr.ASN) error {
 		color[n] = gray
-		for _, c := range g.Customers(n) {
-			switch color[c] {
+		for _, h := range g.incident(n) {
+			if h.kind != KindCustomer {
+				continue
+			}
+			switch color[h.nb] {
 			case gray:
-				return fmt.Errorf("topology: provider-customer cycle through %v and %v", n, c)
+				return fmt.Errorf("topology: provider-customer cycle through %v and %v", n, h.nb)
 			case white:
-				if err := visit(c); err != nil {
+				if err := visit(h.nb); err != nil {
 					return err
 				}
 			}

@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"slices"
 	"strconv"
@@ -37,6 +38,9 @@ type PoPLink struct {
 //	<asn>:<pop> <asn>:<pop> <latency-ms>
 //
 // The latency column is optional (defaults to 0 = experiment default).
+// It is a decimal number of milliseconds, digits with an optional
+// fraction, kept to the nanosecond (further digits are dropped); one
+// that does not fit a time.Duration is refused.
 func ReadIPlane(r io.Reader) ([]PoPLink, error) {
 	var out []PoPLink
 	sc := bufio.NewScanner(r)
@@ -61,11 +65,9 @@ func ReadIPlane(r io.Reader) ([]PoPLink, error) {
 		}
 		var rtt time.Duration
 		if len(fields) >= 3 {
-			ms, err := strconv.ParseFloat(fields[2], 64)
-			if err != nil || ms < 0 {
-				return nil, fmt.Errorf("topology: iplane line %d: bad latency %q", line, fields[2])
+			if rtt, err = parseMillis(fields[2]); err != nil {
+				return nil, fmt.Errorf("topology: iplane line %d: %v", line, err)
 			}
-			rtt = time.Duration(ms * float64(time.Millisecond))
 		}
 		out = append(out, PoPLink{From: from, To: to, RTT: rtt})
 	}
@@ -73,6 +75,38 @@ func ReadIPlane(r io.Reader) ([]PoPLink, error) {
 		return nil, fmt.Errorf("topology: reading iplane data: %w", err)
 	}
 	return out, nil
+}
+
+// parseMillis parses a latency in milliseconds, "<digits>[.<digits>]"
+// (either side of the point may be empty, not both), exactly: decimal
+// digits to nanoseconds with no float in between, so the value
+// WriteIPlane prints reads back as itself.
+func parseMillis(s string) (time.Duration, error) {
+	whole, frac, _ := strings.Cut(s, ".")
+	if whole == "" && frac == "" || !allDigits(whole) || !allDigits(frac) {
+		return 0, fmt.Errorf("bad latency %q", s)
+	}
+	var ms uint64
+	if whole != "" {
+		var err error
+		if ms, err = strconv.ParseUint(whole, 10, 64); err != nil {
+			ms = math.MaxUint64 // only digits, so too many of them
+		}
+	}
+	ns, _ := strconv.ParseUint((frac + "000000")[:6], 10, 64) // finer digits are dropped
+	if ms > (math.MaxInt64-ns)/uint64(time.Millisecond) {
+		return 0, fmt.Errorf("latency %q ms does not fit a time.Duration", s)
+	}
+	return time.Duration(ms*uint64(time.Millisecond) + ns), nil
+}
+
+func allDigits(s string) bool {
+	for _, c := range []byte(s) {
+		if c < '0' || c > '9' {
+			return false
+		}
+	}
+	return true
 }
 
 func parsePoP(s string) (PoP, error) {
@@ -92,15 +126,27 @@ func parsePoP(s string) (PoP, error) {
 }
 
 // WriteIPlane serialises PoP links in the textual format accepted by
-// ReadIPlane.
+// ReadIPlane. A latency prints in milliseconds with three decimals, or
+// six when it is not a whole number of microseconds: exactly, so it
+// reads back as itself.
 func WriteIPlane(w io.Writer, links []PoPLink) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintln(bw, "# iPlane inter-PoP links (format: <asn>:<pop> <asn>:<pop> <rtt-ms>)"); err != nil {
 		return err
 	}
 	for _, l := range links {
-		ms := float64(l.RTT) / float64(time.Millisecond)
-		if _, err := fmt.Fprintf(bw, "%s %s %.3f\n", l.From, l.To, ms); err != nil {
+		sign, ns := "", uint64(l.RTT)
+		if l.RTT < 0 {
+			sign, ns = "-", -ns
+		}
+		ms, frac := ns/uint64(time.Millisecond), ns%uint64(time.Millisecond)
+		var err error
+		if frac%uint64(time.Microsecond) == 0 {
+			_, err = fmt.Fprintf(bw, "%s %s %s%d.%03d\n", l.From, l.To, sign, ms, frac/uint64(time.Microsecond))
+		} else {
+			_, err = fmt.Fprintf(bw, "%s %s %s%d.%06d\n", l.From, l.To, sign, ms, frac)
+		}
+		if err != nil {
 			return err
 		}
 	}

@@ -10,12 +10,12 @@ import (
 	"repro/internal/idr"
 )
 
-// scanGraph is the oracle for Graph's adjacency index: the graph as it
-// was before the index existed. It keeps its own node set and edge map,
-// and its five adjacency accessors are the edge-scanning bodies Graph
-// used to have, moved here verbatim (each ranges over every edge and
-// sorts what it found). Connected and Validate are the bodies Graph
-// still has, run over those accessors.
+// scanGraph is the oracle for Graph's adjacency index and edge order:
+// the graph as it was before either existed. It keeps its own node set
+// and edge map; Edges and the five adjacency accessors are the bodies
+// Graph used to have, moved here verbatim (each ranges over every edge
+// and sorts what it found). Connected and Validate are Graph's bodies
+// from before they read the index directly, run over those accessors.
 type scanGraph struct {
 	nodes map[idr.ASN]bool
 	edges map[[2]idr.ASN]Edge
@@ -241,9 +241,18 @@ func (p modelPair) queryNode(t *testing.T, step int, asn idr.ASN) {
 	}
 }
 
-// queryGraph compares the two whole-graph walks built on the accessors.
+// queryGraph compares the edge list and the two whole-graph walks
+// built on the accessors, then scribbles over the edges Graph returned,
+// as queryNode does.
 func (p modelPair) queryGraph(t *testing.T, step int) {
 	t.Helper()
+	edges := p.g.Edges()
+	if want := p.o.Edges(); !reflect.DeepEqual(edges, want) {
+		t.Fatalf("step %d: Edges() = %v, oracle %v", step, edges, want)
+	}
+	for i := range edges {
+		edges[i] = Edge{}
+	}
 	if got, want := p.g.Connected(), p.o.Connected(); got != want {
 		t.Fatalf("step %d: Connected() = %v, oracle %v", step, got, want)
 	}
