@@ -299,14 +299,7 @@ func (t *Table) AdjIn(peer PeerKey, prefix netip.Prefix) (*Route, bool) {
 // sorted — the deterministic enumeration order for dumps and
 // snapshots.
 func (t *Table) AdjInPeerKeys() []PeerKey {
-	out := make([]PeerKey, 0, len(t.adjIn))
-	for k, m := range t.adjIn {
-		if len(m) > 0 {
-			out = append(out, k)
-		}
-	}
-	slices.Sort(out)
-	return out
+	return slices.DeleteFunc(idr.SortedKeys(t.adjIn), func(k PeerKey) bool { return len(t.adjIn[k]) == 0 })
 }
 
 // AdjInPrefixes returns all prefixes present in the peer's Adj-RIB-In,
@@ -352,24 +345,19 @@ func (t *Table) Best(prefix netip.Prefix) (*Route, bool) {
 // BestRoutes returns the whole Loc-RIB, sorted by prefix.
 func (t *Table) BestRoutes() []*Route {
 	out := make([]*Route, 0, len(t.best))
-	for _, r := range t.best {
-		out = append(out, r)
+	for _, p := range idr.SortedPrefixes(t.best) {
+		out = append(out, t.best[p])
 	}
-	slices.SortFunc(out, func(a, b *Route) int { return idr.ComparePrefix(a.Prefix, b.Prefix) })
 	return out
 }
 
 // Prefixes returns every prefix known to any RIB, sorted.
 func (t *Table) Prefixes() []netip.Prefix {
-	out := make([]netip.Prefix, 0, len(t.cands)+len(t.local))
-	for p := range t.local {
-		out = append(out, p)
-	}
-	for p, s := range t.cands {
-		if _, isLocal := t.local[p]; len(s) > 0 && !isLocal {
-			out = append(out, p)
-		}
-	}
+	learned := slices.DeleteFunc(idr.SortedPrefixes(t.cands), func(p netip.Prefix) bool {
+		_, isLocal := t.local[p]
+		return len(t.cands[p]) == 0 || isLocal
+	})
+	out := append(idr.SortedPrefixes(t.local), learned...)
 	slices.SortFunc(out, idr.ComparePrefix)
 	return out
 }
@@ -466,14 +454,7 @@ func (a *AdjOut) DropPeer(peer PeerKey) []netip.Prefix {
 // Peers returns every peer with a non-empty Adj-RIB-Out, sorted —
 // the deterministic enumeration order for snapshots.
 func (a *AdjOut) Peers() []PeerKey {
-	out := make([]PeerKey, 0, len(a.routes))
-	for k, m := range a.routes {
-		if len(m) > 0 {
-			out = append(out, k)
-		}
-	}
-	slices.Sort(out)
-	return out
+	return slices.DeleteFunc(idr.SortedKeys(a.routes), func(k PeerKey) bool { return len(a.routes[k]) == 0 })
 }
 
 // Prefixes returns the prefixes currently advertised to peer, sorted.

@@ -279,13 +279,7 @@ func (p *Peer) restore(ps PeerSnap) ([]sim.TimerArm, bool) {
 // snap captures the damping engine's flap histories, sorted by
 // (peer, prefix).
 func (d *damping) snap() []DampEntry {
-	peers := make([]rib.PeerKey, 0, len(d.state))
-	for k, m := range d.state {
-		if len(m) > 0 {
-			peers = append(peers, k)
-		}
-	}
-	slices.Sort(peers)
+	peers := slices.DeleteFunc(idr.SortedKeys(d.state), func(k rib.PeerKey) bool { return len(d.state[k]) == 0 })
 	var out []DampEntry
 	for _, peer := range peers {
 		m := d.state[peer]

@@ -115,7 +115,8 @@ func (c *Controller) graph() *view {
 	var links []uint64 // neighbour index<<32 | port: sorts by neighbour, lowest port first
 	for i, m := range v.members {
 		links = links[:0]
-		for port, pi := range m.ports {
+		for _, port := range idr.SortedKeys(m.ports) {
+			pi := m.ports[port]
 			if nb, ok := v.index[pi.neighbor]; ok && pi.isMember && pi.up {
 				links = append(links, uint64(nb)<<32|uint64(port))
 			}

@@ -142,14 +142,7 @@ func New(cfg Config) (*Controller, error) {
 func (c *Controller) Stats() Stats { return c.stats }
 
 // Members returns the cluster membership, sorted.
-func (c *Controller) Members() []idr.ASN {
-	out := make([]idr.ASN, 0, len(c.members))
-	for a := range c.members {
-		out = append(out, a)
-	}
-	slices.Sort(out)
-	return out
-}
+func (c *Controller) Members() []idr.ASN { return idr.SortedKeys(c.members) }
 
 // IsMember reports cluster membership.
 func (c *Controller) IsMember(asn idr.ASN) bool {
@@ -402,14 +395,7 @@ func (c *Controller) Start() error {
 }
 
 // sessionKeys returns the external peering keys in sorted order.
-func (c *Controller) sessionKeys() []SessKey {
-	keys := make([]SessKey, 0, len(c.sessions))
-	for k := range c.sessions {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, compareSessKey)
-	return keys
-}
+func (c *Controller) sessionKeys() []SessKey { return idr.SortedKeysFunc(c.sessions, compareSessKey) }
 
 // OriginatePrefix announces a cluster-originated prefix owned by a
 // member AS.
@@ -544,15 +530,11 @@ func (c *Controller) armDebounce() {
 
 // knownPrefixes returns every prefix with state, sorted.
 func (c *Controller) knownPrefixes() []netip.Prefix {
-	out := make([]netip.Prefix, 0, len(c.extRoutes)+len(c.owned))
-	for p := range c.extRoutes {
-		out = append(out, p)
-	}
-	for p := range c.owned {
-		if _, dup := c.extRoutes[p]; !dup {
-			out = append(out, p)
-		}
-	}
+	ownedOnly := slices.DeleteFunc(idr.SortedPrefixes(c.owned), func(p netip.Prefix) bool {
+		_, dup := c.extRoutes[p]
+		return dup
+	})
+	out := append(idr.SortedPrefixes(c.extRoutes), ownedOnly...)
 	slices.SortFunc(out, idr.ComparePrefix)
 	return out
 }
@@ -566,15 +548,14 @@ func (c *Controller) takeBatch() []netip.Prefix {
 	if c.allDirty {
 		known = c.knownPrefixes()
 	}
-	var rest []netip.Prefix
-	for p := range c.dirty {
-		_, ext := c.extRoutes[p]
-		_, own := c.owned[p]
-		if !c.allDirty || !ext && !own {
-			rest = append(rest, p)
-		}
+	rest := idr.SortedPrefixes(c.dirty)
+	if c.allDirty {
+		rest = slices.DeleteFunc(rest, func(p netip.Prefix) bool {
+			_, ext := c.extRoutes[p]
+			_, own := c.owned[p]
+			return ext || own
+		})
 	}
-	slices.SortFunc(rest, idr.ComparePrefix)
 	c.allDirty = false
 	clear(c.dirty)
 	return append(known, rest...)

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"net/netip"
-	"slices"
 	"time"
 
 	"repro/internal/bgp"
@@ -125,13 +124,8 @@ func (c *Controller) State() ControllerState {
 	}
 	for _, p := range idr.SortedPrefixes(c.extRoutes) {
 		bySess := c.extRoutes[p]
-		keys := make([]SessKey, 0, len(bySess))
-		for k := range bySess {
-			keys = append(keys, k)
-		}
-		slices.SortFunc(keys, compareSessKey)
 		e := ExtRouteEntry{Prefix: p}
-		for _, k := range keys {
+		for _, k := range idr.SortedKeysFunc(bySess, compareSessKey) {
 			e.Routes = append(e.Routes, ExtRoute{Border: k.Border, Port: k.Port, Attrs: bySess[k]})
 		}
 		st.ExtRoutes = append(st.ExtRoutes, e)
@@ -142,12 +136,7 @@ func (c *Controller) State() ControllerState {
 	st.Dirty = idr.SortedPrefixes(c.dirty)
 	for _, asn := range c.Members() {
 		m := c.members[asn]
-		ports := make([]uint32, 0, len(m.ports))
-		for port := range m.ports {
-			ports = append(ports, port)
-		}
-		slices.Sort(ports)
-		for _, port := range ports {
+		for _, port := range idr.SortedKeys(m.ports) {
 			st.Ports = append(st.Ports, PortFlag{Member: asn, Port: port, Up: m.ports[port].up})
 		}
 	}

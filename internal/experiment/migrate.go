@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/bgp"
 	"repro/internal/bgp/rib"
@@ -186,14 +185,7 @@ func (e *Experiment) syncDownLinks(asn idr.ASN) {
 
 // sortedPeerKeys returns a router's session keys in sorted order, so
 // migration tears sessions down deterministically.
-func sortedPeerKeys(r *bgp.Router) []rib.PeerKey {
-	keys := make([]rib.PeerKey, 0, len(r.Peers()))
-	for k := range r.Peers() {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
-}
+func sortedPeerKeys(r *bgp.Router) []rib.PeerKey { return idr.SortedKeys(r.Peers()) }
 
 // UpdateTotals returns the network-wide legacy BGP UPDATE counters,
 // including the counters of routers retired by mid-run migration (so

@@ -66,10 +66,31 @@ func ComparePrefix(a, b netip.Prefix) int {
 
 // SortedPrefixes returns m's keys in ComparePrefix order.
 func SortedPrefixes[V any](m map[netip.Prefix]V) []netip.Prefix {
-	out := make([]netip.Prefix, 0, len(m))
-	for p := range m {
-		out = append(out, p)
+	return SortedKeysFunc(m, ComparePrefix)
+}
+
+// SortedKeys returns m's keys in ascending order, in a slice of the
+// caller's own: the one way the simulation packages walk a map whose
+// order could reach a result. A filter belongs after it, as
+// slices.DeleteFunc on the sorted slice.
+func SortedKeys[M ~map[K]V, K cmp.Ordered, V any](m M) []K {
+	out := make([]K, 0, len(m))
+	//lint:maporder the keys are sorted before they leave this function
+	for k := range m {
+		out = append(out, k)
 	}
-	slices.SortFunc(out, ComparePrefix)
+	slices.Sort(out)
+	return out
+}
+
+// SortedKeysFunc is SortedKeys in compare's order, which must not tie
+// two distinct keys: tied keys would come out in map order.
+func SortedKeysFunc[M ~map[K]V, K comparable, V any](m M, compare func(a, b K) int) []K {
+	out := make([]K, 0, len(m))
+	//lint:maporder the keys are sorted before they leave this function
+	for k := range m {
+		out = append(out, k)
+	}
+	slices.SortFunc(out, compare)
 	return out
 }

@@ -1,7 +1,10 @@
 package idr
 
 import (
+	"cmp"
+	"maps"
 	"net/netip"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -77,5 +80,65 @@ func TestPropertyPrefixLessStrict(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSortedKeys pins the sorted-key helpers against literal orders
+// and against the collected keys sorted.
+func TestSortedKeys(t *testing.T) {
+	descending := func(a, b ASN) int { return cmp.Compare(b, a) }
+	insert := func(keys ...ASN) map[ASN]bool {
+		m := map[ASN]bool{}
+		for _, k := range keys {
+			m[k] = true
+		}
+		return m
+	}
+	asnCases := []struct {
+		name    string
+		m       map[ASN]bool
+		compare func(a, b ASN) int // nil: SortedKeys
+		want    []ASN
+	}{
+		{"empty", insert(), nil, nil},
+		{"out of order", insert(42, 7, 65000, 1, 300), nil, []ASN{1, 7, 42, 300, 65000}},
+		{"empty, comparator", insert(), descending, nil},
+		{"comparator", insert(42, 7, 65000, 1, 300), descending, []ASN{65000, 300, 42, 7, 1}},
+	}
+	for _, c := range asnCases {
+		got, ref := SortedKeys(c.m), slices.Sorted(maps.Keys(c.m))
+		if c.compare != nil {
+			got, ref = SortedKeysFunc(c.m, c.compare), slices.SortedFunc(maps.Keys(c.m), c.compare)
+		}
+		if !slices.Equal(got, c.want) || !slices.Equal(got, ref) {
+			t.Errorf("%s: got %v, want %v (collected and sorted: %v)", c.name, got, c.want, ref)
+		}
+	}
+
+	prefixes := func(ss ...string) map[netip.Prefix]int {
+		m := map[netip.Prefix]int{}
+		for i, s := range ss {
+			m[MustPrefix(s)] = i
+		}
+		return m
+	}
+	prefixCases := []struct {
+		name string
+		m    map[netip.Prefix]int
+		want []string
+	}{
+		{"empty", prefixes(), nil},
+		{"out of order", prefixes("11.0.0.0/8", "10.0.0.0/16", "10.0.0.0/8", "9.0.0.0/24"),
+			[]string{"9.0.0.0/24", "10.0.0.0/8", "10.0.0.0/16", "11.0.0.0/8"}},
+	}
+	for _, c := range prefixCases {
+		var want []netip.Prefix
+		for _, s := range c.want {
+			want = append(want, MustPrefix(s))
+		}
+		got, ref := SortedPrefixes(c.m), slices.SortedFunc(maps.Keys(c.m), ComparePrefix)
+		if !slices.Equal(got, want) || !slices.Equal(got, ref) {
+			t.Errorf("SortedPrefixes %s: got %v, want %v (collected and sorted: %v)", c.name, got, want, ref)
+		}
 	}
 }

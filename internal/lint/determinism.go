@@ -29,6 +29,16 @@ var determinismScope = []string{
 	// order-sensitive map walk in the daemon would break its
 	// byte-equality pin against the CLI path.
 	"internal/labd",
+	// Path-exploration counts in every lab.Result come from the event
+	// log, and probe loss from the probe engine.
+	"internal/monitor",
+	// The switches' flow tables and probe forwarding.
+	"internal/sdn",
+	// Sealed run records and the scenario runner's reports.
+	"internal/artifact",
+	"internal/scenario",
+	// The sorted-key helpers every other package walks maps through.
+	"internal/idr",
 }
 
 // inDeterminismScope reports whether the package is covered.
@@ -43,10 +53,11 @@ func inDeterminismScope(pkg *Package) bool {
 
 // DeterminismAnalyzer checks the seeded-determinism invariant in the
 // simulation packages: map iteration must not have order-sensitive,
-// result-visible side effects (Go randomizes map order per run);
-// randomness must come from a seeded *rand.Rand, never the global
-// math/rand functions; and virtual-time code must not read the wall
-// clock. Checks: maporder, globalrand, walltime.
+// result-visible side effects (Go randomizes map order per run), and
+// the maps.Keys/Values/All iterators may only feed a sort; randomness
+// must come from a seeded *rand.Rand, never the global math/rand
+// functions; and virtual-time code must not read the wall clock.
+// Checks: maporder, globalrand, walltime.
 func DeterminismAnalyzer() *Analyzer {
 	return &Analyzer{Run: runDeterminism}
 }
@@ -57,16 +68,19 @@ func runDeterminism(prog *Program, pkg *Package) []Diagnostic {
 		return nil
 	}
 	var diags []Diagnostic
+	// sortedArgs holds the calls passed straight to a slices.Sorted*
+	// collector; ast.Inspect visits such a collector before its
+	// argument.
+	sortedArgs := map[*ast.CallExpr]bool{}
 	for _, f := range pkg.Files {
-		funcs := functionNodes(f.AST)
 		ast.Inspect(f.AST, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.RangeStmt:
-				if d, ok := checkMapRange(prog, pkg, f, funcs, n); ok {
+				if d, ok := checkMapRange(prog, pkg, n); ok {
 					diags = append(diags, d)
 				}
 			case *ast.CallExpr:
-				if d, ok := checkDeterminismCall(prog, pkg, n); ok {
+				if d, ok := checkDeterminismCall(prog, pkg, n, sortedArgs); ok {
 					diags = append(diags, d)
 				}
 			}
@@ -76,9 +90,9 @@ func runDeterminism(prog *Program, pkg *Package) []Diagnostic {
 	return diags
 }
 
-// checkDeterminismCall flags global math/rand draws and wall-clock
-// reads.
-func checkDeterminismCall(prog *Program, pkg *Package, call *ast.CallExpr) (Diagnostic, bool) {
+// checkDeterminismCall flags global math/rand draws, wall-clock reads
+// and map iterators that do not go straight into a sort.
+func checkDeterminismCall(prog *Program, pkg *Package, call *ast.CallExpr, sortedArgs map[*ast.CallExpr]bool) (Diagnostic, bool) {
 	fn := calleeFunc(pkg, call)
 	if fn == nil || fn.Pkg() == nil {
 		return Diagnostic{}, false
@@ -87,6 +101,25 @@ func checkDeterminismCall(prog *Program, pkg *Package, call *ast.CallExpr) (Diag
 		return Diagnostic{}, false
 	}
 	switch fn.Pkg().Path() {
+	case "slices":
+		switch fn.Name() {
+		case "Sorted", "SortedFunc", "SortedStableFunc":
+			if arg, ok := ast.Unparen(call.Args[0]).(*ast.CallExpr); ok {
+				sortedArgs[arg] = true
+			}
+		}
+	case "maps":
+		switch fn.Name() {
+		case "Keys", "Values", "All":
+			if sortedArgs[call] {
+				return Diagnostic{}, false
+			}
+			return Diagnostic{
+				Pos:     prog.Position(call.Pos()),
+				Check:   CheckMapOrder,
+				Message: fmt.Sprintf("maps.%s yields in randomized map order; pass it straight to slices.Sorted or slices.SortedFunc, or range over idr.SortedKeys", fn.Name()),
+			}, true
+		}
 	case "math/rand", "math/rand/v2":
 		// Constructors build seeded streams — exactly what the
 		// invariant wants; everything else draws from the process
@@ -138,8 +171,10 @@ func pathBase(path string) string {
 }
 
 // checkMapRange flags a range over a map unless its body is provably
-// order-insensitive or it is the collect-then-sort idiom.
-func checkMapRange(prog *Program, pkg *Package, f *File, funcs []ast.Node, rng *ast.RangeStmt) (Diagnostic, bool) {
+// order-insensitive. A walk whose order matters ranges over
+// idr.SortedKeys instead, or carries an annotation saying why it
+// cannot.
+func checkMapRange(prog *Program, pkg *Package, rng *ast.RangeStmt) (Diagnostic, bool) {
 	tv, ok := pkg.Info.Types[rng.X]
 	if !ok {
 		return Diagnostic{}, false
@@ -151,13 +186,10 @@ func checkMapRange(prog *Program, pkg *Package, f *File, funcs []ast.Node, rng *
 	if ins.blockOK(rng.Body) {
 		return Diagnostic{}, false
 	}
-	if isCollectThenSort(pkg, funcs, rng) {
-		return Diagnostic{}, false
-	}
 	return Diagnostic{
 		Pos:     prog.Position(rng.Pos()),
 		Check:   CheckMapOrder,
-		Message: "map iteration order is randomized and this loop body is order-sensitive; sort the keys first or annotate why the order cannot affect results",
+		Message: "map iteration order is randomized and this loop body is order-sensitive; range over idr.SortedKeys or annotate why the order cannot affect results",
 	}, true
 }
 
@@ -178,8 +210,8 @@ func rangeKeyObject(pkg *Package, rng *ast.RangeStmt) types.Object {
 // iteration order. The whitelist is deliberately narrow — integer
 // commutative accumulation, writes keyed by the (distinct) range key,
 // deletes, and per-iteration locals; anything else (calls, float
-// accumulation, early exits, appends without a following sort) is
-// treated as order-sensitive and needs a sort or an annotation.
+// accumulation, early exits, appends) is treated as order-sensitive and
+// needs sorted keys or an annotation.
 type orderInsensitivity struct {
 	pkg      *Package
 	rangeKey types.Object
@@ -351,219 +383,4 @@ func (o orderInsensitivity) pureExpr(e ast.Expr) bool {
 		return true
 	})
 	return pure
-}
-
-// isCollectThenSort recognizes the sorted-extraction idiom: the loop
-// body only appends to one slice (appends may sit behind pure if/else
-// filters, continues and per-iteration locals) and a statement that
-// follows the loop — in the loop's own block or in one enclosing it —
-// passes that slice to a sort/slices sorting call. A sort anywhere
-// else in the function (the other arm of the if the loop sits in, say)
-// does not run after the loop and does not count.
-func isCollectThenSort(pkg *Package, funcs []ast.Node, rng *ast.RangeStmt) bool {
-	targetObj := collectTarget(pkg, rng.Body)
-	if targetObj == nil {
-		return false
-	}
-	fn := enclosingFunction(funcs, rng.Pos())
-	if fn == nil {
-		return false
-	}
-	sorted := false
-	ast.Inspect(fn, func(n ast.Node) bool {
-		stmts := stmtList(n)
-		for i, stmt := range stmts {
-			if stmt.Pos() <= rng.Pos() && rng.End() <= stmt.End() {
-				sorted = sorted || sortsTarget(pkg, stmts[i+1:], targetObj)
-			}
-		}
-		return !sorted
-	})
-	return sorted
-}
-
-// stmtList returns the statements a node runs in sequence, nil when it
-// is not a statement list.
-func stmtList(n ast.Node) []ast.Stmt {
-	switch n := n.(type) {
-	case *ast.BlockStmt:
-		return n.List
-	case *ast.CaseClause:
-		return n.Body
-	case *ast.CommClause:
-		return n.Body
-	}
-	return nil
-}
-
-// sortsTarget reports whether any of the statements passes the target
-// slice to a sort/slices sorting call.
-func sortsTarget(pkg *Package, stmts []ast.Stmt, targetObj types.Object) bool {
-	sorted := false
-	for _, stmt := range stmts {
-		ast.Inspect(stmt, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return !sorted
-			}
-			callee := calleeFunc(pkg, call)
-			if callee == nil || callee.Pkg() == nil {
-				return true
-			}
-			p := callee.Pkg().Path()
-			if p != "sort" && p != "slices" {
-				return true
-			}
-			if !strings.HasPrefix(callee.Name(), "Sort") && !isSortHelper(p, callee.Name()) {
-				return true
-			}
-			for _, arg := range call.Args {
-				if id, ok := ast.Unparen(arg).(*ast.Ident); ok && objectOf(pkg, id) == targetObj {
-					sorted = true
-				}
-			}
-			return !sorted
-		})
-	}
-	return sorted
-}
-
-// collectTarget returns the single slice variable the loop body
-// appends to, when the body does nothing else: appends to one target,
-// optionally guarded by pure if/else filters, plus continue statements
-// and pure per-iteration := locals. Returns nil for any other body.
-func collectTarget(pkg *Package, body *ast.BlockStmt) types.Object {
-	pure := orderInsensitivity{pkg: pkg}
-	var target types.Object
-	var blockOK func(stmts []ast.Stmt) bool
-	var stmtOK func(s ast.Stmt) bool
-	stmtOK = func(s ast.Stmt) bool {
-		switch s := s.(type) {
-		case *ast.BranchStmt:
-			return s.Tok == token.CONTINUE
-		case *ast.AssignStmt:
-			if appendTo := appendTarget(pkg, s); appendTo != nil {
-				if target == nil {
-					target = appendTo
-				}
-				return appendTo == target
-			}
-			if s.Tok != token.DEFINE {
-				return false
-			}
-			for _, rhs := range s.Rhs {
-				if !pure.pureExpr(rhs) {
-					return false
-				}
-			}
-			return true
-		case *ast.IfStmt:
-			if s.Init != nil && !stmtOK(s.Init) {
-				return false
-			}
-			if !pure.pureExpr(s.Cond) {
-				return false
-			}
-			if !blockOK(s.Body.List) {
-				return false
-			}
-			switch e := s.Else.(type) {
-			case nil:
-				return true
-			case *ast.BlockStmt:
-				return blockOK(e.List)
-			case *ast.IfStmt:
-				return stmtOK(e)
-			default:
-				return false
-			}
-		case *ast.BlockStmt:
-			return blockOK(s.List)
-		default:
-			return false
-		}
-	}
-	blockOK = func(stmts []ast.Stmt) bool {
-		for _, s := range stmts {
-			if !stmtOK(s) {
-				return false
-			}
-		}
-		return true
-	}
-	if !blockOK(body.List) {
-		return nil
-	}
-	return target
-}
-
-// appendTarget returns the variable appended to when the statement is
-// `xs = append(xs, …)` (or :=), nil otherwise.
-func appendTarget(pkg *Package, s *ast.AssignStmt) types.Object {
-	if len(s.Lhs) != 1 || len(s.Rhs) != 1 || (s.Tok != token.ASSIGN && s.Tok != token.DEFINE) {
-		return nil
-	}
-	id, ok := s.Lhs[0].(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	call, ok := s.Rhs[0].(*ast.CallExpr)
-	if !ok {
-		return nil
-	}
-	fnID, ok := call.Fun.(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	if b, ok := pkg.Info.Uses[fnID].(*types.Builtin); !ok || b.Name() != "append" {
-		return nil
-	}
-	return objectOf(pkg, id)
-}
-
-// isSortHelper names the sorting entry points without a Sort prefix.
-func isSortHelper(pkgPath, name string) bool {
-	if pkgPath == "sort" {
-		switch name {
-		case "Strings", "Ints", "Float64s", "Slice", "SliceStable", "Stable":
-			return true
-		}
-	}
-	return false
-}
-
-// objectOf resolves an identifier to its object (use or definition).
-func objectOf(pkg *Package, id *ast.Ident) types.Object {
-	if obj := pkg.Info.Uses[id]; obj != nil {
-		return obj
-	}
-	return pkg.Info.Defs[id]
-}
-
-// functionNodes collects every function declaration and literal in a
-// file, for enclosing-function lookups.
-func functionNodes(f *ast.File) []ast.Node {
-	var out []ast.Node
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n.(type) {
-		case *ast.FuncDecl, *ast.FuncLit:
-			out = append(out, n)
-		}
-		return true
-	})
-	return out
-}
-
-// enclosingFunction returns the innermost function node containing
-// pos.
-func enclosingFunction(funcs []ast.Node, pos token.Pos) ast.Node {
-	var best ast.Node
-	for _, fn := range funcs {
-		if fn.Pos() <= pos && pos < fn.End() {
-			if best == nil || fn.Pos() > best.Pos() {
-				best = fn
-			}
-		}
-	}
-	return best
 }

@@ -4,15 +4,19 @@
 package sim
 
 import (
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 )
 
-// Keys is the plain collect-then-sort extraction (not flagged).
+// Keys collects and then sorts (flagged: a sort somewhere after the
+// loop is not inferred; sorted keys come from one helper, whose loop
+// carries the annotation).
 func Keys(m map[string]int) []string {
 	var out []string
-	for k := range m {
+	for k := range m { // want "maporder"
 		out = append(out, k)
 	}
 	sort.Strings(out)
@@ -20,10 +24,10 @@ func Keys(m map[string]int) []string {
 }
 
 // FilteredKeys collects behind a pure filter with a continue and an
-// if/else branch (not flagged — the generalized idiom).
+// if/else branch, then sorts (flagged, as Keys).
 func FilteredKeys(m map[string]int) []string {
 	var out []string
-	for k, v := range m {
+	for k, v := range m { // want "maporder"
 		if v == 0 {
 			continue
 		}
@@ -54,11 +58,11 @@ func BranchSorted(m map[string]int, all bool) []string {
 }
 
 // NestedThenSorted collects inside a branch and sorts after it, in an
-// enclosing block (not flagged).
+// enclosing block (flagged, as Keys).
 func NestedThenSorted(m map[string]int, all bool) []string {
 	var out []string
 	if all {
-		for k := range m {
+		for k := range m { // want "maporder"
 			out = append(out, k)
 		}
 	}
@@ -122,6 +126,26 @@ func Bogus(m map[string]int) string {
 		return k
 	}
 	return ""
+}
+
+// IterKeys ranges over a map iterator, which yields in map order.
+func IterKeys(m map[string]int) []string {
+	var out []string
+	for k := range maps.Keys(m) { // want "maporder"
+		out = append(out, k)
+	}
+	return out
+}
+
+// CollectValues gathers a map iterator into a slice, in map order.
+func CollectValues(m map[string]int) []int {
+	return slices.Collect(maps.Values(m)) // want "maporder"
+}
+
+// SortedIterKeys feeds the iterator straight into a sort (not
+// flagged).
+func SortedIterKeys(m map[string]int) []string {
+	return slices.Sorted(maps.Keys(m))
 }
 
 // Draw uses the process-global generator.

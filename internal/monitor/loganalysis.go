@@ -158,10 +158,9 @@ type RouterSummary struct {
 // Summarize returns the per-router summaries, sorted by ASN.
 func (l *EventLog) Summarize() []RouterSummary {
 	out := make([]RouterSummary, 0, len(l.routers))
-	for _, s := range l.routers {
-		out = append(out, *s)
+	for _, asn := range idr.SortedKeys(l.routers) {
+		out = append(out, *l.routers[asn])
 	}
-	slices.SortFunc(out, func(a, b RouterSummary) int { return cmp.Compare(a.Router, b.Router) })
 	return out
 }
 

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
-	"slices"
 	"time"
 
 	"repro/internal/bgp"
@@ -219,12 +218,7 @@ func (e *ProbeEngine) ResetStats() {
 
 // WriteReport renders per-flow loss sorted by flow.
 func (e *ProbeEngine) WriteReport(w io.Writer) error {
-	keys := make([]FlowKey, 0, len(e.stats))
-	for k := range e.stats {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, compareFlow)
-	for _, k := range keys {
+	for _, k := range idr.SortedKeysFunc(e.stats, compareFlow) {
 		s := e.stats[k]
 		if _, err := fmt.Fprintf(w, "%v -> %v: sent=%d delivered=%d loss=%.1f%%\n",
 			k.Src, k.Dst, s.Sent, s.Delivered, 100*s.Loss()); err != nil {

@@ -1,9 +1,6 @@
 package monitor
 
 import (
-	"cmp"
-	"slices"
-
 	"repro/internal/idr"
 	"repro/internal/sim"
 )
@@ -68,16 +65,14 @@ type ProbeState struct {
 // State captures the probe engine's serializable state.
 func (e *ProbeEngine) State() ProbeState {
 	st := ProbeState{NextID: e.nextID}
-	for id, key := range e.pending {
+	for _, id := range idr.SortedKeys(e.pending) {
+		key := e.pending[id]
 		st.Pending = append(st.Pending, PendingProbe{ID: id, Src: key.Src, Dst: key.Dst})
 	}
-	slices.SortFunc(st.Pending, func(a, b PendingProbe) int { return cmp.Compare(a.ID, b.ID) })
-	for key, s := range e.stats {
+	for _, key := range idr.SortedKeysFunc(e.stats, compareFlow) {
+		s := e.stats[key]
 		st.Stats = append(st.Stats, FlowStat{Src: key.Src, Dst: key.Dst, Sent: s.Sent, Delivered: s.Delivered})
 	}
-	slices.SortFunc(st.Stats, func(a, b FlowStat) int {
-		return compareFlow(FlowKey{a.Src, a.Dst}, FlowKey{b.Src, b.Dst})
-	})
 	return st
 }
 

@@ -8,7 +8,6 @@ package sdn
 import (
 	"fmt"
 	"net/netip"
-	"slices"
 
 	"repro/internal/frames"
 	"repro/internal/idr"
@@ -54,6 +53,7 @@ func (t *FlowTable) Len() int { return len(t.entries) }
 func (t *FlowTable) Lookup(addr netip.Addr) (FlowEntry, bool) {
 	var best FlowEntry
 	found := false
+	//lint:maporder better is a total order over the entries, whose matches are unique, so the winner is the same in any order
 	for _, e := range t.entries {
 		if !e.Match.Contains(addr) {
 			continue
@@ -79,10 +79,9 @@ func better(a, b FlowEntry) bool {
 // Entries returns all entries in deterministic order.
 func (t *FlowTable) Entries() []FlowEntry {
 	out := make([]FlowEntry, 0, len(t.entries))
-	for _, e := range t.entries {
-		out = append(out, e)
+	for _, m := range idr.SortedPrefixes(t.entries) {
+		out = append(out, t.entries[m])
 	}
-	slices.SortFunc(out, func(a, b FlowEntry) int { return idr.ComparePrefix(a.Match, b.Match) })
 	return out
 }
 
@@ -277,6 +276,7 @@ func (s *Switch) forwardProbe(payload []byte) error {
 		return err
 	}
 	// Local delivery?
+	//lint:maporder every matching local prefix has the same effect: one local delivery, then return
 	for p := range s.localPrefixes {
 		if p.Contains(probe.Dst) {
 			s.stats.DeliveredLocal++

@@ -3,7 +3,6 @@ package topology
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"repro/internal/idr"
 )
@@ -231,11 +230,7 @@ func BarabasiAlbert(n, m int, rng *rand.Rand) (*Graph, error) {
 		// Iterate the chosen set in sorted order: map iteration order
 		// would otherwise leak into the sampling pool and make the
 		// same seed draw different graphs across runs.
-		picked := make([]idr.ASN, 0, len(chosen))
-		for t := range chosen {
-			picked = append(picked, t)
-		}
-		slices.Sort(picked)
+		picked := idr.SortedKeys(chosen)
 		for _, t := range picked {
 			if err := g.AddEdge(Edge{A: t, B: newcomer, Rel: P2C}); err != nil {
 				return nil, err

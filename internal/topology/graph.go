@@ -169,14 +169,7 @@ func (g *Graph) NumNodes() int { return len(g.nodes) }
 func (g *Graph) NumEdges() int { return len(g.edges) }
 
 // Nodes returns all AS numbers in ascending order.
-func (g *Graph) Nodes() []idr.ASN {
-	out := make([]idr.ASN, 0, len(g.nodes))
-	for n := range g.nodes {
-		out = append(out, n)
-	}
-	slices.Sort(out)
-	return out
-}
+func (g *Graph) Nodes() []idr.ASN { return idr.SortedKeys(g.nodes) }
 
 // Edges returns all edges ordered by (lower, higher) endpoint, in a
 // slice of the caller's own.
