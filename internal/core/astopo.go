@@ -21,6 +21,9 @@ import (
 // it is the scratch of one prefix's computation, overwritten by each
 // route call.
 type view struct {
+	// gen numbers the view among the controller's rebuilds; a route's
+	// loop verdict is valid for the view it was computed in.
+	gen     uint64
 	asns    []idr.ASN
 	members []*member
 	index   map[idr.ASN]int32
@@ -32,9 +35,12 @@ type view struct {
 	// comp is each member's sub-cluster: its connected component over
 	// up links — the paper's disjoint sub-clusters.
 	comp []int32
-	// sess lists the external peerings in key order. Their established
-	// flag is read live, so a session flapping does not drop the view.
-	sess []*extSession
+	// sess lists the external peerings in key order, so each border's
+	// sessions are one run; groups[g] is where border group g's run
+	// starts. Their established flag is read live, so a session
+	// flapping does not drop the view.
+	sess   []*extSession
+	groups []int
 
 	// owner is the member originating the prefix, -1 for an external
 	// prefix.
@@ -85,8 +91,12 @@ func compareSessKey(a, b SessKey) int {
 }
 
 // invalidate drops the view after a change to the members, their
-// ports or port state, or the session set.
-func (c *Controller) invalidate() { c.view = nil }
+// ports or port state, or the session set. The border records are
+// indexed by the view's border groups, so it retires them too.
+func (c *Controller) invalidate() {
+	c.view = nil
+	c.sessGen++
+}
 
 // graph returns the current view, rebuilding it when a change to the
 // switch graph dropped it.
@@ -96,7 +106,9 @@ func (c *Controller) graph() *view {
 	}
 	asns := c.Members()
 	n := len(asns)
+	c.views++
 	v := &view{
+		gen:     c.views,
 		asns:    asns,
 		members: make([]*member, n),
 		index:   make(map[idr.ASN]int32, n),
@@ -147,6 +159,9 @@ func (c *Controller) graph() *view {
 	for _, key := range c.sessionKeys() {
 		es := c.sessions[key]
 		es.border = v.index[key.Border]
+		if len(v.sess) == 0 || v.sess[len(v.sess)-1].border != es.border {
+			v.groups = append(v.groups, len(v.sess))
+		}
 		v.sess = append(v.sess, es)
 	}
 	c.view = v
@@ -227,15 +242,21 @@ func (c *Controller) route(v *view, prefix netip.Prefix) {
 	// legacy world (design goal §2: an intra-cluster link failure must
 	// not isolate the controlled ASes). Each border keeps its cheapest
 	// usable route, the lowest port among equals.
-	//lint:maporder min-reduction: each border keeps its least (cost, port) route whatever order the routes are visited in
-	for k, attrs := range c.extRoutes[prefix] {
-		es, cost := c.sessions[k], int32(1+attrs.ASPath.Length())
+	// The candidates are in key order, so a border's come lowest port
+	// first and an equal cost later never displaces one.
+	routes := c.extRoutes[prefix]
+	for i := range routes {
+		r := &routes[i]
+		es := r.sess
 		cur := &v.best[es.border]
-		if cur.cost != 0 && (cost > cur.cost || cost == cur.cost && k.Port > cur.key.Port) {
+		if cur.cost != 0 && r.cost >= cur.cost || !es.established {
 			continue
 		}
-		if es.established && !v.reenters(attrs.ASPath, es.border) {
-			*cur = candidate{key: k, attrs: attrs, cost: cost}
+		if r.gen != v.gen {
+			r.gen, r.loops = v.gen, v.reenters(r.attrs.ASPath, es.border)
+		}
+		if !r.loops {
+			*cur = candidate{key: es.key, attrs: r.attrs, cost: r.cost}
 		}
 	}
 	for b := range v.best {
@@ -366,19 +387,128 @@ func (c *Controller) pushFlows(v *view, prefix netip.Prefix) {
 // session the route exits through) and receiver-side loop prevention
 // (the neighbor would reject a path containing itself anyway; skip the
 // no-op announcement).
+//
+// A border whose announcement and sessions are as they were at the
+// prefix's last pass would only repeat that pass's commands, each a
+// no-op now; its record stands in for them, counters included.
 func (c *Controller) announce(v *view, prefix netip.Prefix) {
-	for _, es := range v.sess {
-		if !es.established {
+	t := c.records[prefix]
+	if len(t.borders) != len(v.groups) {
+		// The groups changed with the view, which retired every record.
+		t.borders = slices.Grow(t.borders[:0], len(v.groups))[:len(v.groups)]
+	}
+	for g, lo := range v.groups {
+		hi := len(v.sess)
+		if g+1 < len(v.groups) {
+			hi = v.groups[g+1]
+		}
+		b, rec := v.sess[lo].border, &t.borders[g]
+		if rec.gen == c.sessGen && v.unchanged(b, rec, t.next) {
+			c.stats.AnnounceCommands += uint64(rec.announces)
+			c.stats.WithdrawCommands += uint64(rec.withdraws)
 			continue
 		}
-		if a := v.announcement(es.border); a.allowedOn(es) {
-			if es.announce(prefix, a.attrs) == nil {
-				c.stats.AnnounceCommands++
+		a := v.announcement(b)
+		*rec = v.record(b, c.sessGen)
+		for _, es := range v.sess[lo:hi] {
+			if !es.established {
+				continue
 			}
-		} else if es.withdraw(prefix) == nil {
-			c.stats.WithdrawCommands++
+			var err error
+			if a.allowedOn(es) {
+				if err = es.announce(prefix, a.attrs); err == nil {
+					c.stats.AnnounceCommands++
+					rec.announces++
+				}
+			} else if err = es.withdraw(prefix); err == nil {
+				c.stats.WithdrawCommands++
+				rec.withdraws++
+			}
+			if err != nil {
+				rec.gen = 0 // a failed command is retried next time
+			}
 		}
 	}
+	_, ext := c.extRoutes[prefix]
+	if _, own := c.owned[prefix]; !ext && !own || len(v.groups) == 0 {
+		delete(c.records, prefix)
+		return
+	}
+	t.next = append(t.next[:0], v.next...)
+	c.records[prefix] = t
+}
+
+// prefixRecord is the controller's last pass over a prefix's external
+// sessions: the view's next pointers as they were, and a record per
+// border group.
+type prefixRecord struct {
+	next    []int32
+	borders []borderRecord
+}
+
+// borderRecord is one border's record: the announcement it made, and
+// how many announce and withdraw commands its sessions took. The
+// announcement is kept as what it is built from — the internal path,
+// which the pass's next pointers hold, and the route at its end: the
+// owner (exit is the zero key) or the exit route's key, origin and AS
+// path, which nothing writes. gen is the controller's session
+// generation at the pass, 0 when the record is void.
+type borderRecord struct {
+	gen                  uint64
+	ok                   bool
+	origin               wire.Origin
+	exit                 SessKey
+	path                 wire.ASPath
+	announces, withdraws uint32
+}
+
+// record starts border b's record of the routed prefix at session
+// generation gen, with no commands counted yet.
+func (v *view) record(b int32, gen uint64) borderRecord {
+	r := borderRecord{gen: gen}
+	if _, last, ok := v.internalPath(b); ok && last != v.owner {
+		exit := &v.best[last]
+		r.ok, r.exit, r.origin, r.path = true, exit.key, exit.attrs.Origin, exit.attrs.ASPath
+	} else {
+		r.ok = ok
+	}
+	return r
+}
+
+// unchanged reports whether border b would make the announcement its
+// record holds: the same internal path, as next pointers (prev is the
+// record's pass's), ending at the same route. Nothing else of an
+// announcement reaches a session (each sets its own NEXT_HOP; MED and
+// LOCAL_PREF are never sent).
+func (v *view) unchanged(b int32, r *borderRecord, prev []int32) bool {
+	if v.dist[b] == unreachable || !r.ok {
+		return v.dist[b] == unreachable && !r.ok
+	}
+	i := b
+	for next := v.next[i]; next >= 0; next = v.next[i] {
+		if prev[i] != next {
+			return false
+		}
+		i = next
+	}
+	if prev[i] >= 0 {
+		return false
+	}
+	if i == v.owner {
+		return r.exit == SessKey{}
+	}
+	exit := &v.best[i]
+	return r.exit == exit.key && r.origin == exit.attrs.Origin && samePath(r.path, exit.attrs.ASPath)
+}
+
+// samePath reports whether two AS paths are equal, first by identity:
+// a candidate's path is its own and never written, so an unchanged
+// exit route hands back the very slice its record holds.
+func samePath(a, b wire.ASPath) bool {
+	if len(a) > 0 && len(a) == len(b) && &a[0] == &b[0] {
+		return true
+	}
+	return a.Equal(b)
 }
 
 // allowedOn reports whether the border's announcement may go out on

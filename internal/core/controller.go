@@ -52,6 +52,8 @@ type SessKey struct {
 func (k SessKey) String() string { return fmt.Sprintf("%v#%d", k.Border, k.Port) }
 
 // Stats counts controller activity for the analysis tools.
+// AnnounceCommands and WithdrawCommands count the commands given to
+// established sessions, no-ops included.
 type Stats struct {
 	Recomputes       uint64
 	FlowModsSent     uint64
@@ -80,8 +82,9 @@ type Controller struct {
 	cfg      Config
 	members  map[idr.ASN]*member
 	sessions map[SessKey]*extSession
-	// extRoutes: per prefix, the candidate external routes by session.
-	extRoutes map[netip.Prefix]map[SessKey]wire.PathAttrs
+	// extRoutes: per prefix, the candidate external routes, sorted by
+	// session key.
+	extRoutes map[netip.Prefix][]extRoute
 	// owned: cluster-originated prefixes and their owner member.
 	owned map[netip.Prefix]idr.ASN
 
@@ -94,8 +97,19 @@ type Controller struct {
 	stats Stats
 
 	// view is the dense switch graph of astopo.go: derived state, nil
-	// until the next route computation rebuilds it.
-	view *view
+	// until the next route computation rebuilds it; views counts the
+	// rebuilds.
+	view  *view
+	views uint64
+	// records keeps, per prefix, each border's last announcement and what
+	// its sessions made of it (astopo.go). A record is good while
+	// sessGen, the session generation, stays where it was: it goes up
+	// whenever a session's commands could come out differently for an
+	// unchanged announcement — a session established or reset, and any
+	// change to the view (invalidate), the session set included. Derived
+	// state, never serialized.
+	records map[netip.Prefix]prefixRecord
+	sessGen uint64
 
 	// tx is the UPDATE a session is sending and onePrefix its prefix
 	// list, lent to the session machine for one send: sends never
@@ -104,6 +118,20 @@ type Controller struct {
 	// does its peers.
 	tx        wire.Update
 	onePrefix [1]netip.Prefix
+}
+
+// extRoute is one candidate external route for a prefix: the session
+// it was learned on, its attributes and their cost (1 + AS path
+// length), and whether the path re-enters the border's sub-cluster as
+// of view generation gen (0: not yet known). The path is the route's
+// own until the next learn for its session replaces the entry, so the
+// verdict holds until the view is rebuilt.
+type extRoute struct {
+	sess  *extSession
+	attrs wire.PathAttrs
+	cost  int32
+	loops bool
+	gen   uint64
 }
 
 type member struct {
@@ -132,9 +160,11 @@ func New(cfg Config) (*Controller, error) {
 		cfg:       cfg,
 		members:   make(map[idr.ASN]*member),
 		sessions:  make(map[SessKey]*extSession),
-		extRoutes: make(map[netip.Prefix]map[SessKey]wire.PathAttrs),
+		extRoutes: make(map[netip.Prefix][]extRoute),
 		owned:     make(map[netip.Prefix]idr.ASN),
 		dirty:     make(map[netip.Prefix]bool),
+		records:   make(map[netip.Prefix]prefixRecord),
+		sessGen:   1, // a zero record is void
 	}, nil
 }
 
@@ -486,22 +516,32 @@ func (c *Controller) handlePortStatus(m *member, ps ofp.PortStatus) {
 // candidate keeps *attrs as it is, so the caller hands over its slices.
 func (c *Controller) learn(key SessKey, prefix netip.Prefix, attrs *wire.PathAttrs) {
 	c.stats.RouteEvents++
-	if attrs == nil {
-		if m := c.extRoutes[prefix]; m != nil {
-			delete(m, key)
-			if len(m) == 0 {
-				delete(c.extRoutes, prefix)
-			}
-		}
-	} else {
-		m := c.extRoutes[prefix]
-		if m == nil {
-			m = make(map[SessKey]wire.PathAttrs)
-			c.extRoutes[prefix] = m
-		}
-		m[key] = *attrs
-	}
+	c.setRoute(prefix, key, attrs)
 	c.markDirty(prefix)
+}
+
+// setRoute puts the candidate learned on session key for prefix in its
+// place in key order, or removes it when attrs is nil.
+func (c *Controller) setRoute(prefix netip.Prefix, key SessKey, attrs *wire.PathAttrs) {
+	routes := c.extRoutes[prefix]
+	i, found := slices.BinarySearchFunc(routes, key, func(r extRoute, k SessKey) int { return compareSessKey(r.sess.key, k) })
+	switch {
+	case attrs != nil:
+		r := extRoute{sess: c.sessions[key], attrs: *attrs, cost: int32(1 + attrs.ASPath.Length())}
+		if found {
+			routes[i] = r
+			return
+		}
+		if routes == nil {
+			routes = make([]extRoute, 0, 4) // a prefix is mostly offered on several sessions
+		}
+		c.extRoutes[prefix] = slices.Insert(routes, i, r)
+	case !found:
+	case len(routes) == 1:
+		delete(c.extRoutes, prefix)
+	default:
+		c.extRoutes[prefix] = slices.Delete(routes, i, i+1)
+	}
 }
 
 // markDirty schedules a delayed recomputation for one prefix.
@@ -522,10 +562,13 @@ func (c *Controller) armDebounce() {
 		c.recompute()
 		return
 	}
-	if c.debounceTimer != nil && c.debounceTimer.Active() {
-		return
+	switch {
+	case c.debounceTimer == nil:
+		c.debounceTimer = c.cfg.Clock.AfterFunc(c.cfg.Debounce, c.recompute)
+	case !c.debounceTimer.Active():
+		// Re-arming takes the place a fresh timer would.
+		c.debounceTimer.Reset(c.cfg.Debounce)
 	}
-	c.debounceTimer = c.cfg.Clock.AfterFunc(c.cfg.Debounce, c.recompute)
 }
 
 // knownPrefixes returns every prefix with state, sorted.
@@ -558,6 +601,9 @@ func (c *Controller) takeBatch() []netip.Prefix {
 	}
 	c.allDirty = false
 	clear(c.dirty)
+	if known == nil {
+		return rest
+	}
 	return append(known, rest...)
 }
 

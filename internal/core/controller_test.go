@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"net/netip"
 	"slices"
 	"testing"
@@ -14,12 +15,19 @@ import (
 	"repro/internal/sim"
 )
 
-// capture collects the OpenFlow messages sent to one member switch.
+// capture collects the OpenFlow messages sent to one member switch;
+// while down, the control channel refuses every frame.
 type capture struct {
 	frames [][]byte
+	down   bool
 }
 
+var errChannelDown = errors.New("control channel down")
+
 func (c *capture) send(b []byte) error {
+	if c.down {
+		return errChannelDown
+	}
 	c.frames = append(c.frames, openflow(b))
 	return nil
 }
@@ -644,29 +652,21 @@ func TestRecomputeAllDirtyLeftoverOrder(t *testing.T) {
 // (race_test.go sets it).
 var raceEnabled bool
 
-// TestRecomputeAllocatesOnlyFlowMods pins the cost of the controller's
-// steady state: recomputing a prefix whose announcements are all
-// unchanged allocates one frame per member's FlowMod and nothing per
-// session — each border's path is built in the view's storage and each
-// session compares before it copies.
-func TestRecomputeAllocatesOnlyFlowMods(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's runtime adds allocations of its own")
-	}
-	k := sim.NewKernel(1)
-	c, err := New(Config{Clock: k})
+// establishedLine builds a started controller with members 11 - 12 -
+// 13 in a line, every control channel sending through send, and an
+// established external peering on port 2 of each: 11 with AS 2, 12
+// with AS 3, 13 with AS 4.
+func establishedLine(t *testing.T, send func([]byte) error) *Controller {
+	t.Helper()
+	c, err := New(Config{Clock: sim.NewKernel(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sent int
-	send := func([]byte) error { sent++; return nil }
 	for _, asn := range []idr.ASN{11, 12, 13} {
 		if err := c.AddMember(asn, send); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// 11 - 12 - 13 in a line, and an external peering on port 2 of
-	// each: 11 with AS 2, 12 with AS 3, 13 with AS 4.
 	for _, p := range []struct {
 		m    idr.ASN
 		port uint32
@@ -711,6 +711,21 @@ func TestRecomputeAllocatesOnlyFlowMods(t *testing.T) {
 			t.Fatalf("session %v not established", key)
 		}
 	}
+	return c
+}
+
+// TestRecomputeAllocatesOnlyFlowMods pins the cost of the controller's
+// steady state: recomputing a prefix whose announcements are all
+// unchanged allocates one frame per member's FlowMod and nothing per
+// session — whether each border's record stands in for its sessions,
+// or (a session event voided the records) each border's path is built
+// in the view's storage and each session compares before it copies.
+func TestRecomputeAllocatesOnlyFlowMods(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's runtime adds allocations of its own")
+	}
+	var sent int
+	c := establishedLine(t, func([]byte) error { sent++; return nil })
 	// An external route learned at 13 and a prefix 12 originates: every
 	// member forwards, 11 and 12 announce across the cluster on their
 	// own sessions, 13's announcement of the external route is split
@@ -731,12 +746,73 @@ func TestRecomputeAllocatesOnlyFlowMods(t *testing.T) {
 		if sessions < 2 {
 			t.Fatalf("%v announced on %d sessions, want at least 2", p, sessions)
 		}
-		sent = 0
-		if n := testing.AllocsPerRun(100, func() { c.recomputePrefix(c.graph(), p) }); n != 3 {
-			t.Errorf("%v: an unchanged recompute allocates %v objects, want 3 (one FlowMod per member)", p, n)
+		for _, void := range []bool{false, true} {
+			sent = 0
+			n := testing.AllocsPerRun(100, func() {
+				if void {
+					c.sessGen++
+				}
+				c.recomputePrefix(c.graph(), p)
+			})
+			if n != 3 {
+				t.Errorf("%v (records void %v): an unchanged recompute allocates %v objects, want 3 (one FlowMod per member)", p, void, n)
+			}
+			if sent != 3*101 {
+				t.Errorf("%v (records void %v): %d control frames in 101 recomputes, want only the FlowMods", p, void, sent)
+			}
 		}
-		if sent != 3*101 {
-			t.Errorf("%v: %d control frames in 101 recomputes, want only the FlowMods", p, sent)
+	}
+}
+
+// TestRecomputeSkipsUnchangedBorders drives the skip path: a prefix
+// recomputed while every border's announcement and every session stay
+// as they were sends no UPDATE, and its announce and withdraw counters
+// move by exactly what the per-session loop would have counted — the
+// oracle's loop, run afterwards, finds only no-ops and counts the same.
+func TestRecomputeSkipsUnchangedBorders(t *testing.T) {
+	var frames [][]byte
+	c := establishedLine(t, func(f []byte) error { frames = append(frames, openflow(f)); return nil })
+	external, owned := netip.MustParsePrefix("10.0.4.0/24"), netip.MustParsePrefix("10.0.12.0/24")
+	c.learn(SessKey{Border: 13, Port: 2}, external, extAttrs(4, 7))
+	if err := c.OriginatePrefix(12, owned); err != nil {
+		t.Fatal(err)
+	}
+	c.recompute()
+	// Both prefixes dirty again, neither answer changed: 11 learns a
+	// route longer than its path through the cluster (cost 6 against
+	// 5), and the owned prefix is only marked.
+	c.learn(SessKey{Border: 11, Port: 2}, external, extAttrs(2, 8, 9, 10, 7))
+	c.markDirty(owned)
+	for _, p := range []netip.Prefix{external, owned} {
+		v := c.graph()
+		c.route(v, p)
+		pr := c.records[p]
+		for g, lo := range v.groups {
+			if rec := &pr.borders[g]; rec.gen != c.sessGen || !v.unchanged(v.sess[lo].border, rec, pr.next) {
+				t.Fatalf("%v: border %v's record does not stand: %+v", p, v.asns[v.sess[lo].border], *rec)
+			}
 		}
+	}
+	frames = frames[:0]
+	before := c.Stats()
+	c.recompute()
+	for _, f := range frames {
+		if ofp.PeekType(f) != ofp.TypeFlowMod {
+			msg, _, _ := ofp.Unmarshal(f)
+			t.Fatalf("a recompute with unchanged borders sent %+v", msg)
+		}
+	}
+	skipped := c.Stats()
+	for _, p := range []netip.Prefix{external, owned} {
+		c.updateAnnouncements(p, c.dijkstra(p, c.subClusters()))
+	}
+	if len(frames) != 2*3 {
+		t.Fatalf("%d control frames, want the 6 FlowMods and nothing from the oracle's loop", len(frames))
+	}
+	after := c.Stats()
+	gotA, gotW := skipped.AnnounceCommands-before.AnnounceCommands, skipped.WithdrawCommands-before.WithdrawCommands
+	wantA, wantW := after.AnnounceCommands-skipped.AnnounceCommands, after.WithdrawCommands-skipped.WithdrawCommands
+	if gotA != wantA || gotW != wantW || gotA != 2+3 || gotW != 1 {
+		t.Fatalf("skipped borders counted %d announce and %d withdraw commands; the per-session loop counts %d and %d (want 5 and 1)", gotA, gotW, wantA, wantW)
 	}
 }

@@ -20,7 +20,8 @@ import (
 
 // The oracle: the map-and-sort route computation the dense view in
 // astopo.go replaced, kept verbatim (only names that would collide are
-// prefixed with model) so that TestRecomputeModel / FuzzRecomputeModel
+// prefixed with model, and candidatesFor reads the sorted candidates
+// back into the map they once were) so that TestRecomputeModel / FuzzRecomputeModel
 // can hold the view to it frame for frame. It re-derives the
 // sub-clusters and every neighbour list per prefix and builds every
 // announcement per session, reads nothing of the view, and so also
@@ -101,7 +102,10 @@ type modelCandidate struct {
 // (that is how disjoint sub-clusters reach each other over the legacy
 // Internet).
 func (c *Controller) candidatesFor(prefix netip.Prefix, comp map[idr.ASN]int) []modelCandidate {
-	routes := c.extRoutes[prefix]
+	routes := make(map[SessKey]wire.PathAttrs)
+	for _, r := range c.extRoutes[prefix] {
+		routes[r.sess.key] = r.attrs
+	}
 	if len(routes) == 0 {
 		return nil
 	}
@@ -796,8 +800,14 @@ func (w *modelWorld) step() {
 		} else {
 			w.peer(m, e.pa, e.b)
 		}
-	case 15: // a session flap re-advertises everything
-		w.both(func(s *modelSide) error { s.c.markAllDirty(); return nil })
+	case 15: // a session flap re-advertises everything, or a member's control channel fails or heals
+		if w.tape.next()%2 == 0 {
+			w.both(func(s *modelSide) error { s.c.markAllDirty(); return nil })
+		} else if m, ok := pick(w.tape, c.Members()); ok {
+			for _, s := range w.sides {
+				s.caps[m].down = !s.caps[m].down
+			}
+		}
 	}
 }
 

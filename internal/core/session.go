@@ -46,6 +46,7 @@ type sessionOwner extSession
 
 func (o *sessionOwner) Established() {
 	o.established = true
+	o.c.sessGen++
 	// Re-advertise current state on the fresh session.
 	o.c.markAllDirty()
 }
@@ -139,6 +140,7 @@ func (es *extSession) send(prefix netip.Prefix, attrs *wire.PathAttrs) error {
 // everything learned on it from the route computation, in prefix order,
 // before the session counts as down.
 func (es *extSession) reset(wasEstablished bool) {
+	es.c.sessGen++ // advertised empties, and the session may have left Established
 	es.advertised = make(map[netip.Prefix]wire.PathAttrs)
 	learned := idr.SortedPrefixes(es.adjIn)
 	es.adjIn = make(map[netip.Prefix]bool)

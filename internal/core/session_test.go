@@ -145,6 +145,17 @@ func (g *rig) run(d time.Duration) {
 	}
 }
 
+// candidateAt returns the candidate route for prefix learned on the
+// session key, if there is one.
+func candidateAt(c *Controller, prefix netip.Prefix, key SessKey) (wire.PathAttrs, bool) {
+	for _, r := range c.extRoutes[prefix] {
+		if r.sess.key == key {
+			return r.attrs, true
+		}
+	}
+	return wire.PathAttrs{}, false
+}
+
 // newRig builds the rig; cfg is the controller's, its clock filled in.
 func newRig(t *testing.T, cfg Config) *rig {
 	t.Helper()
@@ -233,7 +244,7 @@ func TestLearnsExternalRoutes(t *testing.T) {
 	if got := g.c.Stats().RouteEvents; got != 1 {
 		t.Fatalf("route events = %d, want 1", got)
 	}
-	if attrs, ok := g.c.extRoutes[pfx][borderKey]; !ok || !attrs.ASPath.Equal(wire.NewASPath(2)) {
+	if attrs, ok := candidateAt(g.c, pfx, borderKey); !ok || !attrs.ASPath.Equal(wire.NewASPath(2)) {
 		t.Fatalf("candidate = %v (present %v), want path [2]", attrs, ok)
 	}
 	// Withdrawal reaches the route computation too.
@@ -320,7 +331,7 @@ func TestResetEmitsSyntheticWithdrawals(t *testing.T) {
 	if g.sess.fsm.State() != bgp.StateEstablished || !g.sess.established {
 		t.Fatal("session should recover")
 	}
-	if _, ok := g.c.extRoutes[pfx][borderKey]; !ok {
+	if _, ok := candidateAt(g.c, pfx, borderKey); !ok {
 		t.Fatalf("route should be relearned, candidates %v", g.c.extRoutes)
 	}
 }
@@ -388,12 +399,12 @@ func TestLoopedUpdateWithdrawsStaleRoute(t *testing.T) {
 	}
 	g.k.Go(func() { g.deliver(update(2, 7)) })
 	g.run(time.Second)
-	if _, ok := g.c.extRoutes[pfx][borderKey]; !ok {
+	if _, ok := candidateAt(g.c, pfx, borderKey); !ok {
 		t.Fatal("setup: the [2 7] route was not learned")
 	}
 	g.k.Go(func() { g.deliver(update(2, 8, 10)) })
 	g.run(time.Second)
-	if attrs, ok := g.c.extRoutes[pfx][borderKey]; ok {
+	if attrs, ok := candidateAt(g.c, pfx, borderKey); ok {
 		t.Fatalf("the looped UPDATE left the stale candidate %v", attrs.ASPath)
 	}
 }

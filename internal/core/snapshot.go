@@ -123,10 +123,9 @@ func (c *Controller) State() ControllerState {
 		Stats:    c.stats,
 	}
 	for _, p := range idr.SortedPrefixes(c.extRoutes) {
-		bySess := c.extRoutes[p]
 		e := ExtRouteEntry{Prefix: p}
-		for _, k := range idr.SortedKeysFunc(bySess, compareSessKey) {
-			e.Routes = append(e.Routes, ExtRoute{Border: k.Border, Port: k.Port, Attrs: bySess[k]})
+		for _, r := range c.extRoutes[p] {
+			e.Routes = append(e.Routes, ExtRoute{Border: r.sess.key.Border, Port: r.sess.key.Port, Attrs: r.attrs})
 		}
 		st.ExtRoutes = append(st.ExtRoutes, e)
 	}
@@ -176,14 +175,19 @@ func (es *extSession) snapshot() SessionState {
 // and peerings). Start must NOT have run and must not run afterwards:
 // the captured Started flag is adopted directly, so no greeting or
 // transport-up frames are generated. The returned timer arms must be
-// executed by the caller in global order.
+// executed by the caller in global order. The border records are not
+// state: the restored controller starts without any.
 func (c *Controller) RestoreState(st ControllerState) ([]sim.TimerArm, error) {
 	for _, e := range st.ExtRoutes {
-		bySess := make(map[SessKey]wire.PathAttrs, len(e.Routes))
+		c.extRoutes[e.Prefix] = make([]extRoute, 0, len(e.Routes))
 		for _, r := range e.Routes {
-			bySess[SessKey{Border: r.Border, Port: r.Port}] = r.Attrs.Clone()
+			key := SessKey{Border: r.Border, Port: r.Port}
+			if c.sessions[key] == nil {
+				return nil, fmt.Errorf("core: restore: route for %v on no peering %v", e.Prefix, key)
+			}
+			attrs := r.Attrs.Clone()
+			c.setRoute(e.Prefix, key, &attrs)
 		}
-		c.extRoutes[e.Prefix] = bySess
 	}
 	for _, o := range st.Owned {
 		c.owned[o.Prefix] = o.Owner

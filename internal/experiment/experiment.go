@@ -104,6 +104,9 @@ type Experiment struct {
 	Probes *monitor.ProbeEngine
 
 	members map[idr.ASN]bool
+	// nodes holds each AS's netem node, which its router or switch
+	// runs on and a migration keeps.
+	nodes map[idr.ASN]*netem.Node
 	// peerKeys holds the session key toward each AS (peerKey).
 	peerKeys map[idr.ASN]rib.PeerKey
 	// links holds one record per topology edge, keyed by linkKey.
@@ -162,6 +165,7 @@ func New(cfg Config) (*Experiment, error) {
 		Routers:    make(map[idr.ASN]*bgp.Router),
 		Switches:   make(map[idr.ASN]*sdn.Switch),
 		members:    make(map[idr.ASN]bool),
+		nodes:      make(map[idr.ASN]*netem.Node, cfg.Graph.NumNodes()),
 		peerKeys:   make(map[idr.ASN]rib.PeerKey, cfg.Graph.NumNodes()),
 		links:      make(map[[2]idr.ASN]*link, cfg.Graph.NumEdges()),
 		ctrlLinkOf: make(map[idr.ASN]*netem.Link),
@@ -243,6 +247,7 @@ func (e *Experiment) buildNodes() error {
 		if err != nil {
 			return err
 		}
+		e.nodes[asn] = node
 		if e.members[asn] {
 			if err := e.buildSwitch(asn, node, ctrlNode); err != nil {
 				return err

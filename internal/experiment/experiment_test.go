@@ -410,14 +410,16 @@ func TestEstablishBytesPerSession(t *testing.T) {
 //	go test ./internal/experiment -run TestEstablishAllocsPerSessionEnd -v
 //
 // and set the objects ceiling 0.2% above its count and the bytes
-// ceiling 2% above, TestTrialAllocCeiling's rule (14.41 objects and
-// 1 470 bytes per end on go1.24 linux/amd64; 15.41 objects before a
-// quiet pair's second session stopped arming a keepalive timer).
+// ceiling 2% above, TestTrialAllocCeiling's rule (13.00 objects and
+// 1 449 bytes per end on go1.24 linux/amd64; 14.00 and 1 451 before a
+// link found its nodes by ASN instead of by formatted name, 14.41 and
+// 1 470 when last measured before that, 15.41 objects before a quiet
+// pair's second session stopped arming a keepalive timer).
 func TestEstablishAllocsPerSessionEnd(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's runtime adds allocations of its own")
 	}
-	const maxObjects, maxBytes = 14.44, 1500
+	const maxObjects, maxBytes = 13.03, 1478
 	g, err := topology.SynthesizeInternetLike(200, newSeededRand(1))
 	if err != nil {
 		t.Fatal(err)

@@ -73,13 +73,12 @@ func (e *Experiment) MigrateIn(asn idr.ASN) error {
 	}
 
 	// Raise the switch on the same node with a fresh control channel.
-	node, _ := e.Net.Node(asn.String())
 	ctrlNode, ok := e.Net.Node(ControllerNodeName)
 	if !ok {
 		return fmt.Errorf("experiment: controller node missing")
 	}
 	e.members[asn] = true
-	if err := e.buildSwitch(asn, node, ctrlNode); err != nil {
+	if err := e.buildSwitch(asn, e.nodes[asn], ctrlNode); err != nil {
 		return err
 	}
 
@@ -149,8 +148,7 @@ func (e *Experiment) MigrateOut(asn idr.ASN) error {
 	// terminated by the controller; a legacy neighbor's session pointed
 	// at the speaker and is reset so both router ends re-establish
 	// directly.
-	node, _ := e.Net.Node(asn.String())
-	if err := e.buildRouter(asn, node); err != nil {
+	if err := e.buildRouter(asn, e.nodes[asn]); err != nil {
 		return err
 	}
 	for _, nb := range e.cfg.Graph.Neighbors(asn) {

@@ -147,13 +147,11 @@ func (e *Experiment) buildLinks() error {
 
 func (e *Experiment) buildLink(i int, edge topology.Edge) error {
 	a, b := edge.A, edge.B
-	nodeA, _ := e.Net.Node(a.String())
-	nodeB, _ := e.Net.Node(b.String())
 	delay := edge.Delay
 	if delay == 0 {
 		delay = e.cfg.LinkDelay
 	}
-	nl, err := e.Net.Connect(nodeA, nodeB, netem.LinkConfig{Delay: delay, Loss: e.cfg.LinkLoss})
+	nl, err := e.Net.Connect(e.nodes[a], e.nodes[b], netem.LinkConfig{Delay: delay, Loss: e.cfg.LinkLoss})
 	if err != nil {
 		return err
 	}
