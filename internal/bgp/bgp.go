@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/bgp/rib"
 	"repro/internal/bgp/wire"
+	"repro/internal/frames"
 	"repro/internal/idr"
 	"repro/internal/policy"
 	"repro/internal/sim"
@@ -189,10 +190,16 @@ type Router struct {
 	table  *rib.Table
 	adjOut *rib.AdjOut
 	peers  map[rib.PeerKey]*Peer
-	// peerList holds the sessions sorted by key — the deterministic
-	// fan-out order of onChange, maintained at AddPeer time so the
-	// per-UPDATE path never re-sorts.
+	// peerList holds the sessions, sorted by key once sorted is set —
+	// the deterministic order of onChange's fan-out and of every other
+	// walk over them. AddPeer appends and clears sorted; Sessions sorts
+	// before its next reader, so standing up a router with P sessions
+	// sorts once instead of inserting P times.
 	peerList []*Peer
+	sorted   bool
+	// established counts the Established sessions: establish and reset
+	// move it, RestoreState recounts it.
+	established int32
 	// originated remembers locally-announced prefixes.
 	originated map[netip.Prefix]wire.PathAttrs
 	stats      Stats
@@ -276,7 +283,7 @@ func (r *Router) Table() *rib.Table { return r.table }
 func (r *Router) Stats() Stats {
 	s := r.stats
 	now := sim.TimeToNS(r.cfg.Clock.Now())
-	for _, p := range r.peerList {
+	for _, p := range r.Sessions() {
 		s.KeepalivesSent += p.fsm.quietKeepalives(now)
 	}
 	return s
@@ -301,9 +308,18 @@ type PeerConfig struct {
 	// NextHop is the local address announced as NEXT_HOP on this
 	// session.
 	NextHop netip.Addr
-	// Send transmits one link frame to the neighbor; see
+	// Send transmits link frames to the neighbor; see
 	// SessionConfig.Send, which it becomes.
-	Send func([]byte) error
+	Send frames.Sender
+}
+
+// peerConf is what a Peer keeps of its PeerConfig: all of it but Send,
+// which its session machine holds.
+type peerConf struct {
+	Key       rib.PeerKey
+	RemoteASN idr.ASN
+	Neighbor  policy.Neighbor
+	NextHop   netip.Addr
 }
 
 // AddPeer registers a session. The session stays Idle until
@@ -321,7 +337,7 @@ func (r *Router) AddPeer(pc PeerConfig) (*Peer, error) {
 	if pc.Neighbor.ASN == 0 {
 		pc.Neighbor.ASN = pc.RemoteASN
 	}
-	p := &Peer{router: r, cfg: pc, nextAdv: sim.TimeNone}
+	p := &Peer{router: r, cfg: peerConf{Key: pc.Key, RemoteASN: pc.RemoteASN, Neighbor: pc.Neighbor, NextHop: pc.NextHop}, nextAdv: sim.TimeNone}
 	err := p.fsm.init(SessionConfig{
 		Open:      r.open,
 		RemoteASN: pc.RemoteASN,
@@ -335,28 +351,28 @@ func (r *Router) AddPeer(pc PeerConfig) (*Peer, error) {
 	}
 	p.fsm.rx = &r.rx
 	r.peers[pc.Key] = p
-	// peerList stays sorted by key; keys are unique, so the insertion
-	// point is the order a full sort would give.
-	at, _ := slices.BinarySearchFunc(r.peerList, pc.Key, func(q *Peer, key rib.PeerKey) int {
-		return cmp.Compare(q.cfg.Key, key)
-	})
-	r.peerList = slices.Insert(r.peerList, at, p)
+	r.peerList = append(r.peerList, p)
+	r.sorted = false
 	return p, nil
 }
 
 // Peers returns all sessions keyed by peer key.
 func (r *Router) Peers() map[rib.PeerKey]*Peer { return r.peers }
 
-// EstablishedCount returns the number of Established sessions.
-func (r *Router) EstablishedCount() int {
-	n := 0
-	for _, p := range r.peers {
-		if p.fsm.state == StateEstablished {
-			n++
-		}
+// Sessions returns all sessions sorted by peer key: the order the
+// router itself walks them in. The slice is the router's, sorted here
+// if an AddPeer came since the last call (keys are unique, so the order
+// is total); the caller only reads it, and only until the next AddPeer.
+func (r *Router) Sessions() []*Peer {
+	if !r.sorted {
+		slices.SortFunc(r.peerList, func(a, b *Peer) int { return cmp.Compare(a.cfg.Key, b.cfg.Key) })
+		r.sorted = true
 	}
-	return n
+	return r.peerList
 }
+
+// EstablishedCount returns the number of Established sessions.
+func (r *Router) EstablishedCount() int { return int(r.established) }
 
 // Announce originates prefix from this router and propagates it.
 func (r *Router) Announce(prefix netip.Prefix) error {
@@ -406,7 +422,7 @@ func (r *Router) onChange(change rib.Change) {
 	if ok {
 		learnedFrom = r.learnedFromNeighbor(best)
 	}
-	for _, p := range r.peerList {
+	for _, p := range r.Sessions() {
 		p.scheduleRoute(change.Prefix, best, ok, learnedFrom)
 	}
 }
@@ -500,7 +516,7 @@ func (r *Router) mark(at, until int64) {
 		return
 	}
 	if until-at >= every {
-		for _, p := range r.peerList {
+		for _, p := range r.Sessions() {
 			if m := p.fsm.mating; m != nil && m.quiet {
 				m.wake(nil)
 			}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/bgp/rib"
 	"repro/internal/bgp/wire"
+	"repro/internal/frames"
 	"repro/internal/idr"
 	"repro/internal/netem"
 	"repro/internal/policy"
@@ -91,7 +92,7 @@ func (l *lab) connect(a, b idr.ASN, kind topology.NeighborKind) *netem.Link {
 		reverse = kind
 	}
 	l.addPeer(b, a, epB, reverse)
-	link.OnStateChange(func(up bool) {
+	link.OnStateChange(linkWatch(func(up bool) {
 		for _, ep := range []*netem.Endpoint{epA, epB} {
 			if p := l.peers[ep]; p != nil {
 				if up {
@@ -101,9 +102,14 @@ func (l *lab) connect(a, b idr.ASN, kind topology.NeighborKind) *netem.Link {
 				}
 			}
 		}
-	})
+	}))
 	return link
 }
+
+// linkWatch adapts a func to a netem.Watcher.
+type linkWatch func(up bool)
+
+func (w linkWatch) StateChanged(up bool) { w(up) }
 
 func (l *lab) addPeer(local, remote idr.ASN, ep *netem.Endpoint, kind topology.NeighborKind) {
 	l.t.Helper()
@@ -113,7 +119,7 @@ func (l *lab) addPeer(local, remote idr.ASN, ep *netem.Endpoint, kind topology.N
 		RemoteASN: remote,
 		Neighbor:  policy.Neighbor{Key: key, ASN: remote, Kind: kind},
 		NextHop:   netip.AddrFrom4([4]byte{100, 64, byte(local), byte(remote)}),
-		Send:      ep.Send,
+		Send:      ep,
 	}
 	p, err := l.routers[local].AddPeer(pc)
 	if err != nil {
@@ -426,7 +432,7 @@ func TestHoldTimerExpiry(t *testing.T) {
 	epA, epB := link.Endpoints()
 	_ = epA
 	p2 := l.peers[epB]
-	p2.fsm.cfg.Send = func([]byte) error { return nil }
+	p2.fsm.cfg.Send = frames.SendFunc(func([]byte) error { return nil })
 	// Also stop its keepalive timer from being re-armed; easiest is to
 	// force its state so the timer callback stops sending.
 	p2.fsm.keepaliveTimer.Stop()
@@ -466,7 +472,7 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := r.AddPeer(PeerConfig{Key: "p", RemoteASN: 2}); err == nil {
 		t.Fatal("missing send should error")
 	}
-	ok := PeerConfig{Key: "p", RemoteASN: 2, Send: func([]byte) error { return nil }}
+	ok := PeerConfig{Key: "p", RemoteASN: 2, Send: frames.SendFunc(func([]byte) error { return nil })}
 	if _, err := r.AddPeer(ok); err != nil {
 		t.Fatal(err)
 	}

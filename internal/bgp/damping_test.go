@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/bgp/wire"
+	"repro/internal/frames"
 	"repro/internal/idr"
 	"repro/internal/sim"
 )
@@ -29,10 +30,10 @@ func dampHarness(t *testing.T, cfg DampingConfig) *harness {
 		Key:       "to-AS2",
 		RemoteASN: 2,
 		NextHop:   netip.MustParseAddr("100.64.0.1"),
-		Send: func(b []byte) error {
+		Send: frames.SendFunc(func(b []byte) error {
 			h.sent = append(h.sent, message(t, b))
 			return nil
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)

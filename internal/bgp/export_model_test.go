@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/bgp/rib"
 	"repro/internal/bgp/wire"
+	"repro/internal/frames"
 	"repro/internal/idr"
 	"repro/internal/sim"
 )
@@ -91,7 +92,7 @@ func newExportModelRouter(t *testing.T, k *sim.Kernel, asn idr.ASN, peers int) *
 			Key:       rib.PeerKey(fmt.Sprintf("to-AS%d", 100+i)),
 			RemoteASN: idr.ASN(100 + i),
 			NextHop:   netip.AddrFrom4([4]byte{100, 64, byte(asn), byte(i)}),
-			Send:      func([]byte) error { return nil },
+			Send:      frames.SendFunc(func([]byte) error { return nil }),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -127,7 +128,7 @@ func (m *exportModelRouter) check(t *testing.T, step int) {
 			}
 		}
 		want := m.oracle.prepend(best.Attrs.ASPath, r.cfg.ASN)
-		for _, p := range r.peerList {
+		for _, p := range r.Sessions() {
 			got := r.exportAttrs(p, best)
 			if !got.ASPath.Equal(want) {
 				t.Fatalf("step %d, %v exports %v to %s with [%v], the oracle with [%v]",
@@ -162,7 +163,7 @@ func TestExportPathModel(t *testing.T) {
 		for step := 0; step < 1500; step++ {
 			m := routers[rng.Intn(len(routers))]
 			r := m.r
-			p := r.peerList[rng.Intn(len(r.peerList))]
+			p := r.Sessions()[rng.Intn(len(r.Sessions()))]
 			prefix := prefixes[rng.Intn(len(prefixes))]
 			switch op := rng.Intn(12); {
 			case op < 6: // learn, replace or re-learn: a fresh decode every time
@@ -204,7 +205,7 @@ func TestExportPathSteadyStateZeroAlloc(t *testing.T) {
 	for i, path := range []wire.ASPath{wire.NewASPath(2, 3, 4), wire.NewASPath(5, 6), wire.NewASPath(7)} {
 		rt := &rib.Route{
 			Prefix: netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 0, byte(i), 0}), 24),
-			Peer:   r.peerList[0].cfg.Key, PeerASN: 100,
+			Peer:   r.Sessions()[0].cfg.Key, PeerASN: 100,
 			Attrs: wire.PathAttrs{ASPath: path},
 		}
 		r.table.SetAdjIn(rt)
@@ -212,7 +213,7 @@ func TestExportPathSteadyStateZeroAlloc(t *testing.T) {
 	}
 	export := func() {
 		for _, rt := range routes {
-			for _, p := range r.peerList {
+			for _, p := range r.Sessions() {
 				r.exportAttrs(p, rt)
 			}
 		}

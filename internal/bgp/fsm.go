@@ -25,12 +25,12 @@ type SessionConfig struct {
 	Clock    sim.Clock
 	// Send transmits one link frame to the neighbor: the frames.KindBGP
 	// byte and then the RFC 4271 message, in one buffer, so a transport
-	// that speaks package frames (a netem endpoint's Send) takes it as
-	// it is. It must be reliable and in-order while the transport is up.
-	// A frame is immutable once handed over: Send and everything behind
+	// that speaks package frames (a *netem.Endpoint) takes it as it is.
+	// It must be reliable and in-order while the transport is up. A
+	// frame is immutable once handed over: Send and everything behind
 	// it may keep the slice and must never write to it — every
 	// KEEPALIVE any session sends is the same slice.
-	Send func([]byte) error
+	Send frames.Sender
 	// Stats, when non-nil, is where OpensSent, KeepalivesSent,
 	// NotificationsSent and SessionResets are counted.
 	Stats *Stats
@@ -114,7 +114,7 @@ func (f *FSM) init(cfg SessionConfig, owner Owner) error {
 	case cfg.Clock == nil:
 		return fmt.Errorf("session needs a clock")
 	case cfg.Send == nil:
-		return fmt.Errorf("session needs a send function")
+		return fmt.Errorf("session needs a sender")
 	}
 	if cfg.Stats == nil {
 		cfg.Stats = new(Stats)
@@ -178,8 +178,21 @@ func (f *FSM) armHold(d time.Duration) {
 		f.holdTimer.Reset(d)
 		return
 	}
-	f.holdTimer = f.cfg.Clock.AfterFunc(d, f.holdFire)
+	f.holdTimer = f.cfg.Clock.Schedule(d, (*holdFirer)(f))
 }
+
+// holdFirer, keepaliveFirer and retryFirer are a machine as its three
+// timers see it: each timer fires through a pointer to the machine, so
+// arming one allocates the timer and no method value.
+type (
+	holdFirer      FSM
+	keepaliveFirer FSM
+	retryFirer     FSM
+)
+
+func (h *holdFirer) Fire()      { (*FSM)(h).holdFire() }
+func (k *keepaliveFirer) Fire() { (*FSM)(k).keepaliveFire() }
+func (r *retryFirer) Fire()     { (*FSM)(r).startOpen() }
 
 // holdFire is the hold-timer callback. In OpenSent it is the guard: a
 // half-open session resets and retries without notifying. Anywhere
@@ -197,11 +210,11 @@ func (f *FSM) armRetry() {
 		f.retryTimer.Reset(connectRetry)
 		return
 	}
-	f.retryTimer = f.cfg.Clock.AfterFunc(connectRetry, f.startOpen)
+	f.retryTimer = f.cfg.Clock.Schedule(connectRetry, (*retryFirer)(f))
 }
 
 func (f *FSM) sendOpen() error {
-	if err := f.cfg.Send(f.cfg.Open); err != nil {
+	if err := f.cfg.Send.Send(f.cfg.Open); err != nil {
 		return err
 	}
 	f.cfg.Stats.OpensSent++
@@ -255,7 +268,7 @@ func (f *FSM) Send(m wire.Message) error {
 			return err
 		}
 	}
-	return f.cfg.Send(frame)
+	return f.cfg.Send.Send(frame)
 }
 
 // SendUpdate is Send for an UPDATE, which it only borrows: u is read
@@ -267,7 +280,7 @@ func (f *FSM) SendUpdate(u *wire.Update) error {
 	if err != nil {
 		return err
 	}
-	if err := f.cfg.Send(frame); err != nil {
+	if err := f.cfg.Send.Send(frame); err != nil {
 		return err
 	}
 	f.owner.Trace(TraceEvent{Kind: TraceSend, Update: u})
@@ -434,7 +447,7 @@ func (f *FSM) armKeepalive() {
 		f.keepaliveTimer.Reset(interval)
 		return
 	}
-	f.keepaliveTimer = f.cfg.Clock.AfterFunc(interval, f.keepaliveFire)
+	f.keepaliveTimer = f.cfg.Clock.Schedule(interval, (*keepaliveFirer)(f))
 }
 
 // keepaliveFire is the keepalive-timer callback: send one keepalive
@@ -500,15 +513,15 @@ func (f *FSM) Capture() FSMState {
 
 // Restore overlays a captured state onto a freshly built machine with
 // the identical configuration, returning the timer arms for the
-// experiment layer to execute in global order. The re-armed callbacks
-// are the same methods the live timers run, so a restored session
+// experiment layer to execute in global order. The re-armed timers
+// fire through the same Firers the live ones do, so a restored session
 // behaves identically from the first firing on.
 func (f *FSM) Restore(st FSMState) []sim.TimerArm {
 	f.state = st.State
 	f.transportUp = st.TransportUp
 	f.remoteID = st.RemoteID
 	f.holdTime = st.HoldTime
-	arms := st.Hold.Rearm(nil, f.cfg.Clock, &f.holdTimer, f.holdFire)
-	arms = st.Keepalive.Rearm(arms, f.cfg.Clock, &f.keepaliveTimer, f.keepaliveFire)
-	return st.Retry.Rearm(arms, f.cfg.Clock, &f.retryTimer, f.startOpen)
+	arms := st.Hold.Rearm(nil, f.cfg.Clock, &f.holdTimer, (*holdFirer)(f))
+	arms = st.Keepalive.Rearm(arms, f.cfg.Clock, &f.keepaliveTimer, (*keepaliveFirer)(f))
+	return st.Retry.Rearm(arms, f.cfg.Clock, &f.retryTimer, (*retryFirer)(f))
 }

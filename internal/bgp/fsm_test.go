@@ -39,13 +39,13 @@ func newFSMRig(t testing.TB) *fsmRig {
 		RemoteASN: 2,
 		HoldTime:  90 * time.Second,
 		Clock:     r.k,
-		Send: func(b []byte) error {
+		Send: frames.SendFunc(func(b []byte) error {
 			if r.sendErr != nil {
 				return r.sendErr
 			}
 			r.frames = append(r.frames, message(t, b))
 			return nil
-		},
+		}),
 		Stats: &r.stats,
 	}, r)
 	if err != nil {
@@ -351,7 +351,7 @@ func TestSendAllocatesOnlyItsFrame(t *testing.T) {
 	}
 	r := newFSMRig(t)
 	var last []byte
-	r.f.cfg.Send = func(b []byte) error { last = b; return nil }
+	r.f.cfg.Send = frames.SendFunc(func(b []byte) error { last = b; return nil })
 	if got := testing.AllocsPerRun(100, func() { _ = r.f.Send(wire.Keepalive{}) }); got != 0 {
 		t.Errorf("KEEPALIVE send: %v allocs, want 0", got)
 	}
@@ -385,7 +385,7 @@ func TestReceiveOpenAllocatesNothing(t *testing.T) {
 	r := newFSMRig(t)
 	r.enter(t, StateOpenSent)
 	var last []byte
-	r.f.cfg.Send = func(b []byte) error { last = b; return nil }
+	r.f.cfg.Send = frames.SendFunc(func(b []byte) error { last = b; return nil })
 	open := mustFrame(t, peerOpen)
 	if got := testing.AllocsPerRun(100, func() {
 		r.f.state = StateOpenSent
@@ -404,15 +404,15 @@ func TestReceiveOpenAllocatesNothing(t *testing.T) {
 }
 
 // armCounter is a kernel that counts the timers armed through it: each
-// AfterFunc is one event and one callback allocated.
+// Schedule is one event allocated.
 type armCounter struct {
 	*sim.Kernel
 	armed int
 }
 
-func (c *armCounter) AfterFunc(d time.Duration, fn func()) sim.Timer {
+func (c *armCounter) Schedule(d time.Duration, f sim.Firer) sim.Timer {
 	c.armed++
-	return c.Kernel.AfterFunc(d, fn)
+	return c.Kernel.Schedule(d, f)
 }
 
 // TestHandshakeArmsOneHoldTimer pins the merged hold timer: the OpenSent

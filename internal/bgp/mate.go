@@ -276,7 +276,7 @@ func (m *Mating) wake(leaving *FSM) {
 		if holdFirst {
 			f.armHold(time.Duration(m.heard[side] + int64(f.holdTime) - now))
 		}
-		f.keepaliveTimer = f.cfg.Clock.AfterFunc(time.Duration(m.next[side]-now), f.keepaliveFire)
+		f.keepaliveTimer = f.cfg.Clock.Schedule(time.Duration(m.next[side]-now), (*keepaliveFirer)(f))
 		if !holdFirst {
 			f.armHold(time.Duration(m.heard[side] + int64(f.holdTime) - now))
 		}
@@ -372,10 +372,10 @@ func (f *FSM) restoreQuiet(q *QuietState) ([]sim.TimerArm, bool) {
 		ka, hold := sim.TimeFromNS(m.next[side]), sim.TimeFromNS(m.heard[side]).Add(e.holdTime)
 		arms = append(arms,
 			sim.TimerArm{At: ka, Seq: armedOrder(m.next[side]-every, i), Arm: func() {
-				e.keepaliveTimer = clock.AfterFunc(ka.Sub(clock.Now()), e.keepaliveFire)
+				e.keepaliveTimer = clock.Schedule(ka.Sub(clock.Now()), (*keepaliveFirer)(e))
 			}},
 			sim.TimerArm{At: hold, Seq: armedOrder(m.heard[side], 2+i), Arm: func() {
-				e.holdTimer = clock.AfterFunc(hold.Sub(clock.Now()), e.holdFire)
+				e.holdTimer = clock.Schedule(hold.Sub(clock.Now()), (*holdFirer)(e))
 			}})
 	}
 	return arms, true

@@ -18,7 +18,7 @@ import (
 // and the initial table dump.
 type Peer struct {
 	router *Router
-	cfg    PeerConfig
+	cfg    peerConf
 	fsm    FSM
 
 	mraiTimer sim.Timer
@@ -71,8 +71,10 @@ func (s *peerSession) Trace(ev TraceEvent) {
 	s.router.trace(ev)
 }
 
-// establish runs the initial table dump on a newly Established session.
+// establish counts a newly Established session and runs its initial
+// table dump.
 func (p *Peer) establish() {
+	p.router.established++
 	// Initial routing table dump: schedule every Loc-RIB route.
 	for _, rt := range p.router.table.BestRoutes() {
 		p.scheduleRoute(rt.Prefix, rt, true, p.router.learnedFromNeighbor(rt))
@@ -322,8 +324,15 @@ func (p *Peer) scheduleFlush() {
 		p.mraiTimer.Reset(delay)
 		return
 	}
-	p.mraiTimer = p.clock().AfterFunc(delay, p.flushAnnouncements)
+	p.mraiTimer = p.clock().Schedule(delay, (*mraiFirer)(p))
 }
+
+// mraiFirer is a Peer as its MRAI timer sees it: the timer fires
+// through a pointer to the session, so arming it allocates the timer
+// and no method value.
+type mraiFirer Peer
+
+func (m *mraiFirer) Fire() { (*Peer)(m).flushAnnouncements() }
 
 // flushAnnouncements sends the pending update batch: first the
 // withdrawals, then the announcements grouped by identical attributes.
@@ -431,6 +440,9 @@ func (p *Peer) announce(attrs wire.PathAttrs, nlri []netip.Prefix) bool {
 // torn-down session and propagates the fallout.
 func (p *Peer) reset(wasEstablished bool) {
 	r := p.router
+	if wasEstablished {
+		r.established--
+	}
 	if p.mraiTimer != nil {
 		p.mraiTimer.Stop()
 		p.mraiTimer = nil

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/bgp/rib"
 	"repro/internal/bgp/wire"
+	"repro/internal/frames"
 	"repro/internal/idr"
 	"repro/internal/policy"
 	"repro/internal/sim"
@@ -45,10 +46,10 @@ func newHarness(t *testing.T) *harness {
 		Key:       "to-AS2",
 		RemoteASN: 2,
 		NextHop:   netip.MustParseAddr("100.64.0.1"),
-		Send: func(b []byte) error {
+		Send: frames.SendFunc(func(b []byte) error {
 			h.sent = append(h.sent, message(t, b))
 			return nil
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +251,7 @@ func TestPolicyImportRejectionActsAsWithdraw(t *testing.T) {
 	p, err := r.AddPeer(PeerConfig{
 		Key: "to-AS2", RemoteASN: 2,
 		NextHop: netip.MustParseAddr("100.64.0.1"),
-		Send:    func(b []byte) error { sent = append(sent, b); return nil },
+		Send:    frames.SendFunc(func(b []byte) error { sent = append(sent, b); return nil }),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -319,7 +320,7 @@ func TestProcessingDelaySerializesUpdates(t *testing.T) {
 	p, err := r.AddPeer(PeerConfig{
 		Key: "to-AS2", RemoteASN: 2,
 		NextHop: netip.MustParseAddr("100.64.0.1"),
-		Send:    func([]byte) error { return nil },
+		Send:    frames.SendFunc(func([]byte) error { return nil }),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -165,7 +165,7 @@ func (r *Router) State() RouterState {
 			st.AdjOut = append(st.AdjOut, AdjOutEntry{Peer: peer, Prefix: prefix, Attrs: attrs})
 		}
 	}
-	for _, p := range r.peerList {
+	for _, p := range r.Sessions() {
 		st.Peers = append(st.Peers, p.snap())
 	}
 	if r.damping != nil {
@@ -208,6 +208,12 @@ func (r *Router) RestoreState(st RouterState) ([]sim.TimerArm, error) {
 			return nil, fmt.Errorf("bgp: restore: router %v: session %q is quiet but not an Established mated session", r.cfg.ASN, ps.Key)
 		}
 		arms = append(arms, a...)
+	}
+	r.established = 0
+	for _, p := range r.peerList {
+		if p.fsm.state == StateEstablished {
+			r.established++
+		}
 	}
 	if len(st.Damping) > 0 {
 		if r.damping == nil {
@@ -273,7 +279,7 @@ func (p *Peer) restore(ps PeerSnap) ([]sim.TimerArm, bool) {
 	for _, prefix := range ps.PendingWithdraw {
 		p.queueWithdraw(prefix)
 	}
-	return ps.Mrai.Rearm(arms, p.clock(), &p.mraiTimer, p.flushAnnouncements), true
+	return ps.Mrai.Rearm(arms, p.clock(), &p.mraiTimer, (*mraiFirer)(p)), true
 }
 
 // snap captures the damping engine's flap histories, sorted by
@@ -315,7 +321,7 @@ func (d *damping) restore(entries []DampEntry) []sim.TimerArm {
 		if e.Latest != nil {
 			s.latest = e.Latest.route()
 		}
-		arms = e.Reuse.Rearm(arms, d.router.cfg.Clock, &s.reuseTimer, func() { d.reuse(e.Peer, e.Prefix, s) })
+		arms = e.Reuse.Rearm(arms, d.router.cfg.Clock, &s.reuseTimer, sim.FireFunc(func() { d.reuse(e.Peer, e.Prefix, s) }))
 	}
 	return arms
 }

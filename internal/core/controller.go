@@ -349,9 +349,7 @@ func (c *Controller) AddExternalPeering(borderASN idr.ASN, port uint32, remoteAS
 		RemoteASN: remoteASN,
 		HoldTime:  c.cfg.Timers.HoldTime,
 		Clock:     c.cfg.Clock,
-		Send: func(frame []byte) error {
-			return c.sendPacketOut(m, port, frame)
-		},
+		Send:      es,
 	}, (*sessionOwner)(es))
 	if err != nil {
 		return fmt.Errorf("core: %w", err)

@@ -569,7 +569,7 @@ func TestExternalSessionFollowsConfiguredTimers(t *testing.T) {
 		t.Fatal(err)
 	}
 	peer, err := router.AddPeer(bgp.PeerConfig{
-		Key: "to-AS11", RemoteASN: 11, NextHop: netip.MustParseAddr("100.64.0.2"), Send: toController,
+		Key: "to-AS11", RemoteASN: 11, NextHop: netip.MustParseAddr("100.64.0.2"), Send: frames.SendFunc(toController),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -40,6 +40,15 @@ type extSession struct {
 	border int32
 }
 
+// Send is the session machine's transport (bgp.SessionConfig.Send): its
+// border member puts the link frame on the wire of the session's port
+// in a PacketOut. The member is looked up, not kept: RemoveMember and
+// RemovePeering take a session's transport down before it leaves the
+// controller, and a machine whose transport is down sends nothing.
+func (es *extSession) Send(frame []byte) error {
+	return es.c.sendPacketOut(es.c.members[es.key.Border], es.key.Port, frame)
+}
+
 // sessionOwner is an extSession as its session machine sees it: the
 // bgp.Owner methods, kept off extSession's own.
 type sessionOwner extSession

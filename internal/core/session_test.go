@@ -191,7 +191,7 @@ func newRig(t *testing.T, cfg Config) *rig {
 		Key:       "to-AS10",
 		RemoteASN: 10,
 		NextHop:   netip.MustParseAddr("100.64.0.2"),
-		Send:      g.sendFrom("router", epR.Send),
+		Send:      frames.SendFunc(g.sendFrom("router", epR.Send)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -207,14 +207,14 @@ func newRig(t *testing.T, cfg Config) *rig {
 		control(t, g.c, ofp.PacketIn{InPort: borderKey.Port, Data: message(data)})
 		g.noteNotification("controller", data)
 	})
-	link.OnStateChange(func(up bool) {
+	link.OnStateChange(linkWatch(func(up bool) {
 		control(t, g.c, ofp.PortStatus{Port: borderKey.Port, Up: up})
 		if up {
 			peer.TransportUp()
 		} else {
 			peer.TransportDown()
 		}
-	})
+	}))
 	g.router, g.peer = router, peer
 	k.Go(func() {
 		if err := g.c.Start(); err != nil {
@@ -600,7 +600,7 @@ func newPeerEndpoint(t *testing.T) *endpoint {
 	if err != nil {
 		t.Fatal(err)
 	}
-	peer, err := router.AddPeer(bgp.PeerConfig{Key: "to-AS2", RemoteASN: 2, Send: e.send})
+	peer, err := router.AddPeer(bgp.PeerConfig{Key: "to-AS2", RemoteASN: 2, Send: frames.SendFunc(e.send)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -701,3 +701,8 @@ func TestSnapshotRoundTripPerState(t *testing.T) {
 		})
 	}
 }
+
+// linkWatch adapts a func to a netem.Watcher.
+type linkWatch func(up bool)
+
+func (w linkWatch) StateChanged(up bool) { w(up) }

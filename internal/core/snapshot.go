@@ -220,7 +220,7 @@ func (c *Controller) RestoreState(st ControllerState) ([]sim.TimerArm, error) {
 		es.established = ss.Established
 		arms = append(arms, es.restore(ss.Speaker)...)
 	}
-	return st.Debounce.Rearm(arms, c.cfg.Clock, &c.debounceTimer, c.recompute), nil
+	return st.Debounce.Rearm(arms, c.cfg.Clock, &c.debounceTimer, sim.FireFunc(c.recompute)), nil
 }
 
 // restore overlays a captured state onto a freshly built session,

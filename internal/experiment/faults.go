@@ -28,8 +28,8 @@ func (e *Experiment) SessionReset(a, b idr.ASN) error {
 		return fmt.Errorf("experiment: cannot reset session %v-%v: link is down", a, b)
 	}
 	e.Detector.Touch()
-	l.notify(false)
-	l.notify(true)
+	l.StateChanged(false)
+	l.StateChanged(true)
 	return nil
 }
 

@@ -164,6 +164,7 @@ func (c *livenessCase) play(t *testing.T, modelled bool) []string {
 		if err != nil {
 			what += " error: " + err.Error()
 		}
+		checkEstablishedCounts(t, e, what)
 		out = append(out, readLiveness(e, what))
 	}
 	step("established", e.WaitEstablished(5*time.Minute))
@@ -287,6 +288,28 @@ func readLiveness(e *Experiment, what string) string {
 		}
 	}
 	return b.String()
+}
+
+// checkEstablishedCounts holds every router's Established counter,
+// which its sessions move as they come and go and a restore recounts,
+// to a scan of its sessions.
+func checkEstablishedCounts(t *testing.T, e *Experiment, what string) {
+	t.Helper()
+	for _, asn := range e.ASNs() {
+		r, ok := e.Routers[asn]
+		if !ok {
+			continue
+		}
+		scan := 0
+		for _, p := range r.Sessions() {
+			if p.State() == bgp.StateEstablished {
+				scan++
+			}
+		}
+		if got := r.EstablishedCount(); got != scan || len(r.Sessions()) != len(r.Peers()) {
+			t.Fatalf("after %s: AS %v counts %d Established sessions, a scan of its %d (of %d) finds %d", what, asn, got, len(r.Sessions()), len(r.Peers()), scan)
+		}
+	}
 }
 
 // TestMatingFollowsTheLink pins which sessions keep liveness by

@@ -3,8 +3,6 @@ package experiment
 import (
 	"fmt"
 
-	"repro/internal/bgp"
-	"repro/internal/bgp/rib"
 	"repro/internal/idr"
 )
 
@@ -61,8 +59,8 @@ func (e *Experiment) MigrateIn(asn idr.ASN) error {
 
 	// Retire the router: drop every session (neighbors see the
 	// transport reset) and fold its counters into the retired totals.
-	for _, key := range sortedPeerKeys(r) {
-		r.Peers()[key].TransportDown()
+	for _, p := range r.Sessions() {
+		p.TransportDown()
 	}
 	st := r.Stats()
 	e.retiredSent += st.UpdatesSent
@@ -176,14 +174,10 @@ func (e *Experiment) MigrateOut(asn idr.ASN) error {
 func (e *Experiment) syncDownLinks(asn idr.ASN) {
 	for _, nb := range e.cfg.Graph.Neighbors(asn) {
 		if l := e.links[linkKey(asn, nb)]; !l.Up() {
-			l.notify(false)
+			l.StateChanged(false)
 		}
 	}
 }
-
-// sortedPeerKeys returns a router's session keys in sorted order, so
-// migration tears sessions down deterministically.
-func sortedPeerKeys(r *bgp.Router) []rib.PeerKey { return idr.SortedKeys(r.Peers()) }
 
 // UpdateTotals returns the network-wide legacy BGP UPDATE counters,
 // including the counters of routers retired by mid-run migration (so

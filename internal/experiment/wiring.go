@@ -40,8 +40,9 @@ type link struct {
 	*netem.Link
 	net  addressing.LinkNet
 	ends [2]end
-	// first indexes the end notify tells first: the order wire last saw
-	// the ends in, except that a switch end goes before a router end.
+	// first indexes the end StateChanged tells first: the order wire
+	// last saw the ends in, except that a switch end goes before a
+	// router end.
 	first uint8
 	// mating is the liveness of the two router sessions on a lossless
 	// link, which keep it by arithmetic while both are Established
@@ -115,9 +116,9 @@ func side(asn, nb idr.ASN) uint8 {
 // end returns asn's end of the link toward nb.
 func (l *link) end(asn, nb idr.ASN) *end { return &l.ends[side(asn, nb)] }
 
-// notify is the link's state hook: it tells both ends the link went up
-// or down, in the order wire recorded.
-func (l *link) notify(up bool) {
+// StateChanged is the link's state hook (netem.Watcher): it tells both
+// ends the link went up or down, in the order wire recorded.
+func (l *link) StateChanged(up bool) {
 	l.ends[l.first].notify(up)
 	l.ends[1-l.first].notify(up)
 }
@@ -168,7 +169,7 @@ func (e *Experiment) buildLink(i int, edge topology.Edge) error {
 	*endB = end{ep: epB, kind: kindB}
 	nl.SetTag(l)
 	e.links[linkKey(a, b)] = l
-	nl.OnStateChange(l.notify)
+	nl.OnStateChange(l)
 	return e.wire(a, b)
 }
 
@@ -182,7 +183,7 @@ func (e *Experiment) open(l *link, asn, nb idr.ASN) (fresh bool, err error) {
 		if en.port != 0 {
 			return false, nil
 		}
-		port, err := sw.AddPort(en.ep.Send)
+		port, err := sw.AddPort(en.ep)
 		if err != nil {
 			return false, err
 		}
@@ -199,7 +200,7 @@ func (e *Experiment) open(l *link, asn, nb idr.ASN) (fresh bool, err error) {
 		RemoteASN: nb,
 		Neighbor:  policy.Neighbor{Key: key, ASN: nb, Kind: en.kind},
 		NextHop:   addr,
-		Send:      en.ep.Send, // a session's frames are link frames already
+		Send:      en.ep, // a session's frames are link frames already
 	})
 	return true, err
 }
@@ -302,8 +303,8 @@ func (e *Experiment) Start() error {
 	}
 	for _, asn := range e.ASNs() {
 		if r, ok := e.Routers[asn]; ok {
-			for _, k := range sortedPeerKeys(r) {
-				e.K.Post(0, (*transportUp)(r.Peers()[k]))
+			for _, p := range r.Sessions() {
+				e.K.Post(0, (*transportUp)(p))
 			}
 		}
 	}
@@ -333,17 +334,20 @@ func (e *Experiment) expectedSessions() (routerSessions int) {
 func (e *Experiment) WaitEstablished(timeout time.Duration) error {
 	deadline := e.K.Now().Add(timeout)
 	for {
+		// Each router counts its Established sessions as they change,
+		// so a poll reads one counter per router.
 		established := 0
 		//lint:maporder integer sums of per-router session counts commute; EstablishedCount only reads
 		for _, r := range e.Routers {
 			established += r.EstablishedCount()
 		}
-		if established == e.expectedSessions() {
+		expected := e.expectedSessions()
+		if established == expected {
 			return nil
 		}
 		if !e.K.Now().Before(deadline) {
 			return fmt.Errorf("experiment: %d/%d sessions established after %v: %w",
-				established, e.expectedSessions(), timeout, monitor.ErrTimeout)
+				established, expected, timeout, monitor.ErrTimeout)
 		}
 		if err := e.K.RunFor(100 * time.Millisecond); err != nil {
 			return err

@@ -38,6 +38,21 @@ func (k Kind) String() string {
 	}
 }
 
+// Sender transmits link frames to one neighbor: the kind byte and then
+// the payload, in one buffer. *netem.Endpoint is one; a test transport
+// adapts a func with SendFunc. A frame is immutable once handed to
+// Send: Send and everything behind it may keep the slice and must never
+// write to it.
+type Sender interface {
+	Send(frame []byte) error
+}
+
+// SendFunc adapts a func to a Sender.
+type SendFunc func(frame []byte) error
+
+// Send calls fn.
+func (fn SendFunc) Send(frame []byte) error { return fn(frame) }
+
 // Encode prepends the kind byte to payload.
 func Encode(kind Kind, payload []byte) []byte {
 	out := make([]byte, 1+len(payload))

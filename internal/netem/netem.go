@@ -211,9 +211,9 @@ type Link struct {
 	// downNS is when the link last went down, in nanoseconds since
 	// sim.Epoch: a frame SendAt backdates to then or earlier was on the
 	// wire when it happened.
-	downNS int64
-	subs   []func(up bool)
-	tag    any
+	downNS  int64
+	watcher Watcher
+	tag     any
 
 	// Stats, per link.
 	Delivered, Dropped uint64
@@ -245,8 +245,9 @@ func (l *Link) Up() bool { return l.up }
 
 // SetUp changes the link state. Taking the link down invalidates all
 // in-flight messages (they are counted as dropped on delivery time).
-// State-change subscribers run immediately, then once more via the
-// clock so protocol code observes the change as an event.
+// The watcher, if any, is not called here: the change is posted to the
+// clock as a zero-delay event, so protocol code observes it as an event
+// of its own.
 func (l *Link) SetUp(up bool) {
 	if l.up == up {
 		return
@@ -256,14 +257,34 @@ func (l *Link) SetUp(up bool) {
 		l.epoch++
 		l.downNS = sim.TimeToNS(l.net.clock.Now())
 	}
-	for _, s := range l.subs {
-		s := s
-		l.net.clock.Go(func() { s(up) })
+	if l.watcher == nil {
+		return
+	}
+	if up {
+		l.net.clock.Post(0, (*linkUp)(l))
+	} else {
+		l.net.clock.Post(0, (*linkDown)(l))
 	}
 }
 
-// OnStateChange subscribes to link up/down transitions.
-func (l *Link) OnStateChange(f func(up bool)) { l.subs = append(l.subs, f) }
+// Watcher is told of a link's up/down transitions (see OnStateChange).
+type Watcher interface {
+	StateChanged(up bool)
+}
+
+// OnStateChange installs the link's watcher; installing one replaces
+// the previous one.
+func (l *Link) OnStateChange(w Watcher) { l.watcher = w }
+
+// linkUp and linkDown are a link's state change as posted work: a
+// pointer to the link, so posting one allocates nothing.
+type (
+	linkUp   Link
+	linkDown Link
+)
+
+func (u *linkUp) Fire()   { u.watcher.StateChanged(true) }
+func (d *linkDown) Fire() { d.watcher.StateChanged(false) }
 
 // SetTag attaches v to the link: whatever its user keeps per link, so
 // a handler reaches it from the receiving endpoint (Endpoint.Link) with

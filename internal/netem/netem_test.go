@@ -160,7 +160,7 @@ func TestLinkStateCallbacks(t *testing.T) {
 		t.Fatal(err)
 	}
 	var trans []bool
-	l.OnStateChange(func(up bool) { trans = append(trans, up) })
+	l.OnStateChange(watchFunc(func(up bool) { trans = append(trans, up) }))
 	l.SetUp(false)
 	l.SetUp(false) // no-op
 	l.SetUp(true)
@@ -546,3 +546,8 @@ func TestFrameInFlightAllocatesNothing(t *testing.T) {
 		t.Errorf("%d frames dropped and %d echoed after the cuts, want 101 and 102", l.Dropped-dropped, echoed)
 	}
 }
+
+// watchFunc adapts a func to a Watcher.
+type watchFunc func(up bool)
+
+func (w watchFunc) StateChanged(up bool) { w(up) }

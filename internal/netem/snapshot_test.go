@@ -135,6 +135,9 @@ func (c *countingClock) Go(func())      {}
 func (c *countingClock) AfterFunc(time.Duration, func()) sim.Timer {
 	panic("netem schedules nothing it could cancel")
 }
+func (c *countingClock) Schedule(time.Duration, sim.Firer) sim.Timer {
+	panic("netem schedules nothing it could cancel")
+}
 func (c *countingClock) Post(_ time.Duration, f sim.Firer) {
 	c.posted++
 	f.Fire()

@@ -98,7 +98,7 @@ type Switch struct {
 	table *FlowTable
 
 	// sendPort transmits a raw link frame on a numbered port.
-	sendPort map[uint32]func([]byte) error
+	sendPort map[uint32]frames.Sender
 	// sendControl transmits a control link frame to the controller.
 	sendControl func([]byte) error
 
@@ -125,7 +125,7 @@ func NewSwitch(asn idr.ASN, sendControl func([]byte) error) (*Switch, error) {
 	return &Switch{
 		asn:           asn,
 		table:         NewFlowTable(),
-		sendPort:      make(map[uint32]func([]byte) error),
+		sendPort:      make(map[uint32]frames.Sender),
 		sendControl:   sendControl,
 		localPrefixes: make(map[netip.Prefix]bool),
 	}, nil
@@ -140,9 +140,10 @@ func (s *Switch) Table() *FlowTable { return s.table }
 // Stats returns a snapshot of the counters.
 func (s *Switch) Stats() SwitchStats { return s.stats }
 
-// AddPort registers a data port with its transmit function and
-// returns the assigned port number (1-based, in registration order).
-func (s *Switch) AddPort(send func([]byte) error) (uint32, error) {
+// AddPort registers a data port with its transmitter (the port's link
+// endpoint) and returns the assigned port number (1-based, in
+// registration order).
+func (s *Switch) AddPort(send frames.Sender) (uint32, error) {
 	if send == nil {
 		return 0, fmt.Errorf("sdn: nil port transmit on switch %v", s.asn)
 	}
@@ -203,7 +204,7 @@ func (s *Switch) HandleControl(frame []byte) error {
 		if !ok {
 			return fmt.Errorf("sdn: switch %v: packet-out on unknown port %d", s.asn, m.OutPort)
 		}
-		return send(m.Data)
+		return send.Send(m.Data)
 	}
 	msg, xid, err := ofp.Unmarshal(frame)
 	if err != nil {
@@ -306,5 +307,5 @@ func (s *Switch) forwardProbe(payload []byte) error {
 		return err
 	}
 	s.stats.Forwarded++
-	return send(frames.Encode(frames.KindProbe, out))
+	return send.Send(frames.Encode(frames.KindProbe, out))
 }

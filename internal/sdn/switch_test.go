@@ -70,10 +70,10 @@ func testSwitch(t *testing.T) (*Switch, *[][]byte, map[uint32]*[][]byte) {
 	ports := make(map[uint32]*[][]byte)
 	for i := 0; i < 3; i++ {
 		var sent [][]byte
-		p, err := sw.AddPort(func(b []byte) error {
+		p, err := sw.AddPort(frames.SendFunc(func(b []byte) error {
 			sent = append(sent, b)
 			return nil
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,7 +311,7 @@ func TestRelayAllocatesOnlyItsFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	port, err := sw.AddPort(func(b []byte) error { onPort = b; return nil })
+	port, err := sw.AddPort(frames.SendFunc(func(b []byte) error { onPort = b; return nil }))
 	if err != nil {
 		t.Fatal(err)
 	}

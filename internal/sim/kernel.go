@@ -160,26 +160,29 @@ func (k *Kernel) deadline(d time.Duration) int64 {
 // Go schedules fn as a zero-delay event.
 func (k *Kernel) Go(fn func()) { k.AfterFunc(0, fn) }
 
-// AfterFunc schedules fn to run d from now. Negative d is treated as 0.
-func (k *Kernel) AfterFunc(d time.Duration, fn func()) Timer {
-	if fn == nil {
-		panic("sim: AfterFunc with nil function")
+// Schedule arms a timer that runs f.Fire d from now. Negative d is
+// treated as 0. The timer is its event, the one allocation.
+func (k *Kernel) Schedule(d time.Duration, f Firer) Timer {
+	if f == nil {
+		panic("sim: Schedule with nil Firer")
 	}
-	ev := &event{at: k.deadline(d), do: funcFirer(fn), kernel: k, index: -1}
+	ev := &event{at: k.deadline(d), do: f, kernel: k, index: -1}
 	k.schedule(ev, d)
 	return ev
 }
 
-// funcFirer adapts an AfterFunc callback to the one way events run. A
-// func value is pointer-shaped, so the conversion allocates nothing.
-type funcFirer func()
-
-func (fn funcFirer) Fire() { fn() }
+// AfterFunc schedules fn to run d from now: Schedule over FireFunc.
+func (k *Kernel) AfterFunc(d time.Duration, fn func()) Timer {
+	if fn == nil {
+		panic("sim: AfterFunc with nil function")
+	}
+	return k.Schedule(d, FireFunc(fn))
+}
 
 // Post schedules f.Fire to run d from now on a recycled event. Negative
 // d is treated as 0. The event takes its (time, seq) key from the same
-// schedule call AfterFunc uses, so replacing an AfterFunc whose Timer
-// was dropped by a Post moves nothing in the executed trace.
+// schedule call Schedule uses, so replacing a timer whose handle was
+// dropped by a Post moves nothing in the executed trace.
 func (k *Kernel) Post(d time.Duration, f Firer) {
 	if f == nil {
 		panic("sim: Post with nil Firer")
@@ -397,7 +400,7 @@ func (k *Kernel) RunWhile(cond func() bool) error {
 	return nil
 }
 
-// event is a scheduled callback. For AfterFunc it is also the Timer
+// event is a scheduled callback. For Schedule it is also the Timer
 // returned — one allocation per timer; for Post (posted set) it has no
 // handle and returns to the kernel's free list when it fires. at is the
 // deadline in nanoseconds since Epoch. index is the event's position in

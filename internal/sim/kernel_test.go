@@ -383,6 +383,40 @@ func TestAfterFuncAllocatesOnce(t *testing.T) {
 	}
 }
 
+// timerOwner stands for a struct that owns a timer, and ownerTimer for
+// the named pointer type over it that the timer fires through — the
+// way bgp's session machine arms its hold timer.
+type (
+	timerOwner struct{ fired int }
+	ownerTimer timerOwner
+)
+
+func (o *ownerTimer) Fire() { o.fired++ }
+
+// TestScheduleAllocatesOnlyItsEvent pins what arming a timer through
+// its owner costs: the event, which is the returned Timer, and nothing
+// else. A method value of the owner's in its place would add its
+// closure, which is what AfterFunc(d, o.method) costs.
+func TestScheduleAllocatesOnlyItsEvent(t *testing.T) {
+	for _, d := range []time.Duration{0, time.Millisecond, 30 * time.Second} {
+		k := NewKernel(1)
+		o := &timerOwner{}
+		run := func() {
+			k.Schedule(d, (*ownerTimer)(o))
+			if !k.Step() {
+				t.Fatal("nothing to step")
+			}
+		}
+		run() // grow the heap, batch and wheel-slot backing arrays once
+		if got := testing.AllocsPerRun(200, run); got != 1 {
+			t.Errorf("Schedule(%v) + Step: %v allocs, want 1", d, got)
+		}
+		if o.fired != 202 {
+			t.Errorf("the timer fired %d times, want 202", o.fired)
+		}
+	}
+}
+
 // nopFirer is posted work that does nothing.
 type nopFirer struct{}
 

@@ -49,7 +49,7 @@ type kernelModel struct {
 	live   []modelEntry // sorted by key
 	state  []int        // by id
 	key    []modelKey   // by id: the key it was last scheduled under
-	timers []int        // ids of the AfterFunc timers, in creation order
+	timers []int        // ids of the Schedule and AfterFunc timers, in creation order
 	handle []Timer      // by id; nil for posted work
 }
 
@@ -60,6 +60,15 @@ type modelHop struct {
 }
 
 func (h *modelHop) Fire() { h.m.fired(h.id, h) }
+
+// modelTimer is a timer armed with Schedule: when it fires it reports
+// its id, as an AfterFunc timer's callback does.
+type modelTimer struct {
+	m  *kernelModel
+	id int
+}
+
+func (mt *modelTimer) Fire() { mt.m.fired(mt.id, nil) }
 
 // next consumes one tape byte; ok is false once the tape is used up.
 func (m *kernelModel) next() (b byte, ok bool) {
@@ -158,7 +167,8 @@ func (m *kernelModel) fired(id int, h *modelHop) {
 	m.step(true)
 }
 
-// timer picks an AfterFunc timer by tape byte, or -1 when none exists.
+// timer picks a Schedule or AfterFunc timer by tape byte, or -1 when
+// none exists.
 func (m *kernelModel) timer(b byte) int {
 	if len(m.timers) == 0 {
 		return -1
@@ -176,11 +186,16 @@ func (m *kernelModel) step(inFire bool) bool {
 	}
 	arg, _ := m.next()
 	switch op % 8 {
-	case 0, 1:
+	case 0:
 		var id int
 		id = m.newID(m.k.AfterFunc(modelDelay(arg), func() { m.fired(id, nil) }))
 		m.timers = append(m.timers, id)
 		m.schedule(id, modelDelay(arg))
+	case 1:
+		mt := &modelTimer{m: m}
+		mt.id = m.newID(m.k.Schedule(modelDelay(arg), mt))
+		m.timers = append(m.timers, mt.id)
+		m.schedule(mt.id, modelDelay(arg))
 	case 2:
 		id := m.newID(nil)
 		m.k.Post(modelDelay(arg), &modelHop{m, id})
@@ -291,8 +306,9 @@ func checkKernelModel(t *testing.T, tape []byte) {
 }
 
 // TestKernelModel holds the kernel to the sorted-slice oracle over
-// random tapes of AfterFunc, Post, Stop and Reset (of pending, stopped
-// and fired timers, so heap-resident ones take the in-place fix path)
+// random tapes of Schedule, AfterFunc, Post, Stop and Reset (of pending,
+// stopped and fired timers of either kind, so heap-resident ones take
+// the in-place fix path)
 // interleaved with partial runs, with handlers that schedule, stop and
 // reset from inside their own firing. DECISIONS.md ("A frame costs no
 // hash and no pointer chase") lists the seeded heap faults it catches.

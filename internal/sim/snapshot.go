@@ -198,15 +198,16 @@ func RefOf(t Timer) *TimerRef {
 func (r *TimerRef) Deadline() time.Time { return Epoch.Add(time.Duration(r.AtNS)) }
 
 // Rearm appends to arms the arm that re-creates the referenced timer in
-// *slot, running fire at the original deadline. A nil ref — no timer
-// was pending — appends nothing.
-func (r *TimerRef) Rearm(arms []TimerArm, clock Clock, slot *Timer, fire func()) []TimerArm {
+// *slot, running f.Fire at the original deadline: the Firer the live
+// timer ran, so the restored one fires alike. A nil ref — no timer was
+// pending — appends nothing.
+func (r *TimerRef) Rearm(arms []TimerArm, clock Clock, slot *Timer, f Firer) []TimerArm {
 	if r == nil {
 		return arms
 	}
 	at := r.Deadline()
 	return append(arms, TimerArm{At: at, Seq: r.Seq, Arm: func() {
-		*slot = clock.AfterFunc(at.Sub(clock.Now()), fire)
+		*slot = clock.Schedule(at.Sub(clock.Now()), f)
 	}})
 }
 
