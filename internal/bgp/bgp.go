@@ -228,6 +228,9 @@ type Router struct {
 	groupKeys []byte
 	// open is the router's OPEN frame, which every session sends.
 	open []byte
+	// opening is the bring-up its sessions took part in, if one may
+	// still be computing handshakes (Open).
+	opening *Opening
 }
 
 // New validates cfg and returns a Router.
@@ -379,6 +382,7 @@ func (r *Router) Announce(prefix netip.Prefix) error {
 	if !prefix.Addr().Is4() {
 		return fmt.Errorf("bgp: only IPv4 prefixes supported, got %v", prefix)
 	}
+	r.opening.Replay() // a computed handshake never meets a route
 	attrs := wire.PathAttrs{Origin: wire.OriginIGP}
 	r.originated[prefix] = attrs
 	change := r.table.Originate(prefix, attrs)

@@ -137,6 +137,7 @@ func (f *FSM) setState(s State) {
 // TransportUp signals that the underlying transport (link) is usable.
 // The session starts opening immediately.
 func (f *FSM) TransportUp() {
+	f.mating.replayOpening()
 	if f.transportUp {
 		return
 	}
@@ -164,11 +165,13 @@ func (f *FSM) startOpen() {
 		return
 	}
 	f.setState(StateOpenSent)
-	// RFC 4271 §8.2.2: in OpenSent the hold timer runs with a large
-	// value (4 minutes suggested) so a half-open session eventually
-	// resets and retries.
-	f.armHold(max(4*time.Minute, f.cfg.HoldTime))
+	f.armHold(f.guard())
 }
+
+// guard is how long the hold timer runs in OpenSent. RFC 4271 §8.2.2
+// suggests a large value (4 minutes), so a half-open session eventually
+// resets and retries.
+func (f *FSM) guard() time.Duration { return max(4*time.Minute, f.cfg.HoldTime) }
 
 // armHold runs the hold timer for d, re-keying the running one in place
 // — the per-received-message fast path. One timer serves the OpenSent
@@ -387,11 +390,7 @@ func (f *FSM) handleOpen(m wire.Open) {
 		f.notify(wire.NotifFSMError, 0)
 		return
 	}
-	f.remoteID = m.ID
-	f.holdTime = f.cfg.HoldTime
-	if remote := time.Duration(m.HoldTimeSecs) * time.Second; remote < f.holdTime {
-		f.holdTime = remote
-	}
+	f.negotiate(m)
 	if err := f.Send(wire.Keepalive{}); err != nil {
 		f.reset(true)
 		return
@@ -400,6 +399,16 @@ func (f *FSM) handleOpen(m wire.Open) {
 	f.setState(StateOpenConfirm)
 	f.armHoldTimer()
 }
+
+// negotiate takes up the neighbor's OPEN: its identifier, and the
+// smaller of the two hold times proposed.
+func (f *FSM) negotiate(m wire.Open) {
+	f.remoteID = m.ID
+	f.holdTime = min(f.cfg.HoldTime, time.Duration(m.HoldTimeSecs)*time.Second)
+}
+
+// offer decodes the OPEN this machine sends.
+func (f *FSM) offer() (wire.Open, error) { return wire.DecodeOpen(f.cfg.Open[len(linkHeader):]) }
 
 func (f *FSM) handleKeepalive() {
 	switch f.state {

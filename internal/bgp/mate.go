@@ -49,6 +49,8 @@ type Wire interface {
 // kernel runs them in whenever the work was scheduled less than an
 // interval ahead.
 //
+// A pair can also come up by arithmetic: see Opening.
+//
 // The zero Mating is unmated; the wiring that owns the link keeps one
 // per link and passes it to Mate.
 type Mating struct {
@@ -57,8 +59,12 @@ type Mating struct {
 	// quiet is set while both sessions are Established with their
 	// liveness kept here.
 	quiet bool
+	// opening is set while the pair's handshake is computed, as part of
+	// its routers' Opening.
+	opening bool
 	// first is the side whose keepalive timer fires first at an instant
-	// both sides' KEEPALIVEs share: the side Established first.
+	// both sides' KEEPALIVEs share: the side Established first, which
+	// is the side brought up first.
 	first uint8
 	// next is each side's first KEEPALIVE of the quiet spell, none of
 	// them counted sent yet; landed its earliest one not yet credited
@@ -127,7 +133,7 @@ func (m *Mating) join(f *FSM) bool {
 	m.heard[mate.side] = sim.TimeToNS(hold.Add(-f.holdTime))
 	m.next[f.side] = sim.TimeToNS(now.Add(f.holdTime / keepaliveFraction))
 	m.heard[f.side] = sim.TimeToNS(now)
-	if !m.holds() {
+	if !m.holds(f.holdTime) {
 		return false
 	}
 	m.landed = m.next
@@ -142,7 +148,8 @@ func (m *Mating) join(f *FSM) bool {
 	return true
 }
 
-// holds reports whether the pair can be quiet from next and heard on:
+// holds reports whether the pair can be quiet on hold time hold from
+// next and heard on:
 // each side's next KEEPALIVE is taken up before the other's hold time
 // runs out, and after that they come an interval apart. A KEEPALIVE
 // lands a link delay after it left and, on a router with a processing
@@ -153,9 +160,8 @@ func (m *Mating) join(f *FSM) bool {
 // the interval, on which a frame sent as the pair went quiet could land
 // on the instant of a timer a wake re-arms: an order only the kernel
 // knows.
-func (m *Mating) holds() bool {
-	delay, every := int64(m.wire.Delay()), m.interval()
-	hold := int64(m.ends[0].fsm.holdTime)
+func (m *Mating) holds(hold time.Duration) bool {
+	delay, every := int64(m.wire.Delay()), int64(hold/keepaliveFraction)
 	if 2*delay >= every {
 		return false
 	}
@@ -163,12 +169,12 @@ func (m *Mating) holds() bool {
 		r := m.ends[1-side].router
 		wait := int64(0)
 		if r.cfg.ProcessingDelay != 0 {
-			if r.cfg.Timers.HoldTime != time.Duration(hold) || sim.TimeToNS(r.busyUntil)-m.now() >= every {
+			if r.cfg.Timers.HoldTime != hold || sim.TimeToNS(r.busyUntil)-m.now() >= every {
 				return false
 			}
 			wait = every
 		}
-		if m.next[side]+delay+wait >= m.heard[1-side]+hold {
+		if m.next[side]+delay+wait >= m.heard[1-side]+int64(hold) {
 			return false
 		}
 	}
@@ -216,8 +222,11 @@ func (m *Mating) land(side uint8, now int64) {
 
 // Settle credits to the Wire every KEEPALIVE that has landed by now, so
 // that the link's own counters hold them; the pair stays quiet. A
-// snapshot settles first, so the counters it captures are whole.
+// snapshot settles first, so the counters it captures are whole; an
+// opening pair replays its handshake first (Opening.Replay), so the
+// sessions it captures hold what the emulated ones would.
 func (m *Mating) Settle() {
+	m.replayOpening()
 	if !m.quiet {
 		return
 	}
@@ -241,7 +250,11 @@ func (m *Mating) Landed() (frames, bytes uint64) {
 // to leave Established or send a NOTIFICATION, before it sends or stops
 // anything: see Mating.
 func (m *Mating) wake(leaving *FSM) {
-	if m == nil || !m.quiet {
+	if m == nil {
+		return
+	}
+	m.replayOpening()
+	if !m.quiet {
 		return
 	}
 	m.quiet = false
@@ -360,7 +373,7 @@ func (f *FSM) restoreQuiet(q *QuietState) ([]sim.TimerArm, bool) {
 	if m.next[mate.side] == 0 || mate.holdTime != f.holdTime {
 		return nil, true // the mate is restored second
 	}
-	if m.holds() {
+	if m.holds(f.holdTime) {
 		m.quiet = true
 		return nil, true
 	}
@@ -384,3 +397,280 @@ func (f *FSM) restoreQuiet(q *QuietState) ([]sim.TimerArm, bool) {
 // armedOrder is a sequence number for a timer armed at ns, the i-th of
 // four armed then.
 func armedOrder(ns int64, i int) uint64 { return uint64(ns)<<2 | uint64(i) }
+
+// Opening is one bring-up of a set of routers' sessions (Open). The two
+// sessions of a mated pair come up by arithmetic when the emulated
+// handshake would leave them quiet (holds): its course is known at the
+// instant t₀ of Open, and nothing reaches the pair before it completes
+// unless something happens to it, which replays it first.
+//
+// Emulated, a pair across a link of delay d costs six events: each
+// side's TransportUp at t₀ sends its OPEN and arms the OpenSent guard;
+// at t₀+d each OPEN lands, and its receiver negotiates, answers with a
+// KEEPALIVE, goes to OpenConfirm and re-arms its hold timer; at t₀+2d
+// each KEEPALIVE lands and its receiver is Established, the side
+// brought up first first, and the second's join quiets the pair.
+// Computed, no frame crosses the link and no timer is armed: at t₀ both
+// sessions bring their transport up, count their OPEN and are OpenSent;
+// at t₀+d both take up the other's OPEN, count their KEEPALIVE and are
+// OpenConfirm, and the Wire is credited the OPENs; at t₀+2d it is
+// credited the KEEPALIVEs, both sessions are Established in the
+// emulated order, the pair goes quiet exactly as join would leave it,
+// and each owner hears Established in that order. One event takes every
+// pair's step at t₀, and every pair across links of one delay takes the
+// other two at the same two instants, so one event runs each of them
+// for all: a bring-up costs one event and two per distinct link delay.
+// Until the kernel runs t₀ the sessions are Idle with their transport
+// down, as the emulated ones are until their posted TransportUps run.
+//
+// Anything that would act on a session of an opening pair first replays
+// every opening pair at once (Replay): a TransportUp or a transport
+// loss, a reset or a NOTIFICATION, Unmate, a snapshot (Mating.Settle),
+// a link going down (the wiring that owns it replays), and a route
+// appearing at any router of the bring-up (Router.Announce) — the one
+// thing that could make the instant a session is Established matter to
+// anything but its own counters. Before t₀ has run, a replay leaves the
+// bring-up to the event at t₀, which then brings every session Open
+// brought up to TransportUp in Open's order, as the emulated run's
+// posted TransportUps do: it is posted where the first computed
+// session's would have been, and every session before it is up by
+// then. After t₀, a replay puts each pair where the emulated handshake
+// would be by now, walking the sessions in the order Open brought them
+// up: the OPENs still in flight, or the KEEPALIVEs answering them, go
+// on the link at the instants they left (Wire.SendAt), and the guard or
+// hold timers the emulated machines would hold are armed, in the order
+// the emulated run sent and armed them. From then on the pairs run as
+// emulated ones.
+type Opening struct {
+	// routers are the routers Open brought up, in its order.
+	routers []*Router
+	// at is t₀, in nanoseconds since sim.Epoch.
+	at int64
+	// open counts the pairs still opening.
+	open int
+	// ran is set once the event at t₀ has run.
+	ran bool
+}
+
+// Open brings every session of routers up at now, as posted work:
+// router by router in the order given, each router's sessions in key
+// order, a TransportUp for each — except that the handshake of a mated
+// pair both of whose routers are among routers is computed (see
+// Opening), if fresh and the pair allows it. fresh reports that nothing
+// has run on the clock yet, that nothing pending on it can reach a
+// mated pair's sessions, and that no route exists but what routers
+// originate; Open computes nothing if any of them originates one. A
+// link's state change is posted work, so fresh also means every link
+// is up; whoever takes the link of an opening pair down replays the
+// bring-up first. Open keeps routers, none of which may gain a
+// session after.
+func Open(routers []*Router, fresh bool) *Opening {
+	o := &Opening{routers: routers}
+	for _, r := range routers {
+		o.at = sim.TimeToNS(r.cfg.Clock.Now()) // they share one clock
+		fresh = fresh && len(r.originated) == 0
+	}
+	if fresh {
+		for _, r := range routers {
+			r.opening = o
+		}
+	}
+	var groups map[time.Duration]*openGroup
+	for _, r := range routers {
+		for _, p := range r.Sessions() {
+			m := p.fsm.mating
+			switch {
+			case m != nil && m.opening: // brought up with its mate
+			case fresh && m.begin(o, p.fsm.side):
+				if o.open == 1 {
+					r.cfg.Clock.Post(0, o) // where the first one would have come up
+				}
+				d := m.wire.Delay()
+				g := groups[d]
+				if g == nil {
+					if groups == nil {
+						groups = make(map[time.Duration]*openGroup)
+					}
+					g = new(openGroup)
+					groups[d] = g
+					r.cfg.Clock.Post(d, g)
+					r.cfg.Clock.Post(2*d, g)
+				}
+				g.pairs = append(g.pairs, m)
+			default:
+				r.cfg.Clock.Post(0, (*transportUp)(p))
+			}
+		}
+	}
+	return o
+}
+
+// transportUp is a session's first TransportUp as posted work.
+type transportUp Peer
+
+func (t *transportUp) Fire() { (*Peer)(t).TransportUp() }
+
+// Fire is t₀: both sessions of every pair still opening bring their
+// transport up, count their OPEN and are OpenSent, the side brought up
+// first first. If a replay came first, every session Open brought up
+// comes up as emulated instead, in Open's order.
+func (o *Opening) Fire() {
+	o.ran = true
+	for _, r := range o.routers {
+		for _, p := range r.Sessions() {
+			m := p.fsm.mating
+			switch {
+			case o.open == 0:
+				p.TransportUp()
+			case m == nil || !m.opening || p.fsm.side != m.first:
+			default:
+				for _, side := range [2]uint8{m.first, 1 - m.first} {
+					f := &m.ends[side].fsm
+					f.transportUp = true
+					f.cfg.Stats.OpensSent++
+					f.setState(StateOpenSent)
+				}
+			}
+		}
+	}
+}
+
+// openGroup is the pairs of an Opening across links of one delay, in
+// the order their first sessions were brought up. It fires twice, when
+// their OPENs land and when their KEEPALIVEs do, and takes each pair
+// still opening one step further.
+type openGroup struct{ pairs []*Mating }
+
+func (g *openGroup) Fire() {
+	for _, m := range g.pairs {
+		switch {
+		case !m.opening:
+		case m.ends[0].fsm.state == StateOpenSent:
+			m.confirm()
+		default:
+			m.complete()
+		}
+	}
+}
+
+// begin computes the pair's handshake as part of o, first being the
+// side brought up first, if the emulated one would leave the pair quiet:
+// both sessions Idle with their transport down, both routers in o, the
+// link's delay positive, each OPEN one its receiver accepts, and the
+// pair quiet on the hold time they negotiate from t₀+2d, when each has
+// just heard the other and sends its next KEEPALIVE an interval later.
+// It reports whether it did; if so, the pair is opening and both
+// sessions are still Idle.
+func (m *Mating) begin(o *Opening, first uint8) bool {
+	if m == nil || m.wire.Delay() <= 0 {
+		return false
+	}
+	var hold time.Duration
+	for side, p := range m.ends {
+		f, mate := &p.fsm, &m.ends[1-side].fsm
+		open, err := mate.offer()
+		if f.state != StateIdle || f.transportUp || p.router.opening != o || err != nil || open.AS != f.cfg.RemoteASN {
+			return false
+		}
+		h := min(f.cfg.HoldTime, time.Duration(open.HoldTimeSecs)*time.Second)
+		if side == 1 && h != hold {
+			return false
+		}
+		hold = h
+	}
+	if hold == 0 {
+		return false
+	}
+	established := o.at + 2*int64(m.wire.Delay())
+	next := established + int64(hold/keepaliveFraction)
+	m.next, m.heard = [2]int64{next, next}, [2]int64{established, established}
+	if !m.holds(hold) {
+		m.next, m.heard = [2]int64{}, [2]int64{}
+		return false
+	}
+	m.opening, m.first = true, first
+	o.open++
+	return true
+}
+
+// confirm is t₀+d: each side's OPEN lands, in the order the sides were
+// brought up, and its receiver negotiates, answers with a KEEPALIVE and
+// is OpenConfirm.
+func (m *Mating) confirm() {
+	for _, side := range [2]uint8{m.first, 1 - m.first} {
+		f, mate := &m.ends[side].fsm, &m.ends[1-side].fsm
+		open, _ := f.offer() // begin decoded it
+		mate.negotiate(open)
+		mate.cfg.Stats.KeepalivesSent++
+		mate.setState(StateOpenConfirm)
+		m.wire.Credit(int(side), 1, uint64(len(f.cfg.Open)))
+	}
+}
+
+// complete is t₀+2d: both KEEPALIVEs land, and both sessions are
+// Established and quiet with m.next and m.heard as begin set them.
+func (m *Mating) complete() {
+	o := m.ends[0].router.opening
+	m.opening = false
+	o.open--
+	sides := [2]uint8{m.first, 1 - m.first}
+	for _, side := range sides {
+		m.wire.Credit(int(side), 1, uint64(len(keepaliveFrame)))
+		m.ends[side].fsm.setState(StateEstablished)
+	}
+	m.landed, m.quiet = m.next, true
+	for _, side := range sides {
+		m.ends[side].fsm.owner.Established()
+	}
+}
+
+// Replay puts every pair still opening back on the emulated handshake,
+// where it would be by now (see Opening). It does nothing once none is.
+func (o *Opening) Replay() {
+	if o == nil || o.open == 0 {
+		return
+	}
+	o.open = 0
+	now := sim.TimeToNS(o.routers[0].cfg.Clock.Now())
+	for _, r := range o.routers {
+		for _, p := range r.Sessions() {
+			m := p.fsm.mating
+			switch {
+			case m == nil || !m.opening:
+			case !o.ran: // Fire brings it up
+				m.opening = false
+			default:
+				m.replay(p.fsm.side, now)
+			}
+		}
+	}
+}
+
+// replayOpening replays the pair's Opening if the pair is opening.
+func (m *Mating) replayOpening() {
+	if m != nil && m.opening {
+		m.ends[0].router.opening.Replay()
+	}
+}
+
+// replay is side's share of its pair's replay at now, once t₀ has run,
+// sides taken in the order they were brought up: before t₀+d its OPEN in
+// flight and its guard, after it its mate's answer to that OPEN in
+// flight and its mate's hold timer. Nothing runs before a group's event
+// at its instant (fresh, Open), so a replay finds the frames of that
+// step still in flight. The pair is replayed once its second side is.
+func (m *Mating) replay(side uint8, now int64) {
+	at := m.ends[0].router.opening.at
+	f, mate := &m.ends[side].fsm, &m.ends[1-side].fsm
+	if f.state == StateOpenConfirm {
+		at += int64(m.wire.Delay())
+		m.wire.SendAt(int(1-side), keepaliveFrame, sim.TimeFromNS(at))
+		mate.armHold(time.Duration(at + int64(mate.holdTime) - now))
+	} else {
+		m.wire.SendAt(int(side), f.cfg.Open, sim.TimeFromNS(at))
+		f.armHold(time.Duration(at + int64(f.guard()) - now))
+	}
+	if side != m.first {
+		m.opening = false
+	}
+}

@@ -25,6 +25,9 @@ func (e *Experiment) Announce(asn idr.ASN) error {
 	}
 	e.Detector.Touch()
 	if e.members[asn] {
+		// The cluster's routes reach routers too: no handshake may
+		// still be computed (bgp.Router.Announce does this for its own).
+		e.opening.Replay()
 		return e.Ctrl.OriginatePrefix(asn, prefix)
 	}
 	r, ok := e.Routers[asn]
@@ -81,6 +84,8 @@ func (e *Experiment) FailLink(a, b idr.ASN) error {
 		return fmt.Errorf("experiment: no link %v-%v", a, b)
 	}
 	e.Detector.Touch()
+	// A computed handshake never sees its link go down (bgp.Opening).
+	e.opening.Replay()
 	l.SetUp(false)
 	return nil
 }

@@ -127,6 +127,10 @@ type Experiment struct {
 	partitionCut [][2]idr.ASN
 
 	started bool
+	// opening is Start's bring-up of the routers' sessions, which
+	// replays any handshake it still computes before the cluster
+	// originates a route or a link goes down.
+	opening *bgp.Opening
 }
 
 func linkKey(a, b idr.ASN) [2]idr.ASN {

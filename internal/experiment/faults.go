@@ -98,6 +98,7 @@ func (e *Experiment) Partition() error {
 		return fmt.Errorf("experiment: topology too small to partition")
 	}
 	e.Detector.Touch()
+	e.opening.Replay() // as FailLink
 	for _, k := range cut {
 		e.links[linkKey(k[0], k[1])].SetUp(false)
 	}

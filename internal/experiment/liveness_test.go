@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -14,18 +15,22 @@ import (
 )
 
 // TestQuietLivenessModel holds the arithmetic liveness of mated
-// sessions (bgp.Mating) to the modelled one: random lossless graphs of
-// up to 32 ASes, some with a cluster, some with routers that queue
-// their work, run one seeded script of faults
-// twice — sessions mated, and every session sending and hearing its
-// KEEPALIVEs as frames (modelledKeepalives) — and after every step the
-// two runs must read the same clock, the same Stats from every router,
-// the same Traffic totals and the same session counts, and end with
-// the same event log and routes. Steps run to random instants, to the
-// very nanosecond of a KEEPALIVE's send or landing on some link, and
-// apply SessionReset, link flaps, migrations both ways, controller
-// crashes, partitions, announcements and Snapshot/Restore round trips
-// — each of them at whatever instant the previous steps left.
+// sessions (bgp.Mating) and their computed handshakes (bgp.Opening) to
+// the modelled ones: random lossless graphs of up to 32 ASes, some with
+// a cluster, some with routers that queue their work, run one seeded
+// script of faults twice — sessions mated, and every session sending
+// and hearing its OPEN and KEEPALIVEs as frames (modelledKeepalives) —
+// and after every step the two runs must read the same clock, the same
+// Stats from every router, the same Traffic totals, the same session
+// counts and the same event-log summary, and end with the same routes.
+// The script first acts inside the handshake: before the clock has run
+// t₀, or once it has run to a nanosecond on either side of a picked
+// link's OPENs or KEEPALIVEs landing, it reads, resets, flaps,
+// migrates, announces or takes a Snapshot/Restore round trip. Then steps run to random instants, to the very
+// nanosecond of a KEEPALIVE's send or landing on some link, and apply
+// SessionReset, link flaps, migrations both ways, controller crashes,
+// partitions, announcements and Snapshot/Restore round trips — each of
+// them at whatever instant the previous steps left.
 func TestQuietLivenessModel(t *testing.T) {
 	seeds := int64(32)
 	if testing.Short() || raceEnabled {
@@ -56,7 +61,10 @@ func TestQuietLivenessModel(t *testing.T) {
 type livenessCase struct {
 	cfg   Config
 	edges []topology.Edge
-	ops   []livenessOp
+	// window acts before the sessions are Established; ops after.
+	window, ops []livenessOp
+	// early has the first window step act before the clock has run t₀.
+	early bool
 }
 
 type livenessOp struct {
@@ -144,8 +152,23 @@ func newLivenessCase(t *testing.T, seed int64) *livenessCase {
 			d:    time.Duration(rng.Int63n(int64(3 * hold / 2))),
 		})
 	}
+	for range 1 + rng.Intn(3) {
+		c.window = append(c.window, livenessOp{kind: rng.Intn(windowKinds), pick: rng.Intn(1 << 20), n: rng.Int63()})
+	}
+	c.early = rng.Intn(3) == 0
 	return c
 }
+
+// What a window step does once at its instant.
+const (
+	windowRead = iota
+	windowReset
+	windowFlap
+	windowMigrate
+	windowAnnounce
+	windowSnapshot
+	windowKinds
+)
 
 // play runs the script once and returns what every step read.
 func (c *livenessCase) play(t *testing.T, modelled bool) []string {
@@ -167,6 +190,54 @@ func (c *livenessCase) play(t *testing.T, modelled bool) []string {
 		checkEstablishedCounts(t, e, what)
 		out = append(out, readLiveness(e, what))
 	}
+	// up is when each link's sessions last came up from nothing: a
+	// KEEPALIVE of a pair Established then is due every interval after
+	// two link delays.
+	up := make(map[int]time.Time)
+	for i, op := range c.window {
+		edge := c.edges[op.pick%len(c.edges)]
+		delay := edge.Delay
+		if delay == 0 {
+			delay = time.Millisecond
+		}
+		// A nanosecond on either side of the OPENs or the KEEPALIVEs
+		// landing, or on it; or before the clock has run t₀.
+		at := sim.Epoch.Add([]time.Duration{delay - 1, delay, delay + 1, 2*delay - 1, 2 * delay}[op.n%5])
+		if i == 0 && c.early {
+			at = e.K.Now()
+		}
+		if at.After(e.K.Now()) {
+			step(fmt.Sprintf("window %d run to %v", i, at.Sub(sim.Epoch)), e.K.RunUntil(at))
+		}
+		asns := e.ASNs()
+		asn := asns[op.pick%len(asns)]
+		switch op.kind {
+		case windowRead:
+			step(fmt.Sprintf("window %d read", i), nil)
+		case windowReset:
+			err := e.SessionReset(edge.A, edge.B)
+			if err == nil {
+				up[op.pick%len(c.edges)] = e.K.Now()
+			}
+			step(fmt.Sprintf("window %d session-reset %v-%v", i, edge.A, edge.B), err)
+		case windowFlap:
+			step(fmt.Sprintf("window %d fail-link %v-%v", i, edge.A, edge.B), e.FailLink(edge.A, edge.B))
+			step(fmt.Sprintf("window %d down for %v", i, delay/2), e.RunFor(delay/2))
+			err := e.RestoreLink(edge.A, edge.B)
+			up[op.pick%len(c.edges)] = e.K.Now()
+			step(fmt.Sprintf("window %d restore-link %v-%v", i, edge.A, edge.B), err)
+		case windowMigrate:
+			step(fmt.Sprintf("window %d migrate %v", i, asn), e.Migrate(asn))
+		case windowAnnounce:
+			step(fmt.Sprintf("window %d announce %v", i, asn), e.Announce(asn))
+		case windowSnapshot:
+			restored, err := roundTrip(c.cfg, e)
+			if err == nil {
+				e = restored
+			}
+			step(fmt.Sprintf("window %d snapshot and restore", i), err)
+		}
+	}
 	step("established", e.WaitEstablished(5*time.Minute))
 	for _, asn := range e.ASNs() {
 		if _, ok := e.Routers[asn]; ok {
@@ -175,10 +246,6 @@ func (c *livenessCase) play(t *testing.T, modelled bool) []string {
 	}
 	_, err = e.WaitConverged(time.Hour)
 	step("converged", err)
-	// up is when each link's sessions last came up from nothing: a
-	// KEEPALIVE of a pair Established then is due every interval after
-	// two link delays.
-	up := make(map[int]time.Time)
 	interval := c.cfg.Timers.HoldTime / 3
 	for i, op := range c.ops {
 		edge := c.edges[op.pick%len(c.edges)]
@@ -256,7 +323,7 @@ func (c *livenessCase) play(t *testing.T, modelled bool) []string {
 			fmt.Fprintf(&routes, "%v>%v:%v/%v ", from, to, path, ok)
 		}
 	}
-	out = append(out, routes.String(), fmt.Sprintf("log %+v", e.Log.Summarize()))
+	out = append(out, routes.String())
 	return out
 }
 
@@ -276,8 +343,9 @@ func roundTrip(cfg Config, e *Experiment) (*Experiment, error) {
 	return Restore(cfg, snap)
 }
 
-// readLiveness is one step's reading: the clock, the traffic totals
-// and every router's counters and Established sessions.
+// readLiveness is one step's reading: the clock, the traffic totals,
+// every router's counters and Established sessions, and the event log's
+// summary.
 func readLiveness(e *Experiment, what string) string {
 	var b strings.Builder
 	delivered, dropped, bytes := e.Traffic()
@@ -287,6 +355,7 @@ func readLiveness(e *Experiment, what string) string {
 			fmt.Fprintf(&b, " %v%+v/%d", asn, r.Stats(), r.EstablishedCount())
 		}
 	}
+	fmt.Fprintf(&b, " log %+v", e.Log.Summarize())
 	return b.String()
 }
 
@@ -440,5 +509,128 @@ func TestQuietQueueWake(t *testing.T) {
 	}
 	if strings.Contains(strings.Join(modelled, "\n"), "NotificationsSent:1") {
 		t.Fatalf("the queue expired a hold time; the test wants it under two intervals:\n%s", strings.Join(modelled, "\n"))
+	}
+}
+
+// TestQuietHandshakeMatchesEmulated holds one computed handshake
+// (bgp.Opening) to the emulated one on a mated link between two routers
+// that queue their work. The link comes up three ways: computed; with
+// its handshake emulated, because an event ran on the clock before
+// Start; and modelled, every frame on the wire. All three must read the
+// same clock, Stats, Traffic, link counters, Established counts and
+// event-log summary right after Start, at t₀ once the clock has run it,
+// a nanosecond either side of the OPENs and of the KEEPALIVEs landing,
+// on each, and at t₀+4d; at t₀+2d and t₀+4d the computed sessions must
+// capture exactly what the emulated ones do, their quiet liveness (next
+// KEEPALIVE, last hearing, which side goes first) included. Each run
+// also acts once right after Start, before the clock has run t₀ —
+// doing nothing, resetting the session, announcing a prefix, failing
+// the link or failing and restoring it — where the computed sessions must still be Idle and leave
+// the bring-up to the kernel. Untouched, the computed handshake costs
+// three events, the emulated one ten.
+func TestQuietHandshakeMatchesEmulated(t *testing.T) {
+	const d = 3 * time.Millisecond
+	cfg := Config{
+		Seed:            1,
+		Graph:           mustGraph(topology.Line(2)),
+		Timers:          bgp.Timers{HoldTime: 9 * time.Second, MRAI: time.Second},
+		LinkDelay:       d,
+		ProcessingDelay: 25 * time.Millisecond,
+	}
+	acts := []struct {
+		name string
+		act  func(e *Experiment) error
+	}{
+		{"nothing", func(*Experiment) error { return nil }},
+		{"session-reset", func(e *Experiment) error { return e.SessionReset(1, 2) }},
+		{"announce", func(e *Experiment) error { return e.Announce(1) }},
+		{"fail-link", func(e *Experiment) error { return e.FailLink(1, 2) }},
+		{"flap-link", func(e *Experiment) error {
+			if err := e.FailLink(1, 2); err != nil {
+				return err
+			}
+			return e.RestoreLink(1, 2)
+		}},
+	}
+	for _, a := range acts {
+		t.Run(a.name, func(t *testing.T) {
+			play := func(how string) (readings []string, events uint64) {
+				modelledKeepalives = how == "modelled"
+				defer func() { modelledKeepalives = false }()
+				e, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if how == "emulated" {
+					e.K.Post(0, sim.FireFunc(func() {}))
+					if err := e.RunFor(0); err != nil {
+						t.Fatal(err)
+					}
+				}
+				start := e.K.Events()
+				if err := e.Start(); err != nil {
+					t.Fatal(err)
+				}
+				l := e.links[linkKey(1, 2)]
+				read := func(what string) {
+					checkEstablishedCounts(t, e, what)
+					readings = append(readings, fmt.Sprintf("%s link %d/%d", readLiveness(e, what), l.Delivered, l.Dropped))
+				}
+				sessions := func() {
+					if how == "modelled" {
+						return // its sessions keep timers, not quiet liveness
+					}
+					for _, asn := range e.ASNs() {
+						peers, err := json.Marshal(e.Routers[asn].State().Peers)
+						if err != nil {
+							t.Fatal(err)
+						}
+						readings = append(readings, fmt.Sprintf("%v %s", asn, peers))
+					}
+				}
+				read("started")
+				if err := a.act(e); err != nil {
+					t.Fatal(err)
+				}
+				read(a.name)
+				for _, at := range []time.Duration{0, d - 1, d, d + 1, 2*d - 1, 2 * d, 4 * d} {
+					if err := e.K.RunUntil(sim.Epoch.Add(at)); err != nil {
+						t.Fatal(err)
+					}
+					read(at.String())
+					if at >= 2*d {
+						sessions()
+					}
+				}
+				return readings, e.K.Events() - start
+			}
+			computed, computedEvents := play("computed")
+			emulated, emulatedEvents := play("emulated")
+			modelled, _ := play("modelled")
+			for i, m := 0, 0; i < len(computed); i++ {
+				if computed[i] != emulated[i] {
+					t.Fatalf("reading %d:\ncomputed: %s\nemulated: %s", i, computed[i], emulated[i])
+				}
+				if !strings.Contains(computed[i], "link ") {
+					continue // a capture of sessions
+				}
+				if computed[i] != modelled[m] {
+					t.Fatalf("reading %d:\ncomputed: %s\nmodelled: %s", i, computed[i], modelled[m])
+				}
+				m++
+			}
+			if !strings.Contains(computed[0], " AS1{") || !strings.Contains(computed[0], "OpensSent:0 ") {
+				t.Fatalf("a session sent its OPEN before the clock ran t₀: %s", computed[0])
+			}
+			if a.name != "nothing" {
+				return
+			}
+			if at2d := computed[len(computed)-5]; !strings.Contains(at2d, `"state":3`) || !strings.Contains(at2d, `"quiet":{`) {
+				t.Fatalf("the pair is not quiet and Established at t₀+2d: %s", at2d)
+			}
+			if computedEvents != 3 || emulatedEvents != 10 {
+				t.Fatalf("the handshake ran %d kernel events computed and %d emulated, want 3 and 10", computedEvents, emulatedEvents)
+			}
+		})
 	}
 }

@@ -51,8 +51,8 @@ type link struct {
 }
 
 // modelledKeepalives, set by tests only, leaves every session unmated,
-// so each sends and hears its KEEPALIVEs as frames: the reference the
-// arithmetic is held to.
+// so each sends and hears its OPEN and KEEPALIVEs as frames: the
+// reference the arithmetic is held to.
 var modelledKeepalives bool
 
 // Delay is the link's one-way delay (bgp.Wire).
@@ -290,35 +290,33 @@ func (e *Experiment) wire(a, b idr.ASN) error {
 }
 
 // Start brings every transport up and starts the controller. It does
-// not advance the clock; call WaitEstablished or RunFor next.
+// not advance the clock; call WaitEstablished or RunFor next. The two
+// sessions of a lossless router-router link come up by arithmetic when
+// nothing has run or is pending on the clock yet (bgp.Opening): a
+// member's origination arms the controller's debounce or sends its
+// FlowMods, and a link's state change is posted, so either leaves the
+// handshakes emulated. Every other session opens as emulated.
 func (e *Experiment) Start() error {
 	if e.started {
 		return fmt.Errorf("experiment: already started")
 	}
 	e.started = true
+	fresh := e.K.Pending() == 0 && e.K.Events() == 0
 	if e.Ctrl != nil {
 		if err := e.Ctrl.Start(); err != nil {
 			return err
 		}
 	}
+	routers := make([]*bgp.Router, 0, len(e.Routers))
 	for _, asn := range e.ASNs() {
 		if r, ok := e.Routers[asn]; ok {
-			for _, p := range r.Sessions() {
-				e.K.Post(0, (*transportUp)(p))
-			}
+			routers = append(routers, r)
 		}
 	}
-	// Cluster speaker sessions come up via the controller's Start.
+	// Cluster speaker sessions came up in the controller's Start.
+	e.opening = bgp.Open(routers, fresh)
 	return nil
 }
-
-// transportUp is a session's first TransportUp as posted work: a
-// pointer, so posting it boxes nothing, where a method value would be
-// a closure per session end.
-type transportUp bgp.Peer
-
-// Fire brings the session's transport up.
-func (t *transportUp) Fire() { (*bgp.Peer)(t).TransportUp() }
 
 // expectedSessions counts the sessions that should establish.
 func (e *Experiment) expectedSessions() (routerSessions int) {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -379,38 +380,47 @@ func allocatedBytes(fn func()) uint64 {
 // slot (span ~8.6s) on each round. Run from t = 0 through several hold
 // periods, it may allocate the AfterFunc events and nothing else; the
 // heap and batch arrays, which are not the wheel's, are sized up front.
+// TotalAlloc counts the whole process, where the runtime or another
+// goroutine may allocate a few bytes meanwhile (96 of them failed one
+// run in six), so the fill runs on three fresh kernels and the fewest
+// bytes any of them took is held to the bound: a wheel that allocates
+// does so on every fill, a stray allocation lands in one.
 func TestWheelFirstFillAllocatesNothing(t *testing.T) {
 	const (
 		sessions  = 2000
 		keepalive = 30 * time.Second
 		hold      = 90 * time.Second
 	)
-	k := NewKernel(1)
-	k.queue = make(eventHeap, 0, 2*sessions)
-	k.batch = make([]batchEntry, 0, 2*sessions)
-	holdTimers := make([]Timer, sessions)
-	kaTimers := make([]Timer, sessions)
-	expire := func() { t.Error("hold timer expired") }
-	fires := make([]func(), sessions)
-	for i := range fires {
-		fires[i] = func() {
-			holdTimers[i].Reset(hold)
-			kaTimers[i].Reset(keepalive)
-		}
-	}
-	bytes := allocatedBytes(func() {
+	var k *Kernel
+	bytes := uint64(math.MaxUint64)
+	for range 3 {
+		k = NewKernel(1)
+		k.queue = make(eventHeap, 0, 2*sessions)
+		k.batch = make([]batchEntry, 0, 2*sessions)
+		holdTimers := make([]Timer, sessions)
+		kaTimers := make([]Timer, sessions)
+		expire := func() { t.Error("hold timer expired") }
+		fires := make([]func(), sessions)
 		for i := range fires {
-			holdTimers[i] = k.AfterFunc(hold, expire)
-			kaTimers[i] = k.AfterFunc(keepalive*time.Duration(i+1)/sessions, fires[i])
+			fires[i] = func() {
+				holdTimers[i].Reset(hold)
+				kaTimers[i].Reset(keepalive)
+			}
 		}
-		if err := k.RunFor(4 * hold); err != nil {
-			t.Fatal(err)
-		}
-	})
+		bytes = min(bytes, allocatedBytes(func() {
+			for i := range fires {
+				holdTimers[i] = k.AfterFunc(hold, expire)
+				kaTimers[i] = k.AfterFunc(keepalive*time.Duration(i+1)/sessions, fires[i])
+			}
+			if err := k.RunFor(4 * hold); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
 	// Measured with the slot arrays this replaced: 1 047 256 bytes, so
 	// 791 KB beyond the events.
 	events := uint64(2 * sessions * unsafe.Sizeof(event{}))
-	t.Logf("%d timers over %v allocated %d bytes, %d of them events", 2*sessions, 4*hold, bytes, events)
+	t.Logf("%d timers over %v allocated at least %d bytes in three fills, %d of them events", 2*sessions, 4*hold, bytes, events)
 	if bytes > events {
 		t.Fatalf("allocated %d bytes, want <= %d (the events themselves): the wheel allocates", bytes, events)
 	}
