@@ -64,8 +64,10 @@ func run(members []idr.ASN) (loss float64, blackout time.Duration, err error) {
 
 	// Start the "video" stream: one probe every 50ms, client -> server.
 	e.Probes.ResetStats()
-	stopStream := sim.Every(e.K, probeEvery, func() {
+	var stream sim.Timer
+	stream = e.K.AfterFunc(probeEvery, func() {
 		_ = e.InjectProbe(client, server)
+		stream.Reset(probeEvery)
 	})
 
 	// Let the stream run cleanly. A bystander withdrawal two seconds
@@ -95,7 +97,7 @@ func run(members []idr.ASN) (loss float64, blackout time.Duration, err error) {
 	if err := e.RunFor(streamFor - 10*time.Second); err != nil {
 		return 0, 0, err
 	}
-	stopStream()
+	stream.Stop()
 	// Drain in-flight probes.
 	if err := e.RunFor(2 * time.Second); err != nil {
 		return 0, 0, err

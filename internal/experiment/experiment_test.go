@@ -364,11 +364,12 @@ func TestNewBytesPerLink(t *testing.T) {
 // allocates — Start through WaitEstablished, OPEN, KEEPALIVE and the
 // timers each session end arms — per session end on a gao-rexford
 // internet-like graph. It is the gate on per-session timer state: the
-// slot arrays of a timer wheel growing from empty in every new kernel,
-// and a second hold-timer event per session end at OpenConfirm, made
-// this 1 201 bytes; with the wheel's lists threaded through the events
-// and one hold timer it was 809; with a lossless pair's handshake
-// computed (bgp.Opening), no frame or timer per session end, it is 24.
+// slot arrays of the timer wheel the kernel once had, growing from
+// empty in every new kernel, and a second hold-timer event per session
+// end at OpenConfirm, made this 1 201 bytes; with the wheel's lists
+// threaded through the events and one hold timer it was 809; with a
+// lossless pair's handshake computed (bgp.Opening), no frame or timer
+// per session end, it is 24.
 // A byte per end is 4% of that, so the ceiling stands two above it.
 func TestEstablishBytesPerSession(t *testing.T) {
 	if raceEnabled {

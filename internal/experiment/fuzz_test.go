@@ -38,9 +38,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 	}
 	f.Add(raw)
 	f.Add(raw[:len(raw)/2])
-	// A snapshot captured mid-batch: four timers share one instant and
-	// the kernel stops after the second, so the encoded KernelState
-	// carries a clock pinned inside a half-consumed batch.
+	// A snapshot captured mid-instant: four timers share one instant
+	// and the kernel stops after the second, so the encoded KernelState
+	// carries a clock pinned inside a half-run instant.
 	var ran int
 	for i := 0; i < 4; i++ {
 		e.K.AfterFunc(time.Millisecond, func() { ran++ })

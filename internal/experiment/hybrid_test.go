@@ -133,8 +133,10 @@ func TestBlackoutShorterWithCluster(t *testing.T) {
 		})
 		announceAllAndSettle(t, e)
 		e.Probes.ResetStats()
-		stopStream := sim.Every(e.K, 50*time.Millisecond, func() {
+		var stream sim.Timer
+		stream = e.K.AfterFunc(50*time.Millisecond, func() {
 			_ = e.InjectProbe(1, 4)
+			stream.Reset(50 * time.Millisecond)
 		})
 		if err := e.RunFor(2 * time.Second); err != nil {
 			t.Fatal(err)
@@ -151,7 +153,7 @@ func TestBlackoutShorterWithCluster(t *testing.T) {
 		if err := e.RunFor(20 * time.Second); err != nil {
 			t.Fatal(err)
 		}
-		stopStream()
+		stream.Stop()
 		if err := e.RunFor(2 * time.Second); err != nil {
 			t.Fatal(err)
 		}

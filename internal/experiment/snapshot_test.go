@@ -206,14 +206,13 @@ func TestSnapshotForkDivergence(t *testing.T) {
 	}
 }
 
-// TestSnapshotMidBatchRoundTripAndFork captures the experiment while
-// the kernel is halfway through a same-timestamp event batch — the
-// state the batched drain introduced — and checks both continuation
-// fidelity and forking. Four test events share one instant; the kernel
-// stops after the second, so the snapshot's KernelState carries a
-// clock pinned to the batch timestamp and sequence numbers already
-// consumed by the unexecuted half.
-func TestSnapshotMidBatchRoundTripAndFork(t *testing.T) {
+// TestSnapshotMidInstantRoundTripAndFork captures the experiment while
+// the kernel is halfway through the events of one instant and checks
+// both continuation fidelity and forking. Four test events share one
+// instant; the kernel stops after the second, so the snapshot's
+// KernelState carries a clock pinned to that instant and sequence
+// numbers already consumed by the unexecuted half.
+func TestSnapshotMidInstantRoundTripAndFork(t *testing.T) {
 	cfg := Config{Seed: 7, Graph: mustGraph(topology.Clique(5)), Timers: jitterTimers()}
 	e1 := warmedUp(t, cfg)
 
@@ -226,10 +225,10 @@ func TestSnapshotMidBatchRoundTripAndFork(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ran != 2 {
-		t.Fatalf("stopped after %d batch events, want 2", ran)
+		t.Fatalf("stopped after %d events of the instant, want 2", ran)
 	}
 	if !e1.K.Now().Equal(at) {
-		t.Fatalf("clock %v not pinned to the batch instant %v", e1.K.Now(), at)
+		t.Fatalf("clock %v not pinned to the shared instant %v", e1.K.Now(), at)
 	}
 
 	snap, err := e1.Snapshot()
@@ -268,7 +267,7 @@ func TestSnapshotMidBatchRoundTripAndFork(t *testing.T) {
 		t.Fatalf("post-trigger RIBs differ:\n--- original ---\n%s\n--- restored ---\n%s", want, got)
 	}
 
-	// The same mid-batch snapshot forks under a fresh seed: jittered
+	// The same mid-instant snapshot forks under a fresh seed: jittered
 	// dynamics may differ, the converged answer must not.
 	fc := cfg
 	fc.Seed = 1007

@@ -18,55 +18,29 @@ var Epoch = time.Date(2014, 8, 18, 0, 0, 0, 0, time.UTC)
 // run in the order they were scheduled. The zero Kernel is not usable;
 // call NewKernel.
 //
-// Internally the kernel keeps three structures, none of which changes
-// the executed (time, seq) order: a binary heap for short-range events,
-// keyed by (nanoseconds since Epoch, seq) held inline in its entries
-// (heap.go), a hierarchical timer wheel (wheel.go) that stages
-// long-delay timers in O(1) on lists threaded through the events
-// themselves, so that filing, re-filing and releasing a slot into the
-// heap allocate nothing, and a drain batch that pops all events
-// sharing the earliest timestamp in one pass. The batch still costs
-// one heap pop per event; what it buys is one wheel sync and one
-// cancelled-head sweep per instant instead of one per event, and a
-// heap already emptied of the instant's events while they push their
-// successors (a router fanning UPDATEs to its peers), so those pushes
-// sift through a smaller heap.
-// Wheel and batch are pinned byte-identical against the serial
-// heap-only reference by the equivalence tests in wheel_test.go; the
-// heap itself against a sorted-slice oracle by TestKernelModel.
+// Pending events live in one binary heap keyed by (nanoseconds since
+// Epoch, seq), held inline in its entries (heap.go); Reset re-keys a
+// resident event in place, and a stopped event stays in the heap until
+// it reaches the top, where it is discarded. TestKernelModel holds the
+// kernel to a sorted-slice oracle.
 type Kernel struct {
 	// nowNS is the virtual clock in nanoseconds since Epoch, the unit
 	// every deadline is kept in.
 	nowNS int64
 	seq   uint64
 	queue eventHeap
-	wheel timerWheel
 
-	// batch holds the run of same-timestamp events most recently popped
-	// from the heap; batchPos is the next entry to execute. Entries
-	// whose event was stopped or rescheduled by an earlier event in the
-	// batch are detected by sequence mismatch and skipped.
-	batch    []batchEntry
-	batchPos int
-
-	// free chains the events of fired Post calls through wnext, for the
+	// free chains the events of fired Post calls through next, for the
 	// next Post to reuse. Nothing else references a posted event once
-	// it has been consumed from the drain batch (it has no Timer handle
-	// and a single revision, and is in no wheel slot), so it is
-	// recycled the moment it fires. The chain is unbounded: it peaks at
-	// the most posted events pending at once.
+	// it has been popped from the heap (it has no Timer handle and a
+	// single revision), so it is recycled the moment it fires. The
+	// chain is unbounded: it peaks at the most posted events pending at
+	// once.
 	free *event
 
 	rng    *rand.Rand
 	src    *CountingSource // holds the seed the stream was created with
 	events uint64          // total events executed
-
-	// serialDrain and noWheel select the reference implementations
-	// the equivalence tests in wheel_test.go compare against — one
-	// heap pop per scheduler pass, every timer filed in the heap. Only
-	// those tests set them.
-	serialDrain bool
-	noWheel     bool
 
 	// MaxEvents aborts Run with ErrEventBudget once this many events
 	// have executed, guarding against livelock (e.g. mutually
@@ -137,13 +111,9 @@ func (k *Kernel) Elapsed() time.Duration { return time.Duration(k.nowNS) }
 // Events returns the number of events executed so far.
 func (k *Kernel) Events() uint64 { return k.events }
 
-// Pending returns the number of scheduled, not-yet-fired events across
-// the heap, the timer wheel and the current drain batch. Like the
-// heap's lazy cancellation, events stopped but not yet discarded are
-// still counted.
-func (k *Kernel) Pending() int {
-	return len(k.queue) + k.wheel.count + (len(k.batch) - k.batchPos)
-}
+// Pending returns the number of scheduled, not-yet-fired events. Events
+// stopped but not yet discarded from the heap are still counted.
+func (k *Kernel) Pending() int { return len(k.queue) }
 
 // deadline returns the instant d from now, in nanoseconds since Epoch;
 // negative d counts as 0 and a sum past the int64 range saturates.
@@ -167,7 +137,7 @@ func (k *Kernel) Schedule(d time.Duration, f Firer) Timer {
 		panic("sim: Schedule with nil Firer")
 	}
 	ev := &event{at: k.deadline(d), do: f, kernel: k, index: -1}
-	k.schedule(ev, d)
+	k.schedule(ev)
 	return ev
 }
 
@@ -189,145 +159,43 @@ func (k *Kernel) Post(d time.Duration, f Firer) {
 	}
 	ev := k.free
 	if ev != nil {
-		k.free = ev.wnext
+		k.free = ev.next
 	} else {
 		ev = new(event)
 	}
 	*ev = event{at: k.deadline(d), do: f, posted: true, kernel: k, index: -1}
-	k.schedule(ev, d)
+	k.schedule(ev)
 }
 
 // schedule assigns the next scheduling sequence number and files the
-// event: long delays go through the timer wheel, near ones into the
-// heap. The sequence counter advances identically on both paths, so
-// the executed (time, seq) trace does not depend on which structure
-// held the event.
-func (k *Kernel) schedule(ev *event, d time.Duration) {
+// event in the heap.
+func (k *Kernel) schedule(ev *event) {
 	k.seq++
 	ev.seq = k.seq
-	if ev.wpprev != nil {
-		// Reset of a wheel-resident timer: it leaves its old slot.
-		k.wheel.unlink(ev)
-	}
-	if !k.noWheel && d >= wheelMinDelay && k.wheel.insert(ev) {
-		return
-	}
 	k.queue.push(ev)
 }
 
-// batchEntry pins one event revision in the drain batch.
-type batchEntry struct {
-	ev  *event
-	seq uint64
-}
-
-// nextEvent returns the earliest live pending event, consuming it from
-// the drain batch (refilled from the heap and wheel as it empties), or
-// nil when the kernel is quiescent.
-func (k *Kernel) nextEvent() *event {
-	for {
-		for k.batchPos < len(k.batch) {
-			e := k.batch[k.batchPos]
-			k.batch[k.batchPos] = batchEntry{}
-			k.batchPos++
-			if e.ev.cancelled || e.ev.seq != e.seq {
-				// Stopped or rescheduled by an earlier event in the
-				// batch.
-				continue
-			}
-			return e.ev
-		}
-		if len(k.batch) > 0 {
-			k.batch = k.batch[:0]
-			k.batchPos = 0
-		}
-		if !k.refill() {
-			return nil
-		}
-	}
-}
-
-// refill pops the run of events sharing the earliest pending timestamp
-// from the heap into the drain batch (a single event under
-// serialDrain). It reports whether anything is pending.
-func (k *Kernel) refill() bool {
-	ev := k.peekQueue()
-	if ev == nil {
-		return false
-	}
-	k.queue.pop()
-	k.batch = append(k.batch, batchEntry{ev, ev.seq})
-	if k.serialDrain {
-		return true
-	}
+// peek returns the earliest live pending event without popping it,
+// first discarding the stopped events at the top of the heap, or nil
+// when the kernel is quiescent.
+func (k *Kernel) peek() *event {
 	for len(k.queue) > 0 {
-		top := k.queue[0]
-		if top.ev.cancelled {
-			k.queue.pop()
-			continue
-		}
-		if top.at != ev.at {
-			break
+		if ev := k.queue[0].ev; !ev.cancelled {
+			return ev
 		}
 		k.queue.pop()
-		k.batch = append(k.batch, batchEntry{top.ev, top.seq})
 	}
-	return true
-}
-
-// peekNext returns the earliest live pending event without consuming
-// it, or nil when the kernel is quiescent.
-func (k *Kernel) peekNext() *event {
-	for k.batchPos < len(k.batch) {
-		e := k.batch[k.batchPos]
-		if !e.ev.cancelled && e.ev.seq == e.seq {
-			return e.ev
-		}
-		k.batch[k.batchPos] = batchEntry{}
-		k.batchPos++
-	}
-	return k.peekQueue()
-}
-
-// peekQueue returns the earliest live event in the heap without
-// popping it, first syncing the timer wheel: any wheel slot that could
-// hold an entry due at or before the heap head is released into the
-// heap, so the returned event is globally earliest by (time, seq).
-func (k *Kernel) peekQueue() *event {
-	for {
-		var top *event
-		for len(k.queue) > 0 {
-			if k.queue[0].ev.cancelled {
-				k.queue.pop()
-				continue
-			}
-			top = k.queue[0].ev
-			break
-		}
-		if k.wheel.count == 0 {
-			return top
-		}
-		if top != nil {
-			if k.wheelRelease(tickOf(top.at)) == 0 {
-				return top
-			}
-			continue // the release may have surfaced an earlier event
-		}
-		start, ok := k.wheel.next()
-		if !ok {
-			return nil
-		}
-		k.wheelRelease(start)
-	}
+	return nil
 }
 
 // Step executes the single earliest pending event, advancing the clock
 // to its timestamp. It reports whether an event was executed.
 func (k *Kernel) Step() bool {
-	ev := k.nextEvent()
+	ev := k.peek()
 	if ev == nil {
 		return false
 	}
+	k.queue.pop()
 	if ev.at > k.nowNS {
 		k.nowNS = ev.at
 	}
@@ -338,7 +206,7 @@ func (k *Kernel) Step() bool {
 		// Recycled before Fire runs, so a Fire that posts again (a
 		// handler answering a frame) reuses this very event.
 		ev.do = nil
-		ev.wnext, k.free = k.free, ev
+		ev.next, k.free = k.free, ev
 	}
 	do.Fire()
 	return true
@@ -362,7 +230,7 @@ func (k *Kernel) RunUntil(t time.Time) error { return k.runUntil(int64(t.Sub(Epo
 // runUntil is RunUntil with t in nanoseconds since Epoch.
 func (k *Kernel) runUntil(t int64) error {
 	for {
-		ev := k.peekNext()
+		ev := k.peek()
 		if ev == nil || ev.at > t {
 			break
 		}
@@ -404,20 +272,15 @@ func (k *Kernel) RunWhile(cond func() bool) error {
 // returned — one allocation per timer; for Post (posted set) it has no
 // handle and returns to the kernel's free list when it fires. at is the
 // deadline in nanoseconds since Epoch. index is the event's position in
-// the kernel's heap (-1 once popped or while wheel-resident), which
-// lets Reset reschedule the event in place instead of allocating a
-// replacement. wnext and wpprev link the event into its timer-wheel
-// slot while it is wheel-resident (wpprev is nil otherwise), so Reset
-// moves it between slots without allocating either; a fired posted
-// event's wnext chains the kernel's free list. The struct fills its
-// 64-byte size class exactly.
+// the kernel's heap (-1 once popped), which lets Reset reschedule the
+// event in place instead of allocating a replacement. A fired posted
+// event's next chains the kernel's free list.
 type event struct {
 	at     int64
 	seq    uint64
 	do     Firer
 	kernel *Kernel
-	wnext  *event
-	wpprev **event
+	next   *event
 	index  int32
 
 	cancelled bool
@@ -435,10 +298,9 @@ func (ev *event) Stop() bool {
 
 // Reset reschedules the timer, reusing its event: if the event is
 // still in the heap (pending or lazily cancelled) it is re-keyed in
-// place with fix; otherwise it is unlinked from its wheel slot, if it
-// has one, and filed again. Either way the MRAI-churn path allocates
-// nothing, and the sequence counter advances exactly once per Reset on
-// every path. Stop takes no number, so re-arming a timer with Reset
+// place with fix; otherwise it is pushed again. Either way the
+// MRAI-churn path allocates nothing, and the sequence counter advances
+// exactly once per Reset on both paths. Stop takes no number, so re-arming a timer with Reset
 // takes the one that Stop and a fresh AfterFunc would.
 func (ev *event) Reset(d time.Duration) bool {
 	k := ev.kernel
@@ -451,7 +313,7 @@ func (ev *event) Reset(d time.Duration) bool {
 		ev.seq = k.seq
 		k.queue.fix(ev)
 	} else {
-		k.schedule(ev, d)
+		k.schedule(ev)
 	}
 	return was
 }

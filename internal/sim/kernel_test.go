@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -314,51 +315,105 @@ func TestPropertyStopPreventsFiring(t *testing.T) {
 	}
 }
 
-func TestEvery(t *testing.T) {
+// Same-instant events scheduled by an earlier event of that instant run
+// after the events already due then — the (time, seq) order — and
+// events it stopped or reset do not fire from their old key.
+func TestSameInstantMutation(t *testing.T) {
 	k := NewKernel(1)
-	n := 0
-	stop := Every(k, time.Second, func() { n++ })
-	if err := k.RunFor(5500 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if n != 5 {
-		t.Fatalf("ticks = %d, want 5", n)
-	}
-	stop()
-	stop() // idempotent
-	if err := k.RunFor(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if n != 5 {
-		t.Fatalf("ticks after stop = %d, want 5", n)
-	}
-}
-
-func TestEveryStopFromWithinCallback(t *testing.T) {
-	k := NewKernel(1)
-	n := 0
-	var stop func()
-	stop = Every(k, time.Second, func() {
-		n++
-		if n == 3 {
-			stop()
-		}
+	var got []int
+	var victim, moved Timer
+	k.AfterFunc(time.Second, func() {
+		got = append(got, 0)
+		victim.Stop()
+		moved.Reset(time.Second)                        // re-keys to t=2s
+		k.AfterFunc(0, func() { got = append(got, 9) }) // joins this instant, after peers
 	})
+	victim = k.AfterFunc(time.Second, func() { got = append(got, 1) })
+	moved = k.AfterFunc(time.Second, func() { got = append(got, 2) })
+	k.AfterFunc(time.Second, func() { got = append(got, 3) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if n != 3 {
-		t.Fatalf("ticks = %d, want 3", n)
+	if want := []int{0, 3, 9, 2}; !slices.Equal(got, want) {
+		t.Fatalf("trace = %v, want %v", got, want)
 	}
 }
 
-func TestEveryPanicsOnBadInterval(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+// A run stopped between two events of one instant — RunWhile halting
+// partway through a same-instant burst — leaves every unexecuted event
+// pending and Active with its original (deadline, seq), so component
+// snapshots capture it.
+func TestMidInstantTimerStateAndPending(t *testing.T) {
+	k := NewKernel(1)
+	ran := 0
+	var timers []Timer
+	for i := 0; i < 6; i++ {
+		timers = append(timers, k.AfterFunc(time.Second, func() { ran++ }))
+	}
+	if err := k.RunWhile(func() bool { return ran < 3 }); err != nil {
+		t.Fatal(err)
+	}
+	if ran != 3 {
+		t.Fatalf("ran = %d, want 3", ran)
+	}
+	if got := k.Pending(); got != 3 {
+		t.Fatalf("Pending() mid-instant = %d, want 3", got)
+	}
+	for i, tm := range timers {
+		at, seq, ok := TimerState(tm)
+		if i < 3 {
+			if ok {
+				t.Fatalf("timer %d: executed but still snapshot-visible", i)
+			}
+			continue
 		}
-	}()
-	Every(NewKernel(1), 0, func() {})
+		if !ok {
+			t.Fatalf("timer %d: unexecuted event of the instant invisible to snapshot", i)
+		}
+		if want := Epoch.Add(time.Second); !at.Equal(want) {
+			t.Fatalf("timer %d: at = %v, want %v", i, at, want)
+		}
+		if seq != uint64(i+1) {
+			t.Fatalf("timer %d: seq = %d, want %d", i, seq, i+1)
+		}
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if ran != 6 {
+		t.Fatalf("ran = %d after drain, want 6", ran)
+	}
+}
+
+// Stop flips a flag and Reset re-keys the same event in the heap, so
+// pushing a pending timer's deadline out — MRAI and hold-timer churn —
+// and cancelling a timer and re-arming it — what a session does with
+// its hold and connect-retry timers on every flap — allocate nothing
+// and leave one heap entry, for a short delay and a long one alike.
+func TestTimerStopResetZeroAlloc(t *testing.T) {
+	for _, d := range []time.Duration{time.Millisecond, 90 * time.Second} {
+		k := NewKernel(1)
+		tm := k.AfterFunc(d, func() {})
+		if allocs := testing.AllocsPerRun(1000, func() { tm.Reset(d) }); allocs != 0 {
+			t.Errorf("Reset (%v timer) allocs/op = %v, want 0", d, allocs)
+		}
+		if k.Pending() != 1 {
+			t.Errorf("after Reset churn (%v timer): %d pending, want 1", d, k.Pending())
+		}
+		if allocs := testing.AllocsPerRun(1000, func() { tm.Stop() }); allocs != 0 {
+			t.Errorf("Stop (%v timer) allocs/op = %v, want 0", d, allocs)
+		}
+		allocs := testing.AllocsPerRun(1000, func() {
+			tm.Stop()
+			tm.Reset(d)
+		})
+		if allocs != 0 {
+			t.Errorf("Stop+Reset (%v timer) allocs/op = %v, want 0", d, allocs)
+		}
+		if !tm.Active() || k.Pending() != 1 {
+			t.Errorf("after churn (%v timer): active=%v pending=%d, want one live timer", d, tm.Active(), k.Pending())
+		}
+	}
 }
 
 // TestAfterFuncAllocatesOnce pins the single-object timer: scheduling
@@ -376,7 +431,7 @@ func TestAfterFuncAllocatesOnce(t *testing.T) {
 				t.Fatal("nothing to step")
 			}
 		}
-		run() // grow the heap, batch and wheel-slot backing arrays once
+		run() // grow the heap's backing array once
 		if got := testing.AllocsPerRun(200, run); got != 1 {
 			t.Errorf("AfterFunc(%v) + Step: %v allocs, want 1", d, got)
 		}
@@ -407,7 +462,7 @@ func TestScheduleAllocatesOnlyItsEvent(t *testing.T) {
 				t.Fatal("nothing to step")
 			}
 		}
-		run() // grow the heap, batch and wheel-slot backing arrays once
+		run() // grow the heap's backing array once
 		if got := testing.AllocsPerRun(200, run); got != 1 {
 			t.Errorf("Schedule(%v) + Step: %v allocs, want 1", d, got)
 		}
@@ -423,8 +478,8 @@ type nopFirer struct{}
 func (*nopFirer) Fire() {}
 
 // TestPostAllocatesNothing pins the recycled event: once the free list
-// holds one, posting and running work costs no allocation, whether the
-// event waits in the heap or in the wheel.
+// holds one, posting and running work costs no allocation, at any
+// delay.
 func TestPostAllocatesNothing(t *testing.T) {
 	for _, d := range []time.Duration{0, time.Millisecond, 30 * time.Second} {
 		k := NewKernel(1)
@@ -440,7 +495,7 @@ func TestPostAllocatesNothing(t *testing.T) {
 			t.Errorf("Post(%v) + Step: %v allocs, want 0", d, got)
 		}
 		free := 0
-		for ev := k.free; ev != nil; ev = ev.wnext {
+		for ev := k.free; ev != nil; ev = ev.next {
 			free++
 		}
 		if free != 1 || k.Pending() != 0 {
@@ -450,8 +505,8 @@ func TestPostAllocatesNothing(t *testing.T) {
 }
 
 // TestTimerLifecycle walks one timer through every Stop / Reset /
-// Active / TimerState transition, before and after firing, for a
-// heap-resident (short) and a wheel-resident (long) delay.
+// Active / TimerState transition, before and after firing, for a short
+// and a long delay.
 func TestTimerLifecycle(t *testing.T) {
 	type obs struct {
 		ret    bool // what the operation returned

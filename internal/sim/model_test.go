@@ -36,9 +36,8 @@ const (
 // kernelModel drives a Kernel and its oracle in lockstep. The oracle is
 // the contract with every structure taken out: the pending events in a
 // slice sorted by (at, seq), a clock and a sequence counter. It shares
-// nothing with the kernel's heap, wheel or batch, so unlike the
-// reference hooks the equivalence tests switch on, it can see a fault
-// in the heap itself.
+// nothing with the kernel's heap, so it can see a fault in the heap
+// itself.
 type kernelModel struct {
 	t    *testing.T
 	k    *Kernel
@@ -80,10 +79,10 @@ func (m *kernelModel) next() (b byte, ok bool) {
 }
 
 // modelDelay decodes a delay. Every class is a few coarse steps, so
-// events pile up on shared instants, and the classes sit on both sides
-// of wheelMinDelay: near-term (heap), straddling the boundary by a few
-// milliseconds, wheel levels 1-3, and one value beyond the wheel. A
-// negative delay counts as zero.
+// events pile up on shared instants: near-term, within a few
+// milliseconds of one second, seconds to minutes as MRAI, hold and
+// keepalive timers are, and one value of 30 days. A negative delay
+// counts as zero.
 func modelDelay(b byte) time.Duration {
 	v := time.Duration(b & 63)
 	switch b >> 6 {
@@ -93,7 +92,7 @@ func modelDelay(b byte) time.Duration {
 		}
 		return v % 4 * 100 * time.Millisecond
 	case 1:
-		return wheelMinDelay + (v%8-4)*time.Millisecond
+		return time.Second + (v%8-4)*time.Millisecond
 	case 2:
 		return v % 8 * 5 * time.Second
 	default:
@@ -154,6 +153,7 @@ func (m *kernelModel) fired(id int, h *modelHop) {
 	m.now = want.key.at
 	m.state[id] = modelGone
 	if h != nil {
+		checkFreeList(m.t, m.k) // the firing event was recycled a moment ago
 		if b, ok := m.next(); ok && b%2 == 0 {
 			if d, ok := m.next(); ok {
 				// A handler answering on the spot: its event was
@@ -254,15 +254,14 @@ func (m *kernelModel) passed(until int64) {
 }
 
 // check compares what the kernel reports with the oracle after a
-// tape step, and checks that the wheel's slot lists are intact
-// (checkWheelLists). Pending counts an event from its scheduling until it
-// fires or is discarded, and a stopped one is discarded lazily — when
-// the kernel passes it, or early when its wheel slot is released — so
-// it must lie between the live events and those plus the stopped
-// events not yet passed.
+// tape step, and checks the heap and the free list (checkFreeList).
+// Pending counts an event from its scheduling until it fires or is
+// discarded, and a stopped one is discarded lazily — when the kernel
+// passes it — so it must lie between the live events and those plus
+// the stopped events not yet passed.
 func (m *kernelModel) check() {
 	m.t.Helper()
-	checkWheelLists(m.t, m.k)
+	checkFreeList(m.t, m.k)
 	if m.k.seq != m.seq {
 		m.t.Fatalf("kernel sequence counter %d, oracle %d", m.k.seq, m.seq)
 	}
@@ -281,6 +280,32 @@ func (m *kernelModel) check() {
 	for _, id := range m.timers {
 		if got, want := m.handle[id].Active(), m.state[id] == modelLive; got != want {
 			m.t.Fatalf("timer %d: Active() = %v, oracle %v", id, got, want)
+		}
+	}
+}
+
+// checkFreeList fails unless every heap entry sits at its event's
+// index under its event's key, no entry sorts before its parent, and no
+// recycled event is still in the heap or on the free list twice.
+func checkFreeList(t *testing.T, k *Kernel) {
+	t.Helper()
+	for i := range k.queue {
+		e := &k.queue[i]
+		if int(e.ev.index) != i || e.at != e.ev.at || e.seq != e.ev.seq {
+			t.Fatalf("heap entry %d: index %d, key (%d, %d), its event's key (%d, %d)", i, e.ev.index, e.at, e.seq, e.ev.at, e.ev.seq)
+		}
+		if i > 0 && e.before(&k.queue[(i-1)/2]) {
+			t.Fatalf("heap entry %d sorts before its parent", i)
+		}
+	}
+	free := make(map[*event]bool)
+	for ev := k.free; ev != nil; ev = ev.next {
+		if free[ev] {
+			t.Fatalf("event %p is on the free list twice", ev)
+		}
+		free[ev] = true
+		if ev.index >= 0 {
+			t.Fatalf("event %p is on the free list and at heap index %d", ev, ev.index)
 		}
 	}
 }

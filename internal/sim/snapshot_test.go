@@ -2,9 +2,20 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 )
+
+// allocatedBytes reports the bytes fn allocates (this package's tests
+// run one at a time, so nothing else allocates meanwhile).
+func allocatedBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
 
 // TestCountingSourceStreamIdentity pins the property the whole
 // checkpointing design rests on: a *rand.Rand over a CountingSource
