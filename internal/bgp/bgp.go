@@ -186,10 +186,9 @@ type Config struct {
 
 // Router is one BGP speaker.
 type Router struct {
-	cfg    Config
-	table  *rib.Table
-	adjOut *rib.AdjOut
-	peers  map[rib.PeerKey]*Peer
+	cfg   Config
+	table *rib.Table
+	peers map[rib.PeerKey]*Peer
 	// peerList holds the sessions, sorted by key once sorted is set —
 	// the deterministic order of onChange's fan-out and of every other
 	// walk over them. AddPeer appends and clears sorted; Sessions sorts
@@ -224,8 +223,14 @@ type Router struct {
 	onePrefix [1]netip.Prefix
 	traced    rib.Change
 	// groupKeys holds the attribute renderings an MRAI flush sorts its
-	// UPDATE groups by, rewritten by each flush.
+	// UPDATE groups by, and batch the export records it sends: each
+	// flush rewrites both.
 	groupKeys []byte
+	batch     []*advert
+	// spare is what is left of the chunk the sessions' export records
+	// are carved from, chunk that chunk's size (see advertChunk).
+	spare []advert
+	chunk int
 	// open is the router's OPEN frame, which every session sends.
 	open []byte
 	// opening is the bring-up its sessions took part in, if one may
@@ -262,7 +267,6 @@ func New(cfg Config) (*Router, error) {
 		open:       open,
 		cfg:        cfg,
 		table:      rib.NewTable(),
-		adjOut:     rib.NewAdjOut(),
 		peers:      make(map[rib.PeerKey]*Peer),
 		originated: make(map[netip.Prefix]wire.PathAttrs),
 	}
@@ -408,10 +412,10 @@ func (r *Router) Originated() []netip.Prefix {
 
 // onChange reacts to one Loc-RIB transition: trace it and schedule
 // updates toward every established peer (in deterministic key order,
-// so a seed fully determines a run). The best route and its
-// learned-from neighbor are resolved once here instead of once per
-// peer — on a router with P sessions that turns each routing change
-// from P map probes into one.
+// so a seed fully determines a run). The best route is the change's
+// own, and its learned-from neighbor is resolved once here instead of
+// once per peer — on a router with P sessions that turns each routing
+// change from P map probes into one.
 func (r *Router) onChange(change rib.Change) {
 	if !change.Changed() {
 		return
@@ -421,7 +425,7 @@ func (r *Router) onChange(change rib.Change) {
 	if lendEnded != nil {
 		lendEnded(nil, &r.traced)
 	}
-	best, ok := r.table.Best(change.Prefix)
+	best, ok := change.New, change.New != nil
 	var learnedFrom policy.Neighbor
 	if ok {
 		learnedFrom = r.learnedFromNeighbor(best)

@@ -3,7 +3,6 @@ package bgp
 import (
 	"fmt"
 	"net/netip"
-	"reflect"
 	"testing"
 	"time"
 
@@ -507,100 +506,5 @@ func TestWrongASNInOpenRejected(t *testing.T) {
 	}
 	if r1.EstablishedCount() != 0 {
 		t.Fatal("session with wrong ASN must not establish")
-	}
-}
-
-// TestMRAIBatchMapReuse pins the pending-map lifecycle: no map until
-// the first queue into it; a batch that fit in one map group is cleared
-// and its map reused by the next flush; a batch that ever held more is
-// released to nil — at the flush that sends it or, when cancellations
-// emptied it first, at the flush that finds it empty — so no session
-// carries table-sized capacity between flushes.
-func TestMRAIBatchMapReuse(t *testing.T) {
-	const mrai = 10 * time.Second
-	l := newLab(t, Timers{MRAI: mrai}, policy.PermitAll{})
-	l.addRouter(1)
-	r2 := l.addRouter(2)
-	l.connect(1, 2, topology.KindPeer)
-	p := r2.peers["to-AS1"]
-	identity := func() [2]uintptr {
-		return [2]uintptr{reflect.ValueOf(p.pendingAnnounce).Pointer(), reflect.ValueOf(p.pendingWithdraw).Pointer()}
-	}
-	pfx := func(i int) netip.Prefix { return netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 2, byte(i), 0}), 24) }
-	step := func(d time.Duration, fn func()) {
-		t.Helper()
-		l.k.AfterFunc(0, fn)
-		if err := l.k.RunFor(d); err != nil {
-			t.Fatal(err)
-		}
-		if len(p.pendingAnnounce)+len(p.pendingWithdraw)+int(p.announcePeak+p.withdrawPeak) != 0 {
-			t.Fatalf("batch not flushed: %d announce (peak %d), %d withdraw (peak %d)",
-				len(p.pendingAnnounce), p.announcePeak, len(p.pendingWithdraw), p.withdrawPeak)
-		}
-	}
-	eachPrefix := func(n int, fn func(netip.Prefix) error) func() {
-		return func() {
-			for i := 0; i < n; i++ {
-				if err := fn(pfx(i)); err != nil {
-					t.Error(err)
-				}
-			}
-		}
-	}
-
-	// The initial dump of a 20-prefix table outgrows one group.
-	eachPrefix(20, r2.Announce)()
-	if got := identity(); got != [2]uintptr{} {
-		t.Fatalf("maps %v before anything was queued, want none", got)
-	}
-	l.start()
-	step(time.Minute, func() {})
-	if got := len(l.routers[1].Table().BestRoutes()); got != 20 {
-		t.Fatalf("AS1 learned %d routes, want 20", got)
-	}
-	if got := identity(); got != [2]uintptr{} {
-		t.Fatalf("maps %v after a 20-prefix dump, want the announce map released and no withdraw map", got)
-	}
-	// Small batches in both directions make their maps once and reuse
-	// them.
-	oneGroup := func() {
-		step(time.Minute, eachPrefix(mapGroupSlots, r2.Withdraw))
-		step(time.Minute, eachPrefix(mapGroupSlots, r2.Announce))
-	}
-	oneGroup()
-	small := identity()
-	if small[0] == 0 || small[1] == 0 {
-		t.Fatalf("maps %v after one-group batches, want both kept", small)
-	}
-	oneGroup()
-	if got := identity(); got != small {
-		t.Fatalf("one-group batches replaced their maps: %v → %v", small, got)
-	}
-	// One entry more and the map is released.
-	step(time.Minute, eachPrefix(mapGroupSlots+1, r2.Withdraw))
-	if got := identity(); got != [2]uintptr{small[0], 0} {
-		t.Fatalf("9-prefix withdrawal batch: maps %v → %v, want only the withdraw map released", small, got)
-	}
-	// Nine announcements queued inside a closed MRAI window and then
-	// cancelled leave an empty map with two groups of capacity: the
-	// flush that finds it empty still drops it.
-	step(time.Second, eachPrefix(1, r2.Announce)) // consumes the open slot
-	step(time.Minute, func() {
-		for _, c := range []struct {
-			op      func(netip.Prefix) error
-			pending int
-		}{{r2.Announce, 9}, {r2.Withdraw, 0}} {
-			for i := 20; i < 29; i++ {
-				if err := c.op(pfx(i)); err != nil {
-					t.Error(err)
-				}
-			}
-			if len(p.pendingAnnounce) != c.pending || p.announcePeak != 9 {
-				t.Errorf("pending announcements %d (peak %d), want %d (peak 9)", len(p.pendingAnnounce), p.announcePeak, c.pending)
-			}
-		}
-	})
-	if got := identity(); got[0] != 0 {
-		t.Fatal("announce map that grew to 9 and was cancelled to 0 was kept")
 	}
 }

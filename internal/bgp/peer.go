@@ -22,16 +22,15 @@ type Peer struct {
 	fsm    FSM
 
 	mraiTimer sim.Timer
-	// Pending outbound route changes, flushed under MRAI pacing. Each
-	// map is made by the first queue into it, so a session that never
-	// sends holds two nil words. The peaks are the most entries each
-	// map has held since it was made (see recycleBatch); they share one
-	// word, which keeps Peer, and so every session end, in the 320-byte
-	// size class.
-	pendingAnnounce map[netip.Prefix]wire.PathAttrs
-	pendingWithdraw map[netip.Prefix]bool
-	announcePeak    int32
-	withdrawPeak    int32
+	// adverts holds the session's export record per prefix: its
+	// Adj-RIB-Out entry and the change queued for the next MRAI flush
+	// (see advert). It is made by the first record, so a session that
+	// never exports holds one nil word. queued threads the records
+	// with a queued change, or one since cancelled, and nqueued counts
+	// those whose change still stands.
+	adverts map[netip.Prefix]*advert
+	queued  *advert
+	nqueued int32
 	// nextAdv is when the next announcement flush may happen, in
 	// nanoseconds since sim.Epoch (sim.TimeNone: at once).
 	nextAdv int64
@@ -157,11 +156,87 @@ func (p *Peer) handleUpdate(m *wire.Update) {
 	}
 }
 
+// advert is one prefix's export record on one session: the attributes
+// the peer was last sent (the Adj-RIB-Out entry) and the change queued
+// for the next MRAI flush. A queued withdrawal is only ever of a route
+// the peer has, and a queued announcement is dropped when the route
+// comes back to what the peer already has, so a flush sends exactly
+// the difference between the two.
+type advert struct {
+	prefix netip.Prefix
+	sent   wire.PathAttrs // while out
+	attrs  wire.PathAttrs // while change is queueAnnounce
+	next   *advert        // the session's queued list, while listed
+	out    bool           // the peer has the route
+	change queuedChange
+	listed bool
+}
+
+// queuedChange is the route change an export record holds for the next
+// flush.
+type queuedChange uint8
+
+const (
+	queueNone queuedChange = iota
+	queueAnnounce
+	queueWithdraw
+)
+
+// advertChunk is the most records a router carves from one allocation.
+// Its chunks double from one record up to this, so a router that
+// exports one prefix on a few sessions wastes at most as many records
+// as it uses, and one that dumps a table allocates once per chunk; a
+// chunk is garbage once no session holds a record in it, so a
+// torn-down session's records go with the chunks they filled.
+const advertChunk = 16
+
+// advertFor returns the session's record for prefix, made on first use.
+func (p *Peer) advertFor(prefix netip.Prefix) *advert {
+	if a := p.adverts[prefix]; a != nil {
+		return a
+	}
+	r := p.router
+	if len(r.spare) == 0 {
+		r.chunk = min(max(2*r.chunk, 1), advertChunk)
+		r.spare = make([]advert, r.chunk)
+	}
+	a := &r.spare[0]
+	r.spare = r.spare[1:]
+	a.prefix = prefix
+	if p.adverts == nil {
+		p.adverts = make(map[netip.Prefix]*advert)
+	}
+	p.adverts[prefix] = a
+	return a
+}
+
+// queue sets the record's queued change (attrs for an announcement),
+// listing the record and counting the change if it had none.
+func (p *Peer) queue(a *advert, c queuedChange, attrs wire.PathAttrs) {
+	if a.change == queueNone {
+		p.nqueued++
+	}
+	a.change, a.attrs = c, attrs
+	if !a.listed {
+		a.next, p.queued, a.listed = p.queued, a, true
+	}
+}
+
+// cancel drops the record's queued change. The record stays listed
+// until the next flush takes the list.
+func (p *Peer) cancel(a *advert) {
+	if a.change != queueNone {
+		p.nqueued--
+	}
+	a.change, a.attrs = queueNone, wire.PathAttrs{}
+}
+
 // scheduleRoute queues the router's best route for prefix toward this
-// peer (or its withdrawal), applying export policy and split horizon.
-// Called for every material Loc-RIB change and on session
-// establishment; the caller resolves the best route (ok false = no
-// route) and its learned-from neighbor once for all peers.
+// peer (or its withdrawal), applying export policy and split horizon,
+// and sees a flush due if any change stands. Called for every material
+// Loc-RIB change and on session establishment; the caller resolves the
+// best route (ok false = no route) and its learned-from neighbor once
+// for all peers.
 func (p *Peer) scheduleRoute(prefix netip.Prefix, best *rib.Route, ok bool, learnedFrom policy.Neighbor) {
 	if p.fsm.state != StateEstablished {
 		return
@@ -181,83 +256,53 @@ func (p *Peer) scheduleRoute(prefix netip.Prefix, best *rib.Route, ok bool, lear
 			attrs = r.exportAttrs(p, best)
 		}
 	}
-	if advertise {
-		if prev, had := r.adjOut.Get(p.cfg.Key, prefix); had && prev.Equal(attrs) {
-			// Identical to what the peer already has; and cancel any
-			// pending contrary state.
-			delete(p.pendingAnnounce, prefix)
-			delete(p.pendingWithdraw, prefix)
-			return
+	a := p.adverts[prefix]
+	switch {
+	case advertise && a != nil && a.out && a.sent.Equal(attrs):
+		// Identical to what the peer already has: cancel any pending
+		// contrary change.
+		p.cancel(a)
+	case advertise:
+		if a == nil {
+			a = p.advertFor(prefix)
 		}
-		p.queueAnnounce(prefix, attrs)
-		delete(p.pendingWithdraw, prefix)
-		p.scheduleFlush()
-		return
+		p.queue(a, queueAnnounce, attrs)
+	case a == nil:
+		return // never advertised, nothing queued
+	case a.out:
+		p.queue(a, queueWithdraw, wire.PathAttrs{})
+	default:
+		// The peer never got it: drop the queued announcement.
+		p.cancel(a)
 	}
-	// Withdraw if the peer currently has (or is about to get) it.
-	delete(p.pendingAnnounce, prefix)
-	if _, had := r.adjOut.Get(p.cfg.Key, prefix); had {
-		p.queueWithdraw(prefix)
-		p.scheduleFlush()
-	}
+	p.scheduleFlush()
 }
 
-// queueAnnounce and queueWithdraw are the only inserts into the
-// pending maps, so the peaks see every growth.
-func (p *Peer) queueAnnounce(prefix netip.Prefix, attrs wire.PathAttrs) {
-	if p.pendingAnnounce == nil {
-		p.pendingAnnounce = make(map[netip.Prefix]wire.PathAttrs)
+// takeQueued empties the session's queued list into the router's batch
+// buffer, returning the records whose change stands, in address order,
+// and how many of them are withdrawals. The changes leave the count
+// here; the records keep them for the flush to carry out.
+func (p *Peer) takeQueued() (batch []*advert, withdrawals int) {
+	r := p.router
+	batch = r.batch[:0]
+	for a := p.queued; a != nil; {
+		next := a.next
+		a.next, a.listed = nil, false
+		if a.change != queueNone {
+			batch = append(batch, a)
+			if a.change == queueWithdraw {
+				withdrawals++
+			}
+		}
+		a = next
 	}
-	p.pendingAnnounce[prefix] = attrs
-	p.announcePeak = max(p.announcePeak, int32(len(p.pendingAnnounce)))
-}
-
-func (p *Peer) queueWithdraw(prefix netip.Prefix) {
-	if p.pendingWithdraw == nil {
-		p.pendingWithdraw = make(map[netip.Prefix]bool)
+	p.queued = nil
+	p.nqueued -= int32(len(batch))
+	if len(batch) > 1 {
+		slices.SortFunc(batch, func(a, b *advert) int { return idr.ComparePrefix(a.prefix, b.prefix) })
 	}
-	p.pendingWithdraw[prefix] = true
-	p.withdrawPeak = max(p.withdrawPeak, int32(len(p.pendingWithdraw)))
-}
-
-// mapGroupSlots is how many entries one group of a Go map holds: a map
-// that never held more owns exactly one group of backing store.
-const mapGroupSlots = 8
-
-// recycleBatch empties a pending map for the session's next MRAI
-// batch. A map that never held more than one group is cleared and
-// reused: a fresh one would allocate that same group again on its
-// first insert — 8 × (32 B prefix + 112 B attributes) ≈ 1.3 KB for
-// pendingAnnounce — to hold what is usually a single prefix. A map
-// that grew past one group is dropped to nil instead, for the next
-// queue to make afresh, so a session's pending maps never keep more
-// than one group of capacity across flushes: a full-table dump leaves
-// no table-sized map behind, and no O(capacity) clear on every later
-// flush.
-func recycleBatch[V any](m map[netip.Prefix]V, peak *int32) map[netip.Prefix]V {
-	grew := *peak > mapGroupSlots
-	*peak = 0
-	if grew {
-		return nil
-	}
-	clear(m)
-	return m
-}
-
-// batchPrefixes returns a pending map's prefixes in address order. A
-// map with one entry — every batch of a run whose ASes originate one
-// prefix each — yields it in one, the router's buffer for exactly that:
-// nothing is sorted and nothing allocated, and the result is good until
-// the router's next batch.
-func batchPrefixes[V any](one *[1]netip.Prefix, m map[netip.Prefix]V) []netip.Prefix {
-	if len(m) != 1 {
-		return idr.SortedPrefixes(m)
-	}
-	//lint:maporder a single entry has a single order
-	for prefix := range m {
-		one[0] = prefix
-	}
-	return one[:]
+	r.batch = batch
+	return batch, withdrawals
 }
 
 // sendUpdate sends one UPDATE from the router's tx storage, so that what
@@ -270,28 +315,33 @@ func (p *Peer) sendUpdate(u wire.Update) error {
 	return err
 }
 
-// flushWithdrawals sends all pending withdrawals as one UPDATE (the
-// head of the MRAI batch).
-func (p *Peer) flushWithdrawals() {
-	if p.fsm.state != StateEstablished {
-		return
-	}
+// flushWithdrawals sends the batch's withdrawals as one UPDATE (the
+// head of the MRAI batch) and returns the batch's announcements, in
+// address order.
+func (p *Peer) flushWithdrawals(batch []*advert, withdrawals int) []*advert {
 	r := p.router
-	prefixes := batchPrefixes(&r.onePrefix, p.pendingWithdraw)
-	// Recycled even when cancellations left nothing to send: the map
-	// may still hold the capacity of what was cancelled.
-	p.pendingWithdraw = recycleBatch(p.pendingWithdraw, &p.withdrawPeak)
-	if len(prefixes) == 0 {
-		return
+	if withdrawals == 0 {
+		return batch
 	}
-	for _, prefix := range prefixes {
-		r.adjOut.Delete(p.cfg.Key, prefix)
+	prefixes := r.onePrefix[:0]
+	if withdrawals > 1 {
+		prefixes = make([]netip.Prefix, 0, withdrawals)
+	}
+	announce := batch[:0]
+	for _, a := range batch {
+		if a.change == queueWithdraw {
+			prefixes = append(prefixes, a.prefix)
+			a.out, a.sent, a.change = false, wire.PathAttrs{}, queueNone
+		} else {
+			announce = append(announce, a)
+		}
 	}
 	if err := p.sendUpdate(wire.Update{Withdrawn: prefixes}); err != nil {
-		return
+		return announce
 	}
 	r.stats.UpdatesSent++
 	r.stats.PrefixesWithdrawn += uint64(len(prefixes))
+	return announce
 }
 
 // effectiveMRAI samples the (possibly jittered) advertisement interval.
@@ -310,7 +360,7 @@ func (p *Peer) effectiveMRAI() time.Duration {
 
 // scheduleFlush arms the MRAI timer for the next update batch.
 func (p *Peer) scheduleFlush() {
-	if len(p.pendingAnnounce) == 0 && len(p.pendingWithdraw) == 0 {
+	if p.nqueued == 0 {
 		return
 	}
 	if p.mraiTimer != nil && p.mraiTimer.Active() {
@@ -334,66 +384,71 @@ type mraiFirer Peer
 
 func (m *mraiFirer) Fire() { (*Peer)(m).flushAnnouncements() }
 
-// flushAnnouncements sends the pending update batch: first the
+// flushAnnouncements sends the queued update batch: first the
 // withdrawals, then the announcements grouped by identical attributes.
 func (p *Peer) flushAnnouncements() {
 	if p.fsm.state != StateEstablished {
 		return
 	}
-	sentWithdrawals := len(p.pendingWithdraw) > 0
-	p.flushWithdrawals()
-	if len(p.pendingAnnounce) == 0 {
-		p.pendingAnnounce = recycleBatch(p.pendingAnnounce, &p.announcePeak)
-		if sentWithdrawals {
-			p.nextAdv = sim.TimeToNS(p.clock().Now().Add(p.effectiveMRAI()))
-		}
-		return
+	batch, withdrawals := p.takeQueued()
+	announce := p.flushWithdrawals(batch, withdrawals)
+	sent := p.sendAnnouncements(announce)
+	clear(batch) // the buffer keeps no record alive
+	if sent && len(batch) > 0 {
+		p.nextAdv = sim.TimeToNS(p.clock().Now().Add(p.effectiveMRAI()))
 	}
-	prefixes := batchPrefixes(&p.router.onePrefix, p.pendingAnnounce)
-	if len(prefixes) == 1 {
-		// One prefix is one group, and the batch is its NLRI.
-		attrs := p.pendingAnnounce[prefixes[0]]
-		p.pendingAnnounce = recycleBatch(p.pendingAnnounce, &p.announcePeak)
-		if !p.announce(attrs, prefixes) {
-			return
-		}
-	} else if !p.announceGroups(prefixes) {
-		return
-	}
-	p.nextAdv = sim.TimeToNS(p.clock().Now().Add(p.effectiveMRAI()))
 }
 
-// announceGroups sends the pending announcements for prefixes (all of
-// them, in address order) as one UPDATE per distinct attribute set, for
-// honest UPDATE packing, and empties the batch. Comparing attribute
-// sets structurally keeps the grouping deterministic without rendering
-// the attributes once per prefix; the emission order (groups sorted by
-// the attribute rendering, first appearance breaking ties, address
-// order within a group) matches the historical encoder exactly. The
-// renderings go into the router's groupKeys buffer, groups are values
-// in one slice and their NLRI runs of one array, so a batch costs three
-// allocations however many groups it has. It reports whether every
-// UPDATE went out.
-func (p *Peer) announceGroups(prefixes []netip.Prefix) bool {
+// sendAnnouncements sends the batch's announcements (all of them, in
+// address order) and reports whether every UPDATE went out. One prefix
+// is one group, and the batch is its NLRI.
+func (p *Peer) sendAnnouncements(announce []*advert) bool {
+	switch len(announce) {
+	case 0:
+		return true
+	case 1:
+		a := announce[0]
+		attrs := a.attrs
+		a.change, a.attrs = queueNone, wire.PathAttrs{}
+		a.out, a.sent = true, attrs
+		r := p.router
+		r.onePrefix[0] = a.prefix
+		return p.announce(attrs, r.onePrefix[:])
+	}
+	return p.announceGroups(announce)
+}
+
+// announceGroups sends the announcements (all of them, in address
+// order) as one UPDATE per distinct attribute set, for honest UPDATE
+// packing. Comparing attribute sets structurally keeps the grouping
+// deterministic without rendering the attributes once per prefix; the
+// emission order (groups sorted by the attribute rendering, first
+// appearance breaking ties, address order within a group) matches the
+// historical encoder exactly. The renderings go into the router's
+// groupKeys buffer, groups are values in one slice and their NLRI runs
+// of one array, so a batch costs three allocations however many groups
+// it has. Every record's queued change is taken before the first
+// UPDATE goes; each group is recorded in the Adj-RIB-Out as it is
+// sent. It reports whether every UPDATE went out.
+func (p *Peer) announceGroups(announce []*advert) bool {
 	type group struct {
 		attrs      wire.PathAttrs
 		start, end int // its rendering is groupKeys[start:end]
 		id         int // order of first appearance
 	}
 	var groups []group
-	of := make([]int, len(prefixes)) // prefix index -> group id
-	for i, prefix := range prefixes {
-		attrs := p.pendingAnnounce[prefix]
+	of := make([]int, len(announce)) // record index -> group id
+	for i, a := range announce {
 		g := 0
-		for g < len(groups) && !groups[g].attrs.Equal(attrs) {
+		for g < len(groups) && !groups[g].attrs.Equal(a.attrs) {
 			g++
 		}
 		if g == len(groups) {
-			groups = append(groups, group{attrs: attrs, id: g})
+			groups = append(groups, group{attrs: a.attrs, id: g})
 		}
 		of[i] = g
+		a.change, a.attrs = queueNone, wire.PathAttrs{}
 	}
-	p.pendingAnnounce = recycleBatch(p.pendingAnnounce, &p.announcePeak)
 	if len(groups) > 1 {
 		keys := p.router.groupKeys[:0]
 		for g := range groups {
@@ -406,12 +461,13 @@ func (p *Peer) announceGroups(prefixes []netip.Prefix) bool {
 			return bytes.Compare(keys[a.start:a.end], keys[b.start:b.end])
 		})
 	}
-	nlri := make([]netip.Prefix, 0, len(prefixes))
+	nlri := make([]netip.Prefix, 0, len(announce))
 	for _, g := range groups {
 		start := len(nlri)
-		for i, prefix := range prefixes {
+		for i, a := range announce {
 			if of[i] == g.id {
-				nlri = append(nlri, prefix)
+				nlri = append(nlri, a.prefix)
+				a.out, a.sent = true, g.attrs
 			}
 		}
 		if !p.announce(g.attrs, nlri[start:len(nlri):len(nlri)]) {
@@ -421,13 +477,10 @@ func (p *Peer) announceGroups(prefixes []netip.Prefix) bool {
 	return true
 }
 
-// announce records one attribute group in the Adj-RIB-Out and sends its
-// UPDATE, reporting whether it went out.
+// announce sends one attribute group's UPDATE, reporting whether it
+// went out.
 func (p *Peer) announce(attrs wire.PathAttrs, nlri []netip.Prefix) bool {
 	r := p.router
-	for _, prefix := range nlri {
-		r.adjOut.Set(p.cfg.Key, prefix, attrs)
-	}
 	if err := p.sendUpdate(wire.Update{Attrs: attrs, NLRI: nlri}); err != nil {
 		return false
 	}
@@ -447,8 +500,13 @@ func (p *Peer) reset(wasEstablished bool) {
 		p.mraiTimer.Stop()
 		p.mraiTimer = nil
 	}
-	p.pendingAnnounce, p.pendingWithdraw = nil, nil
-	p.announcePeak, p.withdrawPeak = 0, 0
+	// The records go with the session; emptied, they keep no route's
+	// attributes alive in a chunk another session still uses.
+	//lint:maporder each record is zeroed; the order reaches nothing
+	for _, a := range p.adverts {
+		*a = advert{}
+	}
+	p.adverts, p.queued, p.nqueued = nil, nil, 0
 	p.nextAdv = sim.TimeNone
 
 	// Flap history does not survive a session reset (held-back routes
@@ -462,7 +520,6 @@ func (p *Peer) reset(wasEstablished bool) {
 		}
 		delete(r.damping.state, p.cfg.Key)
 	}
-	r.adjOut.DropPeer(p.cfg.Key)
 	if wasEstablished {
 		for _, change := range r.table.DropPeer(p.cfg.Key) {
 			r.onChange(change)

@@ -492,7 +492,7 @@ func TestAnnounceBatchPackingModel(t *testing.T) {
 		}
 		want := groupByPointer(pending)
 		for _, prefix := range idr.SortedPrefixes(pending) {
-			h.p.queueAnnounce(prefix, pending[prefix])
+			h.p.queue(h.p.advertFor(prefix), queueAnnounce, pending[prefix])
 		}
 		var got []packedUpdate
 		h.r.cfg.Trace = func(ev TraceEvent) {
@@ -512,13 +512,18 @@ func TestAnnounceBatchPackingModel(t *testing.T) {
 				t.Fatalf("round %d, UPDATE %d: %v %v, want %v %v", round, i, got[i].attrs, got[i].nlri, want[i].attrs, want[i].nlri)
 			}
 			for _, prefix := range got[i].nlri {
-				if out, ok := h.r.adjOut.Get("to-AS2", prefix); !ok || !out.Equal(got[i].attrs) {
-					t.Fatalf("round %d: Adj-RIB-Out for %v is %v (%v), sent %v", round, prefix, out, ok, got[i].attrs)
+				if a := h.p.adverts[prefix]; a == nil || !a.out || !a.sent.Equal(got[i].attrs) {
+					t.Fatalf("round %d: Adj-RIB-Out record for %v is %+v, sent %v", round, prefix, a, got[i].attrs)
 				}
 			}
 		}
-		if len(h.p.pendingAnnounce) != 0 {
-			t.Fatalf("round %d: %d announcements still pending after the flush", round, len(h.p.pendingAnnounce))
+		if h.p.nqueued != 0 || h.p.queued != nil {
+			t.Fatalf("round %d: %d changes still queued after the flush", round, h.p.nqueued)
+		}
+		for prefix, a := range h.p.adverts {
+			if a.change != queueNone || a.listed {
+				t.Fatalf("round %d: the record for %v still holds change %d (listed %v)", round, prefix, a.change, a.listed)
+			}
 		}
 	}
 }

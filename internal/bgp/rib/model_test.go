@@ -173,28 +173,42 @@ func (o *oracle) lookup(addr netip.Addr) *Route {
 // compareViews asserts every observable view of the table agrees with
 // the oracle — Loc-RIB, enumerations, per-peer Adj-RIB-In, and
 // longest-match lookups inside and around every pool prefix — and
-// that the by-length buckets Lookup walks hold exactly the Loc-RIB.
+// that the entries hold together: each by-length bucket entry is its
+// prefix's entry and has a best route, and the buckets hold exactly the
+// prefixes with one.
 func compareViews(t *testing.T, o *oracle, tbl *Table) {
 	t.Helper()
 	if got, want := tbl.BestRoutes(), o.bestRoutes(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("BestRoutes = %v, oracle %v", got, want)
 	}
-	buckets := 0
+	buckets, withBest := 0, 0
 	for bits, m := range tbl.byLen {
 		buckets += len(m)
-		for p, r := range m {
-			if p.Bits() != bits || tbl.best[p] != r {
-				t.Fatalf("byLen[%d][%v] = %v, Loc-RIB has %v", bits, p, r, tbl.best[p])
+		for p, e := range m {
+			if p.Bits() != bits || tbl.entries[p] != e || e.prefix != p || e.best == nil {
+				t.Fatalf("byLen[%d][%v] = %+v, the table's entry is %+v", bits, p, e, tbl.entries[p])
 			}
 		}
 	}
-	if buckets != len(tbl.best) {
-		t.Fatalf("by-length buckets hold %d routes, Loc-RIB %d", buckets, len(tbl.best))
+	for p, e := range tbl.entries {
+		if e.prefix != p {
+			t.Fatalf("entries[%v] holds the entry of %v", p, e.prefix)
+		}
+		if e.best != nil {
+			withBest++
+		}
+		if got, want := e.best, o.best(p); !reflect.DeepEqual(got, want) {
+			t.Fatalf("entry %v best = %v, oracle %v", p, got, want)
+		}
+	}
+	if buckets != withBest {
+		t.Fatalf("by-length buckets hold %d entries, %d prefixes have a best route", buckets, withBest)
 	}
 	if got, want := tbl.Prefixes(), o.prefixes(anyRoute); !slices.Equal(got, want) {
 		t.Fatalf("Prefixes = %v, oracle %v", got, want)
 	}
 	wantKeys := []PeerKey{}
+	var wantRoutes []*Route
 	for _, peer := range fuzzPeers { // the pool is in key order
 		want := o.prefixes(func(r *Route) bool { return r.Peer == peer })
 		if len(want) > 0 {
@@ -203,9 +217,30 @@ func compareViews(t *testing.T, o *oracle, tbl *Table) {
 		if got := tbl.AdjInPrefixes(peer); !slices.Equal(got, want) {
 			t.Fatalf("AdjInPrefixes(%s) = %v, oracle %v", peer, got, want)
 		}
+		for _, p := range fuzzPrefixes {
+			var want *Route
+			for _, r := range o.routes {
+				if r.Peer == peer && r.Prefix == p {
+					want = r
+				}
+			}
+			if got, ok := tbl.AdjIn(peer, p); !reflect.DeepEqual(got, want) || ok != (want != nil) {
+				t.Fatalf("AdjIn(%s, %v) = %v, %v; oracle %v", peer, p, got, ok, want)
+			}
+			if want != nil {
+				wantRoutes = append(wantRoutes, want)
+			}
+		}
 	}
 	if got := tbl.AdjInPeerKeys(); !slices.Equal(got, wantKeys) {
 		t.Fatalf("AdjInPeerKeys = %v, oracle %v", got, wantKeys)
+	}
+	sort.SliceStable(wantRoutes, func(i, j int) bool { // by prefix within each peer
+		a, b := wantRoutes[i], wantRoutes[j]
+		return a.Peer < b.Peer || a.Peer == b.Peer && idr.PrefixLess(a.Prefix, b.Prefix)
+	})
+	if got := tbl.AdjInRoutes(); !reflect.DeepEqual(got, wantRoutes) {
+		t.Fatalf("AdjInRoutes = %v, oracle %v", got, wantRoutes)
 	}
 	for _, p := range fuzzPrefixes {
 		for _, addr := range []netip.Addr{p.Addr(), p.Addr().Next()} {

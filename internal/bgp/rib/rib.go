@@ -1,9 +1,11 @@
-// Package rib implements the three BGP routing information bases of
-// RFC 4271 §3.2 — Adj-RIB-In, Loc-RIB and Adj-RIB-Out — plus the
-// decision process (§9.1) that ties them together.
+// Package rib implements the BGP routing information bases a speaker
+// decides from — Adj-RIB-In and Loc-RIB (RFC 4271 §3.2) — and the
+// decision process (§9.1) that ties them together. The Adj-RIB-Out is
+// each session's export records (package bgp).
 package rib
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
 	"slices"
@@ -145,18 +147,27 @@ func Better(a, b *Route) bool {
 // belongs to one router and, like the rest of that router's state, is
 // not safe for concurrent use.
 //
-// Two indexes keep the hot paths off the maps: cands holds, per
-// prefix, every Adj-RIB-In candidate sorted by peer key (maintained
-// incrementally, so the decision process neither allocates nor sorts
-// per UPDATE), and byLen buckets the Loc-RIB by prefix length so
-// Lookup probes one masked prefix per populated length instead of
-// scanning the whole Loc-RIB.
+// Everything the table holds for one prefix is one entry, so an UPDATE
+// costs one map lookup: the entry's candidates are the Adj-RIB-In for
+// the prefix, one route per peer kept sorted by peer key (the decision
+// process neither allocates nor sorts per UPDATE), next to the local
+// route and the Loc-RIB best. byLen buckets the entries that have a
+// best route by prefix length, so Lookup probes one masked prefix per
+// populated length instead of scanning the whole Loc-RIB; a bucket
+// changes only when a prefix gains or loses its best route.
 type Table struct {
-	adjIn map[PeerKey]map[netip.Prefix]*Route
-	local map[netip.Prefix]*Route
-	best  map[netip.Prefix]*Route
-	cands map[netip.Prefix][]*Route
-	byLen [maxPrefixBits + 1]map[netip.Prefix]*Route
+	entries map[netip.Prefix]*entry
+	byLen   [maxPrefixBits + 1]map[netip.Prefix]*entry
+}
+
+// entry is one prefix's state. An entry whose routes are all gone is
+// kept, with its candidate slice's capacity, so a withdraw/re-announce
+// cycle allocates nothing.
+type entry struct {
+	prefix netip.Prefix
+	local  *Route   // locally originated route, if any
+	best   *Route   // Loc-RIB route, if any
+	cands  []*Route // Adj-RIB-In, sorted by peer key
 }
 
 // maxPrefixBits is the longest prefix length Table can index (IPv6).
@@ -164,12 +175,7 @@ const maxPrefixBits = 128
 
 // NewTable returns an empty RIB.
 func NewTable() *Table {
-	return &Table{
-		adjIn: make(map[PeerKey]map[netip.Prefix]*Route),
-		local: make(map[netip.Prefix]*Route),
-		best:  make(map[netip.Prefix]*Route),
-		cands: make(map[netip.Prefix][]*Route),
-	}
+	return &Table{entries: make(map[netip.Prefix]*entry)}
 }
 
 // NewTableShards returns NewTable(); n is ignored.
@@ -179,6 +185,19 @@ func NewTable() *Table {
 // when the shards were removed; the next benchmark PR switches it to
 // NewTable and deletes this shim.
 func NewTableShards(n int) *Table { return NewTable() }
+
+// entryFor returns prefix's entry, made on first use.
+func (t *Table) entryFor(prefix netip.Prefix) *entry {
+	if e := t.entries[prefix]; e != nil {
+		return e
+	}
+	if bits := prefix.Bits(); bits < 0 || bits > maxPrefixBits {
+		panic(fmt.Sprintf("rib: invalid prefix %v", prefix))
+	}
+	e := &entry{prefix: prefix}
+	t.entries[prefix] = e
+	return e
+}
 
 // searchCands returns the position of peer in the candidate slice
 // (sorted by peer key) and whether it is present. Open-coded so the
@@ -196,53 +215,28 @@ func searchCands(s []*Route, peer PeerKey) (int, bool) {
 	return lo, lo < len(s) && s[lo].Peer == peer
 }
 
-// indexCand inserts or replaces r in the prefix's candidate slice.
-func (t *Table) indexCand(r *Route) {
-	s := t.cands[r.Prefix]
-	i, ok := searchCands(s, r.Peer)
+// setCand inserts or replaces r among the entry's candidates.
+func (e *entry) setCand(r *Route) {
+	i, ok := searchCands(e.cands, r.Peer)
 	if ok {
-		s[i] = r
+		e.cands[i] = r
 		return
 	}
-	s = append(s, nil)
-	copy(s[i+1:], s[i:])
-	s[i] = r
-	t.cands[r.Prefix] = s
+	e.cands = slices.Insert(e.cands, i, r)
 }
 
-// unindexCand removes the peer's route from the prefix's candidates.
-func (t *Table) unindexCand(peer PeerKey, prefix netip.Prefix) {
-	s := t.cands[prefix]
-	i, ok := searchCands(s, peer)
-	if !ok {
-		return
-	}
-	copy(s[i:], s[i+1:])
-	s[len(s)-1] = nil
-	// Keep the (possibly empty) slice so a withdraw/re-announce cycle
-	// reuses its capacity instead of reallocating.
-	t.cands[prefix] = s[:len(s)-1]
+// has reports whether the peer has a route among the candidates.
+func (e *entry) has(peer PeerKey) bool {
+	_, ok := searchCands(e.cands, peer)
+	return ok
 }
 
-// setBest installs r as the Loc-RIB entry for prefix, maintaining the
-// by-length lookup buckets; nil r removes the entry.
-func (t *Table) setBest(prefix netip.Prefix, r *Route) {
-	bits := prefix.Bits()
-	if bits < 0 || bits > maxPrefixBits {
-		panic(fmt.Sprintf("rib: invalid prefix %v", prefix))
+// dropCand removes the peer's route from the entry's candidates,
+// keeping the slice's capacity.
+func (e *entry) dropCand(peer PeerKey) {
+	if i, ok := searchCands(e.cands, peer); ok {
+		e.cands = slices.Delete(e.cands, i, i+1)
 	}
-	if r == nil {
-		delete(t.best, prefix)
-		delete(t.byLen[bits], prefix)
-		return
-	}
-	t.best[prefix] = r
-	m := t.byLen[bits]
-	if m == nil {
-		m = make(map[netip.Prefix]*Route)
-		t.byLen[bits] = m
-	}
-	m[prefix] = r
 }
 
 // Change describes one Loc-RIB transition for a prefix.
@@ -272,52 +266,96 @@ func (t *Table) SetAdjIn(r *Route) Change {
 	if r.Peer == "" {
 		panic("rib: SetAdjIn with empty peer key")
 	}
-	m := t.adjIn[r.Peer]
-	if m == nil {
-		m = make(map[netip.Prefix]*Route)
-		t.adjIn[r.Peer] = m
-	}
-	m[r.Prefix] = r
-	t.indexCand(r)
-	return t.decide(r.Prefix)
+	e := t.entryFor(r.Prefix)
+	e.setCand(r)
+	return t.decide(e)
 }
 
 // WithdrawAdjIn removes the peer's route for prefix and re-decides.
 func (t *Table) WithdrawAdjIn(peer PeerKey, prefix netip.Prefix) Change {
-	delete(t.adjIn[peer], prefix)
-	t.unindexCand(peer, prefix)
-	return t.decide(prefix)
+	e := t.entries[prefix]
+	if e == nil {
+		return Change{Prefix: prefix}
+	}
+	e.dropCand(peer)
+	return t.decide(e)
 }
 
 // AdjIn returns the peer's current route for prefix, if any.
 func (t *Table) AdjIn(peer PeerKey, prefix netip.Prefix) (*Route, bool) {
-	r, ok := t.adjIn[peer][prefix]
-	return r, ok
+	e := t.entries[prefix]
+	if e == nil {
+		return nil, false
+	}
+	i, ok := searchCands(e.cands, peer)
+	if !ok {
+		return nil, false
+	}
+	return e.cands[i], true
+}
+
+// sortedEntries returns the entries keep accepts, sorted by prefix.
+func (t *Table) sortedEntries(keep func(*entry) bool) []*entry {
+	var out []*entry
+	//lint:maporder the entries are sorted before they are returned
+	for _, e := range t.entries {
+		if keep(e) {
+			out = append(out, e)
+		}
+	}
+	slices.SortFunc(out, func(a, b *entry) int { return idr.ComparePrefix(a.prefix, b.prefix) })
+	return out
+}
+
+// AdjInRoutes returns every Adj-RIB-In route, sorted by peer key and
+// then by prefix — the deterministic enumeration order for snapshots.
+func (t *Table) AdjInRoutes() []*Route {
+	var out []*Route
+	//lint:maporder the routes are sorted before they are returned
+	for _, e := range t.entries {
+		out = append(out, e.cands...)
+	}
+	slices.SortFunc(out, func(a, b *Route) int {
+		if c := cmp.Compare(a.Peer, b.Peer); c != 0 {
+			return c
+		}
+		return idr.ComparePrefix(a.Prefix, b.Prefix)
+	})
+	return out
 }
 
 // AdjInPeerKeys returns every peer with a non-empty Adj-RIB-In,
-// sorted — the deterministic enumeration order for dumps and
-// snapshots.
+// sorted.
 func (t *Table) AdjInPeerKeys() []PeerKey {
-	return slices.DeleteFunc(idr.SortedKeys(t.adjIn), func(k PeerKey) bool { return len(t.adjIn[k]) == 0 })
+	keys := []PeerKey{}
+	//lint:maporder the keys are sorted before they are returned
+	for _, e := range t.entries {
+		for _, r := range e.cands {
+			keys = append(keys, r.Peer)
+		}
+	}
+	slices.Sort(keys)
+	return slices.Compact(keys)
 }
 
 // AdjInPrefixes returns all prefixes present in the peer's Adj-RIB-In,
 // sorted.
 func (t *Table) AdjInPrefixes(peer PeerKey) []netip.Prefix {
-	return idr.SortedPrefixes(t.adjIn[peer])
+	out := []netip.Prefix{}
+	for _, e := range t.sortedEntries(func(e *entry) bool { return e.has(peer) }) {
+		out = append(out, e.prefix)
+	}
+	return out
 }
 
 // DropPeer removes the peer's entire Adj-RIB-In (session failure) and
 // re-decides every affected prefix in sorted order, returning the
 // material changes.
 func (t *Table) DropPeer(peer PeerKey) []Change {
-	prefixes := idr.SortedPrefixes(t.adjIn[peer])
-	delete(t.adjIn, peer)
 	var out []Change
-	for _, p := range prefixes {
-		t.unindexCand(peer, p)
-		if c := t.decide(p); c.Changed() {
+	for _, e := range t.sortedEntries(func(e *entry) bool { return e.has(peer) }) {
+		e.dropCand(peer)
+		if c := t.decide(e); c.Changed() {
 			out = append(out, c)
 		}
 	}
@@ -326,39 +364,52 @@ func (t *Table) DropPeer(peer PeerKey) []Change {
 
 // Originate installs a locally-originated route and re-decides.
 func (t *Table) Originate(prefix netip.Prefix, attrs wire.PathAttrs) Change {
-	t.local[prefix] = &Route{Prefix: prefix, Attrs: attrs, Local: true}
-	return t.decide(prefix)
+	e := t.entryFor(prefix)
+	e.local = &Route{Prefix: prefix, Attrs: attrs, Local: true}
+	return t.decide(e)
 }
 
 // WithdrawLocal removes a locally-originated route and re-decides.
 func (t *Table) WithdrawLocal(prefix netip.Prefix) Change {
-	delete(t.local, prefix)
-	return t.decide(prefix)
+	e := t.entries[prefix]
+	if e == nil {
+		return Change{Prefix: prefix}
+	}
+	e.local = nil
+	return t.decide(e)
 }
 
 // Best returns the Loc-RIB entry for prefix, if any.
 func (t *Table) Best(prefix netip.Prefix) (*Route, bool) {
-	r, ok := t.best[prefix]
-	return r, ok
+	if e := t.entries[prefix]; e != nil && e.best != nil {
+		return e.best, true
+	}
+	return nil, false
 }
 
 // BestRoutes returns the whole Loc-RIB, sorted by prefix.
 func (t *Table) BestRoutes() []*Route {
-	out := make([]*Route, 0, len(t.best))
-	for _, p := range idr.SortedPrefixes(t.best) {
-		out = append(out, t.best[p])
+	n := 0
+	for _, m := range t.byLen {
+		n += len(m)
 	}
+	out := make([]*Route, 0, n)
+	//lint:maporder the routes are sorted before they are returned
+	for _, e := range t.entries {
+		if e.best != nil {
+			out = append(out, e.best)
+		}
+	}
+	slices.SortFunc(out, func(a, b *Route) int { return idr.ComparePrefix(a.Prefix, b.Prefix) })
 	return out
 }
 
 // Prefixes returns every prefix known to any RIB, sorted.
 func (t *Table) Prefixes() []netip.Prefix {
-	learned := slices.DeleteFunc(idr.SortedPrefixes(t.cands), func(p netip.Prefix) bool {
-		_, isLocal := t.local[p]
-		return len(t.cands[p]) == 0 || isLocal
-	})
-	out := append(idr.SortedPrefixes(t.local), learned...)
-	slices.SortFunc(out, idr.ComparePrefix)
+	out := []netip.Prefix{}
+	for _, e := range t.sortedEntries(func(e *entry) bool { return e.local != nil || len(e.cands) > 0 }) {
+		out = append(out, e.prefix)
+	}
 	return out
 }
 
@@ -378,86 +429,36 @@ func (t *Table) Lookup(addr netip.Addr) (*Route, bool) {
 		if err != nil {
 			continue
 		}
-		if r, ok := m[p]; ok {
-			return r, true
+		if e, ok := m[p]; ok {
+			return e.best, true
 		}
 	}
 	return nil, false
 }
 
-// decide re-runs the decision process for prefix by walking the
-// prefix's candidate index — already sorted by peer key, so the
-// iteration order (and therefore every MED tie-break) is deterministic
-// and identical to the historical sorted-peers scan, without
-// allocating or sorting per UPDATE.
-func (t *Table) decide(prefix netip.Prefix) Change {
-	old := t.best[prefix]
-	var best *Route
-	if lr, ok := t.local[prefix]; ok {
-		best = lr
-	}
-	for _, r := range t.cands[prefix] {
+// decide re-runs the decision process for the entry by walking its
+// candidates — already sorted by peer key, so the iteration order (and
+// therefore every MED tie-break) is deterministic and identical to the
+// historical sorted-peers scan — and moves the entry into or out of its
+// by-length bucket when the prefix gains or loses its best route.
+func (t *Table) decide(e *entry) Change {
+	old, best := e.best, e.local
+	for _, r := range e.cands {
 		if Better(r, best) {
 			best = r
 		}
 	}
-	t.setBest(prefix, best)
-	return Change{Prefix: prefix, Old: old, New: best}
-}
-
-// AdjOut tracks what has actually been advertised to each peer, so the
-// update sender can emit minimal diffs and correct withdrawals.
-type AdjOut struct {
-	routes map[PeerKey]map[netip.Prefix]wire.PathAttrs
-}
-
-// NewAdjOut returns an empty Adj-RIB-Out.
-func NewAdjOut() *AdjOut {
-	return &AdjOut{routes: make(map[PeerKey]map[netip.Prefix]wire.PathAttrs)}
-}
-
-// Get returns the attributes last advertised to peer for prefix.
-func (a *AdjOut) Get(peer PeerKey, prefix netip.Prefix) (wire.PathAttrs, bool) {
-	attrs, ok := a.routes[peer][prefix]
-	return attrs, ok
-}
-
-// Set records an advertisement.
-func (a *AdjOut) Set(peer PeerKey, prefix netip.Prefix, attrs wire.PathAttrs) {
-	m := a.routes[peer]
-	if m == nil {
-		m = make(map[netip.Prefix]wire.PathAttrs)
-		a.routes[peer] = m
+	e.best = best
+	if (old == nil) != (best == nil) {
+		bucket := &t.byLen[e.prefix.Bits()]
+		switch {
+		case best == nil:
+			delete(*bucket, e.prefix)
+		case *bucket == nil:
+			*bucket = map[netip.Prefix]*entry{e.prefix: e}
+		default:
+			(*bucket)[e.prefix] = e
+		}
 	}
-	m[prefix] = attrs
-}
-
-// Delete records a withdrawal, reporting whether the prefix had been
-// advertised.
-func (a *AdjOut) Delete(peer PeerKey, prefix netip.Prefix) bool {
-	m := a.routes[peer]
-	if _, ok := m[prefix]; !ok {
-		return false
-	}
-	delete(m, prefix)
-	return true
-}
-
-// DropPeer forgets everything advertised to peer (session reset),
-// returning the previously advertised prefixes, sorted.
-func (a *AdjOut) DropPeer(peer PeerKey) []netip.Prefix {
-	out := idr.SortedPrefixes(a.routes[peer])
-	delete(a.routes, peer)
-	return out
-}
-
-// Peers returns every peer with a non-empty Adj-RIB-Out, sorted —
-// the deterministic enumeration order for snapshots.
-func (a *AdjOut) Peers() []PeerKey {
-	return slices.DeleteFunc(idr.SortedKeys(a.routes), func(k PeerKey) bool { return len(a.routes[k]) == 0 })
-}
-
-// Prefixes returns the prefixes currently advertised to peer, sorted.
-func (a *AdjOut) Prefixes(peer PeerKey) []netip.Prefix {
-	return idr.SortedPrefixes(a.routes[peer])
+	return Change{Prefix: e.prefix, Old: old, New: best}
 }

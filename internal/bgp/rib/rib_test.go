@@ -317,33 +317,6 @@ func TestExportPath(t *testing.T) {
 	}
 }
 
-func TestAdjOut(t *testing.T) {
-	ao := NewAdjOut()
-	attrs := wire.PathAttrs{Origin: wire.OriginIGP, ASPath: wire.NewASPath(1)}
-	if _, ok := ao.Get("p1", pfxA); ok {
-		t.Fatal("empty AdjOut should miss")
-	}
-	ao.Set("p1", pfxA, attrs)
-	ao.Set("p1", pfxB, attrs)
-	got, ok := ao.Get("p1", pfxA)
-	if !ok || !got.Equal(attrs) {
-		t.Fatal("Get after Set wrong")
-	}
-	if ps := ao.Prefixes("p1"); len(ps) != 2 || ps[0] != pfxA {
-		t.Fatalf("Prefixes = %v", ps)
-	}
-	if !ao.Delete("p1", pfxA) || ao.Delete("p1", pfxA) {
-		t.Fatal("Delete semantics wrong")
-	}
-	dropped := ao.DropPeer("p1")
-	if len(dropped) != 1 || dropped[0] != pfxB {
-		t.Fatalf("DropPeer = %v", dropped)
-	}
-	if ps := ao.Prefixes("p1"); len(ps) != 0 {
-		t.Fatal("peer should be empty after drop")
-	}
-}
-
 // Property: the decision process is deterministic and order-independent
 // — feeding the same routes in any order yields the same best route.
 func TestPropertyDecisionOrderIndependent(t *testing.T) {

@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"fmt"
+	"maps"
 	"net/netip"
 	"slices"
 	"time"
@@ -16,8 +17,9 @@ import (
 // one converged speaker — every RIB, every session FSM, the damping
 // histories and the activity counters. RIB contents are restored by
 // REPLAYING them through the table's own mutation methods (Originate/
-// SetAdjIn/Set), so the decision process rebuilds the best map and the
-// candidate indexes rather than trusting serialized derived state;
+// SetAdjIn) and the sessions' export records, so the decision process
+// rebuilds the Loc-RIB and the by-length index rather than trusting
+// serialized derived state;
 // timers are restored as (deadline, original sequence) references that
 // the experiment layer re-arms in globally sorted order.
 
@@ -153,20 +155,17 @@ func (r *Router) State() RouterState {
 	for _, prefix := range r.Originated() {
 		st.Originated = append(st.Originated, PrefixAttrs{Prefix: prefix, Attrs: r.originated[prefix]})
 	}
-	for _, peer := range r.table.AdjInPeerKeys() {
-		for _, prefix := range r.table.AdjInPrefixes(peer) {
-			rt, _ := r.table.AdjIn(peer, prefix)
-			st.AdjIn = append(st.AdjIn, routeState(rt))
-		}
-	}
-	for _, peer := range r.adjOut.Peers() {
-		for _, prefix := range r.adjOut.Prefixes(peer) {
-			attrs, _ := r.adjOut.Get(peer, prefix)
-			st.AdjOut = append(st.AdjOut, AdjOutEntry{Peer: peer, Prefix: prefix, Attrs: attrs})
-		}
+	for _, rt := range r.table.AdjInRoutes() {
+		st.AdjIn = append(st.AdjIn, routeState(rt))
 	}
 	for _, p := range r.Sessions() {
-		st.Peers = append(st.Peers, p.snap())
+		adverts := p.sortedAdverts()
+		for _, a := range adverts {
+			if a.out {
+				st.AdjOut = append(st.AdjOut, AdjOutEntry{Peer: p.cfg.Key, Prefix: a.prefix, Attrs: a.sent})
+			}
+		}
+		st.Peers = append(st.Peers, p.snap(adverts))
 	}
 	if r.damping != nil {
 		st.Damping = r.damping.snap()
@@ -190,7 +189,12 @@ func (r *Router) RestoreState(st RouterState) ([]sim.TimerArm, error) {
 		r.table.SetAdjIn(rs.route())
 	}
 	for _, ae := range st.AdjOut {
-		r.adjOut.Set(ae.Peer, ae.Prefix, ae.Attrs)
+		p, ok := r.peers[ae.Peer]
+		if !ok {
+			return nil, fmt.Errorf("bgp: restore: router %v advertised to no peer %q", r.cfg.ASN, ae.Peer)
+		}
+		a := p.advertFor(ae.Prefix)
+		a.out, a.sent = true, ae.Attrs
 	}
 	r.stats = st.Stats
 	r.busyUntil = sim.TimeFromNS(st.BusyUntilNS)
@@ -224,32 +228,42 @@ func (r *Router) RestoreState(st RouterState) ([]sim.TimerArm, error) {
 	return arms, nil
 }
 
-// snap captures the session's serializable state.
-func (p *Peer) snap() PeerSnap {
+// snap captures the session's serializable state, its export records
+// given in address order.
+func (p *Peer) snap(adverts []*advert) PeerSnap {
 	fs := p.fsm.Capture()
 	ps := PeerSnap{
-		Key:             p.cfg.Key,
-		State:           fs.State,
-		TransportUp:     fs.TransportUp,
-		RemoteID:        fs.RemoteID,
-		HoldTimeNS:      int64(fs.HoldTime),
-		NextAdvNS:       p.nextAdv,
-		PendingWithdraw: idr.SortedPrefixes(p.pendingWithdraw),
-		Hold:            fs.Hold,
-		Keepalive:       fs.Keepalive,
-		Retry:           fs.Retry,
-		Mrai:            sim.RefOf(p.mraiTimer),
-		Quiet:           p.fsm.captureQuiet(),
+		Key:         p.cfg.Key,
+		State:       fs.State,
+		TransportUp: fs.TransportUp,
+		RemoteID:    fs.RemoteID,
+		HoldTimeNS:  int64(fs.HoldTime),
+		NextAdvNS:   p.nextAdv,
+		Hold:        fs.Hold,
+		Keepalive:   fs.Keepalive,
+		Retry:       fs.Retry,
+		Mrai:        sim.RefOf(p.mraiTimer),
+		Quiet:       p.fsm.captureQuiet(),
 	}
 	// An OPEN is accepted only from the configured neighbor AS, so the
 	// learned ASN is that one from OpenConfirm on and unset before.
 	if fs.State == StateOpenConfirm || fs.State == StateEstablished {
 		ps.RemoteASN = p.cfg.RemoteASN
 	}
-	for _, prefix := range idr.SortedPrefixes(p.pendingAnnounce) {
-		ps.PendingAnnounce = append(ps.PendingAnnounce, PrefixAttrs{Prefix: prefix, Attrs: p.pendingAnnounce[prefix]})
+	for _, a := range adverts {
+		switch a.change {
+		case queueAnnounce:
+			ps.PendingAnnounce = append(ps.PendingAnnounce, PrefixAttrs{Prefix: a.prefix, Attrs: a.attrs})
+		case queueWithdraw:
+			ps.PendingWithdraw = append(ps.PendingWithdraw, a.prefix)
+		}
 	}
 	return ps
+}
+
+// sortedAdverts returns the session's export records in address order.
+func (p *Peer) sortedAdverts() []*advert {
+	return slices.SortedFunc(maps.Values(p.adverts), func(a, b *advert) int { return idr.ComparePrefix(a.prefix, b.prefix) })
 }
 
 // restore overlays a captured session state, returning the timer arms
@@ -274,10 +288,10 @@ func (p *Peer) restore(ps PeerSnap) ([]sim.TimerArm, bool) {
 		arms = append(arms, quiet...)
 	}
 	for _, pa := range ps.PendingAnnounce {
-		p.queueAnnounce(pa.Prefix, pa.Attrs)
+		p.queue(p.advertFor(pa.Prefix), queueAnnounce, pa.Attrs)
 	}
 	for _, prefix := range ps.PendingWithdraw {
-		p.queueWithdraw(prefix)
+		p.queue(p.advertFor(prefix), queueWithdraw, wire.PathAttrs{})
 	}
 	return ps.Mrai.Rearm(arms, p.clock(), &p.mraiTimer, (*mraiFirer)(p)), true
 }
