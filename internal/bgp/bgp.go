@@ -153,11 +153,10 @@ var lendEnded func(*wire.Update, *rib.Change)
 
 // Stats counts router activity for the analysis tools.
 type Stats struct {
-	UpdatesSent, UpdatesReceived         uint64
-	PrefixesAnnounced, PrefixesWithdrawn uint64 // counted on send
-	OpensSent, NotificationsSent         uint64
-	KeepalivesSent                       uint64
-	SessionResets                        uint64
+	UpdatesSent, UpdatesReceived uint64
+	OpensSent, NotificationsSent uint64
+	KeepalivesSent               uint64
+	SessionResets                uint64
 }
 
 // Config configures a Router.
@@ -199,9 +198,7 @@ type Router struct {
 	// established counts the Established sessions: establish and reset
 	// move it, RestoreState recounts it.
 	established int32
-	// originated remembers locally-announced prefixes.
-	originated map[netip.Prefix]wire.PathAttrs
-	stats      Stats
+	stats       Stats
 	// busyUntil serialises the processing-delay work queue; idleWork
 	// chains its finished entries for reuse. marks[markHead:] is when
 	// each UPDATE of the last two keepalive intervals joined the queue
@@ -264,11 +261,10 @@ func New(cfg Config) (*Router, error) {
 		return nil, err
 	}
 	r := &Router{
-		open:       open,
-		cfg:        cfg,
-		table:      rib.NewTable(),
-		peers:      make(map[rib.PeerKey]*Peer),
-		originated: make(map[netip.Prefix]wire.PathAttrs),
+		open:  open,
+		cfg:   cfg,
+		table: rib.NewTable(),
+		peers: make(map[rib.PeerKey]*Peer),
 	}
 	if cfg.Damping != nil {
 		r.damping = newDamping(*cfg.Damping, r)
@@ -387,27 +383,29 @@ func (r *Router) Announce(prefix netip.Prefix) error {
 		return fmt.Errorf("bgp: only IPv4 prefixes supported, got %v", prefix)
 	}
 	r.opening.Replay() // a computed handshake never meets a route
-	attrs := wire.PathAttrs{Origin: wire.OriginIGP}
-	r.originated[prefix] = attrs
-	change := r.table.Originate(prefix, attrs)
+	change := r.table.Originate(prefix, wire.PathAttrs{Origin: wire.OriginIGP})
 	r.onChange(change)
 	return nil
 }
 
 // Withdraw removes a locally-originated prefix.
 func (r *Router) Withdraw(prefix netip.Prefix) error {
-	if _, ok := r.originated[prefix]; !ok {
+	if _, ok := r.table.Local(prefix); !ok {
 		return fmt.Errorf("bgp: %v was not originated here", prefix)
 	}
-	delete(r.originated, prefix)
 	change := r.table.WithdrawLocal(prefix)
 	r.onChange(change)
 	return nil
 }
 
-// Originated returns the locally-announced prefixes.
+// Originated returns the locally-announced prefixes, sorted: the
+// prefixes of the RIB's local routes.
 func (r *Router) Originated() []netip.Prefix {
-	return idr.SortedPrefixes(r.originated)
+	var out []netip.Prefix
+	for _, rt := range r.table.LocalRoutes() {
+		out = append(out, rt.Prefix)
+	}
+	return out
 }
 
 // onChange reacts to one Loc-RIB transition: trace it and schedule

@@ -3,6 +3,7 @@ package bgp
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -187,6 +188,79 @@ func TestAnnouncePropagatesAndPrepends(t *testing.T) {
 	if got := r1.Originated(); len(got) != 1 || got[0] != pfx {
 		t.Fatalf("Originated = %v", got)
 	}
+}
+
+// TestOriginatedFollowsTheRIB holds Originated, State's originations
+// and Withdraw's refusal to the RIB's local routes through originate,
+// withdraw and re-originate, with a learned route for one of the
+// prefixes that outlives its origination.
+func TestOriginatedFollowsTheRIB(t *testing.T) {
+	l := newLab(t, Timers{MRAI: time.Second, MRAIJitter: false}, policy.PermitAll{})
+	r1 := l.addRouter(1)
+	r2 := l.addRouter(2)
+	l.connect(1, 2, topology.KindPeer)
+	l.start()
+	p1, p2 := netip.MustParsePrefix("10.0.1.0/24"), netip.MustParsePrefix("10.0.2.0/24")
+	step := func(name string, act func(), want ...netip.Prefix) {
+		t.Helper()
+		l.k.Go(act)
+		if err := l.k.RunFor(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if got := r1.Originated(); !slices.Equal(got, want) {
+			t.Fatalf("%s: Originated = %v, want %v", name, got, want)
+		}
+		var state []netip.Prefix
+		for _, oa := range r1.State().Originated {
+			if !oa.Attrs.Equal(wire.PathAttrs{Origin: wire.OriginIGP}) {
+				t.Fatalf("%s: %v originated with %+v", name, oa.Prefix, oa.Attrs)
+			}
+			state = append(state, oa.Prefix)
+		}
+		if !slices.Equal(state, want) {
+			t.Fatalf("%s: State().Originated = %v, want %v", name, state, want)
+		}
+		for _, p := range []netip.Prefix{p1, p2} {
+			_, local := r1.Table().Local(p)
+			if listed := slices.Contains(want, p); local != listed {
+				t.Fatalf("%s: %v has a local route %v, listed %v", name, p, local, listed)
+			}
+		}
+	}
+	announce := func(r *Router, p netip.Prefix) func() {
+		return func() {
+			if err := r.Announce(p); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	withdraw := func(p netip.Prefix) func() {
+		return func() {
+			if err := r1.Withdraw(p); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	step("nothing originated", func() {})
+	step("AS2 announces p2", announce(r2, p2))
+	step("AS1 originates p1", announce(r1, p1), p1)
+	step("AS1 originates p2 as well", announce(r1, p2), p1, p2)
+	step("AS1 withdraws p2", withdraw(p2), p1)
+	if best, ok := r1.Table().Best(p2); !ok || best.Local {
+		t.Fatalf("after the withdrawal AS1's p2 route is %v, %v; want AS2's", best, ok)
+	}
+	step("AS1 withdraws p2 again", func() {
+		if err := r1.Withdraw(p2); err == nil {
+			t.Error("AS1 withdrew p2, which it only learns")
+		}
+	}, p1)
+	step("AS1 withdraws p1", withdraw(p1))
+	step("AS1 withdraws p1 again", func() {
+		if err := r1.Withdraw(p1); err == nil {
+			t.Error("a second withdrawal of p1 was accepted")
+		}
+	})
+	step("AS1 re-originates p1", announce(r1, p1), p1)
 }
 
 func TestWithdrawPropagates(t *testing.T) {

@@ -468,7 +468,7 @@ func Open(routers []*Router, fresh bool) *Opening {
 	o := &Opening{routers: routers}
 	for _, r := range routers {
 		o.at = sim.TimeToNS(r.cfg.Clock.Now()) // they share one clock
-		fresh = fresh && len(r.originated) == 0
+		fresh = fresh && !r.table.HasLocal()
 	}
 	if fresh {
 		for _, r := range routers {

@@ -340,7 +340,6 @@ func (p *Peer) flushWithdrawals(batch []*advert, withdrawals int) []*advert {
 		return announce
 	}
 	r.stats.UpdatesSent++
-	r.stats.PrefixesWithdrawn += uint64(len(prefixes))
 	return announce
 }
 
@@ -426,10 +425,12 @@ func (p *Peer) sendAnnouncements(announce []*advert) bool {
 // appearance breaking ties, address order within a group) matches the
 // historical encoder exactly. The renderings go into the router's
 // groupKeys buffer, groups are values in one slice and their NLRI runs
-// of one array, so a batch costs three allocations however many groups
-// it has. Every record's queued change is taken before the first
-// UPDATE goes; each group is recorded in the Adj-RIB-Out as it is
-// sent. It reports whether every UPDATE went out.
+// of one array. A batch of G groups allocates the record-to-group
+// index, the NLRI array and the group slice, which grows by append:
+// about log₂G + 1 allocations for the groups, three in all for G = 1.
+// Every record's queued change is taken before the first UPDATE goes;
+// each group is recorded in the Adj-RIB-Out as it is sent. It reports
+// whether every UPDATE went out.
 func (p *Peer) announceGroups(announce []*advert) bool {
 	type group struct {
 		attrs      wire.PathAttrs
@@ -480,12 +481,10 @@ func (p *Peer) announceGroups(announce []*advert) bool {
 // announce sends one attribute group's UPDATE, reporting whether it
 // went out.
 func (p *Peer) announce(attrs wire.PathAttrs, nlri []netip.Prefix) bool {
-	r := p.router
 	if err := p.sendUpdate(wire.Update{Attrs: attrs, NLRI: nlri}); err != nil {
 		return false
 	}
-	r.stats.UpdatesSent++
-	r.stats.PrefixesAnnounced += uint64(len(nlri))
+	p.router.stats.UpdatesSent++
 	return true
 }
 

@@ -171,11 +171,11 @@ func (o *oracle) lookup(addr netip.Addr) *Route {
 }
 
 // compareViews asserts every observable view of the table agrees with
-// the oracle — Loc-RIB, enumerations, per-peer Adj-RIB-In, and
-// longest-match lookups inside and around every pool prefix — and
-// that the entries hold together: each by-length bucket entry is its
-// prefix's entry and has a best route, and the buckets hold exactly the
-// prefixes with one.
+// the oracle — Loc-RIB, enumerations, per-peer Adj-RIB-In, the local
+// routes, and longest-match lookups inside and around every pool
+// prefix — and that the entries hold together: each by-length bucket
+// entry is its prefix's entry and has a best route, and the buckets
+// hold exactly the prefixes with one.
 func compareViews(t *testing.T, o *oracle, tbl *Table) {
 	t.Helper()
 	if got, want := tbl.BestRoutes(), o.bestRoutes(); !reflect.DeepEqual(got, want) {
@@ -206,6 +206,23 @@ func compareViews(t *testing.T, o *oracle, tbl *Table) {
 	}
 	if got, want := tbl.Prefixes(), o.prefixes(anyRoute); !slices.Equal(got, want) {
 		t.Fatalf("Prefixes = %v, oracle %v", got, want)
+	}
+	var wantLocal []*Route
+	for _, p := range o.prefixes(func(r *Route) bool { return r.Local }) {
+		i := slices.IndexFunc(o.routes, func(r *Route) bool { return r.Local && r.Prefix == p })
+		wantLocal = append(wantLocal, o.routes[i])
+	}
+	if got := tbl.LocalRoutes(); !reflect.DeepEqual(got, wantLocal) {
+		t.Fatalf("LocalRoutes = %v, oracle %v", got, wantLocal)
+	}
+	if got := tbl.HasLocal(); got != (len(wantLocal) > 0) {
+		t.Fatalf("HasLocal = %v with %d local routes", got, len(wantLocal))
+	}
+	for _, p := range fuzzPrefixes {
+		i := slices.IndexFunc(wantLocal, func(r *Route) bool { return r.Prefix == p })
+		if got, ok := tbl.Local(p); ok != (i >= 0) || ok && !reflect.DeepEqual(got, wantLocal[i]) {
+			t.Fatalf("Local(%v) = %v, %v; oracle has it: %v", p, got, ok, i >= 0)
+		}
 	}
 	wantKeys := []PeerKey{}
 	var wantRoutes []*Route
@@ -262,6 +279,10 @@ func FuzzRIBModel(f *testing.F) {
 	// One peer installs every pool prefix, then drops: each by-length
 	// bucket fills and must drain to empty.
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0, 5, 0, 0, 0, 6, 0, 0, 0, 7, 0, 3, 0, 0, 0})
+	// Originate, learn the same prefix, originate another, withdraw
+	// the first origination (its learned route stays), re-originate
+	// it, withdraw the second.
+	f.Add([]byte{4, 0, 0, 0, 0, 0, 0, 0, 4, 0, 1, 0, 5, 0, 0, 0, 4, 0, 0, 0, 5, 0, 1, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		o, tbl := &oracle{}, NewTable()
 		for i := 0; i+3 < len(ops); i += 4 {

@@ -379,6 +379,34 @@ func (t *Table) WithdrawLocal(prefix netip.Prefix) Change {
 	return t.decide(e)
 }
 
+// Local returns the locally originated route for prefix, if any.
+func (t *Table) Local(prefix netip.Prefix) (*Route, bool) {
+	if e := t.entries[prefix]; e != nil && e.local != nil {
+		return e.local, true
+	}
+	return nil, false
+}
+
+// HasLocal reports whether the table holds a locally originated route.
+func (t *Table) HasLocal() bool {
+	//lint:maporder any local route answers, so the walk may stop at the first
+	for _, e := range t.entries {
+		if e.local != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// LocalRoutes returns the locally originated routes, sorted by prefix.
+func (t *Table) LocalRoutes() []*Route {
+	var out []*Route
+	for _, e := range t.sortedEntries(func(e *entry) bool { return e.local != nil }) {
+		out = append(out, e.local)
+	}
+	return out
+}
+
 // Best returns the Loc-RIB entry for prefix, if any.
 func (t *Table) Best(prefix netip.Prefix) (*Route, bool) {
 	if e := t.entries[prefix]; e != nil && e.best != nil {

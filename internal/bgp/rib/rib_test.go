@@ -478,6 +478,29 @@ func TestLookupZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestLocalZeroAlloc pins the reads a router makes of its originations
+// (Withdraw's check, Open's fresh check): neither a hit, a miss nor the
+// walk for any local route allocates.
+func TestLocalZeroAlloc(t *testing.T) {
+	tbl := NewTable()
+	learned, local := netip.MustParsePrefix("10.1.0.0/16"), netip.MustParsePrefix("10.2.0.0/16")
+	tbl.SetAdjIn(route("a", 2, learned, 2))
+	tbl.Originate(local, wire.PathAttrs{})
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if _, ok := tbl.Local(local); !ok {
+			t.Fatal("the origination is not a local route")
+		}
+		if _, ok := tbl.Local(learned); ok {
+			t.Fatal("a learned route is a local route")
+		}
+		if !tbl.HasLocal() {
+			t.Fatal("HasLocal misses the origination")
+		}
+	}); allocs != 0 {
+		t.Errorf("Local and HasLocal allocate %.1f times per call, want 0", allocs)
+	}
+}
+
 // TestDecideZeroAllocSteadyState pins the decision-path optimisation:
 // re-announcing a route from an already-known peer (the steady-state
 // UPDATE path during convergence) must not allocate — the candidate

@@ -152,8 +152,8 @@ func (r *Router) State() RouterState {
 		Stats:       r.Stats(),
 		BusyUntilNS: sim.TimeToNS(r.busyUntil),
 	}
-	for _, prefix := range r.Originated() {
-		st.Originated = append(st.Originated, PrefixAttrs{Prefix: prefix, Attrs: r.originated[prefix]})
+	for _, rt := range r.table.LocalRoutes() {
+		st.Originated = append(st.Originated, PrefixAttrs{Prefix: rt.Prefix, Attrs: rt.Attrs})
 	}
 	for _, rt := range r.table.AdjInRoutes() {
 		st.AdjIn = append(st.AdjIn, routeState(rt))
@@ -182,7 +182,6 @@ func (r *Router) State() RouterState {
 // before the kernel adopts its captured counters.
 func (r *Router) RestoreState(st RouterState) ([]sim.TimerArm, error) {
 	for _, oa := range st.Originated {
-		r.originated[oa.Prefix] = oa.Attrs
 		r.table.Originate(oa.Prefix, oa.Attrs)
 	}
 	for _, rs := range st.AdjIn {

@@ -24,7 +24,7 @@ func (e *Experiment) Announce(asn idr.ASN) error {
 		return err
 	}
 	e.Detector.Touch()
-	if e.members[asn] {
+	if e.IsSDNMember(asn) {
 		// The cluster's routes reach routers too: no handshake may
 		// still be computed (bgp.Router.Announce does this for its own).
 		e.opening.Replay()
@@ -44,7 +44,7 @@ func (e *Experiment) Withdraw(asn idr.ASN) error {
 		return err
 	}
 	e.Detector.Touch()
-	if e.members[asn] {
+	if e.IsSDNMember(asn) {
 		return e.Ctrl.WithdrawOriginated(prefix)
 	}
 	r, ok := e.Routers[asn]
@@ -119,11 +119,11 @@ func (e *Experiment) WaitConverged(timeout time.Duration) (time.Duration, error)
 	return instant.Sub(start), nil
 }
 
-// MeasureConvergence resets the detector, runs trigger, then waits for
+// MeasureConvergence touches the detector, runs trigger, then waits for
 // quiescence and returns the convergence time: the interval between
 // the trigger and the last routing activity it caused.
 func (e *Experiment) MeasureConvergence(trigger func() error, timeout time.Duration) (time.Duration, error) {
-	e.Detector.Reset()
+	e.Detector.Touch()
 	t0 := e.K.Now()
 	if err := trigger(); err != nil {
 		return 0, err
@@ -187,8 +187,7 @@ func (e *Experiment) InjectProbe(src, dst idr.ASN) error {
 }
 
 func (e *Experiment) registerProbeSource(src idr.ASN) {
-	if e.members[src] {
-		sw := e.Switches[src]
+	if sw, ok := e.Switches[src]; ok {
 		e.Probes.RegisterSource(src, sw.InjectProbe)
 		return
 	}
@@ -207,7 +206,7 @@ func (e *Experiment) BestPath(from, to idr.ASN) (wire.ASPath, bool) {
 	if err != nil {
 		return nil, false
 	}
-	if e.members[from] {
+	if e.IsSDNMember(from) {
 		return e.Ctrl.PathFrom(from, prefix)
 	}
 	r, ok := e.Routers[from]
@@ -246,7 +245,10 @@ func (e *Experiment) AllReachable(dst idr.ASN) bool {
 }
 
 // IsSDNMember reports whether asn is operated by the controller.
-func (e *Experiment) IsSDNMember(asn idr.ASN) bool { return e.members[asn] }
+func (e *Experiment) IsSDNMember(asn idr.ASN) bool {
+	_, ok := e.Switches[asn]
+	return ok
+}
 
 // ASNs returns the topology's AS numbers.
 func (e *Experiment) ASNs() []idr.ASN { return e.cfg.Graph.Nodes() }

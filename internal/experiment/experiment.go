@@ -92,7 +92,8 @@ type Experiment struct {
 	// Routers holds the legacy BGP daemons by AS (cluster members have
 	// no entry; a migrated-out AS regains one).
 	Routers map[idr.ASN]*bgp.Router
-	// Switches holds the cluster members' OpenFlow-like switches.
+	// Switches holds the cluster members' OpenFlow-like switches; its
+	// key set is the cluster membership.
 	Switches map[idr.ASN]*sdn.Switch
 	// Ctrl is the IDR controller (nil in pure-BGP experiments).
 	Ctrl *core.Controller
@@ -103,7 +104,6 @@ type Experiment struct {
 	// Probes is the data-plane probe engine (loss measurements).
 	Probes *monitor.ProbeEngine
 
-	members map[idr.ASN]bool
 	// nodes holds each AS's netem node, which its router or switch
 	// runs on and a migration keeps.
 	nodes map[idr.ASN]*netem.Node
@@ -168,7 +168,6 @@ func New(cfg Config) (*Experiment, error) {
 		K:          sim.NewKernel(cfg.Seed),
 		Routers:    make(map[idr.ASN]*bgp.Router),
 		Switches:   make(map[idr.ASN]*sdn.Switch),
-		members:    make(map[idr.ASN]bool),
 		nodes:      make(map[idr.ASN]*netem.Node, cfg.Graph.NumNodes()),
 		peerKeys:   make(map[idr.ASN]rib.PeerKey, cfg.Graph.NumNodes()),
 		links:      make(map[[2]idr.ASN]*link, cfg.Graph.NumEdges()),
@@ -198,11 +197,12 @@ func New(cfg Config) (*Experiment, error) {
 	e.Log = monitor.NewEventLog()
 	e.Probes = monitor.NewProbeEngine(e.K)
 
+	members := make(map[idr.ASN]bool, len(cfg.SDNMembers))
 	for _, m := range cfg.SDNMembers {
 		if !cfg.Graph.HasNode(m) {
 			return nil, fmt.Errorf("experiment: SDN member %v not in topology", m)
 		}
-		e.members[m] = true
+		members[m] = true
 	}
 
 	plan, err := addressing.NewPlan(cfg.Graph.Nodes())
@@ -211,7 +211,7 @@ func New(cfg Config) (*Experiment, error) {
 	}
 	e.Plan = plan
 
-	if err := e.buildNodes(); err != nil {
+	if err := e.buildNodes(members); err != nil {
 		return nil, err
 	}
 	if err := e.buildLinks(); err != nil {
@@ -226,8 +226,10 @@ func (e *Experiment) trace(ev bgp.TraceEvent) {
 	e.Detector.BGPActivityTrace(ev)
 }
 
-func (e *Experiment) buildNodes() error {
-	hasCluster := len(e.members) > 0
+// buildNodes raises each AS's node with the device of its role: a
+// switch for the members, a router for every other AS.
+func (e *Experiment) buildNodes(members map[idr.ASN]bool) error {
+	hasCluster := len(members) > 0
 	var ctrlNode *netem.Node
 	if hasCluster {
 		var err error
@@ -252,7 +254,7 @@ func (e *Experiment) buildNodes() error {
 			return err
 		}
 		e.nodes[asn] = node
-		if e.members[asn] {
+		if members[asn] {
 			if err := e.buildSwitch(asn, node, ctrlNode); err != nil {
 				return err
 			}

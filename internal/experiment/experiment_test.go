@@ -413,8 +413,9 @@ func TestEstablishBytesPerSession(t *testing.T) {
 //	go test ./internal/experiment -run TestEstablishAllocsPerSessionEnd -v
 //
 // and set the objects ceiling 0.2% above its count and the bytes
-// ceiling 2% above, TestTrialAllocCeiling's rule (5.19 objects and
-// 1 058 bytes per end on go1.24 linux/amd64; 5.87 and 1 078 while a
+// ceiling 2% above, TestTrialAllocCeiling's rule (5.06 objects and
+// 1 043 bytes per end on go1.24 linux/amd64; 5.19 and 1 058 while a
+// router kept a map of its originations beside its RIB; 5.87 and 1 078 while a
 // table made four maps and a router held an Adj-RIB-Out; 9.37 and 1 381 while every
 // handshake was emulated — six events, two hold timers and a keepalive
 // timer per link; 13.00 and 1 449 while the
@@ -428,7 +429,7 @@ func TestEstablishAllocsPerSessionEnd(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's runtime adds allocations of its own")
 	}
-	const maxObjects, maxBytes = 5.21, 1080
+	const maxObjects, maxBytes = 5.08, 1064
 	g, err := topology.SynthesizeInternetLike(200, newSeededRand(1))
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,7 @@ import (
 // legacy AS joins the cluster (MigrateIn); a member leaves it
 // (MigrateOut).
 func (e *Experiment) Migrate(asn idr.ASN) error {
-	if e.members[asn] {
+	if e.IsSDNMember(asn) {
 		return e.MigrateOut(asn)
 	}
 	return e.MigrateIn(asn)
@@ -50,12 +50,7 @@ func (e *Experiment) MigrateIn(asn idr.ASN) error {
 	if err != nil {
 		return err
 	}
-	announced := false
-	for _, p := range r.Originated() {
-		if p == origin {
-			announced = true
-		}
-	}
+	_, announced := r.Table().Local(origin)
 
 	// Retire the router: drop every session (neighbors see the
 	// transport reset) and fold its counters into the retired totals.
@@ -75,7 +70,6 @@ func (e *Experiment) MigrateIn(asn idr.ASN) error {
 	if !ok {
 		return fmt.Errorf("experiment: controller node missing")
 	}
-	e.members[asn] = true
 	if err := e.buildSwitch(asn, e.nodes[asn], ctrlNode); err != nil {
 		return err
 	}
@@ -111,7 +105,7 @@ func (e *Experiment) MigrateOut(asn idr.ASN) error {
 	if err := e.migratable(asn); err != nil {
 		return err
 	}
-	if _, ok := e.Switches[asn]; !ok {
+	if !e.IsSDNMember(asn) {
 		return fmt.Errorf("experiment: %v is not a cluster member", asn)
 	}
 	origin, err := e.Plan.OriginPrefix(asn)
@@ -135,7 +129,6 @@ func (e *Experiment) MigrateOut(asn idr.ASN) error {
 	ctrl.SetTag(nil)
 	delete(e.ctrlLinkOf, asn)
 	delete(e.Switches, asn)
-	delete(e.members, asn)
 	for _, nb := range e.cfg.Graph.Neighbors(asn) {
 		en := e.links[linkKey(asn, nb)].end(asn, nb)
 		en.sw, en.port = nil, 0

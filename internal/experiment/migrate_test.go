@@ -60,8 +60,11 @@ func checkLinkEnds(t *testing.T, e *Experiment) {
 			if endAt(en.ep) != en {
 				t.Fatalf("%v's end toward %v is not the end its endpoint maps to", asn, nb)
 			}
-			if e.members[asn] {
-				if sw := e.Switches[asn]; sw == nil || en.sw != sw || en.port == 0 || en.peer != nil {
+			if sw, member := e.Switches[asn]; member {
+				if _, ok := e.Routers[asn]; ok {
+					t.Fatalf("member %v also has a router", asn)
+				}
+				if sw == nil || en.sw != sw || en.port == 0 || en.peer != nil {
 					t.Fatalf("member %v's end toward %v: switch %p (member's %p), port %d, peer %p; want the member's switch, a port, no peer",
 						asn, nb, en.sw, sw, en.port, en.peer)
 				}

@@ -88,11 +88,11 @@ func (e *Experiment) Snapshot() (*Snapshot, error) {
 	if e.crashedMembers != nil || e.partitionCut != nil {
 		return nil, fmt.Errorf("experiment: snapshot during an active fault (controller crash or partition)")
 	}
-	if len(e.members) != len(e.cfg.SDNMembers) {
+	if len(e.Switches) != len(e.cfg.SDNMembers) {
 		return nil, fmt.Errorf("experiment: snapshot after migration changed the cluster")
 	}
 	for _, m := range e.cfg.SDNMembers {
-		if !e.members[m] {
+		if !e.IsSDNMember(m) {
 			return nil, fmt.Errorf("experiment: snapshot after migration changed the cluster")
 		}
 	}
@@ -201,22 +201,16 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 	return json.Marshal(s)
 }
 
-// DecodeSnapshot parses a versioned snapshot. Malformed or truncated
-// input yields an error, never a panic; any version other than
-// SnapshotVersion is rejected before the body is decoded.
+// DecodeSnapshot parses a versioned snapshot in one pass. Malformed or
+// truncated input yields an error, never a panic; any version other
+// than SnapshotVersion is rejected once the document is decoded.
 func DecodeSnapshot(b []byte) (*Snapshot, error) {
-	var probe struct {
-		Version int `json:"version"`
-	}
-	if err := json.Unmarshal(b, &probe); err != nil {
-		return nil, fmt.Errorf("experiment: snapshot decode: %w", err)
-	}
-	if probe.Version != SnapshotVersion {
-		return nil, fmt.Errorf("experiment: unsupported snapshot version %d (want %d)", probe.Version, SnapshotVersion)
-	}
 	var s Snapshot
 	if err := json.Unmarshal(b, &s); err != nil {
 		return nil, fmt.Errorf("experiment: snapshot decode: %w", err)
+	}
+	if s.Version != SnapshotVersion {
+		return nil, fmt.Errorf("experiment: unsupported snapshot version %d (want %d)", s.Version, SnapshotVersion)
 	}
 	return &s, nil
 }

@@ -125,8 +125,8 @@ func TestSnapshotRoundTripIdentical(t *testing.T) {
 			if !e2.K.Now().Equal(e1.K.Now()) {
 				t.Fatalf("post-trigger clocks diverged: %v != %v", e2.K.Now(), e1.K.Now())
 			}
-			if e1.Detector.Events() != e2.Detector.Events() {
-				t.Fatalf("detector events diverged: %d != %d", e1.Detector.Events(), e2.Detector.Events())
+			if a1, a2 := e1.Detector.LastActivity(), e2.Detector.LastActivity(); !a1.Equal(a2) {
+				t.Fatalf("detector last activity diverged: %v != %v", a1, a2)
 			}
 		})
 	}

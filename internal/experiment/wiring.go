@@ -220,7 +220,7 @@ func (e *Experiment) settle(l *link, asn, nb idr.ASN, fresh bool) error {
 		}
 		return nil
 	}
-	nbMember := e.members[nb]
+	nbMember := e.IsSDNMember(nb)
 	var err error
 	switch {
 	case fresh:

@@ -161,7 +161,9 @@ type Trial struct {
 // Result is the uniform metrics record of one trial, gathered from the
 // monitor instrumentation. All counters cover the measurement phase
 // (from the first triggering event on), not the warm-up convergence.
-// Epochs carries the same counters windowed per scheduled event.
+// Epochs carries the same counters windowed per scheduled event; the
+// windows partition the measurement phase, and UpdatesSent,
+// UpdatesReceived, BestPathChanges and Recomputes are their sums.
 type Result struct {
 	// Convergence is the final epoch's convergence time: from the last
 	// scheduled event's trigger to the last routing activity it
@@ -436,10 +438,6 @@ func (p *prepared) measure(e *experiment.Experiment) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	sentBefore, recvBefore := e.UpdateTotals()
-	recompBefore := recomputes(e)
-	start := e.K.Now().Add(p.w[0].At)
-
 	epochs, hijacked, err := executeWorkload(e, p.w, workloadRun{
 		origin:  p.origin,
 		prefix:  prefix,
@@ -450,31 +448,22 @@ func (p *prepared) measure(e *experiment.Experiment) (Result, error) {
 		return Result{}, err
 	}
 
-	var res Result
-	res.Epochs = epochs
-	res.Convergence = epochs[len(epochs)-1].Convergence
-	if hijacked >= 0 {
-		res.HijackedASes = hijacked
+	res := Result{
+		Epochs:         epochs,
+		Convergence:    epochs[len(epochs)-1].Convergence,
+		HijackedASes:   max(hijacked, 0),
+		ReachableAfter: e.AllReachable(p.origin),
 	}
-	sentAfter, recvAfter := e.UpdateTotals()
-	res.UpdatesSent = sentAfter - sentBefore
-	res.UpdatesReceived = recvAfter - recvBefore
-	res.Recomputes = recomputes(e) - recompBefore
-	for _, n := range e.Log.PathExplorationCount(prefix, start) {
-		res.BestPathChanges += n
+	// The epochs partition the measurement phase, so its totals are
+	// their sums.
+	for _, ep := range epochs {
+		res.UpdatesSent += ep.UpdatesSent
+		res.UpdatesReceived += ep.UpdatesReceived
+		res.Recomputes += ep.Recomputes
+		res.BestPathChanges += ep.BestPathChanges
 	}
 	loss := e.Probes.TotalLoss()
 	res.ProbesSent, res.ProbesDelivered = loss.Sent, loss.Delivered
-	res.ReachableAfter = true
-	for _, asn := range e.ASNs() {
-		if asn == p.origin {
-			continue
-		}
-		if !e.Reachable(asn, p.origin) {
-			res.ReachableAfter = false
-			break
-		}
-	}
 	return res, nil
 }
 

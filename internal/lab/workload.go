@@ -469,7 +469,7 @@ func executeWorkload(e *experiment.Experiment, w Workload, cfg workloadRun) ([]E
 			}
 		} else {
 			// An earlier epoch is cut short by the next event's trigger.
-			e.Detector.Reset()
+			e.Detector.Touch()
 			if err := trigger(); err != nil {
 				return nil, -1, err
 			}

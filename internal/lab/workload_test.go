@@ -408,3 +408,95 @@ func TestPoissonWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTotalsAreTheEpochSums runs trials whose first event waits past
+// the warm-up (At > 0) and holds Result's four totals to the sums over
+// its epochs, and to the experiment's own counters read across the
+// whole measurement phase, from its start to the end of the drain:
+// the epochs must cover that phase, the wait before the first trigger
+// included. ReachableAfter must be the experiment's AllReachable.
+func TestTotalsAreTheEpochSums(t *testing.T) {
+	pure := workloadTrial()
+	pure.Placement = Placement{}
+	for _, tc := range []struct {
+		name  string
+		trial Trial
+		w     Workload
+	}{
+		{"one event", workloadTrial(), Workload{{At: 40 * time.Second, Kind: KindWithdrawal}}},
+		{"maintenance", workloadTrial(), Workload{
+			{At: 45 * time.Second, Kind: KindWithdrawal},
+			{At: 3 * time.Minute, Kind: KindAnnouncement},
+		}},
+		{"pure churn", pure, PoissonWorkload(5, 4, time.Minute)},
+		{"hijack then withdraw", workloadTrial(), Workload{
+			{At: 20 * time.Second, Kind: KindHijack},
+			{At: 2 * time.Minute, Kind: KindWithdrawal},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.w[0].At <= 0 {
+				t.Fatalf("schedule %v opens at %v, want a wait", tc.w, tc.w[0].At)
+			}
+			trial := tc.trial
+			trial.Workload = tc.w
+			p, err := trial.prepare()
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := p.warmup()
+			if err != nil {
+				t.Fatal(err)
+			}
+			prefix, err := e.OriginPrefix(p.origin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sent0, recv0 := e.UpdateTotals()
+			recomp0 := recomputes(e)
+			start := e.K.Now()
+			res, err := p.measure(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			var sum Epoch
+			for _, ep := range res.Epochs {
+				sum.UpdatesSent += ep.UpdatesSent
+				sum.UpdatesReceived += ep.UpdatesReceived
+				sum.Recomputes += ep.Recomputes
+				sum.BestPathChanges += ep.BestPathChanges
+			}
+			sent1, recv1 := e.UpdateTotals()
+			whole := Epoch{
+				UpdatesSent:     sent1 - sent0,
+				UpdatesReceived: recv1 - recv0,
+				Recomputes:      recomputes(e) - recomp0,
+			}
+			for _, n := range e.Log.PathExplorationCount(prefix, start) {
+				whole.BestPathChanges += n
+			}
+			got := Epoch{
+				UpdatesSent:     res.UpdatesSent,
+				UpdatesReceived: res.UpdatesReceived,
+				Recomputes:      res.Recomputes,
+				BestPathChanges: res.BestPathChanges,
+			}
+			if got != sum {
+				t.Fatalf("totals %+v, epoch sums %+v", got, sum)
+			}
+			if got != whole {
+				t.Fatalf("totals %+v, the whole measurement phase %+v", got, whole)
+			}
+			if got.UpdatesSent == 0 || got.BestPathChanges == 0 {
+				t.Fatalf("totals %+v: the schedule measured nothing", got)
+			}
+			if trial.Placement.K > 0 && got.Recomputes == 0 {
+				t.Fatalf("totals %+v: the cluster never recomputed", got)
+			}
+			if want := e.AllReachable(p.origin); res.ReachableAfter != want {
+				t.Fatalf("ReachableAfter = %v, AllReachable = %v", res.ReachableAfter, want)
+			}
+		})
+	}
+}

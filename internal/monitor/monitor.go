@@ -33,7 +33,6 @@ type Detector struct {
 	clock  sim.Clock
 	settle time.Duration
 	last   time.Time
-	events uint64
 }
 
 // DefaultSettle is the default quiescence window.
@@ -47,21 +46,11 @@ func NewDetector(clock sim.Clock, settle time.Duration) *Detector {
 	return &Detector{clock: clock, settle: settle, last: clock.Now()}
 }
 
-// Touch records routing activity now.
+// Touch records routing activity now. Touching the detector when an
+// event is triggered starts the measurement of its convergence there.
 func (d *Detector) Touch() {
 	d.last = d.clock.Now()
-	d.events++
 }
-
-// Reset restarts observation from now (call when triggering an event
-// whose convergence is to be measured).
-func (d *Detector) Reset() {
-	d.last = d.clock.Now()
-	d.events = 0
-}
-
-// Events returns the number of activity touches since the last reset.
-func (d *Detector) Events() uint64 { return d.events }
 
 // LastActivity returns the time of the most recent activity.
 func (d *Detector) LastActivity() time.Time { return d.last }

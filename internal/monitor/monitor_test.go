@@ -33,12 +33,8 @@ func TestDetectorBasics(t *testing.T) {
 	if d.Converged() {
 		t.Fatal("touch should restart the window")
 	}
-	if d.Events() != 1 {
-		t.Fatalf("events = %d", d.Events())
-	}
-	d.Reset()
-	if d.Events() != 0 {
-		t.Fatal("reset should clear events")
+	if got := d.LastActivity(); !got.Equal(k.Now()) {
+		t.Fatalf("last activity = %v, want the touch at %v", got, k.Now())
 	}
 	if NewDetector(k, 0) == nil {
 		t.Fatal("default settle constructor failed")
@@ -78,20 +74,27 @@ func TestDetectorWaitTimeout(t *testing.T) {
 func TestDetectorBGPActivityTrace(t *testing.T) {
 	k := sim.NewKernel(1)
 	d := NewDetector(k, time.Second)
+	// touchesAfter reports whether ev, traced a second after the last
+	// activity, moved it.
+	touchesAfter := func(ev bgp.TraceEvent) bool {
+		if err := k.RunFor(time.Second); err != nil {
+			t.Fatal(err)
+		}
+		d.BGPActivityTrace(ev)
+		return d.LastActivity().Equal(k.Now())
+	}
 	// Updates count.
-	d.BGPActivityTrace(bgp.TraceEvent{Kind: bgp.TraceSend, Update: &wire.Update{}})
-	if d.Events() != 1 {
+	if !touchesAfter(bgp.TraceEvent{Kind: bgp.TraceSend, Update: &wire.Update{}}) {
 		t.Fatal("update send should touch")
 	}
-	d.BGPActivityTrace(bgp.TraceEvent{Kind: bgp.TraceRecv, Update: &wire.Update{}})
-	if d.Events() != 2 {
+	if !touchesAfter(bgp.TraceEvent{Kind: bgp.TraceRecv, Update: &wire.Update{}}) {
 		t.Fatal("update recv should touch")
 	}
 	// State and best-path changes do not.
-	d.BGPActivityTrace(bgp.TraceEvent{Kind: bgp.TraceState})
-	d.BGPActivityTrace(bgp.TraceEvent{Kind: bgp.TraceBest})
-	if d.Events() != 2 {
-		t.Fatalf("non-update events touched the detector: %d", d.Events())
+	for _, kind := range []bgp.TraceKind{bgp.TraceState, bgp.TraceBest} {
+		if touchesAfter(bgp.TraceEvent{Kind: kind}) {
+			t.Fatalf("a %v event touched the detector", kind)
+		}
 	}
 }
 

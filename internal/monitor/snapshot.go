@@ -17,19 +17,16 @@ type DetectorState struct {
 	// LastNS is the time of the most recent activity, as nanoseconds
 	// since sim.Epoch.
 	LastNS int64 `json:"last_ns"`
-	// Events counts activity touches since the last reset.
-	Events uint64 `json:"events"`
 }
 
 // State captures the detector's serializable state.
 func (d *Detector) State() DetectorState {
-	return DetectorState{LastNS: sim.TimeToNS(d.last), Events: d.events}
+	return DetectorState{LastNS: sim.TimeToNS(d.last)}
 }
 
 // RestoreState overlays a captured state.
 func (d *Detector) RestoreState(st DetectorState) {
 	d.last = sim.TimeFromNS(st.LastNS)
-	d.events = st.Events
 }
 
 // PendingProbe is one in-flight probe: its id and the flow it belongs

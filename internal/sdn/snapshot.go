@@ -1,9 +1,9 @@
 package sdn
 
 // Snapshot support: SwitchState captures one switch's mutable state —
-// the programmed flow table, the transaction-id counter and the
-// activity counters. Ports, local prefixes and callbacks are wiring,
-// rebuilt identically by construction.
+// the programmed flow table and the transaction-id counter. Ports,
+// local prefixes and callbacks are wiring, rebuilt identically by
+// construction.
 
 // SwitchState is the serializable state of one Switch.
 type SwitchState struct {
@@ -11,8 +11,6 @@ type SwitchState struct {
 	Flows []FlowEntry `json:"flows,omitempty"`
 	// NextXid is the last OpenFlow transaction id assigned.
 	NextXid uint32 `json:"next_xid"`
-	// Stats are the activity counters, verbatim.
-	Stats SwitchStats `json:"stats"`
 }
 
 // State captures the switch's serializable state.
@@ -20,7 +18,6 @@ func (s *Switch) State() SwitchState {
 	return SwitchState{
 		Flows:   s.table.Entries(),
 		NextXid: s.nextXid,
-		Stats:   s.stats,
 	}
 }
 
@@ -31,5 +28,4 @@ func (s *Switch) RestoreState(st SwitchState) {
 		s.table.Upsert(e)
 	}
 	s.nextXid = st.NextXid
-	s.stats = st.Stats
 }

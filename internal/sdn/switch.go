@@ -85,13 +85,6 @@ func (t *FlowTable) Entries() []FlowEntry {
 	return out
 }
 
-// SwitchStats counts switch activity.
-type SwitchStats struct {
-	Forwarded, Dropped, PuntedToController uint64
-	FlowModsApplied                        uint64
-	DeliveredLocal                         uint64
-}
-
 // Switch is one cluster member's data-plane device.
 type Switch struct {
 	asn   idr.ASN
@@ -109,7 +102,6 @@ type Switch struct {
 	OnLocalDeliver func(frames.Probe)
 
 	nextXid uint32
-	stats   SwitchStats
 }
 
 // NewSwitch creates the switch for member asn. sendControl carries
@@ -136,9 +128,6 @@ func (s *Switch) ASN() idr.ASN { return s.asn }
 
 // Table exposes the flow table (monitors read it).
 func (s *Switch) Table() *FlowTable { return s.table }
-
-// Stats returns a snapshot of the counters.
-func (s *Switch) Stats() SwitchStats { return s.stats }
 
 // AddPort registers a data port with its transmitter (the port's link
 // endpoint) and returns the assigned port number (1-based, in
@@ -229,7 +218,6 @@ func (s *Switch) controlErr(err error) error {
 }
 
 func (s *Switch) applyFlowMod(m ofp.FlowMod) {
-	s.stats.FlowModsApplied++
 	switch m.Command {
 	case ofp.FlowAdd:
 		s.table.Upsert(FlowEntry{Priority: m.Priority, Match: m.Match, OutPort: m.OutPort})
@@ -245,17 +233,14 @@ func (s *Switch) applyFlowMod(m ofp.FlowMod) {
 func (s *Switch) HandlePort(port uint32, frame []byte) error {
 	kind, payload, err := frames.Decode(frame)
 	if err != nil {
-		s.stats.Dropped++
 		return err
 	}
 	switch kind {
 	case frames.KindBGP:
-		s.stats.PuntedToController++
 		return s.sendMessage(ofp.PacketIn{InPort: port, Data: payload}, s.xid())
 	case frames.KindProbe:
 		return s.forwardProbe(payload)
 	default:
-		s.stats.Dropped++
 		return fmt.Errorf("sdn: switch %v: unexpected %v frame on data port %d", s.asn, kind, port)
 	}
 }
@@ -273,14 +258,12 @@ func (s *Switch) InjectProbe(p frames.Probe) error {
 func (s *Switch) forwardProbe(payload []byte) error {
 	probe, err := frames.DecodeProbe(payload)
 	if err != nil {
-		s.stats.Dropped++
 		return err
 	}
 	// Local delivery?
 	//lint:maporder every matching local prefix has the same effect: one local delivery, then return
 	for p := range s.localPrefixes {
 		if p.Contains(probe.Dst) {
-			s.stats.DeliveredLocal++
 			if s.OnLocalDeliver != nil {
 				s.OnLocalDeliver(probe)
 			}
@@ -288,17 +271,14 @@ func (s *Switch) forwardProbe(payload []byte) error {
 		}
 	}
 	if probe.TTL == 0 {
-		s.stats.Dropped++
 		return nil
 	}
 	entry, ok := s.table.Lookup(probe.Dst)
 	if !ok {
-		s.stats.Dropped++
 		return nil
 	}
 	send, ok := s.sendPort[entry.OutPort]
 	if !ok {
-		s.stats.Dropped++
 		return fmt.Errorf("sdn: switch %v: flow to unknown port %d", s.asn, entry.OutPort)
 	}
 	probe.TTL--
@@ -306,6 +286,5 @@ func (s *Switch) forwardProbe(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	s.stats.Forwarded++
 	return send.Send(frames.Encode(frames.KindProbe, out))
 }

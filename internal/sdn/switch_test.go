@@ -148,24 +148,33 @@ func TestSwitchFlowModAndProbeForwarding(t *testing.T) {
 	if out.TTL != 4 {
 		t.Fatalf("TTL = %d, want 4", out.TTL)
 	}
-	if sw.Stats().Forwarded != 1 {
-		t.Fatal("forward not counted")
+	if n := portFrames(ports); n != 1 {
+		t.Fatalf("%d frames left the ports, want the one on port 2", n)
 	}
 }
 
+// portFrames counts the frames sent on every data port.
+func portFrames(ports map[uint32]*[][]byte) int {
+	n := 0
+	for _, sent := range ports {
+		n += len(*sent)
+	}
+	return n
+}
+
 func TestSwitchProbeDropNoMatch(t *testing.T) {
-	sw, _, _ := testSwitch(t)
+	sw, control, ports := testSwitch(t)
 	probe := frames.Probe{ID: 1, Src: netip.MustParseAddr("10.0.1.10"), Dst: netip.MustParseAddr("10.0.2.10"), TTL: 5}
 	if err := sw.InjectProbe(probe); err != nil {
 		t.Fatal(err)
 	}
-	if sw.Stats().Dropped != 1 {
-		t.Fatal("no-match probe should be dropped")
+	if n := portFrames(ports); n != 0 || len(*control) != 0 {
+		t.Fatalf("no-match probe went somewhere: %d port frames, %d control frames", n, len(*control))
 	}
 }
 
 func TestSwitchProbeTTLExpiry(t *testing.T) {
-	sw, _, _ := testSwitch(t)
+	sw, _, ports := testSwitch(t)
 	fm := ofp.FlowMod{Command: ofp.FlowAdd, Match: netip.MustParsePrefix("0.0.0.0/0"), OutPort: 1}
 	if err := sw.HandleControl(mustOFP(t, fm)); err != nil {
 		t.Fatal(err)
@@ -174,13 +183,13 @@ func TestSwitchProbeTTLExpiry(t *testing.T) {
 	if err := sw.InjectProbe(probe); err != nil {
 		t.Fatal(err)
 	}
-	if sw.Stats().Dropped != 1 || sw.Stats().Forwarded != 0 {
-		t.Fatal("TTL-0 probe must be dropped")
+	if n := portFrames(ports); n != 0 {
+		t.Fatalf("TTL-0 probe must be dropped, %d frames left the ports", n)
 	}
 }
 
 func TestSwitchLocalDelivery(t *testing.T) {
-	sw, _, _ := testSwitch(t)
+	sw, _, ports := testSwitch(t)
 	sw.AddLocalPrefix(netip.MustParsePrefix("10.0.7.0/24"))
 	var delivered []frames.Probe
 	sw.OnLocalDeliver = func(p frames.Probe) { delivered = append(delivered, p) }
@@ -191,8 +200,8 @@ func TestSwitchLocalDelivery(t *testing.T) {
 	if len(delivered) != 1 || delivered[0].ID != 9 {
 		t.Fatalf("delivered = %v", delivered)
 	}
-	if sw.Stats().DeliveredLocal != 1 {
-		t.Fatal("local delivery not counted")
+	if n := portFrames(ports); n != 0 {
+		t.Fatalf("a locally delivered probe also left on a port (%d frames)", n)
 	}
 }
 
@@ -206,8 +215,8 @@ func TestSwitchFlowToUnknownPort(t *testing.T) {
 	if err := sw.InjectProbe(probe); err == nil {
 		t.Fatal("a probe matching a flow to a port the switch lacks was not reported")
 	}
-	if sw.Stats().Dropped != 1 || sw.Stats().Forwarded != 0 || len(*ports[1])+len(*ports[2])+len(*ports[3]) != 0 {
-		t.Fatalf("stats %+v: the probe went somewhere", sw.Stats())
+	if n := portFrames(ports); n != 0 {
+		t.Fatalf("the probe went somewhere: %d port frames", n)
 	}
 }
 
@@ -225,11 +234,8 @@ func TestSwitchBGPPuntsToController(t *testing.T) {
 		t.Fatal(err)
 	}
 	pin := msg.(ofp.PacketIn)
-	if pin.InPort != 1 || len(pin.Data) != 4 {
+	if pin.InPort != 1 || !bytes.Equal(pin.Data, bgpFrame[1:]) {
 		t.Fatalf("packet-in = %+v", pin)
-	}
-	if sw.Stats().PuntedToController != 1 {
-		t.Fatal("punt not counted")
 	}
 }
 
@@ -265,9 +271,6 @@ func TestSwitchFlowDeleteCommands(t *testing.T) {
 	sw.HandleControl(mustOFP(t, ofp.FlowMod{Command: ofp.FlowDelete, Match: m1}))
 	if es := sw.Table().Entries(); len(es) != 1 || es[0].Match != m2 {
 		t.Fatalf("deleting an absent entry left %v", es)
-	}
-	if sw.Stats().FlowModsApplied != 4 {
-		t.Fatalf("flow mods = %d", sw.Stats().FlowModsApplied)
 	}
 }
 

@@ -13,10 +13,12 @@ import (
 
 // mutant is one planted bug kept under testdata/mutants/<name>/: the
 // source file it edits (mutant.json), the text it replaces there
-// (search) and what it puts in its place (replace), and the tests of
-// that file's package that must catch it.
+// (search) and what it puts in its place (replace), and the tests that
+// must catch it: those of the file's own package, or of Pkg when the
+// bug shows only through a package that imports it.
 type mutant struct {
 	File  string   `json:"file"`
+	Pkg   string   `json:"pkg,omitempty"`
 	Why   string   `json:"why"`
 	Tests []string `json:"tests"`
 
@@ -60,9 +62,9 @@ func loadMutants(t *testing.T) []mutant {
 }
 
 // TestMutantsAreCaught applies each mutant to a copy of its file, builds
-// the file's package with the copy in its place (go test -overlay) and
-// runs the mutant's tests there: the package must build, and every
-// named test must fail. A search text that no longer occurs exactly
+// the file's package (or the mutant's Pkg) with the copy in its place
+// (go test -overlay) and runs the mutant's tests there: the package
+// must build, and every named test must fail. A search text that no longer occurs exactly
 // once in the file is a stale mutant, and fails too.
 func TestMutantsAreCaught(t *testing.T) {
 	if testing.Short() {
@@ -98,8 +100,12 @@ func TestMutantsAreCaught(t *testing.T) {
 			if err := os.WriteFile(overlayFile, overlay, 0o644); err != nil {
 				t.Fatal(err)
 			}
+			pkg := m.Pkg
+			if pkg == "" {
+				pkg = filepath.Dir(m.File)
+			}
 			run := "^(" + strings.Join(m.Tests, "|") + ")$"
-			cmd := exec.Command(goTool, "test", "-overlay="+overlayFile, "-count=1", "-run", run, "./"+filepath.ToSlash(filepath.Dir(m.File)))
+			cmd := exec.Command(goTool, "test", "-overlay="+overlayFile, "-count=1", "-run", run, "./"+filepath.ToSlash(pkg))
 			cmd.Dir = root
 			out, err := cmd.CombinedOutput()
 			if err == nil {
