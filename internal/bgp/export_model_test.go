@@ -48,29 +48,35 @@ func hashPath(p wire.ASPath, asn idr.ASN) uint64 {
 	const prime = 1099511628211
 	h := uint64(14695981039346656037)
 	h = (h ^ uint64(asn)) * prime
-	for _, s := range p {
-		h = (h ^ uint64(s.Type)) * prime
-		h = (h ^ uint64(len(s.ASNs))) * prime
-		for _, a := range s.ASNs {
-			h = (h ^ uint64(a)) * prime
-		}
+	h = (h ^ uint64(len(p))) * prime
+	for _, a := range p {
+		h = (h ^ uint64(a)) * prime
 	}
 	return h
 }
 
-// exportModelPaths is what the tapes learn: plain sequences, pairs that
-// agree on the first segment and differ only after it, a path that
-// starts with a set, and the empty path.
+// exportModelPaths is what the tapes learn: short sequences, long
+// ones that agree on all but their last AS, one that outgrows a
+// 255-ASN wire segment, and the empty path.
 var exportModelPaths = []wire.ASPath{
 	wire.NewASPath(7),
 	wire.NewASPath(7, 8),
 	wire.NewASPath(7, 8, 9),
 	wire.NewASPath(8, 7, 9),
-	{{Type: wire.ASSequence, ASNs: []idr.ASN{7, 8}}, {Type: wire.ASSet, ASNs: []idr.ASN{20, 21}}},
-	{{Type: wire.ASSequence, ASNs: []idr.ASN{7, 8}}, {Type: wire.ASSet, ASNs: []idr.ASN{20, 22}}},
-	{{Type: wire.ASSequence, ASNs: []idr.ASN{7, 8}}, {Type: wire.ASSet, ASNs: []idr.ASN{20, 21}}, {Type: wire.ASSequence, ASNs: []idr.ASN{30}}},
-	{{Type: wire.ASSet, ASNs: []idr.ASN{40, 41}}, {Type: wire.ASSequence, ASNs: []idr.ASN{7}}},
+	append(longModelPath(7, 40), 21),
+	append(longModelPath(7, 40), 22),
+	append(longModelPath(7, 300), 30),
+	wire.NewASPath(40, 41, 7),
 	nil,
+}
+
+// longModelPath is the path from, from+1, ..., from+n-1.
+func longModelPath(from idr.ASN, n int) wire.ASPath {
+	var p wire.ASPath
+	for i := range n {
+		p = append(p, from+idr.ASN(i))
+	}
+	return p
 }
 
 // exportModelRouter is one router of the model with its oracle and the

@@ -378,9 +378,8 @@ var _ = topology.KindPeer
 
 // TestReceiveAllocatesOnlyItsRoute pins what a received UPDATE leaves
 // behind: on an established session, traced, a single-prefix
-// announcement allocates the route it installs and the two slices of
-// that route's AS path — what BGP says an UPDATE leaves in an
-// Adj-RIB-In — and nothing else: no boxed message, no prefix list, no
+// announcement allocates the route it installs and that route's AS
+// path — what BGP says an UPDATE leaves in an Adj-RIB-In — and nothing else: no boxed message, no prefix list, no
 // copy of the Loc-RIB change for the trace. A withdrawal allocates
 // nothing at all.
 func TestReceiveAllocatesOnlyItsRoute(t *testing.T) {
@@ -405,8 +404,8 @@ func TestReceiveAllocatesOnlyItsRoute(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() {
 		i++
 		h.p.Deliver(announce[i%2]) // a different path every time: the best route changes
-	}); got != 3 {
-		t.Errorf("a received announcement allocates %v times, want 3: the route, its path's segments, their ASNs", got)
+	}); got != 2 {
+		t.Errorf("a received announcement allocates %v times, want 2: the route and its path", got)
 	}
 	if best, ok := h.r.Table().Best(pfx); !ok || !best.Attrs.ASPath.Equal(wire.NewASPath(2, idr.ASN(3+i%2))) {
 		t.Fatalf("the last announcement did not install: %v, %v", best, ok)
@@ -467,10 +466,9 @@ func groupByPointer(pending map[netip.Prefix]wire.PathAttrs) []packedUpdate {
 }
 
 // TestAnnounceBatchPackingModel flushes random announcement batches —
-// one prefix, one group, many groups, groups that render alike without
-// being equal — and requires the UPDATEs sent to be the oracle's, in
-// its order, each with an NLRI slice appending to which cannot reach
-// the next one's.
+// one prefix, one group, many groups, equal groups built apart — and
+// requires the UPDATEs sent to be the oracle's, in its order, each with
+// an NLRI slice appending to which cannot reach the next one's.
 func TestAnnounceBatchPackingModel(t *testing.T) {
 	h := newHarness(t)
 	h.establish(t)
@@ -478,7 +476,7 @@ func TestAnnounceBatchPackingModel(t *testing.T) {
 	med := uint32(5)
 	pool := []wire.PathAttrs{
 		{ASPath: wire.NewASPath(1, 7), NextHop: nh},
-		{ASPath: wire.ASPath{{Type: wire.ASSequence, ASNs: []idr.ASN{1}}, {Type: wire.ASSequence, ASNs: []idr.ASN{7}}}, NextHop: nh}, // renders like the first
+		{ASPath: wire.NewASPath(1, 7), NextHop: nh}, // equal to the first, built apart
 		{ASPath: wire.NewASPath(1, 3, 9), NextHop: nh},
 		{ASPath: wire.NewASPath(1, 3, 9), NextHop: nh, MED: &med},
 		{ASPath: wire.NewASPath(1), NextHop: nh},

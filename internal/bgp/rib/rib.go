@@ -125,7 +125,7 @@ func Better(a, b *Route) bool {
 	if la, lb := a.LocalPref(), b.LocalPref(); la != lb {
 		return la > lb
 	}
-	if pa, pb := a.Attrs.ASPath.Length(), b.Attrs.ASPath.Length(); pa != pb {
+	if pa, pb := len(a.Attrs.ASPath), len(b.Attrs.ASPath); pa != pb {
 		return pa < pb
 	}
 	if a.Attrs.Origin != b.Attrs.Origin {

@@ -148,7 +148,7 @@ func TestImplicitWithdraw(t *testing.T) {
 		t.Fatalf("implicit withdrawal not honored: %+v", c)
 	}
 	r, ok := tbl.AdjIn("p1", pfxA)
-	if !ok || r.Attrs.ASPath.Length() != 4 {
+	if !ok || len(r.Attrs.ASPath) != 4 {
 		t.Fatal("Adj-RIB-In should hold the replacement route")
 	}
 }
@@ -261,8 +261,8 @@ func TestSetAdjInEmptyPeerPanics(t *testing.T) {
 func TestRouteCloneAndString(t *testing.T) {
 	r := route("p1", 2, pfxA, 2)
 	c := r.Clone()
-	c.Attrs.ASPath[0].ASNs[0] = 99
-	if r.Attrs.ASPath[0].ASNs[0] != 2 {
+	c.Attrs.ASPath[0] = 99
+	if r.Attrs.ASPath[0] != 2 {
 		t.Fatal("Clone shares path memory")
 	}
 	if r.String() == "" || (&Route{Prefix: pfxA, Local: true}).String() == "" {
@@ -283,8 +283,11 @@ func TestRouteCloneAndString(t *testing.T) {
 // (never from what was built before), dropped by Clone and gone when a
 // table replaces the route.
 func TestExportPath(t *testing.T) {
-	multi := wire.ASPath{{Type: wire.ASSequence, ASNs: []idr.ASN{2, 3}}, {Type: wire.ASSet, ASNs: []idr.ASN{4, 5}}}
-	for _, path := range []wire.ASPath{wire.NewASPath(2, 3), multi, nil} {
+	var long wire.ASPath // two segments on the wire
+	for asn := idr.ASN(2); asn < 302; asn++ {
+		long = append(long, asn)
+	}
+	for _, path := range []wire.ASPath{wire.NewASPath(2, 3), long, nil} {
 		r := &Route{Prefix: pfxA, Peer: "p1", Attrs: wire.PathAttrs{ASPath: path}}
 		for _, asn := range []idr.ASN{1, 9, 1} {
 			got, want := r.ExportPath(asn), path.Prepend(asn)
@@ -300,7 +303,7 @@ func TestExportPath(t *testing.T) {
 		}
 		c := r.Clone()
 		if len(path) > 0 {
-			c.Attrs.ASPath[0].ASNs[0] = 77
+			c.Attrs.ASPath[0] = 77
 		}
 		if got, want := c.ExportPath(1), c.Attrs.ASPath.Prepend(1); !got.Equal(want) {
 			t.Fatalf("a clone exports [%v], its own path gives [%v]", got, want)

@@ -3,6 +3,7 @@ package wire
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"strconv"
 
 	"repro/internal/idr"
@@ -16,6 +17,13 @@ const (
 	AttrMED             uint8 = 4
 	AttrLocalPref       uint8 = 5
 	AttrAtomicAggregate uint8 = 6
+)
+
+// AS_PATH segments (RFC 4271 §4.3): the one type this package reads
+// and writes (AS_SET is 1), and the most ASNs a segment holds.
+const (
+	asSequence uint8 = 2
+	maxSegment       = 255
 )
 
 // Attribute flag bits.
@@ -50,157 +58,69 @@ func (o Origin) String() string {
 	}
 }
 
-// SegType is the AS_PATH segment type.
-type SegType uint8
+// ASPath is an AS_PATH: the ASes a route crossed, nearest first. It
+// is one AS_SEQUENCE however many segments carried it — the decoder
+// joins consecutive sequences and refuses an AS_SET, which nothing here
+// sends, and the encoder splits the path into segments of at most 255
+// ASNs (RFC 4271 §4.3) — so its decision-process length is len.
+type ASPath []idr.ASN
 
-// AS_PATH segment types (RFC 4271 §4.3).
-const (
-	ASSet      SegType = 1
-	ASSequence SegType = 2
-)
-
-// Segment is one AS_PATH segment.
-type Segment struct {
-	Type SegType
-	ASNs []idr.ASN
-}
-
-// ASPath is an ordered list of AS_PATH segments.
-type ASPath []Segment
-
-// NewASPath returns a single-sequence path over the given ASNs (empty
-// input yields an empty path, as originated routes carry).
+// NewASPath returns a path over a copy of the given ASNs (empty input
+// yields an empty path, as originated routes carry).
 func NewASPath(asns ...idr.ASN) ASPath {
 	if len(asns) == 0 {
 		return nil
 	}
-	return ASPath{{Type: ASSequence, ASNs: append([]idr.ASN(nil), asns...)}}
-}
-
-// Length is the decision-process AS-path length: each AS in a sequence
-// counts 1, each AS_SET counts 1 in total (RFC 4271 §9.1.2.2).
-func (p ASPath) Length() int {
-	n := 0
-	for _, s := range p {
-		switch s.Type {
-		case ASSet:
-			if len(s.ASNs) > 0 {
-				n++
-			}
-		default:
-			n += len(s.ASNs)
-		}
-	}
-	return n
+	return append(ASPath(nil), asns...)
 }
 
 // Contains reports whether asn appears anywhere in the path — the BGP
 // loop-detection test (RFC 4271 §9.1.2).
-func (p ASPath) Contains(asn idr.ASN) bool {
-	for _, s := range p {
-		for _, a := range s.ASNs {
-			if a == asn {
-				return true
-			}
-		}
-	}
-	return false
-}
+func (p ASPath) Contains(asn idr.ASN) bool { return slices.Contains(p, asn) }
 
-// Prepend returns a new path with asn prepended, merging into a
-// leading AS_SEQUENCE when one exists (creating it otherwise). The
-// result shares nothing with p and is built without a throw-away copy:
-// one segment slice and one ASN slice per segment.
+// Prepend returns a new path with asn in front, in one allocation; the
+// result shares nothing with p.
 func (p ASPath) Prepend(asn idr.ASN) ASPath {
-	head, rest := []idr.ASN(nil), p
-	if len(p) > 0 && p[0].Type == ASSequence {
-		head, rest = p[0].ASNs, p[1:]
-	}
-	first := make([]idr.ASN, 1+len(head))
-	first[0] = asn
-	copy(first[1:], head)
-	out := make(ASPath, 1+len(rest))
-	out[0] = Segment{Type: ASSequence, ASNs: first}
-	for i, s := range rest {
-		out[1+i] = Segment{Type: s.Type, ASNs: append([]idr.ASN(nil), s.ASNs...)}
-	}
+	out := make(ASPath, 1+len(p))
+	out[0] = asn
+	copy(out[1:], p)
 	return out
 }
 
 // First returns the leftmost AS on the path (the neighbor that sent
 // it), or (0, false) for an empty path.
 func (p ASPath) First() (idr.ASN, bool) {
-	for _, s := range p {
-		if len(s.ASNs) > 0 {
-			return s.ASNs[0], true
-		}
+	if len(p) == 0 {
+		return 0, false
 	}
-	return 0, false
+	return p[0], true
 }
 
 // Origin returns the rightmost AS on the path (the originator), or
 // (0, false) for an empty path.
 func (p ASPath) Origin() (idr.ASN, bool) {
-	for i := len(p) - 1; i >= 0; i-- {
-		if n := len(p[i].ASNs); n > 0 {
-			return p[i].ASNs[n-1], true
-		}
+	if len(p) == 0 {
+		return 0, false
 	}
-	return 0, false
+	return p[len(p)-1], true
 }
 
-// Clone deep-copies the path.
-func (p ASPath) Clone() ASPath {
-	if p == nil {
-		return nil
-	}
-	out := make(ASPath, len(p))
-	for i, s := range p {
-		out[i] = Segment{Type: s.Type, ASNs: append([]idr.ASN(nil), s.ASNs...)}
-	}
-	return out
-}
+// Clone copies the path; a nil path stays nil.
+func (p ASPath) Clone() ASPath { return slices.Clone(p) }
 
-// Equal reports deep equality of two paths.
-func (p ASPath) Equal(o ASPath) bool {
-	if len(p) != len(o) {
-		return false
-	}
-	for i := range p {
-		if p[i].Type != o[i].Type || len(p[i].ASNs) != len(o[i].ASNs) {
-			return false
-		}
-		for j := range p[i].ASNs {
-			if p[i].ASNs[j] != o[i].ASNs[j] {
-				return false
-			}
-		}
-	}
-	return true
-}
+// Equal reports whether two paths hold the same ASes in the same order.
+func (p ASPath) Equal(o ASPath) bool { return slices.Equal(p, o) }
 
-// String renders the path in the conventional "1 2 {3,4}" form.
+// String renders the path in the conventional "1 2 3" form.
 func (p ASPath) String() string { return string(p.AppendText(nil)) }
 
 // AppendText appends the String form of the path to b.
 func (p ASPath) AppendText(b []byte) []byte {
-	for i, s := range p {
+	for i, a := range p {
 		if i > 0 {
 			b = append(b, ' ')
 		}
-		sep := byte(' ')
-		if s.Type == ASSet {
-			b, sep = append(b, '{'), ','
-		}
-		for j, a := range s.ASNs {
-			if j > 0 {
-				b = append(b, sep)
-			}
-			b = strconv.AppendUint(b, uint64(a), 10)
-		}
-		if s.Type == ASSet {
-			b = append(b, '}')
-		}
+		b = strconv.AppendUint(b, uint64(a), 10)
 	}
 	return b
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"net/netip"
 	"slices"
@@ -10,57 +11,71 @@ import (
 	"repro/internal/idr"
 )
 
-// longPath is an AS_PATH of n ASNs in as few sequences as the 255-ASN
-// segment limit allows.
+// longPath is the AS path 1, 2, ..., n.
 func longPath(n int) ASPath {
-	var path ASPath
-	for asn := 1; asn <= n; {
-		seg := Segment{Type: ASSequence}
-		for ; asn <= n && len(seg.ASNs) < 255; asn++ {
-			seg.ASNs = append(seg.ASNs, idr.ASN(asn))
-		}
-		path = append(path, seg)
+	path := make(ASPath, n)
+	for i := range path {
+		path[i] = idr.ASN(i + 1)
 	}
 	return path
 }
 
+// segment is one raw AS_PATH segment: its type octet, its count and
+// its ASNs, as another speaker may send it.
+func segment(typ uint8, asns ...idr.ASN) []byte {
+	b := []byte{typ, byte(len(asns))}
+	for _, asn := range asns {
+		b = binary.BigEndian.AppendUint32(b, uint32(asn))
+	}
+	return b
+}
+
+// pathUpdate is an UPDATE announcing 10.0.0.0/8 via 1.2.3.4 whose
+// AS_PATH value is the given raw segments, in the bytes this package
+// would write for the same path.
+func pathUpdate(segs ...[]byte) []byte {
+	value := slices.Concat(segs...)
+	header := []byte{flagTransitive, AttrASPath, byte(len(value))}
+	if len(value) > 0xFF {
+		header = []byte{flagTransitive | flagExtLen, AttrASPath, byte(len(value) >> 8), byte(len(value))}
+	}
+	attrs := slices.Concat(
+		[]byte{flagTransitive, AttrOrigin, 1, byte(OriginIGP)},
+		header, value,
+		[]byte{flagTransitive, AttrNextHop, 4, 1, 2, 3, 4})
+	return frame(MsgUpdate, slices.Concat([]byte{0, 0, byte(len(attrs) >> 8), byte(len(attrs))}, attrs, []byte{8, 10}))
+}
+
 // corpus is one message of every kind and shape the tests in
-// wire_test.go round-trip, plus two UPDATEs that outgrow the encoder's
-// size estimate: many short segments with both optional attributes set,
-// and a large AS_SET (which the estimate counts as one AS).
+// wire_test.go round-trip, plus a NOTIFICATION that outgrows the
+// encoder's size estimate and UPDATEs with paths of one, two and three
+// segments, all optional attributes set on the longest.
 func corpus() []Message {
 	nh := netip.MustParseAddr("100.64.0.1")
-	var shortSegments ASPath
-	for asn := idr.ASN(1); asn <= 40; asn++ {
-		shortSegments = append(shortSegments, Segment{Type: ASSequence, ASNs: []idr.ASN{asn}})
-	}
-	var set Segment
-	set.Type = ASSet
-	for asn := idr.ASN(1); asn <= 60; asn++ {
-		set.ASNs = append(set.ASNs, asn)
-	}
 	return []Message{
 		Keepalive{},
 		Open{AS: 64500, HoldTimeSecs: 90, ID: idr.RouterIDFromAddr(netip.MustParseAddr("172.16.0.1"))},
 		Open{AS: 400000, HoldTimeSecs: 180, ID: idr.RouterIDFromAddr(netip.MustParseAddr("10.9.8.7"))},
 		Notification{Code: NotifCease, Subcode: 2, Data: []byte{1, 2, 3}},
 		Notification{Code: NotifHoldTimerExpired},
+		Notification{Code: NotifUpdateMessageError, Subcode: 11, Data: bytes.Repeat([]byte{0xAB}, 40)},
 		fullUpdate,
 		Update{Withdrawn: []netip.Prefix{netip.MustParsePrefix("10.0.0.0/8")}},
 		Update{Attrs: PathAttrs{NextHop: nh}, NLRI: []netip.Prefix{netip.MustParsePrefix("10.0.1.0/24")}},
-		asSetUpdate,
+		seqUpdate,
 		Update{Attrs: PathAttrs{ASPath: longPath(300), NextHop: nh}, NLRI: []netip.Prefix{netip.MustParsePrefix("10.0.0.0/8")}},
 		Update{
-			Attrs: PathAttrs{ASPath: shortSegments, NextHop: nh, MED: med(1), LocalPref: med(2)},
+			Attrs: PathAttrs{ASPath: longPath(511), NextHop: nh, MED: med(1), LocalPref: med(2)},
 			NLRI:  []netip.Prefix{netip.MustParsePrefix("10.0.0.0/8")},
 		},
-		Update{Attrs: PathAttrs{ASPath: ASPath{set}, NextHop: nh}, NLRI: []netip.Prefix{netip.MustParsePrefix("10.0.0.0/8")}},
 	}
 }
 
 // TestCorpusOutgrowsEstimate keeps the corpus honest about what it is
-// for: it must hold UPDATEs whose encoding regrows the buffer Append
+// for: it must hold a message whose encoding regrows the buffer Append
 // sized up front, or the length fix-up after a regrowth goes untested.
+// An UPDATE's estimate counts every header it writes, so no UPDATE may
+// outgrow it.
 func TestCorpusOutgrowsEstimate(t *testing.T) {
 	outgrown := 0
 	for _, m := range corpus() {
@@ -68,12 +83,18 @@ func TestCorpusOutgrowsEstimate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Marshal(%v): %v", m, err)
 		}
-		if u, ok := m.(Update); ok && len(b) > HeaderLen+estimateUpdate(&u) {
+		estimate := estimateBody(m)
+		if u, ok := m.(Update); ok {
+			if estimate = estimateUpdate(&u); len(b) > HeaderLen+estimate {
+				t.Errorf("%v encodes to %d bytes, more than its estimate of %d", m, len(b), HeaderLen+estimate)
+			}
+		}
+		if len(b) > HeaderLen+estimate {
 			outgrown++
 		}
 	}
-	if outgrown < 2 {
-		t.Fatalf("%d corpus messages outgrow their estimate, want the short-segment and the AS_SET UPDATE at least", outgrown)
+	if outgrown == 0 {
+		t.Fatal("no corpus message outgrows its estimate, want the long NOTIFICATION at least")
 	}
 }
 
@@ -118,9 +139,13 @@ func FuzzWireRoundTrip(f *testing.F) {
 		}
 		f.Add(b)
 	}
-	// What other speakers send and this package skips.
+	// What other speakers send and this package skips, joins or
+	// refuses: unstored attributes, two AS_SEQUENCE segments (one
+	// segment once re-encoded), and an AS_SET (Malformed AS_PATH).
 	f.Add(openBytes)
 	f.Add(withAttrs(fullUpdate, unstoredAttrs...))
+	f.Add(pathUpdate(segment(asSequence, 1, 2), segment(asSequence, 3)))
+	f.Add(pathUpdate(segment(asSequence, 1, 2), segment(1, 7, 8, 9)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Unmarshal(data)
 		reused := fullUpdate

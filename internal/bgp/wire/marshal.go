@@ -94,10 +94,14 @@ func estimateBody(m Message) int {
 	}
 }
 
+// estimateUpdate never undershoots: 32 bytes cover every attribute
+// header, value and the first AS_PATH segment header, to which each
+// further segment adds its own.
 func estimateUpdate(u *Update) int {
 	n := 4 + 5*(len(u.Withdrawn)+len(u.NLRI))
 	if len(u.NLRI) > 0 {
-		n += 32 + 4*u.Attrs.ASPath.Length()
+		p := len(u.Attrs.ASPath)
+		n += 32 + 4*p + 2*((p-1)/maxSegment)
 	}
 	return n
 }
@@ -198,24 +202,18 @@ func appendAttrs(out []byte, a *PathAttrs) ([]byte, error) {
 	out = append(out, byte(a.Origin))
 
 	// AS_PATH: well-known mandatory; 4-octet ASNs (RFC 6793 encoding
-	// on a session with the Four-Octet-AS capability).
-	pathLen := 0
-	for _, s := range a.ASPath {
-		if s.Type != ASSet && s.Type != ASSequence {
-			return nil, fmt.Errorf("wire: invalid AS_PATH segment type %d", s.Type)
-		}
-		if len(s.ASNs) == 0 || len(s.ASNs) > 255 {
-			return nil, fmt.Errorf("wire: AS_PATH segment with %d ASNs", len(s.ASNs))
-		}
-		pathLen += 2 + 4*len(s.ASNs)
-	}
-	out, err = appendAttrHeader(out, flagTransitive, AttrASPath, pathLen)
+	// on a session with the Four-Octet-AS capability), in as few
+	// AS_SEQUENCE segments as the 255-ASN limit allows.
+	segs := (len(a.ASPath) + maxSegment - 1) / maxSegment
+	out, err = appendAttrHeader(out, flagTransitive, AttrASPath, 2*segs+4*len(a.ASPath))
 	if err != nil {
 		return nil, err
 	}
-	for _, s := range a.ASPath {
-		out = append(out, byte(s.Type), byte(len(s.ASNs)))
-		for _, asn := range s.ASNs {
+	for p := a.ASPath; len(p) > 0; {
+		seg := p[:min(len(p), maxSegment)]
+		p = p[len(seg):]
+		out = append(out, asSequence, byte(len(seg)))
+		for _, asn := range seg {
 			out = binary.BigEndian.AppendUint32(out, uint32(asn))
 		}
 	}

@@ -18,24 +18,11 @@ type modelPath ASPath
 
 func (p modelPath) String() string {
 	var b strings.Builder
-	for i, s := range p {
-		if i > 0 {
+	for j, a := range p {
+		if j > 0 {
 			b.WriteByte(' ')
 		}
-		if s.Type == ASSet {
-			parts := make([]string, len(s.ASNs))
-			for j, a := range s.ASNs {
-				parts[j] = fmt.Sprint(uint32(a))
-			}
-			b.WriteString("{" + strings.Join(parts, ",") + "}")
-			continue
-		}
-		for j, a := range s.ASNs {
-			if j > 0 {
-				b.WriteByte(' ')
-			}
-			fmt.Fprint(&b, uint32(a))
-		}
+		fmt.Fprint(&b, uint32(a))
 	}
 	return b.String()
 }
@@ -52,10 +39,10 @@ func modelAttrsString(a PathAttrs) string {
 	return b.String()
 }
 
-// randomAttrs draws attributes covering every rendering branch: AS_SETs
-// (empty ones too), sequences, segment types no UPDATE carries, nil and
-// empty paths, every origin and some out of range, nil and set
-// MED/LOCAL_PREF, and zero, IPv4, IPv6, zoned and IPv4-mapped next hops.
+// randomAttrs draws attributes covering every rendering branch: nil,
+// empty, short and long paths, every origin and some out of range, nil
+// and set MED/LOCAL_PREF, and zero, IPv4, IPv6, zoned and IPv4-mapped
+// next hops.
 func randomAttrs(rng *rand.Rand) PathAttrs {
 	asn := func() idr.ASN {
 		if rng.Intn(4) == 0 {
@@ -69,13 +56,13 @@ func randomAttrs(rng *rand.Rand) PathAttrs {
 	case 0: // nil path
 	case 1:
 		a.ASPath = ASPath{}
+	case 2:
+		for n := 256 + rng.Intn(300); n > 0; n-- {
+			a.ASPath = append(a.ASPath, asn())
+		}
 	default:
-		for n := rng.Intn(4); n >= 0; n-- {
-			seg := Segment{Type: []SegType{ASSet, ASSequence, ASSequence, 0, 3}[rng.Intn(5)]}
-			for m := rng.Intn(5); m > 0; m-- {
-				seg.ASNs = append(seg.ASNs, asn())
-			}
-			a.ASPath = append(a.ASPath, seg)
+		for n := rng.Intn(8); n >= 0; n-- {
+			a.ASPath = append(a.ASPath, asn())
 		}
 	}
 	switch rng.Intn(5) {

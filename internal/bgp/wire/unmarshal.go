@@ -332,28 +332,37 @@ func unmarshalAttrs(b []byte) (decodedAttrs, error) {
 	return a, nil
 }
 
+// unmarshalASPath checks every segment of an AS_PATH value before it
+// decodes any, so the path is one allocation of its full length, its
+// consecutive AS_SEQUENCE segments joined. An AS_SET is refused.
 func unmarshalASPath(b []byte) (ASPath, error) {
-	var path ASPath
-	for len(b) > 0 {
-		if len(b) < 2 {
+	n := 0
+	for rest := b; len(rest) > 0; {
+		if len(rest) < 2 {
 			return nil, fmt.Errorf("truncated segment header")
 		}
-		st, n := SegType(b[0]), int(b[1])
-		if st != ASSet && st != ASSequence {
-			return nil, fmt.Errorf("bad segment type %d", st)
-		}
-		if n == 0 {
+		k := int(rest[1])
+		switch {
+		case rest[0] != asSequence:
+			return nil, fmt.Errorf("segment type %d (only AS_SEQUENCE is accepted)", rest[0])
+		case k == 0:
 			return nil, fmt.Errorf("empty segment")
-		}
-		if len(b) < 2+4*n {
+		case len(rest) < 2+4*k:
 			return nil, fmt.Errorf("segment overruns attribute")
 		}
-		seg := Segment{Type: st, ASNs: make([]idr.ASN, n)}
-		for i := 0; i < n; i++ {
-			seg.ASNs[i] = idr.ASN(binary.BigEndian.Uint32(b[2+4*i:]))
+		n += k
+		rest = rest[2+4*k:]
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	path := make(ASPath, 0, n)
+	for len(b) > 0 {
+		k := int(b[1])
+		for i := range k {
+			path = append(path, idr.ASN(binary.BigEndian.Uint32(b[2+4*i:])))
 		}
-		path = append(path, seg)
-		b = b[2+4*n:]
+		b = b[2+4*k:]
 	}
 	return path, nil
 }

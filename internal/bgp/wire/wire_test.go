@@ -183,7 +183,7 @@ func TestNotificationRoundTrip(t *testing.T) {
 
 func med(v uint32) *uint32 { return &v }
 
-// fullUpdate and asSetUpdate are also seeds of FuzzWireRoundTrip (see
+// fullUpdate and seqUpdate are also seeds of FuzzWireRoundTrip (see
 // corpus).
 var fullUpdate = Update{
 	Withdrawn: []netip.Prefix{
@@ -233,31 +233,68 @@ func TestUpdateEmptyPathOriginated(t *testing.T) {
 		NLRI: []netip.Prefix{netip.MustParsePrefix("10.0.1.0/24")},
 	}
 	out := roundTrip(t, in).(Update)
-	if out.Attrs.ASPath.Length() != 0 {
+	if len(out.Attrs.ASPath) != 0 {
 		t.Fatalf("path = %v", out.Attrs.ASPath)
 	}
 }
 
-var asSetUpdate = Update{
+var seqUpdate = Update{
 	Attrs: PathAttrs{
-		Origin: OriginIncomplete,
-		ASPath: ASPath{
-			{Type: ASSequence, ASNs: []idr.ASN{1, 2}},
-			{Type: ASSet, ASNs: []idr.ASN{7, 8, 9}},
-		},
+		Origin:  OriginIncomplete,
+		ASPath:  NewASPath(1, 2, 7, 8, 9),
 		NextHop: netip.MustParseAddr("1.2.3.4"),
 	},
 	NLRI: []netip.Prefix{netip.MustParsePrefix("10.0.0.0/8")},
 }
 
-func TestUpdateASSetRoundTrip(t *testing.T) {
-	in := asSetUpdate
-	out := roundTrip(t, in).(Update)
-	if !out.Attrs.ASPath.Equal(in.Attrs.ASPath) {
-		t.Fatalf("as path = %v", out.Attrs.ASPath)
+// TestUpdateASSetRefused: an AS_PATH with an AS_SET segment, leading,
+// trailing or alone, is a Malformed AS_PATH (3/11).
+func TestUpdateASSetRefused(t *testing.T) {
+	for name, b := range map[string][]byte{
+		"trailing set": pathUpdate(segment(asSequence, 1, 2), segment(1, 7, 8, 9)),
+		"leading set":  pathUpdate(segment(1, 7), segment(asSequence, 1, 2)),
+		"set alone":    pathUpdate(segment(1, 7, 8)),
+	} {
+		_, err := Unmarshal(b)
+		var de *DecodeError
+		if !errors.As(err, &de) || de.Code != NotifUpdateMessageError || de.Subcode != 11 {
+			t.Errorf("%s: decoded with error %v, want Malformed AS_PATH", name, err)
+		}
 	}
-	if out.Attrs.ASPath.Length() != 3 { // 2 + 1 for the set
-		t.Fatalf("path length = %d", out.Attrs.ASPath.Length())
+}
+
+// TestUpdateSequencesJoin: consecutive AS_SEQUENCE segments decode as
+// one path, which encodes as one segment.
+func TestUpdateSequencesJoin(t *testing.T) {
+	m, err := Unmarshal(pathUpdate(segment(asSequence, 1, 2), segment(asSequence, 3), segment(asSequence, 4, 5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.(Update).Attrs.ASPath; !got.Equal(NewASPath(1, 2, 3, 4, 5)) {
+		t.Fatalf("path = %v, want 1 2 3 4 5", got)
+	}
+	if b := mustMarshal(t, m); !bytes.Equal(b, pathUpdate(segment(asSequence, 1, 2, 3, 4, 5))) {
+		t.Fatalf("re-encoded as %x, want one segment", b)
+	}
+}
+
+// TestLongPathRoundTrip: a path of more than 255 ASNs goes out as full
+// AS_SEQUENCE segments and a remainder, and comes back whole.
+func TestLongPathRoundTrip(t *testing.T) {
+	for _, n := range []int{254, 255, 256, 510, 511} {
+		in := Update{Attrs: PathAttrs{ASPath: longPath(n), NextHop: seqUpdate.Attrs.NextHop}, NLRI: seqUpdate.NLRI}
+		b := mustMarshal(t, in)
+		var segs [][]byte
+		for p := in.Attrs.ASPath; len(p) > 0; p = p[min(len(p), 255):] {
+			segs = append(segs, segment(asSequence, p[:min(len(p), 255)]...))
+		}
+		if want := pathUpdate(segs...); !bytes.Equal(b, want) {
+			t.Errorf("%d ASNs encode as %x, want %d segments: %x", n, b, len(segs), want)
+		}
+		out := roundTrip(t, in).(Update)
+		if !out.Attrs.ASPath.Equal(in.Attrs.ASPath) {
+			t.Errorf("%d ASNs come back as %d", n, len(out.Attrs.ASPath))
+		}
 	}
 }
 
@@ -269,7 +306,7 @@ func TestUpdateASSetRoundTrip(t *testing.T) {
 // announcement-free UPDATE after an announcing one leaves no NLRI
 // behind.
 func TestUnmarshalUpdateReusesPrefixesNotAttrs(t *testing.T) {
-	first, second := mustMarshal(t, fullUpdate), mustMarshal(t, asSetUpdate)
+	first, second := mustMarshal(t, fullUpdate), mustMarshal(t, seqUpdate)
 	var u Update
 	if err := UnmarshalUpdate(first, &u); err != nil {
 		t.Fatal(err)
@@ -281,8 +318,8 @@ func TestUnmarshalUpdateReusesPrefixesNotAttrs(t *testing.T) {
 	if err := UnmarshalUpdate(second, &u); err != nil {
 		t.Fatal(err)
 	}
-	if !sameMessage(u, asSetUpdate) || len(u.Withdrawn) != 0 {
-		t.Fatalf("decoded %+v into a used Update, want %+v", u, asSetUpdate)
+	if !sameMessage(u, seqUpdate) || len(u.Withdrawn) != 0 {
+		t.Fatalf("decoded %+v into a used Update, want %+v", u, seqUpdate)
 	}
 	if &u.NLRI[0] != nlri {
 		t.Error("the second decode did not reuse the NLRI storage of the first")
@@ -290,9 +327,9 @@ func TestUnmarshalUpdateReusesPrefixesNotAttrs(t *testing.T) {
 	if !kept.Equal(fullUpdate.Attrs) {
 		t.Errorf("the second decode changed the first's attributes to %v", kept)
 	}
-	plain := mustMarshal(t, Update{Attrs: PathAttrs{ASPath: NewASPath(1, 2, 3), NextHop: fullUpdate.Attrs.NextHop}, NLRI: asSetUpdate.NLRI})
-	if got := testing.AllocsPerRun(100, func() { _ = UnmarshalUpdate(plain, &u) }); got != 2 {
-		t.Errorf("a decode into a used Update allocates %v times, want 2: the AS path's segment and its ASNs", got)
+	plain := mustMarshal(t, Update{Attrs: PathAttrs{ASPath: NewASPath(1, 2, 3), NextHop: fullUpdate.Attrs.NextHop}, NLRI: seqUpdate.NLRI})
+	if got := testing.AllocsPerRun(100, func() { _ = UnmarshalUpdate(plain, &u) }); got != 1 {
+		t.Errorf("a decode into a used Update allocates %v times, want 1: the AS path", got)
 	}
 	withdraw := mustMarshal(t, Update{Withdrawn: fullUpdate.Withdrawn})
 	if err := UnmarshalUpdate(withdraw, &u); err != nil || len(u.NLRI) != 0 || !slices.Equal(u.Withdrawn, fullUpdate.Withdrawn) {
@@ -431,15 +468,8 @@ func TestPropertyUpdateRoundTrip(t *testing.T) {
 		}
 		if len(u.NLRI) > 0 {
 			var path ASPath
-			for s := rng.Intn(3); s > 0; s-- {
-				seg := Segment{Type: ASSequence}
-				if rng.Intn(4) == 0 {
-					seg.Type = ASSet
-				}
-				for a := 1 + rng.Intn(4); a > 0; a-- {
-					seg.ASNs = append(seg.ASNs, idr.ASN(rng.Uint32()))
-				}
-				path = append(path, seg)
+			for a := []int{0, 1, 3, 255, 256, 600}[rng.Intn(6)]; a > 0; a-- {
+				path = append(path, idr.ASN(rng.Uint32()))
 			}
 			var nh [4]byte
 			rng.Read(nh[:])
@@ -503,11 +533,11 @@ func TestPropertyUnmarshalNoPanic(t *testing.T) {
 
 func TestASPathHelpers(t *testing.T) {
 	p := NewASPath(1, 2, 3)
-	if p.Length() != 3 || !p.Contains(2) || p.Contains(9) {
+	if len(p) != 3 || !p.Contains(2) || p.Contains(9) {
 		t.Fatal("basic helpers wrong")
 	}
 	p2 := p.Prepend(9)
-	if p2.Length() != 4 || p.Length() != 3 {
+	if len(p2) != 4 || !p.Equal(NewASPath(1, 2, 3)) {
 		t.Fatal("Prepend must not mutate")
 	}
 	first, ok := p2.First()
@@ -525,17 +555,14 @@ func TestASPathHelpers(t *testing.T) {
 	if _, ok := empty.Origin(); ok {
 		t.Fatal("empty path Origin should be false")
 	}
-	// Prepend onto a leading AS_SET starts a new sequence.
-	setPath := ASPath{{Type: ASSet, ASNs: []idr.ASN{5}}}
-	p3 := setPath.Prepend(1)
-	if len(p3) != 2 || p3[0].Type != ASSequence {
-		t.Fatalf("Prepend onto set = %v", p3)
+	if got := empty.Prepend(5); !got.Equal(NewASPath(5)) {
+		t.Fatalf("Prepend onto the empty path = %v", got)
 	}
-	if NewASPath().Length() != 0 {
-		t.Fatal("empty NewASPath")
+	if NewASPath() != nil || empty.Clone() != nil {
+		t.Fatal("an empty NewASPath or a clone of nil is not nil")
 	}
-	if p.String() == "" || p3.String() == "" {
-		t.Fatal("String should render")
+	if p2.String() != "9 1 2 3" {
+		t.Fatalf("String = %q", p2.String())
 	}
 	if !p.Equal(p.Clone()) {
 		t.Fatal("clone should be equal")
@@ -551,8 +578,8 @@ func TestAttrsCloneIndependence(t *testing.T) {
 	c := a.Clone()
 	*c.MED = 9
 	*c.LocalPref = 9
-	c.ASPath[0].ASNs[0] = 99
-	if *a.MED != 5 || *a.LocalPref != 6 || a.ASPath[0].ASNs[0] != 1 {
+	c.ASPath[0] = 99
+	if *a.MED != 5 || *a.LocalPref != 6 || a.ASPath[0] != 1 {
 		t.Fatal("Clone shares memory with original")
 	}
 }
@@ -594,14 +621,14 @@ var unstoredAttrs = []byte{
 // them means, and re-encodes without them; ATOMIC_AGGREGATE stays
 // well-known, so its length and uniqueness are still checked.
 func TestUnstoredAttributesSkipped(t *testing.T) {
-	m, err := Unmarshal(withAttrs(asSetUpdate, unstoredAttrs...))
+	m, err := Unmarshal(withAttrs(seqUpdate, unstoredAttrs...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameMessage(m, asSetUpdate) {
-		t.Fatalf("decoded %+v, want %+v", m, asSetUpdate)
+	if !sameMessage(m, seqUpdate) {
+		t.Fatalf("decoded %+v, want %+v", m, seqUpdate)
 	}
-	if b := mustMarshal(t, m); !bytes.Equal(b, mustMarshal(t, asSetUpdate)) {
+	if b := mustMarshal(t, m); !bytes.Equal(b, mustMarshal(t, seqUpdate)) {
 		t.Fatalf("re-encoded as %x", b)
 	}
 	for name, extra := range map[string][]byte{
@@ -610,7 +637,7 @@ func TestUnstoredAttributesSkipped(t *testing.T) {
 		"well-known COMMUNITIES":     {flagTransitive, 8, 4, 0, 0, 0, 1},
 		"truncated AGGREGATOR":       {flagOptional | flagTransitive, 7, 8, 0, 6},
 	} {
-		if _, err := Unmarshal(withAttrs(asSetUpdate, extra...)); err == nil {
+		if _, err := Unmarshal(withAttrs(seqUpdate, extra...)); err == nil {
 			t.Errorf("%s decoded", name)
 		}
 	}

@@ -71,16 +71,14 @@ type candidate struct {
 // the prefix: the attributes (shared by the border's sessions — each
 // session compares before it clones what it sends) and the session the
 // route exits through (the zero key when it reaches the owner
-// internally). The AS path lives in segs and lead, the border's own
-// storage, so an unchanged announcement costs no allocation; it is
-// valid until the border's next build, and past the leading sequence
-// it shares the exit route's segments, which nothing writes.
+// internally). The AS path lives in path, the border's own storage,
+// so an unchanged announcement costs no allocation; it is valid until
+// the border's next build.
 type announcement struct {
 	built, ok bool
 	attrs     wire.PathAttrs
 	exit      SessKey
-	segs      wire.ASPath
-	lead      []idr.ASN
+	path      wire.ASPath
 }
 
 const unreachable = math.MaxInt32
@@ -174,11 +172,9 @@ func (c *Controller) graph() *view {
 // sub-clusters remain usable (that is how disjoint sub-clusters reach
 // each other over the legacy Internet).
 func (v *view) reenters(path wire.ASPath, border int32) bool {
-	for _, seg := range path {
-		for _, asn := range seg.ASNs {
-			if i, ok := v.index[asn]; ok && v.comp[i] == v.comp[border] {
-				return true
-			}
+	for _, asn := range path {
+		if i, ok := v.index[asn]; ok && v.comp[i] == v.comp[border] {
+			return true
 		}
 	}
 	return false
@@ -297,23 +293,6 @@ func (v *view) internalPath(i int32) (path []idr.ASN, last int32, ok bool) {
 	return path, i, true
 }
 
-// prepend returns the external path with the member sequence in front,
-// merged into a leading AS_SEQUENCE segment when one exists, so the
-// result looks exactly like hop-by-hop eBGP prepending. The result
-// shares nothing with either argument.
-func prepend(members []idr.ASN, external wire.ASPath) wire.ASPath {
-	if len(members) == 0 {
-		return external.Clone()
-	}
-	var lead []idr.ASN
-	if len(external) > 0 && external[0].Type == wire.ASSequence {
-		lead, external = external[0].ASNs, external[1:]
-	}
-	out := make(wire.ASPath, 1, 1+len(external))
-	out[0] = wire.Segment{Type: wire.ASSequence, ASNs: slices.Concat(members, lead)}
-	return append(out, external.Clone()...)
-}
-
 // recomputePrefix recompiles flow rules and external announcements for
 // one prefix — the per-prefix half of the paper's route selection.
 func (c *Controller) recomputePrefix(v *view, prefix netip.Prefix) {
@@ -338,11 +317,14 @@ func (c *Controller) PathFrom(m idr.ASN, prefix netip.Prefix) (wire.ASPath, bool
 		return nil, false
 	}
 	// The path excludes the querying member itself, mirroring how a
-	// BGP router's Loc-RIB path excludes its own ASN.
-	if last == v.owner {
-		return wire.NewASPath(internal[1:]...), true
+	// BGP router's Loc-RIB path excludes its own ASN, and is what
+	// hop-by-hop eBGP prepending would have built: the members in
+	// front of the exit route's path.
+	var external wire.ASPath
+	if last != v.owner {
+		external = v.best[last].attrs.ASPath
 	}
-	return prepend(internal[1:], v.best[last].attrs.ASPath), true
+	return slices.Concat(wire.ASPath(internal[1:]), external), true
 }
 
 // flowPriority is the fixed priority used for IDR flow entries.
@@ -521,8 +503,8 @@ func (a *announcement) allowedOn(es *extSession) bool {
 // announcement returns what border b announces for the routed prefix,
 // building it on first use: the internal member sequence from b to the
 // egress or owner, then the external route's path — the full internal
-// AS sequence, keeping the cluster transparent to the legacy world. The
-// path is the one prepend would return, built in the border's storage.
+// AS sequence, keeping the cluster transparent to the legacy world,
+// built in the border's storage.
 func (v *view) announcement(b int32) *announcement {
 	a := &v.ann[b]
 	if a.built {
@@ -534,23 +516,18 @@ func (v *view) announcement(b int32) *announcement {
 		return a
 	}
 	a.ok = true
-	a.lead = append(a.lead[:0], internal...)
+	a.path = append(a.path[:0], internal...)
 	if last == v.owner {
 		// Cluster-originated and internally reachable: the path is
 		// just the internal member sequence.
-		a.segs = append(a.segs[:0], wire.Segment{Type: wire.ASSequence, ASNs: a.lead})
-		a.attrs = wire.PathAttrs{Origin: wire.OriginIGP, ASPath: a.segs}
+		a.attrs = wire.PathAttrs{Origin: wire.OriginIGP, ASPath: a.path}
 		return a
 	}
 	exit := &v.best[last]
-	external := exit.attrs.ASPath
-	if len(external) > 0 && external[0].Type == wire.ASSequence {
-		a.lead, external = append(a.lead, external[0].ASNs...), external[1:]
-	}
-	a.segs = append(append(a.segs[:0], wire.Segment{Type: wire.ASSequence, ASNs: a.lead}), external...)
+	a.path = append(a.path, exit.attrs.ASPath...)
 	a.exit = exit.key
 	a.attrs = exit.attrs
-	a.attrs.ASPath = a.segs
+	a.attrs.ASPath = a.path
 	a.attrs.MED = nil
 	a.attrs.LocalPref = nil
 	return a

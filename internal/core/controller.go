@@ -525,7 +525,7 @@ func (c *Controller) setRoute(prefix netip.Prefix, key SessKey, attrs *wire.Path
 	i, found := slices.BinarySearchFunc(routes, key, func(r extRoute, k SessKey) int { return compareSessKey(r.sess.key, k) })
 	switch {
 	case attrs != nil:
-		r := extRoute{sess: c.sessions[key], attrs: *attrs, cost: int32(1 + attrs.ASPath.Length())}
+		r := extRoute{sess: c.sessions[key], attrs: *attrs, cost: int32(1 + len(attrs.ASPath))}
 		if found {
 			routes[i] = r
 			return

@@ -136,7 +136,7 @@ func (c *Controller) candidatesFor(prefix netip.Prefix, comp map[idr.ASN]int) []
 		if reenters {
 			continue
 		}
-		out = append(out, modelCandidate{key: k, attrs: attrs, cost: 1 + attrs.ASPath.Length()})
+		out = append(out, modelCandidate{key: k, attrs: attrs, cost: 1 + len(attrs.ASPath)})
 	}
 	return out
 }
@@ -270,9 +270,8 @@ func (res *routingResult) forwardingPath(m idr.ASN) (path []idr.ASN, ok bool) {
 	}
 }
 
-// prependSequence prepends the member sequence onto an external path,
-// merging into the leading AS_SEQUENCE segment when one exists so the
-// result looks exactly like hop-by-hop eBGP prepending.
+// prependSequence prepends the member sequence onto an external path
+// one AS at a time, exactly as hop-by-hop eBGP prepending would.
 func prependSequence(members []idr.ASN, external wire.ASPath) wire.ASPath {
 	out := external.Clone()
 	for i := len(members) - 1; i >= 0; i-- {
@@ -623,9 +622,10 @@ func (w *modelWorld) bgpIn(key SessKey, msg wire.Message) {
 	w.control(key.Border, ofp.PacketIn{InPort: key.Port, Data: frame})
 }
 
-// attrs draws one external route's attributes: sequences and AS_SETs
-// over the world's own ASNs (so paths re-enter sub-clusters) and a few
-// remote ones, and every optional attribute.
+// attrs draws one external route's attributes: paths over the world's
+// own ASNs (so they re-enter sub-clusters) and a few remote ones, some
+// with a tail of remote ASes that makes them longer than a wire
+// segment, and every optional attribute.
 func (w *modelWorld) attrs() wire.PathAttrs {
 	pool := append(slices.Clone(w.nodes), 200, 201, 202)
 	draw := func(n int) []idr.ASN {
@@ -638,12 +638,11 @@ func (w *modelWorld) attrs() wire.PathAttrs {
 	shape := w.tape.next()
 	var path wire.ASPath
 	if n := shape % 5; n > 0 {
-		path = append(path, wire.Segment{Type: wire.ASSequence, ASNs: draw(n)})
+		path = draw(n)
 	}
-	if shape&8 != 0 {
-		path = append(path, wire.Segment{Type: wire.ASSet, ASNs: draw(1 + shape>>4%3)})
-		if shape&64 != 0 {
-			path = append(path, wire.Segment{Type: wire.ASSequence, ASNs: draw(1 + shape>>7)})
+	if shape&8 != 0 && shape&64 != 0 { // a quarter of the draws
+		for i := range 250 + shape>>4%10 {
+			path = append(path, idr.ASN(1000+i))
 		}
 	}
 	a := wire.PathAttrs{

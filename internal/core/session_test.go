@@ -422,12 +422,12 @@ func TestWrongRemoteASNRejected(t *testing.T) {
 }
 
 // announcedAttrs is a controller-built attribute set with every part
-// announce could alias: path segments and MED.
+// announce could alias: the path and MED.
 func announcedAttrs() wire.PathAttrs {
 	med := uint32(7)
 	return wire.PathAttrs{
 		Origin: wire.OriginIGP,
-		ASPath: wire.ASPath{{Type: wire.ASSequence, ASNs: []idr.ASN{10, 11}}, {Type: wire.ASSet, ASNs: []idr.ASN{5, 6}}},
+		ASPath: wire.NewASPath(10, 11, 5, 6),
 		MED:    &med,
 	}
 }
@@ -467,8 +467,8 @@ func TestAnnounceDoesNotAlias(t *testing.T) {
 	if err := g.sess.announce(pfx, attrs); err != nil {
 		t.Fatal(err)
 	}
-	attrs.ASPath[0].ASNs[1] = 99
-	attrs.ASPath[1].ASNs[0] = 99
+	attrs.ASPath[1] = 99
+	attrs.ASPath[2] = 99
 	*attrs.MED = 99
 	want := announcedAttrs()
 	want.NextHop = netip.MustParseAddr("100.64.0.1")

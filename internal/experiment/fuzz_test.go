@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -62,7 +63,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add([]byte(`{"version":"1"}`))
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte(``))
-	f.Add([]byte(`{"version":1,"routers":[{"asn":1,"state":{"stats":null}}]}`))
+	f.Add([]byte(`{"version":2,"routers":[{"asn":1,"state":{"stats":null}}]}`))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		s, err := DecodeSnapshot(b)
@@ -82,7 +83,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode of accepted snapshot failed: %v", err)
 		}
-		if !strings.Contains(string(re), `"version":1`) {
+		if !strings.Contains(string(re), `"version":`+strconv.Itoa(SnapshotVersion)) {
 			t.Fatalf("re-encode lost the version field: %s", re)
 		}
 	})

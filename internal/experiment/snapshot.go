@@ -30,8 +30,9 @@ import (
 )
 
 // SnapshotVersion is the current snapshot codec version. Decode
-// rejects every other value.
-const SnapshotVersion = 1
+// rejects every other value. Version 2 writes an AS path as one array
+// of ASNs, where version 1 wrote a list of typed segments.
+const SnapshotVersion = 2
 
 // RouterEntry pairs a legacy AS with its router state.
 type RouterEntry struct {

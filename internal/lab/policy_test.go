@@ -119,11 +119,7 @@ func TestGaoRexfordValleyFreeProperty(t *testing.T) {
 			if rt.Local {
 				continue
 			}
-			var asns []idr.ASN
-			for _, seg := range rt.Attrs.ASPath {
-				asns = append(asns, seg.ASNs...)
-			}
-			hops := append([]idr.ASN{from}, asns...)
+			hops := append([]idr.ASN{from}, rt.Attrs.ASPath...)
 			// Valley-free state machine over the traffic direction:
 			// climbing until the first peer crossing or descent, then
 			// strictly descending.

@@ -326,3 +326,26 @@ func TestEmptyClusterIgnoresPlacement(t *testing.T) {
 		}
 	}
 }
+
+// TestLongLineWarmsUp: on a line of 300 ASes the far end's AS path is
+// 299 ASes long, more than one 255-ASN AS_PATH segment holds, and every
+// AS must still have a route to the origin once warm-up converges.
+func TestLongLineWarmsUp(t *testing.T) {
+	p, err := Trial{Topo: TopoSpec{Kind: "line", N: 300}}.prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := p.warmup()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !e.AllReachable(p.origin) {
+		var lost []idr.ASN
+		for _, asn := range e.ASNs() {
+			if asn != p.origin && !e.Reachable(asn, p.origin) {
+				lost = append(lost, asn)
+			}
+		}
+		t.Fatalf("%d ASes have no route to the origin %v after warm-up: %v", len(lost), p.origin, lost)
+	}
+}

@@ -90,7 +90,7 @@ var modelPrefixes = []netip.Prefix{
 
 // modelRoute decodes one side of a best-route transition: no route, a
 // local route, a learned route with an empty path, or one of a few
-// learned paths (multi-segment included).
+// learned paths (one longer than a wire segment).
 func modelRoute(prefix netip.Prefix, b byte) *rib.Route {
 	switch b % 6 {
 	case 0:
@@ -100,8 +100,11 @@ func modelRoute(prefix netip.Prefix, b byte) *rib.Route {
 	case 2:
 		return &rib.Route{Prefix: prefix, Peer: "p"}
 	case 3:
-		return &rib.Route{Prefix: prefix, Peer: "p", Attrs: wire.PathAttrs{ASPath: wire.ASPath{
-			{Type: wire.ASSequence, ASNs: []idr.ASN{7, idr.ASN(b)}}, {Type: wire.ASSet, ASNs: []idr.ASN{8, 9}}}}}
+		path := wire.NewASPath(7, idr.ASN(b)) // and a tail that takes a second wire segment
+		for asn := idr.ASN(1000); asn < 1300; asn++ {
+			path = append(path, asn)
+		}
+		return &rib.Route{Prefix: prefix, Peer: "p", Attrs: wire.PathAttrs{ASPath: path}}
 	}
 	return &rib.Route{Prefix: prefix, Peer: "p", Attrs: wire.PathAttrs{ASPath: wire.NewASPath(idr.ASN(b%6), idr.ASN(b), 1)}}
 }
