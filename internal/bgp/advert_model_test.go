@@ -1,7 +1,6 @@
 package bgp
 
 import (
-	"encoding/json"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -14,7 +13,6 @@ import (
 	"repro/internal/bgp/wire"
 	"repro/internal/idr"
 	"repro/internal/policy"
-	"repro/internal/sim"
 )
 
 // exportOracle is the export side as it was kept before the records:
@@ -158,31 +156,6 @@ func exportModelHarness(t *testing.T) *harness {
 	return h
 }
 
-// restoreInto captures h's router, sends the state through JSON and
-// restores it into a fresh harness on a fresh kernel at the same
-// instant, which replaces h.
-func restoreInto(t *testing.T, h *harness) *harness {
-	t.Helper()
-	blob, err := json.Marshal(h.r.State())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st RouterState
-	if err := json.Unmarshal(blob, &st); err != nil {
-		t.Fatal(err)
-	}
-	nh := exportModelHarness(t)
-	if err := nh.k.RunFor(h.k.Now().Sub(nh.k.Now())); err != nil {
-		t.Fatal(err)
-	}
-	arms, err := nh.r.RestoreState(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.ArmAll(arms)
-	return nh
-}
-
 // checkRecords requires the session's records to hold the oracle's
 // Adj-RIB-Out and queued changes, its count and list to agree with
 // them, and its MRAI timer to be armed exactly when the oracle's is.
@@ -238,8 +211,7 @@ func checkRecords(t *testing.T, where string, p *Peer, o *exportOracle) {
 // TestExportRecordModel drives random streams over eight prefixes
 // through one session's export records — advertisements from a small
 // pool (identical re-advertisements among them), withdrawals, export
-// rejections, split horizon, MRAI flushes, session resets and a
-// RouterState capture restored into a fresh router — and requires,
+// rejections, split horizon, MRAI flushes and session resets — and requires,
 // after every step, the records to hold what the three-map oracle
 // holds, and after every flush the UPDATEs sent to be the oracle's.
 func TestExportRecordModel(t *testing.T) {
@@ -289,12 +261,10 @@ func TestExportRecordModel(t *testing.T) {
 						t.Fatalf("%s: flush sent %v, oracle %v", where, got, want)
 					}
 				}
-			case op < 18: // the session resets and comes back
+			default: // the session resets and comes back
 				h.p.TransportDown()
 				h.establish(t)
 				o.reset()
-			default:
-				h = restoreInto(t, h)
 			}
 			checkRecords(t, where, h.p, o)
 		}

@@ -154,9 +154,7 @@ var lendEnded func(*wire.Update, *rib.Change)
 // Stats counts router activity for the analysis tools.
 type Stats struct {
 	UpdatesSent, UpdatesReceived uint64
-	OpensSent, NotificationsSent uint64
 	KeepalivesSent               uint64
-	SessionResets                uint64
 }
 
 // Config configures a Router.
@@ -196,7 +194,7 @@ type Router struct {
 	peerList []*Peer
 	sorted   bool
 	// established counts the Established sessions: establish and reset
-	// move it, RestoreState recounts it.
+	// move it.
 	established int32
 	stats       Stats
 	// busyUntil serialises the processing-delay work queue; idleWork

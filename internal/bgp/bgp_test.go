@@ -190,8 +190,8 @@ func TestAnnouncePropagatesAndPrepends(t *testing.T) {
 	}
 }
 
-// TestOriginatedFollowsTheRIB holds Originated, State's originations
-// and Withdraw's refusal to the RIB's local routes through originate,
+// TestOriginatedFollowsTheRIB holds Originated, the local routes'
+// attributes and Withdraw's refusal to the RIB's local routes through originate,
 // withdraw and re-originate, with a learned route for one of the
 // prefixes that outlives its origination.
 func TestOriginatedFollowsTheRIB(t *testing.T) {
@@ -210,20 +210,13 @@ func TestOriginatedFollowsTheRIB(t *testing.T) {
 		if got := r1.Originated(); !slices.Equal(got, want) {
 			t.Fatalf("%s: Originated = %v, want %v", name, got, want)
 		}
-		var state []netip.Prefix
-		for _, oa := range r1.State().Originated {
-			if !oa.Attrs.Equal(wire.PathAttrs{Origin: wire.OriginIGP}) {
-				t.Fatalf("%s: %v originated with %+v", name, oa.Prefix, oa.Attrs)
-			}
-			state = append(state, oa.Prefix)
-		}
-		if !slices.Equal(state, want) {
-			t.Fatalf("%s: State().Originated = %v, want %v", name, state, want)
-		}
 		for _, p := range []netip.Prefix{p1, p2} {
-			_, local := r1.Table().Local(p)
+			rt, local := r1.Table().Local(p)
 			if listed := slices.Contains(want, p); local != listed {
 				t.Fatalf("%s: %v has a local route %v, listed %v", name, p, local, listed)
+			}
+			if local && !rt.Attrs.Equal(wire.PathAttrs{Origin: wire.OriginIGP}) {
+				t.Fatalf("%s: %v originated with %+v", name, p, rt.Attrs)
 			}
 		}
 	}
@@ -324,9 +317,6 @@ func TestLinkFailureResetsAndRecovers(t *testing.T) {
 	}
 	if _, ok := r2.Table().Best(pfx); !ok {
 		t.Fatal("route should be relearned after recovery")
-	}
-	if r1.Stats().SessionResets == 0 {
-		t.Fatal("reset should be counted")
 	}
 }
 
@@ -515,9 +505,6 @@ func TestHoldTimerExpiry(t *testing.T) {
 	p1 := r1.Peers()["to-AS2"]
 	if p1.State() == StateEstablished {
 		t.Fatal("hold timer should have reset the silent session")
-	}
-	if r1.Stats().NotificationsSent == 0 {
-		t.Fatal("hold expiry should send a NOTIFICATION")
 	}
 }
 

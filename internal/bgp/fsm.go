@@ -31,8 +31,7 @@ type SessionConfig struct {
 	// it may keep the slice and must never write to it — every
 	// KEEPALIVE any session sends is the same slice.
 	Send frames.Sender
-	// Stats, when non-nil, is where OpensSent, KeepalivesSent,
-	// NotificationsSent and SessionResets are counted.
+	// Stats, when non-nil, is where KeepalivesSent is counted.
 	Stats *Stats
 }
 
@@ -217,11 +216,7 @@ func (f *FSM) armRetry() {
 }
 
 func (f *FSM) sendOpen() error {
-	if err := f.cfg.Send.Send(f.cfg.Open); err != nil {
-		return err
-	}
-	f.cfg.Stats.OpensSent++
-	return nil
+	return f.cfg.Send.Send(f.cfg.Open)
 }
 
 // linkHeader is what package frames puts in front of a BGP message.
@@ -298,7 +293,6 @@ func (f *FSM) SendUpdate(u *wire.Update) error {
 func (f *FSM) notify(code, subcode uint8) {
 	f.mating.wake(f)
 	_ = f.Send(wire.Notification{Code: code, Subcode: subcode}) // the reset follows either way
-	f.cfg.Stats.NotificationsSent++
 	f.reset(true)
 }
 
@@ -477,9 +471,6 @@ func (f *FSM) keepaliveFire() {
 func (f *FSM) reset(reconnect bool) {
 	f.mating.wake(f)
 	wasEstablished := f.state == StateEstablished
-	if f.state != StateIdle {
-		f.cfg.Stats.SessionResets++
-	}
 	f.setState(StateIdle)
 	for _, t := range []sim.Timer{f.holdTimer, f.keepaliveTimer, f.retryTimer} {
 		if t != nil {
@@ -492,45 +483,4 @@ func (f *FSM) reset(reconnect bool) {
 	if reconnect && f.transportUp {
 		f.armRetry()
 	}
-}
-
-// FSMState is the in-memory capture of a session machine; the owners'
-// snapshot DTOs copy to and from it.
-type FSMState struct {
-	State       State
-	TransportUp bool
-	// RemoteID was learned from the neighbor's OPEN.
-	RemoteID idr.RouterID
-	// HoldTime is the negotiated hold time.
-	HoldTime time.Duration
-	// Hold, Keepalive and Retry reference the pending timers.
-	Hold, Keepalive, Retry *sim.TimerRef
-}
-
-// Capture returns the machine's serializable state.
-func (f *FSM) Capture() FSMState {
-	return FSMState{
-		State:       f.state,
-		TransportUp: f.transportUp,
-		RemoteID:    f.remoteID,
-		HoldTime:    f.holdTime,
-		Hold:        sim.RefOf(f.holdTimer),
-		Keepalive:   sim.RefOf(f.keepaliveTimer),
-		Retry:       sim.RefOf(f.retryTimer),
-	}
-}
-
-// Restore overlays a captured state onto a freshly built machine with
-// the identical configuration, returning the timer arms for the
-// experiment layer to execute in global order. The re-armed timers
-// fire through the same Firers the live ones do, so a restored session
-// behaves identically from the first firing on.
-func (f *FSM) Restore(st FSMState) []sim.TimerArm {
-	f.state = st.State
-	f.transportUp = st.TransportUp
-	f.remoteID = st.RemoteID
-	f.holdTime = st.HoldTime
-	arms := st.Hold.Rearm(nil, f.cfg.Clock, &f.holdTimer, (*holdFirer)(f))
-	arms = st.Keepalive.Rearm(arms, f.cfg.Clock, &f.keepaliveTimer, (*keepaliveFirer)(f))
-	return st.Retry.Rearm(arms, f.cfg.Clock, &f.retryTimer, (*retryFirer)(f))
 }

@@ -220,21 +220,6 @@ func (m *Mating) land(side uint8, now int64) {
 	m.landed[side] += n * every
 }
 
-// Settle credits to the Wire every KEEPALIVE that has landed by now, so
-// that the link's own counters hold them; the pair stays quiet. A
-// snapshot settles first, so the counters it captures are whole; an
-// opening pair replays its handshake first (Opening.Replay), so the
-// sessions it captures hold what the emulated ones would.
-func (m *Mating) Settle() {
-	m.replayOpening()
-	if !m.quiet {
-		return
-	}
-	now := m.now()
-	m.land(0, now)
-	m.land(1, now)
-}
-
 // Landed reports the KEEPALIVEs of a quiet pair that have landed by now
 // but are not yet credited to the Wire, and their bytes.
 func (m *Mating) Landed() (frames, bytes uint64) {
@@ -326,78 +311,6 @@ func (f *FSM) quietKeepalives(now int64) uint64 {
 	return uint64(count(m.next[f.side], now, m.interval()))
 }
 
-// QuietState is what a snapshot keeps of a quiet session: the instant
-// of its next KEEPALIVE, when it last took up a message from its mate,
-// and whether its KEEPALIVEs go first at an instant both sides share.
-// Like every frame in flight or waiting in a work queue, a KEEPALIVE
-// that is either is not kept: a restored pair loses it, as a restored
-// modelled session does.
-type QuietState struct {
-	NextNS  int64 `json:"next_ns"`
-	HeardNS int64 `json:"heard_ns"`
-	First   bool  `json:"first,omitempty"`
-}
-
-// captureQuiet returns f's QuietState, or nil if f is not quiet.
-func (f *FSM) captureQuiet() *QuietState {
-	m := f.mating
-	if m == nil || !m.quiet {
-		return nil
-	}
-	now, every := m.now(), m.interval()
-	return &QuietState{
-		NextNS:  m.next[f.side] + count(m.next[f.side], now, every)*every,
-		HeardNS: m.heardBy(f.side, now),
-		First:   m.first == f.side,
-	}
-}
-
-// restoreQuiet overlays a captured QuietState onto f, which must be a
-// mated Established session; it reports false for a state f cannot
-// take. The pair is quiet once both sides are restored, unless the
-// KEEPALIVEs the snapshot lost leave a hold time to run out (holds):
-// then both sides get their timers back, in the returned arms. Their
-// original sequence numbers are gone; the arms order them by when the
-// modelled timers were last armed, which is the modelled order among
-// the pair's own timers.
-func (f *FSM) restoreQuiet(q *QuietState) ([]sim.TimerArm, bool) {
-	m := f.mating
-	if m == nil || f.state != StateEstablished || f.holdTime == 0 {
-		return nil, false
-	}
-	m.next[f.side], m.landed[f.side], m.heard[f.side] = q.NextNS, q.NextNS, q.HeardNS
-	if q.First {
-		m.first = f.side
-	}
-	mate := &m.ends[1-f.side].fsm
-	if m.next[mate.side] == 0 || mate.holdTime != f.holdTime {
-		return nil, true // the mate is restored second
-	}
-	if m.holds(f.holdTime) {
-		m.quiet = true
-		return nil, true
-	}
-	var arms []sim.TimerArm
-	every := m.interval()
-	for i, side := range [2]uint8{m.first, 1 - m.first} {
-		e := &m.ends[side].fsm
-		clock := e.cfg.Clock
-		ka, hold := sim.TimeFromNS(m.next[side]), sim.TimeFromNS(m.heard[side]).Add(e.holdTime)
-		arms = append(arms,
-			sim.TimerArm{At: ka, Seq: armedOrder(m.next[side]-every, i), Arm: func() {
-				e.keepaliveTimer = clock.Schedule(ka.Sub(clock.Now()), (*keepaliveFirer)(e))
-			}},
-			sim.TimerArm{At: hold, Seq: armedOrder(m.heard[side], 2+i), Arm: func() {
-				e.holdTimer = clock.Schedule(hold.Sub(clock.Now()), (*holdFirer)(e))
-			}})
-	}
-	return arms, true
-}
-
-// armedOrder is a sequence number for a timer armed at ns, the i-th of
-// four armed then.
-func armedOrder(ns int64, i int) uint64 { return uint64(ns)<<2 | uint64(i) }
-
 // Opening is one bring-up of a set of routers' sessions (Open). The two
 // sessions of a mated pair come up by arithmetic when the emulated
 // handshake would leave them quiet (holds): its course is known at the
@@ -411,7 +324,7 @@ func armedOrder(ns int64, i int) uint64 { return uint64(ns)<<2 | uint64(i) }
 // each KEEPALIVE lands and its receiver is Established, the side
 // brought up first first, and the second's join quiets the pair.
 // Computed, no frame crosses the link and no timer is armed: at t₀ both
-// sessions bring their transport up, count their OPEN and are OpenSent;
+// sessions bring their transport up and are OpenSent;
 // at t₀+d both take up the other's OPEN, count their KEEPALIVE and are
 // OpenConfirm, and the Wire is credited the OPENs; at t₀+2d it is
 // credited the KEEPALIVEs, both sessions are Established in the
@@ -425,7 +338,7 @@ func armedOrder(ns int64, i int) uint64 { return uint64(ns)<<2 | uint64(i) }
 //
 // Anything that would act on a session of an opening pair first replays
 // every opening pair at once (Replay): a TransportUp or a transport
-// loss, a reset or a NOTIFICATION, Unmate, a snapshot (Mating.Settle),
+// loss, a reset or a NOTIFICATION, Unmate,
 // a link going down (the wiring that owns it replays), and a route
 // appearing at any router of the bring-up (Router.Announce) — the one
 // thing that could make the instant a session is Established matter to
@@ -511,7 +424,7 @@ type transportUp Peer
 func (t *transportUp) Fire() { (*Peer)(t).TransportUp() }
 
 // Fire is t₀: both sessions of every pair still opening bring their
-// transport up, count their OPEN and are OpenSent, the side brought up
+// transport up and are OpenSent, the side brought up
 // first first. If a replay came first, every session Open brought up
 // comes up as emulated instead, in Open's order.
 func (o *Opening) Fire() {
@@ -527,7 +440,6 @@ func (o *Opening) Fire() {
 				for _, side := range [2]uint8{m.first, 1 - m.first} {
 					f := &m.ends[side].fsm
 					f.transportUp = true
-					f.cfg.Stats.OpensSent++
 					f.setState(StateOpenSent)
 				}
 			}

@@ -5,7 +5,6 @@
 package rib
 
 import (
-	"cmp"
 	"fmt"
 	"net/netip"
 	"slices"
@@ -304,23 +303,6 @@ func (t *Table) sortedEntries(keep func(*entry) bool) []*entry {
 		}
 	}
 	slices.SortFunc(out, func(a, b *entry) int { return idr.ComparePrefix(a.prefix, b.prefix) })
-	return out
-}
-
-// AdjInRoutes returns every Adj-RIB-In route, sorted by peer key and
-// then by prefix — the deterministic enumeration order for snapshots.
-func (t *Table) AdjInRoutes() []*Route {
-	var out []*Route
-	//lint:maporder the routes are sorted before they are returned
-	for _, e := range t.entries {
-		out = append(out, e.cands...)
-	}
-	slices.SortFunc(out, func(a, b *Route) int {
-		if c := cmp.Compare(a.Peer, b.Peer); c != 0 {
-			return c
-		}
-		return idr.ComparePrefix(a.Prefix, b.Prefix)
-	})
 	return out
 }
 

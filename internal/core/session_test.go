@@ -1,10 +1,8 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/netip"
-	"regexp"
 	"slices"
 	"testing"
 	"time"
@@ -531,13 +529,11 @@ func TestInteropHoldExpiryAndRetry(t *testing.T) {
 // endpoint is one consumer of the shared session machine — local AS 10
 // expecting AS 2 — behind a transport that logs what it sends and when.
 type endpoint struct {
-	k        *sim.Kernel
-	up       func()
-	deliver  func([]byte)
-	state    func() bgp.State
-	snapshot func(t *testing.T) []byte
-	restore  func(t *testing.T, raw []byte) []sim.TimerArm
-	log      []string
+	k       *sim.Kernel
+	up      func()
+	deliver func([]byte)
+	state   func() bgp.State
+	log     []string
 }
 
 func (e *endpoint) send(frame []byte) error {
@@ -553,20 +549,6 @@ func (e *endpoint) send(frame []byte) error {
 	return nil
 }
 
-var seqField = regexp.MustCompile(`"seq":\d+`)
-
-// anySeq blanks the timer sequence numbers in a snapshot document.
-func anySeq(raw []byte) string { return seqField.ReplaceAllString(string(raw), `"seq":_`) }
-
-func mustJSON(t *testing.T, v any) []byte {
-	t.Helper()
-	raw, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return raw
-}
-
 func newControllerEndpoint(t *testing.T) *endpoint {
 	t.Helper()
 	e := &endpoint{k: sim.NewKernel(1)}
@@ -578,18 +560,6 @@ func newControllerEndpoint(t *testing.T) *endpoint {
 	}
 	e.deliver = func(frame []byte) { control(t, c, ofp.PacketIn{InPort: borderKey.Port, Data: frame}) }
 	e.state = sess.fsm.State
-	e.snapshot = func(t *testing.T) []byte { return mustJSON(t, c.State()) }
-	e.restore = func(t *testing.T, raw []byte) []sim.TimerArm {
-		var st ControllerState
-		if err := json.Unmarshal(raw, &st); err != nil {
-			t.Fatal(err)
-		}
-		arms, err := c.RestoreState(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return arms
-	}
 	return e
 }
 
@@ -606,25 +576,15 @@ func newPeerEndpoint(t *testing.T) *endpoint {
 	}
 	e.up, e.state = peer.TransportUp, peer.State
 	e.deliver = peer.Deliver
-	e.snapshot = func(t *testing.T) []byte { return mustJSON(t, router.State()) }
-	e.restore = func(t *testing.T, raw []byte) []sim.TimerArm {
-		var st bgp.RouterState
-		if err := json.Unmarshal(raw, &st); err != nil {
-			t.Fatal(err)
-		}
-		arms, err := router.RestoreState(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return arms
-	}
 	return e
 }
 
-// TestSnapshotRoundTripPerState snapshots each consumer in each session
-// state, restores onto a fresh instance and lets both run on with no
-// further input: the re-armed timers must fire exactly as the live ones
-// do, and — one machine under both — the Peer and the controller's
+// TestSnapshotRoundTripPerState drives each consumer to each session
+// state and snapshots it the way an experiment does — its inputs and
+// where its kernel stood — then restores onto a fresh instance by
+// replaying the inputs to the recorded kernel state. Both run on with
+// no further input: the restored timers must fire exactly as the live
+// ones do, and — one machine under both — the Peer and the controller's
 // session must put the same frames on the wire at the same instants.
 func TestSnapshotRoundTripPerState(t *testing.T) {
 	open, err := wire.Marshal(wire.Open{AS: 2, HoldTimeSecs: 90, ID: idr.RouterIDFromAddr(netip.MustParseAddr("172.16.0.2"))})
@@ -655,30 +615,35 @@ func TestSnapshotRoundTripPerState(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var logs [][]string
 			for _, c := range consumers {
-				live := c.make(t)
-				live.up()
-				for _, frame := range tc.frames {
-					live.deliver(frame)
+				start := func() *endpoint {
+					e := c.make(t)
+					e.up()
+					for _, frame := range tc.frames {
+						e.deliver(frame)
+					}
+					return e
 				}
+				live := start()
 				if err := live.k.RunFor(2 * time.Second); err != nil {
 					t.Fatal(err)
 				}
 				if live.state() != tc.state {
 					t.Fatalf("%s: drove to %v, want %v", c.name, live.state(), tc.state)
 				}
-				raw, ks := live.snapshot(t), live.k.State()
+				ks := live.k.State()
 
-				restored := c.make(t)
-				restored.k.BeginRestore(ks, ks.Seed)
-				sim.ArmAll(restored.restore(t, raw))
-				restored.k.FinishRestore(ks)
-				// Re-armed timers keep their deadlines and relative order
-				// but draw fresh sequence numbers.
-				if got, want := anySeq(restored.snapshot(t)), anySeq(raw); got != want {
-					t.Fatalf("%s: snapshot does not round-trip:\n got %s\nwant %s", c.name, got, want)
+				restored := start()
+				for restored.k.Events() < ks.Events && restored.k.Step() {
+				}
+				if err := restored.k.RunUntil(sim.Epoch.Add(time.Duration(ks.NowNS))); err != nil {
+					t.Fatal(err)
+				}
+				if got := restored.k.State(); got != ks || restored.k.Pending() != live.k.Pending() || restored.state() != tc.state {
+					t.Fatalf("%s: replayed to %+v in %v with %d pending, want %+v in %v with %d",
+						c.name, got, restored.state(), restored.k.Pending(), ks, tc.state, live.k.Pending())
 				}
 
-				live.log = nil
+				live.log, restored.log = nil, nil
 				for _, e := range []*endpoint{live, restored} {
 					if err := e.k.RunFor(6 * time.Minute); err != nil {
 						t.Fatal(err)
@@ -690,8 +655,8 @@ func TestSnapshotRoundTripPerState(t *testing.T) {
 				if !slices.Equal(restored.log, live.log) {
 					t.Fatalf("%s: restored session sent\n%v\nlive session sent\n%v", c.name, restored.log, live.log)
 				}
-				if got, want := restored.snapshot(t), live.snapshot(t); string(got) != string(want) {
-					t.Fatalf("%s: states diverged after the restore:\n got %s\nwant %s", c.name, got, want)
+				if got, want := restored.k.State(), live.k.State(); got != want || restored.state() != live.state() {
+					t.Fatalf("%s: runs diverged after the restore: %+v in %v, live %+v in %v", c.name, got, restored.state(), want, live.state())
 				}
 				logs = append(logs, live.log)
 			}

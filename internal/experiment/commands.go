@@ -18,7 +18,9 @@ func (e *Experiment) OriginPrefix(asn idr.ASN) (netip.Prefix, error) {
 
 // Announce originates the AS's planned prefix: via its BGP router for
 // legacy ASes, via the IDR controller for cluster members.
-func (e *Experiment) Announce(asn idr.ASN) error {
+func (e *Experiment) Announce(asn idr.ASN) error { return e.do(Command{Kind: "announce", A: asn}) }
+
+func (e *Experiment) announce(asn idr.ASN) error {
 	prefix, err := e.Plan.OriginPrefix(asn)
 	if err != nil {
 		return err
@@ -38,7 +40,9 @@ func (e *Experiment) Announce(asn idr.ASN) error {
 }
 
 // Withdraw retracts the AS's planned prefix.
-func (e *Experiment) Withdraw(asn idr.ASN) error {
+func (e *Experiment) Withdraw(asn idr.ASN) error { return e.do(Command{Kind: "withdraw", A: asn}) }
+
+func (e *Experiment) withdraw(asn idr.ASN) error {
 	prefix, err := e.Plan.OriginPrefix(asn)
 	if err != nil {
 		return err
@@ -60,6 +64,10 @@ func (e *Experiment) Withdraw(asn idr.ASN) error {
 // cluster members announce through the controller's planned
 // origination (Announce).
 func (e *Experiment) AnnounceForeign(asn idr.ASN, prefix netip.Prefix) error {
+	return e.do(Command{Kind: "announce-foreign", A: asn, Prefix: prefix})
+}
+
+func (e *Experiment) announceForeign(asn idr.ASN, prefix netip.Prefix) error {
 	r, ok := e.Routers[asn]
 	if !ok {
 		return fmt.Errorf("experiment: %v is not a legacy BGP router", asn)
@@ -79,6 +87,10 @@ func (e *Experiment) Link(a, b idr.ASN) (linkUp bool, exists bool) {
 
 // FailLink takes the a-b link down (dynamic topology change).
 func (e *Experiment) FailLink(a, b idr.ASN) error {
+	return e.do(Command{Kind: "fail-link", A: a, B: b})
+}
+
+func (e *Experiment) failLink(a, b idr.ASN) error {
 	l, ok := e.links[linkKey(a, b)]
 	if !ok {
 		return fmt.Errorf("experiment: no link %v-%v", a, b)
@@ -92,6 +104,10 @@ func (e *Experiment) FailLink(a, b idr.ASN) error {
 
 // RestoreLink brings the a-b link back up.
 func (e *Experiment) RestoreLink(a, b idr.ASN) error {
+	return e.do(Command{Kind: "restore-link", A: a, B: b})
+}
+
+func (e *Experiment) restoreLink(a, b idr.ASN) error {
 	l, ok := e.links[linkKey(a, b)]
 	if !ok {
 		return fmt.Errorf("experiment: no link %v-%v", a, b)
@@ -174,6 +190,10 @@ func (e *Experiment) forwardFromRouter(asn idr.ASN, p frames.Probe) error {
 // InjectProbe sends one probe from src's host to dst's host address
 // and registers it with the probe engine.
 func (e *Experiment) InjectProbe(src, dst idr.ASN) error {
+	return e.do(Command{Kind: "inject-probe", A: src, B: dst})
+}
+
+func (e *Experiment) injectProbe(src, dst idr.ASN) error {
 	srcAddr, err := e.Plan.HostAddr(src, 10)
 	if err != nil {
 		return err

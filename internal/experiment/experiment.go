@@ -80,6 +80,11 @@ type Config struct {
 // Experiment is one built emulation.
 type Experiment struct {
 	cfg Config
+	// seed is the seed New built the run under; a fork (Restore) moves
+	// cfg.Seed on.
+	seed int64
+	// log holds every command that succeeded, stamped (Snapshot).
+	log []Command
 
 	// K is the run's private discrete-event kernel; all protocol code
 	// and measurement run on its virtual clock.
@@ -165,6 +170,7 @@ func New(cfg Config) (*Experiment, error) {
 
 	e := &Experiment{
 		cfg:        cfg,
+		seed:       cfg.Seed,
 		K:          sim.NewKernel(cfg.Seed),
 		Routers:    make(map[idr.ASN]*bgp.Router),
 		Switches:   make(map[idr.ASN]*sdn.Switch),

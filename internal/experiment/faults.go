@@ -20,6 +20,10 @@ import (
 // speaker session resets through the port-status path; for an
 // intra-cluster link both switch ports flap.
 func (e *Experiment) SessionReset(a, b idr.ASN) error {
+	return e.do(Command{Kind: "session-reset", A: a, B: b})
+}
+
+func (e *Experiment) sessionReset(a, b idr.ASN) error {
 	l, ok := e.links[linkKey(a, b)]
 	if !ok {
 		return fmt.Errorf("experiment: no link %v-%v", a, b)
@@ -39,7 +43,9 @@ func (e *Experiment) SessionReset(a, b idr.ASN) error {
 // crash is remembered so ControllerUp can rebuild it. On a pure-BGP
 // experiment (no controller) the crash is a no-op — there is nothing
 // to lose — which lets cluster-size sweeps include the K=0 baseline.
-func (e *Experiment) ControllerDown() error {
+func (e *Experiment) ControllerDown() error { return e.do(Command{Kind: "controller-down"}) }
+
+func (e *Experiment) controllerDown() error {
 	if e.Ctrl == nil {
 		return nil
 	}
@@ -51,7 +57,7 @@ func (e *Experiment) ControllerDown() error {
 		return fmt.Errorf("experiment: controller has no members to crash")
 	}
 	for _, m := range members {
-		if err := e.MigrateOut(m); err != nil {
+		if err := e.migrateOut(m); err != nil {
 			return fmt.Errorf("experiment: controller crash: %v: %w", m, err)
 		}
 	}
@@ -63,7 +69,9 @@ func (e *Experiment) ControllerDown() error {
 // at crash time re-joins the cluster (MigrateIn), re-establishing its
 // control channel and rewiring its links back into the switch fabric.
 // A no-op on a pure-BGP experiment, mirroring ControllerDown.
-func (e *Experiment) ControllerUp() error {
+func (e *Experiment) ControllerUp() error { return e.do(Command{Kind: "controller-up"}) }
+
+func (e *Experiment) controllerUp() error {
 	if e.Ctrl == nil {
 		return nil
 	}
@@ -73,7 +81,7 @@ func (e *Experiment) ControllerUp() error {
 	members := e.crashedMembers
 	e.crashedMembers = nil
 	for _, m := range members {
-		if err := e.MigrateIn(m); err != nil {
+		if err := e.migrateIn(m); err != nil {
 			return fmt.Errorf("experiment: controller recovery: %v: %w", m, err)
 		}
 	}
@@ -89,7 +97,9 @@ func (e *Experiment) ControllerCrashed() bool { return e.crashedMembers != nil }
 // by randomized flood fill until it holds half the ASes, and every
 // edge crossing the boundary goes down. Heal restores exactly those
 // links. Partitioning an already partitioned network is an error.
-func (e *Experiment) Partition() error {
+func (e *Experiment) Partition() error { return e.do(Command{Kind: "partition"}) }
+
+func (e *Experiment) partition() error {
 	if e.partitionCut != nil {
 		return fmt.Errorf("experiment: network is already partitioned")
 	}
@@ -107,7 +117,9 @@ func (e *Experiment) Partition() error {
 }
 
 // Heal restores the links failed by the last Partition.
-func (e *Experiment) Heal() error {
+func (e *Experiment) Heal() error { return e.do(Command{Kind: "heal"}) }
+
+func (e *Experiment) heal() error {
 	if e.partitionCut == nil {
 		return fmt.Errorf("experiment: network is not partitioned")
 	}

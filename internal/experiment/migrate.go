@@ -38,7 +38,9 @@ func (e *Experiment) migratable(asn idr.ASN) error {
 // neighbors re-establish, and links to member neighbors become
 // intra-cluster switch-graph edges. The AS's prefix origination (if
 // currently announced) moves to the controller.
-func (e *Experiment) MigrateIn(asn idr.ASN) error {
+func (e *Experiment) MigrateIn(asn idr.ASN) error { return e.do(Command{Kind: "migrate-in", A: asn}) }
+
+func (e *Experiment) migrateIn(asn idr.ASN) error {
 	if err := e.migratable(asn); err != nil {
 		return err
 	}
@@ -101,7 +103,9 @@ func (e *Experiment) MigrateIn(asn idr.ASN) error {
 // and re-peers with every neighbor — member neighbors gain a new
 // external peering toward it. A cluster-originated prefix owned by the
 // member is re-originated by the reborn router.
-func (e *Experiment) MigrateOut(asn idr.ASN) error {
+func (e *Experiment) MigrateOut(asn idr.ASN) error { return e.do(Command{Kind: "migrate-out", A: asn}) }
+
+func (e *Experiment) migrateOut(asn idr.ASN) error {
 	if err := e.migratable(asn); err != nil {
 		return err
 	}

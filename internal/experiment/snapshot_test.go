@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"strings"
@@ -31,6 +32,18 @@ func ribDump(t *testing.T, e *Experiment) string {
 	return b.String()
 }
 
+// runState renders what a continuation must agree on: the kernel's
+// counters and pending count, the UPDATE and frame totals, the
+// detector's last activity, the probe counters and every Loc-RIB.
+func runState(t *testing.T, e *Experiment) string {
+	t.Helper()
+	sent, recv := e.UpdateTotals()
+	delivered, dropped, bytes := e.Traffic()
+	return fmt.Sprintf("kernel %+v pending %d updates %d/%d traffic %d/%d/%d activity %v probes %v in flight %v\n%s",
+		e.K.State(), e.K.Pending(), sent, recv, delivered, dropped, bytes,
+		e.Detector.LastActivity(), e.Probes.Stats(), e.Probes.InFlight(), ribDump(t, e))
+}
+
 // warmedUp builds cfg, starts it, announces every prefix and runs to
 // quiescence — the exact state Sweep.Run snapshots.
 func warmedUp(t *testing.T, cfg Config) *Experiment {
@@ -44,16 +57,25 @@ func warmedUp(t *testing.T, cfg Config) *Experiment {
 // returning both convergence durations.
 func driveTrigger(t *testing.T, e *Experiment) (d1, d2 time.Duration) {
 	t.Helper()
-	var err error
-	d1, err = e.MeasureConvergence(func() error { return e.Withdraw(1) }, 30*time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err = e.MeasureConvergence(func() error { return e.Announce(1) }, 30*time.Minute)
+	d1, d2, err := driveTriggerOK(e)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return d1, d2
+}
+
+// driveTriggerOK is driveTrigger without the test dependency, for
+// closures that tolerate errors.
+func driveTriggerOK(e *Experiment) (time.Duration, time.Duration, error) {
+	d1, err := e.MeasureConvergence(func() error { return e.Withdraw(1) }, 30*time.Minute)
+	if err != nil {
+		return 0, 0, err
+	}
+	d2, err := e.MeasureConvergence(func() error { return e.Announce(1) }, 30*time.Minute)
+	if err != nil {
+		return 0, 0, err
+	}
+	return d1, d2, nil
 }
 
 // jitterTimers enables MRAI jitter so the kernel RNG stream position
@@ -64,13 +86,23 @@ func jitterTimers() bgp.Timers {
 	return tm
 }
 
+// restored snapshots e, sends the snapshot through its encoding and
+// restores it under cfg.
+func restored(t *testing.T, cfg Config, e *Experiment) *Experiment {
+	t.Helper()
+	r, err := roundTrip(cfg, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 // TestSnapshotRoundTripIdentical is the core fidelity check: capture a
 // warmed-up experiment, rebuild it from Config + snapshot bytes, then
 // drive the original and the restored copy through the same triggering
-// events. Routing state, UPDATE counters, convergence durations and
-// the virtual clock must match exactly. Kernel event counts and netem
-// delivery counters are deliberately NOT compared: the snapshot drops
-// in-flight keepalive frames (behaviorally invisible at quiescence).
+// events. The kernel's counters and pending events, the UPDATE and
+// frame totals, routing state, convergence durations and the clock
+// must match exactly, at the fork point and after.
 func TestSnapshotRoundTripIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -84,82 +116,78 @@ func TestSnapshotRoundTripIdentical(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e1 := warmedUp(t, tc.cfg)
-
-			snap, err := e1.Snapshot()
-			if err != nil {
+			if err := e1.InjectProbe(2, 1); err != nil {
 				t.Fatal(err)
 			}
-			raw, err := EncodeSnapshot(snap)
-			if err != nil {
-				t.Fatal(err)
+			e2 := restored(t, tc.cfg, e1)
+			if got, want := runState(t, e2), runState(t, e1); got != want {
+				t.Fatalf("restored state differs:\n--- original ---\n%s\n--- restored ---\n%s", want, got)
 			}
-			decoded, err := DecodeSnapshot(raw)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e2, err := Restore(tc.cfg, decoded)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			if got, want := e2.K.Now(), e1.K.Now(); !got.Equal(want) {
-				t.Fatalf("restored clock %v != %v", got, want)
-			}
-			if got, want := ribDump(t, e2), ribDump(t, e1); got != want {
-				t.Fatalf("restored RIBs differ:\n--- original ---\n%s\n--- restored ---\n%s", want, got)
-			}
-
 			d1a, d1b := driveTrigger(t, e1)
 			d2a, d2b := driveTrigger(t, e2)
 			if d1a != d2a || d1b != d2b {
 				t.Fatalf("convergence diverged: original (%v, %v), restored (%v, %v)", d1a, d1b, d2a, d2b)
 			}
-			s1, r1 := e1.UpdateTotals()
-			s2, r2 := e2.UpdateTotals()
-			if s1 != s2 || r1 != r2 {
-				t.Fatalf("update totals diverged: original (%d, %d), restored (%d, %d)", s1, r1, s2, r2)
-			}
-			if got, want := ribDump(t, e2), ribDump(t, e1); got != want {
-				t.Fatalf("post-trigger RIBs differ:\n--- original ---\n%s\n--- restored ---\n%s", want, got)
-			}
-			if !e2.K.Now().Equal(e1.K.Now()) {
-				t.Fatalf("post-trigger clocks diverged: %v != %v", e2.K.Now(), e1.K.Now())
-			}
-			if a1, a2 := e1.Detector.LastActivity(), e2.Detector.LastActivity(); !a1.Equal(a2) {
-				t.Fatalf("detector last activity diverged: %v != %v", a1, a2)
+			if got, want := runState(t, e2), runState(t, e1); got != want {
+				t.Fatalf("post-trigger state differs:\n--- original ---\n%s\n--- restored ---\n%s", want, got)
 			}
 		})
 	}
 }
 
-// TestSnapshotDecodesRetiredLinkKeys pins that a snapshot stored before
-// netem lost its bandwidth queue still decodes: its per-endpoint
-// a_departure_ns/b_departure_ns keys are ignored, and what remains is
-// the state a current capture encodes.
-func TestSnapshotDecodesRetiredLinkKeys(t *testing.T) {
-	e := warmedUp(t, Config{Seed: 23, Graph: mustGraph(topology.Line(4)), Timers: fastTimers(), LinkLoss: 0.05})
-	snap, err := e.Snapshot()
-	if err != nil {
-		t.Fatal(err)
+// TestSnapshotAcrossMigrationAndFaults snapshots where the wiring no
+// longer matches the Config: after migrations both ways, during a
+// controller crash and during a partition; and after callers touched
+// the detector and reset the probe counters with probes in flight,
+// none of which is a command. Each restore must continue exactly as
+// the original does.
+func TestSnapshotAcrossMigrationAndFaults(t *testing.T) {
+	cfg := Config{Seed: 5, Graph: mustGraph(topology.Clique(6)), Timers: jitterTimers(), SDNMembers: []idr.ASN{2, 3}}
+	e := warmedUp(t, cfg)
+	steps := []struct {
+		name string
+		act  func() error
+	}{
+		{"migrate 4 in", func() error { return e.Migrate(4) }},
+		{"migrate 2 out", func() error { return e.Migrate(2) }},
+		{"controller down", e.ControllerDown},
+		{"controller up", e.ControllerUp},
+		{"partition", e.Partition},
+		{"probes reset in flight", func() error {
+			if err := e.InjectProbe(5, 6); err != nil {
+				return err
+			}
+			if err := e.InjectProbe(6, 5); err != nil {
+				return err
+			}
+			e.Probes.ResetStats()
+			if err := e.InjectProbe(1, 6); err != nil {
+				return err
+			}
+			e.Detector.Touch()
+			return nil
+		}},
+		{"heal", e.Heal},
 	}
-	raw, err := EncodeSnapshot(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := strings.ReplaceAll(string(raw), `"b_arrival_ns":`, `"a_departure_ns":17,"b_departure_ns":19,"b_arrival_ns":`)
-	if old == string(raw) {
-		t.Fatal("the snapshot has no link state to plant the retired keys in")
-	}
-	decoded, err := DecodeSnapshot([]byte(old))
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := EncodeSnapshot(decoded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(again) != string(raw) {
-		t.Fatal("a snapshot carrying the retired departure keys decodes to other state")
+	for _, s := range steps {
+		if err := s.act(); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		if err := e.RunFor(300 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		r := restored(t, cfg, e)
+		if got, want := runState(t, r), runState(t, e); got != want {
+			t.Fatalf("%s: restored state differs:\n--- original ---\n%s\n--- restored ---\n%s", s.name, want, got)
+		}
+		for _, x := range []*Experiment{e, r} {
+			if _, err := x.WaitConverged(30 * time.Minute); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, want := runState(t, r), runState(t, e); got != want {
+			t.Fatalf("%s: converged states differ:\n--- original ---\n%s\n--- restored ---\n%s", s.name, want, got)
+		}
 	}
 }
 
@@ -206,104 +234,49 @@ func TestSnapshotForkDivergence(t *testing.T) {
 	}
 }
 
-// TestSnapshotMidInstantRoundTripAndFork captures the experiment while
-// the kernel is halfway through the events of one instant and checks
-// both continuation fidelity and forking. Four test events share one
-// instant; the kernel stops after the second, so the snapshot's
-// KernelState carries a clock pinned to that instant and sequence
-// numbers already consumed by the unexecuted half.
-func TestSnapshotMidInstantRoundTripAndFork(t *testing.T) {
+// TestForkIsLogged restores one snapshot twice under a fresh seed: the
+// restores must snapshot to the same bytes, with the fork as their last
+// command, and a restore of that snapshot under the fork's seed must
+// continue the fork exactly.
+func TestForkIsLogged(t *testing.T) {
 	cfg := Config{Seed: 7, Graph: mustGraph(topology.Clique(5)), Timers: jitterTimers()}
-	e1 := warmedUp(t, cfg)
-
-	var ran int
-	for i := 0; i < 4; i++ {
-		e1.K.AfterFunc(50*time.Millisecond, func() { ran++ })
-	}
-	at := e1.K.Now().Add(50 * time.Millisecond)
-	if err := e1.K.RunWhile(func() bool { return ran < 2 }); err != nil {
-		t.Fatal(err)
-	}
-	if ran != 2 {
-		t.Fatalf("stopped after %d events of the instant, want 2", ran)
-	}
-	if !e1.K.Now().Equal(at) {
-		t.Fatalf("clock %v not pinned to the shared instant %v", e1.K.Now(), at)
-	}
-
-	snap, err := e1.Snapshot()
+	snap, err := warmedUp(t, cfg).Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := EncodeSnapshot(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := DecodeSnapshot(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := Restore(cfg, decoded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := e2.K.Now(), e1.K.Now(); !got.Equal(want) {
-		t.Fatalf("restored clock %v != %v", got, want)
-	}
-	if got, want := ribDump(t, e2), ribDump(t, e1); got != want {
-		t.Fatalf("restored RIBs differ:\n--- original ---\n%s\n--- restored ---\n%s", want, got)
-	}
-	d1a, d1b := driveTrigger(t, e1)
-	d2a, d2b := driveTrigger(t, e2)
-	if d1a != d2a || d1b != d2b {
-		t.Fatalf("convergence diverged: original (%v, %v), restored (%v, %v)", d1a, d1b, d2a, d2b)
-	}
-	s1, r1 := e1.UpdateTotals()
-	s2, r2 := e2.UpdateTotals()
-	if s1 != s2 || r1 != r2 {
-		t.Fatalf("update totals diverged: original (%d, %d), restored (%d, %d)", s1, r1, s2, r2)
-	}
-	if got, want := ribDump(t, e2), ribDump(t, e1); got != want {
-		t.Fatalf("post-trigger RIBs differ:\n--- original ---\n%s\n--- restored ---\n%s", want, got)
-	}
-
-	// The same mid-instant snapshot forks under a fresh seed: jittered
-	// dynamics may differ, the converged answer must not.
 	fc := cfg
 	fc.Seed = 1007
-	fork, err := Restore(fc, decoded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := driveTriggerOK(fork); err != nil {
-		t.Fatal(err)
-	}
-	for _, from := range fork.ASNs() {
-		if !fork.Reachable(from, 1) {
-			t.Fatalf("fork: %v cannot reach origin after re-announce", from)
+	var docs [2][]byte
+	var forks [2]*Experiment
+	for i := range docs {
+		if forks[i], err = Restore(fc, snap); err != nil {
+			t.Fatal(err)
+		}
+		again, err := forks[i].Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last := again.Log[len(again.Log)-1]; last.Kind != "fork" || last.Seed != 1007 || again.Seed != 7 {
+			t.Fatalf("the fork snapshots as seed %d, last command %+v", again.Seed, last)
+		}
+		if docs[i], err = EncodeSnapshot(again); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if ribDump(t, fork) != ribDump(t, e1) {
-		t.Fatal("fork converged to different routing state")
+	if !bytes.Equal(docs[0], docs[1]) {
+		t.Fatal("two restores of one snapshot under one seed snapshot differently")
 	}
-}
-
-// driveTriggerOK is driveTrigger without the test dependency, for
-// closures that tolerate errors.
-func driveTriggerOK(e *Experiment) (time.Duration, time.Duration, error) {
-	d1, err := e.MeasureConvergence(func() error { return e.Withdraw(1) }, 30*time.Minute)
-	if err != nil {
-		return 0, 0, err
+	again := restored(t, fc, forks[0])
+	driveTrigger(t, forks[0])
+	driveTrigger(t, again)
+	if got, want := runState(t, again), runState(t, forks[0]); got != want {
+		t.Fatalf("the restored fork diverged:\n--- fork ---\n%s\n--- restored ---\n%s", want, got)
 	}
-	d2, err := e.MeasureConvergence(func() error { return e.Announce(1) }, 30*time.Minute)
-	if err != nil {
-		return 0, 0, err
-	}
-	return d1, d2, nil
 }
 
 // TestSnapshotRefusals pins the guarded error paths: unstarted
-// experiments and version skew.
+// experiments, version skew, commands of unknown kind, stamps that go
+// back, and a replay that does not land on the recorded counters.
 func TestSnapshotRefusals(t *testing.T) {
 	cfg := Config{Seed: 1, Graph: mustGraph(topology.Line(3)), Timers: fastTimers()}
 	e, err := New(cfg)
@@ -313,21 +286,53 @@ func TestSnapshotRefusals(t *testing.T) {
 	if _, err := e.Snapshot(); err == nil {
 		t.Fatal("snapshot of an unstarted experiment succeeded")
 	}
-	e2 := warmedUp(t, cfg)
-	snap, err := e2.Snapshot()
+	snap, err := warmedUp(t, cfg).Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap.Version = SnapshotVersion + 1
-	if _, err := Restore(cfg, snap); err == nil {
+	future := *snap
+	future.Version = SnapshotVersion + 1
+	if _, err := Restore(cfg, &future); err == nil {
 		t.Fatal("restore accepted a future snapshot version")
 	}
-	raw, err := EncodeSnapshot(snap)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name   string
+		change func(s *Snapshot)
+	}{
+		{"future version", func(s *Snapshot) { s.Version++ }},
+		{"unknown command", func(s *Snapshot) { s.Log[1].Kind = "reboot" }},
+		{"command back in events", func(s *Snapshot) { s.Log[2].Events = s.Log[1].Events - 1 }},
+		{"command back in time", func(s *Snapshot) { s.Log[0].NowNS = -1 }},
+		{"kernel back from the log", func(s *Snapshot) { s.Kernel.Events = s.Log[len(s.Log)-1].Events - 1 }},
+	} {
+		bad := *snap
+		bad.Log = append([]Command(nil), snap.Log...)
+		c.change(&bad)
+		raw, err := EncodeSnapshot(&bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeSnapshot(raw); err == nil {
+			t.Fatalf("%s: decode accepted it", c.name)
+		}
 	}
-	if _, err := DecodeSnapshot(raw); err == nil {
-		t.Fatal("decode accepted a future snapshot version")
+	for _, c := range []struct {
+		name   string
+		cfg    Config
+		change func(s *Snapshot)
+	}{
+		{"sequence off", cfg, func(s *Snapshot) { s.Kernel.Seq++ }},
+		{"draws off", cfg, func(s *Snapshot) { s.Kernel.Draws++ }},
+		{"an event too many", cfg, func(s *Snapshot) { s.Kernel.Events++ }},
+		{"a command too early", cfg, func(s *Snapshot) { s.Log[1].Events-- }},
+		{"another topology", Config{Seed: 1, Graph: mustGraph(topology.Ring(3)), Timers: fastTimers()}, func(*Snapshot) {}},
+	} {
+		bad := *snap
+		bad.Log = append([]Command(nil), snap.Log...)
+		c.change(&bad)
+		if _, err := Restore(c.cfg, &bad); err == nil {
+			t.Fatalf("%s: restore landed anyway", c.name)
+		}
 	}
 }
 
@@ -350,17 +355,13 @@ func updateTimes(e *Experiment, deadline time.Time, each func()) []string {
 	return out
 }
 
-// TestSnapshotMidExplorationPendingMRAI takes the snapshots no other
-// test takes: in the middle of path exploration, with MRAI timers
-// armed and announcements queued behind them, or with a session idle
-// but still inside its advertisement interval (every warmed-up
-// snapshot is quiescent, so nothing else notices when bgp.Peer.restore
-// skips the re-arm or loses nextAdvAllowed). Each restored run must
-// send its remaining UPDATEs at exactly the uninterrupted run's times.
-// A snapshot is taken at every instant after the withdrawal at which
-// every UPDATE sent has been received — in-flight frames are not
-// captured (a dropped KEEPALIVE is invisible; a dropped UPDATE would
-// not be).
+// TestSnapshotMidExplorationPendingMRAI snapshots in the middle of path
+// exploration, reached by experiment commands alone (AS 1 withdraws its
+// prefix on a 6-AS clique with MRAI jitter): at twelve points spread
+// over it, with UPDATEs in flight at some and, at others, none in
+// flight but announcements still queued behind MRAI timers. Each
+// restored run must send its remaining UPDATEs at exactly the
+// uninterrupted run's times and end in the uninterrupted run's state.
 func TestSnapshotMidExplorationPendingMRAI(t *testing.T) {
 	cfg := Config{Seed: 3, Graph: mustGraph(topology.Clique(6)), Timers: jitterTimers()}
 	e1 := warmedUp(t, cfg)
@@ -369,43 +370,28 @@ func TestSnapshotMidExplorationPendingMRAI(t *testing.T) {
 	}
 	deadline := e1.K.Now().Add(10 * time.Minute)
 	type point struct {
-		raw           []byte
-		sent          uint64
-		armed, queued int
+		raw      []byte
+		inFlight bool
 	}
 	var points []point
 	want := updateTimes(e1, deadline, func() {
-		sent, recv := e1.UpdateTotals()
-		if sent != recv {
-			return
-		}
 		snap, err := e1.Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
-		pt := point{sent: sent}
-		for _, r := range snap.Routers {
-			for _, p := range r.State.Peers {
-				if p.Mrai != nil {
-					pt.armed++
-					pt.queued += len(p.PendingAnnounce)
-				}
-			}
-		}
-		if n := len(points); n > 0 && points[n-1].sent == sent && points[n-1].armed == pt.armed {
-			return // the same state as the last point
-		}
-		if pt.raw, err = EncodeSnapshot(snap); err != nil {
+		raw, err := EncodeSnapshot(snap)
+		if err != nil {
 			t.Fatal(err)
 		}
-		points = append(points, pt)
+		sent, recv := e1.UpdateTotals()
+		points = append(points, point{raw: raw, inFlight: sent != recv})
 	})
-	if len(want) == 0 || len(points) == 0 {
-		t.Fatalf("exploration gave %d UPDATE-sending events and %d snapshot points", len(want), len(points))
+	if len(want) == 0 {
+		t.Fatal("the withdrawal sent no UPDATE")
 	}
-	queued := 0
-	for _, pt := range points {
-		queued += pt.queued
+	inFlight, queued := 0, 0
+	for i := 1; i <= 12; i++ {
+		pt := points[len(points)*i/13]
 		decoded, err := DecodeSnapshot(pt.raw)
 		if err != nil {
 			t.Fatal(err)
@@ -417,19 +403,112 @@ func TestSnapshotMidExplorationPendingMRAI(t *testing.T) {
 		at := e2.K.Now().Sub(sim.Epoch)
 		got := updateTimes(e2, deadline, nil)
 		if len(got) > len(want) || !slices.Equal(got, want[len(want)-len(got):]) {
-			t.Fatalf("snapshot at %v (%d MRAI timers armed, %d announcements queued): remaining UPDATE times diverged:\n uninterrupted %v\n restored      %v", at, pt.armed, pt.queued, want, got)
+			t.Fatalf("snapshot at %v (UPDATEs in flight: %v): remaining UPDATE times diverged:\n uninterrupted %v\n restored      %v", at, pt.inFlight, want, got)
 		}
-		if s1, r1 := e1.UpdateTotals(); s1 != r1 {
-			t.Fatalf("uninterrupted run ended with %d UPDATEs sent, %d received", s1, r1)
-		} else if s2, r2 := e2.UpdateTotals(); s2 != s1 || r2 != r1 {
-			t.Fatalf("snapshot at %v: update totals (%d, %d), uninterrupted (%d, %d)", at, s2, r2, s1, r1)
+		if pt.inFlight {
+			inFlight++
+		} else if len(got) > 0 {
+			queued++ // nothing in flight, yet UPDATEs to come: an MRAI timer held them
 		}
-		if got, want := ribDump(t, e2), ribDump(t, e1); got != want {
-			t.Fatalf("snapshot at %v: final RIBs differ:\n--- uninterrupted ---\n%s\n--- restored ---\n%s", at, want, got)
+		if got, want := runState(t, e2), runState(t, e1); got != want {
+			t.Fatalf("snapshot at %v: final states differ:\n--- uninterrupted ---\n%s\n--- restored ---\n%s", at, want, got)
 		}
 	}
-	if queued == 0 {
-		t.Fatal("no snapshot point had an announcement queued behind an MRAI timer")
+	if inFlight == 0 || queued == 0 {
+		t.Fatalf("of twelve points in %d events, %d had UPDATEs in flight and %d UPDATEs held by MRAI alone; want some of each", len(points), inFlight, queued)
 	}
-	t.Logf("%d snapshot points, %d UPDATE-sending events", len(points), len(want))
+	t.Logf("%d events, %d of them sending UPDATEs; %d points with UPDATEs in flight, %d held by MRAI alone", len(points), len(want), inFlight, queued)
+}
+
+// TestSnapshotMidInstantRoundTripAndFork snapshots the exploration of a
+// withdrawal on a 5-AS clique with MRAI jitter halfway through the
+// events of one instant, with UPDATEs in flight: the kernel has run
+// one event of the instant and another is due at the same clock. The
+// restored experiment must read as the original at the snapshot,
+// send its remaining UPDATEs at the original's times and converge as
+// the original after a re-announcement; restored under a fresh seed,
+// the fork must end with every AS routing as the original's does.
+func TestSnapshotMidInstantRoundTripAndFork(t *testing.T) {
+	cfg := Config{Seed: 7, Graph: mustGraph(topology.Clique(5)), Timers: jitterTimers()}
+	reach := func(n int) *Experiment {
+		e := warmedUp(t, cfg)
+		if err := e.Withdraw(1); err != nil {
+			t.Fatal(err)
+		}
+		for range n {
+			if !e.K.Step() {
+				t.Fatalf("the exploration ended before event %d", n)
+			}
+		}
+		return e
+	}
+	e1 := reach(0)
+	n := 0
+	for {
+		sent, recv := e1.UpdateTotals()
+		at := e1.K.Now()
+		if !e1.K.Step() {
+			t.Fatal("no instant of the exploration ran two events with UPDATEs in flight")
+		}
+		if e1.K.Now().Equal(at) && n > 0 && sent != recv {
+			break // event n ran at the instant of event n+1
+		}
+		n++
+	}
+	e1 = reach(n)
+	snap, err := e1.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := EncodeSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := DecodeSnapshot(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e2, err := Restore(cfg, decoded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := runState(t, e2), runState(t, e1); got != want {
+		t.Fatalf("restored state differs at event %d:\n--- original ---\n%s\n--- restored ---\n%s", n, want, got)
+	}
+	deadline := e1.K.Now().Add(10 * time.Minute)
+	if got, want := updateTimes(e2, deadline, nil), updateTimes(e1, deadline, nil); !slices.Equal(got, want) {
+		t.Fatalf("remaining UPDATE times diverged:\n original %v\n restored %v", want, got)
+	}
+	for _, e := range []*Experiment{e1, e2} {
+		if _, err := e.MeasureConvergence(func() error { return e.Announce(1) }, 30*time.Minute); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := runState(t, e2), runState(t, e1); got != want {
+		t.Fatalf("post-trigger state differs:\n--- original ---\n%s\n--- restored ---\n%s", want, got)
+	}
+
+	fc := cfg
+	fc.Seed = 1007
+	fork, err := Restore(fc, decoded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fork.WaitConverged(30 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if err := fork.Announce(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fork.WaitConverged(30 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	for _, from := range fork.ASNs() {
+		if !fork.Reachable(from, 1) {
+			t.Fatalf("fork: %v cannot reach origin after re-announce", from)
+		}
+	}
+	if ribDump(t, fork) != ribDump(t, e1) {
+		t.Fatal("fork converged to different routing state")
+	}
 }

@@ -296,7 +296,9 @@ func (e *Experiment) wire(a, b idr.ASN) error {
 // member's origination arms the controller's debounce or sends its
 // FlowMods, and a link's state change is posted, so either leaves the
 // handshakes emulated. Every other session opens as emulated.
-func (e *Experiment) Start() error {
+func (e *Experiment) Start() error { return e.do(Command{Kind: "start"}) }
+
+func (e *Experiment) start() error {
 	if e.started {
 		return fmt.Errorf("experiment: already started")
 	}

@@ -65,8 +65,8 @@ func runFromOwnSnapshot(t *testing.T, tr lab.Trial) lab.Result {
 // acceptance check at registry breadth: for every experiment spec,
 // shrunk to smoke scale, and every point of its axis, the trial
 // measured from its own restored warm-up snapshot must equal the plain
-// Trial.Run — so every layer's State/RestoreState pair is held to
-// every workload, policy and placement the registry can express.
+// Trial.Run — so the replay of a warm-up's commands is held to every
+// workload, policy and placement the registry can express.
 func TestRegistrySnapshotEquivalence(t *testing.T) {
 	for _, spec := range Registry() {
 		t.Run(spec.Name, func(t *testing.T) {

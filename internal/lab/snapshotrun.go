@@ -4,15 +4,16 @@ import (
 	"repro/internal/experiment"
 )
 
-// The checkpoint seam of a trial: WarmupSnapshot captures the
-// warmed-up converged state as encoded bytes, RestoreWarmup rebuilds a
-// runnable experiment from them, and RunFromSnapshot measures from
-// the restored state. No sweep takes this path — Sweep.Run always
-// calls Trial.Run — it exists for the fork benchmark and as the
-// reference the snapshot-equivalence tests hold Run against. When the
-// warm-up consumes no seeded draws (no MRAI jitter, no link loss) a
-// snapshot taken under one seed restores under any other: the restore
-// re-derives the run's random streams from its own seed (the fork).
+// The checkpoint seam of a trial: WarmupSnapshot records the warm-up
+// as encoded bytes (experiment.Snapshot: its commands and where its
+// kernel stood), RestoreWarmup replays them into a runnable experiment,
+// and RunFromSnapshot measures from there. No sweep takes this path —
+// Sweep.Run always calls Trial.Run — it exists for the fork benchmark
+// and as the reference the snapshot-equivalence tests hold Run
+// against. When the warm-up consumes no seeded draws (no MRAI jitter,
+// no link loss) a snapshot taken under one seed restores under any
+// other: the replay runs under the snapshot's seed, and the restore
+// then re-derives the run's random streams from its own (the fork).
 
 // RunFromSnapshot executes the trial like Run, with its warm-up
 // replaced by restoring raw — WarmupSnapshot bytes of a trial that
@@ -31,7 +32,8 @@ func (t Trial) RunFromSnapshot(raw []byte) (Result, error) {
 
 // restore rebuilds a runnable warmed-up experiment from encoded
 // snapshot bytes, re-deriving its random streams from the plan's own
-// seed.
+// seed. The trial's wall limit holds from the restored state on; the
+// replay itself runs without one.
 func (p *prepared) restore(raw []byte) (*experiment.Experiment, error) {
 	snap, err := experiment.DecodeSnapshot(raw)
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/netip"
 	"time"
 
@@ -54,6 +55,11 @@ func (d *Detector) Touch() {
 
 // LastActivity returns the time of the most recent activity.
 func (d *Detector) LastActivity() time.Time { return d.last }
+
+// SetLastActivity sets the instant of the last activity. Callers touch
+// the detector outside any command a run records, so a restore sets
+// what the run it rebuilds left here.
+func (d *Detector) SetLastActivity(t time.Time) { d.last = t }
 
 // Converged reports whether the settle window has elapsed since the
 // last activity.
@@ -196,6 +202,30 @@ func (e *ProbeEngine) TotalLoss() ProbeStats {
 		total.Delivered += v.Delivered
 	}
 	return total
+}
+
+// InFlight returns the flow of every probe sent and not yet
+// delivered, by probe id.
+func (e *ProbeEngine) InFlight() map[uint64]FlowKey { return maps.Clone(e.pending) }
+
+// SetCounters replaces the per-flow counters and the probes in flight
+// with stats and inFlight, as Stats and InFlight report them. Callers
+// reset the counters outside any command a run records (ResetStats),
+// so a restore sets what the run it rebuilds left here.
+func (e *ProbeEngine) SetCounters(stats map[FlowKey]ProbeStats, inFlight map[uint64]FlowKey) {
+	e.stats = make(map[FlowKey]*ProbeStats, len(stats))
+	//lint:maporder each entry is copied to its own key
+	for k, v := range stats {
+		e.stats[k] = &v
+	}
+	e.pending = make(map[uint64]FlowKey, len(inFlight))
+	//lint:maporder each probe is filed under its own flow
+	for id, k := range inFlight {
+		if e.stats[k] == nil {
+			e.stats[k] = &ProbeStats{}
+		}
+		e.pending[id] = k
+	}
 }
 
 // ResetStats clears accumulated statistics and forgets in-flight

@@ -85,6 +85,28 @@ func (n *Network) SeedLinks(seed int64) {
 	n.seeded = true
 }
 
+// Reseed re-derives the private stream of every seeded link, and of
+// every link created later, from seed: each existing stream at the
+// position it has reached, so the draws made so far stay made. It is
+// the links' half of forking a run (sim.Kernel.Reseed).
+func (n *Network) Reseed(seed int64) {
+	n.linkSeed = seed
+	for i, l := range n.links {
+		if l.seeded {
+			draws := l.src.Draws()
+			l.src.Seed(linkSeed(seed, i))
+			l.src.FastForward(draws)
+		}
+	}
+}
+
+// linkSeed derives the seed of the i-th link's private stream: the
+// creation index mixed into the network's seed with a splitmix64-style
+// odd constant, so adjacent links get well-separated streams.
+func linkSeed(seed int64, i int) int64 {
+	return seed ^ int64(i+1)*-0x61c8864680b583eb
+}
+
 // Clock returns the network's clock.
 func (n *Network) Clock() sim.Clock { return n.clock }
 
@@ -141,13 +163,10 @@ func (n *Network) Connect(a, b *Node, cfg LinkConfig) (*Link, error) {
 	}
 	l := &Link{net: n, cfg: cfg, up: true, seeded: n.seeded, downNS: sim.TimeNone}
 	if n.seeded {
-		// Mix the creation index into the seed (splitmix64-style odd
-		// constant) so adjacent links get well-separated streams. The
-		// source is draw-counted so snapshots can record the stream
-		// position and restores re-derive it from the seed, and it
-		// builds its generator on the first draw: a lossless link
-		// holds only (seed, draws).
-		l.src.Seed(n.linkSeed ^ int64(len(n.links)+1)*-0x61c8864680b583eb)
+		// The source is draw-counted so a fork can re-seed it where it
+		// stands (Reseed), and it builds its generator on the first
+		// draw: a lossless link holds only (seed, draws).
+		l.src.Seed(linkSeed(n.linkSeed, len(n.links)))
 	}
 	l.a = Endpoint{node: a, link: l, peer: &l.b}
 	l.b = Endpoint{node: b, link: l, peer: &l.a}

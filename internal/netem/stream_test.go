@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -14,7 +15,7 @@ import (
 // on it is ever lost — every link of a default experiment.
 // Its private stream exists as (seed, draws) only: Connect plus traffic
 // stays far under the 4.9 KB a seeded stdlib generator takes, and the
-// captured stream position is still 0.
+// stream position is still 0.
 func TestLosslessLinkBuildsNoStream(t *testing.T) {
 	const links = 1000
 	k, n := newNet(t)
@@ -45,9 +46,9 @@ func TestLosslessLinkBuildsNoStream(t *testing.T) {
 	if n.Delivered != links {
 		t.Fatalf("delivered %d of %d frames", n.Delivered, links)
 	}
-	for i, ls := range n.State().Links {
-		if ls.Draws != 0 {
-			t.Fatalf("link %d: lossless traffic drew %d values from its stream", i, ls.Draws)
+	for i, l := range n.Links() {
+		if d := l.src.Draws(); d != 0 {
+			t.Fatalf("link %d: lossless traffic drew %d values from its stream", i, d)
 		}
 	}
 }
@@ -58,8 +59,8 @@ func TestLosslessLinkBuildsNoStream(t *testing.T) {
 // network's shared source and records no draws of its own, one
 // created after draws from its own stream and leaves the shared one
 // alone; a lossless seeded link is one object with no generator; and a
-// lossy link's draw count survives State and RestoreState, so the
-// restored link draws the original's next losses.
+// lossy link re-seeded under its own seed where it stands (Reseed)
+// draws the next losses its twin draws, and under another seed others.
 func TestLinkOwnsItsStream(t *testing.T) {
 	shared := sim.NewCountingSource(9)
 	build := func() (*Network, *Link, *Link) {
@@ -83,15 +84,15 @@ func TestLinkOwnsItsStream(t *testing.T) {
 		}
 	}
 
-	n, before, after := build()
+	_, before, after := build()
 	send(before, 50)
-	if shared.Draws() == 0 || n.State().Links[0].Draws != 0 {
-		t.Fatalf("a link from before SeedLinks: %d shared draws, %d of its own; want some and none", shared.Draws(), n.State().Links[0].Draws)
+	if shared.Draws() == 0 || before.src.Draws() != 0 {
+		t.Fatalf("a link from before SeedLinks: %d shared draws, %d of its own; want some and none", shared.Draws(), before.src.Draws())
 	}
 	sharedDraws := shared.Draws()
 	send(after, 50)
-	if shared.Draws() != sharedDraws || n.State().Links[1].Draws == 0 {
-		t.Fatalf("a link from after SeedLinks: %d more shared draws, %d of its own; want none and some", shared.Draws()-sharedDraws, n.State().Links[1].Draws)
+	if shared.Draws() != sharedDraws || after.src.Draws() == 0 {
+		t.Fatalf("a link from after SeedLinks: %d more shared draws, %d of its own; want none and some", shared.Draws()-sharedDraws, after.src.Draws())
 	}
 
 	a, b := twoNodes(t, NewNetwork(&countingClock{}, nil))
@@ -108,19 +109,29 @@ func TestLinkOwnsItsStream(t *testing.T) {
 		t.Errorf("a lossless seeded link: %v allocations per Connect, generator built %v; want 1 and false", allocs, lossless.rng != nil)
 	}
 
-	st := n.State()
-	restored, _, again := build()
-	if err := restored.RestoreState(st); err != nil {
-		t.Fatal(err)
-	}
-	if got := restored.State().Links[1].Draws; got != st.Links[1].Draws {
-		t.Fatalf("restored link at draw %d, captured at %d", got, st.Links[1].Draws)
-	}
-	retransmits := after.Retransmits
-	send(after, 50)
-	send(again, 50)
-	if after.Retransmits-retransmits != again.Retransmits-retransmits || restored.State().Links[1] != n.State().Links[1] {
-		t.Fatalf("after the restore the two links drew different losses: %d and %d retransmits", after.Retransmits-retransmits, again.Retransmits-retransmits)
+	for _, c := range []struct {
+		seed int64
+		same bool
+	}{{7, true}, {8, false}} {
+		_, _, ref := build()
+		twin, _, again := build()
+		send(ref, 50)
+		send(again, 50)
+		twin.Reseed(c.seed)
+		if again.src.Draws() != ref.src.Draws() {
+			t.Fatalf("re-seeded link at draw %d, its twin at %d", again.src.Draws(), ref.src.Draws())
+		}
+		var losses [2][]uint64
+		for i, l := range []*Link{ref, again} {
+			for range 50 {
+				retransmits := l.Retransmits
+				send(l, 1)
+				losses[i] = append(losses[i], l.Retransmits-retransmits)
+			}
+		}
+		if same := reflect.DeepEqual(losses[0], losses[1]); same != c.same {
+			t.Fatalf("re-seeded under %d, the link drew the losses of its twin: %v, want %v", c.seed, same, c.same)
+		}
 	}
 }
 
@@ -221,17 +232,24 @@ func (r *lossyRig) offer(start time.Duration, from, to int) {
 }
 
 // TestLossyLinkStateRoundTrip pins that (seed, draws) still locates a
-// drawn stream: a lossy network captured between two bursts
-// and restored onto a fresh network delivers the second burst at the
-// uninterrupted run's instants, and under a different link seed it
+// drawn stream: a lossy network captured between two bursts — the
+// kernel's State and each link's draws — is reached again by a fresh
+// network that replays the first burst to the captured state.
+// Re-seeded there under its own link seed, it delivers the second burst
+// at the uninterrupted run's instants; under a different link seed it
 // does not.
 func TestLossyLinkStateRoundTrip(t *testing.T) {
-	const (
-		burst = 100
-		// gap outlasts the worst retransmission back-off of the first
-		// burst, so the capture sees no frame in flight.
-		gap = time.Minute
-	)
+	const burst = 100
+	// gap outlasts the worst retransmission back-off of the first burst,
+	// so the capture sees no frame in flight.
+	const gap = time.Minute
+	draws := func(r *lossyRig) []uint64 {
+		var out []uint64
+		for _, l := range r.links {
+			out = append(out, l.src.Draws())
+		}
+		return out
+	}
 	whole := newLossyRig(t, 42)
 	whole.offer(0, 0, burst)
 	whole.offer(gap, burst, 2*burst)
@@ -247,23 +265,26 @@ func TestLossyLinkStateRoundTrip(t *testing.T) {
 	if first.k.Pending() != 0 {
 		t.Fatalf("%d events in flight at the capture", first.k.Pending())
 	}
-	kst, nst := first.k.State(), first.n.State()
-	var drawn uint64
-	for _, ls := range nst.Links {
-		drawn += ls.Draws
-	}
-	if drawn == 0 {
+	kst, drawn := first.k.State(), draws(first)
+	if slices.Max(drawn) == 0 {
 		t.Fatal("the first burst drew nothing: the capture would not exercise a stream position")
 	}
 
-	// resume restores the capture under linkSeed and runs the second burst.
+	// resume replays the first burst onto a fresh network, re-seeds its
+	// links under linkSeed and runs the second burst.
 	resume := func(linkSeed int64) [][2]int64 {
-		r := newLossyRig(t, linkSeed)
-		r.k.BeginRestore(kst, kst.Seed)
-		if err := r.n.RestoreState(nst); err != nil {
+		r := newLossyRig(t, 42)
+		r.offer(0, 0, burst)
+		for r.k.Events() < kst.Events && r.k.Step() {
+		}
+		if err := r.k.RunUntil(sim.Epoch.Add(time.Duration(kst.NowNS))); err != nil {
 			t.Fatal(err)
 		}
-		r.k.FinishRestore(kst)
+		if got := r.k.State(); got != kst || !slices.Equal(draws(r), drawn) {
+			t.Fatalf("replayed to %+v with draws %v, want %+v with %v", got, draws(r), kst, drawn)
+		}
+		r.n.Reseed(linkSeed)
+		r.got = nil
 		r.offer(gap, burst, 2*burst)
 		if err := r.k.Run(); err != nil {
 			t.Fatal(err)
@@ -278,7 +299,7 @@ func TestLossyLinkStateRoundTrip(t *testing.T) {
 		t.Fatalf("second burst delivered only %d frames", len(want))
 	}
 	if got := resume(42); !reflect.DeepEqual(got, want) {
-		t.Fatalf("second burst after restore delivered %d frames at other instants than the uninterrupted run's %d", len(got), len(want))
+		t.Fatalf("second burst after the round trip delivered %d frames at other instants than the uninterrupted run's %d", len(got), len(want))
 	}
 	if got := resume(43); reflect.DeepEqual(got, want) {
 		t.Fatal("a different link seed replayed the same losses")

@@ -88,7 +88,7 @@ func (k *Kernel) overBudget() error {
 // NewKernel returns a Kernel whose clock reads Epoch and whose random
 // source is seeded with seed. The source is draw-counted (see
 // CountingSource) so a snapshot can record exactly how far the stream
-// has advanced and a restore can replay it to the same point.
+// has advanced and a fork can re-seed it there (Reseed).
 func NewKernel(seed int64) *Kernel {
 	src := NewCountingSource(seed)
 	return &Kernel{

@@ -341,8 +341,8 @@ func TestSameInstantMutation(t *testing.T) {
 
 // A run stopped between two events of one instant — RunWhile halting
 // partway through a same-instant burst — leaves every unexecuted event
-// pending and Active with its original (deadline, seq), so component
-// snapshots capture it.
+// pending and Active with its original (deadline, seq), where the next
+// step finds it.
 func TestMidInstantTimerStateAndPending(t *testing.T) {
 	k := NewKernel(1)
 	ran := 0
@@ -363,12 +363,12 @@ func TestMidInstantTimerStateAndPending(t *testing.T) {
 		at, seq, ok := TimerState(tm)
 		if i < 3 {
 			if ok {
-				t.Fatalf("timer %d: executed but still snapshot-visible", i)
+				t.Fatalf("timer %d: executed but still active", i)
 			}
 			continue
 		}
 		if !ok {
-			t.Fatalf("timer %d: unexecuted event of the instant invisible to snapshot", i)
+			t.Fatalf("timer %d: unexecuted event of the instant inactive", i)
 		}
 		if want := Epoch.Add(time.Second); !at.Equal(want) {
 			t.Fatalf("timer %d: at = %v, want %v", i, at, want)

@@ -1,20 +1,15 @@
 package sim
 
 import (
-	"cmp"
 	"math/rand"
-	"slices"
 	"time"
 )
 
-// This file is the kernel half of converged-state checkpointing: it
-// exposes exactly the execution state a snapshot must capture (virtual
-// clock, scheduling sequence, event count, RNG position) and the
-// restore protocol that rebuilds it. Pending timer callbacks are NOT
-// serialized here — function values cannot be; instead each component
-// records its own timers' (deadline, seq) pairs via TimerState and
-// re-arms equivalent callbacks on restore, and the kernel then adopts
-// the captured counters so the replayed schedule is byte-identical.
+// This file is what a snapshot needs of the kernel: the execution state
+// a restore must land on (virtual clock, scheduling sequence, event
+// count, RNG position) and the re-seed that forks a run. A restore
+// rebuilds everything else by running the recorded commands again
+// (experiment.Restore).
 
 // CountingSource is a deterministic rand.Source64 that counts the
 // generator steps it has served. Both Int63 and Uint64 of the stdlib
@@ -23,7 +18,7 @@ import (
 // CountingSource emits the byte-identical stream of one over a plain
 // rand.NewSource while every consumed value is counted. That makes
 // (seed, draws) a complete, replayable serialization of the stream
-// position: restore re-seeds and discards the first `draws` steps.
+// position: a re-seed discards the first `draws` steps (Kernel.Reseed).
 //
 // (seed, draws) is also all an undrawn source holds: the stdlib
 // generator (607 words of state, ~13µs to seed) is built by the first
@@ -70,7 +65,7 @@ func (c *CountingSource) Draws() uint64 { return c.n }
 
 // FastForward advances the stream until exactly draws generator steps
 // have been served since the last seed. It panics if the stream is
-// already past that point — a snapshot/restore protocol error.
+// already past that point.
 func (c *CountingSource) FastForward(draws uint64) {
 	if c.n > draws {
 		panic("sim: CountingSource.FastForward target already passed")
@@ -80,8 +75,8 @@ func (c *CountingSource) FastForward(draws uint64) {
 	}
 }
 
-// TimeNone is the serialized form of the zero time.Time in snapshot
-// timestamp fields (which otherwise hold nanoseconds since Epoch).
+// TimeNone is the serialized form of the zero time.Time in timestamp
+// fields that otherwise hold nanoseconds since Epoch.
 const TimeNone = int64(-1) << 62
 
 // TimeToNS serializes a timestamp as nanoseconds since Epoch,
@@ -104,15 +99,13 @@ func TimeFromNS(ns int64) time.Time {
 // KernelState is the serializable execution state of a Kernel: the
 // virtual clock, the scheduling-sequence and executed-event counters,
 // and the RNG position as (seed, draws). The pending event queue is
-// not part of it — timers are re-armed by their owning components.
+// not part of it: a run that lands on these counters has the same one.
 type KernelState struct {
 	// NowNS is the virtual clock as nanoseconds since Epoch.
 	NowNS int64 `json:"now_ns"`
 	// Seq is the last scheduling sequence number assigned.
 	Seq uint64 `json:"seq"`
-	// Events is the number of events executed so far (restoring it
-	// preserves the wall-budget check phase, which is the only thing
-	// it feeds).
+	// Events is the number of events executed so far.
 	Events uint64 `json:"events"`
 	// Seed is the seed the kernel RNG stream was created with.
 	Seed int64 `json:"seed"`
@@ -131,106 +124,23 @@ func (k *Kernel) State() KernelState {
 	}
 }
 
-// Seed returns the seed the kernel was created with.
-func (k *Kernel) Seed() int64 { return k.src.seed }
-
-// BeginRestore starts restoring st onto a freshly built kernel: it
-// sets the virtual clock and replays the RNG stream to the captured
-// position (re-deriving it from seed rather than deserializing
-// generator internals). Components then re-arm their timers with
-// AfterFunc — deadlines are computed against the restored clock — and
-// the caller finishes with FinishRestore. When the restored run should
-// consume a DIFFERENT seed (a fork), pass it as seed; the stream is
-// re-derived from the new seed at the same position, so fork runs
-// diverge exactly where randomness enters and nowhere else.
-func (k *Kernel) BeginRestore(st KernelState, seed int64) {
-	k.nowNS = st.NowNS
+// Reseed re-derives the kernel's random stream from seed at the
+// position it has reached: the draws the run has made so far stay
+// made, and every later draw comes from seed's stream. Restoring a
+// snapshot under another seed forks the run this way.
+func (k *Kernel) Reseed(seed int64) {
+	draws := k.src.Draws()
 	k.src.Seed(seed)
-	k.src.FastForward(st.Draws)
-}
-
-// FinishRestore adopts the captured scheduling counters after every
-// timer has been re-armed. Events re-armed during restore received
-// fresh low sequence numbers in arm order (which the experiment layer
-// sorts by original (deadline, seq), preserving same-instant firing
-// order); adopting the captured Seq guarantees every event scheduled
-// after the restore point sorts behind them, exactly as in the
-// original run.
-func (k *Kernel) FinishRestore(st KernelState) {
-	if st.Seq > k.seq {
-		k.seq = st.Seq
-	}
-	k.events = st.Events
+	k.src.FastForward(draws)
 }
 
 // TimerState reports the pending deadline and scheduling sequence of
-// a virtual-time timer, for snapshotting. ok is false for an inactive
-// (fired, stopped or nil) timer or a non-kernel timer — such timers
-// are simply absent from the snapshot.
+// a virtual-time timer. ok is false for an inactive (fired, stopped or
+// nil) timer or a non-kernel timer.
 func TimerState(t Timer) (at time.Time, seq uint64, ok bool) {
 	ev, isSim := t.(*event)
 	if !isSim || ev == nil || !ev.Active() {
 		return time.Time{}, 0, false
 	}
 	return Epoch.Add(time.Duration(ev.at)), ev.seq, true
-}
-
-// TimerRef is the serialized identity of one pending timer: its
-// absolute deadline as nanoseconds since Epoch, and the scheduling
-// sequence it held in the original kernel (which orders same-instant
-// events).
-type TimerRef struct {
-	AtNS int64  `json:"at_ns"`
-	Seq  uint64 `json:"seq"`
-}
-
-// RefOf captures a TimerRef for an active virtual-time timer, or nil
-// for an inactive one.
-func RefOf(t Timer) *TimerRef {
-	at, seq, ok := TimerState(t)
-	if !ok {
-		return nil
-	}
-	return &TimerRef{AtNS: at.Sub(Epoch).Nanoseconds(), Seq: seq}
-}
-
-// Deadline returns the timer's absolute deadline.
-func (r *TimerRef) Deadline() time.Time { return Epoch.Add(time.Duration(r.AtNS)) }
-
-// Rearm appends to arms the arm that re-creates the referenced timer in
-// *slot, running f.Fire at the original deadline: the Firer the live
-// timer ran, so the restored one fires alike. A nil ref — no timer was
-// pending — appends nothing.
-func (r *TimerRef) Rearm(arms []TimerArm, clock Clock, slot *Timer, f Firer) []TimerArm {
-	if r == nil {
-		return arms
-	}
-	at := r.Deadline()
-	return append(arms, TimerArm{At: at, Seq: r.Seq, Arm: func() {
-		*slot = clock.Schedule(at.Sub(clock.Now()), f)
-	}})
-}
-
-// TimerArm is one deferred timer re-arm collected during a restore:
-// the original (deadline, sequence) pair for ordering, and the Arm
-// callback that actually schedules the replacement timer. Components
-// contribute arms instead of scheduling directly so the restore can
-// execute ALL arms globally sorted by (deadline, original sequence) —
-// preserving the relative firing order of same-instant events across
-// components — before the kernel adopts the captured sequence counter.
-type TimerArm struct {
-	At  time.Time
-	Seq uint64
-	Arm func()
-}
-
-// ArmAll sorts the collected arms by (deadline, original sequence)
-// and executes them in that order.
-func ArmAll(arms []TimerArm) {
-	slices.SortFunc(arms, func(a, b TimerArm) int {
-		return cmp.Or(a.At.Compare(b.At), cmp.Compare(a.Seq, b.Seq))
-	})
-	for _, a := range arms {
-		a.Arm()
-	}
 }

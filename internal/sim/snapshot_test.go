@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -145,51 +146,81 @@ func TestCountingSourceLazy(t *testing.T) {
 	}
 }
 
-// TestKernelStateRoundTrip pins the kernel restore protocol: capture
-// state mid-run, rebuild a fresh kernel, re-arm the pending timer,
-// finish the restore, and the continuation matches the original.
+// TestKernelStateRoundTrip pins the kernel's half of a restore: a
+// State captured mid-run — after an event, draws and a clock moved
+// without one — is reached again by a fresh kernel that replays the
+// same schedule, stepping to the captured event count and running on
+// to the captured clock. Re-seeded there under its own seed, the
+// replay continues as the original does: the same draws, the pending
+// timer firing at the same instant. Re-seeded under another seed, it
+// draws that seed's stream from the same position, and neither re-seed
+// touches the clock, the counters or the pending events.
 func TestKernelStateRoundTrip(t *testing.T) {
-	run := func() KernelState {
-		k := NewKernel(7)
+	var fired []time.Duration
+	schedule := func(k *Kernel) {
 		k.AfterFunc(time.Second, func() {})
+		k.AfterFunc(3*time.Second, func() { fired = append(fired, k.Elapsed()) })
 		for i := 0; i < 10; i++ {
 			k.Rand().Float64()
 		}
-		if !k.Step() {
-			t.Fatal("no event to step")
-		}
-		k.AfterFunc(2*time.Second, func() {})
-		return k.State()
 	}
-	st := run()
-
-	k := NewKernel(7)
-	for i := 0; i < 3; i++ {
-		k.Rand().Float64() // desync deliberately; BeginRestore must resync
+	live := NewKernel(7)
+	schedule(live)
+	if !live.Step() {
+		t.Fatal("no event to step")
 	}
-	k.BeginRestore(st, 7)
-	var fired time.Time
-	k.AfterFunc(2*time.Second, func() { fired = k.Now() })
-	k.FinishRestore(st)
-
-	if k.Now().Sub(Epoch) != time.Second {
-		t.Fatalf("restored clock at %v, want Epoch+1s", k.Now().Sub(Epoch))
-	}
-	if k.Events() != 1 {
-		t.Fatalf("restored events %d, want 1", k.Events())
-	}
-	want := rand.New(rand.NewSource(7))
-	for i := 0; i < 10; i++ {
-		want.Float64()
-	}
-	if got, w := k.Rand().Float64(), want.Float64(); got != w {
-		t.Fatalf("restored RNG continuation %v != %v", got, w)
-	}
-	if err := k.Run(); err != nil {
+	if err := live.RunUntil(Epoch.Add(1500 * time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	if fired.Sub(Epoch) != 3*time.Second {
-		t.Fatalf("re-armed timer fired at %v, want Epoch+3s", fired.Sub(Epoch))
+	st := live.State()
+	if want := (KernelState{NowNS: int64(1500 * time.Millisecond), Seq: 2, Events: 1, Seed: 7, Draws: 10}); st != want {
+		t.Fatalf("captured %+v, want %+v", st, want)
+	}
+
+	replay := func(seed int64) *Kernel {
+		k := NewKernel(7)
+		schedule(k)
+		for k.Events() < st.Events && k.Step() {
+		}
+		if err := k.RunUntil(Epoch.Add(time.Duration(st.NowNS))); err != nil {
+			t.Fatal(err)
+		}
+		k.Reseed(seed)
+		return k
+	}
+	k := replay(7)
+	if got := k.State(); got != st || k.Pending() != live.Pending() {
+		t.Fatalf("replayed to %+v with %d pending, want %+v with %d", got, k.Pending(), st, live.Pending())
+	}
+	next := func(k *Kernel) (int64, []time.Duration) {
+		fired = nil
+		draw := k.Rand().Int63()
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return draw, fired
+	}
+	wantDraw, wantFired := next(live)
+	if !slices.Equal(wantFired, []time.Duration{3 * time.Second}) {
+		t.Fatalf("the original's pending timer fired at %v, want [3s]", wantFired)
+	}
+	if draw, got := next(k); draw != wantDraw || !slices.Equal(got, wantFired) {
+		t.Fatalf("the replay drew %d and fired at %v; the original drew %d and fired at %v", draw, got, wantDraw, wantFired)
+	}
+
+	stream := func(seed int64) float64 {
+		r := rand.New(rand.NewSource(seed))
+		for i := 0; i < 10; i++ {
+			r.Float64()
+		}
+		return r.Float64()
+	}
+	fork := replay(1007)
+	if got := fork.State(); got.Seed != 1007 || got.Draws != 10 || got.Events != st.Events || got.NowNS != st.NowNS || got.Seq != st.Seq {
+		t.Fatalf("forked kernel at %+v, want %+v under seed 1007", got, st)
+	}
+	if next := fork.Rand().Float64(); next != stream(1007) {
+		t.Fatalf("forked kernel drew %v, want seed 1007's eleventh value %v", next, stream(1007))
 	}
 }
 
