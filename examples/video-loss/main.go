@@ -19,6 +19,7 @@ import (
 	"repro/internal/bgp"
 	"repro/internal/experiment"
 	"repro/internal/idr"
+	"repro/internal/monitor"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -63,7 +64,7 @@ func run(members []idr.ASN) (loss float64, blackout time.Duration, err error) {
 	}
 
 	// Start the "video" stream: one probe every 50ms, client -> server.
-	e.Probes.ResetStats()
+	before := e.Probes.TotalLoss()
 	var stream sim.Timer
 	stream = e.K.AfterFunc(probeEvery, func() {
 		_ = e.InjectProbe(client, server)
@@ -103,7 +104,8 @@ func run(members []idr.ASN) (loss float64, blackout time.Duration, err error) {
 		return 0, 0, err
 	}
 
-	stats := e.Probes.TotalLoss()
+	after := e.Probes.TotalLoss()
+	stats := monitor.ProbeStats{Sent: after.Sent - before.Sent, Delivered: after.Delivered - before.Delivered}
 	lost := stats.Sent - stats.Delivered
 	return stats.Loss(), time.Duration(lost) * probeEvery, nil
 }

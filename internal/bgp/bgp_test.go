@@ -373,6 +373,57 @@ func TestLoopPrevention(t *testing.T) {
 	}
 }
 
+// TestOversizedBatchIsSplit announces and then withdraws 1 100
+// prefixes in one MRAI batch, more than one 4 096-byte UPDATE holds in
+// either direction: each batch must go out as two UPDATEs, and the peer
+// must learn every prefix and then lose every one.
+func TestOversizedBatchIsSplit(t *testing.T) {
+	l := newLab(t, Timers{MRAI: time.Second, MRAIJitter: false}, policy.PermitAll{})
+	r1 := l.addRouter(1)
+	r2 := l.addRouter(2)
+	l.connect(1, 2, topology.KindPeer)
+	l.start()
+	if err := l.k.RunFor(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	prefixes := make([]netip.Prefix, 1100)
+	for i := range prefixes {
+		prefixes[i] = netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0}), 24)
+	}
+	for _, step := range []struct {
+		name  string
+		apply func(netip.Prefix) error
+		held  int
+	}{
+		{"announce", r1.Announce, len(prefixes)},
+		{"withdraw", r1.Withdraw, 0},
+	} {
+		before := r1.Stats().UpdatesSent
+		l.k.Go(func() {
+			for _, pfx := range prefixes {
+				if err := step.apply(pfx); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+		if err := l.k.RunFor(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		held := 0
+		for _, pfx := range prefixes {
+			if _, ok := r2.Table().Best(pfx); ok {
+				held++
+			}
+		}
+		if held != step.held {
+			t.Fatalf("%s: the peer holds %d of %d prefixes, want %d", step.name, held, len(prefixes), step.held)
+		}
+		if sent := r1.Stats().UpdatesSent - before; sent != 2 {
+			t.Fatalf("%s: %d UPDATEs sent, want 2", step.name, sent)
+		}
+	}
+}
+
 func TestMRAIPacing(t *testing.T) {
 	// With transit via AS2, AS3's announcements to AS1 about changing
 	// paths must be spaced by at least MRAI.

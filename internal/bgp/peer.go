@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"bytes"
+	"errors"
 	"net/netip"
 	"slices"
 	"time"
@@ -316,8 +317,9 @@ func (p *Peer) sendUpdate(u wire.Update) error {
 }
 
 // flushWithdrawals sends the batch's withdrawals as one UPDATE (the
-// head of the MRAI batch) and returns the batch's announcements, in
-// address order.
+// head of the MRAI batch; as many as it takes when they do not fit in
+// one, see send) and returns the batch's announcements, in address
+// order.
 func (p *Peer) flushWithdrawals(batch []*advert, withdrawals int) []*advert {
 	r := p.router
 	if withdrawals == 0 {
@@ -336,10 +338,7 @@ func (p *Peer) flushWithdrawals(batch []*advert, withdrawals int) []*advert {
 			announce = append(announce, a)
 		}
 	}
-	if err := p.sendUpdate(wire.Update{Withdrawn: prefixes}); err != nil {
-		return announce
-	}
-	r.stats.UpdatesSent++
+	p.send(wire.Update{Withdrawn: prefixes})
 	return announce
 }
 
@@ -481,11 +480,30 @@ func (p *Peer) announceGroups(announce []*advert) bool {
 // announce sends one attribute group's UPDATE, reporting whether it
 // went out.
 func (p *Peer) announce(attrs wire.PathAttrs, nlri []netip.Prefix) bool {
-	if err := p.sendUpdate(wire.Update{Attrs: attrs, NLRI: nlri}); err != nil {
+	return p.send(wire.Update{Attrs: attrs, NLRI: nlri})
+}
+
+// send sends u, which carries withdrawals or one attribute group's
+// announcements, and reports whether it went out. An UPDATE too long
+// for one message goes as two, each with half the prefixes, split
+// again as often as it takes (RFC 4271 §9.2); a single prefix whose
+// attributes do not fit is not sent.
+func (p *Peer) send(u wire.Update) bool {
+	err := p.sendUpdate(u)
+	if err == nil {
+		p.router.stats.UpdatesSent++
+		return true
+	}
+	if !errors.Is(err, wire.ErrTooLong) {
 		return false
 	}
-	p.router.stats.UpdatesSent++
-	return true
+	switch w, n := u.Withdrawn, u.NLRI; {
+	case len(w) > 1:
+		return p.send(wire.Update{Withdrawn: w[:len(w)/2]}) && p.send(wire.Update{Withdrawn: w[len(w)/2:]})
+	case len(n) > 1:
+		return p.send(wire.Update{Attrs: u.Attrs, NLRI: n[:len(n)/2]}) && p.send(wire.Update{Attrs: u.Attrs, NLRI: n[len(n)/2:]})
+	}
+	return false
 }
 
 // reset flushes what the router queued, learned and advertised on a

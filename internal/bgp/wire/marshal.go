@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net/netip"
 	"slices"
@@ -71,12 +72,16 @@ func appendHeader(dst []byte, body int) []byte {
 	return out
 }
 
+// ErrTooLong marks a message that does not fit in MaxMsgLen bytes. A
+// sender splits an UPDATE that fails with it (RFC 4271 §9.2).
+var ErrTooLong = errors.New("wire: message too long")
+
 // finishMessage fills in the length and type of the message that out
 // carries after dst's bytes.
 func finishMessage(dst, out []byte, typ MsgType) ([]byte, error) {
 	start := len(dst)
 	if len(out)-start > MaxMsgLen {
-		return dst, fmt.Errorf("wire: message length %d exceeds %d", len(out)-start, MaxMsgLen)
+		return dst, fmt.Errorf("%w: length %d exceeds %d", ErrTooLong, len(out)-start, MaxMsgLen)
 	}
 	binary.BigEndian.PutUint16(out[start+MarkerLen:], uint16(len(out)-start))
 	out[start+MarkerLen+2] = byte(typ)

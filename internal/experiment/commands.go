@@ -25,7 +25,6 @@ func (e *Experiment) announce(asn idr.ASN) error {
 	if err != nil {
 		return err
 	}
-	e.Detector.Touch()
 	if e.IsSDNMember(asn) {
 		// The cluster's routes reach routers too: no handshake may
 		// still be computed (bgp.Router.Announce does this for its own).
@@ -47,7 +46,6 @@ func (e *Experiment) withdraw(asn idr.ASN) error {
 	if err != nil {
 		return err
 	}
-	e.Detector.Touch()
 	if e.IsSDNMember(asn) {
 		return e.Ctrl.WithdrawOriginated(prefix)
 	}
@@ -72,7 +70,6 @@ func (e *Experiment) announceForeign(asn idr.ASN, prefix netip.Prefix) error {
 	if !ok {
 		return fmt.Errorf("experiment: %v is not a legacy BGP router", asn)
 	}
-	e.Detector.Touch()
 	return r.Announce(prefix)
 }
 
@@ -95,7 +92,6 @@ func (e *Experiment) failLink(a, b idr.ASN) error {
 	if !ok {
 		return fmt.Errorf("experiment: no link %v-%v", a, b)
 	}
-	e.Detector.Touch()
 	// A computed handshake never sees its link go down (bgp.Opening).
 	e.opening.Replay()
 	l.SetUp(false)
@@ -112,7 +108,6 @@ func (e *Experiment) restoreLink(a, b idr.ASN) error {
 	if !ok {
 		return fmt.Errorf("experiment: no link %v-%v", a, b)
 	}
-	e.Detector.Touch()
 	l.SetUp(true)
 	return nil
 }
@@ -123,11 +118,11 @@ func (e *Experiment) RunFor(d time.Duration) error { return e.K.RunFor(d) }
 // WaitConverged advances the clock until routing activity has been
 // quiet for the settle window (paper: "the framework detects when the
 // network has converged") and returns how long convergence took,
-// measured from the detector's last Reset to the final routing
-// activity.
+// measured from the detector's last activity when it is called to the
+// final routing activity.
 func (e *Experiment) WaitConverged(timeout time.Duration) (time.Duration, error) {
 	start := e.Detector.LastActivity()
-	// The triggering command touched the detector; measure from there.
+	// The triggering command touched the detector (do); measure from there.
 	instant, err := e.Detector.WaitConverged(e.K, timeout)
 	if err != nil {
 		return 0, err
@@ -135,11 +130,11 @@ func (e *Experiment) WaitConverged(timeout time.Duration) (time.Duration, error)
 	return instant.Sub(start), nil
 }
 
-// MeasureConvergence touches the detector, runs trigger, then waits for
-// quiescence and returns the convergence time: the interval between
-// the trigger and the last routing activity it caused.
+// MeasureConvergence runs trigger, then waits for quiescence and
+// returns the convergence time: the interval between the trigger and
+// the last routing activity it caused. A trigger that runs a command
+// touches the detector there (do).
 func (e *Experiment) MeasureConvergence(trigger func() error, timeout time.Duration) (time.Duration, error) {
-	e.Detector.Touch()
 	t0 := e.K.Now()
 	if err := trigger(); err != nil {
 		return 0, err

@@ -75,6 +75,11 @@ type Config struct {
 	// Settle is the convergence quiescence window (default
 	// monitor.DefaultSettle).
 	Settle time.Duration
+	// WallLimit bounds the real time the kernel spends running events,
+	// a restore's replay included (sim.Kernel.WallLimit; zero for no
+	// bound). It can turn a run into sim.ErrWallBudget, never change
+	// what a run that finishes computes.
+	WallLimit time.Duration
 }
 
 // Experiment is one built emulation.
@@ -179,6 +184,7 @@ func New(cfg Config) (*Experiment, error) {
 		links:      make(map[[2]idr.ASN]*link, cfg.Graph.NumEdges()),
 		ctrlLinkOf: make(map[idr.ASN]*netem.Link),
 	}
+	e.K.WallLimit = cfg.WallLimit
 	e.Net = netem.NewNetwork(e.K, e.K.Rand())
 	// Every link draws its loss from a private stream derived from the
 	// run seed, so lossy runs stay byte-reproducible no matter how

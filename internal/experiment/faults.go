@@ -31,7 +31,6 @@ func (e *Experiment) sessionReset(a, b idr.ASN) error {
 	if !l.Up() {
 		return fmt.Errorf("experiment: cannot reset session %v-%v: link is down", a, b)
 	}
-	e.Detector.Touch()
 	l.StateChanged(false)
 	l.StateChanged(true)
 	return nil
@@ -107,7 +106,6 @@ func (e *Experiment) partition() error {
 	if len(cut) == 0 {
 		return fmt.Errorf("experiment: topology too small to partition")
 	}
-	e.Detector.Touch()
 	e.opening.Replay() // as FailLink
 	for _, k := range cut {
 		e.links[linkKey(k[0], k[1])].SetUp(false)
@@ -125,7 +123,6 @@ func (e *Experiment) heal() error {
 	}
 	cut := e.partitionCut
 	e.partitionCut = nil
-	e.Detector.Touch()
 	for _, k := range cut {
 		e.links[linkKey(k[0], k[1])].SetUp(true)
 	}

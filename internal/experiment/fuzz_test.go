@@ -73,13 +73,13 @@ func FuzzSnapshotDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	add()
-	f.Add([]byte(`{"version":2}`))
-	f.Add([]byte(`{"version":3,"kernel":{}}`))
-	f.Add([]byte(`{"version":"3"}`))
+	f.Add([]byte(`{"version":3,"last_activity_ns":0,"kernel":{}}`))
+	f.Add([]byte(`{"version":4,"kernel":{}}`))
+	f.Add([]byte(`{"version":"4"}`))
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte(``))
-	f.Add([]byte(`{"version":3,"log":[{"kind":"start"},{"kind":"fork","events":0,"now_ns":5,"seed":9}],"kernel":{"now_ns":5,"seed":9}}`))
-	f.Add([]byte(`{"version":3,"log":[{"kind":"start"},{"kind":"fail-link","a":1,"b":3}],"kernel":{}}`))
+	f.Add([]byte(`{"version":4,"log":[{"kind":"start"},{"kind":"fork","events":0,"now_ns":5,"seed":9}],"kernel":{"now_ns":5,"seed":9}}`))
+	f.Add([]byte(`{"version":4,"log":[{"kind":"start"},{"kind":"fail-link","a":1,"b":3}],"kernel":{}}`))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		s, err := DecodeSnapshot(b)

@@ -5,10 +5,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/sim"
-
 	"repro/internal/idr"
+	"repro/internal/monitor"
 	"repro/internal/policy"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -132,7 +132,7 @@ func TestBlackoutShorterWithCluster(t *testing.T) {
 			SDNMembers: members, Debounce: 200 * time.Millisecond,
 		})
 		announceAllAndSettle(t, e)
-		e.Probes.ResetStats()
+		before := e.Probes.TotalLoss()
 		var stream sim.Timer
 		stream = e.K.AfterFunc(50*time.Millisecond, func() {
 			_ = e.InjectProbe(1, 4)
@@ -157,7 +157,8 @@ func TestBlackoutShorterWithCluster(t *testing.T) {
 		if err := e.RunFor(2 * time.Second); err != nil {
 			t.Fatal(err)
 		}
-		return e.Probes.TotalLoss().Loss()
+		after := e.Probes.TotalLoss()
+		return monitor.ProbeStats{Sent: after.Sent - before.Sent, Delivered: after.Delivered - before.Delivered}.Loss()
 	}
 	pure := measure(nil)
 	hybrid := measure([]idr.ASN{2, 3})

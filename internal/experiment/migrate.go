@@ -93,7 +93,6 @@ func (e *Experiment) migrateIn(asn idr.ASN) error {
 		}
 	}
 	e.registerProbeSource(asn)
-	e.Detector.Touch()
 	return nil
 }
 
@@ -159,7 +158,6 @@ func (e *Experiment) migrateOut(asn idr.ASN) error {
 		}
 	}
 	e.registerProbeSource(asn)
-	e.Detector.Touch()
 	return nil
 }
 

@@ -2,11 +2,14 @@
 // so the run that made a state is the whole of what it takes to make
 // it again. Every command that succeeds is logged with the kernel's
 // event count and clock at that moment; Snapshot encodes the build
-// seed, that log, the few values callers change without a command, and
-// the kernel counters the run reached. Restore builds the network
-// afresh under the same seed, runs the kernel to each command's stamp
-// and applies the command there, runs on to the recorded counters, and
-// refuses a replay that does not land on them.
+// seed, that log and the kernel counters the run reached. Nothing else
+// is copied: every write to the experiment's state is a command or an
+// event the replay runs again — the convergence detector is touched by
+// routing activity and by do alone, the probe counters by probe sends
+// and deliveries alone. Restore builds the network afresh under the
+// same seed, runs the kernel to each command's stamp and applies the
+// command there, runs on to the recorded counters, and refuses a
+// replay that does not land on them.
 //
 // Restoring under another seed forks the run: once the replay has
 // landed, the kernel's stream and every link's are re-derived from the
@@ -17,20 +20,19 @@
 package experiment
 
 import (
-	"cmp"
 	"encoding/json"
 	"fmt"
 	"net/netip"
 	"slices"
 
 	"repro/internal/idr"
-	"repro/internal/monitor"
 	"repro/internal/sim"
 )
 
-// SnapshotVersion is the current snapshot codec version, the first
-// that records a run's recipe. Decode rejects every other value.
-const SnapshotVersion = 3
+// SnapshotVersion is the current snapshot codec version, whose
+// documents hold the recipe and nothing beside it. Decode rejects every
+// other value.
+const SnapshotVersion = 4
 
 // Command is one logged experiment command: its kind, its arguments,
 // and the kernel's event count and clock when it ran.
@@ -73,9 +75,14 @@ var commands = map[string]func(e *Experiment, c Command) error{
 	"fork":             func(e *Experiment, c Command) error { e.fork(c.Seed); return nil },
 }
 
-// do applies c and, if it succeeds, logs it stamped with the kernel's
-// counters. No command runs the kernel, so the stamp is the same
-// before and after.
+// do applies c and, if it succeeds, touches the convergence detector
+// and logs c stamped with the kernel's counters. Every command but
+// start, inject-probe and fork is a routing change, which restarts the
+// detector's clock — a crash or recovery of no controller too, so a
+// K = 0 baseline measures from the same instant as its siblings. This
+// is the detector's one writer outside the routing activity it
+// watches, so a replay touches it where the run did. No command runs
+// the kernel, so the stamp is the same before and after.
 func (e *Experiment) do(c Command) error {
 	apply, ok := commands[c.Kind]
 	if !ok {
@@ -83,6 +90,11 @@ func (e *Experiment) do(c Command) error {
 	}
 	if err := apply(e, c); err != nil {
 		return err
+	}
+	switch c.Kind {
+	case "start", "inject-probe", "fork":
+	default:
+		e.Detector.Touch()
 	}
 	c.Events, c.NowNS = e.K.Events(), int64(e.K.Elapsed())
 	e.log = append(e.log, c)
@@ -97,20 +109,6 @@ func (e *Experiment) fork(seed int64) {
 	e.Net.Reseed(seed)
 }
 
-// ProbeFlow is one probe flow's counters and its probes in flight.
-type ProbeFlow struct {
-	// Src is the flow's source AS.
-	Src idr.ASN `json:"src"`
-	// Dst is its destination AS.
-	Dst idr.ASN `json:"dst"`
-	// Sent counts its probes sent.
-	Sent uint64 `json:"sent"`
-	// Delivered counts those delivered.
-	Delivered uint64 `json:"delivered"`
-	// InFlight lists the ids of its probes not yet delivered, sorted.
-	InFlight []uint64 `json:"in_flight,omitempty"`
-}
-
 // Snapshot is the recipe of a started experiment's state.
 type Snapshot struct {
 	// Version is the codec version (SnapshotVersion).
@@ -119,11 +117,6 @@ type Snapshot struct {
 	Seed int64 `json:"seed"`
 	// Log is every command that succeeded, in the order they ran.
 	Log []Command `json:"log"`
-	// LastActivityNS is the convergence detector's last activity, in
-	// nanoseconds since sim.Epoch (sim.TimeNone for none).
-	LastActivityNS int64 `json:"last_activity_ns"`
-	// Probes holds the probe engine's flows, sorted by (Src, Dst).
-	Probes []ProbeFlow `json:"probes,omitempty"`
 	// Kernel is where the run stood: clock, counters, RNG position.
 	Kernel sim.KernelState `json:"kernel"`
 }
@@ -134,27 +127,12 @@ func (e *Experiment) Snapshot() (*Snapshot, error) {
 	if !e.started {
 		return nil, fmt.Errorf("experiment: snapshot of an unstarted experiment")
 	}
-	snap := &Snapshot{
-		Version:        SnapshotVersion,
-		Seed:           e.seed,
-		Log:            slices.Clone(e.log),
-		LastActivityNS: sim.TimeToNS(e.Detector.LastActivity()),
-		Kernel:         e.K.State(),
-	}
-	stats := e.Probes.Stats()
-	at := make(map[monitor.FlowKey]int, len(stats))
-	for _, key := range idr.SortedKeysFunc(stats, func(a, b monitor.FlowKey) int {
-		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
-	}) {
-		at[key] = len(snap.Probes)
-		snap.Probes = append(snap.Probes, ProbeFlow{Src: key.Src, Dst: key.Dst, Sent: stats[key].Sent, Delivered: stats[key].Delivered})
-	}
-	inFlight := e.Probes.InFlight() // every flow in flight has counters
-	for _, id := range idr.SortedKeys(inFlight) {
-		p := &snap.Probes[at[inFlight[id]]]
-		p.InFlight = append(p.InFlight, id)
-	}
-	return snap, nil
+	return &Snapshot{
+		Version: SnapshotVersion,
+		Seed:    e.seed,
+		Log:     slices.Clone(e.log),
+		Kernel:  e.K.State(),
+	}, nil
 }
 
 // Restore builds a runnable experiment that continues snap. It builds
@@ -192,16 +170,6 @@ func Restore(cfg Config, snap *Snapshot) (*Experiment, error) {
 	if got := e.K.State(); got != snap.Kernel {
 		return nil, fmt.Errorf("experiment: restore: the replay landed on %+v, the snapshot recorded %+v", got, snap.Kernel)
 	}
-	e.Detector.SetLastActivity(sim.TimeFromNS(snap.LastActivityNS))
-	stats, inFlight := map[monitor.FlowKey]monitor.ProbeStats{}, map[uint64]monitor.FlowKey{}
-	for _, p := range snap.Probes {
-		key := monitor.FlowKey{Src: p.Src, Dst: p.Dst}
-		stats[key] = monitor.ProbeStats{Sent: p.Sent, Delivered: p.Delivered}
-		for _, id := range p.InFlight {
-			inFlight[id] = key
-		}
-	}
-	e.Probes.SetCounters(stats, inFlight)
 	if cfg.Seed != e.cfg.Seed {
 		if err := e.do(Command{Kind: "fork", Seed: cfg.Seed}); err != nil {
 			return nil, err
@@ -213,10 +181,12 @@ func Restore(cfg Config, snap *Snapshot) (*Experiment, error) {
 // advance runs the kernel to a logged stamp: event by event to its
 // count, then, if the clock moved on without an event, the clock to its
 // instant. It fails where the run cannot land on the stamp, having run
-// at most one event past it.
+// at most one event past it, and where the kernel's wall budget runs
+// out first.
 func (e *Experiment) advance(events uint64, nowNS int64) error {
 	k := e.K
-	for k.Events() < events && int64(k.Elapsed()) <= nowNS && k.Step() {
+	if err := k.RunWhile(func() bool { return k.Events() < events && int64(k.Elapsed()) <= nowNS }); err != nil {
+		return err
 	}
 	if k.Events() == events && int64(k.Elapsed()) < nowNS {
 		// RunUntil would run every event due by then: the budget stops

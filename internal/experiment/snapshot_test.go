@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"testing"
@@ -39,9 +40,9 @@ func runState(t *testing.T, e *Experiment) string {
 	t.Helper()
 	sent, recv := e.UpdateTotals()
 	delivered, dropped, bytes := e.Traffic()
-	return fmt.Sprintf("kernel %+v pending %d updates %d/%d traffic %d/%d/%d activity %v probes %v in flight %v\n%s",
+	return fmt.Sprintf("kernel %+v pending %d updates %d/%d traffic %d/%d/%d activity %v probes %v\n%s",
 		e.K.State(), e.K.Pending(), sent, recv, delivered, dropped, bytes,
-		e.Detector.LastActivity(), e.Probes.Stats(), e.Probes.InFlight(), ribDump(t, e))
+		e.Detector.LastActivity(), e.Probes.Stats(), ribDump(t, e))
 }
 
 // warmedUp builds cfg, starts it, announces every prefix and runs to
@@ -137,10 +138,8 @@ func TestSnapshotRoundTripIdentical(t *testing.T) {
 
 // TestSnapshotAcrossMigrationAndFaults snapshots where the wiring no
 // longer matches the Config: after migrations both ways, during a
-// controller crash and during a partition; and after callers touched
-// the detector and reset the probe counters with probes in flight,
-// none of which is a command. Each restore must continue exactly as
-// the original does.
+// controller crash and during a partition. Each restore must continue
+// exactly as the original does.
 func TestSnapshotAcrossMigrationAndFaults(t *testing.T) {
 	cfg := Config{Seed: 5, Graph: mustGraph(topology.Clique(6)), Timers: jitterTimers(), SDNMembers: []idr.ASN{2, 3}}
 	e := warmedUp(t, cfg)
@@ -153,20 +152,6 @@ func TestSnapshotAcrossMigrationAndFaults(t *testing.T) {
 		{"controller down", e.ControllerDown},
 		{"controller up", e.ControllerUp},
 		{"partition", e.Partition},
-		{"probes reset in flight", func() error {
-			if err := e.InjectProbe(5, 6); err != nil {
-				return err
-			}
-			if err := e.InjectProbe(6, 5); err != nil {
-				return err
-			}
-			e.Probes.ResetStats()
-			if err := e.InjectProbe(1, 6); err != nil {
-				return err
-			}
-			e.Detector.Touch()
-			return nil
-		}},
 		{"heal", e.Heal},
 	}
 	for _, s := range steps {
@@ -187,6 +172,97 @@ func TestSnapshotAcrossMigrationAndFaults(t *testing.T) {
 		}
 		if got, want := runState(t, r), runState(t, e); got != want {
 			t.Fatalf("%s: converged states differ:\n--- original ---\n%s\n--- restored ---\n%s", s.name, want, got)
+		}
+	}
+}
+
+// TestSnapshotAfterEachCommand snapshots a measurement right after each
+// kind of command, with the UPDATEs and probes it set off still in
+// flight, on a hybrid clique and, for the crash and recovery of no
+// controller, at K = 0. Every command but inject-probe must touch the
+// convergence detector where it runs, and the restore must read the
+// detector's last activity and the probe counters the original reads,
+// there and once both have run on.
+func TestSnapshotAfterEachCommand(t *testing.T) {
+	hybrid := Config{Seed: 5, Graph: mustGraph(topology.Clique(6)), Timers: jitterTimers(), SDNMembers: []idr.ASN{2, 3}}
+	pure := Config{Seed: 5, Graph: mustGraph(topology.Clique(6)), Timers: jitterTimers()}
+	type step struct {
+		kind string
+		act  func(e *Experiment) error
+	}
+	hijack := func(e *Experiment) error {
+		prefix, err := e.OriginPrefix(1)
+		if err != nil {
+			return err
+		}
+		return e.AnnounceForeign(5, prefix)
+	}
+	for _, run := range []struct {
+		name  string
+		cfg   Config
+		steps []step
+	}{
+		{"hybrid", hybrid, []step{
+			{"inject-probe", func(e *Experiment) error { return e.InjectProbe(4, 1) }},
+			{"withdraw", func(e *Experiment) error { return e.Withdraw(1) }},
+			{"announce", func(e *Experiment) error { return e.Announce(1) }},
+			{"withdraw", func(e *Experiment) error { return e.Withdraw(2) }},
+			{"announce", func(e *Experiment) error { return e.Announce(2) }},
+			{"announce-foreign", hijack},
+			{"fail-link", func(e *Experiment) error { return e.FailLink(4, 5) }},
+			{"inject-probe", func(e *Experiment) error { return e.InjectProbe(2, 6) }},
+			{"restore-link", func(e *Experiment) error { return e.RestoreLink(4, 5) }},
+			{"session-reset", func(e *Experiment) error { return e.SessionReset(4, 6) }},
+			{"migrate-in", func(e *Experiment) error { return e.MigrateIn(4) }},
+			{"migrate-out", func(e *Experiment) error { return e.MigrateOut(2) }},
+			{"controller-down", (*Experiment).ControllerDown},
+			{"controller-up", (*Experiment).ControllerUp},
+			{"partition", (*Experiment).Partition},
+			{"heal", (*Experiment).Heal},
+		}},
+		{"K=0", pure, []step{
+			{"inject-probe", func(e *Experiment) error { return e.InjectProbe(4, 1) }},
+			{"controller-down", (*Experiment).ControllerDown},
+			{"controller-up", (*Experiment).ControllerUp},
+		}},
+	} {
+		e := warmedUp(t, run.cfg)
+		for i, s := range run.steps {
+			if err := e.RunFor(150 * time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.act(e); err != nil {
+				t.Fatalf("%s: step %d (%s): %v", run.name, i, s.kind, err)
+			}
+			if got := e.log[len(e.log)-1].Kind; got != s.kind {
+				t.Fatalf("%s: step %d logged %q, want %q", run.name, i, got, s.kind)
+			}
+			if s.kind != "inject-probe" && !e.Detector.LastActivity().Equal(e.K.Now()) {
+				t.Fatalf("%s: step %d (%s) left the detector's last activity at %v, not at the command's %v",
+					run.name, i, s.kind, e.Detector.LastActivity().Sub(sim.Epoch), e.K.Elapsed())
+			}
+			r := restored(t, run.cfg, e)
+			for _, at := range []string{"at the snapshot", "100ms on"} {
+				if got, want := r.Detector.LastActivity(), e.Detector.LastActivity(); !got.Equal(want) {
+					t.Fatalf("%s: after step %d (%s), %s: the restore's last activity is %v, the original's %v",
+						run.name, i, s.kind, at, got.Sub(sim.Epoch), want.Sub(sim.Epoch))
+				}
+				if got, want := r.Probes.Stats(), e.Probes.Stats(); !maps.Equal(got, want) {
+					t.Fatalf("%s: after step %d (%s), %s: the restore's probe counters are %v, the original's %v",
+						run.name, i, s.kind, at, got, want)
+				}
+				for _, x := range []*Experiment{e, r} {
+					if err := x.RunFor(100 * time.Millisecond); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if got, want := runState(t, r), runState(t, e); got != want {
+				t.Fatalf("%s: after step %d (%s): states differ:\n--- original ---\n%s\n--- restored ---\n%s", run.name, i, s.kind, want, got)
+			}
+		}
+		if sent := e.Probes.TotalLoss().Sent; sent == 0 {
+			t.Fatalf("%s: no probe was sent", run.name)
 		}
 	}
 }

@@ -64,7 +64,10 @@ type canonicalTrial struct {
 	// in use; explicit withdrawals always ride the MRAI batch; link
 	// jitter delayed only a send nothing called). They stay to emit
 	// the constants the engine runs with, so no address moves; changing
-	// one of those constants is a canonicalVersion bump.
+	// one of those constants is a canonicalVersion bump. TimeoutNS is
+	// the floor of the convergence window, which the topology and the
+	// MRAI (both in the address) set above it (convergeWindow); a wider
+	// window changes only which runs finish, never what one reports.
 	WithdrawalsImmediate bool              `json:"withdrawals_immediate"`
 	MRAIJitter           bool              `json:"mrai_jitter"`
 	DebounceNS           int64             `json:"debounce_ns"`
@@ -141,7 +144,7 @@ func (t Trial) canonical() canonicalTrial {
 		FlapCycles:         flapCycles,
 		FlapPeriodNS:       int64(flapPeriod),
 		OriginOnly:         t.OriginOnly,
-		TimeoutNS:          int64(convergeTimeout),
+		TimeoutNS:          int64(convergeFloor),
 		EstablishTimeoutNS: int64(establishTimeout),
 	}
 	for _, ev := range t.Workload {

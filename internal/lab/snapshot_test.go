@@ -2,6 +2,7 @@ package lab
 
 import (
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/bgp"
 	"repro/internal/experiment"
+	"repro/internal/sim"
 )
 
 // snapTimers returns fast test timers; jitter makes the kernel RNG
@@ -262,5 +264,29 @@ func TestSnapshotMidInstantRoundTripAndFork(t *testing.T) {
 				t.Fatalf("the fork routes %v toward %v over %v, the original over %v", from, to, got, want)
 			}
 		}
+	}
+}
+
+// TestRestoreReplaysUnderTheWallLimit restores a warm-up of more than
+// two wall-budget checks' worth of events (sim's check runs every 4 096
+// events, and the first one starts the clock) under a 1 ns wall limit:
+// the replay must stop with sim.ErrWallBudget instead of running the
+// whole warm-up unbudgeted.
+func TestRestoreReplaysUnderTheWallLimit(t *testing.T) {
+	trial := Trial{Topo: TopoSpec{Kind: "clique", N: 24}, Timers: snapTimers(false), Seed: 1, TopoSeed: 1}
+	raw, err := trial.WarmupSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := experiment.DecodeSnapshot(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Kernel.Events <= 2*4096 {
+		t.Fatalf("the warm-up ran %d events, too few for two wall-budget checks", snap.Kernel.Events)
+	}
+	trial.WallLimit = time.Nanosecond
+	if _, err := trial.RestoreWarmup(raw); !errors.Is(err, sim.ErrWallBudget) {
+		t.Fatalf("a restore under a 1ns wall limit returned %v, want %v", err, sim.ErrWallBudget)
 	}
 }

@@ -32,19 +32,14 @@ func (t Trial) RunFromSnapshot(raw []byte) (Result, error) {
 
 // restore rebuilds a runnable warmed-up experiment from encoded
 // snapshot bytes, re-deriving its random streams from the plan's own
-// seed. The trial's wall limit holds from the restored state on; the
-// replay itself runs without one.
+// seed. The trial's wall limit holds over the replay as over the run
+// that follows it.
 func (p *prepared) restore(raw []byte) (*experiment.Experiment, error) {
 	snap, err := experiment.DecodeSnapshot(raw)
 	if err != nil {
 		return nil, err
 	}
-	e, err := experiment.Restore(p.cfg, snap)
-	if err != nil {
-		return nil, err
-	}
-	e.K.WallLimit = p.trial.WallLimit
-	return e, nil
+	return experiment.Restore(p.cfg, snap)
 }
 
 // WarmupSnapshot runs only the trial's warm-up phase and returns its

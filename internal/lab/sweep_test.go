@@ -183,6 +183,23 @@ func TestTrialEventsRunOnAnyTopology(t *testing.T) {
 	}
 }
 
+// TestConvergeWindowFollowsMRAI runs the paper's withdrawal on clique
+// 16 (fig2 at K = 0) with a 30-minute MRAI. Its path exploration lasts
+// longer than the 2 h floor of the convergence window, so the run
+// converges only under a window that grows with N·MRAI.
+func TestConvergeWindowFollowsMRAI(t *testing.T) {
+	timers := bgp.DefaultTimers()
+	timers.MRAI = 30 * time.Minute
+	res, err := Trial{Topo: TopoSpec{Kind: "clique", N: 16}, Timers: timers, Seed: 1, TopoSeed: 1}.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Convergence <= convergeFloor {
+		t.Fatalf("converged after %v, within the %v floor: the run does not witness the window", res.Convergence, convergeFloor)
+	}
+	t.Logf("converged after %v", res.Convergence)
+}
+
 func TestSeedPolicies(t *testing.T) {
 	sw := Sweep{
 		Base:       Trial{Topo: TopoSpec{Kind: "ba", N: 8, M: 2}, Placement: Placement{Strategy: PlaceLast}},

@@ -21,6 +21,7 @@ package lab
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -207,14 +208,30 @@ func (t Trial) withDefaults() Trial {
 }
 
 // The fixed shape of every trial: the Flap storm's cycle count and
-// period, and the virtual-time bounds on each convergence wait and on
-// session establishment.
+// period, the floor of each convergence wait's virtual-time bound
+// (convergeWindow) and the bound on session establishment.
 const (
 	flapCycles       = 6
 	flapPeriod       = 20 * time.Second
-	convergeTimeout  = 2 * time.Hour
+	convergeFloor    = 2 * time.Hour
 	establishTimeout = 5 * time.Minute
 )
+
+// convergeWindow bounds each of a trial's convergence waits in virtual
+// time: 2·N·MRAI for N ASes, and never less than convergeFloor.
+// Labovitz et al. (SIGCOMM 2000) bound a withdrawal's path exploration
+// on a clique of n ASes by (n−3)·MRAI; the factor two leaves room for
+// the longer paths a sparse graph explores (a 500-AS internet-like
+// graph converges after some 300 MRAI rounds). The window is a
+// function of the trial, so it moves no result a run reaches, only
+// which runs may reach one.
+func convergeWindow(n int, mrai time.Duration) time.Duration {
+	mrai = bgp.Timers{MRAI: mrai}.Resolved().MRAI
+	if mrai > 0 && int64(n) > math.MaxInt64/2/int64(mrai) {
+		return math.MaxInt64
+	}
+	return max(convergeFloor, 2*time.Duration(n)*mrai)
+}
 
 // validate refuses base-trial values no run can honour, the checks
 // every other front door (the DSL, the override flags, the axes)
@@ -326,6 +343,8 @@ type prepared struct {
 	drain  time.Duration
 	origin idr.ASN
 	cfg    experiment.Config
+	// window bounds each convergence wait (convergeWindow).
+	window time.Duration
 }
 
 // prepare resolves the trial to its execution plan without running
@@ -377,6 +396,7 @@ func (t Trial) prepare() (*prepared, error) {
 		w:      w,
 		drain:  drain,
 		origin: origin,
+		window: convergeWindow(g.NumNodes(), t.Timers.MRAI),
 		cfg: experiment.Config{
 			Seed:            t.Seed,
 			Graph:           g,
@@ -389,6 +409,7 @@ func (t Trial) prepare() (*prepared, error) {
 			LinkDelay:       t.LinkDelay,
 			LinkLoss:        t.LinkLoss,
 			Damping:         t.Damping,
+			WallLimit:       t.WallLimit,
 		},
 	}, nil
 }
@@ -401,7 +422,6 @@ func (p *prepared) warmup() (*experiment.Experiment, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.K.WallLimit = p.trial.WallLimit
 	if err := e.Start(); err != nil {
 		return nil, err
 	}
@@ -425,7 +445,7 @@ func (p *prepared) warmup() (*experiment.Experiment, error) {
 			return nil, err
 		}
 	}
-	if _, err := e.WaitConverged(convergeTimeout); err != nil {
+	if _, err := e.WaitConverged(p.window); err != nil {
 		return nil, err
 	}
 	return e, nil
@@ -441,7 +461,7 @@ func (p *prepared) measure(e *experiment.Experiment) (Result, error) {
 	epochs, hijacked, err := executeWorkload(e, p.w, workloadRun{
 		origin:  p.origin,
 		prefix:  prefix,
-		timeout: convergeTimeout,
+		timeout: p.window,
 		drain:   p.drain,
 	})
 	if err != nil {

@@ -469,7 +469,6 @@ func executeWorkload(e *experiment.Experiment, w Workload, cfg workloadRun) ([]E
 			}
 		} else {
 			// An earlier epoch is cut short by the next event's trigger.
-			e.Detector.Touch()
 			if err := trigger(); err != nil {
 				return nil, -1, err
 			}
@@ -579,7 +578,7 @@ func RunWorkload(e *experiment.Experiment, w Workload, origin idr.ASN, timeout, 
 		return nil, err
 	}
 	if timeout <= 0 {
-		timeout = convergeTimeout
+		timeout = convergeFloor
 	}
 	epochs, _, err := executeWorkload(e, w, workloadRun{
 		origin:  origin,

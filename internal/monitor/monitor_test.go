@@ -141,10 +141,6 @@ func TestProbeEngine(t *testing.T) {
 	if !strings.Contains(sb.String(), "AS1 -> AS2") {
 		t.Fatalf("report = %q", sb.String())
 	}
-	e.ResetStats()
-	if len(e.Stats()) != 0 {
-		t.Fatal("reset failed")
-	}
 	if (ProbeStats{}).Loss() != 0 {
 		t.Fatal("zero-sent loss should be 0")
 	}

@@ -68,8 +68,17 @@ var ErrWallBudget = fmt.Errorf("sim: wall-clock budget exhausted")
 const wallCheckEvery = 4096
 
 // overBudget reports whether either execution budget is exhausted. It
-// is consulted by the Run family after every event.
+// is consulted by the Run family after every event, so a kernel with no
+// budget returns before any check (and the call inlines).
 func (k *Kernel) overBudget() error {
+	if k.MaxEvents == 0 && k.WallLimit == 0 {
+		return nil
+	}
+	return k.checkBudget()
+}
+
+// checkBudget is overBudget for a kernel with a budget.
+func (k *Kernel) checkBudget() error {
 	if k.MaxEvents > 0 && k.events >= k.MaxEvents {
 		return ErrEventBudget
 	}
