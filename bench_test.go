@@ -124,8 +124,8 @@ func BenchmarkDebounceAblation(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.ReportMetric(res.Cells[0].MeanRecomputes(), "recomputes-nodebounce")
-			b.ReportMetric(res.Cells[1].MeanRecomputes(), "recomputes-1s")
+			b.ReportMetric(res.Cells[0].MeanRecomputes, "recomputes-nodebounce")
+			b.ReportMetric(res.Cells[1].MeanRecomputes, "recomputes-1s")
 		}
 	}
 }
@@ -142,8 +142,8 @@ func BenchmarkPathExploration(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.ReportMetric(res.Cells[0].MeanBestPathChanges(), "changes-pure")
-			b.ReportMetric(res.Cells[1].MeanBestPathChanges(), "changes-sdn")
+			b.ReportMetric(res.Cells[0].MeanBestPathChanges, "changes-pure")
+			b.ReportMetric(res.Cells[1].MeanBestPathChanges, "changes-sdn")
 		}
 	}
 }
@@ -162,8 +162,8 @@ func BenchmarkWorkloadCascade(b *testing.B) {
 		}
 		if i == 0 {
 			first, last := res.Cells[0], res.Cells[len(res.Cells)-1]
-			b.ReportMetric(first.MeanHijacked(), "hijacked-pure")
-			b.ReportMetric(last.MeanHijacked(), "hijacked-sdn")
+			b.ReportMetric(first.MeanHijacked, "hijacked-pure")
+			b.ReportMetric(last.MeanHijacked, "hijacked-sdn")
 			b.ReportMetric(first.Epochs[0].Summary.Median, "s-failover-epoch-pure")
 			b.ReportMetric(last.Epochs[0].Summary.Median, "s-failover-epoch-sdn")
 		}
@@ -212,7 +212,7 @@ func BenchmarkFlapStability(b *testing.B) {
 		}
 		if i == 0 {
 			for _, c := range res.Cells {
-				b.ReportMetric(c.MeanUpdatesSent(), "updates-"+c.Label)
+				b.ReportMetric(c.MeanUpdatesSent, "updates-"+c.Label)
 			}
 		}
 	}

@@ -306,7 +306,7 @@ func manifestFigure(spec figures.Spec, stats artifact.RunStats, res *lab.SweepRe
 			Label:       c.Label,
 			N:           c.Summary.N,
 			MedianS:     c.Summary.Median,
-			MeanUpdates: c.MeanUpdatesSent(),
+			MeanUpdates: c.MeanUpdatesSent,
 		})
 	}
 	if a, b, r2, ok := res.Fit(); ok {

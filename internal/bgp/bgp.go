@@ -153,8 +153,14 @@ var lendEnded func(*wire.Update, *rib.Change)
 
 // Stats counts router activity for the analysis tools.
 type Stats struct {
-	UpdatesSent, UpdatesReceived uint64
-	KeepalivesSent               uint64
+	// UpdatesSent counts the UPDATEs the router's sessions sent.
+	UpdatesSent uint64
+	// UpdatesReceived counts the UPDATEs an Established session handed
+	// to the decision process. An UPDATE that reaches a session in any
+	// other state is not counted here (monitor.RouterSummary's
+	// UpdatesRecv counts it).
+	UpdatesReceived uint64
+	KeepalivesSent  uint64
 }
 
 // Config configures a Router.

@@ -73,14 +73,13 @@ func mustFastWithdrawal(t *testing.T) *lab.SweepResult {
 
 func pinDurations(t *testing.T, c lab.Cell, want []time.Duration) {
 	t.Helper()
-	got := c.Durations()
-	if len(got) != len(want) {
-		t.Fatalf("cell %s: %d runs, want %d", c.Label, len(got), len(want))
+	if len(c.Results) != len(want) {
+		t.Fatalf("cell %s: %d runs, want %d", c.Label, len(c.Results), len(want))
 	}
-	for i := range want {
-		if got[i] != want[i] {
+	for i, r := range c.Results {
+		if r.Convergence != want[i] {
 			t.Fatalf("cell %s run %d: %v, want the pre-refactor %v (same seeds must reproduce identical results)",
-				c.Label, i, got[i], want[i])
+				c.Label, i, r.Convergence, want[i])
 		}
 	}
 }
@@ -264,16 +263,16 @@ func TestDebounceTradeoff(t *testing.T) {
 		t.Fatalf("cells = %d", len(res.Cells))
 	}
 	// Pre-refactor recomputation means: 15 without debounce, 2 with.
-	if got := res.Cells[0].MeanRecomputes(); got != 15 {
+	if got := res.Cells[0].MeanRecomputes; got != 15 {
 		t.Fatalf("no-debounce recomputes = %v, want the pre-refactor 15", got)
 	}
-	if got := res.Cells[1].MeanRecomputes(); got != 2 {
+	if got := res.Cells[1].MeanRecomputes; got != 2 {
 		t.Fatalf("2s-debounce recomputes = %v, want the pre-refactor 2", got)
 	}
 	// The debounce rate-limits controller work.
-	if res.Cells[1].MeanRecomputes() >= res.Cells[0].MeanRecomputes() {
+	if res.Cells[1].MeanRecomputes >= res.Cells[0].MeanRecomputes {
 		t.Fatalf("debounce should reduce recomputes: %v vs %v",
-			res.Cells[0].MeanRecomputes(), res.Cells[1].MeanRecomputes())
+			res.Cells[0].MeanRecomputes, res.Cells[1].MeanRecomputes)
 	}
 }
 
@@ -285,17 +284,17 @@ func TestExplorationDropsWithSDN(t *testing.T) {
 	}
 	// Pre-refactor pins: 94/8 best-path changes, 222/20 updates.
 	for i, want := range []struct{ changes, updates float64 }{{94, 222}, {8, 20}} {
-		if got := res.Cells[i].MeanBestPathChanges(); got != want.changes {
+		if got := res.Cells[i].MeanBestPathChanges; got != want.changes {
 			t.Fatalf("cell %d best changes = %v, want the pre-refactor %v", i, got, want.changes)
 		}
-		if got := res.Cells[i].MeanUpdatesSent(); got != want.updates {
+		if got := res.Cells[i].MeanUpdatesSent; got != want.updates {
 			t.Fatalf("cell %d updates = %v, want the pre-refactor %v", i, got, want.updates)
 		}
 	}
-	if res.Cells[1].MeanBestPathChanges() >= res.Cells[0].MeanBestPathChanges() {
+	if res.Cells[1].MeanBestPathChanges >= res.Cells[0].MeanBestPathChanges {
 		t.Fatal("SDN should reduce path exploration")
 	}
-	if res.Cells[1].MeanUpdatesSent() >= res.Cells[0].MeanUpdatesSent() {
+	if res.Cells[1].MeanUpdatesSent >= res.Cells[0].MeanUpdatesSent {
 		t.Fatal("SDN should reduce update count")
 	}
 }
@@ -316,14 +315,14 @@ func TestFlapStabilityAblation(t *testing.T) {
 	}
 	// Pre-refactor update counts for the same seeds.
 	for mode, want := range map[string]float64{"bgp": 277, "damping": 211, "sdn": 134} {
-		if got := byMode[mode].MeanUpdatesSent(); got != want {
+		if got := byMode[mode].MeanUpdatesSent; got != want {
 			t.Fatalf("%s updates = %v, want the pre-refactor %v", mode, got, want)
 		}
 	}
 	// Both stability mechanisms must beat plain BGP on update load,
 	// and the network must be usable once the origin stabilises.
 	for _, mode := range []string{"damping", "sdn"} {
-		if byMode[mode].MeanUpdatesSent() >= byMode["bgp"].MeanUpdatesSent() {
+		if byMode[mode].MeanUpdatesSent >= byMode["bgp"].MeanUpdatesSent {
 			t.Fatalf("%s should reduce updates below plain BGP", mode)
 		}
 	}

@@ -140,3 +140,34 @@ func lineDiff(want, got []byte) string {
 	}
 	return out.String()
 }
+
+// TestRegistryOutputsGolden pins what `convergence -exp X -runs 1`
+// prints for every registry figure: the table encoding in full, and
+// one SHA-256 each of the csv, json and markdown encodings. Any change
+// to a trial's numbers or to an encoder shows here as a line diff.
+func TestRegistryOutputsGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, spec := range figures.Registry() {
+		sweep, err := figures.Resolve(spec.Name, figures.Overrides{Seed: 1, Runs: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		res, err := sweep.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		fmt.Fprintf(&got, "== %s\n", spec.Name)
+		if err := lab.Write(&got, lab.FormatTable, res); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range []lab.Format{lab.FormatCSV, lab.FormatJSON, lab.FormatMarkdown} {
+			var enc bytes.Buffer
+			if err := lab.Write(&enc, f, res); err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(enc.Bytes())
+			fmt.Fprintf(&got, "%s %s sha256:%s\n", spec.Name, f, hex.EncodeToString(sum[:]))
+		}
+	}
+	checkGolden(t, "registry_outputs.golden", got.Bytes(), "a deliberate change to a figure's numbers or to an encoding")
+}

@@ -7,8 +7,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-
-	"repro/internal/stats"
 )
 
 // Format selects a sweep output encoding.
@@ -79,31 +77,29 @@ func tabulate(res *SweepResult) (cols []string, lead int, rows []tabRow) {
 		cols = append(cols, "hijacked")
 	}
 	cols = append(cols, "reachable")
-	row := func(epoch bool, label, frac string, s stats.Summary, updates, bestChg, recomputes, hijacked float64, reachable string) {
+	row := func(epoch bool, label, frac string, r Row, reachable string) {
 		fields := []string{label}
 		if sdn {
 			fields = append(fields, frac)
 		}
+		s := r.Summary
 		fields = append(fields, strconv.Itoa(s.N))
 		for _, v := range []float64{s.Min, s.Q1, s.Median, s.Q3, s.Max, s.Mean} {
 			fields = append(fields, fmt.Sprintf("%.3f", v))
 		}
-		for _, v := range []float64{updates, bestChg, recomputes} {
+		for _, v := range []float64{r.MeanUpdatesSent, r.MeanBestPathChanges, r.MeanRecomputes} {
 			fields = append(fields, fmt.Sprintf("%.1f", v))
 		}
 		if hijack {
-			fields = append(fields, fmt.Sprintf("%.1f", hijacked))
+			fields = append(fields, fmt.Sprintf("%.1f", r.MeanHijacked))
 		}
 		rows = append(rows, tabRow{epoch: epoch, fields: append(fields, reachable)})
 	}
 	for _, c := range res.Cells {
 		frac := fmt.Sprintf("%.3f", c.Fraction)
-		row(false, c.Label, frac, c.Summary,
-			c.MeanUpdatesSent(), c.MeanBestPathChanges(), c.MeanRecomputes(), c.MeanHijacked(),
-			strconv.FormatBool(c.AllReachable()))
+		row(false, c.Label, frac, c.Row, strconv.FormatBool(c.AllReachable()))
 		for _, ep := range c.Epochs {
-			row(true, fmt.Sprintf("@%s %s", ep.At, ep.Kind.Verb()), frac, ep.Summary,
-				ep.MeanUpdatesSent, ep.MeanBestPathChanges, ep.MeanRecomputes, ep.MeanHijacked, "")
+			row(true, fmt.Sprintf("@%s %s", ep.At, ep.Kind.Verb()), frac, ep.Row, "")
 		}
 	}
 	return cols, lead, rows
@@ -219,31 +215,29 @@ func writeCSV(w io.Writer, res *SweepResult) error {
 		return err
 	}
 	for ci, c := range res.Cells {
-		s := c.Summary
-		if _, err := fmt.Fprintf(w, "%s,%s,%s,%d,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%v,,,,%d\n",
-			c.Label, fstr(c.Value), fstr(c.Fraction), s.N,
-			fstr(s.Min), fstr(s.Q1), fstr(s.Median), fstr(s.Q3), fstr(s.Max), fstr(s.Mean),
-			fstr(c.MeanUpdatesSent()), fstr(c.MeanUpdatesReceived()),
-			fstr(c.MeanBestPathChanges()), fstr(c.MeanRecomputes()),
-			fstr(c.MeanHijacked()), c.AllReachable(), len(res.CellFailures(ci))); err != nil {
+		if _, err := fmt.Fprintf(w, "%s,%v,,,,%d\n", csvRow(c, c.Row), c.AllReachable(), len(res.CellFailures(ci))); err != nil {
 			return err
 		}
 		// Multi-event workloads: one row per scheduled event with the
 		// statistic columns windowed to the epoch and the trailing
 		// epoch columns filled (cell-summary rows leave them empty).
 		for i, ep := range c.Epochs {
-			es := ep.Summary
-			if _, err := fmt.Fprintf(w, "%s,%s,%s,%d,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,,%d,%s,%s,\n",
-				c.Label, fstr(c.Value), fstr(c.Fraction), es.N,
-				fstr(es.Min), fstr(es.Q1), fstr(es.Median), fstr(es.Q3), fstr(es.Max), fstr(es.Mean),
-				fstr(ep.MeanUpdatesSent), fstr(ep.MeanUpdatesReceived),
-				fstr(ep.MeanBestPathChanges), fstr(ep.MeanRecomputes),
-				fstr(ep.MeanHijacked), i, ep.Kind, fstr(ep.At.Seconds())); err != nil {
+			if _, err := fmt.Fprintf(w, "%s,,%d,%s,%s,\n", csvRow(c, ep.Row), i, ep.Kind, fstr(ep.At.Seconds())); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// csvRow renders the 15 leading CSV columns of a row of cell c: the
+// cell's keys, then r's statistics.
+func csvRow(c Cell, r Row) string {
+	s := r.Summary
+	return strings.Join([]string{c.Label, fstr(c.Value), fstr(c.Fraction), strconv.Itoa(s.N),
+		fstr(s.Min), fstr(s.Q1), fstr(s.Median), fstr(s.Q3), fstr(s.Max), fstr(s.Mean),
+		fstr(r.MeanUpdatesSent), fstr(r.MeanUpdatesReceived),
+		fstr(r.MeanBestPathChanges), fstr(r.MeanRecomputes), fstr(r.MeanHijacked)}, ",")
 }
 
 type jsonFit struct {
@@ -252,10 +246,9 @@ type jsonFit struct {
 	R2         float64 `json:"r2"`
 }
 
-type jsonEpoch struct {
-	Epoch           int       `json:"epoch"`
-	Kind            string    `json:"kind"`
-	AtS             float64   `json:"at_s"`
+// jsonRow is a Row as both jsonCell and jsonEpoch print it, beside
+// the per-run convergence times it summarizes.
+type jsonRow struct {
 	N               int       `json:"n"`
 	MinS            float64   `json:"min_s"`
 	Q1S             float64   `json:"q1_s"`
@@ -271,26 +264,40 @@ type jsonEpoch struct {
 	Hijacked        float64   `json:"hijacked"`
 }
 
+func newJSONRow(r Row, durs []float64) jsonRow {
+	s := r.Summary
+	return jsonRow{
+		N:               s.N,
+		MinS:            s.Min,
+		Q1S:             s.Q1,
+		MedS:            s.Median,
+		Q3S:             s.Q3,
+		MaxS:            s.Max,
+		MeanS:           s.Mean,
+		DurationsS:      durs,
+		UpdatesSent:     r.MeanUpdatesSent,
+		UpdatesRecv:     r.MeanUpdatesReceived,
+		BestPathChanges: r.MeanBestPathChanges,
+		Recomputes:      r.MeanRecomputes,
+		Hijacked:        r.MeanHijacked,
+	}
+}
+
+type jsonEpoch struct {
+	Epoch int     `json:"epoch"`
+	Kind  string  `json:"kind"`
+	AtS   float64 `json:"at_s"`
+	jsonRow
+}
+
 type jsonCell struct {
-	Label           string      `json:"label"`
-	Value           *float64    `json:"value,omitempty"`
-	Fraction        *float64    `json:"fraction,omitempty"`
-	N               int         `json:"n"`
-	MinS            float64     `json:"min_s"`
-	Q1S             float64     `json:"q1_s"`
-	MedS            float64     `json:"med_s"`
-	Q3S             float64     `json:"q3_s"`
-	MaxS            float64     `json:"max_s"`
-	MeanS           float64     `json:"mean_s"`
-	DurationsS      []float64   `json:"durations_s"`
-	UpdatesSent     float64     `json:"updates_sent"`
-	UpdatesRecv     float64     `json:"updates_recv"`
-	BestPathChanges float64     `json:"best_path_changes"`
-	Recomputes      float64     `json:"recomputes"`
-	Hijacked        float64     `json:"hijacked"`
-	ReachableAfter  bool        `json:"reachable_after"`
-	Failed          int         `json:"failed,omitempty"`
-	Epochs          []jsonEpoch `json:"epochs,omitempty"`
+	Label    string   `json:"label"`
+	Value    *float64 `json:"value,omitempty"`
+	Fraction *float64 `json:"fraction,omitempty"`
+	jsonRow
+	ReachableAfter bool        `json:"reachable_after"`
+	Failed         int         `json:"failed,omitempty"`
+	Epochs         []jsonEpoch `json:"epochs,omitempty"`
 }
 
 type jsonFailure struct {
@@ -351,57 +358,31 @@ func writeJSON(w io.Writer, res *SweepResult) error {
 		})
 	}
 	for i, c := range res.Cells {
-		s := c.Summary
 		durs := make([]float64, len(c.Results))
 		for j, r := range c.Results {
 			durs[j] = r.Convergence.Seconds()
 		}
 		var epochs []jsonEpoch
 		for ei, ep := range c.Epochs {
-			es := ep.Summary
 			edurs := make([]float64, len(c.Results))
 			for j, r := range c.Results {
 				edurs[j] = r.Epochs[ei].Convergence.Seconds()
 			}
 			epochs = append(epochs, jsonEpoch{
-				Epoch:           ei,
-				Kind:            ep.Kind.String(),
-				AtS:             ep.At.Seconds(),
-				N:               es.N,
-				MinS:            es.Min,
-				Q1S:             es.Q1,
-				MedS:            es.Median,
-				Q3S:             es.Q3,
-				MaxS:            es.Max,
-				MeanS:           es.Mean,
-				DurationsS:      edurs,
-				UpdatesSent:     ep.MeanUpdatesSent,
-				UpdatesRecv:     ep.MeanUpdatesReceived,
-				BestPathChanges: ep.MeanBestPathChanges,
-				Recomputes:      ep.MeanRecomputes,
-				Hijacked:        ep.MeanHijacked,
+				Epoch:   ei,
+				Kind:    ep.Kind.String(),
+				AtS:     ep.At.Seconds(),
+				jsonRow: newJSONRow(ep.Row, edurs),
 			})
 		}
 		out.Cells[i] = jsonCell{
-			Label:           c.Label,
-			Value:           fptr(c.Value),
-			Fraction:        fptr(c.Fraction),
-			N:               s.N,
-			MinS:            s.Min,
-			Q1S:             s.Q1,
-			MedS:            s.Median,
-			Q3S:             s.Q3,
-			MaxS:            s.Max,
-			MeanS:           s.Mean,
-			DurationsS:      durs,
-			UpdatesSent:     c.MeanUpdatesSent(),
-			UpdatesRecv:     c.MeanUpdatesReceived(),
-			BestPathChanges: c.MeanBestPathChanges(),
-			Recomputes:      c.MeanRecomputes(),
-			Hijacked:        c.MeanHijacked(),
-			ReachableAfter:  c.AllReachable(),
-			Failed:          len(res.CellFailures(i)),
-			Epochs:          epochs,
+			Label:          c.Label,
+			Value:          fptr(c.Value),
+			Fraction:       fptr(c.Fraction),
+			jsonRow:        newJSONRow(c.Row, durs),
+			ReachableAfter: c.AllReachable(),
+			Failed:         len(res.CellFailures(i)),
+			Epochs:         epochs,
 		}
 	}
 	for _, f := range res.Failures {

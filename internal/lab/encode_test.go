@@ -7,8 +7,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/stats"
 )
 
 // fixedResult builds a small synthetic sweep result with hand-picked
@@ -26,7 +24,9 @@ func fixedResult() *SweepResult {
 				ReachableAfter:  reach,
 			}
 		}
-		return Cell{Results: results, Summary: stats.SummarizeDurations(durs)}
+		c := Cell{Results: results}
+		c.summarize()
+		return c
 	}
 	sweep := Sweep{
 		Name: "fig2",
@@ -191,9 +191,8 @@ func TestFitDegenerateSweeps(t *testing.T) {
 			if med < 0 {
 				res.Failures = append(res.Failures, CellFailure{Cell: i, Label: cell.Label, Err: "wall-clock budget exhausted", TimedOut: true})
 			} else {
-				durs := []time.Duration{time.Duration(med * float64(time.Second))}
-				cell.Results = []Result{{Convergence: durs[0]}}
-				cell.Summary = stats.SummarizeDurations(durs)
+				cell.Results = []Result{{Convergence: time.Duration(med * float64(time.Second))}}
+				cell.summarize()
 			}
 			res.Cells = append(res.Cells, cell)
 		}
@@ -291,8 +290,8 @@ func fixedWorkloadResult() *SweepResult {
 				Epochs:          epochs[i],
 			}
 		}
-		c := Cell{Results: results, Summary: stats.SummarizeDurations(durs)}
-		c.Epochs = summarizeEpochs(results)
+		c := Cell{Results: results}
+		c.summarize()
 		return c
 	}
 	sweep := Sweep{

@@ -466,7 +466,59 @@ func (f CellFailure) class() string {
 	}
 }
 
-// Cell is one sweep point: an axis value with its per-run results.
+// Row is the aggregate behind one output row: the five-number
+// summary of the per-run convergence times and the per-run means of
+// the other counters, all over one window of every surviving run (the
+// whole run for a cell, one scheduled event for an epoch). The zero
+// Row stands for a cell with no surviving run.
+type Row struct {
+	// Summary is the five-number summary of the per-run convergence
+	// times in seconds (the boxplot behind Figure 2).
+	Summary stats.Summary
+	// MeanUpdatesSent and MeanUpdatesReceived are the mean per-run
+	// UPDATE counts inside the window.
+	MeanUpdatesSent, MeanUpdatesReceived float64
+	// MeanBestPathChanges is the mean per-run best-path-change count
+	// inside the window.
+	MeanBestPathChanges float64
+	// MeanRecomputes is the mean per-run controller recomputation
+	// count inside the window.
+	MeanRecomputes float64
+	// MeanHijacked is the mean per-run count of ASes routing toward
+	// the hijack attacker at the window's end (zero for every
+	// non-hijack event).
+	MeanHijacked float64
+}
+
+// aggregate builds the Row of n runs, reading run r's metrics in the
+// window window(r).
+func aggregate(n int, window func(r int) Epoch) Row {
+	var row Row
+	if n == 0 {
+		return row
+	}
+	durs := make([]time.Duration, n)
+	for r := range durs {
+		ep := window(r)
+		durs[r] = ep.Convergence
+		row.MeanUpdatesSent += float64(ep.UpdatesSent)
+		row.MeanUpdatesReceived += float64(ep.UpdatesReceived)
+		row.MeanBestPathChanges += float64(ep.BestPathChanges)
+		row.MeanRecomputes += float64(ep.Recomputes)
+		row.MeanHijacked += float64(ep.HijackedASes)
+	}
+	runs := float64(n)
+	row.MeanUpdatesSent /= runs
+	row.MeanUpdatesReceived /= runs
+	row.MeanBestPathChanges /= runs
+	row.MeanRecomputes /= runs
+	row.MeanHijacked /= runs
+	row.Summary = stats.SummarizeDurations(durs)
+	return row
+}
+
+// Cell is one sweep point: an axis value with its per-run results and
+// their aggregate over the whole run.
 type Cell struct {
 	// Label renders the cell's axis value for humans ("8", "30s",
 	// "gao-rexford").
@@ -479,9 +531,7 @@ type Cell struct {
 	Fraction float64
 	// Results holds one record per seeded run, in run order.
 	Results []Result
-	// Summary is the five-number summary of the per-run convergence
-	// times in seconds (the boxplot behind Figure 2).
-	Summary stats.Summary
+	Row
 	// Epochs aggregates the per-event epochs across the cell's runs,
 	// one entry per scheduled workload event. Populated only for
 	// multi-event workloads (a single-event cell is its own epoch).
@@ -495,99 +545,27 @@ type EpochStats struct {
 	Kind EventKind
 	// At is the event's scheduled offset from measurement start.
 	At time.Duration
-	// Summary is the five-number summary of the per-run epoch
-	// convergence times in seconds.
-	Summary stats.Summary
-	// MeanUpdatesSent and MeanUpdatesReceived are the mean per-run
-	// UPDATE counts inside the epoch window.
-	MeanUpdatesSent, MeanUpdatesReceived float64
-	// MeanBestPathChanges is the mean per-run best-path-change count
-	// inside the epoch window.
-	MeanBestPathChanges float64
-	// MeanRecomputes is the mean per-run controller recomputation
-	// count inside the epoch window.
-	MeanRecomputes float64
-	// MeanHijacked is the mean per-run hijacked-AS count at the end of
-	// the epoch (zero for non-hijack epochs).
-	MeanHijacked float64
+	Row
 }
 
-// summarizeEpochs aggregates per-run epochs into per-event rows; nil
-// unless the runs carry a multi-event schedule.
-func summarizeEpochs(results []Result) []EpochStats {
-	if len(results) == 0 || len(results[0].Epochs) <= 1 {
-		return nil
+// summarize fills the cell's rows from its Results: the cell's over
+// each run as a whole, and for a multi-event workload one per
+// scheduled event.
+func (c *Cell) summarize() {
+	runs := c.Results
+	c.Row = aggregate(len(runs), func(r int) Epoch {
+		res := runs[r]
+		return Epoch{Convergence: res.Convergence, UpdatesSent: res.UpdatesSent,
+			UpdatesReceived: res.UpdatesReceived, BestPathChanges: res.BestPathChanges,
+			Recomputes: res.Recomputes, HijackedASes: res.HijackedASes}
+	})
+	if len(runs) == 0 || len(runs[0].Epochs) <= 1 {
+		return
 	}
-	n := len(results[0].Epochs)
-	out := make([]EpochStats, n)
-	for i := 0; i < n; i++ {
-		durs := make([]time.Duration, len(results))
-		es := EpochStats{Kind: results[0].Epochs[i].Kind, At: results[0].Epochs[i].At}
-		for r, res := range results {
-			ep := res.Epochs[i]
-			durs[r] = ep.Convergence
-			es.MeanUpdatesSent += float64(ep.UpdatesSent)
-			es.MeanUpdatesReceived += float64(ep.UpdatesReceived)
-			es.MeanBestPathChanges += float64(ep.BestPathChanges)
-			es.MeanRecomputes += float64(ep.Recomputes)
-			es.MeanHijacked += float64(ep.HijackedASes)
-		}
-		runs := float64(len(results))
-		es.MeanUpdatesSent /= runs
-		es.MeanUpdatesReceived /= runs
-		es.MeanBestPathChanges /= runs
-		es.MeanRecomputes /= runs
-		es.MeanHijacked /= runs
-		es.Summary = stats.SummarizeDurations(durs)
-		out[i] = es
+	for i, ep := range runs[0].Epochs {
+		c.Epochs = append(c.Epochs, EpochStats{Kind: ep.Kind, At: ep.At,
+			Row: aggregate(len(runs), func(r int) Epoch { return runs[r].Epochs[i] })})
 	}
-	return out
-}
-
-// Durations returns the per-run convergence times.
-func (c Cell) Durations() []time.Duration {
-	out := make([]time.Duration, len(c.Results))
-	for i, r := range c.Results {
-		out[i] = r.Convergence
-	}
-	return out
-}
-
-func (c Cell) mean(f func(Result) float64) float64 {
-	if len(c.Results) == 0 {
-		return 0
-	}
-	var s float64
-	for _, r := range c.Results {
-		s += f(r)
-	}
-	return s / float64(len(c.Results))
-}
-
-// MeanUpdatesSent is the mean per-run UPDATE count.
-func (c Cell) MeanUpdatesSent() float64 {
-	return c.mean(func(r Result) float64 { return float64(r.UpdatesSent) })
-}
-
-// MeanUpdatesReceived is the mean per-run received-UPDATE count.
-func (c Cell) MeanUpdatesReceived() float64 {
-	return c.mean(func(r Result) float64 { return float64(r.UpdatesReceived) })
-}
-
-// MeanBestPathChanges is the mean per-run best-path-change count.
-func (c Cell) MeanBestPathChanges() float64 {
-	return c.mean(func(r Result) float64 { return float64(r.BestPathChanges) })
-}
-
-// MeanRecomputes is the mean per-run controller recomputation count.
-func (c Cell) MeanRecomputes() float64 {
-	return c.mean(func(r Result) float64 { return float64(r.Recomputes) })
-}
-
-// MeanHijacked is the mean per-run count of ASes routing toward the
-// hijack attacker (zero for every non-hijack event).
-func (c Cell) MeanHijacked() float64 {
-	return c.mean(func(r Result) float64 { return float64(r.HijackedASes) })
 }
 
 // AllReachable reports whether every run ended with the origin prefix
@@ -853,10 +831,7 @@ func (s Sweep) Run() (*SweepResult, error) {
 		if s.Axis.Kind == AxisSDNCount && s.Base.Topo.Nodes() > 0 {
 			cell.Fraction = cell.Value / float64(s.Base.Topo.Nodes())
 		}
-		if len(surviving) > 0 {
-			cell.Summary = stats.SummarizeDurations(cell.Durations())
-			cell.Epochs = summarizeEpochs(cell.Results)
-		}
+		cell.summarize()
 		res.Cells[ci] = cell
 	}
 	return res, nil

@@ -284,15 +284,15 @@ func TestBoxplots(t *testing.T) {
 		return stats.Summary{N: 1, Min: s, Q1: s, Median: s, Q3: s, Max: s, Mean: s}
 	}
 	epochs := func(w, a float64) []EpochStats {
-		return []EpochStats{{Kind: KindWithdrawal, Summary: sum(w)}, {Kind: KindAnnouncement, At: 3 * time.Minute, Summary: sum(a)}}
+		return []EpochStats{{Kind: KindWithdrawal, Row: Row{Summary: sum(w)}}, {Kind: KindAnnouncement, At: 3 * time.Minute, Row: Row{Summary: sum(a)}}}
 	}
 	res := &SweepResult{
 		Workload: Workload{{Kind: KindWithdrawal}, {At: 3 * time.Minute, Kind: KindAnnouncement}},
 		Topo:     TopoSpec{Kind: "clique", N: 4},
 		Axis:     SDNCounts(0, 2, 4),
 		Cells: []Cell{
-			{Label: "0", Fraction: 0, Summary: sum(50), Epochs: epochs(50, 5)},
-			{Label: "2", Value: 2, Fraction: 0.5, Summary: sum(20), Epochs: epochs(20, 4)},
+			{Label: "0", Fraction: 0, Row: Row{Summary: sum(50)}, Epochs: epochs(50, 5)},
+			{Label: "2", Value: 2, Fraction: 0.5, Row: Row{Summary: sum(20)}, Epochs: epochs(20, 4)},
 			{Label: "4", Value: 4, Fraction: 1},
 		},
 	}

@@ -172,7 +172,9 @@ type Result struct {
 	// cycle's re-announce to quiescence.)
 	Convergence time.Duration
 	// UpdatesSent and UpdatesReceived count legacy BGP UPDATE load
-	// network-wide during the measurement phase.
+	// network-wide during the measurement phase: the sums of the
+	// routers' bgp.Stats, so a received UPDATE counts only when an
+	// Established session processed it.
 	UpdatesSent, UpdatesReceived uint64
 	// BestPathChanges counts best-route changes for the origin prefix
 	// across all routers (the path-exploration metric after Oliveira

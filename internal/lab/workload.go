@@ -408,7 +408,9 @@ type Epoch struct {
 	// next event reports the last activity before the cut.
 	Convergence time.Duration
 	// UpdatesSent and UpdatesReceived count legacy BGP UPDATE load
-	// network-wide inside the epoch window.
+	// network-wide inside the epoch window, from the routers'
+	// bgp.Stats (a received UPDATE counts only when an Established
+	// session processed it).
 	UpdatesSent, UpdatesReceived uint64
 	// BestPathChanges counts best-route changes for the measured
 	// prefix across all routers inside the epoch window.

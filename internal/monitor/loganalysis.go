@@ -149,10 +149,16 @@ func (l *EventLog) Append(ev bgp.TraceEvent) {
 
 // RouterSummary aggregates per-router activity.
 type RouterSummary struct {
-	Router                   idr.ASN
-	UpdatesSent, UpdatesRecv int
-	BestChanges              int
-	StateChanges             int
+	Router idr.ASN
+	// UpdatesSent counts the router's UPDATEs sent, as bgp.Stats does.
+	UpdatesSent int
+	// UpdatesRecv counts every UPDATE a session of the router decoded,
+	// in whatever state the session was: unlike bgp.Stats'
+	// UpdatesReceived, it includes an UPDATE that reached a session no
+	// longer Established.
+	UpdatesRecv  int
+	BestChanges  int
+	StateChanges int
 }
 
 // Summarize returns the per-router summaries, sorted by ASN.
