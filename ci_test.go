@@ -1,9 +1,13 @@
 package repro
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -182,4 +186,76 @@ func matchesAny(re *regexp.Regexp, names []string) bool {
 		}
 	}
 	return false
+}
+
+// decisionRef is a DECISIONS.md record cited by title, as Go comments
+// and strings cite one: the file name, then the quoted title in
+// parentheses or after a comma.
+var decisionRef = regexp.MustCompile(`DECISIONS\.md(?: \(|, )"([^"]+)"`)
+
+// TestDocReferencesResolve holds every DECISIONS.md record a Go comment
+// or string cites by title to an existing record: the quoted title must
+// begin a "## " heading of DECISIONS.md. A comment's lines are joined
+// first, so a title broken across lines is read whole. Records are
+// superseded and collapsed, never renamed, so a title that resolves
+// nowhere is a reference to a record that never existed.
+func TestDocReferencesResolve(t *testing.T) {
+	raw, err := os.ReadFile("DECISIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var headings []string
+	for _, line := range strings.Split(string(raw), "\n") {
+		if h, ok := strings.CutPrefix(line, "## "); ok {
+			headings = append(headings, h)
+		}
+	}
+	checked := 0
+	check := func(fset *token.FileSet, pos token.Pos, text string) {
+		for _, m := range decisionRef.FindAllStringSubmatch(text, -1) {
+			checked++
+			found := false
+			for _, h := range headings {
+				found = found || strings.HasPrefix(h, m[1])
+			}
+			if !found {
+				t.Errorf("%s: DECISIONS.md has no record titled %q", fset.Position(pos), m[1])
+			}
+		}
+	}
+	err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			check(fset, cg.Pos(), strings.Join(strings.Fields(cg.Text()), " "))
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if s, err := strconv.Unquote(lit.Value); err == nil {
+					check(fset, lit.Pos(), s)
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked == 0 {
+		t.Fatal("no Go comment or string cites a DECISIONS.md record by title: the pattern finds nothing")
+	}
+	t.Logf("%d references to %d records", checked, len(headings))
 }

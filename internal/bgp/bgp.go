@@ -214,20 +214,20 @@ type Router struct {
 	markHead  int
 	// damping is nil unless Config.Damping is set.
 	damping *damping
-	// rx is the UPDATE being received (every session's FSM decodes into
-	// it), tx the one being sent, onePrefix the prefix list of a
-	// one-prefix batch, traced the Loc-RIB change being traced: each is
-	// filled, lent by pointer and finished with before the next one
-	// starts, so one of each serves every session and a message leaves
-	// no box or one-shot slice behind.
-	rx, tx    wire.Update
-	onePrefix [1]netip.Prefix
-	traced    rib.Change
-	// groupKeys holds the attribute renderings an MRAI flush sorts its
-	// UPDATE groups by, and batch the export records it sends: each
-	// flush rewrites both.
-	groupKeys []byte
-	batch     []*advert
+	// io is every session's message storage: the UPDATE being received
+	// and the frame being sent (FSM.buf). tx is the UPDATE being sent,
+	// traced the Loc-RIB change being traced. Each is filled, lent by
+	// pointer and finished with before the next one starts, so one of
+	// each serves every session and a message leaves no box or frame
+	// behind.
+	io     buffers
+	tx     wire.Update
+	traced rib.Change
+	// batch holds the export records an MRAI flush sends, and flush the
+	// rest of what it builds its UPDATEs from (flushStorage): each flush
+	// rewrites both.
+	batch []*advert
+	flush *flushStorage
 	// spare is what is left of the chunk the sessions' export records
 	// are carved from, chunk that chunk's size (see advertChunk).
 	spare []advert
@@ -356,7 +356,7 @@ func (r *Router) AddPeer(pc PeerConfig) (*Peer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bgp: peer %q: %w", pc.Key, err)
 	}
-	p.fsm.rx = &r.rx
+	p.fsm.buf = &r.io
 	r.peers[pc.Key] = p
 	r.peerList = append(r.peerList, p)
 	r.sorted = false
@@ -470,8 +470,8 @@ func (r *Router) exportAttrs(p *Peer, rt *rib.Route) wire.PathAttrs {
 // Deliver hands one received BGP message (link header stripped) to the
 // session. Frames on Idle sessions are dropped (the transport may race
 // a session reset). With the router's ProcessingDelay set, frames pass
-// through its serialised work queue first. frame is only read, and may
-// be kept until its turn.
+// through its serialised work queue first, which copies it. frame is
+// borrowed: it is only read, and only until Deliver returns.
 func (p *Peer) Deliver(frame []byte) {
 	r := p.router
 	if r.cfg.ProcessingDelay == 0 {
@@ -498,8 +498,9 @@ func (p *Peer) Deliver(frame []byte) {
 	r.enqueue(p, frame, finish.Sub(now))
 }
 
-// enqueue posts frame to its session's turn in the work queue, d from
-// now.
+// enqueue posts a copy of frame to its session's turn in the work
+// queue, d from now: frame is borrowed from the delivery that brought
+// it, the copy is the entry's own.
 func (r *Router) enqueue(p *Peer, frame []byte, d time.Duration) {
 	q := r.idleWork
 	if q != nil {
@@ -507,7 +508,8 @@ func (r *Router) enqueue(p *Peer, frame []byte, d time.Duration) {
 	} else {
 		q = new(queuedFrame)
 	}
-	*q = queuedFrame{peer: p, frame: frame}
+	q.peer, q.next = p, nil
+	q.frame = append(q.frame[:0], frame...)
 	r.cfg.Clock.Post(d, q)
 }
 
@@ -562,17 +564,20 @@ func (r *Router) processedAt(a int64) int64 {
 }
 
 // queuedFrame is one entry of the processing-delay work queue: a frame
-// waiting for the router to get to it.
+// waiting for the router to get to it, in the entry's own buffer, which
+// an idle entry keeps for the next frame.
 type queuedFrame struct {
 	peer  *Peer
 	frame []byte
 	next  *queuedFrame // while idle
 }
 
-// Fire hands the frame to its session, the entry back to the router.
+// Fire hands the frame to its session, then the entry back to the
+// router: a session that queues a frame while it reads this one gets
+// another entry.
 func (q *queuedFrame) Fire() {
-	p, frame := q.peer, q.frame
-	*q = queuedFrame{next: p.router.idleWork}
+	p := q.peer
+	p.fsm.Deliver(q.frame)
+	q.peer, q.next = nil, p.router.idleWork
 	p.router.idleWork = q
-	p.fsm.Deliver(frame)
 }

@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"bytes"
 	"net/netip"
 	"testing"
 	"time"
@@ -31,7 +32,7 @@ func dampHarness(t *testing.T, cfg DampingConfig) *harness {
 		RemoteASN: 2,
 		NextHop:   netip.MustParseAddr("100.64.0.1"),
 		Send: frames.SendFunc(func(b []byte) error {
-			h.sent = append(h.sent, message(t, b))
+			h.sent = append(h.sent, message(t, bytes.Clone(b))) // b is borrowed
 			return nil
 		}),
 	})

@@ -14,8 +14,9 @@ import (
 // SessionConfig is what one session machine needs whoever owns it.
 type SessionConfig struct {
 	// Open is the OPEN link frame this side sends (OpenFrame), proposing
-	// HoldTime. Frames are immutable once sent, so a speaker encodes its
-	// OPEN once and every one of its sessions sends that slice.
+	// HoldTime. The transport copies what it is handed, so a speaker
+	// encodes its OPEN once and every one of its sessions sends that
+	// slice.
 	Open []byte
 	// RemoteASN is the expected neighbor AS, verified against its OPEN.
 	RemoteASN idr.ASN
@@ -27,9 +28,10 @@ type SessionConfig struct {
 	// byte and then the RFC 4271 message, in one buffer, so a transport
 	// that speaks package frames (a *netem.Endpoint) takes it as it is.
 	// It must be reliable and in-order while the transport is up. A
-	// frame is immutable once handed over: Send and everything behind
-	// it may keep the slice and must never write to it — every
-	// KEEPALIVE any session sends is the same slice.
+	// frame is borrowed (frames.Sender): the session encodes the next
+	// one into the same storage once Send returns, so Send copies what
+	// it keeps and never writes to it — every KEEPALIVE any session
+	// sends is the same slice.
 	Send frames.Sender
 	// Stats, when non-nil, is where KeepalivesSent is counted.
 	Stats *Stats
@@ -84,10 +86,11 @@ type FSM struct {
 	side     uint8
 	remoteID idr.RouterID
 	holdTime time.Duration // negotiated
-	// rx is where every received UPDATE is decoded: storage the owner
-	// shares among its sessions (a Router's), or made on the first
-	// UPDATE, so a session that never hears one costs one word.
-	rx *wire.Update
+	// buf is where every received UPDATE is decoded and every sent
+	// message but an OPEN or a KEEPALIVE encoded: storage the owner
+	// shares among its sessions (a Router's), or made on first use, so
+	// a session that never sends or hears one costs one word.
+	buf *buffers
 	// mating is the liveness this machine shares with the one across
 	// its link, when the wiring paired them (Mate).
 	mating *Mating
@@ -219,6 +222,24 @@ func (f *FSM) sendOpen() error {
 	return f.cfg.Send.Send(f.cfg.Open)
 }
 
+// buffers is a session machine's message storage (FSM.buf). Each
+// message is done with before the next one starts: a received UPDATE
+// when the owner's Update returns, a sent frame when the transport's
+// Send returns, having copied it. rx and frame are apart because an
+// owner may send while it is lent rx.
+type buffers struct {
+	rx    wire.Update
+	frame []byte
+}
+
+// buffers returns the machine's message storage, made on first use.
+func (f *FSM) buffers() *buffers {
+	if f.buf == nil {
+		f.buf = new(buffers)
+	}
+	return f.buf
+}
+
 // linkHeader is what package frames puts in front of a BGP message.
 // Full to capacity, so appending to it always moves to a new buffer.
 var linkHeader = []byte{byte(frames.KindBGP)}
@@ -237,7 +258,7 @@ func OpenFrame(asn idr.ASN, id idr.RouterID, hold time.Duration) ([]byte, error)
 }
 
 // keepaliveFrame is every KEEPALIVE this package sends: the message has
-// no fields, frames are immutable once sent, so one suffices.
+// no fields and a transport copies what it sends, so one suffices.
 var keepaliveFrame = func() []byte {
 	frame, err := wire.Append(linkHeader, wire.Keepalive{})
 	if err != nil {
@@ -247,9 +268,10 @@ var keepaliveFrame = func() []byte {
 }()
 
 // Send frames one message and hands it to the transport. The link
-// header and the message are encoded into one buffer, which is the only
-// thing a send allocates besides the caller's boxing of m; a KEEPALIVE
-// allocates nothing. An UPDATE is passed on to SendUpdate, which is
+// header and the message are encoded into the session's frame buffer
+// (buffers), so a send allocates nothing once that has grown to the
+// largest message, besides the caller's boxing of m; a KEEPALIVE is
+// the shared frame. An UPDATE is passed on to SendUpdate, which is
 // where to send one from without boxing it first.
 func (f *FSM) Send(m wire.Message) error {
 	switch v := m.(type) {
@@ -259,25 +281,29 @@ func (f *FSM) Send(m wire.Message) error {
 		u := v // boxed a second time, here only
 		return f.SendUpdate(&u)
 	}
-	frame := keepaliveFrame
-	if m.Type() != wire.MsgKeepalive {
-		var err error
-		if frame, err = wire.Append(linkHeader, m); err != nil {
-			return err
-		}
+	if m.Type() == wire.MsgKeepalive {
+		return f.cfg.Send.Send(keepaliveFrame)
 	}
+	b := f.buffers()
+	frame, err := wire.Append(append(b.frame[:0], linkHeader...), m)
+	if err != nil {
+		return err
+	}
+	b.frame = frame
 	return f.cfg.Send.Send(frame)
 }
 
 // SendUpdate is Send for an UPDATE, which it only borrows: u is read
 // while the frame is encoded and shown to the trace, and is the
-// caller's to overwrite once SendUpdate returns. The frame is the one
-// thing it allocates.
+// caller's to overwrite once SendUpdate returns. It allocates nothing
+// once the session's frame buffer has grown to the largest UPDATE.
 func (f *FSM) SendUpdate(u *wire.Update) error {
-	frame, err := wire.AppendUpdate(linkHeader, u)
+	b := f.buffers()
+	frame, err := wire.AppendUpdate(append(b.frame[:0], linkHeader...), u)
 	if err != nil {
 		return err
 	}
+	b.frame = frame
 	if err := f.cfg.Send.Send(frame); err != nil {
 		return err
 	}
@@ -299,8 +325,9 @@ func (f *FSM) notify(code, subcode uint8) {
 // Deliver processes one received BGP message, the link header already
 // stripped by whoever told it from the link's other traffic. Messages
 // that arrive while the transport is down are dropped (the transport
-// may race a reset). frame is only read. An UPDATE and an OPEN are
-// decoded as values, so receiving either boxes nothing.
+// may race a reset). frame is borrowed: only read, and only until
+// Deliver returns. An UPDATE and an OPEN are decoded as values, so
+// receiving either boxes nothing.
 func (f *FSM) Deliver(frame []byte) {
 	if !f.transportUp {
 		return
@@ -334,22 +361,20 @@ func (f *FSM) Deliver(frame []byte) {
 // is decoded into the session's own storage and lent to the trace and
 // the owner, so receiving one boxes nothing.
 func (f *FSM) deliverUpdate(frame []byte) {
-	if f.rx == nil {
-		f.rx = new(wire.Update)
-	}
-	if err := wire.UnmarshalUpdate(frame, f.rx); err != nil {
+	rx := &f.buffers().rx
+	if err := wire.UnmarshalUpdate(frame, rx); err != nil {
 		f.decodeFailed(err)
 		return
 	}
-	f.owner.Trace(TraceEvent{Kind: TraceRecv, Update: f.rx})
+	f.owner.Trace(TraceEvent{Kind: TraceRecv, Update: rx})
 	if f.state != StateEstablished {
 		f.notify(wire.NotifFSMError, 0)
 		return
 	}
 	f.armHoldTimer()
-	f.owner.Update(f.rx)
+	f.owner.Update(rx)
 	if lendEnded != nil {
-		lendEnded(f.rx, nil)
+		lendEnded(rx, nil)
 	}
 }
 

@@ -43,7 +43,7 @@ func newFSMRig(t testing.TB) *fsmRig {
 			if r.sendErr != nil {
 				return r.sendErr
 			}
-			r.frames = append(r.frames, message(t, b))
+			r.frames = append(r.frames, message(t, bytes.Clone(b))) // b is borrowed
 			return nil
 		}),
 		Stats: &r.stats,
@@ -339,37 +339,56 @@ func TestFSM(t *testing.T) {
 // (race_test.go sets it).
 var raceEnabled bool
 
+// copyingSend is a test transport that keeps the last frame it was
+// handed as a transport must, by copying it into storage of its own,
+// and notes where that frame was: a frame is borrowed only until Send
+// returns.
+type copyingSend struct {
+	last []byte
+	at   *byte
+}
+
+func (c *copyingSend) Send(b []byte) error {
+	c.last, c.at = append(c.last[:0], b...), &b[0]
+	return nil
+}
+
 // TestSendAllocatesOnlyItsFrame pins what a message costs to put on the
-// wire: a KEEPALIVE nothing at all — every one is the same slice — and
-// an UPDATE exactly its frame (link header and message in one buffer):
-// the message is lent to the session and its trace, not boxed for them.
-// Race instrumentation turns off the compiler's in-place slice growth,
-// which costs the encoder a second allocation, so the test skips there.
+// wire: nothing. A KEEPALIVE is the one shared frame, and an UPDATE is
+// encoded, link header and message in one buffer, into the session's
+// frame storage, which it reuses from one send to the next: the
+// message is lent to the session and its trace, not boxed for them, and
+// the frame to the transport, which copies it. Race instrumentation
+// turns off the compiler's in-place slice growth, which costs the
+// encoder allocations of its own, so the test skips there.
 func TestSendAllocatesOnlyItsFrame(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's build allocates in slices.Grow")
 	}
 	r := newFSMRig(t)
-	var last []byte
-	r.f.cfg.Send = frames.SendFunc(func(b []byte) error { last = b; return nil })
+	out := new(copyingSend)
+	r.f.cfg.Send = out
 	if got := testing.AllocsPerRun(100, func() { _ = r.f.Send(wire.Keepalive{}) }); got != 0 {
 		t.Errorf("KEEPALIVE send: %v allocs, want 0", got)
 	}
-	if &last[0] != &keepaliveFrame[0] {
+	if out.at != &keepaliveFrame[0] {
 		t.Error("a KEEPALIVE went out in a buffer of its own")
 	}
-	if got, want := message(t, last), mustFrame(t, wire.Keepalive{}); !bytes.Equal(got, want) {
+	if got, want := message(t, out.last), mustFrame(t, wire.Keepalive{}); !bytes.Equal(got, want) {
 		t.Errorf("the shared KEEPALIVE carries %x, want %x", got, want)
 	}
 	update := &wire.Update{
 		Attrs: wire.PathAttrs{ASPath: wire.NewASPath(1, 2, 3), NextHop: netip.MustParseAddr("100.64.0.1")},
 		NLRI:  []netip.Prefix{netip.MustParsePrefix("10.0.1.0/24")},
 	}
-	if got := testing.AllocsPerRun(100, func() { _ = r.f.SendUpdate(update) }); got != 1 {
-		t.Errorf("UPDATE send: %v allocs, want exactly 1, the frame", got)
+	if got := testing.AllocsPerRun(100, func() { _ = r.f.SendUpdate(update) }); got != 0 {
+		t.Errorf("UPDATE send: %v allocs, want 0", got)
 	}
-	if got, want := message(t, last), mustFrame(t, update); !bytes.Equal(got, want) {
+	if got, want := message(t, out.last), mustFrame(t, update); !bytes.Equal(got, want) {
 		t.Errorf("the UPDATE went out as %x, want %x", got, want)
+	}
+	if out.at != &r.f.buf.frame[0] {
+		t.Error("the UPDATE went out in a buffer other than the session's frame storage")
 	}
 }
 
@@ -384,8 +403,8 @@ func TestReceiveOpenAllocatesNothing(t *testing.T) {
 	}
 	r := newFSMRig(t)
 	r.enter(t, StateOpenSent)
-	var last []byte
-	r.f.cfg.Send = frames.SendFunc(func(b []byte) error { last = b; return nil })
+	out := new(copyingSend)
+	r.f.cfg.Send = out
 	open := mustFrame(t, peerOpen)
 	if got := testing.AllocsPerRun(100, func() {
 		r.f.state = StateOpenSent
@@ -393,12 +412,12 @@ func TestReceiveOpenAllocatesNothing(t *testing.T) {
 	}); got != 0 {
 		t.Errorf("OPEN received in OpenSent: %v allocs, want 0", got)
 	}
-	if r.f.state != StateOpenConfirm || &last[0] != &keepaliveFrame[0] {
-		t.Fatalf("after the OPEN: state %v, last frame %x; want OpenConfirm and the shared KEEPALIVE", r.f.state, last)
+	if r.f.state != StateOpenConfirm || out.at != &keepaliveFrame[0] {
+		t.Fatalf("after the OPEN: state %v, last frame %x; want OpenConfirm and the shared KEEPALIVE", r.f.state, out.last)
 	}
 	r.f.reset(false)
 	r.f.startOpen()
-	if &last[0] != &r.f.cfg.Open[0] {
+	if out.at != &r.f.cfg.Open[0] {
 		t.Error("the session sent an OPEN of its own, not its speaker's frame")
 	}
 }

@@ -316,19 +316,51 @@ func (p *Peer) sendUpdate(u wire.Update) error {
 	return err
 }
 
+// flushStorage is what a router's MRAI flushes build their UPDATEs
+// from besides the batch: the prefix lists the UPDATEs carry, and the
+// attribute groups, their renderings and the record-to-group index of
+// announceGroups. Each flush rewrites it, and no UPDATE keeps what it
+// was lent, so one serves every session of the router. It sits behind
+// a pointer, made by the first flush that sends, so a router that
+// never sends an UPDATE does not carry it.
+type flushStorage struct {
+	prefixes []netip.Prefix
+	groups   []attrGroup
+	keys     []byte
+	of       []int
+}
+
+// attrGroup is one distinct attribute set of an announcement batch.
+type attrGroup struct {
+	attrs      wire.PathAttrs
+	start, end int // its rendering is keys[start:end]
+	id         int // order of first appearance
+}
+
+// flushStorage returns the router's flush storage, made on first use.
+func (r *Router) flushStorage() *flushStorage {
+	if r.flush == nil {
+		r.flush = new(flushStorage)
+	}
+	return r.flush
+}
+
+// prefixList returns the flush storage's prefix list, emptied, with room
+// for n prefixes.
+func (fs *flushStorage) prefixList(n int) []netip.Prefix {
+	fs.prefixes = slices.Grow(fs.prefixes[:0], n)
+	return fs.prefixes
+}
+
 // flushWithdrawals sends the batch's withdrawals as one UPDATE (the
 // head of the MRAI batch; as many as it takes when they do not fit in
 // one, see send) and returns the batch's announcements, in address
 // order.
 func (p *Peer) flushWithdrawals(batch []*advert, withdrawals int) []*advert {
-	r := p.router
 	if withdrawals == 0 {
 		return batch
 	}
-	prefixes := r.onePrefix[:0]
-	if withdrawals > 1 {
-		prefixes = make([]netip.Prefix, 0, withdrawals)
-	}
+	prefixes := p.router.flushStorage().prefixList(withdrawals)
 	announce := batch[:0]
 	for _, a := range batch {
 		if a.change == queueWithdraw {
@@ -409,9 +441,8 @@ func (p *Peer) sendAnnouncements(announce []*advert) bool {
 		attrs := a.attrs
 		a.change, a.attrs = queueNone, wire.PathAttrs{}
 		a.out, a.sent = true, attrs
-		r := p.router
-		r.onePrefix[0] = a.prefix
-		return p.announce(attrs, r.onePrefix[:])
+		nlri := append(p.router.flushStorage().prefixList(1), a.prefix)
+		return p.announce(attrs, nlri[:1:1])
 	}
 	return p.announceGroups(announce)
 }
@@ -422,46 +453,42 @@ func (p *Peer) sendAnnouncements(announce []*advert) bool {
 // deterministic without rendering the attributes once per prefix; the
 // emission order (groups sorted by the attribute rendering, first
 // appearance breaking ties, address order within a group) matches the
-// historical encoder exactly. The renderings go into the router's
-// groupKeys buffer, groups are values in one slice and their NLRI runs
-// of one array. A batch of G groups allocates the record-to-group
-// index, the NLRI array and the group slice, which grows by append:
-// about log₂G + 1 allocations for the groups, three in all for G = 1.
-// Every record's queued change is taken before the first UPDATE goes;
-// each group is recorded in the Adj-RIB-Out as it is sent. It reports
-// whether every UPDATE went out.
+// historical encoder exactly. The groups, their renderings, the
+// record-to-group index and the NLRI runs all live in the router's
+// flush storage, so a flush allocates nothing once that has grown to
+// the largest batch. Every record's queued change is taken before the
+// first UPDATE goes; each group is recorded in the Adj-RIB-Out as it is
+// sent. It reports whether every UPDATE went out.
 func (p *Peer) announceGroups(announce []*advert) bool {
-	type group struct {
-		attrs      wire.PathAttrs
-		start, end int // its rendering is groupKeys[start:end]
-		id         int // order of first appearance
-	}
-	var groups []group
-	of := make([]int, len(announce)) // record index -> group id
+	fs := p.router.flushStorage()
+	groups := fs.groups[:0]
+	of := slices.Grow(fs.of[:0], len(announce))[:len(announce)] // record index -> group id
 	for i, a := range announce {
 		g := 0
 		for g < len(groups) && !groups[g].attrs.Equal(a.attrs) {
 			g++
 		}
 		if g == len(groups) {
-			groups = append(groups, group{attrs: a.attrs, id: g})
+			groups = append(groups, attrGroup{attrs: a.attrs, id: g})
 		}
 		of[i] = g
 		a.change, a.attrs = queueNone, wire.PathAttrs{}
 	}
+	fs.groups, fs.of = groups, of
+	defer clear(groups) // the storage keeps no attribute set alive
 	if len(groups) > 1 {
-		keys := p.router.groupKeys[:0]
+		keys := fs.keys[:0]
 		for g := range groups {
 			groups[g].start = len(keys)
 			keys = groups[g].attrs.AppendText(keys)
 			groups[g].end = len(keys)
 		}
-		p.router.groupKeys = keys
-		slices.SortStableFunc(groups, func(a, b group) int {
+		fs.keys = keys
+		slices.SortStableFunc(groups, func(a, b attrGroup) int {
 			return bytes.Compare(keys[a.start:a.end], keys[b.start:b.end])
 		})
 	}
-	nlri := make([]netip.Prefix, 0, len(announce))
+	nlri := fs.prefixList(len(announce))
 	for _, g := range groups {
 		start := len(nlri)
 		for i, a := range announce {

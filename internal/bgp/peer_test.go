@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"bytes"
 	"cmp"
 	"math/rand"
 	"net/netip"
@@ -47,7 +48,7 @@ func newHarness(t *testing.T) *harness {
 		RemoteASN: 2,
 		NextHop:   netip.MustParseAddr("100.64.0.1"),
 		Send: frames.SendFunc(func(b []byte) error {
-			h.sent = append(h.sent, message(t, b))
+			h.sent = append(h.sent, message(t, bytes.Clone(b))) // b is borrowed
 			return nil
 		}),
 	})
@@ -248,7 +249,7 @@ func TestPolicyImportRejectionActsAsWithdraw(t *testing.T) {
 	p, err := r.AddPeer(PeerConfig{
 		Key: "to-AS2", RemoteASN: 2,
 		NextHop: netip.MustParseAddr("100.64.0.1"),
-		Send:    frames.SendFunc(func(b []byte) error { sent = append(sent, b); return nil }),
+		Send:    frames.SendFunc(func(b []byte) error { sent = append(sent, bytes.Clone(b)); return nil }),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -301,9 +302,13 @@ func TestWriteRIBAndAdjIn(t *testing.T) {
 	}
 }
 
+// TestProcessingDelaySerializesUpdates delivers two UPDATEs back to
+// back to a router with a processing delay: they are handled at least
+// one delay apart. Every frame arrives in one buffer, overwritten once
+// Deliver returns as the delivery that carried it would be by its next
+// frame: a frame waiting for its turn must wait as the queue's own
+// copy.
 func TestProcessingDelaySerializesUpdates(t *testing.T) {
-	// With a processing delay, two updates delivered back to back are
-	// handled at least one delay apart.
 	k := sim.NewKernel(1)
 	r, err := New(Config{
 		ASN: 1, RouterID: idr.RouterIDFromAddr(netip.MustParseAddr("172.16.0.1")),
@@ -323,13 +328,21 @@ func TestProcessingDelaySerializesUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.TransportUp()
-	for _, m := range []wire.Message{
-		wire.Open{AS: 2, HoldTimeSecs: 90},
-		wire.Keepalive{},
-	} {
-		frame, _ := wire.Marshal(m)
-		p.Deliver(frame)
+	var buf []byte // the one buffer every frame arrives in
+	deliver := func(m wire.Message) {
+		t.Helper()
+		frame, err := wire.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf = append(buf[:0], frame...)
+		p.Deliver(buf)
+		for i := range buf {
+			buf[i] = ^buf[i]
+		}
 	}
+	deliver(wire.Open{AS: 2, HoldTimeSecs: 90})
+	deliver(wire.Keepalive{})
 	if err := k.RunFor(time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -344,19 +357,25 @@ func TestProcessingDelaySerializesUpdates(t *testing.T) {
 		}
 	}
 	r.cfg = trace
+	var prefixes []netip.Prefix
 	for i := 0; i < 2; i++ {
-		u, _ := wire.Marshal(wire.Update{
+		prefixes = append(prefixes, netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 0, byte(i), 0}), 24))
+		deliver(wire.Update{
 			Attrs: wire.PathAttrs{Origin: wire.OriginIGP, ASPath: wire.NewASPath(2),
 				NextHop: netip.MustParseAddr("100.64.0.2")},
-			NLRI: []netip.Prefix{netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 0, byte(i), 0}), 24)},
+			NLRI: []netip.Prefix{prefixes[i]},
 		})
-		p.Deliver(u)
 	}
 	if err := k.RunFor(time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if len(times) != 2 {
 		t.Fatalf("updates processed = %d", len(times))
+	}
+	for _, prefix := range prefixes {
+		if _, ok := r.Table().Best(prefix); !ok || p.State() != StateEstablished {
+			t.Fatalf("no route to %v (session %v): its UPDATE was read after its buffer was reused", prefix, p.State())
+		}
 	}
 	if gap := times[1] - times[0]; gap < 10*time.Millisecond {
 		t.Fatalf("updates processed only %v apart; want serialized", gap)

@@ -118,6 +118,10 @@ type Controller struct {
 	// does its peers.
 	tx        wire.Update
 	onePrefix [1]netip.Prefix
+	// ctl is where every control frame is encoded: each is done with
+	// once its member's send returns. A PacketOut's data is a session
+	// machine's frame, which is never ctl.
+	ctl []byte
 }
 
 // extRoute is one candidate external route for a prefix: the session
@@ -184,9 +188,10 @@ func (c *Controller) IsMember(asn idr.ASN) bool {
 // transmit function. send carries link frames: the frames.KindOpenFlow
 // byte and then the OpenFlow message, in one buffer, so a transport
 // that speaks package frames (a netem endpoint's Send) takes it as it
-// is; a frame is immutable once handed over, as bgp.SessionConfig.Send's
-// are. On a started controller (a mid-run migration) the new member is
-// greeted immediately.
+// is. A frame is borrowed, as bgp.SessionConfig.Send's are: the
+// controller encodes the next one into the same storage once send
+// returns, so send copies what it keeps. On a started controller (a
+// mid-run migration) the new member is greeted immediately.
 func (c *Controller) AddMember(asn idr.ASN, send func([]byte) error) error {
 	if asn == 0 {
 		return fmt.Errorf("core: member needs an ASN")
@@ -371,18 +376,15 @@ func (c *Controller) nextXid() uint32 {
 	return c.xid
 }
 
-// linkHeader is what package frames puts in front of an OpenFlow
-// message. Full to capacity, so appending to it always moves to a new
-// buffer.
-var linkHeader = []byte{byte(frames.KindOpenFlow)}
-
-// sendControl frames one message for member m and sends it; the frame
-// is the one thing it allocates.
+// sendControl frames one message for member m in the controller's
+// control frame storage and sends it, allocating nothing once that has
+// grown to the largest message.
 func (c *Controller) sendControl(m *member, msg ofp.Message) error {
-	frame, err := ofp.Append(linkHeader, msg, c.nextXid())
+	frame, err := ofp.Append(append(c.ctl[:0], byte(frames.KindOpenFlow)), msg, c.nextXid())
 	if err != nil {
 		return err
 	}
+	c.ctl = frame
 	return m.send(frame)
 }
 

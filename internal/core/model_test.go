@@ -347,11 +347,7 @@ func (c *Controller) modelPushFlows(prefix netip.Prefix, res routingResult) {
 				Match: prefix, OutPort: port,
 			}
 		}
-		frame, err := ofp.Append(linkHeader, mod, c.nextXid())
-		if err != nil {
-			continue
-		}
-		if m.send(frame) == nil {
+		if c.sendControl(m, mod) == nil {
 			c.stats.FlowModsSent++
 		}
 	}

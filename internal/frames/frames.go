@@ -40,9 +40,10 @@ func (k Kind) String() string {
 
 // Sender transmits link frames to one neighbor: the kind byte and then
 // the payload, in one buffer. *netem.Endpoint is one; a test transport
-// adapts a func with SendFunc. A frame is immutable once handed to
-// Send: Send and everything behind it may keep the slice and must never
-// write to it.
+// adapts a func with SendFunc. A frame is borrowed, as an io.Writer's
+// buffer is: Send reads it only until it returns and copies what it
+// keeps, and never writes to it, so a sender encodes its next frame
+// into the same storage.
 type Sender interface {
 	Send(frame []byte) error
 }

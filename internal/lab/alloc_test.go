@@ -42,8 +42,9 @@ func perRun(runs int, f func()) (objects, bytes float64) {
 //
 //	go test ./internal/lab -run TestTrialAllocCeiling -v
 //
-// and set each object ceiling 0.2% above its count (26 019 and
-// 31 732 on go1.24 linux/amd64, 4.31 and 3.74 MiB; 32 574 and 37 900,
+// and set each object ceiling 0.2% above its count (19 620 and
+// 19 777 on go1.24 linux/amd64, 3.06 and 2.85 MiB; 26 019 and 31 732,
+// 4.31 and 3.74 MiB, while every sender allocated its frame; 32 574 and 37 900,
 // 4.51 and 3.93 MiB, while an AS path was a list of segments, each
 // holding a slice of ASNs; 32 616 and 37 922,
 // 4.52 and 3.94 MiB, while a router kept its originations beside its
@@ -72,8 +73,8 @@ func TestTrialAllocCeiling(t *testing.T) {
 		k            int
 		objects, mib float64
 	}{
-		{"clique16-pure", 0, 26071, 4.40},
-		{"clique16-half", 8, 31796, 3.82},
+		{"clique16-pure", 0, 19660, 3.13},
+		{"clique16-half", 8, 19817, 2.91},
 	} {
 		trial := Trial{
 			Topo:            TopoSpec{Kind: "clique", N: 16},

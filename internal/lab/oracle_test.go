@@ -135,10 +135,12 @@ func checkConverged(e *experiment.Experiment, g *topology.Graph, gaoRexford bool
 // kernel, no RIB, no messages. Every (AS, destination) pair must agree
 // on reachability and path length, and under gao-rexford on the class
 // of the next hop; after the warm-up, after a seeded link failure
-// (against the graph without that link) and after the origin withdraws
-// its prefix. A MED tie-break between equal-length routes is outside
-// its reach: the oracle fixes lengths and classes, not which of two
-// equal routes wins.
+// (against the graph without that link), after the origin withdraws
+// its prefix, after it announces the prefix again, and after it
+// withdraws once more with one of its sessions reset while the
+// withdrawal is in flight. A MED tie-break between equal-length routes
+// is outside its reach: the oracle fixes lengths and classes, not which
+// of two equal routes wins.
 func TestConvergedStateMatchesOracle(t *testing.T) {
 	type graphCase struct {
 		topo       TopoSpec
@@ -214,6 +216,30 @@ func TestConvergedStateMatchesOracle(t *testing.T) {
 
 		step += ", withdraw"
 		settle(step, WorkloadEvent{Kind: KindWithdrawal, AS: origin})
+		check(step, origin)
+
+		step += ", announce"
+		settle(step, WorkloadEvent{Kind: KindAnnouncement, AS: origin})
+		check(step, 0)
+
+		// A session reset drops the frames in flight on its link: the
+		// origin withdraws again and, once the withdrawal's UPDATEs are
+		// on the wire, one of its sessions resets under them.
+		reset := g.Edges()[0]
+		for _, e := range g.Edges() {
+			if e.A == origin || e.B == origin {
+				reset = e
+				break
+			}
+		}
+		step += fmt.Sprintf(", withdraw and session-reset %d-%d", reset.A, reset.B)
+		if _, err := (WorkloadEvent{Kind: KindWithdrawal, AS: origin}).Apply(e); err != nil {
+			t.Fatalf("%s, %s: %v", name, step, err)
+		}
+		if err := e.RunFor(time.Microsecond); err != nil {
+			t.Fatalf("%s, %s: %v", name, step, err)
+		}
+		settle(step, WorkloadEvent{Kind: KindSessionReset, A: reset.A, B: reset.B})
 		check(step, origin)
 	}
 }

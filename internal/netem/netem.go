@@ -15,12 +15,12 @@
 // losses the transport gives up and the message is dropped (so Loss 1.0
 // delivers nothing and sessions never establish).
 //
-// A frame is immutable from the moment it is sent: the network hands
-// the sender's own slice to the receiving handler without copying, a
-// sender may put one slice on many links (every KEEPALIVE of a run is
-// the same 20 bytes), and a receiver may keep what it was handed. No
-// one — sender, handler, or anything the handler passes the bytes to —
-// writes to a frame after Send.
+// A frame is borrowed, as an io.Writer's buffer is: Send copies it into
+// the buffer of the delivery that carries it, so the sender may reuse
+// its own storage the moment Send returns, and the receiving handler
+// may read what it is handed only until it returns — the delivery, and
+// its buffer, then carry the next frame. A receiver that keeps a frame
+// past its handler keeps a copy.
 //
 // All timing runs on a sim.Clock, so the emulator works both in virtual
 // and in wall-clock time.
@@ -50,10 +50,11 @@ type Network struct {
 	linkSeed int64
 	seeded   bool
 
-	// idle chains the deliveries that have fired, for the next send to
-	// reuse; with the clock recycling its side too (sim.Clock.Post), a
-	// frame in flight allocates nothing. The chain peaks at the most
-	// frames in flight at once.
+	// idle chains the deliveries that have fired, each with the buffer
+	// it carried its frame in, for the next send to reuse; with the
+	// clock recycling its side too (sim.Clock.Post), a frame in flight
+	// allocates nothing. The chain peaks at the most frames in flight
+	// at once.
 	idle *delivery
 
 	// Delivered and Dropped count messages network-wide.
@@ -185,10 +186,10 @@ type Node struct {
 	handler   Handler
 }
 
-// Handler receives the frames that arrive at a node: data is what the
-// peer of from passed to Send, the very slice. It must not be written
-// to, here or by whatever the handler hands it on to (see the package
-// comment); it may be kept.
+// Handler receives the frames that arrive at a node: data holds what
+// the peer of from passed to Send. It is borrowed: the handler, and
+// whatever it hands the bytes on to, may read it only until the
+// handler returns, and copies what it keeps (see the package comment).
 type Handler func(from *Endpoint, data []byte)
 
 // Name returns the node's unique name.
@@ -371,35 +372,38 @@ func (l *Link) lossPenalty() (time.Duration, bool) {
 }
 
 // delivery is one frame in flight: what its send fixed when the frame
-// left, and the posted work that completes it at the far end. Nothing
-// but Send schedules a delivery.
+// left, the frame itself in the delivery's own buffer, and the posted
+// work that completes it at the far end. Nothing but Send and SendAt
+// schedule a delivery.
 type delivery struct {
 	dst   *Endpoint
 	epoch uint64 // of the link when the frame left
-	data  []byte
-	next  *delivery // while idle
+	// data is the frame, copied in by the send; an idle delivery keeps
+	// the buffer for the next frame it carries.
+	data []byte
+	next *delivery // while idle
 }
 
 // Fire lands the frame: dropped if the link went down at any point
 // since it left, otherwise counted and handed to the receiving node.
-// The delivery goes back to the network first, so a handler that
-// answers on the spot reuses it.
+// The delivery goes back to the network only once the handler has
+// returned, so a handler that answers on the spot gets another one and
+// the frame it is reading stays as it was.
 func (d *delivery) Fire() {
-	dst, epoch, data := d.dst, d.epoch, d.data
-	l := dst.link
-	*d = delivery{next: l.net.idle}
-	l.net.idle = d
-	if !l.up || l.epoch != epoch {
+	l := d.dst.link
+	if !l.up || l.epoch != d.epoch {
 		l.Dropped++
 		l.net.Dropped++
-		return
+	} else {
+		l.Delivered++
+		l.net.Delivered++
+		l.net.BytesDelivered += uint64(len(d.data))
+		if h := d.dst.node.handler; h != nil {
+			h(d.dst, d.data)
+		}
 	}
-	l.Delivered++
-	l.net.Delivered++
-	l.net.BytesDelivered += uint64(len(data))
-	if dst.node.handler != nil {
-		dst.node.handler(dst, data)
-	}
+	d.dst, d.next = nil, l.net.idle
+	l.net.idle = d
 }
 
 // Send transmits data reliably and in order to the peer node, which
@@ -411,9 +415,9 @@ func (d *delivery) Fire() {
 // emulated transport gives up, so sessions across a fully lossy link
 // can never establish.
 //
-// data is not copied: the receiving handler gets this slice, so the
-// caller must not write to it after Send returns, whether or not the
-// frame has arrived yet. Sending one slice many times is fine.
+// data is copied, as an io.Writer copies: the caller may overwrite it
+// once Send returns, and the receiving handler reads the delivery's
+// copy.
 func (e *Endpoint) Send(data []byte) error {
 	l, n := e.link, e.link.net
 	if !l.up {
@@ -435,9 +439,9 @@ func (e *Endpoint) Send(data []byte) error {
 	return nil
 }
 
-// post puts data in flight to the peer, landing d from now unless the
-// link's epoch has moved past epoch by then. The frame rides the
-// delivery an earlier one handed back, if any.
+// post puts a copy of data in flight to the peer, landing d from now
+// unless the link's epoch has moved past epoch by then. The frame rides
+// the delivery an earlier one handed back, if any, in its buffer.
 func (e *Endpoint) post(data []byte, epoch uint64, d time.Duration) {
 	n := e.link.net
 	dl := n.idle
@@ -446,7 +450,8 @@ func (e *Endpoint) post(data []byte, epoch uint64, d time.Duration) {
 	} else {
 		dl = new(delivery)
 	}
-	*dl = delivery{dst: e.peer, epoch: epoch, data: data}
+	dl.dst, dl.epoch, dl.next = e.peer, epoch, nil
+	dl.data = append(dl.data[:0], data...)
 	n.clock.Post(d, dl)
 }
 
@@ -458,7 +463,7 @@ func (e *Endpoint) post(data []byte, epoch uint64, d time.Duration) {
 // is how a sender that kept a periodic frame off the wire by
 // arithmetic (see Credit) materializes the copies that were still in
 // flight when the schedule ended. No loss is drawn; a lossy link
-// refuses.
+// refuses. data is copied, as Send copies it.
 func (e *Endpoint) SendAt(data []byte, sent time.Time) error {
 	l, n := e.link, e.link.net
 	if l.cfg.Loss > 0 {

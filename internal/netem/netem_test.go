@@ -3,6 +3,8 @@ package netem
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -544,6 +546,42 @@ func TestFrameInFlightAllocatesNothing(t *testing.T) {
 	}
 	if l.Dropped-dropped != 101 || echoed != 102 {
 		t.Errorf("%d frames dropped and %d echoed after the cuts, want 101 and 102", l.Dropped-dropped, echoed)
+	}
+}
+
+// TestAnswerOnTheSpotLeavesTheFrame pins when a delivery goes back to
+// the network: only once its handler has returned. A handler that
+// answers from inside itself gets another delivery, so the frame it is
+// reading stays as it was, and the answer arrives as sent.
+func TestAnswerOnTheSpotLeavesTheFrame(t *testing.T) {
+	k, n := newNet(t)
+	a, b := twoNodes(t, n)
+	l, err := n.Connect(a, b, LinkConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	epA, epB := l.Endpoints()
+	var answers []string
+	b.OnMessage(func(_ *Endpoint, data []byte) {
+		before := string(data)
+		if err := epB.Send([]byte(strings.ToUpper(before))); err != nil { // fits the frame's buffer
+			t.Fatal(err)
+		}
+		if string(data) != before {
+			t.Errorf("answering overwrote the frame being read: %q became %q", before, data)
+		}
+	})
+	a.OnMessage(func(_ *Endpoint, data []byte) { answers = append(answers, string(data)) })
+	for _, ping := range []string{"ping 1", "ping 2"} {
+		if err := epA.Send([]byte(ping)); err != nil {
+			t.Fatal(err)
+		}
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := []string{"PING 1", "PING 2"}; !slices.Equal(answers, want) {
+		t.Errorf("answers %q, want %q", answers, want)
 	}
 }
 

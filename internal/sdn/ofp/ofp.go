@@ -6,20 +6,22 @@
 // relay for the cluster BGP speaker's control traffic, and port status
 // notifications.
 //
-// A message costs its frame and nothing else, as package wire's BGP
+// A message costs no allocation of its own, as package wire's BGP
 // messages do. Append encodes onto a caller's buffer — the switch and
-// the controller append behind the one-byte link header, so the frame
-// they send is the buffer Append grew, once — and does not keep msg,
-// so passing a value boxes nothing. The hot messages decode without a
-// Message box: PeekType reads the type octet and DecodeFlowMod,
-// DecodePacketIn and DecodePacketOut return values; Unmarshal wraps the
-// same decoders, so each message is validated in one place. A decoded
-// PacketIn or PacketOut's Data aliases the frame, which is immutable
-// once sent (bgp.SessionConfig.Send's contract holds for every link
-// frame). Marshal and Unmarshal keep the boxed signatures for callers
-// that want them. The codec accepts exactly what it produces: whatever
-// Unmarshal accepts re-encodes to its own bytes, and Append refuses
-// what Unmarshal would (FuzzOFPRoundTrip).
+// the controller append behind the one-byte link header, into storage
+// each keeps, so once that has grown a frame costs nothing — and does
+// not keep msg, so passing a value boxes nothing. The hot messages
+// decode without a Message box: PeekType reads the type octet and
+// DecodeFlowMod, DecodePacketIn and DecodePacketOut return values;
+// Unmarshal wraps the same decoders, so each message is validated in
+// one place. A decoded PacketIn or PacketOut's Data aliases the frame,
+// so it is good only as long as the frame is: a received frame is
+// borrowed until its handler returns (frames.Sender's contract holds
+// for every link frame), and a receiver copies the Data it keeps.
+// Marshal and Unmarshal keep the boxed signatures for callers that want
+// them. The codec accepts exactly what it produces: whatever Unmarshal
+// accepts re-encodes to its own bytes, and Append refuses what
+// Unmarshal would (FuzzOFPRoundTrip).
 package ofp
 
 import (

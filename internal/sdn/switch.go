@@ -102,14 +102,18 @@ type Switch struct {
 	OnLocalDeliver func(frames.Probe)
 
 	nextXid uint32
+	// out is where every control frame is encoded: each is done with
+	// once sendControl returns.
+	out []byte
 }
 
 // NewSwitch creates the switch for member asn. sendControl carries
 // link frames to the controller: the frames.KindOpenFlow byte and then
 // the OpenFlow message, in one buffer, so a transport that speaks
 // package frames (a netem endpoint's Send) takes it as it is. It is
-// required, and a frame is immutable once handed to it, as
-// bgp.SessionConfig.Send's are.
+// required, and a frame is borrowed, as bgp.SessionConfig.Send's are:
+// the switch encodes the next one into the same storage once
+// sendControl returns, so sendControl copies what it keeps.
 func NewSwitch(asn idr.ASN, sendControl func([]byte) error) (*Switch, error) {
 	if sendControl == nil {
 		return nil, fmt.Errorf("sdn: switch %v needs a control channel", asn)
@@ -150,18 +154,15 @@ func (s *Switch) xid() uint32 {
 	return s.nextXid
 }
 
-// linkHeader is what package frames puts in front of an OpenFlow
-// message. Full to capacity, so appending to it always moves to a new
-// buffer.
-var linkHeader = []byte{byte(frames.KindOpenFlow)}
-
-// sendMessage frames one message for the controller and sends it; the
-// frame is the one thing it allocates.
+// sendMessage frames one message for the controller in the switch's
+// control frame storage and sends it, allocating nothing once that has
+// grown to the largest message.
 func (s *Switch) sendMessage(msg ofp.Message, xid uint32) error {
-	frame, err := ofp.Append(linkHeader, msg, xid)
+	frame, err := ofp.Append(append(s.out[:0], byte(frames.KindOpenFlow)), msg, xid)
 	if err != nil {
 		return err
 	}
+	s.out = frame
 	return s.sendControl(frame)
 }
 
@@ -171,7 +172,8 @@ func (s *Switch) NotifyPortState(port uint32, up bool) error {
 }
 
 // HandleControl processes one OpenFlow message from the controller, the
-// link header already stripped. A FlowMod or PacketOut — every message
+// link header already stripped. frame is borrowed: it is read only
+// until HandleControl returns. A FlowMod or PacketOut — every message
 // after the handshake — is decoded without a Message box, and the
 // PacketOut's data goes out as the slice of frame it is, so neither
 // allocates.
@@ -226,10 +228,11 @@ func (s *Switch) applyFlowMod(m ofp.FlowMod) {
 	}
 }
 
-// HandlePort processes one link frame arriving on a data port.
-// BGP control traffic is punted to the controller as PacketIn (the
-// cluster BGP speaker's inbound relay), whose frame is the one thing a
-// punt allocates; probes are forwarded by the flow table.
+// HandlePort processes one link frame arriving on a data port; frame is
+// borrowed, read only until HandlePort returns. BGP control traffic is
+// punted to the controller as PacketIn (the cluster BGP speaker's
+// inbound relay), encoded in the switch's control frame storage, so a
+// punt allocates nothing; probes are forwarded by the flow table.
 func (s *Switch) HandlePort(port uint32, frame []byte) error {
 	kind, payload, err := frames.Decode(frame)
 	if err != nil {
