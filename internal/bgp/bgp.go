@@ -157,10 +157,14 @@ type Stats struct {
 	UpdatesSent uint64
 	// UpdatesReceived counts the UPDATEs an Established session handed
 	// to the decision process. An UPDATE that reaches a session in any
-	// other state is not counted here (monitor.RouterSummary's
-	// UpdatesRecv counts it).
+	// other state is answered with a NOTIFICATION and not counted.
 	UpdatesReceived uint64
 	KeepalivesSent  uint64
+	// BestChanges counts the router's Loc-RIB transitions (TraceBest
+	// events), StateChanges its sessions' state transitions
+	// (TraceState events).
+	BestChanges  uint64
+	StateChanges uint64
 }
 
 // Config configures a Router.
@@ -422,6 +426,7 @@ func (r *Router) onChange(change rib.Change) {
 	if !change.Changed() {
 		return
 	}
+	r.stats.BestChanges++
 	r.traced = change
 	r.trace(TraceEvent{Kind: TraceBest, Change: &r.traced})
 	if lendEnded != nil {

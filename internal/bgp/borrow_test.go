@@ -10,16 +10,15 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/idr"
 	"repro/internal/lab"
-	"repro/internal/monitor"
 	"repro/internal/topology"
 )
 
 // borrowedRun is everything one clique-8, K=4 run shows its consumers:
 // a trial's metrics, and from the same configuration driven by hand,
-// the event log's summaries and its recorded timeline.
+// every router's counters and the event log's recorded timeline.
 type borrowedRun struct {
 	result   lab.Result
-	sums     []monitor.RouterSummary
+	stats    []bgp.Stats
 	timeline string
 }
 
@@ -73,7 +72,11 @@ func runBorrowed(t *testing.T) borrowedRun {
 	if _, err := e.MeasureConvergence(func() error { return e.Withdraw(1) }, time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	out.sums = e.Log.Summarize()
+	for _, asn := range e.ASNs() {
+		if r, ok := e.Routers[asn]; ok {
+			out.stats = append(out.stats, r.Stats())
+		}
+	}
 	pfx, err := e.OriginPrefix(1)
 	if err != nil {
 		t.Fatal(err)
@@ -99,9 +102,9 @@ func TestBorrowedMeansBorrowed(t *testing.T) {
 	bgp.PoisonLent(t)
 	poisoned := runBorrowed(t)
 
-	if len(clean.sums) == 0 || !strings.Contains(clean.timeline, " -> [") {
-		t.Fatalf("the run showed nothing to compare: %d summaries, timeline %q",
-			len(clean.sums), clean.timeline)
+	if len(clean.stats) == 0 || !strings.Contains(clean.timeline, " -> [") {
+		t.Fatalf("the run showed nothing to compare: %d routers, timeline %q",
+			len(clean.stats), clean.timeline)
 	}
 	if clean.result.UpdatesSent == 0 || clean.result.BestPathChanges == 0 {
 		t.Fatalf("the trial measured nothing: %+v", clean.result)
@@ -109,8 +112,8 @@ func TestBorrowedMeansBorrowed(t *testing.T) {
 	if !reflect.DeepEqual(clean.result, poisoned.result) {
 		t.Errorf("lab.Result differs:\n clean    %+v\n poisoned %+v", clean.result, poisoned.result)
 	}
-	if !reflect.DeepEqual(clean.sums, poisoned.sums) {
-		t.Errorf("Summarize differs:\n clean    %+v\n poisoned %+v", clean.sums, poisoned.sums)
+	if !reflect.DeepEqual(clean.stats, poisoned.stats) {
+		t.Errorf("router Stats differ:\n clean    %+v\n poisoned %+v", clean.stats, poisoned.stats)
 	}
 	if clean.timeline != poisoned.timeline {
 		t.Errorf("timeline differs:\n clean:\n%s poisoned:\n%s", clean.timeline, poisoned.timeline)

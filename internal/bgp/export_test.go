@@ -35,3 +35,7 @@ func PoisonLent(t *testing.T) {
 	}
 	t.Cleanup(func() { lendEnded = nil })
 }
+
+// NextAdv returns when p's MRAI hold-down lapses, in nanoseconds since
+// sim.Epoch (sim.TimeNone: the next flush may go at once).
+func NextAdv(p *Peer) int64 { return p.nextAdv }

@@ -64,9 +64,12 @@ func (s *peerSession) Established()          { (*Peer)(s).establish() }
 func (s *peerSession) Update(m *wire.Update) { (*Peer)(s).handleUpdate(m) }
 func (s *peerSession) Reset(was bool)        { (*Peer)(s).reset(was) }
 
-// Trace stamps a session event with the peer key and hands it to the
-// router's trace.
+// Trace counts a session's state change, stamps the event with the
+// peer key and hands it to the router's trace.
 func (s *peerSession) Trace(ev TraceEvent) {
+	if ev.Kind == TraceState {
+		s.router.stats.StateChanges++
+	}
 	ev.Peer = s.cfg.Key
 	s.router.trace(ev)
 }

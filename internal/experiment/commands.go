@@ -116,7 +116,7 @@ func (e *Experiment) restoreLink(a, b idr.ASN) error {
 func (e *Experiment) RunFor(d time.Duration) error { return e.K.RunFor(d) }
 
 // WaitConverged advances the clock until routing activity has been
-// quiet for the settle window (paper: "the framework detects when the
+// quiet for the detector's window (paper: "the framework detects when the
 // network has converged") and returns how long convergence took,
 // measured from the detector's last activity when it is called to the
 // final routing activity.

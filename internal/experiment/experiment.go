@@ -72,9 +72,6 @@ type Config struct {
 	// Damping enables RFC 2439 route-flap damping on every legacy
 	// router (nil = off).
 	Damping *bgp.DampingConfig
-	// Settle is the convergence quiescence window (default
-	// monitor.DefaultSettle).
-	Settle time.Duration
 	// WallLimit bounds the real time the kernel spends running events,
 	// a restore's replay included (sim.Kernel.WallLimit; zero for no
 	// bound). It can turn a run into sim.ErrWallBudget, never change
@@ -190,22 +187,7 @@ func New(cfg Config) (*Experiment, error) {
 	// run seed, so lossy runs stay byte-reproducible no matter how
 	// protocol randomness interleaves.
 	e.Net.SeedLinks(cfg.Seed)
-	// The quiescence window must exceed the largest legitimate gap
-	// between routing-update batches, which is the (jittered) MRAI —
-	// otherwise a lull between exploration rounds reads as
-	// convergence. 1.5x leaves margin for chained propagation delays.
-	settle := cfg.Settle
-	if settle == 0 {
-		mrai := cfg.Timers.MRAI
-		if mrai == 0 {
-			mrai = bgp.DefaultTimers().MRAI
-		}
-		settle = mrai + mrai/2
-		if settle < monitor.DefaultSettle {
-			settle = monitor.DefaultSettle
-		}
-	}
-	e.Detector = monitor.NewDetector(e.K, settle)
+	e.Detector = monitor.NewDetector(e.K, monitor.Window(cfg.Timers.Resolved().MRAI))
 	e.Log = monitor.NewEventLog()
 	e.Probes = monitor.NewProbeEngine(e.K)
 

@@ -343,8 +343,7 @@ func roundTrip(cfg Config, e *Experiment) (*Experiment, error) {
 }
 
 // readLiveness is one step's reading: the clock, the traffic totals,
-// every router's counters and Established sessions, and the event log's
-// summary.
+// and every router's counters and Established sessions.
 func readLiveness(e *Experiment, what string) string {
 	var b strings.Builder
 	delivered, dropped, bytes := e.Traffic()
@@ -354,7 +353,6 @@ func readLiveness(e *Experiment, what string) string {
 			fmt.Fprintf(&b, " %v%+v/%d", asn, r.Stats(), r.EstablishedCount())
 		}
 	}
-	fmt.Fprintf(&b, " log %+v", e.Log.Summarize())
 	return b.String()
 }
 

@@ -16,7 +16,7 @@ import (
 // canonical form (the parsed sweep re-encodes to the input byte for
 // byte) whose axis Sweep.Run accepts. Never a panic. Seeds: every
 // registry spec at its defaults, one scheduled workload, one damping
-// configuration.
+// configuration, and fig2 with the retired settle_ns set.
 func FuzzParseCanonical(f *testing.F) {
 	seed := func(sw lab.Sweep, err error) {
 		f.Helper()
@@ -36,6 +36,15 @@ func FuzzParseCanonical(f *testing.F) {
 	damped, err := Resolve("flap", Overrides{})
 	damped.Base.Damping = &bgp.DampingConfig{HalfLife: 2 * time.Minute}
 	seed(damped, err)
+	fig2, err := Resolve("fig2", Overrides{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	data, err := fig2.Canonical()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bytes.Replace(data, []byte(`"settle_ns":0`), []byte(`"settle_ns":10000000000`), 1))
 
 	stopped := make(chan struct{})
 	close(stopped)

@@ -59,15 +59,17 @@ type canonicalTrial struct {
 	ConnectRetryNS    int64            `json:"connect_retry_ns"`
 	MRAINS            int64            `json:"mrai_ns"`
 	// KeepaliveFraction, ConnectRetryNS, WithdrawalsImmediate,
-	// LinkJitterNS, FlapCycles, FlapPeriodNS, TimeoutNS and
+	// SettleNS, LinkJitterNS, FlapCycles, FlapPeriodNS, TimeoutNS and
 	// EstablishTimeoutNS mirror knobs that are gone (each had one value
-	// in use; explicit withdrawals always ride the MRAI batch; link
-	// jitter delayed only a send nothing called). They stay to emit
-	// the constants the engine runs with, so no address moves; changing
-	// one of those constants is a canonicalVersion bump. TimeoutNS is
-	// the floor of the convergence window, which the topology and the
-	// MRAI (both in the address) set above it (convergeWindow); a wider
-	// window changes only which runs finish, never what one reports.
+	// in use; explicit withdrawals always ride the MRAI batch; the
+	// quiescence window follows the MRAI, monitor.Window, which 0 in
+	// SettleNS asked for; link jitter delayed only a send nothing
+	// called). They stay to emit the constants the engine runs with,
+	// so no address moves; changing one of those constants is a
+	// canonicalVersion bump. TimeoutNS is the floor of the convergence
+	// window, which the topology and the MRAI (both in the address) set
+	// above it (convergeWindow); a wider window changes only which runs
+	// finish, never what one reports.
 	WithdrawalsImmediate bool              `json:"withdrawals_immediate"`
 	MRAIJitter           bool              `json:"mrai_jitter"`
 	DebounceNS           int64             `json:"debounce_ns"`
@@ -137,7 +139,6 @@ func (t Trial) canonical() canonicalTrial {
 		MRAINS:             int64(t.Timers.MRAI),
 		MRAIJitter:         t.Timers.MRAIJitter,
 		DebounceNS:         int64(t.Debounce),
-		SettleNS:           int64(t.Settle),
 		ProcessingDelayNS:  int64(t.ProcessingDelay),
 		LinkDelayNS:        int64(t.LinkDelay),
 		LinkLoss:           t.LinkLoss,

@@ -76,7 +76,6 @@ func trialFromCanonical(c canonicalTrial) (Trial, error) {
 		MRAIJitter: c.MRAIJitter,
 	}
 	t.Debounce = time.Duration(c.DebounceNS)
-	t.Settle = time.Duration(c.SettleNS)
 	t.ProcessingDelay = time.Duration(c.ProcessingDelayNS)
 	t.LinkDelay = time.Duration(c.LinkDelayNS)
 	t.LinkLoss = c.LinkLoss

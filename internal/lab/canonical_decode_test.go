@@ -202,8 +202,8 @@ func TestParseCanonicalRejects(t *testing.T) {
 		// a negative flap count panics in every run, a negative flap
 		// period reports the storm converged at 0s, a negative MRAI
 		// runs with no MRAI at all, a negative delay or timeout fails
-		// every run, and a negative settle or drain is a second
-		// address for the run at 0.
+		// every run, and a negative drain is a second address for the
+		// run at 0.
 		"negative flap cycles":       strings.Replace(string(counts), `"flap_cycles":6`, `"flap_cycles":-1`, 1),
 		"negative flap period":       strings.Replace(string(counts), `"flap_period_ns":20000000000`, `"flap_period_ns":-20000000000`, 1),
 		"negative base mrai":         strings.Replace(string(counts), `"mrai_ns":30000000000`, `"mrai_ns":-1000000000`, 1),
@@ -211,7 +211,6 @@ func TestParseCanonicalRejects(t *testing.T) {
 		"negative processing delay":  strings.Replace(string(counts), `"processing_delay_ns":25000000`, `"processing_delay_ns":-25000000`, 1),
 		"negative timeout":           strings.Replace(string(counts), `"timeout_ns":7200000000000`, `"timeout_ns":-7200000000000`, 1),
 		"negative establish timeout": strings.Replace(string(counts), `"establish_timeout_ns":300000000000`, `"establish_timeout_ns":-300000000000`, 1),
-		"negative settle":            strings.Replace(string(counts), `"settle_ns":0`, `"settle_ns":-1`, 1),
 		"negative drain":             strings.Replace(string(counts), `"drain_ns":0`, `"drain_ns":-1`, 1),
 		// Outside [0, 1] every run fails in experiment.New.
 		"link loss over 1":   strings.Replace(string(counts), `"link_loss":0,`, `"link_loss":1.5,`, 1),
@@ -220,6 +219,8 @@ func TestParseCanonicalRejects(t *testing.T) {
 		// The knobs behind these fields are gone: each re-encodes as the
 		// constant the engine runs with, so the round-trip gate refuses
 		// any other value by itself.
+		"non-zero settle":         strings.Replace(string(counts), `"settle_ns":0`, `"settle_ns":10000000000`, 1),
+		"negative settle":         strings.Replace(string(counts), `"settle_ns":0`, `"settle_ns":-1`, 1),
 		"flap cycles 4":           strings.Replace(string(counts), `"flap_cycles":6`, `"flap_cycles":4`, 1),
 		"flap period 10s":         strings.Replace(string(counts), `"flap_period_ns":20000000000`, `"flap_period_ns":10000000000`, 1),
 		"timeout 1h":              strings.Replace(string(counts), `"timeout_ns":7200000000000`, `"timeout_ns":3600000000000`, 1),

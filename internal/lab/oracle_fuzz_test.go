@@ -12,21 +12,25 @@ import (
 )
 
 // oracleCase is one input of FuzzConvergedState: an internet-style
-// graph, a policy and one event — the origin of withdrawn withdraws
-// its prefix, or the link cut fails.
+// graph, a policy and one event — origin withdraws its prefix; or it
+// withdraws and announces it again; or it withdraws it and the session
+// on link resets under the withdrawal's UPDATEs; or link fails.
 type oracleCase struct {
 	g          *topology.Graph
 	gaoRexford bool
-	withdrawn  idr.ASN
-	cut        topology.Edge
+	kind       EventKind // KindWithdrawal, KindAnnouncement, KindSessionReset or KindLinkDown
+	origin     idr.ASN
+	link       topology.Edge
 }
 
 // decodeOracleCase reads an oracleCase from data, a byte at a time (0
-// once data runs out): the AS count (2 to 24), the policy and event
-// bits, the event's target, then for each AS after the first the AS it
-// attaches to and how, and from the bytes left, pairs that add further
-// links. A provider always has the lower ASN of its link, so the graph
-// has no provider cycle, and every AS is connected to the first.
+// once data runs out): the AS count (2 to 24), the policy bit and the
+// event's two bits, the event's target (the origin, or for a linkdown
+// the link; a session-reset resets the origin's first link), then for
+// each AS after the first the AS it attaches to and how, and from the
+// bytes left, pairs that add further links. A provider always has the
+// lower ASN of its link, so the graph has no provider cycle, and every
+// AS is connected to the first.
 func decodeOracleCase(data []byte) oracleCase {
 	next := func() byte {
 		if len(data) == 0 {
@@ -61,11 +65,18 @@ func decodeOracleCase(data []byte) oracleCase {
 		}
 		_ = c.g.AddEdge(topology.Edge{A: asn(min(x, j)), B: asn(max(x, j)), Rel: rel(y&0x80 != 0)})
 	}
-	if flags&2 == 0 {
-		c.withdrawn = asn(target % n)
-	} else {
-		edges := c.g.Edges()
-		c.cut = edges[target%len(edges)]
+	edges := c.g.Edges()
+	c.kind = []EventKind{KindWithdrawal, KindLinkDown, KindAnnouncement, KindSessionReset}[flags>>1&3]
+	if c.kind == KindLinkDown {
+		c.link = edges[target%len(edges)]
+		return c
+	}
+	c.origin = asn(target % n)
+	for _, e := range edges {
+		if e.A == c.origin || e.B == c.origin {
+			c.link = e
+			break
+		}
 	}
 	return c
 }
@@ -74,9 +85,10 @@ func decodeOracleCase(data []byte) oracleCase {
 // TestConvergedStateMatchesOracle on decoded graphs (decodeOracleCase)
 // at K = 0: every (AS, destination) route must agree after every
 // prefix is announced, and again after the event, against the graph
-// without the cut link or with the withdrawn prefix unreachable. Its
-// seed corpus (testdata/fuzz/FuzzConvergedState) covers both policies
-// and both events, up to 24 ASes.
+// without the cut link or with the withdrawn prefix unreachable (an
+// announcement is checked after its withdrawal too). Its seed corpus
+// (testdata/fuzz/FuzzConvergedState) covers both policies and all four
+// events, up to 24 ASes.
 func FuzzConvergedState(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := decodeOracleCase(data)
@@ -113,15 +125,35 @@ func FuzzConvergedState(f *testing.F) {
 			}
 		}
 		check("warm-up", 0)
-		if c.withdrawn != 0 {
-			_, err = WorkloadEvent{Kind: KindWithdrawal, AS: c.withdrawn}.Apply(e)
-		} else {
-			_, err = WorkloadEvent{Kind: KindLinkDown, A: c.cut.A, B: c.cut.B}.Apply(e)
-			c.g.RemoveEdge(c.cut.A, c.cut.B)
+		settle := func(ev WorkloadEvent) {
+			t.Helper()
+			_, err := ev.Apply(e)
+			step(ev.Kind.String(), err)
+			_, err = e.WaitConverged(window)
+			step(ev.Kind.String(), err)
 		}
-		step("event", err)
-		_, err = e.WaitConverged(window)
-		step("event", err)
-		check("after the event", c.withdrawn)
+		withdrawal := WorkloadEvent{Kind: KindWithdrawal, AS: c.origin}
+		switch c.kind {
+		case KindLinkDown:
+			settle(WorkloadEvent{Kind: KindLinkDown, A: c.link.A, B: c.link.B})
+			c.g.RemoveEdge(c.link.A, c.link.B)
+			check("after the linkdown", 0)
+		case KindWithdrawal:
+			settle(withdrawal)
+			check("after the withdrawal", c.origin)
+		case KindAnnouncement:
+			settle(withdrawal)
+			check("after the withdrawal", c.origin)
+			settle(WorkloadEvent{Kind: KindAnnouncement, AS: c.origin})
+			check("after the announcement", 0)
+		case KindSessionReset:
+			// The reset drops the withdrawal's UPDATEs in flight on the
+			// link.
+			_, err = withdrawal.Apply(e)
+			step("withdraw", err)
+			step("withdraw", e.RunFor(time.Microsecond))
+			settle(WorkloadEvent{Kind: KindSessionReset, A: c.link.A, B: c.link.B})
+			check("after the withdrawal and session-reset", c.origin)
+		}
 	})
 }

@@ -112,9 +112,6 @@ type Trial struct {
 	// window is the same thing as disabled, so express it with a
 	// negative value.
 	Debounce time.Duration
-	// Settle is the convergence quiescence window (zero derives it
-	// from the MRAI; see experiment.Config.Settle).
-	Settle time.Duration
 	// ProcessingDelay is each router's per-UPDATE processing cost,
 	// passed to experiment.Config verbatim (zero disables the model;
 	// the clique sweep specs set 25ms, approximating the paper's
@@ -238,7 +235,7 @@ func convergeWindow(n int, mrai time.Duration) time.Duration {
 // validate refuses base-trial values no run can honour, the checks
 // every other front door (the DSL, the override flags, the axes)
 // already makes: a hold time an OPEN cannot carry, a link loss outside
-// [0, 1], and a negative MRAI, delay or window (no MRAI at all, runs
+// [0, 1], and a negative MRAI, delay or drain (no MRAI at all, runs
 // that fail after admission, or a second spelling of the zero-drain
 // run). Zero stays "unset" everywhere; Debounce is free to be
 // negative, which disables the controller delay.
@@ -256,7 +253,6 @@ func (t Trial) validate() error {
 		{"MRAI", t.Timers.MRAI},
 		{"link delay", t.LinkDelay},
 		{"processing delay", t.ProcessingDelay},
-		{"settle window", t.Settle},
 		{"drain", t.Drain},
 	} {
 		if d.v < 0 {
@@ -406,7 +402,6 @@ func (t Trial) prepare() (*prepared, error) {
 			Policy:          pol,
 			Timers:          t.Timers,
 			Debounce:        t.Debounce,
-			Settle:          t.Settle,
 			ProcessingDelay: t.ProcessingDelay,
 			LinkDelay:       t.LinkDelay,
 			LinkLoss:        t.LinkLoss,

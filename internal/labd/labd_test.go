@@ -419,6 +419,10 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		"link loss over 1":    {Client: "x", Spec: badBase(func(tr *lab.Trial) { tr.LinkLoss = 1.5 })},
 		"negative base mrai":  {Client: "x", Spec: badBase(func(tr *lab.Trial) { tr.Timers.MRAI = -time.Second })},
 		"negative link delay": {Client: "x", Spec: badBase(func(tr *lab.Trial) { tr.LinkDelay = -time.Millisecond })},
+		// The quiescence window follows the MRAI; the retired field
+		// admits only the 0 it encodes as.
+		"settle window": {Client: "x", Spec: json.RawMessage(bytes.Replace(badBase(func(*lab.Trial) {}),
+			[]byte(`"settle_ns":0`), []byte(`"settle_ns":10000000000`), 1))},
 	}
 	for name, req := range cases {
 		if _, code := postJSON(t, url, req); code != http.StatusBadRequest {

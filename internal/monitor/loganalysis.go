@@ -19,14 +19,13 @@ import (
 
 // EventLog folds router trace events, as they happen, into what the
 // framework's "automatic log file analysis" and "route change
-// visualization" read back: per-router activity counters and one slim
-// record per best-route transition. It retains no event: an UPDATE's
-// decoded wire.Update, the *rib.Change and the routes it points at are
-// the router's again as soon as Append returns, so the log's size
-// follows the number of best-path changes, not the number of messages —
-// and, unless RecordPaths asked for them, not the paths explored either.
+// visualization" read back: one slim record per best-route transition.
+// Message and state counts are the routers' own (bgp.Router.Stats). It
+// retains no event: the *rib.Change and the routes it points at are the
+// router's again as soon as Append returns, so the log's size follows
+// the number of best-path changes, not the number of messages — and,
+// unless RecordPaths asked for them, not the paths explored either.
 type EventLog struct {
-	routers map[idr.ASN]*RouterSummary
 	// best holds the transitions in Append order, in blocks of
 	// bestBlock so that growth never copies the log. Append is driven
 	// by one kernel's clock, so that order is time order, which is what
@@ -58,9 +57,7 @@ type bestChange struct {
 type pathPair struct{ old, new wire.ASPath }
 
 // NewEventLog returns an empty log.
-func NewEventLog() *EventLog {
-	return &EventLog{routers: make(map[idr.ASN]*RouterSummary)}
-}
+func NewEventLog() *EventLog { return &EventLog{} }
 
 // RecordPaths makes the log keep the AS paths of every best-route
 // transition, which PathChanges and WriteTimeline render. A path
@@ -108,66 +105,31 @@ func (l *EventLog) seek(ns int64) int {
 }
 
 // Append folds one event in (install as a bgp.Config.Trace hook,
-// fan-in from all routers). Events must arrive in non-decreasing Time
-// order — the order a sim.Kernel produces them in. What ev points at is
-// only read, and not after Append returns.
+// fan-in from all routers): a best-route transition is recorded, every
+// other kind of event passes by. Events must arrive in non-decreasing
+// Time order — the order a sim.Kernel produces them in. What ev points
+// at is only read, and not after Append returns.
 func (l *EventLog) Append(ev bgp.TraceEvent) {
-	s, ok := l.routers[ev.Router]
-	if !ok {
-		s = &RouterSummary{Router: ev.Router}
-		l.routers[ev.Router] = s
+	c := ev.Change
+	if ev.Kind != bgp.TraceBest || c == nil {
+		return
 	}
-	switch ev.Kind {
-	case bgp.TraceSend:
-		s.UpdatesSent++
-	case bgp.TraceRecv:
-		s.UpdatesRecv++
-	case bgp.TraceBest:
-		s.BestChanges++
-		if c := ev.Change; c != nil {
-			bc := bestChange{atNS: sim.TimeToNS(ev.Time), router: ev.Router, prefix: c.Prefix}
-			var pp pathPair
-			if c.Old != nil {
-				pp.old, bc.oldLocal = c.Old.Attrs.ASPath, c.Old.Local
-			}
-			if c.New != nil {
-				pp.new, bc.newLocal = c.New.Attrs.ASPath, c.New.Local
-			}
-			if n := len(l.best); n == 0 || len(l.best[n-1]) == bestBlock {
-				l.best = append(l.best, make([]bestChange, 0, bestBlock))
-			}
-			last := &l.best[len(l.best)-1]
-			*last = append(*last, bc)
-			if l.paths != nil {
-				l.paths = append(l.paths, pp)
-			}
-		}
-	case bgp.TraceState:
-		s.StateChanges++
+	bc := bestChange{atNS: sim.TimeToNS(ev.Time), router: ev.Router, prefix: c.Prefix}
+	var pp pathPair
+	if c.Old != nil {
+		pp.old, bc.oldLocal = c.Old.Attrs.ASPath, c.Old.Local
 	}
-}
-
-// RouterSummary aggregates per-router activity.
-type RouterSummary struct {
-	Router idr.ASN
-	// UpdatesSent counts the router's UPDATEs sent, as bgp.Stats does.
-	UpdatesSent int
-	// UpdatesRecv counts every UPDATE a session of the router decoded,
-	// in whatever state the session was: unlike bgp.Stats'
-	// UpdatesReceived, it includes an UPDATE that reached a session no
-	// longer Established.
-	UpdatesRecv  int
-	BestChanges  int
-	StateChanges int
-}
-
-// Summarize returns the per-router summaries, sorted by ASN.
-func (l *EventLog) Summarize() []RouterSummary {
-	out := make([]RouterSummary, 0, len(l.routers))
-	for _, asn := range idr.SortedKeys(l.routers) {
-		out = append(out, *l.routers[asn])
+	if c.New != nil {
+		pp.new, bc.newLocal = c.New.Attrs.ASPath, c.New.Local
 	}
-	return out
+	if n := len(l.best); n == 0 || len(l.best[n-1]) == bestBlock {
+		l.best = append(l.best, make([]bestChange, 0, bestBlock))
+	}
+	last := &l.best[len(l.best)-1]
+	*last = append(*last, bc)
+	if l.paths != nil {
+		l.paths = append(l.paths, pp)
+	}
 }
 
 // PathChange is one best-route transition at one router.

@@ -8,7 +8,6 @@ import (
 	"net/netip"
 	"reflect"
 	"runtime"
-	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -22,34 +21,8 @@ import (
 
 // retained is the oracle for the EventLog fold: the retain-everything
 // log the fold replaced, kept by the test instead of the product. Its
-// three views are naive scans over the slice.
+// two views are naive scans over the slice.
 type retained []bgp.TraceEvent
-
-func (r retained) summarize() []RouterSummary {
-	byRouter := map[idr.ASN]*RouterSummary{}
-	for _, ev := range r {
-		s := byRouter[ev.Router]
-		if s == nil {
-			s = &RouterSummary{Router: ev.Router}
-			byRouter[ev.Router] = s
-		}
-		switch ev.Kind {
-		case bgp.TraceSend:
-			s.UpdatesSent++
-		case bgp.TraceRecv:
-			s.UpdatesRecv++
-		case bgp.TraceBest:
-			s.BestChanges++
-		case bgp.TraceState:
-			s.StateChanges++
-		}
-	}
-	out := []RouterSummary{}
-	for _, asn := range slices.Sorted(maps.Keys(byRouter)) {
-		out = append(out, *byRouter[asn])
-	}
-	return out
-}
 
 func (r retained) pathChanges(prefix netip.Prefix) []PathChange {
 	render := func(rt *rib.Route) string {
@@ -157,12 +130,6 @@ func checkEventLogModel(t *testing.T, ops []byte) {
 // ErrNoPaths.
 func checkEventLogViews(t *testing.T, l, bare *EventLog, want retained, bounds []time.Time) {
 	t.Helper()
-	if got, want := l.Summarize(), want.summarize(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Summarize:\n got %+v\nwant %+v", got, want)
-	}
-	if got, want := bare.Summarize(), l.Summarize(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Summarize without paths:\n got %+v\nwant %+v", got, want)
-	}
 	for _, prefix := range append(modelPrefixes, netip.MustParsePrefix("192.0.2.0/24")) {
 		got, err := l.PathChanges(prefix)
 		if want := want.pathChanges(prefix); err != nil || !reflect.DeepEqual(got, want) {
@@ -287,8 +254,8 @@ func TestEventLogPinsNoMessages(t *testing.T) {
 		})
 	}
 	grew := int64(heap()) - int64(before)
-	if sums := l.Summarize(); len(sums) != 160 || sums[0].UpdatesSent+sums[0].UpdatesRecv != 625 {
-		t.Fatalf("fold lost events: %d routers, first %+v", len(sums), sums[0])
+	if n := l.transitions(); n != 0 {
+		t.Fatalf("the log holds %d transitions after UPDATEs only", n)
 	}
 	if grew > 1<<20 {
 		t.Fatalf("live heap grew %d bytes over 100k appended UPDATEs; the log must not retain messages", grew)

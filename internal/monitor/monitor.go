@@ -27,23 +27,35 @@ var ErrTimeout = errors.New("timed out")
 
 // Detector detects routing convergence by quiescence: the network is
 // considered converged once no routing activity (updates sent or
-// received, controller recomputations) has occurred for a settle
-// window. The convergence instant is the time of the last activity.
+// received, controller recomputations) has occurred for a window. The
+// convergence instant is the time of the last activity.
 type Detector struct {
 	clock  sim.Clock
-	settle time.Duration
+	window time.Duration
 	last   time.Time
 }
 
-// DefaultSettle is the default quiescence window.
-const DefaultSettle = 5 * time.Second
+// minWindow is the floor of Window.
+const minWindow = 5 * time.Second
 
-// NewDetector builds a detector; settle <= 0 selects DefaultSettle.
-func NewDetector(clock sim.Clock, settle time.Duration) *Detector {
-	if settle <= 0 {
-		settle = DefaultSettle
-	}
-	return &Detector{clock: clock, settle: settle, last: clock.Now()}
+// Window is the quiescence window of routers whose resolved MRAI is
+// mrai: max(1.5·MRAI, 5 s). It does two jobs. It outlasts the largest
+// legitimate gap between update batches, the jittered MRAI, so that a
+// lull between exploration rounds (Labovitz et al., SIGCOMM 2000) does
+// not read as convergence; the half MRAI on top leaves margin for
+// chained propagation delays. And since every hold-down starts at an
+// UPDATE sent and lasts at most one MRAI, it lets every session's
+// hold-down lapse before the next trigger, so each measurement starts
+// from a network that paces nothing (DECISIONS.md, "The quiescence
+// window is the MRAI's").
+func Window(mrai time.Duration) time.Duration {
+	return max(mrai+mrai/2, minWindow)
+}
+
+// NewDetector builds a detector that waits window (see Window) for
+// quiescence.
+func NewDetector(clock sim.Clock, window time.Duration) *Detector {
+	return &Detector{clock: clock, window: window, last: clock.Now()}
 }
 
 // Touch records routing activity now. Touching the detector when an
@@ -55,10 +67,10 @@ func (d *Detector) Touch() {
 // LastActivity returns the time of the most recent activity.
 func (d *Detector) LastActivity() time.Time { return d.last }
 
-// Converged reports whether the settle window has elapsed since the
-// last activity.
+// Converged reports whether the window has elapsed since the last
+// activity.
 func (d *Detector) Converged() bool {
-	return d.clock.Now().Sub(d.last) >= d.settle
+	return d.clock.Now().Sub(d.last) >= d.window
 }
 
 // BGPActivityTrace adapts the detector to a bgp.Router trace hook:
@@ -79,7 +91,7 @@ func (d *Detector) WaitConverged(k *sim.Kernel, timeout time.Duration) (time.Tim
 		if d.Converged() {
 			return d.last, nil
 		}
-		step := d.settle - k.Now().Sub(d.last)
+		step := d.window - k.Now().Sub(d.last)
 		if step <= 0 {
 			step = time.Millisecond
 		}

@@ -119,8 +119,10 @@ func borrowedRun(t *testing.T, scribble bool) string {
 	sent, recv := e.UpdateTotals()
 	fmt.Fprintf(&out, "converged in %v after %d events; %d frames delivered, %d dropped, %d bytes; %d UPDATEs sent, %d received\n",
 		took, e.K.Events(), delivered, dropped, bytes, sent, recv)
-	for _, s := range e.Log.Summarize() {
-		fmt.Fprintf(&out, "%+v\n", s)
+	for _, asn := range e.ASNs() {
+		if r, ok := e.Routers[asn]; ok {
+			fmt.Fprintf(&out, "%v %+v\n", asn, r.Stats())
+		}
 	}
 	prefix, err := e.OriginPrefix(1)
 	step(err)

@@ -16,8 +16,7 @@
 //	seed 42                 Seed
 //	mrai 30s                Timers; also no-mrai-jitter, hold-time 90s
 //	debounce 1s             Debounce (0 or negative disables the delay)
-//	processing-delay 25ms   ProcessingDelay; likewise link-delay and
-//	                        settle
+//	processing-delay 25ms   ProcessingDelay; likewise link-delay
 //	loss 0.05               LinkLoss, in [0, 1], seeded per link
 //	damping on              Damping
 //	policy gao-rexford      Policy: permit-all|gao-rexford|prefix-filter
@@ -34,7 +33,8 @@
 // The DSL's own commands:
 //
 //	wait-established 5m
-//	wait-converged 2h
+//	wait-converged 2h          run until routing has been quiet for
+//	                           max(1.5·MRAI, 5s) (monitor.Window)
 //	measure <event> [timeout]  any event above: reset, trigger, wait
 //	                           for quiescence; prints the time
 //	run-for 30s
@@ -191,7 +191,6 @@ var directives = map[string]directive{
 	}},
 	"processing-delay": duration(func(t *lab.Trial) *time.Duration { return &t.ProcessingDelay }),
 	"link-delay":       duration(func(t *lab.Trial) *time.Duration { return &t.LinkDelay }),
-	"settle":           duration(func(t *lab.Trial) *time.Duration { return &t.Settle }),
 	"loss": {1, func(r *Runner, args []string) error {
 		p, err := strconv.ParseFloat(args[0], 64)
 		if err != nil || !(p >= 0 && p <= 1) {
@@ -491,9 +490,10 @@ func (r *Runner) execPrint(args []string) error {
 	e := r.exp
 	switch args[0] {
 	case "summary":
-		for _, s := range e.Log.Summarize() {
+		for _, asn := range idr.SortedKeys(e.Routers) {
+			s := e.Routers[asn].Stats()
 			fmt.Fprintf(r.out, "%v: sent=%d recv=%d best-changes=%d state-changes=%d\n",
-				s.Router, s.UpdatesSent, s.UpdatesRecv, s.BestChanges, s.StateChanges)
+				asn, s.UpdatesSent, s.UpdatesReceived, s.BestChanges, s.StateChanges)
 		}
 		return nil
 	case "timeline":

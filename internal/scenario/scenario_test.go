@@ -213,6 +213,7 @@ func TestRunErrors(t *testing.T) {
 		{"sdn surplus field", "topology line 3\nsdn last 2 junk\n"},
 		{"seed surplus argument", "seed 1 2\n"},
 		{"negative settle", "topology line 2\nsettle -1s\nstart\n"},
+		{"settle", "topology line 2\nmrai 5s\nsettle 10s\nstart\n"},
 		{"negative run-for", header + "run-for -5s\n"},
 		{"wait-converged surplus argument", header + "wait-converged 1m 2m\n"},
 	}
@@ -220,6 +221,8 @@ func TestRunErrors(t *testing.T) {
 	// on its line, not run without it.
 	exact := map[string]string{
 		"bad collector": "scenario: line 2 (collector): unknown or out-of-order directive",
+		// The quiescence window follows the MRAI (monitor.Window).
+		"settle": "scenario: line 3 (settle): unknown or out-of-order directive",
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -444,7 +447,6 @@ sdn 3
 seed 1
 mrai 2s
 no-mrai-jitter
-settle 5s
 start
 wait-established 2m
 announce all
